@@ -1,25 +1,79 @@
 GO ?= go
 
-.PHONY: all build vet test race bench bench-files bench-check fuzz cover chaos experiments clean
+.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-files bench-check fuzz cover chaos experiments clean
 
 all: build vet test
+
+# CI (.github/workflows/ci.yml) is exactly these targets, in this order:
+#   build vet test race race-full chaos-smoke e2e bench-smoke bench-check
+# so a red CI step is reproduced locally with `make <step>`.
 
 build:
 	$(GO) build ./...
 
-vet:
+# gofmt prints the files it would change; any output fails the gate.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
+# ./... includes ./benchmark, the end-to-end benchmark harness.
+vet: fmt-check
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -short ./...
+
+# The packages whose full (non -short) suites exercise shared state from
+# several goroutines: the coordinator, transport, gateway admission,
+# tracing ring, health supervisor, chaos harness, targeting index. The two
+# pinned tests run at -count=10 because a race detector run only reports
+# the interleavings it happens to see: lock-free reads against the journaled
+# commit path, and the supervisor's per-slot watch/unwatch. The two
+# zero-alloc pins fail if their test disappears.
+race-full:
+	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
+		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
+		./internal/index/ ./internal/audience/ ./internal/profile/
+	$(GO) test -race -count=10 -run TestJournaledReadsDuringShipAndImport ./internal/platform/
+	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
+	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
+	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
+
+# Deterministic fault-injection smokes, each verifying durability,
+# exactly-once billing, replica convergence and byte-identical recovery:
+# in-process and loopback-RPC schedules (every configured fault kind must
+# fire), replica chains with a mid-round owner kill plus a reshard under
+# traffic, and owner kills the health supervisor must recover with no
+# admin call. A failure prints the seed; replay it with
+# `go run ./cmd/treads-chaos -seed <n> -v -keep`.
+chaos-smoke:
+	$(GO) run ./cmd/treads-chaos -seeds 20 -require-coverage
+	$(GO) run ./cmd/treads-chaos -net -seeds 5 -workers 2 -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 3 -replicas 1 -reshard -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 3 -kill-owner -no-admin
+
+# Real-binary and acceptance end-to-end tests: the gateway overload and
+# state-equivalence suite, three shard processes with one SIGKILLed and
+# recovered from its journal, and one browse assembling into one trace
+# across a gateway-fronted router and two shard processes.
+e2e:
+	$(GO) test -race -count=1 -run 'TestOverloadProtectsUserSLO|TestGatewayStateEquivalence' -v ./internal/gateway/
+	$(GO) test -race -count=1 -run 'TestMultiProcessClusterE2E|TestMultiProcessTraceAssembly' -v ./cmd/adplatformd/
 
 # TREADS_INDEX_BENCH_USERS caps the index benchmarks' population (their
 # default is the 1M-user acceptance scale).
 bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
+
+# Every benchmark once, so none rots; the three named ones are perf
+# tripwires and fail the target if they disappear.
+bench-smoke:
+	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
+	$(GO) test -run=NONE -bench=BenchmarkRPC -benchtime=1x ./internal/rpc/ | grep BenchmarkRPC
+	$(GO) test -run=NONE -bench=BenchmarkHistogramObserve -benchtime=1x ./internal/obs/ | grep BenchmarkHistogramObserve
+	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
 
 # Regenerate the committed BENCH_<area>.json perf trajectory at full
 # acceptance scale (index area at 1M users; takes a few minutes).

@@ -1,6 +1,6 @@
 package treads
 
-// One benchmark per experiment in DESIGN.md's per-experiment index. Each
+// One benchmark per experiment in docs/DESIGN.md's per-experiment index. Each
 // bench regenerates its table/figure through the same code path as the
 // cmd/ binaries (internal/experiments) and reports the headline metric via
 // b.ReportMetric, so `go test -bench=. -benchmem` reproduces the paper's

@@ -371,7 +371,7 @@ func run() error {
 		// the self-healing loop; without it failover stays an explicit
 		// admin call.
 		if opts.FailoverDetect > 0 {
-			sup := startFailoverSupervisor(clusterAdmin.clu, opts, logger)
+			sup := startFailoverSupervisor(clusterAdmin, opts, logger)
 			defer sup.Close()
 		}
 	}
@@ -586,9 +586,10 @@ func runShardServer(opts options, logger *log.Logger) error {
 
 	var backend rpc.Backend
 	var compactor httpapi.Compactor
+	var jp *platform.Journaled
 	if opts.JournalDir != "" {
-		jp, err := openJournaledShard(boot, opts.ShardIndex, opts.JournalDir, logger)
-		if err != nil {
+		var err error
+		if jp, err = openJournaledShard(boot, opts.ShardIndex, opts.JournalDir, logger); err != nil {
 			return fmt.Errorf("opening journal: %w", err)
 		}
 		backend = jp
@@ -611,24 +612,17 @@ func runShardServer(opts options, logger *log.Logger) error {
 		logger.Printf("membership gate armed; advertised as %s", peerURL(opts.Advertise))
 	}
 	dialer := newPeerDialer(opts)
-	if opts.JournalDir != "" {
+	if jp != nil {
 		// Any journaled node can be told to ship (or stop shipping) its
 		// journal over the rearm RPC: this is how the router re-arms a
 		// freshly promoted owner's chain — and disarms a demoted one —
 		// without restarting the process.
-		if owner, ok := backend.(cluster.Shard); ok {
-			rpcSrv.SetRearm(rearmShipping(owner, dialer, logger))
-		}
-	}
-	if opts.Replicate != "" {
-		// validate() ties -replicate to -journal, so backend is the
-		// journaled shard and supports the shipping seam.
-		owner, ok := backend.(cluster.Shard)
-		if !ok {
-			return fmt.Errorf("-replicate: backend does not expose the shard surface")
-		}
-		if err := armReplication(owner, dialer, opts, logger); err != nil {
-			return fmt.Errorf("arming replication: %w", err)
+		rpcSrv.SetRearm(rearmShipping(jp, dialer, logger))
+		// validate() ties -replicate to -journal.
+		if opts.Replicate != "" {
+			if err := armReplication(jp, dialer, opts, logger); err != nil {
+				return fmt.Errorf("arming replication: %w", err)
+			}
 		}
 	}
 

@@ -12,6 +12,7 @@ import (
 	"github.com/treads-project/treads/internal/health"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
+	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/rpc"
 )
 
@@ -123,6 +124,16 @@ type membershipAdmin struct {
 	dial   *peerDialer
 	wait   time.Duration
 	logger *log.Logger
+	// sup is the failover supervisor when -failover-detect armed one (nil
+	// otherwise); membership changes keep its watch list equal to the ring.
+	sup *health.Supervisor
+}
+
+// watchSlot puts a slot under the failover supervisor, if one is armed.
+func (a *membershipAdmin) watchSlot(slot int) {
+	if a.sup != nil {
+		a.sup.Watch(slot, &routerSlotCtrl{clu: a.clu, slot: slot, logger: a.logger})
+	}
 }
 
 var _ httpapi.ClusterAdmin = (*membershipAdmin)(nil)
@@ -138,23 +149,19 @@ func wireReport(rep cluster.ReshardReport) httpapi.ReshardReportWire {
 // Status implements httpapi.ClusterAdmin.
 func (a *membershipAdmin) Status() httpapi.ClusterStatusResponse {
 	slots := a.clu.SlotShards()
+	ring := a.clu.RingInfo()
 	out := httpapi.ClusterStatusResponse{
-		Version: a.clu.Version(),
-		Slots:   make([]httpapi.ClusterSlotStatus, len(slots)),
+		Version: ring.Version,
+		Slots:   make([]httpapi.ClusterSlotStatus, 0, len(slots)),
 	}
 	out.MigrationActive, out.PendingRemovals = a.clu.MigrationStatus()
-	for i, s := range slots {
-		st := httpapi.ClusterSlotStatus{Slot: i, Healthy: true}
-		if h, ok := s.(interface{ Healthy() bool }); ok {
+	// The two reads are not one snapshot; report the slots both agree on.
+	for i := 0; i < len(slots) && i < len(ring.Shards); i++ {
+		st := httpapi.ClusterSlotStatus{Slot: i, Healthy: true, Addr: ring.Shards[i].Addr, Replicas: ring.Shards[i].Replicas}
+		if h, ok := slots[i].(cluster.HealthReporter); ok {
 			st.Healthy = h.Healthy()
 		}
-		if ad, ok := s.(interface{ Addr() string }); ok {
-			st.Addr = ad.Addr()
-		}
-		if ra, ok := s.(interface{ ReplicaAddrs() []string }); ok {
-			st.Replicas = ra.ReplicaAddrs()
-		}
-		out.Slots[i] = st
+		out.Slots = append(out.Slots, st)
 	}
 	if rep := a.clu.LastReshard(); rep.Version != 0 {
 		w := wireReport(rep)
@@ -176,6 +183,7 @@ func (a *membershipAdmin) AddShard(addr string, replicas []string) (httpapi.Resh
 	if err != nil {
 		return httpapi.ReshardReportWire{}, err
 	}
+	a.watchSlot(a.clu.Shards() - 1)
 	a.logger.Printf("admin: added shard %s (replicas %v): moved %d users, cutover %v, ring v%d",
 		addr, replicas, rep.UsersMoved, rep.Cutover.Round(time.Microsecond), rep.Version)
 	return wireReport(rep), nil
@@ -185,8 +193,16 @@ func (a *membershipAdmin) AddShard(addr string, replicas []string) (httpapi.Resh
 func (a *membershipAdmin) RemoveShard() (httpapi.ReshardReportWire, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	// The victim leaves the watch list before it leaves the ring, so no
+	// probe or promotion races the removal; a refused removal keeps the
+	// slot, and it is watched again.
+	victim := a.clu.Shards() - 1
+	if a.sup != nil {
+		a.sup.Unwatch(victim)
+	}
 	rep, err := a.clu.RemoveShard()
 	if err != nil {
+		a.watchSlot(victim)
 		return httpapi.ReshardReportWire{}, err
 	}
 	a.logger.Printf("admin: removed shard: moved %d users, cutover %v, ring v%d",
@@ -208,13 +224,11 @@ func (a *membershipAdmin) Promote(slot int, force bool) (httpapi.PromoteResponse
 	if err != nil {
 		return httpapi.PromoteResponse{}, err
 	}
-	addr := ""
-	if slots := a.clu.SlotShards(); slot < len(slots) {
-		if ad, ok := slots[slot].(interface{ Addr() string }); ok {
-			addr = ad.Addr()
-		}
+	ring := a.clu.RingInfo()
+	addr, v := "", ring.Version
+	if slot < len(ring.Shards) {
+		addr = ring.Shards[slot].Addr
 	}
-	v := a.clu.Version()
 	a.logger.Printf("admin: promoted slot %d member %d (%s) to owner; ring v%d pushed, shipping re-armed (force=%v)",
 		slot, member, addr, v, force)
 	return httpapi.PromoteResponse{Slot: slot, Member: member, Addr: addr, Version: v}, nil
@@ -232,7 +246,7 @@ func (a *membershipAdmin) ResumeReshard() error {
 // every acknowledged write from here on is applied on every follower
 // before the ack. After a promotion the router re-arms the new owner's
 // chain over the rearm RPC (see rearmShipping) — no restart needed.
-func armReplication(owner cluster.Shard, dialer *peerDialer, opts options, logger *log.Logger) error {
+func armReplication(owner *platform.Journaled, dialer *peerDialer, opts options, logger *log.Logger) error {
 	addrs := splitPeers(opts.Replicate)
 	if len(addrs) == 0 {
 		return fmt.Errorf("-replicate is empty after parsing %q", opts.Replicate)
@@ -263,14 +277,10 @@ func armReplication(owner cluster.Shard, dialer *peerDialer, opts options, logge
 // chain in place — the no-process-restart re-arm the automatic failover
 // protocol depends on. An empty follower list disarms shipping (the node
 // was demoted to a follower and must not ship).
-func rearmShipping(owner cluster.Shard, dialer *peerDialer, logger *log.Logger) func([]string) error {
+func rearmShipping(owner *platform.Journaled, dialer *peerDialer, logger *log.Logger) func([]string) error {
 	return func(followers []string) error {
 		if len(followers) == 0 {
-			if ss, ok := owner.(interface {
-				SetShipper(func(uint64, []byte) error)
-			}); ok {
-				ss.SetShipper(nil)
-			}
+			owner.SetShipper(nil)
 			logger.Printf("rearm: journal shipping disarmed")
 			return nil
 		}
@@ -315,23 +325,26 @@ func (c *routerSlotCtrl) NeedsHeal() bool { return c.clu.SlotDegraded(c.slot) }
 func (c *routerSlotCtrl) Heal(context.Context) error { return c.clu.HealSlot(c.slot) }
 
 // startFailoverSupervisor arms automatic failure detection and recovery
-// over every boot-time ring slot (slots added later via the admin API
-// are not watched until restart — promote them manually if needed).
-func startFailoverSupervisor(clu *cluster.Cluster, opts options, logger *log.Logger) *health.Supervisor {
-	sup := health.NewSupervisor(health.Config{
+// over every ring slot: the boot-time ones here, and from then on the
+// admin's AddShard / RemoveShard keep the watch list equal to the ring.
+// The caller closes the returned supervisor.
+func startFailoverSupervisor(admin *membershipAdmin, opts options, logger *log.Logger) *health.Supervisor {
+	admin.mu.Lock()
+	defer admin.mu.Unlock()
+	admin.sup = health.NewSupervisor(health.Config{
 		Interval:  opts.FailoverDetect,
 		Detector:  health.DetectorConfig{FailThreshold: opts.FailoverMisses},
 		HealEvery: opts.FailoverHeal,
 		Metrics:   health.NewMetrics(obs.Default),
 		Logf:      logger.Printf,
 	})
-	slots := clu.SlotShards()
-	for i := range slots {
-		sup.Watch(i, &routerSlotCtrl{clu: clu, slot: i, logger: logger})
+	n := admin.clu.Shards()
+	for i := 0; i < n; i++ {
+		admin.watchSlot(i)
 	}
 	logger.Printf("automatic failover armed over %d slot(s): probe every %v, down after %d misses, heal check every %d ticks",
-		len(slots), opts.FailoverDetect, opts.FailoverMisses, opts.FailoverHeal)
-	return sup
+		n, opts.FailoverDetect, opts.FailoverMisses, opts.FailoverHeal)
+	return admin.sup
 }
 
 // lazyGate is the shard-node membership gate before the first ring push

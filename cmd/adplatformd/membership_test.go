@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +28,13 @@ import (
 )
 
 const membershipSecret = "membership-secret"
+
+// followStatus reads an in-process member's follow status (it cannot
+// fail).
+func followStatus(jp *platform.Journaled) platform.FollowStatus {
+	st, _ := jp.FollowStatus()
+	return st
+}
 
 func TestParsePeerGroups(t *testing.T) {
 	cases := []struct {
@@ -53,6 +61,9 @@ type membershipNode struct {
 	jp   *platform.Journaled
 	addr string
 	cli  *rpc.Client
+	// probes counts health requests the node served — what a failover
+	// supervisor's probe loop shows up as on the wire.
+	probes atomic.Int64
 }
 
 func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
@@ -64,13 +75,20 @@ func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { jp.Close() })
+	n := &membershipNode{jp: jp}
 	srv := rpc.NewServer(jp, membershipSecret, nil)
-	hs := httptest.NewServer(srv)
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == rpc.PathPrefix+"health" {
+			n.probes.Add(1)
+		}
+		srv.ServeHTTP(w, r)
+	}))
 	t.Cleanup(hs.Close)
 	srv.SetGate(newLazyGate(hs.URL))
-	cli := rpc.NewClient(hs.URL, rpc.Options{Secret: membershipSecret})
-	t.Cleanup(cli.Close)
-	return &membershipNode{jp: jp, addr: hs.URL, cli: cli}
+	n.addr = hs.URL
+	n.cli = rpc.NewClient(hs.URL, rpc.Options{Secret: membershipSecret})
+	t.Cleanup(n.cli.Close)
+	return n
 }
 
 func adminJSON(t *testing.T, method, url string, body, out any) int {
@@ -98,6 +116,57 @@ func adminJSON(t *testing.T, method, url string, body, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// TestFailoverSupervisorFollowsMembership pins that with -failover-detect
+// armed the supervisor's watch list is the ring, not the boot-time ring: a
+// slot added through the admin surface is probed from then on, and a
+// removed one is no longer probed once RemoveShard returns.
+func TestFailoverSupervisorFollowsMembership(t *testing.T) {
+	root := t.TempDir()
+	logger := log.New(io.Discard, "", 0)
+	nodeA := newMembershipNode(t, filepath.Join(root, "a"), stats.SubSeed(43, 0))
+	nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(43, 1))
+	opts := parseForTest(t, "-peers", nodeA.addr, "-rpc-secret", membershipSecret,
+		"-peer-wait", "10s", "-failover-detect", "2ms")
+	backend, admin, err := openRouterBackend(opts, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { backend.(*cluster.Cluster).Close() })
+	sup := startFailoverSupervisor(admin, opts, logger)
+	t.Cleanup(sup.Close)
+
+	grew := func(n *membershipNode, by int64) func() bool {
+		from := n.probes.Load()
+		return func() bool { return n.probes.Load() >= from+by }
+	}
+	waitUntil(t, "boot slot to be probed", grew(nodeA, 5))
+
+	if _, err := admin.AddShard(nodeB.addr, nil); err != nil {
+		t.Fatalf("AddShard: %v", err)
+	}
+	waitUntil(t, "the slot added at runtime to be probed", grew(nodeB, 5))
+
+	if _, err := admin.RemoveShard(); err != nil {
+		t.Fatalf("RemoveShard: %v", err)
+	}
+	after := nodeB.probes.Load()
+	waitUntil(t, "the remaining slot to keep being probed", grew(nodeA, 20))
+	if n := nodeB.probes.Load(); n != after {
+		t.Fatalf("removed slot probed %d more times after RemoveShard returned", n-after)
+	}
+}
+
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestMembershipEndpointsEndToEnd is the full dynamic-membership flow over
@@ -189,9 +258,9 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 		}
 	}
 	// Every migrated user reached the follower before the ack.
-	if !nodeD.jp.Synced() || nodeD.jp.ShipLSN() != nodeC.jp.LastLSN() {
+	if !followStatus(nodeD.jp).Synced || followStatus(nodeD.jp).ShipLSN != nodeC.jp.LastLSN() {
 		t.Fatalf("follower D at %d (synced=%v), owner C at %d",
-			nodeD.jp.ShipLSN(), nodeD.jp.Synced(), nodeC.jp.LastLSN())
+			followStatus(nodeD.jp).ShipLSN, followStatus(nodeD.jp).Synced, nodeC.jp.LastLSN())
 	}
 
 	// Promotion guards: a replica-less slot refuses, and so does a

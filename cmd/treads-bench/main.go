@@ -417,7 +417,7 @@ func (s *mortalShard) Healthy() bool { return !s.down.Load() && s.JournalFailed(
 type benchSlotCtrl struct{ rs *cluster.ReplicaSet }
 
 func (c benchSlotCtrl) ProbeOwner(context.Context) error {
-	if hc, ok := c.rs.Owner().(interface{ Healthy() bool }); ok && !hc.Healthy() {
+	if hc, ok := c.rs.Owner().(cluster.HealthReporter); ok && !hc.Healthy() {
 		return errors.New("owner down")
 	}
 	return nil
@@ -484,7 +484,7 @@ func benchFailover() (metric, error) {
 					return err
 				}
 			}
-			if !folJP.Synced() {
+			if st, _ := folJP.FollowStatus(); !st.Synced {
 				return fmt.Errorf("cycle %d: follower never synced", cy)
 			}
 			promoted := make(chan time.Duration, 1)

@@ -842,7 +842,7 @@ type autoSlotCtrl struct {
 }
 
 func (a *autoSlotCtrl) ProbeOwner(context.Context) error {
-	if hc, ok := a.g.rs.Owner().(interface{ Healthy() bool }); ok && !hc.Healthy() {
+	if hc, ok := a.g.rs.Owner().(cluster.HealthReporter); ok && !hc.Healthy() {
 		return cluster.ErrShardUnavailable
 	}
 	return nil
@@ -913,7 +913,7 @@ func (h *harness) anyPromotable(g *slotGroup) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, n := range g.nodes[1:] {
-		if !n.down.Load() && n.jp.JournalFailed() == nil && n.jp.Following() && n.jp.Synced() {
+		if st, _ := n.jp.FollowStatus(); !n.down.Load() && n.jp.JournalFailed() == nil && st.Synced {
 			return true
 		}
 	}

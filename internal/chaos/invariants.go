@@ -230,14 +230,15 @@ func (h *harness) verifyReplication(res *Result) {
 		}
 		for j, fn := range g.nodes[1:] {
 			jp := fn.jp
-			if !jp.Following() || !jp.Synced() {
+			st, _ := jp.FollowStatus() // in-process: cannot fail
+			if !st.Synced {
 				res.violate("replication", "slot %d follower %d: following=%v synced=%v after heal",
-					si, j+1, jp.Following(), jp.Synced())
+					si, j+1, st.Following, st.Synced)
 				continue
 			}
-			if jp.ShipLSN() != own.LastLSN() {
+			if st.ShipLSN != own.LastLSN() {
 				res.violate("replication", "slot %d follower %d: ship cursor %d, owner journal at %d",
-					si, j+1, jp.ShipLSN(), own.LastLSN())
+					si, j+1, st.ShipLSN, own.LastLSN())
 			}
 			fb, err := platform.MarshalSnapshot(jp.State())
 			if err != nil {

@@ -11,6 +11,7 @@ import (
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/faults"
 	"github.com/treads-project/treads/internal/journal"
@@ -145,20 +146,22 @@ func (n *node) awaitHealthy(timeout time.Duration) error {
 // that into the typed ErrShardUnavailable the accounting relies on.
 type inprocShard struct{ n *node }
 
-var _ interface {
-	Healthy() bool
-} = (*inprocShard)(nil)
+var _ cluster.HealthReporter = (*inprocShard)(nil)
 
 func (s *inprocShard) Healthy() bool { return !s.n.down.Load() && s.n.jp.JournalFailed() == nil }
 
-func (s *inprocShard) AddUser(p *profile.Profile) error          { return s.n.jp.AddUser(p) }
-func (s *inprocShard) User(uid profile.UserID) *profile.Profile  { return s.n.jp.User(uid) }
-func (s *inprocShard) Users() []profile.UserID                   { return s.n.jp.Users() }
-func (s *inprocShard) Feed(uid profile.UserID) []ad.Impression   { return s.n.jp.Feed(uid) }
+func (s *inprocShard) AddUser(p *profile.Profile) error            { return s.n.jp.AddUser(p) }
+func (s *inprocShard) User(uid profile.UserID) *profile.Profile    { return s.n.jp.User(uid) }
+func (s *inprocShard) Users() []profile.UserID                     { return s.n.jp.Users() }
+func (s *inprocShard) Feed(uid profile.UserID) []ad.Impression     { return s.n.jp.Feed(uid) }
 func (s *inprocShard) LikePage(uid profile.UserID, p string) error { return s.n.jp.LikePage(uid, p) }
 
 func (s *inprocShard) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
 	return s.n.jp.BrowseFeed(uid, slots)
+}
+
+func (s *inprocShard) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
+	return s.n.jp.BrowseFeedCtx(ctx, uid, slots)
 }
 
 func (s *inprocShard) VisitPage(uid profile.UserID, px pixel.PixelID) error {
@@ -223,7 +226,7 @@ func (s *inprocShard) SearchAttributes(q string) []*attr.Attribute {
 	return s.n.jp.SearchAttributes(q)
 }
 
-// --- elastic-membership and replica-chain capability surface ---
+// --- control surface: platform.Member plus the in-process extension ---
 //
 // Forwarding these through the adapter (rather than handing the cluster
 // the *platform.Journaled directly) is what lets migration and shipping
@@ -232,6 +235,8 @@ func (s *inprocShard) SearchAttributes(q string) []*attr.Attribute {
 // does not survive a swap is the shipper closure, which lives on the jp
 // itself — the harness re-arms it (ReplicaSet.Chain) after every
 // recovery.
+
+var _ platform.Member = (*inprocShard)(nil)
 
 func (s *inprocShard) ExportUsers(users []profile.UserID) (platform.MigrationChunk, error) {
 	return s.n.jp.ExportUsers(users)
@@ -245,9 +250,16 @@ func (s *inprocShard) RemoveUsers(users []profile.UserID) error { return s.n.jp.
 
 func (s *inprocShard) InstallState(st platform.State) error { return s.n.jp.InstallState(st) }
 
-func (s *inprocShard) SyncState() (platform.State, error) { return s.n.jp.SyncState() }
+func (s *inprocShard) StateAndLSN() (platform.State, uint64, error) { return s.n.jp.StateAndLSN() }
 
-func (s *inprocShard) StateAndLSN() (platform.State, uint64) { return s.n.jp.StateAndLSN() }
+func (s *inprocShard) ApplyShipped(lsn uint64, payload []byte) error {
+	return s.n.jp.ApplyShipped(lsn, payload)
+}
+
+func (s *inprocShard) BeginFollow(lsn uint64) error { return s.n.jp.BeginFollow(lsn) }
+func (s *inprocShard) EndFollow() error             { return s.n.jp.EndFollow() }
+
+func (s *inprocShard) FollowStatus() (platform.FollowStatus, error) { return s.n.jp.FollowStatus() }
 
 func (s *inprocShard) TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error {
 	return s.n.jp.TailSince(from, fn)
@@ -257,15 +269,4 @@ func (s *inprocShard) SetShipper(fn func(lsn uint64, payload []byte) error) {
 	s.n.jp.SetShipper(fn)
 }
 
-func (s *inprocShard) ApplyShipped(lsn uint64, payload []byte) error {
-	return s.n.jp.ApplyShipped(lsn, payload)
-}
-
-func (s *inprocShard) BeginFollow(lsn uint64) { s.n.jp.BeginFollow(lsn) }
-func (s *inprocShard) EndFollow()             { s.n.jp.EndFollow() }
-func (s *inprocShard) Following() bool        { return s.n.jp.Following() }
-func (s *inprocShard) Synced() bool           { return s.n.jp.Synced() }
-func (s *inprocShard) ShipLSN() uint64        { return s.n.jp.ShipLSN() }
-
 func (s *inprocShard) Compact() (uint64, error) { return s.n.jp.Compact() }
-func (s *inprocShard) LastLSN() uint64          { return s.n.jp.LastLSN() }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sort"
 	"strconv"
@@ -34,6 +35,10 @@ type Shard interface {
 	User(profile.UserID) *profile.Profile
 	Users() []profile.UserID
 	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
+	// BrowseFeedCtx is the browse the coordinator calls: a journaled shard
+	// journals under the caller's trace, and a RemoteShard propagates the
+	// traceparent (and the caller's deadline) over the wire.
+	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
 	Feed(profile.UserID) []ad.Impression
 	VisitPage(profile.UserID, pixel.PixelID) error
 	LikePage(profile.UserID, string) error
@@ -66,6 +71,43 @@ type Shard interface {
 var (
 	_ Shard = (*platform.Platform)(nil)
 	_ Shard = (*platform.Journaled)(nil)
+)
+
+// Beside the traffic surface above, a journaled shard has a control
+// surface — platform.Member: state transfer for resharding, journal
+// shipping and follow mode for replica chains. The reshard driver and
+// ReplicaSet reach it with one assertion, s.(platform.Member), whatever the
+// shard's location; a shard without it (a plain in-memory platform) cannot
+// take part and the operation fails with ErrMigrationUnsupported. Two
+// things are not location-independent, and each is named once here.
+
+// localMember is what only an in-process journaled member offers: the
+// coordinator installs its shipping hook and reads its journal tail
+// directly (a networked owner ships from its own process, armed over the
+// rearm RPC), and compacts it (a networked node compacts itself).
+// *platform.Journaled satisfies it.
+type localMember interface {
+	platform.Member
+	SetShipper(func(lsn uint64, payload []byte) error)
+	TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error
+	Compact() (uint64, error)
+}
+
+// networkedMember is what only a member behind an RPC client offers: a
+// dialable address, an explicit health probe that feeds its circuit
+// breaker, the membership gate's ring push, and the rearm call that tells
+// a promoted owner whom to ship to. *RemoteShard satisfies it.
+type networkedMember interface {
+	platform.Member
+	Addr() string
+	Probe(context.Context) error
+	PushRing(context.Context, rpc.RingInfo) error
+	Rearm(ctx context.Context, followers []string) error
+}
+
+var (
+	_ localMember     = (*platform.Journaled)(nil)
+	_ networkedMember = (*RemoteShard)(nil)
 )
 
 // Options tunes a cluster.
@@ -258,17 +300,10 @@ func (c *Cluster) ownerShard(uid profile.UserID) (Shard, error) {
 	return s, nil
 }
 
-// routeRead runs a user-scoped read on the owning shard, refreshing
-// membership and retrying exactly once when the shard answers that the
-// router's ring is stale (rpc.ErrStaleRing).
-func routeRead[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
-	return routeWithRefresh(c, uid, fn)
-}
-
-// routeMutation is routeRead plus the reshard write fence: the call holds
-// the fence read-side so a cutover cannot start mid-write, and records the
-// user as dirty while a reshard's bulk copy is running so the cutover
-// re-copies exactly what changed.
+// routeMutation is routeWithRefresh plus the reshard write fence: the call
+// holds the fence read-side so a cutover cannot start mid-write, and
+// records the user as dirty while a reshard's bulk copy is running so the
+// cutover re-copies exactly what changed.
 func routeMutation[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
 	c.wmu.RLock()
 	defer c.wmu.RUnlock()
@@ -276,6 +311,9 @@ func routeMutation[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, err
 	return routeWithRefresh(c, uid, fn)
 }
 
+// routeWithRefresh runs a user-scoped call on the owning shard, refreshing
+// membership and retrying exactly once when the shard answers that the
+// router's ring is stale (rpc.ErrStaleRing). Reads use it directly.
 func routeWithRefresh[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
 	var zero T
 	s, err := c.ownerShard(uid)
@@ -326,7 +364,7 @@ func (c *Cluster) AddUser(pr *profile.Profile) error {
 // User returns the user's profile from the owning shard (nil when the
 // shard is unavailable — the same answer an unknown user gets).
 func (c *Cluster) User(uid profile.UserID) *profile.Profile {
-	p, _ := routeRead(c, uid, func(s Shard) (*profile.Profile, error) {
+	p, _ := routeWithRefresh(c, uid, func(s Shard) (*profile.Profile, error) {
 		return s.User(uid), nil
 	})
 	return p
@@ -337,17 +375,9 @@ func (c *Cluster) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, er
 	return c.BrowseFeedCtx(context.Background(), uid, slots)
 }
 
-// browseCtxShard is the optional ctx-aware browse a shard may support:
-// *platform.Journaled journals under the caller's trace, and
-// *RemoteShard propagates the traceparent over the wire. Plain shards
-// fall back to the ctx-less call.
-type browseCtxShard interface {
-	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
-}
-
 // BrowseFeedCtx is BrowseFeed under the request context: sampled
 // requests get a routing span naming the owning shard, and the shard
-// call carries the context onward when the shard supports it.
+// call carries the context onward.
 func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	ctx, sp := trace.StartChild(ctx, "cluster.route")
 	if sp != nil {
@@ -356,10 +386,7 @@ func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots i
 		defer sp.Finish()
 	}
 	imps, err := routeMutation(c, uid, func(s Shard) ([]ad.Impression, error) {
-		if cb, ok := s.(browseCtxShard); ok {
-			return cb.BrowseFeedCtx(ctx, uid, slots)
-		}
-		return s.BrowseFeed(uid, slots)
+		return s.BrowseFeedCtx(ctx, uid, slots)
 	})
 	sp.SetError(err)
 	return imps, err
@@ -368,7 +395,7 @@ func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots i
 // Feed returns the user's full feed from the owning shard (nil when the
 // shard is unavailable).
 func (c *Cluster) Feed(uid profile.UserID) []ad.Impression {
-	imps, _ := routeRead(c, uid, func(s Shard) ([]ad.Impression, error) {
+	imps, _ := routeWithRefresh(c, uid, func(s Shard) ([]ad.Impression, error) {
 		return s.Feed(uid), nil
 	})
 	return imps
@@ -394,7 +421,7 @@ func (c *Cluster) LikePage(uid profile.UserID, pageID string) error {
 // AdPreferences returns the transparency-page attributes from the user's
 // shard.
 func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	return routeRead(c, uid, func(s Shard) ([]attr.ID, error) {
+	return routeWithRefresh(c, uid, func(s Shard) ([]attr.ID, error) {
 		return s.AdPreferences(uid)
 	})
 }
@@ -403,7 +430,7 @@ func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 // audiences are replicated, and the user's custom-data memberships live
 // where the user lives.
 func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return routeRead(c, uid, func(s Shard) ([]string, error) {
+	return routeWithRefresh(c, uid, func(s Shard) ([]string, error) {
 		return s.AdvertisersTargetingMe(uid)
 	})
 }
@@ -411,7 +438,7 @@ func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
 // ExplainImpression generates the "why am I seeing this?" text on the
 // user's shard.
 func (c *Cluster) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return routeRead(c, uid, func(s Shard) (explain.Explanation, error) {
+	return routeWithRefresh(c, uid, func(s Shard) (explain.Explanation, error) {
 		return s.ExplainImpression(uid, imp)
 	})
 }
@@ -599,69 +626,77 @@ func (c *Cluster) Users() []profile.UserID {
 
 // --- durability plumbing (journaled shards) ---
 
-// compactor is the per-shard durability surface; *platform.Journaled
-// satisfies it.
-type compactor interface {
-	Compact() (uint64, error)
-	LastLSN() uint64
+// slotMembers returns a slot's members, owner first: a replica set's
+// chain, or the shard itself.
+func slotMembers(s Shard) []Shard {
+	if rs, ok := s.(*ReplicaSet); ok {
+		return rs.Members()
+	}
+	return []Shard{s}
 }
 
-// Compact snapshots and prunes every journaled shard's journal,
-// sequentially (each shard's compaction is its own stop-the-world; doing
-// them one at a time keeps the rest of the cluster serving). It returns
-// the minimum per-shard snapshot LSN — the prefix length every journaled
-// shard is guaranteed to have durably folded into a snapshot. Per-shard
-// LSNs are independent sequences, so the minimum is a conservative
-// progress indicator, not a global order. Clusters with no journaled
-// shards return 0.
+// Compact snapshots and prunes the journal of every in-process journaled
+// member (followers too — their journals grow with shipped records),
+// sequentially: each compaction is its own stop-the-world, and doing them
+// one at a time keeps the rest of the cluster serving. Networked nodes
+// compact themselves. It returns the minimum snapshot LSN over slot
+// owners — the prefix length every journaled shard is guaranteed to have
+// durably folded into a snapshot. Per-shard LSNs are independent
+// sequences, so the minimum is a conservative progress indicator, not a
+// global order. Clusters with no in-process journaled shards return 0.
 func (c *Cluster) Compact() (uint64, error) {
+	return c.minOwnerLSN(func(i, j int, m localMember) (uint64, error) {
+		lsn, err := m.Compact()
+		if err != nil {
+			return 0, fmt.Errorf("cluster: compacting shard %d member %d: %w", i, j, err)
+		}
+		return lsn, nil
+	})
+}
+
+// LastLSN returns the minimum last-journaled LSN across in-process
+// journaled slot owners (0 if there are none) — the same conservative
+// reading Compact uses.
+func (c *Cluster) LastLSN() uint64 {
+	lsn, _ := c.minOwnerLSN(func(_, _ int, m localMember) (uint64, error) {
+		st, err := m.FollowStatus()
+		return st.LastLSN, err
+	})
+	return lsn
+}
+
+// minOwnerLSN runs fn on every in-process journaled member of every slot
+// and returns the minimum of the LSNs it reports for slot owners.
+func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, error)) (uint64, error) {
 	shards, _ := c.membership()
 	var minLSN uint64
 	seen := false
 	for i, s := range shards {
-		jc, ok := s.(compactor)
-		if !ok {
-			continue
+		for j, mem := range slotMembers(s) {
+			lm, ok := mem.(localMember)
+			if !ok {
+				continue
+			}
+			lsn, err := fn(i, j, lm)
+			if err != nil {
+				return 0, err
+			}
+			if j == 0 && (!seen || lsn < minLSN) {
+				minLSN, seen = lsn, true
+			}
 		}
-		lsn, err := jc.Compact()
-		if err != nil {
-			return 0, fmt.Errorf("cluster: compacting shard %d: %w", i, err)
-		}
-		if !seen || lsn < minLSN {
-			minLSN = lsn
-		}
-		seen = true
 	}
 	return minLSN, nil
 }
 
-// LastLSN returns the minimum last-journaled LSN across journaled shards
-// (0 if none are journaled) — the same conservative reading Compact uses.
-func (c *Cluster) LastLSN() uint64 {
-	shards, _ := c.membership()
-	var minLSN uint64
-	seen := false
-	for _, s := range shards {
-		jc, ok := s.(compactor)
-		if !ok {
-			continue
-		}
-		if lsn := jc.LastLSN(); !seen || lsn < minLSN {
-			minLSN = lsn
-			seen = true
-		}
-	}
-	return minLSN
-}
-
 // Close closes every shard that is closable (journaled shards sync and
-// close their journals). The first error wins; remaining shards still get
-// closed.
+// close their journals; a replica set closes every member). The first
+// error wins; remaining shards still get closed.
 func (c *Cluster) Close() error {
 	shards, _ := c.membership()
 	var firstErr error
 	for i, s := range shards {
-		cl, ok := s.(interface{ Close() error })
+		cl, ok := s.(io.Closer)
 		if !ok {
 			continue
 		}

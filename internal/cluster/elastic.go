@@ -15,7 +15,7 @@ import (
 )
 
 // Live resharding moves a user range between shards without stopping the
-// cluster. The protocol (documented in docs/DESIGN.md, "Elastic cluster"):
+// cluster. The protocol (documented in docs/DESIGN.md §7):
 //
 //  1. Bootstrap — a joining shard is installed with the advertiser
 //     skeleton (StripUsersState of a live shard's snapshot) so replicated
@@ -35,6 +35,10 @@ import (
 // A failed source removal after the flip does not roll back (the
 // destination already owns the range); it parks in a pending set that
 // gates aggregates until ResumeReshard retries it.
+//
+// Growing and shrinking are the same protocol run over a different pair of
+// rings, so there is one driver, reshard; AddShard and RemoveShard only
+// say what the next membership is.
 
 // migrationChunkSize bounds users per state-transfer chunk, keeping each
 // exported chunk well under the RPC body limit.
@@ -51,22 +55,38 @@ var ErrMigrationUnsupported = errors.New("cluster: shard does not support live m
 // double-report reach and spend. ResumeReshard clears it.
 var ErrReshardIncomplete = errors.New("cluster: reshard incomplete: a source shard still holds moved users (run ResumeReshard)")
 
-// migrator is the per-shard capability surface live resharding needs;
-// *platform.Journaled and *ReplicaSet satisfy it, and *RemoteShard
-// forwards it over RPC.
-type migrator interface {
-	ExportUsers([]profile.UserID) (platform.MigrationChunk, error)
-	ImportUsers(platform.MigrationChunk) error
-	RemoveUsers([]profile.UserID) error
-	InstallState(platform.State) error
-	SyncState() (platform.State, error)
+// installState replaces a joining slot's entire state: on every member of
+// a replica set, on the shard itself otherwise.
+func installState(s Shard, st platform.State) error {
+	if rs, ok := s.(*ReplicaSet); ok {
+		return rs.InstallState(st)
+	}
+	m, err := slotWriter(s)
+	if err != nil {
+		return err
+	}
+	return m.InstallState(st)
 }
 
-var (
-	_ migrator = (*platform.Journaled)(nil)
-	_ migrator = (*ReplicaSet)(nil)
-	_ migrator = (*RemoteShard)(nil)
-)
+// slotWriter resolves the journaled member that currently takes a slot's
+// writes — the shard itself, or a replica set's owner (followers receive
+// migration records through journal shipping like any other write). A
+// promotion can change the owner mid-reshard, so the driver resolves per
+// call rather than once per reshard.
+func slotWriter(s Shard) (platform.Member, error) {
+	if rs, ok := s.(*ReplicaSet); ok {
+		o, err := rs.writer()
+		if err != nil {
+			return nil, err
+		}
+		s = o
+	}
+	m, ok := s.(platform.Member)
+	if !ok {
+		return nil, ErrMigrationUnsupported
+	}
+	return m, nil
+}
 
 // ReshardReport summarizes a completed membership change.
 type ReshardReport struct {
@@ -144,132 +164,191 @@ func (c *Cluster) takeDirty() map[profile.UserID]struct{} {
 // assigns to it are streamed over in chunks while writes keep flowing, and
 // a short write fence covers the final delta copy, the membership flip,
 // and the source-side removals. On success the new membership version is
-// pushed best-effort to every shard that accepts ring pushes.
-//
-// The replication lock is held end to end, so no advertiser mutation can
-// land between the skeleton bootstrap and the flip and leave the joiner's
-// replicated config behind.
+// pushed best-effort to every networked member.
 func (c *Cluster) AddShard(newShard Shard) (ReshardReport, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
+	shards, _ := c.membership()
+	return c.reshard("add shard", append(shards[:len(shards):len(shards)], newShard))
+}
+
+// RemoveShard shrinks the cluster by one shard (the last slot — the ring's
+// vnode labels are index-based, so membership is a stack), streaming the
+// victim's users to their new owners under the same protocol. The victim
+// is left cleaned best-effort; it is out of the membership either way, so
+// a failed cleanup cannot skew aggregates.
+func (c *Cluster) RemoveShard() (ReshardReport, error) {
+	c.repMu.Lock()
+	defer c.repMu.Unlock()
+	shards, _ := c.membership()
+	if len(shards) == 1 {
+		return ReshardReport{}, fmt.Errorf("cluster: cannot remove the last shard")
+	}
+	return c.reshard("remove shard", shards[:len(shards)-1])
+}
+
+// reshard moves the cluster, live, from its current membership to next,
+// which shares a prefix of slots with it (membership is a stack: next
+// appends joining slots or drops trailing ones). The moving set is exactly
+// the users whose owner differs between the old ring and the new one, so
+// the same steps serve growth and shrinkage.
+//
+// The caller holds the replication lock, and it stays held end to end: no
+// advertiser mutation can land between a joiner's skeleton bootstrap and
+// the flip and leave its replicated config behind.
+func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
+	fail := func(stage string, err error) (ReshardReport, error) {
+		c.m.reshardFailures.Inc()
+		return ReshardReport{}, fmt.Errorf("cluster: %s: %s: %w", what, stage, err)
+	}
 	if err := c.removalsSettled(); err != nil {
 		return ReshardReport{}, err
 	}
-
-	shards, oldRing := c.membership()
-	n := len(shards)
-	srcs := make([]migrator, n)
-	for i, s := range shards {
-		m, ok := s.(migrator)
-		if !ok {
-			return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", i, ErrMigrationUnsupported)
+	cur, oldRing := c.membership()
+	newRing := NewRing(len(next), c.vnodes)
+	// all indexes every slot of either membership: the shared prefix, then
+	// whichever side is longer.
+	all := cur
+	if len(next) > len(cur) {
+		all = next
+	}
+	for i, s := range all {
+		if _, err := slotWriter(s); err != nil {
+			return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
-		srcs[i] = m
 	}
-	dest, ok := newShard.(migrator)
-	if !ok {
-		return ReshardReport{}, fmt.Errorf("cluster: joining shard: %w", ErrMigrationUnsupported)
+	// copyRange streams users between two slots in bounded chunks. Export
+	// is a consistent read, import a journaled replace — re-copying a user
+	// is idempotent, which is what makes the delta pass safe.
+	copyRange := func(from, to int, users []profile.UserID) error {
+		src, err := slotWriter(all[from])
+		if err != nil {
+			return err
+		}
+		dst, err := slotWriter(all[to])
+		if err != nil {
+			return err
+		}
+		for len(users) > 0 {
+			n := min(len(users), migrationChunkSize)
+			chunk, err := src.ExportUsers(users[:n])
+			if err != nil {
+				return fmt.Errorf("exporting: %w", err)
+			}
+			if err := dst.ImportUsers(chunk); err != nil {
+				return fmt.Errorf("importing: %w", err)
+			}
+			users = users[n:]
+		}
+		return nil
 	}
-	if rs, ok := newShard.(*ReplicaSet); ok {
-		rs.bindMetrics(&c.m.replica)
-	}
-	newRing := NewRing(n+1, c.vnodes)
 
-	fail := func(stage string, err error) (ReshardReport, error) {
-		c.m.reshardFailures.Inc()
-		return ReshardReport{}, fmt.Errorf("cluster: add shard: %s: %w", stage, err)
-	}
-
-	// Bootstrap the joiner: advertiser skeleton, no users, a seed drawn
+	// Bootstrap each joiner: advertiser skeleton, no users, a seed drawn
 	// from a fresh stream so its auction randomness never collides with a
-	// live shard's. InstallState replaces everything, wiping any partial
+	// live shard's. Installing replaces everything, wiping any partial
 	// imports a previous failed attempt left behind.
-	st, err := srcs[0].SyncState()
-	if err != nil {
-		return fail("snapshotting shard 0", err)
-	}
-	seed := stats.SubSeed(stats.SubSeed(st.Seed, uint64(n)), c.Version())
-	if err := dest.InstallState(platform.StripUsersState(st, seed)); err != nil {
-		return fail("bootstrapping joining shard", err)
+	for slot := len(cur); slot < len(next); slot++ {
+		src, err := slotWriter(cur[0])
+		if err != nil {
+			return fail("snapshotting shard 0", err)
+		}
+		st, _, err := src.StateAndLSN()
+		if err != nil {
+			return fail("snapshotting shard 0", err)
+		}
+		seed := stats.SubSeed(stats.SubSeed(st.Seed, uint64(slot)), c.Version())
+		if err := installState(next[slot], platform.StripUsersState(st, seed)); err != nil {
+			return fail("bootstrapping joining shard", err)
+		}
+		if rs, ok := next[slot].(*ReplicaSet); ok {
+			rs.bindMetrics(&c.m.replica)
+		}
 	}
 
 	c.beginDeltaTracking()
 	defer c.endDeltaTracking()
 
-	// Phase 1: bulk copy, writes still flowing. Consistent hashing moves
-	// keys only toward the new slot, so each source's moving set is what
-	// the new ring assigns to slot n.
-	removal := make([]map[profile.UserID]struct{}, n)
-	moved := 0
-	for i, s := range shards {
-		var list []profile.UserID
-		for _, u := range s.Users() {
-			if newRing.Owner(string(u)) == n {
-				list = append(list, u)
-			}
-		}
-		if len(list) == 0 {
-			continue
-		}
-		if err := copyUsers(srcs[i], dest, list); err != nil {
-			return fail(fmt.Sprintf("copying %d users from shard %d", len(list), i), err)
-		}
-		removal[i] = make(map[profile.UserID]struct{}, len(list))
-		for _, u := range list {
-			removal[i][u] = struct{}{}
-		}
-		moved += len(list)
-	}
-
-	// Phase 2: fence writes and aggregates, re-copy what changed during
-	// the bulk pass, flip membership, drop the moved users from sources.
-	c.wmu.Lock()
-	fenceStart := time.Now()
-	deltaBySrc := make(map[int][]profile.UserID)
-	for u := range c.takeDirty() {
-		if newRing.Owner(string(u)) != n {
-			continue
-		}
-		deltaBySrc[oldRing.Owner(string(u))] = append(deltaBySrc[oldRing.Owner(string(u))], u)
-	}
-	for i, users := range deltaBySrc {
-		sortUsers(users)
-		if err := copyUsers(srcs[i], dest, users); err != nil {
-			c.wmu.Unlock()
-			return fail(fmt.Sprintf("delta-copying %d users from shard %d", len(users), i), err)
-		}
-		if removal[i] == nil {
-			removal[i] = make(map[profile.UserID]struct{}, len(users))
+	// moved[from] collects every user that leaves slot from, for the
+	// source-side removal after the flip. copyMoving copies the users whose
+	// new owner differs from the slot they are on, route by route in slot
+	// order.
+	moved := make([]map[profile.UserID]struct{}, len(cur))
+	copyMoving := func(users []profile.UserID, on func(profile.UserID) int) error {
+		plan := make([][][]profile.UserID, len(cur)) // plan[from][to]
+		for i := range plan {
+			plan[i] = make([][]profile.UserID, len(next))
 		}
 		for _, u := range users {
-			if _, dup := removal[i][u]; !dup {
-				removal[i][u] = struct{}{}
-				moved++
+			if from, to := on(u), newRing.Owner(string(u)); from != to {
+				plan[from][to] = append(plan[from][to], u)
 			}
 		}
+		for from := range plan {
+			for to, list := range plan[from] {
+				if len(list) == 0 {
+					continue
+				}
+				if err := copyRange(from, to, list); err != nil {
+					return fmt.Errorf("%d users from shard %d to shard %d: %w", len(list), from, to, err)
+				}
+				if moved[from] == nil {
+					moved[from] = make(map[profile.UserID]struct{}, len(list))
+				}
+				for _, u := range list {
+					moved[from][u] = struct{}{}
+				}
+			}
+		}
+		return nil
+	}
+
+	// Bulk copy, writes still flowing.
+	for i, s := range cur {
+		if err := copyMoving(s.Users(), func(profile.UserID) int { return i }); err != nil {
+			return fail("copying", err)
+		}
+	}
+
+	// Fence writes and aggregates, re-copy what changed during the bulk
+	// pass, flip membership, drop the moved users from their sources.
+	c.wmu.Lock()
+	fenceStart := time.Now()
+	dirty := setToSorted(c.takeDirty())
+	if err := copyMoving(dirty, func(u profile.UserID) int { return oldRing.Owner(string(u)) }); err != nil {
+		c.wmu.Unlock()
+		return fail("delta-copying", err)
 	}
 
 	c.mu.Lock()
-	c.shards = append(append([]Shard(nil), shards...), newShard)
+	c.shards = append([]Shard(nil), next...)
 	c.ring = newRing
 	c.version++
 	ver := c.version
 	c.mu.Unlock()
-	c.m.ensureShards(n + 1)
+	c.m.ensureShards(len(next))
 
 	// Source removals stay inside the fence: between the flip and the
 	// removal a moved user exists on two shards, and the fence is what
 	// keeps aggregates from seeing that. A failed removal rolls forward —
-	// the destination owns the range either way — parking in the pending
-	// set that gates aggregates until ResumeReshard drains it.
-	for i, set := range removal {
+	// the destination owns the range either way. On a source still in the
+	// ring it parks in the pending set that gates aggregates until
+	// ResumeReshard drains it; a source that left the ring cannot
+	// double-count, and a later re-bootstrap wipes it, so there the
+	// cleanup is best-effort.
+	total := 0
+	for from, set := range moved {
 		if len(set) == 0 {
 			continue
 		}
 		users := setToSorted(set)
-		if err := srcs[i].RemoveUsers(users); err != nil {
+		total += len(users)
+		src, err := slotWriter(cur[from])
+		if err == nil {
+			err = src.RemoveUsers(users)
+		}
+		if err != nil && from < len(next) {
 			c.pendMu.Lock()
-			c.pending = append(c.pending, pendingRemoval{shard: shards[i], users: users})
+			c.pending = append(c.pending, pendingRemoval{shard: cur[from], users: users})
 			c.pendMu.Unlock()
 			c.m.reshardFailures.Inc()
 		}
@@ -278,108 +357,9 @@ func (c *Cluster) AddShard(newShard Shard) (ReshardReport, error) {
 	c.wmu.Unlock()
 
 	c.m.reshardTotal.Inc()
-	c.m.reshardUsersMoved.Add(uint64(moved))
+	c.m.reshardUsersMoved.Add(uint64(total))
 	c.m.reshardCutover.Observe(cutover)
-	rep := ReshardReport{UsersMoved: moved, Cutover: cutover, Version: ver}
-	c.lastMu.Lock()
-	c.lastReshard = rep
-	c.lastMu.Unlock()
-	c.pushRing(context.Background())
-	return rep, nil
-}
-
-// RemoveShard shrinks the cluster by one shard (the last slot — the ring's
-// vnode labels are index-based, so membership is a stack), streaming the
-// victim's users to their new owners under the same bulk + fence protocol
-// AddShard uses. The victim is left cleaned best-effort; it is out of the
-// membership either way, so a failed cleanup cannot skew aggregates.
-func (c *Cluster) RemoveShard() (ReshardReport, error) {
-	c.repMu.Lock()
-	defer c.repMu.Unlock()
-	if err := c.removalsSettled(); err != nil {
-		return ReshardReport{}, err
-	}
-
-	shards, oldRing := c.membership()
-	n := len(shards)
-	if n == 1 {
-		return ReshardReport{}, fmt.Errorf("cluster: cannot remove the last shard")
-	}
-	victimSlot := n - 1
-	victim, ok := shards[victimSlot].(migrator)
-	if !ok {
-		return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", victimSlot, ErrMigrationUnsupported)
-	}
-	dests := make([]migrator, victimSlot)
-	for i := 0; i < victimSlot; i++ {
-		m, ok := shards[i].(migrator)
-		if !ok {
-			return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", i, ErrMigrationUnsupported)
-		}
-		dests[i] = m
-	}
-	newRing := NewRing(victimSlot, c.vnodes)
-
-	fail := func(stage string, err error) (ReshardReport, error) {
-		c.m.reshardFailures.Inc()
-		return ReshardReport{}, fmt.Errorf("cluster: remove shard: %s: %w", stage, err)
-	}
-
-	c.beginDeltaTracking()
-	defer c.endDeltaTracking()
-
-	// Phase 1: copy the victim's users to their new owners. Only keys on
-	// the victim move — the remaining slots' vnode positions are unchanged.
-	seen := make(map[profile.UserID]struct{})
-	byDest := make(map[int][]profile.UserID)
-	for _, u := range shards[victimSlot].Users() {
-		byDest[newRing.Owner(string(u))] = append(byDest[newRing.Owner(string(u))], u)
-		seen[u] = struct{}{}
-	}
-	for _, d := range sortedKeys(byDest) {
-		if err := copyUsers(victim, dests[d], byDest[d]); err != nil {
-			return fail(fmt.Sprintf("copying %d users to shard %d", len(byDest[d]), d), err)
-		}
-	}
-
-	// Phase 2: fence, delta, flip.
-	c.wmu.Lock()
-	fenceStart := time.Now()
-	deltaByDest := make(map[int][]profile.UserID)
-	for u := range c.takeDirty() {
-		if oldRing.Owner(string(u)) != victimSlot {
-			continue
-		}
-		deltaByDest[newRing.Owner(string(u))] = append(deltaByDest[newRing.Owner(string(u))], u)
-		seen[u] = struct{}{}
-	}
-	for _, d := range sortedKeys(deltaByDest) {
-		users := deltaByDest[d]
-		sortUsers(users)
-		if err := copyUsers(victim, dests[d], users); err != nil {
-			c.wmu.Unlock()
-			return fail(fmt.Sprintf("delta-copying %d users to shard %d", len(users), d), err)
-		}
-	}
-
-	c.mu.Lock()
-	c.shards = append([]Shard(nil), shards[:victimSlot]...)
-	c.ring = newRing
-	c.version++
-	ver := c.version
-	c.mu.Unlock()
-
-	// Best-effort victim cleanup; it is out of the membership, so failure
-	// here cannot double-count, and a later AddShard re-bootstrap wipes it.
-	_ = victim.RemoveUsers(setToSorted(seen))
-	cutover := time.Since(fenceStart)
-	c.wmu.Unlock()
-
-	moved := len(seen)
-	c.m.reshardTotal.Inc()
-	c.m.reshardUsersMoved.Add(uint64(moved))
-	c.m.reshardCutover.Observe(cutover)
-	rep := ReshardReport{UsersMoved: moved, Cutover: cutover, Version: ver}
+	rep := ReshardReport{UsersMoved: total, Cutover: cutover, Version: ver}
 	c.lastMu.Lock()
 	c.lastReshard = rep
 	c.lastMu.Unlock()
@@ -396,19 +376,15 @@ func (c *Cluster) ResumeReshard() error {
 	var remaining []pendingRemoval
 	var firstErr error
 	for _, p := range c.pending {
-		m, ok := p.shard.(migrator)
-		if !ok {
-			// Cannot happen for shards that reached the pending set, but
-			// never drop users silently.
-			remaining = append(remaining, p)
-			continue
+		m, err := slotWriter(p.shard)
+		if err == nil {
+			err = m.RemoveUsers(p.users)
 		}
-		if err := m.RemoveUsers(p.users); err != nil {
+		if err != nil {
 			remaining = append(remaining, p)
 			if firstErr == nil {
 				firstErr = err
 			}
-			continue
 		}
 	}
 	c.pending = remaining
@@ -418,45 +394,12 @@ func (c *Cluster) ResumeReshard() error {
 	return nil
 }
 
-// copyUsers streams users src→dest in bounded chunks. Export is a
-// consistent read, import a journaled replace — re-copying a user is
-// idempotent, which is what makes the delta pass safe.
-func copyUsers(src, dest migrator, users []profile.UserID) error {
-	for start := 0; start < len(users); start += migrationChunkSize {
-		end := start + migrationChunkSize
-		if end > len(users) {
-			end = len(users)
-		}
-		chunk, err := src.ExportUsers(users[start:end])
-		if err != nil {
-			return fmt.Errorf("exporting: %w", err)
-		}
-		if err := dest.ImportUsers(chunk); err != nil {
-			return fmt.Errorf("importing: %w", err)
-		}
-	}
-	return nil
-}
-
-func sortUsers(users []profile.UserID) {
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-}
-
 func setToSorted(set map[profile.UserID]struct{}) []profile.UserID {
 	out := make([]profile.UserID, 0, len(set))
 	for u := range set {
 		out = append(out, u)
 	}
-	sortUsers(out)
-	return out
-}
-
-func sortedKeys(m map[int][]profile.UserID) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -584,36 +527,38 @@ func (c *Cluster) RingInfo() rpc.RingInfo {
 	}
 	info := rpc.RingInfo{Version: ver, VirtualNodes: vn}
 	for _, s := range shards {
-		si := rpc.ShardInfo{Addr: shardAddr(s)}
-		if ra, ok := s.(interface{ ReplicaAddrs() []string }); ok {
-			si.Replicas = ra.ReplicaAddrs()
+		var si rpc.ShardInfo
+		if rs, ok := s.(*ReplicaSet); ok {
+			si = rpc.ShardInfo{Addr: memberAddr(rs.Owner()), Replicas: rs.ReplicaAddrs()}
+		} else {
+			si.Addr = memberAddr(s)
 		}
 		info.Shards = append(info.Shards, si)
 	}
 	return info
 }
 
-// shardAddr returns the shard's dialable address ("" for in-process
-// shards, which never serve a gate).
-func shardAddr(s Shard) string {
-	if a, ok := s.(interface{ Addr() string }); ok {
-		return a.Addr()
+// memberAddr returns a member's dialable address ("" for in-process
+// members, which never serve a gate).
+func memberAddr(s Shard) string {
+	if nm, ok := s.(networkedMember); ok {
+		return nm.Addr()
 	}
 	return ""
 }
 
-// pushRing best-effort pushes current membership to every shard that
-// accepts ring pushes (remote nodes). Failures are ignored: a node that
-// missed the push answers the next misrouted call with a stale-ring
-// refusal, and the router's refresh path converges it.
+// pushRing best-effort pushes current membership to every networked
+// member. Failures are ignored: a node that missed the push answers the
+// next misrouted call with a stale-ring refusal, and the router's refresh
+// path converges it.
 func (c *Cluster) pushRing(ctx context.Context) {
 	info := c.RingInfo()
 	shards, _ := c.membership()
 	for _, s := range shards {
-		if p, ok := s.(interface {
-			PushRing(context.Context, rpc.RingInfo) error
-		}); ok {
-			_ = p.PushRing(ctx, info)
+		for _, m := range slotMembers(s) {
+			if nm, ok := m.(networkedMember); ok {
+				_ = nm.PushRing(ctx, info)
+			}
 		}
 	}
 }

@@ -382,11 +382,11 @@ type staleOnceShard struct {
 	refused atomic.Bool
 }
 
-func (s *staleOnceShard) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
+func (s *staleOnceShard) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	if s.refused.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("peer refused: %w", rpc.ErrStaleRing)
 	}
-	return s.Shard.BrowseFeed(uid, slots)
+	return s.Shard.BrowseFeedCtx(ctx, uid, slots)
 }
 
 type fakeSource struct {
@@ -521,7 +521,7 @@ func TestReshardDeterministic(t *testing.T) {
 		}
 		var out []string
 		for _, jp := range append(jps, joiner) {
-			st, err := jp.SyncState()
+			st, _, err := jp.StateAndLSN()
 			if err != nil {
 				t.Fatal(err)
 			}

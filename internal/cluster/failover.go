@@ -26,13 +26,6 @@ import (
 // the returning node learns it is no longer the owner before it serves
 // anything.
 
-// rearmer is the owner-side re-arm surface: RemoteShard forwards it to
-// the rearm RPC; in-process owners re-arm through ReplicaSet.Promote's
-// SetShipper rewiring and don't implement it.
-type rearmer interface {
-	Rearm(ctx context.Context, followers []string) error
-}
-
 // FailoverSlot promotes a follower to own the slot and fences the
 // deposed owner behind a bumped ring version. With force false it
 // refuses while the owner is still healthy (ErrOwnerHealthy); force
@@ -135,8 +128,8 @@ func (c *Cluster) ProbeSlotOwner(ctx context.Context, slot int) error {
 	if rs, ok := s.(*ReplicaSet); ok {
 		s = rs.Owner()
 	}
-	if p, ok := s.(interface{ Probe(context.Context) error }); ok {
-		return p.Probe(ctx)
+	if nm, ok := s.(networkedMember); ok {
+		return nm.Probe(ctx)
 	}
 	if !shardHealthy(s) {
 		return fmt.Errorf("cluster: slot %d owner: %w", slot, ErrShardUnavailable)
@@ -161,7 +154,7 @@ func (c *Cluster) slotReplicaSet(slot int) (*ReplicaSet, error) {
 // In-process owners were re-wired by Promote itself. Best-effort: a
 // missed re-arm is retried by the supervisor's heal tick.
 func (c *Cluster) rearmSlot(rs *ReplicaSet) {
-	r, ok := rs.Owner().(rearmer)
+	nm, ok := rs.Owner().(networkedMember)
 	if !ok {
 		return
 	}
@@ -170,5 +163,5 @@ func (c *Cluster) rearmSlot(rs *ReplicaSet) {
 	// Only attached followers join the new chain: shipping to the still-
 	// down deposed owner would fail every write indeterminately. Heal
 	// reattaches it, then re-arms again with the full set.
-	_ = r.Rearm(ctx, rs.AttachedReplicaAddrs())
+	_ = nm.Rearm(ctx, rs.AttachedReplicaAddrs())
 }

@@ -44,7 +44,7 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	if !rs.WriteHealthy() {
 		t.Fatal("WriteHealthy() false after a refused promotion")
 	}
-	if !follower.Following() || !follower.Synced() {
+	if !followStatus(follower).Following || !followStatus(follower).Synced {
 		t.Fatal("follower disturbed by a refused promotion")
 	}
 
@@ -289,7 +289,7 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	if got.Version != 2 {
 		t.Fatalf("deposed owner serves ring v%d after heal, want v2", got.Version)
 	}
-	if !n0.jp.Following() || !n0.jp.Synced() {
+	if !followStatus(n0.jp).Following || !followStatus(n0.jp).Synced {
 		t.Fatal("deposed owner not resynced into a follower")
 	}
 

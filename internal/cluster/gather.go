@@ -213,25 +213,16 @@ type traceSpanFetcher interface {
 func (c *Cluster) RemoteTraceSpans(ctx context.Context) []trace.SpanWire {
 	shards, _ := c.membership()
 	var out []trace.SpanWire
-	var visit func(s Shard)
-	visit = func(s Shard) {
-		if rs, ok := s.(*ReplicaSet); ok {
-			for _, m := range rs.Members() {
-				visit(m)
-			}
-			return
-		}
-		tf, ok := s.(traceSpanFetcher)
-		if !ok || !shardHealthy(s) {
-			return
-		}
-		spans, err := tf.TraceSpans(ctx)
-		if err == nil {
-			out = append(out, spans...)
-		}
-	}
 	for _, s := range shards {
-		visit(s)
+		for _, m := range slotMembers(s) {
+			tf, ok := m.(traceSpanFetcher)
+			if !ok || !shardHealthy(m) {
+				continue
+			}
+			if spans, err := tf.TraceSpans(ctx); err == nil {
+				out = append(out, spans...)
+			}
+		}
 	}
 	return out
 }

@@ -8,9 +8,9 @@ import (
 	"github.com/treads-project/treads/internal/rpc"
 )
 
-// Elastic-membership surface of RemoteShard: the migration, shipping, and
-// ring-push calls a coordinator drives against a networked shard. Like the
-// rest of the Shard surface, context-free signatures run under
+// Control surface of RemoteShard: platform.Member forwarded over RPC, plus
+// what only a networked member offers (networkedMember). Like the rest of
+// the Shard surface, context-free signatures run under
 // context.Background() with the client's per-call timeout as the bound.
 
 // Addr returns the peer's dialable base URL — the identity shards carry in
@@ -37,16 +37,9 @@ func (r *RemoteShard) InstallState(st platform.State) error {
 	return r.c.InstallState(context.Background(), st)
 }
 
-// SyncState snapshots the peer's full state (migrator surface; the LSN is
-// available through SyncStateLSN).
-func (r *RemoteShard) SyncState() (platform.State, error) {
-	st, _, err := r.c.SyncState(context.Background())
-	return st, err
-}
-
-// SyncStateLSN snapshots the peer's full state together with the journal
-// LSN it reflects — the resync source surface.
-func (r *RemoteShard) SyncStateLSN() (platform.State, uint64, error) {
+// StateAndLSN snapshots the peer's full state together with the journal
+// LSN it reflects.
+func (r *RemoteShard) StateAndLSN() (platform.State, uint64, error) {
 	return r.c.SyncState(context.Background())
 }
 
@@ -71,15 +64,11 @@ func (r *RemoteShard) PushRing(ctx context.Context, ri rpc.RingInfo) error {
 	return r.c.PushRing(ctx, ri)
 }
 
-// FetchRing reads the peer's current membership view.
-func (r *RemoteShard) FetchRing(ctx context.Context) (rpc.RingInfo, error) {
-	return r.c.FetchRing(ctx)
-}
-
-// HealthInfo returns the peer's full health report — follower status and
-// journal LSN included — for promotion decisions and resync planning.
-func (r *RemoteShard) HealthInfo() (rpc.HealthResp, error) {
-	return r.c.Health(context.Background())
+// FollowStatus reads the peer's follower status and journal LSN off its
+// health report — for promotion decisions and resync planning.
+func (r *RemoteShard) FollowStatus() (platform.FollowStatus, error) {
+	h, err := r.c.Health(context.Background())
+	return platform.FollowStatus{Following: h.Following, Synced: h.Synced, ShipLSN: h.ShipLSN, LastLSN: h.LastLSN}, err
 }
 
 // Probe sends one health probe under the caller's context — the failure

@@ -176,8 +176,8 @@ func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 	users, _ := populateElastic(t, c, 12)
 
 	// Every acknowledged write crossed the wire.
-	if !fnode.jp.Synced() || fnode.jp.ShipLSN() != owner.LastLSN() {
-		t.Fatalf("remote follower at %d (synced=%v), owner at %d", fnode.jp.ShipLSN(), fnode.jp.Synced(), owner.LastLSN())
+	if !followStatus(fnode.jp).Synced || followStatus(fnode.jp).ShipLSN != owner.LastLSN() {
+		t.Fatalf("remote follower at %d (synced=%v), owner at %d", followStatus(fnode.jp).ShipLSN, followStatus(fnode.jp).Synced, owner.LastLSN())
 	}
 	if stateJSON(t, owner.Journaled) != stateJSON(t, fnode.jp) {
 		t.Fatal("remote follower state diverged from owner")
@@ -203,7 +203,7 @@ func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 	if _, err := rs.Promote(); err != nil {
 		t.Fatalf("Promote(remote): %v", err)
 	}
-	if fnode.jp.Following() {
+	if followStatus(fnode.jp).Following {
 		t.Fatal("remote member still in follower mode after promotion")
 	}
 	acked := len(c.Feed(users[0]))

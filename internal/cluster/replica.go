@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,12 +13,10 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/explain"
-	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
-	"github.com/treads-project/treads/internal/rpc"
 )
 
 // ReplicaSet makes one ring slot a chain of members instead of a single
@@ -128,10 +127,8 @@ func (rs *ReplicaSet) ReplaceMember(i int, s Shard) error {
 	}
 	rs.members[i] = s
 	rs.detached[i] = i != 0
-	if i == 0 {
-		if setter, ok := s.(shipperSetter); ok {
-			setter.SetShipper(rs.ship)
-		}
+	if lm, ok := s.(localMember); ok && i == 0 {
+		lm.SetShipper(rs.ship)
 	}
 	return nil
 }
@@ -199,7 +196,7 @@ func (rs *ReplicaSet) reader() Shard {
 		if fallback == nil {
 			fallback = f
 		}
-		if _, synced, _, err := memberFollowStatus(f); err == nil && synced {
+		if st, err := followStatus(f); err == nil && st.Synced {
 			met.failoverReads.Inc()
 			return f
 		}
@@ -212,16 +209,12 @@ func (rs *ReplicaSet) reader() Shard {
 }
 
 // followerSynced reports whether f is a synced follower fit to serve
-// replicated reads. Members exposing follow status directly (in-process)
-// are checked live; members whose status costs an RPC answer through a
-// short-TTL cache.
+// replicated reads. In-process members are checked live; networked
+// members, whose status costs an RPC, answer through a short-TTL cache.
 func (rs *ReplicaSet) followerSynced(f Shard) bool {
-	if v, ok := f.(interface {
-		Following() bool
-		Synced() bool
-		ShipLSN() uint64
-	}); ok {
-		return v.Following() && v.Synced()
+	if _, remote := f.(networkedMember); !remote {
+		st, err := followStatus(f)
+		return err == nil && st.Synced
 	}
 	now := time.Now()
 	rs.scMu.Lock()
@@ -230,8 +223,8 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 		return e.synced
 	}
 	rs.scMu.Unlock()
-	following, synced, _, err := memberFollowStatus(f)
-	verdict := err == nil && following && synced
+	st, err := followStatus(f)
+	verdict := err == nil && st.Synced
 	rs.scMu.Lock()
 	rs.statusCache[f] = cachedFollowStatus{expires: now.Add(followStatusTTL), synced: verdict}
 	rs.scMu.Unlock()
@@ -240,14 +233,13 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 
 // --- shipping, promotion, resync ---
 
-// shipApplier is the follower side of journal shipping; *platform.Journaled
-// implements it directly and *RemoteShard forwards it over RPC.
-type shipApplier interface {
-	ApplyShipped(lsn uint64, payload []byte) error
-}
-
-type shipperSetter interface {
-	SetShipper(func(lsn uint64, payload []byte) error)
+// followStatus reads a member's follower view of itself.
+func followStatus(s Shard) (platform.FollowStatus, error) {
+	m, ok := s.(platform.Member)
+	if !ok {
+		return platform.FollowStatus{}, fmt.Errorf("cluster: member has no follower status: %w", ErrMigrationUnsupported)
+	}
+	return m.FollowStatus()
 }
 
 // Chain wires journal shipping from the owner to the followers: every
@@ -255,12 +247,11 @@ type shipperSetter interface {
 // acknowledged. Only in-process owners can be chained here (a networked
 // owner ships from its own process).
 func (rs *ReplicaSet) Chain() error {
-	o := rs.Owner()
-	setter, ok := o.(shipperSetter)
+	lm, ok := rs.Owner().(localMember)
 	if !ok {
 		return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
 	}
-	setter.SetShipper(rs.ship)
+	lm.SetShipper(rs.ship)
 	return nil
 }
 
@@ -280,7 +271,7 @@ func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
 		if detached[i] {
 			continue
 		}
-		a, ok := members[i].(shipApplier)
+		a, ok := members[i].(platform.Member)
 		if !ok {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("follower %d: %w", i, ErrMigrationUnsupported)
@@ -325,29 +316,30 @@ func (rs *ReplicaSet) promote(force bool) (int, error) {
 	}
 	best := -1
 	var bestLSN uint64
+	var elected platform.Member
 	for i := 1; i < len(rs.members); i++ {
-		f := rs.members[i]
-		if rs.detached[i] || !shardHealthy(f) {
+		f, ok := rs.members[i].(platform.Member)
+		if !ok || rs.detached[i] || !shardHealthy(rs.members[i]) {
 			continue
 		}
-		_, _, lsn, err := memberFollowStatus(f)
+		st, err := f.FollowStatus()
 		if err != nil {
 			continue
 		}
-		if best == -1 || lsn > bestLSN {
-			best, bestLSN = i, lsn
+		if best == -1 || st.ShipLSN > bestLSN {
+			best, bestLSN, elected = i, st.ShipLSN, f
 		}
 	}
 	if best == -1 {
 		return -1, fmt.Errorf("cluster: promote: no attached healthy follower: %w", ErrShardUnavailable)
 	}
-	if err := endFollow(rs.members[best]); err != nil {
+	if err := elected.EndFollow(); err != nil {
 		return -1, fmt.Errorf("cluster: promoting follower %d: %w", best, err)
 	}
 	rs.members[0], rs.members[best] = rs.members[best], rs.members[0]
 	rs.detached[0], rs.detached[best] = false, true
-	if setter, ok := rs.members[0].(shipperSetter); ok {
-		setter.SetShipper(rs.ship)
+	if lm, ok := rs.members[0].(localMember); ok {
+		lm.SetShipper(rs.ship)
 	}
 	rs.met.promotions.Inc()
 	return best, nil
@@ -368,7 +360,7 @@ func (rs *ReplicaSet) Degraded() bool {
 		if detached[i] {
 			return true
 		}
-		if following, synced, _, err := memberFollowStatus(members[i]); err == nil && (!following || !synced) {
+		if st, err := followStatus(members[i]); err == nil && !st.Synced {
 			return true
 		}
 	}
@@ -386,9 +378,9 @@ func (rs *ReplicaSet) probeMembers(ctx context.Context) {
 	members := append([]Shard(nil), rs.members...)
 	rs.mu.RUnlock()
 	for _, m := range members {
-		if p, ok := m.(interface{ Probe(context.Context) error }); ok {
+		if nm, ok := m.(networkedMember); ok {
 			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			_ = p.Probe(pctx)
+			_ = nm.Probe(pctx)
 			cancel()
 		}
 	}
@@ -447,238 +439,96 @@ func (rs *ReplicaSet) reattach(i int, s Shard) {
 	rs.mu.Unlock()
 }
 
-// tailer is the owner-side fast resync surface (in-process journaled
-// owners).
-type tailer interface {
-	TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error
-}
-
+// resync brings follower f back onto owner's log and into follow mode.
 func (rs *ReplicaSet) resync(owner, f Shard) error {
 	rs.mu.RLock()
 	met := rs.met
 	rs.mu.RUnlock()
+	om, ok := owner.(platform.Member)
+	if !ok {
+		return fmt.Errorf("cluster: replica owner: %w", ErrMigrationUnsupported)
+	}
+	fm, ok := f.(platform.Member)
+	if !ok {
+		return fmt.Errorf("cluster: replica follower: %w", ErrMigrationUnsupported)
+	}
 
-	// Fast path: replay the owner's journal tail from the follower's last
-	// applied owner-LSN. Only a member that is actually in follow mode may
-	// take it — a demoted former owner reports ShipLSN 0 while its state
-	// sits at some later LSN, and replaying the tail onto it would apply
-	// every record twice. The replay counts as a resync only if it lands
-	// the follower exactly on the owner's LSN: a follower that applied an
+	// Fast path (in-process owners, whose journal tail is readable here):
+	// replay the owner's tail from the follower's last applied owner-LSN.
+	// Only a member that is actually in follow mode may take it — a
+	// demoted former owner reports ShipLSN 0 while its state sits at some
+	// later LSN, and replaying the tail onto it would apply every record
+	// twice. The replay counts as a resync only if it lands the follower
+	// exactly on the owner's LSN: a follower that applied an
 	// unacknowledged record the current owner never saw (possible when the
 	// old owner died mid-ship) has diverged by that record and needs the
-	// full reinstall.
-	applier, canApply := f.(shipApplier)
-	if t, ok := owner.(tailer); ok && canApply {
-		if following, _, shipLSN, serr := memberFollowStatus(f); serr == nil && following {
+	// full reinstall. So does any replay failure, a compacted tail
+	// included — the reinstall always converges.
+	if lm, ok := owner.(localMember); ok {
+		if st, err := fm.FollowStatus(); err == nil && st.Following {
 			// Re-arm the follower at its current position: a desynced
 			// follower refuses shipments until its cursor is reset.
-			if err := beginFollow(f, shipLSN); err != nil {
+			if err := fm.BeginFollow(st.ShipLSN); err != nil {
 				return err
 			}
-			if err := t.TailSince(shipLSN, applier.ApplyShipped); err == nil {
-				ownerLSN, lerr := memberLastLSN(owner)
-				_, synced, ship2, serr2 := memberFollowStatus(f)
-				if lerr == nil && serr2 == nil && synced && ship2 == ownerLSN {
+			if lm.TailSince(st.ShipLSN, fm.ApplyShipped) == nil {
+				ost, oerr := om.FollowStatus()
+				fst, ferr := fm.FollowStatus()
+				if oerr == nil && ferr == nil && fst.Synced && fst.ShipLSN == ost.LastLSN {
 					met.resyncs.Inc()
 					return nil
-				}
-			} else {
-				var ce *journal.ErrCompacted
-				if !errors.As(err, &ce) {
-					// Non-compaction replay failures also fall through to
-					// the full reinstall — it always converges.
-					_ = err
 				}
 			}
 		}
 	}
 
 	// Slow path: reinstall the owner's full state and follow from its LSN.
-	st, lsn, err := ownerStateAndLSN(owner)
+	st, lsn, err := om.StateAndLSN()
 	if err != nil {
 		return err
 	}
-	if err := installState(f, st); err != nil {
+	if err := fm.InstallState(st); err != nil {
 		return err
 	}
-	if err := beginFollow(f, lsn); err != nil {
+	if err := fm.BeginFollow(lsn); err != nil {
 		return err
 	}
 	met.resyncs.Inc()
 	return nil
 }
 
-// --- member capability bridges (in-process vs remote signatures) ---
-
-func beginFollow(s Shard, lsn uint64) error {
-	switch v := s.(type) {
-	case interface{ BeginFollow(uint64) }:
-		v.BeginFollow(lsn)
-		return nil
-	case interface{ BeginFollow(uint64) error }:
-		return v.BeginFollow(lsn)
-	}
-	return fmt.Errorf("cluster: member cannot follow: %w", ErrMigrationUnsupported)
-}
-
-func endFollow(s Shard) error {
-	switch v := s.(type) {
-	case interface{ EndFollow() }:
-		v.EndFollow()
-		return nil
-	case interface{ EndFollow() error }:
-		return v.EndFollow()
-	}
-	return fmt.Errorf("cluster: member cannot be promoted: %w", ErrMigrationUnsupported)
-}
-
-// memberFollowStatus returns a member's follower view: whether it is in
-// follow mode at all, whether it is synced with its owner, and the last
-// owner-LSN it applied.
-func memberFollowStatus(s Shard) (following, synced bool, shipLSN uint64, err error) {
-	switch v := s.(type) {
-	case interface {
-		Following() bool
-		Synced() bool
-		ShipLSN() uint64
-	}:
-		return v.Following(), v.Synced(), v.ShipLSN(), nil
-	case interface {
-		HealthInfo() (rpc.HealthResp, error)
-	}:
-		h, err := v.HealthInfo()
-		if err != nil {
-			return false, false, 0, err
-		}
-		return h.Following, h.Synced, h.ShipLSN, nil
-	}
-	return false, false, 0, fmt.Errorf("cluster: member has no follower status: %w", ErrMigrationUnsupported)
-}
-
-func ownerStateAndLSN(s Shard) (platform.State, uint64, error) {
-	switch v := s.(type) {
-	case interface {
-		StateAndLSN() (platform.State, uint64)
-	}:
-		st, lsn := v.StateAndLSN()
-		return st, lsn, nil
-	case interface {
-		SyncStateLSN() (platform.State, uint64, error)
-	}:
-		return v.SyncStateLSN()
-	}
-	return platform.State{}, 0, fmt.Errorf("cluster: member has no state snapshot: %w", ErrMigrationUnsupported)
-}
-
-func installState(s Shard, st platform.State) error {
-	m, ok := s.(migrator)
-	if !ok {
-		return fmt.Errorf("cluster: member cannot install state: %w", ErrMigrationUnsupported)
-	}
-	return m.InstallState(st)
-}
-
-func memberLastLSN(s Shard) (uint64, error) {
-	switch v := s.(type) {
-	case interface{ LastLSN() uint64 }:
-		return v.LastLSN(), nil
-	case interface {
-		HealthInfo() (rpc.HealthResp, error)
-	}:
-		h, err := v.HealthInfo()
-		return h.LastLSN, err
-	}
-	return 0, fmt.Errorf("cluster: member has no LSN: %w", ErrMigrationUnsupported)
-}
-
-// --- migration surface (delegates to the owner; installs everywhere) ---
-
-func (rs *ReplicaSet) ownerMigrator() (migrator, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return nil, err
-	}
-	m, ok := o.(migrator)
-	if !ok {
-		return nil, fmt.Errorf("cluster: replica owner: %w", ErrMigrationUnsupported)
-	}
-	return m, nil
-}
-
-// ExportUsers extracts movable state from the owner.
-func (rs *ReplicaSet) ExportUsers(users []profile.UserID) (platform.MigrationChunk, error) {
-	m, err := rs.ownerMigrator()
-	if err != nil {
-		return platform.MigrationChunk{}, err
-	}
-	return m.ExportUsers(users)
-}
-
-// ImportUsers folds a chunk into the owner; chained followers receive it
-// through journal shipping like any other write.
-func (rs *ReplicaSet) ImportUsers(chunk platform.MigrationChunk) error {
-	m, err := rs.ownerMigrator()
-	if err != nil {
-		return err
-	}
-	return m.ImportUsers(chunk)
-}
-
-// RemoveUsers drops users from the owner (shipped to followers).
-func (rs *ReplicaSet) RemoveUsers(users []profile.UserID) error {
-	m, err := rs.ownerMigrator()
-	if err != nil {
-		return err
-	}
-	return m.RemoveUsers(users)
-}
-
-// SyncState snapshots the owner.
-func (rs *ReplicaSet) SyncState() (platform.State, error) {
-	m, err := rs.ownerMigrator()
-	if err != nil {
-		return platform.State{}, err
-	}
-	return m.SyncState()
-}
-
 // InstallState replaces state on every member — an install is the one
 // migration op that cannot ride journal shipping (it rewrites the journal
 // base itself) — then points the followers at the owner's resulting LSN.
+// It is how the reshard driver bootstraps a joining replicated slot.
 func (rs *ReplicaSet) InstallState(st platform.State) error {
 	rs.mu.RLock()
 	members := rs.members
 	rs.mu.RUnlock()
-	for i, m := range members {
-		if err := installState(m, st); err != nil {
+	ms := make([]platform.Member, len(members))
+	for i, s := range members {
+		m, ok := s.(platform.Member)
+		if !ok {
+			return fmt.Errorf("cluster: replica member %d: %w", i, ErrMigrationUnsupported)
+		}
+		if err := m.InstallState(st); err != nil {
 			return fmt.Errorf("cluster: installing state on member %d: %w", i, err)
 		}
+		ms[i] = m
 	}
-	lsn, err := memberLastLSN(members[0])
+	ost, err := ms[0].FollowStatus()
 	if err != nil {
 		return fmt.Errorf("cluster: reading owner LSN after install: %w", err)
 	}
-	for i := 1; i < len(members); i++ {
-		if err := beginFollow(members[i], lsn); err != nil {
+	for i := 1; i < len(ms); i++ {
+		if err := ms[i].BeginFollow(ost.LastLSN); err != nil {
 			return fmt.Errorf("cluster: re-following member %d: %w", i, err)
 		}
 	}
 	return nil
 }
 
-// SyncStateLSN exposes the owner's state and LSN (resync source surface).
-func (rs *ReplicaSet) SyncStateLSN() (platform.State, uint64, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return platform.State{}, 0, err
-	}
-	return ownerStateAndLSN(o)
-}
-
 // --- addressing (ring pushes, admin) ---
-
-// Addr returns the owner's dialable address ("" for in-process owners).
-func (rs *ReplicaSet) Addr() string { return shardAddr(rs.Owner()) }
 
 // ReplicaAddrs returns the followers' dialable addresses.
 func (rs *ReplicaSet) ReplicaAddrs() []string {
@@ -686,7 +536,7 @@ func (rs *ReplicaSet) ReplicaAddrs() []string {
 	defer rs.mu.RUnlock()
 	var out []string
 	for _, f := range rs.members[1:] {
-		if a := shardAddr(f); a != "" {
+		if a := memberAddr(f); a != "" {
 			out = append(out, a)
 		}
 	}
@@ -705,62 +555,11 @@ func (rs *ReplicaSet) AttachedReplicaAddrs() []string {
 		if rs.detached[i] {
 			continue
 		}
-		if a := shardAddr(rs.members[i]); a != "" {
+		if a := memberAddr(rs.members[i]); a != "" {
 			out = append(out, a)
 		}
 	}
 	return out
-}
-
-// PushRing forwards a membership push to every member that accepts one.
-func (rs *ReplicaSet) PushRing(ctx context.Context, ri rpc.RingInfo) error {
-	rs.mu.RLock()
-	members := rs.members
-	rs.mu.RUnlock()
-	var firstErr error
-	for _, m := range members {
-		if p, ok := m.(interface {
-			PushRing(context.Context, rpc.RingInfo) error
-		}); ok {
-			if err := p.PushRing(ctx, ri); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
-}
-
-// --- durability plumbing ---
-
-// Compact compacts every journaled member (followers too — their journals
-// grow with shipped records) and returns the owner's snapshot LSN.
-func (rs *ReplicaSet) Compact() (uint64, error) {
-	rs.mu.RLock()
-	members := rs.members
-	rs.mu.RUnlock()
-	var ownerLSN uint64
-	for i, m := range members {
-		jc, ok := m.(compactor)
-		if !ok {
-			continue
-		}
-		lsn, err := jc.Compact()
-		if err != nil {
-			return 0, fmt.Errorf("member %d: %w", i, err)
-		}
-		if i == 0 {
-			ownerLSN = lsn
-		}
-	}
-	return ownerLSN, nil
-}
-
-// LastLSN returns the owner's last journaled LSN (0 if not journaled).
-func (rs *ReplicaSet) LastLSN() uint64 {
-	if jc, ok := rs.Owner().(compactor); ok {
-		return jc.LastLSN()
-	}
-	return 0
 }
 
 // Close closes every closable member; the first error wins.
@@ -770,7 +569,7 @@ func (rs *ReplicaSet) Close() error {
 	rs.mu.RUnlock()
 	var firstErr error
 	for i, m := range members {
-		cl, ok := m.(interface{ Close() error })
+		cl, ok := m.(io.Closer)
 		if !ok {
 			continue
 		}
@@ -807,17 +606,12 @@ func (rs *ReplicaSet) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression
 	return o.BrowseFeed(uid, slots)
 }
 
-// BrowseFeedCtx routes a context-carrying browse to the owner, preserving
-// trace propagation when the owner supports it.
 func (rs *ReplicaSet) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	o, err := rs.writer()
 	if err != nil {
 		return nil, err
 	}
-	if cb, ok := o.(browseCtxShard); ok {
-		return cb.BrowseFeedCtx(ctx, uid, slots)
-	}
-	return o.BrowseFeed(uid, slots)
+	return o.BrowseFeedCtx(ctx, uid, slots)
 }
 
 func (rs *ReplicaSet) Feed(uid profile.UserID) []ad.Impression {

@@ -39,9 +39,16 @@ func newChainedSet(t *testing.T, seed uint64) (*cluster.ReplicaSet, *frailShard,
 	return rs, owner, follower
 }
 
-func stateJSON(t *testing.T, s interface{ SyncState() (platform.State, error) }) string {
+// followStatus reads an in-process member's follow status (it cannot
+// fail).
+func followStatus(m platform.Member) platform.FollowStatus {
+	st, _ := m.FollowStatus()
+	return st
+}
+
+func stateJSON(t *testing.T, s platform.Member) string {
 	t.Helper()
-	st, err := s.SyncState()
+	st, _, err := s.StateAndLSN()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +68,8 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 	users, camp := populateElastic(t, c, 24)
 
 	// Every acknowledged write reached the follower: states byte-identical.
-	if !follower.Synced() || follower.ShipLSN() != owner.LastLSN() {
-		t.Fatalf("follower at LSN %d (synced=%v), owner at %d", follower.ShipLSN(), follower.Synced(), owner.LastLSN())
+	if !followStatus(follower).Synced || followStatus(follower).ShipLSN != owner.LastLSN() {
+		t.Fatalf("follower at LSN %d (synced=%v), owner at %d", followStatus(follower).ShipLSN, followStatus(follower).Synced, owner.LastLSN())
 	}
 	if stateJSON(t, owner.Journaled) != stateJSON(t, follower) {
 		t.Fatal("follower state diverged from owner under chained writes")
@@ -122,19 +129,19 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 	if err := rs.Heal(); err != nil {
 		t.Fatalf("Heal: %v", err)
 	}
-	if !owner.Following() || !owner.Synced() {
+	if !followStatus(owner).Following || !followStatus(owner).Synced {
 		t.Fatal("demoted owner not following after Heal")
 	}
 	if stateJSON(t, owner.Journaled) != stateJSON(t, follower) {
 		t.Fatal("demoted owner state differs from new owner after Heal")
 	}
 	// And it ships live again: a fresh write lands on both members.
-	before := owner.ShipLSN()
+	before := followStatus(owner).ShipLSN
 	if _, err := c.BrowseFeed(users[2], 2); err != nil {
 		t.Fatal(err)
 	}
-	if owner.ShipLSN() != before+1 {
-		t.Fatalf("healed follower did not receive the next shipped record (at %d, was %d)", owner.ShipLSN(), before)
+	if followStatus(owner).ShipLSN != before+1 {
+		t.Fatalf("healed follower did not receive the next shipped record (at %d, was %d)", followStatus(owner).ShipLSN, before)
 	}
 }
 
@@ -171,7 +178,7 @@ func TestReplicaDesyncedFollowerResyncsByTail(t *testing.T) {
 
 	// Simulate one lost shipment by advancing the owner while the follower
 	// is out of follow mode, then re-following at the stale cursor.
-	stale := follower.ShipLSN()
+	stale := followStatus(follower).ShipLSN
 	follower.EndFollow()
 	pr := profile.New("desync-probe")
 	pr.Nation = "US"
@@ -184,15 +191,15 @@ func TestReplicaDesyncedFollowerResyncsByTail(t *testing.T) {
 	if _, err := c.BrowseFeed(users[0], 2); err == nil {
 		t.Fatal("gapped shipment must surface as an indeterminate write")
 	}
-	if follower.Synced() {
+	if followStatus(follower).Synced {
 		t.Fatal("follower still synced after a shipping gap")
 	}
 
 	if err := rs.Heal(); err != nil {
 		t.Fatalf("Heal: %v", err)
 	}
-	if !follower.Synced() || follower.ShipLSN() != owner.LastLSN() {
-		t.Fatalf("follower at %d after Heal, owner at %d", follower.ShipLSN(), owner.LastLSN())
+	if !followStatus(follower).Synced || followStatus(follower).ShipLSN != owner.LastLSN() {
+		t.Fatalf("follower at %d after Heal, owner at %d", followStatus(follower).ShipLSN, owner.LastLSN())
 	}
 	if stateJSON(t, owner.Journaled) != stateJSON(t, follower) {
 		t.Fatal("follower state differs from owner after tail resync")
@@ -224,8 +231,8 @@ func TestReplicaSetAsReshardTarget(t *testing.T) {
 	if rep.UsersMoved == 0 {
 		t.Fatal("no users moved to the replica set")
 	}
-	if !follower.Synced() || follower.ShipLSN() != owner.LastLSN() {
-		t.Fatalf("follower at %d (synced=%v), owner at %d after join", follower.ShipLSN(), follower.Synced(), owner.LastLSN())
+	if !followStatus(follower).Synced || followStatus(follower).ShipLSN != owner.LastLSN() {
+		t.Fatalf("follower at %d (synced=%v), owner at %d after join", followStatus(follower).ShipLSN, followStatus(follower).Synced, owner.LastLSN())
 	}
 	if stateJSON(t, owner) != stateJSON(t, follower) {
 		t.Fatal("replica-set follower diverged from owner after migration")
@@ -247,11 +254,11 @@ func TestReplicaSetAsReshardTarget(t *testing.T) {
 	if movedUser == "" {
 		t.Fatal("no user landed on the replica-set slot")
 	}
-	before := follower.ShipLSN()
+	before := followStatus(follower).ShipLSN
 	if _, err := c.BrowseFeed(movedUser, 2); err != nil {
 		t.Fatal(err)
 	}
-	if follower.ShipLSN() != before+1 {
+	if followStatus(follower).ShipLSN != before+1 {
 		t.Fatal("post-join write did not ship to the follower")
 	}
 	placement(t, c, append(jps, owner), users)

@@ -1,4 +1,4 @@
-// Package experiments implements every experiment in DESIGN.md's
+// Package experiments implements every experiment in docs/DESIGN.md's
 // per-experiment index — one function per table/figure/quantitative claim
 // of the paper — returning structured results that the cmd/ binaries print
 // and bench_test.go regenerates.

@@ -75,10 +75,10 @@ func (b *tokenBucket) take(now int64) (ok bool, remaining float64, wait time.Dur
 		b.mu.Unlock()
 		return true, rem, 0
 	}
-	need := microToken - b.micro
+	have := b.micro
 	b.mu.Unlock()
-	return false, float64(b.micro) / microToken,
-		time.Duration(float64(need) * 1e9 / float64(b.rate))
+	return false, float64(have) / microToken,
+		time.Duration(float64(microToken-have) * 1e9 / float64(b.rate))
 }
 
 // tokens returns the balance that would be available at clock now,

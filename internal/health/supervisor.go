@@ -75,10 +75,16 @@ type Supervisor struct {
 	cfg    Config
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup
 
 	mu    sync.Mutex
-	slots map[int]*Detector // live detectors, for StateOf
+	slots map[int]*watch
+}
+
+// watch is one slot's running probe loop.
+type watch struct {
+	det    *Detector
+	cancel context.CancelFunc
+	done   chan struct{} // closed when the loop has exited
 }
 
 // NewSupervisor builds a supervisor; Watch arms slots, Close stops it.
@@ -88,7 +94,7 @@ func NewSupervisor(cfg Config) *Supervisor {
 		cfg:    cfg.withDefaults(),
 		ctx:    ctx,
 		cancel: cancel,
-		slots:  make(map[int]*Detector),
+		slots:  make(map[int]*watch),
 	}
 }
 
@@ -97,30 +103,57 @@ func NewSupervisor(cfg Config) *Supervisor {
 func (s *Supervisor) StateOf(slot int) State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if d, ok := s.slots[slot]; ok {
-		return d.State()
+	if w, ok := s.slots[slot]; ok {
+		return w.det.State()
 	}
 	return StateUp
 }
 
-// Watch starts the probe loop for one slot. Each slot may be watched
-// once; the loop runs until Close.
+// Watch starts the probe loop for one slot; it runs until Unwatch(slot)
+// or Close. Watching a slot that is already watched replaces its loop
+// (the old one has exited before the new one starts), so a slot never
+// has two.
 func (s *Supervisor) Watch(slot int, ctrl SlotController) {
-	det := NewDetector(s.cfg.Detector)
+	ctx, cancel := context.WithCancel(s.ctx)
+	w := &watch{det: NewDetector(s.cfg.Detector), cancel: cancel, done: make(chan struct{})}
 	s.mu.Lock()
-	s.slots[slot] = det
+	old := s.slots[slot]
+	s.slots[slot] = w
 	s.mu.Unlock()
-	s.wg.Add(1)
+	if old != nil {
+		old.cancel()
+		<-old.done
+	}
 	go func() {
-		defer s.wg.Done()
-		s.run(slot, ctrl, det)
+		defer close(w.done)
+		s.run(ctx, slot, ctrl, w.det)
 	}()
+}
+
+// Unwatch stops one slot's probe loop — the slot left the ring — and
+// returns once the loop has exited, so no probe or recovery action for
+// the slot runs after it. Unwatching an unwatched slot is a no-op.
+func (s *Supervisor) Unwatch(slot int) {
+	s.mu.Lock()
+	w := s.slots[slot]
+	delete(s.slots, slot)
+	s.mu.Unlock()
+	if w != nil {
+		w.cancel()
+		<-w.done
+	}
 }
 
 // Close stops every probe loop and waits for them to exit.
 func (s *Supervisor) Close() {
 	s.cancel()
-	s.wg.Wait()
+	s.mu.Lock()
+	slots := s.slots
+	s.slots = make(map[int]*watch)
+	s.mu.Unlock()
+	for _, w := range slots {
+		<-w.done
+	}
 }
 
 func (s *Supervisor) logf(format string, args ...any) {
@@ -134,7 +167,7 @@ func (s *Supervisor) logf(format string, args ...any) {
 // succeeds, then resets the detector (the probe target is now the new
 // owner). While the owner is up it periodically heals degraded
 // followers back into the chain.
-func (s *Supervisor) run(slot int, ctrl SlotController, det *Detector) {
+func (s *Supervisor) run(ctx context.Context, slot int, ctrl SlotController, det *Detector) {
 	m := s.cfg.Metrics
 	ticker := time.NewTicker(s.cfg.Interval)
 	defer ticker.Stop()
@@ -142,13 +175,19 @@ func (s *Supervisor) run(slot int, ctrl SlotController, det *Detector) {
 	tick := 0
 	for {
 		select {
-		case <-s.ctx.Done():
+		case <-ctx.Done():
+			// The gauge counts watched slots; this one no longer is.
+			s.mu.Lock()
+			if det.State() == StateDown {
+				m.SlotsDown.Add(-1)
+			}
+			s.mu.Unlock()
 			return
 		case <-ticker.C:
 		}
 		tick++
 
-		pctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
+		pctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 		err := ctrl.ProbeOwner(pctx)
 		cancel()
 		m.Probes.Inc()
@@ -173,7 +212,7 @@ func (s *Supervisor) run(slot int, ctrl SlotController, det *Detector) {
 
 		switch state {
 		case StateDown:
-			fctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
+			fctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 			ferr := ctrl.Failover(fctx)
 			cancel()
 			if ferr != nil {
@@ -194,7 +233,7 @@ func (s *Supervisor) run(slot int, ctrl SlotController, det *Detector) {
 			}
 		case StateUp:
 			if tick%s.cfg.HealEvery == 0 && ctrl.NeedsHeal() {
-				hctx, cancel := context.WithTimeout(s.ctx, s.cfg.Timeout)
+				hctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
 				herr := ctrl.Heal(hctx)
 				cancel()
 				if herr != nil {

@@ -183,3 +183,43 @@ func TestSupervisorStateOfUnwatched(t *testing.T) {
 		t.Fatalf("unwatched slot state=%v, want up", s)
 	}
 }
+
+// A slot that left the ring must stop being probed the moment Unwatch
+// returns, other slots keep their loops, and the slot can be watched
+// again later (a shard added back at the same index).
+func TestSupervisorUnwatchStopsProbesAndRewatchWorks(t *testing.T) {
+	gone, kept := &countingSlot{}, &countingSlot{}
+	sup := NewSupervisor(Config{Interval: time.Millisecond})
+	defer sup.Close()
+	sup.Watch(0, kept)
+	sup.Watch(1, gone)
+	waitFor(t, "probes on both slots", func() bool { return gone.probes.Load() >= 3 && kept.probes.Load() >= 3 })
+
+	sup.Unwatch(1)
+	after := gone.probes.Load()
+	base := kept.probes.Load()
+	waitFor(t, "the kept slot to keep probing", func() bool { return kept.probes.Load() >= base+10 })
+	if n := gone.probes.Load(); n != after {
+		t.Fatalf("unwatched slot probed %d more times after Unwatch returned", n-after)
+	}
+	if s := sup.StateOf(1); s != StateUp {
+		t.Fatalf("unwatched slot state=%v, want up", s)
+	}
+	sup.Unwatch(1) // idempotent
+	sup.Unwatch(9) // never watched
+
+	back := &countingSlot{}
+	sup.Watch(1, back)
+	waitFor(t, "probes after re-watch", func() bool { return back.probes.Load() >= 3 })
+	if n := gone.probes.Load(); n != after {
+		t.Fatalf("re-watch revived the old controller (%d extra probes)", n-after)
+	}
+}
+
+// countingSlot is a healthy slot that counts its probes.
+type countingSlot struct{ probes atomic.Int64 }
+
+func (c *countingSlot) ProbeOwner(context.Context) error { c.probes.Add(1); return nil }
+func (c *countingSlot) Failover(context.Context) error   { return nil }
+func (c *countingSlot) NeedsHeal() bool                  { return false }
+func (c *countingSlot) Heal(context.Context) error       { return nil }

@@ -70,9 +70,9 @@ var transparentPixelGIF = []byte{
 
 // Server serves the platform over HTTP.
 type Server struct {
-	p         Backend
-	mux       *http.ServeMux
-	log       *log.Logger
+	p            Backend
+	mux          *http.ServeMux
+	log          *log.Logger
 	auth         *Authenticator // nil = open access (test/demo mode)
 	compactor    Compactor      // nil = compaction endpoint disabled
 	clusterAdmin ClusterAdmin   // nil = membership endpoints disabled

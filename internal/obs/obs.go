@@ -30,8 +30,8 @@ import (
 	"sync/atomic"
 )
 
-func floatBits(v float64) uint64  { return math.Float64bits(v) }
-func bitsFloat(b uint64) float64  { return math.Float64frombits(b) }
+func floatBits(v float64) uint64 { return math.Float64bits(v) }
+func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }
 
 // Default is the process-wide registry. Package-level instrumentation
 // (delivery, platform, workload) registers here at init; adplatformd

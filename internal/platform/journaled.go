@@ -3,9 +3,11 @@ package platform
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
@@ -40,8 +42,12 @@ import (
 // never journaled.
 type Journaled struct {
 	mu sync.Mutex // serializes mutations so journal order == apply order
-	p  *Platform
 	j  *journal.Journal
+	// p is the current platform. Migration records and InstallState
+	// replace it wholesale under mu while reads (a follower serving the
+	// transparency page, a destination mid-reshard) load it without the
+	// lock, hence the atomic pointer.
+	p atomic.Pointer[Platform]
 
 	// Replication (see journaled_replica.go). shipper, when set, receives
 	// every journaled record under mu, in journal order. A following
@@ -79,7 +85,8 @@ func OpenJournaled(dir string, opts journal.Options, boot func() (*Platform, err
 			j.Close()
 			return nil, fmt.Errorf("platform: booting journaled platform: %w", err)
 		}
-		jp := &Journaled{p: p, j: j}
+		jp := &Journaled{j: j}
+		jp.p.Store(p)
 		if _, err := jp.Compact(); err != nil {
 			j.Close()
 			return nil, fmt.Errorf("platform: writing boot snapshot: %w", err)
@@ -101,26 +108,29 @@ func OpenJournaled(dir string, opts journal.Options, boot func() (*Platform, err
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return fmt.Errorf("platform: journal record %d: %w", lsn, err)
 		}
-		// Migration records replace the platform wholesale; ordinary ops
-		// mutate it in place and hand the same pointer back.
-		p2, err := applyRecord(p, lsn, rec)
+		apply, err := applyRecord(p, lsn, &rec)
 		if err != nil {
 			return err
 		}
-		p = p2
+		// Migration records replace the platform wholesale; ordinary ops
+		// mutate it in place and hand the same pointer back. The original
+		// caller already saw the op's result and any refusal.
+		p, _, _ = apply(context.Background())
 		return nil
 	})
 	if err != nil {
 		j.Close()
 		return nil, err
 	}
-	return &Journaled{p: p, j: j}, nil
+	jp := &Journaled{j: j}
+	jp.p.Store(p)
+	return jp, nil
 }
 
 // Underlying returns the wrapped platform for read-only access (catalog,
 // ledger ground truth, user listings). Mutating it directly bypasses the
 // journal and forfeits crash recovery for those mutations.
-func (jp *Journaled) Underlying() *Platform { return jp.p }
+func (jp *Journaled) Underlying() *Platform { return jp.p.Load() }
 
 // LastLSN returns the LSN of the most recently journaled operation.
 func (jp *Journaled) LastLSN() uint64 { return jp.j.LastLSN() }
@@ -147,7 +157,8 @@ func (jp *Journaled) State() State {
 }
 
 func (jp *Journaled) stateLocked() State {
-	return jp.p.Snapshot(jp.p.pipeline.RNGState())
+	p := jp.p.Load()
+	return p.Snapshot(p.pipeline.RNGState())
 }
 
 // Compact durably snapshots the current state and prunes the journal to
@@ -171,186 +182,182 @@ func (jp *Journaled) Compact() (uint64, error) {
 	return lsn, nil
 }
 
-// logged journals rec and applies it while holding the op lock — journal
-// order always equals application order, which is what makes replay
-// deterministic — then waits (outside the lock) until the record is
-// durable. Concurrent operations' durability waits coalesce into shared
-// group-commit fsyncs.
-func (jp *Journaled) logged(rec opRecord, apply func()) error {
-	return jp.loggedCtx(context.Background(), rec, apply)
-}
-
-// loggedCtx is logged under the request context: a sampled request gets
-// a journal.append span recording the LSN and the group-commit wait as
-// an event; an unsampled one pays nothing.
-func (jp *Journaled) loggedCtx(ctx context.Context, rec opRecord, apply func()) error {
+// commit is the one write path of a journaled platform. Every mutation — a
+// live call on the owner, or a record the owner shipped to this follower —
+// runs the same sequence under the op lock, so journal order always equals
+// application order (which is what makes replay deterministic):
+//
+//   - prepare: applyRecord decodes and validates rec against the current
+//     platform and, for migration records, builds the replacement. Nothing
+//     is mutated, so a refused record leaves no trace in journal or state.
+//   - append: the record's bytes go into the journal's buffer.
+//   - apply: the prepared step mutates the platform in place or hands back
+//     its replacement, which is published here (the only other store is
+//     InstallState's wholesale replacement).
+//   - ship: an owner forwards the LSN and exact bytes to its followers; a
+//     follower advances its owner-LSN cursor instead.
+//
+// It then waits, outside the lock, until the record is durable; concurrent
+// operations' waits coalesce into shared group-commit fsyncs. A sampled
+// request gets a journal.append span recording the LSN and the
+// group-commit wait; an unsampled one pays nothing. The returned error is
+// either a commit failure (nothing acknowledged) or the platform's own
+// refusal of the op, which is journaled like any other call.
+func (jp *Journaled) commit(ctx context.Context, rec *opRecord) (opResult, error) {
 	_, sp := trace.StartChild(ctx, "journal.append")
 	if sp != nil {
 		sp.Annotate("op", rec.Op)
 		defer sp.Finish()
 	}
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		err = fmt.Errorf("platform: encoding journal record: %w", err)
+	fail := func(err error) (opResult, error) {
 		sp.SetError(err)
-		return err
+		return opResult{}, err
 	}
+	shipped := rec.ship != nil
+	var payload []byte
+	if shipped {
+		payload = rec.ship.payload
+	} else {
+		var err error
+		if payload, err = json.Marshal(rec); err != nil {
+			return fail(fmt.Errorf("platform: encoding journal record: %w", err))
+		}
+	}
+
 	jp.mu.Lock()
-	if jp.follow {
+	// A follower that cannot take a shipped record is out of sync until
+	// the replica driver resyncs it; refusing a live call changes nothing.
+	refuse := func(err error) (opResult, error) {
+		if shipped {
+			jp.inSync = false
+		}
 		jp.mu.Unlock()
-		sp.SetError(ErrFollowing)
-		return ErrFollowing
+		return fail(err)
+	}
+	at := jp.j.LastLSN() + 1 // the LSN errors name: the owner's, for a shipped record
+	switch {
+	case !shipped && jp.follow:
+		return refuse(ErrFollowing)
+	case shipped && !jp.follow:
+		return refuse(errors.New("platform: ApplyShipped on a non-follower"))
+	case shipped && !jp.inSync:
+		return refuse(ErrNotSynced)
+	case shipped && rec.ship.lsn != jp.shipSeq+1:
+		return refuse(fmt.Errorf("platform: shipped LSN %d, want %d: %w", rec.ship.lsn, jp.shipSeq+1, ErrNotSynced))
+	}
+	if shipped {
+		at = rec.ship.lsn
+		if err := json.Unmarshal(payload, rec); err != nil {
+			return refuse(fmt.Errorf("platform: shipped record %d: %w", at, err))
+		}
+	}
+	apply, err := applyRecord(jp.p.Load(), at, rec)
+	if err != nil {
+		return refuse(err)
 	}
 	lsn, wait, err := jp.j.AppendBuffered(payload)
 	if err != nil {
-		jp.mu.Unlock()
-		err = fmt.Errorf("platform: journaling %s: %w", rec.Op, err)
-		sp.SetError(err)
-		return err
+		// Journal failure is sticky; a follower needs crash-recovery, not
+		// just a resync, and its sync flag turning false routes it there.
+		return refuse(fmt.Errorf("platform: journaling %s: %w", rec.Op, err))
 	}
-	apply()
-	shipErr := jp.shipLocked(lsn, payload)
+	next, res, opErr := apply(ctx)
+	jp.p.Store(next)
+	var shipErr error
+	if shipped {
+		jp.shipSeq = rec.ship.lsn
+	} else if jp.shipper != nil {
+		shipErr = jp.shipper(lsn, payload)
+	}
 	jp.mu.Unlock()
+
 	if sp != nil {
 		sp.Annotate("lsn", strconv.FormatUint(lsn, 10))
 		sp.Event("group_commit_wait")
 	}
 	if err := wait(); err != nil {
-		err = fmt.Errorf("platform: journal sync for %s: %w", rec.Op, err)
-		sp.SetError(err)
-		return err
+		return fail(fmt.Errorf("platform: journal sync for %s: %w", rec.Op, err))
 	}
 	sp.Event("durable")
 	if shipErr != nil {
 		// The op is journaled and applied locally; only replication is in
 		// doubt. Surfacing the error makes the caller treat the op as
 		// indeterminate — replay-consistent either way.
-		shipErr = fmt.Errorf("platform: replicating %s: %w", rec.Op, shipErr)
-		sp.SetError(shipErr)
-		return shipErr
+		return fail(fmt.Errorf("platform: replicating %s: %w", rec.Op, shipErr))
 	}
-	return nil
+	if shipped {
+		// The owner's caller saw the op's result and any refusal; to the
+		// shipper only the commit's own outcome matters.
+		return opResult{}, nil
+	}
+	return res, opErr
 }
 
 // --- journaled mutations (the advertiser and user write surfaces) ---
+//
+// Each is a record constructor: what the call does is applyRecord's case
+// for its op, the same code recovery replays and followers apply.
 
 // AddUser journals and inserts a user profile.
 func (jp *Journaled) AddUser(pr *profile.Profile) error {
 	st := pr.Snapshot()
-	var opErr error
-	if err := jp.logged(opRecord{Op: opAddUser, Profile: &st}, func() {
-		opErr = jp.p.AddUser(pr)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opAddUser, Profile: &st, profile: pr})
+	return err
 }
 
 // RegisterAdvertiser journals and creates an advertiser account.
 func (jp *Journaled) RegisterAdvertiser(name string) error {
-	var opErr error
-	if err := jp.logged(opRecord{Op: opRegisterAdvertiser, Name: name}, func() {
-		opErr = jp.p.RegisterAdvertiser(name)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opRegisterAdvertiser, Name: name})
+	return err
 }
 
 // CreateCampaign journals and registers a campaign.
 func (jp *Journaled) CreateCampaign(advertiser string, params CampaignParams) (string, error) {
 	ps := campaignParamsToState(params)
-	var id string
-	var opErr error
-	if err := jp.logged(opRecord{Op: opCreateCampaign, Advertiser: advertiser, Params: &ps}, func() {
-		id, opErr = jp.p.CreateCampaign(advertiser, params)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opCreateCampaign, Advertiser: advertiser, Params: &ps, params: &params})
+	return res.id, err
 }
 
 // PauseCampaign journals and pauses a campaign.
 func (jp *Journaled) PauseCampaign(advertiser, campaignID string) error {
-	var opErr error
-	if err := jp.logged(opRecord{Op: opPauseCampaign, Advertiser: advertiser, Campaign: campaignID}, func() {
-		opErr = jp.p.PauseCampaign(advertiser, campaignID)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opPauseCampaign, Advertiser: advertiser, Campaign: campaignID})
+	return err
 }
 
 // CreatePIIAudience journals and uploads a customer-list audience.
 func (jp *Journaled) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	var id audience.AudienceID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opPIIAudience, Advertiser: advertiser, Name: name, Keys: keys}, func() {
-		id, opErr = jp.p.CreatePIIAudience(advertiser, name, keys)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opPIIAudience, Advertiser: advertiser, Name: name, Keys: keys})
+	return audience.AudienceID(res.id), err
 }
 
 // CreateWebsiteAudience journals and builds a pixel-backed audience.
 func (jp *Journaled) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	var id audience.AudienceID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opWebsiteAudience, Advertiser: advertiser, Name: name, Pixel: string(px)}, func() {
-		id, opErr = jp.p.CreateWebsiteAudience(advertiser, name, px)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opWebsiteAudience, Advertiser: advertiser, Name: name, Pixel: string(px)})
+	return audience.AudienceID(res.id), err
 }
 
 // CreateAffinityAudience journals and builds a keyword audience.
 func (jp *Journaled) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	var id audience.AudienceID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opAffinityAudience, Advertiser: advertiser, Name: name, Phrases: phrases}, func() {
-		id, opErr = jp.p.CreateAffinityAudience(advertiser, name, phrases)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opAffinityAudience, Advertiser: advertiser, Name: name, Phrases: phrases})
+	return audience.AudienceID(res.id), err
 }
 
 // CreateLookalikeAudience journals and derives a similarity audience.
 func (jp *Journaled) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	var id audience.AudienceID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opLookalikeAudience, Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap}, func() {
-		id, opErr = jp.p.CreateLookalikeAudience(advertiser, name, seed, overlap)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opLookalikeAudience, Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap})
+	return audience.AudienceID(res.id), err
 }
 
 // CreateEngagementAudience journals and builds a page-like audience.
 func (jp *Journaled) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	var id audience.AudienceID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opEngagementAudience, Advertiser: advertiser, Name: name, Page: pageID}, func() {
-		id, opErr = jp.p.CreateEngagementAudience(advertiser, name, pageID)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opEngagementAudience, Advertiser: advertiser, Name: name, Page: pageID})
+	return audience.AudienceID(res.id), err
 }
 
 // IssuePixel journals and issues a tracking pixel.
 func (jp *Journaled) IssuePixel(advertiser string) (pixel.PixelID, error) {
-	var id pixel.PixelID
-	var opErr error
-	if err := jp.logged(opRecord{Op: opIssuePixel, Advertiser: advertiser}, func() {
-		id, opErr = jp.p.IssuePixel(advertiser)
-	}); err != nil {
-		return "", err
-	}
-	return id, opErr
+	res, err := jp.commit(context.Background(), &opRecord{Op: opIssuePixel, Advertiser: advertiser})
+	return pixel.PixelID(res.id), err
 }
 
 // BrowseFeed journals and runs a feed session. The journal records only
@@ -364,102 +371,81 @@ func (jp *Journaled) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression,
 // browse records its journal.append and delivery spans in the caller's
 // trace.
 func (jp *Journaled) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	var imps []ad.Impression
-	var opErr error
-	if err := jp.loggedCtx(ctx, opRecord{Op: opBrowse, User: uid, Slots: slots}, func() {
-		imps, opErr = jp.p.BrowseFeedCtx(ctx, uid, slots)
-	}); err != nil {
-		return nil, err
-	}
-	return imps, opErr
+	res, err := jp.commit(ctx, &opRecord{Op: opBrowse, User: uid, Slots: slots})
+	return res.imps, err
 }
 
 // VisitPage journals and records a pixel fire.
 func (jp *Journaled) VisitPage(uid profile.UserID, px pixel.PixelID) error {
-	var opErr error
-	if err := jp.logged(opRecord{Op: opVisitPage, User: uid, Pixel: string(px)}, func() {
-		opErr = jp.p.VisitPage(uid, px)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opVisitPage, User: uid, Pixel: string(px)})
+	return err
 }
 
 // LikePage journals and records a page like.
 func (jp *Journaled) LikePage(uid profile.UserID, pageID string) error {
-	var opErr error
-	if err := jp.logged(opRecord{Op: opLikePage, User: uid, Page: pageID}, func() {
-		opErr = jp.p.LikePage(uid, pageID)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opLikePage, User: uid, Page: pageID})
+	return err
 }
 
 // UnlikePage journals and removes a page like.
 func (jp *Journaled) UnlikePage(uid profile.UserID, pageID string) error {
-	var opErr error
-	if err := jp.logged(opRecord{Op: opUnlikePage, User: uid, Page: pageID}, func() {
-		opErr = jp.p.UnlikePage(uid, pageID)
-	}); err != nil {
-		return err
-	}
-	return opErr
+	_, err := jp.commit(context.Background(), &opRecord{Op: opUnlikePage, User: uid, Page: pageID})
+	return err
 }
 
 // --- read-only pass-throughs ---
 
 // Catalog returns the attribute catalog.
-func (jp *Journaled) Catalog() *attr.Catalog { return jp.p.Catalog() }
+func (jp *Journaled) Catalog() *attr.Catalog { return jp.p.Load().Catalog() }
 
 // User returns a user's profile (simulation ground truth).
-func (jp *Journaled) User(id profile.UserID) *profile.Profile { return jp.p.User(id) }
+func (jp *Journaled) User(id profile.UserID) *profile.Profile { return jp.p.Load().User(id) }
 
 // Users returns all user IDs in insertion order.
-func (jp *Journaled) Users() []profile.UserID { return jp.p.Users() }
+func (jp *Journaled) Users() []profile.UserID { return jp.p.Load().Users() }
 
 // PotentialReach returns the thresholded reach estimate.
 func (jp *Journaled) PotentialReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	return jp.p.PotentialReach(ctx, advertiser, spec)
+	return jp.p.Load().PotentialReach(ctx, advertiser, spec)
 }
 
 // RawReach returns the exact pre-threshold match count (cluster merges).
 func (jp *Journaled) RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	return jp.p.RawReach(ctx, advertiser, spec)
+	return jp.p.Load().RawReach(ctx, advertiser, spec)
 }
 
 // CampaignTotals returns the campaign's exact totals (cluster merges).
 func (jp *Journaled) CampaignTotals(ctx context.Context, advertiser, campaignID string) (CampaignTotals, error) {
-	return jp.p.CampaignTotals(ctx, advertiser, campaignID)
+	return jp.p.Load().CampaignTotals(ctx, advertiser, campaignID)
 }
 
 // SearchAttributes searches the catalog.
 func (jp *Journaled) SearchAttributes(query string) []*attr.Attribute {
-	return jp.p.SearchAttributes(query)
+	return jp.p.Load().SearchAttributes(query)
 }
 
 // Report returns a campaign's advertiser-visible report.
 func (jp *Journaled) Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error) {
-	return jp.p.Report(ctx, advertiser, campaignID)
+	return jp.p.Load().Report(ctx, advertiser, campaignID)
 }
 
 // Feed returns every impression the user has been shown.
-func (jp *Journaled) Feed(uid profile.UserID) []ad.Impression { return jp.p.Feed(uid) }
+func (jp *Journaled) Feed(uid profile.UserID) []ad.Impression { return jp.p.Load().Feed(uid) }
 
 // AdPreferences returns the user's transparency-page attributes.
 func (jp *Journaled) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	return jp.p.AdPreferences(uid)
+	return jp.p.Load().AdPreferences(uid)
 }
 
 // AdvertisersTargetingMe returns advertisers targeting the user via
 // custom data.
 func (jp *Journaled) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return jp.p.AdvertisersTargetingMe(uid)
+	return jp.p.Load().AdvertisersTargetingMe(uid)
 }
 
 // ExplainImpression generates "why am I seeing this?" text.
 func (jp *Journaled) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return jp.p.ExplainImpression(uid, imp)
+	return jp.p.Load().ExplainImpression(uid, imp)
 }
 
 // --- journal record encoding ---
@@ -504,7 +490,35 @@ type opRecord struct {
 	Params     *campaignParamsState `json:"params,omitempty"`
 	Users      []profile.UserID     `json:"users,omitempty"`
 	Chunk      *MigrationChunk      `json:"chunk,omitempty"`
+
+	// What the caller already holds; never serialized. A live AddUser or
+	// CreateCampaign carries its decoded argument so applyRecord does not
+	// re-decode it from Profile / Params; a record arriving through
+	// ApplyShipped carries the owner's LSN and exact bytes so the follower
+	// journals what the owner journaled.
+	profile *profile.Profile
+	params  *CampaignParams
+	ship    *shipment
 }
+
+// shipment is one record as the owner shipped it.
+type shipment struct {
+	lsn     uint64
+	payload []byte
+}
+
+// opResult is what a mutation hands back to its live caller besides the
+// error; replay and followers discard it.
+type opResult struct {
+	id   string          // the campaign, audience or pixel ID the op minted
+	imps []ad.Impression // browse
+}
+
+// applyFunc is the mutating step of one record, prepared by applyRecord:
+// it returns the platform the record leaves behind (p itself for ordinary
+// ops, the replacement for migration ops), the op's result, and the
+// platform's own refusal of the op, if any.
+type applyFunc func(ctx context.Context) (*Platform, opResult, error)
 
 // campaignParamsState is CampaignParams in serializable form; the
 // targeting expression travels as its canonical text, exactly like
@@ -558,82 +572,116 @@ func (s *campaignParamsState) toParams() (CampaignParams, error) {
 	return p, nil
 }
 
-// applyRecord replays one journaled mutation and returns the platform the
-// record leaves behind: ordinary ops mutate p in place and return it;
-// migration ops (import_users, remove_users) rebuild the platform from a
-// transformed snapshot and return the replacement. Platform-level refusals
-// (duplicate names, unknown users, rejected creatives) replay
-// deterministically and are deliberately ignored — the original caller
-// already saw them. Only an undecodable record or an invalid migration
-// chunk is an error: state past it cannot be trusted. Error paths never
-// mutate p, which is what lets the live path validate a migration record
-// before journaling it.
-func applyRecord(p *Platform, lsn uint64, rec opRecord) (*Platform, error) {
+// applyRecord interprets one journaled mutation — it is the only place
+// that does, whether the record is being committed live, replayed by
+// recovery, or applied on a follower. It works in two steps so the commit
+// path can journal between them. The call itself decodes and validates
+// rec against p and, for migration ops (import_users, remove_users),
+// builds the replacement platform from a transformed snapshot; it never
+// mutates p, and only an undecodable record, an unknown op or an invalid
+// migration chunk is an error here — state past such a record cannot be
+// trusted, and the live path has journaled nothing yet. The returned step
+// performs the mutation. Platform-level refusals (duplicate names, unknown
+// users, rejected creatives) come back from that step; they replay
+// deterministically, so recovery ignores them — the original caller
+// already saw them.
+func applyRecord(p *Platform, lsn uint64, rec *opRecord) (applyFunc, error) {
+	bad := func(err error) (applyFunc, error) {
+		return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
+	}
+	swap := func(s State) (applyFunc, error) {
+		p2, err := Restore(s)
+		if err != nil {
+			return bad(err)
+		}
+		return func(context.Context) (*Platform, opResult, error) { return p2, opResult{}, nil }, nil
+	}
+	plain := func(op func() error) (applyFunc, error) {
+		return func(context.Context) (*Platform, opResult, error) { return p, opResult{}, op() }, nil
+	}
 	switch rec.Op {
 	case opImportUsers:
 		if rec.Chunk == nil {
-			return nil, fmt.Errorf("platform: journal record %d: import_users without chunk", lsn)
+			return bad(errors.New("import_users without chunk"))
 		}
 		merged, err := MergeChunkState(p.Snapshot(p.pipeline.RNGState()), *rec.Chunk)
 		if err != nil {
-			return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
+			return bad(err)
 		}
-		p2, err := Restore(merged)
-		if err != nil {
-			return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
-		}
-		return p2, nil
+		return swap(merged)
 	case opRemoveUsers:
-		drop := UserSet(rec.Users)
-		p2, err := Restore(RemoveUsersState(p.Snapshot(p.pipeline.RNGState()), drop))
-		if err != nil {
-			return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
-		}
-		return p2, nil
+		return swap(RemoveUsersState(p.Snapshot(p.pipeline.RNGState()), UserSet(rec.Users)))
 	case opAddUser:
-		if rec.Profile == nil {
-			return nil, fmt.Errorf("platform: journal record %d: add_user without profile", lsn)
+		pr := rec.profile
+		if pr == nil {
+			if rec.Profile == nil {
+				return bad(errors.New("add_user without profile"))
+			}
+			var err error
+			if pr, err = profile.FromState(*rec.Profile); err != nil {
+				return bad(err)
+			}
 		}
-		pr, err := profile.FromState(*rec.Profile)
-		if err != nil {
-			return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
-		}
-		_ = p.AddUser(pr)
+		return plain(func() error { return p.AddUser(pr) })
 	case opRegisterAdvertiser:
-		_ = p.RegisterAdvertiser(rec.Name)
+		return plain(func() error { return p.RegisterAdvertiser(rec.Name) })
 	case opCreateCampaign:
-		if rec.Params == nil {
-			return nil, fmt.Errorf("platform: journal record %d: create_campaign without params", lsn)
+		params := rec.params
+		if params == nil {
+			if rec.Params == nil {
+				return bad(errors.New("create_campaign without params"))
+			}
+			decoded, err := rec.Params.toParams()
+			if err != nil {
+				return bad(err)
+			}
+			params = &decoded
 		}
-		params, err := rec.Params.toParams()
-		if err != nil {
-			return nil, fmt.Errorf("platform: journal record %d: %w", lsn, err)
-		}
-		_, _ = p.CreateCampaign(rec.Advertiser, params)
+		return minted(p, func() (string, error) { return p.CreateCampaign(rec.Advertiser, *params) })
 	case opPauseCampaign:
-		_ = p.PauseCampaign(rec.Advertiser, rec.Campaign)
+		return plain(func() error { return p.PauseCampaign(rec.Advertiser, rec.Campaign) })
 	case opPIIAudience:
-		_, _ = p.CreatePIIAudience(rec.Advertiser, rec.Name, rec.Keys)
+		return minted(p, func() (audience.AudienceID, error) {
+			return p.CreatePIIAudience(rec.Advertiser, rec.Name, rec.Keys)
+		})
 	case opWebsiteAudience:
-		_, _ = p.CreateWebsiteAudience(rec.Advertiser, rec.Name, pixel.PixelID(rec.Pixel))
+		return minted(p, func() (audience.AudienceID, error) {
+			return p.CreateWebsiteAudience(rec.Advertiser, rec.Name, pixel.PixelID(rec.Pixel))
+		})
 	case opAffinityAudience:
-		_, _ = p.CreateAffinityAudience(rec.Advertiser, rec.Name, rec.Phrases)
+		return minted(p, func() (audience.AudienceID, error) {
+			return p.CreateAffinityAudience(rec.Advertiser, rec.Name, rec.Phrases)
+		})
 	case opLookalikeAudience:
-		_, _ = p.CreateLookalikeAudience(rec.Advertiser, rec.Name, audience.AudienceID(rec.Seed), rec.Overlap)
+		return minted(p, func() (audience.AudienceID, error) {
+			return p.CreateLookalikeAudience(rec.Advertiser, rec.Name, audience.AudienceID(rec.Seed), rec.Overlap)
+		})
 	case opEngagementAudience:
-		_, _ = p.CreateEngagementAudience(rec.Advertiser, rec.Name, rec.Page)
+		return minted(p, func() (audience.AudienceID, error) {
+			return p.CreateEngagementAudience(rec.Advertiser, rec.Name, rec.Page)
+		})
 	case opIssuePixel:
-		_, _ = p.IssuePixel(rec.Advertiser)
+		return minted(p, func() (pixel.PixelID, error) { return p.IssuePixel(rec.Advertiser) })
 	case opBrowse:
-		_, _ = p.BrowseFeed(rec.User, rec.Slots)
+		return func(ctx context.Context) (*Platform, opResult, error) {
+			imps, err := p.BrowseFeedCtx(ctx, rec.User, rec.Slots)
+			return p, opResult{imps: imps}, err
+		}, nil
 	case opVisitPage:
-		_ = p.VisitPage(rec.User, pixel.PixelID(rec.Pixel))
+		return plain(func() error { return p.VisitPage(rec.User, pixel.PixelID(rec.Pixel)) })
 	case opLikePage:
-		_ = p.LikePage(rec.User, rec.Page)
+		return plain(func() error { return p.LikePage(rec.User, rec.Page) })
 	case opUnlikePage:
-		_ = p.UnlikePage(rec.User, rec.Page)
-	default:
-		return nil, fmt.Errorf("platform: journal record %d: unknown op %q", lsn, rec.Op)
+		return plain(func() error { return p.UnlikePage(rec.User, rec.Page) })
 	}
-	return p, nil
+	return bad(fmt.Errorf("unknown op %q", rec.Op))
+}
+
+// minted is the apply step of an op that mutates p in place and mints an
+// ID.
+func minted[T ~string](p *Platform, op func() (T, error)) (applyFunc, error) {
+	return func(context.Context) (*Platform, opResult, error) {
+		id, err := op()
+		return p, opResult{id: string(id)}, err
+	}, nil
 }

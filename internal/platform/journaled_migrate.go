@@ -1,16 +1,42 @@
 package platform
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
 
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// Migration surface: the four operations a cluster reshard drives against
-// a journaled shard. Export is a read; Import and Remove are journaled
-// mutations with validate-before-journal semantics; InstallState rides the
-// snapshot channel so a bootstrap never has to fit in one journal record.
+// Member is the control surface of one journaled member of a cluster —
+// what a reshard driver and a replica chain drive besides ordinary
+// traffic. It is declared once and implemented with these exact signatures
+// by *Journaled (in-process) and by the cluster's RemoteShard (which
+// forwards each call over RPC, hence every method can fail); the rpc
+// server serves it from whatever backend implements it. A plain in-memory
+// Platform does not: it has no atomic-across-components snapshot and no
+// journal to ship.
+type Member interface {
+	// Migration: Export is a read; Import and Remove are journaled
+	// mutations with validate-before-journal semantics; InstallState rides
+	// the snapshot channel so a bootstrap never has to fit in one journal
+	// record.
+	ExportUsers([]profile.UserID) (MigrationChunk, error)
+	ImportUsers(MigrationChunk) error
+	RemoveUsers([]profile.UserID) error
+	InstallState(State) error
+	// StateAndLSN atomically captures the full state together with the
+	// journal LSN it corresponds to; a follower installed from the pair
+	// follows from exactly that LSN with no gap and no overlap.
+	StateAndLSN() (State, uint64, error)
+
+	// Replication (see journaled_replica.go).
+	ApplyShipped(ownerLSN uint64, payload []byte) error
+	BeginFollow(ownerLSN uint64) error
+	EndFollow() error
+	FollowStatus() (FollowStatus, error)
+}
+
+var _ Member = (*Journaled)(nil)
 
 // ExportUsers extracts the movable state for the given users from the
 // live platform. It is a pure read — the source keeps serving (and
@@ -28,66 +54,23 @@ func (jp *Journaled) ExportUsers(users []profile.UserID) (MigrationChunk, error)
 // audience) returns an error with nothing written, so the journal never
 // holds a record that recovery would refuse to replay.
 func (jp *Journaled) ImportUsers(chunk MigrationChunk) error {
-	return jp.loggedSwap(opRecord{Op: opImportUsers, Chunk: &chunk})
+	_, err := jp.commit(context.Background(), &opRecord{Op: opImportUsers, Chunk: &chunk})
+	return err
 }
 
 // RemoveUsers journals and applies the removal of the given users' state —
 // the source-side half of a completed migration. Removing users that do
 // not exist is a no-op, which makes retries idempotent.
 func (jp *Journaled) RemoveUsers(users []profile.UserID) error {
-	return jp.loggedSwap(opRecord{Op: opRemoveUsers, Users: users})
+	_, err := jp.commit(context.Background(), &opRecord{Op: opRemoveUsers, Users: users})
+	return err
 }
 
-// loggedSwap is logged() for whole-platform-swap records: the replacement
-// platform is built (and the record thereby validated) BEFORE the journal
-// append, then the record is journaled, the platform swapped, and the
-// record shipped to any followers — all under the op lock so journal order
-// still equals apply order.
-func (jp *Journaled) loggedSwap(rec opRecord) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("platform: encoding journal record: %w", err)
-	}
-	jp.mu.Lock()
-	if jp.follow {
-		jp.mu.Unlock()
-		return ErrFollowing
-	}
-	p2, err := applyRecord(jp.p, jp.j.LastLSN()+1, rec)
-	if err != nil {
-		jp.mu.Unlock()
-		return err
-	}
-	lsn, wait, err := jp.j.AppendBuffered(payload)
-	if err != nil {
-		jp.mu.Unlock()
-		return fmt.Errorf("platform: journaling %s: %w", rec.Op, err)
-	}
-	jp.p = p2
-	shipErr := jp.shipLocked(lsn, payload)
-	jp.mu.Unlock()
-	if err := wait(); err != nil {
-		return fmt.Errorf("platform: journal sync for %s: %w", rec.Op, err)
-	}
-	if shipErr != nil {
-		return fmt.Errorf("platform: replicating %s: %w", rec.Op, shipErr)
-	}
-	return nil
-}
-
-// SyncState returns the full current state — the bootstrap read a new
-// shard or resyncing follower starts from.
-func (jp *Journaled) SyncState() (State, error) {
-	return jp.State(), nil
-}
-
-// StateAndLSN atomically captures the state together with the journal LSN
-// it corresponds to; a follower installed from this pair follows from
-// exactly that LSN with no gap and no overlap.
-func (jp *Journaled) StateAndLSN() (State, uint64) {
+// StateAndLSN implements Member.
+func (jp *Journaled) StateAndLSN() (State, uint64, error) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
-	return jp.stateLocked(), jp.j.LastLSN()
+	return jp.stateLocked(), jp.j.LastLSN(), nil
 }
 
 // InstallState replaces the platform's entire state. The new state is
@@ -119,7 +102,7 @@ func (jp *Journaled) InstallState(s State) error {
 	if err := jp.j.WriteSnapshot(jp.j.LastLSN(), raw); err != nil {
 		return fmt.Errorf("platform: installing state: %w", err)
 	}
-	jp.p = p2
+	jp.p.Store(p2)
 	return nil
 }
 

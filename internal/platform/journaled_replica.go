@@ -1,9 +1,8 @@
 package platform
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
-	"fmt"
 )
 
 // ErrFollowing is returned by mutating operations on a platform that is a
@@ -29,13 +28,6 @@ func (jp *Journaled) SetShipper(fn func(lsn uint64, payload []byte) error) {
 	jp.shipper = fn
 }
 
-func (jp *Journaled) shipLocked(lsn uint64, payload []byte) error {
-	if jp.shipper == nil {
-		return nil
-	}
-	return jp.shipper(lsn, payload)
-}
-
 // BeginFollow marks this platform as a follower whose state matches the
 // owner's journal through ownerLSN. Subsequent ApplyShipped calls must
 // present ownerLSN+1, ownerLSN+2, … in order. Direct mutations are refused
@@ -43,97 +35,63 @@ func (jp *Journaled) shipLocked(lsn uint64, payload []byte) error {
 // that crashes forgets where it was and must be resynced, which is the
 // safe default — its own journal recovers its state, but only the owner
 // can certify how far that state matches the owner's log.
-func (jp *Journaled) BeginFollow(ownerLSN uint64) {
+func (jp *Journaled) BeginFollow(ownerLSN uint64) error {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
 	jp.follow = true
 	jp.inSync = true
 	jp.shipSeq = ownerLSN
+	return nil
 }
 
 // EndFollow lifts follower mode — the promotion step. The platform keeps
 // its state and journal and starts accepting direct mutations; any
 // shipping cursor is discarded.
-func (jp *Journaled) EndFollow() {
+func (jp *Journaled) EndFollow() error {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
 	jp.follow = false
 	jp.inSync = false
-}
-
-// Following reports whether the platform is in follower mode.
-func (jp *Journaled) Following() bool {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	return jp.follow
-}
-
-// Synced reports whether the follower is accepting shipped records (true
-// between BeginFollow and the first gap or apply failure).
-func (jp *Journaled) Synced() bool {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	return jp.follow && jp.inSync
-}
-
-// ShipLSN returns the owner LSN the follower's state matches (only
-// meaningful while following).
-func (jp *Journaled) ShipLSN() uint64 {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	return jp.shipSeq
-}
-
-// ApplyShipped applies one record shipped from the owner's journal. The
-// record is validated and applied exactly as the owner applied it, and
-// journaled locally (at the follower's own LSN — the two logs agree on
-// contents and order, not numbering, since the follower's log also holds
-// its bootstrap snapshot). ownerLSN must be exactly one past the last
-// applied record; a gap means shipped records were lost and the follower
-// marks itself out of sync rather than applying a divergent suffix.
-func (jp *Journaled) ApplyShipped(ownerLSN uint64, payload []byte) error {
-	jp.mu.Lock()
-	if !jp.follow {
-		jp.mu.Unlock()
-		return fmt.Errorf("platform: ApplyShipped on a non-follower")
-	}
-	if !jp.inSync {
-		jp.mu.Unlock()
-		return ErrNotSynced
-	}
-	if ownerLSN != jp.shipSeq+1 {
-		jp.inSync = false
-		jp.mu.Unlock()
-		return fmt.Errorf("platform: shipped LSN %d, want %d: %w", ownerLSN, jp.shipSeq+1, ErrNotSynced)
-	}
-	var rec opRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		jp.inSync = false
-		jp.mu.Unlock()
-		return fmt.Errorf("platform: shipped record %d: %w", ownerLSN, err)
-	}
-	// Validate-and-build before touching the journal: applyRecord's error
-	// paths never mutate the platform, so a bad record leaves the follower
-	// consistent (just unsynced).
-	p2, err := applyRecord(jp.p, ownerLSN, rec)
-	if err != nil {
-		jp.inSync = false
-		jp.mu.Unlock()
-		return err
-	}
-	_, wait, err := jp.j.AppendBuffered(payload)
-	if err != nil {
-		// Journal failure is sticky; the follower needs crash-recovery, not
-		// just a resync, and Synced() turning false routes it there.
-		jp.inSync = false
-		jp.mu.Unlock()
-		return fmt.Errorf("platform: journaling shipped record %d: %w", ownerLSN, err)
-	}
-	jp.p = p2
-	jp.shipSeq = ownerLSN
-	jp.mu.Unlock()
-	if err := wait(); err != nil {
-		return fmt.Errorf("platform: journal sync for shipped record %d: %w", ownerLSN, err)
-	}
+	jp.shipSeq = 0
 	return nil
+}
+
+// FollowStatus is a member's replication view of itself.
+type FollowStatus struct {
+	// Following reports follower mode (between BeginFollow and EndFollow).
+	Following bool
+	// Synced reports that the follower is accepting shipped records: true
+	// from BeginFollow until the first gap or failed apply.
+	Synced bool
+	// ShipLSN is the owner LSN the follower's state matches; 0 unless
+	// following.
+	ShipLSN uint64
+	// LastLSN is the member's own last journaled LSN. The two logs agree
+	// on contents and order, not numbering.
+	LastLSN uint64
+}
+
+// FollowStatus implements Member.
+func (jp *Journaled) FollowStatus() (FollowStatus, error) {
+	jp.mu.Lock()
+	defer jp.mu.Unlock()
+	return FollowStatus{
+		Following: jp.follow,
+		Synced:    jp.follow && jp.inSync,
+		ShipLSN:   jp.shipSeq,
+		LastLSN:   jp.j.LastLSN(),
+	}, nil
+}
+
+// ApplyShipped applies one record shipped from the owner's journal through
+// the same commit path a live call takes: validated and applied exactly as
+// the owner applied it, and journaled locally (at the follower's own LSN,
+// since the follower's log also holds its bootstrap snapshot). ownerLSN
+// must be exactly one past the last applied record; a gap means shipped
+// records were lost and the follower marks itself out of sync rather than
+// applying a divergent suffix. A bad record leaves the follower consistent,
+// just unsynced.
+func (jp *Journaled) ApplyShipped(ownerLSN uint64, payload []byte) error {
+	_, err := jp.commit(context.Background(), &opRecord{ship: &shipment{lsn: ownerLSN, payload: payload}})
+	return err
 }

@@ -2,9 +2,15 @@ package platform
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -182,7 +188,7 @@ func TestJournaledRecoveryIdentical(t *testing.T) {
 	}
 	// The recovered platform keeps working and stays deterministic: the
 	// same browse on original and recovered yields the same impressions.
-	imps1, err1 := jp.p.BrowseFeed("ju01", 3)
+	imps1, err1 := jp.Underlying().BrowseFeed("ju01", 3)
 	imps2, err2 := jp2.BrowseFeed("ju01", 3)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("post-recovery browse: %v / %v", err1, err2)
@@ -439,5 +445,145 @@ func TestJournaledCompactIsLossless(t *testing.T) {
 	defer jp2.Close()
 	if got, want := marshalState(t, jp2.State()), exactState(t, ref); !bytes.Equal(got, want) {
 		t.Fatal("repeatedly compacted journal recovered to a different state than the uncompacted reference")
+	}
+}
+
+type goldenRecord struct {
+	rec    opRecord
+	golden string
+}
+
+// goldenRecords is one journaled record per op with the exact bytes it
+// marshals to. These bytes are the on-disk journal format AND what an
+// owner ships to its followers, so a change here is a format break: a
+// journal written by an older build would no longer recover, and a mixed-
+// version replica chain would desync.
+func goldenRecords(t *testing.T) map[string]goldenRecord {
+	t.Helper()
+	key, err := pii.HashEmail("ju03@example.com")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr := profile.New("gu-1")
+	pr.Nation = "US"
+	pr.AgeYrs = 31
+	st := pr.Snapshot()
+	params := campaignParamsToState(CampaignParams{
+		Spec:         audience.Spec{Include: []audience.AudienceID{"aud-000001"}, Exclude: []audience.AudienceID{"aud-000002"}},
+		BidCapCPM:    money.FromDollars(2),
+		Creative:     ad.Creative{Headline: "h", Body: "b"},
+		FrequencyCap: 3,
+		Budget:       money.FromDollars(50),
+	})
+	chunk := MigrationChunk{Profiles: []profile.State{st}}
+	return map[string]goldenRecord{
+		opAddUser:            {opRecord{Op: opAddUser, Profile: &st}, goldenAddUser},
+		opRegisterAdvertiser: {opRecord{Op: opRegisterAdvertiser, Name: "acme"}, `{"op":"register_advertiser","name":"acme"}`},
+		opCreateCampaign:     {opRecord{Op: opCreateCampaign, Advertiser: "acme", Params: &params}, goldenCreateCampaign},
+		opPauseCampaign:      {opRecord{Op: opPauseCampaign, Advertiser: "acme", Campaign: "camp-000001"}, `{"op":"pause_campaign","advertiser":"acme","campaign":"camp-000001"}`},
+		opPIIAudience:        {opRecord{Op: opPIIAudience, Advertiser: "acme", Name: "list", Keys: []pii.MatchKey{key}}, goldenPIIAudience},
+		opWebsiteAudience:    {opRecord{Op: opWebsiteAudience, Advertiser: "acme", Name: "web", Pixel: "px-000001"}, `{"op":"website_audience","advertiser":"acme","name":"web","pixel":"px-000001"}`},
+		opAffinityAudience:   {opRecord{Op: opAffinityAudience, Advertiser: "acme", Name: "aff", Phrases: []string{"salsa"}}, `{"op":"affinity_audience","advertiser":"acme","name":"aff","phrases":["salsa"]}`},
+		opLookalikeAudience:  {opRecord{Op: opLookalikeAudience, Advertiser: "acme", Name: "look", Seed: "aud-000001", Overlap: 0.5}, `{"op":"lookalike_audience","advertiser":"acme","name":"look","seed":"aud-000001","overlap":0.5}`},
+		opEngagementAudience: {opRecord{Op: opEngagementAudience, Advertiser: "acme", Name: "eng", Page: "page-w"}, `{"op":"engagement_audience","advertiser":"acme","name":"eng","page":"page-w"}`},
+		opIssuePixel:         {opRecord{Op: opIssuePixel, Advertiser: "acme"}, `{"op":"issue_pixel","advertiser":"acme"}`},
+		opBrowse:             {opRecord{Op: opBrowse, User: "gu-1", Slots: 5}, `{"op":"browse","user":"gu-1","slots":5}`},
+		opVisitPage:          {opRecord{Op: opVisitPage, User: "gu-1", Pixel: "px-000001"}, `{"op":"visit_page","user":"gu-1","pixel":"px-000001"}`},
+		opLikePage:           {opRecord{Op: opLikePage, User: "gu-1", Page: "page-w"}, `{"op":"like_page","user":"gu-1","page":"page-w"}`},
+		opUnlikePage:         {opRecord{Op: opUnlikePage, User: "gu-1", Page: "page-w"}, `{"op":"unlike_page","user":"gu-1","page":"page-w"}`},
+		opImportUsers:        {opRecord{Op: opImportUsers, Chunk: &chunk}, goldenImportUsers},
+		opRemoveUsers:        {opRecord{Op: opRemoveUsers, Users: []profile.UserID{"gu-1", "gu-2"}}, `{"op":"remove_users","users":["gu-1","gu-2"]}`},
+	}
+}
+
+const (
+	goldenAddUser        = `{"op":"add_user","profile":{"id":"gu-1","age":31,"nation":"US"}}`
+	goldenCreateCampaign = `{"op":"create_campaign","advertiser":"acme","params":{"include":["aud-000001"],"exclude":["aud-000002"],"bid_cap_cpm":2000000,"creative":{"Headline":"h","Body":"b","LandingURL":"","LandingBody":"","ImagePNG":null},"frequency_cap":3,"budget":50000000}}`
+	goldenPIIAudience    = `{"op":"pii_audience","advertiser":"acme","name":"list","keys":[{"Type":0,"Hash":"32f3536069e8cffd99a1a9526cef1f3be530860dc992fcce0178829a769aad53"}]}`
+	goldenImportUsers    = `{"op":"import_users","chunk":{"profiles":[{"id":"gu-1","age":31,"nation":"US"}]}}`
+)
+
+// TestOpRecordGoldenBytes pins the journal / shipping record format: each
+// op's record marshals to its golden bytes, and the golden bytes decode
+// and re-encode to themselves (what recovery and followers read is what
+// the owner wrote).
+func TestOpRecordGoldenBytes(t *testing.T) {
+	for op, c := range goldenRecords(t) {
+		got, err := json.Marshal(c.rec)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if string(got) != c.golden {
+			t.Errorf("%s record format changed:\n got %s\nwant %s", op, got, c.golden)
+		}
+		var back opRecord
+		if err := json.Unmarshal([]byte(c.golden), &back); err != nil {
+			t.Errorf("%s: decoding golden bytes: %v", op, err)
+			continue
+		}
+		again, err := json.Marshal(back)
+		if err != nil {
+			t.Fatalf("%s: %v", op, err)
+		}
+		if string(again) != c.golden {
+			t.Errorf("%s golden bytes do not round-trip:\n got %s\nwant %s", op, again, c.golden)
+		}
+	}
+}
+
+// TestEveryOpHasApplyCase reads the op constants out of journaled.go and
+// requires each to have a golden record and an applyRecord case: an op
+// that can be journaled but not replayed would make its journal
+// unrecoverable.
+func TestEveryOpHasApplyCase(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "journaled.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := make(map[string]string) // constant name -> op string
+	ast.Inspect(file, func(n ast.Node) bool {
+		vs, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range vs.Names {
+			if i >= len(vs.Values) {
+				break
+			}
+			lit, isLit := vs.Values[i].(*ast.BasicLit)
+			if strings.HasPrefix(name.Name, "op") && isLit && lit.Kind == token.STRING {
+				v, err := strconv.Unquote(lit.Value)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ops[name.Name] = v
+			}
+		}
+		return true
+	})
+	if len(ops) < 16 {
+		t.Fatalf("found only %d op constants in journaled.go: %v", len(ops), ops)
+	}
+	golden := goldenRecords(t)
+	p, err := journalBoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, op := range ops {
+		c, ok := golden[op]
+		if !ok {
+			t.Errorf("%s (%q) has no golden record", name, op)
+			continue
+		}
+		var rec opRecord
+		if err := json.Unmarshal([]byte(c.golden), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := applyRecord(p, 1, &rec); err != nil && strings.Contains(err.Error(), "unknown op") {
+			t.Errorf("%s (%q) has no applyRecord case: %v", name, op, err)
+		}
+	}
+	if _, err := applyRecord(p, 1, &opRecord{Op: "no_such_op"}); err == nil {
+		t.Error("applyRecord accepted an unknown op")
 	}
 }

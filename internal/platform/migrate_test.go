@@ -3,6 +3,8 @@ package platform
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/treads-project/treads/internal/delivery"
@@ -142,7 +144,7 @@ func TestJournaledMigrationRecovery(t *testing.T) {
 	dst := mustOpenJournaled(t, dstDir, opts, func() (*Platform, error) { return New(Config{Seed: 99}), nil })
 
 	// Bootstrap the destination with the source's advertiser skeleton.
-	srcState, err := src.SyncState()
+	srcState, _, err := src.StateAndLSN()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +188,12 @@ func TestJournaledMigrationRecovery(t *testing.T) {
 	}
 }
 
+// followStatus reads an in-process member's follow status (it cannot fail).
+func followStatus(jp *Journaled) FollowStatus {
+	st, _ := jp.FollowStatus()
+	return st
+}
+
 // TestJournaledShipFollow wires a follower to an owner via the shipping
 // hook and requires byte-identical convergence, refusal of direct
 // mutations, and a working promotion.
@@ -194,7 +202,7 @@ func TestJournaledShipFollow(t *testing.T) {
 	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
 	follower := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 5}), nil })
 
-	state, lsn := owner.StateAndLSN()
+	state, lsn, _ := owner.StateAndLSN()
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +212,7 @@ func TestJournaledShipFollow(t *testing.T) {
 	for _, step := range journalScript(t) {
 		step(owner)
 	}
-	if !follower.Synced() {
+	if !followStatus(follower).Synced {
 		t.Fatal("follower fell out of sync during clean shipping")
 	}
 	if !bytes.Equal(marshalState(t, owner.State()), marshalState(t, follower.State())) {
@@ -230,7 +238,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
 	follower := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 5}), nil })
 
-	state, lsn := owner.StateAndLSN()
+	state, lsn, _ := owner.StateAndLSN()
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -248,20 +256,20 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 	}
 
 	// A late ship at the owner's current LSN is a gap.
-	_, cur := owner.StateAndLSN()
+	_, cur, _ := owner.StateAndLSN()
 	if err := follower.ApplyShipped(cur, []byte(`{"op":"register_advertiser","name":"x"}`)); !errors.Is(err, ErrNotSynced) {
 		t.Fatalf("gap apply = %v, want ErrNotSynced", err)
 	}
-	if follower.Synced() {
+	if followStatus(follower).Synced {
 		t.Fatal("follower still synced after gap")
 	}
 
 	// Resync via tail replay from the follower's last good LSN.
-	follower.BeginFollow(follower.ShipLSN())
-	if err := owner.TailSince(follower.ShipLSN(), follower.ApplyShipped); err != nil {
+	follower.BeginFollow(followStatus(follower).ShipLSN)
+	if err := owner.TailSince(followStatus(follower).ShipLSN, follower.ApplyShipped); err != nil {
 		t.Fatalf("tail resync: %v", err)
 	}
-	if !follower.Synced() {
+	if !followStatus(follower).Synced {
 		t.Fatal("follower not synced after tail resync")
 	}
 	if !bytes.Equal(marshalState(t, owner.State()), marshalState(t, follower.State())) {
@@ -309,5 +317,86 @@ func TestImportValidateBeforeJournal(t *testing.T) {
 	defer jp2.Close()
 	if !bytes.Equal(marshalState(t, jp2.State()), want) {
 		t.Fatal("recovery diverged after refused import")
+	}
+}
+
+// TestJournaledReadsDuringShipAndImport pins that reads on a journaled
+// platform need no lock against the write path: a follower serves Feed /
+// AdPreferences / User while the owner ships it records, and a reshard
+// destination serves them while ImportUsers swaps its platform. Run under
+// -race; the platform pointer must be published atomically.
+func TestJournaledReadsDuringShipAndImport(t *testing.T) {
+	opts := journal.Options{NoSync: true}
+	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
+	follower := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 5}), nil })
+	dest := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 6}), nil })
+	defer owner.Close()
+	defer follower.Close()
+	defer dest.Close()
+	for _, step := range journalScript(t) {
+		step(owner)
+	}
+	state, lsn, _ := owner.StateAndLSN()
+	if err := follower.InstallState(state); err != nil {
+		t.Fatal(err)
+	}
+	follower.BeginFollow(lsn)
+	owner.SetShipper(follower.ApplyShipped)
+	if err := dest.InstallState(StripUsersState(state, 77)); err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for _, jp := range []*Journaled{follower, follower, dest, dest} {
+		wg.Add(1)
+		go func(jp *Journaled) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				jp.Feed("ju00")
+				jp.AdPreferences("ju00")
+				jp.User("ju00")
+			}
+		}(jp)
+	}
+
+	users := owner.Users()
+	for i := 0; i < 200; i++ {
+		if err := owner.LikePage("ju00", fmt.Sprintf("page-%03d", i)); err != nil {
+			t.Fatalf("LikePage %d: %v", i, err)
+		}
+		if i%20 == 0 {
+			// Replace semantics make re-importing the same user idempotent.
+			chunk, err := owner.ExportUsers(users[:1+i/20])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dest.ImportUsers(chunk); err != nil {
+				t.Fatalf("ImportUsers: %v", err)
+			}
+		}
+	}
+	// An install on the follower is the resync path; reads stay up across it.
+	state, lsn, _ = owner.StateAndLSN()
+	if err := follower.InstallState(state); err != nil {
+		t.Fatal(err)
+	}
+	follower.BeginFollow(lsn)
+	close(stop)
+	wg.Wait()
+
+	if st := followStatus(follower); !st.Synced || st.ShipLSN != owner.LastLSN() {
+		t.Fatalf("follower at %+v, owner at LSN %d", st, owner.LastLSN())
+	}
+	if !bytes.Equal(marshalState(t, owner.State()), marshalState(t, follower.State())) {
+		t.Fatal("follower diverged from owner under concurrent reads")
+	}
+	if got := len(dest.Users()); got != 10 {
+		t.Fatalf("destination holds %d users after imports, want 10", got)
 	}
 }

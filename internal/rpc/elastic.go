@@ -72,29 +72,6 @@ type ShardInfo struct {
 	Replicas []string `json:"replicas,omitempty"`
 }
 
-// Migrator is the optional backend surface for live resharding;
-// *platform.Journaled satisfies it. A backend without it answers the
-// migration ops with a typed refusal.
-type Migrator interface {
-	ExportUsers([]profile.UserID) (platform.MigrationChunk, error)
-	ImportUsers(platform.MigrationChunk) error
-	RemoveUsers([]profile.UserID) error
-	InstallState(platform.State) error
-	SyncState() (platform.State, error)
-}
-
-// Replicator is the optional backend surface for journal shipping;
-// *platform.Journaled satisfies it.
-type Replicator interface {
-	ApplyShipped(ownerLSN uint64, payload []byte) error
-	BeginFollow(ownerLSN uint64)
-	EndFollow()
-	Following() bool
-	Synced() bool
-	ShipLSN() uint64
-	StateAndLSN() (platform.State, uint64)
-}
-
 // ErrMigrationUnsupported is the refusal a non-journaled backend gives the
 // migration and replication ops: a plain in-memory platform has no
 // atomic-across-components snapshot, so it cannot take part in live
@@ -155,90 +132,49 @@ type RearmReq struct {
 	Followers []string `json:"followers"`
 }
 
-// registerElastic wires the migration, replication, and ring ops. The ops
-// are always registered — capability is a property of the backend, not the
-// protocol — and refuse with ErrMigrationUnsupported when the backend
-// cannot honor them, so a misconfigured router gets a readable 422 instead
-// of a protocol error.
-func (s *Server) registerElastic() {
-	migrator := func() (Migrator, error) {
-		if m, ok := s.b.(Migrator); ok {
-			return m, nil
+// memberOp registers an op served by the backend's platform.Member
+// surface. The ops are always registered — capability is a property of the
+// backend, not the protocol — and refuse with ErrMigrationUnsupported when
+// the backend is not a journaled member, so a misconfigured router gets a
+// readable 422 instead of a protocol error.
+func memberOp[Req, Resp any](s *Server, name string, fn func(m platform.Member, req Req) (Resp, error)) {
+	handle(s, name, func(_ context.Context, req Req) (Resp, error) {
+		m, ok := s.b.(platform.Member)
+		if !ok {
+			var zero Resp
+			return zero, ErrMigrationUnsupported
 		}
-		return nil, ErrMigrationUnsupported
-	}
-	replicator := func() (Replicator, error) {
-		if r, ok := s.b.(Replicator); ok {
-			return r, nil
-		}
-		return nil, ErrMigrationUnsupported
-	}
+		return fn(m, req)
+	})
+}
 
-	handle(s, "exportusers", func(_ context.Context, req ExportUsersReq) (ChunkResp, error) {
-		m, err := migrator()
-		if err != nil {
-			return ChunkResp{}, err
-		}
+// registerElastic wires the migration, replication, and ring ops.
+func (s *Server) registerElastic() {
+	memberOp(s, "exportusers", func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
 		chunk, err := m.ExportUsers(toUserIDs(req.Users))
 		return ChunkResp{Chunk: chunk}, err
 	})
-	handle(s, "importusers", func(_ context.Context, req ImportUsersReq) (empty, error) {
-		m, err := migrator()
-		if err != nil {
-			return empty{}, err
-		}
+	memberOp(s, "importusers", func(m platform.Member, req ImportUsersReq) (empty, error) {
 		return empty{}, m.ImportUsers(req.Chunk)
 	})
-	handle(s, "removeusers", func(_ context.Context, req RemoveUsersReq) (empty, error) {
-		m, err := migrator()
-		if err != nil {
-			return empty{}, err
-		}
+	memberOp(s, "removeusers", func(m platform.Member, req RemoveUsersReq) (empty, error) {
 		return empty{}, m.RemoveUsers(toUserIDs(req.Users))
 	})
-	handle(s, "installstate", func(_ context.Context, req InstallStateReq) (empty, error) {
-		m, err := migrator()
-		if err != nil {
-			return empty{}, err
-		}
+	memberOp(s, "installstate", func(m platform.Member, req InstallStateReq) (empty, error) {
 		return empty{}, m.InstallState(req.State)
 	})
-	handle(s, "syncstate", func(_ context.Context, _ empty) (SyncStateResp, error) {
-		r, err := replicator()
-		if err != nil {
-			// Fall back to the migrator surface (no LSN) if present.
-			m, merr := migrator()
-			if merr != nil {
-				return SyncStateResp{}, merr
-			}
-			st, serr := m.SyncState()
-			return SyncStateResp{State: st}, serr
-		}
-		st, lsn := r.StateAndLSN()
-		return SyncStateResp{State: st, LSN: lsn}, nil
+	memberOp(s, "syncstate", func(m platform.Member, _ empty) (SyncStateResp, error) {
+		st, lsn, err := m.StateAndLSN()
+		return SyncStateResp{State: st, LSN: lsn}, err
 	})
-	handle(s, "shipop", func(_ context.Context, req ShipOpReq) (empty, error) {
-		r, err := replicator()
-		if err != nil {
-			return empty{}, err
-		}
-		return empty{}, r.ApplyShipped(req.LSN, []byte(req.Payload))
+	memberOp(s, "shipop", func(m platform.Member, req ShipOpReq) (empty, error) {
+		return empty{}, m.ApplyShipped(req.LSN, []byte(req.Payload))
 	})
-	handle(s, "beginfollow", func(_ context.Context, req FollowReq) (empty, error) {
-		r, err := replicator()
-		if err != nil {
-			return empty{}, err
-		}
-		r.BeginFollow(req.LSN)
-		return empty{}, nil
+	memberOp(s, "beginfollow", func(m platform.Member, req FollowReq) (empty, error) {
+		return empty{}, m.BeginFollow(req.LSN)
 	})
-	handle(s, "endfollow", func(_ context.Context, _ empty) (empty, error) {
-		r, err := replicator()
-		if err != nil {
-			return empty{}, err
-		}
-		r.EndFollow()
-		return empty{}, nil
+	memberOp(s, "endfollow", func(m platform.Member, _ empty) (empty, error) {
+		return empty{}, m.EndFollow()
 	})
 	handle(s, "rearm", func(_ context.Context, req RearmReq) (empty, error) {
 		fn := s.rearm.Load()

@@ -32,6 +32,10 @@ type Backend interface {
 	User(profile.UserID) *profile.Profile
 	Users() []profile.UserID
 	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
+	// BrowseFeedCtx is the browse the server calls: it carries the
+	// request context, so a journaled backend records its spans in the
+	// caller's trace.
+	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
 	Feed(profile.UserID) []ad.Impression
 	VisitPage(profile.UserID, pixel.PixelID) error
 	LikePage(profile.UserID, string) error
@@ -57,12 +61,6 @@ var (
 	_ Backend = (*platform.Platform)(nil)
 	_ Backend = (*platform.Journaled)(nil)
 )
-
-// lsnReporter is the optional durability introspection the health endpoint
-// surfaces; *platform.Journaled satisfies it.
-type lsnReporter interface {
-	LastLSN() uint64
-}
 
 // protoError marks a request the server could not even parse; it maps to
 // 400 instead of the 422 application refusals get, so clients never
@@ -200,13 +198,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := HealthResp{OK: true, Users: len(s.b.Users())}
-	if lr, ok := s.b.(lsnReporter); ok {
-		resp.LastLSN = lr.LastLSN()
-	}
-	if rep, ok := s.b.(Replicator); ok && rep.Following() {
-		resp.Following = true
-		resp.Synced = rep.Synced()
-		resp.ShipLSN = rep.ShipLSN()
+	if m, ok := s.b.(platform.Member); ok {
+		st, err := m.FollowStatus()
+		if err != nil {
+			writeRPCError(w, http.StatusServiceUnavailable, "reading follow status: "+err.Error())
+			return
+		}
+		resp.LastLSN, resp.Following, resp.Synced, resp.ShipLSN = st.LastLSN, st.Following, st.Synced, st.ShipLSN
 	}
 	writeRPCJSON(w, http.StatusOK, resp)
 }
@@ -322,7 +320,7 @@ func (s *Server) register() {
 		if err := s.gateUserWrite(req.UserID); err != nil {
 			return ImpressionsResp{}, err
 		}
-		imps, err := browseFeed(ctx, s.b, profile.UserID(req.UserID), req.Slots)
+		imps, err := s.b.BrowseFeedCtx(ctx, profile.UserID(req.UserID), req.Slots)
 		if err != nil {
 			return ImpressionsResp{}, err
 		}
@@ -445,21 +443,6 @@ func (s *Server) register() {
 	})
 	s.registerElastic()
 	s.registerTrace()
-}
-
-// browseFeedCapability is the optional ctx-aware browse every journaled
-// backend implements; plain backends fall back to the ctx-less call.
-// The capability pattern (like lsnReporter and Replicator) keeps the
-// Backend interface — and its many implementations — unchanged.
-type browseFeedCapability interface {
-	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
-}
-
-func browseFeed(ctx context.Context, b Backend, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	if cb, ok := b.(browseFeedCapability); ok {
-		return cb.BrowseFeedCtx(ctx, uid, slots)
-	}
-	return b.BrowseFeed(uid, slots)
 }
 
 func impressionsWire(imps []ad.Impression) []httpapi.ImpressionWire {
