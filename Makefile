@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-files bench-check fuzz cover chaos experiments clean
+.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-files bench-check fuzz cover chaos experiments loc clean
 
 all: build vet test
 
@@ -27,16 +27,18 @@ race:
 
 # The packages whose full (non -short) suites exercise shared state from
 # several goroutines: the coordinator, transport, gateway admission,
-# tracing ring, health supervisor, chaos harness, targeting index. The two
+# tracing ring, health supervisor, chaos harness, targeting index. The four
 # pinned tests run at -count=10 because a race detector run only reports
 # the interleavings it happens to see: lock-free reads against the journaled
-# commit path, and the supervisor's per-slot watch/unwatch. The two
-# zero-alloc pins fail if their test disappears.
+# commit path, transparency reads against campaign pauses, concurrent
+# browses against one campaign's budget line, and the supervisor's per-slot
+# watch/unwatch. The two zero-alloc pins fail if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
 		./internal/index/ ./internal/audience/ ./internal/profile/
-	$(GO) test -race -count=10 -run TestJournaledReadsDuringShipAndImport ./internal/platform/
+	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads' ./internal/platform/
+	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
@@ -109,6 +111,13 @@ experiments:
 	$(GO) run ./cmd/treads-cost
 	$(GO) run ./cmd/treads-privacy
 	$(GO) run ./cmd/treads-audit
+
+# Non-test Go lines per package: the figure a simplicity issue quotes, so a
+# before/after count is this target run on the two commits.
+loc:
+	@for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
+		printf '%6d %s\n' "$$(ls $$pkg/*.go | grep -v _test | xargs cat | wc -l)" "$$pkg"; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -584,22 +584,13 @@ func runShardServer(opts options, logger *log.Logger) error {
 	boot := opts
 	boot.Shards = opts.ShardCount
 
-	var backend rpc.Backend
+	backend, jp, err := openMember(boot, opts.ShardIndex, opts.JournalDir, logger)
+	if err != nil {
+		return err
+	}
 	var compactor httpapi.Compactor
-	var jp *platform.Journaled
-	if opts.JournalDir != "" {
-		var err error
-		if jp, err = openJournaledShard(boot, opts.ShardIndex, opts.JournalDir, logger); err != nil {
-			return fmt.Errorf("opening journal: %w", err)
-		}
-		backend = jp
+	if jp != nil {
 		compactor = jp
-	} else {
-		p, err := bootShard(boot, opts.ShardIndex, logger)()
-		if err != nil {
-			return err
-		}
-		backend = p
 	}
 	logger.Printf("shard node ready: shard %d of %d, %d users (journal=%v auth=%v)",
 		opts.ShardIndex, opts.ShardCount, len(backend.Users()), opts.JournalDir != "", opts.RPCSecret != "")
@@ -770,52 +761,58 @@ func openBackend(opts options, logger *log.Logger) (serverBackend, *platform.Jou
 		return c, nil, nil, admin, err
 	}
 	if opts.Shards == 1 {
-		if opts.JournalDir != "" {
-			jp, err := openJournaledShard(opts, 0, opts.JournalDir, logger)
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("opening journal: %w", err)
-			}
-			return jp, jp, jp, nil, nil
+		m, jp, err := openMember(opts, 0, opts.JournalDir, logger)
+		if err != nil || jp == nil { // a nil jp must not become a non-nil Compactor
+			return m, nil, nil, nil, err
 		}
-		p, err := bootShard(opts, 0, logger)()
-		if err != nil {
-			return nil, nil, nil, nil, err
-		}
-		return p, nil, nil, nil, nil
+		return m, jp, jp, nil, nil
 	}
 
 	shards := make([]cluster.Shard, opts.Shards)
-	var compactor httpapi.Compactor
 	for i := range shards {
+		dir := ""
 		if opts.JournalDir != "" {
-			dir := filepath.Join(opts.JournalDir, fmt.Sprintf("shard-%03d", i))
-			jp, err := openJournaledShard(opts, i, dir, logger)
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
-			}
-			shards[i] = jp
-		} else {
-			p, err := bootShard(opts, i, logger)()
-			if err != nil {
-				return nil, nil, nil, nil, fmt.Errorf("booting shard %d: %w", i, err)
-			}
-			shards[i] = p
+			dir = filepath.Join(opts.JournalDir, fmt.Sprintf("shard-%03d", i))
 		}
+		m, _, err := openMember(opts, i, dir, logger)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		shards[i] = m
 	}
 	c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	if opts.JournalDir != "" {
-		compactor = c
+		return c, nil, c, nil, nil
 	}
-	return c, nil, compactor, nil, nil
+	return c, nil, nil, nil, nil
 }
 
-// openJournaledShard opens (booting or recovering) one journaled shard,
-// with the journal instrumented under the shard's label and the recovery
-// wall time logged and exported as startup_recovery_seconds{shard}.
-func openJournaledShard(opts options, i int, dir string, logger *log.Logger) (*platform.Journaled, error) {
+// member is one booted shard as every topology uses it: the public API's
+// backend when it is the only one, a cluster slot under -shards N, and the
+// RPC surface (a subset of cluster.Shard) under -shard-serve.
+type member interface {
+	serverBackend
+	cluster.Shard
+}
+
+// openMember boots shard i of the partitioned population. With dir empty
+// it is a plain in-memory platform and the second result is nil. With dir
+// set it is journaled there — booted on the directory's first open,
+// recovered afterwards, the journal instrumented under the shard's label,
+// the recovery wall time logged and exported as
+// startup_recovery_seconds{shard} — and the second result is the member
+// itself: its compactor, its -save state and its shipping handle.
+func openMember(opts options, i int, dir string, logger *log.Logger) (member, *platform.Journaled, error) {
+	if dir == "" {
+		p, err := bootShard(opts, i, logger)()
+		if err != nil {
+			return nil, nil, fmt.Errorf("booting shard %d: %w", i, err)
+		}
+		return p, nil, nil
+	}
 	shard := fmt.Sprintf("%d", i)
 	start := time.Now()
 	jp, err := platform.OpenJournaled(dir, journal.Options{
@@ -823,14 +820,14 @@ func openJournaledShard(opts options, i int, dir string, logger *log.Logger) (*p
 		Metrics:     journal.NewMetrics(obs.Default, shard),
 	}, bootShard(opts, i, logger))
 	if err != nil {
-		return nil, err
+		return nil, nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
 	}
 	elapsed := time.Since(start)
 	obs.Default.GaugeVec("startup_recovery_seconds",
 		"Wall time each shard spent opening its journal at boot: snapshot load plus deterministic replay of the journal suffix.",
 		"shard").With(shard).Set(elapsed.Seconds())
 	logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, jp.LastLSN(), elapsed.Round(time.Millisecond))
-	return jp, nil
+	return jp, jp, nil
 }
 
 // debugMux builds the private debug handler: net/http/pprof under

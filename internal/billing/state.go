@@ -69,44 +69,23 @@ func RestoreState(s State) *Ledger {
 	return l
 }
 
-// ExtractUsersState returns the portion of a ledger state attributable to
-// the given users: per campaign, exactly their user rows with aggregate
-// totals recomputed over them. Campaigns none of the users touched are
-// omitted. The input state is not modified.
-func ExtractUsersState(s State, keep func(profile.UserID) bool) State {
-	out := State{BillableThreshold: s.BillableThreshold}
-	for _, as := range s.Accounts {
-		ex := AccountState{CampaignID: as.CampaignID}
-		for _, us := range as.Users {
-			if keep(us.User) {
-				ex.Users = append(ex.Users, us)
-				ex.Impressions += us.Impressions
-				ex.Spend += us.Spend
-			}
-		}
-		if len(ex.Users) > 0 {
-			out.Accounts = append(out.Accounts, ex)
-		}
-	}
-	return out
-}
-
-// RemoveUsersState returns s with the given users' rows subtracted: their
-// per-campaign contributions are deducted from the aggregate totals and
-// their rows dropped. Campaigns left with no users keep a zero row only if
-// they had one before (an account with zero users and zero totals carries
-// no information, so it is dropped). The input state is not modified.
-func RemoveUsersState(s State, drop func(profile.UserID) bool) State {
+// FilterUsersState returns the portion of a ledger state attributable to
+// the users keep selects: per campaign, exactly their user rows with the
+// aggregate totals recomputed over them. An account none of them touched
+// carries no information and is omitted. Extracting a moving user set and
+// removing it from the source are this one filter under complementary
+// predicates, so the two always partition the input. The input state is
+// not modified.
+func FilterUsersState(s State, keep func(profile.UserID) bool) State {
 	out := State{BillableThreshold: s.BillableThreshold}
 	for _, as := range s.Accounts {
 		kept := AccountState{CampaignID: as.CampaignID}
 		for _, us := range as.Users {
-			if drop(us.User) {
-				continue
+			if keep(us.User) {
+				kept.Users = append(kept.Users, us)
+				kept.Impressions += us.Impressions
+				kept.Spend += us.Spend
 			}
-			kept.Users = append(kept.Users, us)
-			kept.Impressions += us.Impressions
-			kept.Spend += us.Spend
 		}
 		if len(kept.Users) > 0 {
 			out.Accounts = append(out.Accounts, kept)
@@ -130,22 +109,19 @@ func MergeUsersState(s, extract State) State {
 	}
 	// Drop any rows for the incoming users (replace semantics), then
 	// append the extracted rows and re-sort.
-	base := RemoveUsersState(s, func(uid profile.UserID) bool { return moved[uid] })
-	byID := make(map[string]*AccountState, len(base.Accounts))
-	out := State{BillableThreshold: s.BillableThreshold}
-	for _, as := range base.Accounts {
-		out.Accounts = append(out.Accounts, as)
-	}
-	for i := range out.Accounts {
-		byID[out.Accounts[i].CampaignID] = &out.Accounts[i]
+	out := FilterUsersState(s, func(uid profile.UserID) bool { return !moved[uid] })
+	byID := make(map[string]int, len(out.Accounts)) // position, not pointer: the append below may move the rows
+	for i, as := range out.Accounts {
+		byID[as.CampaignID] = i
 	}
 	for _, as := range extract.Accounts {
-		dst := byID[as.CampaignID]
-		if dst == nil {
+		i, ok := byID[as.CampaignID]
+		if !ok {
+			i = len(out.Accounts)
 			out.Accounts = append(out.Accounts, AccountState{CampaignID: as.CampaignID})
-			dst = &out.Accounts[len(out.Accounts)-1]
-			byID[as.CampaignID] = dst
+			byID[as.CampaignID] = i
 		}
+		dst := &out.Accounts[i]
 		dst.Users = append(dst.Users, as.Users...)
 		dst.Impressions += as.Impressions
 		dst.Spend += as.Spend

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/profile"
 )
 
@@ -25,7 +26,7 @@ func TestExtractRemoveMergeRoundTrip(t *testing.T) {
 	s := migLedger().Snapshot()
 	moving := func(u profile.UserID) bool { return u == "bob" }
 
-	ex := ExtractUsersState(s, moving)
+	ex := FilterUsersState(s, moving)
 	if len(ex.Accounts) != 2 {
 		t.Fatalf("extract accounts = %d, want 2 (bob touched c1 and c2)", len(ex.Accounts))
 	}
@@ -33,7 +34,7 @@ func TestExtractRemoveMergeRoundTrip(t *testing.T) {
 		t.Fatalf("extract c1 = %+v", ex.Accounts[0])
 	}
 
-	rem := RemoveUsersState(s, moving)
+	rem := FilterUsersState(s, func(u profile.UserID) bool { return !moving(u) })
 	// Partition: every campaign total is split exactly.
 	for _, as := range s.Accounts {
 		var exImp, remImp int
@@ -70,7 +71,7 @@ func TestExtractRemoveMergeRoundTrip(t *testing.T) {
 // twice replaces the user's rows instead of double-counting them.
 func TestMergeReplaceSemantics(t *testing.T) {
 	s := migLedger().Snapshot()
-	ex := ExtractUsersState(s, func(u profile.UserID) bool { return u == "alice" })
+	ex := FilterUsersState(s, func(u profile.UserID) bool { return u == "alice" })
 
 	once := MergeUsersState(s, ex)
 	twice := MergeUsersState(once, ex)
@@ -87,7 +88,7 @@ func TestMergeReplaceSemantics(t *testing.T) {
 func TestMergeNewCampaign(t *testing.T) {
 	dst := NewLedger()
 	dst.RecordImpression("c9", "dave", 500)
-	ex := ExtractUsersState(migLedger().Snapshot(), func(u profile.UserID) bool { return u == "carol" })
+	ex := FilterUsersState(migLedger().Snapshot(), func(u profile.UserID) bool { return u == "carol" })
 
 	merged := MergeUsersState(dst.Snapshot(), ex)
 	if len(merged.Accounts) != 2 {
@@ -99,5 +100,65 @@ func TestMergeNewCampaign(t *testing.T) {
 	l := RestoreState(merged)
 	if l.TrueReach("c2") != 1 || l.TrueReach("c9") != 1 {
 		t.Fatalf("restored reach c2=%d c9=%d", l.TrueReach("c2"), l.TrueReach("c9"))
+	}
+}
+
+// TestFilterPartitionsEveryWay pins the one filter's algebra for every
+// subset of the users: filter(keep) and filter(!keep) share no row, each
+// side's totals are recomputed over exactly its rows, and merging the two
+// sides gives back the input.
+func TestFilterPartitionsEveryWay(t *testing.T) {
+	s := migLedger().Snapshot()
+	users := []profile.UserID{"alice", "bob", "carol"}
+	for mask := 0; mask < 1<<len(users); mask++ {
+		keep := func(u profile.UserID) bool {
+			for i, name := range users {
+				if u == name {
+					return mask&(1<<i) != 0
+				}
+			}
+			return false
+		}
+		in := FilterUsersState(s, keep)
+		out := FilterUsersState(s, func(u profile.UserID) bool { return !keep(u) })
+		for _, side := range []struct {
+			st   State
+			kept bool
+		}{{in, true}, {out, false}} {
+			for _, as := range side.st.Accounts {
+				var imps int
+				var spend money.Micros
+				for _, us := range as.Users {
+					if keep(us.User) != side.kept {
+						t.Fatalf("mask %b: user %s on the wrong side", mask, us.User)
+					}
+					imps += us.Impressions
+					spend += us.Spend
+				}
+				if len(as.Users) == 0 || as.Impressions != imps || as.Spend != spend {
+					t.Fatalf("mask %b: account %+v totals are not the sums over its rows", mask, as)
+				}
+			}
+		}
+		if back := MergeUsersState(out, in); !reflect.DeepEqual(back, s) {
+			t.Fatalf("mask %b: filter(keep) ∪ filter(!keep) != input:\n got %+v\nwant %+v", mask, back, s)
+		}
+	}
+}
+
+// TestMergeIntoFullBackingArray covers an extract that both adds a campaign
+// the destination lacks and updates one it holds, when the destination's
+// account rows exactly fill their backing array: the update must land in
+// the merged state, not in the array the append left behind.
+func TestMergeIntoFullBackingArray(t *testing.T) {
+	dst := State{BillableThreshold: ReachReportThreshold, Accounts: []AccountState{
+		{CampaignID: "c2", Impressions: 1, Spend: 10, Users: []UserAccountState{{User: "dave", Impressions: 1, Spend: 10}}},
+		{CampaignID: "c3", Impressions: 1, Spend: 10, Users: []UserAccountState{{User: "dave", Impressions: 1, Spend: 10}}},
+	}}
+	ex := FilterUsersState(migLedger().Snapshot(), func(u profile.UserID) bool { return u == "bob" }) // c1 (new), c2 (held)
+	merged := MergeUsersState(dst, ex)
+	l := RestoreState(merged)
+	if l.TrueImpressions("c1") != 1 || l.TrueImpressions("c2") != 2 || l.TrueSpend("c2") != 210 || l.TrueReach("c2") != 2 {
+		t.Fatalf("merged state lost rows: %+v", merged)
 	}
 }

@@ -62,26 +62,44 @@ type Pipeline struct {
 
 	mu        sync.Mutex
 	rng       *stats.RNG
-	campaigns map[string]*Campaign
-	order     []string // campaign registration order
-	freq      map[string]map[profile.UserID]int
-	feeds     map[profile.UserID][]ad.Impression
-	slotCount map[profile.UserID]int
+	campaigns []*Campaign          // registration order, which is auction order
+	byID      map[string]*Campaign // index over campaigns
+	users     map[profile.UserID]*userState
+}
+
+// userState is everything delivery keeps about one user. slots and feed are
+// persisted (State.Slots, State.Feeds). shown is an index over feed — how
+// many of its impressions are each campaign's — that the frequency-cap
+// check reads; it is never serialized, RestoreState recounts it. The
+// ledger's per-user rows hold the same counts as money is owed on them;
+// fillSlot advances feed, shown and ledger together under p.mu.
+type userState struct {
+	slots int             // slot auctions run for the user, won or lost
+	feed  []ad.Impression // every impression delivered, oldest first
+	shown map[string]int  // campaign ID -> impressions in feed
 }
 
 // NewPipeline returns a delivery pipeline over the given components.
 func NewPipeline(store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) *Pipeline {
 	return &Pipeline{
-		engine:    engine,
-		store:     store,
-		ledger:    ledger,
-		market:    market,
-		rng:       rng,
-		campaigns: make(map[string]*Campaign),
-		freq:      make(map[string]map[profile.UserID]int),
-		feeds:     make(map[profile.UserID][]ad.Impression),
-		slotCount: make(map[profile.UserID]int),
+		engine: engine,
+		store:  store,
+		ledger: ledger,
+		market: market,
+		rng:    rng,
+		byID:   make(map[string]*Campaign),
+		users:  make(map[profile.UserID]*userState),
 	}
+}
+
+// user returns uid's record, creating it on first use. Callers hold p.mu.
+func (p *Pipeline) user(uid profile.UserID) *userState {
+	u := p.users[uid]
+	if u == nil {
+		u = &userState{shown: make(map[string]int)}
+		p.users[uid] = u
+	}
+	return u
 }
 
 // AddCampaign registers a campaign. The targeting spec must be resolvable
@@ -98,27 +116,33 @@ func (p *Pipeline) AddCampaign(c *Campaign) error {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if _, dup := p.campaigns[c.ID]; dup {
+	if p.byID[c.ID] != nil {
 		return fmt.Errorf("delivery: duplicate campaign %q", c.ID)
 	}
-	p.campaigns[c.ID] = c
-	p.order = append(p.order, c.ID)
-	p.freq[c.ID] = make(map[profile.UserID]int)
+	// The registered campaign is the pipeline's own copy: it is read and
+	// written (Pause flips Paused) only under p.mu, so no caller holds it.
+	reg := *c
+	p.campaigns = append(p.campaigns, &reg)
+	p.byID[c.ID] = &reg
 	return nil
 }
 
-// Campaign returns the registered campaign, or nil.
-func (p *Pipeline) Campaign(id string) *Campaign {
+// Campaign returns a copy of the registered campaign; ok is false when the
+// ID is unknown.
+func (p *Pipeline) Campaign(id string) (c Campaign, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.campaigns[id]
+	if reg := p.byID[id]; reg != nil {
+		return *reg, true
+	}
+	return Campaign{}, false
 }
 
 // Pause stops a campaign from entering further auctions.
 func (p *Pipeline) Pause(id string) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	c := p.campaigns[id]
+	c := p.byID[id]
 	if c == nil {
 		return fmt.Errorf("delivery: unknown campaign %q", id)
 	}
@@ -135,75 +159,66 @@ func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error
 	if prof == nil {
 		return nil, fmt.Errorf("delivery: unknown user %q", uid)
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	u := p.user(uid)
 	var session []ad.Impression
 	for s := 0; s < slots; s++ {
-		imp, err := p.fillSlot(prof)
+		imp, won, err := p.fillSlot(prof, u)
 		if err != nil {
 			return session, err
 		}
-		if imp != nil {
-			session = append(session, *imp)
+		if won {
+			session = append(session, imp)
 		}
 	}
 	return session, nil
 }
 
-func (p *Pipeline) fillSlot(prof *profile.Profile) (*ad.Impression, error) {
-	p.mu.Lock()
-	slot := p.slotCount[prof.ID]
-	p.slotCount[prof.ID] = slot + 1
+// fillSlot auctions one slot for the user; the caller holds p.mu. The
+// budget check, the auction and the winner's ledger charge therefore share
+// one critical section: a campaign enters an auction only while its accrued
+// spend is below its budget, so the charge that carries it to or over the
+// line is its last, under any concurrency.
+func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState) (ad.Impression, bool, error) {
+	slot := u.slots
+	u.slots++
 
 	var bids []auction.Bid
-	eligible := make(map[string]*Campaign)
-	for _, id := range p.order {
-		c := p.campaigns[id]
-		if c.Paused {
+	for _, c := range p.campaigns {
+		if c.Paused || u.shown[c.ID] >= c.frequencyCap() {
 			continue
 		}
-		if p.freq[id][prof.ID] >= c.frequencyCap() {
+		if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
 			continue
 		}
-		if c.Budget > 0 && p.ledger.TrueSpend(id) >= c.Budget {
-			// Budget exhausted: the campaign is out of the auction. A
-			// won slot may still overshoot by at most one impression,
-			// which is how real pacing behaves at the margin.
-			continue
-		}
-		// Eligibility check needs the engine; it only reads, and the
-		// engine has its own locking, but keep our own lock to preserve
-		// the campaign snapshot.
+		// The engine only reads and has its own locking; p.mu stays held
+		// so the campaign list cannot change under the scan.
 		ok, err := p.engine.SpecMatches(c.Spec, prof)
 		if err != nil {
-			p.mu.Unlock()
-			return nil, fmt.Errorf("delivery: campaign %q: %w", id, err)
+			return ad.Impression{}, false, fmt.Errorf("delivery: campaign %q: %w", c.ID, err)
 		}
-		if !ok {
-			continue
+		if ok {
+			bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM})
 		}
-		bids = append(bids, auction.Bid{CampaignID: id, CapCPM: c.BidCapCPM})
-		eligible[id] = c
 	}
 	out := auction.Run(bids, p.market, p.rng)
+	auctionsRun.Inc()
 	if !out.Won {
-		p.mu.Unlock()
-		auctionsRun.Inc()
-		return nil, nil
+		return ad.Impression{}, false, nil
 	}
-	c := eligible[out.CampaignID]
-	p.freq[out.CampaignID][prof.ID]++
+	c := p.byID[out.CampaignID]
 	imp := ad.Impression{
 		CampaignID: c.ID,
 		Advertiser: c.Advertiser,
 		Creative:   c.Creative,
 		Slot:       slot,
 	}
-	p.feeds[prof.ID] = append(p.feeds[prof.ID], imp)
-	p.mu.Unlock()
-	auctionsRun.Inc()
-	impressionsServed.Inc()
-
+	u.feed = append(u.feed, imp)
+	u.shown[c.ID]++
 	p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
-	return &imp, nil
+	impressionsServed.Inc()
+	return imp, true, nil
 }
 
 // RNGState returns the auction RNG's current state. Snapshotting with
@@ -216,14 +231,14 @@ func (p *Pipeline) RNGState() uint64 {
 	return p.rng.State()
 }
 
-// Campaigns returns a snapshot of all registered campaigns in
-// registration order.
-func (p *Pipeline) Campaigns() []*Campaign {
+// Campaigns returns copies of all registered campaigns in registration
+// order.
+func (p *Pipeline) Campaigns() []Campaign {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]*Campaign, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, p.campaigns[id])
+	out := make([]Campaign, len(p.campaigns))
+	for i, c := range p.campaigns {
+		out[i] = *c
 	}
 	return out
 }
@@ -232,17 +247,8 @@ func (p *Pipeline) Campaigns() []*Campaign {
 func (p *Pipeline) Feed(uid profile.UserID) []ad.Impression {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return append([]ad.Impression(nil), p.feeds[uid]...)
-}
-
-// Impressions returns the total number of impressions delivered for a
-// campaign across all users.
-func (p *Pipeline) Impressions(campaignID string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0
-	for _, n := range p.freq[campaignID] {
-		total += n
+	if u := p.users[uid]; u != nil {
+		return append([]ad.Impression(nil), u.feed...)
 	}
-	return total
+	return nil
 }

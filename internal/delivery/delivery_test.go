@@ -2,6 +2,7 @@ package delivery
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -81,11 +82,11 @@ func TestAddCampaignValidation(t *testing.T) {
 	if err := e.pipe.AddCampaign(campaign("c", "", 10)); err == nil {
 		t.Error("duplicate campaign accepted")
 	}
-	if e.pipe.Campaign("c") != good {
+	if c, ok := e.pipe.Campaign("c"); !ok || c.ID != "c" || c.Creative.Body != good.Creative.Body {
 		t.Error("Campaign() returned wrong campaign")
 	}
-	if e.pipe.Campaign("nope") != nil {
-		t.Error("unknown campaign not nil")
+	if _, ok := e.pipe.Campaign("nope"); ok {
+		t.Error("unknown campaign reported as registered")
 	}
 }
 
@@ -215,8 +216,8 @@ func TestImpressionsCounter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := e.pipe.Impressions("c1"); got != 4 {
-		t.Fatalf("Impressions = %d, want 4", got)
+	if got := e.ledger.TrueImpressions("c1"); got != 4 {
+		t.Fatalf("TrueImpressions = %d, want 4", got)
 	}
 }
 
@@ -306,5 +307,43 @@ func TestZeroBudgetMeansUnlimited(t *testing.T) {
 	}
 	if delivered != 10 {
 		t.Fatalf("delivered %d, want all 10", delivered)
+	}
+}
+
+// TestBudgetLineUnderConcurrentBrowse pins that the budget check and the
+// ledger charge share one critical section: with a budget of exactly three
+// clearing prices, 64 users browsing one slot each at once buy exactly
+// three impressions, as they would one after another. Charging after the
+// pipeline lock was released let concurrent slots all pass the check
+// before any spend landed.
+func TestBudgetLineUnderConcurrentBrowse(t *testing.T) {
+	const users, rounds = 64, 200
+	price := money.FromDollars(0.002) // the $2 CPM market's clearing price per impression
+	for round := 0; round < rounds; round++ {
+		e := newEnv(t, users)
+		c := campaign("budgeted", "", 10)
+		c.FrequencyCap = 1
+		c.Budget = 3 * price
+		if err := e.pipe.AddCampaign(c); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		start := make(chan struct{})
+		for i := 0; i < users; i++ {
+			wg.Add(1)
+			go func(uid profile.UserID) {
+				defer wg.Done()
+				<-start
+				if _, err := e.pipe.Browse(uid, 1); err != nil {
+					t.Error(err)
+				}
+			}(profile.UserID(fmt.Sprintf("u%02d", i)))
+		}
+		close(start)
+		wg.Wait()
+		if spend := e.ledger.TrueSpend("budgeted"); spend != c.Budget {
+			t.Fatalf("round %d: spend %v, want exactly the budget %v (%d impressions)",
+				round, spend, c.Budget, e.ledger.TrueImpressions("budgeted"))
+		}
 	}
 }

@@ -17,11 +17,13 @@ import (
 // State is the pipeline's serializable form. Auction randomness is not
 // part of the state: a restored pipeline continues from a fresh seed,
 // which preserves every invariant (budgets, caps, feeds) without trying to
-// freeze a PRNG mid-stream.
+// freeze a PRNG mid-stream. Per-user impression counts are not part of it
+// either: they are the number of each campaign's impressions in Feeds,
+// recounted by RestoreState. (Earlier builds wrote them a second time
+// under a "freq" key, which decoding ignores.)
 type State struct {
 	Campaigns []CampaignState `json:"campaigns,omitempty"`
 	Feeds     []FeedState     `json:"feeds,omitempty"`
-	Freq      []FreqState     `json:"freq,omitempty"`
 	Slots     []SlotState     `json:"slots,omitempty"`
 }
 
@@ -47,18 +49,6 @@ type FeedState struct {
 	Impressions []ad.Impression `json:"impressions"`
 }
 
-// FreqState is one campaign's per-user impression counts.
-type FreqState struct {
-	CampaignID string      `json:"campaign_id"`
-	Counts     []UserCount `json:"counts,omitempty"`
-}
-
-// UserCount pairs a user with a count.
-type UserCount struct {
-	User profile.UserID `json:"user"`
-	N    int            `json:"n"`
-}
-
 // SlotState is one user's total slot counter.
 type SlotState struct {
 	User profile.UserID `json:"user"`
@@ -70,8 +60,7 @@ func (p *Pipeline) Snapshot() State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	var s State
-	for _, id := range p.order {
-		c := p.campaigns[id]
+	for _, c := range p.campaigns {
 		cs := CampaignState{
 			ID: c.ID, Advertiser: c.Advertiser,
 			Include:    append([]audience.AudienceID(nil), c.Spec.Include...),
@@ -84,34 +73,20 @@ func (p *Pipeline) Snapshot() State {
 			cs.Expr = c.Spec.Expr.String()
 		}
 		s.Campaigns = append(s.Campaigns, cs)
-
-		fs := FreqState{CampaignID: id}
-		for uid, n := range p.freq[id] {
-			fs.Counts = append(fs.Counts, UserCount{User: uid, N: n})
+	}
+	uids := make([]profile.UserID, 0, len(p.users))
+	for uid := range p.users {
+		uids = append(uids, uid)
+	}
+	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
+	for _, uid := range uids {
+		u := p.users[uid]
+		if len(u.feed) > 0 {
+			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: append([]ad.Impression(nil), u.feed...)})
 		}
-		sort.Slice(fs.Counts, func(i, j int) bool { return fs.Counts[i].User < fs.Counts[j].User })
-		if len(fs.Counts) > 0 {
-			s.Freq = append(s.Freq, fs)
+		if u.slots > 0 {
+			s.Slots = append(s.Slots, SlotState{User: uid, N: u.slots})
 		}
-	}
-	users := make([]profile.UserID, 0, len(p.feeds))
-	for uid := range p.feeds {
-		users = append(users, uid)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i] < users[j] })
-	for _, uid := range users {
-		s.Feeds = append(s.Feeds, FeedState{
-			User:        uid,
-			Impressions: append([]ad.Impression(nil), p.feeds[uid]...),
-		})
-	}
-	slotUsers := make([]profile.UserID, 0, len(p.slotCount))
-	for uid := range p.slotCount {
-		slotUsers = append(slotUsers, uid)
-	}
-	sort.Slice(slotUsers, func(i, j int) bool { return slotUsers[i] < slotUsers[j] })
-	for _, uid := range slotUsers {
-		s.Slots = append(s.Slots, SlotState{User: uid, N: p.slotCount[uid]})
 	}
 	return s
 }
@@ -141,19 +116,15 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			return nil, err
 		}
 	}
-	for _, fs := range s.Freq {
-		if p.freq[fs.CampaignID] == nil {
-			return nil, fmt.Errorf("delivery: freq state for unknown campaign %q", fs.CampaignID)
-		}
-		for _, uc := range fs.Counts {
-			p.freq[fs.CampaignID][uc.User] = uc.N
-		}
-	}
 	for _, fs := range s.Feeds {
-		p.feeds[fs.User] = append([]ad.Impression(nil), fs.Impressions...)
+		u := p.user(fs.User)
+		u.feed = append(u.feed, fs.Impressions...)
+		for _, imp := range fs.Impressions {
+			u.shown[imp.CampaignID]++
+		}
 	}
 	for _, ss := range s.Slots {
-		p.slotCount[ss.User] = ss.N
+		p.user(ss.User).slots = ss.N
 	}
 	return p, nil
 }

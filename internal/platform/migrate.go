@@ -13,8 +13,10 @@ import (
 
 // MigrationChunk is the movable portion of platform state for a set of
 // users: their profiles plus every per-user row scattered through the
-// subsystems — impression feeds, frequency counts, slot counters, pixel
-// visit logs, lookalike seed memberships, and exact billing splits.
+// subsystems — impression feeds, slot counters, pixel visit logs, lookalike
+// seed memberships, and exact billing splits. Frequency-cap counts are not
+// rows: the importer recounts them from the feeds (a "freq" key in a chunk
+// written by an older build is not decoded).
 // Advertiser-side configuration (accounts, campaigns, audiences, pixels,
 // policy) is NOT part of a chunk; it is replicated to every shard already,
 // so moving a user only moves the rows keyed by that user.
@@ -25,7 +27,6 @@ import (
 type MigrationChunk struct {
 	Profiles    []profile.State        `json:"profiles,omitempty"`
 	Feeds       []delivery.FeedState   `json:"feeds,omitempty"`
-	Freq        []delivery.FreqState   `json:"freq,omitempty"`
 	Slots       []delivery.SlotState   `json:"slots,omitempty"`
 	Visits      []PixelVisits          `json:"visits,omitempty"`
 	SeedMembers []AudienceMembers      `json:"seed_members,omitempty"`
@@ -65,11 +66,6 @@ func (c *MigrationChunk) Users() []profile.UserID {
 	for _, fs := range c.Feeds {
 		set[fs.User] = true
 	}
-	for _, fs := range c.Freq {
-		for _, uc := range fs.Counts {
-			set[uc.User] = true
-		}
-	}
 	for _, ss := range c.Slots {
 		set[ss.User] = true
 	}
@@ -96,125 +92,71 @@ func (c *MigrationChunk) Users() []profile.UserID {
 	return out
 }
 
-// ExtractUsersChunk collects the movable rows for the selected users from
-// a state snapshot. The input is not modified; the chunk shares no mutable
-// backing arrays with it.
-func ExtractUsersChunk(s State, keep func(profile.UserID) bool) MigrationChunk {
-	var c MigrationChunk
-	for _, ps := range s.Profiles {
-		if keep(ps.ID) {
-			c.Profiles = append(c.Profiles, ps)
+// keepIf returns the rows keep selects, nil when there are none; rows is
+// not modified.
+func keepIf[T any](rows []T, keep func(T) bool) []T {
+	var out []T
+	for _, r := range rows {
+		if keep(r) {
+			out = append(out, r)
 		}
 	}
-	for _, fs := range s.Pipeline.Feeds {
-		if keep(fs.User) {
-			c.Feeds = append(c.Feeds, fs)
-		}
-	}
-	for _, fs := range s.Pipeline.Freq {
-		row := delivery.FreqState{CampaignID: fs.CampaignID}
-		for _, uc := range fs.Counts {
-			if keep(uc.User) {
-				row.Counts = append(row.Counts, uc)
-			}
-		}
-		if len(row.Counts) > 0 {
-			c.Freq = append(c.Freq, row)
-		}
-	}
-	for _, ss := range s.Pipeline.Slots {
-		if keep(ss.User) {
-			c.Slots = append(c.Slots, ss)
-		}
-	}
+	return out
+}
+
+// filterUsers returns s with only the selected users' rows left in every
+// per-user row family: profiles, feeds, slot counters, pixel visitors,
+// lookalike seed members and ledger user rows. It is the one place that
+// knows which rows of a state belong to a user. Advertiser-side
+// configuration and the RNG seed are untouched; the input is not modified
+// and the result shares no mutable backing arrays with it.
+func filterUsers(s State, keep func(profile.UserID) bool) State {
+	out := s
+	out.Profiles = keepIf(s.Profiles, func(ps profile.State) bool { return keep(ps.ID) })
+	out.Pipeline.Feeds = keepIf(s.Pipeline.Feeds, func(fs delivery.FeedState) bool { return keep(fs.User) })
+	out.Pipeline.Slots = keepIf(s.Pipeline.Slots, func(ss delivery.SlotState) bool { return keep(ss.User) })
+	out.Pixels.Pixels = nil
 	for _, px := range s.Pixels.Pixels {
-		var moving []profile.UserID
-		for _, u := range px.Visitors {
-			if keep(u) {
-				moving = append(moving, u)
-			}
-		}
-		if len(moving) > 0 {
-			c.Visits = append(c.Visits, PixelVisits{Pixel: px.ID, Users: moving})
-		}
+		px.Visitors = keepIf(px.Visitors, keep)
+		out.Pixels.Pixels = append(out.Pixels.Pixels, px)
 	}
+	out.Audiences.Audiences = nil
 	for _, as := range s.Audiences.Audiences {
-		var moving []profile.UserID
-		for _, u := range as.SeedMembers {
-			if keep(u) {
-				moving = append(moving, u)
-			}
-		}
-		if len(moving) > 0 {
-			c.SeedMembers = append(c.SeedMembers, AudienceMembers{Audience: as.ID, Users: moving})
+		as.SeedMembers = keepIf(as.SeedMembers, keep)
+		out.Audiences.Audiences = append(out.Audiences.Audiences, as)
+	}
+	out.Ledger = billing.FilterUsersState(s.Ledger, keep)
+	return out
+}
+
+// ExtractUsersChunk collects the movable rows for the selected users from
+// a state snapshot: the filtered state's non-empty rows.
+func ExtractUsersChunk(s State, keep func(profile.UserID) bool) MigrationChunk {
+	f := filterUsers(s, keep)
+	c := MigrationChunk{
+		Profiles: f.Profiles,
+		Feeds:    f.Pipeline.Feeds,
+		Slots:    f.Pipeline.Slots,
+		Billing:  f.Ledger.Accounts,
+	}
+	for _, px := range f.Pixels.Pixels {
+		if len(px.Visitors) > 0 {
+			c.Visits = append(c.Visits, PixelVisits{Pixel: px.ID, Users: px.Visitors})
 		}
 	}
-	c.Billing = billing.ExtractUsersState(s.Ledger, keep).Accounts
+	for _, as := range f.Audiences.Audiences {
+		if len(as.SeedMembers) > 0 {
+			c.SeedMembers = append(c.SeedMembers, AudienceMembers{Audience: as.ID, Users: as.SeedMembers})
+		}
+	}
 	return c
 }
 
 // RemoveUsersState returns s with every per-user row for the dropped users
-// filtered out. Advertiser-side configuration is untouched; the RNG seed is
-// preserved so the shard's auction stream continues unperturbed. The input
-// is not modified.
+// filtered out; the RNG seed is preserved so the shard's auction stream
+// continues unperturbed.
 func RemoveUsersState(s State, drop func(profile.UserID) bool) State {
-	out := s
-	out.Profiles = nil
-	for _, ps := range s.Profiles {
-		if !drop(ps.ID) {
-			out.Profiles = append(out.Profiles, ps)
-		}
-	}
-	out.Pipeline.Feeds = nil
-	for _, fs := range s.Pipeline.Feeds {
-		if !drop(fs.User) {
-			out.Pipeline.Feeds = append(out.Pipeline.Feeds, fs)
-		}
-	}
-	out.Pipeline.Freq = nil
-	for _, fs := range s.Pipeline.Freq {
-		row := delivery.FreqState{CampaignID: fs.CampaignID}
-		for _, uc := range fs.Counts {
-			if !drop(uc.User) {
-				row.Counts = append(row.Counts, uc)
-			}
-		}
-		if len(row.Counts) > 0 {
-			out.Pipeline.Freq = append(out.Pipeline.Freq, row)
-		}
-	}
-	out.Pipeline.Slots = nil
-	for _, ss := range s.Pipeline.Slots {
-		if !drop(ss.User) {
-			out.Pipeline.Slots = append(out.Pipeline.Slots, ss)
-		}
-	}
-	out.Pixels.Pixels = nil
-	for _, px := range s.Pixels.Pixels {
-		kept := px
-		kept.Visitors = nil
-		for _, u := range px.Visitors {
-			if !drop(u) {
-				kept.Visitors = append(kept.Visitors, u)
-			}
-		}
-		out.Pixels.Pixels = append(out.Pixels.Pixels, kept)
-	}
-	out.Audiences.Audiences = nil
-	for _, as := range s.Audiences.Audiences {
-		kept := as
-		if len(as.SeedMembers) > 0 {
-			kept.SeedMembers = nil
-			for _, u := range as.SeedMembers {
-				if !drop(u) {
-					kept.SeedMembers = append(kept.SeedMembers, u)
-				}
-			}
-		}
-		out.Audiences.Audiences = append(out.Audiences.Audiences, kept)
-	}
-	out.Ledger = billing.RemoveUsersState(s.Ledger, drop)
-	return out
+	return filterUsers(s, func(u profile.UserID) bool { return !drop(u) })
 }
 
 // StripUsersState returns s with every user removed and the RNG reseeded:
@@ -225,7 +167,7 @@ func RemoveUsersState(s State, drop func(profile.UserID) bool) State {
 // hazard, not a divergence, but distinct streams keep per-shard runs
 // independently deterministic.
 func StripUsersState(s State, newSeed uint64) State {
-	out := RemoveUsersState(s, func(profile.UserID) bool { return true })
+	out := filterUsers(s, func(profile.UserID) bool { return false })
 	out.Seed = newSeed
 	return out
 }
@@ -243,46 +185,31 @@ func MergeChunkState(s State, c MigrationChunk) (State, error) {
 	moved := UserSet(c.Users())
 	out := RemoveUsersState(s, moved)
 
-	out.Profiles = append(out.Profiles[:len(out.Profiles):len(out.Profiles)], c.Profiles...)
-
-	out.Pipeline.Feeds = append(out.Pipeline.Feeds[:len(out.Pipeline.Feeds):len(out.Pipeline.Feeds)], c.Feeds...)
-	sort.Slice(out.Pipeline.Feeds, func(i, j int) bool { return out.Pipeline.Feeds[i].User < out.Pipeline.Feeds[j].User })
-
 	campaigns := make(map[string]bool, len(out.Pipeline.Campaigns))
 	for _, cs := range out.Pipeline.Campaigns {
 		campaigns[cs.ID] = true
 	}
-	freqIdx := make(map[string]int, len(out.Pipeline.Freq))
-	out.Pipeline.Freq = append([]delivery.FreqState(nil), out.Pipeline.Freq...)
-	for i, fs := range out.Pipeline.Freq {
-		freqIdx[fs.CampaignID] = i
-	}
-	for _, fs := range c.Freq {
-		if !campaigns[fs.CampaignID] {
-			return State{}, fmt.Errorf("platform: chunk has frequency counts for unknown campaign %q", fs.CampaignID)
+	for _, fs := range c.Feeds {
+		for _, imp := range fs.Impressions {
+			if !campaigns[imp.CampaignID] {
+				return State{}, fmt.Errorf("platform: chunk has an impression of unknown campaign %q in the feed of %s", imp.CampaignID, fs.User)
+			}
 		}
-		i, ok := freqIdx[fs.CampaignID]
-		if !ok {
-			out.Pipeline.Freq = append(out.Pipeline.Freq, delivery.FreqState{CampaignID: fs.CampaignID})
-			i = len(out.Pipeline.Freq) - 1
-			freqIdx[fs.CampaignID] = i
+	}
+	for _, as := range c.Billing {
+		if !campaigns[as.CampaignID] {
+			return State{}, fmt.Errorf("platform: chunk has billing rows for unknown campaign %q", as.CampaignID)
 		}
-		merged := append([]delivery.UserCount(nil), out.Pipeline.Freq[i].Counts...)
-		merged = append(merged, fs.Counts...)
-		sort.Slice(merged, func(a, b int) bool { return merged[a].User < merged[b].User })
-		out.Pipeline.Freq[i].Counts = merged
 	}
-	// Freq row order follows campaign creation order in snapshots; keep it
-	// deterministic after merge by campaign ID position in the campaign list.
-	pos := make(map[string]int, len(out.Pipeline.Campaigns))
-	for i, cs := range out.Pipeline.Campaigns {
-		pos[cs.ID] = i
-	}
-	sort.SliceStable(out.Pipeline.Freq, func(i, j int) bool {
-		return pos[out.Pipeline.Freq[i].CampaignID] < pos[out.Pipeline.Freq[j].CampaignID]
-	})
 
-	out.Pipeline.Slots = append(out.Pipeline.Slots[:len(out.Pipeline.Slots):len(out.Pipeline.Slots)], c.Slots...)
+	// filterUsers built every slice of out afresh, so appending to them
+	// cannot reach into s.
+	out.Profiles = append(out.Profiles, c.Profiles...)
+
+	out.Pipeline.Feeds = append(out.Pipeline.Feeds, c.Feeds...)
+	sort.Slice(out.Pipeline.Feeds, func(i, j int) bool { return out.Pipeline.Feeds[i].User < out.Pipeline.Feeds[j].User })
+
+	out.Pipeline.Slots = append(out.Pipeline.Slots, c.Slots...)
 	sort.Slice(out.Pipeline.Slots, func(i, j int) bool { return out.Pipeline.Slots[i].User < out.Pipeline.Slots[j].User })
 
 	pixelIdx := make(map[pixel.PixelID]int, len(out.Pixels.Pixels))
@@ -294,8 +221,7 @@ func MergeChunkState(s State, c MigrationChunk) (State, error) {
 		if !ok {
 			return State{}, fmt.Errorf("platform: chunk has visits for unknown pixel %q", pv.Pixel)
 		}
-		vis := out.Pixels.Pixels[i].Visitors
-		out.Pixels.Pixels[i].Visitors = append(vis[:len(vis):len(vis)], pv.Users...)
+		out.Pixels.Pixels[i].Visitors = append(out.Pixels.Pixels[i].Visitors, pv.Users...)
 	}
 
 	audIdx := make(map[audience.AudienceID]int, len(out.Audiences.Audiences))
@@ -307,8 +233,7 @@ func MergeChunkState(s State, c MigrationChunk) (State, error) {
 		if !ok {
 			return State{}, fmt.Errorf("platform: chunk has seed members for unknown audience %q", am.Audience)
 		}
-		mem := out.Audiences.Audiences[i].SeedMembers
-		mem = append(mem[:len(mem):len(mem)], am.Users...)
+		mem := append(out.Audiences.Audiences[i].SeedMembers, am.Users...)
 		sort.Slice(mem, func(a, b int) bool { return mem[a] < mem[b] })
 		out.Audiences.Audiences[i].SeedMembers = mem
 	}

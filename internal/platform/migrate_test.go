@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/treads-project/treads/internal/ad"
+	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/profile"
@@ -298,18 +300,28 @@ func TestImportValidateBeforeJournal(t *testing.T) {
 	jp := mustOpenJournaled(t, dir, opts, journalBoot)
 	before := jp.LastLSN()
 
-	chunk := MigrationChunk{
-		Profiles: []profile.State{{ID: "imp-user"}},
-		Freq: []delivery.FreqState{{
-			CampaignID: "camp-999999",
-			Counts:     []delivery.UserCount{{User: "imp-user", N: 3}},
-		}},
-	}
-	if err := jp.ImportUsers(chunk); err == nil {
-		t.Fatal("import with unknown campaign succeeded")
-	}
-	if jp.LastLSN() != before {
-		t.Fatalf("refused import advanced the journal: %d -> %d", before, jp.LastLSN())
+	for name, chunk := range map[string]MigrationChunk{
+		"feed row": {
+			Profiles: []profile.State{{ID: "imp-user"}},
+			Feeds: []delivery.FeedState{{
+				User:        "imp-user",
+				Impressions: []ad.Impression{{CampaignID: "camp-999999", Advertiser: "wal-adv"}},
+			}},
+		},
+		"billing row": {
+			Profiles: []profile.State{{ID: "imp-user"}},
+			Billing: []billing.AccountState{{
+				CampaignID: "camp-999999", Impressions: 3, Spend: 30,
+				Users: []billing.UserAccountState{{User: "imp-user", Impressions: 3, Spend: 30}},
+			}},
+		},
+	} {
+		if err := jp.ImportUsers(chunk); err == nil {
+			t.Fatalf("import with unknown campaign in a %s succeeded", name)
+		}
+		if jp.LastLSN() != before {
+			t.Fatalf("refused import (%s) advanced the journal: %d -> %d", name, before, jp.LastLSN())
+		}
 	}
 	want := marshalState(t, jp.State())
 	jp.Close()

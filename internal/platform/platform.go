@@ -509,8 +509,8 @@ func (p *Platform) ExplainImpression(uid profile.UserID, imp ad.Impression) (exp
 	if pr == nil {
 		return explain.Explanation{}, fmt.Errorf("platform: unknown user %q", uid)
 	}
-	c := p.pipeline.Campaign(imp.CampaignID)
-	if c == nil {
+	c, ok := p.pipeline.Campaign(imp.CampaignID)
+	if !ok {
 		return explain.Explanation{}, fmt.Errorf("platform: unknown campaign %q", imp.CampaignID)
 	}
 	expr := c.Spec.Expr

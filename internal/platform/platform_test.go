@@ -11,6 +11,7 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/profile"
@@ -463,4 +464,66 @@ func TestCampaignBudgetThroughPlatform(t *testing.T) {
 		t.Fatalf("delivered %d impressions on a 2-impression budget", delivered)
 	}
 	_ = id
+}
+
+// TestPauseDuringTransparencyReads pins that a campaign's Paused flag is
+// read only under the delivery pipeline's lock: the §2.2 "advertisers
+// targeting me" page stays up while an advertiser pauses campaigns, on a
+// plain platform and on a journaled one (whose reads bypass the journal
+// mutex, as a follower's do). Run under -race.
+func TestPauseDuringTransparencyReads(t *testing.T) {
+	const campaigns, reads = 50, 200
+	type surface interface {
+		mutator
+		AdvertisersTargetingMe(profile.UserID) ([]string, error)
+	}
+	jp := mustOpenJournaled(t, t.TempDir(), journal.Options{NoSync: true}, func() (*Platform, error) {
+		return fixedPlatform(t, 2, false), nil
+	})
+	defer jp.Close()
+	for name, p := range map[string]surface{"plain": fixedPlatform(t, 2, false), "journaled": jp} {
+		if err := p.RegisterAdvertiser("adv"); err != nil {
+			t.Fatal(err)
+		}
+		px, err := p.IssuePixel("adv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.VisitPage("u00", px); err != nil {
+			t.Fatal(err)
+		}
+		aud, err := p.CreateWebsiteAudience("adv", "visitors", px)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, campaigns)
+		for i := range ids {
+			ids[i], err = p.CreateCampaign("adv", CampaignParams{
+				Spec:     audience.Spec{Include: []audience.AudienceID{aud}},
+				Creative: ad.Creative{Body: "retargeted"},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for _, id := range ids {
+				if err := p.PauseCampaign("adv", id); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		for i := 0; i < reads; i++ {
+			got, err := p.AdvertisersTargetingMe("u00")
+			if err != nil || len(got) > 1 || (len(got) == 1 && got[0] != "adv") {
+				t.Fatalf("%s: AdvertisersTargetingMe = %v, %v", name, got, err)
+			}
+		}
+		<-done
+		if got, _ := p.AdvertisersTargetingMe("u00"); len(got) != 0 {
+			t.Fatalf("%s: every campaign is paused, yet AdvertisersTargetingMe = %v", name, got)
+		}
+	}
 }

@@ -2,12 +2,16 @@ package platform
 
 import (
 	"context"
+	"encoding/json"
+	"os"
+	"reflect"
 	"testing"
 
 	"github.com/treads-project/treads/internal/ad"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/profile"
@@ -239,4 +243,90 @@ func TestSnapshotDeterministic(t *testing.T) {
 // ad2 builds a tiny creative.
 func ad2(body string) ad.Creative {
 	return ad.Creative{Body: body}
+}
+
+// TestRestoreStateWrittenBeforeDerivedCounts loads testdata/state_pr12.json,
+// a snapshot written by the last build that persisted per-user impression
+// counts a second time under pipeline.freq (scripted platform plus extra
+// browses: two campaigns, one paused, eight users with feeds and slot
+// counters, ledger rows). The counts are now recounted from the feeds, so:
+// the re-taken snapshot is the fixture minus that key, as a JSON value; the
+// recount equals what the old build stored; and a cap it had recorded as
+// reached still holds.
+func TestRestoreStateWrittenBeforeDerivedCounts(t *testing.T) {
+	raw, err := os.ReadFile("testdata/state_pr12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state, err := UnmarshalSnapshot(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Restore(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var want, got map[string]any
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(marshalState(t, p.Snapshot(state.Seed)), &got); err != nil {
+		t.Fatal(err)
+	}
+	pipeline := want["pipeline"].(map[string]any)
+	freq := pipeline["freq"].([]any)
+	delete(pipeline, "freq")
+	if len(freq) == 0 || len(pipeline["feeds"].([]any)) == 0 || len(pipeline["slots"].([]any)) == 0 {
+		t.Fatal("fixture premise: non-empty freq, feeds and slots")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("re-taken snapshot != fixture with its freq key removed")
+	}
+
+	// Every stored count is the feed's, and every (campaign, user) the old
+	// build had at the cap stays there however much the user browses on.
+	count := func(cid string, uid profile.UserID) (n int) {
+		for _, imp := range p.Feed(uid) {
+			if imp.CampaignID == cid {
+				n++
+			}
+		}
+		return n
+	}
+	type stored struct {
+		cid string
+		uid profile.UserID
+		n   int
+	}
+	var atCap []stored
+	for _, row := range freq {
+		cid := row.(map[string]any)["campaign_id"].(string)
+		c, ok := p.pipeline.Campaign(cid)
+		if !ok || c.FrequencyCap != 0 {
+			t.Fatalf("fixture premise: %s is a registered campaign with the default cap", cid)
+		}
+		for _, uc := range row.(map[string]any)["counts"].([]any) {
+			r := stored{cid, profile.UserID(uc.(map[string]any)["user"].(string)), int(uc.(map[string]any)["n"].(float64))}
+			if got := count(r.cid, r.uid); got != r.n {
+				t.Fatalf("%s/%s: feed holds %d impressions, the old build stored %d", r.cid, r.uid, got, r.n)
+			}
+			if r.n >= delivery.DefaultFrequencyCap {
+				atCap = append(atCap, r)
+			}
+		}
+	}
+	if len(atCap) == 0 {
+		t.Fatal("fixture premise: at least one cap already reached")
+	}
+	for _, r := range atCap {
+		if _, err := p.BrowseFeed(r.uid, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, r := range atCap {
+		if got := count(r.cid, r.uid); got != r.n {
+			t.Fatalf("%s/%s: cap was reached at %d, the restored platform delivered %d", r.cid, r.uid, r.n, got)
+		}
+	}
 }
