@@ -32,16 +32,20 @@ race:
 # the interleavings it happens to see: lock-free reads against the journaled
 # commit path, transparency reads against campaign pauses, concurrent
 # browses against one campaign's budget line, and the supervisor's per-slot
-# watch/unwatch. The two zero-alloc pins fail if their test disappears.
+# watch/unwatch. The serve path's differential test against the per-slot
+# scan runs under the detector too. The three zero-alloc pins fail if their
+# test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
 		./internal/index/ ./internal/audience/ ./internal/profile/
 	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads' ./internal/platform/
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
+	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
+	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:
@@ -69,13 +73,14 @@ e2e:
 bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
-# Every benchmark once, so none rots; the three named ones are perf
+# Every benchmark once, so none rots; the four named ones are perf
 # tripwires and fail the target if they disappear.
 bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=BenchmarkRPC -benchtime=1x ./internal/rpc/ | grep BenchmarkRPC
 	$(GO) test -run=NONE -bench=BenchmarkHistogramObserve -benchtime=1x ./internal/obs/ | grep BenchmarkHistogramObserve
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
+	$(GO) test -run=NONE -bench=BenchmarkBrowseTreadsDeployment -benchtime=1x ./internal/delivery/ | grep BenchmarkBrowseTreadsDeployment
 
 # Regenerate the committed BENCH_<area>.json perf trajectory at full
 # acceptance scale (index area at 1M users; takes a few minutes).
@@ -89,6 +94,7 @@ bench-check:
 # Short fuzzing pass over every fuzz target.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
+	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzIndexEquivalence -fuzztime=15s ./internal/audience/
 	$(GO) test -fuzz=FuzzParseToken -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeStegoImage -fuzztime=15s ./internal/core/

@@ -55,13 +55,22 @@ import (
 
 // metric is one benchmarked operation's summary.
 type metric struct {
-	Iterations  int     `json:"iterations"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	MeanNs      int64   `json:"mean_ns"`
-	P50Ns       int64   `json:"p50_ns"`
-	P90Ns       int64   `json:"p90_ns"`
-	P99Ns       int64   `json:"p99_ns"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	Iterations int     `json:"iterations"`
+	OpsPerSec  float64 `json:"ops_per_sec"`
+	MeanNs     int64   `json:"mean_ns"`
+	P50Ns      int64   `json:"p50_ns"`
+	P90Ns      int64   `json:"p90_ns"`
+	P99Ns      int64   `json:"p99_ns"`
+	// AllocsPerOp is present only where it was measured (withAllocs).
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
+}
+
+// withAllocs returns m with the allocations per call of fn measured over
+// the given number of runs.
+func (m metric) withAllocs(runs int, fn func()) metric {
+	a := testing.AllocsPerRun(runs, fn)
+	m.AllocsPerOp = &a
+	return m
 }
 
 // report is the schema of a BENCH_<area>.json file.
@@ -271,9 +280,8 @@ func benchIndex(users int) (report, error) {
 	if !ok {
 		return report{}, fmt.Errorf("bench expression did not compile")
 	}
-	m := measure(200, func() { idx.CountNode(node) })
-	m.AllocsPerOp = testing.AllocsPerRun(100, func() { idx.CountNode(node) })
-	rep.Metrics["count_node"] = m
+	countNode := func() { idx.CountNode(node) }
+	rep.Metrics["count_node"] = measure(200, countNode).withAllocs(100, countNode)
 	return rep, nil
 }
 
@@ -304,12 +312,13 @@ func benchPlatform() (report, error) {
 
 	rep := report{Users: len(profs), Metrics: map[string]metric{}}
 	i := 0
-	rep.Metrics["browse_feed"] = measure(5000, func() {
+	browse := func() {
 		if _, err := p.BrowseFeed(profs[i%len(profs)].ID, 3); err != nil {
 			panic(err)
 		}
 		i++
-	})
+	}
+	rep.Metrics["browse_feed"] = measure(5000, browse).withAllocs(1000, browse)
 	ctx := context.Background()
 	spec := benchSpec()
 	rep.Metrics["potential_reach"] = measure(500, func() {
@@ -380,12 +389,13 @@ func benchCluster() (report, error) {
 		}
 	})
 	i := 0
-	rep.Metrics["routed_browse_feed"] = measure(3000, func() {
+	browse := func() {
 		if _, err := c.BrowseFeed(profs[i%len(profs)].ID, 3); err != nil {
 			panic(err)
 		}
 		i++
-	})
+	}
+	rep.Metrics["routed_browse_feed"] = measure(3000, browse).withAllocs(1000, browse)
 
 	cutover, moved, err := benchReshard()
 	if err != nil {
@@ -644,8 +654,7 @@ func benchGateway() (report, error) {
 			panic("bench key did not resolve")
 		}
 	})
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, func() { ks.Resolve(admitKey) })
-	rep.Metrics["resolve_key"] = m
+	rep.Metrics["resolve_key"] = m.withAllocs(10_000, func() { ks.Resolve(admitKey) })
 
 	tenant := ks.Resolve(admitKey)
 	m = measure(200_000, func() {
@@ -654,7 +663,7 @@ func benchGateway() (report, error) {
 		}
 		gw.Release()
 	})
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, func() {
+	m = m.withAllocs(10_000, func() {
 		t := ks.Resolve(admitKey)
 		if d := gw.Decide(t, gateway.ClassMutation); d.Verdict == gateway.VerdictAdmitted {
 			gw.Release()
@@ -669,8 +678,7 @@ func benchGateway() (report, error) {
 			panic("drained tenant was not limited")
 		}
 	})
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, func() { gw.Decide(drained, gateway.ClassMutation) })
-	rep.Metrics["decide_limited"] = m
+	rep.Metrics["decide_limited"] = m.withAllocs(10_000, func() { gw.Decide(drained, gateway.ClassMutation) })
 	return rep, nil
 }
 
@@ -756,13 +764,9 @@ func benchTrace() (report, error) {
 	}
 
 	rep := report{Metrics: map[string]metric{}}
-	m := measure(200_000, func() { spanPair(on) })
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, func() { spanPair(on) })
-	rep.Metrics["span_sampled"] = m
-
-	m = measure(200_000, func() { spanPair(off) })
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, func() { spanPair(off) })
-	rep.Metrics["span_unsampled"] = m
+	sampled, unsampled := func() { spanPair(on) }, func() { spanPair(off) }
+	rep.Metrics["span_sampled"] = measure(200_000, sampled).withAllocs(10_000, sampled)
+	rep.Metrics["span_unsampled"] = measure(200_000, unsampled).withAllocs(10_000, unsampled)
 
 	// The RPC hop: inject on the client, parse on the server.
 	_, sp := on.StartRoot(ctx, "bench.inject")
@@ -774,9 +778,7 @@ func benchTrace() (report, error) {
 			panic("bench traceparent did not round-trip")
 		}
 	}
-	m = measure(200_000, injectExtract)
-	m.AllocsPerOp = testing.AllocsPerRun(10_000, injectExtract)
-	rep.Metrics["inject_extract"] = m
+	rep.Metrics["inject_extract"] = measure(200_000, injectExtract).withAllocs(10_000, injectExtract)
 	return rep, nil
 }
 
@@ -785,6 +787,19 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// allocsAtMost fails unless the metric's allocations per op were measured
+// and are within max.
+func allocsAtMost(path string, rep report, name string, max float64) error {
+	a := rep.Metrics[name].AllocsPerOp
+	if a == nil {
+		return fmt.Errorf("%s: %s has no measured allocs_per_op", path, name)
+	}
+	if *a > max {
+		return fmt.Errorf("%s: %s allocates %.1f per op, want at most %.0f", path, name, *a, max)
+	}
+	return nil
 }
 
 // runCheck validates the committed BENCH files and smoke-runs the index
@@ -821,19 +836,27 @@ func runCheck(dir string) error {
 				return fmt.Errorf("%s: metric %q has implausible values", path, m)
 			}
 		}
+		if area == "platform" {
+			// A 3-slot browse by a user new to the pipeline: the user's
+			// record and its map entry when nothing is won, more only on
+			// an impression. The per-slot scan this replaced measured 6.
+			if err := allocsAtMost(path, rep, "browse_feed", 2); err != nil {
+				return err
+			}
+		}
 		if area == "trace" {
 			// Tracing is on by default on every hot path; the committed
 			// file must prove the unsampled span costs no allocations.
-			if a := rep.Metrics["span_unsampled"].AllocsPerOp; a != 0 {
-				return fmt.Errorf("%s: span_unsampled allocates %.1f per op, want 0", path, a)
+			if err := allocsAtMost(path, rep, "span_unsampled", 0); err != nil {
+				return err
 			}
 		}
 		if area == "gateway" {
 			// The edge decision is on the path of every request: the
 			// committed file must prove it admits without allocating.
 			for _, m := range []string{"resolve_key", "decide_admit", "decide_limited"} {
-				if a := rep.Metrics[m].AllocsPerOp; a != 0 {
-					return fmt.Errorf("%s: %s allocates %.1f per op, want 0", path, m, a)
+				if err := allocsAtMost(path, rep, m, 0); err != nil {
+					return err
 				}
 			}
 		}
@@ -847,8 +870,8 @@ func runCheck(dir string) error {
 			if p50 := rep.Metrics["index_potential_reach"].P50Ns; p50 >= int64(time.Millisecond) {
 				return fmt.Errorf("%s: index reach p50 %dns is not sub-millisecond", path, p50)
 			}
-			if a := rep.Metrics["count_node"].AllocsPerOp; a != 0 {
-				return fmt.Errorf("%s: count_node allocates %.1f per op, want 0", path, a)
+			if err := allocsAtMost(path, rep, "count_node", 0); err != nil {
+				return err
 			}
 		}
 	}

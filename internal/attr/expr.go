@@ -245,3 +245,26 @@ func ReferencedAttrs(e Expr) []ID {
 	walk(e)
 	return out
 }
+
+// RequiredAttr returns an attribute every subject matching e must hold:
+// e.Match(s) implies s.HasAttr(id). Has and ValueIs require their own
+// attribute and an And requires whatever its first such operand requires;
+// ok is false for every other expression (nil, Or, Not, demographics,
+// geo), which a subject holding no attribute at all may match. The
+// delivery pipeline files a campaign under this attribute, so a browse only
+// evaluates the campaigns keyed on an attribute the user holds.
+func RequiredAttr(e Expr) (id ID, ok bool) {
+	switch v := e.(type) {
+	case Has:
+		return v.ID, true
+	case ValueIs:
+		return v.ID, true
+	case And:
+		for _, op := range v.Ops {
+			if id, ok := RequiredAttr(op); ok {
+				return id, true
+			}
+		}
+	}
+	return "", false
+}

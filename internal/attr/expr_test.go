@@ -324,3 +324,75 @@ func TestExprStringParsesProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRequiredAttr(t *testing.T) {
+	cases := []struct {
+		in   string
+		want ID // "" = unkeyed
+	}{
+		{"attr(a.b.c)", "a.b.c"},
+		{"value(x.y.z, v)", "x.y.z"},
+		{"age(18, 30) AND attr(a.b.c) AND attr(d.e.f)", "a.b.c"},
+		{"country(US) AND (gender(male) AND value(x.y.z, v))", "x.y.z"},
+		{"(attr(a.b.c) OR attr(d.e.f)) AND attr(g.h.i)", "g.h.i"},
+		{"all()", ""},
+		{"attr(a.b.c) OR attr(d.e.f)", ""},
+		{"NOT attr(a.b.c)", ""},
+		{"age(18, 30) AND NOT attr(a.b.c)", ""},
+		{"radius(41.88, -87.63, 10)", ""},
+	}
+	for _, c := range cases {
+		id, ok := RequiredAttr(MustParse(c.in))
+		if id != c.want || ok != (c.want != "") {
+			t.Errorf("RequiredAttr(%s) = %q, %v; want %q", c.in, id, ok, c.want)
+		}
+	}
+	if _, ok := RequiredAttr(nil); ok {
+		t.Error("nil expression reported as keyed")
+	}
+}
+
+func TestRequiredAttrProperty(t *testing.T) {
+	// Property: over random expressions and random subjects, a matching
+	// subject always holds the required attribute.
+	atoms := []Expr{
+		Has{"a.b.c"}, Has{"d.e.f"}, ValueIs{"x.y.z", "v"}, ValueIs{"x.y.z", "w"},
+		AgeBetween{18, 40}, GenderIs{"female"}, CountryIs{"US"}, MatchAll{},
+	}
+	var build func(seed *uint64, depth int) Expr
+	build = func(seed *uint64, depth int) Expr {
+		pick := func(n int) int {
+			*seed = *seed*6364136223846793005 + 1442695040888963407
+			return int(*seed >> 33 % uint64(n))
+		}
+		if depth == 0 || pick(3) == 0 {
+			return atoms[pick(len(atoms))]
+		}
+		switch pick(3) {
+		case 0:
+			return Not{Op: build(seed, depth-1)}
+		case 1:
+			return Or{Ops: []Expr{build(seed, depth-1), build(seed, depth-1)}}
+		}
+		ops := make([]Expr, 2+pick(2))
+		for i := range ops {
+			ops[i] = build(seed, depth-1)
+		}
+		return And{Ops: ops}
+	}
+	keyed := 0
+	f := func(seed, mask uint64) bool {
+		e := build(&seed, 4)
+		if _, ok := RequiredAttr(e); ok {
+			keyed++
+		}
+		checkRequiredAttr(t, e, subjectFor(e, mask))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if keyed == 0 {
+		t.Fatal("no generated expression was keyed: the property was never exercised")
+	}
+}

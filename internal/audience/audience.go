@@ -247,74 +247,121 @@ func (e *Engine) MemberOf(a *Audience, p *profile.Profile) bool {
 	}
 }
 
-// SpecMatches reports whether a single profile satisfies the spec.
-func (e *Engine) SpecMatches(spec Spec, p *profile.Profile) (bool, error) {
-	if m, handled, err := e.specMatchesIndexed(spec, p); handled {
-		return m, err
-	}
-	return e.specMatchesScan(spec, p)
+// Compiled is a Spec with its audience IDs resolved to the stored
+// audiences, once. Audiences are never deleted, so a Compiled stays valid
+// for the engine's lifetime: the delivery pipeline compiles a campaign's
+// spec when the campaign is registered and matches it on every browse.
+type Compiled struct {
+	include, includeAll, exclude []*Audience
+	expr                         attr.Expr // never nil
+	// customData is whether Include or IncludeAll names a PII-list or
+	// website audience at all (see UsesCustomDataOn).
+	customData bool
 }
 
-// specMatchesScan is the linear evaluation of a spec against one profile —
-// the path non-indexable specs take, and the oracle the index is verified
-// against. Scan loops (Resolve, CountMatches) call it directly so a single
-// fallback query doesn't re-attempt index compilation per user.
-func (e *Engine) specMatchesScan(spec Spec, p *profile.Profile) (bool, error) {
+// Compile resolves the spec's audience IDs. Unknown audience IDs are the
+// only error.
+func (e *Engine) Compile(spec Spec) (Compiled, error) {
+	c := Compiled{expr: spec.Expr}
+	if c.expr == nil {
+		c.expr = attr.MatchAll{}
+	}
 	e.mu.RLock()
-	var include, includeAll, exclude []*Audience
-	for _, id := range spec.Include {
-		a := e.audiences[id]
-		if a == nil {
-			e.mu.RUnlock()
-			return false, fmt.Errorf("audience: unknown audience %q in include list", id)
-		}
-		include = append(include, a)
+	defer e.mu.RUnlock()
+	var err error
+	if c.include, err = e.lookupLocked(spec.Include, "include"); err != nil {
+		return Compiled{}, err
 	}
-	for _, id := range spec.IncludeAll {
-		a := e.audiences[id]
-		if a == nil {
-			e.mu.RUnlock()
-			return false, fmt.Errorf("audience: unknown audience %q in include-all list", id)
-		}
-		includeAll = append(includeAll, a)
+	if c.includeAll, err = e.lookupLocked(spec.IncludeAll, "include-all"); err != nil {
+		return Compiled{}, err
 	}
-	for _, id := range spec.Exclude {
-		a := e.audiences[id]
-		if a == nil {
-			e.mu.RUnlock()
-			return false, fmt.Errorf("audience: unknown audience %q in exclude list", id)
-		}
-		exclude = append(exclude, a)
+	if c.exclude, err = e.lookupLocked(spec.Exclude, "exclude"); err != nil {
+		return Compiled{}, err
 	}
-	e.mu.RUnlock()
+	c.customData = hasCustomData(c.include) || hasCustomData(c.includeAll)
+	return c, nil
+}
 
-	for _, a := range includeAll {
-		if !e.MemberOf(a, p) {
-			return false, nil
+// lookupLocked resolves one of a spec's audience lists. Caller holds e.mu.
+func (e *Engine) lookupLocked(ids []AudienceID, list string) ([]*Audience, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	out := make([]*Audience, len(ids))
+	for i, id := range ids {
+		if out[i] = e.audiences[id]; out[i] == nil {
+			return nil, fmt.Errorf("audience: unknown audience %q in %s list", id, list)
 		}
 	}
-	if len(include) > 0 {
+	return out, nil
+}
+
+// customData reports whether the audience is built from the advertiser's
+// own data about users: a PII list or website activity.
+func (a *Audience) customData() bool { return a.Kind == KindPII || a.Kind == KindWebsite }
+
+func hasCustomData(as []*Audience) bool {
+	for _, a := range as {
+		if a.customData() {
+			return true
+		}
+	}
+	return false
+}
+
+// ValidateSpec checks that every audience the spec references exists.
+func (e *Engine) ValidateSpec(spec Spec) error {
+	_, err := e.Compile(spec)
+	return err
+}
+
+// SpecMatches reports whether a single profile satisfies the spec.
+func (e *Engine) SpecMatches(spec Spec, p *profile.Profile) (bool, error) {
+	c, err := e.Compile(spec)
+	if err != nil {
+		return false, err
+	}
+	return e.Match(&c, p), nil
+}
+
+// Match reports whether the profile satisfies the compiled spec: by bitmap
+// probes when the index can answer it, by the linear evaluation otherwise.
+// It does not allocate.
+func (e *Engine) Match(c *Compiled, p *profile.Profile) bool {
+	if m, handled := e.matchIndexed(c, p); handled {
+		return m
+	}
+	return e.matchScan(c, p)
+}
+
+// matchScan is the linear evaluation of a compiled spec against one profile
+// — the path non-indexable specs take, and the oracle the index is verified
+// against. Scan loops (Resolve, CountMatches) call it directly so a single
+// fallback query doesn't re-attempt the index per user.
+func (e *Engine) matchScan(c *Compiled, p *profile.Profile) bool {
+	for _, a := range c.includeAll {
+		if !e.MemberOf(a, p) {
+			return false
+		}
+	}
+	if len(c.include) > 0 {
 		in := false
-		for _, a := range include {
+		for _, a := range c.include {
 			if e.MemberOf(a, p) {
 				in = true
 				break
 			}
 		}
 		if !in {
-			return false, nil
+			return false
 		}
 	}
-	for _, a := range exclude {
+	for _, a := range c.exclude {
 		if e.MemberOf(a, p) {
-			return false, nil
+			return false
 		}
 	}
-	expr := spec.Expr
-	if expr == nil {
-		expr = attr.MatchAll{}
-	}
-	return expr.Match(p), nil
+	return c.expr.Match(p)
 }
 
 // UsesCustomDataOn reports whether the spec targets the profile through a
@@ -323,74 +370,39 @@ func (e *Engine) specMatchesScan(spec Spec, p *profile.Profile) (bool, error) {
 // page (§2.2 of the paper: Facebook and Twitter "reveal to the user a list
 // of advertisers who are using either activity-based retargeting or
 // PII-based targeting to target them" — though not WHICH PII, the gap the
-// paper calls out).
-func (e *Engine) UsesCustomDataOn(spec Spec, p *profile.Profile) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	check := func(ids []AudienceID) bool {
-		for _, id := range ids {
-			a := e.audiences[id]
-			if a == nil {
-				continue
-			}
-			if (a.Kind == KindPII || a.Kind == KindWebsite) && e.MemberOf(a, p) {
+// paper calls out). A spec that names no such audience is known at compile
+// time and costs nothing here.
+func (e *Engine) UsesCustomDataOn(c *Compiled, p *profile.Profile) bool {
+	if !c.customData {
+		return false
+	}
+	for _, as := range [2][]*Audience{c.include, c.includeAll} {
+		for _, a := range as {
+			if a.customData() && e.MemberOf(a, p) {
 				return true
 			}
 		}
-		return false
 	}
-	return check(spec.Include) || check(spec.IncludeAll)
-}
-
-// ValidateSpec checks that every audience the spec references exists.
-func (e *Engine) ValidateSpec(spec Spec) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	for _, id := range spec.Include {
-		if e.audiences[id] == nil {
-			return fmt.Errorf("audience: unknown audience %q in include list", id)
-		}
-	}
-	for _, id := range spec.IncludeAll {
-		if e.audiences[id] == nil {
-			return fmt.Errorf("audience: unknown audience %q in include-all list", id)
-		}
-	}
-	for _, id := range spec.Exclude {
-		if e.audiences[id] == nil {
-			return fmt.Errorf("audience: unknown audience %q in exclude list", id)
-		}
-	}
-	return nil
+	return false
 }
 
 // Resolve returns the user IDs matching the spec, in profile-store insertion
 // order. Unknown audience IDs are an error.
 func (e *Engine) Resolve(spec Spec) ([]profile.UserID, error) {
-	if err := e.ValidateSpec(spec); err != nil {
+	c, err := e.Compile(spec)
+	if err != nil {
 		return nil, err
 	}
-	if ids, handled := e.resolveIndexed(spec); handled {
-		return ids, nil
+	if idx, node, ok := e.plan(&c); ok {
+		// Slot order is store insertion order, the order the scan produces.
+		return idx.AppendUserIDs(node, nil), nil
 	}
 	var out []profile.UserID
-	var firstErr error
 	e.store.Each(func(p *profile.Profile) {
-		if firstErr != nil {
-			return
-		}
-		ok, err := e.specMatchesScan(spec, p)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		if ok {
+		if e.matchScan(&c, p) {
 			out = append(out, p.ID)
 		}
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	return out, nil
 }
 

@@ -1,7 +1,6 @@
 package audience
 
 import (
-	"fmt"
 	"time"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -203,21 +202,21 @@ func (e *Engine) audienceNodeLocked(a *Audience) (index.Node, bool) {
 	}
 }
 
-// compileSpecLocked compiles a validated spec into one plan node. Caller
-// holds e.mu (read) and has checked e.idx != nil.
-func (e *Engine) compileSpecLocked(spec Spec) (index.Node, bool) {
-	ops := make([]index.Node, 0, 2+len(spec.IncludeAll)+len(spec.Exclude))
-	for _, id := range spec.IncludeAll {
-		n, ok := e.audienceNodeLocked(e.audiences[id])
+// planLocked turns a compiled spec into one index plan node. Caller holds
+// e.mu (read) and has checked e.idx != nil.
+func (e *Engine) planLocked(c *Compiled) (index.Node, bool) {
+	ops := make([]index.Node, 0, 2+len(c.includeAll)+len(c.exclude))
+	for _, a := range c.includeAll {
+		n, ok := e.audienceNodeLocked(a)
 		if !ok {
 			return nil, false
 		}
 		ops = append(ops, n)
 	}
-	if len(spec.Include) > 0 {
-		inc := make([]index.Node, 0, len(spec.Include))
-		for _, id := range spec.Include {
-			n, ok := e.audienceNodeLocked(e.audiences[id])
+	if len(c.include) > 0 {
+		inc := make([]index.Node, 0, len(c.include))
+		for _, a := range c.include {
+			n, ok := e.audienceNodeLocked(a)
 			if !ok {
 				return nil, false
 			}
@@ -225,14 +224,14 @@ func (e *Engine) compileSpecLocked(spec Spec) (index.Node, bool) {
 		}
 		ops = append(ops, index.OrNodes(inc...))
 	}
-	for _, id := range spec.Exclude {
-		n, ok := e.audienceNodeLocked(e.audiences[id])
+	for _, a := range c.exclude {
+		n, ok := e.audienceNodeLocked(a)
 		if !ok {
 			return nil, false
 		}
 		ops = append(ops, index.NotNode(n))
 	}
-	en, ok := e.idx.CompileExpr(spec.Expr)
+	en, ok := e.idx.CompileExpr(c.expr)
 	if !ok {
 		return nil, false
 	}
@@ -240,45 +239,20 @@ func (e *Engine) compileSpecLocked(spec Spec) (index.Node, bool) {
 	return index.AndNodes(ops...), true
 }
 
-// countIndexed answers CountMatches from the index. handled is false when
-// the engine runs scan-only or the spec is not indexable. Spec must already
-// be validated.
-func (e *Engine) countIndexed(spec Spec) (n int, handled bool) {
+// plan is planLocked under the lock, marking the query as a fallback when
+// the index exists but cannot answer the spec. idx is nil (and ok false)
+// when the engine runs scan-only.
+func (e *Engine) plan(c *Compiled) (idx *index.Index, node index.Node, ok bool) {
 	e.mu.RLock()
-	idx := e.idx
-	var node index.Node
-	ok := idx != nil
-	if ok {
-		node, ok = e.compileSpecLocked(spec)
+	idx = e.idx
+	if ok = idx != nil; ok {
+		node, ok = e.planLocked(c)
 	}
 	e.mu.RUnlock()
-	if !ok {
-		if idx != nil {
-			index.MarkFallback()
-		}
-		return 0, false
+	if !ok && idx != nil {
+		index.MarkFallback()
 	}
-	return idx.CountNode(node), true
-}
-
-// resolveIndexed answers Resolve from the index, in slot (= store
-// insertion) order. Spec must already be validated.
-func (e *Engine) resolveIndexed(spec Spec) (ids []profile.UserID, handled bool) {
-	e.mu.RLock()
-	idx := e.idx
-	var node index.Node
-	ok := idx != nil
-	if ok {
-		node, ok = e.compileSpecLocked(spec)
-	}
-	e.mu.RUnlock()
-	if !ok {
-		if idx != nil {
-			index.MarkFallback()
-		}
-		return nil, false
-	}
-	return idx.AppendUserIDs(node, nil), true
+	return idx, node, ok
 }
 
 // memberOfIndexedLocked is the single-user membership probe. Caller holds
@@ -306,67 +280,34 @@ func (e *Engine) memberOfIndexedLocked(a *Audience, slot uint32, p *profile.Prof
 	}
 }
 
-// specMatchesIndexed is the delivery-time eligibility fast path: audience
+// matchIndexed is the delivery-time eligibility fast path: audience
 // membership via bitmap probes, the targeting expression via
 // MatchExprSlot. handled is false (and the caller falls back to the scan
 // path) when the engine is scan-only, the user has no slot, or the spec is
-// not indexable. Unknown audiences error exactly like the scan path.
-func (e *Engine) specMatchesIndexed(spec Spec, p *profile.Profile) (match, handled bool, err error) {
+// not indexable.
+func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled bool) {
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	idx := e.idx
 	if idx == nil {
-		e.mu.RUnlock()
-		return false, false, nil
+		return false, false
 	}
 	slot, ok := idx.Slot(p.ID)
 	if !ok {
-		e.mu.RUnlock()
-		index.MarkFallback()
-		return false, false, nil
+		return fallback()
 	}
-	defer e.mu.RUnlock()
-
-	// Resolve audiences in the same order as the scan path, so unknown-
-	// audience errors are identical.
-	var include, includeAll, exclude []*Audience
-	for _, id := range spec.Include {
-		a := e.audiences[id]
-		if a == nil {
-			return false, true, fmt.Errorf("audience: unknown audience %q in include list", id)
-		}
-		include = append(include, a)
-	}
-	for _, id := range spec.IncludeAll {
-		a := e.audiences[id]
-		if a == nil {
-			return false, true, fmt.Errorf("audience: unknown audience %q in include-all list", id)
-		}
-		includeAll = append(includeAll, a)
-	}
-	for _, id := range spec.Exclude {
-		a := e.audiences[id]
-		if a == nil {
-			return false, true, fmt.Errorf("audience: unknown audience %q in exclude list", id)
-		}
-		exclude = append(exclude, a)
-	}
-
-	fallback := func() (bool, bool, error) {
-		index.MarkFallback()
-		return false, false, nil
-	}
-	for _, a := range includeAll {
+	for _, a := range c.includeAll {
 		m, ok := e.memberOfIndexedLocked(a, slot, p)
 		if !ok {
 			return fallback()
 		}
 		if !m {
-			return false, true, nil
+			return false, true
 		}
 	}
-	if len(include) > 0 {
+	if len(c.include) > 0 {
 		in := false
-		for _, a := range include {
+		for _, a := range c.include {
 			m, ok := e.memberOfIndexedLocked(a, slot, p)
 			if !ok {
 				return fallback()
@@ -377,54 +318,47 @@ func (e *Engine) specMatchesIndexed(spec Spec, p *profile.Profile) (match, handl
 			}
 		}
 		if !in {
-			return false, true, nil
+			return false, true
 		}
 	}
-	for _, a := range exclude {
+	for _, a := range c.exclude {
 		m, ok := e.memberOfIndexedLocked(a, slot, p)
 		if !ok {
 			return fallback()
 		}
 		if m {
-			return false, true, nil
+			return false, true
 		}
 	}
-	m, ok := idx.MatchExprSlot(spec.Expr, p, slot)
+	m, ok := idx.MatchExprSlot(c.expr, p, slot)
 	if !ok {
 		return fallback()
 	}
-	return m, true, nil
+	return m, true
+}
+
+// fallback marks a single-user match the index could not answer.
+func fallback() (match, handled bool) {
+	index.MarkFallback()
+	return false, false
 }
 
 // CountMatches returns the exact number of users matching the spec — the
 // unrounded quantity PotentialReach thresholds. Indexed when possible,
 // linear scan otherwise.
 func (e *Engine) CountMatches(spec Spec) (int, error) {
-	if err := e.ValidateSpec(spec); err != nil {
+	c, err := e.Compile(spec)
+	if err != nil {
 		return 0, err
 	}
-	if n, ok := e.countIndexed(spec); ok {
-		return n, nil
+	if idx, node, ok := e.plan(&c); ok {
+		return idx.CountNode(node), nil
 	}
-	// countIndexed already marked the fallback; count by direct scan
-	// rather than via Resolve so the query is marked exactly once.
 	n := 0
-	var firstErr error
 	e.store.Each(func(p *profile.Profile) {
-		if firstErr != nil {
-			return
-		}
-		ok, err := e.specMatchesScan(spec, p)
-		if err != nil {
-			firstErr = err
-			return
-		}
-		if ok {
+		if e.matchScan(&c, p) {
 			n++
 		}
 	})
-	if firstErr != nil {
-		return 0, firstErr
-	}
 	return n, nil
 }

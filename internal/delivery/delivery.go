@@ -11,9 +11,11 @@ package delivery
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"github.com/treads-project/treads/internal/ad"
+	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
@@ -52,6 +54,11 @@ func (c *Campaign) frequencyCap() int {
 	return c.FrequencyCap
 }
 
+// MaxSlots bounds the slots one Browse may ask for. Every entry point
+// (HTTP, shard RPC, a journal record) ends in Pipeline.Browse, so the bound
+// is enforced there and nowhere else.
+const MaxSlots = 10000
+
 // Pipeline runs slot auctions and maintains user feeds. It is safe for
 // concurrent use.
 type Pipeline struct {
@@ -62,21 +69,49 @@ type Pipeline struct {
 
 	mu        sync.Mutex
 	rng       *stats.RNG
-	campaigns []*Campaign          // registration order, which is auction order
-	byID      map[string]*Campaign // index over campaigns
+	campaigns []*registered          // registration order, which is auction order
+	byID      map[string]*registered // index over campaigns
 	users     map[profile.UserID]*userState
+
+	// The campaign index: a campaign's ordinal (its position in campaigns)
+	// is filed under the attribute its expression requires of a matching
+	// user (attr.RequiredAttr), or in unkeyed when it requires none. A
+	// browse evaluates only unkeyed ∪ keyed[a] for the attributes a the
+	// user holds. Nothing derived from a profile is kept between browses.
+	keyed   map[attr.ID][]int
+	unkeyed []int
+
+	// Scratch reused by every browse, owned by mu.
+	candidates []uint64      // bitset over ordinals
+	matched    []*registered // this browse's matching campaigns, in order
+	bids       []auction.Bid // one slot's bids
+}
+
+// registered is a campaign plus what AddCampaign worked out about it once.
+type registered struct {
+	Campaign
+	compiled audience.Compiled // Spec with its audience IDs resolved
 }
 
 // userState is everything delivery keeps about one user. slots and feed are
 // persisted (State.Slots, State.Feeds). shown is an index over feed — how
 // many of its impressions are each campaign's — that the frequency-cap
-// check reads; it is never serialized, RestoreState recounts it. The
-// ledger's per-user rows hold the same counts as money is owed on them;
-// fillSlot advances feed, shown and ledger together under p.mu.
+// check reads; it is never serialized, RestoreState recounts it, and it is
+// nil until the user's first impression. The ledger's per-user rows hold
+// the same counts as money is owed on them; fillSlot advances feed, shown
+// and ledger together under p.mu.
 type userState struct {
 	slots int             // slot auctions run for the user, won or lost
 	feed  []ad.Impression // every impression delivered, oldest first
 	shown map[string]int  // campaign ID -> impressions in feed
+}
+
+// count records one more impression of the campaign in u.feed.
+func (u *userState) count(campaignID string) {
+	if u.shown == nil {
+		u.shown = make(map[string]int)
+	}
+	u.shown[campaignID]++
 }
 
 // NewPipeline returns a delivery pipeline over the given components.
@@ -87,8 +122,9 @@ func NewPipeline(store *profile.Store, engine *audience.Engine, ledger *billing.
 		ledger: ledger,
 		market: market,
 		rng:    rng,
-		byID:   make(map[string]*Campaign),
+		byID:   make(map[string]*registered),
 		users:  make(map[profile.UserID]*userState),
+		keyed:  make(map[attr.ID][]int),
 	}
 }
 
@@ -96,7 +132,7 @@ func NewPipeline(store *profile.Store, engine *audience.Engine, ledger *billing.
 func (p *Pipeline) user(uid profile.UserID) *userState {
 	u := p.users[uid]
 	if u == nil {
-		u = &userState{shown: make(map[string]int)}
+		u = &userState{}
 		p.users[uid] = u
 	}
 	return u
@@ -111,7 +147,8 @@ func (p *Pipeline) AddCampaign(c *Campaign) error {
 	if c.BidCapCPM <= 0 {
 		return fmt.Errorf("delivery: campaign %q has non-positive bid cap", c.ID)
 	}
-	if err := p.engine.ValidateSpec(c.Spec); err != nil {
+	compiled, err := p.engine.Compile(c.Spec)
+	if err != nil {
 		return fmt.Errorf("delivery: campaign %q: %w", c.ID, err)
 	}
 	p.mu.Lock()
@@ -121,9 +158,18 @@ func (p *Pipeline) AddCampaign(c *Campaign) error {
 	}
 	// The registered campaign is the pipeline's own copy: it is read and
 	// written (Pause flips Paused) only under p.mu, so no caller holds it.
-	reg := *c
-	p.campaigns = append(p.campaigns, &reg)
-	p.byID[c.ID] = &reg
+	reg := &registered{Campaign: *c, compiled: compiled}
+	ord := len(p.campaigns)
+	p.campaigns = append(p.campaigns, reg)
+	p.byID[c.ID] = reg
+	if id, ok := attr.RequiredAttr(c.Spec.Expr); ok {
+		p.keyed[id] = append(p.keyed[id], ord)
+	} else {
+		p.unkeyed = append(p.unkeyed, ord)
+	}
+	if words := ord/64 + 1; words > len(p.candidates) {
+		p.candidates = append(p.candidates, 0)
+	}
 	return nil
 }
 
@@ -133,7 +179,7 @@ func (p *Pipeline) Campaign(id string) (c Campaign, ok bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if reg := p.byID[id]; reg != nil {
-		return *reg, true
+		return reg.Campaign, true
 	}
 	return Campaign{}, false
 }
@@ -154,58 +200,94 @@ func (p *Pipeline) Pause(id string) error {
 // one auction among the eligible campaigns and the background market; won
 // slots append an impression to the user's feed and charge the winner's
 // ledger. It returns the impressions delivered during this session.
+//
+// Which campaigns match the user is worked out once, before the first slot:
+// the profile and the audiences cannot change while p.mu is held.
 func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error) {
 	prof := p.store.Get(uid)
 	if prof == nil {
 		return nil, fmt.Errorf("delivery: unknown user %q", uid)
 	}
+	if slots < 0 || slots > MaxSlots {
+		return nil, fmt.Errorf("delivery: %d slots, want 0 to %d", slots, MaxSlots)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u := p.user(uid)
+	matched := p.match(prof, u)
 	var session []ad.Impression
 	for s := 0; s < slots; s++ {
-		imp, won, err := p.fillSlot(prof, u)
-		if err != nil {
-			return session, err
-		}
-		if won {
+		if imp, won := p.fillSlot(prof, u, matched); won {
 			session = append(session, imp)
 		}
 	}
 	return session, nil
 }
 
-// fillSlot auctions one slot for the user; the caller holds p.mu. The
-// budget check, the auction and the winner's ledger charge therefore share
-// one critical section: a campaign enters an auction only while its accrued
-// spend is below its budget, so the charge that carries it to or over the
-// line is its last, under any concurrency.
-func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState) (ad.Impression, bool, error) {
+// match returns, in registration order, the campaigns that may bid for this
+// user during one browse: not paused, under their frequency cap and matching
+// the user. Neither pause nor a reached cap can be undone while the caller
+// holds p.mu, so dropping those here is the per-slot check made early. The
+// result is scratch, valid until the next call.
+func (p *Pipeline) match(prof *profile.Profile, u *userState) []*registered {
+	cand := p.candidates
+	for i := range cand {
+		cand[i] = 0
+	}
+	for _, ord := range p.unkeyed {
+		cand[ord/64] |= 1 << (ord % 64)
+	}
+	if len(p.keyed) > 0 {
+		prof.EachAttr(func(id attr.ID) {
+			for _, ord := range p.keyed[id] {
+				cand[ord/64] |= 1 << (ord % 64)
+			}
+		})
+	}
+	matched := p.matched[:0]
+	for w, word := range cand {
+		for ; word != 0; word &= word - 1 {
+			c := p.campaigns[w*64+bits.TrailingZeros64(word)]
+			if c.Paused || u.shown[c.ID] >= c.frequencyCap() {
+				continue
+			}
+			// The engine only reads and has its own locking; p.mu stays held
+			// so the campaign list cannot change under the walk.
+			if p.engine.Match(&c.compiled, prof) {
+				matched = append(matched, c)
+			}
+		}
+	}
+	p.matched = matched
+	return matched
+}
+
+// fillSlot auctions one slot among the browse's matched campaigns; the
+// caller holds p.mu. The budget check, the auction and the winner's ledger
+// charge therefore share one critical section: a campaign enters an auction
+// only while its accrued spend is below its budget, so the charge that
+// carries it to or over the line is its last, under any concurrency.
+func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*registered) (ad.Impression, bool) {
 	slot := u.slots
 	u.slots++
 
-	var bids []auction.Bid
-	for _, c := range p.campaigns {
-		if c.Paused || u.shown[c.ID] >= c.frequencyCap() {
+	bids := p.bids[:0]
+	for _, c := range matched {
+		if u.shown[c.ID] >= c.frequencyCap() {
 			continue
 		}
 		if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
 			continue
 		}
-		// The engine only reads and has its own locking; p.mu stays held
-		// so the campaign list cannot change under the scan.
-		ok, err := p.engine.SpecMatches(c.Spec, prof)
-		if err != nil {
-			return ad.Impression{}, false, fmt.Errorf("delivery: campaign %q: %w", c.ID, err)
-		}
-		if ok {
-			bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM})
-		}
+		bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM})
 	}
+	p.bids = bids
+	// Run draws the market's competing bid exactly once, bids or no bids:
+	// journal replay reproduces a browse by drawing the same sequence.
 	out := auction.Run(bids, p.market, p.rng)
 	auctionsRun.Inc()
 	if !out.Won {
-		return ad.Impression{}, false, nil
+		return ad.Impression{}, false
 	}
 	c := p.byID[out.CampaignID]
 	imp := ad.Impression{
@@ -215,10 +297,32 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState) (ad.Impression,
 		Slot:       slot,
 	}
 	u.feed = append(u.feed, imp)
-	u.shown[c.ID]++
+	u.count(c.ID)
 	p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
 	impressionsServed.Inc()
-	return imp, true, nil
+	return imp, true
+}
+
+// CustomDataAdvertisers returns, in registration order and without
+// duplicates, the advertisers with an unpaused campaign that reaches the
+// profile through a PII-list or website custom audience the user is in. The
+// result is never nil.
+func (p *Pipeline) CustomDataAdvertisers(prof *profile.Profile) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	out := []string{}
+	seen := make(map[string]bool)
+	for _, c := range p.campaigns {
+		// False at once for a spec that names no such audience.
+		if c.Paused || !p.engine.UsesCustomDataOn(&c.compiled, prof) {
+			continue
+		}
+		if !seen[c.Advertiser] {
+			seen[c.Advertiser] = true
+			out = append(out, c.Advertiser)
+		}
+	}
+	return out
 }
 
 // RNGState returns the auction RNG's current state. Snapshotting with
@@ -238,7 +342,7 @@ func (p *Pipeline) Campaigns() []Campaign {
 	defer p.mu.Unlock()
 	out := make([]Campaign, len(p.campaigns))
 	for i, c := range p.campaigns {
-		out[i] = *c
+		out[i] = c.Campaign
 	}
 	return out
 }

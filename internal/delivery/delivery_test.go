@@ -117,6 +117,77 @@ func TestBrowseUnknownUser(t *testing.T) {
 	}
 }
 
+func TestBrowseSlotsBounded(t *testing.T) {
+	e := newEnv(t, 1)
+	if err := e.pipe.AddCampaign(campaign("c", "", 10)); err != nil {
+		t.Fatal(err)
+	}
+	for _, slots := range []int{-1, MaxSlots + 1, 1_000_000_000} {
+		if imps, err := e.pipe.Browse("u00", slots); err == nil || imps != nil {
+			t.Errorf("Browse with %d slots: %d impressions, err %v; want a refusal", slots, len(imps), err)
+		}
+	}
+	if got := e.pipe.Snapshot(); len(got.Slots) != 0 || len(got.Feeds) != 0 {
+		t.Fatalf("refused browses left state behind: %+v", got)
+	}
+	if imps, err := e.pipe.Browse("u00", MaxSlots); err != nil || len(imps) != DefaultFrequencyCap {
+		t.Fatalf("Browse with MaxSlots slots: %d impressions, err %v", len(imps), err)
+	}
+}
+
+// TestShownAllocatedOnFirstImpression: a user who browses and wins nothing
+// costs a slot counter, not a map.
+func TestShownAllocatedOnFirstImpression(t *testing.T) {
+	e := newEnv(t, 2)
+	if err := e.pipe.AddCampaign(campaign("jazz", "attr(platform.music.jazz)", 10)); err != nil {
+		t.Fatal(err)
+	}
+	for _, uid := range []profile.UserID{"u00", "u01"} {
+		if _, err := e.pipe.Browse(uid, 3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if u := e.pipe.users["u01"]; u.slots != 3 || u.shown != nil {
+		t.Errorf("u01 won nothing: slots %d, shown %v; want 3 and no map", u.slots, u.shown)
+	}
+	if u := e.pipe.users["u00"]; u.shown["jazz"] != DefaultFrequencyCap {
+		t.Errorf("u00 shown = %v, want jazz at the default cap", u.shown)
+	}
+}
+
+// TestBrowseZeroAlloc pins the serve path's steady state on the paper's
+// deployment (614 keyed Treads, index on): a 10-slot browse allocates
+// nothing, both for an opted-in user at their caps (candidates gathered,
+// every one dropped at its cap, ten empty auctions) and for a user who never
+// opted in (candidates gathered, every spec evaluated and rejected).
+func TestBrowseZeroAlloc(t *testing.T) {
+	pipe, profs := newTreadsDeployment(t, 8)
+	in, out := profs[0], profs[1]
+	imps, err := pipe.Browse(in.ID, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held, catalog := 0, attr.DefaultCatalog()
+	in.EachAttr(func(id attr.ID) {
+		if catalog.Get(id).Source == attr.SourcePlatform {
+			held++
+		}
+	})
+	if len(imps) != held || held < 5 {
+		t.Fatalf("premise: the opted-in user holds %d platform attributes and was shown %d Treads", held, len(imps))
+	}
+	for name, uid := range map[string]profile.UserID{"at caps": in.ID, "not opted in": out.ID} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if imps, err := pipe.Browse(uid, 10); err != nil || len(imps) != 0 {
+				t.Fatalf("%s: %d impressions, err %v", name, len(imps), err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a 10-slot browse allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
 func TestFrequencyCap(t *testing.T) {
 	e := newEnv(t, 2)
 	c := campaign("c1", "", 10)

@@ -120,7 +120,7 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 		u := p.user(fs.User)
 		u.feed = append(u.feed, fs.Impressions...)
 		for _, imp := range fs.Impressions {
-			u.shown[imp.CampaignID]++
+			u.count(imp.CampaignID)
 		}
 	}
 	for _, ss := range s.Slots {

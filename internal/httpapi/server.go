@@ -13,6 +13,7 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
+	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/obs"
@@ -394,7 +395,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	slots := 10
 	if v := r.URL.Query().Get("slots"); v != "" {
 		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 || n > 10000 {
+		if err != nil || n < 0 || n > delivery.MaxSlots {
 			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpapi: bad slots %q", v))
 			return
 		}

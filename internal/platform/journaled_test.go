@@ -229,6 +229,45 @@ func TestJournaledRecoveryAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestRecoverJournalWrittenByPerSlotScan recovers testdata/journal_pr14, a
+// journal directory written by the last build whose delivery scanned every
+// campaign for every slot: a snapshot taken mid-script plus a tail of
+// records — campaigns keyed on an attribute, keyed through an AND, and
+// unkeyed; include-all, exclude and a budget two impressions wide; likes,
+// visits and a pause between browses; and one browse with a negative slot
+// count, which that build applied as a no-op. Recovery must reach the state
+// that build exported when it closed (testdata/journal_pr14_state.json),
+// byte for byte: same impressions, same charges, same RNG state.
+func TestRecoverJournalWrittenByPerSlotScan(t *testing.T) {
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/journal_pr14/*")
+	if err != nil || len(files) != 2 {
+		t.Fatalf("fixture premise: a snapshot and one log segment, got %v (%v)", files, err)
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile("testdata/journal_pr14_state.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := mustOpenJournaled(t, dir, journal.Options{NoSync: true}, noBoot(t))
+	defer jp.Close()
+	if got := marshalState(t, jp.State()); !bytes.Equal(got, want) {
+		t.Fatalf("recovered state differs from the one the writing build exported (%d vs %d bytes)", len(got), len(want))
+	}
+	// The tail really exercised the serve path.
+	if n := len(jp.Feed("ju02")); n < 6 {
+		t.Fatalf("fixture premise: ju02 was served %d impressions", n)
+	}
+}
+
 // TestJournaledCrashSweep is the acceptance crash test: the final journal
 // segment is truncated at EVERY byte offset, and each truncation must
 // recover to exactly the state reached after some prefix of the script —

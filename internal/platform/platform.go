@@ -484,19 +484,7 @@ func (p *Platform) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) 
 	if pr == nil {
 		return nil, fmt.Errorf("platform: unknown user %q", uid)
 	}
-	seen := make(map[string]bool)
-	for _, c := range p.pipeline.Campaigns() {
-		if c.Paused || seen[c.Advertiser] {
-			continue
-		}
-		if p.audiences.UsesCustomDataOn(c.Spec, pr) {
-			seen[c.Advertiser] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
+	out := p.pipeline.CustomDataAdvertisers(pr)
 	sort.Strings(out)
 	revealsAdvertisers.Inc()
 	return out, nil

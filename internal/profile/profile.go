@@ -150,6 +150,18 @@ func (p *Profile) Attrs() []attr.ID {
 	return out
 }
 
+// EachAttr calls fn for every set attribute ID, in no particular order and
+// without allocating — the walk the delivery pipeline's campaign index does
+// once per browse.
+func (p *Profile) EachAttr(fn func(attr.ID)) {
+	for id := range p.binary {
+		fn(id)
+	}
+	for id := range p.values {
+		fn(id)
+	}
+}
+
 // AttrCount returns the number of set attributes.
 func (p *Profile) AttrCount() int { return len(p.binary) + len(p.values) }
 

@@ -15,6 +15,8 @@ import (
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/delivery"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -197,6 +199,65 @@ func TestRemoteError(t *testing.T) {
 	}
 	if errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, rpc.ErrMalformed) {
 		t.Fatal("application refusal classified as a transport error")
+	}
+}
+
+// TestBrowseSlotsBoundedAtTheShard: the shard port takes slots from the
+// request body, and a journaled shard applies a browse under its op lock
+// (and again on every replay), so an absurd count must come back as the
+// platform's refusal without running — and the shard must serve the next
+// browse, live and after recovering from the journal that holds the refusal.
+func TestBrowseSlotsBoundedAtTheShard(t *testing.T) {
+	dir := t.TempDir()
+	opts := journal.Options{NoSync: true}
+	jp, err := platform.OpenJournaled(dir, opts, func() (*platform.Platform, error) {
+		p := platform.New(platform.Config{Seed: 1})
+		addTestUsers(t, p, 1)
+		return p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jp.RegisterAdvertiser("adv"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := jp.CreateCampaign("adv", platform.CampaignParams{
+		BidCapCPM: money.FromDollars(1000),
+		Creative:  ad.Creative{Headline: "h", Body: "b"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(rpc.NewServer(jp, "", nil))
+	defer srv.Close()
+	c := rpc.NewClient(srv.URL, rpc.Options{})
+	defer c.Close()
+
+	ctx := context.Background()
+	const uid = "user-000000"
+	for _, slots := range []int{1_000_000_000, delivery.MaxSlots + 1, -1} {
+		_, err := c.BrowseFeed(ctx, uid, slots)
+		var re *rpc.RemoteError
+		if !errors.As(err, &re) {
+			t.Fatalf("browse with %d slots: err = %v, want the shard's refusal", slots, err)
+		}
+	}
+	imps, err := c.BrowseFeed(ctx, uid, 1)
+	if err != nil || len(imps) != 1 {
+		t.Fatalf("browse after the refusals: %d impressions, err %v", len(imps), err)
+	}
+	before := jp.State()
+	if err := jp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jp2, err := platform.OpenJournaled(dir, opts, func() (*platform.Platform, error) {
+		return nil, errors.New("boot called on an existing journal")
+	})
+	if err != nil {
+		t.Fatalf("recovering a journal that holds refused browses: %v", err)
+	}
+	defer jp2.Close()
+	if !reflect.DeepEqual(jp2.State(), before) {
+		t.Fatal("recovered state differs from the state before the restart")
 	}
 }
 
