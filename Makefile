@@ -27,22 +27,24 @@ race:
 
 # The packages whose full (non -short) suites exercise shared state from
 # several goroutines: the coordinator, transport, gateway admission,
-# tracing ring, health supervisor, chaos harness, targeting index. The four
-# pinned tests run at -count=10 because a race detector run only reports
+# tracing ring, health supervisor, chaos harness, targeting index, journal.
+# The pinned tests run at -count=10 because a race detector run only reports
 # the interleavings it happens to see: lock-free reads against the journaled
 # commit path, transparency reads against campaign pauses, concurrent
-# browses against one campaign's budget line, and the supervisor's per-slot
-# watch/unwatch. The serve path's differential test against the per-slot
-# scan runs under the detector too. The three zero-alloc pins fail if their
-# test disappears.
+# browses against one campaign's budget line, the supervisor's per-slot
+# watch/unwatch, and the journal's appends and waiters against its flush
+# leader (during an fsync, inside the spacing window, across a crash). The
+# serve path's differential test against the per-slot scan runs under the
+# detector too. The three zero-alloc pins fail if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
-		./internal/index/ ./internal/audience/ ./internal/profile/
+		./internal/index/ ./internal/audience/ ./internal/profile/ ./internal/journal/
 	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads' ./internal/platform/
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
+	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestFsyncSpacingUnderLoad|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
@@ -73,7 +75,7 @@ e2e:
 bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
-# Every benchmark once, so none rots; the four named ones are perf
+# Every benchmark once, so none rots; the five named ones are perf
 # tripwires and fail the target if they disappear.
 bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
@@ -81,6 +83,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkHistogramObserve -benchtime=1x ./internal/obs/ | grep BenchmarkHistogramObserve
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
 	$(GO) test -run=NONE -bench=BenchmarkBrowseTreadsDeployment -benchtime=1x ./internal/delivery/ | grep BenchmarkBrowseTreadsDeployment
+	$(GO) test -run=NONE -bench=BenchmarkAppendLone -benchtime=1x ./internal/journal/ | grep BenchmarkAppendLone
 
 # Regenerate the committed BENCH_<area>.json perf trajectory at full
 # acceptance scale (index area at 1M users; takes a few minutes).

@@ -92,7 +92,7 @@ func TestMultiProcessClusterE2E(t *testing.T) {
 			"-shard-count", fmt.Sprint(nShards),
 			"-addr", addrs[i],
 			"-journal", filepath.Join(dir, fmt.Sprintf("shard-%d", i)),
-			"-batch-window", "0s", // fsync per op: an acked write is durable
+			"-batch-window", "0s", // no fsync spacing; an acked write is durable under any window
 			"-rpc-secret", secret,
 			"-users", "60",
 			"-seed", "7",
@@ -190,7 +190,7 @@ func TestMultiProcessClusterE2E(t *testing.T) {
 	}
 
 	// SIGKILL the victim between phases — no in-flight requests, so every
-	// impression is either acked (and, with -batch-window 0s, journaled)
+	// impression is either acked (and therefore journaled and fsynced)
 	// or never happened.
 	if err := procs[victim].cmd.Process.Kill(); err != nil {
 		t.Fatal(err)

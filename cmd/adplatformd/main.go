@@ -174,7 +174,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Load, "load", "", "restore platform state from this JSON snapshot")
 	fs.StringVar(&o.Save, "save", "", "write platform state to this JSON snapshot on shutdown")
 	fs.StringVar(&o.JournalDir, "journal", "", "write-ahead journal directory; enables crash recovery")
-	fs.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "journal group-commit window (0 = fsync per op)")
+	fs.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "minimum spacing between journal fsync starts; an idle shard fsyncs at once, a busy one batches what arrives meanwhile (0 = no spacing)")
 	fs.DurationVar(&o.CompactEvery, "compact-every", 5*time.Minute, "background journal compaction interval (0 = never)")
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "private listen address for pprof and /metrics (empty = disabled)")
 	fs.BoolVar(&o.Gateway, "gateway", false, "run the multi-tenant edge gateway in front of the public API (requires -keys)")
@@ -220,7 +220,7 @@ func (o options) validate() error {
 		return fmt.Errorf("-ban-after must not be negative, got %d", o.BanAfter)
 	}
 	if o.BatchWindow < 0 {
-		return fmt.Errorf("-batch-window must not be negative, got %v (0 means fsync per op)", o.BatchWindow)
+		return fmt.Errorf("-batch-window must not be negative, got %v (0 means no fsync spacing)", o.BatchWindow)
 	}
 	if o.CompactEvery < 0 {
 		return fmt.Errorf("-compact-every must not be negative, got %v (0 disables background compaction)", o.CompactEvery)

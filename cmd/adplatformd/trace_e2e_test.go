@@ -168,6 +168,20 @@ func TestMultiProcessTraceAssembly(t *testing.T) {
 		}
 	}
 
+	// The append span's events split a write into op-lock wait, apply
+	// under the lock, and the durability wait — in that order.
+	var events []string
+	last := int64(0)
+	for _, ev := range byName["journal.append"].Events {
+		if ev.OffsetNS < last {
+			t.Fatalf("journal.append event %s at %dns precedes the one before it (%dns)", ev.Name, ev.OffsetNS, last)
+		}
+		events, last = append(events, ev.Name), ev.OffsetNS
+	}
+	if got, want := strings.Join(events, " "), "op_lock_acquired group_commit_wait durable"; got != want {
+		t.Fatalf("journal.append events = %q, want %q", got, want)
+	}
+
 	// Services prove the spans really came from different processes.
 	for _, name := range []string{"gateway", "cluster.route", "rpc.call browse"} {
 		if svc := byName[name].Service; svc != "router" {

@@ -39,11 +39,37 @@ func BenchmarkAppendSyncEach(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendGroupCommit runs parallel appenders through a 200µs
-// group-commit window: concurrent appends share one fsync, which is the
-// configuration adplatformd -journal uses.
+// BenchmarkAppendLone is the idle-shard case under the daemon's default
+// 2 ms window: one appender whose every Append finds the previous fsync at
+// least a window old (the untimed sleep), so it leads a flush that does not
+// wait. It must read about one fsync (BenchmarkAppendSyncEach), not the
+// window plus one. An appender that comes straight back instead waits out
+// the remainder of the window: max(window, fsync) per append.
+func BenchmarkAppendLone(b *testing.B) {
+	const window = 2 * time.Millisecond
+	j, err := Open(b.TempDir(), Options{BatchWindow: window})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	p := benchPayload()
+	b.SetBytes(benchPayloadSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		time.Sleep(window)
+		b.StartTimer()
+		if _, err := j.Append(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAppendGroupCommit runs 8 appenders per CPU against the 2 ms
+// window adplatformd -journal defaults to: appends that arrive while an
+// fsync runs, or inside the spacing after it, share the next one.
 func BenchmarkAppendGroupCommit(b *testing.B) {
-	j, err := Open(b.TempDir(), Options{BatchWindow: 200 * time.Microsecond})
+	j, err := Open(b.TempDir(), Options{BatchWindow: 2 * time.Millisecond})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -59,6 +85,8 @@ func BenchmarkAppendGroupCommit(b *testing.B) {
 			}
 		}
 	})
+	b.StopTimer()
+	b.ReportMetric(float64(j.m.appends.Value())/float64(j.m.fsyncs.Value()), "records/fsync")
 }
 
 // BenchmarkAppendNoSync isolates framing + buffered-write cost with

@@ -4,9 +4,16 @@
 // The journal stores opaque payloads as length-prefixed, CRC-32C-checksummed
 // records in append-only segment files. Every record is assigned a
 // monotonically increasing log sequence number (LSN, starting at 1).
-// Appends from concurrent goroutines coalesce into a single fsync per
-// batch window, so the per-operation durability cost is amortized across
-// whatever arrived while the previous batch was syncing.
+//
+// Group commit: an append frames its record into an in-memory buffer and
+// never waits for the disk. Whoever first waits for durability while no
+// flush is running becomes the flush leader: it swaps the pending buffer
+// for the spare one, then writes and fsyncs the batch with no lock held,
+// so records appended meanwhile collect in the other buffer and are covered
+// by the next fsync. The fsync is the batching interval — an idle journal
+// costs one fsync per append, a busy one amortizes each fsync over whatever
+// arrived during the previous one — and Options.BatchWindow only spaces
+// fsync starts apart.
 //
 // Crash behaviour: a crash can lose at most the records whose Append (or
 // whose AppendBuffered wait) had not yet returned. A partially written
@@ -15,8 +22,8 @@
 // intact. A record in any position other than the tail that fails its
 // checksum is reported as corruption, never silently skipped.
 //
-// Write failures are sticky: after any failed write, flush, or fsync the
-// segment's on-disk state is indeterminate, so the journal marks itself
+// Write failures are sticky: after any failed write, fsync, or rotation
+// the segment's on-disk state is indeterminate, so the journal marks itself
 // failed and every subsequent append or snapshot returns an error wrapping
 // ErrFailed. The only way forward is to close, recover from disk (Open
 // repairs the tail), and re-apply what recovery reports lost.
@@ -31,7 +38,6 @@
 package journal
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"os"
@@ -45,8 +51,13 @@ import (
 // Options.SegmentBytes is zero.
 const DefaultSegmentBytes = 64 << 20
 
-// ErrFailed marks the journal's sticky terminal state: a write, flush, or
-// fsync failed, the durable prefix of the active segment is unknown, and
+// maxSpareBytes bounds the capacity of a swap buffer kept for reuse after
+// its flush, so one huge record (a 16 MiB user import) does not pin its
+// buffer for the life of the journal.
+const maxSpareBytes = 1 << 20
+
+// ErrFailed marks the journal's sticky terminal state: a write, fsync, or
+// rotation failed, the durable prefix of the active segment is unknown, and
 // the journal refuses all further appends and snapshots. Test with
 // errors.Is; the wrapped cause is preserved.
 var ErrFailed = errors.New("journal: failed")
@@ -54,16 +65,22 @@ var ErrFailed = errors.New("journal: failed")
 // Options parameterizes a Journal.
 type Options struct {
 	// SegmentBytes rotates the active segment once its size reaches this
-	// threshold. Zero selects DefaultSegmentBytes.
+	// threshold, at the next batch boundary. Zero selects
+	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// BatchWindow is the group-commit window: the goroutine that ends up
-	// leading an fsync batch first sleeps this long so concurrent appends
-	// can join the batch and share the single fsync. Zero syncs as soon as
-	// the leader runs (batches still form underneath a slow fsync).
+	// BatchWindow is the minimum spacing between fsync starts: a flush
+	// leader whose predecessor started less than this long ago waits out
+	// the remainder, so appends arriving meanwhile share its fsync; one
+	// whose predecessor is older flushes at once. An idle journal therefore
+	// never sleeps, and a saturated one syncs at most once per window. No
+	// commit waits longer than under a fixed per-batch sleep of the same
+	// length: a leader elected at t, whose predecessor started at s <= t,
+	// with an fsync taking F, finishes by max(t, s+W)+F <= t+W+F. Zero
+	// imposes no spacing (batches still form underneath a slow fsync).
 	BatchWindow time.Duration
-	// NoSync skips fsync entirely. Appends are still written (and
-	// buffered data is flushed to the OS), but nothing is durable across
-	// a machine crash. For tests and benchmarks.
+	// NoSync skips fsync entirely. Appends are still written through to
+	// the OS, but nothing is durable across a machine crash. For tests and
+	// benchmarks.
 	NoSync bool
 	// FS is the filesystem the journal writes through. Nil selects the
 	// real operating system (faults.OS); the chaos harness passes a
@@ -93,20 +110,25 @@ type Journal struct {
 	fs   faults.FS
 	m    *Metrics
 
-	mu       sync.Mutex // guards the active segment and LSN counter
-	f        faults.File
-	w        *bufio.Writer
-	size     int64
-	firstLSN uint64 // first LSN of the active segment
+	// mu guards the in-memory state below and is never held across file
+	// I/O. cond is signalled whenever a flush ends.
+	mu       sync.Mutex
+	cond     *sync.Cond
+	pending  []byte // framed records not yet handed to a flush, in LSN order
 	nextLSN  uint64
+	firstLSN uint64 // first LSN of the active segment
+	durable  uint64 // highest LSN known written and fsynced
+	flushing bool   // the flush lock: set while a leader owns the fields below
 	closed   bool
 	failed   error // sticky error wrapping ErrFailed; the journal is dead after one
 
-	syncMu   sync.Mutex // guards the durability watermark
-	syncCond *sync.Cond
-	syncing  bool
-	durable  uint64 // highest LSN known flushed+fsynced
-	syncErr  error  // sticky fsync error
+	// Owned by whoever holds the flush lock (Close takes them over once
+	// closed is set and no leader is left): everything that touches the
+	// active segment file — batch write, fsync, rotation, close.
+	f         faults.File
+	size      int64     // bytes written to the active segment
+	spare     []byte    // the swap buffer not currently collecting appends
+	lastFlush time.Time // when the previous flush started
 }
 
 // Open opens (creating if needed) the journal in dir. A torn tail on the
@@ -131,11 +153,11 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if j.m == nil {
 		j.m = noopMetrics()
 	}
-	j.syncCond = sync.NewCond(&j.syncMu)
+	j.cond = sync.NewCond(&j.mu)
 
 	switch {
 	case len(segs) == 0:
-		if err := j.openNewSegmentLocked(snapLSN + 1); err != nil {
+		if err := j.openNewSegment(snapLSN + 1); err != nil {
 			return nil, err
 		}
 		j.nextLSN = snapLSN + 1
@@ -150,7 +172,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 			// The snapshot is ahead of every surviving log record (e.g.
 			// a crash between snapshot write and compaction finishing):
 			// start a fresh segment at the snapshot boundary.
-			if err := j.openNewSegmentLocked(snapLSN + 1); err != nil {
+			if err := j.openNewSegment(snapLSN + 1); err != nil {
 				return nil, err
 			}
 			j.nextLSN = snapLSN + 1
@@ -165,7 +187,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 				return nil, fmt.Errorf("journal: stat segment: %w", err)
 			}
 			j.f = f
-			j.w = bufio.NewWriterSize(f, 256<<10)
 			j.size = st.Size()
 			j.firstLSN = last.first
 			j.nextLSN = next
@@ -176,10 +197,10 @@ func Open(dir string, opts Options) (*Journal, error) {
 	return j, nil
 }
 
-// openNewSegmentLocked creates and activates the segment whose first
-// record will be LSN first. Callers hold j.mu (or have exclusive access
+// openNewSegment creates and activates the segment whose first record will
+// be LSN first. The caller holds the flush lock (or has exclusive access
 // during Open).
-func (j *Journal) openNewSegmentLocked(first uint64) error {
+func (j *Journal) openNewSegment(first uint64) error {
 	path := segmentPath(j.dir, first)
 	f, err := j.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
@@ -192,27 +213,11 @@ func (j *Journal) openNewSegmentLocked(first uint64) error {
 		}
 	}
 	j.f = f
-	j.w = bufio.NewWriterSize(f, 256<<10)
 	j.size = 0
-	j.firstLSN = first
+	j.mu.Lock()
+	j.firstLSN = first // compaction reads it
+	j.mu.Unlock()
 	return nil
-}
-
-// markFailedLocked records err as the journal's sticky terminal error and
-// returns it. The caller holds j.mu. Durability waiters are woken with the
-// same error so nothing blocks forever on a sync that will never come.
-func (j *Journal) markFailedLocked(err error) error {
-	if j.failed != nil {
-		return j.failed
-	}
-	j.failed = fmt.Errorf("%w: %w", ErrFailed, err)
-	j.syncMu.Lock()
-	if j.syncErr == nil {
-		j.syncErr = j.failed
-	}
-	j.syncCond.Broadcast()
-	j.syncMu.Unlock()
-	return j.failed
 }
 
 // Failed returns the journal's sticky error (wrapping ErrFailed), or nil
@@ -226,7 +231,7 @@ func (j *Journal) Failed() error {
 
 // Append durably appends payload and returns its LSN. It blocks until the
 // record (and, incidentally, every earlier record) is fsynced — or merely
-// flushed, under Options.NoSync.
+// written, under Options.NoSync.
 func (j *Journal) Append(payload []byte) (uint64, error) {
 	lsn, wait, err := j.AppendBuffered(payload)
 	if err != nil {
@@ -236,10 +241,11 @@ func (j *Journal) Append(payload []byte) (uint64, error) {
 }
 
 // AppendBuffered appends payload to the log buffer and returns its LSN
-// immediately, plus a wait function that blocks until the record is
-// durable. Callers that must order appends against other work can do so
+// immediately — it copies memory and never waits for the disk, even while
+// an fsync is running — plus a wait function that blocks until the record
+// is durable. Callers that must order appends against other work can do so
 // under their own lock and pay the durability wait outside it; LSN order
-// always equals buffer-write order.
+// always equals buffer order, which is the order records reach the file.
 func (j *Journal) AppendBuffered(payload []byte) (uint64, func() error, error) {
 	if len(payload) == 0 {
 		return 0, nil, fmt.Errorf("journal: empty record")
@@ -258,125 +264,104 @@ func (j *Journal) AppendBuffered(payload []byte) (uint64, func() error, error) {
 		return 0, nil, err
 	}
 	start := time.Now()
-	if j.size >= j.opts.SegmentBytes {
-		if err := j.rotateLocked(); err != nil {
-			err = j.markFailedLocked(err)
-			j.mu.Unlock()
-			return 0, nil, err
-		}
-	}
 	lsn := j.nextLSN
-	n, err := writeRecordTo(j.w, payload)
-	if err != nil {
-		err = j.markFailedLocked(fmt.Errorf("journal: appending record %d: %w", lsn, err))
-		j.mu.Unlock()
-		return 0, nil, err
-	}
-	j.size += n
+	j.pending = appendRecord(j.pending, payload)
 	j.nextLSN++
-	j.m.appendSeconds.ObserveSince(start)
-	j.m.appends.Inc()
 	j.mu.Unlock()
-	return lsn, func() error { return j.waitDurable(lsn) }, nil
-}
-
-// rotateLocked seals the active segment (flush, fsync, close) and opens a
-// fresh one starting at the next LSN. Caller holds j.mu.
-func (j *Journal) rotateLocked() error {
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("journal: flushing segment before rotation: %w", err)
-	}
-	if !j.opts.NoSync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("journal: syncing segment before rotation: %w", err)
-		}
-	}
-	if err := j.f.Close(); err != nil {
-		return fmt.Errorf("journal: closing sealed segment: %w", err)
-	}
-	// The sealed segment is fully durable; advance the watermark so
-	// waiters covered by it don't trigger a redundant fsync.
-	j.advanceDurable(j.nextLSN - 1)
-	if err := j.openNewSegmentLocked(j.nextLSN); err != nil {
+	appended := time.Now()
+	j.m.appendSeconds.Observe(appended.Sub(start))
+	j.m.appends.Inc()
+	return lsn, func() error {
+		err := j.waitDurable(lsn)
+		j.m.commitWaitSeconds.ObserveSince(appended)
 		return err
-	}
-	j.m.rotations.Inc()
-	return nil
-}
-
-func (j *Journal) advanceDurable(upTo uint64) {
-	j.syncMu.Lock()
-	if upTo > j.durable {
-		j.durable = upTo
-	}
-	j.syncCond.Broadcast()
-	j.syncMu.Unlock()
+	}, nil
 }
 
 // waitDurable blocks until LSN lsn is durable, electing this goroutine as
-// the fsync leader when no sync is in flight. The leader sleeps the batch
-// window, then flushes and fsyncs everything buffered so far, covering
-// every append that joined during the window (and during the fsync
-// itself) in one disk round trip.
+// the flush leader when no flush is running. Everyone else sleeps on the
+// condition variable until a leader's fsync covers them or, if they
+// appended after its buffer swap, until one of them leads the next flush.
 func (j *Journal) waitDurable(lsn uint64) error {
-	j.syncMu.Lock()
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	for {
-		if j.syncErr != nil {
-			err := j.syncErr
-			j.syncMu.Unlock()
-			return err
+		if j.failed != nil {
+			return j.failed
 		}
 		if j.durable >= lsn {
-			j.syncMu.Unlock()
 			return nil
 		}
-		if j.syncing {
-			j.syncCond.Wait()
+		if j.flushing {
+			j.cond.Wait()
 			continue
 		}
-		j.syncing = true
-		j.syncMu.Unlock()
-
-		if d := j.opts.BatchWindow; d > 0 {
-			time.Sleep(d)
-		}
-		covered, err := j.syncNow()
-
-		j.syncMu.Lock()
-		j.syncing = false
+		j.flushing = true
+		j.mu.Unlock()
+		covered, err := j.flush()
+		j.mu.Lock()
+		j.flushing = false
 		if err != nil {
-			if j.syncErr == nil {
-				j.syncErr = err
-			}
-		} else if covered > j.durable {
+			// Every waiter wakes to the same error, so nothing blocks on
+			// an fsync that will never come.
+			j.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+		} else {
 			j.durable = covered
 		}
-		j.syncCond.Broadcast()
+		j.cond.Broadcast()
 	}
 }
 
-// syncNow flushes the buffer and fsyncs the active segment, returning the
-// highest LSN the sync covers. A flush or fsync failure marks the journal
-// failed: the segment's durable prefix is unknown and appending past it
-// would risk acknowledging records behind an unflushed hole.
-func (j *Journal) syncNow() (uint64, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.failed != nil {
-		return 0, j.failed
+// flush runs one group commit and returns the highest LSN it made durable.
+// The caller holds the flush lock, and is only elected while some record is
+// not yet durable, so the batch is never empty. Any error leaves the
+// segment's durable prefix unknown — appending past it would risk
+// acknowledging records behind an unwritten hole — so the caller marks the
+// journal failed.
+//
+// Rotation happens here, after the batch's fsync has sealed the segment
+// and before the caller publishes durability: the order of filesystem calls
+// is then a function of the record stream alone, which seeded fault
+// schedules replay against.
+func (j *Journal) flush() (uint64, error) {
+	if wait := j.opts.BatchWindow - time.Since(j.lastFlush); wait > 0 {
+		time.Sleep(wait)
 	}
-	covered := j.nextLSN - 1
-	start := time.Now()
-	if err := j.w.Flush(); err != nil {
-		return 0, j.markFailedLocked(fmt.Errorf("journal: flushing: %w", err))
+	j.lastFlush = time.Now()
+
+	j.mu.Lock()
+	if j.closed {
+		j.mu.Unlock()
+		return 0, errors.New("journal: flush on closed journal")
+	}
+	buf, covered, records := j.pending, j.nextLSN-1, j.nextLSN-1-j.durable
+	j.pending, j.spare = j.spare, nil
+	j.mu.Unlock()
+
+	if _, err := j.f.Write(buf); err != nil {
+		return 0, fmt.Errorf("journal: writing records through %d: %w", covered, err)
 	}
 	if !j.opts.NoSync {
 		if err := j.f.Sync(); err != nil {
-			return 0, j.markFailedLocked(fmt.Errorf("journal: fsync: %w", err))
+			return 0, fmt.Errorf("journal: fsync: %w", err)
 		}
 	}
-	j.m.fsyncSeconds.ObserveSince(start)
+	j.size += int64(len(buf))
+	if cap(buf) <= maxSpareBytes {
+		j.spare = buf[:0]
+	}
+	if j.size >= j.opts.SegmentBytes {
+		if err := j.f.Close(); err != nil {
+			return 0, fmt.Errorf("journal: closing sealed segment: %w", err)
+		}
+		if err := j.openNewSegment(covered + 1); err != nil {
+			return 0, err
+		}
+		j.m.rotations.Inc()
+	}
+	j.m.fsyncSeconds.ObserveSince(j.lastFlush)
 	j.m.fsyncs.Inc()
+	j.m.batchRecords.Observe(time.Duration(records) * time.Second)
 	return covered, nil
 }
 
@@ -388,9 +373,6 @@ func (j *Journal) Sync() error {
 	j.mu.Unlock()
 	if closed {
 		return fmt.Errorf("journal: sync on closed journal")
-	}
-	if last == 0 {
-		return nil
 	}
 	return j.waitDurable(last)
 }
@@ -416,11 +398,12 @@ func (j *Journal) Close() error {
 		return nil
 	}
 	j.closed = true
-	var closeErr error
-	if j.f != nil {
-		closeErr = j.f.Close()
-		j.f = nil
+	// A leader elected since the Sync above may still be writing; one
+	// elected from here on sees closed and touches nothing.
+	for j.flushing {
+		j.cond.Wait()
 	}
+	closeErr := j.f.Close()
 	if syncErr != nil {
 		return syncErr
 	}

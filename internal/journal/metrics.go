@@ -9,8 +9,13 @@ import (
 // journals opened without one fall back to unregistered metrics, so the
 // append and fsync paths never branch on nil.
 type Metrics struct {
-	appendSeconds    *obs.Histogram // buffer-write time under the journal lock
-	fsyncSeconds     *obs.Histogram // flush+fsync time per group commit
+	appendSeconds     *obs.Histogram // framing + buffer copy under the journal lock
+	fsyncSeconds      *obs.Histogram // write+fsync (+rotation) time per group commit
+	commitWaitSeconds *obs.Histogram // per record: appended → durable
+	// batchRecords counts records per group commit. The histogram type is
+	// integer buckets exported at 1e-9 scale, so n records are observed as
+	// n seconds and read back as plain n.
+	batchRecords     *obs.Histogram
 	appends          *obs.Counter
 	fsyncs           *obs.Counter
 	rotations        *obs.Counter
@@ -23,10 +28,16 @@ type Metrics struct {
 func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 	return &Metrics{
 		appendSeconds: reg.HistogramVec("journal_append_seconds",
-			"Write-ahead journal append time: record framing and buffer write, under the journal lock.",
+			"Write-ahead journal append time: record framing and the copy into the pending buffer, under the journal lock; never includes disk I/O.",
 			"shard").With(shard),
 		fsyncSeconds: reg.HistogramVec("journal_fsync_seconds",
-			"Write-ahead journal group-commit time: buffer flush plus fsync of the active segment.",
+			"Write-ahead journal group-commit time: batch write plus fsync of the active segment, plus its rotation when the batch fills it.",
+			"shard").With(shard),
+		commitWaitSeconds: reg.HistogramVec("journal_commit_wait_seconds",
+			"Per record, time from its append returning to its durability wait returning: caller work after the append, fsync spacing, queueing behind a running fsync, and the fsync that covers it.",
+			"shard").With(shard),
+		batchRecords: reg.HistogramVec("journal_batch_records",
+			"Records made durable per group commit (a count, not seconds): sum is records, count is fsyncs.",
 			"shard").With(shard),
 		appends: reg.CounterVec("journal_appends_total",
 			"Records appended to the write-ahead journal.",
@@ -50,12 +61,14 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 // exported nowhere.
 func noopMetrics() *Metrics {
 	return &Metrics{
-		appendSeconds:    obs.NewHistogram(),
-		fsyncSeconds:     obs.NewHistogram(),
-		appends:          obs.NewCounter(),
-		fsyncs:           obs.NewCounter(),
-		rotations:        obs.NewCounter(),
-		snapshots:        obs.NewCounter(),
-		recoveredRecords: obs.NewCounter(),
+		appendSeconds:     obs.NewHistogram(),
+		fsyncSeconds:      obs.NewHistogram(),
+		commitWaitSeconds: obs.NewHistogram(),
+		batchRecords:      obs.NewHistogram(),
+		appends:           obs.NewCounter(),
+		fsyncs:            obs.NewCounter(),
+		rotations:         obs.NewCounter(),
+		snapshots:         obs.NewCounter(),
+		recoveredRecords:  obs.NewCounter(),
 	}
 }

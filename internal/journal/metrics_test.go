@@ -2,7 +2,9 @@ package journal
 
 import (
 	"testing"
+	"time"
 
+	"github.com/treads-project/treads/internal/faults"
 	"github.com/treads-project/treads/internal/obs"
 )
 
@@ -11,9 +13,11 @@ import (
 func TestMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	dir := t.TempDir()
+	gfs := newGateFS(faults.OS{}) // counts the fsyncs the disk actually sees
 	j, err := Open(dir, Options{
 		SegmentBytes: 64, // rotate after roughly two records
 		Metrics:      NewMetrics(reg, "0"),
+		FS:           gfs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -23,6 +27,7 @@ func TestMetrics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	fsyncs := uint64(len(gfs.syncStarts())) // before the snapshot file's own
 	if err := j.WriteSnapshot(5, []byte("state")); err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +45,10 @@ func TestMetrics(t *testing.T) {
 	if got := counter("journal_appends_total"); got != 10 {
 		t.Errorf("appends = %d, want 10", got)
 	}
-	if got := counter("journal_fsyncs_total"); got == 0 {
-		t.Error("fsyncs = 0, want > 0")
+	// Every fsync of a segment is a counted, timed group commit — also the
+	// one that seals a segment before rotation.
+	if got := counter("journal_fsyncs_total"); got != fsyncs || got == 0 {
+		t.Errorf("fsyncs = %d, the filesystem saw %d", got, fsyncs)
 	}
 	if got := counter("journal_segment_rotations_total"); got == 0 {
 		t.Error("rotations = 0, want > 0")
@@ -59,8 +66,14 @@ func TestMetrics(t *testing.T) {
 	if snap := hist("journal_append_seconds"); snap.Count != 10 {
 		t.Errorf("append_seconds count = %d, want 10", snap.Count)
 	}
-	if snap := hist("journal_fsync_seconds"); snap.Count == 0 {
-		t.Error("fsync_seconds count = 0, want > 0")
+	if snap := hist("journal_fsync_seconds"); snap.Count != fsyncs {
+		t.Errorf("fsync_seconds count = %d, want %d", snap.Count, fsyncs)
+	}
+	if snap := hist("journal_commit_wait_seconds"); snap.Count != 10 {
+		t.Errorf("commit_wait_seconds count = %d, want 10", snap.Count)
+	}
+	if snap := hist("journal_batch_records"); snap.Count != fsyncs || snap.SumNanos != 10*uint64(time.Second) {
+		t.Errorf("batch_records = %d batches, %d records; want %d and 10", snap.Count, snap.SumNanos/uint64(time.Second), fsyncs)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)

@@ -48,14 +48,26 @@ func recordSize(payload []byte) int64 {
 	return int64(recordHeaderSize + len(payload))
 }
 
+// recordHeader returns payload's frame header: its length and checksum.
+func recordHeader(payload []byte) (hdr [recordHeaderSize]byte) {
+	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(hdr[4:8], recordCRC(hdr[0:4], payload))
+	return hdr
+}
+
+// appendRecord frames payload onto dst and returns the extended slice. The
+// caller has checked the payload against MaxRecordBytes.
+func appendRecord(dst, payload []byte) []byte {
+	hdr := recordHeader(payload)
+	return append(append(dst, hdr[:]...), payload...)
+}
+
 // writeRecordTo frames payload onto w and returns the bytes written.
 func writeRecordTo(w *bufio.Writer, payload []byte) (int64, error) {
 	if len(payload) > MaxRecordBytes {
 		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecordBytes)
 	}
-	var hdr [recordHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], recordCRC(hdr[0:4], payload))
+	hdr := recordHeader(payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}

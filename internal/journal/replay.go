@@ -19,22 +19,13 @@ import (
 // journal works too). A corrupt record anywhere else, or a gap in the
 // segment chain, is an error: the log cannot be trusted past it.
 //
-// Replay flushes buffered appends first, so records appended through this
-// journal handle are visible; it must not race concurrent appends.
+// Replay syncs first, so records appended through this journal handle —
+// including ones whose durability wait has not been called — are on disk
+// and visible; it must not race concurrent appends.
 func (j *Journal) Replay(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	j.mu.Lock()
-	if j.closed {
-		j.mu.Unlock()
-		return fmt.Errorf("journal: replay on closed journal")
+	if err := j.Sync(); err != nil {
+		return err
 	}
-	if j.w != nil {
-		if err := j.w.Flush(); err != nil {
-			err = j.markFailedLocked(fmt.Errorf("journal: flushing before replay: %w", err))
-			j.mu.Unlock()
-			return err
-		}
-	}
-	j.mu.Unlock()
 
 	segs, err := listSegments(j.fs, j.dir)
 	if err != nil {

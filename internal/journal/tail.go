@@ -8,7 +8,7 @@ import "fmt"
 // `from` calls TailSince(from, apply) to receive exactly the suffix it is
 // missing, byte-identical to what the owner journaled.
 //
-// The journal is synced first so the on-disk segments contain everything
+// Replay syncs the journal first, so the on-disk segments contain everything
 // appended so far; fn therefore never sees a torn or buffered-only record.
 // Records appended concurrently with the scan may or may not be included —
 // callers that need a precise cut take their own lock around appends, read
@@ -19,9 +19,6 @@ import "fmt"
 // segments holding it, and the only remaining path is a full state
 // transfer (snapshot install).
 func (j *Journal) TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	if err := j.Sync(); err != nil {
-		return err
-	}
 	// Compaction may have deleted the segments below the newest snapshot;
 	// a caller asking for records at or below that boundary cannot be
 	// served from the log.

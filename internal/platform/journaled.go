@@ -199,10 +199,12 @@ func (jp *Journaled) Compact() (uint64, error) {
 //
 // It then waits, outside the lock, until the record is durable; concurrent
 // operations' waits coalesce into shared group-commit fsyncs. A sampled
-// request gets a journal.append span recording the LSN and the
-// group-commit wait; an unsampled one pays nothing. The returned error is
-// either a commit failure (nothing acknowledged) or the platform's own
-// refusal of the op, which is journaled like any other call.
+// request gets a journal.append span recording the LSN and three events —
+// op_lock_acquired, group_commit_wait, durable — that split its time into
+// op-lock wait, prepare+apply under the lock, and the durability wait; an
+// unsampled one pays nothing. The returned error is either a commit failure
+// (nothing acknowledged) or the platform's own refusal of the op, which is
+// journaled like any other call.
 func (jp *Journaled) commit(ctx context.Context, rec *opRecord) (opResult, error) {
 	_, sp := trace.StartChild(ctx, "journal.append")
 	if sp != nil {
@@ -225,6 +227,7 @@ func (jp *Journaled) commit(ctx context.Context, rec *opRecord) (opResult, error
 	}
 
 	jp.mu.Lock()
+	sp.Event("op_lock_acquired")
 	// A follower that cannot take a shipped record is out of sync until
 	// the replica driver resyncs it; refusing a live call changes nothing.
 	refuse := func(err error) (opResult, error) {
