@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-files bench-check fuzz cover chaos experiments loc clean
+.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-check fuzz cover chaos experiments loc clean
 
 all: build vet test
 
@@ -35,7 +35,7 @@ race:
 # watch/unwatch, and the journal's appends and waiters against its flush
 # leader (during an fsync, inside the spacing window, across a crash). The
 # serve path's differential test against the per-slot scan runs under the
-# detector too. The three zero-alloc pins fail if their test disappears.
+# detector too. The four zero-alloc pins fail if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -48,6 +48,7 @@ race-full:
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
+	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:
@@ -75,8 +76,10 @@ e2e:
 bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
-# Every benchmark once, so none rots; the five named ones are perf
-# tripwires and fail the target if they disappear.
+# Every benchmark once, so none rots (./... picks up a new package's by
+# construction); the seven named ones are perf tripwires and fail the
+# target if they disappear. These and the zero-alloc pins in race-full are
+# tripwires only: a number that is judged or quoted comes from benchmark/.
 bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) test -run=NONE -bench=BenchmarkRPC -benchtime=1x ./internal/rpc/ | grep BenchmarkRPC
@@ -84,15 +87,25 @@ bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
 	$(GO) test -run=NONE -bench=BenchmarkBrowseTreadsDeployment -benchtime=1x ./internal/delivery/ | grep BenchmarkBrowseTreadsDeployment
 	$(GO) test -run=NONE -bench=BenchmarkAppendLone -benchtime=1x ./internal/journal/ | grep BenchmarkAppendLone
+	$(GO) test -run=NONE -bench=BenchmarkReshardCutover -benchtime=1x ./internal/cluster/ | grep BenchmarkReshardCutover
+	$(GO) test -run=NONE -bench=BenchmarkFailoverDetectToPromote -benchtime=1x ./internal/cluster/ | grep BenchmarkFailoverDetectToPromote
 
-# Regenerate the committed BENCH_<area>.json perf trajectory at full
-# acceptance scale (index area at 1M users; takes a few minutes).
-bench-files:
-	$(GO) run ./cmd/treads-bench
-
-# Validate the committed BENCH files without re-running the benchmarks.
+# A live traced run of the paper's deployment (614 Treads) on the real
+# multi-process topology, about 45 s cold: it crosses every seam
+# benchmark/shims.go interposes on and runs the harness's output checks —
+# every impression against regenerated ground truth, acked == feed ==
+# report, core.false_reveals = 0, span self-times summing to the client
+# span — so a change that bills twice or shows a wrong ad fails here. The
+# harness writes to a file, not a pipe, so its exit status is the recipe's;
+# the last stdout line is the JSON result. A seam the shims no longer see
+# does not fail the harness, it reads as a layer with no spans, so a
+# self-time of exactly 0 is refused too.
 bench-check:
-	$(GO) run ./cmd/treads-bench -check
+	mkdir -p .bench_build
+	bash benchmark/run.sh --workload treads_cluster --seed 1 --seconds 2 --trace 1 > .bench_build/bench-check.out
+	tail -n 1 .bench_build/bench-check.out | grep -q '"correct":true'
+	tail -n 1 .bench_build/bench-check.out | grep -q '"failed":0[,}]'
+	! tail -n 1 .bench_build/bench-check.out | grep -q 'self_us":{"value":0,'
 
 # Short fuzzing pass over every fuzz target.
 fuzz:

@@ -340,10 +340,11 @@ func run() error {
 		configureTracing(opts, "single")
 	}
 
-	backend, jp, compactor, clusterAdmin, err := openBackend(opts, logger)
+	n, err := openBackend(opts, logger)
 	if err != nil {
 		return err
 	}
+	backend := n.backend
 	logger.Printf("platform ready: %d users, %d attributes (shards=%d review=%v auth=%v journal=%v)",
 		len(backend.Users()), backend.Catalog().Len(), opts.Shards, opts.Review, opts.Auth, opts.JournalDir != "")
 
@@ -361,17 +362,17 @@ func run() error {
 	} else {
 		handler = httpapi.NewServer(backend, logger)
 	}
-	if compactor != nil {
-		handler.SetCompactor(compactor)
+	if n.compactor != nil {
+		handler.SetCompactor(n.compactor)
 	}
-	if clusterAdmin != nil {
-		handler.SetClusterAdmin(clusterAdmin)
+	if n.admin != nil {
+		handler.SetClusterAdmin(n.admin)
 		// With -failover-detect the router probes every slot owner and,
 		// on a sustained failure, promotes the best follower on its own —
 		// the self-healing loop; without it failover stays an explicit
 		// admin call.
 		if opts.FailoverDetect > 0 {
-			sup := startFailoverSupervisor(clusterAdmin, opts, logger)
+			sup := startFailoverSupervisor(n.admin, opts, logger)
 			defer sup.Close()
 		}
 	}
@@ -391,38 +392,15 @@ func run() error {
 	serveHandler := http.Handler(handler)
 	if edge != nil {
 		serveHandler = edge
+		// Flush and snapshot the usage ledger on the way out so billing
+		// survives restart exactly.
+		defer func() {
+			if err := edge.Close(); err != nil {
+				logger.Printf("closing gateway: %v", err)
+			}
+		}()
 	}
-
-	if err := serveAndDrain(opts, logger, serveHandler, compactor); err != nil {
-		return err
-	}
-	if edge != nil {
-		// Flush and snapshot the usage ledger so billing survives restart
-		// exactly.
-		if err := edge.Close(); err != nil {
-			logger.Printf("closing gateway: %v", err)
-		}
-	}
-	if opts.Save != "" {
-		// validate() restricts -save to single-shard servers, so exactly
-		// one platform's state exists to snapshot.
-		var state platform.State
-		if jp != nil {
-			state = jp.State()
-		} else {
-			state = backend.(*platform.Platform).Snapshot(opts.Seed + 1)
-		}
-		if err := saveAtomic(opts.Save, state); err != nil {
-			return fmt.Errorf("saving state: %w", err)
-		}
-		logger.Printf("saved state to %s", opts.Save)
-	}
-	if c, ok := backend.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return fmt.Errorf("closing backend: %w", err)
-		}
-	}
-	return nil
+	return n.serve(opts, logger, serveHandler)
 }
 
 // buildGateway constructs the edge gateway when -gateway is set, nil
@@ -490,11 +468,11 @@ func usageDirDesc(dir string) string {
 	return dir
 }
 
-// serveAndDrain runs the handler on opts.Addr (plus the optional private
-// debug listener and the background compaction ticker) until
-// SIGINT/SIGTERM, drains in-flight requests, and runs a final compaction.
-// Mode-specific persistence (-save) stays with the caller.
-func serveAndDrain(opts options, logger *log.Logger, handler http.Handler, compactor httpapi.Compactor) error {
+// serve runs the handler on opts.Addr (plus the optional private debug
+// listener and the background compaction ticker) until SIGINT/SIGTERM, then
+// shuts the node down in the one order every mode shares: drain in-flight
+// requests, final compaction, the -save snapshot, close the backend.
+func (n node) serve(opts options, logger *log.Logger, handler http.Handler) error {
 	srv := &http.Server{
 		Addr:    opts.Addr,
 		Handler: handler,
@@ -515,14 +493,14 @@ func serveAndDrain(opts options, logger *log.Logger, handler http.Handler, compa
 
 	// Background journal compaction keeps recovery time bounded.
 	stopCompact := make(chan struct{})
-	if compactor != nil && opts.CompactEvery > 0 {
+	if n.compactor != nil && opts.CompactEvery > 0 {
 		go func() {
 			t := time.NewTicker(opts.CompactEvery)
 			defer t.Stop()
 			for {
 				select {
 				case <-t.C:
-					if lsn, err := compactor.Compact(); err != nil {
+					if lsn, err := n.compactor.Compact(); err != nil {
 						logger.Printf("background compaction: %v", err)
 					} else {
 						logger.Printf("compacted journal through LSN %d", lsn)
@@ -560,11 +538,30 @@ func serveAndDrain(opts options, logger *log.Logger, handler http.Handler, compa
 	}
 	close(stopCompact)
 
-	if compactor != nil {
-		if lsn, err := compactor.Compact(); err != nil {
+	if n.compactor != nil {
+		if lsn, err := n.compactor.Compact(); err != nil {
 			logger.Printf("final compaction: %v", err)
 		} else {
 			logger.Printf("final snapshot through LSN %d", lsn)
+		}
+	}
+	if opts.Save != "" {
+		// validate() restricts -save to single-shard servers, so exactly
+		// one platform's state exists to snapshot.
+		var state platform.State
+		if n.journaled != nil {
+			state = n.journaled.State()
+		} else {
+			state = n.backend.(*platform.Platform).Snapshot(opts.Seed + 1)
+		}
+		if err := saveAtomic(opts.Save, state); err != nil {
+			return fmt.Errorf("saving state: %w", err)
+		}
+		logger.Printf("saved state to %s", opts.Save)
+	}
+	if c, ok := n.backend.(io.Closer); ok {
+		if err := c.Close(); err != nil {
+			return fmt.Errorf("closing backend: %w", err)
 		}
 	}
 	return nil
@@ -587,10 +584,6 @@ func runShardServer(opts options, logger *log.Logger) error {
 	backend, jp, err := openMember(boot, opts.ShardIndex, opts.JournalDir, logger)
 	if err != nil {
 		return err
-	}
-	var compactor httpapi.Compactor
-	if jp != nil {
-		compactor = jp
 	}
 	logger.Printf("shard node ready: shard %d of %d, %d users (journal=%v auth=%v)",
 		opts.ShardIndex, opts.ShardCount, len(backend.Users()), opts.JournalDir != "", opts.RPCSecret != "")
@@ -621,15 +614,7 @@ func runShardServer(opts options, logger *log.Logger) error {
 	mux.Handle(rpc.PathPrefix, rpcSrv)
 	mux.Handle("GET /metrics", obs.Default.Handler())
 
-	if err := serveAndDrain(opts, logger, mux, compactor); err != nil {
-		return err
-	}
-	if c, ok := backend.(io.Closer); ok {
-		if err := c.Close(); err != nil {
-			return fmt.Errorf("closing shard: %w", err)
-		}
-	}
-	return nil
+	return memberNode(backend, jp).serve(opts, logger, mux)
 }
 
 // openRouterBackend is the -peers mode: one RPC client per shard node,
@@ -749,23 +734,43 @@ type serverBackend interface {
 	Catalog() *attr.Catalog
 }
 
+// node is a booted backend with the handles the daemon needs beside it;
+// a nil field is something the mode does not have.
+type node struct {
+	backend serverBackend
+	// journaled is the backend itself when it is one journaled member (a
+	// single-shard server or a shard node), where -save takes its state.
+	journaled *platform.Journaled
+	compactor httpapi.Compactor // whenever a journal is in play
+	admin     *membershipAdmin  // the router, the one mode with dynamic membership
+}
+
+// memberNode is the node of one member; jp is nil for an un-journaled one
+// (and must not become a non-nil Compactor).
+func memberNode(m member, jp *platform.Journaled) node {
+	if jp == nil {
+		return node{backend: m}
+	}
+	return node{backend: m, journaled: jp, compactor: jp}
+}
+
 // openBackend assembles the configured backend: a single platform (plain
 // or journaled), an N-shard cluster (in-memory or one journal per shard),
-// or a router over remote shard nodes. jp is non-nil only for the
-// single-shard journaled case, where -save needs the journaled state;
-// compactor is non-nil whenever a journal is in play; admin is non-nil
-// only for the router, which is the one mode with dynamic membership.
-func openBackend(opts options, logger *log.Logger) (serverBackend, *platform.Journaled, httpapi.Compactor, *membershipAdmin, error) {
+// or a router over remote shard nodes.
+func openBackend(opts options, logger *log.Logger) (node, error) {
 	if opts.Peers != "" {
 		c, admin, err := openRouterBackend(opts, logger)
-		return c, nil, nil, admin, err
+		if err != nil {
+			return node{}, err
+		}
+		return node{backend: c, admin: admin}, nil
 	}
 	if opts.Shards == 1 {
 		m, jp, err := openMember(opts, 0, opts.JournalDir, logger)
-		if err != nil || jp == nil { // a nil jp must not become a non-nil Compactor
-			return m, nil, nil, nil, err
+		if err != nil {
+			return node{}, err
 		}
-		return m, jp, jp, nil, nil
+		return memberNode(m, jp), nil
 	}
 
 	shards := make([]cluster.Shard, opts.Shards)
@@ -776,25 +781,26 @@ func openBackend(opts options, logger *log.Logger) (serverBackend, *platform.Jou
 		}
 		m, _, err := openMember(opts, i, dir, logger)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return node{}, err
 		}
 		shards[i] = m
 	}
 	c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return node{}, err
 	}
+	n := node{backend: c}
 	if opts.JournalDir != "" {
-		return c, nil, c, nil, nil
+		n.compactor = c
 	}
-	return c, nil, nil, nil, nil
+	return n, nil
 }
 
 // member is one booted shard as every topology uses it: the public API's
 // backend when it is the only one, a cluster slot under -shards N, and the
-// RPC surface (a subset of cluster.Shard) under -shard-serve.
+// RPC surface under -shard-serve.
 type member interface {
-	serverBackend
+	httpapi.Backend
 	cluster.Shard
 }
 
@@ -881,13 +887,15 @@ func bootShard(opts options, i int, logger *log.Logger) func() (*platform.Platfo
 		cfg.Skew = opts.Skew
 		cfg.Catalog = p.Catalog()
 		ring := cluster.NewRing(opts.Shards, 0)
-		for _, u := range workload.Generate(cfg) {
-			if opts.Shards > 1 && ring.Owner(string(u.ID)) != i {
-				continue
+		var err error
+		workload.Each(cfg, func(u *profile.Profile) {
+			if err != nil || (opts.Shards > 1 && ring.Owner(string(u.ID)) != i) {
+				return
 			}
-			if err := p.AddUser(u); err != nil {
-				return nil, fmt.Errorf("loading population: %w", err)
-			}
+			err = p.AddUser(u)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("loading population: %w", err)
 		}
 		return p, nil
 	}

@@ -115,17 +115,19 @@ func TestOpenBackendSharded(t *testing.T) {
 	single := parseForTest(t, "-users", "120")
 	sharded := parseForTest(t, "-users", "120", "-shards", "3")
 
-	sb, jp, compactor, _, err := openBackend(single, logger)
+	sn, err := openBackend(single, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if jp != nil || compactor != nil {
+	sb := sn.backend
+	if sn.journaled != nil || sn.compactor != nil {
 		t.Fatal("plain single-shard backend reported a journal")
 	}
-	cb, _, _, _, err := openBackend(sharded, logger)
+	cn, err := openBackend(sharded, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cb := cn.backend
 	want := sb.Users()
 	got := cb.Users()
 	if len(got) != len(want) {
@@ -150,11 +152,12 @@ func TestOpenBackendJournaledShards(t *testing.T) {
 	dir := t.TempDir()
 	opts := parseForTest(t, "-users", "60", "-shards", "2", "-journal", dir, "-batch-window", "0s")
 
-	b1, _, comp1, _, err := openBackend(opts, logger)
+	n1, err := openBackend(opts, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if comp1 == nil {
+	b1 := n1.backend
+	if n1.compactor == nil {
 		t.Fatal("journaled cluster backend has no compactor")
 	}
 	if err := b1.RegisterAdvertiser("adv"); err != nil {
@@ -167,10 +170,11 @@ func TestOpenBackendJournaledShards(t *testing.T) {
 		}
 	}
 
-	b2, _, _, _, err := openBackend(opts, logger)
+	n2, err := openBackend(opts, logger)
 	if err != nil {
 		t.Fatalf("reopening journaled shards: %v", err)
 	}
+	b2 := n2.backend
 	if got := len(b2.Users()); got != n {
 		t.Fatalf("recovered %d users, want %d", got, n)
 	}

@@ -32,10 +32,11 @@ func bootObservedStack(t *testing.T) (*httptest.Server, serverBackend) {
 	}
 	opts := parseForTest(t, "-users", "200", "-shards", "4", "-journal", t.TempDir(), "-batch-window", "0s",
 		"-gateway", "-keys", keys)
-	backend, _, compactor, _, err := openBackend(opts, logger)
+	n, err := openBackend(opts, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
+	backend, compactor := n.backend, n.compactor
 	t.Cleanup(func() {
 		if c, ok := backend.(io.Closer); ok {
 			c.Close()
@@ -93,7 +94,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	// ...and driver-side load straight against the backend, which is what
 	// populates the journal append/fsync and workload families.
-	st := workload.Drive(backend, workload.DriverConfig{
+	st := workload.Drive(backend.(workload.Target), workload.DriverConfig{
 		Goroutines:      4,
 		OpsPerGoroutine: 100,
 		Users:           users,

@@ -156,10 +156,6 @@ func (s *inprocShard) Users() []profile.UserID                     { return s.n.
 func (s *inprocShard) Feed(uid profile.UserID) []ad.Impression     { return s.n.jp.Feed(uid) }
 func (s *inprocShard) LikePage(uid profile.UserID, p string) error { return s.n.jp.LikePage(uid, p) }
 
-func (s *inprocShard) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
-	return s.n.jp.BrowseFeed(uid, slots)
-}
-
 func (s *inprocShard) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	return s.n.jp.BrowseFeedCtx(ctx, uid, slots)
 }

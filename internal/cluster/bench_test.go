@@ -3,16 +3,20 @@ package cluster_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/cluster"
+	"github.com/treads-project/treads/internal/health"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/stats"
 	"github.com/treads-project/treads/internal/workload"
 )
 
@@ -110,4 +114,109 @@ func BenchmarkClusterMixedWorkload(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkReshardCutover measures live resharding on a journaled cluster
+// with real impression and billing state to move: each iteration grows a
+// 3-shard cluster by one shard and shrinks it back. cutover-us/reshard is
+// the mean write-fence window (ReshardReport.Cutover) — the only period
+// user writes block, the availability number the elastic-cluster design
+// budgets; ns/op is the whole grow+shrink including the streaming that
+// runs while writes keep flowing. Journals run NoSync: the protocol under
+// test is snapshot + tail + fence, not fsync.
+func BenchmarkReshardCutover(b *testing.B) {
+	const users = 3000
+	c, _, root := newElasticCluster(b, 3, 5)
+	populateElastic(b, c, users)
+	var cutover time.Duration
+	var moved int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		joiner := openElasticShard(b, filepath.Join(root, fmt.Sprintf("joiner-%d", i)), stats.SubSeed(5, uint64(3+i)))
+		b.StartTimer()
+		grow, err := c.AddShard(joiner)
+		if err != nil {
+			b.Fatalf("AddShard: %v", err)
+		}
+		shrink, err := c.RemoveShard()
+		if err != nil {
+			b.Fatalf("RemoveShard: %v", err)
+		}
+		b.StopTimer()
+		cutover += grow.Cutover + shrink.Cutover
+		moved += grow.UsersMoved + shrink.UsersMoved
+		if err := joiner.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if got := len(c.Users()); got != users {
+		b.Fatalf("population drifted across reshards: %d users, want %d", got, users)
+	}
+	b.ReportMetric(float64(cutover.Microseconds())/float64(2*b.N), "cutover-us/reshard")
+	b.ReportMetric(float64(moved)/float64(2*b.N), "users-moved/reshard")
+}
+
+// supervisedSlot hands slot 0 of a cluster to the health supervisor through
+// the same two coordinator calls the daemon's slot controller makes.
+// Healing the deposed owner back in is outside the measured window.
+type supervisedSlot struct{ c *cluster.Cluster }
+
+func (s supervisedSlot) ProbeOwner(ctx context.Context) error { return s.c.ProbeSlotOwner(ctx, 0) }
+func (s supervisedSlot) Failover(context.Context) error {
+	_, err := s.c.FailoverSlot(0, false)
+	return err
+}
+func (supervisedSlot) NeedsHeal() bool            { return false }
+func (supervisedSlot) Heal(context.Context) error { return nil }
+
+// BenchmarkFailoverDetectToPromote measures the self-healing loop end to
+// end: each iteration boots a replicated slot (journaled owner shipping to
+// a synced follower), kills the owner, and lets a health supervisor probing
+// every 2 ms detect the kill and promote the follower with no admin call.
+// ns/op is kill → promoted, the write unavailability of one owner failure
+// (detection window = probe interval × miss threshold, plus the promotion);
+// promote-us/op is the supervisor-reported down-verdict → promoted part.
+func BenchmarkFailoverDetectToPromote(b *testing.B) {
+	var promote time.Duration
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rs, owner, follower := newChainedSet(b, 5)
+		c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		// Ship a prefix so the follower is a synced, promotable chain
+		// member — the supervisor refuses to promote an unsynced one.
+		populateElastic(b, c, 32)
+		if !followStatus(follower).Synced {
+			b.Fatal("follower never synced")
+		}
+		promoted := make(chan time.Duration, 1)
+		sup := health.NewSupervisor(health.Config{
+			Interval:   2 * time.Millisecond,
+			OnFailover: func(_ int, d time.Duration) { promoted <- d },
+		})
+		sup.Watch(0, supervisedSlot{c})
+		b.StartTimer()
+		owner.down.Store(true)
+		select {
+		case d := <-promoted:
+			promote += d
+		case <-time.After(10 * time.Second):
+			b.Fatal("supervisor never promoted")
+		}
+		b.StopTimer()
+		sup.Close()
+		if rs.Owner() != cluster.Shard(follower) {
+			b.Fatal("promotion picked the wrong member")
+		}
+		if err := c.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(promote.Microseconds())/float64(b.N), "promote-us/op")
 }

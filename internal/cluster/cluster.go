@@ -26,42 +26,13 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// Shard is the per-partition platform surface the coordinator drives. Both
-// *platform.Platform and *platform.Journaled satisfy it, so a cluster can
-// be fully in-memory or durable per shard.
+// Shard is the per-partition platform surface the coordinator drives: the
+// operation set a shard serves over RPC, plus the catalog reads a router
+// answers from its own copy (the attribute catalog is compiled into every
+// binary). Both *platform.Platform and *platform.Journaled satisfy it, so
+// a cluster can be fully in-memory or durable per shard.
 type Shard interface {
-	// User-scoped (routed to the owning shard).
-	AddUser(*profile.Profile) error
-	User(profile.UserID) *profile.Profile
-	Users() []profile.UserID
-	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
-	// BrowseFeedCtx is the browse the coordinator calls: a journaled shard
-	// journals under the caller's trace, and a RemoteShard propagates the
-	// traceparent (and the caller's deadline) over the wire.
-	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
-	Feed(profile.UserID) []ad.Impression
-	VisitPage(profile.UserID, pixel.PixelID) error
-	LikePage(profile.UserID, string) error
-	AdPreferences(profile.UserID) ([]attr.ID, error)
-	AdvertisersTargetingMe(profile.UserID) ([]string, error)
-	ExplainImpression(profile.UserID, ad.Impression) (explain.Explanation, error)
-
-	// Advertiser-scoped mutations (replicated to every shard in order).
-	RegisterAdvertiser(string) error
-	CreateCampaign(string, platform.CampaignParams) (string, error)
-	PauseCampaign(string, string) error
-	CreatePIIAudience(string, string, []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(string, string, pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(string, string, string) (audience.AudienceID, error)
-	CreateAffinityAudience(string, string, []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error)
-	IssuePixel(string) (pixel.PixelID, error)
-
-	// Aggregate reads (scatter-gathered and merged at the cluster edge).
-	// These carry the caller's context so a coordinator's deadline bounds
-	// the remote calls behind a networked shard.
-	RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error)
-	CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error)
+	rpc.Backend
 
 	// Shared, replicated state.
 	Catalog() *attr.Catalog

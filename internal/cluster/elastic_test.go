@@ -25,7 +25,7 @@ import (
 // openElasticShard boots a fresh journaled shard in dir with the given
 // seed and no users — populations in these tests are built through the
 // cluster, the way an elastic deployment grows.
-func openElasticShard(t *testing.T, dir string, seed uint64) *platform.Journaled {
+func openElasticShard(t testing.TB, dir string, seed uint64) *platform.Journaled {
 	t.Helper()
 	jp, err := platform.OpenJournaled(dir, journal.Options{NoSync: true}, func() (*platform.Platform, error) {
 		return platform.New(platform.Config{Seed: seed}), nil
@@ -38,7 +38,7 @@ func openElasticShard(t *testing.T, dir string, seed uint64) *platform.Journaled
 
 // newElasticCluster builds an n-shard journaled cluster rooted in a temp
 // dir and returns the shard handles for direct state inspection.
-func newElasticCluster(t *testing.T, n int, seed uint64) (*cluster.Cluster, []*platform.Journaled, string) {
+func newElasticCluster(t testing.TB, n int, seed uint64) (*cluster.Cluster, []*platform.Journaled, string) {
 	t.Helper()
 	root := t.TempDir()
 	jps := make([]*platform.Journaled, n)
@@ -58,7 +58,7 @@ func newElasticCluster(t *testing.T, n int, seed uint64) (*cluster.Cluster, []*p
 // populateElastic loads nUsers users and one advertiser with a pixel-backed
 // campaign, then browses every feed once so there is real impression and
 // billing state to move. Returns the user IDs and the campaign ID.
-func populateElastic(t *testing.T, c *cluster.Cluster, nUsers int) ([]profile.UserID, string) {
+func populateElastic(t testing.TB, c *cluster.Cluster, nUsers int) ([]profile.UserID, string) {
 	t.Helper()
 	users := make([]profile.UserID, nUsers)
 	for i := range users {

@@ -81,10 +81,6 @@ func (r *RemoteShard) Users() []profile.UserID {
 	return ids
 }
 
-func (r *RemoteShard) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
-	return r.c.BrowseFeed(context.Background(), uid, slots)
-}
-
 // BrowseFeedCtx forwards the caller's context so a trace started at the
 // router propagates to the shard (the rpc client injects traceparent) and
 // a coordinator deadline bounds the remote call.

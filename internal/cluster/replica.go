@@ -598,14 +598,6 @@ func (rs *ReplicaSet) Users() []profile.UserID {
 	return rs.reader().Users()
 }
 
-func (rs *ReplicaSet) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return nil, err
-	}
-	return o.BrowseFeed(uid, slots)
-}
-
 func (rs *ReplicaSet) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	o, err := rs.writer()
 	if err != nil {

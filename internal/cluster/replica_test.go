@@ -26,7 +26,7 @@ func (f *frailShard) Healthy() bool { return !f.down.Load() }
 // newChainedSet boots an owner and one follower from the same seed, wires
 // journal shipping, and puts the follower in follow mode from LSN 0 — the
 // deployment shape where a replica is attached before any traffic.
-func newChainedSet(t *testing.T, seed uint64) (*cluster.ReplicaSet, *frailShard, *platform.Journaled) {
+func newChainedSet(t testing.TB, seed uint64) (*cluster.ReplicaSet, *frailShard, *platform.Journaled) {
 	t.Helper()
 	root := t.TempDir()
 	owner := &frailShard{Journaled: openElasticShard(t, filepath.Join(root, "owner"), seed)}

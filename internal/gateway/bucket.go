@@ -16,7 +16,7 @@ const microToken = 1_000_000
 // cost one short critical section per decision. The state is two int64s
 // behind a mutex — taking the lock allocates nothing, and the arithmetic
 // is integer-only, so the admit path stays zero-allocation (pinned by
-// TestDecideZeroAlloc and the treads-bench gateway area).
+// TestDecideZeroAlloc).
 type tokenBucket struct {
 	mu        sync.Mutex
 	micro     int64 // current balance, micro-tokens

@@ -10,8 +10,8 @@
 // limiting (bucket.go), admission (shed.go), metering + ledger
 // (meter.go), and a live traffic-event hub (hub.go), composed by the
 // Gateway handler here. The per-request decision path — resolve, bucket,
-// quota, admit — is allocation-free; TestDecideZeroAlloc and the
-// treads-bench gateway area pin that.
+// quota, admit — is allocation-free; TestDecideZeroAlloc pins that and
+// Benchmark{ResolveKey,DecideAdmit,DecideLimited} time it.
 package gateway
 
 import (

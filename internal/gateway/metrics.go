@@ -5,7 +5,7 @@ import "github.com/treads-project/treads/internal/obs"
 // Gateway metrics. Per-class children are resolved once, at construction,
 // into arrays indexed by Class, so the per-decision cost is atomic bumps
 // only — the decision path must stay allocation-free (pinned by
-// TestDecideZeroAlloc and the treads-bench gateway area). Label
+// TestDecideZeroAlloc). Label
 // cardinality is bounded by construction: three classes, and one
 // gateway_tokens child per (tenant, class) where the tenant set is fixed
 // by the key file.

@@ -44,8 +44,9 @@ type Backend interface {
 	PotentialReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error)
 	SearchAttributes(query string) []*attr.Attribute
 
-	// User surface.
-	BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error)
+	// User surface. The browse carries the request context, so the route
+	// span propagates into journal, routing and remote-shard spans.
+	BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error)
 	Feed(uid profile.UserID) []ad.Impression
 	User(uid profile.UserID) *profile.Profile
 	AdPreferences(uid profile.UserID) ([]attr.ID, error)
@@ -401,26 +402,12 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		}
 		slots = n
 	}
-	imps, err := s.browse(r.Context(), uid, slots)
+	imps, err := s.p.BrowseFeedCtx(r.Context(), uid, slots)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, impressionsWire(imps))
-}
-
-// browseCtxBackend is the optional context-carrying browse a backend may
-// support (Journaled, Cluster): the route span propagates into journal,
-// routing, and remote-shard spans. Plain backends take the ctx-less call.
-type browseCtxBackend interface {
-	BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error)
-}
-
-func (s *Server) browse(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	if cb, ok := s.p.(browseCtxBackend); ok {
-		return cb.BrowseFeedCtx(ctx, uid, slots)
-	}
-	return s.p.BrowseFeed(uid, slots)
 }
 
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {

@@ -124,17 +124,20 @@ func BenchmarkScanPotentialReach(b *testing.B) {
 }
 
 // BenchmarkIndexBuild measures the bulk build: streaming every profile of
-// the shared store into a fresh index.
+// the shared store into a fresh index. bytes/user is the built index's
+// footprint, the figure docs/DESIGN.md sizes a shard's memory from.
 func BenchmarkIndexBuild(b *testing.B) {
 	benchSetup(b)
 	b.ReportAllocs()
+	var idx *index.Index
 	for i := 0; i < b.N; i++ {
-		idx := index.New(index.Options{SizeHint: benchState.users})
+		idx = index.New(index.Options{SizeHint: benchState.users})
 		if err := idx.BuildFrom(benchState.store); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(benchState.users), "users")
+	b.ReportMetric(float64(idx.MemoryBytes())/float64(benchState.users), "bytes/user")
 }
 
 // BenchmarkIndexSpecMatches measures delivery-time eligibility: a

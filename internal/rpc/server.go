@@ -22,19 +22,19 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// Backend is the shard surface the RPC server exposes. It is structurally
-// the cluster.Shard operation set minus the catalog reads (the attribute
-// catalog is compiled into every binary, so routers answer those locally
-// instead of shipping the catalog over the wire). *platform.Platform and
-// *platform.Journaled satisfy it.
+// Backend is the shard operation set, declared once: the RPC server
+// exposes it, and cluster.Shard is this plus the catalog reads (the
+// attribute catalog is compiled into every binary, so routers answer those
+// locally instead of shipping the catalog over the wire). *platform.Platform
+// and *platform.Journaled satisfy it.
 type Backend interface {
+	// User-scoped (routed to the owning shard).
 	AddUser(*profile.Profile) error
 	User(profile.UserID) *profile.Profile
 	Users() []profile.UserID
-	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
-	// BrowseFeedCtx is the browse the server calls: it carries the
-	// request context, so a journaled backend records its spans in the
-	// caller's trace.
+	// BrowseFeedCtx carries the caller's context: a journaled shard
+	// journals under the caller's trace, and a RemoteShard propagates the
+	// traceparent (and the caller's deadline) over the wire.
 	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
 	Feed(profile.UserID) []ad.Impression
 	VisitPage(profile.UserID, pixel.PixelID) error
@@ -43,6 +43,7 @@ type Backend interface {
 	AdvertisersTargetingMe(profile.UserID) ([]string, error)
 	ExplainImpression(profile.UserID, ad.Impression) (explain.Explanation, error)
 
+	// Advertiser-scoped mutations (replicated to every shard in order).
 	RegisterAdvertiser(string) error
 	CreateCampaign(string, platform.CampaignParams) (string, error)
 	PauseCampaign(string, string) error
@@ -53,6 +54,9 @@ type Backend interface {
 	CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error)
 	IssuePixel(string) (pixel.PixelID, error)
 
+	// Aggregate reads (scatter-gathered and merged at the cluster edge).
+	// These carry the caller's context so a coordinator's deadline bounds
+	// the remote calls behind a networked shard.
 	RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error)
 	CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error)
 }

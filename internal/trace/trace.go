@@ -12,8 +12,8 @@
 //     no allocation and takes no locks. A nil *Span is the unsampled
 //     span — every method is a nil-receiver no-op, StartChild of a
 //     context without a span returns the context unchanged, and the
-//     guarantee is pinned by TestSpanZeroAlloc plus a treads-bench
-//     gate, exactly like obs.Observe.
+//     guarantee is pinned by TestSpanZeroAlloc (BenchmarkSpanUnsampled
+//     is its time), exactly like obs.Observe.
 //  2. Sampling is head-based and decided once, at the root. Child and
 //     remote spans inherit the decision; the traceparent sampled flag
 //     carries it across RPC hops. Errors and over-threshold latency on

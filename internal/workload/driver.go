@@ -13,9 +13,9 @@ import (
 )
 
 // Target is the user-facing platform surface the concurrent driver
-// exercises. *platform.Platform, *platform.Journaled, and *cluster.Cluster
-// all satisfy it (it is a subset of httpapi.Backend), so the same traffic
-// generator measures any backend.
+// exercises. *platform.Platform, *platform.Journaled, *cluster.Cluster and
+// *httpapi.DriverTarget all satisfy it, so the same traffic generator
+// measures any backend.
 type Target interface {
 	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
 	VisitPage(profile.UserID, pixel.PixelID) error
