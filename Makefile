@@ -116,6 +116,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeStegoImage -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeCreativeBody -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=15s ./internal/journal/
+	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=15s ./internal/journal/
 
 cover:
 	$(GO) test -cover ./...

@@ -427,16 +427,22 @@ const ReachRounding = 10
 // the advertiser-visible estimate is suppressed.
 const MinReportableReach = 20
 
-// PotentialReach returns the advertiser-visible reach estimate for a spec:
-// exact size, thresholded at MinReportableReach and rounded down to a
-// multiple of ReachRounding.
+// ReportableReach is the one rule that turns an exact audience size into the
+// advertiser-visible estimate: 0 below MinReportableReach, else rounded down
+// to a multiple of ReachRounding. A cluster applies it once, to the sum of
+// its shards' exact counts.
+func ReportableReach(exact int) int {
+	if exact < MinReportableReach {
+		return 0
+	}
+	return exact - exact%ReachRounding
+}
+
+// PotentialReach returns the advertiser-visible reach estimate for a spec.
 func (e *Engine) PotentialReach(spec Spec) (int, error) {
 	n, err := e.CountMatches(spec)
 	if err != nil {
 		return 0, err
 	}
-	if n < MinReportableReach {
-		return 0, nil
-	}
-	return n - n%ReachRounding, nil
+	return ReportableReach(n), nil
 }

@@ -37,10 +37,7 @@ func (e *Engine) EnableIndex() error {
 		e.mu.Unlock()
 		return nil
 	}
-	// RetainPacked keeps the compact profile encoding alongside the
-	// posting lists: it is what lets VerifyExpr prove bitmap counts
-	// against a linear scan without touching the live store.
-	idx := index.New(index.Options{RetainPacked: true, SizeHint: e.store.Len()})
+	idx := index.New(index.Options{SizeHint: e.store.Len()})
 	e.idx = idx
 	e.mu.Unlock()
 

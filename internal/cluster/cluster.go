@@ -175,21 +175,17 @@ func New(shards []Shard, opts Options) (*Cluster, error) {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	m := noopClusterMetrics(len(shards))
-	if opts.Registry != nil {
-		m = newClusterMetrics(opts.Registry, len(shards))
-	}
 	c := &Cluster{
 		workers: workers,
 		vnodes:  opts.VirtualNodes,
-		m:       m,
+		m:       newClusterMetrics(opts.Registry, len(shards)),
 		shards:  append([]Shard(nil), shards...),
 		ring:    NewRing(len(shards), opts.VirtualNodes),
 		version: 1,
 	}
 	for _, s := range c.shards {
 		if rs, ok := s.(*ReplicaSet); ok {
-			rs.bindMetrics(&m.replica)
+			rs.bindMetrics(&c.m.replica)
 		}
 	}
 	return c, nil

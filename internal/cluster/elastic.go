@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
@@ -53,7 +54,7 @@ var ErrMigrationUnsupported = errors.New("cluster: shard does not support live m
 // ErrReshardIncomplete gates aggregate reads while a source shard still
 // holds users that were cut over to another shard — counting them would
 // double-report reach and spend. ResumeReshard clears it.
-var ErrReshardIncomplete = errors.New("cluster: reshard incomplete: a source shard still holds moved users (run ResumeReshard)")
+var ErrReshardIncomplete error = httpapi.Unavailable("cluster: reshard incomplete: a source shard still holds moved users (run ResumeReshard)")
 
 // installState replaces a joining slot's entire state: on every member of
 // a replica set, on the shard itself otherwise.

@@ -10,6 +10,7 @@ import (
 
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/trace"
 )
@@ -20,8 +21,8 @@ import (
 // skipped a shard would report wrong totals, and a user-scoped write that
 // silently dropped would lose acknowledged state. errors.Is against this
 // sentinel distinguishes "the cluster is degraded" from application
-// refusals.
-var ErrShardUnavailable = errors.New("cluster: shard unavailable")
+// refusals, and as an httpapi.Unavailable it is answered 503, not 404.
+var ErrShardUnavailable error = httpapi.Unavailable("cluster: shard unavailable")
 
 // HealthReporter is implemented by shards that know their own liveness —
 // RemoteShard reports its peer's circuit-breaker state, and a ReplicaSet
@@ -162,10 +163,7 @@ func (c *Cluster) PotentialReach(ctx context.Context, advertiser string, spec au
 	for _, n := range counts {
 		total += n
 	}
-	if total < audience.MinReportableReach {
-		return 0, nil
-	}
-	return total - total%audience.ReachRounding, nil
+	return audience.ReportableReach(total), nil
 }
 
 // Report scatter-gathers each shard's exact campaign totals and derives

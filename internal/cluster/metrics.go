@@ -13,7 +13,7 @@ import (
 // the slice grows on demand (under a mutex that only the growth path
 // takes; steady-state routing reads a stable prefix).
 type clusterMetrics struct {
-	shardVec *obs.CounterVec // nil on the unregistered (noop) path
+	shardVec *obs.CounterVec
 
 	shardMu  sync.Mutex
 	shardOps []*obs.Counter // cluster_shard_user_ops_total{shard}, indexed by shard
@@ -47,14 +47,22 @@ type replicaCounters struct {
 	resyncs       *obs.Counter
 }
 
-func noopReplicaCounters() replicaCounters {
+// newReplicaCounters registers the replica-chain families on reg (nil: a
+// set outside any cluster counts into unexported instruments).
+func newReplicaCounters(reg *obs.Registry) replicaCounters {
 	return replicaCounters{
-		shipRecords:   obs.NewCounter(),
-		shipFailures:  obs.NewCounter(),
-		failoverReads: obs.NewCounter(),
-		replicaReads:  obs.NewCounter(),
-		promotions:    obs.NewCounter(),
-		resyncs:       obs.NewCounter(),
+		shipRecords: reg.Counter("cluster_replica_ship_records_total",
+			"Journal records shipped owner-to-follower across all replica chains."),
+		shipFailures: reg.Counter("cluster_replica_ship_failures_total",
+			"Journal records a follower failed to apply; the originating write is reported indeterminate."),
+		failoverReads: reg.Counter("cluster_replica_failover_reads_total",
+			"User-scoped reads served by a follower because the shard owner was unavailable."),
+		replicaReads: reg.Counter("cluster_replica_reads_total",
+			"User-scoped reads load-balanced onto a synced follower while the owner was healthy."),
+		promotions: reg.Counter("cluster_replica_promotions_total",
+			"Followers promoted to shard owner after an owner failure."),
+		resyncs: reg.Counter("cluster_replica_resyncs_total",
+			"Followers re-synchronized from their owner (journal tail replay or full state reinstall)."),
 	}
 }
 
@@ -77,36 +85,7 @@ func newClusterMetrics(reg *obs.Registry, shards int) *clusterMetrics {
 			"Resharding attempts that failed before cutover, plus post-cutover removals that needed ResumeReshard."),
 		reshardCutover: reg.Histogram("cluster_reshard_cutover_seconds",
 			"Duration of the reshard write fence — the window during which user writes and aggregate reads block."),
-		replica: replicaCounters{
-			shipRecords: reg.Counter("cluster_replica_ship_records_total",
-				"Journal records shipped owner-to-follower across all replica chains."),
-			shipFailures: reg.Counter("cluster_replica_ship_failures_total",
-				"Journal records a follower failed to apply; the originating write is reported indeterminate."),
-			failoverReads: reg.Counter("cluster_replica_failover_reads_total",
-				"User-scoped reads served by a follower because the shard owner was unavailable."),
-			replicaReads: reg.Counter("cluster_replica_reads_total",
-				"User-scoped reads load-balanced onto a synced follower while the owner was healthy."),
-			promotions: reg.Counter("cluster_replica_promotions_total",
-				"Followers promoted to shard owner after an owner failure."),
-			resyncs: reg.Counter("cluster_replica_resyncs_total",
-				"Followers re-synchronized from their owner (journal tail replay or full state reinstall)."),
-		},
-	}
-	m.ensureShards(shards)
-	return m
-}
-
-// noopClusterMetrics returns standalone, unregistered metrics.
-func noopClusterMetrics(shards int) *clusterMetrics {
-	m := &clusterMetrics{
-		replicatedOps:     obs.NewCounter(),
-		divergence:        obs.NewCounter(),
-		gatherSeconds:     obs.NewHistogram(),
-		reshardTotal:      obs.NewCounter(),
-		reshardUsersMoved: obs.NewCounter(),
-		reshardFailures:   obs.NewCounter(),
-		reshardCutover:    obs.NewHistogram(),
-		replica:           noopReplicaCounters(),
+		replica: newReplicaCounters(reg),
 	}
 	m.ensureShards(shards)
 	return m
@@ -117,11 +96,7 @@ func (m *clusterMetrics) ensureShards(n int) {
 	m.shardMu.Lock()
 	defer m.shardMu.Unlock()
 	for i := len(m.shardOps); i < n; i++ {
-		if m.shardVec != nil {
-			m.shardOps = append(m.shardOps, m.shardVec.With(strconv.Itoa(i)))
-		} else {
-			m.shardOps = append(m.shardOps, obs.NewCounter())
-		}
+		m.shardOps = append(m.shardOps, m.shardVec.With(strconv.Itoa(i)))
 	}
 }
 

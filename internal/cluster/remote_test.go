@@ -77,12 +77,10 @@ func (f *flakyShard) SearchAttributes(q string) []*attr.Attribute {
 	return f.Platform.SearchAttributes(q)
 }
 
-// TestUnhealthyShardRouting pins the cluster's failover policy: replicated
-// reads skip a circuit-open shard in favor of a healthy peer, while
-// operations that NEED the dead shard — user ops it owns, exact
-// scatter-gather, ordered replication — surface ErrShardUnavailable
-// instead of silently wrong answers.
-func TestUnhealthyShardRouting(t *testing.T) {
+// newFlakyCluster builds a three-shard cluster over flakyShards with an
+// advertiser "acme" and one user per shard, keyed by owning shard.
+func newFlakyCluster(t *testing.T) (*cluster.Cluster, []*flakyShard, map[int]profile.UserID) {
+	t.Helper()
 	const nShards = 3
 	shards := make([]cluster.Shard, nShards)
 	flakies := make([]*flakyShard, nShards)
@@ -117,6 +115,16 @@ func TestUnhealthyShardRouting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return c, flakies, ownedBy
+}
+
+// TestUnhealthyShardRouting pins the cluster's failover policy: replicated
+// reads skip a circuit-open shard in favor of a healthy peer, while
+// operations that NEED the dead shard — user ops it owns, exact
+// scatter-gather, ordered replication — surface ErrShardUnavailable
+// instead of silently wrong answers.
+func TestUnhealthyShardRouting(t *testing.T) {
+	c, flakies, ownedBy := newFlakyCluster(t)
 
 	// Take shard 0 down.
 	flakies[0].healthy = false

@@ -38,11 +38,10 @@ import (
 //     out-of-order shipments (platform.ErrNotSynced), so a desynced
 //     follower can never silently diverge — it stays read-only stale until
 //     Heal replays the owner's journal tail or reinstalls its state.
-//   - A member demoted by Promote (or swapped in by ReplaceMember) is
-//     detached: excluded from shipping AND from promotion until Heal
-//     resyncs it. Detaching both together is what keeps the promotion
-//     invariant — a member that may have missed acknowledged writes can
-//     never become the owner.
+//   - A member demoted by Promote is detached: excluded from shipping AND
+//     from promotion until Heal resyncs it. Detaching both together is
+//     what keeps the promotion invariant — a member that may have missed
+//     acknowledged writes can never become the owner.
 type ReplicaSet struct {
 	mu      sync.RWMutex
 	members []Shard
@@ -83,7 +82,7 @@ var (
 // Chain to wire journal shipping for in-process members (networked owners
 // ship server-side).
 func NewReplicaSet(owner Shard, followers ...Shard) *ReplicaSet {
-	met := noopReplicaCounters()
+	met := newReplicaCounters(nil)
 	members := append([]Shard{owner}, followers...)
 	return &ReplicaSet{
 		members:     members,
@@ -112,25 +111,6 @@ func (rs *ReplicaSet) Members() []Shard {
 	rs.mu.RLock()
 	defer rs.mu.RUnlock()
 	return append([]Shard(nil), rs.members...)
-}
-
-// ReplaceMember swaps the member at index i (for a crashed process that
-// reopened its journal under a fresh handle). A replaced follower comes in
-// detached — its recovered state is not certified against the owner's log
-// — and rejoins the chain when Heal resyncs it. Replacing the owner
-// re-wires shipping from the new handle.
-func (rs *ReplicaSet) ReplaceMember(i int, s Shard) error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	if i < 0 || i >= len(rs.members) {
-		return fmt.Errorf("cluster: replica set has no member %d", i)
-	}
-	rs.members[i] = s
-	rs.detached[i] = i != 0
-	if lm, ok := s.(localMember); ok && i == 0 {
-		lm.SetShipper(rs.ship)
-	}
-	return nil
 }
 
 // Healthy reports whether the set can serve anything at all (some member
@@ -428,9 +408,9 @@ func (rs *ReplicaSet) Heal() error {
 }
 
 // reattach clears a member's detached flag after a successful resync. The
-// member list may have been reshuffled (by Promote or ReplaceMember) since
-// the caller snapshotted it, so the flag is cleared only if the member
-// still sits at that index.
+// member list may have been reshuffled (by Promote) since the caller
+// snapshotted it, so the flag is cleared only if the member still sits at
+// that index.
 func (rs *ReplicaSet) reattach(i int, s Shard) {
 	rs.mu.Lock()
 	if i < len(rs.members) && rs.members[i] == s {

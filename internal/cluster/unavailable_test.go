@@ -1,0 +1,140 @@
+package cluster_test
+
+import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/treads-project/treads/internal/cluster"
+	"github.com/treads-project/treads/internal/gateway"
+	"github.com/treads-project/treads/internal/httpapi"
+	"github.com/treads-project/treads/internal/obs"
+	"github.com/treads-project/treads/internal/platform"
+	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/rpc"
+)
+
+// do sends one request to h and returns the recorded response.
+func do(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
+	r := httptest.NewRequest(method, path, strings.NewReader(body))
+	r.Header.Set("X-API-Key", unavailableTestKey)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, r)
+	return w
+}
+
+const unavailableTestKey = "unavailable-test-key-0123456789"
+
+// TestUnavailableShardAnswers503 fronts a cluster with a down shard by the
+// public API and the gateway: every route that needs the shard answers 503
+// with Retry-After (not the route's "unknown user" 404 or "bad spec" 400),
+// the 5xx request counter sees it, the gateway's AIMD controller — whose
+// error signal is status >= 500 — shrinks its budget, refusals keep their
+// codes, and the same requests are served once the shard is back.
+func TestUnavailableShardAnswers503(t *testing.T) {
+	c, flakies, ownedBy := newFlakyCluster(t)
+	reg := obs.NewRegistry()
+	api := httpapi.NewServerWithRegistry(c, nil, reg)
+	keys, err := gateway.ParseKeyFile([]byte(`{"tenants":[{"name":"t","key":"`+unavailableTestKey+`"}]}`), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := gateway.New(api, gateway.Config{Keys: keys, Inflight: 64, SLO: time.Second, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+
+	dead, live := ownedBy[0], ownedBy[1]
+	requests := []struct{ method, path, body string }{
+		{"POST", fmt.Sprintf("/api/v1/users/%s/browse?slots=3", dead), ""},
+		{"POST", fmt.Sprintf("/api/v1/users/%s/likes", dead), `{"page_id":"page-x"}`},
+		{"GET", fmt.Sprintf("/api/v1/users/%s/adpreferences", dead), ""},
+		{"POST", "/api/v1/advertisers/acme/reach", `{"spec":{"expr":"age(18, 65)"}}`},
+		{"POST", "/api/v1/advertisers/acme/pixels", ""},
+	}
+	for _, rq := range requests {
+		if w := do(gw, rq.method, rq.path, rq.body); w.Code/100 != 2 {
+			t.Fatalf("healthy cluster: %s %s = %d %s", rq.method, rq.path, w.Code, w.Body)
+		}
+	}
+
+	flakies[0].healthy = false
+	fiveXX := reg.CounterVec("http_requests_total", "", "route", "status").With("POST /api/v1/users/{id}/browse", "5xx")
+	before := fiveXX.Value()
+	for _, rq := range requests {
+		w := do(gw, rq.method, rq.path, rq.body)
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+			t.Fatalf("shard down: %s %s = %d (Retry-After %q) %s, want 503 with Retry-After",
+				rq.method, rq.path, w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+	}
+	if got := fiveXX.Value() - before; got != 1 {
+		t.Fatalf("http_requests_total{browse,5xx} advanced by %d, want 1", got)
+	}
+	// What does not need the dead shard is untouched, and a refusal is
+	// still the route's own code.
+	if w := do(gw, "POST", fmt.Sprintf("/api/v1/users/%s/browse", live), ""); w.Code != http.StatusOK {
+		t.Fatalf("browse on a healthy shard = %d %s", w.Code, w.Body)
+	}
+	var stranger profile.UserID
+	for i := 0; stranger == ""; i++ {
+		if uid := profile.UserID(fmt.Sprintf("nobody-%d", i)); c.Owner(uid) != 0 {
+			stranger = uid
+		}
+	}
+	if w := do(gw, "POST", fmt.Sprintf("/api/v1/users/%s/browse", stranger), ""); w.Code != http.StatusNotFound {
+		t.Fatalf("unknown user on a healthy shard = %d %s, want 404", w.Code, w.Body)
+	}
+
+	// The controller ticks every 100 ms; keep the 503s coming until one
+	// window has seen them.
+	deadline := time.Now().Add(10 * time.Second)
+	for gw.InflightBudget() >= 64 {
+		if time.Now().After(deadline) {
+			t.Fatalf("gateway_aimd_budget still %d after a run of backend 503s", gw.InflightBudget())
+		}
+		do(gw, requests[0].method, requests[0].path, requests[0].body)
+		time.Sleep(5 * time.Millisecond)
+	}
+	if got := reg.Gauge("gateway_aimd_budget", "").Value(); got >= 64 {
+		t.Fatalf("gateway_aimd_budget gauge = %v, want it below the 64 ceiling", got)
+	}
+
+	flakies[0].healthy = true
+	for _, rq := range requests {
+		if w := do(gw, rq.method, rq.path, rq.body); w.Code/100 != 2 {
+			t.Fatalf("after recovery: %s %s = %d %s", rq.method, rq.path, w.Code, w.Body)
+		}
+	}
+}
+
+// TestUnreachablePeerAnswers503 is the same contract for the rpc transport
+// classes: a RemoteShard whose peer is gone fails with rpc.ErrUnavailable,
+// then rpc.ErrCircuitOpen, inside a CallError — all of them a 503.
+func TestUnreachablePeerAnswers503(t *testing.T) {
+	p := platform.New(platform.Config{Seed: 1})
+	srv := httptest.NewServer(rpc.NewServer(p, "", nil))
+	rs := cluster.NewRemoteShard(rpc.NewClient(srv.URL, rpc.Options{MaxRetries: -1, FailureThreshold: 3}))
+	defer rs.Close()
+	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddUser(profile.New("u1")); err != nil {
+		t.Fatal(err)
+	}
+	api := httpapi.NewServerWithRegistry(c, nil, obs.NewRegistry())
+	if w := do(api, "POST", "/api/v1/users/u1/browse", ""); w.Code != http.StatusOK {
+		t.Fatalf("browse with the peer up = %d %s", w.Code, w.Body)
+	}
+	srv.Close()
+	for i := 0; i < 6; i++ { // past the breaker threshold
+		if w := do(api, "POST", "/api/v1/users/u1/browse", ""); w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("browse %d with the peer gone = %d %s, want 503", i, w.Code, w.Body)
+		}
+	}
+}

@@ -87,13 +87,10 @@ type Injector struct {
 }
 
 // NewInjector returns a disarmed injector whose entire schedule is a
-// function of seed. Counters register in reg (a fresh private registry
-// when nil, so repeated runs in one process don't pollute each other's
+// function of seed. Counters register in reg (nil: private to this
+// injector, so repeated runs in one process don't pollute each other's
 // coverage counts).
 func NewInjector(seed uint64, reg *obs.Registry) *Injector {
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	opp := reg.CounterVec("faults_opportunities_total",
 		"Fault-injection decision points consulted, by fault kind. A configured kind with zero opportunities is a dead injection point.",
 		"kind")

@@ -46,9 +46,6 @@ type Config struct {
 	// UsageDir is the journaled usage ledger's directory; empty meters
 	// in memory only (usage resets on restart).
 	UsageDir string
-	// FlushEvery bounds how much metered usage a crash can lose
-	// (default 2s).
-	FlushEvery time.Duration
 	// Registry receives the gateway metric families (default
 	// obs.Default).
 	Registry *obs.Registry
@@ -62,9 +59,6 @@ type Config struct {
 	// file at this path is re-read and swapped in atomically. Empty
 	// leaves the endpoint answering 404.
 	KeysPath string
-	// Tracer instruments admitted and refused requests (default
-	// trace.Default; nil via SetTracer disables).
-	Tracer *trace.Tracer
 }
 
 // Gateway is the edge handler. It wraps an inner handler (the public
@@ -84,6 +78,9 @@ type Gateway struct {
 	keysPath  string
 	tracer    *trace.Tracer
 }
+
+// usageFlushEvery bounds how much metered usage a crash can lose.
+const usageFlushEvery = 2 * time.Second
 
 // shedRetryAfter is the Retry-After clients are told on 503: long enough
 // to drain a burst, short enough that a recovered gateway refills fast.
@@ -108,12 +105,9 @@ func New(inner http.Handler, cfg Config) (*Gateway, error) {
 	}
 	m := newMetrics(cfg.Registry)
 	m.resolveTokenGauges(cfg.Keys)
-	meter, err := newMeter(cfg.Keys, cfg.UsageDir, cfg.FlushEvery, cfg.Registry, m.usageFlushes)
+	meter, err := newMeter(cfg.Keys, cfg.UsageDir, usageFlushEvery, cfg.Registry, m.usageFlushes)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = trace.Default
 	}
 	g := &Gateway{
 		inner:     inner,
@@ -124,7 +118,7 @@ func New(inner http.Handler, cfg Config) (*Gateway, error) {
 		authorize: cfg.Authorize,
 		now:       cfg.Now,
 		keysPath:  cfg.KeysPath,
-		tracer:    cfg.Tracer,
+		tracer:    trace.Default,
 	}
 	g.keys.Store(cfg.Keys)
 	m.aimdBudget.Set(float64(g.shed.budget()))
@@ -135,8 +129,8 @@ func New(inner http.Handler, cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// SetTracer overrides the gateway's tracer (nil disables tracing). Call
-// before serving requests.
+// SetTracer overrides the gateway's tracer, trace.Default until then (nil
+// disables tracing). Call before serving requests.
 func (g *Gateway) SetTracer(t *trace.Tracer) { g.tracer = t }
 
 // Close stops the AIMD controller (if running) and flushes and closes

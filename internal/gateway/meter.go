@@ -145,9 +145,6 @@ func newMeter(ks *KeySet, dir string, flushEvery time.Duration, reg *obs.Registr
 		m.ledger = j
 	}
 
-	if flushEvery <= 0 {
-		flushEvery = 2 * time.Second
-	}
 	go m.flushLoop(flushEvery)
 	return m, nil
 }

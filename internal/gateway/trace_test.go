@@ -18,9 +18,8 @@ func traceGateway(t *testing.T, rate float64) (*Gateway, *trace.Tracer) {
 		Seed:       1,
 		Registry:   obs.NewRegistry(),
 	})
-	g, _ := newTestGateway(t, nil, func(cfg *Config) {
-		cfg.Tracer = tr
-	})
+	g, _ := newTestGateway(t, nil, nil)
+	g.SetTracer(tr)
 	return g, tr
 }
 

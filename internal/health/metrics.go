@@ -16,22 +16,9 @@ type Metrics struct {
 	DetectToPromote  *obs.Histogram
 }
 
-// NewMetrics registers the health families on reg; nil reg returns
-// unregistered no-op instruments (tests, embedded harnesses).
+// NewMetrics registers the health families on reg; a nil reg gives
+// instruments that are exported nowhere (tests, embedded harnesses).
 func NewMetrics(reg *obs.Registry) *Metrics {
-	if reg == nil {
-		return &Metrics{
-			Probes:           obs.NewCounter(),
-			ProbeFailures:    obs.NewCounter(),
-			Transitions:      obs.NewCounter(),
-			SlotsDown:        obs.NewGauge(),
-			Failovers:        obs.NewCounter(),
-			FailoverFailures: obs.NewCounter(),
-			Heals:            obs.NewCounter(),
-			HealFailures:     obs.NewCounter(),
-			DetectToPromote:  obs.NewHistogram(),
-		}
-	}
 	return &Metrics{
 		Probes: reg.Counter("health_probes_total",
 			"Owner health probes sent by the failure-detector loops."),

@@ -43,8 +43,6 @@ type Config struct {
 	// promotion with the elapsed time from the down verdict to the
 	// completed promotion.
 	OnFailover func(slot int, detectToPromote time.Duration)
-	// OnStateChange, when set, observes every detector transition.
-	OnStateChange func(slot int, s State)
 	// Metrics receives the health_* instrument set; nil uses
 	// unregistered no-op instruments.
 	Metrics *Metrics
@@ -204,9 +202,6 @@ func (s *Supervisor) run(ctx context.Context, slot int, ctrl SlotController, det
 				m.SlotsDown.Add(1)
 				downSince = time.Now()
 				s.logf("health: slot %d owner declared down (probe: %v)", slot, err)
-			}
-			if s.cfg.OnStateChange != nil {
-				s.cfg.OnStateChange(slot, state)
 			}
 		}
 

@@ -194,7 +194,32 @@ func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 }
 
 func writeErr(w http.ResponseWriter, status int, err error) {
+	if status == http.StatusServiceUnavailable {
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, status, ErrorResponse{Error: err.Error()})
+}
+
+// Unavailable is the class of backend error that says "not served now, may
+// be on retry" rather than refusing the request: a shard that is down or
+// mid-reshard, an RPC that found no peer. The packages under the HTTP layer
+// declare those sentinels as values of this type, so errors.Is against each
+// still holds and one errors.As here finds them all.
+type Unavailable string
+
+func (e Unavailable) Error() string { return string(e) }
+
+// statusFor picks the status of a backend error: 503 on every route when an
+// Unavailable is anywhere in its chain — an unreachable shard must not read
+// as "unknown user" to the client, the 5xx request counters, or the
+// gateway's shedding controller — and otherwise the route's own code for a
+// refusal.
+func statusFor(err error, fallback int) int {
+	var u Unavailable
+	if errors.As(err, &u) {
+		return http.StatusServiceUnavailable
+	}
+	return fallback
 }
 
 func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
@@ -213,7 +238,7 @@ func (s *Server) handleRegisterAdvertiser(w http.ResponseWriter, r *http.Request
 		return
 	}
 	if err := s.p.RegisterAdvertiser(req.Name); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		writeErr(w, statusFor(err, http.StatusConflict), err)
 		return
 	}
 	resp := RegisterAdvertiserResponse{Name: req.Name}
@@ -251,7 +276,7 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, platform.ErrRejected) {
 			status = http.StatusUnprocessableEntity
 		}
-		writeErr(w, status, err)
+		writeErr(w, statusFor(err, status), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, CreateCampaignResponse{CampaignID: id})
@@ -259,7 +284,7 @@ func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePauseCampaign(w http.ResponseWriter, r *http.Request) {
 	if err := s.p.PauseCampaign(r.PathValue("name"), r.PathValue("id")); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"paused": true})
@@ -268,7 +293,7 @@ func (s *Server) handlePauseCampaign(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	rep, err := s.p.Report(r.Context(), r.PathValue("name"), r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, FromReport(rep))
@@ -291,7 +316,7 @@ func (s *Server) handleCreatePIIAudience(w http.ResponseWriter, r *http.Request)
 	}
 	id, err := s.p.CreatePIIAudience(name, req.Name, keys)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
@@ -305,7 +330,7 @@ func (s *Server) handleCreateWebsiteAudience(w http.ResponseWriter, r *http.Requ
 	}
 	id, err := s.p.CreateWebsiteAudience(name, req.Name, pixel.PixelID(req.PixelID))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
@@ -319,7 +344,7 @@ func (s *Server) handleCreateEngagementAudience(w http.ResponseWriter, r *http.R
 	}
 	id, err := s.p.CreateEngagementAudience(name, req.Name, req.PageID)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
@@ -333,7 +358,7 @@ func (s *Server) handleCreateAffinityAudience(w http.ResponseWriter, r *http.Req
 	}
 	id, err := s.p.CreateAffinityAudience(name, req.Name, req.Phrases)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
@@ -347,7 +372,7 @@ func (s *Server) handleCreateLookalikeAudience(w http.ResponseWriter, r *http.Re
 	}
 	id, err := s.p.CreateLookalikeAudience(name, req.Name, audience.AudienceID(req.Seed), req.Overlap)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
@@ -356,7 +381,7 @@ func (s *Server) handleCreateLookalikeAudience(w http.ResponseWriter, r *http.Re
 func (s *Server) handleIssuePixel(w http.ResponseWriter, r *http.Request) {
 	id, err := s.p.IssuePixel(r.PathValue("name"))
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, PixelResponse{PixelID: string(id)})
@@ -375,7 +400,7 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 	}
 	reach, err := s.p.PotentialReach(r.Context(), name, spec)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, statusFor(err, http.StatusBadRequest), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ReachResponse{Reach: reach})
@@ -404,7 +429,7 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 	}
 	imps, err := s.p.BrowseFeedCtx(r.Context(), uid, slots)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, impressionsWire(imps))
@@ -431,7 +456,7 @@ func (s *Server) handleAdPreferences(w http.ResponseWriter, r *http.Request) {
 	uid := profile.UserID(r.PathValue("id"))
 	prefs, err := s.p.AdPreferences(uid)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	out := PreferencesResponse{Attributes: make([]string, 0, len(prefs))}
@@ -445,7 +470,7 @@ func (s *Server) handleAdvertisersTargetingMe(w http.ResponseWriter, r *http.Req
 	uid := profile.UserID(r.PathValue("id"))
 	names, err := s.p.AdvertisersTargetingMe(uid)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, AdvertisersResponse{Advertisers: names})
@@ -458,7 +483,7 @@ func (s *Server) handleLike(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.p.LikePage(uid, req.PageID); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"liked": true})
@@ -472,7 +497,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	ex, err := s.p.ExplainImpression(uid, req.ToImpression())
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, ExplanationWire{Attribute: string(ex.Attribute), Text: ex.Text})
@@ -486,7 +511,7 @@ func (s *Server) handlePixel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.p.VisitPage(uid, px); err != nil {
-		writeErr(w, http.StatusNotFound, err)
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
 	w.Header().Set("Content-Type", "image/gif")

@@ -180,7 +180,7 @@ func TestBigIndexEquivalence(t *testing.T) {
 			t.Errorf("expr %d: indexed %d, scan %d", i, got, want)
 		}
 	}
-	if _, _, err := benchState.indexed.Index().VerifyExpr(benchExpr()); err != nil {
+	if _, _, err := benchState.indexed.Index().VerifyExpr(benchExpr(), benchState.store); err != nil {
 		t.Fatalf("VerifyExpr at scale: %v", err)
 	}
 }

@@ -19,9 +19,11 @@
 //   - index.go:  the Index — slot assignment, posting lists, incremental
 //     maintenance hooks.
 //   - node.go:   compiled query plans (word-streamed, allocation-free
-//     evaluation) for attr.Expr and audience combinators.
-//   - packed.go: the compact packed-profile encoding that lets an Index
-//     retain a verifiable copy of 1M–10M profiles in memory.
+//     evaluation) for attr.Expr and audience combinators, and VerifyExpr,
+//     the self-check of the posting lists against the profile store.
+//
+// The index keeps nothing per user beyond its bits: the only copy of a
+// user's attributes on a shard is the profile.Store's.
 package index
 
 import "math/bits"

@@ -11,13 +11,6 @@ import (
 
 // Options tunes an Index.
 type Options struct {
-	// RetainPacked keeps a compact packed copy of every added profile so
-	// the index can re-verify its own posting lists against a linear scan
-	// (VerifyExpr) without an external profile store. A packed copy costs
-	// ~100–250 bytes per user and is what lets a 1M–10M user shard fit in
-	// memory; it assumes attributes are immutable after Add (the packed
-	// copy does not track NoteAttrChanged).
-	RetainPacked bool
 	// SizeHint pre-sizes slot tables for the expected population.
 	SizeHint int
 }
@@ -44,8 +37,6 @@ type Index struct {
 	countries map[string]*Bitmap
 	regions   map[string]*Bitmap
 	likes     map[string]*Bitmap // liked page -> likers
-
-	packed *packedStore // nil unless Options.RetainPacked
 }
 
 // New returns an empty index.
@@ -54,7 +45,7 @@ func New(opts Options) *Index {
 	if hint < 0 {
 		hint = 0
 	}
-	x := &Index{
+	return &Index{
 		uids:      make([]profile.UserID, 0, hint),
 		slot:      make(map[profile.UserID]uint32, hint),
 		has:       make(map[attr.ID]*Bitmap),
@@ -65,10 +56,6 @@ func New(opts Options) *Index {
 		regions:   make(map[string]*Bitmap),
 		likes:     make(map[string]*Bitmap),
 	}
-	if opts.RetainPacked {
-		x.packed = newPackedStore(hint)
-	}
-	return x
 }
 
 // Source is the profile iteration surface BuildFrom consumes;
@@ -123,9 +110,6 @@ func (x *Index) Add(p *profile.Profile) error {
 	getBitmap(x.regions, p.Region()).set(s)
 	for _, page := range p.LikedPages() {
 		getBitmap(x.likes, page).set(s)
-	}
-	if x.packed != nil {
-		x.packed.add(p)
 	}
 	updAddUser.Inc()
 	if len(x.uids)%1024 == 0 {
@@ -257,8 +241,7 @@ func (x *Index) TestLike(page string, slot uint32) bool {
 type Stats struct {
 	Users        int // indexed users
 	PostingLists int // attribute + value + demographic + like bitmaps
-	MemoryBytes  int // bitmap words + slot tables + packed arena
-	Packed       bool
+	MemoryBytes  int // bitmap words + slot tables
 }
 
 // Stats returns the index's current shape.
@@ -273,7 +256,6 @@ func (x *Index) Stats() Stats {
 		Users:        len(x.uids),
 		PostingLists: n,
 		MemoryBytes:  x.memoryBytesLocked(),
-		Packed:       x.packed != nil,
 	}
 }
 
@@ -312,9 +294,6 @@ func (x *Index) memoryBytesLocked() int {
 	// Slot table: string header + map entry is ~64 bytes per user in
 	// practice; count it coarsely so the gauge reflects real growth.
 	total += len(x.uids) * 64
-	if x.packed != nil {
-		total += x.packed.memBytes()
-	}
 	return total
 }
 

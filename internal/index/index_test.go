@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/index"
+	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/workload"
 )
 
 // population builds a deterministic generated population and an index over
-// it (with a packed copy), returning both.
+// it, returning both.
 func population(t testing.TB, users int, skew float64) ([]*profile.Profile, *index.Index) {
 	t.Helper()
 	profs := workload.Generate(workload.Config{
@@ -22,13 +24,22 @@ func population(t testing.TB, users int, skew float64) ([]*profile.Profile, *ind
 		Seed:              7,
 		Skew:              skew,
 	})
-	idx := index.New(index.Options{RetainPacked: true, SizeHint: users})
+	idx := index.New(index.Options{SizeHint: users})
 	for _, p := range profs {
 		if err := idx.Add(p); err != nil {
 			t.Fatalf("Add(%s): %v", p.ID, err)
 		}
 	}
 	return profs, idx
+}
+
+// profiles is a population as the index.Source VerifyExpr scans.
+type profiles []*profile.Profile
+
+func (ps profiles) Each(fn func(*profile.Profile)) {
+	for _, p := range ps {
+		fn(p)
+	}
 }
 
 // scanCount is the ground truth: a linear scan over the live profiles.
@@ -105,8 +116,8 @@ func TestCountMatchesLinearScan(t *testing.T) {
 		if got != want {
 			t.Errorf("expr %d (%v): index count %d, scan count %d", i, e, got, want)
 		}
-		// The packed copy must agree too.
-		bc, sc, err := idx.VerifyExpr(e)
+		// The self-check must agree too.
+		bc, sc, err := idx.VerifyExpr(e, profiles(profs))
 		if err != nil {
 			t.Fatalf("VerifyExpr expr %d: %v", i, err)
 		}
@@ -310,41 +321,58 @@ func TestBuildFromStore(t *testing.T) {
 func TestStatsAndMemory(t *testing.T) {
 	_, idx := population(t, 256, 0)
 	st := idx.Stats()
-	if st.Users != 256 || st.PostingLists == 0 || st.MemoryBytes == 0 || !st.Packed {
+	if st.Users != 256 || st.PostingLists == 0 || st.MemoryBytes == 0 {
 		t.Fatalf("implausible stats: %+v", st)
 	}
 	if idx.MemoryBytes() != st.MemoryBytes {
 		t.Fatal("MemoryBytes disagrees with Stats")
 	}
-	if idx.PackedLen() != 256 {
-		t.Fatalf("PackedLen = %d", idx.PackedLen())
+}
+
+// TestVerifyExprReportsMismatch plants the fault VerifyExpr exists to find:
+// a posting-list bit cleared while the profile still holds the attribute.
+func TestVerifyExprReportsMismatch(t *testing.T) {
+	profs, idx := population(t, 200, 0)
+	p := profs[11]
+	id := p.Attrs()[0]
+	e := attr.Has{ID: id}
+	if _, _, err := idx.VerifyExpr(e, profiles(profs)); err != nil {
+		t.Fatalf("consistent index: %v", err)
+	}
+	p.ClearAttr(id)
+	idx.NoteAttrChanged(p, id) // clears the bit
+	p.SetAttr(id)              // no watcher: the index is not told
+	bc, sc, err := idx.VerifyExpr(e, profiles(profs))
+	if err == nil || bc != sc-1 {
+		t.Fatalf("VerifyExpr = %d, %d, %v; want a mismatch error with the bitmap one short", bc, sc, err)
+	}
+	if _, _, err := idx.VerifyExpr(attr.WithinKM{Lat: 1, Lon: 1, KM: 1}, profiles(profs)); err == nil {
+		t.Fatal("VerifyExpr accepted an expression the index cannot compile")
 	}
 }
 
-func TestPackedSubjectFidelity(t *testing.T) {
-	profs, idx := population(t, 200, 0)
-	for i, p := range profs {
-		subj, ok := idx.PackedSubjectAt(uint32(i))
-		if !ok {
-			t.Fatalf("no packed subject at %d", i)
+// TestIndexFootprint is the tripwire on a shard's per-user index memory: the
+// index a platform builds (EnableIndex over its store) holds posting lists
+// and slot tables, ~270 B/user on the benchmark's generator. A per-user
+// shadow copy of the population took it past 600.
+func TestIndexFootprint(t *testing.T) {
+	const users = 6000
+	cfg := workload.DefaultConfig()
+	cfg.Users = users
+	store := profile.NewStore()
+	workload.Each(cfg, func(p *profile.Profile) {
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
 		}
-		if subj.Age() != p.Age() || subj.Gender() != p.Gender() ||
-			subj.Country() != p.Country() || subj.Region() != p.Region() {
-			t.Fatalf("user %s: packed demographics diverge", p.ID)
-		}
-		for _, id := range p.Attrs() {
-			if !subj.HasAttr(id) {
-				t.Fatalf("user %s: packed copy missing attr %s", p.ID, id)
-			}
-			v, ok := p.AttrValue(id)
-			pv, pok := subj.AttrValue(id)
-			if ok != pok || v != pv {
-				t.Fatalf("user %s attr %s: packed value %q,%v want %q,%v", p.ID, id, pv, pok, v, ok)
-			}
-		}
-		if subj.HasAttr("definitely.not.present") {
-			t.Fatalf("user %s: phantom attribute", p.ID)
-		}
+	})
+	eng := audience.NewEngine(store, pixel.NewRegistry())
+	if err := eng.EnableIndex(); err != nil {
+		t.Fatal(err)
+	}
+	perUser := eng.Index().MemoryBytes() / users
+	t.Logf("%d B/user", perUser)
+	if perUser >= 400 {
+		t.Fatalf("index holds %d B/user at %d users, want under 400", perUser, users)
 	}
 }
 

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"math/bits"
 	"time"
 
@@ -72,9 +73,8 @@ type notNode struct{ op Node }
 
 func (n notNode) word(w int) uint64 { return ^n.op.word(w) }
 
-// AllNode matches every user; NoneNode matches no one.
-func AllNode() Node  { return constNode(^uint64(0)) }
-func NoneNode() Node { return constNode(0) }
+// AllNode matches every user.
+func AllNode() Node { return constNode(^uint64(0)) }
 
 // AndNodes intersects the operands (everything with zero operands).
 func AndNodes(ops ...Node) Node {
@@ -98,13 +98,6 @@ func NotNode(op Node) Node { return notNode{op: op} }
 // BitmapNode wraps a caller-owned bitmap (an audience membership bitmap
 // maintained through SetBit/ClearBit) as a plan leaf.
 func BitmapNode(b *Bitmap) Node { return bitsNode{b: b} }
-
-// AttrNode is the posting list of one attribute (HasAttr semantics).
-func (x *Index) AttrNode(id attr.ID) Node {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return bitsNode{b: x.has[id]} // nil bitmap reads as empty
-}
 
 // AnyAttrNode matches users holding at least one of the attributes — the
 // shape of an affinity audience.
@@ -239,6 +232,34 @@ func (x *Index) countLocked(n Node) int {
 		total += bits.OnesCount64(n.word(full) & (1<<rem - 1))
 	}
 	return total
+}
+
+// VerifyExpr is the index's self-check: it counts the expression through the
+// compiled bitmap plan, then by matching every profile of src — the store
+// the index was built from — and returns an error when the two differ. The
+// index lock is released before src is scanned (the store→watcher→index
+// path takes the two locks in the other order), so the check is only
+// meaningful on a quiesced store: a mutation landing between the two counts
+// reads as a mismatch.
+func (x *Index) VerifyExpr(e attr.Expr, src Source) (bitmapCount, scanCount int, err error) {
+	x.mu.RLock()
+	n, ok := x.compileLocked(e)
+	if ok {
+		bitmapCount = x.countLocked(n)
+	}
+	x.mu.RUnlock()
+	if !ok {
+		return 0, 0, fmt.Errorf("index: expression not indexable")
+	}
+	src.Each(func(p *profile.Profile) {
+		if e == nil || e.Match(p) {
+			scanCount++
+		}
+	})
+	if bitmapCount != scanCount {
+		err = fmt.Errorf("index: posting lists count %d users, a scan of the profiles %d", bitmapCount, scanCount)
+	}
+	return bitmapCount, scanCount, err
 }
 
 // TestNode reports whether the user in the slot matches the plan.

@@ -179,6 +179,33 @@ func TestShortWriteTearsTailAndRecovers(t *testing.T) {
 // anchors on the older readable snapshot plus the segments that extend it
 // — the torn file must not shadow them.
 func TestTornSnapshotDoesNotShadowSegments(t *testing.T) {
+	t.Run("inside the only frame", func(t *testing.T) {
+		var buf bytes.Buffer
+		bw := bufio.NewWriter(&buf)
+		if _, err := writeRecordTo(bw, []byte("state-through-8-that-never-finished")); err != nil {
+			t.Fatal(err)
+		}
+		bw.Flush()
+		tornSnapshotDoesNotShadowSegments(t, buf.Bytes()[:buf.Len()/2])
+	})
+	// A multi-frame snapshot cut inside its second frame starts with a
+	// whole, valid first frame; that must not pass for a shorter state.
+	t.Run("inside the second frame", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "snap")
+		if err := writeSnapshotFile(faults.OS{}, path, make([]byte, MaxRecordBytes+4096), true); err != nil {
+			t.Fatal(err)
+		}
+		whole, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tornSnapshotDoesNotShadowSegments(t, whole[:len(whole)-2048])
+	})
+}
+
+// tornSnapshotDoesNotShadowSegments plants torn as the snapshot at LSN 8 of
+// a journal whose readable snapshot is at LSN 4.
+func tornSnapshotDoesNotShadowSegments(t *testing.T, torn []byte) {
 	dir := t.TempDir()
 	j, err := Open(dir, Options{SegmentBytes: 32}) // rotate nearly every record
 	if err != nil {
@@ -196,15 +223,8 @@ func TestTornSnapshotDoesNotShadowSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fabricate the crash debris: a torn snapshot at LSN 8 (valid header,
-	// truncated payload) and a stale temp file from an unfinished publish.
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if _, err := writeRecordTo(bw, []byte("state-through-8-that-never-finished")); err != nil {
-		t.Fatal(err)
-	}
-	bw.Flush()
-	torn := buf.Bytes()[:buf.Len()/2]
+	// Fabricate the crash debris: the torn snapshot at LSN 8 and a stale
+	// temp file from an unfinished publish.
 	tornPath := snapshotPath(dir, 8)
 	if err := os.WriteFile(tornPath, torn, 0o644); err != nil {
 		t.Fatal(err)

@@ -63,3 +63,53 @@ func FuzzReadRecord(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReadSnapshot feeds the snapshot reader arbitrary files. It must never
+// panic, must fail with ErrCorrupt unless the file is one or more valid
+// frames up to a clean end, and what it returns is exactly those frames'
+// payloads in order. A length prefix above MaxRecordBytes is rejected by
+// readRecord before anything is allocated for it.
+func FuzzReadSnapshot(f *testing.F) {
+	frames := func(payloads ...[]byte) []byte {
+		var out []byte
+		for _, p := range payloads {
+			out = appendRecord(out, p)
+		}
+		return out
+	}
+	two := frames([]byte("first frame "), []byte("second frame"))
+	f.Add(frames([]byte{}))
+	f.Add(frames([]byte("one frame")))
+	f.Add(two)
+	f.Add(two[:len(two)-5])                                       // torn inside the second frame
+	f.Add(append(frames([]byte("good")), 0xff, 0xff, 0xff, 0xff)) // oversized length, partial header
+	f.Add(append(frames([]byte("good")), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1))
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, file []byte) {
+		got, err := readSnapshot(bytes.NewReader(file))
+		// The oracle walks the same file one frame at a time.
+		var want []byte
+		n, bad := 0, false
+		for r := bytes.NewReader(file); ; n++ {
+			frame, ferr := readRecord(r)
+			if ferr == io.EOF {
+				break
+			}
+			if ferr != nil {
+				bad = true
+				break
+			}
+			want = append(want, frame...)
+		}
+		if bad || n == 0 {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("file with a bad frame or none: readSnapshot = (%d bytes, %v), want ErrCorrupt", len(got), err)
+			}
+			return
+		}
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%d valid frames: readSnapshot = (%d bytes, %v), want %d bytes", n, len(got), err, len(want))
+		}
+	})
+}

@@ -151,7 +151,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	j := &Journal{dir: dir, opts: opts, fs: fs, m: opts.Metrics}
 	if j.m == nil {
-		j.m = noopMetrics()
+		j.m = NewMetrics(nil, "")
 	}
 	j.cond = sync.NewCond(&j.mu)
 

@@ -282,6 +282,54 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	j2.Close()
 }
 
+// TestSnapshotFrames pins the snapshot file format at the record-size
+// boundary: a state that fits one record is that one frame and nothing else
+// (what every earlier build wrote and reads), a larger one is cut into
+// consecutive full frames, and both read back whole.
+func TestSnapshotFrames(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		size   int
+		frames int
+	}{
+		{"empty", 0, 1},
+		{"small", 1000, 1},
+		{"exactly one record", MaxRecordBytes, 1},
+		{"one byte over", MaxRecordBytes + 1, 2},
+		{"two and a bit", 2*MaxRecordBytes + 4096, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j := openT(t, dir, Options{NoSync: true})
+			defer j.Close()
+			if _, err := j.Append([]byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			state := make([]byte, tc.size)
+			for i := range state {
+				state[i] = byte(i * 31)
+			}
+			if err := j.WriteSnapshot(1, state); err != nil {
+				t.Fatalf("WriteSnapshot of %d bytes: %v", tc.size, err)
+			}
+			file, err := os.ReadFile(snapshotPath(dir, 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := tc.size + tc.frames*recordHeaderSize; len(file) != want {
+				t.Fatalf("snapshot file is %d bytes, want %d (%d frames)", len(file), want, tc.frames)
+			}
+			if tc.frames == 1 && !bytes.Equal(file, appendRecord(nil, state)) {
+				t.Fatal("a snapshot that fits one record is not that one record")
+			}
+			data, lsn, err := j.Snapshot()
+			if err != nil || lsn != 1 || !bytes.Equal(data, state) {
+				t.Fatalf("Snapshot = (%d bytes, %d, %v), want the %d bytes written", len(data), lsn, err, tc.size)
+			}
+		})
+	}
+}
+
 func TestSnapshotBeyondLastRecordRejected(t *testing.T) {
 	dir := t.TempDir()
 	j := openT(t, dir, Options{NoSync: true})

@@ -6,8 +6,8 @@ import (
 
 // Metrics is a journal's instrumentation, one set per journal (per shard,
 // in a cluster). Construct with NewMetrics and pass via Options.Metrics;
-// journals opened without one fall back to unregistered metrics, so the
-// append and fsync paths never branch on nil.
+// journals opened without one count into a nil registry's unexported
+// instruments, so the append and fsync paths never branch on nil.
 type Metrics struct {
 	appendSeconds     *obs.Histogram // framing + buffer copy under the journal lock
 	fsyncSeconds      *obs.Histogram // write+fsync (+rotation) time per group commit
@@ -54,21 +54,5 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 		recoveredRecords: reg.CounterVec("journal_recovered_records_total",
 			"Records replayed from the journal during recovery and reads.",
 			"shard").With(shard),
-	}
-}
-
-// noopMetrics returns standalone, unregistered metrics: updated but
-// exported nowhere.
-func noopMetrics() *Metrics {
-	return &Metrics{
-		appendSeconds:     obs.NewHistogram(),
-		fsyncSeconds:      obs.NewHistogram(),
-		commitWaitSeconds: obs.NewHistogram(),
-		batchRecords:      obs.NewHistogram(),
-		appends:           obs.NewCounter(),
-		fsyncs:            obs.NewCounter(),
-		rotations:         obs.NewCounter(),
-		snapshots:         obs.NewCounter(),
-		recoveredRecords:  obs.NewCounter(),
 	}
 }

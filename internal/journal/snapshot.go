@@ -16,9 +16,11 @@ import (
 // Snapshot files hold a caller-provided serialization of the full state
 // through some LSN, named snap-<LSN, 16 hex>.db and written atomically
 // (temp file, fsync, rename, dir fsync). The contents reuse the record
-// framing, so a snapshot is self-checksumming. Once a snapshot lands,
-// every segment wholly covered by it — and every older snapshot — is
-// garbage and is deleted.
+// framing, so a snapshot is self-checksumming: the state is cut into
+// consecutive frames of at most MaxRecordBytes — one frame for any state
+// that fits — and is the concatenation of every frame up to a clean end of
+// file. Once a snapshot lands, every segment wholly covered by it — and
+// every older snapshot — is garbage and is deleted.
 //
 // Because publish is by rename, a finished snapshot is never torn; what a
 // crash mid-snapshot can leave is a stale .tmp file, or — on filesystems
@@ -174,9 +176,15 @@ func writeSnapshotFile(fs faults.FS, path string, data []byte, noSync bool) erro
 		return fmt.Errorf("journal: creating snapshot: %w", err)
 	}
 	bw := bufio.NewWriterSize(f, 1<<20)
-	if _, err := writeRecordTo(bw, data); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: writing snapshot: %w", err)
+	for {
+		frame := data[:min(len(data), MaxRecordBytes)]
+		if _, err := writeRecordTo(bw, frame); err != nil {
+			f.Close()
+			return fmt.Errorf("journal: writing snapshot: %w", err)
+		}
+		if data = data[len(frame):]; len(data) == 0 {
+			break
+		}
 	}
 	if err := bw.Flush(); err != nil {
 		f.Close()
@@ -220,13 +228,28 @@ func readSnapshotFile(fs faults.FS, path string) ([]byte, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<20)
-	data, err := readRecord(br)
+	data, err := readSnapshot(bufio.NewReaderSize(f, 1<<20))
 	if err != nil {
 		return nil, fmt.Errorf("journal: snapshot %s: %w", path, err)
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("journal: snapshot %s: trailing bytes", path)
+	return data, nil
+}
+
+// readSnapshot concatenates r's frames. Any bad or partial frame, and a
+// file with no frame at all, fails the whole snapshot: a torn one must
+// never be mistaken for a shorter state.
+func readSnapshot(r io.Reader) ([]byte, error) {
+	data, err := readRecord(r)
+	if err == io.EOF {
+		return nil, fmt.Errorf("%w: no frames", ErrCorrupt)
+	}
+	for err == nil {
+		var frame []byte
+		frame, err = readRecord(r) // nil on error
+		data = append(data, frame...)
+	}
+	if err != io.EOF {
+		return nil, err
 	}
 	return data, nil
 }

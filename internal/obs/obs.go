@@ -167,7 +167,15 @@ func childKey(values []string) string {
 // getFamily returns the named family, creating it if absent. A name reused
 // with a different kind or label schema is a programming error and panics:
 // the exporter could not represent both.
+//
+// A nil *Registry is the un-instrumented registry: every call returns a
+// fresh detached family, whose children count and observe like any other
+// but are exported nowhere. Code that takes an optional registry passes it
+// straight through instead of keeping a second, unregistered constructor.
 func (r *Registry) getFamily(name, help string, kind Kind, labels []string) *family {
+	if r == nil {
+		return &family{name: name, kind: kind, labels: labels, children: make(map[string]*child)}
+	}
 	r.mu.RLock()
 	f := r.families[name]
 	r.mu.RUnlock()

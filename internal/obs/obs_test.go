@@ -45,6 +45,28 @@ func TestGetOrCreate(t *testing.T) {
 	}
 }
 
+// TestNilRegistryIsUninstrumented pins what callers with an optional
+// registry rely on: every constructor works on a nil *Registry, a vec's
+// children are stable and count, and nothing is shared between calls (there
+// is no registry to share it through).
+func TestNilRegistryIsUninstrumented(t *testing.T) {
+	var r *Registry
+	c := r.Counter("ops_total", "ops")
+	c.Inc()
+	if c.Value() != 1 || r.Counter("ops_total", "ops").Value() != 0 {
+		t.Fatal("nil-registry counters must count, detached from one another")
+	}
+	r.Gauge("g", "g").Set(1)
+	r.Histogram("h_seconds", "h").Observe(1)
+	r.GaugeVec("gv", "gv", "k").With("a").Set(1)
+	r.HistogramVec("hv_seconds", "hv", "k").With("a").Observe(1)
+	vec := r.CounterVec("reqs_total", "requests", "route")
+	vec.With("/x").Inc()
+	if vec.With("/x").Value() != 1 || vec.With("/y").Value() != 0 {
+		t.Fatal("a nil-registry vec must keep one child per label value")
+	}
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total", "x")

@@ -98,11 +98,88 @@ func TestJournalRecoveryRebuildsIndex(t *testing.T) {
 	if idx.Len() != len(recovered.Underlying().Users()) {
 		t.Fatalf("rebuilt index covers %d users, store has %d", idx.Len(), len(recovered.Underlying().Users()))
 	}
-	// The rebuilt index's bitmap counts must equal a packed linear scan.
 	salsa := recovered.Underlying().Catalog().Search("Salsa dance")[0].ID
-	if _, _, err := idx.VerifyExpr(attr.Has{ID: salsa}); err != nil {
-		t.Fatalf("VerifyExpr after recovery: %v", err)
+	if got := verifiedCount(t, recovered.Underlying(), attr.Has{ID: salsa}); got != 5 {
+		t.Fatalf("rebuilt index counts %d salsa holders, want 5", got)
 	}
+}
+
+// verifiedCount runs the index's self-check against the platform's own
+// profile store and returns the agreed count.
+func verifiedCount(t *testing.T, p *Platform, e attr.Expr) int {
+	t.Helper()
+	bc, _, err := p.audiences.Index().VerifyExpr(e, p.store)
+	if err != nil {
+		t.Fatalf("VerifyExpr(%v): %v", e, err)
+	}
+	return bc
+}
+
+// TestVerifyExprOnLivePlatform checks the posting lists against the live
+// store after every kind of profile mutation a running platform sees —
+// attribute set, clear and value change arrive through the store's watcher,
+// likes and unlikes through the journal — and again after crash recovery
+// has rebuilt the index by replay.
+func TestVerifyExprOnLivePlatform(t *testing.T) {
+	dir := t.TempDir()
+	jp := mustOpenJournaled(t, dir, journal.Options{}, journalBoot)
+	for _, step := range journalScript(t) {
+		step(jp)
+	}
+	p := jp.Underlying()
+	salsa := p.Catalog().Search("Salsa dance")[0].ID
+	const tier = attr.ID("test.live.tier")
+	exprs := func() []int {
+		return []int{
+			verifiedCount(t, p, attr.Has{ID: salsa}),
+			verifiedCount(t, p, attr.ValueIs{ID: tier, Value: "gold"}),
+			verifiedCount(t, p, attr.And{Ops: []attr.Expr{
+				attr.Not{Op: attr.Has{ID: salsa}}, attr.AgeBetween{Min: 26, Max: 40}}}),
+		}
+	}
+	want := func(step string, salsaHolders, gold, others int) {
+		t.Helper()
+		got := exprs()
+		if got[0] != salsaHolders || got[1] != gold || got[2] != others {
+			t.Fatalf("after %s: counts %v, want [%d %d %d]", step, got, salsaHolders, gold, others)
+		}
+	}
+	// journalBoot: ju00..ju09 aged 25..34, the even ones hold salsa;
+	// the script adds ju-late (52, no salsa).
+	want("the script", 5, 0, 5)
+	p.User("ju01").SetAttr(salsa)
+	want("SetAttr", 6, 0, 4)
+	p.User("ju02").ClearAttr(salsa)
+	want("ClearAttr", 5, 0, 5)
+	p.User("ju03").SetAttrValue(tier, "silver")
+	p.User("ju05").SetAttrValue(tier, "gold")
+	want("SetAttrValue", 5, 1, 5)
+	p.User("ju03").SetAttrValue(tier, "gold")
+	want("a value change", 5, 2, 5)
+	if err := jp.LikePage("ju07", "page-w"); err != nil {
+		t.Fatal(err)
+	}
+	if err := jp.UnlikePage("ju02", "page-w"); err != nil {
+		t.Fatal(err)
+	}
+	want("like and unlike", 5, 2, 5)
+	likers := 0
+	for _, uid := range p.Users() {
+		if p.User(uid).LikesPage("page-w") {
+			likers++
+		}
+	}
+	if got := p.audiences.Index().CountNode(p.audiences.Index().LikesNode("page-w")); got != likers || likers != 2 {
+		t.Fatalf("page-w: index counts %d likers, the store %d, want 2", got, likers)
+	}
+
+	// Crash: drop the handle without Close or Compact. Attribute edits are
+	// not journaled ops, so recovery is the boot state plus the replayed log.
+	jp = nil
+	recovered := mustOpenJournaled(t, dir, journal.Options{}, noBoot(t))
+	defer recovered.Close()
+	p = recovered.Underlying()
+	want("recovery", 5, 0, 5)
 }
 
 // TestNoIndexFlagRoundTrips pins the snapshot format: a DisableIndex

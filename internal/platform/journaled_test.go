@@ -229,6 +229,67 @@ func TestJournaledRecoveryAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestJournaledStateLargerThanOneRecord runs a shard whose marshalled state
+// does not fit one journal record through the whole snapshot life cycle:
+// the boot snapshot, a mid-script compaction, a clean close, recovery, and
+// a wholesale InstallState on a second shard. (Seventeen users each holding
+// a 1 MiB attribute value stand in for the ~9 000 generated users it takes.)
+func TestJournaledStateLargerThanOneRecord(t *testing.T) {
+	boot := func() (*Platform, error) {
+		p, err := journalBoot()
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < 17; i++ {
+			pr := profile.New(profile.UserID(fmt.Sprintf("big%02d", i)))
+			pr.SetAttrValue("test.big.value", strings.Repeat(string(rune('a'+i)), 1<<20))
+			if err := p.AddUser(pr); err != nil {
+				return nil, err
+			}
+		}
+		return p, nil
+	}
+	dir := t.TempDir()
+	opts := journal.Options{NoSync: true}
+	jp := mustOpenJournaled(t, dir, opts, boot)
+	script := journalScript(t)
+	for i, step := range script {
+		step(jp)
+		if i == len(script)/2 {
+			if _, err := jp.Compact(); err != nil {
+				t.Fatalf("mid-script Compact: %v", err)
+			}
+		}
+	}
+	state := jp.State()
+	want := marshalState(t, state)
+	if len(want) <= journal.MaxRecordBytes {
+		t.Fatalf("state is %d bytes, the test needs more than %d", len(want), journal.MaxRecordBytes)
+	}
+	if err := jp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jp2 := mustOpenJournaled(t, dir, opts, noBoot(t))
+	defer jp2.Close()
+	if got := marshalState(t, jp2.State()); !bytes.Equal(want, got) {
+		t.Fatal("state recovered from a multi-frame snapshot + replay differs from pre-close state")
+	}
+
+	dir2 := t.TempDir()
+	follower := mustOpenJournaled(t, dir2, opts, func() (*Platform, error) { return New(Config{Seed: 7}), nil })
+	if err := follower.InstallState(state); err != nil {
+		t.Fatalf("InstallState: %v", err)
+	}
+	if err := follower.Close(); err != nil {
+		t.Fatal(err)
+	}
+	follower = mustOpenJournaled(t, dir2, opts, noBoot(t))
+	defer follower.Close()
+	if got := marshalState(t, follower.State()); !bytes.Equal(want, got) {
+		t.Fatal("state recovered from an installed multi-frame snapshot differs from the installed state")
+	}
+}
+
 // TestRecoverJournalWrittenByPerSlotScan recovers testdata/journal_pr14, a
 // journal directory written by the last build whose delivery scanned every
 // campaign for every slot: a snapshot taken mid-script plus a tail of

@@ -62,14 +62,10 @@ type Options struct {
 	// Registry receives the client's per-peer metrics; nil leaves the
 	// client instrumented against unregistered metrics.
 	Registry *obs.Registry
-	// Transport, when HTTPClient is nil, replaces the pooled default
-	// round-tripper while keeping the default client wrapper. This is the
+	// Transport replaces the pooled default round-tripper. This is the
 	// fault-injection seam: the chaos harness passes a faults.Transport
 	// here to drop, delay, duplicate, and cut this peer's traffic.
 	Transport http.RoundTripper
-	// HTTPClient overrides the pooled default entirely (tests). Takes
-	// precedence over Transport.
-	HTTPClient *http.Client
 }
 
 func (o *Options) withDefaults() {
@@ -116,18 +112,15 @@ func NewClient(baseURL string, opts Options) *Client {
 	if u, err := url.Parse(baseURL); err == nil && u.Host != "" {
 		peer = u.Host
 	}
-	hc := opts.HTTPClient
-	if hc == nil {
-		tr := opts.Transport
-		if tr == nil {
-			tr = &http.Transport{
-				MaxIdleConns:        64,
-				MaxIdleConnsPerHost: 16,
-				IdleConnTimeout:     90 * time.Second,
-			}
+	tr := opts.Transport
+	if tr == nil {
+		tr = &http.Transport{
+			MaxIdleConns:        64,
+			MaxIdleConnsPerHost: 16,
+			IdleConnTimeout:     90 * time.Second,
 		}
-		hc = &http.Client{Transport: tr}
 	}
+	hc := &http.Client{Transport: tr}
 	m := newClientMetrics(opts.Registry, peer)
 	c := &Client{
 		baseURL: baseURL,

@@ -1,70 +1,30 @@
 package rpc
 
 import (
-	"sync"
-
 	"github.com/treads-project/treads/internal/obs"
 )
 
-// serverMetrics instruments one shard-side RPC server. Per-op children are
-// resolved lazily (the op set is fixed, so cardinality is bounded) and
-// cached so the request path pays a map read, not a registry lock.
+// serverMetrics instruments one shard-side RPC server. The op set is fixed,
+// so the per-op families' cardinality is bounded; the request path resolves
+// its child with CounterVec.With, a read-locked map lookup.
 type serverMetrics struct {
 	requestSeconds *obs.Histogram
 	authFailures   *obs.Counter
-
-	ops    *obs.CounterVec
-	errs   *obs.CounterVec
-	mu     sync.RWMutex
-	opC    map[string]*obs.Counter
-	opErrC map[string]*obs.Counter
+	ops            *obs.CounterVec
+	errs           *obs.CounterVec
 }
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
-	m := &serverMetrics{
-		opC:    make(map[string]*obs.Counter),
-		opErrC: make(map[string]*obs.Counter),
+	return &serverMetrics{
+		requestSeconds: reg.Histogram("rpc_server_request_seconds",
+			"Shard-side RPC handling time, auth check through response write."),
+		authFailures: reg.Counter("rpc_server_auth_failures_total",
+			"RPC requests rejected for a missing or wrong shard secret. Nonzero means a misconfigured router or an unwanted caller."),
+		ops: reg.CounterVec("rpc_server_requests_total",
+			"Shard RPC requests served, by operation.", "op"),
+		errs: reg.CounterVec("rpc_server_errors_total",
+			"Shard RPC requests answered with an error (protocol or application), by operation.", "op"),
 	}
-	if reg == nil {
-		m.requestSeconds = obs.NewHistogram()
-		m.authFailures = obs.NewCounter()
-		return m
-	}
-	m.requestSeconds = reg.Histogram("rpc_server_request_seconds",
-		"Shard-side RPC handling time, auth check through response write.")
-	m.authFailures = reg.Counter("rpc_server_auth_failures_total",
-		"RPC requests rejected for a missing or wrong shard secret. Nonzero means a misconfigured router or an unwanted caller.")
-	m.ops = reg.CounterVec("rpc_server_requests_total",
-		"Shard RPC requests served, by operation.", "op")
-	m.errs = reg.CounterVec("rpc_server_errors_total",
-		"Shard RPC requests answered with an error (protocol or application), by operation.", "op")
-	return m
-}
-
-func (m *serverMetrics) op(name string) *obs.Counter { return m.child(name, m.ops, m.opC) }
-func (m *serverMetrics) opErr(name string) *obs.Counter {
-	return m.child(name, m.errs, m.opErrC)
-}
-
-func (m *serverMetrics) child(name string, vec *obs.CounterVec, cache map[string]*obs.Counter) *obs.Counter {
-	m.mu.RLock()
-	c := cache[name]
-	m.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c = cache[name]; c != nil {
-		return c
-	}
-	if vec != nil {
-		c = vec.With(name)
-	} else {
-		c = obs.NewCounter()
-	}
-	cache[name] = c
-	return c
 }
 
 // clientMetrics instruments one peer's client: every family carries the
@@ -82,17 +42,6 @@ type clientMetrics struct {
 }
 
 func newClientMetrics(reg *obs.Registry, peer string) *clientMetrics {
-	if reg == nil {
-		return &clientMetrics{
-			requests:       obs.NewCounter(),
-			errors:         obs.NewCounter(),
-			requestSeconds: obs.NewHistogram(),
-			retries:        obs.NewCounter(),
-			hedges:         obs.NewCounter(),
-			circuitOpened:  obs.NewCounter(),
-			circuitState:   obs.NewGauge(),
-		}
-	}
 	return &clientMetrics{
 		requests: reg.CounterVec("rpc_client_requests_total",
 			"RPC attempts sent to each peer (retries and hedges count individually).", "peer").With(peer),

@@ -51,7 +51,9 @@ const MaxBody = 8 << 20
 // one of these sentinels (or is a *RemoteError, an application-level
 // refusal from the shard itself), so callers can errors.Is their way to
 // the cause: auth misconfiguration, a peer that answered garbage, a
-// deadline, a dead connection, or a breaker failing fast.
+// deadline, a dead connection, or a breaker failing fast. The last three
+// are httpapi.Unavailable values: a front end answers them 503, not with
+// the route's refusal code.
 var (
 	// ErrAuth is a 401 from the peer: wrong or missing shared secret.
 	// Never retried — the config is wrong, not the network.
@@ -62,13 +64,13 @@ var (
 	// the protocol.
 	ErrMalformed = errors.New("rpc: malformed response")
 	// ErrTimeout is a call that exceeded its deadline.
-	ErrTimeout = errors.New("rpc: deadline exceeded")
+	ErrTimeout error = httpapi.Unavailable("rpc: deadline exceeded")
 	// ErrUnavailable is a transport-level failure: connection refused or
 	// dropped, or a 5xx from the peer's HTTP layer.
-	ErrUnavailable = errors.New("rpc: peer unavailable")
+	ErrUnavailable error = httpapi.Unavailable("rpc: peer unavailable")
 	// ErrCircuitOpen is a fast failure: the peer's breaker is open after
 	// repeated failures and the cooldown has not elapsed.
-	ErrCircuitOpen = errors.New("rpc: circuit open")
+	ErrCircuitOpen error = httpapi.Unavailable("rpc: circuit open")
 )
 
 // CallError is the error a Client returns for any failed call: the peer

@@ -225,7 +225,7 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 		writeRPCError(w, http.StatusNotFound, fmt.Sprintf("unknown op %q", op))
 		return
 	}
-	s.m.op(op).Inc()
+	s.m.ops.With(op).Inc()
 	// Continue the caller's trace when the request carries a valid
 	// sampled traceparent; requests without one stay spanless here —
 	// the head decision belongs to the root process, and an unsampled
@@ -238,19 +238,19 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody+1))
 	if err != nil {
-		s.m.opErr(op).Inc()
+		s.m.errs.With(op).Inc()
 		sp.SetError(err)
 		writeRPCError(w, http.StatusBadRequest, "reading request: "+err.Error())
 		return
 	}
 	if len(body) > MaxBody {
-		s.m.opErr(op).Inc()
+		s.m.errs.With(op).Inc()
 		writeRPCError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request exceeds %d bytes", MaxBody))
 		return
 	}
 	resp, err := h(ctx, body)
 	if err != nil {
-		s.m.opErr(op).Inc()
+		s.m.errs.With(op).Inc()
 		sp.SetError(err)
 		if pe, ok := err.(protoError); ok {
 			writeRPCError(w, http.StatusBadRequest, pe.Error())

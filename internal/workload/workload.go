@@ -114,7 +114,7 @@ func zipfWeights(n int, s float64) []float64 {
 // Each streams a deterministic population to fn one profile at a time,
 // without materializing the slice — the generator the 1M+ index
 // benchmarks use (a million materialized *Profile values would cost
-// gigabytes; streaming feeds them straight into the index/packed store).
+// gigabytes; streaming feeds them straight into the store and its index).
 // Each(cfg, ...) visits exactly the profiles Generate(cfg) returns, in
 // order.
 func Each(cfg Config, fn func(*profile.Profile)) {
