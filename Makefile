@@ -77,7 +77,7 @@ bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
 # Every benchmark once, so none rots (./... picks up a new package's by
-# construction); the seven named ones are perf tripwires and fail the
+# construction); the eight named ones are perf tripwires and fail the
 # target if they disappear. These and the zero-alloc pins in race-full are
 # tripwires only: a number that is judged or quoted comes from benchmark/.
 bench-smoke:
@@ -87,6 +87,7 @@ bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
 	$(GO) test -run=NONE -bench=BenchmarkBrowseTreadsDeployment -benchtime=1x ./internal/delivery/ | grep BenchmarkBrowseTreadsDeployment
 	$(GO) test -run=NONE -bench=BenchmarkAppendLone -benchtime=1x ./internal/journal/ | grep BenchmarkAppendLone
+	$(GO) test -run=NONE -bench=BenchmarkCompact -benchtime=1x ./internal/platform/ | grep BenchmarkCompact
 	$(GO) test -run=NONE -bench=BenchmarkReshardCutover -benchtime=1x ./internal/cluster/ | grep BenchmarkReshardCutover
 	$(GO) test -run=NONE -bench=BenchmarkFailoverDetectToPromote -benchtime=1x ./internal/cluster/ | grep BenchmarkFailoverDetectToPromote
 
@@ -107,7 +108,10 @@ bench-check:
 	tail -n 1 .bench_build/bench-check.out | grep -q '"failed":0[,}]'
 	! tail -n 1 .bench_build/bench-check.out | grep -q 'self_us":{"value":0,'
 
-# Short fuzzing pass over every fuzz target.
+# Short fuzzing pass over every fuzz target. The platform snapshot target is
+# seeded with whole state documents, and the fuzzer's default of a minute
+# spent minimizing each input that reaches new code would leave it a dozen
+# executions in its 15 s; with minimization off it makes ~100 000.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
@@ -117,6 +121,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeCreativeBody -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=15s ./internal/journal/
+	$(GO) test -run=NONE -fuzz=FuzzReadPlatformSnapshot -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
 
 cover:
 	$(GO) test -cover ./...

@@ -861,11 +861,12 @@ func debugMux() *http.ServeMux {
 func bootShard(opts options, i int, logger *log.Logger) func() (*platform.Platform, error) {
 	return func() (*platform.Platform, error) {
 		if opts.Load != "" {
-			raw, err := os.ReadFile(opts.Load)
+			f, err := os.Open(opts.Load)
 			if err != nil {
 				return nil, fmt.Errorf("reading snapshot: %w", err)
 			}
-			state, err := platform.UnmarshalSnapshot(raw)
+			state, err := platform.ReadSnapshot(f)
+			f.Close()
 			if err != nil {
 				return nil, fmt.Errorf("parsing snapshot: %w", err)
 			}
@@ -904,17 +905,13 @@ func bootShard(opts options, i int, logger *log.Logger) func() (*platform.Platfo
 // saveAtomic writes the snapshot through a temp file and rename so a crash
 // mid-write can never leave a truncated snapshot at the target path.
 func saveAtomic(path string, state platform.State) error {
-	raw, err := platform.MarshalSnapshot(state)
-	if err != nil {
-		return err
-	}
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after successful rename
-	if _, err := tmp.Write(raw); err != nil {
+	if err := platform.WriteSnapshot(tmp, state); err != nil {
 		tmp.Close()
 		return err
 	}

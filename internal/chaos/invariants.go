@@ -18,6 +18,14 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
+// stateBytes is a state's snapshot document in memory, for the byte-identity
+// invariants to compare.
+func stateBytes(s platform.State) ([]byte, error) {
+	var buf bytes.Buffer
+	err := platform.WriteSnapshot(&buf, s)
+	return buf.Bytes(), err
+}
+
 // quiesce brings every shard to a healthy, recovered steady state and
 // runs the recovery-identity check: each shard's state must marshal
 // byte-identically before a clean close and after reopening from disk. A
@@ -43,7 +51,7 @@ func (h *harness) quiesce(res *Result) {
 		}
 	}
 	for _, n := range h.nodes {
-		before, err := platform.MarshalSnapshot(n.jp.State())
+		before, err := stateBytes(n.jp.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling pre-close state: %v", n.idx, err)
 			continue
@@ -60,7 +68,7 @@ func (h *harness) quiesce(res *Result) {
 			res.violate("recovery", "shard %d: reopen after clean close: %v", n.idx, err)
 			continue
 		}
-		after, err := platform.MarshalSnapshot(n.jp.State())
+		after, err := stateBytes(n.jp.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling recovered state: %v", n.idx, err)
 			continue
@@ -223,7 +231,7 @@ func (h *harness) verifyReplication(res *Result) {
 			continue
 		}
 		own := g.nodes[0].jp
-		ownBytes, err := platform.MarshalSnapshot(own.State())
+		ownBytes, err := stateBytes(own.State())
 		if err != nil {
 			res.violate("replication", "slot %d: marshalling owner state: %v", si, err)
 			continue
@@ -240,7 +248,7 @@ func (h *harness) verifyReplication(res *Result) {
 				res.violate("replication", "slot %d follower %d: ship cursor %d, owner journal at %d",
 					si, j+1, st.ShipLSN, own.LastLSN())
 			}
-			fb, err := platform.MarshalSnapshot(jp.State())
+			fb, err := stateBytes(jp.State())
 			if err != nil {
 				res.violate("replication", "slot %d follower %d: marshalling state: %v", si, j+1, err)
 				continue

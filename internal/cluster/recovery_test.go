@@ -150,11 +150,11 @@ func shardDir(root string, i int) string {
 
 func marshalJournaled(t *testing.T, jp *platform.Journaled) []byte {
 	t.Helper()
-	raw, err := platform.MarshalSnapshot(jp.State())
-	if err != nil {
+	var buf bytes.Buffer
+	if err := platform.WriteSnapshot(&buf, jp.State()); err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return buf.Bytes()
 }
 
 // runRecoveryMaster drives the script on a fresh 3-shard journaled

@@ -101,9 +101,35 @@ type registered struct {
 // the same counts as money is owed on them; fillSlot advances feed, shown
 // and ledger together under p.mu.
 type userState struct {
-	slots int             // slot auctions run for the user, won or lost
-	feed  []ad.Impression // every impression delivered, oldest first
-	shown map[string]int  // campaign ID -> impressions in feed
+	slots int            // slot auctions run for the user, won or lost
+	feed  []feedRow      // every impression delivered, oldest first
+	shown map[string]int // campaign ID -> impressions in feed
+}
+
+// feedRow is one delivered impression as a feed keeps it, in 16 bytes: the
+// campaign and the slot. The rest of an ad.Impression is the campaign's — one
+// is never unregistered, and its ID, advertiser and creative never change
+// once AddCampaign has copied them — so it is filled in where an impression
+// is handed out.
+type feedRow struct {
+	c    *registered
+	slot int
+}
+
+func (r feedRow) impression() ad.Impression {
+	return ad.Impression{CampaignID: r.c.ID, Advertiser: r.c.Advertiser, Creative: r.c.Creative, Slot: r.slot}
+}
+
+// impressions is the feed as it is handed out, nil when empty.
+func (u *userState) impressions() []ad.Impression {
+	if len(u.feed) == 0 {
+		return nil
+	}
+	out := make([]ad.Impression, len(u.feed))
+	for i, r := range u.feed {
+		out[i] = r.impression()
+	}
+	return out
 }
 
 // count records one more impression of the campaign in u.feed.
@@ -289,18 +315,12 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 	if !out.Won {
 		return ad.Impression{}, false
 	}
-	c := p.byID[out.CampaignID]
-	imp := ad.Impression{
-		CampaignID: c.ID,
-		Advertiser: c.Advertiser,
-		Creative:   c.Creative,
-		Slot:       slot,
-	}
-	u.feed = append(u.feed, imp)
-	u.count(c.ID)
-	p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
+	row := feedRow{c: p.byID[out.CampaignID], slot: slot}
+	u.feed = append(u.feed, row)
+	u.count(row.c.ID)
+	p.ledger.RecordImpression(row.c.ID, prof.ID, out.PricePaid)
 	impressionsServed.Inc()
-	return imp, true
+	return row.impression(), true
 }
 
 // CustomDataAdvertisers returns, in registration order and without
@@ -352,7 +372,7 @@ func (p *Pipeline) Feed(uid profile.UserID) []ad.Impression {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if u := p.users[uid]; u != nil {
-		return append([]ad.Impression(nil), u.feed...)
+		return u.impressions()
 	}
 	return nil
 }

@@ -50,7 +50,7 @@ func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
 		}
 		c := p.byID[out.CampaignID]
 		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: slot}
-		u.feed = append(u.feed, imp)
+		u.feed = append(u.feed, feedRow{c, slot})
 		u.count(c.ID)
 		p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
 		session = append(session, imp)

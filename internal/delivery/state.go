@@ -2,6 +2,7 @@ package delivery
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -43,7 +44,10 @@ type CampaignState struct {
 	Paused       bool                  `json:"paused,omitempty"`
 }
 
-// FeedState is one user's full impression history.
+// FeedState is one user's full impression history. RestoreState reads an
+// impression's CampaignID and Slot; its advertiser and creative are taken
+// from that campaign in State.Campaigns, which is where they were copied
+// from when it was written.
 type FeedState struct {
 	User        profile.UserID  `json:"user"`
 	Impressions []ad.Impression `json:"impressions"`
@@ -82,7 +86,7 @@ func (p *Pipeline) Snapshot() State {
 	for _, uid := range uids {
 		u := p.users[uid]
 		if len(u.feed) > 0 {
-			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: append([]ad.Impression(nil), u.feed...)})
+			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: u.impressions()})
 		}
 		if u.slots > 0 {
 			s.Slots = append(s.Slots, SlotState{User: uid, N: u.slots})
@@ -91,7 +95,9 @@ func (p *Pipeline) Snapshot() State {
 	return s
 }
 
-// RestoreState rebuilds a pipeline over the given components.
+// RestoreState rebuilds a pipeline over the given components. A feed that
+// names a campaign s does not define is refused: no cap counts its
+// impressions and no ledger row agrees with them.
 func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) (*Pipeline, error) {
 	p := NewPipeline(store, engine, ledger, market, rng)
 	for _, cs := range s.Campaigns {
@@ -118,9 +124,14 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 	}
 	for _, fs := range s.Feeds {
 		u := p.user(fs.User)
-		u.feed = append(u.feed, fs.Impressions...)
+		u.feed = slices.Grow(u.feed, len(fs.Impressions))
 		for _, imp := range fs.Impressions {
-			u.count(imp.CampaignID)
+			c := p.byID[imp.CampaignID]
+			if c == nil {
+				return nil, fmt.Errorf("delivery: user %q's feed names campaign %q, which the state does not define", fs.User, imp.CampaignID)
+			}
+			u.feed = append(u.feed, feedRow{c: c, slot: imp.Slot})
+			u.count(c.ID)
 		}
 	}
 	for _, ss := range s.Slots {

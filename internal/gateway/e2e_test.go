@@ -290,11 +290,11 @@ func TestGatewayStateEquivalence(t *testing.T) {
 		if st.Errors != 0 {
 			t.Fatalf("driver errors: %d", st.Errors)
 		}
-		raw, err := platform.MarshalSnapshot(p.Snapshot(99))
-		if err != nil {
+		var buf bytes.Buffer
+		if err := platform.WriteSnapshot(&buf, p.Snapshot(99)); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		return raw
+		return buf.Bytes()
 	}
 
 	plain := drive(t, false)

@@ -3,6 +3,7 @@ package gateway
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -167,7 +168,12 @@ func (m *Meter) recover(j *journal.Journal) error {
 		return fmt.Errorf("gateway: reading usage snapshot: %w", err)
 	}
 	if snap != nil {
-		if err := apply(snap); err != nil {
+		raw, err := io.ReadAll(snap) // one usage record
+		snap.Close()
+		if err != nil {
+			return fmt.Errorf("gateway: reading usage snapshot: %w", err)
+		}
+		if err := apply(raw); err != nil {
 			return err
 		}
 	}
@@ -258,11 +264,12 @@ func (m *Meter) Close() error {
 			rec.Tenants[name] = u.snapshot()
 		}
 		if raw, err := json.Marshal(rec); err == nil {
-			if err := m.ledger.WriteSnapshot(lsn, raw); err != nil {
-				// Snapshot failures are non-sticky; the appended records
-				// still recover. Close proceeds.
-				_ = err
-			}
+			// Snapshot failures are non-sticky; the appended records still
+			// recover. Close proceeds.
+			_ = m.ledger.WriteSnapshot(lsn, func(w io.Writer) error {
+				_, err := w.Write(raw)
+				return err
+			})
 		}
 	}
 	if err := m.ledger.Close(); err != nil {

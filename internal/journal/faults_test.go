@@ -7,8 +7,6 @@ package journal
 // plus the segments that extend it).
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -75,7 +73,7 @@ func TestFsyncFailureIsSticky(t *testing.T) {
 	if got := j.LastLSN(); got != last {
 		t.Fatalf("failed journal still assigned LSNs: %d -> %d", last, got)
 	}
-	if err := j.WriteSnapshot(1, []byte("snap")); !errors.Is(err, ErrFailed) {
+	if err := j.WriteSnapshot(1, fromBytes([]byte("snap"))); !errors.Is(err, ErrFailed) {
 		t.Fatalf("snapshot on failed journal = %v, want ErrFailed", err)
 	}
 	if err := j.Sync(); !errors.Is(err, ErrFailed) {
@@ -180,19 +178,14 @@ func TestShortWriteTearsTailAndRecovers(t *testing.T) {
 // — the torn file must not shadow them.
 func TestTornSnapshotDoesNotShadowSegments(t *testing.T) {
 	t.Run("inside the only frame", func(t *testing.T) {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if _, err := writeRecordTo(bw, []byte("state-through-8-that-never-finished")); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		tornSnapshotDoesNotShadowSegments(t, buf.Bytes()[:buf.Len()/2])
+		whole := appendRecord(nil, []byte("state-through-8-that-never-finished"))
+		tornSnapshotDoesNotShadowSegments(t, whole[:len(whole)/2])
 	})
 	// A multi-frame snapshot cut inside its second frame starts with a
 	// whole, valid first frame; that must not pass for a shorter state.
 	t.Run("inside the second frame", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "snap")
-		if err := writeSnapshotFile(faults.OS{}, path, make([]byte, MaxRecordBytes+4096), true); err != nil {
+		if err := writeSnapshotFile(faults.OS{}, path, fromBytes(make([]byte, snapshotFrameBytes+4096)), true); err != nil {
 			t.Fatal(err)
 		}
 		whole, err := os.ReadFile(path)
@@ -216,7 +209,7 @@ func tornSnapshotDoesNotShadowSegments(t *testing.T, torn []byte) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.WriteSnapshot(4, []byte("state-through-4")); err != nil {
+	if err := j.WriteSnapshot(4, fromBytes([]byte("state-through-4"))); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -247,7 +240,7 @@ func tornSnapshotDoesNotShadowSegments(t *testing.T, torn []byte) {
 		t.Fatalf("stale snapshot temp not removed: stat = %v", err)
 	}
 
-	data, lsn, err := j2.Snapshot()
+	data, lsn, err := readSnap(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +293,7 @@ func TestSnapshotRenameFailureIsNotSticky(t *testing.T) {
 		}
 	}
 	inj.Arm(true)
-	if err := j.WriteSnapshot(4, []byte("state")); err == nil || !faults.IsInjected(err) {
+	if err := j.WriteSnapshot(4, fromBytes([]byte("state"))); err == nil || !faults.IsInjected(err) {
 		t.Fatalf("snapshot under rename faults = %v, want injected error", err)
 	}
 	inj.Arm(false)
@@ -313,10 +306,10 @@ func TestSnapshotRenameFailureIsNotSticky(t *testing.T) {
 	if _, err := j.Append([]byte("still-works")); err != nil {
 		t.Fatalf("append after failed snapshot = %v, want success", err)
 	}
-	if err := j.WriteSnapshot(5, []byte("state-5")); err != nil {
+	if err := j.WriteSnapshot(5, fromBytes([]byte("state-5"))); err != nil {
 		t.Fatalf("snapshot retry = %v, want success", err)
 	}
-	if _, lsn, err := j.Snapshot(); err != nil || lsn != 5 {
+	if _, lsn, err := readSnap(j); err != nil || lsn != 5 {
 		t.Fatalf("Snapshot() after retry = lsn %d, %v; want 5", lsn, err)
 	}
 }

@@ -1,11 +1,14 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"errors"
 	"io"
+	"os"
 	"testing"
+	"testing/iotest"
+
+	"github.com/treads-project/treads/internal/faults"
 )
 
 // FuzzReadRecord feeds the record decoder arbitrary bytes. The decoder
@@ -20,13 +23,7 @@ func FuzzReadRecord(f *testing.F) {
 		bytes.Repeat([]byte{0xab}, 1000),
 		{},
 	} {
-		var buf bytes.Buffer
-		w := bufio.NewWriter(&buf)
-		if _, err := writeRecordTo(w, payload); err != nil {
-			f.Fatal(err)
-		}
-		w.Flush()
-		f.Add(buf.Bytes())
+		f.Add(appendRecord(nil, payload))
 	}
 	// Garbage and truncations.
 	f.Add([]byte{})
@@ -37,7 +34,7 @@ func FuzzReadRecord(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
-		payload, err := readRecord(r)
+		payload, err := readRecord(r, nil)
 		switch {
 		case err == io.EOF:
 			if len(data) != 0 {
@@ -51,24 +48,20 @@ func FuzzReadRecord(f *testing.F) {
 			// Accepted frame: canonical re-encoding must reproduce the
 			// consumed prefix bit-for-bit.
 			consumed := len(data) - r.Len()
-			var buf bytes.Buffer
-			w := bufio.NewWriter(&buf)
-			if _, werr := writeRecordTo(w, payload); werr != nil {
-				t.Fatalf("re-encoding accepted payload: %v", werr)
-			}
-			w.Flush()
-			if !bytes.Equal(buf.Bytes(), data[:consumed]) {
-				t.Fatalf("accepted frame is not canonical: %x vs %x", buf.Bytes(), data[:consumed])
+			if again := appendRecord(nil, payload); !bytes.Equal(again, data[:consumed]) {
+				t.Fatalf("accepted frame is not canonical: %x vs %x", again, data[:consumed])
 			}
 		}
 	})
 }
 
 // FuzzReadSnapshot feeds the snapshot reader arbitrary files. It must never
-// panic, must fail with ErrCorrupt unless the file is one or more valid
-// frames up to a clean end, and what it returns is exactly those frames'
-// payloads in order. A length prefix above MaxRecordBytes is rejected by
-// readRecord before anything is allocated for it.
+// panic; a file that is one or more valid frames up to a clean end reads as
+// exactly those frames' payloads in order and passes Open's validation; any
+// other file — a bad or partial frame anywhere, or no frame — ends in an
+// error wrapping ErrCorrupt, never a clean EOF, and Open quarantines it. A
+// length prefix above MaxRecordBytes is rejected by readRecord before
+// anything is allocated for it, and the reader holds one frame at a time.
 func FuzzReadSnapshot(f *testing.F) {
 	frames := func(payloads ...[]byte) []byte {
 		var out []byte
@@ -87,12 +80,17 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, file []byte) {
-		got, err := readSnapshot(bytes.NewReader(file))
+		fr := &frameReader{f: io.NopCloser(bytes.NewReader(file)), path: "fuzz"}
+		// Drained a byte at a time, so every frame spans many Reads.
+		got, err := io.ReadAll(iotest.OneByteReader(fr))
+		if cap(fr.frame) > MaxRecordBytes {
+			t.Fatalf("the reader held a %d-byte frame", cap(fr.frame))
+		}
 		// The oracle walks the same file one frame at a time.
 		var want []byte
 		n, bad := 0, false
 		for r := bytes.NewReader(file); ; n++ {
-			frame, ferr := readRecord(r)
+			frame, ferr := readRecord(r, nil)
 			if ferr == io.EOF {
 				break
 			}
@@ -102,14 +100,28 @@ func FuzzReadSnapshot(f *testing.F) {
 			}
 			want = append(want, frame...)
 		}
+		dir := t.TempDir()
+		if err := os.WriteFile(snapshotPath(dir, 3), file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		kept, cerr := cleanSnapshots(faults.OS{}, dir, true)
+		if cerr != nil {
+			t.Fatal(cerr)
+		}
 		if bad || n == 0 {
 			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("file with a bad frame or none: readSnapshot = (%d bytes, %v), want ErrCorrupt", len(got), err)
+				t.Fatalf("file with a bad frame or none: read %d bytes, then %v; want ErrCorrupt", len(got), err)
+			}
+			if _, serr := os.Stat(snapshotPath(dir, 3)); kept != 0 || !os.IsNotExist(serr) {
+				t.Fatalf("cleanSnapshots kept it: newest %d, stat %v", kept, serr)
 			}
 			return
 		}
 		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("%d valid frames: readSnapshot = (%d bytes, %v), want %d bytes", n, len(got), err, len(want))
+			t.Fatalf("%d valid frames: read %d bytes, then %v; want %d bytes", n, len(got), err, len(want))
+		}
+		if kept != 3 {
+			t.Fatalf("cleanSnapshots = %d on a valid snapshot, want 3", kept)
 		}
 	})
 }

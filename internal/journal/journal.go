@@ -29,8 +29,9 @@
 // repairs the tail), and re-apply what recovery reports lost.
 //
 // Compaction: callers periodically write a snapshot of their full state
-// via WriteSnapshot(lsn, data); segments whose records are all covered by
-// the snapshot are deleted. Recovery is Snapshot() + Replay(snapLSN, fn).
+// via WriteSnapshot(lsn, write), which frames whatever write emits as it is
+// emitted; segments whose records are all covered by the snapshot are
+// deleted. Recovery is Snapshot() — a reader — + Replay(snapLSN, fn).
 //
 // All file I/O goes through a faults.FS seam (Options.FS, default the real
 // OS), so the fault-injection harness can exercise every failure path
@@ -118,6 +119,7 @@ type Journal struct {
 	nextLSN  uint64
 	firstLSN uint64 // first LSN of the active segment
 	durable  uint64 // highest LSN known written and fsynced
+	snapLSN  uint64 // the newest snapshot's LSN (0 with none): compaction may have deleted through it
 	flushing bool   // the flush lock: set while a leader owns the fields below
 	closed   bool
 	failed   error // sticky error wrapping ErrFailed; the journal is dead after one
@@ -149,7 +151,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &Journal{dir: dir, opts: opts, fs: fs, m: opts.Metrics}
+	j := &Journal{dir: dir, opts: opts, fs: fs, m: opts.Metrics, snapLSN: snapLSN}
 	if j.m == nil {
 		j.m = NewMetrics(nil, "")
 	}

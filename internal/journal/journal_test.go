@@ -2,9 +2,13 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -19,6 +23,25 @@ func openT(t *testing.T, dir string, opts Options) *Journal {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return j
+}
+
+// fromBytes is the WriteSnapshot callback of a test that holds its state as
+// bytes; readSnap reads the newest snapshot back into bytes.
+func fromBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+func readSnap(j *Journal) ([]byte, uint64, error) {
+	r, lsn, err := j.Snapshot()
+	if err != nil || r == nil {
+		return nil, lsn, err
+	}
+	defer r.Close()
+	data, err := io.ReadAll(r)
+	return data, lsn, err
 }
 
 func collect(t *testing.T, j *Journal, from uint64) (lsns []uint64, payloads [][]byte) {
@@ -245,7 +268,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []byte("state-through-20")
-	if err := j.WriteSnapshot(20, state); err != nil {
+	if err := j.WriteSnapshot(20, fromBytes(state)); err != nil {
 		t.Fatalf("WriteSnapshot: %v", err)
 	}
 	segsBefore, _ := listSegments(faults.OS{}, dir)
@@ -254,7 +277,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 			t.Fatalf("segment %s should have been compacted away", s.path)
 		}
 	}
-	data, lsn, err := j.Snapshot()
+	data, lsn, err := readSnap(j)
 	if err != nil || lsn != 20 || !bytes.Equal(data, state) {
 		t.Fatalf("Snapshot = (%q, %d, %v)", data, lsn, err)
 	}
@@ -264,7 +287,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 		t.Fatalf("replay-from-snapshot lsns = %v", lsns)
 	}
 	// A newer snapshot supersedes and removes the old one.
-	if err := j.WriteSnapshot(30, []byte("state-through-30")); err != nil {
+	if err := j.WriteSnapshot(30, fromBytes([]byte("state-through-30"))); err != nil {
 		t.Fatal(err)
 	}
 	snaps, _ := listSnapshots(faults.OS{}, dir)
@@ -282,10 +305,10 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	j2.Close()
 }
 
-// TestSnapshotFrames pins the snapshot file format at the record-size
-// boundary: a state that fits one record is that one frame and nothing else
-// (what every earlier build wrote and reads), a larger one is cut into
-// consecutive full frames, and both read back whole.
+// TestSnapshotFrames pins the snapshot file format at the frame-size
+// boundary: a stream that fits one frame is that one record and nothing else,
+// a larger one is cut into consecutive full frames whatever the sizes of the
+// writes it arrived in, and both read back whole.
 func TestSnapshotFrames(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -294,9 +317,9 @@ func TestSnapshotFrames(t *testing.T) {
 	}{
 		{"empty", 0, 1},
 		{"small", 1000, 1},
-		{"exactly one record", MaxRecordBytes, 1},
-		{"one byte over", MaxRecordBytes + 1, 2},
-		{"two and a bit", 2*MaxRecordBytes + 4096, 3},
+		{"exactly one record", snapshotFrameBytes, 1},
+		{"one byte over", snapshotFrameBytes + 1, 2},
+		{"two and a bit", 2*snapshotFrameBytes + 4096, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -309,7 +332,17 @@ func TestSnapshotFrames(t *testing.T) {
 			for i := range state {
 				state[i] = byte(i * 31)
 			}
-			if err := j.WriteSnapshot(1, state); err != nil {
+			err := j.WriteSnapshot(1, func(w io.Writer) error {
+				for rest := state; len(rest) > 0; {
+					n := min(len(rest), 4093)
+					if _, err := w.Write(rest[:n]); err != nil {
+						return err
+					}
+					rest = rest[n:]
+				}
+				return nil
+			})
+			if err != nil {
 				t.Fatalf("WriteSnapshot of %d bytes: %v", tc.size, err)
 			}
 			file, err := os.ReadFile(snapshotPath(dir, 1))
@@ -320,13 +353,148 @@ func TestSnapshotFrames(t *testing.T) {
 				t.Fatalf("snapshot file is %d bytes, want %d (%d frames)", len(file), want, tc.frames)
 			}
 			if tc.frames == 1 && !bytes.Equal(file, appendRecord(nil, state)) {
-				t.Fatal("a snapshot that fits one record is not that one record")
+				t.Fatal("a snapshot that fits one frame is not that one record")
 			}
-			data, lsn, err := j.Snapshot()
+			data, lsn, err := readSnap(j)
 			if err != nil || lsn != 1 || !bytes.Equal(data, state) {
 				t.Fatalf("Snapshot = (%d bytes, %d, %v), want the %d bytes written", len(data), lsn, err, tc.size)
 			}
 		})
+	}
+}
+
+// TestSnapshotFramesOfEarlierBuilds reads what builds before the 1 MiB cut
+// wrote: frames of up to MaxRecordBytes.
+func TestSnapshotFramesOfEarlierBuilds(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{NoSync: true})
+	if _, err := j.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	state := make([]byte, MaxRecordBytes+4096)
+	for i := range state {
+		state[i] = byte(i * 31)
+	}
+	file := appendRecord(appendRecord(nil, state[:MaxRecordBytes]), state[MaxRecordBytes:])
+	if err := os.WriteFile(snapshotPath(dir, 1), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j = openT(t, dir, Options{NoSync: true})
+	defer j.Close()
+	data, lsn, err := readSnap(j)
+	if err != nil || lsn != 1 || !bytes.Equal(data, state) {
+		t.Fatalf("Snapshot = (%d bytes, %d, %v), want the %d bytes of the two 16 MiB-cut frames", len(data), lsn, err, len(state))
+	}
+}
+
+// TestSnapshotStreamIsBounded pins what streaming is for: writing a 64 MiB
+// snapshot in 64 KiB pieces, validating it at Open and reading it back
+// through a 64 KiB buffer each allocate a frame or two, not the snapshot.
+func TestSnapshotStreamIsBounded(t *testing.T) {
+	const size, piece, limit = 64 << 20, 64 << 10, 8 << 20
+	dir := t.TempDir()
+	j := openT(t, dir, Options{NoSync: true})
+	if _, err := j.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, piece)
+	for i := range buf {
+		buf[i] = byte(i * 31)
+	}
+	allocated := func(what string, f func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+			t.Errorf("%s a %d MiB snapshot allocated %d KiB, want under %d", what, size>>20, got>>10, limit>>10)
+		}
+	}
+	allocated("writing", func() {
+		err := j.WriteSnapshot(1, func(w io.Writer) error {
+			for n := 0; n < size; n += piece {
+				if _, err := w.Write(buf); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	j.Close()
+	if st, err := os.Stat(snapshotPath(dir, 1)); err != nil || st.Size() != size+size/snapshotFrameBytes*recordHeaderSize {
+		t.Fatalf("snapshot file: %v, %v; want %d full frames", st, err, size/snapshotFrameBytes)
+	}
+	allocated("validating", func() { j = openT(t, dir, Options{NoSync: true}) })
+	defer j.Close()
+	allocated("reading", func() {
+		r, lsn, err := j.Snapshot()
+		if err != nil || lsn != 1 {
+			t.Fatalf("Snapshot = (%d, %v)", lsn, err)
+		}
+		defer r.Close()
+		total := 0
+		for {
+			n, err := r.Read(buf)
+			total += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total != size {
+			t.Fatalf("read %d bytes back, want %d", total, size)
+		}
+	})
+}
+
+// A write callback that fails half-way costs that snapshot and nothing else:
+// no temp file stays behind, the journal is not failed, and the next
+// snapshot succeeds.
+func TestSnapshotWriteErrorIsNotSticky(t *testing.T) {
+	dir := t.TempDir()
+	j := openT(t, dir, Options{NoSync: true})
+	defer j.Close()
+	if _, err := j.Append([]byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("encoder gave up")
+	err := j.WriteSnapshot(1, func(w io.Writer) error {
+		// Past the first frame, so part of the file is already written.
+		if _, err := w.Write(make([]byte, snapshotFrameBytes+4096)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteSnapshot = %v, want the callback's error", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), snapshotPrefix) {
+			t.Fatalf("failed snapshot left %s behind", e.Name())
+		}
+	}
+	if err := j.Failed(); err != nil {
+		t.Fatalf("journal failed after a snapshot error: %v", err)
+	}
+	if _, err := j.Append([]byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.WriteSnapshot(2, fromBytes([]byte("state-through-2"))); err != nil {
+		t.Fatalf("snapshot after a failed one: %v", err)
+	}
+	if data, lsn, err := readSnap(j); err != nil || lsn != 2 || string(data) != "state-through-2" {
+		t.Fatalf("Snapshot = (%q, %d, %v)", data, lsn, err)
 	}
 }
 
@@ -336,10 +504,10 @@ func TestSnapshotBeyondLastRecordRejected(t *testing.T) {
 	if _, err := j.Append([]byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteSnapshot(2, []byte("x")); err == nil {
+	if err := j.WriteSnapshot(2, fromBytes([]byte("x"))); err == nil {
 		t.Fatal("snapshot beyond last record should be rejected")
 	}
-	if err := j.WriteSnapshot(1, []byte("x")); err != nil {
+	if err := j.WriteSnapshot(1, fromBytes([]byte("x"))); err != nil {
 		t.Fatalf("snapshot at last record: %v", err)
 	}
 	j.Close()
@@ -353,7 +521,7 @@ func TestOpenAfterSnapshotWithoutSegments(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.WriteSnapshot(3, []byte("s")); err != nil {
+	if err := j.WriteSnapshot(3, fromBytes([]byte("s"))); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

@@ -28,7 +28,7 @@ func TestMetrics(t *testing.T) {
 		}
 	}
 	fsyncs := uint64(len(gfs.syncStarts())) // before the snapshot file's own
-	if err := j.WriteSnapshot(5, []byte("state")); err != nil {
+	if err := j.WriteSnapshot(5, fromBytes([]byte("state"))); err != nil {
 		t.Fatal(err)
 	}
 	replayed := 0

@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -62,26 +61,13 @@ func appendRecord(dst, payload []byte) []byte {
 	return append(append(dst, hdr[:]...), payload...)
 }
 
-// writeRecordTo frames payload onto w and returns the bytes written.
-func writeRecordTo(w *bufio.Writer, payload []byte) (int64, error) {
-	if len(payload) > MaxRecordBytes {
-		return 0, fmt.Errorf("journal: record of %d bytes exceeds the %d-byte limit", len(payload), MaxRecordBytes)
-	}
-	hdr := recordHeader(payload)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return 0, err
-	}
-	return recordSize(payload), nil
-}
-
-// readRecord decodes one frame from r. It returns io.EOF exactly at a
-// clean record boundary, ErrCorrupt (possibly wrapped) for any torn or
-// invalid frame, and the payload otherwise. It never panics on arbitrary
-// input and never allocates more than MaxRecordBytes.
-func readRecord(r io.Reader) ([]byte, error) {
+// readRecord decodes one frame from r, into buf's memory when that is large
+// enough (the payload then aliases buf; pass nil for a payload of its own).
+// It returns io.EOF exactly at a clean record boundary, ErrCorrupt (possibly
+// wrapped) for any torn or invalid frame, and the payload otherwise. It
+// never panics on arbitrary input and never allocates more than
+// MaxRecordBytes.
+func readRecord(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [recordHeaderSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
@@ -93,7 +79,10 @@ func readRecord(r io.Reader) ([]byte, error) {
 	if length > MaxRecordBytes {
 		return nil, fmt.Errorf("%w: implausible length %d", ErrCorrupt, length)
 	}
-	payload := make([]byte, length)
+	if uint32(cap(buf)) < length {
+		buf = make([]byte, length)
+	}
+	payload := buf[:length]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, fmt.Errorf("%w: partial payload: %v", ErrCorrupt, err)
 	}

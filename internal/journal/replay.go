@@ -65,7 +65,7 @@ func replaySegment(fs faults.FS, seg segment, from uint64, tolerateTorn bool, fn
 	br := bufio.NewReaderSize(f, 1<<20)
 	lsn := seg.first - 1
 	for {
-		payload, rerr := readRecord(br)
+		payload, rerr := readRecord(br, nil) // fn may keep it
 		if rerr == io.EOF {
 			return lsn, nil
 		}

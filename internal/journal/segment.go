@@ -80,8 +80,10 @@ func repairTail(fs faults.FS, path string) (records uint64, dropped int64, err e
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 256<<10)
 	var good int64
+	var payload []byte // only measured, so every record reuses it
 	for {
-		payload, rerr := readRecord(br)
+		var rerr error
+		payload, rerr = readRecord(br, payload)
 		if rerr == io.EOF {
 			break
 		}

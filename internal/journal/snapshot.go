@@ -1,7 +1,6 @@
 package journal
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -16,11 +15,14 @@ import (
 // Snapshot files hold a caller-provided serialization of the full state
 // through some LSN, named snap-<LSN, 16 hex>.db and written atomically
 // (temp file, fsync, rename, dir fsync). The contents reuse the record
-// framing, so a snapshot is self-checksumming: the state is cut into
-// consecutive frames of at most MaxRecordBytes — one frame for any state
-// that fits — and is the concatenation of every frame up to a clean end of
-// file. Once a snapshot lands, every segment wholly covered by it — and
-// every older snapshot — is garbage and is deleted.
+// framing, so a snapshot is self-checksumming: the caller's byte stream is
+// cut into consecutive frames of snapshotFrameBytes — the last one shorter,
+// an empty stream one empty frame — and is the concatenation of every frame
+// up to a clean end of file. It is written and read one frame at a time;
+// neither direction holds the state. (Earlier builds cut at MaxRecordBytes,
+// and the reader takes any frame up to that size.) Once a snapshot lands,
+// every segment wholly covered by it — and every older snapshot — is
+// garbage and is deleted.
 //
 // Because publish is by rename, a finished snapshot is never torn; what a
 // crash mid-snapshot can leave is a stale .tmp file, or — on filesystems
@@ -33,6 +35,10 @@ const (
 	snapshotPrefix = "snap-"
 	snapshotSuffix = ".db"
 	tmpSuffix      = ".tmp"
+
+	// snapshotFrameBytes is the payload of every snapshot frame but the
+	// last, and so the memory a snapshot costs to write or read.
+	snapshotFrameBytes = 1 << 20
 )
 
 type snapshotFile struct {
@@ -110,7 +116,7 @@ func cleanSnapshots(fs faults.FS, dir string, noSync bool) (uint64, error) {
 	}
 	newest := uint64(0)
 	for i := len(snaps) - 1; i >= 0; i-- {
-		if _, rerr := readSnapshotFile(fs, snaps[i].path); rerr == nil {
+		if validateSnapshot(fs, snaps[i].path) == nil {
 			newest = snaps[i].lsn
 			break
 		}
@@ -127,14 +133,29 @@ func cleanSnapshots(fs faults.FS, dir string, noSync bool) (uint64, error) {
 	return newest, nil
 }
 
-// WriteSnapshot durably stores data as the state through lsn and then
-// compacts the journal: older snapshots are removed and so is every
-// segment whose records the snapshot fully covers. lsn must not exceed
-// the last appended LSN (callers Sync() first, then snapshot at LastLSN).
+// validateSnapshot checksums every frame of the snapshot at path, keeping
+// none of them.
+func validateSnapshot(fs faults.FS, path string) error {
+	r, err := openSnapshot(fs, path)
+	if err != nil {
+		return err
+	}
+	defer r.Close()
+	_, err = io.Copy(io.Discard, r)
+	return err
+}
+
+// WriteSnapshot durably stores the bytes write emits as the state through
+// lsn and then compacts the journal: older snapshots are removed and so is
+// every segment whose records the snapshot fully covers. write's output is
+// framed and written as it arrives, one frame in memory at a time. lsn must
+// not exceed the last appended LSN (callers Sync() first, then snapshot at
+// LastLSN).
 //
-// A snapshot failure is not sticky: the journal's segments are untouched,
-// so appends continue and the next snapshot attempt may succeed.
-func (j *Journal) WriteSnapshot(lsn uint64, data []byte) error {
+// A snapshot failure — write's own error included — is not sticky: the
+// journal's segments are untouched, so appends continue and the next
+// snapshot attempt may succeed.
+func (j *Journal) WriteSnapshot(lsn uint64, write func(io.Writer) error) error {
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -153,7 +174,7 @@ func (j *Journal) WriteSnapshot(lsn uint64, data []byte) error {
 	j.mu.Unlock()
 
 	tmp := snapshotPath(j.dir, lsn) + tmpSuffix
-	if err := writeSnapshotFile(j.fs, tmp, data, j.opts.NoSync); err != nil {
+	if err := writeSnapshotFile(j.fs, tmp, write, j.opts.NoSync); err != nil {
 		j.fs.Remove(tmp)
 		return err
 	}
@@ -161,6 +182,9 @@ func (j *Journal) WriteSnapshot(lsn uint64, data []byte) error {
 		j.fs.Remove(tmp)
 		return fmt.Errorf("journal: publishing snapshot: %w", err)
 	}
+	j.mu.Lock()
+	j.snapLSN = max(j.snapLSN, lsn)
+	j.mu.Unlock()
 	if !j.opts.NoSync {
 		if err := j.fs.SyncDir(j.dir); err != nil {
 			return fmt.Errorf("journal: syncing dir after snapshot: %w", err)
@@ -170,25 +194,19 @@ func (j *Journal) WriteSnapshot(lsn uint64, data []byte) error {
 	return j.compact(lsn)
 }
 
-func writeSnapshotFile(fs faults.FS, path string, data []byte, noSync bool) error {
+func writeSnapshotFile(fs faults.FS, path string, write func(io.Writer) error, noSync bool) error {
 	f, err := fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("journal: creating snapshot: %w", err)
 	}
-	bw := bufio.NewWriterSize(f, 1<<20)
-	for {
-		frame := data[:min(len(data), MaxRecordBytes)]
-		if _, err := writeRecordTo(bw, frame); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: writing snapshot: %w", err)
-		}
-		if data = data[len(frame):]; len(data) == 0 {
-			break
-		}
-	}
-	if err := bw.Flush(); err != nil {
+	fw := &frameWriter{w: f, buf: make([]byte, recordHeaderSize, recordHeaderSize+snapshotFrameBytes)}
+	if err := write(fw); err != nil {
 		f.Close()
-		return fmt.Errorf("journal: flushing snapshot: %w", err)
+		return fmt.Errorf("journal: writing snapshot: %w", err)
+	}
+	if err := fw.finish(); err != nil {
+		f.Close()
+		return fmt.Errorf("journal: writing snapshot: %w", err)
 	}
 	if !noSync {
 		if err := f.Sync(); err != nil {
@@ -199,59 +217,105 @@ func writeSnapshotFile(fs faults.FS, path string, data []byte, noSync bool) erro
 	return f.Close()
 }
 
-// Snapshot returns the newest readable snapshot's contents and LSN, or
-// (nil, 0, nil) when the journal has no snapshot. A snapshot that fails
-// its checksum is skipped in favour of an older one; Open already
-// quarantined any such file, so hitting one here means it appeared (or
-// was tampered with) while the journal was running.
-func (j *Journal) Snapshot() ([]byte, uint64, error) {
-	snaps, err := listSnapshots(j.fs, j.dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	for i := len(snaps) - 1; i >= 0; i-- {
-		data, rerr := readSnapshotFile(j.fs, snaps[i].path)
-		if rerr == nil {
-			return data, snaps[i].lsn, nil
-		}
-		err = rerr
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("journal: no readable snapshot: %w", err)
-	}
-	return nil, 0, nil
+// frameWriter cuts the bytes written to it into frames of snapshotFrameBytes
+// and writes each to w as it fills: header and payload share buf, so a frame
+// is one Write.
+type frameWriter struct {
+	w     io.Writer
+	buf   []byte // header space, then the payload collected so far
+	wrote bool   // a frame, at least
 }
 
-func readSnapshotFile(fs faults.FS, path string) ([]byte, error) {
+func (fw *frameWriter) Write(p []byte) (int, error) {
+	for rest := p; len(rest) > 0; {
+		if len(fw.buf) == cap(fw.buf) {
+			if err := fw.flush(); err != nil {
+				return len(p) - len(rest), err
+			}
+		}
+		n := copy(fw.buf[len(fw.buf):cap(fw.buf)], rest)
+		fw.buf, rest = fw.buf[:len(fw.buf)+n], rest[n:]
+	}
+	return len(p), nil
+}
+
+func (fw *frameWriter) flush() error {
+	hdr := recordHeader(fw.buf[recordHeaderSize:])
+	copy(fw.buf, hdr[:])
+	_, err := fw.w.Write(fw.buf)
+	fw.buf = fw.buf[:recordHeaderSize]
+	fw.wrote = true
+	return err
+}
+
+// finish writes the last, partial frame. An empty stream is one empty
+// frame: a snapshot file always holds at least one.
+func (fw *frameWriter) finish() error {
+	if len(fw.buf) == recordHeaderSize && fw.wrote {
+		return nil
+	}
+	return fw.flush()
+}
+
+// Snapshot opens the newest snapshot for reading and returns it with its
+// LSN, or (nil, 0, nil) when the journal has no snapshot. The reader
+// verifies and yields one frame at a time; a bad or partial frame — Open
+// quarantined any such file, so it appeared or was tampered with while the
+// journal was running — is a read error wrapping ErrCorrupt, never a short
+// state. The caller closes the reader.
+func (j *Journal) Snapshot() (io.ReadCloser, uint64, error) {
+	snaps, err := listSnapshots(j.fs, j.dir)
+	if err != nil || len(snaps) == 0 {
+		return nil, 0, err
+	}
+	newest := snaps[len(snaps)-1]
+	r, err := openSnapshot(j.fs, newest.path)
+	if err != nil {
+		return nil, 0, fmt.Errorf("journal: opening snapshot: %w", err)
+	}
+	return r, newest.lsn, nil
+}
+
+func openSnapshot(fs faults.FS, path string) (*frameReader, error) {
 	f, err := fs.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	data, err := readSnapshot(bufio.NewReaderSize(f, 1<<20))
-	if err != nil {
-		return nil, fmt.Errorf("journal: snapshot %s: %w", path, err)
-	}
-	return data, nil
+	return &frameReader{f: f, path: path}, nil
 }
 
-// readSnapshot concatenates r's frames. Any bad or partial frame, and a
-// file with no frame at all, fails the whole snapshot: a torn one must
-// never be mistaken for a shorter state.
-func readSnapshot(r io.Reader) ([]byte, error) {
-	data, err := readRecord(r)
-	if err == io.EOF {
-		return nil, fmt.Errorf("%w: no frames", ErrCorrupt)
+// frameReader reads a snapshot file as the stream that was written into it.
+// Any bad or partial frame, and a file with no frame at all, is an error: a
+// torn snapshot must never be mistaken for a shorter state.
+type frameReader struct {
+	f       io.ReadCloser // unbuffered: a header and a payload are one read each
+	path    string
+	frame   []byte // the current frame; the next one reuses its memory
+	unread  []byte // the part of frame Read has yet to hand out
+	started bool   // a frame has been read
+	err     error  // sticky
+}
+
+func (fr *frameReader) Close() error { return fr.f.Close() }
+
+func (fr *frameReader) Read(p []byte) (int, error) {
+	for len(fr.unread) == 0 && fr.err == nil {
+		fr.frame, fr.err = readRecord(fr.f, fr.frame)
+		switch {
+		case fr.err == nil:
+			fr.unread, fr.started = fr.frame, true
+		case fr.err == io.EOF && !fr.started:
+			fr.err = fmt.Errorf("journal: snapshot %s: %w: no frames", fr.path, ErrCorrupt)
+		case fr.err != io.EOF:
+			fr.err = fmt.Errorf("journal: snapshot %s: %w", fr.path, fr.err)
+		}
 	}
-	for err == nil {
-		var frame []byte
-		frame, err = readRecord(r) // nil on error
-		data = append(data, frame...)
+	if len(fr.unread) == 0 {
+		return 0, fr.err
 	}
-	if err != io.EOF {
-		return nil, err
-	}
-	return data, nil
+	n := copy(p, fr.unread)
+	fr.unread = fr.unread[n:]
+	return n, nil
 }
 
 // compact removes snapshots older than lsn and every sealed segment whose

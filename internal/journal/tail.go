@@ -22,10 +22,9 @@ func (j *Journal) TailSince(from uint64, fn func(lsn uint64, payload []byte) err
 	// Compaction may have deleted the segments below the newest snapshot;
 	// a caller asking for records at or below that boundary cannot be
 	// served from the log.
-	_, snapLSN, err := j.Snapshot()
-	if err != nil {
-		return err
-	}
+	j.mu.Lock()
+	snapLSN := j.snapLSN
+	j.mu.Unlock()
 	if from < snapLSN {
 		return &ErrCompacted{From: from, SnapshotLSN: snapLSN}
 	}

@@ -3,8 +3,12 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"github.com/treads-project/treads/internal/faults"
 )
 
 // TestTailSince pins the follower catch-up primitive: tailing from an
@@ -65,7 +69,7 @@ func TestTailSinceCompacted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.WriteSnapshot(j.LastLSN(), []byte("state@10")); err != nil {
+	if err := j.WriteSnapshot(j.LastLSN(), fromBytes([]byte("state@10"))); err != nil {
 		t.Fatal(err)
 	}
 	var ce *ErrCompacted
@@ -92,7 +96,7 @@ func TestSnapshotBootstrapAtZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.WriteSnapshot(0, []byte("installed-state")); err != nil {
+	if err := j.WriteSnapshot(0, fromBytes([]byte("installed-state"))); err != nil {
 		t.Fatalf("bootstrap snapshot at LSN 0: %v", err)
 	}
 	if _, err := j.Append([]byte("first")); err != nil {
@@ -107,7 +111,7 @@ func TestSnapshotBootstrapAtZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	data, lsn, err := j2.Snapshot()
+	data, lsn, err := readSnap(j2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +134,72 @@ func TestSnapshotBootstrapAtZero(t *testing.T) {
 	// The snapshot file really is the zero-LSN name.
 	if _, err := j2.fs.OpenFile(filepath.Join(dir, "snap-0000000000000000.db"), 0, 0); err != nil {
 		t.Fatalf("expected zero-LSN snapshot file: %v", err)
+	}
+}
+
+// openCounter is a faults.FS that counts the snapshot files opened through it.
+type openCounter struct {
+	faults.FS
+	snapshots int
+}
+
+func (c *openCounter) OpenFile(name string, flag int, perm os.FileMode) (faults.File, error) {
+	if strings.HasPrefix(filepath.Base(name), snapshotPrefix) {
+		c.snapshots++
+	}
+	return c.FS.OpenFile(name, flag, perm)
+}
+
+// TestTailSinceDoesNotReadTheSnapshot: the journal knows its newest
+// snapshot's LSN — from Open, then from each WriteSnapshot — so a follower
+// catching up costs the owner no read of the state, before or after a
+// restart.
+func TestTailSinceDoesNotReadTheSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	fs := &openCounter{FS: faults.OS{}}
+	j, err := Open(dir, Options{NoSync: true, FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := j.Append([]byte("record")); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tail := func(from uint64, want int) {
+		t.Helper()
+		got, before := 0, fs.snapshots
+		if err := j.TailSince(from, func(uint64, []byte) error { got++; return nil }); err != nil {
+			t.Fatalf("TailSince(%d): %v", from, err)
+		}
+		if got != want || fs.snapshots != before {
+			t.Fatalf("TailSince(%d) yielded %d records and opened %d snapshot files, want %d and 0", from, got, fs.snapshots-before, want)
+		}
+	}
+	appendN(5)
+	if err := j.WriteSnapshot(5, fromBytes(make([]byte, 2*snapshotFrameBytes+4096))); err != nil {
+		t.Fatal(err)
+	}
+	appendN(3)
+	tail(5, 3)
+	tail(7, 1)
+	var ce *ErrCompacted
+	if err := j.TailSince(4, func(uint64, []byte) error { return nil }); !errors.As(err, &ce) || ce.SnapshotLSN != 5 {
+		t.Fatalf("TailSince below the snapshot = %v, want *ErrCompacted at 5", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if j, err = Open(dir, Options{NoSync: true, FS: fs}); err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	tail(6, 2)
+	if err := j.TailSince(4, func(uint64, []byte) error { return nil }); !errors.As(err, &ce) || ce.SnapshotLSN != 5 {
+		t.Fatalf("after reopen, TailSince below the snapshot = %v, want *ErrCompacted at 5", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -70,12 +71,12 @@ func OpenJournaled(dir string, opts journal.Options, boot func() (*Platform, err
 	if err != nil {
 		return nil, err
 	}
-	data, snapLSN, err := j.Snapshot()
+	snap, snapLSN, err := j.Snapshot()
 	if err != nil {
 		j.Close()
 		return nil, err
 	}
-	if data == nil {
+	if snap == nil {
 		if j.LastLSN() != 0 {
 			j.Close()
 			return nil, fmt.Errorf("platform: journal %s has records but no snapshot", dir)
@@ -93,7 +94,8 @@ func OpenJournaled(dir string, opts journal.Options, boot func() (*Platform, err
 		}
 		return jp, nil
 	}
-	state, err := UnmarshalSnapshot(data)
+	state, err := ReadSnapshot(snap)
+	snap.Close()
 	if err != nil {
 		j.Close()
 		return nil, err
@@ -168,18 +170,17 @@ func (jp *Journaled) stateLocked() State {
 func (jp *Journaled) Compact() (uint64, error) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
+	return jp.writeSnapshot(jp.stateLocked())
+}
+
+// writeSnapshot streams s into the journal's snapshot channel as the state
+// through the last journaled LSN, which it returns. The caller holds jp.mu.
+func (jp *Journaled) writeSnapshot(s State) (uint64, error) {
 	if err := jp.j.Sync(); err != nil {
 		return 0, err
 	}
-	raw, err := MarshalSnapshot(jp.stateLocked())
-	if err != nil {
-		return 0, err
-	}
 	lsn := jp.j.LastLSN()
-	if err := jp.j.WriteSnapshot(lsn, raw); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	return lsn, jp.j.WriteSnapshot(lsn, func(w io.Writer) error { return WriteSnapshot(w, s) })
 }
 
 // commit is the one write path of a journaled platform. Every mutation — a

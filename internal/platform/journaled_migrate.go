@@ -92,14 +92,7 @@ func (jp *Journaled) InstallState(s State) error {
 	if err != nil {
 		return fmt.Errorf("platform: installing state: %w", err)
 	}
-	raw, err := MarshalSnapshot(s)
-	if err != nil {
-		return fmt.Errorf("platform: installing state: %w", err)
-	}
-	if err := jp.j.Sync(); err != nil {
-		return fmt.Errorf("platform: installing state: %w", err)
-	}
-	if err := jp.j.WriteSnapshot(jp.j.LastLSN(), raw); err != nil {
+	if _, err := jp.writeSnapshot(s); err != nil {
 		return fmt.Errorf("platform: installing state: %w", err)
 	}
 	jp.p.Store(p2)

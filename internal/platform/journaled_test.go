@@ -7,6 +7,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -135,11 +136,11 @@ func journalScript(t *testing.T) []func(m mutator) {
 
 func marshalState(t *testing.T, s State) []byte {
 	t.Helper()
-	raw, err := MarshalSnapshot(s)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, s); err != nil {
 		t.Fatal(err)
 	}
-	return raw
+	return buf.Bytes()
 }
 
 // exactState snapshots a plain platform with its live RNG state, the same
@@ -314,14 +315,19 @@ func TestRecoverJournalWrittenByPerSlotScan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want, err := os.ReadFile("testdata/journal_pr14_state.json")
+	indented, err := os.ReadFile("testdata/journal_pr14_state.json")
 	if err != nil {
+		t.Fatal(err)
+	}
+	// That build indented its export; the document is the same.
+	var want bytes.Buffer
+	if err := json.Compact(&want, indented); err != nil {
 		t.Fatal(err)
 	}
 	jp := mustOpenJournaled(t, dir, journal.Options{NoSync: true}, noBoot(t))
 	defer jp.Close()
-	if got := marshalState(t, jp.State()); !bytes.Equal(got, want) {
-		t.Fatalf("recovered state differs from the one the writing build exported (%d vs %d bytes)", len(got), len(want))
+	if got := marshalState(t, jp.State()); !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("recovered state differs from the one the writing build exported (%d vs %d bytes)", len(got), want.Len())
 	}
 	// The tail really exercised the serve path.
 	if n := len(jp.Feed("ju02")); n < 6 {
@@ -354,7 +360,7 @@ func TestJournaledCrashSweep(t *testing.T) {
 	if snapLSN != 0 {
 		t.Fatalf("boot snapshot at LSN %d, want 0", snapLSN)
 	}
-	bootState, err := UnmarshalSnapshot(data)
+	bootState, err := ReadSnapshot(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +416,13 @@ func readJournalSnapshot(dir string) ([]byte, uint64, error) {
 		return nil, 0, err
 	}
 	defer j.Close()
-	return j.Snapshot()
+	snap, lsn, err := j.Snapshot()
+	if err != nil || snap == nil {
+		return nil, lsn, err
+	}
+	defer snap.Close()
+	data, err := io.ReadAll(snap)
+	return data, lsn, err
 }
 
 // readOnlySegment returns the path and contents of the journal's single

@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -139,18 +138,4 @@ func Restore(s State) (*Platform, error) {
 	}
 	p.explainer = explain.New(p.catalog, p.prevalence)
 	return p, nil
-}
-
-// MarshalSnapshot serializes a snapshot to JSON.
-func MarshalSnapshot(s State) ([]byte, error) {
-	return json.MarshalIndent(s, "", " ")
-}
-
-// UnmarshalSnapshot parses a JSON snapshot.
-func UnmarshalSnapshot(data []byte) (State, error) {
-	var s State
-	if err := json.Unmarshal(data, &s); err != nil {
-		return State{}, fmt.Errorf("platform: parsing snapshot: %w", err)
-	}
-	return s, nil
 }

@@ -1,10 +1,12 @@
 package platform
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -110,11 +112,7 @@ func buildRichPlatform(t *testing.T) *Platform {
 func TestSnapshotRoundTrip(t *testing.T) {
 	orig := buildRichPlatform(t)
 	snap := orig.Snapshot(99)
-	raw, err := MarshalSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parsed, err := UnmarshalSnapshot(raw)
+	parsed, err := ReadSnapshot(bytes.NewReader(marshalState(t, snap)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,21 +218,15 @@ func TestSnapshotVersionCheck(t *testing.T) {
 	}
 }
 
-func TestUnmarshalSnapshotErrors(t *testing.T) {
-	if _, err := UnmarshalSnapshot([]byte("{not json")); err == nil {
+func TestReadSnapshotErrors(t *testing.T) {
+	if _, err := ReadSnapshot(strings.NewReader("{not json")); err == nil {
 		t.Fatal("bad JSON accepted")
 	}
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	a, err := MarshalSnapshot(buildRichPlatform(t).Snapshot(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarshalSnapshot(buildRichPlatform(t).Snapshot(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := marshalState(t, buildRichPlatform(t).Snapshot(7))
+	b := marshalState(t, buildRichPlatform(t).Snapshot(7))
 	if string(a) != string(b) {
 		t.Fatal("snapshots of identical platforms differ")
 	}
@@ -258,7 +250,7 @@ func TestRestoreStateWrittenBeforeDerivedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	state, err := UnmarshalSnapshot(raw)
+	state, err := ReadSnapshot(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
