@@ -140,12 +140,16 @@ experiments:
 	$(GO) run ./cmd/treads-privacy
 	$(GO) run ./cmd/treads-audit
 
-# Non-test Go lines per package: the figure a simplicity issue quotes, so a
+# Non-test Go lines per package, then two totals (everything, and without
+# the frozen benchmark/ harness): the figure a simplicity issue quotes, so a
 # before/after count is this target run on the two commits.
 loc:
-	@for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
-		printf '%6d %s\n' "$$(ls $$pkg/*.go | grep -v _test | xargs cat | wc -l)" "$$pkg"; \
-	done
+	@total=0; bench=0; for pkg in $$($(GO) list -f '{{.Dir}}' ./... | sed 's|^$(CURDIR)|.|'); do \
+		n=$$(ls $$pkg/*.go | grep -v _test | xargs cat | wc -l); \
+		printf '%6d %s\n' "$$n" "$$pkg"; \
+		total=$$((total + n)); [ "$$pkg" = ./benchmark ] && bench=$$n; \
+	done; \
+	printf '%6d total\n%6d total without ./benchmark\n' "$$total" "$$((total - bench))"
 
 clean:
 	$(GO) clean ./...

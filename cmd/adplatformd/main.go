@@ -592,7 +592,7 @@ func runShardServer(opts options, logger *log.Logger) error {
 	if opts.Advertise != "" {
 		// The gate starts permissive and enforces whatever ring the router
 		// pushes; self must match the address the router advertises.
-		rpcSrv.SetGate(newLazyGate(peerURL(opts.Advertise)))
+		rpcSrv.SetGate(cluster.NewGate(peerURL(opts.Advertise)))
 		logger.Printf("membership gate armed; advertised as %s", peerURL(opts.Advertise))
 	}
 	dialer := newPeerDialer(opts)
@@ -618,8 +618,8 @@ func runShardServer(opts options, logger *log.Logger) error {
 }
 
 // openRouterBackend is the -peers mode: one RPC client per shard node,
-// wrapped as RemoteShards (grouped into ReplicaSets for slots with
-// replicas) under the same cluster coordinator the in-process shards use.
+// wrapped as RemoteShards (one ReplicaSet per slot, followers included)
+// under the same cluster coordinator the in-process shards use.
 // Startup gates on every peer reporting healthy so the router never serves
 // over a half-up fleet; the boot ring is then pushed to every node's
 // membership gate, and the nodes themselves become the membership source
@@ -631,7 +631,7 @@ func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *member
 		return nil, nil, fmt.Errorf("-peers is empty after parsing %q", opts.Peers)
 	}
 	dialer := newPeerDialer(opts)
-	shards := make([]cluster.Shard, len(groups))
+	shards := make([]*cluster.ReplicaSet, len(groups))
 	var remotes []*cluster.RemoteShard
 	seeds := make([]*rpc.Client, len(groups))
 	for i, g := range groups {
@@ -643,7 +643,7 @@ func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *member
 	if err := waitForPeers(remotes, opts.PeerWait, logger); err != nil {
 		return nil, nil, err
 	}
-	c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
+	c, err := cluster.NewFromSets(shards, cluster.Options{Registry: obs.Default})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -84,31 +84,25 @@ func (d *peerDialer) client(addr string) *rpc.Client {
 	return c
 }
 
-// shard builds the routable handle for one slot: a RemoteShard for a bare
-// owner, or a ReplicaSet over RemoteShards when the slot has replicas. The
-// router-side ReplicaSet routes writes to the owner and fails reads over;
-// it never arms shipping — the journal chain runs on the owner node itself
-// (its -replicate flag). The returned remotes are every member, for health
-// gating.
-func (d *peerDialer) shard(owner string, replicas []string) (cluster.Shard, []*cluster.RemoteShard) {
-	members := make([]*cluster.RemoteShard, 0, 1+len(replicas))
-	members = append(members, cluster.NewRemoteShard(d.client(owner)))
-	for _, r := range replicas {
-		members = append(members, cluster.NewRemoteShard(d.client(r)))
-	}
-	if len(members) == 1 {
-		return members[0], members
-	}
-	followers := make([]cluster.Shard, len(members)-1)
-	for i, m := range members[1:] {
-		followers[i] = m
+// shard builds the routable handle for one slot: a ReplicaSet over one
+// RemoteShard per address. The router-side ReplicaSet routes writes to the
+// owner and fails reads over; it never arms shipping — the journal chain
+// runs on the owner node itself (its -replicate flag). The returned
+// remotes are every member, for health gating.
+func (d *peerDialer) shard(owner string, replicas []string) (*cluster.ReplicaSet, []*cluster.RemoteShard) {
+	members := []*cluster.RemoteShard{cluster.NewRemoteShard(d.client(owner))}
+	followers := make([]cluster.Shard, len(replicas))
+	for i, r := range replicas {
+		f := cluster.NewRemoteShard(d.client(r))
+		members = append(members, f)
+		followers[i] = f
 	}
 	return cluster.NewReplicaSet(members[0], followers...), members
 }
 
 // dialInfo is the cluster.RemoteMembershipSource Dial hook: it rebuilds a
 // slot handle from an advertised ring entry, reusing cached clients.
-func (d *peerDialer) dialInfo(si rpc.ShardInfo) cluster.Shard {
+func (d *peerDialer) dialInfo(si rpc.ShardInfo) *cluster.ReplicaSet {
 	s, _ := d.shard(si.Addr, si.Replicas)
 	return s
 }
@@ -148,7 +142,7 @@ func wireReport(rep cluster.ReshardReport) httpapi.ReshardReportWire {
 
 // Status implements httpapi.ClusterAdmin.
 func (a *membershipAdmin) Status() httpapi.ClusterStatusResponse {
-	slots := a.clu.SlotShards()
+	slots := a.clu.ReplicaSets()
 	ring := a.clu.RingInfo()
 	out := httpapi.ClusterStatusResponse{
 		Version: ring.Version,
@@ -157,11 +151,9 @@ func (a *membershipAdmin) Status() httpapi.ClusterStatusResponse {
 	out.MigrationActive, out.PendingRemovals = a.clu.MigrationStatus()
 	// The two reads are not one snapshot; report the slots both agree on.
 	for i := 0; i < len(slots) && i < len(ring.Shards); i++ {
-		st := httpapi.ClusterSlotStatus{Slot: i, Healthy: true, Addr: ring.Shards[i].Addr, Replicas: ring.Shards[i].Replicas}
-		if h, ok := slots[i].(cluster.HealthReporter); ok {
-			st.Healthy = h.Healthy()
-		}
-		out.Slots = append(out.Slots, st)
+		out.Slots = append(out.Slots, httpapi.ClusterSlotStatus{
+			Slot: i, Healthy: slots[i].Healthy(), Addr: ring.Shards[i].Addr, Replicas: ring.Shards[i].Replicas,
+		})
 	}
 	if rep := a.clu.LastReshard(); rep.Version != 0 {
 		w := wireReport(rep)
@@ -179,7 +171,7 @@ func (a *membershipAdmin) AddShard(addr string, replicas []string) (httpapi.Resh
 	if err := waitForPeers(remotes, a.wait, a.logger); err != nil {
 		return httpapi.ReshardReportWire{}, fmt.Errorf("joining node not healthy: %w", err)
 	}
-	rep, err := a.clu.AddShard(s)
+	rep, err := a.clu.AddSet(s)
 	if err != nil {
 		return httpapi.ReshardReportWire{}, err
 	}
@@ -345,74 +337,4 @@ func startFailoverSupervisor(admin *membershipAdmin, opts options, logger *log.L
 	logger.Printf("automatic failover armed over %d slot(s): probe every %v, down after %d misses, heal check every %d ticks",
 		n, opts.FailoverDetect, opts.FailoverMisses, opts.FailoverHeal)
 	return admin.sup
-}
-
-// lazyGate is the shard-node membership gate before the first ring push
-// arrives: a node boots knowing only its own advertised address (-
-// advertise), serves everything until a router pushes membership, and from
-// then on enforces the pushed ring exactly like cluster.Gate. It
-// implements rpc.MembershipGate.
-type lazyGate struct {
-	self string
-
-	mu sync.Mutex
-	g  *cluster.Gate
-}
-
-var (
-	_ rpc.MembershipGate = (*lazyGate)(nil)
-	_ rpc.WriteGate      = (*lazyGate)(nil)
-)
-
-func newLazyGate(self string) *lazyGate { return &lazyGate{self: self} }
-
-// OwnsUser defers to the installed gate; before any push the node cannot
-// know the ring, so it serves every user (the pre-elastic behavior).
-func (g *lazyGate) OwnsUser(user string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.g == nil {
-		return nil
-	}
-	return g.g.OwnsUser(user)
-}
-
-// Ring returns the held membership, zero before any push (version 0 tells
-// a fetching router "this node has seen no ring yet").
-func (g *lazyGate) Ring() rpc.RingInfo {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.g == nil {
-		return rpc.RingInfo{}
-	}
-	return g.g.Ring()
-}
-
-// OwnsUserWrite fences user mutations to the slot's owner only (the
-// failover fence: a deposed owner demoted to replica refuses retried
-// writes with the typed stale-ring error once it holds the bumped
-// ring). Before any push the node serves everything, like OwnsUser.
-func (g *lazyGate) OwnsUserWrite(user string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.g == nil {
-		return nil
-	}
-	return g.g.OwnsUserWrite(user)
-}
-
-// SetRing installs pushed membership, creating the gate on first push and
-// enforcing monotonic versions afterwards.
-func (g *lazyGate) SetRing(info rpc.RingInfo) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.g == nil {
-		gate, err := cluster.NewGate(g.self, info)
-		if err != nil {
-			return err
-		}
-		g.g = gate
-		return nil
-	}
-	return g.g.SetRing(info)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -62,8 +63,9 @@ type membershipNode struct {
 	addr string
 	cli  *rpc.Client
 	// probes counts health requests the node served — what a failover
-	// supervisor's probe loop shows up as on the wire.
-	probes atomic.Int64
+	// supervisor's probe loop shows up as on the wire; control counts
+	// everything else (ring pushes, rearms, resyncs, traffic).
+	probes, control atomic.Int64
 }
 
 func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
@@ -80,11 +82,13 @@ func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == rpc.PathPrefix+"health" {
 			n.probes.Add(1)
+		} else {
+			n.control.Add(1)
 		}
 		srv.ServeHTTP(w, r)
 	}))
 	t.Cleanup(hs.Close)
-	srv.SetGate(newLazyGate(hs.URL))
+	srv.SetGate(cluster.NewGate(hs.URL))
 	n.addr = hs.URL
 	n.cli = rpc.NewClient(hs.URL, rpc.Options{Secret: membershipSecret})
 	t.Cleanup(n.cli.Close)
@@ -155,6 +159,76 @@ func TestFailoverSupervisorFollowsMembership(t *testing.T) {
 	waitUntil(t, "the remaining slot to keep being probed", grew(nodeA, 20))
 	if n := nodeB.probes.Load(); n != after {
 		t.Fatalf("removed slot probed %d more times after RemoveShard returned", n-after)
+	}
+}
+
+// TestFollowerlessSlot pins what a slot with no follower answers at the
+// surfaces that address slots: it is healthy from the same method as any
+// other slot, promoting it is refused as a conflict that says why (never
+// as an unavailable shard), it is never degraded, healing it touches
+// nothing, and the failover supervisor probes it without ever healing it.
+func TestFollowerlessSlot(t *testing.T) {
+	root := t.TempDir()
+	logger := log.New(io.Discard, "", 0)
+	nodeA := newMembershipNode(t, filepath.Join(root, "a"), stats.SubSeed(47, 0))
+	nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(47, 1))
+	opts := parseForTest(t, "-peers", nodeA.addr+","+nodeB.addr, "-rpc-secret", membershipSecret,
+		"-peer-wait", "10s", "-failover-detect", "2ms", "-failover-heal", "1")
+	backend, admin, err := openRouterBackend(opts, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clu := backend.(*cluster.Cluster)
+	t.Cleanup(func() { clu.Close() })
+	srv := httpapi.NewServer(backend, nil)
+	srv.SetClusterAdmin(admin)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	var st httpapi.ClusterStatusResponse
+	if code := adminJSON(t, http.MethodGet, ts.URL+"/admin/v1/cluster", nil, &st); code != http.StatusOK || len(st.Slots) != 2 {
+		t.Fatalf("status: %d, %+v", code, st)
+	}
+	for i, sl := range st.Slots {
+		if !sl.Healthy || len(sl.Replicas) != 0 || sl.Healthy != clu.ReplicaSets()[i].Healthy() {
+			t.Fatalf("slot %d: %+v, want healthy with no replicas", i, sl)
+		}
+	}
+
+	for _, force := range []bool{false, true} {
+		body, _ := json.Marshal(httpapi.PromoteRequest{Slot: 0, Force: force})
+		resp, err := http.Post(ts.URL+"/admin/v1/cluster/promote", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict || !strings.Contains(string(msg), "no follower") {
+			t.Fatalf("promote (force=%v) of a follower-less slot: %d %s, want 409 naming the missing follower", force, resp.StatusCode, msg)
+		}
+		if _, err := clu.FailoverSlot(0, force); err == nil || errors.Is(err, cluster.ErrShardUnavailable) {
+			t.Fatalf("FailoverSlot(force=%v): %v, want a refusal that is not ErrShardUnavailable", force, err)
+		}
+	}
+	if v := clu.Version(); v != 1 {
+		t.Fatalf("refused promotions moved the ring to v%d", v)
+	}
+
+	before := nodeA.control.Load() + nodeB.control.Load()
+	for slot := 0; slot < 2; slot++ {
+		if clu.SlotDegraded(slot) {
+			t.Fatalf("slot %d reports degraded with no follower to heal", slot)
+		}
+		if err := clu.HealSlot(slot); err != nil {
+			t.Fatalf("HealSlot(%d): %v", slot, err)
+		}
+	}
+	sup := startFailoverSupervisor(admin, opts, logger)
+	t.Cleanup(sup.Close)
+	from := nodeA.probes.Load()
+	waitUntil(t, "the follower-less slots to be probed", func() bool { return nodeA.probes.Load() >= from+20 })
+	if n := nodeA.control.Load() + nodeB.control.Load(); n != before {
+		t.Fatalf("healing follower-less slots sent %d control calls to their nodes", n-before)
 	}
 }
 

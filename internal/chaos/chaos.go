@@ -276,9 +276,9 @@ func (r *Result) violate(invariant, format string, args ...any) {
 
 // slotGroup is the harness's view of one ring slot: its member nodes
 // (current owner first — the order mirrors the ReplicaSet's members
-// across promotions) and the replica set routing to them, nil when the
-// run has no replicas. mu guards the nodes order: with AutoFailover the
-// supervisor's promotion swap races the driver goroutine's kill read.
+// across promotions) and the replica set routing to them. mu guards the
+// nodes order: with AutoFailover the supervisor's promotion swap races the
+// driver goroutine's kill read.
 type slotGroup struct {
 	mu    sync.Mutex
 	nodes []*node
@@ -416,17 +416,17 @@ func Run(cfg Config) (*Result, error) {
 // and assembles the cluster, in-process or networked.
 func (h *harness) boot(dir string) error {
 	cfg := h.cfg
-	shards := make([]cluster.Shard, cfg.Shards)
+	shards := make([]*cluster.ReplicaSet, cfg.Shards)
 	for i := 0; i < cfg.Shards; i++ {
-		g, s, err := h.newSlot(dir, i)
+		g, err := h.newSlot(dir, i)
 		if err != nil {
 			return err
 		}
 		h.slots = append(h.slots, g)
 		h.nodes = append(h.nodes, g.nodes...)
-		shards[i] = s
+		shards[i] = g.rs
 	}
-	clu, err := cluster.New(shards, cluster.Options{Workers: cfg.Workers})
+	clu, err := cluster.NewFromSets(shards, cluster.Options{Workers: cfg.Workers})
 	if err != nil {
 		return err
 	}
@@ -436,12 +436,12 @@ func (h *harness) boot(dir string) error {
 
 // newSlot creates the nodes of one ring slot — an owner plus
 // cfg.Replicas journal-shipping followers — and returns the harness
-// bookkeeping group and the Shard handle the cluster routes to. All
+// bookkeeping group with the replica set the cluster routes to. All
 // members boot from the same platform seed (a fresh follower must start
 // byte-identical to a fresh owner for a replay from LSN 0 to converge);
 // each member's journal directory gets its own fault-stream scope, so
 // adding followers never shifts an owner disk's fault schedule.
-func (h *harness) newSlot(dir string, slot int) (*slotGroup, cluster.Shard, error) {
+func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 	cfg := h.cfg
 	g := &slotGroup{}
 	pseed := stats.SubSeed(cfg.Seed, uint64(100+slot))
@@ -452,7 +452,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, cluster.Shard, erro
 		}
 		ndir := filepath.Join(dir, name)
 		if err := os.MkdirAll(ndir, 0o755); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		ffs := faults.NewFaultFS(faults.OS{}, h.inj, cfg.Disk, name+"/")
 		// Elide the real fsyncs (the durable-watermark simulation is what
@@ -472,7 +472,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, cluster.Shard, erro
 			},
 		}
 		if err := n.open(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if j > 0 {
 			n.jp.BeginFollow(0)
@@ -483,7 +483,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, cluster.Shard, erro
 	if cfg.Net != nil {
 		n := g.nodes[0]
 		if err := n.serve(); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		n.tr = faults.NewTransport(h.inj, *cfg.Net, fmt.Sprintf("node%d", slot), nil)
 		n.cl = rpc.NewClient("http://"+n.addr, rpc.Options{
@@ -497,21 +497,15 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, cluster.Shard, erro
 			FailureThreshold: 5,
 			CircuitCooldown:  100 * time.Millisecond,
 		})
-		return g, cluster.NewRemoteShard(n.cl), nil
-	}
-	if cfg.Replicas == 0 {
-		return g, &inprocShard{n: g.nodes[0]}, nil
+		g.rs = cluster.NewReplicaSet(cluster.NewRemoteShard(n.cl))
+		return g, nil
 	}
 	members := make([]cluster.Shard, len(g.nodes))
 	for i, n := range g.nodes {
 		members[i] = &inprocShard{n: n}
 	}
-	rs := cluster.NewReplicaSet(members[0], members[1:]...)
-	if err := rs.Chain(); err != nil {
-		return nil, nil, err
-	}
-	g.rs = rs
-	return g, rs, nil
+	g.rs = cluster.NewReplicaSet(members[0], members[1:]...)
+	return g, g.rs.Chain()
 }
 
 // setup seeds the population and advertiser surface with faults disarmed:
@@ -578,10 +572,9 @@ func (h *harness) rounds(res *Result) error {
 		// under test); the migration itself runs under the full fault load,
 		// concurrent with the round's traffic.
 		var joiner *slotGroup
-		var joinerShard cluster.Shard
 		if r == reshardRound {
 			var err error
-			joiner, joinerShard, err = h.newSlot(res.Dir, len(h.slots))
+			joiner, err = h.newSlot(res.Dir, len(h.slots))
 			if err != nil {
 				return fmt.Errorf("creating joiner slot: %w", err)
 			}
@@ -619,7 +612,7 @@ func (h *harness) rounds(res *Result) error {
 		reshardDone := make(chan error, 1)
 		if joiner != nil {
 			go func() {
-				_, err := h.clu.AddShard(joinerShard)
+				_, err := h.clu.AddSet(joiner.rs)
 				reshardDone <- err
 			}()
 		}
@@ -703,7 +696,7 @@ func (h *harness) rounds(res *Result) error {
 		// retry starts clean. This runs before the heal so a joiner whose
 		// owner just crash-recovered gets its chain re-armed below.
 		if joiner != nil && !joined {
-			if _, err := h.clu.AddShard(joinerShard); err != nil {
+			if _, err := h.clu.AddSet(joiner.rs); err != nil {
 				rsp.SetError(err)
 				res.violate("membership", "retrying AddShard on the recovered cluster: %v", err)
 			} else {
@@ -822,9 +815,6 @@ func (h *harness) startSupervisor(r int, rsp *trace.Span) *health.Supervisor {
 		},
 	})
 	for si, g := range h.slots {
-		if g.rs == nil {
-			continue
-		}
 		sup.Watch(si, &autoSlotCtrl{g: g})
 	}
 	return sup
@@ -928,9 +918,6 @@ func (h *harness) anyPromotable(g *slotGroup) bool {
 // holds the tail, a full state reinstall otherwise.
 func (h *harness) healReplicas(res *Result) {
 	for si, g := range h.slots {
-		if g.rs == nil {
-			continue
-		}
 		if err := g.rs.Chain(); err != nil {
 			res.violate("replication", "slot %d: re-arming shipping after recovery: %v", si, err)
 			continue

@@ -227,9 +227,6 @@ func (h *harness) verify(res *Result) {
 // could be promoted right now without losing an acknowledged write.
 func (h *harness) verifyReplication(res *Result) {
 	for si, g := range h.slots {
-		if g.rs == nil {
-			continue
-		}
 		own := g.nodes[0].jp
 		ownBytes, err := stateBytes(own.State())
 		if err != nil {

@@ -246,7 +246,9 @@ func (s *inprocShard) RemoveUsers(users []profile.UserID) error { return s.n.jp.
 
 func (s *inprocShard) InstallState(st platform.State) error { return s.n.jp.InstallState(st) }
 
-func (s *inprocShard) StateAndLSN() (platform.State, uint64, error) { return s.n.jp.StateAndLSN() }
+func (s *inprocShard) StateAndLSN(skeleton bool) (platform.State, uint64, error) {
+	return s.n.jp.StateAndLSN(skeleton)
+}
 
 func (s *inprocShard) ApplyShipped(lsn uint64, payload []byte) error {
 	return s.n.jp.ApplyShipped(lsn, payload)

@@ -184,7 +184,7 @@ func BenchmarkFailoverDetectToPromote(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		rs, owner, follower := newChainedSet(b, 5)
-		c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+		c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"runtime"
 	"sort"
 	"strconv"
@@ -29,8 +28,10 @@ import (
 // Shard is the per-partition platform surface the coordinator drives: the
 // operation set a shard serves over RPC, plus the catalog reads a router
 // answers from its own copy (the attribute catalog is compiled into every
-// binary). Both *platform.Platform and *platform.Journaled satisfy it, so
-// a cluster can be fully in-memory or durable per shard.
+// binary). It is one member of a ring slot: *platform.Platform,
+// *platform.Journaled and *RemoteShard satisfy it, so a cluster can be
+// in-memory, durable or networked per member; a slot is a ReplicaSet of
+// them.
 type Shard interface {
 	rpc.Backend
 
@@ -48,7 +49,7 @@ var (
 // surface — platform.Member: state transfer for resharding, journal
 // shipping and follow mode for replica chains. The reshard driver and
 // ReplicaSet reach it with one assertion, s.(platform.Member), whatever the
-// shard's location; a shard without it (a plain in-memory platform) cannot
+// member's location; a shard without it (a plain in-memory platform) cannot
 // take part and the operation fails with ErrMigrationUnsupported. Two
 // things are not location-independent, and each is named once here.
 
@@ -112,12 +113,12 @@ type Cluster struct {
 	vnodes  int
 	m       *clusterMetrics
 
-	// mu guards the membership triple {shards, ring, version}. The shard
+	// mu guards the membership triple {shards, ring, version}. The slot
 	// slice and ring are immutable once installed — a membership change
 	// swaps in fresh values — so a reader holding a snapshot is safe for
 	// the life of its call.
 	mu      sync.RWMutex
-	shards  []Shard
+	shards  []*ReplicaSet
 	ring    *Ring
 	version uint64
 
@@ -161,10 +162,19 @@ type Cluster struct {
 
 var _ httpapi.Backend = (*Cluster)(nil)
 
-// New assembles a cluster over pre-built shards. The shards must agree on
-// catalog and advertiser-side state (fresh shards, or shards recovered from
-// per-shard journals that were only ever driven through a cluster).
+// New assembles a cluster of unreplicated slots, one per pre-built shard.
 func New(shards []Shard, opts Options) (*Cluster, error) {
+	sets := make([]*ReplicaSet, len(shards))
+	for i, s := range shards {
+		sets[i] = NewReplicaSet(s)
+	}
+	return NewFromSets(sets, opts)
+}
+
+// NewFromSets assembles a cluster over pre-built slots. The slots must agree
+// on catalog and advertiser-side state (fresh shards, or shards recovered
+// from per-shard journals that were only ever driven through a cluster).
+func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
 	}
@@ -179,14 +189,12 @@ func New(shards []Shard, opts Options) (*Cluster, error) {
 		workers: workers,
 		vnodes:  opts.VirtualNodes,
 		m:       newClusterMetrics(opts.Registry, len(shards)),
-		shards:  append([]Shard(nil), shards...),
+		shards:  append([]*ReplicaSet(nil), shards...),
 		ring:    NewRing(len(shards), opts.VirtualNodes),
 		version: 1,
 	}
-	for _, s := range c.shards {
-		if rs, ok := s.(*ReplicaSet); ok {
-			rs.bindMetrics(&c.m.replica)
-		}
+	for _, rs := range c.shards {
+		rs.bindMetrics(&c.m.replica)
 	}
 	return c, nil
 }
@@ -211,7 +219,7 @@ func NewInMemory(n int, cfg platform.Config, opts Options) (*Cluster, error) {
 // membership returns the current {shards, ring} snapshot. Both values are
 // immutable once installed, so the snapshot stays valid after the lock is
 // released.
-func (c *Cluster) membership() ([]Shard, *Ring) {
+func (c *Cluster) membership() ([]*ReplicaSet, *Ring) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.shards, c.ring
@@ -229,12 +237,11 @@ func (c *Cluster) Ring() *Ring {
 	return ring
 }
 
-// SlotShards returns the shard handles in slot order (a fresh slice; the
-// handles themselves are shared). Per-slot admin operations — replica
-// promotion, health listings — address slots through it.
-func (c *Cluster) SlotShards() []Shard {
+// ReplicaSets returns the slots in ring order (a fresh slice; the sets
+// themselves are shared) — what a health listing walks.
+func (c *Cluster) ReplicaSets() []*ReplicaSet {
 	shards, _ := c.membership()
-	return append([]Shard(nil), shards...)
+	return append([]*ReplicaSet(nil), shards...)
 }
 
 // Version returns the membership version; it starts at 1 and increments on
@@ -251,39 +258,50 @@ func (c *Cluster) Owner(uid profile.UserID) int {
 	return ring.Owner(string(uid))
 }
 
-// ownerShard resolves the shard owning a user, or an ErrShardUnavailable
-// error when that shard's transport is down. User state lives on exactly
-// one shard, so there is no other owner to route to — a ReplicaSet shard
-// handles read failover to its followers internally.
-func (c *Cluster) ownerShard(uid profile.UserID) (Shard, error) {
+// ownerShard resolves the member of the user's slot that serves the call —
+// the owner for a write, the slot's reader otherwise — or an
+// ErrShardUnavailable error when no member can. User state lives on
+// exactly one slot, so there is no other slot to route to.
+func (c *Cluster) ownerShard(uid profile.UserID, write bool) (Shard, error) {
 	c.mu.RLock()
 	i := c.ring.Owner(string(uid))
-	s := c.shards[i]
+	slot := c.shards[i]
 	c.mu.RUnlock()
-	if !shardHealthy(s) {
-		return nil, fmt.Errorf("cluster: user %q: shard %d: %w", uid, i, ErrShardUnavailable)
+	var s Shard
+	var err error
+	switch {
+	case write:
+		s, err = slot.writer()
+	case slot.Healthy():
+		s = slot.reader()
+	default:
+		err = ErrShardUnavailable
+	}
+	if err != nil {
+		return nil, fmt.Errorf("cluster: user %q: shard %d: %w", uid, i, err)
 	}
 	c.m.shardOp(i).Inc()
 	return s, nil
 }
 
-// routeMutation is routeWithRefresh plus the reshard write fence: the call
-// holds the fence read-side so a cutover cannot start mid-write, and
-// records the user as dirty while a reshard's bulk copy is running so the
-// cutover re-copies exactly what changed.
+// routeMutation runs a user-scoped write on the owning slot's owner under
+// the reshard write fence: the call holds the fence read-side so a cutover
+// cannot start mid-write, and records the user as dirty while a reshard's
+// bulk copy is running so the cutover re-copies exactly what changed.
 func routeMutation[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
 	c.wmu.RLock()
 	defer c.wmu.RUnlock()
 	c.noteWrite(uid)
-	return routeWithRefresh(c, uid, fn)
+	return routeWithRefresh(c, uid, true, fn)
 }
 
-// routeWithRefresh runs a user-scoped call on the owning shard, refreshing
-// membership and retrying exactly once when the shard answers that the
-// router's ring is stale (rpc.ErrStaleRing). Reads use it directly.
-func routeWithRefresh[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
+// routeWithRefresh runs a user-scoped call on the owning slot — its owner
+// for a write, its reader otherwise — refreshing membership and retrying
+// exactly once when the shard answers that the router's ring is stale
+// (rpc.ErrStaleRing). Reads use it directly.
+func routeWithRefresh[T any](c *Cluster, uid profile.UserID, write bool, fn func(Shard) (T, error)) (T, error) {
 	var zero T
-	s, err := c.ownerShard(uid)
+	s, err := c.ownerShard(uid, write)
 	if err != nil {
 		return zero, err
 	}
@@ -298,7 +316,7 @@ func routeWithRefresh[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, 
 	if rerr := c.RefreshMembership(); rerr != nil {
 		return zero, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %v)", rerr, err)
 	}
-	s, err = c.ownerShard(uid)
+	s, err = c.ownerShard(uid, write)
 	if err != nil {
 		return zero, err
 	}
@@ -331,7 +349,7 @@ func (c *Cluster) AddUser(pr *profile.Profile) error {
 // User returns the user's profile from the owning shard (nil when the
 // shard is unavailable — the same answer an unknown user gets).
 func (c *Cluster) User(uid profile.UserID) *profile.Profile {
-	p, _ := routeWithRefresh(c, uid, func(s Shard) (*profile.Profile, error) {
+	p, _ := routeWithRefresh(c, uid, false, func(s Shard) (*profile.Profile, error) {
 		return s.User(uid), nil
 	})
 	return p
@@ -362,7 +380,7 @@ func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots i
 // Feed returns the user's full feed from the owning shard (nil when the
 // shard is unavailable).
 func (c *Cluster) Feed(uid profile.UserID) []ad.Impression {
-	imps, _ := routeWithRefresh(c, uid, func(s Shard) ([]ad.Impression, error) {
+	imps, _ := routeWithRefresh(c, uid, false, func(s Shard) ([]ad.Impression, error) {
 		return s.Feed(uid), nil
 	})
 	return imps
@@ -388,7 +406,7 @@ func (c *Cluster) LikePage(uid profile.UserID, pageID string) error {
 // AdPreferences returns the transparency-page attributes from the user's
 // shard.
 func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	return routeWithRefresh(c, uid, func(s Shard) ([]attr.ID, error) {
+	return routeWithRefresh(c, uid, false, func(s Shard) ([]attr.ID, error) {
 		return s.AdPreferences(uid)
 	})
 }
@@ -397,7 +415,7 @@ func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 // audiences are replicated, and the user's custom-data memberships live
 // where the user lives.
 func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return routeWithRefresh(c, uid, func(s Shard) ([]string, error) {
+	return routeWithRefresh(c, uid, false, func(s Shard) ([]string, error) {
 		return s.AdvertisersTargetingMe(uid)
 	})
 }
@@ -405,16 +423,16 @@ func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
 // ExplainImpression generates the "why am I seeing this?" text on the
 // user's shard.
 func (c *Cluster) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return routeWithRefresh(c, uid, func(s Shard) (explain.Explanation, error) {
+	return routeWithRefresh(c, uid, false, func(s Shard) (explain.Explanation, error) {
 		return s.ExplainImpression(uid, imp)
 	})
 }
 
 // --- advertiser-scoped mutations: replicate to every shard ---
 
-// replicate applies op to every shard in shard order under the replication
-// lock and returns shard 0's result. Shards are deterministic state
-// machines fed the same mutation sequence, so they must agree; any
+// replicate applies op to every slot's owner in slot order under the
+// replication lock and returns shard 0's result. Shards are deterministic
+// state machines fed the same mutation sequence, so they must agree; any
 // disagreement means the shards' advertiser-side states have drifted and
 // the cluster is unsafe to keep using, which is reported as an error
 // rather than papered over. (Error texts may differ across shards — only
@@ -437,18 +455,23 @@ func replicate[T comparable](c *Cluster, opName string, op func(Shard) (T, error
 	// it to the others anyway would fork the replicated advertiser state
 	// (the per-shard ID counters would drift). Refuse up front with the
 	// typed error so callers can retry the whole mutation once the shard
-	// is back. For replica sets "down" means the owner is down: followers
-	// receive the mutation through journal shipping, not directly.
-	if err := checkAllWriteHealthy(shards); err != nil {
-		var zero T
-		err = fmt.Errorf("cluster: %s: %w", opName, err)
-		sp.SetError(err)
-		return zero, err
+	// is back. "Down" means the owner is down: followers receive the
+	// mutation through journal shipping, not directly.
+	owners := make([]Shard, len(shards))
+	for i, rs := range shards {
+		o, err := rs.writer()
+		if err != nil {
+			var zero T
+			err = fmt.Errorf("cluster: %s: shard %d: %w", opName, i, err)
+			sp.SetError(err)
+			return zero, err
+		}
+		owners[i] = o
 	}
 	c.m.replicatedOps.Inc()
 	var first T
 	var firstErr error
-	for i, s := range shards {
+	for i, s := range owners {
 		v, err := op(s)
 		if i == 0 {
 			first, firstErr = v, err
@@ -545,17 +568,17 @@ func (c *Cluster) IssuePixel(advertiser string) (pixel.PixelID, error) {
 
 // replicatedReader returns a shard suitable for answering replicated-state
 // reads (catalog, attribute search): state identical on every shard, so a
-// circuit-open peer is simply skipped in favor of the first healthy one.
-// With every shard down it falls back to shard 0 — the caller's call will
+// circuit-open peer is simply skipped in favor of the first healthy slot.
+// With every slot down it falls back to slot 0 — the caller's call will
 // then surface that shard's transport error rather than a nil-deref here.
 func (c *Cluster) replicatedReader() Shard {
 	shards, _ := c.membership()
-	for _, s := range shards {
-		if shardHealthy(s) {
-			return s
+	for _, rs := range shards {
+		if rs.Healthy() {
+			return rs.reader()
 		}
 	}
-	return shards[0]
+	return shards[0].reader()
 }
 
 // Catalog returns the attribute catalog (identical on every shard).
@@ -576,7 +599,7 @@ func (c *Cluster) Users() []profile.UserID {
 	}
 	defer release()
 	if len(shards) == 1 {
-		return shards[0].Users()
+		return shards[0].reader().Users()
 	}
 	perShard := make([][]profile.UserID, len(shards))
 	_ = c.gather(context.Background(), shards, func(_ context.Context, i int, s Shard) error {
@@ -592,15 +615,6 @@ func (c *Cluster) Users() []profile.UserID {
 }
 
 // --- durability plumbing (journaled shards) ---
-
-// slotMembers returns a slot's members, owner first: a replica set's
-// chain, or the shard itself.
-func slotMembers(s Shard) []Shard {
-	if rs, ok := s.(*ReplicaSet); ok {
-		return rs.Members()
-	}
-	return []Shard{s}
-}
 
 // Compact snapshots and prunes the journal of every in-process journaled
 // member (followers too — their journals grow with shipped records),
@@ -638,8 +652,8 @@ func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, 
 	shards, _ := c.membership()
 	var minLSN uint64
 	seen := false
-	for i, s := range shards {
-		for j, mem := range slotMembers(s) {
+	for i, rs := range shards {
+		for j, mem := range rs.Members() {
 			lm, ok := mem.(localMember)
 			if !ok {
 				continue
@@ -656,18 +670,14 @@ func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, 
 	return minLSN, nil
 }
 
-// Close closes every shard that is closable (journaled shards sync and
-// close their journals; a replica set closes every member). The first
-// error wins; remaining shards still get closed.
+// Close closes every member of every slot that is closable (journaled
+// shards sync and close their journals). The first error wins; remaining
+// slots still get closed.
 func (c *Cluster) Close() error {
 	shards, _ := c.membership()
 	var firstErr error
-	for i, s := range shards {
-		cl, ok := s.(io.Closer)
-		if !ok {
-			continue
-		}
-		if err := cl.Close(); err != nil && firstErr == nil {
+	for i, rs := range shards {
+		if err := rs.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: closing shard %d: %w", i, err)
 		}
 	}

@@ -18,10 +18,12 @@ import (
 // Live resharding moves a user range between shards without stopping the
 // cluster. The protocol (documented in docs/DESIGN.md §7):
 //
-//  1. Bootstrap — a joining shard is installed with the advertiser
-//     skeleton (StripUsersState of a live shard's snapshot) so replicated
-//     config and ID counters match before any user moves. Re-running the
-//     bootstrap wipes a previous failed attempt's partial imports.
+//  1. Bootstrap — a joining slot is installed with the advertiser
+//     skeleton of a live shard (its state with the users stripped, cut on
+//     the member that holds it so the transfer never carries a user) so
+//     replicated config and ID counters match before any user moves.
+//     Re-running the bootstrap wipes a previous failed attempt's partial
+//     imports.
 //  2. Bulk copy — with writes still flowing, each moving user range is
 //     exported in bounded chunks and imported on the destination
 //     (journaled ops on both sides). Writes that land during the copy are
@@ -45,49 +47,15 @@ import (
 // exported chunk well under the RPC body limit.
 const migrationChunkSize = 512
 
-// ErrMigrationUnsupported is returned when a shard cannot take part in
-// live resharding: only journaled platforms (and replica sets over them)
-// have the atomic snapshot + journaled import/remove ops the protocol
-// needs.
+// ErrMigrationUnsupported is returned when a slot cannot take part in
+// live resharding: only journaled members have the atomic snapshot +
+// journaled import/remove ops the protocol needs.
 var ErrMigrationUnsupported = errors.New("cluster: shard does not support live migration (journaled shards only)")
 
 // ErrReshardIncomplete gates aggregate reads while a source shard still
 // holds users that were cut over to another shard — counting them would
 // double-report reach and spend. ResumeReshard clears it.
 var ErrReshardIncomplete error = httpapi.Unavailable("cluster: reshard incomplete: a source shard still holds moved users (run ResumeReshard)")
-
-// installState replaces a joining slot's entire state: on every member of
-// a replica set, on the shard itself otherwise.
-func installState(s Shard, st platform.State) error {
-	if rs, ok := s.(*ReplicaSet); ok {
-		return rs.InstallState(st)
-	}
-	m, err := slotWriter(s)
-	if err != nil {
-		return err
-	}
-	return m.InstallState(st)
-}
-
-// slotWriter resolves the journaled member that currently takes a slot's
-// writes — the shard itself, or a replica set's owner (followers receive
-// migration records through journal shipping like any other write). A
-// promotion can change the owner mid-reshard, so the driver resolves per
-// call rather than once per reshard.
-func slotWriter(s Shard) (platform.Member, error) {
-	if rs, ok := s.(*ReplicaSet); ok {
-		o, err := rs.writer()
-		if err != nil {
-			return nil, err
-		}
-		s = o
-	}
-	m, ok := s.(platform.Member)
-	if !ok {
-		return nil, ErrMigrationUnsupported
-	}
-	return m, nil
-}
 
 // ReshardReport summarizes a completed membership change.
 type ReshardReport struct {
@@ -103,7 +71,7 @@ type ReshardReport struct {
 // pendingRemoval is a post-cutover source cleanup that failed and must be
 // retried before aggregates are exact again.
 type pendingRemoval struct {
-	shard Shard
+	shard *ReplicaSet
 	users []profile.UserID
 }
 
@@ -160,17 +128,22 @@ func (c *Cluster) takeDirty() map[profile.UserID]struct{} {
 	return d
 }
 
-// AddShard grows the cluster by one shard, live: the joining shard is
+// AddShard is AddSet for an unreplicated joiner.
+func (c *Cluster) AddShard(joiner Shard) (ReshardReport, error) {
+	return c.AddSet(NewReplicaSet(joiner))
+}
+
+// AddSet grows the cluster by one slot, live: the joining slot is
 // bootstrapped with the advertiser skeleton, the user ranges the new ring
 // assigns to it are streamed over in chunks while writes keep flowing, and
 // a short write fence covers the final delta copy, the membership flip,
 // and the source-side removals. On success the new membership version is
 // pushed best-effort to every networked member.
-func (c *Cluster) AddShard(newShard Shard) (ReshardReport, error) {
+func (c *Cluster) AddSet(joiner *ReplicaSet) (ReshardReport, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
 	shards, _ := c.membership()
-	return c.reshard("add shard", append(shards[:len(shards):len(shards)], newShard))
+	return c.reshard("add shard", append(shards[:len(shards):len(shards)], joiner))
 }
 
 // RemoveShard shrinks the cluster by one shard (the last slot — the ring's
@@ -197,7 +170,7 @@ func (c *Cluster) RemoveShard() (ReshardReport, error) {
 // The caller holds the replication lock, and it stays held end to end: no
 // advertiser mutation can land between a joiner's skeleton bootstrap and
 // the flip and leave its replicated config behind.
-func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
+func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error) {
 	fail := func(stage string, err error) (ReshardReport, error) {
 		c.m.reshardFailures.Inc()
 		return ReshardReport{}, fmt.Errorf("cluster: %s: %s: %w", what, stage, err)
@@ -213,8 +186,8 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 	if len(next) > len(cur) {
 		all = next
 	}
-	for i, s := range all {
-		if _, err := slotWriter(s); err != nil {
+	for i, rs := range all {
+		if _, err := rs.member(); err != nil {
 			return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
 	}
@@ -222,11 +195,11 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 	// is a consistent read, import a journaled replace — re-copying a user
 	// is idempotent, which is what makes the delta pass safe.
 	copyRange := func(from, to int, users []profile.UserID) error {
-		src, err := slotWriter(all[from])
+		src, err := all[from].member()
 		if err != nil {
 			return err
 		}
-		dst, err := slotWriter(all[to])
+		dst, err := all[to].member()
 		if err != nil {
 			return err
 		}
@@ -244,26 +217,27 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 		return nil
 	}
 
-	// Bootstrap each joiner: advertiser skeleton, no users, a seed drawn
-	// from a fresh stream so its auction randomness never collides with a
-	// live shard's. Installing replaces everything, wiping any partial
-	// imports a previous failed attempt left behind.
+	// Bootstrap each joiner: shard 0's advertiser skeleton — cut on the
+	// member, so the transfer is advertiser state whatever the shard's
+	// population — re-seeded here from a fresh stream so its auction
+	// randomness never collides with a live shard's (the strip is repeated
+	// with the re-seed: a member built before the skeleton request field
+	// answers with its users). Installing replaces everything, wiping any
+	// partial imports a previous failed attempt left behind.
 	for slot := len(cur); slot < len(next); slot++ {
-		src, err := slotWriter(cur[0])
+		src, err := cur[0].member()
 		if err != nil {
 			return fail("snapshotting shard 0", err)
 		}
-		st, _, err := src.StateAndLSN()
+		st, _, err := src.StateAndLSN(true)
 		if err != nil {
 			return fail("snapshotting shard 0", err)
 		}
 		seed := stats.SubSeed(stats.SubSeed(st.Seed, uint64(slot)), c.Version())
-		if err := installState(next[slot], platform.StripUsersState(st, seed)); err != nil {
+		if err := next[slot].InstallState(platform.StripUsersState(st, seed)); err != nil {
 			return fail("bootstrapping joining shard", err)
 		}
-		if rs, ok := next[slot].(*ReplicaSet); ok {
-			rs.bindMetrics(&c.m.replica)
-		}
+		next[slot].bindMetrics(&c.m.replica)
 	}
 
 	c.beginDeltaTracking()
@@ -304,8 +278,8 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 	}
 
 	// Bulk copy, writes still flowing.
-	for i, s := range cur {
-		if err := copyMoving(s.Users(), func(profile.UserID) int { return i }); err != nil {
+	for i, rs := range cur {
+		if err := copyMoving(rs.reader().Users(), func(profile.UserID) int { return i }); err != nil {
 			return fail("copying", err)
 		}
 	}
@@ -321,7 +295,7 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 	}
 
 	c.mu.Lock()
-	c.shards = append([]Shard(nil), next...)
+	c.shards = append([]*ReplicaSet(nil), next...)
 	c.ring = newRing
 	c.version++
 	ver := c.version
@@ -343,7 +317,7 @@ func (c *Cluster) reshard(what string, next []Shard) (ReshardReport, error) {
 		}
 		users := setToSorted(set)
 		total += len(users)
-		src, err := slotWriter(cur[from])
+		src, err := cur[from].member()
 		if err == nil {
 			err = src.RemoveUsers(users)
 		}
@@ -377,7 +351,7 @@ func (c *Cluster) ResumeReshard() error {
 	var remaining []pendingRemoval
 	var firstErr error
 	for _, p := range c.pending {
-		m, err := slotWriter(p.shard)
+		m, err := p.shard.member()
 		if err == nil {
 			err = m.RemoveUsers(p.users)
 		}
@@ -406,12 +380,12 @@ func setToSorted(set map[profile.UserID]struct{}) []profile.UserID {
 
 // --- membership refresh (router side) ---
 
-// Membership is a resolved view of cluster membership: the shard handles
-// in slot order plus the ring geometry they were built under.
+// Membership is a resolved view of cluster membership: the slots in ring
+// order plus the ring geometry they were built under.
 type Membership struct {
 	Version      uint64
 	VirtualNodes int
-	Shards       []Shard
+	Shards       []*ReplicaSet
 }
 
 // MembershipSource resolves current membership when a shard refuses a call
@@ -455,17 +429,15 @@ func (c *Cluster) installMembership(m Membership) error {
 		c.mu.Unlock()
 		return nil
 	}
-	c.shards = append([]Shard(nil), m.Shards...)
+	c.shards = append([]*ReplicaSet(nil), m.Shards...)
 	c.ring = NewRing(len(m.Shards), m.VirtualNodes)
 	c.version = m.Version
 	c.vnodes = m.VirtualNodes
 	n := len(m.Shards)
 	c.mu.Unlock()
 	c.m.ensureShards(n)
-	for _, s := range m.Shards {
-		if rs, ok := s.(*ReplicaSet); ok {
-			rs.bindMetrics(&c.m.replica)
-		}
+	for _, rs := range m.Shards {
+		rs.bindMetrics(&c.m.replica)
 	}
 	return nil
 }
@@ -478,9 +450,8 @@ type RemoteMembershipSource struct {
 	// Seeds are queried in order; the first reachable answer wins.
 	Seeds []*rpc.Client
 	// Dial turns one advertised slot (owner address plus replicas) into a
-	// routable Shard — typically a RemoteShard, or a ReplicaSet over
-	// RemoteShards when the slot has replicas.
-	Dial func(info rpc.ShardInfo) Shard
+	// routable ReplicaSet over RemoteShards.
+	Dial func(info rpc.ShardInfo) *ReplicaSet
 	// Timeout bounds each seed query; <= 0 selects 5s.
 	Timeout time.Duration
 }
@@ -502,7 +473,7 @@ func (s *RemoteMembershipSource) Fetch() (Membership, error) {
 			}
 			continue
 		}
-		shards := make([]Shard, len(ri.Shards))
+		shards := make([]*ReplicaSet, len(ri.Shards))
 		for i, si := range ri.Shards {
 			shards[i] = s.Dial(si)
 		}
@@ -527,14 +498,8 @@ func (c *Cluster) RingInfo() rpc.RingInfo {
 		vn = DefaultVirtualNodes
 	}
 	info := rpc.RingInfo{Version: ver, VirtualNodes: vn}
-	for _, s := range shards {
-		var si rpc.ShardInfo
-		if rs, ok := s.(*ReplicaSet); ok {
-			si = rpc.ShardInfo{Addr: memberAddr(rs.Owner()), Replicas: rs.ReplicaAddrs()}
-		} else {
-			si.Addr = memberAddr(s)
-		}
-		info.Shards = append(info.Shards, si)
+	for _, rs := range shards {
+		info.Shards = append(info.Shards, rpc.ShardInfo{Addr: memberAddr(rs.Owner()), Replicas: rs.ReplicaAddrs()})
 	}
 	return info
 }
@@ -555,8 +520,8 @@ func memberAddr(s Shard) string {
 func (c *Cluster) pushRing(ctx context.Context) {
 	info := c.RingInfo()
 	shards, _ := c.membership()
-	for _, s := range shards {
-		for _, m := range slotMembers(s) {
+	for _, rs := range shards {
+		for _, m := range rs.Members() {
 			if nm, ok := m.(networkedMember); ok {
 				_ = nm.PushRing(ctx, info)
 			}
@@ -568,27 +533,24 @@ func (c *Cluster) pushRing(ctx context.Context) {
 
 // Gate is the shard-node side of ring versioning: it answers "do I serve
 // this user under the membership I hold?" for every user-scoped RPC, and
-// accepts monotonic ring pushes. It implements rpc.MembershipGate; wire it
-// with rpc.Server.SetGate.
+// accepts monotonic ring pushes. A node boots knowing only its own
+// advertised address, so a gate that has seen no push serves everything
+// and reports version 0 ("this node has seen no ring yet"); from the first
+// push on it enforces the pushed ring. It implements rpc.MembershipGate;
+// wire it with rpc.Server.SetGate.
 type Gate struct {
 	self string
 
 	mu   sync.Mutex
 	info rpc.RingInfo
-	ring *Ring
+	ring *Ring // nil until the first push
 }
 
 var _ rpc.MembershipGate = (*Gate)(nil)
 
 // NewGate builds a gate for the node advertised as self (the exact address
-// the router publishes in ring pushes), holding initial membership.
-func NewGate(self string, initial rpc.RingInfo) (*Gate, error) {
-	g := &Gate{self: self}
-	if err := g.SetRing(initial); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+// the router publishes in ring pushes), holding no membership yet.
+func NewGate(self string) *Gate { return &Gate{self: self} }
 
 // OwnsUser reports whether this node serves the user under the held ring:
 // the owning slot's address, or one of its replica addresses (replicas
@@ -596,6 +558,9 @@ func NewGate(self string, initial rpc.RingInfo) (*Gate, error) {
 func (g *Gate) OwnsUser(user string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.ring == nil {
+		return nil
+	}
 	slot := g.ring.Owner(user)
 	si := g.info.Shards[slot]
 	if si.Addr == g.self {
@@ -614,10 +579,13 @@ func (g *Gate) OwnsUser(user string) error {
 // fences a deposed owner after an automatic promotion bumps the ring
 // version and demotes it to a replica: once it holds the new ring, any
 // retried mutation against it is refused with a stale-ring error
-// instead of becoming a dirty write. It implements rpc.WriteGate.
+// instead of becoming a dirty write.
 func (g *Gate) OwnsUserWrite(user string) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.ring == nil {
+		return nil
+	}
 	slot := g.ring.Owner(user)
 	si := g.info.Shards[slot]
 	if si.Addr == g.self {
@@ -626,7 +594,7 @@ func (g *Gate) OwnsUserWrite(user string) error {
 	return fmt.Errorf("write for user %q belongs to shard %d's owner (%s) under ring version %d, not to %s", user, slot, si.Addr, g.info.Version, g.self)
 }
 
-// Ring returns the membership this node serves.
+// Ring returns the membership this node serves, zero before any push.
 func (g *Gate) Ring() rpc.RingInfo {
 	g.mu.Lock()
 	defer g.mu.Unlock()

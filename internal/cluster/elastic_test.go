@@ -421,7 +421,7 @@ func TestStaleRingRefreshRetriesOnce(t *testing.T) {
 	shard.refused.Store(false)
 
 	// With a source: refresh, install the newer membership, retry, succeed.
-	src := &fakeSource{m: cluster.Membership{Version: 2, Shards: []cluster.Shard{shard}}}
+	src := &fakeSource{m: cluster.Membership{Version: 2, Shards: []*cluster.ReplicaSet{cluster.NewReplicaSet(shard)}}}
 	c.SetMembershipSource(src)
 	if _, err := c.BrowseFeed(pr.ID, 2); err != nil {
 		t.Fatalf("BrowseFeed after refresh: %v", err)
@@ -462,8 +462,19 @@ func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 		}
 	}
 
-	gateA, err := cluster.NewGate("http://a:1", ri)
-	if err != nil {
+	// Before any push a gate knows no ring: it serves everything and
+	// reports version 0.
+	gateA := cluster.NewGate("http://a:1")
+	if err := gateA.OwnsUser(ofB); err != nil {
+		t.Fatalf("unpushed gate refuses a read: %v", err)
+	}
+	if err := gateA.OwnsUserWrite(ofB); err != nil {
+		t.Fatalf("unpushed gate refuses a write: %v", err)
+	}
+	if v := gateA.Ring().Version; v != 0 {
+		t.Fatalf("unpushed gate reports ring version %d, want 0", v)
+	}
+	if err := gateA.SetRing(ri); err != nil {
 		t.Fatal(err)
 	}
 	if err := gateA.OwnsUser(ofA); err != nil {
@@ -474,8 +485,8 @@ func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 	}
 
 	// A replica of the owning slot serves the slot's users (failover reads).
-	gateBR, err := cluster.NewGate("http://b-r:1", ri)
-	if err != nil {
+	gateBR := cluster.NewGate("http://b-r:1")
+	if err := gateBR.SetRing(ri); err != nil {
 		t.Fatal(err)
 	}
 	if err := gateBR.OwnsUser(ofB); err != nil {
@@ -487,7 +498,7 @@ func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 
 	// Pushes: version 0 and empty memberships refused, equal version
 	// idempotent, lower version refused, higher accepted.
-	if _, err := cluster.NewGate("http://a:1", rpc.RingInfo{}); err == nil {
+	if err := cluster.NewGate("http://a:1").SetRing(rpc.RingInfo{}); err == nil {
 		t.Fatal("gate accepted an empty initial membership")
 	}
 	if err := gateA.SetRing(ri); err != nil {
@@ -521,7 +532,7 @@ func TestReshardDeterministic(t *testing.T) {
 		}
 		var out []string
 		for _, jp := range append(jps, joiner) {
-			st, _, err := jp.StateAndLSN()
+			st, _, err := jp.StateAndLSN(false)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// Automatic failover closes the detection→recovery loop for replicated
-// slots with no operator in the path (internal/health runs the detector
+// Automatic failover closes the detection→recovery loop for slots with
+// followers with no operator in the path (internal/health runs the detector
 // and calls in here). The protocol per slot:
 //
 //  1. Promote — the attached synced follower with the longest applied
@@ -78,6 +78,9 @@ func (c *Cluster) HealSlot(slot int) error {
 	if err != nil {
 		return err
 	}
+	if len(rs.Members()) == 1 {
+		return nil // no follower to resync, no chain to re-arm
+	}
 	// A member returning from an outage still has an open circuit breaker
 	// from its downtime; a successful explicit probe closes it so that
 	// the ring push reaches it and Heal admits it now instead of after
@@ -94,8 +97,8 @@ func (c *Cluster) HealSlot(slot int) error {
 	return nil
 }
 
-// SlotDegraded reports whether a replicated slot needs healing; slots
-// without a replica set never do.
+// SlotDegraded reports whether a slot needs healing; one without
+// followers never does.
 func (c *Cluster) SlotDegraded(slot int) bool {
 	rs, err := c.slotReplicaSet(slot)
 	if err != nil {
@@ -120,14 +123,11 @@ func (c *Cluster) SlotDegraded(slot int) bool {
 // local health read otherwise. The health supervisor's detector turns
 // the outcome stream into an up/suspect/down verdict.
 func (c *Cluster) ProbeSlotOwner(ctx context.Context, slot int) error {
-	shards, _ := c.membership()
-	if slot < 0 || slot >= len(shards) {
-		return fmt.Errorf("cluster: no slot %d", slot)
+	rs, err := c.slotReplicaSet(slot)
+	if err != nil {
+		return err
 	}
-	s := shards[slot]
-	if rs, ok := s.(*ReplicaSet); ok {
-		s = rs.Owner()
-	}
+	s := rs.Owner()
 	if nm, ok := s.(networkedMember); ok {
 		return nm.Probe(ctx)
 	}
@@ -143,11 +143,7 @@ func (c *Cluster) slotReplicaSet(slot int) (*ReplicaSet, error) {
 	if slot < 0 || slot >= len(shards) {
 		return nil, fmt.Errorf("cluster: no slot %d", slot)
 	}
-	rs, ok := shards[slot].(*ReplicaSet)
-	if !ok {
-		return nil, fmt.Errorf("cluster: slot %d has no replica set to promote", slot)
-	}
-	return rs, nil
+	return shards[slot], nil
 }
 
 // rearmSlot tells a networked owner to ship to the slot's followers.

@@ -26,7 +26,7 @@ import (
 // goes through ForcePromote.
 func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	rs, owner, follower := newChainedSet(t, 101)
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 func TestReplicaReadsRoundRobin(t *testing.T) {
 	rs, _, follower := newChainedSet(t, 103)
 	reg := obs.NewRegistry()
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{Registry: reg})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,14 +229,14 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	if err := ownerShard.Client().Rearm(context.Background(), []string{n1.addr}); err != nil {
 		t.Fatalf("initial Rearm: %v", err)
 	}
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ri := c.RingInfo()
 	for _, n := range []*killableNode{n0, n1} {
-		gate, err := cluster.NewGate(n.addr, ri)
-		if err != nil {
+		gate := cluster.NewGate(n.addr)
+		if err := gate.SetRing(ri); err != nil {
 			t.Fatal(err)
 		}
 		n.srv.SetGate(gate)

@@ -24,22 +24,15 @@ import (
 // refusals, and as an httpapi.Unavailable it is answered 503, not 404.
 var ErrShardUnavailable error = httpapi.Unavailable("cluster: shard unavailable")
 
-// HealthReporter is implemented by shards that know their own liveness —
-// RemoteShard reports its peer's circuit-breaker state, and a ReplicaSet
-// reports whether any member can serve. Shards that do not implement it
-// (in-process platforms) are always considered healthy.
+// HealthReporter is implemented by members that know their own liveness —
+// RemoteShard reports its peer's circuit-breaker state. Members that do
+// not implement it (in-process platforms) are always considered healthy.
+// A slot's health is its ReplicaSet's Healthy / WriteHealthy.
 type HealthReporter interface {
 	Healthy() bool
 }
 
-// WriteHealthReporter refines HealthReporter for shards where reads and
-// writes have different availability: a ReplicaSet with a dead owner still
-// serves reads from followers but cannot accept writes until a promotion.
-type WriteHealthReporter interface {
-	WriteHealthy() bool
-}
-
-// shardHealthy reports whether the shard can serve anything at all.
+// shardHealthy reports whether the member can serve anything at all.
 func shardHealthy(s Shard) bool {
 	if hr, ok := s.(HealthReporter); ok {
 		return hr.Healthy()
@@ -47,32 +40,13 @@ func shardHealthy(s Shard) bool {
 	return true
 }
 
-// shardWriteHealthy reports whether the shard can accept mutations.
-func shardWriteHealthy(s Shard) bool {
-	if wr, ok := s.(WriteHealthReporter); ok {
-		return wr.WriteHealthy()
-	}
-	return shardHealthy(s)
-}
-
-// checkAllHealthy returns ErrShardUnavailable (wrapped with the shard
-// index) if any shard's transport is down. Exact scatter-gather needs
-// every shard; failing fast here beats burning the full call deadline
+// checkAllHealthy returns ErrShardUnavailable (wrapped with the slot
+// index) if no member of some slot can serve. Exact scatter-gather needs
+// every slot; failing fast here beats burning the full call deadline
 // against a peer known to be dead.
-func checkAllHealthy(shards []Shard) error {
-	for i, s := range shards {
-		if !shardHealthy(s) {
-			return fmt.Errorf("shard %d: %w", i, ErrShardUnavailable)
-		}
-	}
-	return nil
-}
-
-// checkAllWriteHealthy is checkAllHealthy for the replication path, which
-// needs every shard to accept a mutation.
-func checkAllWriteHealthy(shards []Shard) error {
-	for i, s := range shards {
-		if !shardWriteHealthy(s) {
+func checkAllHealthy(shards []*ReplicaSet) error {
+	for i, rs := range shards {
+		if !rs.Healthy() {
 			return fmt.Errorf("shard %d: %w", i, ErrShardUnavailable)
 		}
 	}
@@ -85,7 +59,7 @@ func checkAllWriteHealthy(shards []Shard) error {
 // user briefly exists on two shards — and it refuses while a finished
 // cutover still has source removals outstanding, for the same reason:
 // exact totals require each user counted exactly once.
-func (c *Cluster) gatherView() ([]Shard, func(), error) {
+func (c *Cluster) gatherView() ([]*ReplicaSet, func(), error) {
 	c.wmu.RLock()
 	if err := c.removalsSettled(); err != nil {
 		c.wmu.RUnlock()
@@ -95,8 +69,8 @@ func (c *Cluster) gatherView() ([]Shard, func(), error) {
 	return shards, c.wmu.RUnlock, nil
 }
 
-// gather runs fn once per shard with at most c.workers concurrent calls
-// and returns the join of all per-shard errors. The bound keeps a wide
+// gather runs fn once per slot, on the slot's reader, with at most
+// c.workers concurrent calls and returns the join of all per-shard errors. The bound keeps a wide
 // cluster's fan-out from spawning one goroutine per shard per request
 // under load; fn(i, …) writes its answer into caller-owned slot i, so no
 // further synchronization is needed. The context bounds the whole fan-out:
@@ -104,7 +78,7 @@ func (c *Cluster) gatherView() ([]Shard, func(), error) {
 // open fails the gather up front with ErrShardUnavailable rather than
 // returning silently wrong totals. Wall time for the whole fan-out —
 // dominated by the slowest shard — lands in cluster_gather_seconds.
-func (c *Cluster) gather(ctx context.Context, shards []Shard, fn func(ctx context.Context, i int, s Shard) error) (err error) {
+func (c *Cluster) gather(ctx context.Context, shards []*ReplicaSet, fn func(ctx context.Context, i int, s Shard) error) (err error) {
 	start := time.Now()
 	defer c.m.gatherSeconds.ObserveSince(start)
 	ctx, sp := trace.StartChild(ctx, "cluster.gather")
@@ -119,19 +93,19 @@ func (c *Cluster) gather(ctx context.Context, shards []Shard, fn func(ctx contex
 		return err
 	}
 	if len(shards) == 1 {
-		return fn(ctx, 0, shards[0])
+		return fn(ctx, 0, shards[0].reader())
 	}
 	sem := make(chan struct{}, c.workers)
 	errs := make([]error, len(shards))
 	var wg sync.WaitGroup
-	for i, s := range shards {
+	for i, rs := range shards {
 		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int, s Shard) {
+		go func(i int, rs *ReplicaSet) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = fn(ctx, i, s)
-		}(i, s)
+			errs[i] = fn(ctx, i, rs.reader())
+		}(i, rs)
 	}
 	wg.Wait()
 	err = errors.Join(errs...)
@@ -204,15 +178,14 @@ type traceSpanFetcher interface {
 }
 
 // RemoteTraceSpans collects completed spans from every shard process that
-// can report them, descending into replica sets so follower processes are
-// covered too. Collection is best-effort diagnostics: a down or spanless
+// can report them, follower processes included. Collection is best-effort diagnostics: a down or spanless
 // shard contributes nothing rather than failing the dump, because a trace
 // query must keep working exactly when parts of the cluster are unhealthy.
 func (c *Cluster) RemoteTraceSpans(ctx context.Context) []trace.SpanWire {
 	shards, _ := c.membership()
 	var out []trace.SpanWire
-	for _, s := range shards {
-		for _, m := range slotMembers(s) {
+	for _, rs := range shards {
+		for _, m := range rs.Members() {
 			tf, ok := m.(traceSpanFetcher)
 			if !ok || !shardHealthy(m) {
 				continue

@@ -37,10 +37,10 @@ func (r *RemoteShard) InstallState(st platform.State) error {
 	return r.c.InstallState(context.Background(), st)
 }
 
-// StateAndLSN snapshots the peer's full state together with the journal
-// LSN it reflects.
-func (r *RemoteShard) StateAndLSN() (platform.State, uint64, error) {
-	return r.c.SyncState(context.Background())
+// StateAndLSN snapshots the peer's state (or its user-free skeleton)
+// together with the journal LSN it reflects.
+func (r *RemoteShard) StateAndLSN(skeleton bool) (platform.State, uint64, error) {
+	return r.c.SyncState(context.Background(), skeleton)
 }
 
 // ApplyShipped forwards one shipped journal record to the peer (follower

@@ -8,11 +8,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/cluster"
+	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
 	"github.com/treads-project/treads/internal/stats"
+	"github.com/treads-project/treads/internal/workload"
 )
 
 const elasticSecret = "elastic-secret"
@@ -63,8 +66,8 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 	// including the future joiner, which serves nothing under it.
 	ri := routerA.RingInfo()
 	for _, n := range nodes {
-		gate, err := cluster.NewGate(n.addr, ri)
-		if err != nil {
+		gate := cluster.NewGate(n.addr)
+		if err := gate.SetRing(ri); err != nil {
 			t.Fatal(err)
 		}
 		n.srv.SetGate(gate)
@@ -87,13 +90,13 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 	}
 	routerB.SetMembershipSource(&cluster.RemoteMembershipSource{
 		Seeds: []*rpc.Client{nodes[0].client, nodes[1].client},
-		Dial: func(si rpc.ShardInfo) cluster.Shard {
-			if s, ok := dialed[si.Addr]; ok {
-				return s
+		Dial: func(si rpc.ShardInfo) *cluster.ReplicaSet {
+			s, ok := dialed[si.Addr]
+			if !ok {
+				s = cluster.NewRemoteShard(rpc.NewClient(si.Addr, rpc.Options{Secret: elasticSecret}))
+				dialed[si.Addr] = s
 			}
-			s := cluster.NewRemoteShard(rpc.NewClient(si.Addr, rpc.Options{Secret: elasticSecret}))
-			dialed[si.Addr] = s
-			return s
+			return cluster.NewReplicaSet(s)
 		},
 	})
 
@@ -169,7 +172,7 @@ func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 		t.Fatalf("Heal (remote bootstrap): %v", err)
 	}
 
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,5 +216,100 @@ func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 	}
 	if got := len(c.Feed(users[0])); got != acked+len(imps) {
 		t.Fatalf("feed has %d impressions after promotion write, want %d", got, acked+len(imps))
+	}
+}
+
+// TestRemoteAddShardAboveMaxBody joins a networked slot to a cluster whose
+// shard 0 holds more state than one RPC body carries (the benchmark's own
+// shard size: 6 000 generated users). The bootstrap must transfer the
+// advertiser skeleton only — cut on the node, not fetched whole and
+// stripped at the router — so the join does not depend on the shard's
+// population: users move, every moved user is served by the joiner, and a
+// joiner with a follower has it synced and byte-identical.
+func TestRemoteAddShardAboveMaxBody(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 6 000-user shard")
+	}
+	remote := func(n *elasticNode) *cluster.RemoteShard {
+		cl := rpc.NewClient(n.addr, rpc.Options{Secret: elasticSecret})
+		t.Cleanup(cl.Close)
+		return cluster.NewRemoteShard(cl)
+	}
+	for _, followers := range []int{0, 1} {
+		t.Run(fmt.Sprintf("followers=%d", followers), func(t *testing.T) {
+			root := t.TempDir()
+			n0 := newElasticNode(t, filepath.Join(root, "n0"), 211)
+			cfg := workload.DefaultConfig()
+			cfg.Users = 6000
+			workload.Each(cfg, func(u *profile.Profile) {
+				if err := n0.jp.AddUser(u); err != nil {
+					t.Fatal(err)
+				}
+			})
+			size := len(stateJSON(t, n0.jp))
+			if size <= rpc.MaxBody {
+				t.Fatalf("shard 0 holds %d bytes of state, want more than rpc.MaxBody (%d)", size, rpc.MaxBody)
+			}
+			c, err := cluster.New([]cluster.Shard{remote(n0)}, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.RegisterAdvertiser("mover"); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.CreateCampaign("mover", platform.CampaignParams{
+				BidCapCPM: money.FromDollars(3),
+				Creative:  ad.Creative{Headline: "move me", Body: "b"},
+			}); err != nil {
+				t.Fatal(err)
+			}
+
+			owner := newElasticNode(t, filepath.Join(root, "owner"), 223)
+			joiner := cluster.NewReplicaSet(remote(owner))
+			var follower *elasticNode
+			if followers == 1 {
+				// Owner-process shipping, daemon-style (-replicate).
+				follower = newElasticNode(t, filepath.Join(root, "follower"), 223)
+				if err := cluster.NewReplicaSet(owner.jp, remote(follower)).Chain(); err != nil {
+					t.Fatal(err)
+				}
+				joiner = cluster.NewReplicaSet(remote(owner), remote(follower))
+			}
+			rep, err := c.AddSet(joiner)
+			if err != nil {
+				t.Fatalf("AddSet with %d bytes on shard 0: %v", size, err)
+			}
+
+			moved := 0
+			for _, u := range c.Users() {
+				if c.Owner(u) != 1 {
+					continue
+				}
+				moved++
+				if owner.jp.User(u) == nil || n0.jp.User(u) != nil {
+					t.Fatalf("moved user %s: on joiner=%v, still on shard 0=%v", u, owner.jp.User(u) != nil, n0.jp.User(u) != nil)
+				}
+				if _, err := c.AdPreferences(u); err != nil {
+					t.Fatalf("AdPreferences(%s) on the joined slot: %v", u, err)
+				}
+				if moved%16 != 0 {
+					continue
+				}
+				if _, err := c.BrowseFeed(u, 2); err != nil {
+					t.Fatalf("BrowseFeed(%s) on the joined slot: %v", u, err)
+				}
+			}
+			if moved == 0 || rep.UsersMoved != moved || len(owner.jp.Users()) != moved {
+				t.Fatalf("report says %d users moved, ring re-owned %d, joiner holds %d", rep.UsersMoved, moved, len(owner.jp.Users()))
+			}
+			if follower != nil {
+				if st := followStatus(follower.jp); !st.Synced || st.ShipLSN != owner.jp.LastLSN() {
+					t.Fatalf("joiner's follower at %d (synced=%v), owner at %d", st.ShipLSN, st.Synced, owner.jp.LastLSN())
+				}
+				if stateJSON(t, owner.jp) != stateJSON(t, follower.jp) {
+					t.Fatal("joiner's follower state diverged from its owner")
+				}
+			}
+		})
 	}
 }

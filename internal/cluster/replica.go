@@ -9,22 +9,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/treads-project/treads/internal/ad"
-	"github.com/treads-project/treads/internal/attr"
-	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/explain"
-	"github.com/treads-project/treads/internal/pii"
-	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
-	"github.com/treads-project/treads/internal/profile"
 )
 
-// ReplicaSet makes one ring slot a chain of members instead of a single
-// shard: members[0] is the owner (all writes), the rest are journal-
-// shipping followers. It satisfies Shard, so the Cluster routes to it
-// exactly like any other shard; internally reads fail over to a healthy
-// follower when the owner is down, and Promote turns a follower into the
-// owner after a crash.
+// ReplicaSet is one ring slot: a chain of one or more members. members[0]
+// is the owner (all writes), the rest are journal-shipping followers; an
+// unreplicated shard is a chain with no followers. The Cluster holds one
+// per slot and picks the member itself — writer for a mutation, reader for
+// a read or a gather — so a read fails over to a healthy follower when the
+// owner is down, and Promote turns a follower into the owner after a crash.
 //
 // Invariants the chain maintains (pinned by the cluster and chaos tests):
 //
@@ -72,15 +65,9 @@ type cachedFollowStatus struct {
 // acknowledged write, so those reads are stale, never wrong.
 const followStatusTTL = 250 * time.Millisecond
 
-var (
-	_ Shard               = (*ReplicaSet)(nil)
-	_ HealthReporter      = (*ReplicaSet)(nil)
-	_ WriteHealthReporter = (*ReplicaSet)(nil)
-)
-
-// NewReplicaSet assembles a chain with the given owner and followers. Call
-// Chain to wire journal shipping for in-process members (networked owners
-// ship server-side).
+// NewReplicaSet assembles a slot with the given owner and followers (none:
+// an unreplicated shard). Call Chain to wire journal shipping for
+// in-process members (networked owners ship server-side).
 func NewReplicaSet(owner Shard, followers ...Shard) *ReplicaSet {
 	met := newReplicaCounters(nil)
 	members := append([]Shard{owner}, followers...)
@@ -137,9 +124,25 @@ func (rs *ReplicaSet) WriteHealthy() bool {
 func (rs *ReplicaSet) writer() (Shard, error) {
 	o := rs.Owner()
 	if !shardHealthy(o) {
-		return nil, fmt.Errorf("cluster: replica owner down, promote a follower: %w", ErrShardUnavailable)
+		return nil, fmt.Errorf("owner down: %w", ErrShardUnavailable)
 	}
 	return o, nil
+}
+
+// member resolves the journaled member that currently takes the slot's
+// writes (followers receive migration records through journal shipping
+// like any other write). A promotion can change the owner mid-reshard, so
+// the driver resolves per call rather than once per reshard.
+func (rs *ReplicaSet) member() (platform.Member, error) {
+	o, err := rs.writer()
+	if err != nil {
+		return nil, err
+	}
+	m, ok := o.(platform.Member)
+	if !ok {
+		return nil, ErrMigrationUnsupported
+	}
+	return m, nil
 }
 
 // reader returns the member to serve a user-scoped read. With the owner
@@ -153,13 +156,14 @@ func (rs *ReplicaSet) writer() (Shard, error) {
 func (rs *ReplicaSet) reader() Shard {
 	rs.mu.RLock()
 	members := rs.members
+	if len(members) == 1 {
+		rs.mu.RUnlock()
+		return members[0] // no follower: nothing to balance onto or fail over to
+	}
 	detached := append([]bool(nil), rs.detached...)
 	met := rs.met
 	rs.mu.RUnlock()
 	if shardHealthy(members[0]) {
-		if len(members) == 1 {
-			return members[0]
-		}
 		pick := int(rs.readCursor.Add(1) % uint64(len(members)))
 		if pick != 0 && !detached[pick] && shardHealthy(members[pick]) && rs.followerSynced(members[pick]) {
 			met.replicaReads.Inc()
@@ -225,9 +229,14 @@ func followStatus(s Shard) (platform.FollowStatus, error) {
 // Chain wires journal shipping from the owner to the followers: every
 // journaled write on the owner is pushed to each follower before it is
 // acknowledged. Only in-process owners can be chained here (a networked
-// owner ships from its own process).
+// owner ships from its own process); a chain with no followers has
+// nothing to wire.
 func (rs *ReplicaSet) Chain() error {
-	lm, ok := rs.Owner().(localMember)
+	members := rs.Members()
+	if len(members) == 1 {
+		return nil
+	}
+	lm, ok := members[0].(localMember)
 	if !ok {
 		return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
 	}
@@ -291,6 +300,9 @@ func (rs *ReplicaSet) ForcePromote() (int, error) { return rs.promote(true) }
 func (rs *ReplicaSet) promote(force bool) (int, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
+	if len(rs.members) == 1 {
+		return -1, errors.New("cluster: promote: slot has no follower")
+	}
 	if !force && shardHealthy(rs.members[0]) {
 		return -1, fmt.Errorf("cluster: promote: %w", ErrOwnerHealthy)
 	}
@@ -463,7 +475,7 @@ func (rs *ReplicaSet) resync(owner, f Shard) error {
 	}
 
 	// Slow path: reinstall the owner's full state and follow from its LSN.
-	st, lsn, err := om.StateAndLSN()
+	st, lsn, err := om.StateAndLSN(false)
 	if err != nil {
 		return err
 	}
@@ -495,6 +507,9 @@ func (rs *ReplicaSet) InstallState(st platform.State) error {
 			return fmt.Errorf("cluster: installing state on member %d: %w", i, err)
 		}
 		ms[i] = m
+	}
+	if len(ms) == 1 {
+		return nil
 	}
 	ost, err := ms[0].FollowStatus()
 	if err != nil {
@@ -558,148 +573,4 @@ func (rs *ReplicaSet) Close() error {
 		}
 	}
 	return firstErr
-}
-
-// --- Shard surface ---
-
-func (rs *ReplicaSet) AddUser(p *profile.Profile) error {
-	o, err := rs.writer()
-	if err != nil {
-		return err
-	}
-	return o.AddUser(p)
-}
-
-func (rs *ReplicaSet) User(uid profile.UserID) *profile.Profile {
-	return rs.reader().User(uid)
-}
-
-func (rs *ReplicaSet) Users() []profile.UserID {
-	return rs.reader().Users()
-}
-
-func (rs *ReplicaSet) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return nil, err
-	}
-	return o.BrowseFeedCtx(ctx, uid, slots)
-}
-
-func (rs *ReplicaSet) Feed(uid profile.UserID) []ad.Impression {
-	return rs.reader().Feed(uid)
-}
-
-func (rs *ReplicaSet) VisitPage(uid profile.UserID, px pixel.PixelID) error {
-	o, err := rs.writer()
-	if err != nil {
-		return err
-	}
-	return o.VisitPage(uid, px)
-}
-
-func (rs *ReplicaSet) LikePage(uid profile.UserID, pageID string) error {
-	o, err := rs.writer()
-	if err != nil {
-		return err
-	}
-	return o.LikePage(uid, pageID)
-}
-
-func (rs *ReplicaSet) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	return rs.reader().AdPreferences(uid)
-}
-
-func (rs *ReplicaSet) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return rs.reader().AdvertisersTargetingMe(uid)
-}
-
-func (rs *ReplicaSet) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return rs.reader().ExplainImpression(uid, imp)
-}
-
-func (rs *ReplicaSet) RegisterAdvertiser(name string) error {
-	o, err := rs.writer()
-	if err != nil {
-		return err
-	}
-	return o.RegisterAdvertiser(name)
-}
-
-func (rs *ReplicaSet) CreateCampaign(advertiser string, params platform.CampaignParams) (string, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreateCampaign(advertiser, params)
-}
-
-func (rs *ReplicaSet) PauseCampaign(advertiser, campaignID string) error {
-	o, err := rs.writer()
-	if err != nil {
-		return err
-	}
-	return o.PauseCampaign(advertiser, campaignID)
-}
-
-func (rs *ReplicaSet) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreatePIIAudience(advertiser, name, keys)
-}
-
-func (rs *ReplicaSet) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreateWebsiteAudience(advertiser, name, px)
-}
-
-func (rs *ReplicaSet) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreateEngagementAudience(advertiser, name, pageID)
-}
-
-func (rs *ReplicaSet) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreateAffinityAudience(advertiser, name, phrases)
-}
-
-func (rs *ReplicaSet) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.CreateLookalikeAudience(advertiser, name, seed, overlap)
-}
-
-func (rs *ReplicaSet) IssuePixel(advertiser string) (pixel.PixelID, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return "", err
-	}
-	return o.IssuePixel(advertiser)
-}
-
-func (rs *ReplicaSet) RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	return rs.reader().RawReach(ctx, advertiser, spec)
-}
-
-func (rs *ReplicaSet) CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error) {
-	return rs.reader().CampaignTotals(ctx, advertiser, campaignID)
-}
-
-func (rs *ReplicaSet) Catalog() *attr.Catalog { return rs.reader().Catalog() }
-
-func (rs *ReplicaSet) SearchAttributes(query string) []*attr.Attribute {
-	return rs.reader().SearchAttributes(query)
 }

@@ -48,7 +48,7 @@ func followStatus(m platform.Member) platform.FollowStatus {
 
 func stateJSON(t *testing.T, s platform.Member) string {
 	t.Helper()
-	st, _, err := s.StateAndLSN()
+	st, _, err := s.StateAndLSN(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func stateJSON(t *testing.T, s platform.Member) string {
 
 func TestReplicaChainFailoverAndPromote(t *testing.T) {
 	rs, owner, follower := newChainedSet(t, 71)
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestReplicaPromoteNeedsHealthyFollower(t *testing.T) {
 // shipments, until Heal replays the owner's journal tail.
 func TestReplicaDesyncedFollowerResyncsByTail(t *testing.T) {
 	rs, owner, follower := newChainedSet(t, 79)
-	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestReplicaSetAsReshardTarget(t *testing.T) {
 	if err := rs.Chain(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.AddShard(rs)
+	rep, err := c.AddSet(rs)
 	if err != nil {
 		t.Fatalf("AddShard(replica set): %v", err)
 	}

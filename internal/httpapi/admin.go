@@ -35,7 +35,7 @@ type CompactResponse struct {
 // endpoint is open, matching the rest of the server.
 func (s *Server) requireAdminAuth(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if s.auth != nil && !s.auth.Verify(adminAccount, bearerToken(r)) {
+		if s.auth != nil && !s.auth.Verify(adminAccount, BearerToken(r)) {
 			writeErr(w, http.StatusUnauthorized,
 				fmt.Errorf("httpapi: missing or invalid admin token"))
 			return

@@ -62,9 +62,6 @@ func BearerToken(r *http.Request) string {
 	return strings.TrimSpace(h[len(prefix):])
 }
 
-// bearerToken is the internal alias BearerToken grew out of.
-func bearerToken(r *http.Request) string { return BearerToken(r) }
-
 // SecretEqual reports whether a presented secret matches the expected one,
 // in constant time, so the comparison leaks nothing about the expected
 // value through timing. An empty expected secret never matches — callers
@@ -82,7 +79,7 @@ func (s *Server) requireAdvertiserAuth(next http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if s.auth != nil {
 			name := r.PathValue("name")
-			if !s.auth.Verify(name, bearerToken(r)) {
+			if !s.auth.Verify(name, BearerToken(r)) {
 				writeErr(w, http.StatusUnauthorized,
 					fmt.Errorf("httpapi: missing or invalid API token for advertiser %q", name))
 				return

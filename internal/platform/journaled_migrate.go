@@ -26,8 +26,11 @@ type Member interface {
 	InstallState(State) error
 	// StateAndLSN atomically captures the full state together with the
 	// journal LSN it corresponds to; a follower installed from the pair
-	// follows from exactly that LSN with no gap and no overlap.
-	StateAndLSN() (State, uint64, error)
+	// follows from exactly that LSN with no gap and no overlap. With
+	// skeleton set the users are stripped where the state lives
+	// (StripUsersState, seed kept): what a joining shard boots from is
+	// advertiser state only, whatever the member's population.
+	StateAndLSN(skeleton bool) (State, uint64, error)
 
 	// Replication (see journaled_replica.go).
 	ApplyShipped(ownerLSN uint64, payload []byte) error
@@ -67,10 +70,14 @@ func (jp *Journaled) RemoveUsers(users []profile.UserID) error {
 }
 
 // StateAndLSN implements Member.
-func (jp *Journaled) StateAndLSN() (State, uint64, error) {
+func (jp *Journaled) StateAndLSN(skeleton bool) (State, uint64, error) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
-	return jp.stateLocked(), jp.j.LastLSN(), nil
+	st := jp.stateLocked()
+	if skeleton {
+		st = StripUsersState(st, st.Seed)
+	}
+	return st, jp.j.LastLSN(), nil
 }
 
 // InstallState replaces the platform's entire state. The new state is

@@ -146,7 +146,7 @@ func TestJournaledMigrationRecovery(t *testing.T) {
 	dst := mustOpenJournaled(t, dstDir, opts, func() (*Platform, error) { return New(Config{Seed: 99}), nil })
 
 	// Bootstrap the destination with the source's advertiser skeleton.
-	srcState, _, err := src.StateAndLSN()
+	srcState, _, err := src.StateAndLSN(false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestJournaledShipFollow(t *testing.T) {
 	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
 	follower := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 5}), nil })
 
-	state, lsn, _ := owner.StateAndLSN()
+	state, lsn, _ := owner.StateAndLSN(false)
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
 	follower := mustOpenJournaled(t, t.TempDir(), opts, func() (*Platform, error) { return New(Config{Seed: 5}), nil })
 
-	state, lsn, _ := owner.StateAndLSN()
+	state, lsn, _ := owner.StateAndLSN(false)
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 	}
 
 	// A late ship at the owner's current LSN is a gap.
-	_, cur, _ := owner.StateAndLSN()
+	_, cur, _ := owner.StateAndLSN(false)
 	if err := follower.ApplyShipped(cur, []byte(`{"op":"register_advertiser","name":"x"}`)); !errors.Is(err, ErrNotSynced) {
 		t.Fatalf("gap apply = %v, want ErrNotSynced", err)
 	}
@@ -348,7 +348,7 @@ func TestJournaledReadsDuringShipAndImport(t *testing.T) {
 	for _, step := range journalScript(t) {
 		step(owner)
 	}
-	state, lsn, _ := owner.StateAndLSN()
+	state, lsn, _ := owner.StateAndLSN(false)
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +394,7 @@ func TestJournaledReadsDuringShipAndImport(t *testing.T) {
 		}
 	}
 	// An install on the follower is the resync path; reads stay up across it.
-	state, lsn, _ = owner.StateAndLSN()
+	state, lsn, _ = owner.StateAndLSN(false)
 	if err := follower.InstallState(state); err != nil {
 		t.Fatal(err)
 	}

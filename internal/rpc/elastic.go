@@ -32,24 +32,17 @@ type MembershipGate interface {
 	// current ring, or a descriptive error (surfaced to the client as a
 	// 409/ErrStaleRing) when it does not.
 	OwnsUser(user string) error
+	// OwnsUserWrite tightens OwnsUser for mutations: only the owning
+	// slot's address may apply a user write, never a replica's. This is
+	// the fence that stops a deposed owner — demoted to replica by an
+	// automatic promotion — from applying retried writes once it holds the
+	// bumped ring.
+	OwnsUserWrite(user string) error
 	// Ring returns the membership the shard is currently serving.
 	Ring() RingInfo
 	// SetRing installs pushed membership; versions never move backwards
 	// (an older push is refused).
 	SetRing(RingInfo) error
-}
-
-// WriteGate is the optional tightening of MembershipGate for mutations:
-// only the owning slot's address may apply a user write, never a
-// replica's. This is the fence that stops a deposed owner — demoted to
-// replica by an automatic promotion — from applying retried writes once
-// it holds the bumped ring. Gates without it fall back to OwnsUser for
-// writes too.
-type WriteGate interface {
-	// OwnsUserWrite returns nil when this node is the user's slot owner
-	// under the current ring, or a descriptive error (surfaced as
-	// 409/ErrStaleRing) otherwise.
-	OwnsUserWrite(user string) error
 }
 
 // staleErr wraps a gate refusal so handleOp can map it to 409.
@@ -107,7 +100,14 @@ type InstallStateReq struct {
 	State platform.State `json:"state"`
 }
 
-// SyncStateResp returns the shard's full state and the journal LSN it
+// SyncStateReq asks for the shard's state: all of it (the zero request,
+// and an absent body), or with Skeleton set the user-free advertiser
+// skeleton, cut on the shard so the response never carries a user.
+type SyncStateReq struct {
+	Skeleton bool `json:"skeleton,omitempty"`
+}
+
+// SyncStateResp returns the requested state and the journal LSN it
 // corresponds to.
 type SyncStateResp struct {
 	State platform.State `json:"state"`
@@ -163,8 +163,8 @@ func (s *Server) registerElastic() {
 	memberOp(s, "installstate", func(m platform.Member, req InstallStateReq) (empty, error) {
 		return empty{}, m.InstallState(req.State)
 	})
-	memberOp(s, "syncstate", func(m platform.Member, _ empty) (SyncStateResp, error) {
-		st, lsn, err := m.StateAndLSN()
+	memberOp(s, "syncstate", func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
+		st, lsn, err := m.StateAndLSN(req.Skeleton)
 		return SyncStateResp{State: st, LSN: lsn}, err
 	})
 	memberOp(s, "shipop", func(m platform.Member, req ShipOpReq) (empty, error) {

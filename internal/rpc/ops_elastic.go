@@ -43,11 +43,11 @@ func (c *Client) InstallState(ctx context.Context, st platform.State) error {
 	return c.Call(ctx, "installstate", true, InstallStateReq{State: st}, nil)
 }
 
-// SyncState fetches the peer's full state and the journal LSN it
-// corresponds to (LSN 0 when the backend is not journaled).
-func (c *Client) SyncState(ctx context.Context) (platform.State, uint64, error) {
+// SyncState fetches the peer's state — full, or the user-free skeleton —
+// and the journal LSN it corresponds to.
+func (c *Client) SyncState(ctx context.Context, skeleton bool) (platform.State, uint64, error) {
 	var resp SyncStateResp
-	if err := c.Call(ctx, "syncstate", true, nil, &resp); err != nil {
+	if err := c.Call(ctx, "syncstate", true, SyncStateReq{Skeleton: skeleton}, &resp); err != nil {
 		return platform.State{}, 0, err
 	}
 	return resp.State, resp.LSN, nil

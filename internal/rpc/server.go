@@ -143,23 +143,15 @@ func (s *Server) gateUser(user string) error {
 	return nil
 }
 
-// gateUserWrite checks ownership of a user-scoped mutation. Gates that
-// distinguish writes (WriteGate) fence mutations to the owning slot's
-// address only — a deposed owner demoted to replica refuses retried
-// writes with 409/ErrStaleRing instead of applying them. Gates without
-// the capability fall back to the read check.
+// gateUserWrite checks ownership of a user-scoped mutation: a deposed
+// owner demoted to replica refuses retried writes with 409/ErrStaleRing
+// instead of applying them.
 func (s *Server) gateUserWrite(user string) error {
 	g := s.gate.Load()
 	if g == nil {
 		return nil
 	}
-	if wg, ok := (*g).(WriteGate); ok {
-		if err := wg.OwnsUserWrite(user); err != nil {
-			return staleErr{err}
-		}
-		return nil
-	}
-	if err := (*g).OwnsUser(user); err != nil {
+	if err := (*g).OwnsUserWrite(user); err != nil {
 		return staleErr{err}
 	}
 	return nil
