@@ -35,7 +35,9 @@ race:
 # watch/unwatch, and the journal's appends and waiters against its flush
 # leader (during an fsync, inside the spacing window, across a crash). The
 # serve path's differential test against the per-slot scan runs under the
-# detector too. The four zero-alloc pins fail if their test disappears.
+# detector too. The four zero-alloc pins and the op-table test (client
+# retry policy, server ownership gate and registered handlers all equal to
+# rpc's one op table) fail the target if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -49,6 +51,7 @@ race-full:
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
+	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:
@@ -111,7 +114,9 @@ bench-check:
 # Short fuzzing pass over every fuzz target. The platform snapshot target is
 # seeded with whole state documents, and the fuzzer's default of a minute
 # spent minimizing each input that reaches new code would leave it a dozen
-# executions in its 15 s; with minimization off it makes ~100 000.
+# executions in its 15 s; with minimization off it makes ~100 000. The rpc
+# target (every op of the table, each input against a fresh journaled shard)
+# stalls the same way and makes ~5 000.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
@@ -122,6 +127,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=15s ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzReadPlatformSnapshot -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
+	$(GO) test -run=NONE -fuzz=FuzzRPCRequest -fuzztime=15s -fuzzminimizetime=0s ./internal/rpc/
 
 cover:
 	$(GO) test -cover ./...

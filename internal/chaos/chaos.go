@@ -475,7 +475,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			return nil, err
 		}
 		if j > 0 {
-			n.jp.BeginFollow(0)
+			n.Journaled.BeginFollow(0)
 		}
 		g.nodes = append(g.nodes, n)
 	}
@@ -502,7 +502,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 	}
 	members := make([]cluster.Shard, len(g.nodes))
 	for i, n := range g.nodes {
-		members[i] = &inprocShard{n: n}
+		members[i] = n
 	}
 	g.rs = cluster.NewReplicaSet(members[0], members[1:]...)
 	return g, g.rs.Chain()
@@ -662,7 +662,7 @@ func (h *harness) rounds(res *Result) error {
 		}
 
 		for i, n := range h.nodes {
-			sticky := n.jp.JournalFailed() != nil
+			sticky := n.Journaled.JournalFailed() != nil
 			downed := n.down.Load()
 			if !sticky && !downed && !(r == 0 && i == forced) && h.hrng.Float64() >= cfg.CrashProb {
 				continue
@@ -869,7 +869,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 		killed.mu.Lock()
 		owner := killed.nodes[0]
 		killed.mu.Unlock()
-		if !owner.down.Load() && owner.jp.JournalFailed() == nil {
+		if !owner.down.Load() && owner.Journaled.JournalFailed() == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -903,7 +903,7 @@ func (h *harness) anyPromotable(g *slotGroup) bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	for _, n := range g.nodes[1:] {
-		if st, _ := n.jp.FollowStatus(); !n.down.Load() && n.jp.JournalFailed() == nil && st.Synced {
+		if st, _ := n.Journaled.FollowStatus(); !n.down.Load() && n.Journaled.JournalFailed() == nil && st.Synced {
 			return true
 		}
 	}
@@ -936,8 +936,8 @@ func (h *harness) healReplicas(res *Result) {
 // crash/recovery sweep.
 func (h *harness) compactHealthy() {
 	for _, n := range h.nodes {
-		if n.jp.JournalFailed() == nil {
-			n.jp.Compact()
+		if n.Journaled.JournalFailed() == nil {
+			n.Journaled.Compact()
 		}
 	}
 }
@@ -949,8 +949,8 @@ func (h *harness) shutdown() {
 		if n.cl != nil {
 			n.cl.Close()
 		}
-		if n.jp != nil {
-			n.jp.Close()
+		if n.Journaled != nil {
+			n.Journaled.Close()
 		}
 	}
 }

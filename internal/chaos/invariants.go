@@ -41,7 +41,7 @@ func (h *harness) quiesce(res *Result) {
 		}
 	}
 	for _, n := range h.nodes {
-		if n.jp.JournalFailed() != nil {
+		if n.Journaled.JournalFailed() != nil {
 			h.cfg.Logf("quiesce: shard %d journal failed sticky; crash-recovering", n.idx)
 			if err := n.crash(networked); err != nil {
 				res.violate("recovery", "shard %d: crash-recovery of failed journal: %v", n.idx, err)
@@ -51,7 +51,7 @@ func (h *harness) quiesce(res *Result) {
 		}
 	}
 	for _, n := range h.nodes {
-		before, err := stateBytes(n.jp.State())
+		before, err := stateBytes(n.Journaled.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling pre-close state: %v", n.idx, err)
 			continue
@@ -59,16 +59,16 @@ func (h *harness) quiesce(res *Result) {
 		if networked {
 			n.stopServe()
 		}
-		if err := n.jp.Close(); err != nil {
+		if err := n.Journaled.Close(); err != nil {
 			res.violate("recovery", "shard %d: clean close of healthy journal: %v", n.idx, err)
 			continue
 		}
-		n.jp = nil
+		n.Journaled = nil
 		if err := n.open(); err != nil {
 			res.violate("recovery", "shard %d: reopen after clean close: %v", n.idx, err)
 			continue
 		}
-		after, err := stateBytes(n.jp.State())
+		after, err := stateBytes(n.Journaled.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling recovered state: %v", n.idx, err)
 			continue
@@ -124,7 +124,7 @@ func (h *harness) verify(res *Result) {
 	for _, camp := range h.campaigns {
 		var m platform.CampaignTotals
 		for si, g := range h.slots {
-			t, err := g.nodes[0].jp.CampaignTotals(ctx, h.advertiser, camp)
+			t, err := g.nodes[0].Journaled.CampaignTotals(ctx, h.advertiser, camp)
 			if err != nil {
 				res.violate("accounting", "slot %d: reading totals for %s: %v", si, camp, err)
 				continue
@@ -169,8 +169,8 @@ func (h *harness) verify(res *Result) {
 		reach := make(map[profile.UserID]bool)
 		for _, g := range h.slots {
 			n := g.nodes[0]
-			for _, uid := range n.jp.Users() {
-				for _, imp := range n.jp.Feed(uid) {
+			for _, uid := range n.Journaled.Users() {
+				for _, imp := range n.Journaled.Feed(uid) {
 					if imp.CampaignID == camp {
 						feedImps++
 						reach[uid] = true
@@ -201,9 +201,9 @@ func (h *harness) verify(res *Result) {
 
 	// Convergence: replicated advertiser state must be identical on
 	// every slot after recovery.
-	base := h.slots[0].nodes[0].jp.State()
+	base := h.slots[0].nodes[0].Journaled.State()
 	for si, g := range h.slots[1:] {
-		st := g.nodes[0].jp.State()
+		st := g.nodes[0].Journaled.State()
 		if !equalStrings(st.Advertisers, base.Advertisers) {
 			res.violate("convergence", "slot %d advertiser set %v != slot 0's %v", si+1, st.Advertisers, base.Advertisers)
 		}
@@ -227,14 +227,14 @@ func (h *harness) verify(res *Result) {
 // could be promoted right now without losing an acknowledged write.
 func (h *harness) verifyReplication(res *Result) {
 	for si, g := range h.slots {
-		own := g.nodes[0].jp
+		own := g.nodes[0].Journaled
 		ownBytes, err := stateBytes(own.State())
 		if err != nil {
 			res.violate("replication", "slot %d: marshalling owner state: %v", si, err)
 			continue
 		}
 		for j, fn := range g.nodes[1:] {
-			jp := fn.jp
+			jp := fn.Journaled
 			st, _ := jp.FollowStatus() // in-process: cannot fail
 			if !st.Synced {
 				res.violate("replication", "slot %d follower %d: following=%v synced=%v after heal",
@@ -271,7 +271,7 @@ func (h *harness) verifyMembership(res *Result) {
 	for _, uid := range h.users {
 		owner := h.clu.Owner(uid)
 		for si, g := range h.slots {
-			has := g.nodes[0].jp.User(uid) != nil
+			has := g.nodes[0].Journaled.User(uid) != nil
 			if has && si != owner {
 				res.violate("membership", "user %s lives on slot %d but the ring assigns it to slot %d", uid, si, owner)
 			}

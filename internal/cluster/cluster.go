@@ -258,11 +258,11 @@ func (c *Cluster) Owner(uid profile.UserID) int {
 	return ring.Owner(string(uid))
 }
 
-// ownerShard resolves the member of the user's slot that serves the call —
-// the owner for a write, the slot's reader otherwise — or an
-// ErrShardUnavailable error when no member can. User state lives on
+// ownerShard resolves the member of the user's slot that serves a call of
+// the given scope — the owner for a write, the slot's reader otherwise — or
+// an ErrShardUnavailable error when no member can. User state lives on
 // exactly one slot, so there is no other slot to route to.
-func (c *Cluster) ownerShard(uid profile.UserID, write bool) (Shard, error) {
+func (c *Cluster) ownerShard(uid profile.UserID, scope rpc.Scope) (Shard, error) {
 	c.mu.RLock()
 	i := c.ring.Owner(string(uid))
 	slot := c.shards[i]
@@ -270,7 +270,7 @@ func (c *Cluster) ownerShard(uid profile.UserID, write bool) (Shard, error) {
 	var s Shard
 	var err error
 	switch {
-	case write:
+	case scope == rpc.UserWrite:
 		s, err = slot.writer()
 	case slot.Healthy():
 		s = slot.reader()
@@ -284,24 +284,22 @@ func (c *Cluster) ownerShard(uid profile.UserID, write bool) (Shard, error) {
 	return s, nil
 }
 
-// routeMutation runs a user-scoped write on the owning slot's owner under
-// the reshard write fence: the call holds the fence read-side so a cutover
-// cannot start mid-write, and records the user as dirty while a reshard's
-// bulk copy is running so the cutover re-copies exactly what changed.
-func routeMutation[T any](c *Cluster, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
-	c.wmu.RLock()
-	defer c.wmu.RUnlock()
-	c.noteWrite(uid)
-	return routeWithRefresh(c, uid, true, fn)
-}
-
-// routeWithRefresh runs a user-scoped call on the owning slot — its owner
-// for a write, its reader otherwise — refreshing membership and retrying
-// exactly once when the shard answers that the router's ring is stale
-// (rpc.ErrStaleRing). Reads use it directly.
-func routeWithRefresh[T any](c *Cluster, uid profile.UserID, write bool, fn func(Shard) (T, error)) (T, error) {
+// route runs a user-scoped op on the user's slot as the op's scope — its
+// row in rpc's op table — demands. A write runs on the slot's owner under
+// the reshard write fence: it holds the fence read-side so a cutover cannot
+// start mid-write, and records the user as dirty while a reshard's bulk
+// copy is running so the cutover re-copies exactly what changed. A read
+// runs on the slot's reader. Either is re-routed exactly once, after a
+// membership refresh, when the shard answers that the router's ring is
+// stale (rpc.ErrStaleRing).
+func route[T any](c *Cluster, scope rpc.Scope, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
+	if scope == rpc.UserWrite {
+		c.wmu.RLock()
+		defer c.wmu.RUnlock()
+		c.noteWrite(uid)
+	}
 	var zero T
-	s, err := c.ownerShard(uid, write)
+	s, err := c.ownerShard(uid, scope)
 	if err != nil {
 		return zero, err
 	}
@@ -316,7 +314,7 @@ func routeWithRefresh[T any](c *Cluster, uid profile.UserID, write bool, fn func
 	if rerr := c.RefreshMembership(); rerr != nil {
 		return zero, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %v)", rerr, err)
 	}
-	s, err = c.ownerShard(uid, write)
+	s, err = c.ownerShard(uid, scope)
 	if err != nil {
 		return zero, err
 	}
@@ -340,7 +338,7 @@ func (c *Cluster) noteWrite(uid profile.UserID) {
 
 // AddUser inserts the profile into its owning shard.
 func (c *Cluster) AddUser(pr *profile.Profile) error {
-	_, err := routeMutation(c, pr.ID, func(s Shard) (struct{}, error) {
+	_, err := route(c, rpc.OpAddUser.Scope, pr.ID, func(s Shard) (struct{}, error) {
 		return struct{}{}, s.AddUser(pr)
 	})
 	return err
@@ -349,7 +347,7 @@ func (c *Cluster) AddUser(pr *profile.Profile) error {
 // User returns the user's profile from the owning shard (nil when the
 // shard is unavailable — the same answer an unknown user gets).
 func (c *Cluster) User(uid profile.UserID) *profile.Profile {
-	p, _ := routeWithRefresh(c, uid, false, func(s Shard) (*profile.Profile, error) {
+	p, _ := route(c, rpc.OpUser.Scope, uid, func(s Shard) (*profile.Profile, error) {
 		return s.User(uid), nil
 	})
 	return p
@@ -370,26 +368,32 @@ func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots i
 		sp.Annotate("shard", strconv.Itoa(c.Owner(uid)))
 		defer sp.Finish()
 	}
-	imps, err := routeMutation(c, uid, func(s Shard) ([]ad.Impression, error) {
+	imps, err := route(c, rpc.OpBrowse.Scope, uid, func(s Shard) ([]ad.Impression, error) {
 		return s.BrowseFeedCtx(ctx, uid, slots)
 	})
 	sp.SetError(err)
 	return imps, err
 }
 
-// Feed returns the user's full feed from the owning shard (nil when the
-// shard is unavailable).
-func (c *Cluster) Feed(uid profile.UserID) []ad.Impression {
-	imps, _ := routeWithRefresh(c, uid, false, func(s Shard) ([]ad.Impression, error) {
-		return s.Feed(uid), nil
+// FeedCtx returns the user's full feed from the owning shard; an unknown
+// user and an unavailable shard are different errors.
+func (c *Cluster) FeedCtx(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
+	return route(c, rpc.OpFeed.Scope, uid, func(s Shard) ([]ad.Impression, error) {
+		return s.FeedCtx(ctx, uid)
 	})
+}
+
+// Feed is FeedCtx for in-process callers that read a feed they know
+// exists: any failure is an empty feed.
+func (c *Cluster) Feed(uid profile.UserID) []ad.Impression {
+	imps, _ := c.FeedCtx(context.Background(), uid)
 	return imps
 }
 
 // VisitPage records a pixel fire on the user's shard. Pixels are
 // replicated, so the shard resolves the pixel locally.
 func (c *Cluster) VisitPage(uid profile.UserID, px pixel.PixelID) error {
-	_, err := routeMutation(c, uid, func(s Shard) (struct{}, error) {
+	_, err := route(c, rpc.OpVisit.Scope, uid, func(s Shard) (struct{}, error) {
 		return struct{}{}, s.VisitPage(uid, px)
 	})
 	return err
@@ -397,7 +401,7 @@ func (c *Cluster) VisitPage(uid profile.UserID, px pixel.PixelID) error {
 
 // LikePage records a page like on the user's shard.
 func (c *Cluster) LikePage(uid profile.UserID, pageID string) error {
-	_, err := routeMutation(c, uid, func(s Shard) (struct{}, error) {
+	_, err := route(c, rpc.OpLike.Scope, uid, func(s Shard) (struct{}, error) {
 		return struct{}{}, s.LikePage(uid, pageID)
 	})
 	return err
@@ -406,7 +410,7 @@ func (c *Cluster) LikePage(uid profile.UserID, pageID string) error {
 // AdPreferences returns the transparency-page attributes from the user's
 // shard.
 func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	return routeWithRefresh(c, uid, false, func(s Shard) ([]attr.ID, error) {
+	return route(c, rpc.OpAdPreferences.Scope, uid, func(s Shard) ([]attr.ID, error) {
 		return s.AdPreferences(uid)
 	})
 }
@@ -415,7 +419,7 @@ func (c *Cluster) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 // audiences are replicated, and the user's custom-data memberships live
 // where the user lives.
 func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return routeWithRefresh(c, uid, false, func(s Shard) ([]string, error) {
+	return route(c, rpc.OpAdvertisers.Scope, uid, func(s Shard) ([]string, error) {
 		return s.AdvertisersTargetingMe(uid)
 	})
 }
@@ -423,7 +427,7 @@ func (c *Cluster) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
 // ExplainImpression generates the "why am I seeing this?" text on the
 // user's shard.
 func (c *Cluster) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return routeWithRefresh(c, uid, false, func(s Shard) (explain.Explanation, error) {
+	return route(c, rpc.OpExplain.Scope, uid, func(s Shard) (explain.Explanation, error) {
 		return s.ExplainImpression(uid, imp)
 	})
 }

@@ -26,8 +26,8 @@ import (
 //
 // Shard methods whose signatures carry no context run under
 // context.Background(); the client's per-call timeout still bounds them.
-// The two aggregate reads (RawReach, CampaignTotals) forward the caller's
-// context, so a coordinator deadline cuts off a slow remote fan-out.
+// The browse, the feed read and the two aggregate reads forward the
+// caller's context, so a coordinator deadline cuts off a slow remote call.
 type RemoteShard struct {
 	c       *rpc.Client
 	catalog *attr.Catalog
@@ -66,18 +66,13 @@ func (r *RemoteShard) AddUser(p *profile.Profile) error {
 // the Shard signature has no error channel here, and the cluster's health
 // gate is the layer that turns a down peer into a typed error.
 func (r *RemoteShard) User(uid profile.UserID) *profile.Profile {
-	p, err := r.c.User(context.Background(), uid)
-	if err != nil {
-		return nil
-	}
+	p, _ := r.c.User(context.Background(), uid)
 	return p
 }
 
+// Users is nil on a transport failure, like User.
 func (r *RemoteShard) Users() []profile.UserID {
-	ids, err := r.c.Users(context.Background())
-	if err != nil {
-		return nil
-	}
+	ids, _ := r.c.Users(context.Background())
 	return ids
 }
 
@@ -94,12 +89,8 @@ func (r *RemoteShard) TraceSpans(ctx context.Context) ([]trace.SpanWire, error) 
 	return r.c.TraceSpans(ctx)
 }
 
-func (r *RemoteShard) Feed(uid profile.UserID) []ad.Impression {
-	imps, err := r.c.Feed(context.Background(), uid)
-	if err != nil {
-		return nil
-	}
-	return imps
+func (r *RemoteShard) FeedCtx(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
+	return r.c.Feed(ctx, uid)
 }
 
 func (r *RemoteShard) VisitPage(uid profile.UserID, px pixel.PixelID) error {

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +28,10 @@ func do(h http.Handler, method, path, body string) *httptest.ResponseRecorder {
 }
 
 const unavailableTestKey = "unavailable-test-key-0123456789"
+
+// userRoutes are the two user routes whose shard call reports failure
+// through an error result: the browse and the feed read.
+var userRoutes = []struct{ method, route string }{{"POST", "browse"}, {"GET", "feed"}}
 
 // TestUnavailableShardAnswers503 fronts a cluster with a down shard by the
 // public API and the gateway: every route that needs the shard answers 503
@@ -53,6 +58,7 @@ func TestUnavailableShardAnswers503(t *testing.T) {
 		{"POST", fmt.Sprintf("/api/v1/users/%s/browse?slots=3", dead), ""},
 		{"POST", fmt.Sprintf("/api/v1/users/%s/likes", dead), `{"page_id":"page-x"}`},
 		{"GET", fmt.Sprintf("/api/v1/users/%s/adpreferences", dead), ""},
+		{"GET", fmt.Sprintf("/api/v1/users/%s/feed", dead), ""},
 		{"POST", "/api/v1/advertisers/acme/reach", `{"spec":{"expr":"age(18, 65)"}}`},
 		{"POST", "/api/v1/advertisers/acme/pixels", ""},
 	}
@@ -86,8 +92,10 @@ func TestUnavailableShardAnswers503(t *testing.T) {
 			stranger = uid
 		}
 	}
-	if w := do(gw, "POST", fmt.Sprintf("/api/v1/users/%s/browse", stranger), ""); w.Code != http.StatusNotFound {
-		t.Fatalf("unknown user on a healthy shard = %d %s, want 404", w.Code, w.Body)
+	for _, rq := range userRoutes {
+		if w := do(gw, rq.method, fmt.Sprintf("/api/v1/users/%s/%s", stranger, rq.route), ""); w.Code != http.StatusNotFound {
+			t.Fatalf("%s of an unknown user on a healthy shard = %d %s, want 404", rq.route, w.Code, w.Body)
+		}
 	}
 
 	// The controller ticks every 100 ms; keep the 503s coming until one
@@ -117,7 +125,12 @@ func TestUnavailableShardAnswers503(t *testing.T) {
 // then rpc.ErrCircuitOpen, inside a CallError — all of them a 503.
 func TestUnreachablePeerAnswers503(t *testing.T) {
 	p := platform.New(platform.Config{Seed: 1})
-	srv := httptest.NewServer(rpc.NewServer(p, "", nil))
+	var shardCalls atomic.Int64
+	shard := rpc.NewServer(p, "", nil)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		shardCalls.Add(1)
+		shard.ServeHTTP(w, r)
+	}))
 	rs := cluster.NewRemoteShard(rpc.NewClient(srv.URL, rpc.Options{MaxRetries: -1, FailureThreshold: 3}))
 	defer rs.Close()
 	c, err := cluster.New([]cluster.Shard{rs}, cluster.Options{})
@@ -131,10 +144,24 @@ func TestUnreachablePeerAnswers503(t *testing.T) {
 	if w := do(api, "POST", "/api/v1/users/u1/browse", ""); w.Code != http.StatusOK {
 		t.Fatalf("browse with the peer up = %d %s", w.Code, w.Body)
 	}
+	before := shardCalls.Load()
+	if w := do(api, "GET", "/api/v1/users/u1/feed", ""); w.Code != http.StatusOK {
+		t.Fatalf("feed with the peer up = %d %s", w.Code, w.Body)
+	}
+	if n := shardCalls.Load() - before; n != 1 {
+		t.Fatalf("one feed request made %d shard calls, want 1", n)
+	}
+	if w := do(api, "GET", "/api/v1/users/nobody/feed", ""); w.Code != http.StatusNotFound {
+		t.Fatalf("feed of an unknown user with the peer up = %d %s, want 404", w.Code, w.Body)
+	}
 	srv.Close()
 	for i := 0; i < 6; i++ { // past the breaker threshold
-		if w := do(api, "POST", "/api/v1/users/u1/browse", ""); w.Code != http.StatusServiceUnavailable {
-			t.Fatalf("browse %d with the peer gone = %d %s, want 503", i, w.Code, w.Body)
+		for _, rq := range userRoutes {
+			w := do(api, rq.method, "/api/v1/users/u1/"+rq.route, "")
+			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+				t.Fatalf("%s %d with the peer gone = %d (Retry-After %q) %s, want 503 with Retry-After",
+					rq.route, i, w.Code, w.Header().Get("Retry-After"), w.Body)
+			}
 		}
 	}
 }

@@ -118,9 +118,6 @@ func (in *Injector) Seed() uint64 { return in.seed }
 // record nothing.
 func (in *Injector) Arm(on bool) { in.armed.Store(on) }
 
-// Armed reports whether injection is enabled.
-func (in *Injector) Armed() bool { return in.armed.Load() }
-
 // site returns the deterministic RNG for an injection site, creating it on
 // first use. The site's stream is derived from the run seed and an FNV
 // hash of the site name, so it depends on nothing but (seed, name).

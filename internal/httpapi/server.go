@@ -14,7 +14,6 @@ import (
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/delivery"
-	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/pii"
@@ -24,36 +23,18 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// Backend is the platform surface the HTTP server drives. Both
-// *platform.Platform (in-memory) and *platform.Journaled (write-ahead
-// journaled, crash-recoverable) satisfy it, so the HTTP layer is agnostic
-// to whether mutations are durable: handing NewServer a Journaled routes
-// every mutating request through the journal.
+// Backend is the platform surface the HTTP server drives: the shared op
+// set plus the three advertiser reads whose public form differs from a
+// shard's (thresholded reach and report, where a shard has RawReach and
+// CampaignTotals; the catalog search). *platform.Platform (in-memory),
+// *platform.Journaled (write-ahead journaled, crash-recoverable) and
+// *cluster.Cluster satisfy it, so the HTTP layer is agnostic to whether
+// mutations are durable or sharded.
 type Backend interface {
-	// Advertiser surface.
-	RegisterAdvertiser(name string) error
-	CreateCampaign(advertiser string, params platform.CampaignParams) (string, error)
-	PauseCampaign(advertiser, campaignID string) error
+	platform.Ops
 	Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error)
-	CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error)
-	CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error)
-	IssuePixel(advertiser string) (pixel.PixelID, error)
 	PotentialReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error)
 	SearchAttributes(query string) []*attr.Attribute
-
-	// User surface. The browse carries the request context, so the route
-	// span propagates into journal, routing and remote-shard spans.
-	BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error)
-	Feed(uid profile.UserID) []ad.Impression
-	User(uid profile.UserID) *profile.Profile
-	AdPreferences(uid profile.UserID) ([]attr.ID, error)
-	AdvertisersTargetingMe(uid profile.UserID) ([]string, error)
-	LikePage(uid profile.UserID, pageID string) error
-	VisitPage(uid profile.UserID, px pixel.PixelID) error
-	ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error)
 }
 
 var (
@@ -432,19 +413,21 @@ func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, impressionsWire(imps))
+	writeJSON(w, http.StatusOK, FromImpressions(imps))
 }
 
 func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	if s.p.User(uid) == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("httpapi: unknown user %q", uid))
+	imps, err := s.p.FeedCtx(r.Context(), profile.UserID(r.PathValue("id")))
+	if err != nil {
+		writeErr(w, statusFor(err, http.StatusNotFound), err)
 		return
 	}
-	writeJSON(w, http.StatusOK, impressionsWire(s.p.Feed(uid)))
+	writeJSON(w, http.StatusOK, FromImpressions(imps))
 }
 
-func impressionsWire(imps []ad.Impression) []ImpressionWire {
+// FromImpressions converts a feed to the wire form; an empty feed is `[]`,
+// not null. The shard RPC reuses it.
+func FromImpressions(imps []ad.Impression) []ImpressionWire {
 	out := make([]ImpressionWire, 0, len(imps))
 	for _, i := range imps {
 		out = append(out, FromImpression(i))

@@ -436,6 +436,11 @@ func (jp *Journaled) Report(ctx context.Context, advertiser, campaignID string) 
 // Feed returns every impression the user has been shown.
 func (jp *Journaled) Feed(uid profile.UserID) []ad.Impression { return jp.p.Load().Feed(uid) }
 
+// FeedCtx is the feed read of the op set; an unknown user is refused.
+func (jp *Journaled) FeedCtx(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
+	return jp.p.Load().FeedCtx(ctx, uid)
+}
+
 // AdPreferences returns the user's transparency-page attributes.
 func (jp *Journaled) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 	return jp.p.Load().AdPreferences(uid)

@@ -38,6 +38,34 @@ import (
 // ErrRejected is wrapped by CreateCampaign errors caused by ad review.
 var ErrRejected = errors.New("ad rejected by policy review")
 
+// Ops is the set of operations every layer between the public API and a
+// shard forwards unchanged, declared once: httpapi.Backend, rpc.Backend and
+// cluster.Shard embed it and add only what is theirs. *Platform,
+// *Journaled, *cluster.Cluster and *cluster.RemoteShard implement it.
+type Ops interface {
+	// User-scoped: routed to the shard that owns the user. The browse and
+	// the feed read carry the request context (trace, deadline) and report
+	// an unreachable shard as an error, never as an empty answer.
+	BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error)
+	FeedCtx(ctx context.Context, uid profile.UserID) ([]ad.Impression, error)
+	VisitPage(uid profile.UserID, px pixel.PixelID) error
+	LikePage(uid profile.UserID, pageID string) error
+	AdPreferences(uid profile.UserID) ([]attr.ID, error)
+	AdvertisersTargetingMe(uid profile.UserID) ([]string, error)
+	ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error)
+
+	// Advertiser-scoped mutations: applied to every shard in one order.
+	RegisterAdvertiser(name string) error
+	CreateCampaign(advertiser string, params CampaignParams) (string, error)
+	PauseCampaign(advertiser, campaignID string) error
+	CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error)
+	CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error)
+	CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error)
+	CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error)
+	CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error)
+	IssuePixel(advertiser string) (pixel.PixelID, error)
+}
+
 // Config parameterizes a platform instance.
 type Config struct {
 	// Catalog defaults to attr.DefaultCatalog().
@@ -431,6 +459,15 @@ func (p *Platform) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots 
 // Feed returns every impression the user has ever been shown.
 func (p *Platform) Feed(uid profile.UserID) []ad.Impression {
 	return p.pipeline.Feed(uid)
+}
+
+// FeedCtx is the feed read of the op set (see Ops): Feed, with an unknown
+// user refused the way every other user-scoped read refuses one.
+func (p *Platform) FeedCtx(_ context.Context, uid profile.UserID) ([]ad.Impression, error) {
+	if p.store.Get(uid) == nil {
+		return nil, fmt.Errorf("platform: unknown user %q", uid)
+	}
+	return p.pipeline.Feed(uid), nil
 }
 
 // VisitPage records the user visiting an external page carrying the pixel

@@ -153,38 +153,26 @@ func (c *Client) Close() { c.hc.CloseIdleConnections() }
 // a non-idempotent call may retry.
 var errNotSent = errors.New("request not sent")
 
+// healthOp is the liveness endpoint: a GET beside the op table's POSTs.
+const healthOp = "health"
+
 // Health probes the peer's health endpoint with a single attempt and
-// feeds the breaker, so an explicit probe can close a recovered peer's
-// circuit without risking a real operation.
+// feeds the breaker on both outcomes, so an explicit probe can close a
+// recovered peer's circuit without risking a real operation. It is never
+// retried and ignores the breaker's verdict: probing a dead peer is its job.
 func (c *Client) Health(ctx context.Context) (HealthResp, error) {
 	cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(cctx, http.MethodGet, c.baseURL+PathPrefix+"health", nil)
-	if err != nil {
-		return HealthResp{}, &CallError{Peer: c.peer, Op: "health", Attempts: 1, Err: err}
-	}
-	c.setHeaders(req, false)
-	c.m.requests.Inc()
-	start := time.Now()
-	resp, err := c.hc.Do(req)
-	c.m.requestSeconds.ObserveSince(start)
-	if err != nil {
-		c.m.errors.Inc()
-		c.br.failure()
-		return HealthResp{}, &CallError{Peer: c.peer, Op: "health", Attempts: 1, Err: classifyNetErr(err)}
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, MaxBody+1))
-	if resp.StatusCode != http.StatusOK {
-		c.m.errors.Inc()
-		c.br.failure()
-		return HealthResp{}, &CallError{Peer: c.peer, Op: "health", Status: resp.StatusCode, Attempts: 1, Err: statusErr(resp.StatusCode, raw)}
-	}
 	var h HealthResp
-	if err := json.Unmarshal(raw, &h); err != nil {
-		c.m.errors.Inc()
+	raw, status, err := c.roundTrip(cctx, http.MethodGet, healthOp, nil)
+	if err == nil {
+		if uerr := json.Unmarshal(raw, &h); uerr != nil {
+			err = fmt.Errorf("%w: %v", ErrMalformed, uerr)
+		}
+	}
+	if err != nil {
 		c.br.failure()
-		return HealthResp{}, &CallError{Peer: c.peer, Op: "health", Status: resp.StatusCode, Attempts: 1, Err: fmt.Errorf("%w: %v", ErrMalformed, err)}
+		return HealthResp{}, &CallError{Peer: c.peer, Op: healthOp, Status: status, Attempts: 1, Err: err}
 	}
 	c.br.success()
 	return h, nil
@@ -303,7 +291,7 @@ func (c *Client) exchange(ctx context.Context, op string, body []byte, idempoten
 	cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 	defer cancel()
 	if !idempotent || c.opts.HedgeDelay <= 0 {
-		return c.roundTrip(cctx, op, body)
+		return c.roundTrip(cctx, http.MethodPost, op, body)
 	}
 	type result struct {
 		raw    []byte
@@ -312,7 +300,7 @@ func (c *Client) exchange(ctx context.Context, op string, body []byte, idempoten
 	}
 	ch := make(chan result, 2)
 	launch := func() {
-		raw, status, err := c.roundTrip(cctx, op, body)
+		raw, status, err := c.roundTrip(cctx, http.MethodPost, op, body)
 		ch <- result{raw, status, err}
 	}
 	go launch()
@@ -337,23 +325,19 @@ func (c *Client) exchange(ctx context.Context, op string, body []byte, idempoten
 	return r.raw, r.status, r.err
 }
 
-func (c *Client) setHeaders(req *http.Request, hasBody bool) {
-	if hasBody {
+// roundTrip performs a single HTTP exchange — the only place a response
+// becomes one of the package's typed errors.
+func (c *Client) roundTrip(ctx context.Context, method, op string, body []byte) ([]byte, int, error) {
+	req, err := http.NewRequestWithContext(ctx, method, c.baseURL+PathPrefix+op, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: building request: %v", ErrMalformed, err)
+	}
+	if method == http.MethodPost {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	if c.opts.Secret != "" {
 		req.Header.Set("Authorization", "Bearer "+c.opts.Secret)
 	}
-}
-
-// roundTrip performs a single HTTP exchange and classifies every failure
-// into the package's typed errors.
-func (c *Client) roundTrip(ctx context.Context, op string, body []byte) ([]byte, int, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.baseURL+PathPrefix+op, bytes.NewReader(body))
-	if err != nil {
-		return nil, 0, fmt.Errorf("%w: building request: %v", ErrMalformed, err)
-	}
-	c.setHeaders(req, true)
 	// Propagate the trace across the process boundary: sampled calls
 	// carry a traceparent the shard's server continues; unsampled calls
 	// carry nothing (Inject of nil is a no-op).

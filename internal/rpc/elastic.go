@@ -137,8 +137,8 @@ type RearmReq struct {
 // backend, not the protocol — and refuse with ErrMigrationUnsupported when
 // the backend is not a journaled member, so a misconfigured router gets a
 // readable 422 instead of a protocol error.
-func memberOp[Req, Resp any](s *Server, name string, fn func(m platform.Member, req Req) (Resp, error)) {
-	handle(s, name, func(_ context.Context, req Req) (Resp, error) {
+func memberOp[Req, Resp any](s *Server, op Op[Req, Resp], fn func(m platform.Member, req Req) (Resp, error)) {
+	serve(s, op, func(_ context.Context, req Req) (Resp, error) {
 		m, ok := s.b.(platform.Member)
 		if !ok {
 			var zero Resp
@@ -150,47 +150,47 @@ func memberOp[Req, Resp any](s *Server, name string, fn func(m platform.Member, 
 
 // registerElastic wires the migration, replication, and ring ops.
 func (s *Server) registerElastic() {
-	memberOp(s, "exportusers", func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
+	memberOp(s, opExportUsers, func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
 		chunk, err := m.ExportUsers(toUserIDs(req.Users))
 		return ChunkResp{Chunk: chunk}, err
 	})
-	memberOp(s, "importusers", func(m platform.Member, req ImportUsersReq) (empty, error) {
+	memberOp(s, opImportUsers, func(m platform.Member, req ImportUsersReq) (empty, error) {
 		return empty{}, m.ImportUsers(req.Chunk)
 	})
-	memberOp(s, "removeusers", func(m platform.Member, req RemoveUsersReq) (empty, error) {
+	memberOp(s, opRemoveUsers, func(m platform.Member, req RemoveUsersReq) (empty, error) {
 		return empty{}, m.RemoveUsers(toUserIDs(req.Users))
 	})
-	memberOp(s, "installstate", func(m platform.Member, req InstallStateReq) (empty, error) {
+	memberOp(s, opInstallState, func(m platform.Member, req InstallStateReq) (empty, error) {
 		return empty{}, m.InstallState(req.State)
 	})
-	memberOp(s, "syncstate", func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
+	memberOp(s, opSyncState, func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
 		st, lsn, err := m.StateAndLSN(req.Skeleton)
 		return SyncStateResp{State: st, LSN: lsn}, err
 	})
-	memberOp(s, "shipop", func(m platform.Member, req ShipOpReq) (empty, error) {
+	memberOp(s, opShipOp, func(m platform.Member, req ShipOpReq) (empty, error) {
 		return empty{}, m.ApplyShipped(req.LSN, []byte(req.Payload))
 	})
-	memberOp(s, "beginfollow", func(m platform.Member, req FollowReq) (empty, error) {
+	memberOp(s, opBeginFollow, func(m platform.Member, req FollowReq) (empty, error) {
 		return empty{}, m.BeginFollow(req.LSN)
 	})
-	memberOp(s, "endfollow", func(m platform.Member, _ empty) (empty, error) {
+	memberOp(s, opEndFollow, func(m platform.Member, _ empty) (empty, error) {
 		return empty{}, m.EndFollow()
 	})
-	handle(s, "rearm", func(_ context.Context, req RearmReq) (empty, error) {
+	serve(s, opRearm, func(_ context.Context, req RearmReq) (empty, error) {
 		fn := s.rearm.Load()
 		if fn == nil {
 			return empty{}, fmt.Errorf("shard has no rearm handler configured (node was not started with replication support)")
 		}
 		return empty{}, (*fn)(req.Followers)
 	})
-	handle(s, "ring", func(_ context.Context, _ empty) (RingInfo, error) {
+	serve(s, opRing, func(_ context.Context, _ empty) (RingInfo, error) {
 		g := s.gate.Load()
 		if g == nil {
 			return RingInfo{}, fmt.Errorf("shard has no membership gate configured")
 		}
 		return (*g).Ring(), nil
 	})
-	handle(s, "setring", func(_ context.Context, req RingInfo) (empty, error) {
+	serve(s, opSetRing, func(_ context.Context, req RingInfo) (empty, error) {
 		g := s.gate.Load()
 		if g == nil {
 			return empty{}, fmt.Errorf("shard has no membership gate configured")

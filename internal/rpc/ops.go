@@ -12,28 +12,158 @@ import (
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/trace"
 )
 
+// Scope is the one fact about an op that client, server and coordinator
+// must agree on: who serves it, and therefore whether it may be re-executed
+// and which ownership check guards it.
+type Scope uint8
+
+const (
+	// UserRead is served by any member of the user's slot; the server
+	// checks OwnsUser, the client retries and hedges it.
+	UserRead Scope = iota
+	// UserWrite is served by the slot's owner only, under the coordinator's
+	// reshard fence; the server checks OwnsUserWrite, the client sends it
+	// once (a retried browse — auctions, spend — is a double bill).
+	UserWrite
+	// Replicated is an advertiser mutation the coordinator applies to every
+	// slot's owner in one order; sent once, no ownership check.
+	Replicated
+	// Gathered is a read the coordinator runs on every slot and merges.
+	Gathered
+	// Control is membership, migration, replication and diagnostics. These
+	// are replace operations or reads, so they retry — unless declared once.
+	Control
+)
+
+// OpInfo is one row of the op table.
+type OpInfo struct {
+	// Name is the wire name: the last path segment of the endpoint, the
+	// suffix of the span names and the op label of the server's metrics.
+	Name  string
+	Scope Scope
+	// Idempotent ops get the client's retries and hedges; the others are
+	// resent only when the connection was refused before the request left.
+	Idempotent bool
+}
+
+// Op is a table row together with its request and response types. Client
+// methods send it with callOp, the Server registers its handler with serve.
+type Op[Req, Resp any] struct {
+	*OpInfo
+	// user reads the user key from a user-scoped request, for the gate.
+	user func(*Req) string
+}
+
+// table lists every declared op, in declaration order.
+var table []*OpInfo
+
+func declare[Req, Resp any](name string, scope Scope) Op[Req, Resp] {
+	info := &OpInfo{Name: name, Scope: scope, Idempotent: scope != UserWrite && scope != Replicated}
+	table = append(table, info)
+	return Op[Req, Resp]{OpInfo: info}
+}
+
+// userKeyed is a request addressed to one user.
+type userKeyed interface{ userKey() string }
+
+func (r UserIDReq) userKey() string  { return r.UserID }
+func (r AddUserReq) userKey() string { return string(r.Profile.ID) }
+func (r BrowseReq) userKey() string  { return r.UserID }
+func (r VisitReq) userKey() string   { return r.UserID }
+func (r LikeReq) userKey() string    { return r.UserID }
+func (r ExplainReq) userKey() string { return r.UserID }
+
+func declareUser[Req userKeyed, Resp any](name string, scope Scope) Op[Req, Resp] {
+	op := declare[Req, Resp](name, scope)
+	op.user = func(r *Req) string { return (*r).userKey() }
+	return op
+}
+
+// once marks an op of an idempotent scope as never re-sent.
+func (o Op[Req, Resp]) once() Op[Req, Resp] {
+	o.Idempotent = false
+	return o
+}
+
+// The op table. Each op is written down here and nowhere else: the typed
+// Client method below sends it, Server.register serves it, and the cluster
+// coordinator routes the user-scoped ones by the same Scope.
+var (
+	OpAddUser       = declareUser[AddUserReq, empty]("adduser", UserWrite)
+	OpUser          = declareUser[UserIDReq, UserResp]("user", UserRead)
+	OpBrowse        = declareUser[BrowseReq, ImpressionsResp]("browse", UserWrite)
+	OpFeed          = declareUser[UserIDReq, ImpressionsResp]("feed", UserRead)
+	OpVisit         = declareUser[VisitReq, empty]("visit", UserWrite)
+	OpLike          = declareUser[LikeReq, empty]("like", UserWrite)
+	OpAdPreferences = declareUser[UserIDReq, AttrIDsResp]("adpreferences", UserRead)
+	OpAdvertisers   = declareUser[UserIDReq, NamesResp]("advertisers", UserRead)
+	OpExplain       = declareUser[ExplainReq, ExplainResp]("explain", UserRead)
+
+	opRegister                 = declare[RegisterReq, empty]("register", Replicated)
+	opCreateCampaign           = declare[CreateCampaignReq, CampaignIDResp]("createcampaign", Replicated)
+	opPauseCampaign            = declare[CampaignReq, empty]("pausecampaign", Replicated)
+	opCreatePIIAudience        = declare[CreatePIIAudienceReq, AudienceIDResp]("createpiiaudience", Replicated)
+	opCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, AudienceIDResp]("createwebsiteaudience", Replicated)
+	opCreateEngagementAudience = declare[CreateEngagementAudienceReq, AudienceIDResp]("createengagementaudience", Replicated)
+	opCreateAffinityAudience   = declare[CreateAffinityAudienceReq, AudienceIDResp]("createaffinityaudience", Replicated)
+	opCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, AudienceIDResp]("createlookalikeaudience", Replicated)
+	opIssuePixel               = declare[AdvertiserReq, PixelIDResp]("issuepixel", Replicated)
+
+	opUsers          = declare[empty, UsersResp]("users", Gathered)
+	opRawReach       = declare[RawReachReq, RawReachResp]("rawreach", Gathered)
+	opCampaignTotals = declare[CampaignReq, CampaignTotalsResp]("campaigntotals", Gathered)
+
+	// import/remove/install replace state (re-executing them converges) and
+	// rearm replaces the whole chain, so they retry; shipop is strictly
+	// ordered — the follower's gap check treats a duplicate LSN as divergence.
+	opExportUsers  = declare[ExportUsersReq, ChunkResp]("exportusers", Control)
+	opImportUsers  = declare[ImportUsersReq, empty]("importusers", Control)
+	opRemoveUsers  = declare[RemoveUsersReq, empty]("removeusers", Control)
+	opInstallState = declare[InstallStateReq, empty]("installstate", Control)
+	opSyncState    = declare[SyncStateReq, SyncStateResp]("syncstate", Control)
+	opShipOp       = declare[ShipOpReq, empty]("shipop", Control).once()
+	opBeginFollow  = declare[FollowReq, empty]("beginfollow", Control)
+	opEndFollow    = declare[empty, empty]("endfollow", Control)
+	opRearm        = declare[RearmReq, empty]("rearm", Control)
+	opRing         = declare[empty, RingInfo]("ring", Control)
+	opSetRing      = declare[RingInfo, empty]("setring", Control)
+	opTraceSpans   = declare[empty, TraceSpansResp]("tracespans", Control)
+)
+
+// callOp sends one op: the retry-and-hedge policy, span name and error label
+// come from the declaration. A nil resp discards the answer.
+func callOp[Req, Resp any](ctx context.Context, c *Client, op Op[Req, Resp], req Req, resp *Resp) error {
+	var in, out any = req, resp
+	if _, none := in.(empty); none {
+		in = nil
+	}
+	if resp == nil {
+		out = nil
+	}
+	err := c.Call(ctx, op.Name, op.Idempotent, in, out)
+	if err != nil && resp != nil {
+		var zero Resp
+		*resp = zero // a half-decoded answer is no answer
+	}
+	return err
+}
+
 // Typed operation methods — one per shard op, mirroring the cluster.Shard
-// surface. The idempotent flag on each call is the retry/hedge policy:
-// pure reads may be safely re-executed (full retries, hedging), anything
-// that moves shard state gets one shot unless the connection was refused
-// before the request left this process. BrowseFeed is a mutation here even
-// though it "reads" the feed: it runs auctions and spends budget.
+// surface; what each may do on a failed attempt is its row's, not theirs.
 
 // AddUser ships a full profile snapshot to the shard.
 func (c *Client) AddUser(ctx context.Context, p *profile.Profile) error {
-	return c.Call(ctx, "adduser", false, AddUserReq{Profile: p.Snapshot()}, nil)
+	return callOp(ctx, c, OpAddUser, AddUserReq{Profile: p.Snapshot()}, nil)
 }
 
 // User fetches a profile snapshot; nil for an unknown user.
 func (c *Client) User(ctx context.Context, uid profile.UserID) (*profile.Profile, error) {
 	var resp UserResp
-	if err := c.Call(ctx, "user", true, UserIDReq{UserID: string(uid)}, &resp); err != nil {
+	if err := callOp(ctx, c, OpUser, UserIDReq{UserID: string(uid)}, &resp); err != nil || resp.Profile == nil {
 		return nil, err
-	}
-	if resp.Profile == nil {
-		return nil, nil
 	}
 	return profile.FromState(*resp.Profile)
 }
@@ -41,94 +171,73 @@ func (c *Client) User(ctx context.Context, uid profile.UserID) (*profile.Profile
 // Users lists every user ID on the shard.
 func (c *Client) Users(ctx context.Context) ([]profile.UserID, error) {
 	var resp UsersResp
-	if err := c.Call(ctx, "users", true, nil, &resp); err != nil {
+	if err := callOp(ctx, c, opUsers, empty{}, &resp); err != nil || len(resp.Users) == 0 {
 		return nil, err
 	}
-	if len(resp.Users) == 0 {
-		return nil, nil
-	}
-	out := make([]profile.UserID, len(resp.Users))
-	for i, u := range resp.Users {
-		out[i] = profile.UserID(u)
-	}
-	return out, nil
+	return toUserIDs(resp.Users), nil
 }
 
 // BrowseFeed runs a feed session (auctions, spend — a mutation).
 func (c *Client) BrowseFeed(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	var resp ImpressionsResp
-	if err := c.Call(ctx, "browse", false, BrowseReq{UserID: string(uid), Slots: slots}, &resp); err != nil {
-		return nil, err
-	}
-	return toImpressions(resp.Impressions), nil
+	err := callOp(ctx, c, OpBrowse, BrowseReq{UserID: string(uid), Slots: slots}, &resp)
+	return toImpressions(resp.Impressions), err
 }
 
-// Feed returns the user's accumulated feed.
+// Feed returns the user's accumulated feed; an unknown user is refused.
 func (c *Client) Feed(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
 	var resp ImpressionsResp
-	if err := c.Call(ctx, "feed", true, UserIDReq{UserID: string(uid)}, &resp); err != nil {
-		return nil, err
-	}
-	return toImpressions(resp.Impressions), nil
+	err := callOp(ctx, c, OpFeed, UserIDReq{UserID: string(uid)}, &resp)
+	return toImpressions(resp.Impressions), err
 }
 
 // VisitPage records a pixel fire.
 func (c *Client) VisitPage(ctx context.Context, uid profile.UserID, px pixel.PixelID) error {
-	return c.Call(ctx, "visit", false, VisitReq{UserID: string(uid), PixelID: string(px)}, nil)
+	return callOp(ctx, c, OpVisit, VisitReq{UserID: string(uid), PixelID: string(px)}, nil)
 }
 
 // LikePage records a page like.
 func (c *Client) LikePage(ctx context.Context, uid profile.UserID, pageID string) error {
-	return c.Call(ctx, "like", false, LikeReq{UserID: string(uid), PageID: pageID}, nil)
+	return callOp(ctx, c, OpLike, LikeReq{UserID: string(uid), PageID: pageID}, nil)
 }
 
 // AdPreferences returns the user's transparency-page attributes.
 func (c *Client) AdPreferences(ctx context.Context, uid profile.UserID) ([]attr.ID, error) {
 	var resp AttrIDsResp
-	if err := c.Call(ctx, "adpreferences", true, UserIDReq{UserID: string(uid)}, &resp); err != nil {
-		return nil, err
-	}
-	return toAttrIDs(resp.Attributes), nil
+	err := callOp(ctx, c, OpAdPreferences, UserIDReq{UserID: string(uid)}, &resp)
+	return toAttrIDs(resp.Attributes), err
 }
 
 // AdvertisersTargetingMe returns the advertisers with the user in an
 // active target set.
 func (c *Client) AdvertisersTargetingMe(ctx context.Context, uid profile.UserID) ([]string, error) {
 	var resp NamesResp
-	if err := c.Call(ctx, "advertisers", true, UserIDReq{UserID: string(uid)}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Names, nil
+	err := callOp(ctx, c, OpAdvertisers, UserIDReq{UserID: string(uid)}, &resp)
+	return resp.Names, err
 }
 
 // ExplainImpression asks the shard for the "why am I seeing this?" text.
 func (c *Client) ExplainImpression(ctx context.Context, uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
 	var resp ExplainResp
-	req := ExplainReq{UserID: string(uid), Impression: httpapi.FromImpression(imp)}
-	if err := c.Call(ctx, "explain", true, req, &resp); err != nil {
-		return explain.Explanation{}, err
-	}
-	return explain.Explanation{Attribute: attr.ID(resp.Attribute), Text: resp.Text}, nil
+	err := callOp(ctx, c, OpExplain, ExplainReq{UserID: string(uid), Impression: httpapi.FromImpression(imp)}, &resp)
+	return explain.Explanation{Attribute: attr.ID(resp.Attribute), Text: resp.Text}, err
 }
 
 // RegisterAdvertiser creates the advertiser account.
 func (c *Client) RegisterAdvertiser(ctx context.Context, name string) error {
-	return c.Call(ctx, "register", false, RegisterReq{Name: name}, nil)
+	return callOp(ctx, c, opRegister, RegisterReq{Name: name}, nil)
 }
 
 // CreateCampaign registers a campaign and returns the shard-minted ID.
 func (c *Client) CreateCampaign(ctx context.Context, advertiser string, params platform.CampaignParams) (string, error) {
 	var resp CampaignIDResp
-	req := CreateCampaignReq{Advertiser: advertiser, Params: FromCampaignParams(params)}
-	if err := c.Call(ctx, "createcampaign", false, req, &resp); err != nil {
-		return "", err
-	}
-	return resp.CampaignID, nil
+	err := callOp(ctx, c, opCreateCampaign, CreateCampaignReq{Advertiser: advertiser, Params: FromCampaignParams(params)}, &resp)
+	return resp.CampaignID, err
 }
 
 // PauseCampaign pauses a campaign.
 func (c *Client) PauseCampaign(ctx context.Context, advertiser, campaignID string) error {
-	return c.Call(ctx, "pausecampaign", false, CampaignReq{Advertiser: advertiser, CampaignID: campaignID}, nil)
+	return callOp(ctx, c, opPauseCampaign, CampaignReq{Advertiser: advertiser, CampaignID: campaignID}, nil)
 }
 
 // CreatePIIAudience uploads hashed match keys.
@@ -138,80 +247,65 @@ func (c *Client) CreatePIIAudience(ctx context.Context, advertiser, name string,
 		wire[i] = httpapi.FromMatchKey(k)
 	}
 	var resp AudienceIDResp
-	req := CreatePIIAudienceReq{Advertiser: advertiser, Name: name, Keys: wire}
-	if err := c.Call(ctx, "createpiiaudience", false, req, &resp); err != nil {
-		return "", err
-	}
-	return audience.AudienceID(resp.AudienceID), nil
+	err := callOp(ctx, c, opCreatePIIAudience, CreatePIIAudienceReq{Advertiser: advertiser, Name: name, Keys: wire}, &resp)
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 // CreateWebsiteAudience builds a pixel-backed audience.
 func (c *Client) CreateWebsiteAudience(ctx context.Context, advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
 	var resp AudienceIDResp
-	req := CreateWebsiteAudienceReq{Advertiser: advertiser, Name: name, PixelID: string(px)}
-	if err := c.Call(ctx, "createwebsiteaudience", false, req, &resp); err != nil {
-		return "", err
-	}
-	return audience.AudienceID(resp.AudienceID), nil
+	err := callOp(ctx, c, opCreateWebsiteAudience, CreateWebsiteAudienceReq{Advertiser: advertiser, Name: name, PixelID: string(px)}, &resp)
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 // CreateEngagementAudience builds a page-like audience.
 func (c *Client) CreateEngagementAudience(ctx context.Context, advertiser, name, pageID string) (audience.AudienceID, error) {
 	var resp AudienceIDResp
-	req := CreateEngagementAudienceReq{Advertiser: advertiser, Name: name, PageID: pageID}
-	if err := c.Call(ctx, "createengagementaudience", false, req, &resp); err != nil {
-		return "", err
-	}
-	return audience.AudienceID(resp.AudienceID), nil
+	err := callOp(ctx, c, opCreateEngagementAudience, CreateEngagementAudienceReq{Advertiser: advertiser, Name: name, PageID: pageID}, &resp)
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 // CreateAffinityAudience builds a keyword audience.
 func (c *Client) CreateAffinityAudience(ctx context.Context, advertiser, name string, phrases []string) (audience.AudienceID, error) {
 	var resp AudienceIDResp
-	req := CreateAffinityAudienceReq{Advertiser: advertiser, Name: name, Phrases: phrases}
-	if err := c.Call(ctx, "createaffinityaudience", false, req, &resp); err != nil {
-		return "", err
-	}
-	return audience.AudienceID(resp.AudienceID), nil
+	err := callOp(ctx, c, opCreateAffinityAudience, CreateAffinityAudienceReq{Advertiser: advertiser, Name: name, Phrases: phrases}, &resp)
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 // CreateLookalikeAudience derives a similarity audience.
 func (c *Client) CreateLookalikeAudience(ctx context.Context, advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
 	var resp AudienceIDResp
 	req := CreateLookalikeAudienceReq{Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap}
-	if err := c.Call(ctx, "createlookalikeaudience", false, req, &resp); err != nil {
-		return "", err
-	}
-	return audience.AudienceID(resp.AudienceID), nil
+	err := callOp(ctx, c, opCreateLookalikeAudience, req, &resp)
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 // IssuePixel issues a tracking pixel.
 func (c *Client) IssuePixel(ctx context.Context, advertiser string) (pixel.PixelID, error) {
 	var resp PixelIDResp
-	if err := c.Call(ctx, "issuepixel", false, AdvertiserReq{Advertiser: advertiser}, &resp); err != nil {
-		return "", err
-	}
-	return pixel.PixelID(resp.PixelID), nil
+	err := callOp(ctx, c, opIssuePixel, AdvertiserReq{Advertiser: advertiser}, &resp)
+	return pixel.PixelID(resp.PixelID), err
 }
 
 // RawReach returns the shard's exact pre-threshold match count.
 func (c *Client) RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
 	var resp RawReachResp
-	req := RawReachReq{Advertiser: advertiser, Spec: FromSpec(spec)}
-	if err := c.Call(ctx, "rawreach", true, req, &resp); err != nil {
-		return 0, err
-	}
-	return resp.Count, nil
+	err := callOp(ctx, c, opRawReach, RawReachReq{Advertiser: advertiser, Spec: FromSpec(spec)}, &resp)
+	return resp.Count, err
 }
 
 // CampaignTotals returns the shard's mergeable campaign totals.
 func (c *Client) CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error) {
 	var resp CampaignTotalsResp
-	req := CampaignReq{Advertiser: advertiser, CampaignID: campaignID}
-	if err := c.Call(ctx, "campaigntotals", true, req, &resp); err != nil {
-		return platform.CampaignTotals{}, err
-	}
-	return resp.ToTotals(), nil
+	err := callOp(ctx, c, opCampaignTotals, CampaignReq{Advertiser: advertiser, CampaignID: campaignID}, &resp)
+	return resp.ToTotals(), err
+}
+
+// TraceSpans fetches the peer's completed spans.
+func (c *Client) TraceSpans(ctx context.Context) ([]trace.SpanWire, error) {
+	var resp TraceSpansResp
+	err := callOp(ctx, c, opTraceSpans, empty{}, &resp)
+	return resp.Spans, err
 }
 
 func toImpressions(ws []httpapi.ImpressionWire) []ad.Impression {

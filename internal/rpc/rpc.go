@@ -32,6 +32,7 @@ import (
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/trace"
 )
 
 // Version is the wire-protocol version segment in every endpoint path. A
@@ -354,6 +355,13 @@ type HealthResp struct {
 	Following bool   `json:"following,omitempty"`
 	Synced    bool   `json:"synced,omitempty"`
 	ShipLSN   uint64 `json:"ship_lsn,omitempty"`
+}
+
+// TraceSpansResp carries one process's completed-span ring, which the
+// router stitches into its own when serving GET /admin/v1/trace. Spans
+// are already in wire form; the router merges by trace ID.
+type TraceSpansResp struct {
+	Spans []trace.SpanWire `json:"spans,omitempty"`
 }
 
 // attrIDs converts attribute IDs to wire strings. Empty stays nil so a

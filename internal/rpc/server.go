@@ -9,10 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/treads-project/treads/internal/ad"
-	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/pii"
@@ -22,41 +19,21 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// Backend is the shard operation set, declared once: the RPC server
-// exposes it, and cluster.Shard is this plus the catalog reads (the
-// attribute catalog is compiled into every binary, so routers answer those
-// locally instead of shipping the catalog over the wire). *platform.Platform
-// and *platform.Journaled satisfy it.
+// Backend is what a shard serves over RPC: the shared op set
+// (platform.Ops), population management, and the exact aggregates a
+// coordinator merges before thresholding. cluster.Shard is this plus the
+// catalog reads (the attribute catalog is compiled into every binary, so
+// routers answer those locally instead of shipping the catalog over the
+// wire). *platform.Platform and *platform.Journaled satisfy it.
 type Backend interface {
-	// User-scoped (routed to the owning shard).
+	platform.Ops
+
 	AddUser(*profile.Profile) error
 	User(profile.UserID) *profile.Profile
 	Users() []profile.UserID
-	// BrowseFeedCtx carries the caller's context: a journaled shard
-	// journals under the caller's trace, and a RemoteShard propagates the
-	// traceparent (and the caller's deadline) over the wire.
-	BrowseFeedCtx(context.Context, profile.UserID, int) ([]ad.Impression, error)
-	Feed(profile.UserID) []ad.Impression
-	VisitPage(profile.UserID, pixel.PixelID) error
-	LikePage(profile.UserID, string) error
-	AdPreferences(profile.UserID) ([]attr.ID, error)
-	AdvertisersTargetingMe(profile.UserID) ([]string, error)
-	ExplainImpression(profile.UserID, ad.Impression) (explain.Explanation, error)
 
-	// Advertiser-scoped mutations (replicated to every shard in order).
-	RegisterAdvertiser(string) error
-	CreateCampaign(string, platform.CampaignParams) (string, error)
-	PauseCampaign(string, string) error
-	CreatePIIAudience(string, string, []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(string, string, pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(string, string, string) (audience.AudienceID, error)
-	CreateAffinityAudience(string, string, []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error)
-	IssuePixel(string) (pixel.PixelID, error)
-
-	// Aggregate reads (scatter-gathered and merged at the cluster edge).
-	// These carry the caller's context so a coordinator's deadline bounds
-	// the remote calls behind a networked shard.
+	// Aggregate reads (scatter-gathered and merged at the cluster edge),
+	// under the coordinator's context so its deadline bounds the fan-out.
 	RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error)
 	CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error)
 }
@@ -131,32 +108,6 @@ func (s *Server) SetRearm(fn func(followers []string) error) {
 	s.rearm.Store(&fn)
 }
 
-// gateUser checks ownership of a user-scoped request against the gate.
-func (s *Server) gateUser(user string) error {
-	g := s.gate.Load()
-	if g == nil {
-		return nil
-	}
-	if err := (*g).OwnsUser(user); err != nil {
-		return staleErr{err}
-	}
-	return nil
-}
-
-// gateUserWrite checks ownership of a user-scoped mutation: a deposed
-// owner demoted to replica refuses retried writes with 409/ErrStaleRing
-// instead of applying them.
-func (s *Server) gateUserWrite(user string) error {
-	g := s.gate.Load()
-	if g == nil {
-		return nil
-	}
-	if err := (*g).OwnsUserWrite(user); err != nil {
-		return staleErr{err}
-	}
-	return nil
-}
-
 // NewServer wraps a shard backend. secret "" disables authentication
 // (tests only — production shard nodes must set one). registry nil leaves
 // the server instrumented against unregistered metrics.
@@ -169,7 +120,7 @@ func NewServer(b Backend, secret string, registry *obs.Registry) *Server {
 		m:        newServerMetrics(registry),
 	}
 	s.register()
-	s.mux.HandleFunc("GET "+PathPrefix+"health", s.handleHealth)
+	s.mux.HandleFunc("GET "+PathPrefix+healthOp, s.handleHealth)
 	s.mux.HandleFunc("POST "+PathPrefix+"{op}", s.handleOp)
 	return s
 }
@@ -264,13 +215,26 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	writeRPCJSON(w, http.StatusOK, resp)
 }
 
-// handle registers a typed operation: decode Req, run, reply Resp.
-func handle[Req, Resp any](s *Server, name string, fn func(ctx context.Context, req Req) (Resp, error)) {
-	s.handlers[name] = func(ctx context.Context, body []byte) (any, error) {
+// serve registers an op's handler: decode Req, check the ownership its
+// scope demands, run, reply Resp. No handler consults the gate itself. Any
+// member of the user's slot may serve a read, but a write only the slot's
+// owner — a deposed owner demoted to replica refuses retried writes with
+// 409/ErrStaleRing instead of applying them.
+func serve[Req, Resp any](s *Server, op Op[Req, Resp], fn func(ctx context.Context, req Req) (Resp, error)) {
+	s.handlers[op.Name] = func(ctx context.Context, body []byte) (any, error) {
 		var req Req
 		if len(body) > 0 {
 			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, protoError{fmt.Errorf("decoding %s request: %w", name, err)}
+				return nil, protoError{fmt.Errorf("decoding %s request: %w", op.Name, err)}
+			}
+		}
+		if g := s.gate.Load(); g != nil && op.user != nil {
+			owns := (*g).OwnsUser
+			if op.Scope == UserWrite {
+				owns = (*g).OwnsUserWrite
+			}
+			if err := owns(op.user(&req)); err != nil {
+				return nil, staleErr{err}
 			}
 		}
 		return fn(ctx, req)
@@ -279,24 +243,16 @@ func handle[Req, Resp any](s *Server, name string, fn func(ctx context.Context, 
 
 type empty struct{}
 
-// register wires every shard operation to its endpoint name. The names
-// are the protocol — the client's typed methods refer to the same
-// constants-by-convention strings.
+// register wires every op of the table (ops.go) to its handler.
 func (s *Server) register() {
-	handle(s, "adduser", func(_ context.Context, req AddUserReq) (empty, error) {
-		if err := s.gateUserWrite(string(req.Profile.ID)); err != nil {
-			return empty{}, err
-		}
+	serve(s, OpAddUser, func(_ context.Context, req AddUserReq) (empty, error) {
 		p, err := profile.FromState(req.Profile)
 		if err != nil {
 			return empty{}, protoError{err}
 		}
 		return empty{}, s.b.AddUser(p)
 	})
-	handle(s, "user", func(_ context.Context, req UserIDReq) (UserResp, error) {
-		if err := s.gateUser(req.UserID); err != nil {
-			return UserResp{}, err
-		}
+	serve(s, OpUser, func(_ context.Context, req UserIDReq) (UserResp, error) {
 		p := s.b.User(profile.UserID(req.UserID))
 		if p == nil {
 			return UserResp{}, nil
@@ -304,77 +260,40 @@ func (s *Server) register() {
 		st := p.Snapshot()
 		return UserResp{Profile: &st}, nil
 	})
-	handle(s, "users", func(_ context.Context, _ empty) (UsersResp, error) {
-		ids := s.b.Users()
-		out := make([]string, len(ids))
-		for i, id := range ids {
-			out[i] = string(id)
-		}
-		return UsersResp{Users: out}, nil
+	serve(s, opUsers, func(_ context.Context, _ empty) (UsersResp, error) {
+		return UsersResp{Users: fromUserIDs(s.b.Users())}, nil
 	})
-	handle(s, "browse", func(ctx context.Context, req BrowseReq) (ImpressionsResp, error) {
-		if err := s.gateUserWrite(req.UserID); err != nil {
-			return ImpressionsResp{}, err
-		}
+	serve(s, OpBrowse, func(ctx context.Context, req BrowseReq) (ImpressionsResp, error) {
 		imps, err := s.b.BrowseFeedCtx(ctx, profile.UserID(req.UserID), req.Slots)
-		if err != nil {
-			return ImpressionsResp{}, err
-		}
-		return ImpressionsResp{Impressions: impressionsWire(imps)}, nil
+		return ImpressionsResp{Impressions: httpapi.FromImpressions(imps)}, err
 	})
-	handle(s, "feed", func(_ context.Context, req UserIDReq) (ImpressionsResp, error) {
-		if err := s.gateUser(req.UserID); err != nil {
-			return ImpressionsResp{}, err
-		}
-		return ImpressionsResp{Impressions: impressionsWire(s.b.Feed(profile.UserID(req.UserID)))}, nil
+	serve(s, OpFeed, func(ctx context.Context, req UserIDReq) (ImpressionsResp, error) {
+		imps, err := s.b.FeedCtx(ctx, profile.UserID(req.UserID))
+		return ImpressionsResp{Impressions: httpapi.FromImpressions(imps)}, err
 	})
-	handle(s, "visit", func(_ context.Context, req VisitReq) (empty, error) {
-		if err := s.gateUserWrite(req.UserID); err != nil {
-			return empty{}, err
-		}
+	serve(s, OpVisit, func(_ context.Context, req VisitReq) (empty, error) {
 		return empty{}, s.b.VisitPage(profile.UserID(req.UserID), pixel.PixelID(req.PixelID))
 	})
-	handle(s, "like", func(_ context.Context, req LikeReq) (empty, error) {
-		if err := s.gateUserWrite(req.UserID); err != nil {
-			return empty{}, err
-		}
+	serve(s, OpLike, func(_ context.Context, req LikeReq) (empty, error) {
 		return empty{}, s.b.LikePage(profile.UserID(req.UserID), req.PageID)
 	})
-	handle(s, "adpreferences", func(_ context.Context, req UserIDReq) (AttrIDsResp, error) {
-		if err := s.gateUser(req.UserID); err != nil {
-			return AttrIDsResp{}, err
-		}
+	serve(s, OpAdPreferences, func(_ context.Context, req UserIDReq) (AttrIDsResp, error) {
 		ids, err := s.b.AdPreferences(profile.UserID(req.UserID))
-		if err != nil {
-			return AttrIDsResp{}, err
-		}
-		return AttrIDsResp{Attributes: attrIDs(ids)}, nil
+		return AttrIDsResp{Attributes: attrIDs(ids)}, err
 	})
-	handle(s, "advertisers", func(_ context.Context, req UserIDReq) (NamesResp, error) {
-		if err := s.gateUser(req.UserID); err != nil {
-			return NamesResp{}, err
-		}
+	serve(s, OpAdvertisers, func(_ context.Context, req UserIDReq) (NamesResp, error) {
 		names, err := s.b.AdvertisersTargetingMe(profile.UserID(req.UserID))
-		if err != nil {
-			return NamesResp{}, err
-		}
-		return NamesResp{Names: names}, nil
+		return NamesResp{Names: names}, err
 	})
-	handle(s, "explain", func(_ context.Context, req ExplainReq) (ExplainResp, error) {
-		if err := s.gateUser(req.UserID); err != nil {
-			return ExplainResp{}, err
-		}
+	serve(s, OpExplain, func(_ context.Context, req ExplainReq) (ExplainResp, error) {
 		ex, err := s.b.ExplainImpression(profile.UserID(req.UserID), req.Impression.ToImpression())
-		if err != nil {
-			return ExplainResp{}, err
-		}
-		return ExplainResp{Attribute: string(ex.Attribute), Text: ex.Text}, nil
+		return ExplainResp{Attribute: string(ex.Attribute), Text: ex.Text}, err
 	})
 
-	handle(s, "register", func(_ context.Context, req RegisterReq) (empty, error) {
+	serve(s, opRegister, func(_ context.Context, req RegisterReq) (empty, error) {
 		return empty{}, s.b.RegisterAdvertiser(req.Name)
 	})
-	handle(s, "createcampaign", func(_ context.Context, req CreateCampaignReq) (CampaignIDResp, error) {
+	serve(s, opCreateCampaign, func(_ context.Context, req CreateCampaignReq) (CampaignIDResp, error) {
 		params, err := req.Params.ToParams()
 		if err != nil {
 			return CampaignIDResp{}, protoError{err}
@@ -382,10 +301,10 @@ func (s *Server) register() {
 		id, err := s.b.CreateCampaign(req.Advertiser, params)
 		return CampaignIDResp{CampaignID: id}, err
 	})
-	handle(s, "pausecampaign", func(_ context.Context, req CampaignReq) (empty, error) {
+	serve(s, opPauseCampaign, func(_ context.Context, req CampaignReq) (empty, error) {
 		return empty{}, s.b.PauseCampaign(req.Advertiser, req.CampaignID)
 	})
-	handle(s, "createpiiaudience", func(_ context.Context, req CreatePIIAudienceReq) (AudienceIDResp, error) {
+	serve(s, opCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (AudienceIDResp, error) {
 		keys := make([]pii.MatchKey, 0, len(req.Keys))
 		for _, kw := range req.Keys {
 			k, err := kw.ToMatchKey()
@@ -397,28 +316,28 @@ func (s *Server) register() {
 		id, err := s.b.CreatePIIAudience(req.Advertiser, req.Name, keys)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	handle(s, "createwebsiteaudience", func(_ context.Context, req CreateWebsiteAudienceReq) (AudienceIDResp, error) {
+	serve(s, opCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateWebsiteAudience(req.Advertiser, req.Name, pixel.PixelID(req.PixelID))
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	handle(s, "createengagementaudience", func(_ context.Context, req CreateEngagementAudienceReq) (AudienceIDResp, error) {
+	serve(s, opCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateEngagementAudience(req.Advertiser, req.Name, req.PageID)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	handle(s, "createaffinityaudience", func(_ context.Context, req CreateAffinityAudienceReq) (AudienceIDResp, error) {
+	serve(s, opCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateAffinityAudience(req.Advertiser, req.Name, req.Phrases)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	handle(s, "createlookalikeaudience", func(_ context.Context, req CreateLookalikeAudienceReq) (AudienceIDResp, error) {
+	serve(s, opCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateLookalikeAudience(req.Advertiser, req.Name, audience.AudienceID(req.Seed), req.Overlap)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	handle(s, "issuepixel", func(_ context.Context, req AdvertiserReq) (PixelIDResp, error) {
+	serve(s, opIssuePixel, func(_ context.Context, req AdvertiserReq) (PixelIDResp, error) {
 		id, err := s.b.IssuePixel(req.Advertiser)
 		return PixelIDResp{PixelID: string(id)}, err
 	})
 
-	handle(s, "rawreach", func(ctx context.Context, req RawReachReq) (RawReachResp, error) {
+	serve(s, opRawReach, func(ctx context.Context, req RawReachReq) (RawReachResp, error) {
 		spec, err := req.Spec.ToSpec()
 		if err != nil {
 			return RawReachResp{}, protoError{err}
@@ -426,27 +345,16 @@ func (s *Server) register() {
 		n, err := s.b.RawReach(ctx, req.Advertiser, spec)
 		return RawReachResp{Count: n}, err
 	})
-	handle(s, "campaigntotals", func(ctx context.Context, req CampaignReq) (CampaignTotalsResp, error) {
+	serve(s, opCampaignTotals, func(ctx context.Context, req CampaignReq) (CampaignTotalsResp, error) {
 		t, err := s.b.CampaignTotals(ctx, req.Advertiser, req.CampaignID)
-		if err != nil {
-			return CampaignTotalsResp{}, err
-		}
-		return CampaignTotalsResp{
-			Impressions: t.Impressions,
-			Reach:       t.Reach,
-			SpendMicros: int64(t.Spend),
-		}, nil
+		return CampaignTotalsResp{Impressions: t.Impressions, Reach: t.Reach, SpendMicros: int64(t.Spend)}, err
+	})
+	// The shard's span ring, so the router can assemble cross-process
+	// traces; the ring snapshot never blocks writers.
+	serve(s, opTraceSpans, func(_ context.Context, _ empty) (TraceSpansResp, error) {
+		return TraceSpansResp{Spans: s.tracer().WireSnapshot()}, nil
 	})
 	s.registerElastic()
-	s.registerTrace()
-}
-
-func impressionsWire(imps []ad.Impression) []httpapi.ImpressionWire {
-	out := make([]httpapi.ImpressionWire, len(imps))
-	for i, imp := range imps {
-		out[i] = httpapi.FromImpression(imp)
-	}
-	return out
 }
 
 func writeRPCJSON(w http.ResponseWriter, status int, v any) {

@@ -106,14 +106,6 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
-// ContextWith returns ctx carrying s. A nil s returns ctx unchanged.
-func ContextWith(ctx context.Context, s *Span) context.Context {
-	if s == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, s)
-}
-
 // StartChild starts a child of the span carried by ctx and returns the
 // child-carrying context. If ctx has no span — the request is unsampled
 // — it returns (ctx, nil) without allocating, which is what makes deep
@@ -126,9 +118,6 @@ func StartChild(ctx context.Context, name string) (context.Context, *Span) {
 	s := parent.tracer.newSpan(name, parent.data.Service, parent.data.TraceID, parent.data.SpanID)
 	return context.WithValue(ctx, ctxKey{}, s), s
 }
-
-// Sampled reports whether the span is live (non-nil).
-func (s *Span) Sampled() bool { return s != nil }
 
 // IDs returns the span's trace and span IDs for header injection and
 // response echo; zero values when unsampled.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -138,65 +137,49 @@ func Drive(t Target, cfg DriverConfig) DriverStats {
 	}
 
 	var st DriverStats
-	var wg sync.WaitGroup
-	start := time.Now()
-	for g := 0; g < cfg.Goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := stats.NewRNG(stats.SubSeed(cfg.Seed, uint64(g+1)))
-			for i := 0; i < cfg.OpsPerGoroutine; i++ {
-				uid := cfg.Users[rng.Intn(len(cfg.Users))]
-				switch pickOp(cfg.Mix, rng) {
-				case OpBrowse:
-					imps, err := t.BrowseFeed(uid, cfg.BrowseSlots)
-					atomic.AddInt64(&st.Browses, 1)
-					atomic.AddInt64(&st.Impressions, int64(len(imps)))
-					driverOpsBrowse.Inc()
-					countErr(&st, err)
-					if cfg.Observe != nil {
-						cfg.Observe(OpResult{Op: OpBrowse, User: uid, Impressions: imps, Slots: cfg.BrowseSlots, Err: err})
-					}
-				case OpVisit:
-					err := t.VisitPage(uid, cfg.Pixels[rng.Intn(len(cfg.Pixels))])
-					atomic.AddInt64(&st.Visits, 1)
-					driverOpsVisit.Inc()
-					countErr(&st, err)
-					if cfg.Observe != nil {
-						cfg.Observe(OpResult{Op: OpVisit, User: uid, Err: err})
-					}
-				case OpLike:
-					err := t.LikePage(uid, cfg.Pages[rng.Intn(len(cfg.Pages))])
-					atomic.AddInt64(&st.Likes, 1)
-					driverOpsLike.Inc()
-					countErr(&st, err)
-					if cfg.Observe != nil {
-						cfg.Observe(OpResult{Op: OpLike, User: uid, Err: err})
-					}
-				case OpPrefs:
-					_, err := t.AdPreferences(uid)
-					atomic.AddInt64(&st.Prefs, 1)
-					driverOpsPrefs.Inc()
-					countErr(&st, err)
-					if cfg.Observe != nil {
-						cfg.Observe(OpResult{Op: OpPrefs, User: uid, Err: err})
-					}
-				}
-			}
-		}(g)
+	// One RNG stream per worker, each touched by its own worker only.
+	rngs := make([]*stats.RNG, cfg.Goroutines)
+	for g := range rngs {
+		rngs[g] = stats.NewRNG(stats.SubSeed(cfg.Seed, uint64(g+1)))
 	}
-	wg.Wait()
-	st.Elapsed = time.Since(start)
+	do := func(g, _ int) error {
+		rng := rngs[g]
+		res := OpResult{User: cfg.Users[rng.Intn(len(cfg.Users))]}
+		switch res.Op = pickOp(cfg.Mix, rng); res.Op {
+		case OpBrowse:
+			res.Slots = cfg.BrowseSlots
+			res.Impressions, res.Err = t.BrowseFeed(res.User, cfg.BrowseSlots)
+			atomic.AddInt64(&st.Browses, 1)
+			atomic.AddInt64(&st.Impressions, int64(len(res.Impressions)))
+			driverOpsBrowse.Inc()
+		case OpVisit:
+			res.Err = t.VisitPage(res.User, cfg.Pixels[rng.Intn(len(cfg.Pixels))])
+			atomic.AddInt64(&st.Visits, 1)
+			driverOpsVisit.Inc()
+		case OpLike:
+			res.Err = t.LikePage(res.User, cfg.Pages[rng.Intn(len(cfg.Pages))])
+			atomic.AddInt64(&st.Likes, 1)
+			driverOpsLike.Inc()
+		case OpPrefs:
+			_, res.Err = t.AdPreferences(res.User)
+			atomic.AddInt64(&st.Prefs, 1)
+			driverOpsPrefs.Inc()
+		}
+		if res.Err != nil {
+			atomic.AddInt64(&st.Errors, 1)
+			driverOpErrors.Inc()
+		}
+		if cfg.Observe != nil {
+			cfg.Observe(res)
+		}
+		return res.Err
+	}
+	const class = "drive"
+	out := DriveOverload([]ClassLoad{{Name: class, Workers: cfg.Goroutines, Ops: cfg.OpsPerGoroutine, Do: do}})
+	st.Elapsed = out[class].Elapsed
 	st.QPS = st.AchievedQPS()
 	achievedQPS.Set(st.QPS)
 	return st
-}
-
-func countErr(st *DriverStats, err error) {
-	if err != nil {
-		atomic.AddInt64(&st.Errors, 1)
-		driverOpErrors.Inc()
-	}
 }
 
 // Op identifies a driver operation kind.

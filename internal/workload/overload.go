@@ -25,10 +25,6 @@ type ClassLoad struct {
 	// Do issues one operation. A non-nil error counts as refused —
 	// expected and desired for greedy classes hitting a rate limit.
 	Do func(worker, op int) error
-	// Pace, when positive, sleeps between a worker's operations, turning
-	// the class from closed-loop saturation into a fixed offered rate per
-	// worker. Greedy classes leave it zero.
-	Pace time.Duration
 }
 
 // ClassStats is one class's measured outcome: counts plus the latency
@@ -46,7 +42,8 @@ type ClassStats struct {
 }
 
 // DriveOverload runs every class's workers concurrently until all
-// budgets are spent and reports per-class outcomes. Latency percentiles
+// budgets are spent and reports per-class outcomes. It is the package's one
+// worker loop (Drive is a single class on it). Latency percentiles
 // are computed over each class's full operation set, merged across its
 // workers.
 func DriveOverload(loads []ClassLoad) map[string]ClassStats {
@@ -81,9 +78,6 @@ func DriveOverload(loads []ClassLoad) map[string]ClassStats {
 					out.durs = append(out.durs, time.Since(t0))
 					if err != nil {
 						out.errors++
-					}
-					if load.Pace > 0 {
-						time.Sleep(load.Pace)
 					}
 				}
 			}(li, w, load, ops)
@@ -141,21 +135,6 @@ func UserLoad(name string, t Target, users []profile.UserID, workers, ops, slots
 			if observe != nil {
 				observe(OpResult{Op: OpBrowse, User: uid, Impressions: imps, Slots: slots, Err: err})
 			}
-			return err
-		},
-	}
-}
-
-// HotKeyLoad builds a load where every worker hammers the same single
-// user — the hot-key pattern that defeats per-user caches and
-// concentrates lock contention on one profile.
-func HotKeyLoad(name string, t Target, user profile.UserID, workers, ops, slots int) ClassLoad {
-	return ClassLoad{
-		Name:    name,
-		Workers: workers,
-		Ops:     ops,
-		Do: func(worker, op int) error {
-			_, err := t.BrowseFeed(user, slots)
 			return err
 		},
 	}

@@ -49,17 +49,6 @@ func TestDriveOverloadDefaults(t *testing.T) {
 	}
 }
 
-func TestDriveOverloadPacing(t *testing.T) {
-	start := time.Now()
-	DriveOverload([]ClassLoad{
-		{Name: "paced", Workers: 1, Ops: 5, Pace: 10 * time.Millisecond,
-			Do: func(_, _ int) error { return nil }},
-	})
-	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
-		t.Fatalf("paced run finished in %v, want >= 40ms of pacing", elapsed)
-	}
-}
-
 func TestPercentileDur(t *testing.T) {
 	durs := []time.Duration{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if got := percentileDur(durs, 50); got != 5 {

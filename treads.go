@@ -196,21 +196,11 @@ type Cluster = cluster.Cluster
 // ClusterOptions tunes ring and scatter-gather parameters.
 type ClusterOptions = cluster.Options
 
-// ClusterShard is the per-shard surface a Cluster coordinates; *Platform
-// and journaled platforms satisfy it.
-type ClusterShard = cluster.Shard
-
 // NewCluster builds an n-shard in-memory cluster. Each shard derives its
 // own RNG stream from cfg.Seed; a 1-shard cluster behaves identically to
 // NewPlatform with the same config.
 func NewCluster(n int, cfg PlatformConfig, opts ClusterOptions) (*Cluster, error) {
 	return cluster.NewInMemory(n, cfg, opts)
-}
-
-// NewClusterFromShards assembles a cluster over caller-built shards (for
-// example journaled platforms with per-shard directories).
-func NewClusterFromShards(shards []ClusterShard, opts ClusterOptions) (*Cluster, error) {
-	return cluster.New(shards, opts)
 }
 
 // RevealMode selects how a Tread carries its payload.
@@ -340,14 +330,6 @@ type Client = httpapi.Client
 // NewServer wraps a platform in an HTTP handler (no authentication; use
 // NewServerWithAuth for deployments).
 func NewServer(p *Platform) *Server { return httpapi.NewServer(p, nil) }
-
-// Backend is the full platform surface the HTTP server exposes; Platform,
-// journaled platforms, and Cluster all satisfy it.
-type Backend = httpapi.Backend
-
-// NewServerFor wraps any Backend — notably a sharded Cluster — in the
-// HTTP handler. Sharding is invisible on the wire.
-func NewServerFor(b Backend) *Server { return httpapi.NewServer(b, nil) }
 
 // Authenticator issues and verifies per-advertiser API tokens.
 type Authenticator = httpapi.Authenticator
