@@ -32,7 +32,8 @@ race:
 # the interleavings it happens to see: lock-free reads against the journaled
 # commit path, transparency reads against campaign pauses, concurrent
 # browses against one campaign's budget line, the supervisor's per-slot
-# watch/unwatch, and the journal's appends and waiters against its flush
+# watch/unwatch, unfenced user reads against a slot's promotion and heal,
+# and the journal's appends and waiters against its flush
 # leader (during an fsync, inside the spacing window, across a crash). The
 # serve path's differential test against the per-slot scan runs under the
 # detector too. The four zero-alloc pins and the op-table test (client
@@ -46,6 +47,7 @@ race-full:
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
+	$(GO) test -race -count=10 -run TestReadsDuringPromotion ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestFsyncSpacingUnderLoad|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
@@ -116,7 +118,8 @@ bench-check:
 # spent minimizing each input that reaches new code would leave it a dozen
 # executions in its 15 s; with minimization off it makes ~100 000. The rpc
 # target (every op of the table, each input against a fresh journaled shard)
-# stalls the same way and makes ~5 000.
+# stalls the same way and makes ~5 000. The key-file, traceparent and admin
+# JSON targets have seeds of a few hundred bytes and need no such flag.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
@@ -128,6 +131,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=15s ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzReadPlatformSnapshot -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
 	$(GO) test -run=NONE -fuzz=FuzzRPCRequest -fuzztime=15s -fuzzminimizetime=0s ./internal/rpc/
+	$(GO) test -run=NONE -fuzz=FuzzParseKeyFile -fuzztime=15s ./internal/gateway/
+	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=15s ./internal/trace/
+	$(GO) test -run=NONE -fuzz=FuzzClusterAdminJSON -fuzztime=15s ./internal/httpapi/
 
 cover:
 	$(GO) test -cover ./...

@@ -348,10 +348,13 @@ func run() error {
 	logger.Printf("platform ready: %d users, %d attributes (shards=%d review=%v auth=%v journal=%v)",
 		len(backend.Users()), backend.Catalog().Len(), opts.Shards, opts.Review, opts.Auth, opts.JournalDir != "")
 
+	// The server gets no request logger: a line per request is a write
+	// syscall on the hot path and puts user IDs (they are in the paths) in
+	// the log; /metrics and /admin/v1/trace say what was served.
 	var handler *httpapi.Server
 	var auth *httpapi.Authenticator
 	if opts.Auth {
-		handler, auth = httpapi.NewServerWithAuth(backend, logger)
+		handler, auth = httpapi.NewServerWithAuth(backend, nil)
 		// The admin token guards operator endpoints (journal
 		// compaction). Logged once at startup; rotate by restarting.
 		adminTok, err := auth.Issue("admin")
@@ -360,7 +363,7 @@ func run() error {
 		}
 		logger.Printf("admin token: %s", adminTok)
 	} else {
-		handler = httpapi.NewServer(backend, logger)
+		handler = httpapi.NewServer(backend, nil)
 	}
 	if n.compactor != nil {
 		handler.SetCompactor(n.compactor)
@@ -601,7 +604,10 @@ func runShardServer(opts options, logger *log.Logger) error {
 		// journal over the rearm RPC: this is how the router re-arms a
 		// freshly promoted owner's chain — and disarms a demoted one —
 		// without restarting the process.
-		rpcSrv.SetRearm(rearmShipping(jp, dialer, logger))
+		rpcSrv.SetRearm(func(followers []string) error {
+			_, _, err := armShipping(jp, dialer, followers, logger)
+			return err
+		})
 		// validate() ties -replicate to -journal.
 		if opts.Replicate != "" {
 			if err := armReplication(jp, dialer, opts, logger); err != nil {
@@ -703,17 +709,6 @@ func waitForPeers(remotes []*cluster.RemoteShard, wait time.Duration, logger *lo
 		case <-time.After(250 * time.Millisecond):
 		}
 	}
-}
-
-// splitPeers parses the -peers list, dropping empty segments.
-func splitPeers(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
 }
 
 // peerURL turns a host:port into a base URL (scheme-qualified addresses

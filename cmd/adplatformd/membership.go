@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -84,20 +85,28 @@ func (d *peerDialer) client(addr string) *rpc.Client {
 	return c
 }
 
-// shard builds the routable handle for one slot: a ReplicaSet over one
+// chain builds a slot handle: owner followed by one RemoteShard per
+// follower address. The returned remotes are the followers, for health
+// gating.
+func (d *peerDialer) chain(owner cluster.Shard, followers []string) (*cluster.ReplicaSet, []*cluster.RemoteShard) {
+	remotes := make([]*cluster.RemoteShard, len(followers))
+	shards := make([]cluster.Shard, len(followers))
+	for i, a := range followers {
+		remotes[i] = cluster.NewRemoteShard(d.client(a))
+		shards[i] = remotes[i]
+	}
+	return cluster.NewReplicaSet(owner, shards...), remotes
+}
+
+// shard builds the routable handle for one slot: a chain over one
 // RemoteShard per address. The router-side ReplicaSet routes writes to the
 // owner and fails reads over; it never arms shipping — the journal chain
 // runs on the owner node itself (its -replicate flag). The returned
-// remotes are every member, for health gating.
+// remotes are every member, owner first.
 func (d *peerDialer) shard(owner string, replicas []string) (*cluster.ReplicaSet, []*cluster.RemoteShard) {
-	members := []*cluster.RemoteShard{cluster.NewRemoteShard(d.client(owner))}
-	followers := make([]cluster.Shard, len(replicas))
-	for i, r := range replicas {
-		f := cluster.NewRemoteShard(d.client(r))
-		members = append(members, f)
-		followers[i] = f
-	}
-	return cluster.NewReplicaSet(members[0], followers...), members
+	o := cluster.NewRemoteShard(d.client(owner))
+	rs, followers := d.chain(o, replicas)
+	return rs, append([]*cluster.RemoteShard{o}, followers...)
 }
 
 // dialInfo is the cluster.RemoteMembershipSource Dial hook: it rebuilds a
@@ -142,18 +151,16 @@ func wireReport(rep cluster.ReshardReport) httpapi.ReshardReportWire {
 
 // Status implements httpapi.ClusterAdmin.
 func (a *membershipAdmin) Status() httpapi.ClusterStatusResponse {
-	slots := a.clu.ReplicaSets()
-	ring := a.clu.RingInfo()
+	ring, slots := a.clu.RingAndSlots()
 	out := httpapi.ClusterStatusResponse{
 		Version: ring.Version,
-		Slots:   make([]httpapi.ClusterSlotStatus, 0, len(slots)),
+		Slots:   make([]httpapi.ClusterSlotStatus, len(slots)),
 	}
 	out.MigrationActive, out.PendingRemovals = a.clu.MigrationStatus()
-	// The two reads are not one snapshot; report the slots both agree on.
-	for i := 0; i < len(slots) && i < len(ring.Shards); i++ {
-		out.Slots = append(out.Slots, httpapi.ClusterSlotStatus{
-			Slot: i, Healthy: slots[i].Healthy(), Addr: ring.Shards[i].Addr, Replicas: ring.Shards[i].Replicas,
-		})
+	for i, rs := range slots {
+		out.Slots[i] = httpapi.ClusterSlotStatus{
+			Slot: i, Healthy: rs.Healthy(), Addr: ring.Shards[i].Addr, Replicas: ring.Shards[i].Replicas,
+		}
 	}
 	if rep := a.clu.LastReshard(); rep.Version != 0 {
 		w := wireReport(rep)
@@ -233,60 +240,44 @@ func (a *membershipAdmin) ResumeReshard() error {
 	return a.clu.ResumeReshard()
 }
 
-// armReplication wires the owner side of a replica chain for -replicate:
-// dial each follower node, gate on its health, then Chain and Heal so
-// every acknowledged write from here on is applied on every follower
-// before the ack. After a promotion the router re-arms the new owner's
-// chain over the rearm RPC (see rearmShipping) — no restart needed.
+// armShipping points owner's journal shipping at the given follower
+// nodes, rebuilding the chain in place: every acknowledged write from here
+// on is applied on each of them before the ack. It is the shard node's
+// handler for the rearm RPC — after a promotion (or heal) the router tells
+// the slot's current owner whom to ship to, the no-process-restart re-arm
+// the automatic failover protocol depends on — and the first half of
+// -replicate. An empty follower list disarms shipping (the node was
+// demoted to a follower and must not ship).
+func armShipping(owner *platform.Journaled, dialer *peerDialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
+	if len(followers) == 0 {
+		owner.SetShipper(nil)
+		logger.Printf("journal shipping disarmed")
+		return nil, nil, nil
+	}
+	rs, remotes := dialer.chain(owner, followers)
+	if err := rs.Chain(); err != nil {
+		return nil, nil, err
+	}
+	logger.Printf("journal shipping armed to %d follower(s): %v", len(followers), followers)
+	return rs, remotes, nil
+}
+
+// armReplication is -replicate at boot: arm shipping to the listed
+// followers, gate on their health, then Heal so each starts from the
+// owner's state.
 func armReplication(owner *platform.Journaled, dialer *peerDialer, opts options, logger *log.Logger) error {
-	addrs := splitPeers(opts.Replicate)
+	addrs := slices.Concat(parsePeerGroups(opts.Replicate)...)
 	if len(addrs) == 0 {
 		return fmt.Errorf("-replicate is empty after parsing %q", opts.Replicate)
 	}
-	followers := make([]cluster.Shard, len(addrs))
-	remotes := make([]*cluster.RemoteShard, len(addrs))
-	for i, a := range addrs {
-		remotes[i] = cluster.NewRemoteShard(dialer.client(a))
-		followers[i] = remotes[i]
+	rs, remotes, err := armShipping(owner, dialer, addrs, logger)
+	if err != nil {
+		return err
 	}
 	if err := waitForPeers(remotes, opts.PeerWait, logger); err != nil {
 		return err
 	}
-	rs := cluster.NewReplicaSet(owner, followers...)
-	if err := rs.Chain(); err != nil {
-		return err
-	}
-	if err := rs.Heal(); err != nil {
-		return err
-	}
-	logger.Printf("journal shipping armed to %d follower(s): %v", len(addrs), addrs)
-	return nil
-}
-
-// rearmShipping is the shard node's handler for the rearm RPC: after a
-// promotion (or heal) the router tells the slot's current owner which
-// followers to ship its journal to, and the node rebuilds the shipping
-// chain in place — the no-process-restart re-arm the automatic failover
-// protocol depends on. An empty follower list disarms shipping (the node
-// was demoted to a follower and must not ship).
-func rearmShipping(owner *platform.Journaled, dialer *peerDialer, logger *log.Logger) func([]string) error {
-	return func(followers []string) error {
-		if len(followers) == 0 {
-			owner.SetShipper(nil)
-			logger.Printf("rearm: journal shipping disarmed")
-			return nil
-		}
-		members := make([]cluster.Shard, len(followers))
-		for i, a := range followers {
-			members[i] = cluster.NewRemoteShard(dialer.client(a))
-		}
-		rs := cluster.NewReplicaSet(owner, members...)
-		if err := rs.Chain(); err != nil {
-			return err
-		}
-		logger.Printf("rearm: journal shipping re-armed to %d follower(s): %v", len(followers), followers)
-		return nil
-	}
+	return rs.Heal()
 }
 
 // routerSlotCtrl adapts one ring slot to the health supervisor: probes

@@ -66,6 +66,9 @@ type membershipNode struct {
 	// supervisor's probe loop shows up as on the wire; control counts
 	// everything else (ring pushes, rearms, resyncs, traffic).
 	probes, control atomic.Int64
+	// down makes the node drop every connection unanswered, as a dead
+	// process would.
+	down atomic.Bool
 }
 
 func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
@@ -80,6 +83,9 @@ func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
 	n := &membershipNode{jp: jp}
 	srv := rpc.NewServer(jp, membershipSecret, nil)
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if n.down.Load() {
+			panic(http.ErrAbortHandler)
+		}
 		if r.URL.Path == rpc.PathPrefix+"health" {
 			n.probes.Add(1)
 		} else {
@@ -232,6 +238,55 @@ func TestFollowerlessSlot(t *testing.T) {
 	}
 }
 
+// TestStatusIsOneSnapshot: the status document pairs a ring version with a
+// slot list, and both must come from the same membership. The ring here
+// alternates between two slots (odd versions) and three (even ones) while
+// a reader polls the status; no answer may pair one version's number with
+// another's slots.
+func TestStatusIsOneSnapshot(t *testing.T) {
+	root := t.TempDir()
+	shards := make([]cluster.Shard, 3)
+	for i := range shards {
+		shards[i] = newMembershipNode(t, filepath.Join(root, fmt.Sprint(i)), stats.SubSeed(53, uint64(i))).jp
+	}
+	clu, err := cluster.New(shards[:2], cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	admin := &membershipAdmin{clu: clu}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 50; i++ {
+			if _, err := clu.AddShard(shards[2]); err != nil {
+				t.Errorf("AddShard %d: %v", i, err)
+				return
+			}
+			if _, err := clu.RemoveShard(); err != nil {
+				t.Errorf("RemoveShard %d: %v", i, err)
+				return
+			}
+		}
+	}()
+	for polls := 0; ; polls++ {
+		st := admin.Status()
+		if want := 2 + int(1-st.Version%2); len(st.Slots) != want {
+			t.Errorf("status reports ring v%d with %d slots, want %d", st.Version, len(st.Slots), want)
+			<-done
+			return
+		}
+		select {
+		case <-done:
+			if st = admin.Status(); st.Version != 101 || polls == 0 {
+				t.Fatalf("after 50 add/remove cycles: ring v%d, %d polls", st.Version, polls)
+			}
+			return
+		default:
+		}
+	}
+}
+
 func waitUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -349,6 +404,21 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 		httpapi.PromoteRequest{Slot: 2}, nil); code != http.StatusConflict {
 		t.Fatalf("promote under a healthy owner: %d, want 409", code)
 	}
+	// A promotion that cannot reach the slot's only follower is not a
+	// refusal: the fleet is unavailable, the answer is 503 + Retry-After
+	// like every public route's, and nothing changed.
+	nodeD.down.Store(true)
+	body, _ := json.Marshal(httpapi.PromoteRequest{Slot: 2, Force: true})
+	resp, err := http.Post(ts.URL+"/admin/v1/cluster/promote", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("promote with the only follower down: %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	nodeD.down.Store(false)
 	if v := clu.Version(); v != 2 {
 		t.Fatalf("refused promotion moved the ring to v%d", v)
 	}

@@ -185,6 +185,8 @@ func DefaultNetConfig() faults.NetConfig {
 		DelayMax:  5 * time.Millisecond,
 		Duplicate: 0.25,
 		ResetBody: 0.05,
+		// What may arrive twice is the protocol's read surface, by its table.
+		DuplicableOps: rpc.ReadOps(),
 	}
 }
 
@@ -779,7 +781,7 @@ func (h *harness) armKill(r int, rsp *trace.Span) (func(workload.OpResult), *slo
 			h.cfg.Logf("round %d: killed slot %d's owner mid-round", r, slot)
 		}
 		if n >= promoteAt && promoting.CompareAndSwap(false, true) {
-			idx, err := g.rs.Promote()
+			idx, err := g.rs.Promote(false)
 			if err != nil {
 				// Nothing promotable on this schedule (the followers are
 				// down too); the slot stays write-refusing — every refusal
@@ -841,7 +843,7 @@ func (a *autoSlotCtrl) ProbeOwner(context.Context) error {
 func (a *autoSlotCtrl) Failover(context.Context) error {
 	a.g.mu.Lock()
 	defer a.g.mu.Unlock()
-	idx, err := a.g.rs.Promote()
+	idx, err := a.g.rs.Promote(false)
 	if err != nil {
 		return err
 	}

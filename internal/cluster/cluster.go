@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -105,29 +106,26 @@ type Options struct {
 // serializes nothing on those paths.
 //
 // Membership is elastic: AddShard and RemoveShard migrate user ranges live
-// (see elastic.go for the snapshot + tail + fence protocol), so the shard
-// slice and ring are versioned and guarded rather than fixed at
-// construction.
+// (see elastic.go for the snapshot + tail + fence protocol), so what the
+// coordinator routes by is a value it swaps, not fields it updates.
 type Cluster struct {
 	workers int
-	vnodes  int
 	m       *clusterMetrics
 
-	// mu guards the membership triple {shards, ring, version}. The slot
-	// slice and ring are immutable once installed — a membership change
-	// swaps in fresh values — so a reader holding a snapshot is safe for
-	// the life of its call.
-	mu      sync.RWMutex
-	shards  []*ReplicaSet
-	ring    *Ring
-	version uint64
+	// mem is the current membership. A membership is never mutated once
+	// stored: a call loads the pointer once and routes, gathers or reports
+	// from that value for the rest of its life; install is the only writer.
+	mem   atomic.Pointer[membership]
+	memMu sync.Mutex // orders install calls; no reader takes it
 
 	// repMu serializes replicated advertiser mutations so every shard
 	// applies them in the same order — that order equality is what keeps
 	// the deterministic per-shard ID counters (camp-/aud-/px-) in sync
 	// across the cluster. The reshard driver holds it end to end so a
-	// joining shard's advertiser skeleton cannot go stale mid-migration.
-	// User-scoped traffic never touches it.
+	// joining shard's advertiser skeleton cannot go stale mid-migration,
+	// and so do the other membership-level operations (failover, heal,
+	// resume), which therefore never interleave with a reshard or each
+	// other. User-scoped traffic never touches it.
 	repMu sync.Mutex
 
 	// wmu is the reshard write fence. User-scoped mutations hold it
@@ -145,19 +143,46 @@ type Cluster struct {
 	dirtyMu   sync.Mutex
 	dirty     map[profile.UserID]struct{}
 
-	// pending holds post-cutover source removals that failed; aggregates
-	// refuse until ResumeReshard drains them, because a user present on
-	// both its old and new shard would double-count.
-	pendMu  sync.Mutex
-	pending []pendingRemoval
-
 	// srcMu guards the membership source used to recover from stale-ring
 	// refusals.
 	srcMu sync.Mutex
 	src   MembershipSource
+}
 
-	lastMu      sync.Mutex
+// membership is one value of what the coordinator routes by: the slots in
+// ring order, the ring and geometry they were placed with, the version that
+// names the whole, and the bookkeeping of the change that produced it.
+type membership struct {
+	slots   []*ReplicaSet
+	ring    *Ring
+	version uint64
+	vnodes  int
+	// ops[i] is slot i's routed-ops counter, resolved when the value is
+	// built so the routing path does a slice load and an atomic add.
+	ops []*obs.Counter
+	// pending holds post-cutover source removals that failed; aggregates
+	// refuse while it is non-empty, because a user present on both its old
+	// and new shard would double-count. ResumeReshard drains it.
+	pending     []pendingRemoval
 	lastReshard ReshardReport
+}
+
+// install is the one place the membership changes: change receives the
+// current value and returns the next one, or false to leave things as they
+// are. It returns the value in force afterwards.
+func (c *Cluster) install(change func(membership) (membership, bool)) *membership {
+	c.memMu.Lock()
+	defer c.memMu.Unlock()
+	cur := c.mem.Load()
+	next, ok := change(*cur)
+	if !ok {
+		return cur
+	}
+	if len(next.ops) != len(next.slots) {
+		next.ops = c.m.shardOps(len(next.slots))
+	}
+	c.mem.Store(&next)
+	return &next
 }
 
 var _ httpapi.Backend = (*Cluster)(nil)
@@ -185,15 +210,15 @@ func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	c := &Cluster{
-		workers: workers,
-		vnodes:  opts.VirtualNodes,
-		m:       newClusterMetrics(opts.Registry, len(shards)),
-		shards:  append([]*ReplicaSet(nil), shards...),
+	c := &Cluster{workers: workers, m: newClusterMetrics(opts.Registry)}
+	c.mem.Store(&membership{
+		slots:   slices.Clone(shards),
 		ring:    NewRing(len(shards), opts.VirtualNodes),
 		version: 1,
-	}
-	for _, rs := range c.shards {
+		vnodes:  opts.VirtualNodes,
+		ops:     c.m.shardOps(len(shards)),
+	})
+	for _, rs := range shards {
 		rs.bindMetrics(&c.m.replica)
 	}
 	return c, nil
@@ -216,57 +241,31 @@ func NewInMemory(n int, cfg platform.Config, opts Options) (*Cluster, error) {
 	return New(shards, opts)
 }
 
-// membership returns the current {shards, ring} snapshot. Both values are
-// immutable once installed, so the snapshot stays valid after the lock is
-// released.
-func (c *Cluster) membership() ([]*ReplicaSet, *Ring) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.shards, c.ring
-}
-
 // Shards returns the current number of shards.
-func (c *Cluster) Shards() int {
-	shards, _ := c.membership()
-	return len(shards)
-}
+func (c *Cluster) Shards() int { return len(c.mem.Load().slots) }
 
 // Ring returns the cluster's current consistent-hash ring.
-func (c *Cluster) Ring() *Ring {
-	_, ring := c.membership()
-	return ring
-}
+func (c *Cluster) Ring() *Ring { return c.mem.Load().ring }
 
 // ReplicaSets returns the slots in ring order (a fresh slice; the sets
 // themselves are shared) — what a health listing walks.
-func (c *Cluster) ReplicaSets() []*ReplicaSet {
-	shards, _ := c.membership()
-	return append([]*ReplicaSet(nil), shards...)
-}
+func (c *Cluster) ReplicaSets() []*ReplicaSet { return slices.Clone(c.mem.Load().slots) }
 
 // Version returns the membership version; it starts at 1 and increments on
-// every completed AddShard, RemoveShard, or membership refresh.
-func (c *Cluster) Version() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.version
-}
+// every completed AddShard, RemoveShard, promotion or membership refresh.
+func (c *Cluster) Version() uint64 { return c.mem.Load().version }
 
 // Owner returns the shard index owning a user under the current ring.
-func (c *Cluster) Owner(uid profile.UserID) int {
-	_, ring := c.membership()
-	return ring.Owner(string(uid))
-}
+func (c *Cluster) Owner(uid profile.UserID) int { return c.mem.Load().ring.Owner(string(uid)) }
 
-// ownerShard resolves the member of the user's slot that serves a call of
-// the given scope — the owner for a write, the slot's reader otherwise — or
-// an ErrShardUnavailable error when no member can. User state lives on
-// exactly one slot, so there is no other slot to route to.
-func (c *Cluster) ownerShard(uid profile.UserID, scope rpc.Scope) (Shard, error) {
-	c.mu.RLock()
-	i := c.ring.Owner(string(uid))
-	slot := c.shards[i]
-	c.mu.RUnlock()
+// ownerShard resolves the user's slot and the member of it that serves a
+// call of the given scope — the owner for a write, the slot's reader
+// otherwise — or an ErrShardUnavailable error when no member can. User
+// state lives on exactly one slot, so there is no other slot to route to.
+func (c *Cluster) ownerShard(uid profile.UserID, scope rpc.Scope) (int, Shard, error) {
+	m := c.mem.Load()
+	i := m.ring.Owner(string(uid))
+	slot := m.slots[i]
 	var s Shard
 	var err error
 	switch {
@@ -278,10 +277,10 @@ func (c *Cluster) ownerShard(uid profile.UserID, scope rpc.Scope) (Shard, error)
 		err = ErrShardUnavailable
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cluster: user %q: shard %d: %w", uid, i, err)
+		return i, nil, fmt.Errorf("cluster: user %q: shard %d: %w", uid, i, err)
 	}
-	c.m.shardOp(i).Inc()
-	return s, nil
+	m.ops[i].Inc()
+	return i, s, nil
 }
 
 // route runs a user-scoped op on the user's slot as the op's scope — its
@@ -293,32 +292,39 @@ func (c *Cluster) ownerShard(uid profile.UserID, scope rpc.Scope) (Shard, error)
 // membership refresh, when the shard answers that the router's ring is
 // stale (rpc.ErrStaleRing).
 func route[T any](c *Cluster, scope rpc.Scope, uid profile.UserID, fn func(Shard) (T, error)) (T, error) {
+	v, _, err := routeSlot(c, scope, uid, fn)
+	return v, err
+}
+
+// routeSlot is route that also names the slot the op was last routed to.
+func routeSlot[T any](c *Cluster, scope rpc.Scope, uid profile.UserID, fn func(Shard) (T, error)) (T, int, error) {
 	if scope == rpc.UserWrite {
 		c.wmu.RLock()
 		defer c.wmu.RUnlock()
 		c.noteWrite(uid)
 	}
 	var zero T
-	s, err := c.ownerShard(uid, scope)
+	slot, s, err := c.ownerShard(uid, scope)
 	if err != nil {
-		return zero, err
+		return zero, slot, err
 	}
 	v, err := fn(s)
 	if err == nil || !errors.Is(err, rpc.ErrStaleRing) {
-		return v, err
+		return v, slot, err
 	}
 	// The shard consulted its membership gate and refused: our ring is
 	// behind the cluster's. The op was not applied, so refresh and re-route
 	// once; a second refusal is surfaced (membership is churning faster
 	// than we can follow, and retry loops would hide that).
 	if rerr := c.RefreshMembership(); rerr != nil {
-		return zero, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %v)", rerr, err)
+		return zero, slot, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %v)", rerr, err)
 	}
-	s, err = c.ownerShard(uid, scope)
+	slot, s, err = c.ownerShard(uid, scope)
 	if err != nil {
-		return zero, err
+		return zero, slot, err
 	}
-	return fn(s)
+	v, err = fn(s)
+	return v, slot, err
 }
 
 // noteWrite records a user as dirty while a reshard is collecting deltas.
@@ -363,15 +369,15 @@ func (c *Cluster) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, er
 // call carries the context onward.
 func (c *Cluster) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	ctx, sp := trace.StartChild(ctx, "cluster.route")
-	if sp != nil {
-		sp.Annotate("op", "browse")
-		sp.Annotate("shard", strconv.Itoa(c.Owner(uid)))
-		defer sp.Finish()
-	}
-	imps, err := route(c, rpc.OpBrowse.Scope, uid, func(s Shard) ([]ad.Impression, error) {
+	imps, slot, err := routeSlot(c, rpc.OpBrowse.Scope, uid, func(s Shard) ([]ad.Impression, error) {
 		return s.BrowseFeedCtx(ctx, uid, slots)
 	})
-	sp.SetError(err)
+	if sp != nil {
+		sp.Annotate("op", "browse")
+		sp.Annotate("shard", strconv.Itoa(slot))
+		sp.SetError(err)
+		sp.Finish()
+	}
 	return imps, err
 }
 
@@ -444,7 +450,7 @@ func (c *Cluster) ExplainImpression(uid profile.UserID, imp ad.Impression) (expl
 func replicate[T comparable](c *Cluster, opName string, op func(Shard) (T, error)) (T, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
-	shards, _ := c.membership()
+	shards := c.mem.Load().slots
 	// Advertiser mutations reach this point without a request context
 	// (the Shard interface predates ctx on these ops), so replication
 	// shows up as its own root trace: one span covering the whole
@@ -576,7 +582,7 @@ func (c *Cluster) IssuePixel(advertiser string) (pixel.PixelID, error) {
 // With every slot down it falls back to slot 0 — the caller's call will
 // then surface that shard's transport error rather than a nil-deref here.
 func (c *Cluster) replicatedReader() Shard {
-	shards, _ := c.membership()
+	shards := c.mem.Load().slots
 	for _, rs := range shards {
 		if rs.Healthy() {
 			return rs.reader()
@@ -597,19 +603,12 @@ func (c *Cluster) SearchAttributes(query string) []*attr.Attribute {
 // the shard's insertion order (matching the bare platform); with more
 // shards there is no global insertion order, so IDs come back sorted.
 func (c *Cluster) Users() []profile.UserID {
-	shards, release, err := c.gatherView()
-	if err != nil {
-		return nil
-	}
-	defer release()
-	if len(shards) == 1 {
-		return shards[0].reader().Users()
-	}
-	perShard := make([][]profile.UserID, len(shards))
-	_ = c.gather(context.Background(), shards, func(_ context.Context, i int, s Shard) error {
-		perShard[i] = s.Users()
-		return nil
+	perShard, _ := gather(context.Background(), c, func(_ context.Context, s Shard) ([]profile.UserID, error) {
+		return s.Users(), nil
 	})
+	if len(perShard) == 1 {
+		return perShard[0]
+	}
 	var all []profile.UserID
 	for _, ids := range perShard {
 		all = append(all, ids...)
@@ -653,11 +652,10 @@ func (c *Cluster) LastLSN() uint64 {
 // minOwnerLSN runs fn on every in-process journaled member of every slot
 // and returns the minimum of the LSNs it reports for slot owners.
 func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, error)) (uint64, error) {
-	shards, _ := c.membership()
 	var minLSN uint64
 	seen := false
-	for i, rs := range shards {
-		for j, mem := range rs.Members() {
+	for i, rs := range c.mem.Load().slots {
+		for j, mem := range rs.state.Load().members {
 			lm, ok := mem.(localMember)
 			if !ok {
 				continue
@@ -678,9 +676,8 @@ func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, 
 // shards sync and close their journals). The first error wins; remaining
 // slots still get closed.
 func (c *Cluster) Close() error {
-	shards, _ := c.membership()
 	var firstErr error
-	for i, rs := range shards {
+	for i, rs := range c.mem.Load().slots {
 		if err := rs.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: closing shard %d: %w", i, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -75,31 +76,15 @@ type pendingRemoval struct {
 	users []profile.UserID
 }
 
-func (c *Cluster) removalsSettled() error {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
-	if len(c.pending) > 0 {
-		return ErrReshardIncomplete
-	}
-	return nil
-}
-
 // MigrationStatus reports whether a reshard is in flight and how many
 // source removals are still pending from a completed cutover.
 func (c *Cluster) MigrationStatus() (active bool, pendingRemovals int) {
-	c.pendMu.Lock()
-	n := len(c.pending)
-	c.pendMu.Unlock()
-	return c.migActive.Load(), n
+	return c.migActive.Load(), len(c.mem.Load().pending)
 }
 
 // LastReshard returns the most recent completed reshard's report (zero
 // value if none has run).
-func (c *Cluster) LastReshard() ReshardReport {
-	c.lastMu.Lock()
-	defer c.lastMu.Unlock()
-	return c.lastReshard
-}
+func (c *Cluster) LastReshard() ReshardReport { return c.mem.Load().lastReshard }
 
 // beginDeltaTracking arms the dirty set and drains in-flight unfenced
 // writes: any write that began before the flag was visible finishes (the
@@ -142,8 +127,7 @@ func (c *Cluster) AddShard(joiner Shard) (ReshardReport, error) {
 func (c *Cluster) AddSet(joiner *ReplicaSet) (ReshardReport, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
-	shards, _ := c.membership()
-	return c.reshard("add shard", append(shards[:len(shards):len(shards)], joiner))
+	return c.reshard("add shard", append(slices.Clone(c.mem.Load().slots), joiner))
 }
 
 // RemoveShard shrinks the cluster by one shard (the last slot — the ring's
@@ -154,7 +138,7 @@ func (c *Cluster) AddSet(joiner *ReplicaSet) (ReshardReport, error) {
 func (c *Cluster) RemoveShard() (ReshardReport, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
-	shards, _ := c.membership()
+	shards := c.mem.Load().slots
 	if len(shards) == 1 {
 		return ReshardReport{}, fmt.Errorf("cluster: cannot remove the last shard")
 	}
@@ -175,11 +159,12 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		c.m.reshardFailures.Inc()
 		return ReshardReport{}, fmt.Errorf("cluster: %s: %s: %w", what, stage, err)
 	}
-	if err := c.removalsSettled(); err != nil {
-		return ReshardReport{}, err
+	old := c.mem.Load()
+	if len(old.pending) > 0 {
+		return ReshardReport{}, ErrReshardIncomplete
 	}
-	cur, oldRing := c.membership()
-	newRing := NewRing(len(next), c.vnodes)
+	cur, oldRing := old.slots, old.ring
+	newRing := NewRing(len(next), old.vnodes)
 	// all indexes every slot of either membership: the shared prefix, then
 	// whichever side is longer.
 	all := cur
@@ -233,7 +218,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		if err != nil {
 			return fail("snapshotting shard 0", err)
 		}
-		seed := stats.SubSeed(stats.SubSeed(st.Seed, uint64(slot)), c.Version())
+		seed := stats.SubSeed(stats.SubSeed(st.Seed, uint64(slot)), old.version)
 		if err := next[slot].InstallState(platform.StripUsersState(st, seed)); err != nil {
 			return fail("bootstrapping joining shard", err)
 		}
@@ -277,9 +262,19 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		return nil
 	}
 
-	// Bulk copy, writes still flowing.
+	// Bulk copy, writes still flowing. Each slot's list comes from its owner
+	// (authoritative) through a call that can fail: a slot that could not be
+	// listed must not read as a slot with nobody to move.
 	for i, rs := range cur {
-		if err := copyMoving(rs.reader().Users(), func(profile.UserID) int { return i }); err != nil {
+		src, err := rs.member()
+		var users []profile.UserID
+		if err == nil {
+			users, err = src.ListUsers()
+		}
+		if err != nil {
+			return fail("listing", fmt.Errorf("shard %d: %w", i, err))
+		}
+		if err := copyMoving(users, func(profile.UserID) int { return i }); err != nil {
 			return fail("copying", err)
 		}
 	}
@@ -294,13 +289,10 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		return fail("delta-copying", err)
 	}
 
-	c.mu.Lock()
-	c.shards = append([]*ReplicaSet(nil), next...)
-	c.ring = newRing
-	c.version++
-	ver := c.version
-	c.mu.Unlock()
-	c.m.ensureShards(len(next))
+	ver := c.install(func(m membership) (membership, bool) {
+		m.slots, m.ring, m.version = slices.Clone(next), newRing, m.version+1
+		return m, true
+	}).version
 
 	// Source removals stay inside the fence: between the flip and the
 	// removal a moved user exists on two shards, and the fence is what
@@ -311,6 +303,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 	// double-count, and a later re-bootstrap wipes it, so there the
 	// cleanup is best-effort.
 	total := 0
+	var failed []pendingRemoval
 	for from, set := range moved {
 		if len(set) == 0 {
 			continue
@@ -322,35 +315,32 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 			err = src.RemoveUsers(users)
 		}
 		if err != nil && from < len(next) {
-			c.pendMu.Lock()
-			c.pending = append(c.pending, pendingRemoval{shard: cur[from], users: users})
-			c.pendMu.Unlock()
+			failed = append(failed, pendingRemoval{shard: cur[from], users: users})
 			c.m.reshardFailures.Inc()
 		}
 	}
-	cutover := time.Since(fenceStart)
+	rep := ReshardReport{UsersMoved: total, Cutover: time.Since(fenceStart), Version: ver}
+	c.install(func(m membership) (membership, bool) { m.pending, m.lastReshard = failed, rep; return m, true })
 	c.wmu.Unlock()
 
 	c.m.reshardTotal.Inc()
 	c.m.reshardUsersMoved.Add(uint64(total))
-	c.m.reshardCutover.Observe(cutover)
-	rep := ReshardReport{UsersMoved: total, Cutover: cutover, Version: ver}
-	c.lastMu.Lock()
-	c.lastReshard = rep
-	c.lastMu.Unlock()
+	c.m.reshardCutover.Observe(rep.Cutover)
 	c.pushRing(context.Background())
 	return rep, nil
 }
 
 // ResumeReshard retries the source-side removals a cutover left pending.
 // Removals are idempotent (removing an already-removed user is a no-op),
-// so a crash between retry and bookkeeping is safe to re-run.
+// so a crash between retry and bookkeeping is safe to re-run. Like every
+// membership-level operation it runs under the replication lock, so the
+// pending list it read is the one it replaces.
 func (c *Cluster) ResumeReshard() error {
-	c.pendMu.Lock()
-	defer c.pendMu.Unlock()
+	c.repMu.Lock()
+	defer c.repMu.Unlock()
 	var remaining []pendingRemoval
 	var firstErr error
-	for _, p := range c.pending {
+	for _, p := range c.mem.Load().pending {
 		m, err := p.shard.member()
 		if err == nil {
 			err = m.RemoveUsers(p.users)
@@ -362,7 +352,7 @@ func (c *Cluster) ResumeReshard() error {
 			}
 		}
 	}
-	c.pending = remaining
+	c.install(func(m membership) (membership, bool) { m.pending = remaining; return m, true })
 	if firstErr != nil {
 		return fmt.Errorf("cluster: resuming reshard: %w", firstErr)
 	}
@@ -419,26 +409,22 @@ func (c *Cluster) RefreshMembership() error {
 	return c.installMembership(m)
 }
 
-func (c *Cluster) installMembership(m Membership) error {
-	if len(m.Shards) == 0 {
+func (c *Cluster) installMembership(in Membership) error {
+	if len(in.Shards) == 0 {
 		return errors.New("cluster: refusing empty membership")
 	}
-	c.mu.Lock()
-	if m.Version <= c.version {
-		// Already current (or the source is behind us); nothing to do.
-		c.mu.Unlock()
-		return nil
-	}
-	c.shards = append([]*ReplicaSet(nil), m.Shards...)
-	c.ring = NewRing(len(m.Shards), m.VirtualNodes)
-	c.version = m.Version
-	c.vnodes = m.VirtualNodes
-	n := len(m.Shards)
-	c.mu.Unlock()
-	c.m.ensureShards(n)
-	for _, rs := range m.Shards {
+	for _, rs := range in.Shards {
 		rs.bindMetrics(&c.m.replica)
 	}
+	c.install(func(m membership) (membership, bool) {
+		if in.Version <= m.version {
+			// Already current (or the source is behind us); nothing to do.
+			return m, false
+		}
+		m.slots, m.ring = slices.Clone(in.Shards), NewRing(len(in.Shards), in.VirtualNodes)
+		m.version, m.vnodes = in.Version, in.VirtualNodes
+		return m, true
+	})
 	return nil
 }
 
@@ -490,18 +476,24 @@ func (s *RemoteMembershipSource) Fetch() (Membership, error) {
 // RingInfo renders current membership in wire form: the input to shard
 // gates, ring pushes, and the admin cluster endpoint.
 func (c *Cluster) RingInfo() rpc.RingInfo {
-	c.mu.RLock()
-	shards, ver := c.shards, c.version
-	vn := c.vnodes
-	c.mu.RUnlock()
-	if vn <= 0 {
-		vn = DefaultVirtualNodes
-	}
-	info := rpc.RingInfo{Version: ver, VirtualNodes: vn}
-	for _, rs := range shards {
-		info.Shards = append(info.Shards, rpc.ShardInfo{Addr: memberAddr(rs.Owner()), Replicas: rs.ReplicaAddrs()})
-	}
+	info, _ := c.RingAndSlots()
 	return info
+}
+
+// RingAndSlots is RingInfo together with the slots it describes, index for
+// index: both come from one membership value, so a listing that pairs
+// them (the admin status endpoint, a ring push) cannot straddle a change.
+func (c *Cluster) RingAndSlots() (rpc.RingInfo, []*ReplicaSet) {
+	m := c.mem.Load()
+	info := rpc.RingInfo{Version: m.version, VirtualNodes: m.vnodes, Shards: make([]rpc.ShardInfo, len(m.slots))}
+	if info.VirtualNodes <= 0 {
+		info.VirtualNodes = DefaultVirtualNodes
+	}
+	for i, rs := range m.slots {
+		st := rs.state.Load()
+		info.Shards[i] = rpc.ShardInfo{Addr: memberAddr(st.members[0]), Replicas: st.replicaAddrs(false)}
+	}
+	return info, slices.Clone(m.slots)
 }
 
 // memberAddr returns a member's dialable address ("" for in-process
@@ -518,10 +510,9 @@ func memberAddr(s Shard) string {
 // next misrouted call with a stale-ring refusal, and the router's refresh
 // path converges it.
 func (c *Cluster) pushRing(ctx context.Context) {
-	info := c.RingInfo()
-	shards, _ := c.membership()
-	for _, rs := range shards {
-		for _, m := range rs.Members() {
+	info, slots := c.RingAndSlots()
+	for _, rs := range slots {
+		for _, m := range rs.state.Load().members {
 			if nm, ok := m.(networkedMember); ok {
 				_ = nm.PushRing(ctx, info)
 			}

@@ -11,8 +11,8 @@ import (
 // and calls in here). The protocol per slot:
 //
 //  1. Promote — the attached synced follower with the longest applied
-//     prefix becomes the owner (ReplicaSet.Promote; ship-before-ack
-//     guarantees it holds every acknowledged write).
+//     prefix becomes the owner (ReplicaSet.Promote swaps the slot's value;
+//     ship-before-ack guarantees it holds every acknowledged write).
 //  2. Fence — the membership version is bumped and pushed, so the
 //     deposed owner's gate refuses any straggling mutation with a
 //     stale-ring error once it hears the new ring. Placement (user →
@@ -43,20 +43,14 @@ func (c *Cluster) FailoverSlot(slot int, force bool) (int, error) {
 	// mutation can be in flight against the demoted owner while the
 	// chain's head swaps, mirroring the reshard cutover discipline.
 	c.wmu.Lock()
-	var idx int
-	if force {
-		idx, err = rs.ForcePromote()
-	} else {
-		idx, err = rs.Promote()
+	idx, err := rs.Promote(force)
+	if err == nil {
+		c.install(func(m membership) (membership, bool) { m.version++; return m, true })
 	}
+	c.wmu.Unlock()
 	if err != nil {
-		c.wmu.Unlock()
 		return -1, err
 	}
-	c.mu.Lock()
-	c.version++
-	c.mu.Unlock()
-	c.wmu.Unlock()
 
 	// Push the new ring (best-effort; a node that misses it converges on
 	// its next stale-ring refusal) and re-arm shipping from the new
@@ -78,7 +72,7 @@ func (c *Cluster) HealSlot(slot int) error {
 	if err != nil {
 		return err
 	}
-	if len(rs.Members()) == 1 {
+	if len(rs.state.Load().members) == 1 {
 		return nil // no follower to resync, no chain to re-arm
 	}
 	// A member returning from an outage still has an open circuit breaker
@@ -139,7 +133,7 @@ func (c *Cluster) ProbeSlotOwner(ctx context.Context, slot int) error {
 
 // slotReplicaSet resolves a slot to its replica set.
 func (c *Cluster) slotReplicaSet(slot int) (*ReplicaSet, error) {
-	shards, _ := c.membership()
+	shards := c.mem.Load().slots
 	if slot < 0 || slot >= len(shards) {
 		return nil, fmt.Errorf("cluster: no slot %d", slot)
 	}
@@ -150,7 +144,8 @@ func (c *Cluster) slotReplicaSet(slot int) (*ReplicaSet, error) {
 // In-process owners were re-wired by Promote itself. Best-effort: a
 // missed re-arm is retried by the supervisor's heal tick.
 func (c *Cluster) rearmSlot(rs *ReplicaSet) {
-	nm, ok := rs.Owner().(networkedMember)
+	st := rs.state.Load()
+	nm, ok := st.members[0].(networkedMember)
 	if !ok {
 		return
 	}
@@ -159,5 +154,5 @@ func (c *Cluster) rearmSlot(rs *ReplicaSet) {
 	// Only attached followers join the new chain: shipping to the still-
 	// down deposed owner would fail every write indeterminately. Heal
 	// reattaches it, then re-arms again with the full set.
-	_ = nm.Rearm(ctx, rs.AttachedReplicaAddrs())
+	_ = nm.Rearm(ctx, st.replicaAddrs(true))
 }

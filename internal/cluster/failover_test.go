@@ -10,6 +10,8 @@ import (
 	"path/filepath"
 	"regexp"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,7 +25,7 @@ import (
 // slot whose owner is answering health checks would fork the replica
 // chain (two members accepting writes for one slot), so Promote must
 // refuse with the typed error and change nothing. A planned handover
-// goes through ForcePromote.
+// goes through Promote(true).
 func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	rs, owner, follower := newChainedSet(t, 101)
 	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
@@ -32,7 +34,7 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	}
 	populateElastic(t, c, 8)
 
-	idx, err := rs.Promote()
+	idx, err := rs.Promote(false)
 	if !errors.Is(err, cluster.ErrOwnerHealthy) {
 		t.Fatalf("Promote with healthy owner: %v, want ErrOwnerHealthy", err)
 	}
@@ -54,12 +56,12 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	}
 
 	// A planned handover is still possible, explicitly.
-	idx, err = rs.ForcePromote()
+	idx, err = rs.Promote(true)
 	if err != nil {
-		t.Fatalf("ForcePromote: %v", err)
+		t.Fatalf("Promote(true): %v", err)
 	}
 	if idx != 1 {
-		t.Fatalf("ForcePromote picked member %d, want 1", idx)
+		t.Fatalf("Promote(true) picked member %d, want 1", idx)
 	}
 	_ = owner
 }
@@ -102,6 +104,62 @@ func TestReplicaReadsRoundRobin(t *testing.T) {
 	}
 	if after := replicaReadCount(t, reg); after != before {
 		t.Fatalf("desynced follower served %d reads", after-before)
+	}
+}
+
+// TestReadsDuringPromotion holds the slot to what the user-side surface
+// needs from it: reads are routed without the failover fence, so they run
+// straight through a promotion and the heal that follows it. Two readers
+// loop on AdPreferences across twenty forced handovers; every read must
+// answer, and under -race none may touch slot state a handover is writing.
+func TestReadsDuringPromotion(t *testing.T) {
+	rs, _, _ := newChainedSet(t, 131)
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, _ := populateElastic(t, c, 8)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var reads atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.AdPreferences(users[i%len(users)]); err != nil {
+					t.Errorf("read %d of reader %d during a handover: %v", i, g, err)
+					return
+				}
+				reads.Add(1)
+			}
+		}(g)
+	}
+	stopReaders := sync.OnceFunc(func() {
+		close(stop)
+		wg.Wait()
+	})
+	defer stopReaders()
+	for i := 0; i < 20; i++ {
+		if _, err := c.FailoverSlot(0, true); err != nil {
+			t.Fatalf("handover %d: %v", i, err)
+		}
+		if err := c.HealSlot(0); err != nil {
+			t.Fatalf("heal %d: %v", i, err)
+		}
+	}
+	stopReaders()
+	if reads.Load() == 0 {
+		t.Fatal("no read ran during the handovers")
+	}
+	if c.Version() != 21 {
+		t.Fatalf("ring version %d after 20 handovers, want 21", c.Version())
 	}
 }
 

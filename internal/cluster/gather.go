@@ -53,32 +53,28 @@ func checkAllHealthy(shards []*ReplicaSet) error {
 	return nil
 }
 
-// gatherView pins a consistent membership snapshot for an aggregate read.
-// It holds the reshard fence read-side (released by the returned func), so
-// the snapshot cannot straddle a cutover — the window in which a migrating
-// user briefly exists on two shards — and it refuses while a finished
-// cutover still has source removals outstanding, for the same reason:
-// exact totals require each user counted exactly once.
-func (c *Cluster) gatherView() ([]*ReplicaSet, func(), error) {
+// gather runs an aggregate read: fn once per slot of one membership value,
+// on the slot's reader, and the answers in slot order. It holds the reshard
+// fence read-side, so the value cannot straddle a cutover — the window in
+// which a migrating user briefly exists on two shards — and it refuses
+// while a finished cutover still has source removals outstanding, for the
+// same reason: exact totals require each user counted exactly once.
+//
+// At most c.workers calls run at once; the bound keeps a wide cluster's
+// fan-out from spawning one goroutine per shard per request under load.
+// The context bounds the whole fan-out: remote shards propagate it into
+// their RPCs, and a shard whose circuit is open fails the gather up front
+// with ErrShardUnavailable rather than returning silently wrong totals.
+// Wall time for the whole fan-out — dominated by the slowest shard — lands
+// in cluster_gather_seconds. The error is the join of the per-shard errors.
+func gather[T any](ctx context.Context, c *Cluster, fn func(context.Context, Shard) (T, error)) (out []T, err error) {
 	c.wmu.RLock()
-	if err := c.removalsSettled(); err != nil {
-		c.wmu.RUnlock()
-		return nil, nil, err
+	defer c.wmu.RUnlock()
+	m := c.mem.Load()
+	if len(m.pending) > 0 {
+		return nil, ErrReshardIncomplete
 	}
-	shards, _ := c.membership()
-	return shards, c.wmu.RUnlock, nil
-}
-
-// gather runs fn once per slot, on the slot's reader, with at most
-// c.workers concurrent calls and returns the join of all per-shard errors. The bound keeps a wide
-// cluster's fan-out from spawning one goroutine per shard per request
-// under load; fn(i, …) writes its answer into caller-owned slot i, so no
-// further synchronization is needed. The context bounds the whole fan-out:
-// remote shards propagate it into their RPCs, and a shard whose circuit is
-// open fails the gather up front with ErrShardUnavailable rather than
-// returning silently wrong totals. Wall time for the whole fan-out —
-// dominated by the slowest shard — lands in cluster_gather_seconds.
-func (c *Cluster) gather(ctx context.Context, shards []*ReplicaSet, fn func(ctx context.Context, i int, s Shard) error) (err error) {
+	shards := m.slots
 	start := time.Now()
 	defer c.m.gatherSeconds.ObserveSince(start)
 	ctx, sp := trace.StartChild(ctx, "cluster.gather")
@@ -90,10 +86,12 @@ func (c *Cluster) gather(ctx context.Context, shards []*ReplicaSet, fn func(ctx 
 		}()
 	}
 	if err = checkAllHealthy(shards); err != nil {
-		return err
+		return nil, err
 	}
+	out = make([]T, len(shards))
 	if len(shards) == 1 {
-		return fn(ctx, 0, shards[0].reader())
+		out[0], err = fn(ctx, shards[0].reader())
+		return out, err
 	}
 	sem := make(chan struct{}, c.workers)
 	errs := make([]error, len(shards))
@@ -104,12 +102,11 @@ func (c *Cluster) gather(ctx context.Context, shards []*ReplicaSet, fn func(ctx 
 		go func(i int, rs *ReplicaSet) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = fn(ctx, i, rs.reader())
+			out[i], errs[i] = fn(ctx, rs.reader())
 		}(i, rs)
 	}
 	wg.Wait()
-	err = errors.Join(errs...)
-	return err
+	return out, errors.Join(errs...)
 }
 
 // PotentialReach scatter-gathers the exact per-shard match counts and
@@ -119,16 +116,8 @@ func (c *Cluster) gather(ctx context.Context, shards []*ReplicaSet, fn func(ctx 
 // would report 0 for any audience spread thinner than MinReportableReach
 // per shard and would leak the partition layout through rounding seams.
 func (c *Cluster) PotentialReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	shards, release, err := c.gatherView()
-	if err != nil {
-		return 0, err
-	}
-	defer release()
-	counts := make([]int, len(shards))
-	err = c.gather(ctx, shards, func(ctx context.Context, i int, s Shard) error {
-		n, err := s.RawReach(ctx, advertiser, spec)
-		counts[i] = n
-		return err
+	counts, err := gather(ctx, c, func(ctx context.Context, s Shard) (int, error) {
+		return s.RawReach(ctx, advertiser, spec)
 	})
 	if err != nil {
 		return 0, err
@@ -146,16 +135,8 @@ func (c *Cluster) PotentialReach(ctx context.Context, advertiser string, spec au
 // per-shard reaches are disjoint (users live on one shard) and impressions
 // and spend are additive.
 func (c *Cluster) Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error) {
-	shards, release, err := c.gatherView()
-	if err != nil {
-		return billing.Report{}, err
-	}
-	defer release()
-	totals := make([]platform.CampaignTotals, len(shards))
-	err = c.gather(ctx, shards, func(ctx context.Context, i int, s Shard) error {
-		t, err := s.CampaignTotals(ctx, advertiser, campaignID)
-		totals[i] = t
-		return err
+	totals, err := gather(ctx, c, func(ctx context.Context, s Shard) (platform.CampaignTotals, error) {
+		return s.CampaignTotals(ctx, advertiser, campaignID)
 	})
 	if err != nil {
 		return billing.Report{}, err
@@ -182,10 +163,9 @@ type traceSpanFetcher interface {
 // shard contributes nothing rather than failing the dump, because a trace
 // query must keep working exactly when parts of the cluster are unhealthy.
 func (c *Cluster) RemoteTraceSpans(ctx context.Context) []trace.SpanWire {
-	shards, _ := c.membership()
 	var out []trace.SpanWire
-	for _, rs := range shards {
-		for _, m := range rs.Members() {
+	for _, rs := range c.mem.Load().slots {
+		for _, m := range rs.state.Load().members {
 			tf, ok := m.(traceSpanFetcher)
 			if !ok || !shardHealthy(m) {
 				continue

@@ -2,21 +2,16 @@ package cluster
 
 import (
 	"strconv"
-	"sync"
 
 	"github.com/treads-project/treads/internal/obs"
 )
 
-// clusterMetrics is the coordinator's instrumentation. Per-shard counters
-// are resolved into a slice indexed by shard — the routing hot path does a
-// slice load and an atomic add, nothing else. Membership is elastic, so
-// the slice grows on demand (under a mutex that only the growth path
-// takes; steady-state routing reads a stable prefix).
+// clusterMetrics is the coordinator's instrumentation. The per-shard
+// routed-op counters are resolved into a slice that travels with each
+// membership value (shardOps), so the routing hot path does a slice load
+// and an atomic add, nothing else.
 type clusterMetrics struct {
-	shardVec *obs.CounterVec
-
-	shardMu  sync.Mutex
-	shardOps []*obs.Counter // cluster_shard_user_ops_total{shard}, indexed by shard
+	shardVec *obs.CounterVec // cluster_shard_user_ops_total{shard}
 
 	replicatedOps *obs.Counter
 	divergence    *obs.Counter
@@ -66,8 +61,8 @@ func newReplicaCounters(reg *obs.Registry) replicaCounters {
 	}
 }
 
-func newClusterMetrics(reg *obs.Registry, shards int) *clusterMetrics {
-	m := &clusterMetrics{
+func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
+	return &clusterMetrics{
 		shardVec: reg.CounterVec("cluster_shard_user_ops_total",
 			"User-scoped operations routed to each shard; skew here means skew on the consistent-hash ring.",
 			"shard"),
@@ -87,29 +82,14 @@ func newClusterMetrics(reg *obs.Registry, shards int) *clusterMetrics {
 			"Duration of the reshard write fence — the window during which user writes and aggregate reads block."),
 		replica: newReplicaCounters(reg),
 	}
-	m.ensureShards(shards)
-	return m
 }
 
-// ensureShards grows the per-shard counter slice to cover n shards.
-func (m *clusterMetrics) ensureShards(n int) {
-	m.shardMu.Lock()
-	defer m.shardMu.Unlock()
-	for i := len(m.shardOps); i < n; i++ {
-		m.shardOps = append(m.shardOps, m.shardVec.With(strconv.Itoa(i)))
+// shardOps resolves the routed-ops counters of an n-slot membership,
+// indexed by slot.
+func (m *clusterMetrics) shardOps(n int) []*obs.Counter {
+	ops := make([]*obs.Counter, n)
+	for i := range ops {
+		ops[i] = m.shardVec.With(strconv.Itoa(i))
 	}
-}
-
-// shardOp returns shard i's routed-ops counter, growing the slice if a
-// membership change outran it.
-func (m *clusterMetrics) shardOp(i int) *obs.Counter {
-	m.shardMu.Lock()
-	if i >= len(m.shardOps) {
-		m.shardMu.Unlock()
-		m.ensureShards(i + 1)
-		m.shardMu.Lock()
-	}
-	c := m.shardOps[i]
-	m.shardMu.Unlock()
-	return c
+	return ops
 }

@@ -17,6 +17,12 @@ import (
 // ring pushes and admin listings.
 func (r *RemoteShard) Addr() string { return r.c.BaseURL() }
 
+// ListUsers lists the peer's users; unlike Users, a failed call is an
+// error, not an empty shard.
+func (r *RemoteShard) ListUsers() ([]profile.UserID, error) {
+	return r.c.Users(context.Background())
+}
+
 // ExportUsers extracts the given users' state from the peer.
 func (r *RemoteShard) ExportUsers(users []profile.UserID) (platform.MigrationChunk, error) {
 	return r.c.ExportUsers(context.Background(), users)

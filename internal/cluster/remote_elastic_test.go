@@ -4,12 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"path"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/cluster"
+	"github.com/treads-project/treads/internal/faults"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -152,6 +157,68 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 	}
 }
 
+// oneOpTransport sends one rpc op through faulty and the rest through clean.
+type oneOpTransport struct {
+	op            string
+	faulty, clean http.RoundTripper
+}
+
+func (o oneOpTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if path.Base(req.URL.Path) == o.op {
+		return o.faulty.RoundTrip(req)
+	}
+	return o.clean.RoundTrip(req)
+}
+
+// TestReshardFailsWhenASlotCannotBeListed: the bulk copy plans its moves
+// from each slot's user list, so a list that could not be fetched must stop
+// the reshard — read as "no users", nothing would be copied, the ring would
+// flip, and every user the new ring hands the joiner would be unknown there.
+func TestReshardFailsWhenASlotCannotBeListed(t *testing.T) {
+	root := t.TempDir()
+	nodes := make([]*elasticNode, 3)
+	for i := range nodes {
+		nodes[i] = newElasticNode(t, filepath.Join(root, fmt.Sprintf("node-%d", i)), stats.SubSeed(93, uint64(i)))
+	}
+	inj := faults.NewInjector(1, nil)
+	inj.Arm(true)
+	lossy := oneOpTransport{op: "users", clean: http.DefaultTransport,
+		faulty: faults.NewTransport(inj, faults.NetConfig{DialError: 1}, "node0", nil)}
+	router, err := cluster.New([]cluster.Shard{
+		cluster.NewRemoteShard(rpc.NewClient(nodes[0].addr, rpc.Options{Secret: elasticSecret, Transport: lossy,
+			MaxRetries: 1, BackoffBase: time.Millisecond, BackoffMax: time.Millisecond})),
+		cluster.NewRemoteShard(rpc.NewClient(nodes[1].addr, rpc.Options{Secret: elasticSecret})),
+	}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, _ := populateElastic(t, router, 32)
+	before := feedLens(router, users)
+
+	joiner := cluster.NewRemoteShard(rpc.NewClient(nodes[2].addr, rpc.Options{Secret: elasticSecret}))
+	_, err = router.AddShard(joiner)
+	if err == nil || !errors.Is(err, rpc.ErrUnavailable) || !strings.Contains(err.Error(), "listing: shard 0") {
+		t.Fatalf("AddShard with shard 0's users op failing: %v, want the listing stage's transport error", err)
+	}
+	if inj.Counts()[faults.NetDialError] == 0 {
+		t.Fatal("the users op was never failed")
+	}
+	if router.Version() != 1 || router.Shards() != 2 {
+		t.Fatalf("ring at v%d with %d shards after a failed reshard, want v1 with 2", router.Version(), router.Shards())
+	}
+	if got := nodes[2].jp.Users(); len(got) != 0 {
+		t.Fatalf("joiner holds %d users after a reshard that failed while listing", len(got))
+	}
+	for _, u := range users {
+		if _, err := router.AdPreferences(u); err != nil {
+			t.Fatalf("AdPreferences(%s) after the failed reshard: %v", u, err)
+		}
+	}
+	if got := feedLens(router, users); fmt.Sprint(got) != fmt.Sprint(before) {
+		t.Fatal("feeds changed across a failed reshard")
+	}
+}
+
 // TestRemoteFollowerChainOverLoopback runs a replica chain across the wire:
 // an in-process owner ships its journal to a follower behind a real RPC
 // server, Heal bootstraps the follower, failover reads and promotion work
@@ -203,7 +270,7 @@ func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 	}
 
 	// Promote the remote member and write through it.
-	if _, err := rs.Promote(); err != nil {
+	if _, err := rs.Promote(false); err != nil {
 		t.Fatalf("Promote(remote): %v", err)
 	}
 	if followStatus(fnode.jp).Following {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,13 +37,13 @@ import (
 //     what keeps the promotion invariant — a member that may have missed
 //     acknowledged writes can never become the owner.
 type ReplicaSet struct {
-	mu      sync.RWMutex
-	members []Shard
-	// detached[i] marks a member that is out of the shipping chain and not
-	// promotable until Heal resyncs it; index 0 (the owner) is never
-	// detached.
-	detached []bool
-	met      *replicaCounters
+	// state is the slot's current value. A slotState is never mutated once
+	// stored: a reader loads the pointer once and works on that value for
+	// the rest of its call, whatever happens to the slot meanwhile; a writer
+	// (Promote, reattach, bindMetrics) builds the next value under mu and
+	// swaps it in. mu orders the writers only — no reader takes it.
+	state atomic.Pointer[slotState]
+	mu    sync.Mutex
 
 	// readCursor round-robins replicated reads across the owner and the
 	// synced attached followers while the owner is healthy.
@@ -51,6 +52,17 @@ type ReplicaSet struct {
 	// costs an RPC, so the read path stays off the network.
 	scMu        sync.Mutex
 	statusCache map[Shard]cachedFollowStatus
+}
+
+// slotState is one value of a slot: who its members are, in which order,
+// and which of them are out of the chain.
+type slotState struct {
+	members []Shard
+	// detached[i] marks a member that is out of the shipping chain and not
+	// promotable until Heal resyncs it; index 0 (the owner) is never
+	// detached.
+	detached []bool
+	met      *replicaCounters
 }
 
 // cachedFollowStatus is one member's memoized "synced follower" verdict.
@@ -71,52 +83,31 @@ const followStatusTTL = 250 * time.Millisecond
 func NewReplicaSet(owner Shard, followers ...Shard) *ReplicaSet {
 	met := newReplicaCounters(nil)
 	members := append([]Shard{owner}, followers...)
-	return &ReplicaSet{
-		members:     members,
-		detached:    make([]bool, len(members)),
-		met:         &met,
-		statusCache: make(map[Shard]cachedFollowStatus),
-	}
+	rs := &ReplicaSet{statusCache: make(map[Shard]cachedFollowStatus)}
+	rs.state.Store(&slotState{members: members, detached: make([]bool, len(members)), met: &met})
+	return rs
 }
 
 // bindMetrics points the set at the cluster's registered replica counters.
 func (rs *ReplicaSet) bindMetrics(met *replicaCounters) {
 	rs.mu.Lock()
-	rs.met = met
-	rs.mu.Unlock()
+	defer rs.mu.Unlock()
+	next := *rs.state.Load()
+	next.met = met
+	rs.state.Store(&next)
 }
 
 // Owner returns the current owner (members[0]).
-func (rs *ReplicaSet) Owner() Shard {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	return rs.members[0]
-}
-
-// Members returns a copy of the member list, owner first.
-func (rs *ReplicaSet) Members() []Shard {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	return append([]Shard(nil), rs.members...)
-}
+func (rs *ReplicaSet) Owner() Shard { return rs.state.Load().members[0] }
 
 // Healthy reports whether the set can serve anything at all (some member
 // is up) — the routing layer's read gate.
 func (rs *ReplicaSet) Healthy() bool {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	for _, m := range rs.members {
-		if shardHealthy(m) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rs.state.Load().members, shardHealthy)
 }
 
 // WriteHealthy reports whether the owner can accept mutations.
-func (rs *ReplicaSet) WriteHealthy() bool {
-	return shardHealthy(rs.Owner())
-}
+func (rs *ReplicaSet) WriteHealthy() bool { return shardHealthy(rs.Owner()) }
 
 // writer returns the owner, or a typed refusal when it is down — writes
 // never fail over implicitly; promotion is an explicit operator (or
@@ -154,19 +145,15 @@ func (rs *ReplicaSet) member() (platform.Member, error) {
 // may then be stale during the failover window; they are never wrong
 // about acknowledged state, which every attached follower holds).
 func (rs *ReplicaSet) reader() Shard {
-	rs.mu.RLock()
-	members := rs.members
+	st := rs.state.Load()
+	members := st.members
 	if len(members) == 1 {
-		rs.mu.RUnlock()
 		return members[0] // no follower: nothing to balance onto or fail over to
 	}
-	detached := append([]bool(nil), rs.detached...)
-	met := rs.met
-	rs.mu.RUnlock()
 	if shardHealthy(members[0]) {
 		pick := int(rs.readCursor.Add(1) % uint64(len(members)))
-		if pick != 0 && !detached[pick] && shardHealthy(members[pick]) && rs.followerSynced(members[pick]) {
-			met.replicaReads.Inc()
+		if pick != 0 && !st.detached[pick] && shardHealthy(members[pick]) && rs.followerSynced(members[pick]) {
+			st.met.replicaReads.Inc()
 			return members[pick]
 		}
 		return members[0]
@@ -174,19 +161,19 @@ func (rs *ReplicaSet) reader() Shard {
 	var fallback Shard
 	for i := 1; i < len(members); i++ {
 		f := members[i]
-		if detached[i] || !shardHealthy(f) {
+		if st.detached[i] || !shardHealthy(f) {
 			continue
 		}
 		if fallback == nil {
 			fallback = f
 		}
-		if st, err := followStatus(f); err == nil && st.Synced {
-			met.failoverReads.Inc()
+		if fs, err := followStatus(f); err == nil && fs.Synced {
+			st.met.failoverReads.Inc()
 			return f
 		}
 	}
 	if fallback != nil {
-		met.failoverReads.Inc()
+		st.met.failoverReads.Inc()
 		return fallback
 	}
 	return members[0]
@@ -232,11 +219,11 @@ func followStatus(s Shard) (platform.FollowStatus, error) {
 // owner ships from its own process); a chain with no followers has
 // nothing to wire.
 func (rs *ReplicaSet) Chain() error {
-	members := rs.Members()
-	if len(members) == 1 {
+	st := rs.state.Load()
+	if len(st.members) == 1 {
 		return nil
 	}
-	lm, ok := members[0].(localMember)
+	lm, ok := st.members[0].(localMember)
 	if !ok {
 		return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
 	}
@@ -250,17 +237,13 @@ func (rs *ReplicaSet) Chain() error {
 // Detached members are skipped without error — they are already excluded
 // from promotion, so skipping them cannot lose an acknowledged write.
 func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
-	rs.mu.RLock()
-	members := rs.members
-	detached := append([]bool(nil), rs.detached...)
-	met := rs.met
-	rs.mu.RUnlock()
+	st := rs.state.Load()
 	var firstErr error
-	for i := 1; i < len(members); i++ {
-		if detached[i] {
+	for i := 1; i < len(st.members); i++ {
+		if st.detached[i] {
 			continue
 		}
-		a, ok := members[i].(platform.Member)
+		a, ok := st.members[i].(platform.Member)
 		if !ok {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("follower %d: %w", i, ErrMigrationUnsupported)
@@ -268,13 +251,13 @@ func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
 			continue
 		}
 		if err := a.ApplyShipped(lsn, payload); err != nil {
-			met.shipFailures.Inc()
+			st.met.shipFailures.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("follower %d: %w", i, err)
 			}
 			continue
 		}
-		met.shipRecords.Inc()
+		st.met.shipRecords.Inc()
 	}
 	return firstErr
 }
@@ -282,36 +265,37 @@ func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
 // ErrOwnerHealthy refuses a promotion on a slot whose owner is still
 // accepting writes: promoting past a live owner silently forks the chain
 // (two members accept writes for the same slot). A planned handover must
-// say so explicitly with ForcePromote.
+// say so explicitly by forcing it.
 var ErrOwnerHealthy = errors.New("cluster: slot owner is healthy; promotion refused (use force for a planned handover)")
 
 // Promote elects the attached healthy follower with the longest applied
-// prefix as the new owner, ends its follow mode, and rewires shipping from
-// it. The demoted member stays in the set, detached, until Heal brings it
-// back as a follower. Returns the promoted member's previous index.
-// Promotion is refused with ErrOwnerHealthy while the owner is still up.
-func (rs *ReplicaSet) Promote() (int, error) { return rs.promote(false) }
-
-// ForcePromote is Promote without the healthy-owner guard — the planned
-// handover path (maintenance drains, failback after an automatic
-// promotion). The demoted owner is detached like any other demotion.
-func (rs *ReplicaSet) ForcePromote() (int, error) { return rs.promote(true) }
-
-func (rs *ReplicaSet) promote(force bool) (int, error) {
+// prefix as the new owner, ends its follow mode, and swaps in the slot
+// value that has it at the head. The demoted member stays in the set,
+// detached, until Heal brings it back as a follower. Returns the promoted
+// member's previous index. Without force — the planned handover
+// (maintenance drains, failback after an automatic promotion) — promotion
+// is refused with ErrOwnerHealthy while the owner is still up.
+//
+// An in-process new owner gets its shipping hook here, under the writer
+// mutex and beside the swap, so there is no value of the slot whose owner
+// does not ship. A networked one ships from its own process and is re-armed
+// over RPC by the coordinator once its fence is released (rearmSlot).
+func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if len(rs.members) == 1 {
+	cur := rs.state.Load()
+	if len(cur.members) == 1 {
 		return -1, errors.New("cluster: promote: slot has no follower")
 	}
-	if !force && shardHealthy(rs.members[0]) {
+	if !force && shardHealthy(cur.members[0]) {
 		return -1, fmt.Errorf("cluster: promote: %w", ErrOwnerHealthy)
 	}
 	best := -1
 	var bestLSN uint64
 	var elected platform.Member
-	for i := 1; i < len(rs.members); i++ {
-		f, ok := rs.members[i].(platform.Member)
-		if !ok || rs.detached[i] || !shardHealthy(rs.members[i]) {
+	for i := 1; i < len(cur.members); i++ {
+		f, ok := cur.members[i].(platform.Member)
+		if !ok || cur.detached[i] || !shardHealthy(cur.members[i]) {
 			continue
 		}
 		st, err := f.FollowStatus()
@@ -328,12 +312,14 @@ func (rs *ReplicaSet) promote(force bool) (int, error) {
 	if err := elected.EndFollow(); err != nil {
 		return -1, fmt.Errorf("cluster: promoting follower %d: %w", best, err)
 	}
-	rs.members[0], rs.members[best] = rs.members[best], rs.members[0]
-	rs.detached[0], rs.detached[best] = false, true
-	if lm, ok := rs.members[0].(localMember); ok {
+	next := &slotState{members: slices.Clone(cur.members), detached: slices.Clone(cur.detached), met: cur.met}
+	next.members[0], next.members[best] = next.members[best], next.members[0]
+	next.detached[0], next.detached[best] = false, true
+	rs.state.Store(next)
+	if lm, ok := next.members[0].(localMember); ok {
 		lm.SetShipper(rs.ship)
 	}
-	rs.met.promotions.Inc()
+	next.met.promotions.Inc()
 	return best, nil
 }
 
@@ -341,18 +327,15 @@ func (rs *ReplicaSet) promote(force bool) (int, error) {
 // detached (a demoted owner, a crash-replaced member) or healthy but out
 // of sync. The health supervisor polls this to decide when to run Heal.
 func (rs *ReplicaSet) Degraded() bool {
-	rs.mu.RLock()
-	members := append([]Shard(nil), rs.members...)
-	detached := append([]bool(nil), rs.detached...)
-	rs.mu.RUnlock()
-	for i := 1; i < len(members); i++ {
-		if !shardHealthy(members[i]) {
+	st := rs.state.Load()
+	for i := 1; i < len(st.members); i++ {
+		if !shardHealthy(st.members[i]) {
 			continue // unreachable members cannot be healed yet
 		}
-		if detached[i] {
+		if st.detached[i] {
 			return true
 		}
-		if st, err := followStatus(members[i]); err == nil && !st.Synced {
+		if fs, err := followStatus(st.members[i]); err == nil && !fs.Synced {
 			return true
 		}
 	}
@@ -366,10 +349,7 @@ func (rs *ReplicaSet) Degraded() bool {
 // the routing path alone would stall until the breaker cooldown.
 // Best-effort: a failed probe just leaves the breaker open.
 func (rs *ReplicaSet) probeMembers(ctx context.Context) {
-	rs.mu.RLock()
-	members := append([]Shard(nil), rs.members...)
-	rs.mu.RUnlock()
-	for _, m := range members {
+	for _, m := range rs.state.Load().members {
 		if nm, ok := m.(networkedMember); ok {
 			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
 			_ = nm.Probe(pctx)
@@ -381,14 +361,7 @@ func (rs *ReplicaSet) probeMembers(ctx context.Context) {
 // anyFollowerUnreachable reports whether some follower currently fails
 // the health check — the cue for SlotDegraded to spend a probe on it.
 func (rs *ReplicaSet) anyFollowerUnreachable() bool {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	for i := 1; i < len(rs.members); i++ {
-		if !shardHealthy(rs.members[i]) {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rs.state.Load().members[1:], func(f Shard) bool { return !shardHealthy(f) })
 }
 
 // Heal resynchronizes every follower from the current owner: a journal
@@ -397,45 +370,46 @@ func (rs *ReplicaSet) anyFollowerUnreachable() bool {
 // follower too far gone). Call it with the owner quiesced — resync racing
 // live shipping would interleave two record streams.
 func (rs *ReplicaSet) Heal() error {
-	rs.mu.RLock()
-	members := rs.members
-	rs.mu.RUnlock()
+	st := rs.state.Load()
 	var firstErr error
-	for i := 1; i < len(members); i++ {
-		if !shardHealthy(members[i]) {
+	for i := 1; i < len(st.members); i++ {
+		if !shardHealthy(st.members[i]) {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: follower %d: %w", i, ErrShardUnavailable)
 			}
 			continue
 		}
-		if err := rs.resync(members[0], members[i]); err != nil {
+		if err := st.resync(st.members[i]); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: resyncing follower %d: %w", i, err)
 			}
 			continue
 		}
-		rs.reattach(i, members[i])
+		rs.reattach(i, st.members[i])
 	}
 	return firstErr
 }
 
-// reattach clears a member's detached flag after a successful resync. The
-// member list may have been reshuffled (by Promote) since the caller
-// snapshotted it, so the flag is cleared only if the member still sits at
-// that index.
+// reattach swaps in the slot value with member i back in the chain, after
+// a successful resync. A Promote may have reordered the members since the
+// caller loaded its value, so the flag is cleared only if the member still
+// sits at that index.
 func (rs *ReplicaSet) reattach(i int, s Shard) {
 	rs.mu.Lock()
-	if i < len(rs.members) && rs.members[i] == s {
-		rs.detached[i] = false
+	defer rs.mu.Unlock()
+	cur := rs.state.Load()
+	if cur.members[i] != s || !cur.detached[i] {
+		return
 	}
-	rs.mu.Unlock()
+	next := *cur
+	next.detached = slices.Clone(cur.detached)
+	next.detached[i] = false
+	rs.state.Store(&next)
 }
 
-// resync brings follower f back onto owner's log and into follow mode.
-func (rs *ReplicaSet) resync(owner, f Shard) error {
-	rs.mu.RLock()
-	met := rs.met
-	rs.mu.RUnlock()
+// resync brings follower f back onto the owner's log and into follow mode.
+func (st *slotState) resync(f Shard) error {
+	owner := st.members[0]
 	om, ok := owner.(platform.Member)
 	if !ok {
 		return fmt.Errorf("cluster: replica owner: %w", ErrMigrationUnsupported)
@@ -457,17 +431,17 @@ func (rs *ReplicaSet) resync(owner, f Shard) error {
 	// full reinstall. So does any replay failure, a compacted tail
 	// included — the reinstall always converges.
 	if lm, ok := owner.(localMember); ok {
-		if st, err := fm.FollowStatus(); err == nil && st.Following {
+		if fs, err := fm.FollowStatus(); err == nil && fs.Following {
 			// Re-arm the follower at its current position: a desynced
 			// follower refuses shipments until its cursor is reset.
-			if err := fm.BeginFollow(st.ShipLSN); err != nil {
+			if err := fm.BeginFollow(fs.ShipLSN); err != nil {
 				return err
 			}
-			if lm.TailSince(st.ShipLSN, fm.ApplyShipped) == nil {
+			if lm.TailSince(fs.ShipLSN, fm.ApplyShipped) == nil {
 				ost, oerr := om.FollowStatus()
 				fst, ferr := fm.FollowStatus()
 				if oerr == nil && ferr == nil && fst.Synced && fst.ShipLSN == ost.LastLSN {
-					met.resyncs.Inc()
+					st.met.resyncs.Inc()
 					return nil
 				}
 			}
@@ -475,17 +449,17 @@ func (rs *ReplicaSet) resync(owner, f Shard) error {
 	}
 
 	// Slow path: reinstall the owner's full state and follow from its LSN.
-	st, lsn, err := om.StateAndLSN(false)
+	state, lsn, err := om.StateAndLSN(false)
 	if err != nil {
 		return err
 	}
-	if err := fm.InstallState(st); err != nil {
+	if err := fm.InstallState(state); err != nil {
 		return err
 	}
 	if err := fm.BeginFollow(lsn); err != nil {
 		return err
 	}
-	met.resyncs.Inc()
+	st.met.resyncs.Inc()
 	return nil
 }
 
@@ -494,9 +468,7 @@ func (rs *ReplicaSet) resync(owner, f Shard) error {
 // base itself) — then points the followers at the owner's resulting LSN.
 // It is how the reshard driver bootstraps a joining replicated slot.
 func (rs *ReplicaSet) InstallState(st platform.State) error {
-	rs.mu.RLock()
-	members := rs.members
-	rs.mu.RUnlock()
+	members := rs.state.Load().members
 	ms := make([]platform.Member, len(members))
 	for i, s := range members {
 		m, ok := s.(platform.Member)
@@ -523,34 +495,17 @@ func (rs *ReplicaSet) InstallState(st platform.State) error {
 	return nil
 }
 
-// --- addressing (ring pushes, admin) ---
-
-// ReplicaAddrs returns the followers' dialable addresses.
-func (rs *ReplicaSet) ReplicaAddrs() []string {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
+// replicaAddrs returns the followers' dialable addresses: all of them (ring
+// pushes, admin listings), or with attachedOnly just the ones in the
+// shipping chain — the list a promoted owner is re-armed with (shipping to
+// a detached member would fail every write).
+func (st *slotState) replicaAddrs(attachedOnly bool) []string {
 	var out []string
-	for _, f := range rs.members[1:] {
-		if a := memberAddr(f); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// AttachedReplicaAddrs returns the dialable addresses of only the
-// followers currently in the shipping chain — the follower list a
-// promoted owner is re-armed with (shipping to a detached member would
-// fail every write).
-func (rs *ReplicaSet) AttachedReplicaAddrs() []string {
-	rs.mu.RLock()
-	defer rs.mu.RUnlock()
-	var out []string
-	for i := 1; i < len(rs.members); i++ {
-		if rs.detached[i] {
+	for i := 1; i < len(st.members); i++ {
+		if attachedOnly && st.detached[i] {
 			continue
 		}
-		if a := memberAddr(rs.members[i]); a != "" {
+		if a := memberAddr(st.members[i]); a != "" {
 			out = append(out, a)
 		}
 	}
@@ -559,11 +514,8 @@ func (rs *ReplicaSet) AttachedReplicaAddrs() []string {
 
 // Close closes every closable member; the first error wins.
 func (rs *ReplicaSet) Close() error {
-	rs.mu.RLock()
-	members := rs.members
-	rs.mu.RUnlock()
 	var firstErr error
-	for i, m := range members {
+	for i, m := range rs.state.Load().members {
 		cl, ok := m.(io.Closer)
 		if !ok {
 			continue

@@ -102,7 +102,7 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 
 	// Promote the follower; every acknowledged write must survive, and
 	// traffic resumes.
-	idx, err := rs.Promote()
+	idx, err := rs.Promote(false)
 	if err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestReplicaPromoteNeedsHealthyFollower(t *testing.T) {
 	}
 	owner.down.Store(true)
 	follower.down.Store(true)
-	if _, err := rs.Promote(); !errors.Is(err, cluster.ErrShardUnavailable) {
+	if _, err := rs.Promote(false); !errors.Is(err, cluster.ErrShardUnavailable) {
 		t.Fatalf("Promote with no healthy follower: %v, want ErrShardUnavailable", err)
 	}
 	if rs.Healthy() {

@@ -230,7 +230,7 @@ func TestTransportDuplicateDeliversTwice(t *testing.T) {
 	defer srv.Close()
 	in := NewInjector(13, nil)
 	in.Arm(true)
-	tr := NewTransport(in, NetConfig{Duplicate: 1}, "node0", nil)
+	tr := NewTransport(in, NetConfig{Duplicate: 1, DuplicableOps: map[string]bool{"users": true}}, "node0", nil)
 	cl := &http.Client{Transport: tr}
 	resp, err := cl.Post(srv.URL+"/rpc/v1/users", "application/json", strings.NewReader(`{}`))
 	if err != nil {

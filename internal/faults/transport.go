@@ -23,13 +23,14 @@ type NetConfig struct {
 	// is a deterministic draw in [0, DelayMax).
 	DelayMax time.Duration
 	// Duplicate is the chance a request in DuplicableOps is delivered
-	// twice; the extra response is read and discarded. Mutations are never
-	// duplicated by default — at-most-once for non-idempotent ops is the
-	// rpc client's contract, and the harness proves it separately by
-	// cutting responses after the server applied the op (ResetBody).
+	// twice; the extra response is read and discarded. Mutations must stay
+	// out of that set — at-most-once for non-idempotent ops is the rpc
+	// client's contract, and the harness proves it separately by cutting
+	// responses after the server applied the op (ResetBody).
 	Duplicate float64
-	// DuplicableOps is the set of rpc op names Duplicate may fire on
-	// (default DefaultDuplicableOps: the idempotent read surface).
+	// DuplicableOps is the set of rpc op names Duplicate may fire on; nil
+	// duplicates nothing. A harness over the shard protocol passes
+	// rpc.ReadOps(), which is derived from the op table.
 	DuplicableOps map[string]bool
 	// ResetBody is the chance a response body is cut mid-stream after the
 	// request reached the server: the caller sees a transport error but
@@ -57,14 +58,6 @@ func (c NetConfig) Kinds() []Kind {
 	return out
 }
 
-// DefaultDuplicableOps is the idempotent read surface of the shard RPC
-// protocol — the ops a flaky network may legitimately deliver twice.
-var DefaultDuplicableOps = map[string]bool{
-	"health": true, "user": true, "users": true, "feed": true,
-	"adpreferences": true, "advertisers": true, "explain": true,
-	"rawreach": true, "campaigntotals": true,
-}
-
 // Transport is an http.RoundTripper that injects network faults between
 // one rpc client and one peer. Plug it in via rpc.Options.Transport; build
 // one Transport per peer so partitions and schedules are per-pair. The
@@ -87,9 +80,6 @@ func NewTransport(inj *Injector, cfg NetConfig, peer string, base http.RoundTrip
 	}
 	if cfg.DelayMax <= 0 {
 		cfg.DelayMax = 20 * time.Millisecond
-	}
-	if cfg.DuplicableOps == nil {
-		cfg.DuplicableOps = DefaultDuplicableOps
 	}
 	return &Transport{base: base, inj: inj, cfg: cfg, peer: peer}
 }

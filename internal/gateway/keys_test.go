@@ -1,6 +1,7 @@
 package gateway
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 	"time"
@@ -105,28 +106,69 @@ func TestTenantLimitsApply(t *testing.T) {
 	}
 }
 
+var badKeyFiles = map[string]string{
+	"empty tenants":   `{"tenants": []}`,
+	"no name":         `{"tenants": [{"key": "0123456789abcdef"}]}`,
+	"reserved name":   `{"tenants": [{"name": "users", "key": "0123456789abcdef"}]}`,
+	"duplicate name":  `{"tenants": [{"name": "a", "key": "0123456789abcdef"}, {"name": "a", "key": "fedcba9876543210"}]}`,
+	"short key":       `{"tenants": [{"name": "a", "key": "tooshort"}]}`,
+	"oversized key":   `{"tenants": [{"name": "a", "key": "` + strings.Repeat("k", maxKeyLen+1) + `"}]}`,
+	"duplicate key":   `{"tenants": [{"name": "a", "key": "0123456789abcdef"}, {"name": "b", "key": "0123456789abcdef"}]}`,
+	"negative quota":  `{"tenants": [{"name": "a", "key": "0123456789abcdef", "quota_bytes": -1}]}`,
+	"unknown class":   `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"bulk": {"rps": 1, "burst": 1}}}]}`,
+	"zero rps":        `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"report": {"rps": 0, "burst": 1}}}]}`,
+	"tiny burst":      `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"report": {"rps": 1, "burst": 0.5}}}]}`,
+	"bad default":     `{"tenants": [{"name": "a", "key": "0123456789abcdef"}], "default_limits": {"nope": {"rps": 1, "burst": 1}}}`,
+	"bad users limit": `{"tenants": [{"name": "a", "key": "0123456789abcdef"}], "users": {"rps": -5, "burst": 1}}`,
+	"not json":        `{tenants:}`,
+}
+
 func TestParseKeyFileRejectsBadConfigs(t *testing.T) {
-	cases := map[string]string{
-		"empty tenants":   `{"tenants": []}`,
-		"no name":         `{"tenants": [{"key": "0123456789abcdef"}]}`,
-		"reserved name":   `{"tenants": [{"name": "users", "key": "0123456789abcdef"}]}`,
-		"duplicate name":  `{"tenants": [{"name": "a", "key": "0123456789abcdef"}, {"name": "a", "key": "fedcba9876543210"}]}`,
-		"short key":       `{"tenants": [{"name": "a", "key": "tooshort"}]}`,
-		"oversized key":   `{"tenants": [{"name": "a", "key": "` + strings.Repeat("k", maxKeyLen+1) + `"}]}`,
-		"duplicate key":   `{"tenants": [{"name": "a", "key": "0123456789abcdef"}, {"name": "b", "key": "0123456789abcdef"}]}`,
-		"negative quota":  `{"tenants": [{"name": "a", "key": "0123456789abcdef", "quota_bytes": -1}]}`,
-		"unknown class":   `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"bulk": {"rps": 1, "burst": 1}}}]}`,
-		"zero rps":        `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"report": {"rps": 0, "burst": 1}}}]}`,
-		"tiny burst":      `{"tenants": [{"name": "a", "key": "0123456789abcdef", "limits": {"report": {"rps": 1, "burst": 0.5}}}]}`,
-		"bad default":     `{"tenants": [{"name": "a", "key": "0123456789abcdef"}], "default_limits": {"nope": {"rps": 1, "burst": 1}}}`,
-		"bad users limit": `{"tenants": [{"name": "a", "key": "0123456789abcdef"}], "users": {"rps": -5, "burst": 1}}`,
-		"not json":        `{tenants:}`,
-	}
-	for name, raw := range cases {
+	for name, raw := range badKeyFiles {
 		if _, err := ParseKeyFile([]byte(raw), time.Now()); err == nil {
 			t.Errorf("%s: ParseKeyFile accepted %s", name, raw)
 		}
 	}
+}
+
+// FuzzParseKeyFile: the key file is operator input, re-read on reload.
+// Parsing never panics, and a file it accepts is usable as a whole: every
+// tenant it lists resolves by its key to itself, names are unique and none
+// is the reserved user tenant, quotas are not negative, and every bucket —
+// the user surface's too — admits a first request.
+func FuzzParseKeyFile(f *testing.F) {
+	f.Add([]byte(testKeyFile()))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "0123456789abcdef"}], "users": {"rps": 1e300, "burst": 1e300}}`))
+	for _, raw := range badKeyFiles {
+		f.Add([]byte(raw))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		now := time.Now()
+		ks, err := ParseKeyFile(raw, now)
+		if err != nil {
+			return
+		}
+		var kf KeyFile
+		if err := json.Unmarshal(raw, &kf); err != nil || len(kf.Tenants) == 0 || len(ks.Tenants()) != len(kf.Tenants) {
+			t.Fatalf("accepted %q: %d tenants resolved, file decodes to %+v (%v)", raw, len(ks.Tenants()), kf, err)
+		}
+		seen := map[string]bool{UserTenantName: true}
+		tenants := append([]*Tenant{ks.UserTenant()}, ks.Tenants()...)
+		for i, tc := range kf.Tenants {
+			got := ks.Resolve(tc.Key)
+			if got == nil || got != tenants[i+1] || got.Name() != tc.Name || seen[tc.Name] || got.QuotaBytes() < 0 {
+				t.Fatalf("accepted %q: tenant %d (%q) resolves to %v", raw, i, tc.Name, got)
+			}
+			seen[tc.Name] = true
+		}
+		for _, tn := range tenants {
+			for c, b := range tn.buckets {
+				if ok, _, _ := b.take(now.UnixNano()); !ok {
+					t.Fatalf("accepted %q: tenant %q class %d refuses its first request", raw, tn.Name(), c)
+				}
+			}
+		}
+	})
 }
 
 func TestLoadKeyFileMissingPath(t *testing.T) {

@@ -22,9 +22,10 @@ type ClusterAdmin interface {
 	RemoveShard() (ReshardReportWire, error)
 	// Promote makes the named slot's best-synced replica its owner,
 	// fencing the deposed owner behind a bumped ring version. Without
-	// force it refuses (409) while the owner is still answering health
-	// checks — promoting under a healthy owner would fork the chain;
-	// force is the planned-handover escape hatch.
+	// force it refuses while the owner is still answering health checks —
+	// promoting under a healthy owner would fork the chain; force is the
+	// planned-handover escape hatch. As for every mutation here, a refusal
+	// is answered 409 and an unreachable fleet (statusFor) 503.
 	Promote(slot int, force bool) (PromoteResponse, error)
 	// ResumeReshard retries the source-side removals of an interrupted
 	// cutover; it is idempotent and safe to hammer.
@@ -141,7 +142,7 @@ func (s *Server) handleClusterAddShard(w http.ResponseWriter, r *http.Request) {
 	}
 	rep, err := s.clusterAdmin.AddShard(req.Addr, req.Replicas)
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		writeErr(w, statusFor(err, http.StatusConflict), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -153,7 +154,7 @@ func (s *Server) handleClusterRemoveShard(w http.ResponseWriter, r *http.Request
 	}
 	rep, err := s.clusterAdmin.RemoveShard()
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		writeErr(w, statusFor(err, http.StatusConflict), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
@@ -169,7 +170,7 @@ func (s *Server) handleClusterPromote(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.clusterAdmin.Promote(req.Slot, req.Force)
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
+		writeErr(w, statusFor(err, http.StatusConflict), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -180,7 +181,7 @@ func (s *Server) handleClusterResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := s.clusterAdmin.ResumeReshard(); err != nil {
-		writeErr(w, http.StatusConflict, err)
+		writeErr(w, statusFor(err, http.StatusConflict), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"resumed": true})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -21,6 +22,7 @@ type fakeClusterAdmin struct {
 	forced      bool
 	removeErr   error
 	resumed     bool
+	calls       int // AddShard and Promote calls that reached the admin
 }
 
 func (f *fakeClusterAdmin) Status() ClusterStatusResponse {
@@ -35,8 +37,17 @@ func (f *fakeClusterAdmin) Status() ClusterStatusResponse {
 	}
 }
 
+// AddShard joins any address but two: "refused" is an application refusal,
+// "down" a node the fleet cannot reach.
 func (f *fakeClusterAdmin) AddShard(addr string, replicas []string) (ReshardReportWire, error) {
+	f.calls++
 	f.addAddr, f.addReplicas = addr, replicas
+	switch addr {
+	case "refused":
+		return ReshardReportWire{}, errors.New("joining node not healthy")
+	case "down":
+		return ReshardReportWire{}, fmt.Errorf("add shard: listing: shard 1: %w", Unavailable("rpc: peer unavailable"))
+	}
 	return ReshardReportWire{UsersMoved: 7, Version: 4}, nil
 }
 
@@ -48,6 +59,7 @@ func (f *fakeClusterAdmin) RemoveShard() (ReshardReportWire, error) {
 }
 
 func (f *fakeClusterAdmin) Promote(slot int, force bool) (PromoteResponse, error) {
+	f.calls++
 	if slot < 0 || slot > 1 {
 		return PromoteResponse{}, errors.New("no such slot")
 	}
@@ -169,6 +181,14 @@ func TestClusterEndpoints(t *testing.T) {
 		t.Fatalf("remove shard at floor: got %d, want 409", resp.StatusCode)
 	}
 
+	// An error that says the fleet is unreachable is a 503 to retry, not a
+	// refusal.
+	fake.removeErr = fmt.Errorf("remove shard: shard 1: %w", Unavailable("cluster: shard unavailable"))
+	if resp = adminDo(t, http.MethodDelete, ts.URL+"/admin/v1/cluster/shards", nil); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("remove shard over an unreachable fleet: got %d (Retry-After %q), want 503 with Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+
 	if resp = adminDo(t, http.MethodPost, ts.URL+"/admin/v1/cluster/resume", nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("resume: got %d", resp.StatusCode)
 	}
@@ -206,4 +226,58 @@ func TestClusterEndpointsRequireAdminToken(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status with admin token: got %d, want 200", resp.StatusCode)
 	}
+}
+
+// FuzzClusterAdminJSON sends arbitrary bytes as the body of the two admin
+// routes that decode one: nothing panics, the answer is a success, a
+// malformed-body 400, a refusal (409) or an unreachable fleet (503), a 400
+// never reaches the admin, and a 200 reached it with exactly what the body
+// says.
+func FuzzClusterAdminJSON(f *testing.F) {
+	for _, seed := range []string{
+		`{"addr":"http://c:1","replicas":["http://c2:1"]}`, `{"addr":"refused"}`, `{"addr":"down"}`, `{}`,
+		`{"slot":1}`, `{"slot":0,"force":true}`, `{"slot":9}`, `{"slot":-1,"force":true}`,
+		`{"addr":7}`, `{"slot":"0"}`, `{"unknown":1}`, `{"addr":"a"} trailing`, `not json`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	fake := &fakeClusterAdmin{}
+	srv := NewServer(platform.New(platform.Config{Seed: 1}), nil)
+	srv.SetClusterAdmin(fake)
+	// decode is the routes' own reading of a body.
+	decode := func(body []byte, v any) bool {
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		return dec.Decode(v) == nil
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, route := range []string{"/admin/v1/cluster/shards", "/admin/v1/cluster/promote"} {
+			before := fake.calls
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, route, bytes.NewReader(body)))
+			switch rec.Code {
+			case http.StatusOK:
+				var add AddShardRequest
+				var pro PromoteRequest
+				if route == "/admin/v1/cluster/shards" {
+					if !decode(body, &add) || add.Addr == "" || fake.addAddr != add.Addr || len(fake.addReplicas) != len(add.Replicas) {
+						t.Fatalf("%s %q: 200, admin saw addr %q replicas %v", route, body, fake.addAddr, fake.addReplicas)
+					}
+				} else if !decode(body, &pro) || fake.promoted != pro.Slot || fake.forced != pro.Force {
+					t.Fatalf("%s %q: 200, admin saw slot %d force %v", route, body, fake.promoted, fake.forced)
+				}
+			case http.StatusBadRequest:
+				if fake.calls != before {
+					t.Fatalf("%s %q: 400, yet the admin was called", route, body)
+				}
+			case http.StatusConflict:
+			case http.StatusServiceUnavailable:
+				if rec.Header().Get("Retry-After") == "" {
+					t.Fatalf("%s %q: 503 without Retry-After", route, body)
+				}
+			default:
+				t.Fatalf("%s %q: status %d: %s", route, body, rec.Code, rec.Body)
+			}
+		}
+	})
 }

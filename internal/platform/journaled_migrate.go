@@ -19,7 +19,9 @@ type Member interface {
 	// Migration: Export is a read; Import and Remove are journaled
 	// mutations with validate-before-journal semantics; InstallState rides
 	// the snapshot channel so a bootstrap never has to fit in one journal
-	// record.
+	// record. ListUsers is the member's own user list, with an error where
+	// a remote member's call can fail: a reshard plans its moves from it.
+	ListUsers() ([]profile.UserID, error)
 	ExportUsers([]profile.UserID) (MigrationChunk, error)
 	ImportUsers(MigrationChunk) error
 	RemoveUsers([]profile.UserID) error
@@ -40,6 +42,9 @@ type Member interface {
 }
 
 var _ Member = (*Journaled)(nil)
+
+// ListUsers lists every user on the shard; locally it cannot fail.
+func (jp *Journaled) ListUsers() ([]profile.UserID, error) { return jp.Users(), nil }
 
 // ExportUsers extracts the movable state for the given users from the
 // live platform. It is a pure read — the source keeps serving (and

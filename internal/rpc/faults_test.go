@@ -140,7 +140,7 @@ func TestDuplicateDeliveryNeverDoubleAppliesMutation(t *testing.T) {
 
 	inj := faults.NewInjector(2, nil)
 	inj.Arm(true)
-	tr := faults.NewTransport(inj, faults.NetConfig{Duplicate: 1}, "peer0", nil)
+	tr := faults.NewTransport(inj, faults.NetConfig{Duplicate: 1, DuplicableOps: rpc.ReadOps()}, "peer0", nil)
 	c := rpc.NewClient(srv.URL, rpc.Options{Transport: tr})
 	defer c.Close()
 

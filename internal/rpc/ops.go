@@ -66,6 +66,18 @@ func declare[Req, Resp any](name string, scope Scope) Op[Req, Resp] {
 	return Op[Req, Resp]{OpInfo: info}
 }
 
+// ReadOps names the read surface — user reads, gathered reads, the health
+// probe: what a fault-injecting network may deliver twice and change nothing.
+func ReadOps() map[string]bool {
+	ops := map[string]bool{healthOp: true}
+	for _, op := range table {
+		if op.Scope == UserRead || op.Scope == Gathered {
+			ops[op.Name] = true
+		}
+	}
+	return ops
+}
+
 // userKeyed is a request addressed to one user.
 type userKeyed interface{ userKey() string }
 

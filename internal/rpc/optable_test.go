@@ -189,6 +189,12 @@ func TestOpTableIsThePolicy(t *testing.T) {
 	if len(scopes) != 5 {
 		t.Fatalf("ops per scope = %v, want every scope in use", scopes)
 	}
+	// The read surface a faulty network may deliver twice is derived from
+	// the table; these nine are what it has to come to today.
+	wantReads := []string{"adpreferences", "advertisers", "campaigntotals", "explain", "feed", "health", "rawreach", "user", "users"}
+	if got := names(ReadOps()); !reflect.DeepEqual(got, wantReads) {
+		t.Fatalf("ReadOps() = %v, want %v", got, wantReads)
+	}
 
 	const retries = 2
 	for _, op := range table {

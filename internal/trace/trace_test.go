@@ -211,32 +211,65 @@ func TestTraceparentRoundTrip(t *testing.T) {
 	s.Finish()
 }
 
+const (
+	validTraceparent = "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
+	// A future version with a trailing extension parses as version 00.
+	futureTraceparent = "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-the-future-holds"
+)
+
+var malformedTraceparents = map[string]string{
+	"empty":          "",
+	"short":          "00-abc-def-01",
+	"unsampled":      "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+	"zero trace":     "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+	"zero span":      "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
+	"bad hex":        "00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",
+	"version ff":     "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+	"uppercase":      "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+	"v00 with extra": "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+	"bad separator":  "00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
-	valid := "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"
-	if _, _, ok := ParseTraceparent(valid); !ok {
+	if _, _, ok := ParseTraceparent(validTraceparent); !ok {
 		t.Fatal("valid header rejected")
 	}
-	for name, v := range map[string]string{
-		"empty":          "",
-		"short":          "00-abc-def-01",
-		"unsampled":      "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
-		"zero trace":     "00-00000000000000000000000000000000-00f067aa0ba902b7-01",
-		"zero span":      "00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",
-		"bad hex":        "00-4bf92f3577b34da6a3ce929d0e0e47zz-00f067aa0ba902b7-01",
-		"version ff":     "ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-		"uppercase":      "00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
-		"v00 with extra": "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
-		"bad separator":  "00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
-	} {
+	for name, v := range malformedTraceparents {
 		if _, _, ok := ParseTraceparent(v); ok {
 			t.Errorf("%s: %q accepted", name, v)
 		}
 	}
-	// A future version with a trailing extension parses as version 00.
-	future := "cc-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-what-the-future-holds"
-	if _, _, ok := ParseTraceparent(future); !ok {
+	if _, _, ok := ParseTraceparent(futureTraceparent); !ok {
 		t.Error("future-version header with extension rejected")
 	}
+}
+
+// FuzzParseTraceparent: the header arrives from anyone. Parsing never
+// panics; a value it accepts yields non-zero IDs that are the value's own
+// hex fields; and what FormatTraceparent renders from them is accepted
+// back as the same IDs.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(validTraceparent)
+	f.Add(futureTraceparent)
+	for _, v := range malformedTraceparents {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		tid, sid, ok := ParseTraceparent(v)
+		if !ok {
+			return
+		}
+		if tid.IsZero() || sid.IsZero() {
+			t.Fatalf("%q accepted with a zero ID (%s, %s)", v, tid, sid)
+		}
+		if tid.String() != v[3:35] || sid.String() != v[36:52] {
+			t.Fatalf("%q parsed to (%s, %s), not its own fields", v, tid, sid)
+		}
+		out := FormatTraceparent(tid, sid)
+		if tid2, sid2, ok := ParseTraceparent(out); !ok || tid2 != tid || sid2 != sid {
+			t.Fatalf("FormatTraceparent gave %q, which parses to (%s, %s, %v)", out, tid2, sid2, ok)
+		}
+	})
 }
 
 func TestStartRemoteContinuesTrace(t *testing.T) {
