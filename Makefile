@@ -47,7 +47,7 @@ race-full:
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorUnwatchStopsProbesAndRewatchWorks ./internal/health/
-	$(GO) test -race -count=10 -run TestReadsDuringPromotion ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestFsyncSpacingUnderLoad|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
@@ -82,7 +82,7 @@ bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
 # Every benchmark once, so none rots (./... picks up a new package's by
-# construction); the eight named ones are perf tripwires and fail the
+# construction); the ten named ones are perf tripwires and fail the
 # target if they disappear. These and the zero-alloc pins in race-full are
 # tripwires only: a number that is judged or quoted comes from benchmark/.
 bench-smoke:
@@ -92,7 +92,9 @@ bench-smoke:
 	TREADS_INDEX_BENCH_USERS=20000 $(GO) test -run=NONE -bench=BenchmarkIndexPotentialReach -benchtime=1x ./internal/index/ | grep BenchmarkIndexPotentialReach
 	$(GO) test -run=NONE -bench=BenchmarkBrowseTreadsDeployment -benchtime=1x ./internal/delivery/ | grep BenchmarkBrowseTreadsDeployment
 	$(GO) test -run=NONE -bench=BenchmarkAppendLone -benchtime=1x ./internal/journal/ | grep BenchmarkAppendLone
+	$(GO) test -run=NONE -bench=BenchmarkAppendSerial -benchtime=1x ./internal/journal/ | grep BenchmarkAppendSerial
 	$(GO) test -run=NONE -bench=BenchmarkCompact -benchtime=1x ./internal/platform/ | grep BenchmarkCompact
+	$(GO) test -run=NONE -bench=BenchmarkClusterCreateCampaignJournaled -benchtime=1x ./internal/cluster/ | grep BenchmarkClusterCreateCampaignJournaled
 	$(GO) test -run=NONE -bench=BenchmarkReshardCutover -benchtime=1x ./internal/cluster/ | grep BenchmarkReshardCutover
 	$(GO) test -run=NONE -bench=BenchmarkFailoverDetectToPromote -benchtime=1x ./internal/cluster/ | grep BenchmarkFailoverDetectToPromote
 

@@ -174,7 +174,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Load, "load", "", "restore platform state from this JSON snapshot")
 	fs.StringVar(&o.Save, "save", "", "write platform state to this JSON snapshot on shutdown")
 	fs.StringVar(&o.JournalDir, "journal", "", "write-ahead journal directory; enables crash recovery")
-	fs.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "minimum spacing between journal fsync starts; an idle shard fsyncs at once, a busy one batches what arrives meanwhile (0 = no spacing)")
+	fs.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "minimum spacing between the journal fsync starts of overlapping writers; an idle shard or one serial writer fsyncs each write at once, concurrent writers share an fsync per window (0 = no spacing)")
 	fs.DurationVar(&o.CompactEvery, "compact-every", 5*time.Minute, "background journal compaction interval (0 = never)")
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "private listen address for pprof and /metrics (empty = disabled)")
 	fs.BoolVar(&o.Gateway, "gateway", false, "run the multi-tenant edge gateway in front of the public API (requires -keys)")

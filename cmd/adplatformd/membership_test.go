@@ -517,6 +517,7 @@ func TestFlagDocsConsistent(t *testing.T) {
 		"rpc-secret", "rpc-timeout", "hedge-after", "peer-wait",
 		"shard-serve", "shard-index", "shard-count",
 		"failover-detect", "failover-misses", "failover-heal", "gateway-slo",
+		"batch-window",
 	} {
 		f := fs.Lookup(name)
 		if f == nil {

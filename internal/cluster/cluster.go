@@ -8,8 +8,10 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
@@ -440,11 +442,13 @@ func (c *Cluster) ExplainImpression(uid profile.UserID, imp ad.Impression) (expl
 
 // --- advertiser-scoped mutations: replicate to every shard ---
 
-// replicate applies op to every slot's owner in slot order under the
-// replication lock and returns shard 0's result. Shards are deterministic
-// state machines fed the same mutation sequence, so they must agree; any
-// disagreement means the shards' advertiser-side states have drifted and
-// the cluster is unsafe to keep using, which is reported as an error
+// replicate applies op to every slot's owner, all at once — a mutation costs
+// the slowest shard's commit, not the sum — under the replication lock, which
+// admits one mutation at a time and so keeps one order on every shard, and
+// returns shard 0's result. Shards are deterministic state machines fed the
+// same mutation sequence, so they must agree; a disagreement means their
+// advertiser-side states have drifted and the cluster is unsafe to keep using,
+// which is reported as an error naming every shard that disagrees with shard 0
 // rather than papered over. (Error texts may differ across shards — only
 // refusal vs success and the returned ID must match.)
 func replicate[T comparable](c *Cluster, opName string, op func(Shard) (T, error)) (T, error) {
@@ -479,28 +483,58 @@ func replicate[T comparable](c *Cluster, opName string, op func(Shard) (T, error
 		owners[i] = o
 	}
 	c.m.replicatedOps.Inc()
-	var first T
-	var firstErr error
-	for i, s := range owners {
-		v, err := op(s)
-		if i == 0 {
-			first, firstErr = v, err
-			continue
-		}
-		if (err == nil) != (firstErr == nil) {
-			c.m.divergence.Inc()
-			derr := fmt.Errorf("cluster: %s diverged: shard %d returned %v, shard 0 returned %v", opName, i, err, firstErr)
-			sp.SetError(derr)
-			return first, derr
-		}
-		if err == nil && v != first {
-			c.m.divergence.Inc()
-			derr := fmt.Errorf("cluster: %s diverged: shard %d returned %v, shard 0 returned %v", opName, i, v, first)
-			sp.SetError(derr)
-			return first, derr
+	// Not bounded by c.workers: what overlaps is each owner's wait for its
+	// disk, not work for this process's CPUs, and the lock admits one fan-out.
+	start := time.Now()
+	vals, errs := make([]T, len(owners)), make([]error, len(owners))
+	fanOut(len(owners), len(owners), func(i int) { vals[i], errs[i] = op(owners[i]) })
+	c.m.replicateSeconds.ObserveSince(start)
+	var drifted []string
+	var ret0 any = errs[0]
+	for i := 1; i < len(owners); i++ {
+		switch {
+		case (errs[i] == nil) != (errs[0] == nil):
+			drifted = append(drifted, fmt.Sprintf("shard %d returned %v", i, errs[i]))
+		case errs[i] == nil && vals[i] != vals[0]:
+			drifted = append(drifted, fmt.Sprintf("shard %d returned %v", i, vals[i]))
+			ret0 = vals[0]
 		}
 	}
-	return first, firstErr
+	if drifted != nil {
+		c.m.divergence.Inc()
+		derr := fmt.Errorf("cluster: %s diverged: %s, shard 0 returned %v", opName, strings.Join(drifted, ", "), ret0)
+		sp.SetError(derr)
+		return vals[0], derr
+	}
+	return vals[0], errs[0]
+}
+
+// fanOut runs fn(0) … fn(n-1), at most limit at a time, and returns once all
+// have; the caller is one of the workers, so an n or limit of one spawns nothing.
+func fanOut(n, limit int, fn func(i int)) {
+	workers := min(n, limit)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 }
 
 // RegisterAdvertiser creates the advertiser account on every shard.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/treads-project/treads/internal/audience"
@@ -89,23 +88,8 @@ func gather[T any](ctx context.Context, c *Cluster, fn func(context.Context, Sha
 		return nil, err
 	}
 	out = make([]T, len(shards))
-	if len(shards) == 1 {
-		out[0], err = fn(ctx, shards[0].reader())
-		return out, err
-	}
-	sem := make(chan struct{}, c.workers)
 	errs := make([]error, len(shards))
-	var wg sync.WaitGroup
-	for i, rs := range shards {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(i int, rs *ReplicaSet) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = fn(ctx, rs.reader())
-		}(i, rs)
-	}
-	wg.Wait()
+	fanOut(len(shards), c.workers, func(i int) { out[i], errs[i] = fn(ctx, shards[i].reader()) })
 	return out, errors.Join(errs...)
 }
 

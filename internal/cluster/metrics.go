@@ -13,9 +13,10 @@ import (
 type clusterMetrics struct {
 	shardVec *obs.CounterVec // cluster_shard_user_ops_total{shard}
 
-	replicatedOps *obs.Counter
-	divergence    *obs.Counter
-	gatherSeconds *obs.Histogram
+	replicatedOps    *obs.Counter
+	divergence       *obs.Counter
+	replicateSeconds *obs.Histogram
+	gatherSeconds    *obs.Histogram
 
 	// Reshard instrumentation: one reshardTotal per completed membership
 	// change, usersMoved accumulated across them, cutoverSeconds observing
@@ -70,6 +71,8 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 			"Advertiser-scoped mutations replicated to every shard."),
 		divergence: reg.Counter("cluster_replication_divergence_total",
 			"Replicated mutations on which a shard disagreed with shard 0. Any nonzero value means drifted shard state."),
+		replicateSeconds: reg.Histogram("cluster_replicate_seconds",
+			"Fan-out time of a replicated advertiser mutation: issued to every slot owner at once, so the slowest owner's commit."),
 		gatherSeconds: reg.Histogram("cluster_gather_seconds",
 			"Scatter-gather fan-out time for cluster-wide reads (reach, reports, user listing)."),
 		reshardTotal: reg.Counter("cluster_reshard_total",

@@ -52,6 +52,9 @@ func TestClusterMetrics(t *testing.T) {
 	if got := reg.Counter("cluster_replication_divergence_total", "").Value(); got != 0 {
 		t.Errorf("divergence = %d, want 0", got)
 	}
+	if snap := reg.Histogram("cluster_replicate_seconds", "").Snapshot(); snap.Count != 1 {
+		t.Errorf("replicate_seconds count = %d, want 1: one fan-out per replicated mutation", snap.Count)
+	}
 	if snap := reg.Histogram("cluster_gather_seconds", "").Snapshot(); snap.Count == 0 {
 		t.Error("gather_seconds count = 0, want > 0 after Users()")
 	}

@@ -43,8 +43,7 @@ func BenchmarkAppendSyncEach(b *testing.B) {
 // 2 ms window: one appender whose every Append finds the previous fsync at
 // least a window old (the untimed sleep), so it leads a flush that does not
 // wait. It must read about one fsync (BenchmarkAppendSyncEach), not the
-// window plus one. An appender that comes straight back instead waits out
-// the remainder of the window: max(window, fsync) per append.
+// window plus one.
 func BenchmarkAppendLone(b *testing.B) {
 	const window = 2 * time.Millisecond
 	j, err := Open(b.TempDir(), Options{BatchWindow: window})
@@ -63,6 +62,34 @@ func BenchmarkAppendLone(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkAppendSerial is one appender coming straight back under the same
+// window, past the first few appends that show it serial: nobody could share
+// a spacing wait, so it must read about one fsync too, not
+// max(window, fsync), and every append has its own.
+func BenchmarkAppendSerial(b *testing.B) {
+	j, err := Open(b.TempDir(), Options{BatchWindow: 2 * time.Millisecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer j.Close()
+	p := benchPayload()
+	for i := 0; i < serialAfter; i++ {
+		if _, err := j.Append(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	fsyncs := j.m.fsyncs.Value()
+	b.SetBytes(benchPayloadSize)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := j.Append(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(j.m.fsyncs.Value()-fsyncs)/float64(b.N), "fsyncs/op")
 }
 
 // BenchmarkAppendGroupCommit runs 8 appenders per CPU against the 2 ms

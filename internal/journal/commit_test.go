@@ -1,7 +1,8 @@
 package journal
 
-// Tests for the group-commit flush path: fsync spacing (an idle journal
-// never sleeps, a busy one syncs at most once per window), appends that
+// Tests for the group-commit flush path: fsync spacing (an idle journal and
+// a serial writer never sleep, overlapping writers sync at most once per
+// window), appends that
 // proceed while the disk syncs, and recovery after a crash at any
 // filesystem call with concurrent appenders and constant rotation.
 
@@ -246,9 +247,124 @@ func TestFsyncSpacingUnderLoad(t *testing.T) {
 	}
 }
 
+// A lone writer issuing appends back to back has nobody to share a spacing
+// wait with: once its first few appends have shown it serial, each costs its
+// fsync and nothing more.
+func TestSerialWriterPaysOneFsyncPerWrite(t *testing.T) {
+	const (
+		window = 100 * time.Millisecond
+		writes = 40
+	)
+	gfs := newGateFS(faults.OS{})
+	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
+	defer j.Close()
+	start := time.Now()
+	for i := 0; i < writes; i++ {
+		if _, err := j.Append([]byte("serial")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d := time.Since(start); d > writes*window/2 {
+		t.Fatalf("%d back-to-back appends took %v with a %v window: a writer with nobody to batch with waited out the spacing", writes, d, window)
+	}
+	if n := len(gfs.syncStarts()); n != writes {
+		t.Fatalf("%d fsyncs for %d serial appends, want one each", n, writes)
+	}
+	if n := j.m.spacedFlushes.Value(); n >= serialAfter {
+		t.Fatalf("%d flushes waited out the spacing, want fewer than %d", n, serialAfter)
+	}
+}
+
+// Two writers whose records are pending together are overlapping writers:
+// every batch holds both records, and fsyncs start no closer together than
+// the window.
+func TestTwoAlternatingWritersStaySpaced(t *testing.T) {
+	const (
+		window = 100 * time.Millisecond
+		rounds = 5
+	)
+	gfs := newGateFS(faults.OS{})
+	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
+	defer j.Close()
+	for r := 0; r < rounds; r++ {
+		// Both buffered before either waits, so no batch can hold just one.
+		_, waitA, err := j.AppendBuffered([]byte("writer a"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, waitB, err := j.AppendBuffered([]byte("writer b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := make(chan error, 1)
+		go func() { a <- waitA() }()
+		if err := waitB(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-a; err != nil {
+			t.Fatal(err)
+		}
+	}
+	batches := j.m.batchRecords.Snapshot()
+	if batches.Count != rounds || batches.SumNanos != uint64(2*rounds*time.Second) {
+		t.Fatalf("batch_records = %d batches, %d records; want %d batches of two",
+			batches.Count, batches.SumNanos/uint64(time.Second), rounds)
+	}
+	// The leader sleeps until a full window after its predecessor's start, so
+	// a gap can fall short only by how the two batch writes differ.
+	starts := gfs.syncStarts()
+	for i := 1; i < len(starts); i++ {
+		if gap := starts[i].Sub(starts[i-1]); gap < window*9/10 {
+			t.Fatalf("fsync %d started %v after fsync %d, want at least the %v window", i, gap, i-1, window)
+		}
+	}
+}
+
+// Two writers taking turns — each appends while the other's fsync runs — never
+// have two records pending at an election, yet they overlap: the one that
+// appended during the fsync is spaced a window behind it.
+func TestWriterAppendingDuringFsyncIsSpaced(t *testing.T) {
+	const window = 100 * time.Millisecond
+	gfs := newGateFS(faults.OS{})
+	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
+	defer j.Close()
+	for r := 0; r < 3; r++ {
+		release := gfs.block()
+		defer release()
+		a := make(chan error, 1)
+		go func() {
+			_, err := j.Append([]byte("writer a"))
+			a <- err
+		}()
+		<-gfs.entered // a's fsync is running
+		_, waitB, err := j.AppendBuffered([]byte("writer b"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if err := waitB(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-a; err != nil {
+			t.Fatal(err)
+		}
+		<-gfs.entered // b's
+		starts := gfs.syncStarts()
+		if n := len(starts); n != 2*(r+1) {
+			t.Fatalf("%d fsyncs after round %d, want one per record", n, r)
+		}
+		if gap := starts[2*r+1].Sub(starts[2*r]); gap < window*9/10 {
+			t.Fatalf("round %d: b's fsync started %v after a's, want at least the %v window", r, gap, window)
+		}
+	}
+}
+
 // Sync, TailSince and Close lead a flush like any waiter: on a journal
 // whose last fsync is older than the window they do not sleep, and with
-// nothing pending they do not touch the disk.
+// nothing pending they do not touch the disk. Each leads a batch of two
+// records, so only the journal's idleness excuses it from the spacing, and
+// "did not sleep" is read off the journal's own count of flushes that did:
+// a wall-clock bound on the call fails under a scheduler stall.
 func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
 	const window = 200 * time.Millisecond
 	gfs := newGateFS(faults.OS{})
@@ -256,24 +372,9 @@ func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
 	if _, err := j.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
-	quick := func(what string, fn func() error) {
-		t.Helper()
-		start := time.Now()
-		if err := fn(); err != nil {
-			t.Fatalf("%s: %v", what, err)
-		}
-		if d := time.Since(start); d > window/2 {
-			t.Fatalf("%s took %v with a %v window: it slept on an idle journal", what, d, window)
-		}
+	if err := j.Sync(); err != nil {
+		t.Fatalf("Sync with nothing pending: %v", err)
 	}
-	buffer := func() {
-		t.Helper()
-		if _, _, err := j.AppendBuffered([]byte("buffered")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	quick("Sync with nothing pending", j.Sync)
 	if n := len(gfs.syncStarts()); n != 1 {
 		t.Fatalf("Sync with nothing pending ran an fsync (%d total)", n)
 	}
@@ -286,8 +387,17 @@ func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
 		{"Close", j.Close},
 	} {
 		time.Sleep(window) // idle again
-		buffer()
-		quick(op.what, op.fn)
+		for i := 0; i < 2; i++ {
+			if _, _, err := j.AppendBuffered([]byte("buffered")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := op.fn(); err != nil {
+			t.Fatalf("%s: %v", op.what, err)
+		}
+		if n := j.m.spacedFlushes.Value(); n != 0 {
+			t.Fatalf("%s with a %v window: it slept on an idle journal", op.what, window)
+		}
 	}
 	if n := len(gfs.syncStarts()); n != 4 {
 		t.Fatalf("%d fsyncs, want 4: the append, then one each for Sync, TailSince and Close", n)

@@ -18,6 +18,7 @@ type Metrics struct {
 	batchRecords     *obs.Histogram
 	appends          *obs.Counter
 	fsyncs           *obs.Counter
+	spacedFlushes    *obs.Counter // flushes that slept out a remainder of the batch window
 	rotations        *obs.Counter
 	snapshots        *obs.Counter
 	recoveredRecords *obs.Counter
@@ -44,6 +45,9 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 			"shard").With(shard),
 		fsyncs: reg.CounterVec("journal_fsyncs_total",
 			"Group commits (flush+fsync batches) the journal has performed.",
+			"shard").With(shard),
+		spacedFlushes: reg.CounterVec("journal_spaced_flushes_total",
+			"Group commits that first slept out the remainder of the batch window: overlapping writers' and the first few of a serial writer, whose later ones never count here.",
 			"shard").With(shard),
 		rotations: reg.CounterVec("journal_segment_rotations_total",
 			"Segment rotations: active segment sealed and a fresh one opened.",
