@@ -35,7 +35,7 @@ race:
 # against a fleet that grows and shrinks under them (directly, and through
 # a router's stale-ring refresh), unfenced user reads against a slot's
 # promotion and heal, and the journal's appends and waiters against its
-# flush leader (during an fsync, inside the spacing window, across a
+# flush leader (during an fsync, as the batch that follows one, across a
 # crash). The serve path's differential test against the per-slot scan runs
 # under the detector too. The four zero-alloc pins and the op-table test (client
 # retry policy, server ownership gate and registered handlers all equal to
@@ -50,7 +50,7 @@ race-full:
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/
 	$(GO) test -race -count=10 -run TestFailoverSupervisorFollowsMembership ./cmd/adplatformd/
 	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder' ./internal/cluster/
-	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestFsyncSpacingUnderLoad|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
+	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'

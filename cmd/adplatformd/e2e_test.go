@@ -92,7 +92,6 @@ func TestMultiProcessClusterE2E(t *testing.T) {
 			"-shard-count", fmt.Sprint(nShards),
 			"-addr", addrs[i],
 			"-journal", filepath.Join(dir, fmt.Sprintf("shard-%d", i)),
-			"-batch-window", "0s", // no fsync spacing; an acked write is durable under any window
 			"-rpc-secret", secret,
 			"-users", "60",
 			"-seed", "7",

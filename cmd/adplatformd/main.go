@@ -5,7 +5,7 @@
 //	adplatformd [-addr :8080] [-users 1000] [-seed 1] [-review] [-auth]
 //	            [-shards N]
 //	            [-load state.json] [-save state.json]
-//	            [-journal dir] [-batch-window 2ms] [-compact-every 5m]
+//	            [-journal dir] [-compact-every 5m]
 //	            [-debug-addr :6060]
 //	adplatformd -shard-serve -shard-index I -shard-count N
 //	            [-rpc-secret S] [-journal dir]
@@ -128,7 +128,6 @@ type options struct {
 	Load         string
 	Save         string
 	JournalDir   string
-	BatchWindow  time.Duration
 	CompactEvery time.Duration
 	DebugAddr    string
 
@@ -176,7 +175,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Load, "load", "", "restore platform state from this JSON snapshot")
 	fs.StringVar(&o.Save, "save", "", "write platform state to this JSON snapshot on shutdown")
 	fs.StringVar(&o.JournalDir, "journal", "", "write-ahead journal directory; enables crash recovery")
-	fs.DurationVar(&o.BatchWindow, "batch-window", 2*time.Millisecond, "minimum spacing between the journal fsync starts of overlapping writers; an idle shard or one serial writer fsyncs each write at once, concurrent writers share an fsync per window (0 = no spacing)")
+	fs.Duration("batch-window", 0, "deprecated, ignored: a journal flush fsyncs as soon as it starts, and writes arriving during an fsync share the next one")
 	fs.DurationVar(&o.CompactEvery, "compact-every", 5*time.Minute, "background journal compaction interval (0 = never)")
 	fs.StringVar(&o.DebugAddr, "debug-addr", "", "private listen address for pprof and /metrics (empty = disabled)")
 	fs.BoolVar(&o.Gateway, "gateway", false, "run the multi-tenant edge gateway in front of the public API (requires -keys)")
@@ -220,9 +219,6 @@ func (o options) validate() error {
 	}
 	if o.BanAfter < 0 {
 		return fmt.Errorf("-ban-after must not be negative, got %d", o.BanAfter)
-	}
-	if o.BatchWindow < 0 {
-		return fmt.Errorf("-batch-window must not be negative, got %v (0 means no fsync spacing)", o.BatchWindow)
 	}
 	if o.CompactEvery < 0 {
 		return fmt.Errorf("-compact-every must not be negative, got %v (0 disables background compaction)", o.CompactEvery)
@@ -834,8 +830,7 @@ func openMember(opts options, i int, dir string, logger *log.Logger) (member, *p
 	shard := fmt.Sprintf("%d", i)
 	start := time.Now()
 	jp, err := platform.OpenJournaled(dir, journal.Options{
-		BatchWindow: opts.BatchWindow,
-		Metrics:     journal.NewMetrics(obs.Default, shard),
+		Metrics: journal.NewMetrics(obs.Default, shard),
 	}, bootShard(opts, i, logger))
 	if err != nil {
 		return nil, nil, fmt.Errorf("opening journal for shard %d: %w", i, err)

@@ -38,7 +38,7 @@ func TestValidateFlags(t *testing.T) {
 		{name: "defaults", args: nil},
 		{name: "sharded", args: []string{"-shards", "4"}},
 		{name: "sharded journaled", args: []string{"-shards", "4", "-journal", "j"}},
-		{name: "zero durations are valid", args: []string{"-batch-window", "0s", "-compact-every", "0s"}},
+		{name: "zero durations are valid", args: []string{"-compact-every", "0s"}},
 		{name: "zero users", args: []string{"-users", "0"}},
 		{name: "load and save single shard", args: []string{"-load", "a.json", "-save", "b.json"}},
 
@@ -46,7 +46,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative shards", args: []string{"-shards", "-2"}, wantErr: "-shards must be at least 1"},
 		{name: "negative users", args: []string{"-users", "-1"}, wantErr: "-users must not be negative"},
 		{name: "negative ban-after", args: []string{"-ban-after", "-1"}, wantErr: "-ban-after must not be negative"},
-		{name: "negative batch window", args: []string{"-batch-window", "-1ms"}, wantErr: "-batch-window must not be negative"},
 		{name: "negative compact interval", args: []string{"-compact-every", "-1s"}, wantErr: "-compact-every must not be negative"},
 		{name: "load with shards", args: []string{"-shards", "2", "-load", "a.json"}, wantErr: "single-shard only"},
 		{name: "save with shards", args: []string{"-shards", "2", "-save", "b.json"}, wantErr: "single-shard only"},
@@ -108,7 +107,7 @@ func TestParseFlagDefaults(t *testing.T) {
 	if o.Shards != 1 || o.Users != 1000 || o.Seed != 1 || o.Addr != ":8080" {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	if o.BatchWindow != 2*time.Millisecond || o.CompactEvery != 5*time.Minute {
+	if o.CompactEvery != 5*time.Minute {
 		t.Fatalf("unexpected duration defaults: %+v", o)
 	}
 	if err := o.validate(); err != nil {
@@ -226,7 +225,7 @@ func wonSlots(imps []ad.Impression) []int {
 func TestOpenBackendJournaledShards(t *testing.T) {
 	logger := log.New(io.Discard, "", 0)
 	dir := t.TempDir()
-	opts := parseForTest(t, "-users", "60", "-shards", "2", "-journal", dir, "-batch-window", "0s")
+	opts := parseForTest(t, "-users", "60", "-shards", "2", "-journal", dir)
 
 	n1, err := openBackend(opts, logger)
 	if err != nil {

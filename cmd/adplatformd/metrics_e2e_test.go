@@ -30,7 +30,7 @@ func bootObservedStack(t *testing.T) (*httptest.Server, serverBackend) {
 	if err := os.WriteFile(keys, []byte(`{"tenants": [{"name": "observed", "key": "`+testTenantKey+`"}]}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	opts := parseForTest(t, "-users", "200", "-shards", "4", "-journal", t.TempDir(), "-batch-window", "0s",
+	opts := parseForTest(t, "-users", "200", "-shards", "4", "-journal", t.TempDir(),
 		"-gateway", "-keys", keys)
 	n, err := openBackend(opts, logger)
 	if err != nil {

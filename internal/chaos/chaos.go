@@ -133,11 +133,10 @@ type Config struct {
 	// Net, when non-nil, runs the cluster over real loopback RPC with
 	// this link-fault configuration. Nil runs shards in-process.
 	Net *faults.NetConfig
-	// SegmentBytes and BatchWindow are passed to each shard's journal;
-	// small segments make rotation, snapshot shadowing, and tail repair
-	// happen constantly instead of rarely.
+	// SegmentBytes is passed to each shard's journal; small segments make
+	// rotation, snapshot shadowing, and tail repair happen constantly
+	// instead of rarely.
 	SegmentBytes int64
-	BatchWindow  time.Duration
 	// Dir is the scratch directory for shard journals. Empty creates a
 	// temp dir, removed again when the run passes (kept on failure, and
 	// always kept when Keep is set, so a failing seed's disk state is
@@ -467,7 +466,6 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			ffs: ffs,
 			jopts: journal.Options{
 				SegmentBytes: cfg.SegmentBytes,
-				BatchWindow:  cfg.BatchWindow,
 				FS:           ffs,
 			},
 			boot: func() (*platform.Platform, error) {

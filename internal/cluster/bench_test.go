@@ -118,15 +118,14 @@ func BenchmarkClusterMixedWorkload(b *testing.B) {
 }
 
 // BenchmarkClusterCreateCampaignJournaled is one advertiser creating
-// campaigns back to back on two journaled shards that really fsync, under
-// the daemon's default 2 ms window: the shards commit side by side and a
-// serial writer waits out no spacing, so ns/op must read about one journal
-// commit (BenchmarkAppendSerial in internal/journal), not two windows.
+// campaigns back to back on two journaled shards that really fsync: the
+// shards commit side by side, so ns/op must read about one journal commit
+// (BenchmarkAppendSerial in internal/journal), not two.
 func BenchmarkClusterCreateCampaignJournaled(b *testing.B) {
 	root := b.TempDir()
 	shards := make([]cluster.Shard, 2)
 	for i := range shards {
-		jp, err := platform.OpenJournaled(filepath.Join(root, fmt.Sprint(i)), journal.Options{BatchWindow: 2 * time.Millisecond},
+		jp, err := platform.OpenJournaled(filepath.Join(root, fmt.Sprint(i)), journal.Options{},
 			func() (*platform.Platform, error) { return platform.New(platform.Config{Seed: uint64(i + 1)}), nil })
 		if err != nil {
 			b.Fatal(err)
@@ -142,11 +141,6 @@ func BenchmarkClusterCreateCampaignJournaled(b *testing.B) {
 		b.Fatal(err)
 	}
 	params := campaignNamed("bench")
-	for i := 0; i < 8; i++ { // a journal spaces a writer's first few writes
-		if _, err := c.CreateCampaign("bench", params); err != nil {
-			b.Fatal(err)
-		}
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.CreateCampaign("bench", params); err != nil {

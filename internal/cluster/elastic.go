@@ -326,7 +326,10 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 	c.m.reshardTotal.Inc()
 	c.m.reshardUsersMoved.Add(uint64(total))
 	c.m.reshardCutover.Observe(rep.Cutover)
-	c.pushRing(context.Background())
+	// A slot that left is pushed the ring too: its address is in no slot of
+	// it, so its gate refuses every user op as stale and a router still on
+	// the old ring refreshes instead of reading a moved user as unknown.
+	c.pushRing(context.Background(), cur[min(len(cur), len(next)):]...)
 	return rep, nil
 }
 
@@ -514,12 +517,13 @@ func memberAddr(s Shard) string {
 }
 
 // pushRing best-effort pushes current membership to every networked
-// member. Failures are ignored: a node that missed the push answers the
-// next misrouted call with a stale-ring refusal, and the router's refresh
-// path converges it.
-func (c *Cluster) pushRing(ctx context.Context) {
+// member, and to those of the slots in left, which it no longer names.
+// Failures are ignored: a node that missed the push answers the next
+// misrouted call with a stale-ring refusal, and the router's refresh path
+// converges it.
+func (c *Cluster) pushRing(ctx context.Context, left ...*ReplicaSet) {
 	info, slots := c.RingAndSlots()
-	for _, rs := range slots {
+	for _, rs := range append(slots, left...) {
 		for _, m := range rs.state.Load().members {
 			if nm, ok := m.(networkedMember); ok {
 				_ = nm.PushRing(ctx, info)

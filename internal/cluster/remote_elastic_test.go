@@ -157,6 +157,112 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 	}
 }
 
+// TestShrinkPushesTheRingToTheRemovedNode: router A shrinks 2→1 while router
+// B still holds ring v1. The removed node must hold the ring that removed
+// it, so its gate refuses B's read of a user that moved off it as stale
+// (not 404 unknown user); B refreshes and reads the user on its new owner.
+// Re-adding the same node afterwards bootstraps it and it serves again.
+func TestShrinkPushesTheRingToTheRemovedNode(t *testing.T) {
+	root := t.TempDir()
+	nodes := make([]*elasticNode, 2)
+	dialed := map[string]cluster.Shard{}
+	remote := func(addr string) cluster.Shard {
+		cl := rpc.NewClient(addr, rpc.Options{Secret: elasticSecret})
+		t.Cleanup(cl.Close)
+		return cluster.NewRemoteShard(cl)
+	}
+	router := func() *cluster.Cluster {
+		c, err := cluster.New([]cluster.Shard{remote(nodes[0].addr), remote(nodes[1].addr)}, cluster.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for i := range nodes {
+		nodes[i] = newElasticNode(t, filepath.Join(root, fmt.Sprintf("node-%d", i)), stats.SubSeed(95, uint64(i)))
+		nodes[i].srv.SetGate(cluster.NewGate(nodes[i].addr))
+	}
+	routerA, routerB := router(), router()
+	ri := routerA.RingInfo()
+	for _, n := range nodes {
+		if err := n.client.PushRing(context.Background(), ri); err != nil {
+			t.Fatal(err)
+		}
+	}
+	routerB.SetMembershipSource(&cluster.RemoteMembershipSource{
+		Seeds: []*rpc.Client{nodes[0].client, nodes[1].client},
+		Dial: func(si rpc.ShardInfo) *cluster.ReplicaSet {
+			s, ok := dialed[si.Addr]
+			if !ok {
+				s = remote(si.Addr)
+				dialed[si.Addr] = s
+			}
+			return cluster.NewReplicaSet(s)
+		},
+	})
+	users, _ := populateElastic(t, routerA, 32)
+	var moved profile.UserID
+	for _, u := range users {
+		if routerB.Owner(u) == 1 {
+			moved = u
+			break
+		}
+	}
+	if moved == "" {
+		t.Fatal("no user on the slot to be removed")
+	}
+	want, err := routerA.AdPreferences(moved)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := routerA.RemoveShard(); err != nil {
+		t.Fatalf("RemoveShard over the wire: %v", err)
+	}
+	if got, err := nodes[1].client.FetchRing(context.Background()); err != nil || got.Version != 2 || len(got.Shards) != 1 {
+		t.Fatalf("removed node serves ring %+v (%v), want v2 with 1 slot", got, err)
+	}
+	if _, err := nodes[1].client.AdPreferences(context.Background(), moved); !errors.Is(err, rpc.ErrStaleRing) {
+		t.Fatalf("removed node asked for moved user %s: %v, want ErrStaleRing", moved, err)
+	}
+
+	// Router B routes the user to the removed node, is refused, refreshes.
+	if routerB.Version() != 1 {
+		t.Fatalf("router B at version %d before the refusal", routerB.Version())
+	}
+	got, err := routerB.AdPreferences(moved)
+	if err != nil {
+		t.Fatalf("stale router AdPreferences(%s): %v", moved, err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stale router read %v for %s, want %v", got, moved, want)
+	}
+	if routerB.Version() != 2 || routerB.Shards() != 1 {
+		t.Fatalf("router B at version %d with %d shards after refresh, want v2 with 1", routerB.Version(), routerB.Shards())
+	}
+
+	// The same address joins again: bootstrapped over its stale state, it
+	// takes users and serves them.
+	rep, err := routerA.AddShard(remote(nodes[1].addr))
+	if err != nil {
+		t.Fatalf("re-adding the removed node: %v", err)
+	}
+	if rep.UsersMoved == 0 || rep.Version != 3 {
+		t.Fatalf("re-add moved %d users at v%d, want some at v3", rep.UsersMoved, rep.Version)
+	}
+	for _, u := range users {
+		if routerA.Owner(u) != 1 {
+			continue
+		}
+		if nodes[1].jp.User(u) == nil {
+			t.Fatalf("re-added node does not hold %s", u)
+		}
+		if _, err := nodes[1].client.AdPreferences(context.Background(), u); err != nil {
+			t.Fatalf("re-added node AdPreferences(%s): %v", u, err)
+		}
+	}
+}
+
 // oneOpTransport sends one rpc op through faulty and the rest through clean.
 type oneOpTransport struct {
 	op            string

@@ -39,14 +39,12 @@ func BenchmarkAppendSyncEach(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendLone is the idle-shard case under the daemon's default
-// 2 ms window: one appender whose every Append finds the previous fsync at
-// least a window old (the untimed sleep), so it leads a flush that does not
-// wait. It must read about one fsync (BenchmarkAppendSyncEach), not the
-// window plus one.
+// BenchmarkAppendLone is the idle-shard case: one appender whose every
+// Append finds the journal idle for a couple of milliseconds (the untimed
+// sleep). It must read about one fsync (BenchmarkAppendSyncEach), not the
+// idle gap plus one.
 func BenchmarkAppendLone(b *testing.B) {
-	const window = 2 * time.Millisecond
-	j, err := Open(b.TempDir(), Options{BatchWindow: window})
+	j, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -56,7 +54,7 @@ func BenchmarkAppendLone(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		time.Sleep(window)
+		time.Sleep(2 * time.Millisecond)
 		b.StartTimer()
 		if _, err := j.Append(p); err != nil {
 			b.Fatal(err)
@@ -64,23 +62,15 @@ func BenchmarkAppendLone(b *testing.B) {
 	}
 }
 
-// BenchmarkAppendSerial is one appender coming straight back under the same
-// window, past the first few appends that show it serial: nobody could share
-// a spacing wait, so it must read about one fsync too, not
-// max(window, fsync), and every append has its own.
+// BenchmarkAppendSerial is one appender coming straight back: it must read
+// about one fsync too, and every append has its own.
 func BenchmarkAppendSerial(b *testing.B) {
-	j, err := Open(b.TempDir(), Options{BatchWindow: 2 * time.Millisecond})
+	j, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer j.Close()
 	p := benchPayload()
-	for i := 0; i < serialAfter; i++ {
-		if _, err := j.Append(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-	fsyncs := j.m.fsyncs.Value()
 	b.SetBytes(benchPayloadSize)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -89,14 +79,13 @@ func BenchmarkAppendSerial(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(j.m.fsyncs.Value()-fsyncs)/float64(b.N), "fsyncs/op")
+	b.ReportMetric(float64(j.m.fsyncs.Value())/float64(b.N), "fsyncs/op")
 }
 
-// BenchmarkAppendGroupCommit runs 8 appenders per CPU against the 2 ms
-// window adplatformd -journal defaults to: appends that arrive while an
-// fsync runs, or inside the spacing after it, share the next one.
+// BenchmarkAppendGroupCommit runs 8 appenders per CPU: appends that arrive
+// while an fsync runs share the next one.
 func BenchmarkAppendGroupCommit(b *testing.B) {
-	j, err := Open(b.TempDir(), Options{BatchWindow: 2 * time.Millisecond})
+	j, err := Open(b.TempDir(), Options{})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,10 +1,10 @@
 package journal
 
-// Tests for the group-commit flush path: fsync spacing (an idle journal and
-// a serial writer never sleep, overlapping writers sync at most once per
-// window), appends that
-// proceed while the disk syncs, and recovery after a crash at any
-// filesystem call with concurrent appenders and constant rotation.
+// Tests for the group-commit flush path: a flush leader fsyncs the moment it
+// is elected (one fsync per serial write, the next batch as soon as the
+// previous one publishes), appends proceed while the disk syncs, and
+// recovery holds after a crash at any filesystem call with concurrent
+// appenders and constant rotation.
 
 import (
 	"errors"
@@ -102,7 +102,8 @@ func within(t *testing.T, what string, fn func()) {
 	}
 }
 
-// A lone append on an idle journal costs one fsync, not the window.
+// A lone append on an idle journal costs one fsync, not the window. The
+// deprecated window is set to show it is ignored.
 func TestLoneAppendDoesNotWaitOutWindow(t *testing.T) {
 	const window = 250 * time.Millisecond
 	gfs := newGateFS(faults.OS{})
@@ -189,67 +190,9 @@ func TestAppendsProceedDuringFsync(t *testing.T) {
 	}
 }
 
-// Appends that arrive inside one window share the fsync at its end, and
-// under sustained load fsyncs start no closer together than the window.
-func TestFsyncSpacingUnderLoad(t *testing.T) {
-	const window = 100 * time.Millisecond
-	gfs := newGateFS(faults.OS{})
-	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
-	defer j.Close()
-
-	if _, err := j.Append([]byte("opens the window")); err != nil {
-		t.Fatal(err)
-	}
-	// All buffered before anyone waits, so the count below cannot depend
-	// on how the test goroutine is scheduled.
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		_, wait, err := j.AppendBuffered([]byte("inside the window"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := wait(); err != nil {
-				t.Errorf("wait: %v", err)
-			}
-		}()
-	}
-	wg.Wait()
-	starts := gfs.syncStarts()
-	if len(starts) != 2 {
-		t.Fatalf("%d fsyncs for 17 appends inside one window, want 2", len(starts))
-	}
-	if gap := starts[1].Sub(starts[0]); gap < window/2 {
-		t.Fatalf("second fsync started %v after the first, want about the %v window", gap, window)
-	}
-
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 8; i++ {
-				if _, err := j.Append([]byte("sustained")); err != nil {
-					t.Errorf("append: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	// n fsyncs spaced a window apart span (n-1) windows; one window of
-	// slack absorbs scheduling jitter at the two ends of the measurement.
-	starts = gfs.syncStarts()
-	n, span := len(starts), starts[len(starts)-1].Sub(starts[0])
-	if time.Duration(n-2)*window > span {
-		t.Fatalf("%d fsyncs started within %v: closer together than the %v window", n, span, window)
-	}
-}
-
-// A lone writer issuing appends back to back has nobody to share a spacing
-// wait with: once its first few appends have shown it serial, each costs its
-// fsync and nothing more.
+// A writer appending back to back pays one fsync per write and nothing
+// more, from its first append onwards. The deprecated window is set to show
+// it is ignored.
 func TestSerialWriterPaysOneFsyncPerWrite(t *testing.T) {
 	const (
 		window = 100 * time.Millisecond
@@ -263,67 +206,20 @@ func TestSerialWriterPaysOneFsyncPerWrite(t *testing.T) {
 		if _, err := j.Append([]byte("serial")); err != nil {
 			t.Fatal(err)
 		}
+		if n := len(gfs.syncStarts()); n != i+1 {
+			t.Fatalf("%d fsyncs after %d serial appends, want one each", n, i+1)
+		}
 	}
 	if d := time.Since(start); d > writes*window/2 {
-		t.Fatalf("%d back-to-back appends took %v with a %v window: a writer with nobody to batch with waited out the spacing", writes, d, window)
-	}
-	if n := len(gfs.syncStarts()); n != writes {
-		t.Fatalf("%d fsyncs for %d serial appends, want one each", n, writes)
-	}
-	if n := j.m.spacedFlushes.Value(); n >= serialAfter {
-		t.Fatalf("%d flushes waited out the spacing, want fewer than %d", n, serialAfter)
+		t.Fatalf("%d back-to-back appends took %v with a %v window: a flush waited before its fsync", writes, d, window)
 	}
 }
 
-// Two writers whose records are pending together are overlapping writers:
-// every batch holds both records, and fsyncs start no closer together than
-// the window.
-func TestTwoAlternatingWritersStaySpaced(t *testing.T) {
-	const (
-		window = 100 * time.Millisecond
-		rounds = 5
-	)
-	gfs := newGateFS(faults.OS{})
-	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
-	defer j.Close()
-	for r := 0; r < rounds; r++ {
-		// Both buffered before either waits, so no batch can hold just one.
-		_, waitA, err := j.AppendBuffered([]byte("writer a"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, waitB, err := j.AppendBuffered([]byte("writer b"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := make(chan error, 1)
-		go func() { a <- waitA() }()
-		if err := waitB(); err != nil {
-			t.Fatal(err)
-		}
-		if err := <-a; err != nil {
-			t.Fatal(err)
-		}
-	}
-	batches := j.m.batchRecords.Snapshot()
-	if batches.Count != rounds || batches.SumNanos != uint64(2*rounds*time.Second) {
-		t.Fatalf("batch_records = %d batches, %d records; want %d batches of two",
-			batches.Count, batches.SumNanos/uint64(time.Second), rounds)
-	}
-	// The leader sleeps until a full window after its predecessor's start, so
-	// a gap can fall short only by how the two batch writes differ.
-	starts := gfs.syncStarts()
-	for i := 1; i < len(starts); i++ {
-		if gap := starts[i].Sub(starts[i-1]); gap < window*9/10 {
-			t.Fatalf("fsync %d started %v after fsync %d, want at least the %v window", i, gap, i-1, window)
-		}
-	}
-}
-
-// Two writers taking turns — each appends while the other's fsync runs — never
-// have two records pending at an election, yet they overlap: the one that
-// appended during the fsync is spaced a window behind it.
-func TestWriterAppendingDuringFsyncIsSpaced(t *testing.T) {
+// Two writers taking turns — each appends while the other's fsync runs: the
+// record appended during a's fsync is flushed the moment a's publishes. The
+// deprecated 100 ms window is set to show it is ignored: the gap is
+// scheduling only.
+func TestNextFlushStartsWhenThePreviousPublishes(t *testing.T) {
 	const window = 100 * time.Millisecond
 	gfs := newGateFS(faults.OS{})
 	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
@@ -341,6 +237,7 @@ func TestWriterAppendingDuringFsyncIsSpaced(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		released := time.Now()
 		release()
 		if err := waitB(); err != nil {
 			t.Fatal(err)
@@ -353,22 +250,18 @@ func TestWriterAppendingDuringFsyncIsSpaced(t *testing.T) {
 		if n := len(starts); n != 2*(r+1) {
 			t.Fatalf("%d fsyncs after round %d, want one per record", n, r)
 		}
-		if gap := starts[2*r+1].Sub(starts[2*r]); gap < window*9/10 {
-			t.Fatalf("round %d: b's fsync started %v after a's, want at least the %v window", r, gap, window)
+		if gap := starts[2*r+1].Sub(released); gap > window/2 {
+			t.Fatalf("round %d: b's fsync started %v after a's was released, want at once (the %v window is ignored)", r, gap, window)
 		}
 	}
 }
 
-// Sync, TailSince and Close lead a flush like any waiter: on a journal
-// whose last fsync is older than the window they do not sleep, and with
-// nothing pending they do not touch the disk. Each leads a batch of two
-// records, so only the journal's idleness excuses it from the spacing, and
-// "did not sleep" is read off the journal's own count of flushes that did:
-// a wall-clock bound on the call fails under a scheduler stall.
+// Sync, TailSince and Close lead a flush like any waiter: with nothing
+// pending they do not touch the disk, and with records pending each leads
+// exactly one fsync for all of them.
 func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
-	const window = 200 * time.Millisecond
 	gfs := newGateFS(faults.OS{})
-	j := openT(t, t.TempDir(), Options{BatchWindow: window, FS: gfs})
+	j := openT(t, t.TempDir(), Options{FS: gfs})
 	if _, err := j.Append([]byte("durable")); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +279,6 @@ func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
 		{"TailSince", func() error { return j.TailSince(0, func(uint64, []byte) error { return nil }) }},
 		{"Close", j.Close},
 	} {
-		time.Sleep(window) // idle again
 		for i := 0; i < 2; i++ {
 			if _, _, err := j.AppendBuffered([]byte("buffered")); err != nil {
 				t.Fatal(err)
@@ -394,9 +286,6 @@ func TestIdleJournalOpsDoNotWaitOutWindow(t *testing.T) {
 		}
 		if err := op.fn(); err != nil {
 			t.Fatalf("%s: %v", op.what, err)
-		}
-		if n := j.m.spacedFlushes.Value(); n != 0 {
-			t.Fatalf("%s with a %v window: it slept on an idle journal", op.what, window)
 		}
 	}
 	if n := len(gfs.syncStarts()); n != 4 {

@@ -10,10 +10,10 @@
 // flush is running becomes the flush leader: it swaps the pending buffer
 // for the spare one, then writes and fsyncs the batch with no lock held,
 // so records appended meanwhile collect in the other buffer and are covered
-// by the next fsync. The fsync is the batching interval — an idle journal
-// costs one fsync per append, a busy one amortizes each fsync over whatever
-// arrived during the previous one — and Options.BatchWindow only spaces
-// the fsync starts of overlapping writers apart.
+// by the next fsync. The fsync is the only batching interval: a leader
+// flushes the moment it is elected, so an idle journal costs one fsync per
+// append and a busy one amortizes each fsync over whatever arrived during
+// the previous one.
 //
 // Crash behaviour: a crash can lose at most the records whose Append (or
 // whose AppendBuffered wait) had not yet returned. A partially written
@@ -57,11 +57,6 @@ const DefaultSegmentBytes = 64 << 20
 // buffer for the life of the journal.
 const maxSpareBytes = 1 << 20
 
-// serialAfter is how many flushes in a row with no record appended while an
-// earlier one was pending show a serial writer. Concurrent writers produce
-// short such runs too, and gain from the spacing; four long, practically never.
-const serialAfter = 4
-
 // ErrFailed marks the journal's sticky terminal state: a write, fsync, or
 // rotation failed, the durable prefix of the active segment is unknown, and
 // the journal refuses all further appends and snapshots. Test with
@@ -74,17 +69,8 @@ type Options struct {
 	// threshold, at the next batch boundary. Zero selects
 	// DefaultSegmentBytes.
 	SegmentBytes int64
-	// BatchWindow is the minimum spacing between the fsync starts of
-	// overlapping writers: a flush leader whose predecessor started less
-	// than this long ago waits out the remainder, so appends arriving
-	// meanwhile share its fsync — unless the writer has shown itself serial
-	// (serialAfter), when nobody could share the wait. An idle journal never
-	// sleeps, a lone writer appending back to back stops after its first few
-	// writes, concurrent writers sync at most once per window. No commit
-	// waits longer than under a fixed per-batch sleep of the same length: a
-	// leader elected at t, whose predecessor started at s <= t, with an
-	// fsync taking F, finishes by max(t, s+W)+F <= t+W+F. Zero imposes no
-	// spacing (batches still form underneath a slow fsync).
+	// Deprecated: ignored. A flush leader never waits before its fsync;
+	// batches form underneath the running one.
 	BatchWindow time.Duration
 	// NoSync skips fsync entirely. Appends are still written through to
 	// the OS, but nothing is durable across a machine crash. For tests and
@@ -128,17 +114,15 @@ type Journal struct {
 	durable  uint64 // highest LSN known written and fsynced
 	snapLSN  uint64 // the newest snapshot's LSN (0 with none): compaction may have deleted through it
 	flushing bool   // the flush lock: set while a leader owns the fields below
-	lone     int    // flush elections since a record was last appended while an earlier one was not yet durable
 	closed   bool
 	failed   error // sticky error wrapping ErrFailed; the journal is dead after one
 
 	// Owned by whoever holds the flush lock (Close takes them over once
 	// closed is set and no leader is left): everything that touches the
 	// active segment file — batch write, fsync, rotation, close.
-	f         faults.File
-	size      int64     // bytes written to the active segment
-	spare     []byte    // the swap buffer not currently collecting appends
-	lastFlush time.Time // when the previous flush started
+	f     faults.File
+	size  int64  // bytes written to the active segment
+	spare []byte // the swap buffer not currently collecting appends
 }
 
 // Open opens (creating if needed) the journal in dir. A torn tail on the
@@ -275,9 +259,6 @@ func (j *Journal) AppendBuffered(payload []byte) (uint64, func() error, error) {
 	}
 	start := time.Now()
 	lsn := j.nextLSN
-	if lsn-1 > j.durable {
-		j.lone = 0 // writers overlap
-	}
 	j.pending = appendRecord(j.pending, payload)
 	j.nextLSN++
 	j.mu.Unlock()
@@ -310,10 +291,8 @@ func (j *Journal) waitDurable(lsn uint64) error {
 			continue
 		}
 		j.flushing = true
-		serial := j.lone >= serialAfter
-		j.lone++
 		j.mu.Unlock()
-		covered, err := j.flush(serial)
+		covered, err := j.flush()
 		j.mu.Lock()
 		j.flushing = false
 		if err != nil {
@@ -329,23 +308,17 @@ func (j *Journal) waitDurable(lsn uint64) error {
 
 // flush runs one group commit and returns the highest LSN it made durable.
 // The caller holds the flush lock, and is only elected while some record is
-// not yet durable, so the batch is never empty. The spacing is waited out
-// unless serial: the election found a serial writer (serialAfter).
-// Any error leaves the segment's durable prefix unknown — appending past it
-// would risk acknowledging records behind an unwritten hole — so the caller
-// marks the journal failed.
+// not yet durable, so the batch is never empty. It writes at once: whatever
+// arrives during its fsync is the next batch. Any error leaves the segment's
+// durable prefix unknown — appending past it would risk acknowledging
+// records behind an unwritten hole — so the caller marks the journal failed.
 //
 // Rotation happens here, after the batch's fsync has sealed the segment
 // and before the caller publishes durability: the order of filesystem calls
 // is then a function of the record stream alone, which seeded fault
 // schedules replay against.
-func (j *Journal) flush(serial bool) (uint64, error) {
-	if wait := j.opts.BatchWindow - time.Since(j.lastFlush); wait > 0 && !serial {
-		time.Sleep(wait)
-		j.m.spacedFlushes.Inc()
-	}
-	j.lastFlush = time.Now()
-
+func (j *Journal) flush() (uint64, error) {
+	start := time.Now()
 	j.mu.Lock()
 	if j.closed {
 		j.mu.Unlock()
@@ -376,7 +349,7 @@ func (j *Journal) flush(serial bool) (uint64, error) {
 		}
 		j.m.rotations.Inc()
 	}
-	j.m.fsyncSeconds.ObserveSince(j.lastFlush)
+	j.m.fsyncSeconds.ObserveSince(start)
 	j.m.fsyncs.Inc()
 	j.m.batchRecords.Observe(time.Duration(records) * time.Second)
 	return covered, nil

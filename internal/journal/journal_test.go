@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"github.com/treads-project/treads/internal/faults"
 )
@@ -556,7 +555,7 @@ func TestRecordSizeLimits(t *testing.T) {
 
 func TestConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
-	j := openT(t, dir, Options{BatchWindow: 200 * time.Microsecond, NoSync: true})
+	j := openT(t, dir, Options{NoSync: true})
 	const goroutines, perG = 8, 50
 	var wg sync.WaitGroup
 	lsnCh := make(chan uint64, goroutines*perG)
@@ -594,10 +593,10 @@ func TestConcurrentAppends(t *testing.T) {
 }
 
 func TestGroupCommitDurability(t *testing.T) {
-	// With real fsync and a batch window, concurrent appends must all be
-	// durable when Append returns — verified by reopening the directory.
+	// With real fsync, concurrent appends must all be durable when Append
+	// returns — verified by reopening the directory.
 	dir := t.TempDir()
-	j := openT(t, dir, Options{BatchWindow: time.Millisecond})
+	j := openT(t, dir, Options{})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

@@ -18,7 +18,6 @@ type Metrics struct {
 	batchRecords     *obs.Histogram
 	appends          *obs.Counter
 	fsyncs           *obs.Counter
-	spacedFlushes    *obs.Counter // flushes that slept out a remainder of the batch window
 	rotations        *obs.Counter
 	snapshots        *obs.Counter
 	recoveredRecords *obs.Counter
@@ -35,7 +34,7 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 			"Write-ahead journal group-commit time: batch write plus fsync of the active segment, plus its rotation when the batch fills it.",
 			"shard").With(shard),
 		commitWaitSeconds: reg.HistogramVec("journal_commit_wait_seconds",
-			"Per record, time from its append returning to its durability wait returning: caller work after the append, fsync spacing, queueing behind a running fsync, and the fsync that covers it.",
+			"Per record, time from its append returning to its durability wait returning: caller work after the append, queueing behind a running fsync, and the fsync that covers it.",
 			"shard").With(shard),
 		batchRecords: reg.HistogramVec("journal_batch_records",
 			"Records made durable per group commit (a count, not seconds): sum is records, count is fsyncs.",
@@ -45,9 +44,6 @@ func NewMetrics(reg *obs.Registry, shard string) *Metrics {
 			"shard").With(shard),
 		fsyncs: reg.CounterVec("journal_fsyncs_total",
 			"Group commits (flush+fsync batches) the journal has performed.",
-			"shard").With(shard),
-		spacedFlushes: reg.CounterVec("journal_spaced_flushes_total",
-			"Group commits that first slept out the remainder of the batch window: overlapping writers' and the first few of a serial writer, whose later ones never count here.",
 			"shard").With(shard),
 		rotations: reg.CounterVec("journal_segment_rotations_total",
 			"Segment rotations: active segment sealed and a fresh one opened.",
