@@ -72,11 +72,13 @@ chaos-smoke:
 
 # Real-binary and acceptance end-to-end tests: the gateway overload and
 # state-equivalence suite, three shard processes with one SIGKILLed and
-# recovered from its journal, and one browse assembling into one trace
-# across a gateway-fronted router and two shard processes.
+# recovered from its journal, one browse assembling into one trace across
+# a gateway-fronted router and two shard processes, and the binary booting,
+# serving and exiting on SIGTERM in single mode (the user_single flag list)
+# and as a journaled -shards 3 process.
 e2e:
 	$(GO) test -race -count=1 -run 'TestOverloadProtectsUserSLO|TestGatewayStateEquivalence' -v ./internal/gateway/
-	$(GO) test -race -count=1 -run 'TestMultiProcessClusterE2E|TestMultiProcessTraceAssembly' -v ./cmd/adplatformd/
+	$(GO) test -race -count=1 -run 'TestMultiProcessClusterE2E|TestMultiProcessTraceAssembly|TestSingleProcessBootE2E' -v ./cmd/adplatformd/
 
 # TREADS_INDEX_BENCH_USERS caps the index benchmarks' population (their
 # default is the 1M-user acceptance scale).

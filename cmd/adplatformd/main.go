@@ -13,6 +13,14 @@
 //	adplatformd -peers host:port[/replica:port...],... [-rpc-secret S]
 //	            [-rpc-timeout 2s] [-hedge-after 0] [-peer-wait 30s] ...
 //
+// The flags put the process in one of four modes, each booted the same
+// way — open the shards it holds, serve the only one bare or a cluster
+// over them, build the mode's front end: single (the default) holds one
+// shard; shards (-shards N) holds N under the cluster coordinator; node
+// (-shard-serve) holds shard I of N and serves the internal RPC surface
+// (/rpc/v1/...) instead of the public API; router (-peers) holds none and
+// serves the public API over a fleet of nodes.
+//
 // Without -load, the platform starts pre-populated with a deterministic
 // synthetic population (user IDs user-000000 .. user-NNNNNN) so Treads
 // flows can be driven immediately with curl or the client SDK:
@@ -21,20 +29,15 @@
 //	curl "localhost:8080/api/v1/attributes?q=net+worth"
 //	curl "localhost:8080/pixel/px-000001?uid=user-000000"
 //
-// With -shards N (N > 1), the population is partitioned across N
-// independent platform shards by consistent hashing on the user ID; user
-// requests route to the owning shard, advertiser mutations replicate to
-// every shard, and aggregate reads merge exact per-shard totals before
-// privacy thresholds apply. The HTTP API is identical — sharding is
-// invisible on the wire. -load/-save snapshots are single-shard only.
-//
-// The second and third forms split one logical cluster across processes
-// (or machines). A node with -shard-serve holds shard I of N and serves
-// the internal shard RPC surface (/rpc/v1/...) instead of the public API;
-// give each node its own -journal directory for crash recovery. A node
-// with -peers is a router: it holds no user state, connects one RPC client
-// per shard node (retries, deadlines, hedged reads, circuit breaking), and
-// serves the identical public HTTP API over the remote cluster. Both sides
+// Sharding partitions the population by consistent hashing on the user
+// ID; user requests route to the owning shard, advertiser mutations
+// replicate to every shard, and aggregate reads merge exact per-shard
+// totals before privacy thresholds apply. The HTTP API is identical —
+// sharding is invisible on the wire. Nodes and a router split one logical
+// cluster across processes (or machines); give each node its own -journal
+// directory. A router connects one RPC client per shard node
+// (retries, deadlines, hedged reads, circuit breaking), and serves the
+// identical public HTTP API over the remote cluster. Both sides
 // authenticate shard RPCs with -rpc-secret (or the ADPLATFORM_RPC_SECRET
 // environment variable), compared in constant time. The router gates
 // startup on every shard node reporting healthy within -peer-wait.
@@ -59,10 +62,10 @@
 // journal before it is acknowledged, so a crash or kill -9 loses nothing:
 // the next run with the same -journal recovers the newest snapshot and
 // deterministically replays the journal suffix (-load/-users/-seed only
-// shape the very first boot of the directory). Sharded servers keep one
-// journal per shard under <dir>/shard-<i>/, each recovered independently
-// at boot. The journal is compacted in the background every
-// -compact-every, and on demand via POST /admin/v1/compact.
+// shape the very first boot of the directory). -shards N keeps one journal
+// per shard under <dir>/shard-NNN/ (NNN the three-digit shard index), each
+// recovered independently at boot. The journal is compacted in the
+// background every -compact-every, and on demand via POST /admin/v1/compact.
 //
 // Metrics are always exported: GET /metrics on the API address serves
 // every registered metric family (request latency, per-shard routing,
@@ -72,11 +75,11 @@
 // copy of /metrics; keep that address private, pprof exposes heap and
 // goroutine internals.
 //
-// With -save, the full platform state (accounts, audiences, campaigns,
-// feeds, billing) is written as JSON on SIGINT/SIGTERM — atomically, via a
-// temp file and rename; a later run with -load resumes from it. Shutdown
-// is graceful either way: in-flight requests drain before the process
-// exits.
+// In single mode, -save writes the full platform state (accounts,
+// audiences, campaigns, feeds, billing) as JSON on SIGINT/SIGTERM —
+// atomically, via a temp file and rename; a later run with -load resumes
+// from it. Shutdown is graceful either way: in-flight requests drain before
+// the process exits.
 package main
 
 import (
@@ -90,11 +93,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
 
-	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/gateway"
 	"github.com/treads-project/treads/internal/httpapi"
@@ -182,7 +185,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Keys, "keys", "", "tenant key file (JSON) for the edge gateway")
 	fs.IntVar(&o.GatewayInflight, "gateway-inflight", 256, "total admitted-request budget for gateway load shedding")
 	fs.DurationVar(&o.GatewaySLO, "gateway-slo", 0, "backend latency SLO driving the gateway's adaptive inflight budget (0 = fixed budget)")
-	fs.StringVar(&o.UsageJournal, "usage-journal", "", "usage-ledger journal directory (default <journal>/usage when -journal is set)")
+	fs.StringVar(&o.UsageJournal, "usage-journal", "", "usage-ledger journal directory (defaults to the usage subdirectory of -journal)")
 	fs.BoolVar(&o.ShardServe, "shard-serve", false, "serve the internal shard RPC surface instead of the public HTTP API")
 	fs.IntVar(&o.ShardIndex, "shard-index", 0, "this node's shard index (with -shard-serve)")
 	fs.IntVar(&o.ShardCount, "shard-count", 1, "total shard nodes in the cluster (with -shard-serve)")
@@ -190,9 +193,9 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Replicate, "replicate", "", "comma-separated follower node addresses this owner ships its journal to (with -shard-serve -journal)")
 	fs.StringVar(&o.Peers, "peers", "", "comma-separated shard-node groups, owner[/replica...] per slot; a router's seed nodes and its ring when the fleet holds none, while a fleet's newer ring is adopted at boot — change membership at runtime via the admin cluster endpoints")
 	fs.StringVar(&o.RPCSecret, "rpc-secret", "", "shared shard-RPC secret (falls back to ADPLATFORM_RPC_SECRET)")
-	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", 2*time.Second, "per-attempt deadline for shard RPCs (router mode)")
+	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", 2*time.Second, "per-attempt deadline for shard RPCs, health probes included (router and shard node)")
 	fs.DurationVar(&o.HedgeAfter, "hedge-after", 0, "hedge idempotent shard reads after this delay (0 = disabled)")
-	fs.DurationVar(&o.PeerWait, "peer-wait", 30*time.Second, "how long the router waits at startup for every shard node to report healthy")
+	fs.DurationVar(&o.PeerWait, "peer-wait", 30*time.Second, "how long to wait for dialed shard nodes to report healthy: a router's fleet at startup and each admin join, a shard node's -replicate followers (0 = one probe round)")
 	fs.DurationVar(&o.FailoverDetect, "failover-detect", 0, "probe interval for automatic failure detection and replica promotion, router mode (0 = manual failover only)")
 	fs.IntVar(&o.FailoverMisses, "failover-misses", 3, "consecutive missed probes before a slot owner is declared down (with -failover-detect)")
 	fs.IntVar(&o.FailoverHeal, "failover-heal", 4, "probe ticks between heal checks for degraded replica chains (with -failover-detect)")
@@ -206,6 +209,33 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 		o.RPCSecret = os.Getenv("ADPLATFORM_RPC_SECRET")
 	}
 	return o, nil
+}
+
+// mode is the part a process plays in a deployment.
+type mode int
+
+const (
+	modeSingle mode = iota // one in-process shard, served bare
+	modeShards             // -shards N: a cluster of N in-process shards
+	modeNode               // -shard-serve: one shard behind the RPC surface
+	modeRouter             // -peers: a cluster over remote shard nodes
+)
+
+func (m mode) String() string { return [...]string{"single", "shards", "node", "router"}[m] }
+
+// mode works out the process's mode from -shard-serve, -peers and -shards;
+// nothing else does. validate refuses the flag combinations this settles
+// by precedence.
+func (o options) mode() mode {
+	switch {
+	case o.ShardServe:
+		return modeNode
+	case o.Peers != "":
+		return modeRouter
+	case o.Shards > 1:
+		return modeShards
+	}
+	return modeSingle
 }
 
 // validate rejects flag combinations the server cannot honor, with errors
@@ -223,14 +253,8 @@ func (o options) validate() error {
 	if o.CompactEvery < 0 {
 		return fmt.Errorf("-compact-every must not be negative, got %v (0 disables background compaction)", o.CompactEvery)
 	}
-	if o.Shards > 1 && (o.Load != "" || o.Save != "") {
-		return fmt.Errorf("-load/-save snapshots are single-shard only; with -shards %d use -journal for persistence", o.Shards)
-	}
 	if o.DebugAddr != "" && o.DebugAddr == o.Addr {
 		return fmt.Errorf("-debug-addr must differ from -addr; pprof belongs on a private listener")
-	}
-	if o.ShardServe && o.Peers != "" {
-		return fmt.Errorf("-shard-serve and -peers are mutually exclusive: a node either holds a shard or routes to them")
 	}
 	if o.Gateway && o.Keys == "" {
 		return fmt.Errorf("-gateway requires -keys: the edge cannot admit tenants without a key file")
@@ -253,34 +277,11 @@ func (o options) validate() error {
 	if o.FailoverDetect < 0 {
 		return fmt.Errorf("-failover-detect must not be negative, got %v (0 disables automatic failover)", o.FailoverDetect)
 	}
-	if o.FailoverDetect > 0 && o.Peers == "" {
-		return fmt.Errorf("-failover-detect only applies in router mode (-peers): the router runs the failure detector")
-	}
 	if o.FailoverMisses < 1 {
 		return fmt.Errorf("-failover-misses must be at least 1, got %d", o.FailoverMisses)
 	}
 	if o.FailoverHeal < 1 {
 		return fmt.Errorf("-failover-heal must be at least 1, got %d", o.FailoverHeal)
-	}
-	if o.Gateway && o.ShardServe {
-		return fmt.Errorf("-gateway fronts the public API; shard nodes serve only the internal RPC surface")
-	}
-	if o.ShardServe {
-		if o.ShardCount < 1 {
-			return fmt.Errorf("-shard-count must be at least 1, got %d", o.ShardCount)
-		}
-		if o.ShardIndex < 0 || o.ShardIndex >= o.ShardCount {
-			return fmt.Errorf("-shard-index must be in [0, %d), got %d", o.ShardCount, o.ShardIndex)
-		}
-		if o.Shards != 1 {
-			return fmt.Errorf("-shards is the in-process cluster; a shard node is exactly one shard — size the fleet with -shard-count")
-		}
-		if o.Load != "" || o.Save != "" {
-			return fmt.Errorf("-load/-save snapshots do not apply to shard nodes; use -journal for durability")
-		}
-		if o.Auth {
-			return fmt.Errorf("-auth guards the public API; shard nodes authenticate with -rpc-secret")
-		}
 	}
 	if o.TraceSample < 0 || o.TraceSample > 1 {
 		return fmt.Errorf("-trace-sample must be in [0,1], got %v", o.TraceSample)
@@ -288,22 +289,44 @@ func (o options) validate() error {
 	if o.TraceRing < 1 {
 		return fmt.Errorf("-trace-ring must be positive, got %d", o.TraceRing)
 	}
-	if o.Advertise != "" && !o.ShardServe {
-		return fmt.Errorf("-advertise only applies with -shard-serve: it names the address this node appears as in ring pushes")
-	}
-	if o.Replicate != "" && !o.ShardServe {
-		return fmt.Errorf("-replicate only applies with -shard-serve: journal shipping runs on the shard owner node")
-	}
-	if o.Replicate != "" && o.JournalDir == "" {
-		return fmt.Errorf("-replicate requires -journal: followers replay the owner's journal records")
-	}
-	if o.Peers != "" {
-		if o.Shards != 1 {
-			return fmt.Errorf("-shards and -peers are mutually exclusive: the shard count of a router is the number of peers")
+
+	// Where each flag that changes what a process does applies: the
+	// "applies to" column of docs/OPERATIONS.md's flags table.
+	m := o.mode()
+	public := []mode{modeSingle, modeShards, modeRouter}
+	for _, r := range []struct {
+		set   bool
+		flag  string
+		modes []mode
+		why   string
+	}{
+		{o.Peers != "", "-peers", []mode{modeRouter}, "a node either holds a shard or routes to them"},
+		{o.Shards != 1, "-shards", []mode{modeShards}, "a shard node is one shard of -shard-count, a router's slots are its -peers"},
+		{o.Load != "" || o.Save != "", "-load/-save", []mode{modeSingle}, "a snapshot is the whole population of one shard; use -journal for persistence"},
+		{o.JournalDir != "", "-journal", []mode{modeSingle, modeShards, modeNode}, "a router's state lives on the shard nodes"},
+		{o.Auth, "-auth", public, "shard nodes authenticate with -rpc-secret"},
+		{o.Gateway, "-gateway", public, "shard nodes serve only the internal RPC surface"},
+		{o.Advertise != "", "-advertise", []mode{modeNode}, "it names the address a shard node appears as in ring pushes"},
+		{o.Replicate != "", "-replicate", []mode{modeNode}, "journal shipping runs on the shard owner node"},
+		{o.FailoverDetect > 0, "-failover-detect", []mode{modeRouter}, "the router runs the failure detector"},
+	} {
+		if r.set && !slices.Contains(r.modes, m) {
+			return fmt.Errorf("%s only applies in %v mode, not %s: %s", r.flag, r.modes, m, r.why)
 		}
-		if o.JournalDir != "" || o.Load != "" || o.Save != "" {
-			return fmt.Errorf("-journal/-load/-save do not apply to a router; state lives on the shard nodes")
+	}
+	if m == modeNode {
+		if o.ShardCount < 1 {
+			return fmt.Errorf("-shard-count must be at least 1, got %d", o.ShardCount)
 		}
+		if o.ShardIndex < 0 || o.ShardIndex >= o.ShardCount {
+			return fmt.Errorf("-shard-index must be in [0, %d), got %d", o.ShardCount, o.ShardIndex)
+		}
+		if o.Replicate != "" && o.JournalDir == "" {
+			return fmt.Errorf("-replicate requires -journal: followers replay the owner's journal records")
+		}
+	}
+	// Shard nodes and routers both dial shard nodes.
+	if m == modeNode || m == modeRouter {
 		if o.RPCTimeout <= 0 {
 			return fmt.Errorf("-rpc-timeout must be positive, got %v", o.RPCTimeout)
 		}
@@ -327,24 +350,133 @@ func run() error {
 	}
 
 	logger := log.New(os.Stderr, "adplatformd: ", log.LstdFlags)
-
-	if opts.ShardServe {
-		configureTracing(opts, fmt.Sprintf("shard-%d", opts.ShardIndex))
-		return runShardServer(opts, logger)
-	}
-	if opts.Peers != "" {
-		configureTracing(opts, "router")
-	} else {
-		configureTracing(opts, "single")
-	}
-
-	n, err := openBackend(opts, logger)
+	configureTracing(opts)
+	n, err := boot(opts, logger)
 	if err != nil {
 		return err
 	}
-	backend := n.backend
-	logger.Printf("platform ready: %d users, %d attributes (shards=%d review=%v auth=%v journal=%v)",
-		len(backend.Users()), backend.Catalog().Len(), opts.Shards, opts.Review, opts.Auth, opts.JournalDir != "")
+	handler, stop, err := front(opts, n, logger)
+	defer stop()
+	if err != nil {
+		return err
+	}
+	return n.serve(opts, logger, handler)
+}
+
+// member is one shard this process holds: served bare when it is the only
+// one, a slot of the in-process cluster under -shards N, the RPC surface's
+// backend on a shard node. *platform.Platform and *platform.Journaled are
+// members.
+type member interface {
+	httpapi.Backend
+	cluster.Shard
+	State() platform.State
+}
+
+// node is a booted process: the shards it holds, the backend its front end
+// serves, and the handles the daemon needs beside them; a nil field is one
+// the mode does not have.
+type node struct {
+	members   []member        // in slot order; none on a router
+	backend   httpapi.Backend // the one member bare, else the cluster
+	compactor httpapi.Compactor
+	admin     *membershipAdmin // the router, the one mode with dynamic membership
+}
+
+// boot opens the shards the process holds — slot -shard-index of
+// -shard-count on a shard node, slots 0…N-1 of -shards N otherwise, none on
+// a router — and the backend over them: the only member bare (so single
+// mode never crosses the cluster coordinator), a cluster over several, and
+// on a router a cluster over the -peers fleet.
+func boot(opts options, logger *log.Logger) (node, error) {
+	m := opts.mode()
+	var n node
+	first, count, ring := 0, opts.Shards, opts.Shards
+	switch m {
+	case modeNode:
+		first, count, ring = opts.ShardIndex, 1, opts.ShardCount
+	case modeRouter:
+		admin, err := openRouter(opts, logger)
+		if err != nil {
+			return node{}, err
+		}
+		n.backend, n.admin = admin.clu, admin
+		count, ring = 0, admin.clu.Shards()
+	}
+	for i := first; i < first+count; i++ {
+		dir := opts.JournalDir
+		if dir != "" && count > 1 {
+			dir = filepath.Join(dir, fmt.Sprintf("shard-%03d", i))
+		}
+		mb, err := openMember(opts, i, ring, dir, logger)
+		if err != nil {
+			return node{}, err
+		}
+		n.members = append(n.members, mb)
+	}
+	switch {
+	case len(n.members) == 1:
+		n.backend = n.members[0]
+	case len(n.members) > 1:
+		shards := make([]cluster.Shard, len(n.members))
+		for i, mb := range n.members {
+			shards[i] = mb
+		}
+		c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
+		if err != nil {
+			return node{}, err
+		}
+		n.backend = c
+	}
+	if opts.JournalDir != "" { // a journaled member, or a cluster over them
+		n.compactor = n.backend.(httpapi.Compactor)
+	}
+	users := 0
+	for _, mb := range n.members {
+		users += len(mb.Users())
+	}
+	logger.Printf("%s ready: %d of %d slots and %d users held here (journal=%v review=%v auth=%v rpc-secret=%v)",
+		m, len(n.members), ring, users, opts.JournalDir != "", opts.Review, opts.Auth, opts.RPCSecret != "")
+	return n, nil
+}
+
+// front builds what the node serves on -addr — the shard RPC surface on a
+// shard node, the public API everywhere else — and returns stop, never
+// nil, which releases what front started once serve has returned.
+func front(opts options, n node, logger *log.Logger) (http.Handler, func(), error) {
+	if opts.mode() == modeNode {
+		if opts.RPCSecret == "" {
+			logger.Printf("warning: no -rpc-secret (or ADPLATFORM_RPC_SECRET); shard RPC surface is UNAUTHENTICATED")
+		}
+		rpcSrv := rpc.NewServer(n.members[0], opts.RPCSecret, obs.Default)
+		if opts.Advertise != "" {
+			// The gate starts permissive and enforces whatever ring the router
+			// pushes; self must match the address the router advertises.
+			rpcSrv.SetGate(cluster.NewGate(peerURL(opts.Advertise)))
+			logger.Printf("membership gate armed; advertised as %s", peerURL(opts.Advertise))
+		}
+		if jp, ok := n.members[0].(*platform.Journaled); ok {
+			// Any journaled node can be told to ship (or stop shipping) its
+			// journal over the rearm RPC: this is how the router re-arms a
+			// freshly promoted owner's chain — and disarms a demoted one —
+			// without restarting the process.
+			dialer := newPeerDialer(opts)
+			rpcSrv.SetRearm(func(followers []string) error {
+				_, _, err := armShipping(jp, dialer, followers, logger)
+				return err
+			})
+			// validate() ties -replicate to -journal.
+			if opts.Replicate != "" {
+				if err := armReplication(jp, dialer, opts, logger); err != nil {
+					return nil, func() {}, fmt.Errorf("arming replication: %w", err)
+				}
+			}
+		}
+		mux := http.NewServeMux()
+		mux.Handle(rpc.PathPrefix, rpcSrv)
+		mux.Handle("GET /metrics", obs.Default.Handler())
+		return mux, func() {}, nil
+	}
 
 	// The server gets no request logger: a line per request is a write
 	// syscall on the hot path and puts user IDs (they are in the paths) in
@@ -352,20 +484,19 @@ func run() error {
 	var handler *httpapi.Server
 	var auth *httpapi.Authenticator
 	if opts.Auth {
-		handler, auth = httpapi.NewServerWithAuth(backend, nil)
+		handler, auth = httpapi.NewServerWithAuth(n.backend, nil)
 		// The admin token guards operator endpoints (journal
 		// compaction). Logged once at startup; rotate by restarting.
 		adminTok, err := auth.Issue("admin")
 		if err != nil {
-			return fmt.Errorf("issuing admin token: %w", err)
+			return nil, func() {}, fmt.Errorf("issuing admin token: %w", err)
 		}
 		logger.Printf("admin token: %s", adminTok)
 	} else {
-		handler = httpapi.NewServer(backend, nil)
+		handler = httpapi.NewServer(n.backend, nil)
 	}
-	if n.compactor != nil {
-		handler.SetCompactor(n.compactor)
-	}
+	handler.SetCompactor(n.compactor)
+	stop := func() {}
 	if n.admin != nil {
 		handler.SetClusterAdmin(n.admin)
 		// With -failover-detect the router probes every slot owner and,
@@ -373,13 +504,12 @@ func run() error {
 		// the self-healing loop; without it failover stays an explicit
 		// admin call.
 		if opts.FailoverDetect > 0 {
-			sup := startFailoverSupervisor(n.admin, opts, logger)
-			defer sup.Close()
+			stop = startFailoverSupervisor(n.admin, opts, logger).Close
 		}
 	}
 	// A router stitches every shard node's span ring into its trace dump;
 	// in-process backends have nothing remote to fetch.
-	if tf, ok := backend.(httpapi.TraceFetcher); ok {
+	if tf, ok := n.backend.(httpapi.TraceFetcher); ok {
 		handler.SetTraceFetcher(tf)
 	}
 
@@ -387,21 +517,17 @@ func run() error {
 	// limits, usage metering, and priority load shedding all happen before
 	// a request reaches the handler above.
 	edge, err := buildGateway(opts, auth, handler, logger)
-	if err != nil {
-		return err
+	if err != nil || edge == nil {
+		return handler, stop, err
 	}
-	serveHandler := http.Handler(handler)
-	if edge != nil {
-		serveHandler = edge
+	return edge, func() {
 		// Flush and snapshot the usage ledger on the way out so billing
 		// survives restart exactly.
-		defer func() {
-			if err := edge.Close(); err != nil {
-				logger.Printf("closing gateway: %v", err)
-			}
-		}()
-	}
-	return n.serve(opts, logger, serveHandler)
+		if err := edge.Close(); err != nil {
+			logger.Printf("closing gateway: %v", err)
+		}
+		stop()
+	}, nil
 }
 
 // buildGateway constructs the edge gateway when -gateway is set, nil
@@ -443,16 +569,27 @@ func buildGateway(opts options, auth *httpapi.Authenticator, inner http.Handler,
 	if opts.GatewaySLO > 0 {
 		budget = fmt.Sprintf("adaptive inflight budget ≤%d (SLO %v)", opts.GatewayInflight, opts.GatewaySLO)
 	}
-	logger.Printf("edge gateway: %d tenants, %s, usage ledger %s",
-		len(ks.Tenants()), budget, usageDirDesc(usageDir))
+	ledger := usageDir
+	if ledger == "" {
+		ledger = "(in-memory)"
+	}
+	logger.Printf("edge gateway: %d tenants, %s, usage ledger %s", len(ks.Tenants()), budget, ledger)
 	return g, nil
 }
 
-// configureTracing applies the trace flags to the process tracer. The
-// sampler stream is seeded off the deterministic platform seed (its own
-// sub-stream, so sampling never perturbs population generation), making
-// trace decisions replayable for a given seed and request order.
-func configureTracing(opts options, service string) {
+// configureTracing applies the trace flags to the process tracer, naming
+// the service after the mode. The sampler stream is seeded off the
+// deterministic platform seed (its own sub-stream, so sampling never
+// perturbs population generation), making trace decisions replayable for a
+// given seed and request order.
+func configureTracing(opts options) {
+	service := "single"
+	switch opts.mode() {
+	case modeNode:
+		service = fmt.Sprintf("shard-%d", opts.ShardIndex)
+	case modeRouter:
+		service = "router"
+	}
 	trace.Default.Configure(trace.Options{
 		Service:       service,
 		SampleRate:    opts.TraceSample,
@@ -460,13 +597,6 @@ func configureTracing(opts options, service string) {
 		SlowThreshold: opts.TraceSlow,
 		Seed:          stats.SubSeed(opts.Seed, 0x7ace),
 	})
-}
-
-func usageDirDesc(dir string) string {
-	if dir == "" {
-		return "(in-memory)"
-	}
-	return dir
 }
 
 // serve runs the handler on opts.Addr (plus the optional private debug
@@ -560,60 +690,15 @@ func (n node) serve(opts options, logger *log.Logger, handler http.Handler) erro
 	return nil
 }
 
-// runShardServer is the -shard-serve mode: boot this node's shard of the
-// partitioned population (plain or journaled) and serve the internal RPC
-// surface plus /metrics, with the same graceful-shutdown and compaction
-// lifecycle as the public server.
-func runShardServer(opts options, logger *log.Logger) error {
-	if opts.RPCSecret == "" {
-		logger.Printf("warning: no -rpc-secret (or ADPLATFORM_RPC_SECRET); shard RPC surface is UNAUTHENTICATED")
-	}
-
-	// The population generator partitions by ring ownership; a shard node
-	// keeps slice ShardIndex of a ShardCount-way split.
-	boot := opts
-	boot.Shards = opts.ShardCount
-
-	backend, jp, err := openMember(boot, opts.ShardIndex, opts.JournalDir, logger)
-	if err != nil {
-		return err
-	}
-	logger.Printf("shard node ready: shard %d of %d, %d users (journal=%v auth=%v)",
-		opts.ShardIndex, opts.ShardCount, len(backend.Users()), opts.JournalDir != "", opts.RPCSecret != "")
-
-	rpcSrv := rpc.NewServer(backend, opts.RPCSecret, obs.Default)
-	if opts.Advertise != "" {
-		// The gate starts permissive and enforces whatever ring the router
-		// pushes; self must match the address the router advertises.
-		rpcSrv.SetGate(cluster.NewGate(peerURL(opts.Advertise)))
-		logger.Printf("membership gate armed; advertised as %s", peerURL(opts.Advertise))
-	}
-	dialer := newPeerDialer(opts)
-	if jp != nil {
-		// Any journaled node can be told to ship (or stop shipping) its
-		// journal over the rearm RPC: this is how the router re-arms a
-		// freshly promoted owner's chain — and disarms a demoted one —
-		// without restarting the process.
-		rpcSrv.SetRearm(func(followers []string) error {
-			_, _, err := armShipping(jp, dialer, followers, logger)
-			return err
-		})
-		// validate() ties -replicate to -journal.
-		if opts.Replicate != "" {
-			if err := armReplication(jp, dialer, opts, logger); err != nil {
-				return fmt.Errorf("arming replication: %w", err)
-			}
-		}
-	}
-
-	mux := http.NewServeMux()
-	mux.Handle(rpc.PathPrefix, rpcSrv)
-	mux.Handle("GET /metrics", obs.Default.Handler())
-
-	return memberNode(backend, jp).serve(opts, logger, mux)
+// save writes the -save snapshot. validate() restricts -save to single
+// mode, so the node holds exactly one member; its state records the
+// delivery RNG's current state, so a -load resumes the auctions where this
+// run left them instead of replaying a stream it already drew.
+func (n node) save(path string) error {
+	return saveAtomic(path, n.members[0].State())
 }
 
-// openRouterBackend is the -peers mode: one RPC client per shard node,
+// openRouter dials the -peers fleet: one RPC client per shard node,
 // wrapped as RemoteShards (one ReplicaSet per slot, followers included)
 // under the same cluster coordinator the in-process shards use.
 // Startup gates on every peer reporting healthy so the router never serves
@@ -622,12 +707,13 @@ func runShardServer(opts options, logger *log.Logger) error {
 // the fleet was resharded adopts the fleet's newer ring before it serves —
 // serving on the -peers ring would send replicated mutations to a subset of
 // the slot owners and fork their advertiser state. Only a fleet holding no
-// newer ring gets the -peers ring pushed as version 1. The returned admin is
-// the dynamic-membership surface behind the admin cluster endpoints.
-func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *membershipAdmin, error) {
+// newer ring gets the -peers ring pushed as version 1. The returned admin
+// holds the cluster and is the dynamic-membership surface behind the admin
+// cluster endpoints.
+func openRouter(opts options, logger *log.Logger) (*membershipAdmin, error) {
 	groups := parsePeerGroups(opts.Peers)
 	if len(groups) == 0 {
-		return nil, nil, fmt.Errorf("-peers is empty after parsing %q", opts.Peers)
+		return nil, fmt.Errorf("-peers is empty after parsing %q", opts.Peers)
 	}
 	dialer := newPeerDialer(opts)
 	shards := make([]*cluster.ReplicaSet, len(groups))
@@ -640,11 +726,11 @@ func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *member
 		seeds[i] = members[0].Client()
 	}
 	if err := waitForPeers(remotes, opts.PeerWait, logger); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c, err := cluster.NewFromSets(shards, cluster.Options{Registry: obs.Default})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.SetMembershipSource(&cluster.RemoteMembershipSource{
 		Seeds:   seeds,
@@ -659,7 +745,7 @@ func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *member
 	}
 	if v := c.Version(); v > 1 {
 		logger.Printf("adopted the fleet's ring v%d (%d slots) over the -peers ring", v, c.Shards())
-		return c, admin, nil
+		return admin, nil
 	}
 	// Seed every node's gate with the boot ring, best-effort: a node that
 	// misses the push (or runs without -advertise) refuses nothing extra —
@@ -672,15 +758,16 @@ func openRouterBackend(opts options, logger *log.Logger) (serverBackend, *member
 			logger.Printf("seeding ring v%d on %s: %v", info.Version, r.Addr(), err)
 		}
 	}
-	return c, admin, nil
+	return admin, nil
 }
 
-// waitForPeers polls every shard node's health endpoint until all report
-// healthy or the deadline passes. Logged per peer as it comes up, so an
-// operator watching startup sees exactly which node is holding the fleet.
+// waitForPeers probes every shard node's health endpoint, in rounds 250 ms
+// apart, until all report healthy or wait has passed; a wait of 0 is one
+// round. Each probe is bounded by the client's own -rpc-timeout, not by
+// what is left of wait. Logged per peer as it comes up, so an operator
+// watching startup sees exactly which node is holding the fleet.
 func waitForPeers(remotes []*cluster.RemoteShard, wait time.Duration, logger *log.Logger) error {
-	ctx, cancel := context.WithTimeout(context.Background(), wait)
-	defer cancel()
+	deadline := time.Now().Add(wait)
 	up := make([]bool, len(remotes))
 	var lastErr error
 	for {
@@ -690,7 +777,7 @@ func waitForPeers(remotes []*cluster.RemoteShard, wait time.Duration, logger *lo
 				ready++
 				continue
 			}
-			h, err := r.Client().Health(ctx)
+			h, err := r.Client().Health(context.Background())
 			if err != nil || !h.OK {
 				if err != nil {
 					lastErr = err
@@ -704,12 +791,12 @@ func waitForPeers(remotes []*cluster.RemoteShard, wait time.Duration, logger *lo
 		if ready == len(remotes) {
 			return nil
 		}
-		select {
-		case <-ctx.Done():
+		left := time.Until(deadline)
+		if left <= 0 {
 			return fmt.Errorf("waiting for shard nodes: %d/%d healthy after %v (last error: %v)",
 				ready, len(remotes), wait, lastErr)
-		case <-time.After(250 * time.Millisecond):
 		}
+		time.Sleep(min(left, 250*time.Millisecond))
 	}
 }
 
@@ -722,125 +809,33 @@ func peerURL(a string) string {
 	return "http://" + a
 }
 
-// serverBackend is httpapi.Backend plus the introspection the daemon logs
-// at startup. *platform.Platform, *platform.Journaled, and
-// *cluster.Cluster all satisfy it.
-type serverBackend interface {
-	httpapi.Backend
-	Users() []profile.UserID
-	Catalog() *attr.Catalog
-}
-
-// node is a booted backend with the handles the daemon needs beside it;
-// a nil field is something the mode does not have.
-type node struct {
-	backend serverBackend
-	// journaled is the backend itself when it is one journaled member (a
-	// single-shard server or a shard node), where -save takes its state.
-	journaled *platform.Journaled
-	compactor httpapi.Compactor // whenever a journal is in play
-	admin     *membershipAdmin  // the router, the one mode with dynamic membership
-}
-
-// save writes the -save snapshot. validate() restricts -save to
-// single-shard servers, so exactly one platform's state exists; its seed is
-// the delivery RNG's current state, so a -load resumes the auctions where
-// this run left them instead of replaying a stream it already drew.
-func (n node) save(path string) error {
-	if n.journaled != nil {
-		return saveAtomic(path, n.journaled.State())
-	}
-	return saveAtomic(path, n.backend.(*platform.Platform).State())
-}
-
-// memberNode is the node of one member; jp is nil for an un-journaled one
-// (and must not become a non-nil Compactor).
-func memberNode(m member, jp *platform.Journaled) node {
-	if jp == nil {
-		return node{backend: m}
-	}
-	return node{backend: m, journaled: jp, compactor: jp}
-}
-
-// openBackend assembles the configured backend: a single platform (plain
-// or journaled), an N-shard cluster (in-memory or one journal per shard),
-// or a router over remote shard nodes.
-func openBackend(opts options, logger *log.Logger) (node, error) {
-	if opts.Peers != "" {
-		c, admin, err := openRouterBackend(opts, logger)
-		if err != nil {
-			return node{}, err
-		}
-		return node{backend: c, admin: admin}, nil
-	}
-	if opts.Shards == 1 {
-		m, jp, err := openMember(opts, 0, opts.JournalDir, logger)
-		if err != nil {
-			return node{}, err
-		}
-		return memberNode(m, jp), nil
-	}
-
-	shards := make([]cluster.Shard, opts.Shards)
-	for i := range shards {
-		dir := ""
-		if opts.JournalDir != "" {
-			dir = filepath.Join(opts.JournalDir, fmt.Sprintf("shard-%03d", i))
-		}
-		m, _, err := openMember(opts, i, dir, logger)
-		if err != nil {
-			return node{}, err
-		}
-		shards[i] = m
-	}
-	c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
-	if err != nil {
-		return node{}, err
-	}
-	n := node{backend: c}
-	if opts.JournalDir != "" {
-		n.compactor = c
-	}
-	return n, nil
-}
-
-// member is one booted shard as every topology uses it: the public API's
-// backend when it is the only one, a cluster slot under -shards N, and the
-// RPC surface under -shard-serve.
-type member interface {
-	httpapi.Backend
-	cluster.Shard
-}
-
-// openMember boots shard i of the partitioned population. With dir empty
-// it is a plain in-memory platform and the second result is nil. With dir
-// set it is journaled there — booted on the directory's first open,
-// recovered afterwards, the journal instrumented under the shard's label,
-// the recovery wall time logged and exported as
-// startup_recovery_seconds{shard} — and the second result is the member
-// itself: its compactor, its -save state and its shipping handle.
-func openMember(opts options, i int, dir string, logger *log.Logger) (member, *platform.Journaled, error) {
+// openMember boots slot i of a ring-slot partition of the population. With
+// dir empty it is a plain in-memory platform. With dir set it is journaled
+// there — booted on the directory's first open, recovered afterwards, the
+// journal instrumented under the shard's label, the recovery wall time
+// logged and exported as startup_recovery_seconds{shard}.
+func openMember(opts options, i, ring int, dir string, logger *log.Logger) (member, error) {
 	if dir == "" {
-		p, err := bootShard(opts, i, logger)()
+		p, err := bootShard(opts, i, ring, logger)()
 		if err != nil {
-			return nil, nil, fmt.Errorf("booting shard %d: %w", i, err)
+			return nil, fmt.Errorf("booting shard %d: %w", i, err)
 		}
-		return p, nil, nil
+		return p, nil
 	}
 	shard := fmt.Sprintf("%d", i)
 	start := time.Now()
 	jp, err := platform.OpenJournaled(dir, journal.Options{
 		Metrics: journal.NewMetrics(obs.Default, shard),
-	}, bootShard(opts, i, logger))
+	}, bootShard(opts, i, ring, logger))
 	if err != nil {
-		return nil, nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
+		return nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
 	}
 	elapsed := time.Since(start)
 	obs.Default.GaugeVec("startup_recovery_seconds",
 		"Wall time each shard spent opening its journal at boot: snapshot load plus deterministic replay of the journal suffix.",
 		"shard").With(shard).Set(elapsed.Seconds())
 	logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, jp.LastLSN(), elapsed.Round(time.Millisecond))
-	return jp, jp, nil
+	return jp, nil
 }
 
 // debugMux builds the private debug handler: net/http/pprof under
@@ -858,14 +853,14 @@ func debugMux() *http.ServeMux {
 	return mux
 }
 
-// bootShard returns the boot function for shard i: restore from -load
-// (single-shard only), or generate the deterministic synthetic population
-// and keep the slice the consistent-hash ring assigns this shard. Every
-// shard runs the same generator with the same seed, so the union over
-// shards is exactly the single-shard population. With -journal this runs
-// only on the directory's first open; afterwards the journal itself is the
-// source of truth.
-func bootShard(opts options, i int, logger *log.Logger) func() (*platform.Platform, error) {
+// bootShard returns the boot function for slot i of a ring-slot partition:
+// restore from -load (single mode only), or generate the deterministic
+// synthetic population and keep the users the consistent-hash ring assigns
+// slot i. Every slot runs the same generator with the same seed, so the
+// union over slots is exactly the one-slot population. With -journal this
+// runs only on the directory's first open; afterwards the journal itself is
+// the source of truth.
+func bootShard(opts options, i, ring int, logger *log.Logger) func() (*platform.Platform, error) {
 	return func() (*platform.Platform, error) {
 		if opts.Load != "" {
 			f, err := os.Open(opts.Load)
@@ -894,10 +889,10 @@ func bootShard(opts options, i int, logger *log.Logger) func() (*platform.Platfo
 		cfg.Seed = opts.Seed
 		cfg.Skew = opts.Skew
 		cfg.Catalog = p.Catalog()
-		ring := cluster.NewRing(opts.Shards, 0)
+		owners := cluster.NewRing(ring, 0)
 		var err error
 		workload.Each(cfg, func(u *profile.Profile) {
-			if err != nil || (opts.Shards > 1 && ring.Owner(string(u.ID)) != i) {
+			if err != nil || (ring > 1 && owners.Owner(string(u.ID)) != i) {
 				return
 			}
 			err = p.AddUser(u)

@@ -160,10 +160,11 @@ func TestFailoverSupervisorFollowsMembership(t *testing.T) {
 		nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(43, 1))
 		opts := parseForTest(t, "-peers", nodeA.addr, "-rpc-secret", membershipSecret,
 			"-peer-wait", "10s", "-failover-detect", "2ms")
-		backend, admin, err := openRouterBackend(opts, logger)
+		n, err := boot(opts, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
+		backend, admin := n.backend, n.admin
 		t.Cleanup(func() { backend.(*cluster.Cluster).Close() })
 		sup := startFailoverSupervisor(admin, opts, logger)
 		t.Cleanup(sup.Close)
@@ -184,19 +185,21 @@ func TestFailoverSupervisorFollowsMembership(t *testing.T) {
 		nodeA := newMembershipNode(t, filepath.Join(root, "c"), stats.SubSeed(43, 2))
 		nodeB := newMembershipNode(t, filepath.Join(root, "d"), stats.SubSeed(43, 3))
 		plain := parseForTest(t, "-peers", nodeA.addr, "-rpc-secret", membershipSecret, "-peer-wait", "10s")
-		backendA, adminA, err := openRouterBackend(plain, logger)
+		nA, err := boot(plain, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
+		backendA, adminA := nA.backend, nA.admin
 		t.Cleanup(func() { backendA.(*cluster.Cluster).Close() })
 		// Router B supervises; router A, which reshards, does not, so every
 		// probe a node serves is B's.
 		optsB := parseForTest(t, "-peers", nodeA.addr, "-rpc-secret", membershipSecret,
 			"-peer-wait", "10s", "-failover-detect", "2ms")
-		backendB, adminB, err := openRouterBackend(optsB, logger)
+		nB, err := boot(optsB, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
+		backendB, adminB := nB.backend, nB.admin
 		cluB := backendB.(*cluster.Cluster)
 		t.Cleanup(func() { cluB.Close() })
 		sup := startFailoverSupervisor(adminB, optsB, logger)
@@ -235,11 +238,11 @@ func TestRouterRestartAdoptsFleetRing(t *testing.T) {
 	opts := parseForTest(t, "-peers", nodeA.addr, "-rpc-secret", membershipSecret, "-peer-wait", "10s")
 	open := func() *cluster.Cluster {
 		t.Helper()
-		backend, _, err := openRouterBackend(opts, logger)
+		n, err := boot(opts, logger)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := backend.(*cluster.Cluster)
+		c := n.backend.(*cluster.Cluster)
 		t.Cleanup(func() { c.Close() })
 		return c
 	}
@@ -293,10 +296,11 @@ func TestFollowerlessSlot(t *testing.T) {
 	nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(47, 1))
 	opts := parseForTest(t, "-peers", nodeA.addr+","+nodeB.addr, "-rpc-secret", membershipSecret,
 		"-peer-wait", "10s", "-failover-detect", "2ms", "-failover-heal", "1")
-	backend, admin, err := openRouterBackend(opts, logger)
+	n, err := boot(opts, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
+	backend, admin := n.backend, n.admin
 	clu := backend.(*cluster.Cluster)
 	t.Cleanup(func() { clu.Close() })
 	srv := httpapi.NewServer(backend, nil)
@@ -427,10 +431,11 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 
 	opts := parseForTest(t, "-peers", nodeA.addr+","+nodeB.addr,
 		"-rpc-secret", membershipSecret, "-peer-wait", "10s")
-	backend, admin, err := openRouterBackend(opts, logger)
+	n, err := boot(opts, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
+	backend, admin := n.backend, n.admin
 	clu := backend.(*cluster.Cluster)
 	t.Cleanup(func() { clu.Close() })
 
@@ -612,11 +617,11 @@ func flagSetForDocs(t *testing.T) *flag.FlagSet {
 	return fs
 }
 
-// TestFlagDocsConsistent pins the flag/runbook contract: every
-// dynamic-membership flag must be described in docs/OPERATIONS.md with the
-// exact usage text the binary prints, and both the package doc and the
-// runbook must state that a router adopts the fleet's newer ring at boot
-// over its -peers.
+// TestFlagDocsConsistent pins the flag/runbook contract: every registered
+// flag has a row in docs/OPERATIONS.md's flags table carrying the exact
+// usage text the binary prints, and both the package doc and the runbook
+// state that a router adopts the fleet's newer ring at boot over its
+// -peers.
 func TestFlagDocsConsistent(t *testing.T) {
 	raw, err := readRepoFile(t, "docs/OPERATIONS.md")
 	if err != nil {
@@ -624,26 +629,21 @@ func TestFlagDocsConsistent(t *testing.T) {
 	}
 	doc := string(raw)
 
-	fs := flagSetForDocs(t)
-	for _, name := range []string{
-		"peers", "advertise", "replicate",
-		"rpc-secret", "rpc-timeout", "hedge-after", "peer-wait",
-		"shard-serve", "shard-index", "shard-count",
-		"failover-detect", "failover-misses", "failover-heal", "gateway-slo",
-		"batch-window",
-	} {
-		f := fs.Lookup(name)
-		if f == nil {
-			t.Fatalf("flag -%s is not registered", name)
-		}
-		if !strings.Contains(doc, "`-"+name+"`") {
-			t.Errorf("docs/OPERATIONS.md does not document `-%s`", name)
-			continue
-		}
-		if !strings.Contains(doc, f.Usage) {
-			t.Errorf("docs/OPERATIONS.md describes -%s differently from the usage text %q", name, f.Usage)
+	rows := map[string]string{}
+	for _, line := range strings.Split(doc, "\n") {
+		if rest, ok := strings.CutPrefix(line, "| `-"); ok {
+			name, _, _ := strings.Cut(rest, "`")
+			rows[name] = line
 		}
 	}
+	flagSetForDocs(t).VisitAll(func(f *flag.Flag) {
+		row, ok := rows[f.Name]
+		if !ok {
+			t.Errorf("docs/OPERATIONS.md's flags table has no row for -%s", f.Name)
+		} else if !strings.Contains(row, f.Usage) {
+			t.Errorf("docs/OPERATIONS.md describes -%s differently from the usage text %q", f.Name, f.Usage)
+		}
+	})
 
 	// The boot contract appears verbatim in both the binary's package
 	// documentation and the runbook.

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/workload"
@@ -23,7 +24,7 @@ const testTenantKey = "observed-tenant-key-01"
 // journaled backend behind the HTTP API, fronted by the edge gateway,
 // everything registered into obs.Default exactly as a real adplatformd
 // run with -gateway would — and returns the test server plus the backend.
-func bootObservedStack(t *testing.T) (*httptest.Server, serverBackend) {
+func bootObservedStack(t *testing.T) (*httptest.Server, *cluster.Cluster) {
 	t.Helper()
 	logger := log.New(io.Discard, "", 0)
 	keys := filepath.Join(t.TempDir(), "keys.json")
@@ -32,16 +33,12 @@ func bootObservedStack(t *testing.T) (*httptest.Server, serverBackend) {
 	}
 	opts := parseForTest(t, "-users", "200", "-shards", "4", "-journal", t.TempDir(),
 		"-gateway", "-keys", keys)
-	n, err := openBackend(opts, logger)
+	n, err := boot(opts, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
-	backend, compactor := n.backend, n.compactor
-	t.Cleanup(func() {
-		if c, ok := backend.(io.Closer); ok {
-			c.Close()
-		}
-	})
+	backend, compactor := n.backend.(*cluster.Cluster), n.compactor
+	t.Cleanup(func() { backend.Close() })
 	handler := httpapi.NewServer(backend, nil)
 	if compactor != nil {
 		handler.SetCompactor(compactor)
@@ -94,7 +91,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	// ...and driver-side load straight against the backend, which is what
 	// populates the journal append/fsync and workload families.
-	st := workload.Drive(backend.(workload.Target), workload.DriverConfig{
+	st := workload.Drive(backend, workload.DriverConfig{
 		Goroutines:      4,
 		OpsPerGoroutine: 100,
 		Users:           users,
