@@ -34,12 +34,13 @@ race:
 # browses against one campaign's budget line, the supervisor's probe loops
 # against a fleet that grows and shrinks under them (directly, and through
 # a router's stale-ring refresh), unfenced user reads against a slot's
-# promotion and heal, and the journal's appends and waiters against its
-# flush leader (during an fsync, as the batch that follows one, across a
-# crash). The serve path's differential test against the per-slot scan runs
-# under the detector too. The four zero-alloc pins and the op-table test (client
-# retry policy, server ownership gate and registered handlers all equal to
-# rpc's one op table) fail the target if their test disappears.
+# promotion and heal, writes against a networked slot's heal, and the
+# journal's appends and waiters against its flush leader (during an fsync,
+# as the batch that follows one, across a crash). The serve path's
+# differential test against the per-slot scan runs under the detector too.
+# The four zero-alloc pins and the op-table test (client retry policy,
+# server ownership gate and registered handlers all equal to rpc's one op
+# table) fail the target if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -49,7 +50,7 @@ race-full:
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/
 	$(GO) test -race -count=10 -run TestFailoverSupervisorFollowsMembership ./cmd/adplatformd/
-	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
@@ -60,14 +61,18 @@ race-full:
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:
 # in-process and loopback-RPC schedules (every configured fault kind must
-# fire), replica chains with a mid-round owner kill plus a reshard under
-# traffic, and owner kills the health supervisor must recover with no
-# admin call. A failure prints the seed; replay it with
-# `go run ./cmd/treads-chaos -seed <n> -v -keep`.
+# fire), one- and two-follower chains with a mid-round owner kill plus a
+# reshard under traffic, scripted owner kills on two-follower chains, and
+# owner kills the health supervisor must recover with no admin call. Each
+# replica mode checks replication twice: as the last heal left the chains,
+# and after every shard's close/reopen. A failure prints the seed; replay
+# it with `go run ./cmd/treads-chaos -seed <n> -v -keep`.
 chaos-smoke:
 	$(GO) run ./cmd/treads-chaos -seeds 20 -require-coverage
 	$(GO) run ./cmd/treads-chaos -net -seeds 5 -workers 2 -require-coverage
-	$(GO) run ./cmd/treads-chaos -seeds 3 -replicas 1 -reshard -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 1 -reshard -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 2 -reshard -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 20 -kill-owner
 	$(GO) run ./cmd/treads-chaos -seeds 3 -kill-owner -no-admin
 
 # Real-binary and acceptance end-to-end tests: the gateway overload and

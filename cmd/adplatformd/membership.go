@@ -214,25 +214,24 @@ func (a *membershipAdmin) ResumeReshard() error { return a.clu.ResumeReshard() }
 // handler for the rearm RPC — after a promotion (or heal) the router tells
 // the slot's current owner whom to ship to, the no-process-restart re-arm
 // the automatic failover protocol depends on — and the first half of
-// -replicate. An empty follower list disarms shipping (the node was
-// demoted to a follower and must not ship).
+// -replicate. An empty follower list is a chain with no follower, which
+// arms no shipping at all.
 func armShipping(owner *platform.Journaled, dialer *peerDialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
-	if len(followers) == 0 {
-		owner.SetShipper(nil)
-		logger.Printf("journal shipping disarmed")
-		return nil, nil, nil
-	}
 	rs, remotes := dialer.chain(owner, followers)
 	if err := rs.Chain(); err != nil {
 		return nil, nil, err
 	}
-	logger.Printf("journal shipping armed to %d follower(s): %v", len(followers), followers)
+	if len(followers) == 0 {
+		logger.Printf("journal shipping disarmed")
+	} else {
+		logger.Printf("journal shipping armed to %d follower(s): %v", len(followers), followers)
+	}
 	return rs, remotes, nil
 }
 
 // armReplication is -replicate at boot: arm shipping to the listed
-// followers, gate on their health, then Heal so each starts from the
-// owner's state.
+// followers, gate on their health, then Heal, which reinstalls each from
+// the owner's state and arms the chain again.
 func armReplication(owner *platform.Journaled, dialer *peerDialer, opts options, logger *log.Logger) error {
 	addrs := slices.Concat(parsePeerGroups(opts.Replicate)...)
 	if len(addrs) == 0 {

@@ -276,15 +276,33 @@ func (r *Result) violate(invariant, format string, args ...any) {
 	r.Violations = append(r.Violations, Violation{Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 }
 
-// slotGroup is the harness's view of one ring slot: its member nodes
-// (current owner first — the order mirrors the ReplicaSet's members
-// across promotions) and the replica set routing to them. mu guards the
-// nodes order: with AutoFailover the supervisor's promotion swap races the
-// driver goroutine's kill read.
+// slotGroup is the harness's view of one ring slot: its member nodes in
+// boot order and the replica set routing to them, which alone knows which
+// of them owns the slot now.
 type slotGroup struct {
-	mu    sync.Mutex
 	nodes []*node
 	rs    *cluster.ReplicaSet
+}
+
+// owner is the node at the head of the slot's chain. A networked slot has
+// one node, held by the chain behind its client.
+func (g *slotGroup) owner() *node {
+	if len(g.nodes) == 1 {
+		return g.nodes[0]
+	}
+	return g.rs.Owner().(*node)
+}
+
+// followers are the slot's nodes other than its owner.
+func (g *slotGroup) followers() []*node {
+	own := g.owner()
+	var out []*node
+	for _, n := range g.nodes {
+		if n != own {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // harness is the mutable state of one run.
@@ -760,9 +778,7 @@ func (h *harness) armKill(r int, rsp *trace.Span) (func(workload.OpResult), *slo
 			if ops.Add(1) != killAt {
 				return
 			}
-			g.mu.Lock()
-			g.nodes[0].down.Store(true)
-			g.mu.Unlock()
+			g.owner().down.Store(true)
 			h.ownerKills.Add(1)
 			rsp.Event("killed slot " + strconv.Itoa(slot) + "'s owner (no admin: supervisor must recover)")
 			h.cfg.Logf("round %d: killed slot %d's owner mid-round; no admin call — the supervisor must detect and promote", r, slot)
@@ -774,7 +790,7 @@ func (h *harness) armKill(r int, rsp *trace.Span) (func(workload.OpResult), *slo
 		h.ledger.observe(op)
 		n := ops.Add(1)
 		if n == killAt {
-			g.nodes[0].down.Store(true)
+			g.owner().down.Store(true)
 			h.ownerKills.Add(1)
 			rsp.Event("killed slot " + strconv.Itoa(slot) + "'s owner")
 			h.cfg.Logf("round %d: killed slot %d's owner mid-round", r, slot)
@@ -788,7 +804,6 @@ func (h *harness) armKill(r int, rsp *trace.Span) (func(workload.OpResult), *slo
 				promoting.Store(false)
 				return
 			}
-			g.nodes[0], g.nodes[idx] = g.nodes[idx], g.nodes[0]
 			h.promotions.Add(1)
 			rsp.Event("promoted slot " + strconv.Itoa(slot) + "'s follower " + strconv.Itoa(idx))
 			h.cfg.Logf("round %d: promoted slot %d's follower %d to owner", r, slot, idx)
@@ -836,15 +851,7 @@ func (f autoFleet) ProbeSlotOwner(_ context.Context, slot int) error {
 }
 
 func (f autoFleet) FailoverSlot(slot int, force bool) (int, error) {
-	g := f[slot]
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	idx, err := g.rs.Promote(force)
-	if err != nil {
-		return -1, err
-	}
-	g.nodes[0], g.nodes[idx] = g.nodes[idx], g.nodes[0]
-	return idx, nil
+	return f[slot].rs.Promote(force)
 }
 
 func (autoFleet) SlotDegraded(int) bool { return false }
@@ -864,9 +871,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 	cfg := h.cfg
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		killed.mu.Lock()
-		owner := killed.nodes[0]
-		killed.mu.Unlock()
+		owner := killed.owner()
 		if !owner.down.Load() && owner.Journaled.JournalFailed() == nil {
 			break
 		}
@@ -898,9 +903,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 // anyPromotable reports whether the slot has a follower a promotion
 // could elect: alive journal, still following, fully caught up.
 func (h *harness) anyPromotable(g *slotGroup) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, n := range g.nodes[1:] {
+	for _, n := range g.followers() {
 		if st, _ := n.Journaled.FollowStatus(); !n.down.Load() && n.Journaled.JournalFailed() == nil && st.Synced {
 			return true
 		}
@@ -908,18 +911,12 @@ func (h *harness) anyPromotable(g *slotGroup) bool {
 	return false
 }
 
-// healReplicas re-wires journal shipping and resyncs every follower
-// after a recovery sweep: crash recovery replaces platform handles
-// (dropping the shipper closure, which lives on the handle) and reopened
-// followers come back out of follow mode, so each chain is re-armed and
-// every member resynced — a journal-tail replay when the owner still
-// holds the tail, a full state reinstall otherwise.
+// healReplicas reinstalls every follower and re-arms every chain after a
+// recovery sweep: crash recovery replaces platform handles (dropping the
+// shipper closure, which lives on the handle) and reopened followers come
+// back out of follow mode. Heal does both.
 func (h *harness) healReplicas(res *Result) {
 	for si, g := range h.slots {
-		if err := g.rs.Chain(); err != nil {
-			res.violate("replication", "slot %d: re-arming shipping after recovery: %v", si, err)
-			continue
-		}
 		if err := g.rs.Heal(); err != nil {
 			res.violate("replication", "slot %d: healing followers after recovery: %v", si, err)
 		}

@@ -32,6 +32,11 @@ func stateBytes(s platform.State) ([]byte, error) {
 // shard whose journal went sticky is crash-recovered first — that is the
 // documented remedy — so the identity check always runs against a journal
 // that can be cleanly closed.
+//
+// Replication is checked first, on the chains exactly as the last round's
+// heal left them: the close/reopen cycle below sends every follower
+// through a reinstall, which would hide a follower the heal accepted at
+// the owner's LSN with a different state.
 func (h *harness) quiesce(res *Result) {
 	h.inj.Arm(false)
 	networked := h.cfg.Net != nil
@@ -40,6 +45,7 @@ func (h *harness) quiesce(res *Result) {
 			n.tr.SetPartitioned(false)
 		}
 	}
+	h.verifyReplication(res)
 	for _, n := range h.nodes {
 		if n.Journaled.JournalFailed() != nil {
 			h.cfg.Logf("quiesce: shard %d journal failed sticky; crash-recovering", n.idx)
@@ -124,7 +130,7 @@ func (h *harness) verify(res *Result) {
 	for _, camp := range h.campaigns {
 		var m platform.CampaignTotals
 		for si, g := range h.slots {
-			t, err := g.nodes[0].Journaled.CampaignTotals(ctx, h.advertiser, camp)
+			t, err := g.owner().Journaled.CampaignTotals(ctx, h.advertiser, camp)
 			if err != nil {
 				res.violate("accounting", "slot %d: reading totals for %s: %v", si, camp, err)
 				continue
@@ -168,7 +174,7 @@ func (h *harness) verify(res *Result) {
 		feedImps := 0
 		reach := make(map[profile.UserID]bool)
 		for _, g := range h.slots {
-			n := g.nodes[0]
+			n := g.owner()
 			for _, uid := range n.Journaled.Users() {
 				for _, imp := range n.Journaled.Feed(uid) {
 					if imp.CampaignID == camp {
@@ -201,9 +207,9 @@ func (h *harness) verify(res *Result) {
 
 	// Convergence: replicated advertiser state must be identical on
 	// every slot after recovery.
-	base := h.slots[0].nodes[0].Journaled.State()
+	base := h.slots[0].owner().Journaled.State()
 	for si, g := range h.slots[1:] {
-		st := g.nodes[0].Journaled.State()
+		st := g.owner().Journaled.State()
 		if !equalStrings(st.Advertisers, base.Advertisers) {
 			res.violate("convergence", "slot %d advertiser set %v != slot 0's %v", si+1, st.Advertisers, base.Advertisers)
 		}
@@ -227,13 +233,13 @@ func (h *harness) verify(res *Result) {
 // could be promoted right now without losing an acknowledged write.
 func (h *harness) verifyReplication(res *Result) {
 	for si, g := range h.slots {
-		own := g.nodes[0].Journaled
+		own := g.owner().Journaled
 		ownBytes, err := stateBytes(own.State())
 		if err != nil {
 			res.violate("replication", "slot %d: marshalling owner state: %v", si, err)
 			continue
 		}
-		for j, fn := range g.nodes[1:] {
+		for j, fn := range g.followers() {
 			jp := fn.Journaled
 			st, _ := jp.FollowStatus() // in-process: cannot fail
 			if !st.Synced {
@@ -271,7 +277,7 @@ func (h *harness) verifyMembership(res *Result) {
 	for _, uid := range h.users {
 		owner := h.clu.Owner(uid)
 		for si, g := range h.slots {
-			has := g.nodes[0].Journaled.User(uid) != nil
+			has := g.owner().Journaled.User(uid) != nil
 			if has && si != owner {
 				res.violate("membership", "user %s lives on slot %d but the ring assigns it to slot %d", uid, si, owner)
 			}

@@ -136,8 +136,8 @@ func (n *node) awaitHealthy(timeout time.Duration) error {
 // platform's own, so the cluster's one stable handle follows the node across
 // crash/restart cycles as the pointer is replaced underneath it. The shipper
 // closure lives on the platform and does not survive a swap: the harness
-// re-arms it (ReplicaSet.Chain) after every recovery. Two methods are the
-// node's, not the platform's:
+// re-arms it (ReplicaSet.Heal, which ends with the arm step) after every
+// recovery. Two methods are the node's, not the platform's:
 
 var (
 	_ cluster.Shard          = (*node)(nil)

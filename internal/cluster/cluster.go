@@ -57,14 +57,12 @@ var (
 // things are not location-independent, and each is named once here.
 
 // localMember is what only an in-process journaled member offers: the
-// coordinator installs its shipping hook and reads its journal tail
-// directly (a networked owner ships from its own process, armed over the
-// rearm RPC), and compacts it (a networked node compacts itself).
-// *platform.Journaled satisfies it.
+// coordinator installs its shipping hook directly (a networked owner ships
+// from its own process, armed over the rearm RPC), and compacts it (a
+// networked node compacts itself). *platform.Journaled satisfies it.
 type localMember interface {
 	platform.Member
 	SetShipper(func(lsn uint64, payload []byte) error)
-	TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error
 	Compact() (uint64, error)
 }
 

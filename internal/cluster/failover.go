@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"time"
 )
 
 // Automatic failover closes the detection→recovery loop for slots with
@@ -12,16 +11,16 @@ import (
 //
 //  1. Promote — the attached synced follower with the longest applied
 //     prefix becomes the owner (ReplicaSet.Promote swaps the slot's value;
-//     ship-before-ack guarantees it holds every acknowledged write).
+//     ship-before-ack guarantees it holds every acknowledged write), the
+//     followers it keeps are re-pointed at its log, and its shipping is
+//     armed onto them (for a networked owner, the rearm RPC) — all inside
+//     the write fence, so no write is acknowledged by an unarmed owner.
 //  2. Fence — the membership version is bumped and pushed, so the
 //     deposed owner's gate refuses any straggling mutation with a
 //     stale-ring error once it hears the new ring. Placement (user →
 //     slot) is unchanged; only the slot's owner address moved.
-//  3. Re-arm — a networked new owner is told to ship its journal to the
-//     remaining followers (the rearm RPC), so replication continues
-//     without a process restart.
 //
-// A returning deposed owner is healed back in as a resyncing follower by
+// A returning deposed owner is healed back in as a reinstalled follower by
 // HealSlot (the supervisor's heal tick), which also re-pushes the ring —
 // the returning node learns it is no longer the owner before it serves
 // anything.
@@ -39,9 +38,10 @@ func (c *Cluster) FailoverSlot(slot int, force bool) (int, error) {
 		return -1, err
 	}
 
-	// The promotion and version bump sit inside the write fence: no user
-	// mutation can be in flight against the demoted owner while the
-	// chain's head swaps, mirroring the reshard cutover discipline.
+	// The promotion (arm step included) and version bump sit inside the
+	// write fence: no user mutation can be in flight against the demoted
+	// owner while the chain's head swaps, nor reach the new owner before it
+	// ships, mirroring the reshard cutover discipline.
 	c.wmu.Lock()
 	idx, err := rs.Promote(force)
 	if err == nil {
@@ -53,18 +53,17 @@ func (c *Cluster) FailoverSlot(slot int, force bool) (int, error) {
 	}
 
 	// Push the new ring (best-effort; a node that misses it converges on
-	// its next stale-ring refusal) and re-arm shipping from the new
-	// owner. Both run outside the fence — they dial peers.
+	// its next stale-ring refusal).
 	c.pushRing(context.Background())
-	c.rearmSlot(rs)
 	return idx, nil
 }
 
 // HealSlot resyncs a degraded slot — typically after the deposed owner
 // comes back — demoting any returning stale owner into a following
-// replica. The write fence is held across the resync so journal-tail
-// replay cannot interleave with live shipping, and the current ring is
-// re-pushed so the returning node knows it no longer owns the slot.
+// replica. The write fence is held across the reinstalls and the arm step
+// that ends them, so no write lands between a follower's reinstall and the
+// owner shipping to it, and the current ring is re-pushed first so the
+// returning node knows it no longer owns the slot.
 func (c *Cluster) HealSlot(slot int) error {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
@@ -82,13 +81,8 @@ func (c *Cluster) HealSlot(slot int) error {
 	rs.probeMembers(context.Background())
 	c.pushRing(context.Background())
 	c.wmu.Lock()
-	err = rs.Heal()
-	c.wmu.Unlock()
-	if err != nil {
-		return err
-	}
-	c.rearmSlot(rs)
-	return nil
+	defer c.wmu.Unlock()
+	return rs.Heal()
 }
 
 // SlotDegraded reports whether a slot needs healing; one without
@@ -138,21 +132,4 @@ func (c *Cluster) slotReplicaSet(slot int) (*ReplicaSet, error) {
 		return nil, fmt.Errorf("cluster: no slot %d", slot)
 	}
 	return shards[slot], nil
-}
-
-// rearmSlot tells a networked owner to ship to the slot's followers.
-// In-process owners were re-wired by Promote itself. Best-effort: a
-// missed re-arm is retried by the supervisor's heal tick.
-func (c *Cluster) rearmSlot(rs *ReplicaSet) {
-	st := rs.state.Load()
-	nm, ok := st.members[0].(networkedMember)
-	if !ok {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	// Only attached followers join the new chain: shipping to the still-
-	// down deposed owner would fail every write indeterminately. Heal
-	// reattaches it, then re-arms again with the full set.
-	_ = nm.Rearm(ctx, st.replicaAddrs(true))
 }

@@ -236,29 +236,17 @@ func (n *killableNode) restart(t *testing.T) {
 	n.serve(ln)
 }
 
-// armShipping installs a daemon-style rearm handler on n: told a follower
-// list over the rearm RPC, the node rebuilds its own journal-shipping
-// chain onto those addresses — the no-process-restart re-arm the failover
-// protocol depends on.
+// armShipping installs the daemon's rearm handler on n: told a follower
+// list over the rearm RPC, the node chains its journal onto those nodes
+// and arms the chain — the no-process-restart re-arm the failover protocol
+// depends on.
 func armShipping(n *killableNode) {
 	n.srv.SetRearm(func(followers []string) error {
-		if len(followers) == 0 {
-			n.jp.SetShipper(nil)
-			return nil
-		}
-		clients := make([]*rpc.Client, len(followers))
+		shards := make([]cluster.Shard, len(followers))
 		for i, a := range followers {
-			clients[i] = rpc.NewClient(a, rpc.Options{Secret: elasticSecret})
+			shards[i] = cluster.NewRemoteShard(rpc.NewClient(a, rpc.Options{Secret: elasticSecret}))
 		}
-		n.jp.SetShipper(func(lsn uint64, payload []byte) error {
-			for _, c := range clients {
-				if err := c.ShipOp(context.Background(), lsn, payload); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		return nil
+		return cluster.NewReplicaSet(n.jp, shards...).Chain()
 	})
 }
 
@@ -368,5 +356,82 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	}
 	if stateJSON(t, n0.jp) != stateJSON(t, n1.jp) {
 		t.Fatal("deposed owner diverged from new owner after heal")
+	}
+}
+
+// TestHealSlotUnderConcurrentWrites heals a returning deposed owner back
+// into a networked chain while four writers browse through the router.
+// The arm step that tells the new owner to ship to the healed member runs
+// inside the write fence, so no write lands between the member's reinstall
+// and the owner shipping to it: every write succeeds, and the healed
+// member ends byte-identical to the owner.
+func TestHealSlotUnderConcurrentWrites(t *testing.T) {
+	root := t.TempDir()
+	n0 := startKillableNode(t, filepath.Join(root, "n0"), 109)
+	n1 := startKillableNode(t, filepath.Join(root, "n1"), 109)
+	armShipping(n0)
+	armShipping(n1)
+	owner := cluster.NewRemoteShard(rpc.NewClient(n0.addr, rpc.Options{Secret: elasticSecret, FailureThreshold: 1}))
+	rs := cluster.NewReplicaSet(owner, cluster.NewRemoteShard(rpc.NewClient(n1.addr, rpc.Options{Secret: elasticSecret})))
+	n1.jp.BeginFollow(0)
+	if err := owner.Client().Rearm(context.Background(), []string{n1.addr}); err != nil {
+		t.Fatalf("arming the owner node: %v", err)
+	}
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, _ := populateElastic(t, c, 16)
+
+	n0.kill()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	if err := c.ProbeSlotOwner(ctx, 0); err == nil {
+		t.Fatal("probe of a dead owner succeeded")
+	}
+	cancel()
+	if _, err := c.FailoverSlot(0, false); err != nil {
+		t.Fatalf("FailoverSlot: %v", err)
+	}
+	n0.restart(t)
+
+	const writers = 4
+	stop := make(chan struct{})
+	started := make(chan struct{}, writers) // one send per writer
+	var wg sync.WaitGroup
+	for g := 0; g < writers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += writers {
+				_, err := c.BrowseFeed(users[i%len(users)], 1)
+				if i == g {
+					started <- struct{}{}
+				}
+				if err != nil {
+					t.Errorf("browse %d during the heal: %v", i, err)
+					return
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+		}(g)
+	}
+	for g := 0; g < writers; g++ {
+		<-started
+	}
+	err = c.HealSlot(0)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("HealSlot: %v", err)
+	}
+	if _, err := c.BrowseFeed(users[0], 2); err != nil {
+		t.Fatalf("browse after the heal: %v", err)
+	}
+	if stateJSON(t, n0.jp) != stateJSON(t, n1.jp) {
+		t.Fatal("healed member differs from the owner")
 	}
 }

@@ -58,7 +58,7 @@ func newReplicaCounters(reg *obs.Registry) replicaCounters {
 		promotions: reg.Counter("cluster_replica_promotions_total",
 			"Followers promoted to shard owner after an owner failure."),
 		resyncs: reg.Counter("cluster_replica_resyncs_total",
-			"Followers re-synchronized from their owner (journal tail replay or full state reinstall)."),
+			"Followers re-synchronized from their owner by a full state reinstall."),
 	}
 }
 

@@ -31,7 +31,10 @@ import (
 //   - Followers refuse direct mutations (platform.ErrFollowing) and refuse
 //     out-of-order shipments (platform.ErrNotSynced), so a desynced
 //     follower can never silently diverge — it stays read-only stale until
-//     Heal replays the owner's journal tail or reinstalls its state.
+//     Heal reinstalls its state.
+//   - An attached follower's cursor counts positions in the current
+//     owner's log: Promote re-points every follower it keeps at the new
+//     owner's LSN and detaches the rest.
 //   - A member demoted by Promote is detached: excluded from shipping AND
 //     from promotion until Heal resyncs it. Detaching both together is
 //     what keeps the promotion invariant — a member that may have missed
@@ -78,8 +81,7 @@ type cachedFollowStatus struct {
 const followStatusTTL = 250 * time.Millisecond
 
 // NewReplicaSet assembles a slot with the given owner and followers (none:
-// an unreplicated shard). Call Chain to wire journal shipping for
-// in-process members (networked owners ship server-side).
+// an unreplicated shard). Call Chain to arm the owner's journal shipping.
 func NewReplicaSet(owner Shard, followers ...Shard) *ReplicaSet {
 	met := newReplicaCounters(nil)
 	members := append([]Shard{owner}, followers...)
@@ -213,22 +215,57 @@ func followStatus(s Shard) (platform.FollowStatus, error) {
 	return m.FollowStatus()
 }
 
-// Chain wires journal shipping from the owner to the followers: every
-// journaled write on the owner is pushed to each follower before it is
-// acknowledged. Only in-process owners can be chained here (a networked
-// owner ships from its own process); a chain with no followers has
-// nothing to wire.
+// Chain arms the owner's journal shipping onto the attached followers, so
+// every journaled write on the owner is pushed to each of them before it is
+// acknowledged. It is the one arm step. An in-process owner gets the set's
+// shipping hook, or none when no follower is attached. A networked owner
+// ships from its own process and is told the attached followers' addresses
+// over the rearm RPC — unless the slot has no follower at all, since such a
+// handle names none of the followers the node may have been given itself
+// (-replicate). Promote and Heal end with this step, so under the
+// coordinator's FailoverSlot and HealSlot it runs inside the write fence.
+//
+// A networked owner that cannot be armed may not ship to the followers this
+// set holds, so they are all detached: none of them is promotable or read
+// from until Heal reinstalls it and arms again.
 func (rs *ReplicaSet) Chain() error {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	return rs.arm()
+}
+
+// arm is Chain under rs.mu.
+func (rs *ReplicaSet) arm() error {
 	st := rs.state.Load()
+	switch o := st.members[0].(type) {
+	case localMember:
+		if slices.Contains(st.detached[1:], false) {
+			o.SetShipper(rs.ship)
+		} else {
+			o.SetShipper(nil)
+		}
+		return nil
+	case networkedMember:
+		if len(st.members) == 1 {
+			return nil
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := o.Rearm(ctx, st.replicaAddrs(true)); err != nil {
+			next := *st
+			next.detached = make([]bool, len(st.members))
+			for i := 1; i < len(next.detached); i++ {
+				next.detached[i] = true
+			}
+			rs.state.Store(&next)
+			return fmt.Errorf("cluster: arming the owner's shipping: %w", err)
+		}
+		return nil
+	}
 	if len(st.members) == 1 {
 		return nil
 	}
-	lm, ok := st.members[0].(localMember)
-	if !ok {
-		return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
-	}
-	lm.SetShipper(rs.ship)
-	return nil
+	return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
 }
 
 // ship pushes one owner journal record to every attached follower. Any
@@ -276,10 +313,11 @@ var ErrOwnerHealthy = errors.New("cluster: slot owner is healthy; promotion refu
 // (maintenance drains, failback after an automatic promotion) — promotion
 // is refused with ErrOwnerHealthy while the owner is still up.
 //
-// An in-process new owner gets its shipping hook here, under the writer
-// mutex and beside the swap, so there is no value of the slot whose owner
-// does not ship. A networked one ships from its own process and is re-armed
-// over RPC by the coordinator once its fence is released (rearmSlot).
+// Every other attached follower counted its cursor in the deposed owner's
+// log, and the new owner numbers its own. One that is synced, healthy and
+// at the elected member's position holds the new owner's state, so it is
+// re-pointed at the new owner's LSN; any other is detached for Heal.
+// Promote ends with the arm step (Chain).
 func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -291,8 +329,9 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 		return -1, fmt.Errorf("cluster: promote: %w", ErrOwnerHealthy)
 	}
 	best := -1
-	var bestLSN uint64
-	var elected platform.Member
+	// status stays zero (not synced) for a member that is detached, down or
+	// unreadable.
+	status := make([]platform.FollowStatus, len(cur.members))
 	for i := 1; i < len(cur.members); i++ {
 		f, ok := cur.members[i].(platform.Member)
 		if !ok || cur.detached[i] || !shardHealthy(cur.members[i]) {
@@ -302,24 +341,35 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 		if err != nil {
 			continue
 		}
-		if best == -1 || st.ShipLSN > bestLSN {
-			best, bestLSN, elected = i, st.ShipLSN, f
+		status[i] = st
+		if best == -1 || st.ShipLSN > status[best].ShipLSN {
+			best = i
 		}
 	}
 	if best == -1 {
 		return -1, fmt.Errorf("cluster: promote: no attached healthy follower: %w", ErrShardUnavailable)
 	}
-	if err := elected.EndFollow(); err != nil {
+	if err := cur.members[best].(platform.Member).EndFollow(); err != nil {
 		return -1, fmt.Errorf("cluster: promoting follower %d: %w", best, err)
 	}
 	next := &slotState{members: slices.Clone(cur.members), detached: slices.Clone(cur.detached), met: cur.met}
+	for i := 1; i < len(cur.members); i++ {
+		if i == best {
+			continue
+		}
+		if !status[i].Synced || status[i].ShipLSN != status[best].ShipLSN ||
+			cur.members[i].(platform.Member).BeginFollow(status[best].LastLSN) != nil {
+			next.detached[i] = true
+		}
+	}
 	next.members[0], next.members[best] = next.members[best], next.members[0]
 	next.detached[0], next.detached[best] = false, true
 	rs.state.Store(next)
-	if lm, ok := next.members[0].(localMember); ok {
-		lm.SetShipper(rs.ship)
-	}
 	next.met.promotions.Inc()
+	// The promotion stands whatever the arm step returns: the caller must
+	// still fence the deposed owner, and a failed arm has detached every
+	// follower, leaving the slot degraded for Heal.
+	_ = rs.arm()
 	return best, nil
 }
 
@@ -364,11 +414,10 @@ func (rs *ReplicaSet) anyFollowerUnreachable() bool {
 	return slices.ContainsFunc(rs.state.Load().members[1:], func(f Shard) bool { return !shardHealthy(f) })
 }
 
-// Heal resynchronizes every follower from the current owner: a journal
-// tail replay from the follower's last shipped LSN when the owner still
-// holds that tail, a full state reinstall otherwise (compacted tail, or a
-// follower too far gone). Call it with the owner quiesced — resync racing
-// live shipping would interleave two record streams.
+// Heal reinstalls every reachable follower from the current owner, puts it
+// back in the chain, and ends with the arm step (Chain). Call it with the
+// owner quiesced — a reinstall racing live shipping would interleave two
+// record streams.
 func (rs *ReplicaSet) Heal() error {
 	st := rs.state.Load()
 	var firstErr error
@@ -386,6 +435,9 @@ func (rs *ReplicaSet) Heal() error {
 			continue
 		}
 		rs.reattach(i, st.members[i])
+	}
+	if err := rs.Chain(); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
 }
@@ -407,10 +459,15 @@ func (rs *ReplicaSet) reattach(i int, s Shard) {
 	rs.state.Store(&next)
 }
 
-// resync brings follower f back onto the owner's log and into follow mode.
+// resync reinstalls the owner's full state on follower f and points its
+// cursor at the owner's LSN. There is no journal-tail shortcut from the
+// follower's cursor: a cursor is a bare LSN, and once an owner has taken
+// writes its followers did not see (an owner recovered from a crash, a
+// reshard retry before the heal) the same number names a different record
+// in its log, so a replay can land on the owner's LSN with a different
+// state. Only the reinstall is known to converge.
 func (st *slotState) resync(f Shard) error {
-	owner := st.members[0]
-	om, ok := owner.(platform.Member)
+	om, ok := st.members[0].(platform.Member)
 	if !ok {
 		return fmt.Errorf("cluster: replica owner: %w", ErrMigrationUnsupported)
 	}
@@ -418,37 +475,6 @@ func (st *slotState) resync(f Shard) error {
 	if !ok {
 		return fmt.Errorf("cluster: replica follower: %w", ErrMigrationUnsupported)
 	}
-
-	// Fast path (in-process owners, whose journal tail is readable here):
-	// replay the owner's tail from the follower's last applied owner-LSN.
-	// Only a member that is actually in follow mode may take it — a
-	// demoted former owner reports ShipLSN 0 while its state sits at some
-	// later LSN, and replaying the tail onto it would apply every record
-	// twice. The replay counts as a resync only if it lands the follower
-	// exactly on the owner's LSN: a follower that applied an
-	// unacknowledged record the current owner never saw (possible when the
-	// old owner died mid-ship) has diverged by that record and needs the
-	// full reinstall. So does any replay failure, a compacted tail
-	// included — the reinstall always converges.
-	if lm, ok := owner.(localMember); ok {
-		if fs, err := fm.FollowStatus(); err == nil && fs.Following {
-			// Re-arm the follower at its current position: a desynced
-			// follower refuses shipments until its cursor is reset.
-			if err := fm.BeginFollow(fs.ShipLSN); err != nil {
-				return err
-			}
-			if lm.TailSince(fs.ShipLSN, fm.ApplyShipped) == nil {
-				ost, oerr := om.FollowStatus()
-				fst, ferr := fm.FollowStatus()
-				if oerr == nil && ferr == nil && fst.Synced && fst.ShipLSN == ost.LastLSN {
-					st.met.resyncs.Inc()
-					return nil
-				}
-			}
-		}
-	}
-
-	// Slow path: reinstall the owner's full state and follow from its LSN.
 	state, lsn, err := om.StateAndLSN(false)
 	if err != nil {
 		return err
@@ -497,8 +523,8 @@ func (rs *ReplicaSet) InstallState(st platform.State) error {
 
 // replicaAddrs returns the followers' dialable addresses: all of them (ring
 // pushes, admin listings), or with attachedOnly just the ones in the
-// shipping chain — the list a promoted owner is re-armed with (shipping to
-// a detached member would fail every write).
+// shipping chain — the list the arm step hands a networked owner (shipping
+// to a detached member would fail every write).
 func (st *slotState) replicaAddrs(attachedOnly bool) []string {
 	var out []string
 	for i := 1; i < len(st.members); i++ {

@@ -164,11 +164,11 @@ func TestReplicaPromoteNeedsHealthyFollower(t *testing.T) {
 	}
 }
 
-// TestReplicaDesyncedFollowerResyncsByTail drops one shipped record on the
+// TestReplicaDesyncedFollowerIsReinstalled drops one shipped record on the
 // floor, which must (a) surface an error to the writing caller — the write
 // is indeterminate — and (b) desync the follower so it refuses further
-// shipments, until Heal replays the owner's journal tail.
-func TestReplicaDesyncedFollowerResyncsByTail(t *testing.T) {
+// shipments, until Heal reinstalls it from the owner.
+func TestReplicaDesyncedFollowerIsReinstalled(t *testing.T) {
 	rs, owner, follower := newChainedSet(t, 79)
 	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
 	if err != nil {
@@ -202,11 +202,104 @@ func TestReplicaDesyncedFollowerResyncsByTail(t *testing.T) {
 		t.Fatalf("follower at %d after Heal, owner at %d", followStatus(follower).ShipLSN, owner.LastLSN())
 	}
 	if stateJSON(t, owner.Journaled) != stateJSON(t, follower) {
-		t.Fatal("follower state differs from owner after tail resync")
+		t.Fatal("follower state differs from owner after Heal")
 	}
 	// Shipping works again end to end.
 	if _, err := c.BrowseFeed(users[0], 2); err != nil {
 		t.Fatalf("write after Heal: %v", err)
+	}
+}
+
+// promoteTheHealedMember runs the chain history after which a kept
+// follower's cursor counts positions in a log other than the new owner's:
+// on a chain A, B, C, A dies and B is promoted and takes a write, A comes
+// back and is healed (a reinstall, which leaves A's own log a record
+// shorter than B's), one more write, then B dies and A is promoted. It
+// returns the cluster, the members A, B, C and the users.
+func promoteTheHealedMember(t *testing.T, seed uint64) (*cluster.Cluster, *cluster.ReplicaSet, []*frailShard, []profile.UserID) {
+	t.Helper()
+	root := t.TempDir()
+	m := make([]*frailShard, 3)
+	shards := make([]cluster.Shard, len(m))
+	for i := range m {
+		m[i] = &frailShard{Journaled: openElasticShard(t, filepath.Join(root, fmt.Sprint(i)), seed)}
+		if i > 0 {
+			m[i].BeginFollow(0)
+		}
+		shards[i] = m[i]
+	}
+	rs := cluster.NewReplicaSet(shards[0], shards[1:]...)
+	if err := rs.Chain(); err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	users, _ := populateElastic(t, c, 8)
+
+	m[0].down.Store(true)
+	if _, err := rs.Promote(false); err != nil || rs.Owner() != m[1] {
+		t.Fatalf("promoting B: %v (owner is B: %v)", err, rs.Owner() == m[1])
+	}
+	if _, err := c.BrowseFeed(users[0], 2); err != nil {
+		t.Fatalf("write while A is down: %v", err)
+	}
+	m[0].down.Store(false)
+	if err := rs.Heal(); err != nil {
+		t.Fatalf("healing A: %v", err)
+	}
+	if _, err := c.BrowseFeed(users[1], 2); err != nil {
+		t.Fatalf("write after the heal: %v", err)
+	}
+	m[1].down.Store(true)
+	if _, err := rs.Promote(false); err != nil || rs.Owner() != m[0] {
+		t.Fatalf("promoting the healed member: %v (owner is A: %v)", err, rs.Owner() == m[0])
+	}
+	return c, rs, m, users
+}
+
+// TestPromoteRepointsTheFollowersItKeeps: a follower a promotion keeps must
+// take the new owner's records. C's cursor counted positions in B's log,
+// and A, reinstalled from B, numbers its own.
+func TestPromoteRepointsTheFollowersItKeeps(t *testing.T) {
+	c, _, m, users := promoteTheHealedMember(t, 137)
+	for i := 0; i < 4; i++ {
+		if _, err := c.BrowseFeed(users[i], 2); err != nil {
+			t.Fatalf("browse %d after the second promotion: %v", i, err)
+		}
+	}
+	if st := followStatus(m[2]); !st.Synced || st.ShipLSN != m[0].LastLSN() {
+		t.Fatalf("kept follower at %d (synced=%v), owner at %d", st.ShipLSN, st.Synced, m[0].LastLSN())
+	}
+}
+
+// TestHealAfterPromotionsLeavesNoFollowerDiverged: whatever the chain went
+// through, Heal leaves every follower it reaches byte-identical to the
+// owner, and reports the one it cannot reach.
+func TestHealAfterPromotionsLeavesNoFollowerDiverged(t *testing.T) {
+	c, rs, m, users := promoteTheHealedMember(t, 139)
+	for i := 0; i < 10; i++ {
+		// Whether these writes ship is the previous test's concern; this
+		// one is about where Heal leaves the followers.
+		_, _ = c.BrowseFeed(users[i%len(users)], 2)
+	}
+	if err := rs.Heal(); !errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Fatalf("Heal with B down: %v, want B's ErrShardUnavailable", err)
+	}
+	owner := stateJSON(t, m[0])
+	if stateJSON(t, m[2]) != owner {
+		t.Fatal("C differs from the owner after Heal")
+	}
+	m[1].down.Store(false)
+	if err := rs.Heal(); err != nil {
+		t.Fatalf("Heal with every member up: %v", err)
+	}
+	for i, f := range m[1:] {
+		if st := followStatus(f); !st.Synced || st.ShipLSN != m[0].LastLSN() || stateJSON(t, f) != owner {
+			t.Fatalf("follower %c after Heal: at %d (synced=%v), owner at %d, same state %v",
+				'B'+i, st.ShipLSN, st.Synced, m[0].LastLSN(), stateJSON(t, f) == owner)
+		}
 	}
 }
 

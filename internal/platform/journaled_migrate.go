@@ -110,10 +110,3 @@ func (jp *Journaled) InstallState(s State) error {
 	jp.p.Store(p2)
 	return nil
 }
-
-// TailSince streams the journal suffix after `from` to fn — the follower
-// catch-up fast path. See journal.TailSince for the compaction failure
-// mode that forces a full InstallState resync instead.
-func (jp *Journaled) TailSince(from uint64, fn func(lsn uint64, payload []byte) error) error {
-	return jp.j.TailSince(from, fn)
-}

@@ -232,9 +232,10 @@ func TestJournaledShipFollow(t *testing.T) {
 	}
 }
 
-// TestFollowerGapAndTailResync pins the resync protocol: a follower that
-// missed shipped records refuses the next one, and the owner's journal
-// tail replays it back to byte-identical sync.
+// TestFollowerGapAndTailResync pins the follower's side of shipping: one
+// that missed shipped records refuses the next one, and the owner's journal
+// tail (journal.TailSince) replays it back to byte-identical sync — shipped
+// records and journal records are one format.
 func TestFollowerGapAndTailResync(t *testing.T) {
 	opts := journal.Options{NoSync: true}
 	owner := mustOpenJournaled(t, t.TempDir(), opts, journalBoot)
@@ -268,7 +269,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 
 	// Resync via tail replay from the follower's last good LSN.
 	follower.BeginFollow(followStatus(follower).ShipLSN)
-	if err := owner.TailSince(followStatus(follower).ShipLSN, follower.ApplyShipped); err != nil {
+	if err := owner.j.TailSince(followStatus(follower).ShipLSN, follower.ApplyShipped); err != nil {
 		t.Fatalf("tail resync: %v", err)
 	}
 	if !followStatus(follower).Synced {
@@ -278,7 +279,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 		t.Fatal("follower diverged after tail resync")
 	}
 
-	// And the compacted case forces a full reinstall.
+	// And a compacted tail is refused.
 	if _, err := owner.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestFollowerGapAndTailResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ce *journal.ErrCompacted
-	err := owner.TailSince(0, func(uint64, []byte) error { return nil })
+	err := owner.j.TailSince(0, func(uint64, []byte) error { return nil })
 	if !errors.As(err, &ce) {
 		t.Fatalf("TailSince(0) after compaction = %v, want *journal.ErrCompacted", err)
 	}
