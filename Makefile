@@ -34,13 +34,15 @@ race:
 # browses against one campaign's budget line, the supervisor's probe loops
 # against a fleet that grows and shrinks under them (directly, and through
 # a router's stale-ring refresh), unfenced user reads against a slot's
-# promotion and heal, writes against a networked slot's heal, and the
-# journal's appends and waiters against its flush leader (during an fsync,
-# as the batch that follows one, across a crash). The serve path's
-# differential test against the per-slot scan runs under the detector too.
-# The four zero-alloc pins and the op-table test (client retry policy,
-# server ownership gate and registered handlers all equal to rpc's one op
-# table) fail the target if their test disappears.
+# promotion and heal, writes against a networked slot's heal, a shard
+# node's lock-free ownership checks against ring pushes, and the journal's
+# appends and waiters against its flush leader (during an fsync, as the
+# batch that follows one, across a crash). The serve path's differential
+# test against the per-slot scan runs under the detector too. The four
+# zero-alloc pins, the op-table test (client retry policy, server ownership
+# gate and registered handlers all equal to rpc's one op table) and the
+# row test (each RemoteShard method sends its own row of that table) fail
+# the target if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -50,13 +52,14 @@ race-full:
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/
 	$(GO) test -race -count=10 -run TestFailoverSupervisorFollowsMembership ./cmd/adplatformd/
-	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder' ./internal/cluster/
+	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder|TestGatePushesDuringOwnershipChecks' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
+	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:

@@ -465,7 +465,7 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 			t.Fatalf("boot slot unhealthy or unaddressed: %+v", sl)
 		}
 	}
-	if ri, err := nodeA.cli.FetchRing(context.Background()); err != nil || ri.Version != 1 {
+	if ri, err := rpc.Do(context.Background(), nodeA.cli, rpc.OpRing, struct{}{}); err != nil || ri.Version != 1 {
 		t.Fatalf("node A gate after boot push: ring %+v, err %v", ri, err)
 	}
 
@@ -499,7 +499,7 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 	}
 	// The bumped ring reached every node's gate, joiner included.
 	for i, n := range []*membershipNode{nodeA, nodeB, nodeC, nodeD} {
-		ri, err := n.cli.FetchRing(context.Background())
+		ri, err := rpc.Do(context.Background(), n.cli, rpc.OpRing, struct{}{})
 		if err != nil || ri.Version != 2 || len(ri.Shards) != 3 {
 			t.Fatalf("node %d gate: ring %+v, err %v", i, ri, err)
 		}
@@ -552,7 +552,7 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 	}
 	// The bumped ring reached the deposed owner: C now refuses stale
 	// writes instead of applying them.
-	if ri, err := nodeC.cli.FetchRing(context.Background()); err != nil || ri.Version != 3 {
+	if ri, err := rpc.Do(context.Background(), nodeC.cli, rpc.OpRing, struct{}{}); err != nil || ri.Version != 3 {
 		t.Fatalf("deposed owner's gate: ring %+v, err %v", ri, err)
 	}
 	// The promoted slot still serves its users: reads and writes route to

@@ -315,9 +315,11 @@ func routeSlot[T any](c *Cluster, scope rpc.Scope, uid profile.UserID, fn func(S
 	// The shard consulted its membership gate and refused: our ring is
 	// behind the cluster's. The op was not applied, so refresh and re-route
 	// once; a second refusal is surfaced (membership is churning faster
-	// than we can follow, and retry loops would hide that).
+	// than we can follow, and retry loops would hide that). A failed refresh
+	// keeps the refusal in the chain: it is what tells a front end to answer
+	// 503, not the route's refusal code.
 	if rerr := c.RefreshMembership(); rerr != nil {
-		return zero, slot, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %v)", rerr, err)
+		return zero, slot, fmt.Errorf("cluster: refreshing membership after stale-ring refusal: %w (refusal: %w)", rerr, err)
 	}
 	slot, s, err = c.ownerShard(uid, scope)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/treads-project/treads/internal/httpapi"
@@ -460,7 +461,7 @@ func (s *RemoteMembershipSource) Fetch() (Membership, error) {
 	errs := make([]error, len(s.Seeds))
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	fanOut(len(s.Seeds), len(s.Seeds), func(i int) { rings[i], errs[i] = s.Seeds[i].FetchRing(ctx) })
+	fanOut(len(s.Seeds), len(s.Seeds), func(i int) { rings[i], errs[i] = rpc.Do(ctx, s.Seeds[i], rpc.OpRing, struct{}{}) })
 	best := -1
 	for i, err := range errs {
 		if err == nil && (best < 0 || rings[i].Version > rings[best].Version) {
@@ -541,12 +542,21 @@ func (c *Cluster) pushRing(ctx context.Context, left ...*ReplicaSet) {
 // and reports version 0 ("this node has seen no ring yet"); from the first
 // push on it enforces the pushed ring. It implements rpc.MembershipGate;
 // wire it with rpc.Server.SetGate.
+//
+// The pushed ring is one immutable value behind an atomic pointer: the
+// ownership checks, which run on every user-scoped RPC, load it without a
+// lock, and only SetRing takes the mutex that orders pushes.
 type Gate struct {
 	self string
 
-	mu   sync.Mutex
+	mu   sync.Mutex               // serializes SetRing
+	held atomic.Pointer[heldRing] // nil until the first push
+}
+
+// heldRing is a pushed membership together with the ring it describes.
+type heldRing struct {
 	info rpc.RingInfo
-	ring *Ring // nil until the first push
+	ring *Ring
 }
 
 var _ rpc.MembershipGate = (*Gate)(nil)
@@ -559,22 +569,16 @@ func NewGate(self string) *Gate { return &Gate{self: self} }
 // the owning slot's address, or one of its replica addresses (replicas
 // serve failover reads; write refusal is the platform follower's job).
 func (g *Gate) OwnsUser(user string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ring == nil {
+	h := g.held.Load()
+	if h == nil {
 		return nil
 	}
-	slot := g.ring.Owner(user)
-	si := g.info.Shards[slot]
-	if si.Addr == g.self {
+	slot := h.ring.Owner(user)
+	si := h.info.Shards[slot]
+	if si.Addr == g.self || slices.Contains(si.Replicas, g.self) {
 		return nil
 	}
-	for _, r := range si.Replicas {
-		if r == g.self {
-			return nil
-		}
-	}
-	return fmt.Errorf("user %q belongs to shard %d (%s) under ring version %d, not to %s", user, slot, si.Addr, g.info.Version, g.self)
+	return fmt.Errorf("user %q belongs to shard %d (%s) under ring version %d, not to %s", user, slot, si.Addr, h.info.Version, g.self)
 }
 
 // OwnsUserWrite is the mutation gate: only the owning slot's address may
@@ -584,24 +588,24 @@ func (g *Gate) OwnsUser(user string) error {
 // retried mutation against it is refused with a stale-ring error
 // instead of becoming a dirty write.
 func (g *Gate) OwnsUserWrite(user string) error {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ring == nil {
+	h := g.held.Load()
+	if h == nil {
 		return nil
 	}
-	slot := g.ring.Owner(user)
-	si := g.info.Shards[slot]
+	slot := h.ring.Owner(user)
+	si := h.info.Shards[slot]
 	if si.Addr == g.self {
 		return nil
 	}
-	return fmt.Errorf("write for user %q belongs to shard %d's owner (%s) under ring version %d, not to %s", user, slot, si.Addr, g.info.Version, g.self)
+	return fmt.Errorf("write for user %q belongs to shard %d's owner (%s) under ring version %d, not to %s", user, slot, si.Addr, h.info.Version, g.self)
 }
 
 // Ring returns the membership this node serves, zero before any push.
 func (g *Gate) Ring() rpc.RingInfo {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.info
+	if h := g.held.Load(); h != nil {
+		return h.info
+	}
+	return rpc.RingInfo{}
 }
 
 // SetRing installs pushed membership. Versions never move backwards; an
@@ -615,10 +619,9 @@ func (g *Gate) SetRing(info rpc.RingInfo) error {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if info.Version < g.info.Version {
-		return fmt.Errorf("cluster: gate: stale membership push: holding version %d, got %d", g.info.Version, info.Version)
+	if held := g.Ring().Version; info.Version < held {
+		return fmt.Errorf("cluster: gate: stale membership push: holding version %d, got %d", held, info.Version)
 	}
-	g.info = info
-	g.ring = NewRing(len(info.Shards), info.VirtualNodes)
+	g.held.Store(&heldRing{info: info, ring: NewRing(len(info.Shards), info.VirtualNodes)})
 	return nil
 }

@@ -518,6 +518,72 @@ func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 	}
 }
 
+// TestGatePushesDuringOwnershipChecks runs a node's per-request ownership
+// checks against two racing pushers (a router's push and another's, say).
+// Under -race: the checks take no lock, the version a reader sees never
+// moves backwards, every ring it reads is one that was pushed whole (ring
+// v has 1 + v%3 slots), and the older of two racing pushes is refused.
+func TestGatePushesDuringOwnershipChecks(t *testing.T) {
+	const self, pushes = "http://a:1", 300
+	ringAt := func(v uint64) rpc.RingInfo {
+		shards := []rpc.ShardInfo{{Addr: self}}
+		for i := uint64(1); i <= v%3; i++ {
+			shards = append(shards, rpc.ShardInfo{Addr: fmt.Sprintf("http://n%d:1", i), Replicas: []string{self}})
+		}
+		return rpc.RingInfo{Version: v, Shards: shards}
+	}
+	g := cluster.NewGate(self)
+	done := make(chan struct{})
+	var readers, pushers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			var last uint64
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				u := fmt.Sprintf("gate-user-%d", i)
+				if err := g.OwnsUser(u); err != nil {
+					t.Errorf("OwnsUser(%s) refused a user every ring lets this node read: %v", u, err)
+					return
+				}
+				_ = g.OwnsUserWrite(u)
+				ri := g.Ring()
+				if ri.Version < last {
+					t.Errorf("gate went back from ring v%d to v%d", last, ri.Version)
+					return
+				}
+				if ri.Version > 0 && len(ri.Shards) != 1+int(ri.Version%3) {
+					t.Errorf("ring v%d has %d slots, want %d: not the ring pushed as v%d", ri.Version, len(ri.Shards), 1+ri.Version%3, ri.Version)
+					return
+				}
+				last = ri.Version
+			}
+		}()
+	}
+	for p := 0; p < 2; p++ {
+		pushers.Add(1)
+		go func() {
+			defer pushers.Done()
+			for v := uint64(1); v <= pushes; v++ {
+				if err := g.SetRing(ringAt(v)); err != nil && g.Ring().Version <= v {
+					t.Errorf("push of v%d refused while the gate held v%d: %v", v, g.Ring().Version, err)
+				}
+			}
+		}()
+	}
+	pushers.Wait()
+	close(done)
+	readers.Wait()
+	if v := g.Ring().Version; v != pushes {
+		t.Fatalf("gate holds v%d after both pushers finished, want v%d", v, pushes)
+	}
+}
+
 // TestReshardDeterministic runs the identical populate + AddShard sequence
 // twice from the same seed and requires byte-identical shard states — the
 // property the chaos harness leans on when it compares a faulted reshard

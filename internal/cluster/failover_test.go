@@ -272,7 +272,7 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	// Owner-process shipping, daemon-style: the follower starts following
 	// and the owner node is armed onto it over the rearm RPC.
 	n1.jp.BeginFollow(0)
-	if err := ownerShard.Client().Rearm(context.Background(), []string{n1.addr}); err != nil {
+	if err := ownerShard.Rearm(context.Background(), []string{n1.addr}); err != nil {
 		t.Fatalf("initial Rearm: %v", err)
 	}
 	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})
@@ -328,7 +328,7 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	}
 	cli := rpc.NewClient(n0.addr, rpc.Options{Secret: elasticSecret})
 	defer cli.Close()
-	got, err := cli.FetchRing(context.Background())
+	got, err := rpc.Do(context.Background(), cli, rpc.OpRing, struct{}{})
 	if err != nil {
 		t.Fatalf("FetchRing(deposed owner): %v", err)
 	}
@@ -342,7 +342,7 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	// The fence: a stale client retrying a mutation against the deposed
 	// owner is refused with the typed 409 and the write is NOT applied.
 	lsnBefore := n0.jp.LastLSN()
-	if _, err := cli.BrowseFeed(context.Background(), users[0], 2); !errors.Is(err, rpc.ErrStaleRing) {
+	if _, err := cluster.NewRemoteShard(cli).BrowseFeedCtx(context.Background(), users[0], 2); !errors.Is(err, rpc.ErrStaleRing) {
 		t.Fatalf("mutation against deposed owner: %v, want ErrStaleRing", err)
 	}
 	if n0.jp.LastLSN() != lsnBefore {
@@ -374,7 +374,7 @@ func TestHealSlotUnderConcurrentWrites(t *testing.T) {
 	owner := cluster.NewRemoteShard(rpc.NewClient(n0.addr, rpc.Options{Secret: elasticSecret, FailureThreshold: 1}))
 	rs := cluster.NewReplicaSet(owner, cluster.NewRemoteShard(rpc.NewClient(n1.addr, rpc.Options{Secret: elasticSecret})))
 	n1.jp.BeginFollow(0)
-	if err := owner.Client().Rearm(context.Background(), []string{n1.addr}); err != nil {
+	if err := owner.Rearm(context.Background(), []string{n1.addr}); err != nil {
 		t.Fatalf("arming the owner node: %v", err)
 	}
 	c, err := cluster.NewFromSets([]*cluster.ReplicaSet{rs}, cluster.Options{})

@@ -7,6 +7,7 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/explain"
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
@@ -19,6 +20,12 @@ import (
 // coordinates remote shard nodes exactly the way it coordinates in-process
 // platforms — routing, replication, divergence detection, and
 // scatter-gather all run unchanged over the network.
+//
+// It is the one typed client of the shard wire: each method builds its op's
+// request, sends the op table's row through rpc.Do and converts the answer.
+// Five ops go through the rpc.Client method of the same name instead, which
+// does exactly that and which the benchmark's shims call with their own
+// context.
 //
 // The attribute catalog is deterministic and compiled into every binary,
 // so Catalog and SearchAttributes answer locally instead of shipping the
@@ -59,20 +66,25 @@ func (r *RemoteShard) Close() error {
 // --- user-scoped operations ---
 
 func (r *RemoteShard) AddUser(p *profile.Profile) error {
-	return r.c.AddUser(context.Background(), p)
+	_, err := rpc.Do(context.Background(), r.c, rpc.OpAddUser, rpc.AddUserReq{Profile: p.Snapshot()})
+	return err
 }
 
 // User returns nil both for an unknown user and for a transport failure —
 // the Shard signature has no error channel here, and the cluster's health
 // gate is the layer that turns a down peer into a typed error.
 func (r *RemoteShard) User(uid profile.UserID) *profile.Profile {
-	p, _ := r.c.User(context.Background(), uid)
+	resp, err := rpc.Do(context.Background(), r.c, rpc.OpUser, rpc.UserIDReq{UserID: string(uid)})
+	if err != nil || resp.Profile == nil {
+		return nil
+	}
+	p, _ := profile.FromState(*resp.Profile)
 	return p
 }
 
 // Users is nil on a transport failure, like User.
 func (r *RemoteShard) Users() []profile.UserID {
-	ids, _ := r.c.Users(context.Background())
+	ids, _ := r.ListUsers()
 	return ids
 }
 
@@ -80,17 +92,20 @@ func (r *RemoteShard) Users() []profile.UserID {
 // router propagates to the shard (the rpc client injects traceparent) and
 // a coordinator deadline bounds the remote call.
 func (r *RemoteShard) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	return r.c.BrowseFeed(ctx, uid, slots)
+	resp, err := rpc.Do(ctx, r.c, rpc.OpBrowse, rpc.BrowseReq{UserID: string(uid), Slots: slots})
+	return rpc.ToImpressions(resp.Impressions), err
 }
 
 // TraceSpans fetches the peer's completed trace spans so the router can
 // stitch cross-process traces when serving the trace dump endpoint.
 func (r *RemoteShard) TraceSpans(ctx context.Context) ([]trace.SpanWire, error) {
-	return r.c.TraceSpans(ctx)
+	resp, err := rpc.Do(ctx, r.c, rpc.OpTraceSpans, struct{}{})
+	return resp.Spans, err
 }
 
 func (r *RemoteShard) FeedCtx(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
-	return r.c.Feed(ctx, uid)
+	resp, err := rpc.Do(ctx, r.c, rpc.OpFeed, rpc.UserIDReq{UserID: string(uid)})
+	return rpc.ToImpressions(resp.Impressions), err
 }
 
 func (r *RemoteShard) VisitPage(uid profile.UserID, px pixel.PixelID) error {
@@ -106,17 +121,21 @@ func (r *RemoteShard) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 }
 
 func (r *RemoteShard) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	return r.c.AdvertisersTargetingMe(context.Background(), uid)
+	resp, err := rpc.Do(context.Background(), r.c, rpc.OpAdvertisers, rpc.UserIDReq{UserID: string(uid)})
+	return resp.Names, err
 }
 
 func (r *RemoteShard) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	return r.c.ExplainImpression(context.Background(), uid, imp)
+	req := rpc.ExplainReq{UserID: string(uid), Impression: httpapi.FromImpression(imp)}
+	resp, err := rpc.Do(context.Background(), r.c, rpc.OpExplain, req)
+	return explain.Explanation{Attribute: attr.ID(resp.Attribute), Text: resp.Text}, err
 }
 
 // --- advertiser-scoped mutations ---
 
 func (r *RemoteShard) RegisterAdvertiser(name string) error {
-	return r.c.RegisterAdvertiser(context.Background(), name)
+	_, err := rpc.Do(context.Background(), r.c, rpc.OpRegister, rpc.RegisterReq{Name: name})
+	return err
 }
 
 func (r *RemoteShard) CreateCampaign(advertiser string, params platform.CampaignParams) (string, error) {
@@ -128,37 +147,54 @@ func (r *RemoteShard) PauseCampaign(advertiser, campaignID string) error {
 }
 
 func (r *RemoteShard) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	return r.c.CreatePIIAudience(context.Background(), advertiser, name, keys)
+	wire := make([]httpapi.MatchKeyWire, len(keys))
+	for i, k := range keys {
+		wire[i] = httpapi.FromMatchKey(k)
+	}
+	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreatePIIAudience,
+		rpc.CreatePIIAudienceReq{Advertiser: advertiser, Name: name, Keys: wire}))
 }
 
 func (r *RemoteShard) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	return r.c.CreateWebsiteAudience(context.Background(), advertiser, name, px)
+	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateWebsiteAudience,
+		rpc.CreateWebsiteAudienceReq{Advertiser: advertiser, Name: name, PixelID: string(px)}))
 }
 
 func (r *RemoteShard) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	return r.c.CreateEngagementAudience(context.Background(), advertiser, name, pageID)
+	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateEngagementAudience,
+		rpc.CreateEngagementAudienceReq{Advertiser: advertiser, Name: name, PageID: pageID}))
 }
 
 func (r *RemoteShard) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	return r.c.CreateAffinityAudience(context.Background(), advertiser, name, phrases)
+	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateAffinityAudience,
+		rpc.CreateAffinityAudienceReq{Advertiser: advertiser, Name: name, Phrases: phrases}))
 }
 
 func (r *RemoteShard) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	return r.c.CreateLookalikeAudience(context.Background(), advertiser, name, seed, overlap)
+	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateLookalikeAudience,
+		rpc.CreateLookalikeAudienceReq{Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap}))
+}
+
+// audienceID reads the answer of the five audience-creating ops.
+func audienceID(resp rpc.AudienceIDResp, err error) (audience.AudienceID, error) {
+	return audience.AudienceID(resp.AudienceID), err
 }
 
 func (r *RemoteShard) IssuePixel(advertiser string) (pixel.PixelID, error) {
-	return r.c.IssuePixel(context.Background(), advertiser)
+	resp, err := rpc.Do(context.Background(), r.c, rpc.OpIssuePixel, rpc.AdvertiserReq{Advertiser: advertiser})
+	return pixel.PixelID(resp.PixelID), err
 }
 
 // --- aggregate reads ---
 
 func (r *RemoteShard) RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	return r.c.RawReach(ctx, advertiser, spec)
+	resp, err := rpc.Do(ctx, r.c, rpc.OpRawReach, rpc.RawReachReq{Advertiser: advertiser, Spec: rpc.FromSpec(spec)})
+	return resp.Count, err
 }
 
 func (r *RemoteShard) CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error) {
-	return r.c.CampaignTotals(ctx, advertiser, campaignID)
+	resp, err := rpc.Do(ctx, r.c, rpc.OpCampaignTotals, rpc.CampaignReq{Advertiser: advertiser, CampaignID: campaignID})
+	return resp.ToTotals(), err
 }
 
 // --- replicated state (answered locally) ---

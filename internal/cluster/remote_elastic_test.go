@@ -116,7 +116,7 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 	}
 	// The ring push reached the nodes: they serve version 2 now.
 	for i, n := range nodes {
-		got, err := n.client.FetchRing(context.Background())
+		got, err := rpc.Do(context.Background(), n.client, rpc.OpRing, struct{}{})
 		if err != nil {
 			t.Fatalf("FetchRing(node %d): %v", i, err)
 		}
@@ -185,7 +185,7 @@ func TestShrinkPushesTheRingToTheRemovedNode(t *testing.T) {
 	routerA, routerB := router(), router()
 	ri := routerA.RingInfo()
 	for _, n := range nodes {
-		if err := n.client.PushRing(context.Background(), ri); err != nil {
+		if _, err := rpc.Do(context.Background(), n.client, rpc.OpSetRing, ri); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -219,7 +219,7 @@ func TestShrinkPushesTheRingToTheRemovedNode(t *testing.T) {
 	if _, err := routerA.RemoveShard(); err != nil {
 		t.Fatalf("RemoveShard over the wire: %v", err)
 	}
-	if got, err := nodes[1].client.FetchRing(context.Background()); err != nil || got.Version != 2 || len(got.Shards) != 1 {
+	if got, err := rpc.Do(context.Background(), nodes[1].client, rpc.OpRing, struct{}{}); err != nil || got.Version != 2 || len(got.Shards) != 1 {
 		t.Fatalf("removed node serves ring %+v (%v), want v2 with 1 slot", got, err)
 	}
 	if _, err := nodes[1].client.AdPreferences(context.Background(), moved); !errors.Is(err, rpc.ErrStaleRing) {

@@ -6,9 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/cluster"
@@ -268,4 +271,132 @@ func TestRemoteShardTypedErrors(t *testing.T) {
 			t.Fatal("RemoteShard still Healthy after the breaker opened")
 		}
 	})
+}
+
+// sentRequest is one request a shard server received: the op it named and
+// the status it answered.
+type sentRequest struct {
+	op     string
+	status int
+}
+
+// requestLog records every request that reaches a handler, under its lock.
+type requestLog struct {
+	mu   sync.Mutex
+	reqs []*sentRequest
+}
+
+func (l *requestLog) take() []sentRequest {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := make([]sentRequest, len(l.reqs))
+	for i, r := range l.reqs {
+		out[i] = *r
+	}
+	l.reqs = nil
+	return out
+}
+
+// statusWriter notes the status a handler writes into its request's entry.
+type statusWriter struct {
+	http.ResponseWriter
+	log *requestLog
+	req *sentRequest
+}
+
+func (w statusWriter) WriteHeader(status int) {
+	w.log.mu.Lock()
+	w.req.status = status
+	w.log.mu.Unlock()
+	w.ResponseWriter.WriteHeader(status)
+}
+
+// TestRemoteShardSendsItsOwnRow: RemoteShard is the one typed client of the
+// shard wire, so each of its methods — and RemoteMembershipSource.Fetch —
+// sends exactly one request, naming the method's own row of rpc's op
+// table. Together they name all 33 rows, and a real server serves every
+// one of them (no 404 for an unknown op). The health probes behind
+// FollowStatus and Probe are not rows; the catalog reads send nothing.
+func TestRemoteShardSendsItsOwnRow(t *testing.T) {
+	const self = "row-test"
+	srv := rpc.NewServer(openElasticShard(t, t.TempDir(), 1), "", nil)
+	srv.SetGate(cluster.NewGate(self))
+	srv.SetRearm(func([]string) error { return nil })
+	log := &requestLog{}
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		req := &sentRequest{op: path.Base(r.URL.Path)}
+		log.mu.Lock()
+		log.reqs = append(log.reqs, req)
+		log.mu.Unlock()
+		srv.ServeHTTP(statusWriter{ResponseWriter: w, log: log, req: req}, r)
+	}))
+	defer hs.Close()
+	rs := cluster.NewRemoteShard(rpc.NewClient(hs.URL, rpc.Options{MaxRetries: -1}))
+	defer rs.Close()
+	src := &cluster.RemoteMembershipSource{
+		Seeds: []*rpc.Client{rs.Client()},
+		Dial:  func(rpc.ShardInfo) *cluster.ReplicaSet { return cluster.NewReplicaSet(rs) },
+	}
+
+	// What each call answers is not checked here (many are refusals), only
+	// the requests it sends.
+	ctx := context.Background()
+	const u profile.UserID = "user-000000"
+	calls := []struct {
+		row  string // "" for a method that must send nothing
+		call func()
+	}{
+		{rpc.OpAddUser.Name, func() { rs.AddUser(profile.New(u)) }},
+		{rpc.OpUser.Name, func() { rs.User(u) }},
+		{rpc.OpUsers.Name, func() { rs.Users() }},
+		{rpc.OpUsers.Name, func() { rs.ListUsers() }},
+		{rpc.OpBrowse.Name, func() { rs.BrowseFeedCtx(ctx, u, 1) }},
+		{rpc.OpFeed.Name, func() { rs.FeedCtx(ctx, u) }},
+		{rpc.OpVisit.Name, func() { rs.VisitPage(u, "px-000001") }},
+		{rpc.OpLike.Name, func() { rs.LikePage(u, "page-x") }},
+		{rpc.OpAdPreferences.Name, func() { rs.AdPreferences(u) }},
+		{rpc.OpAdvertisers.Name, func() { rs.AdvertisersTargetingMe(u) }},
+		{rpc.OpExplain.Name, func() { rs.ExplainImpression(u, ad.Impression{}) }},
+		{rpc.OpRegister.Name, func() { rs.RegisterAdvertiser("adv") }},
+		{rpc.OpCreateCampaign.Name, func() { rs.CreateCampaign("adv", platform.CampaignParams{}) }},
+		{rpc.OpPauseCampaign.Name, func() { rs.PauseCampaign("adv", "camp-000001") }},
+		{rpc.OpCreatePIIAudience.Name, func() { rs.CreatePIIAudience("adv", "a", nil) }},
+		{rpc.OpCreateWebsiteAudience.Name, func() { rs.CreateWebsiteAudience("adv", "a", "px-000001") }},
+		{rpc.OpCreateEngagementAudience.Name, func() { rs.CreateEngagementAudience("adv", "a", "page-x") }},
+		{rpc.OpCreateAffinityAudience.Name, func() { rs.CreateAffinityAudience("adv", "a", []string{"jazz"}) }},
+		{rpc.OpCreateLookalikeAudience.Name, func() { rs.CreateLookalikeAudience("adv", "a", "aud-000001", 0.5) }},
+		{rpc.OpIssuePixel.Name, func() { rs.IssuePixel("adv") }},
+		{rpc.OpRawReach.Name, func() { rs.RawReach(ctx, "adv", audience.Spec{}) }},
+		{rpc.OpCampaignTotals.Name, func() { rs.CampaignTotals(ctx, "adv", "camp-000001") }},
+		{rpc.OpTraceSpans.Name, func() { rs.TraceSpans(ctx) }},
+		{rpc.OpExportUsers.Name, func() { rs.ExportUsers([]profile.UserID{u}) }},
+		{rpc.OpImportUsers.Name, func() { rs.ImportUsers(platform.MigrationChunk{}) }},
+		{rpc.OpRemoveUsers.Name, func() { rs.RemoveUsers([]profile.UserID{u}) }},
+		{rpc.OpSyncState.Name, func() { rs.StateAndLSN(true) }},
+		{rpc.OpInstallState.Name, func() { rs.InstallState(platform.State{}) }},
+		{rpc.OpBeginFollow.Name, func() { rs.BeginFollow(0) }},
+		{rpc.OpShipOp.Name, func() { rs.ApplyShipped(1, []byte(`{}`)) }},
+		{rpc.OpEndFollow.Name, func() { rs.EndFollow() }},
+		{rpc.OpRearm.Name, func() { rs.Rearm(ctx, nil) }},
+		{rpc.OpSetRing.Name, func() { rs.PushRing(ctx, rpc.RingInfo{Version: 1, Shards: []rpc.ShardInfo{{Addr: self}}}) }},
+		{rpc.OpRing.Name, func() { src.Fetch() }},
+		{"", func() { rs.Catalog(); rs.SearchAttributes("salsa") }},
+	}
+	rows := map[string]bool{}
+	for _, c := range calls {
+		c.call()
+		got := log.take()
+		switch {
+		case c.row == "" && len(got) == 0:
+		case c.row == "" || len(got) != 1 || got[0].op != c.row:
+			t.Errorf("the call for row %q sent %+v, want exactly one request naming it", c.row, got)
+		case got[0].status == http.StatusNotFound:
+			t.Errorf("row %q answered 404: the server does not serve it", c.row)
+		default:
+			rows[c.row] = true
+		}
+	}
+	if len(rows) != 33 {
+		t.Fatalf("the calls sent %d distinct rows, want all 33 of the op table", len(rows))
+	}
 }

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -163,5 +164,48 @@ func TestUnreachablePeerAnswers503(t *testing.T) {
 					rq.route, i, w.Code, w.Header().Get("Retry-After"), w.Body)
 			}
 		}
+	}
+}
+
+// TestUnresolvedStaleRingAnswers503: a shard that refuses a call as
+// stale-ring says "not served by me under your ring", not "no such user".
+// When the router cannot resolve the refusal — it has no membership
+// source, the source fails, or the refreshed ring routes to a shard that
+// refuses again — the public API answers 503 with Retry-After, never the
+// route's 404.
+func TestUnresolvedStaleRingAnswers503(t *testing.T) {
+	cases := []struct {
+		name string
+		src  func(inner cluster.Shard) cluster.MembershipSource
+	}{
+		{"no membership source", nil},
+		{"source fails", func(cluster.Shard) cluster.MembershipSource {
+			return &fakeSource{err: errors.New("no seed answered")}
+		}},
+		{"refreshed ring refuses again", func(inner cluster.Shard) cluster.MembershipSource {
+			next := cluster.NewReplicaSet(&staleOnceShard{Shard: inner})
+			return &fakeSource{m: cluster.Membership{Version: 2, Shards: []*cluster.ReplicaSet{next}}}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := platform.New(platform.Config{Seed: 3})
+			c, err := cluster.New([]cluster.Shard{&staleOnceShard{Shard: inner}}, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddUser(profile.New("stale-user")); err != nil {
+				t.Fatal(err)
+			}
+			if tc.src != nil {
+				c.SetMembershipSource(tc.src(inner))
+			}
+			api := httpapi.NewServerWithRegistry(c, nil, obs.NewRegistry())
+			w := do(api, "POST", "/api/v1/users/stale-user/browse?slots=2", "")
+			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+				t.Fatalf("unresolved stale-ring refusal = %d (Retry-After %q) %s, want 503 with Retry-After",
+					w.Code, w.Header().Get("Retry-After"), w.Body)
+			}
+		})
 	}
 }

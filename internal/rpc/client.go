@@ -137,6 +137,10 @@ func NewClient(baseURL string, opts Options) *Client {
 	return c
 }
 
+// BaseURL returns the peer's base URL — the dialable address the router
+// publishes in ring pushes.
+func (c *Client) BaseURL() string { return c.baseURL }
+
 // Peer returns the peer label (host:port).
 func (c *Client) Peer() string { return c.peer }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 )
@@ -19,8 +20,10 @@ import (
 // gate and it no longer (or does not yet) own the addressed user under the
 // ring version it is serving. The call was NOT applied. Clients do not
 // retry it at the transport layer — the cure is refreshing membership and
-// re-routing, which the cluster layer does exactly once per op.
-var ErrStaleRing = errors.New("rpc: stale ring")
+// re-routing, which the cluster layer does exactly once per op. One the
+// router could not resolve that way is an httpapi.Unavailable: a front end
+// answers it 503, not "unknown user".
+var ErrStaleRing error = httpapi.Unavailable("rpc: stale ring")
 
 // MembershipGate is the ownership check a shard server consults before
 // serving a user-scoped operation, plus the ring-version exchange surface.
@@ -150,47 +153,47 @@ func memberOp[Req, Resp any](s *Server, op Op[Req, Resp], fn func(m platform.Mem
 
 // registerElastic wires the migration, replication, and ring ops.
 func (s *Server) registerElastic() {
-	memberOp(s, opExportUsers, func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
-		chunk, err := m.ExportUsers(toUserIDs(req.Users))
+	memberOp(s, OpExportUsers, func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
+		chunk, err := m.ExportUsers(ToUserIDs(req.Users))
 		return ChunkResp{Chunk: chunk}, err
 	})
-	memberOp(s, opImportUsers, func(m platform.Member, req ImportUsersReq) (empty, error) {
+	memberOp(s, OpImportUsers, func(m platform.Member, req ImportUsersReq) (empty, error) {
 		return empty{}, m.ImportUsers(req.Chunk)
 	})
-	memberOp(s, opRemoveUsers, func(m platform.Member, req RemoveUsersReq) (empty, error) {
-		return empty{}, m.RemoveUsers(toUserIDs(req.Users))
+	memberOp(s, OpRemoveUsers, func(m platform.Member, req RemoveUsersReq) (empty, error) {
+		return empty{}, m.RemoveUsers(ToUserIDs(req.Users))
 	})
-	memberOp(s, opInstallState, func(m platform.Member, req InstallStateReq) (empty, error) {
+	memberOp(s, OpInstallState, func(m platform.Member, req InstallStateReq) (empty, error) {
 		return empty{}, m.InstallState(req.State)
 	})
-	memberOp(s, opSyncState, func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
+	memberOp(s, OpSyncState, func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
 		st, lsn, err := m.StateAndLSN(req.Skeleton)
 		return SyncStateResp{State: st, LSN: lsn}, err
 	})
-	memberOp(s, opShipOp, func(m platform.Member, req ShipOpReq) (empty, error) {
+	memberOp(s, OpShipOp, func(m platform.Member, req ShipOpReq) (empty, error) {
 		return empty{}, m.ApplyShipped(req.LSN, []byte(req.Payload))
 	})
-	memberOp(s, opBeginFollow, func(m platform.Member, req FollowReq) (empty, error) {
+	memberOp(s, OpBeginFollow, func(m platform.Member, req FollowReq) (empty, error) {
 		return empty{}, m.BeginFollow(req.LSN)
 	})
-	memberOp(s, opEndFollow, func(m platform.Member, _ empty) (empty, error) {
+	memberOp(s, OpEndFollow, func(m platform.Member, _ empty) (empty, error) {
 		return empty{}, m.EndFollow()
 	})
-	serve(s, opRearm, func(_ context.Context, req RearmReq) (empty, error) {
+	serve(s, OpRearm, func(_ context.Context, req RearmReq) (empty, error) {
 		fn := s.rearm.Load()
 		if fn == nil {
 			return empty{}, fmt.Errorf("shard has no rearm handler configured (node was not started with replication support)")
 		}
 		return empty{}, (*fn)(req.Followers)
 	})
-	serve(s, opRing, func(_ context.Context, _ empty) (RingInfo, error) {
+	serve(s, OpRing, func(_ context.Context, _ empty) (RingInfo, error) {
 		g := s.gate.Load()
 		if g == nil {
 			return RingInfo{}, fmt.Errorf("shard has no membership gate configured")
 		}
 		return (*g).Ring(), nil
 	})
-	serve(s, opSetRing, func(_ context.Context, req RingInfo) (empty, error) {
+	serve(s, OpSetRing, func(_ context.Context, req RingInfo) (empty, error) {
 		g := s.gate.Load()
 		if g == nil {
 			return empty{}, fmt.Errorf("shard has no membership gate configured")
@@ -199,10 +202,20 @@ func (s *Server) registerElastic() {
 	})
 }
 
-func toUserIDs(ss []string) []profile.UserID {
+// ToUserIDs converts wire user IDs to profile IDs.
+func ToUserIDs(ss []string) []profile.UserID {
 	out := make([]profile.UserID, len(ss))
 	for i, u := range ss {
 		out[i] = profile.UserID(u)
+	}
+	return out
+}
+
+// FromUserIDs converts profile IDs to their wire form.
+func FromUserIDs(users []profile.UserID) []string {
+	out := make([]string, len(users))
+	for i, u := range users {
+		out[i] = string(u)
 	}
 	return out
 }

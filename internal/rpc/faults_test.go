@@ -43,7 +43,7 @@ func TestRetryBudgetExhaustionSurfacesUnavailable(t *testing.T) {
 	})
 	defer c.Close()
 
-	_, err := c.Users(context.Background())
+	err := users(c)
 	if err == nil {
 		t.Fatal("call through a dead link succeeded")
 	}
@@ -89,7 +89,7 @@ func TestHedgeLoserCancelledPromptly(t *testing.T) {
 	defer c.Close()
 
 	start := time.Now()
-	if _, err := c.Users(context.Background()); err != nil {
+	if err := users(c); err != nil {
 		t.Fatalf("hedged read failed: %v", err)
 	}
 	select {

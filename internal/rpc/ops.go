@@ -3,16 +3,10 @@ package rpc
 import (
 	"context"
 
-	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
-	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/explain"
-	"github.com/treads-project/treads/internal/httpapi"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
-	"github.com/treads-project/treads/internal/trace"
 )
 
 // Scope is the one fact about an op that client, server and coordinator
@@ -49,8 +43,8 @@ type OpInfo struct {
 	Idempotent bool
 }
 
-// Op is a table row together with its request and response types. Client
-// methods send it with callOp, the Server registers its handler with serve.
+// Op is a table row together with its request and response types. A client
+// sends it with Do, the Server registers its handler with serve.
 type Op[Req, Resp any] struct {
 	*OpInfo
 	// user reads the user key from a user-scoped request, for the gate.
@@ -100,9 +94,9 @@ func (o Op[Req, Resp]) once() Op[Req, Resp] {
 	return o
 }
 
-// The op table. Each op is written down here and nowhere else: the typed
-// Client method below sends it, Server.register serves it, and the cluster
-// coordinator routes the user-scoped ones by the same Scope.
+// The op table. Each op is written down here and nowhere else: Do sends it
+// (cluster.RemoteShard is its one typed caller), Server.register serves it,
+// and the cluster coordinator routes the user-scoped ones by the same Scope.
 var (
 	OpAddUser       = declareUser[AddUserReq, empty]("adduser", UserWrite)
 	OpUser          = declareUser[UserIDReq, UserResp]("user", UserRead)
@@ -114,219 +108,86 @@ var (
 	OpAdvertisers   = declareUser[UserIDReq, NamesResp]("advertisers", UserRead)
 	OpExplain       = declareUser[ExplainReq, ExplainResp]("explain", UserRead)
 
-	opRegister                 = declare[RegisterReq, empty]("register", Replicated)
-	opCreateCampaign           = declare[CreateCampaignReq, CampaignIDResp]("createcampaign", Replicated)
-	opPauseCampaign            = declare[CampaignReq, empty]("pausecampaign", Replicated)
-	opCreatePIIAudience        = declare[CreatePIIAudienceReq, AudienceIDResp]("createpiiaudience", Replicated)
-	opCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, AudienceIDResp]("createwebsiteaudience", Replicated)
-	opCreateEngagementAudience = declare[CreateEngagementAudienceReq, AudienceIDResp]("createengagementaudience", Replicated)
-	opCreateAffinityAudience   = declare[CreateAffinityAudienceReq, AudienceIDResp]("createaffinityaudience", Replicated)
-	opCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, AudienceIDResp]("createlookalikeaudience", Replicated)
-	opIssuePixel               = declare[AdvertiserReq, PixelIDResp]("issuepixel", Replicated)
+	OpRegister                 = declare[RegisterReq, empty]("register", Replicated)
+	OpCreateCampaign           = declare[CreateCampaignReq, CampaignIDResp]("createcampaign", Replicated)
+	OpPauseCampaign            = declare[CampaignReq, empty]("pausecampaign", Replicated)
+	OpCreatePIIAudience        = declare[CreatePIIAudienceReq, AudienceIDResp]("createpiiaudience", Replicated)
+	OpCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, AudienceIDResp]("createwebsiteaudience", Replicated)
+	OpCreateEngagementAudience = declare[CreateEngagementAudienceReq, AudienceIDResp]("createengagementaudience", Replicated)
+	OpCreateAffinityAudience   = declare[CreateAffinityAudienceReq, AudienceIDResp]("createaffinityaudience", Replicated)
+	OpCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, AudienceIDResp]("createlookalikeaudience", Replicated)
+	OpIssuePixel               = declare[AdvertiserReq, PixelIDResp]("issuepixel", Replicated)
 
-	opUsers          = declare[empty, UsersResp]("users", Gathered)
-	opRawReach       = declare[RawReachReq, RawReachResp]("rawreach", Gathered)
-	opCampaignTotals = declare[CampaignReq, CampaignTotalsResp]("campaigntotals", Gathered)
+	OpUsers          = declare[empty, UsersResp]("users", Gathered)
+	OpRawReach       = declare[RawReachReq, RawReachResp]("rawreach", Gathered)
+	OpCampaignTotals = declare[CampaignReq, CampaignTotalsResp]("campaigntotals", Gathered)
 
 	// import/remove/install replace state (re-executing them converges) and
 	// rearm replaces the whole chain, so they retry; shipop is strictly
 	// ordered — the follower's gap check treats a duplicate LSN as divergence.
-	opExportUsers  = declare[ExportUsersReq, ChunkResp]("exportusers", Control)
-	opImportUsers  = declare[ImportUsersReq, empty]("importusers", Control)
-	opRemoveUsers  = declare[RemoveUsersReq, empty]("removeusers", Control)
-	opInstallState = declare[InstallStateReq, empty]("installstate", Control)
-	opSyncState    = declare[SyncStateReq, SyncStateResp]("syncstate", Control)
-	opShipOp       = declare[ShipOpReq, empty]("shipop", Control).once()
-	opBeginFollow  = declare[FollowReq, empty]("beginfollow", Control)
-	opEndFollow    = declare[empty, empty]("endfollow", Control)
-	opRearm        = declare[RearmReq, empty]("rearm", Control)
-	opRing         = declare[empty, RingInfo]("ring", Control)
-	opSetRing      = declare[RingInfo, empty]("setring", Control)
-	opTraceSpans   = declare[empty, TraceSpansResp]("tracespans", Control)
+	OpExportUsers  = declare[ExportUsersReq, ChunkResp]("exportusers", Control)
+	OpImportUsers  = declare[ImportUsersReq, empty]("importusers", Control)
+	OpRemoveUsers  = declare[RemoveUsersReq, empty]("removeusers", Control)
+	OpInstallState = declare[InstallStateReq, empty]("installstate", Control)
+	OpSyncState    = declare[SyncStateReq, SyncStateResp]("syncstate", Control)
+	OpShipOp       = declare[ShipOpReq, empty]("shipop", Control).once()
+	OpBeginFollow  = declare[FollowReq, empty]("beginfollow", Control)
+	OpEndFollow    = declare[empty, empty]("endfollow", Control)
+	OpRearm        = declare[RearmReq, empty]("rearm", Control)
+	OpRing         = declare[empty, RingInfo]("ring", Control)
+	OpSetRing      = declare[RingInfo, empty]("setring", Control)
+	OpTraceSpans   = declare[empty, TraceSpansResp]("tracespans", Control)
 )
 
-// callOp sends one op: the retry-and-hedge policy, span name and error label
-// come from the declaration. A nil resp discards the answer.
-func callOp[Req, Resp any](ctx context.Context, c *Client, op Op[Req, Resp], req Req, resp *Resp) error {
-	var in, out any = req, resp
+// Do sends one op and returns its answer: the retry-and-hedge policy, span
+// name and error label come from the row. A failed call returns the zero
+// Resp — a half-decoded answer is no answer.
+func Do[Req, Resp any](ctx context.Context, c *Client, op Op[Req, Resp], req Req) (Resp, error) {
+	var resp Resp
+	var in, out any = req, &resp
 	if _, none := in.(empty); none {
 		in = nil
 	}
-	if resp == nil {
+	if _, none := out.(*empty); none {
 		out = nil
 	}
-	err := c.Call(ctx, op.Name, op.Idempotent, in, out)
-	if err != nil && resp != nil {
+	if err := c.Call(ctx, op.Name, op.Idempotent, in, out); err != nil {
 		var zero Resp
-		*resp = zero // a half-decoded answer is no answer
+		return zero, err
 	}
-	return err
+	return resp, nil
 }
 
-// Typed operation methods — one per shard op, mirroring the cluster.Shard
-// surface; what each may do on a failed attempt is its row's, not theirs.
-
-// AddUser ships a full profile snapshot to the shard.
-func (c *Client) AddUser(ctx context.Context, p *profile.Profile) error {
-	return callOp(ctx, c, OpAddUser, AddUserReq{Profile: p.Snapshot()}, nil)
-}
-
-// User fetches a profile snapshot; nil for an unknown user.
-func (c *Client) User(ctx context.Context, uid profile.UserID) (*profile.Profile, error) {
-	var resp UserResp
-	if err := callOp(ctx, c, OpUser, UserIDReq{UserID: string(uid)}, &resp); err != nil || resp.Profile == nil {
-		return nil, err
-	}
-	return profile.FromState(*resp.Profile)
-}
-
-// Users lists every user ID on the shard.
-func (c *Client) Users(ctx context.Context) ([]profile.UserID, error) {
-	var resp UsersResp
-	if err := callOp(ctx, c, opUsers, empty{}, &resp); err != nil || len(resp.Users) == 0 {
-		return nil, err
-	}
-	return toUserIDs(resp.Users), nil
-}
-
-// BrowseFeed runs a feed session (auctions, spend — a mutation).
-func (c *Client) BrowseFeed(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
-	var resp ImpressionsResp
-	err := callOp(ctx, c, OpBrowse, BrowseReq{UserID: string(uid), Slots: slots}, &resp)
-	return toImpressions(resp.Impressions), err
-}
-
-// Feed returns the user's accumulated feed; an unknown user is refused.
-func (c *Client) Feed(ctx context.Context, uid profile.UserID) ([]ad.Impression, error) {
-	var resp ImpressionsResp
-	err := callOp(ctx, c, OpFeed, UserIDReq{UserID: string(uid)}, &resp)
-	return toImpressions(resp.Impressions), err
-}
+// The five typed ops benchmark/shims.go calls with its own context;
+// cluster.RemoteShard forwards to them, so each op still has one typed
+// client.
 
 // VisitPage records a pixel fire.
 func (c *Client) VisitPage(ctx context.Context, uid profile.UserID, px pixel.PixelID) error {
-	return callOp(ctx, c, OpVisit, VisitReq{UserID: string(uid), PixelID: string(px)}, nil)
+	_, err := Do(ctx, c, OpVisit, VisitReq{UserID: string(uid), PixelID: string(px)})
+	return err
 }
 
 // LikePage records a page like.
 func (c *Client) LikePage(ctx context.Context, uid profile.UserID, pageID string) error {
-	return callOp(ctx, c, OpLike, LikeReq{UserID: string(uid), PageID: pageID}, nil)
+	_, err := Do(ctx, c, OpLike, LikeReq{UserID: string(uid), PageID: pageID})
+	return err
 }
 
 // AdPreferences returns the user's transparency-page attributes.
 func (c *Client) AdPreferences(ctx context.Context, uid profile.UserID) ([]attr.ID, error) {
-	var resp AttrIDsResp
-	err := callOp(ctx, c, OpAdPreferences, UserIDReq{UserID: string(uid)}, &resp)
+	resp, err := Do(ctx, c, OpAdPreferences, UserIDReq{UserID: string(uid)})
 	return toAttrIDs(resp.Attributes), err
-}
-
-// AdvertisersTargetingMe returns the advertisers with the user in an
-// active target set.
-func (c *Client) AdvertisersTargetingMe(ctx context.Context, uid profile.UserID) ([]string, error) {
-	var resp NamesResp
-	err := callOp(ctx, c, OpAdvertisers, UserIDReq{UserID: string(uid)}, &resp)
-	return resp.Names, err
-}
-
-// ExplainImpression asks the shard for the "why am I seeing this?" text.
-func (c *Client) ExplainImpression(ctx context.Context, uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	var resp ExplainResp
-	err := callOp(ctx, c, OpExplain, ExplainReq{UserID: string(uid), Impression: httpapi.FromImpression(imp)}, &resp)
-	return explain.Explanation{Attribute: attr.ID(resp.Attribute), Text: resp.Text}, err
-}
-
-// RegisterAdvertiser creates the advertiser account.
-func (c *Client) RegisterAdvertiser(ctx context.Context, name string) error {
-	return callOp(ctx, c, opRegister, RegisterReq{Name: name}, nil)
 }
 
 // CreateCampaign registers a campaign and returns the shard-minted ID.
 func (c *Client) CreateCampaign(ctx context.Context, advertiser string, params platform.CampaignParams) (string, error) {
-	var resp CampaignIDResp
-	err := callOp(ctx, c, opCreateCampaign, CreateCampaignReq{Advertiser: advertiser, Params: FromCampaignParams(params)}, &resp)
+	resp, err := Do(ctx, c, OpCreateCampaign, CreateCampaignReq{Advertiser: advertiser, Params: FromCampaignParams(params)})
 	return resp.CampaignID, err
 }
 
 // PauseCampaign pauses a campaign.
 func (c *Client) PauseCampaign(ctx context.Context, advertiser, campaignID string) error {
-	return callOp(ctx, c, opPauseCampaign, CampaignReq{Advertiser: advertiser, CampaignID: campaignID}, nil)
-}
-
-// CreatePIIAudience uploads hashed match keys.
-func (c *Client) CreatePIIAudience(ctx context.Context, advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	wire := make([]httpapi.MatchKeyWire, len(keys))
-	for i, k := range keys {
-		wire[i] = httpapi.FromMatchKey(k)
-	}
-	var resp AudienceIDResp
-	err := callOp(ctx, c, opCreatePIIAudience, CreatePIIAudienceReq{Advertiser: advertiser, Name: name, Keys: wire}, &resp)
-	return audience.AudienceID(resp.AudienceID), err
-}
-
-// CreateWebsiteAudience builds a pixel-backed audience.
-func (c *Client) CreateWebsiteAudience(ctx context.Context, advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	var resp AudienceIDResp
-	err := callOp(ctx, c, opCreateWebsiteAudience, CreateWebsiteAudienceReq{Advertiser: advertiser, Name: name, PixelID: string(px)}, &resp)
-	return audience.AudienceID(resp.AudienceID), err
-}
-
-// CreateEngagementAudience builds a page-like audience.
-func (c *Client) CreateEngagementAudience(ctx context.Context, advertiser, name, pageID string) (audience.AudienceID, error) {
-	var resp AudienceIDResp
-	err := callOp(ctx, c, opCreateEngagementAudience, CreateEngagementAudienceReq{Advertiser: advertiser, Name: name, PageID: pageID}, &resp)
-	return audience.AudienceID(resp.AudienceID), err
-}
-
-// CreateAffinityAudience builds a keyword audience.
-func (c *Client) CreateAffinityAudience(ctx context.Context, advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	var resp AudienceIDResp
-	err := callOp(ctx, c, opCreateAffinityAudience, CreateAffinityAudienceReq{Advertiser: advertiser, Name: name, Phrases: phrases}, &resp)
-	return audience.AudienceID(resp.AudienceID), err
-}
-
-// CreateLookalikeAudience derives a similarity audience.
-func (c *Client) CreateLookalikeAudience(ctx context.Context, advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	var resp AudienceIDResp
-	req := CreateLookalikeAudienceReq{Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap}
-	err := callOp(ctx, c, opCreateLookalikeAudience, req, &resp)
-	return audience.AudienceID(resp.AudienceID), err
-}
-
-// IssuePixel issues a tracking pixel.
-func (c *Client) IssuePixel(ctx context.Context, advertiser string) (pixel.PixelID, error) {
-	var resp PixelIDResp
-	err := callOp(ctx, c, opIssuePixel, AdvertiserReq{Advertiser: advertiser}, &resp)
-	return pixel.PixelID(resp.PixelID), err
-}
-
-// RawReach returns the shard's exact pre-threshold match count.
-func (c *Client) RawReach(ctx context.Context, advertiser string, spec audience.Spec) (int, error) {
-	var resp RawReachResp
-	err := callOp(ctx, c, opRawReach, RawReachReq{Advertiser: advertiser, Spec: FromSpec(spec)}, &resp)
-	return resp.Count, err
-}
-
-// CampaignTotals returns the shard's mergeable campaign totals.
-func (c *Client) CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error) {
-	var resp CampaignTotalsResp
-	err := callOp(ctx, c, opCampaignTotals, CampaignReq{Advertiser: advertiser, CampaignID: campaignID}, &resp)
-	return resp.ToTotals(), err
-}
-
-// TraceSpans fetches the peer's completed spans.
-func (c *Client) TraceSpans(ctx context.Context) ([]trace.SpanWire, error) {
-	var resp TraceSpansResp
-	err := callOp(ctx, c, opTraceSpans, empty{}, &resp)
-	return resp.Spans, err
-}
-
-func toImpressions(ws []httpapi.ImpressionWire) []ad.Impression {
-	if len(ws) == 0 {
-		return nil
-	}
-	out := make([]ad.Impression, len(ws))
-	for i, w := range ws {
-		out[i] = w.ToImpression()
-	}
-	return out
+	_, err := Do(ctx, c, OpPauseCampaign, CampaignReq{Advertiser: advertiser, CampaignID: campaignID})
+	return err
 }

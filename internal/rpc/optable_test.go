@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/platform"
@@ -72,79 +71,50 @@ func (t *lossyTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 
 const tableUser profile.UserID = "user-000000"
 
-// tableCalls sends each op of the table through its typed Client method.
+// send is a tableCalls entry: one op sent through Do.
+func send[Req, Resp any](op Op[Req, Resp], req Req) func(context.Context, *Client) error {
+	return func(ctx context.Context, c *Client) error {
+		_, err := Do(ctx, c, op, req)
+		return err
+	}
+}
+
+// tableCalls sends each op of the table through Do, with the request its
+// typed client builds.
 var tableCalls = map[string]func(context.Context, *Client) error{
-	"adduser": func(ctx context.Context, c *Client) error { return c.AddUser(ctx, profile.New(tableUser)) },
-	"user":    func(ctx context.Context, c *Client) error { _, err := c.User(ctx, tableUser); return err },
-	"users":   func(ctx context.Context, c *Client) error { _, err := c.Users(ctx); return err },
-	"browse":  func(ctx context.Context, c *Client) error { _, err := c.BrowseFeed(ctx, tableUser, 1); return err },
-	"feed":    func(ctx context.Context, c *Client) error { _, err := c.Feed(ctx, tableUser); return err },
-	"visit":   func(ctx context.Context, c *Client) error { return c.VisitPage(ctx, tableUser, "px-000001") },
-	"like":    func(ctx context.Context, c *Client) error { return c.LikePage(ctx, tableUser, "page-x") },
-	"adpreferences": func(ctx context.Context, c *Client) error {
-		_, err := c.AdPreferences(ctx, tableUser)
-		return err
-	},
-	"advertisers": func(ctx context.Context, c *Client) error {
-		_, err := c.AdvertisersTargetingMe(ctx, tableUser)
-		return err
-	},
-	"explain": func(ctx context.Context, c *Client) error {
-		_, err := c.ExplainImpression(ctx, tableUser, ad.Impression{})
-		return err
-	},
-	"register": func(ctx context.Context, c *Client) error { return c.RegisterAdvertiser(ctx, "adv") },
-	"createcampaign": func(ctx context.Context, c *Client) error {
-		_, err := c.CreateCampaign(ctx, "adv", platform.CampaignParams{})
-		return err
-	},
-	"pausecampaign": func(ctx context.Context, c *Client) error { return c.PauseCampaign(ctx, "adv", "camp-000001") },
-	"createpiiaudience": func(ctx context.Context, c *Client) error {
-		_, err := c.CreatePIIAudience(ctx, "adv", "a", nil)
-		return err
-	},
-	"createwebsiteaudience": func(ctx context.Context, c *Client) error {
-		_, err := c.CreateWebsiteAudience(ctx, "adv", "a", "px-000001")
-		return err
-	},
-	"createengagementaudience": func(ctx context.Context, c *Client) error {
-		_, err := c.CreateEngagementAudience(ctx, "adv", "a", "page-x")
-		return err
-	},
-	"createaffinityaudience": func(ctx context.Context, c *Client) error {
-		_, err := c.CreateAffinityAudience(ctx, "adv", "a", []string{"jazz"})
-		return err
-	},
-	"createlookalikeaudience": func(ctx context.Context, c *Client) error {
-		_, err := c.CreateLookalikeAudience(ctx, "adv", "a", "aud-000001", 0.5)
-		return err
-	},
-	"issuepixel": func(ctx context.Context, c *Client) error { _, err := c.IssuePixel(ctx, "adv"); return err },
-	"rawreach": func(ctx context.Context, c *Client) error {
-		_, err := c.RawReach(ctx, "adv", audience.Spec{})
-		return err
-	},
-	"campaigntotals": func(ctx context.Context, c *Client) error {
-		_, err := c.CampaignTotals(ctx, "adv", "camp-000001")
-		return err
-	},
-	"exportusers": func(ctx context.Context, c *Client) error {
-		_, err := c.ExportUsers(ctx, []profile.UserID{tableUser})
-		return err
-	},
-	"importusers": func(ctx context.Context, c *Client) error { return c.ImportUsers(ctx, platform.MigrationChunk{}) },
-	"removeusers": func(ctx context.Context, c *Client) error { return c.RemoveUsers(ctx, []profile.UserID{tableUser}) },
-	"installstate": func(ctx context.Context, c *Client) error {
-		return c.InstallState(ctx, platform.State{})
-	},
-	"syncstate":   func(ctx context.Context, c *Client) error { _, _, err := c.SyncState(ctx, true); return err },
-	"shipop":      func(ctx context.Context, c *Client) error { return c.ShipOp(ctx, 1, []byte(`{}`)) },
-	"beginfollow": func(ctx context.Context, c *Client) error { return c.BeginFollow(ctx, 0) },
-	"endfollow":   func(ctx context.Context, c *Client) error { return c.EndFollow(ctx) },
-	"rearm":       func(ctx context.Context, c *Client) error { return c.Rearm(ctx, nil) },
-	"ring":        func(ctx context.Context, c *Client) error { _, err := c.FetchRing(ctx); return err },
-	"setring":     func(ctx context.Context, c *Client) error { return c.PushRing(ctx, RingInfo{Version: 1}) },
-	"tracespans":  func(ctx context.Context, c *Client) error { _, err := c.TraceSpans(ctx); return err },
+	"adduser":                  send(OpAddUser, AddUserReq{Profile: profile.New(tableUser).Snapshot()}),
+	"user":                     send(OpUser, UserIDReq{UserID: string(tableUser)}),
+	"users":                    send(OpUsers, empty{}),
+	"browse":                   send(OpBrowse, BrowseReq{UserID: string(tableUser), Slots: 1}),
+	"feed":                     send(OpFeed, UserIDReq{UserID: string(tableUser)}),
+	"visit":                    send(OpVisit, VisitReq{UserID: string(tableUser), PixelID: "px-000001"}),
+	"like":                     send(OpLike, LikeReq{UserID: string(tableUser), PageID: "page-x"}),
+	"adpreferences":            send(OpAdPreferences, UserIDReq{UserID: string(tableUser)}),
+	"advertisers":              send(OpAdvertisers, UserIDReq{UserID: string(tableUser)}),
+	"explain":                  send(OpExplain, ExplainReq{UserID: string(tableUser)}),
+	"register":                 send(OpRegister, RegisterReq{Name: "adv"}),
+	"createcampaign":           send(OpCreateCampaign, CreateCampaignReq{Advertiser: "adv", Params: FromCampaignParams(platform.CampaignParams{})}),
+	"pausecampaign":            send(OpPauseCampaign, CampaignReq{Advertiser: "adv", CampaignID: "camp-000001"}),
+	"createpiiaudience":        send(OpCreatePIIAudience, CreatePIIAudienceReq{Advertiser: "adv", Name: "a"}),
+	"createwebsiteaudience":    send(OpCreateWebsiteAudience, CreateWebsiteAudienceReq{Advertiser: "adv", Name: "a", PixelID: "px-000001"}),
+	"createengagementaudience": send(OpCreateEngagementAudience, CreateEngagementAudienceReq{Advertiser: "adv", Name: "a", PageID: "page-x"}),
+	"createaffinityaudience":   send(OpCreateAffinityAudience, CreateAffinityAudienceReq{Advertiser: "adv", Name: "a", Phrases: []string{"jazz"}}),
+	"createlookalikeaudience":  send(OpCreateLookalikeAudience, CreateLookalikeAudienceReq{Advertiser: "adv", Name: "a", Seed: "aud-000001", Overlap: 0.5}),
+	"issuepixel":               send(OpIssuePixel, AdvertiserReq{Advertiser: "adv"}),
+	"rawreach":                 send(OpRawReach, RawReachReq{Advertiser: "adv", Spec: FromSpec(audience.Spec{})}),
+	"campaigntotals":           send(OpCampaignTotals, CampaignReq{Advertiser: "adv", CampaignID: "camp-000001"}),
+	"exportusers":              send(OpExportUsers, ExportUsersReq{Users: FromUserIDs([]profile.UserID{tableUser})}),
+	"importusers":              send(OpImportUsers, ImportUsersReq{}),
+	"removeusers":              send(OpRemoveUsers, RemoveUsersReq{Users: FromUserIDs([]profile.UserID{tableUser})}),
+	"installstate":             send(OpInstallState, InstallStateReq{}),
+	"syncstate":                send(OpSyncState, SyncStateReq{Skeleton: true}),
+	"shipop":                   send(OpShipOp, ShipOpReq{LSN: 1, Payload: []byte(`{}`)}),
+	"beginfollow":              send(OpBeginFollow, FollowReq{}),
+	"endfollow":                send(OpEndFollow, empty{}),
+	"rearm":                    send(OpRearm, RearmReq{}),
+	"ring":                     send(OpRing, empty{}),
+	"setring":                  send(OpSetRing, RingInfo{Version: 1}),
+	"tracespans":               send(OpTraceSpans, empty{}),
 }
 
 // TestOpTableIsThePolicy holds client, server and table to one another for
@@ -179,6 +149,11 @@ func TestOpTableIsThePolicy(t *testing.T) {
 		if declared[i] == declared[i-1] {
 			t.Fatalf("op %q is declared twice", declared[i])
 		}
+	}
+	// cluster's TestRemoteShardSendsItsOwnRow drives one RemoteShard method
+	// per row and counts on this many.
+	if len(declared) != 33 {
+		t.Fatalf("the op table has %d rows, want 33", len(declared))
 	}
 	if got := names(srv.handlers); !reflect.DeepEqual(got, declared) {
 		t.Fatalf("registered handlers\n %v\nare not the op table\n %v", got, declared)

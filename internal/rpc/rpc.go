@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/httpapi"
@@ -52,9 +53,9 @@ const MaxBody = 8 << 20
 // one of these sentinels (or is a *RemoteError, an application-level
 // refusal from the shard itself), so callers can errors.Is their way to
 // the cause: auth misconfiguration, a peer that answered garbage, a
-// deadline, a dead connection, or a breaker failing fast. The last three
-// are httpapi.Unavailable values: a front end answers them 503, not with
-// the route's refusal code.
+// deadline, a dead connection, or a breaker failing fast. The last three,
+// like ErrStaleRing, are httpapi.Unavailable values: a front end answers
+// them 503, not with the route's refusal code.
 var (
 	// ErrAuth is a 401 from the peer: wrong or missing shared secret.
 	// Never retried — the config is wrong, not the network.
@@ -388,6 +389,19 @@ func toAttrIDs(ss []string) []attr.ID {
 	out := make([]attr.ID, len(ss))
 	for i, s := range ss {
 		out[i] = attr.ID(s)
+	}
+	return out
+}
+
+// ToImpressions converts wire impressions back, preserving nil-ness like
+// attrIDs.
+func ToImpressions(ws []httpapi.ImpressionWire) []ad.Impression {
+	if len(ws) == 0 {
+		return nil
+	}
+	out := make([]ad.Impression, len(ws))
+	for i, w := range ws {
+		out[i] = w.ToImpression()
 	}
 	return out
 }

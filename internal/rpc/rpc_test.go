@@ -16,8 +16,10 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/delivery"
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
+	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
@@ -57,52 +59,63 @@ func addTestUsers(t *testing.T, p *platform.Platform, n int) []profile.UserID {
 	return ids
 }
 
+// users sends the users op: the read the transport tests below probe with.
+func users(c *rpc.Client) error {
+	_, err := rpc.Do(context.Background(), c, rpc.OpUsers, struct{}{})
+	return err
+}
+
 // TestRoundTrip drives the full operation surface over the wire and checks
 // the answers match what the backend reports directly.
 func TestRoundTrip(t *testing.T) {
 	ctx := context.Background()
 	p, c := newShardPair(t, "hunter2", rpc.Options{})
+	const uid = "user-000042"
+	who := rpc.UserIDReq{UserID: uid}
 
 	// User-scoped surface.
-	pr := profile.New("user-000042")
+	pr := profile.New(uid)
 	pr.Nation = "US"
 	pr.AgeYrs = 30
 	pr.SetAttr(p.Catalog().BySource(attr.SourcePartner)[0].ID)
-	if err := c.AddUser(ctx, pr); err != nil {
+	if _, err := rpc.Do(ctx, c, rpc.OpAddUser, rpc.AddUserReq{Profile: pr.Snapshot()}); err != nil {
 		t.Fatalf("AddUser: %v", err)
 	}
-	got, err := c.User(ctx, "user-000042")
+	got, err := rpc.Do(ctx, c, rpc.OpUser, who)
 	if err != nil {
 		t.Fatalf("User: %v", err)
 	}
-	if got == nil || !reflect.DeepEqual(got.Snapshot(), p.User("user-000042").Snapshot()) {
-		t.Fatalf("round-tripped profile diverged from backend's")
+	if got.Profile == nil {
+		t.Fatal("User answered no profile for a known user")
 	}
-	if ghost, err := c.User(ctx, "nope"); err != nil || ghost != nil {
-		t.Fatalf("unknown user = (%v, %v), want (nil, nil)", ghost, err)
+	if back, err := profile.FromState(*got.Profile); err != nil || !reflect.DeepEqual(back.Snapshot(), p.User(uid).Snapshot()) {
+		t.Fatalf("round-tripped profile diverged from backend's (%v)", err)
 	}
-	users, err := c.Users(ctx)
-	if err != nil || len(users) != 1 || users[0] != "user-000042" {
-		t.Fatalf("Users = (%v, %v)", users, err)
+	if ghost, err := rpc.Do(ctx, c, rpc.OpUser, rpc.UserIDReq{UserID: "nope"}); err != nil || ghost.Profile != nil {
+		t.Fatalf("unknown user = (%v, %v), want (nil, nil)", ghost.Profile, err)
+	}
+	all, err := rpc.Do(ctx, c, rpc.OpUsers, struct{}{})
+	if err != nil || !reflect.DeepEqual(all.Users, []string{uid}) {
+		t.Fatalf("Users = (%v, %v)", all.Users, err)
 	}
 
 	// Advertiser surface: campaign against an affinity audience, browse,
 	// then the aggregate reads.
-	if err := c.RegisterAdvertiser(ctx, "acme"); err != nil {
+	if _, err := rpc.Do(ctx, c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"}); err != nil {
 		t.Fatalf("RegisterAdvertiser: %v", err)
 	}
-	px, err := c.IssuePixel(ctx, "acme")
-	if err != nil || px == "" {
-		t.Fatalf("IssuePixel = (%q, %v)", px, err)
+	px, err := rpc.Do(ctx, c, rpc.OpIssuePixel, rpc.AdvertiserReq{Advertiser: "acme"})
+	if err != nil || px.PixelID == "" {
+		t.Fatalf("IssuePixel = (%q, %v)", px.PixelID, err)
 	}
-	if err := c.VisitPage(ctx, "user-000042", px); err != nil {
+	if err := c.VisitPage(ctx, uid, pixel.PixelID(px.PixelID)); err != nil {
 		t.Fatalf("VisitPage: %v", err)
 	}
-	aud, err := c.CreateWebsiteAudience(ctx, "acme", "visitors", px)
-	if err != nil || aud == "" {
-		t.Fatalf("CreateWebsiteAudience = (%q, %v)", aud, err)
+	aud, err := rpc.Do(ctx, c, rpc.OpCreateWebsiteAudience, rpc.CreateWebsiteAudienceReq{Advertiser: "acme", Name: "visitors", PixelID: px.PixelID})
+	if err != nil || aud.AudienceID == "" {
+		t.Fatalf("CreateWebsiteAudience = (%q, %v)", aud.AudienceID, err)
 	}
-	spec := audience.Spec{Include: []audience.AudienceID{aud}}
+	spec := audience.Spec{Include: []audience.AudienceID{audience.AudienceID(aud.AudienceID)}}
 	camp, err := c.CreateCampaign(ctx, "acme", platform.CampaignParams{
 		Spec:      spec,
 		BidCapCPM: money.FromDollars(4),
@@ -111,43 +124,44 @@ func TestRoundTrip(t *testing.T) {
 	if err != nil || camp == "" {
 		t.Fatalf("CreateCampaign = (%q, %v)", camp, err)
 	}
-	imps, err := c.BrowseFeed(ctx, "user-000042", 5)
+	browse, err := rpc.Do(ctx, c, rpc.OpBrowse, rpc.BrowseReq{UserID: uid, Slots: 5})
 	if err != nil {
 		t.Fatalf("BrowseFeed: %v", err)
 	}
-	if want := p.Feed("user-000042"); !reflect.DeepEqual(imps, want) {
+	imps := rpc.ToImpressions(browse.Impressions)
+	if want := p.Feed(uid); !reflect.DeepEqual(imps, want) {
 		t.Fatalf("BrowseFeed returned %d imps, backend feed has %d (diverged)", len(imps), len(want))
 	}
-	feed, err := c.Feed(ctx, "user-000042")
-	if err != nil || !reflect.DeepEqual(feed, p.Feed("user-000042")) {
+	feed, err := rpc.Do(ctx, c, rpc.OpFeed, who)
+	if err != nil || !reflect.DeepEqual(rpc.ToImpressions(feed.Impressions), p.Feed(uid)) {
 		t.Fatalf("Feed diverged: %v", err)
 	}
-	n, err := c.RawReach(ctx, "acme", spec)
+	n, err := rpc.Do(ctx, c, rpc.OpRawReach, rpc.RawReachReq{Advertiser: "acme", Spec: rpc.FromSpec(spec)})
 	if err != nil {
 		t.Fatalf("RawReach: %v", err)
 	}
 	wantN, _ := p.RawReach(ctx, "acme", spec)
-	if n != wantN {
-		t.Fatalf("RawReach = %d, backend says %d", n, wantN)
+	if n.Count != wantN {
+		t.Fatalf("RawReach = %d, backend says %d", n.Count, wantN)
 	}
-	totals, err := c.CampaignTotals(ctx, "acme", camp)
+	totals, err := rpc.Do(ctx, c, rpc.OpCampaignTotals, rpc.CampaignReq{Advertiser: "acme", CampaignID: camp})
 	if err != nil {
 		t.Fatalf("CampaignTotals: %v", err)
 	}
 	wantTotals, _ := p.CampaignTotals(ctx, "acme", camp)
-	if totals != wantTotals {
-		t.Fatalf("CampaignTotals = %+v, backend says %+v", totals, wantTotals)
+	if totals.ToTotals() != wantTotals {
+		t.Fatalf("CampaignTotals = %+v, backend says %+v", totals.ToTotals(), wantTotals)
 	}
 
 	// Transparency surface.
-	if _, err := c.AdPreferences(ctx, "user-000042"); err != nil {
+	if _, err := c.AdPreferences(ctx, uid); err != nil {
 		t.Fatalf("AdPreferences: %v", err)
 	}
-	if _, err := c.AdvertisersTargetingMe(ctx, "user-000042"); err != nil {
+	if _, err := rpc.Do(ctx, c, rpc.OpAdvertisers, who); err != nil {
 		t.Fatalf("AdvertisersTargetingMe: %v", err)
 	}
 	if len(imps) > 0 {
-		ex, err := c.ExplainImpression(ctx, "user-000042", imps[0])
+		ex, err := rpc.Do(ctx, c, rpc.OpExplain, rpc.ExplainReq{UserID: uid, Impression: httpapi.FromImpression(imps[0])})
 		if err != nil || ex.Text == "" {
 			t.Fatalf("ExplainImpression = (%+v, %v)", ex, err)
 		}
@@ -172,7 +186,7 @@ func TestAuthFailure(t *testing.T) {
 	c := rpc.NewClient(srv.URL, rpc.Options{Secret: "wrong"})
 	defer c.Close()
 
-	_, err := c.Users(context.Background())
+	err := users(c)
 	if !errors.Is(err, rpc.ErrAuth) {
 		t.Fatalf("err = %v, want ErrAuth", err)
 	}
@@ -235,15 +249,15 @@ func TestBrowseSlotsBoundedAtTheShard(t *testing.T) {
 	ctx := context.Background()
 	const uid = "user-000000"
 	for _, slots := range []int{1_000_000_000, delivery.MaxSlots + 1, -1} {
-		_, err := c.BrowseFeed(ctx, uid, slots)
+		_, err := rpc.Do(ctx, c, rpc.OpBrowse, rpc.BrowseReq{UserID: uid, Slots: slots})
 		var re *rpc.RemoteError
 		if !errors.As(err, &re) {
 			t.Fatalf("browse with %d slots: err = %v, want the shard's refusal", slots, err)
 		}
 	}
-	imps, err := c.BrowseFeed(ctx, uid, 1)
-	if err != nil || len(imps) != 1 {
-		t.Fatalf("browse after the refusals: %d impressions, err %v", len(imps), err)
+	resp, err := rpc.Do(ctx, c, rpc.OpBrowse, rpc.BrowseReq{UserID: uid, Slots: 1})
+	if err != nil || len(resp.Impressions) != 1 {
+		t.Fatalf("browse after the refusals: %d impressions, err %v", len(resp.Impressions), err)
 	}
 	before := jp.State()
 	if err := jp.Close(); err != nil {
@@ -281,7 +295,7 @@ func TestMalformedResponse(t *testing.T) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{MaxRetries: -1})
 	defer c.Close()
-	_, err := c.Users(context.Background())
+	err := users(c)
 	if !errors.Is(err, rpc.ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
@@ -301,7 +315,7 @@ func TestTimeout(t *testing.T) {
 	defer close(block) // LIFO: release the handler before srv.Close waits on it
 	c := rpc.NewClient(srv.URL, rpc.Options{CallTimeout: 30 * time.Millisecond, MaxRetries: -1})
 	defer c.Close()
-	_, err := c.Users(context.Background())
+	err := users(c)
 	if !errors.Is(err, rpc.ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
@@ -329,7 +343,7 @@ func TestMidStreamDrop(t *testing.T) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{MaxRetries: -1})
 	defer c.Close()
-	_, err := c.Users(context.Background())
+	err := users(c)
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -351,7 +365,7 @@ func TestIdempotentRetriesServerErrors(t *testing.T) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{MaxRetries: 3, BackoffBase: time.Millisecond, BackoffMax: 2 * time.Millisecond})
 	defer c.Close()
-	if _, err := c.Users(context.Background()); err != nil {
+	if err := users(c); err != nil {
 		t.Fatalf("read did not survive transient 5xx: %v", err)
 	}
 	if calls.Load() != 3 {
@@ -370,7 +384,7 @@ func TestMutationNotRetriedAfterSend(t *testing.T) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{MaxRetries: 3, BackoffBase: time.Millisecond})
 	defer c.Close()
-	err := c.RegisterAdvertiser(context.Background(), "acme")
+	_, err := rpc.Do(context.Background(), c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"})
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -395,7 +409,7 @@ func TestMutationRetriedOnDialFailure(t *testing.T) {
 		CallTimeout: 200 * time.Millisecond,
 	})
 	defer c.Close()
-	err = c.RegisterAdvertiser(context.Background(), "acme")
+	_, err = rpc.Do(context.Background(), c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"})
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -432,10 +446,9 @@ func TestCircuitBreaker(t *testing.T) {
 		CircuitCooldown:  50 * time.Millisecond,
 	})
 	defer c.Close()
-	ctx := context.Background()
 
 	for i := 0; i < 2; i++ {
-		if _, err := c.Users(ctx); !errors.Is(err, rpc.ErrUnavailable) {
+		if err := users(c); !errors.Is(err, rpc.ErrUnavailable) {
 			t.Fatalf("call %d: err = %v, want ErrUnavailable", i, err)
 		}
 	}
@@ -443,7 +456,7 @@ func TestCircuitBreaker(t *testing.T) {
 		t.Fatal("breaker still closed after hitting the failure threshold")
 	}
 	before := calls.Load()
-	if _, err := c.Users(ctx); !errors.Is(err, rpc.ErrCircuitOpen) {
+	if err := users(c); !errors.Is(err, rpc.ErrCircuitOpen) {
 		t.Fatalf("err = %v, want ErrCircuitOpen", err)
 	}
 	if calls.Load() != before {
@@ -454,7 +467,7 @@ func TestCircuitBreaker(t *testing.T) {
 	// the breaker.
 	broken.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	if _, err := c.Users(ctx); err != nil {
+	if err := users(c); err != nil {
 		t.Fatalf("half-open probe failed: %v", err)
 	}
 	if !c.Healthy() {
@@ -487,7 +500,7 @@ func TestHedgedRead(t *testing.T) {
 	})
 	defer c.Close()
 	start := time.Now()
-	if _, err := c.Users(context.Background()); err != nil {
+	if err := users(c); err != nil {
 		t.Fatalf("hedged read failed: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
@@ -505,7 +518,7 @@ func TestRequestTooLargeRejected(t *testing.T) {
 	for i := 0; i < 1<<19; i++ {
 		huge = append(huge, "a-reasonably-long-phrase-to-overflow-the-limit")
 	}
-	_, err := c.CreateAffinityAudience(context.Background(), "acme", "big", huge)
+	_, err := rpc.Do(context.Background(), c, rpc.OpCreateAffinityAudience, rpc.CreateAffinityAudienceReq{Advertiser: "acme", Name: "big", Phrases: huge})
 	if !errors.Is(err, rpc.ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed (413)", err)
 	}
@@ -534,11 +547,11 @@ func BenchmarkRPCRawReach(b *testing.B) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{Secret: "bench-secret"})
 	defer c.Close()
-	spec := audience.Spec{Expr: attr.MustParse("age(18, 80)")}
+	req := rpc.RawReachReq{Advertiser: "acme", Spec: rpc.FromSpec(audience.Spec{Expr: attr.MustParse("age(18, 80)")})}
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.RawReach(ctx, "acme", spec); err != nil {
+		if _, err := rpc.Do(ctx, c, rpc.OpRawReach, req); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -560,7 +573,7 @@ func BenchmarkRPCBrowse(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.BrowseFeed(ctx, "user-000001", 3); err != nil {
+		if _, err := rpc.Do(ctx, c, rpc.OpBrowse, rpc.BrowseReq{UserID: "user-000001", Slots: 3}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -241,7 +241,9 @@ func serve[Req, Resp any](s *Server, op Op[Req, Resp], fn func(ctx context.Conte
 	}
 }
 
-type empty struct{}
+// empty is the body of an op with no request or no answer; it travels as
+// no body at all.
+type empty = struct{}
 
 // register wires every op of the table (ops.go) to its handler.
 func (s *Server) register() {
@@ -260,8 +262,8 @@ func (s *Server) register() {
 		st := p.Snapshot()
 		return UserResp{Profile: &st}, nil
 	})
-	serve(s, opUsers, func(_ context.Context, _ empty) (UsersResp, error) {
-		return UsersResp{Users: fromUserIDs(s.b.Users())}, nil
+	serve(s, OpUsers, func(_ context.Context, _ empty) (UsersResp, error) {
+		return UsersResp{Users: FromUserIDs(s.b.Users())}, nil
 	})
 	serve(s, OpBrowse, func(ctx context.Context, req BrowseReq) (ImpressionsResp, error) {
 		imps, err := s.b.BrowseFeedCtx(ctx, profile.UserID(req.UserID), req.Slots)
@@ -290,10 +292,10 @@ func (s *Server) register() {
 		return ExplainResp{Attribute: string(ex.Attribute), Text: ex.Text}, err
 	})
 
-	serve(s, opRegister, func(_ context.Context, req RegisterReq) (empty, error) {
+	serve(s, OpRegister, func(_ context.Context, req RegisterReq) (empty, error) {
 		return empty{}, s.b.RegisterAdvertiser(req.Name)
 	})
-	serve(s, opCreateCampaign, func(_ context.Context, req CreateCampaignReq) (CampaignIDResp, error) {
+	serve(s, OpCreateCampaign, func(_ context.Context, req CreateCampaignReq) (CampaignIDResp, error) {
 		params, err := req.Params.ToParams()
 		if err != nil {
 			return CampaignIDResp{}, protoError{err}
@@ -301,10 +303,10 @@ func (s *Server) register() {
 		id, err := s.b.CreateCampaign(req.Advertiser, params)
 		return CampaignIDResp{CampaignID: id}, err
 	})
-	serve(s, opPauseCampaign, func(_ context.Context, req CampaignReq) (empty, error) {
+	serve(s, OpPauseCampaign, func(_ context.Context, req CampaignReq) (empty, error) {
 		return empty{}, s.b.PauseCampaign(req.Advertiser, req.CampaignID)
 	})
-	serve(s, opCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (AudienceIDResp, error) {
 		keys := make([]pii.MatchKey, 0, len(req.Keys))
 		for _, kw := range req.Keys {
 			k, err := kw.ToMatchKey()
@@ -316,28 +318,28 @@ func (s *Server) register() {
 		id, err := s.b.CreatePIIAudience(req.Advertiser, req.Name, keys)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	serve(s, opCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateWebsiteAudience(req.Advertiser, req.Name, pixel.PixelID(req.PixelID))
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	serve(s, opCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateEngagementAudience(req.Advertiser, req.Name, req.PageID)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	serve(s, opCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateAffinityAudience(req.Advertiser, req.Name, req.Phrases)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	serve(s, opCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (AudienceIDResp, error) {
 		id, err := s.b.CreateLookalikeAudience(req.Advertiser, req.Name, audience.AudienceID(req.Seed), req.Overlap)
 		return AudienceIDResp{AudienceID: string(id)}, err
 	})
-	serve(s, opIssuePixel, func(_ context.Context, req AdvertiserReq) (PixelIDResp, error) {
+	serve(s, OpIssuePixel, func(_ context.Context, req AdvertiserReq) (PixelIDResp, error) {
 		id, err := s.b.IssuePixel(req.Advertiser)
 		return PixelIDResp{PixelID: string(id)}, err
 	})
 
-	serve(s, opRawReach, func(ctx context.Context, req RawReachReq) (RawReachResp, error) {
+	serve(s, OpRawReach, func(ctx context.Context, req RawReachReq) (RawReachResp, error) {
 		spec, err := req.Spec.ToSpec()
 		if err != nil {
 			return RawReachResp{}, protoError{err}
@@ -345,13 +347,13 @@ func (s *Server) register() {
 		n, err := s.b.RawReach(ctx, req.Advertiser, spec)
 		return RawReachResp{Count: n}, err
 	})
-	serve(s, opCampaignTotals, func(ctx context.Context, req CampaignReq) (CampaignTotalsResp, error) {
+	serve(s, OpCampaignTotals, func(ctx context.Context, req CampaignReq) (CampaignTotalsResp, error) {
 		t, err := s.b.CampaignTotals(ctx, req.Advertiser, req.CampaignID)
 		return CampaignTotalsResp{Impressions: t.Impressions, Reach: t.Reach, SpendMicros: int64(t.Spend)}, err
 	})
 	// The shard's span ring, so the router can assemble cross-process
 	// traces; the ring snapshot never blocks writers.
-	serve(s, opTraceSpans, func(_ context.Context, _ empty) (TraceSpansResp, error) {
+	serve(s, OpTraceSpans, func(_ context.Context, _ empty) (TraceSpansResp, error) {
 		return TraceSpansResp{Spans: s.tracer().WireSnapshot()}, nil
 	})
 	s.registerElastic()
