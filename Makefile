@@ -39,10 +39,12 @@ race:
 # appends and waiters against its flush leader (during an fsync, as the
 # batch that follows one, across a crash). The serve path's differential
 # test against the per-slot scan runs under the detector too. The four
-# zero-alloc pins, the op-table test (client retry policy, server ownership
-# gate and registered handlers all equal to rpc's one op table) and the
-# row test (each RemoteShard method sends its own row of that table) fail
-# the target if their test disappears.
+# zero-alloc pins, the profile-store footprint tripwire (built without the
+# detector, whose shadow memory would inflate the heap it measures), the
+# op-table test (client retry policy, server ownership gate and registered
+# handlers all equal to rpc's one op table) and the row test (each
+# RemoteShard method sends its own row of that table) fail the target if
+# their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -58,6 +60,7 @@ race-full:
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
+	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 
@@ -138,6 +141,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzIndexEquivalence -fuzztime=15s ./internal/audience/
+	$(GO) test -run=NONE -fuzz=FuzzProfileOps -fuzztime=15s ./internal/profile/
 	$(GO) test -fuzz=FuzzParseToken -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeStegoImage -fuzztime=15s ./internal/core/
 	$(GO) test -fuzz=FuzzDecodeCreativeBody -fuzztime=15s ./internal/core/

@@ -48,8 +48,9 @@ type campaignAccount struct {
 	// campaign's reached set; the per-user impression and spend totals
 	// exist so a shard migration can split a ledger exactly — moving a
 	// user moves their precise contribution, keeping merged cluster
-	// totals invariant across resharding.
-	users map[profile.UserID]*userTotals
+	// totals invariant across resharding. A row is a value, so recording an
+	// impression allocates no per-(campaign, user) object.
+	users map[profile.UserID]userTotals
 }
 
 type userTotals struct {
@@ -78,7 +79,7 @@ func (l *Ledger) SetBillableThreshold(n int) {
 func (l *Ledger) account(campaignID string) *campaignAccount {
 	acct := l.campaigns[campaignID]
 	if acct == nil {
-		acct = &campaignAccount{users: make(map[profile.UserID]*userTotals)}
+		acct = &campaignAccount{users: make(map[profile.UserID]userTotals)}
 		l.campaigns[campaignID] = acct
 	}
 	return acct
@@ -93,12 +94,9 @@ func (l *Ledger) RecordImpression(campaignID string, user profile.UserID, price 
 	acct.impressions++
 	acct.spend += price
 	ut := acct.users[user]
-	if ut == nil {
-		ut = &userTotals{}
-		acct.users[user] = ut
-	}
 	ut.impressions++
 	ut.spend += price
+	acct.users[user] = ut
 }
 
 // Report is the advertiser-visible performance view of one campaign.

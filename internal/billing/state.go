@@ -63,7 +63,7 @@ func RestoreState(s State) *Ledger {
 		acct.impressions = as.Impressions
 		acct.spend = as.Spend
 		for _, us := range as.Users {
-			acct.users[us.User] = &userTotals{impressions: us.Impressions, spend: us.Spend}
+			acct.users[us.User] = userTotals{impressions: us.Impressions, spend: us.Spend}
 		}
 	}
 	return l

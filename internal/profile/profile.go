@@ -10,7 +10,9 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -58,25 +60,36 @@ type Profile struct {
 	HasGeo   bool
 	PII      pii.Record
 	likesMu  sync.RWMutex
-	likes    map[string]bool // page IDs the user has liked
-	binary   map[attr.ID]bool
-	values   map[attr.ID]string
-	watcher  Watcher // set by Store.Add / Store.SetWatcher; nil before
+	likes    map[string]bool // page IDs the user has liked; nil until the first Like
+	// The attribute sets are sorted slices, packed to length by Store.Add.
+	// An ID may sit in both (set through SetAttr and SetAttrValue); it then
+	// counts in both.
+	binary  []attr.ID   // sorted
+	values  []attrValue // sorted by id
+	watcher Watcher     // set by Store.Add / Store.SetWatcher; nil before
+}
+
+// attrValue is one categorical attribute's value.
+type attrValue struct {
+	id    attr.ID
+	value string
 }
 
 // New returns an empty profile for the given user.
 func New(id UserID) *Profile {
-	return &Profile{
-		ID:     id,
-		likes:  make(map[string]bool),
-		binary: make(map[attr.ID]bool),
-		values: make(map[attr.ID]string),
-	}
+	return &Profile{ID: id}
+}
+
+// findValue returns id's position in p.values, or where it would go.
+func (p *Profile) findValue(id attr.ID) (int, bool) {
+	return slices.BinarySearchFunc(p.values, id, func(v attrValue, id attr.ID) int { return cmp.Compare(v.id, id) })
 }
 
 // SetAttr marks a binary attribute as set for the user.
 func (p *Profile) SetAttr(id attr.ID) {
-	p.binary[id] = true
+	if i, ok := slices.BinarySearch(p.binary, id); !ok {
+		p.binary = slices.Insert(p.binary, i, id)
+	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
 	}
@@ -84,8 +97,12 @@ func (p *Profile) SetAttr(id attr.ID) {
 
 // ClearAttr removes a binary or categorical attribute.
 func (p *Profile) ClearAttr(id attr.ID) {
-	delete(p.binary, id)
-	delete(p.values, id)
+	if i, ok := slices.BinarySearch(p.binary, id); ok {
+		p.binary = slices.Delete(p.binary, i, i+1)
+	}
+	if i, ok := p.findValue(id); ok {
+		p.values = slices.Delete(p.values, i, i+1)
+	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
 	}
@@ -93,7 +110,11 @@ func (p *Profile) ClearAttr(id attr.ID) {
 
 // SetAttrValue assigns a categorical attribute value.
 func (p *Profile) SetAttrValue(id attr.ID, value string) {
-	p.values[id] = value
+	if i, ok := p.findValue(id); ok {
+		p.values[i].value = value
+	} else {
+		p.values = slices.Insert(p.values, i, attrValue{id, value})
+	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
 	}
@@ -102,17 +123,19 @@ func (p *Profile) SetAttrValue(id attr.ID, value string) {
 // HasAttr implements attr.Subject: true if the binary attribute is set or
 // the categorical attribute has any value.
 func (p *Profile) HasAttr(id attr.ID) bool {
-	if p.binary[id] {
+	if _, ok := slices.BinarySearch(p.binary, id); ok {
 		return true
 	}
-	_, ok := p.values[id]
+	_, ok := p.findValue(id)
 	return ok
 }
 
 // AttrValue implements attr.Subject.
 func (p *Profile) AttrValue(id attr.ID) (string, bool) {
-	v, ok := p.values[id]
-	return v, ok
+	if i, ok := p.findValue(id); ok {
+		return p.values[i].value, true
+	}
+	return "", false
 }
 
 // Age implements attr.Subject.
@@ -137,16 +160,22 @@ func (p *Profile) SetLocation(lat, lon float64) {
 
 var _ attr.GeoSubject = (*Profile)(nil)
 
-// Attrs returns all set attribute IDs (binary and categorical), sorted.
+// Attrs returns all set attribute IDs (binary and categorical), sorted: a
+// merge of the two sorted sets, so an ID in both is listed twice.
 func (p *Profile) Attrs() []attr.ID {
 	out := make([]attr.ID, 0, len(p.binary)+len(p.values))
-	for id := range p.binary {
-		out = append(out, id)
+	b, v := p.binary, p.values
+	for len(b) > 0 && len(v) > 0 {
+		if b[0] <= v[0].id {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, v = append(out, v[0].id), v[1:]
+		}
 	}
-	for id := range p.values {
-		out = append(out, id)
+	out = append(out, b...)
+	for _, av := range v {
+		out = append(out, av.id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -154,12 +183,30 @@ func (p *Profile) Attrs() []attr.ID {
 // without allocating — the walk the delivery pipeline's campaign index does
 // once per browse.
 func (p *Profile) EachAttr(fn func(attr.ID)) {
-	for id := range p.binary {
+	for _, id := range p.binary {
 		fn(id)
 	}
-	for id := range p.values {
-		fn(id)
+	for _, av := range p.values {
+		fn(av.id)
 	}
+}
+
+// pack trims both attribute sets to exact length, so a profile the store
+// holds carries no growth slack from the inserts that built it.
+func (p *Profile) pack() {
+	p.binary = exact(p.binary)
+	p.values = exact(p.values)
+}
+
+// exact returns s in a backing array of its own length (nil when empty).
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	if cap(s) == len(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // AttrCount returns the number of set attributes.
@@ -169,6 +216,9 @@ func (p *Profile) AttrCount() int { return len(p.binary) + len(p.values) }
 func (p *Profile) Like(pageID string) {
 	p.likesMu.Lock()
 	changed := !p.likes[pageID]
+	if p.likes == nil {
+		p.likes = make(map[string]bool)
+	}
 	p.likes[pageID] = true
 	p.likesMu.Unlock()
 	// Notify outside likesMu: the watcher takes its own lock, and an
@@ -263,6 +313,7 @@ func (s *Store) Add(p *Profile) error {
 		return fmt.Errorf("profile: duplicate user %q", p.ID)
 	}
 	p.watcher = s.watcher // before publication, so no reader races it
+	p.pack()
 	s.profiles[p.ID] = p
 	s.order = append(s.order, p.ID)
 	for _, k := range p.PII.MatchKeys() {

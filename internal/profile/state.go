@@ -2,7 +2,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/pii"
@@ -35,14 +34,11 @@ func (p *Profile) Snapshot() State {
 		Phones: append([]string(nil), p.PII.Phones...),
 	}
 	s.Likes = p.LikedPages()
-	for id := range p.binary {
-		s.Binary = append(s.Binary, id)
-	}
-	sort.Slice(s.Binary, func(i, j int) bool { return s.Binary[i] < s.Binary[j] })
+	s.Binary = append([]attr.ID(nil), p.binary...) // already sorted
 	if len(p.values) > 0 {
 		s.Values = make(map[attr.ID]string, len(p.values))
-		for id, v := range p.values {
-			s.Values[id] = v
+		for _, av := range p.values {
+			s.Values[av.id] = av.value
 		}
 	}
 	return s
@@ -66,6 +62,9 @@ func FromState(s State) (*Profile, error) {
 	for _, page := range s.Likes {
 		p.Like(page)
 	}
+	// Sized up front: a restored profile reaches Store.Add already packed.
+	p.binary = make([]attr.ID, 0, len(s.Binary))
+	p.values = make([]attrValue, 0, len(s.Values))
 	for _, id := range s.Binary {
 		p.SetAttr(id)
 	}

@@ -1,11 +1,39 @@
 package workload
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/profile"
 )
+
+// populationDigest is the SHA-256 of the snapshot JSON of every profile
+// Each(DefaultConfig()) yields at 2 000 users with seed 5, recorded before
+// profiles stored their attributes as sorted slices instead of maps.
+const populationDigest = "436caa0d68c1bf86d696f1792febb8929abdb8c7aedf9fb8582c0c41fac6aff6"
+
+// TestGeneratedPopulationDigest holds the generator's draws and the profile
+// snapshot bytes fixed: a change to either changes every journal, snapshot
+// and benchmark population built from a seed.
+func TestGeneratedPopulationDigest(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users = 2000
+	cfg.Seed = 5
+	h := sha256.New()
+	Each(cfg, func(p *profile.Profile) {
+		b, err := json.Marshal(p.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	})
+	if got := hex.EncodeToString(h.Sum(nil)); got != populationDigest {
+		t.Fatalf("population digest = %s, want %s", got, populationDigest)
+	}
+}
 
 func countBySource(catalog *attr.Catalog, p *profile.Profile) (plat, part int) {
 	for _, id := range p.Attrs() {
