@@ -39,8 +39,9 @@ race:
 # appends and waiters against its flush leader (during an fsync, as the
 # batch that follows one, across a crash). The serve path's differential
 # test against the per-slot scan runs under the detector too. The four
-# zero-alloc pins, the profile-store footprint tripwire (built without the
-# detector, whose shadow memory would inflate the heap it measures), the
+# zero-alloc pins, the profile-store footprint and generator allocation
+# tripwires (built without the detector, whose shadow memory would inflate
+# the heap they measure and whose instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table) and the row test (each
 # RemoteShard method sends its own row of that table) fail the target if
@@ -61,6 +62,7 @@ race-full:
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
+	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 
@@ -97,7 +99,7 @@ bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
 # Every benchmark once, so none rots (./... picks up a new package's by
-# construction); the ten named ones are perf tripwires and fail the
+# construction); the eleven named ones are perf tripwires and fail the
 # target if they disappear. These and the zero-alloc pins in race-full are
 # tripwires only: a number that is judged or quoted comes from benchmark/.
 bench-smoke:
@@ -112,6 +114,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkClusterCreateCampaignJournaled -benchtime=1x ./internal/cluster/ | grep BenchmarkClusterCreateCampaignJournaled
 	$(GO) test -run=NONE -bench=BenchmarkReshardCutover -benchtime=1x ./internal/cluster/ | grep BenchmarkReshardCutover
 	$(GO) test -run=NONE -bench=BenchmarkFailoverDetectToPromote -benchtime=1x ./internal/cluster/ | grep BenchmarkFailoverDetectToPromote
+	$(GO) test -run=NONE -bench=BenchmarkBootShard -benchtime=1x ./cmd/adplatformd/ | grep BenchmarkBootShard
 
 # A live traced run of the paper's deployment (614 Treads) on the real
 # multi-process topology, about 45 s cold: it crosses every seam

@@ -93,6 +93,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"syscall"
@@ -413,6 +414,14 @@ func boot(opts options, logger *log.Logger) (node, error) {
 			return node{}, err
 		}
 		n.members = append(n.members, mb)
+	}
+	if len(n.members) > 0 {
+		// What was live at the boot's last collection — the snapshot's State
+		// above all — set the heap goal the first cycle under load runs to,
+		// and where that collection landed varies from one boot to the next:
+		// 27 to 37 MB on slot 0 of 2 at 12 000 users, which holds 10 MB. One
+		// collection here sets the goal from the state the node serves.
+		runtime.GC()
 	}
 	switch {
 	case len(n.members) == 1:
@@ -811,12 +820,13 @@ func peerURL(a string) string {
 
 // openMember boots slot i of a ring-slot partition of the population. With
 // dir empty it is a plain in-memory platform. With dir set it is journaled
-// there — booted on the directory's first open, recovered afterwards, the
-// journal instrumented under the shard's label, the recovery wall time
-// logged and exported as startup_recovery_seconds{shard}.
+// there — booted and snapshotted on the directory's first open, recovered
+// afterwards, the journal instrumented under the shard's label, the open's
+// wall time logged and exported as startup_recovery_seconds{shard}.
 func openMember(opts options, i, ring int, dir string, logger *log.Logger) (member, error) {
+	boot := bootShard(opts, i, ring, logger)
 	if dir == "" {
-		p, err := bootShard(opts, i, ring, logger)()
+		p, err := boot()
 		if err != nil {
 			return nil, fmt.Errorf("booting shard %d: %w", i, err)
 		}
@@ -824,17 +834,25 @@ func openMember(opts options, i, ring int, dir string, logger *log.Logger) (memb
 	}
 	shard := fmt.Sprintf("%d", i)
 	start := time.Now()
+	booted := false // OpenJournaled calls boot only on a fresh directory
 	jp, err := platform.OpenJournaled(dir, journal.Options{
 		Metrics: journal.NewMetrics(obs.Default, shard),
-	}, bootShard(opts, i, ring, logger))
+	}, func() (*platform.Platform, error) {
+		booted = true
+		return boot()
+	})
 	if err != nil {
 		return nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
 	}
 	elapsed := time.Since(start)
 	obs.Default.GaugeVec("startup_recovery_seconds",
-		"Wall time each shard spent opening its journal at boot: snapshot load plus deterministic replay of the journal suffix.",
+		"Wall time each shard spent opening its journal at boot: on a fresh directory, booting the population and writing the boot snapshot; on a reopen, snapshot load plus deterministic replay of the journal suffix.",
 		"shard").With(shard).Set(elapsed.Seconds())
-	logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, jp.LastLSN(), elapsed.Round(time.Millisecond))
+	if booted {
+		logger.Printf("shard %d booted %d users and wrote the boot snapshot to %s in %v", i, len(jp.Users()), dir, elapsed.Round(time.Millisecond))
+	} else {
+		logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, jp.LastLSN(), elapsed.Round(time.Millisecond))
+	}
 	return jp, nil
 }
 
@@ -889,13 +907,18 @@ func bootShard(opts options, i, ring int, logger *log.Logger) func() (*platform.
 		cfg.Seed = opts.Seed
 		cfg.Skew = opts.Skew
 		cfg.Catalog = p.Catalog()
-		owners := cluster.NewRing(ring, 0)
+		// Every slot draws the whole population but builds only its own
+		// users.
+		var keep func(profile.UserID) bool
+		if ring > 1 {
+			owners := cluster.NewRing(ring, 0)
+			keep = func(u profile.UserID) bool { return owners.Owner(string(u)) == i }
+		}
 		var err error
-		workload.Each(cfg, func(u *profile.Profile) {
-			if err != nil || (ring > 1 && owners.Owner(string(u.ID)) != i) {
-				return
+		workload.EachKept(cfg, keep, func(u *profile.Profile) {
+			if err == nil {
+				err = p.AddUser(u)
 			}
-			err = p.AddUser(u)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("loading population: %w", err)

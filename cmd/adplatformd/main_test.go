@@ -23,7 +23,7 @@ import (
 	"github.com/treads-project/treads/internal/stats"
 )
 
-func parseForTest(t *testing.T, args ...string) options {
+func parseForTest(t testing.TB, args ...string) options {
 	t.Helper()
 	fs := flag.NewFlagSet("adplatformd", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)

@@ -98,12 +98,12 @@ func (x *Index) Add(p *profile.Profile) error {
 	x.uids = append(x.uids, p.ID)
 	x.slot[p.ID] = s
 
-	for _, id := range p.Attrs() {
+	p.EachAttr(func(id attr.ID) {
 		getBitmap(x.has, id).set(s)
 		if v, ok := p.AttrValue(id); ok {
 			x.valueBitmap(id, v).set(s)
 		}
-	}
+	})
 	getBitmap(x.ages, p.Age()).set(s)
 	getBitmap(x.genders, p.Gender()).set(s)
 	getBitmap(x.countries, p.Country()).set(s)

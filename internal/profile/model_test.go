@@ -21,6 +21,7 @@ const (
 	opLike
 	opUnlike
 	opPack // what Store.Add does to a profile before holding it
+	opSetSorted
 	numOps
 )
 
@@ -33,6 +34,28 @@ var (
 
 type step struct{ op, id, val int }
 
+// sortedArgs decodes a SetSortedAttrs call from one step: the low five bits
+// of id pick the binary IDs and those of val the categorical ones; id's bit 5
+// repeats every binary ID, val's bit 5 gives every categorical ID a second,
+// later value, and val's top bits shift which values are used.
+func sortedArgs(s step) (binary []attr.ID, values []ValuedAttr) {
+	for j, id := range modelIDs { // already sorted
+		if s.id>>j&1 == 1 {
+			binary = append(binary, id)
+			if s.id>>5&1 == 1 {
+				binary = append(binary, id)
+			}
+		}
+		if s.val>>j&1 == 1 {
+			values = append(values, ValuedAttr{id, modelValues[(j+s.val>>6)%len(modelValues)]})
+			if s.val>>5&1 == 1 {
+				values = append(values, ValuedAttr{id, modelValues[(j+1+s.val>>6)%len(modelValues)]})
+			}
+		}
+	}
+	return binary, values
+}
+
 // mapModel is the profile as two maps and a like set: the representation
 // the sorted slices replaced, kept as the oracle.
 type mapModel struct {
@@ -42,8 +65,10 @@ type mapModel struct {
 }
 
 // coverage counts the steps that exercised the cases the slices must get
-// right: an op on an ID already in the other set, and one on an absent ID.
-type coverage struct{ inOther, absent int }
+// right: an op on an ID already in the other set, and one on an absent ID;
+// and of SetSortedAttrs calls, one repeating an ID, one naming an ID already
+// in the same set, and an empty one.
+type coverage struct{ inOther, absent, repeat, preset, empty int }
 
 func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 	id := modelIDs[s.id%len(modelIDs)]
@@ -84,6 +109,40 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 		delete(m.likes, page)
 	case opPack:
 		p.pack()
+	case opSetSorted:
+		binary, values := sortedArgs(s)
+		if len(binary) == 0 && len(values) == 0 {
+			cov.empty++
+		}
+		for i, id := range binary {
+			if i > 0 && binary[i-1] == id {
+				cov.repeat++
+			}
+			if _, ok := m.values[id]; ok {
+				cov.inOther++
+			}
+			if m.binary[id] {
+				cov.preset++
+			}
+		}
+		for i, v := range values {
+			if i > 0 && values[i-1].ID == v.ID {
+				cov.repeat++
+			}
+			if m.binary[v.ID] {
+				cov.inOther++
+			}
+			if _, ok := m.values[v.ID]; ok {
+				cov.preset++
+			}
+		}
+		p.SetSortedAttrs(binary, values)
+		for _, id := range binary {
+			m.binary[id] = true
+		}
+		for _, v := range values {
+			m.values[v.ID] = v.Value
+		}
 	}
 }
 
@@ -171,14 +230,38 @@ func TestProfileMatchesMapModel(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 0x9e3779b97f4a7c15))
 		steps := make([]step, 20+rng.IntN(60))
 		for i := range steps {
-			steps[i] = step{op: rng.IntN(numOps), id: rng.IntN(len(modelIDs)), val: rng.IntN(len(modelValues))}
+			// Each bit of a sparse byte is set one time in four, so a
+			// SetSortedAttrs call is often small and sometimes empty.
+			sparse := func() int { return rng.IntN(256) & rng.IntN(256) }
+			steps[i] = step{op: rng.IntN(numOps), id: sparse(), val: sparse()}
 		}
 		cov := runModel(t, steps)
 		total.inOther += cov.inOther
 		total.absent += cov.absent
+		total.repeat += cov.repeat
+		total.preset += cov.preset
+		total.empty += cov.empty
 	}
-	if total.inOther == 0 || total.absent == 0 {
-		t.Fatalf("sequences never hit an ID in the other set (%d) or an absent one (%d)", total.inOther, total.absent)
+	if total.inOther == 0 || total.absent == 0 || total.repeat == 0 || total.preset == 0 || total.empty == 0 {
+		t.Fatalf("sequences missed a case: %+v", total)
+	}
+}
+
+// TestSetSortedAttrsRefusesUnsortedInput: the merge relies on the order, so
+// input out of order is a bug in the caller, not a set to store.
+func TestSetSortedAttrsRefusesUnsortedInput(t *testing.T) {
+	for name, call := range map[string]func(p *Profile){
+		"binary": func(p *Profile) { p.SetSortedAttrs([]attr.ID{"b", "a"}, nil) },
+		"values": func(p *Profile) { p.SetSortedAttrs(nil, []ValuedAttr{{"b", "x"}, {"a", "y"}}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s out of order: no panic", name)
+				}
+			}()
+			call(New("u"))
+		}()
 	}
 }
 
@@ -188,6 +271,9 @@ func FuzzProfileOps(f *testing.F) {
 	f.Add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1, opClearAttr, 0, 0})
 	f.Add([]byte{opSetAttrValue, 1, 2, opSetAttr, 1, 0, opPack, 0, 0, opClearAttr, 1, 0, opClearAttr, 1, 0})
 	f.Add([]byte{opLike, 0, 0, opLike, 0, 0, opUnlike, 0, 1, opUnlike, 0, 0, opSetAttr, 4, 0, opSetAttr, 2, 0})
+	// Bulk sets: repeats in one call, onto IDs already set, an ID in both
+	// sets, then an empty call.
+	f.Add([]byte{opSetAttr, 1, 0, opSetSorted, 0b100011, 0b1100110, opSetSorted, 0b10101, 0b100101, opSetSorted, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		steps := make([]step, 0, len(data)/3)
 		for i := 0; i+2 < len(data); i += 3 {

@@ -64,15 +64,15 @@ type Profile struct {
 	// The attribute sets are sorted slices, packed to length by Store.Add.
 	// An ID may sit in both (set through SetAttr and SetAttrValue); it then
 	// counts in both.
-	binary  []attr.ID   // sorted
-	values  []attrValue // sorted by id
-	watcher Watcher     // set by Store.Add / Store.SetWatcher; nil before
+	binary  []attr.ID    // sorted
+	values  []ValuedAttr // sorted by ID
+	watcher Watcher      // set by Store.Add / Store.SetWatcher; nil before
 }
 
-// attrValue is one categorical attribute's value.
-type attrValue struct {
-	id    attr.ID
-	value string
+// ValuedAttr is one categorical attribute's value.
+type ValuedAttr struct {
+	ID    attr.ID
+	Value string
 }
 
 // New returns an empty profile for the given user.
@@ -82,7 +82,7 @@ func New(id UserID) *Profile {
 
 // findValue returns id's position in p.values, or where it would go.
 func (p *Profile) findValue(id attr.ID) (int, bool) {
-	return slices.BinarySearchFunc(p.values, id, func(v attrValue, id attr.ID) int { return cmp.Compare(v.id, id) })
+	return slices.BinarySearchFunc(p.values, id, func(v ValuedAttr, id attr.ID) int { return cmp.Compare(v.ID, id) })
 }
 
 // SetAttr marks a binary attribute as set for the user.
@@ -111,13 +111,59 @@ func (p *Profile) ClearAttr(id attr.ID) {
 // SetAttrValue assigns a categorical attribute value.
 func (p *Profile) SetAttrValue(id attr.ID, value string) {
 	if i, ok := p.findValue(id); ok {
-		p.values[i].value = value
+		p.values[i].Value = value
 	} else {
-		p.values = slices.Insert(p.values, i, attrValue{id, value})
+		p.values = slices.Insert(p.values, i, ValuedAttr{id, value})
 	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
 	}
+}
+
+// SetSortedAttrs does what SetAttr on every ID of binary and then
+// SetAttrValue on every pair of values does, in one merge per set instead of
+// a sorted insert per attribute: a repeated or already-set binary ID changes
+// nothing, and of several values for one ID the last wins. Both slices must
+// be sorted by ID. The generator builds each user's attributes this way.
+func (p *Profile) SetSortedAttrs(binary []attr.ID, values []ValuedAttr) {
+	if !slices.IsSorted(binary) || !slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return cmp.Compare(a.ID, b.ID) }) {
+		panic("profile: SetSortedAttrs given attributes out of ID order")
+	}
+	if len(binary) > 0 {
+		p.binary = mergeSorted(p.binary, binary, func(id attr.ID) attr.ID { return id })
+	}
+	if len(values) > 0 {
+		p.values = mergeSorted(p.values, values, func(v ValuedAttr) attr.ID { return v.ID })
+	}
+	if p.watcher != nil {
+		for _, id := range binary {
+			p.watcher.AttrChanged(p, id)
+		}
+		for _, v := range values {
+			p.watcher.AttrChanged(p, v.ID)
+		}
+	}
+}
+
+// mergeSorted returns, in a new slice, the union of held (sorted, each ID
+// once) and add (sorted, IDs may repeat), each ID once: where an ID repeats
+// the last element of add for it wins.
+func mergeSorted[T any](held, add []T, id func(T) attr.ID) []T {
+	out := make([]T, 0, len(held)+len(add))
+	for len(add) > 0 {
+		k := id(add[0])
+		for len(add) > 1 && id(add[1]) == k {
+			add = add[1:]
+		}
+		for len(held) > 0 && id(held[0]) < k {
+			out, held = append(out, held[0]), held[1:]
+		}
+		if len(held) > 0 && id(held[0]) == k {
+			held = held[1:]
+		}
+		out, add = append(out, add[0]), add[1:]
+	}
+	return append(out, held...)
 }
 
 // HasAttr implements attr.Subject: true if the binary attribute is set or
@@ -133,7 +179,7 @@ func (p *Profile) HasAttr(id attr.ID) bool {
 // AttrValue implements attr.Subject.
 func (p *Profile) AttrValue(id attr.ID) (string, bool) {
 	if i, ok := p.findValue(id); ok {
-		return p.values[i].value, true
+		return p.values[i].Value, true
 	}
 	return "", false
 }
@@ -166,15 +212,15 @@ func (p *Profile) Attrs() []attr.ID {
 	out := make([]attr.ID, 0, len(p.binary)+len(p.values))
 	b, v := p.binary, p.values
 	for len(b) > 0 && len(v) > 0 {
-		if b[0] <= v[0].id {
+		if b[0] <= v[0].ID {
 			out, b = append(out, b[0]), b[1:]
 		} else {
-			out, v = append(out, v[0].id), v[1:]
+			out, v = append(out, v[0].ID), v[1:]
 		}
 	}
 	out = append(out, b...)
 	for _, av := range v {
-		out = append(out, av.id)
+		out = append(out, av.ID)
 	}
 	return out
 }
@@ -187,7 +233,7 @@ func (p *Profile) EachAttr(fn func(attr.ID)) {
 		fn(id)
 	}
 	for _, av := range p.values {
-		fn(av.id)
+		fn(av.ID)
 	}
 }
 

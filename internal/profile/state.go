@@ -38,7 +38,7 @@ func (p *Profile) Snapshot() State {
 	if len(p.values) > 0 {
 		s.Values = make(map[attr.ID]string, len(p.values))
 		for _, av := range p.values {
-			s.Values[av.id] = av.value
+			s.Values[av.ID] = av.Value
 		}
 	}
 	return s
@@ -64,7 +64,7 @@ func FromState(s State) (*Profile, error) {
 	}
 	// Sized up front: a restored profile reaches Store.Add already packed.
 	p.binary = make([]attr.ID, 0, len(s.Binary))
-	p.values = make([]attrValue, 0, len(s.Values))
+	p.values = make([]ValuedAttr, 0, len(s.Values))
 	for _, id := range s.Binary {
 		p.SetAttr(id)
 	}

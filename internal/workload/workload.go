@@ -13,8 +13,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -117,98 +119,198 @@ func zipfWeights(n int, s float64) []float64 {
 // gigabytes; streaming feeds them straight into the store and its index).
 // Each(cfg, ...) visits exactly the profiles Generate(cfg) returns, in
 // order.
-func Each(cfg Config, fn func(*profile.Profile)) {
+func Each(cfg Config, fn func(*profile.Profile)) { EachKept(cfg, nil, fn) }
+
+// EachKept streams the profiles of Each(cfg) whose user ID keep accepts, in
+// the same order; a nil keep accepts every user. Every user is drawn, so the
+// random stream and each kept profile are exactly Each's, but only the kept
+// users are built — the cost a shard booting its slice of the population
+// saves on the users other slots hold.
+func EachKept(cfg Config, keep func(profile.UserID) bool, fn func(*profile.Profile)) {
+	g := newGenerator(cfg)
+	var d draw
+	for i := 0; i < cfg.Users; i++ {
+		g.draw(i, &d)
+		if keep == nil || keep(d.id) {
+			fn(g.build(&d))
+		}
+	}
+}
+
+// generator holds what every user of one population is drawn and built
+// from: the random stream, the two attribute pools, and scratch reused
+// from one user to the next.
+type generator struct {
+	cfg               Config
+	rng               *stats.RNG
+	platform, partner pool
+	// byRank lists both pools' attributes in ID order; a pick names its
+	// attribute by position here, so sorting picks by rank sorts them by ID.
+	byRank []*attr.Attribute
+	binary []attr.ID            // build scratch
+	values []profile.ValuedAttr // build scratch
+}
+
+// pool is one attribute source as the draws see it.
+type pool struct {
+	attrs []*attr.Attribute // catalog order: what a draw's index picks
+	rank  []pick            // rank[i] is attrs[i]'s position in generator.byRank
+	cum   []float64         // cumulative Zipf weights; nil for the legacy skew
+	// seen[i] == stamp marks attrs[i] as picked for the user being drawn, so
+	// no per-user set is allocated or cleared.
+	seen []int
+}
+
+// draw is everything the random stream decides about one user, and the
+// user's ID. The PII is a function of the index alone and draws nothing.
+type draw struct {
+	i        int
+	id       profile.UserID
+	city     int
+	lat, lon float64
+	age      int
+	female   bool
+	picks    []pick // both pools' attributes, in draw order
+}
+
+// pick is one drawn attribute, packed so that picks sort by ID as plain
+// integers: its rank in ID order in the high 32 bits and, for a categorical
+// attribute, its drawn value's index plus one in the low 32 (0 for a binary
+// attribute).
+type pick uint64
+
+func newGenerator(cfg Config) *generator {
 	catalog := cfg.Catalog
 	if catalog == nil {
 		catalog = attr.DefaultCatalog()
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	platformAttrs := catalog.BySource(attr.SourcePlatform)
-	partnerAttrs := catalog.BySource(attr.SourcePartner)
-	var platformCum, partnerCum []float64
-	if cfg.Skew > 0 {
-		platformCum = zipfWeights(len(platformAttrs), cfg.Skew)
-		partnerCum = zipfWeights(len(partnerAttrs), cfg.Skew)
+	g := &generator{
+		cfg:      cfg,
+		rng:      stats.NewRNG(cfg.Seed),
+		platform: pool{attrs: catalog.BySource(attr.SourcePlatform)},
+		partner:  pool{attrs: catalog.BySource(attr.SourcePartner)},
 	}
+	g.byRank = append(slices.Clone(g.platform.attrs), g.partner.attrs...)
+	slices.SortFunc(g.byRank, func(a, b *attr.Attribute) int { return cmp.Compare(a.ID, b.ID) })
+	rank := make(map[attr.ID]pick, len(g.byRank))
+	for r, a := range g.byRank {
+		rank[a.ID] = pick(r)
+	}
+	for _, pl := range []*pool{&g.platform, &g.partner} {
+		pl.rank = make([]pick, len(pl.attrs))
+		for i, a := range pl.attrs {
+			pl.rank[i] = rank[a.ID]
+		}
+		pl.seen = make([]int, len(pl.attrs))
+		if cfg.Skew > 0 {
+			pl.cum = zipfWeights(len(pl.attrs), cfg.Skew)
+		}
+	}
+	return g
+}
 
-	for i := 0; i < cfg.Users; i++ {
-		p := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		p.Nation = "US"
-		city := usCities[rng.Intn(len(usCities))]
-		p.City = city.name
-		// Scatter users ~±0.2° around their city's center.
-		p.SetLocation(city.lat+(rng.Float64()-0.5)*0.4, city.lon+(rng.Float64()-0.5)*0.4)
-		p.AgeYrs = 18 + rng.Intn(62)
-		if rng.Bool(0.5) {
-			p.Sex = "female"
-		} else {
-			p.Sex = "male"
-		}
-		if cfg.WithPII {
-			p.PII = pii.Record{
-				Emails: []string{fmt.Sprintf("user-%06d@example.com", i)},
-				Phones: []string{fmt.Sprintf("1617555%04d", i%10000)},
-			}
-		}
-		assignAttrs(p, platformAttrs, cfg.MeanPlatformAttrs, rng, platformCum)
-		if rng.Bool(cfg.BrokerCoverage) {
-			assignAttrs(p, partnerAttrs, cfg.MeanPartnerAttrs, rng, partnerCum)
-		}
-		fn(p)
+// draw fills d with user i's draws, taking from the random stream exactly
+// what building the user takes, in the same order, whether or not the user
+// is then built.
+func (g *generator) draw(i int, d *draw) {
+	rng := g.rng
+	d.i = i
+	d.id = profile.UserID(fmt.Sprintf("user-%06d", i))
+	d.city = rng.Intn(len(usCities))
+	city := usCities[d.city]
+	// Scatter users ~±0.2° around their city's center.
+	d.lat = city.lat + (rng.Float64()-0.5)*0.4
+	d.lon = city.lon + (rng.Float64()-0.5)*0.4
+	d.age = 18 + rng.Intn(62)
+	d.female = rng.Bool(0.5)
+	stamp := i + 1 // seen starts zeroed
+	d.picks = g.platform.drawAttrs(d.picks[:0], g.cfg.MeanPlatformAttrs, rng, stamp)
+	if rng.Bool(g.cfg.BrokerCoverage) {
+		d.picks = g.partner.drawAttrs(d.picks, g.cfg.MeanPartnerAttrs, rng, stamp)
 	}
 }
 
-// assignAttrs sets approximately mean attributes on p, sampled with a
-// popularity skew (low-index catalog attributes are more common, giving
-// the long-tailed prevalence distribution real catalogs show). With a nil
-// cum the legacy quadratic skew applies; otherwise indices are drawn from
-// the precomputed cumulative Zipf weights. Categorical attributes get a
-// uniform random value.
-func assignAttrs(p *profile.Profile, pool []*attr.Attribute, mean int, rng *stats.RNG, cum []float64) {
-	if mean <= 0 || len(pool) == 0 {
-		return
+// build makes the profile of a drawn user.
+func (g *generator) build(d *draw) *profile.Profile {
+	p := profile.New(d.id)
+	p.Nation = "US"
+	p.City = usCities[d.city].name
+	p.SetLocation(d.lat, d.lon)
+	p.AgeYrs = d.age
+	p.Sex = "male"
+	if d.female {
+		p.Sex = "female"
+	}
+	if g.cfg.WithPII {
+		p.PII = pii.Record{
+			Emails: []string{fmt.Sprintf("user-%06d@example.com", d.i)},
+			Phones: []string{fmt.Sprintf("1617555%04d", d.i%10000)},
+		}
+	}
+	slices.Sort(d.picks)
+	g.binary, g.values = g.binary[:0], g.values[:0]
+	for _, pk := range d.picks {
+		a := g.byRank[pk>>32]
+		if value := uint32(pk); value == 0 {
+			g.binary = append(g.binary, a.ID)
+		} else {
+			g.values = append(g.values, profile.ValuedAttr{ID: a.ID, Value: a.Values[value-1]})
+		}
+	}
+	p.SetSortedAttrs(g.binary, g.values)
+	return p
+}
+
+// drawAttrs appends approximately mean attribute picks from the pool,
+// sampled with a popularity skew (low-index catalog attributes are more
+// common, giving the long-tailed prevalence distribution real catalogs
+// show). With a nil cum the legacy quadratic skew applies; otherwise indices
+// are drawn from the precomputed cumulative Zipf weights. Categorical
+// attributes get a uniform random value.
+func (pl *pool) drawAttrs(picks []pick, mean int, rng *stats.RNG, stamp int) []pick {
+	if mean <= 0 || len(pl.attrs) == 0 {
+		return picks
 	}
 	// Geometric-ish count around the mean, capped by the pool.
 	n := int(float64(mean) * (0.5 + rng.Float64()))
 	if n < 1 {
 		n = 1
 	}
-	if n > len(pool) {
-		n = len(pool)
+	if n > len(pl.attrs) {
+		n = len(pl.attrs)
 	}
-	chosen := make(map[int]bool, n)
 	for picked := 0; picked < n; {
 		var idx int
-		if cum != nil {
+		if pl.cum != nil {
 			// Zipf draw: invert the cumulative weight table.
-			r := rng.Float64() * cum[len(cum)-1]
-			idx = sort.SearchFloat64s(cum, r)
+			r := rng.Float64() * pl.cum[len(pl.cum)-1]
+			idx = sort.SearchFloat64s(pl.cum, r)
 		} else {
 			// Legacy popularity skew: square the uniform to bias towards
 			// the front of the catalog.
 			f := rng.Float64()
-			idx = int(f * f * float64(len(pool)))
+			idx = int(f * f * float64(len(pl.attrs)))
 		}
-		if idx >= len(pool) {
-			idx = len(pool) - 1
+		if idx >= len(pl.attrs) {
+			idx = len(pl.attrs) - 1
 		}
-		if chosen[idx] {
+		if pl.seen[idx] == stamp {
 			// Fall back to uniform probing to terminate quickly once
 			// the head of the catalog is saturated.
-			idx = rng.Intn(len(pool))
-			if chosen[idx] {
+			idx = rng.Intn(len(pl.attrs))
+			if pl.seen[idx] == stamp {
 				continue
 			}
 		}
-		chosen[idx] = true
-		a := pool[idx]
-		if a.Kind == attr.Categorical {
-			p.SetAttrValue(a.ID, a.Values[rng.Intn(len(a.Values))])
-		} else {
-			p.SetAttr(a.ID)
+		pl.seen[idx] = stamp
+		pk := pl.rank[idx] << 32
+		if a := pl.attrs[idx]; a.Kind == attr.Categorical {
+			pk |= pick(rng.Intn(len(a.Values)) + 1)
 		}
+		picks = append(picks, pk)
 		picked++
 	}
+	return picks
 }
 
 // PaperAuthorAttrs lists the eleven partner-attribute names the validation

@@ -4,9 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/profile"
 )
 
@@ -32,6 +34,44 @@ func TestGeneratedPopulationDigest(t *testing.T) {
 	})
 	if got := hex.EncodeToString(h.Sum(nil)); got != populationDigest {
 		t.Fatalf("population digest = %s, want %s", got, populationDigest)
+	}
+}
+
+// TestEachKeptBuildsTheSameUsers: a shard that builds only the users its
+// ring slot keeps gets, byte for byte and in the same order, the profiles
+// it would keep from the whole generated population.
+func TestEachKeptBuildsTheSameUsers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Users = 600
+	cfg.Seed = 7
+	snapshot := func(p *profile.Profile) string {
+		b, err := json.Marshal(p.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var all []string
+	var ids []profile.UserID
+	Each(cfg, func(p *profile.Profile) {
+		all = append(all, snapshot(p))
+		ids = append(ids, p.ID)
+	})
+	for _, slots := range []int{1, 2, 3} {
+		ring := cluster.NewRing(slots, 0)
+		for slot := 0; slot < slots; slot++ {
+			keep := func(u profile.UserID) bool { return ring.Owner(string(u)) == slot }
+			var want, got []string
+			for i, id := range ids {
+				if keep(id) {
+					want = append(want, all[i])
+				}
+			}
+			EachKept(cfg, keep, func(p *profile.Profile) { got = append(got, snapshot(p)) })
+			if len(got) == 0 || !slices.Equal(got, want) {
+				t.Fatalf("slot %d of %d: built %d users, want the %d filtered ones byte-identical and in order", slot, slots, len(got), len(want))
+			}
+		}
 	}
 }
 
