@@ -27,7 +27,8 @@ race:
 
 # The packages whose full (non -short) suites exercise shared state from
 # several goroutines: the coordinator, transport, gateway admission,
-# tracing ring, health supervisor, chaos harness, targeting index, journal.
+# tracing ring, health supervisor, chaos harness, targeting index, journal,
+# shard-node assembly.
 # The pinned tests run at -count=10 because a race detector run only reports
 # the interleavings it happens to see: lock-free reads against the journaled
 # commit path, transparency reads against campaign pauses, concurrent
@@ -43,13 +44,14 @@ race:
 # tripwires (built without the detector, whose shadow memory would inflate
 # the heap they measure and whose instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
-# handlers all equal to rpc's one op table) and the row test (each
-# RemoteShard method sends its own row of that table) fail the target if
-# their test disappears.
+# handlers all equal to rpc's one op table), the row test (each
+# RemoteShard method sends its own row of that table) and the sticky-health
+# test (a shard whose journal failed reports itself unhealthy, in process
+# and over the wire) fail the target if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
-		./internal/index/ ./internal/audience/ ./internal/profile/ ./internal/journal/
+		./internal/index/ ./internal/audience/ ./internal/profile/ ./internal/journal/ ./internal/shardnode/
 	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads' ./internal/platform/
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
@@ -65,6 +67,7 @@ race-full:
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
+	$(GO) test -race -count=1 -run=TestStickyJournalReportsUnhealthy -v ./internal/cluster/ | grep -- '--- PASS: TestStickyJournalReportsUnhealthy'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:

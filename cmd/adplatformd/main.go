@@ -95,7 +95,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"slices"
-	"strings"
 	"syscall"
 	"time"
 
@@ -107,6 +106,7 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 	"github.com/treads-project/treads/internal/stats"
 	"github.com/treads-project/treads/internal/trace"
 	"github.com/treads-project/treads/internal/workload"
@@ -457,34 +457,22 @@ func front(opts options, n node, logger *log.Logger) (http.Handler, func(), erro
 		if opts.RPCSecret == "" {
 			logger.Printf("warning: no -rpc-secret (or ADPLATFORM_RPC_SECRET); shard RPC surface is UNAUTHENTICATED")
 		}
-		rpcSrv := rpc.NewServer(n.members[0], opts.RPCSecret, obs.Default)
-		if opts.Advertise != "" {
-			// The gate starts permissive and enforces whatever ring the router
-			// pushes; self must match the address the router advertises.
-			rpcSrv.SetGate(cluster.NewGate(peerURL(opts.Advertise)))
-			logger.Printf("membership gate armed; advertised as %s", peerURL(opts.Advertise))
+		// validate() ties -replicate to -journal.
+		replicate := slices.Concat(parsePeerGroups(opts.Replicate)...)
+		if opts.Replicate != "" && len(replicate) == 0 {
+			return nil, func() {}, fmt.Errorf("arming replication: -replicate is empty after parsing %q", opts.Replicate)
 		}
-		if jp, ok := n.members[0].(*platform.Journaled); ok {
-			// Any journaled node can be told to ship (or stop shipping) its
-			// journal over the rearm RPC: this is how the router re-arms a
-			// freshly promoted owner's chain — and disarms a demoted one —
-			// without restarting the process.
-			dialer := newPeerDialer(opts)
-			rpcSrv.SetRearm(func(followers []string) error {
-				_, _, err := armShipping(jp, dialer, followers, logger)
-				return err
-			})
-			// validate() ties -replicate to -journal.
-			if opts.Replicate != "" {
-				if err := armReplication(jp, dialer, opts, logger); err != nil {
-					return nil, func() {}, fmt.Errorf("arming replication: %w", err)
-				}
-			}
+		sn, err := shardnode.New(n.members[0], shardnode.Config{
+			RPC:       rpcOptions(opts),
+			Advertise: opts.Advertise,
+			Replicate: replicate,
+			PeerWait:  opts.PeerWait,
+			Logger:    logger,
+		})
+		if err != nil {
+			return nil, func() {}, err
 		}
-		mux := http.NewServeMux()
-		mux.Handle(rpc.PathPrefix, rpcSrv)
-		mux.Handle("GET /metrics", obs.Default.Handler())
-		return mux, func() {}, nil
+		return sn.Handler(), func() {}, nil
 	}
 
 	// The server gets no request logger: a line per request is a write
@@ -724,17 +712,17 @@ func openRouter(opts options, logger *log.Logger) (*membershipAdmin, error) {
 	if len(groups) == 0 {
 		return nil, fmt.Errorf("-peers is empty after parsing %q", opts.Peers)
 	}
-	dialer := newPeerDialer(opts)
+	dialer := shardnode.NewDialer(rpcOptions(opts))
 	shards := make([]*cluster.ReplicaSet, len(groups))
 	var remotes []*cluster.RemoteShard
 	seeds := make([]*rpc.Client, len(groups))
 	for i, g := range groups {
-		s, members := dialer.shard(g[0], g[1:])
+		s, members := dialer.Shard(g[0], g[1:])
 		shards[i] = s
 		remotes = append(remotes, members...)
 		seeds[i] = members[0].Client()
 	}
-	if err := waitForPeers(remotes, opts.PeerWait, logger); err != nil {
+	if err := shardnode.WaitForPeers(remotes, opts.PeerWait, logger); err != nil {
 		return nil, err
 	}
 	c, err := cluster.NewFromSets(shards, cluster.Options{Registry: obs.Default})
@@ -743,7 +731,7 @@ func openRouter(opts options, logger *log.Logger) (*membershipAdmin, error) {
 	}
 	c.SetMembershipSource(&cluster.RemoteMembershipSource{
 		Seeds:   seeds,
-		Dial:    dialer.dialInfo,
+		Dial:    dialer.DialInfo,
 		Timeout: opts.RPCTimeout,
 	})
 	admin := &membershipAdmin{clu: c, dial: dialer, wait: opts.PeerWait, logger: logger}
@@ -770,52 +758,15 @@ func openRouter(opts options, logger *log.Logger) (*membershipAdmin, error) {
 	return admin, nil
 }
 
-// waitForPeers probes every shard node's health endpoint, in rounds 250 ms
-// apart, until all report healthy or wait has passed; a wait of 0 is one
-// round. Each probe is bounded by the client's own -rpc-timeout, not by
-// what is left of wait. Logged per peer as it comes up, so an operator
-// watching startup sees exactly which node is holding the fleet.
-func waitForPeers(remotes []*cluster.RemoteShard, wait time.Duration, logger *log.Logger) error {
-	deadline := time.Now().Add(wait)
-	up := make([]bool, len(remotes))
-	var lastErr error
-	for {
-		ready := 0
-		for i, r := range remotes {
-			if up[i] {
-				ready++
-				continue
-			}
-			h, err := r.Client().Health(context.Background())
-			if err != nil || !h.OK {
-				if err != nil {
-					lastErr = err
-				}
-				continue
-			}
-			up[i] = true
-			ready++
-			logger.Printf("shard node %s healthy: %d users, last LSN %d", r.Client().Peer(), h.Users, h.LastLSN)
-		}
-		if ready == len(remotes) {
-			return nil
-		}
-		left := time.Until(deadline)
-		if left <= 0 {
-			return fmt.Errorf("waiting for shard nodes: %d/%d healthy after %v (last error: %v)",
-				ready, len(remotes), wait, lastErr)
-		}
-		time.Sleep(min(left, 250*time.Millisecond))
+// rpcOptions are the shard-RPC client options the dialer flags carry, on
+// the process's registry.
+func rpcOptions(opts options) rpc.Options {
+	return rpc.Options{
+		Secret:      opts.RPCSecret,
+		CallTimeout: opts.RPCTimeout,
+		HedgeDelay:  opts.HedgeAfter,
+		Registry:    obs.Default,
 	}
-}
-
-// peerURL turns a host:port into a base URL (scheme-qualified addresses
-// pass through).
-func peerURL(a string) string {
-	if strings.Contains(a, "://") {
-		return a
-	}
-	return "http://" + a
 }
 
 // openMember boots slot i of a ring-slot partition of the population. With

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -27,6 +28,7 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 	"github.com/treads-project/treads/internal/stats"
 )
 
@@ -57,9 +59,9 @@ func TestParsePeerGroups(t *testing.T) {
 	}
 }
 
-// membershipNode is one shard node as the daemon would run it: a journaled
-// platform behind the RPC server with its membership gate armed, exactly
-// the -shard-serve -advertise wiring.
+// membershipNode is one shard node as the daemon runs it with -advertise
+// (and -replicate, when given followers): a journaled platform behind the
+// node shardnode assembles, served on loopback.
 type membershipNode struct {
 	jp   *platform.Journaled
 	addr string
@@ -73,7 +75,7 @@ type membershipNode struct {
 	down atomic.Bool
 }
 
-func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
+func newMembershipNode(t *testing.T, dir string, seed uint64, replicate ...string) *membershipNode {
 	t.Helper()
 	jp, err := platform.OpenJournaled(dir, journal.Options{NoSync: true}, func() (*platform.Platform, error) {
 		return platform.New(platform.Config{Seed: seed}), nil
@@ -82,9 +84,17 @@ func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { jp.Close() })
-	n := &membershipNode{jp: jp}
-	srv := rpc.NewServer(jp, membershipSecret, nil)
-	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := &membershipNode{jp: jp, addr: "http://" + ln.Addr().String()}
+	sn, err := shardnode.New(jp, shardnode.Config{RPC: rpc.Options{Secret: membershipSecret},
+		Advertise: n.addr, Replicate: replicate, PeerWait: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &httptest.Server{Listener: ln, Config: &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if n.down.Load() {
 			panic(http.ErrAbortHandler)
 		}
@@ -93,12 +103,11 @@ func newMembershipNode(t *testing.T, dir string, seed uint64) *membershipNode {
 		} else {
 			n.control.Add(1)
 		}
-		srv.ServeHTTP(w, r)
-	}))
+		sn.Handler().ServeHTTP(w, r)
+	})}}
+	hs.Start()
 	t.Cleanup(hs.Close)
-	srv.SetGate(cluster.NewGate(hs.URL))
-	n.addr = hs.URL
-	n.cli = rpc.NewClient(hs.URL, rpc.Options{Secret: membershipSecret})
+	n.cli = rpc.NewClient(n.addr, rpc.Options{Secret: membershipSecret})
 	t.Cleanup(n.cli.Close)
 	return n
 }
@@ -256,7 +265,7 @@ func TestRouterRestartAdoptsFleetRing(t *testing.T) {
 	if err := routerA.RegisterAdvertiser("acme"); err != nil {
 		t.Fatal(err)
 	}
-	admin := &membershipAdmin{clu: routerA, dial: newPeerDialer(opts), wait: opts.PeerWait, logger: logger}
+	admin := &membershipAdmin{clu: routerA, dial: shardnode.NewDialer(rpcOptions(opts)), wait: opts.PeerWait, logger: logger}
 	if _, err := admin.AddShard(nodeB.addr, nil); err != nil {
 		t.Fatalf("AddShard: %v", err)
 	}
@@ -470,15 +479,10 @@ func TestMembershipEndpointsEndToEnd(t *testing.T) {
 	}
 
 	// Grow: node C with follower D joins through the admin endpoint. The
-	// owner node's -replicate wiring (armReplication) ships its journal to
-	// D, so every user migrated to C lands on D before the ack.
-	nodeC := newMembershipNode(t, filepath.Join(root, "c"), stats.SubSeed(41, 2))
+	// owner node's -replicate boot ships its journal to D, so every user
+	// migrated to C lands on D before the ack.
 	nodeD := newMembershipNode(t, filepath.Join(root, "d"), stats.SubSeed(41, 3))
-	repOpts := options{Replicate: nodeD.addr, RPCSecret: membershipSecret,
-		RPCTimeout: 2 * time.Second, PeerWait: 10 * time.Second}
-	if err := armReplication(nodeC.jp, newPeerDialer(repOpts), repOpts, logger); err != nil {
-		t.Fatalf("arming C->D replication: %v", err)
-	}
+	nodeC := newMembershipNode(t, filepath.Join(root, "c"), stats.SubSeed(41, 2), nodeD.addr)
 
 	var rep httpapi.ReshardReportWire
 	if code := adminJSON(t, http.MethodPost, ts.URL+"/admin/v1/cluster/shards",

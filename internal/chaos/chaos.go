@@ -48,6 +48,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"log"
 	"os"
 	"path/filepath"
 	"slices"
@@ -69,6 +71,7 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 	"github.com/treads-project/treads/internal/stats"
 	"github.com/treads-project/treads/internal/trace"
 	"github.com/treads-project/treads/internal/workload"
@@ -505,7 +508,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			return nil, err
 		}
 		n.tr = faults.NewTransport(h.inj, *cfg.Net, fmt.Sprintf("node%d", slot), nil)
-		n.cl = rpc.NewClient("http://"+n.addr, rpc.Options{
+		n.remote = cluster.NewRemoteShard(rpc.NewClient("http://"+n.sn.Addr(), rpc.Options{
 			Secret:           chaosSecret,
 			Transport:        n.tr,
 			CallTimeout:      2 * time.Second,
@@ -515,8 +518,8 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			HedgeDelay:       25 * time.Millisecond,
 			FailureThreshold: 5,
 			CircuitCooldown:  100 * time.Millisecond,
-		})
-		g.rs = cluster.NewReplicaSet(cluster.NewRemoteShard(n.cl))
+		}))
+		g.rs = cluster.NewReplicaSet(n.remote)
 		return g, nil
 	}
 	members := make([]cluster.Shard, len(g.nodes))
@@ -694,19 +697,15 @@ func (h *harness) rounds(res *Result) error {
 			default:
 				cfg.Logf("round %d: crashing shard %d", r, i)
 			}
-			if err := n.crash(cfg.Net != nil); err != nil {
+			if err := n.crash(); err != nil {
 				return err
 			}
 			n.down.Store(false)
 			res.Crashes++
 			rsp.Event("crash-recover node " + strconv.Itoa(i))
 		}
-		if cfg.Net != nil {
-			for _, n := range h.nodes {
-				if err := n.awaitHealthy(5 * time.Second); err != nil {
-					return err
-				}
-			}
+		if err := h.awaitHealthy(); err != nil {
+			return err
 		}
 
 		// A mid-round membership change that lost its race with the fault
@@ -871,8 +870,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 	cfg := h.cfg
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		owner := killed.owner()
-		if !owner.down.Load() && owner.Journaled.JournalFailed() == nil {
+		if killed.owner().Healthy() {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -904,7 +902,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 // could elect: alive journal, still following, fully caught up.
 func (h *harness) anyPromotable(g *slotGroup) bool {
 	for _, n := range g.followers() {
-		if st, _ := n.Journaled.FollowStatus(); !n.down.Load() && n.Journaled.JournalFailed() == nil && st.Synced {
+		if st, _ := n.Journaled.FollowStatus(); n.Healthy() && st.Synced {
 			return true
 		}
 	}
@@ -921,6 +919,20 @@ func (h *harness) healReplicas(res *Result) {
 			res.violate("replication", "slot %d: healing followers after recovery: %v", si, err)
 		}
 	}
+}
+
+// awaitHealthy probes every networked node through its fault-wrapped
+// client until all answer, which closes their circuit breakers, so
+// restarted shards are back in rotation before the next round (or the
+// final verification) begins.
+func (h *harness) awaitHealthy() error {
+	var remotes []*cluster.RemoteShard
+	for _, n := range h.nodes {
+		if n.remote != nil {
+			remotes = append(remotes, n.remote)
+		}
+	}
+	return shardnode.WaitForPeers(remotes, 5*time.Second, log.New(io.Discard, "", 0))
 }
 
 // compactHealthy snapshots every shard whose journal is still serving —
@@ -940,9 +952,11 @@ func (h *harness) compactHealthy() {
 // shutdown tears everything down; safe to call after partial boot.
 func (h *harness) shutdown() {
 	for _, n := range h.nodes {
-		n.stopServe()
-		if n.cl != nil {
-			n.cl.Close()
+		if n.sn != nil {
+			n.sn.Kill()
+		}
+		if n.remote != nil {
+			n.remote.Close()
 		}
 		if n.Journaled != nil {
 			n.Journaled.Close()

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"time"
 
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/faults"
@@ -39,7 +38,6 @@ func stateBytes(s platform.State) ([]byte, error) {
 // the owner's LSN with a different state.
 func (h *harness) quiesce(res *Result) {
 	h.inj.Arm(false)
-	networked := h.cfg.Net != nil
 	for _, n := range h.nodes {
 		if n.tr != nil {
 			n.tr.SetPartitioned(false)
@@ -49,7 +47,7 @@ func (h *harness) quiesce(res *Result) {
 	for _, n := range h.nodes {
 		if n.Journaled.JournalFailed() != nil {
 			h.cfg.Logf("quiesce: shard %d journal failed sticky; crash-recovering", n.idx)
-			if err := n.crash(networked); err != nil {
+			if err := n.crash(); err != nil {
 				res.violate("recovery", "shard %d: crash-recovery of failed journal: %v", n.idx, err)
 				return
 			}
@@ -62,8 +60,8 @@ func (h *harness) quiesce(res *Result) {
 			res.violate("recovery", "shard %d: marshalling pre-close state: %v", n.idx, err)
 			continue
 		}
-		if networked {
-			n.stopServe()
+		if n.sn != nil {
+			n.sn.Kill()
 		}
 		if err := n.Journaled.Close(); err != nil {
 			res.violate("recovery", "shard %d: clean close of healthy journal: %v", n.idx, err)
@@ -83,18 +81,9 @@ func (h *harness) quiesce(res *Result) {
 			res.violate("recovery", "shard %d: recovered state differs from pre-close state (%d vs %d bytes)",
 				n.idx, len(before), len(after))
 		}
-		if networked {
-			if err := n.serve(); err != nil {
-				res.violate("recovery", "shard %d: restarting server: %v", n.idx, err)
-			}
-		}
 	}
-	if networked {
-		for _, n := range h.nodes {
-			if err := n.awaitHealthy(5 * time.Second); err != nil {
-				res.violate("recovery", "%v", err)
-			}
-		}
+	if err := h.awaitHealthy(); err != nil {
+		res.violate("recovery", "%v", err)
 	}
 
 	// The close/reopen cycle replaced every platform handle (dropping

@@ -1,18 +1,16 @@
 package chaos
 
 import (
-	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"sync/atomic"
-	"time"
 
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/faults"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 )
 
 // chaosSecret is the shared shard secret the networked harness uses; its
@@ -22,8 +20,9 @@ const chaosSecret = "chaos-secret"
 
 // node is one shard's full lifecycle: its journal directory on the
 // fault-injecting filesystem, the currently running journaled platform,
-// and — in networked mode — the RPC server in front of it plus the
-// coordinator's fault-wrapped client to it.
+// and — in networked mode — the shard node adplatformd would run over it
+// (shardnode: RPC server, gate, rearm handler) plus the coordinator's
+// fault-wrapped client to it.
 type node struct {
 	idx   int
 	dir   string
@@ -43,20 +42,24 @@ type node struct {
 	down atomic.Bool
 
 	// Networked mode only.
-	addr string
-	ln   net.Listener
-	srv  *http.Server
-	tr   *faults.Transport
-	cl   *rpc.Client
+	sn     *shardnode.Node
+	tr     *faults.Transport
+	remote *cluster.RemoteShard // over a client whose transport is tr
 }
 
 // open boots or recovers the node's platform from its journal directory.
+// In networked mode a reopen is the process starting again: its shard node
+// comes back over the new platform on the same address, so the
+// coordinator's client keeps working.
 func (n *node) open() error {
 	jp, err := platform.OpenJournaled(n.dir, n.jopts, n.boot)
 	if err != nil {
 		return fmt.Errorf("shard %d: open: %w", n.idx, err)
 	}
 	n.Journaled = jp
+	if n.sn != nil {
+		return n.sn.Restart(jp)
+	}
 	return nil
 }
 
@@ -64,11 +67,10 @@ func (n *node) open() error {
 // abandoned without Close (a real crash doesn't get to flush), the disk is
 // torn back to its durable watermark plus a deterministic slice of the
 // unsynced tail, and the platform is recovered from what survived. In
-// networked mode the RPC server dies with the process and comes back on
-// the same address.
-func (n *node) crash(networked bool) error {
-	if networked {
-		n.stopServe()
+// networked mode the shard node dies with the process.
+func (n *node) crash() error {
+	if n.sn != nil {
+		n.sn.Kill()
 	}
 	n.Journaled = nil // abandon: unflushed, unacknowledged appends die with us
 	if err := n.ffs.Crash(); err != nil {
@@ -77,58 +79,21 @@ func (n *node) crash(networked bool) error {
 	if err := n.open(); err != nil {
 		return fmt.Errorf("shard %d: recovery: %w", n.idx, err)
 	}
-	if networked {
-		return n.serve()
-	}
 	return nil
 }
 
-// serve starts (or restarts) the node's RPC server. The first call binds
-// an ephemeral loopback port; restarts rebind the same address so the
-// coordinator's client keeps working across crashes.
+// serve starts the node's shard node over the running platform, on an
+// ephemeral loopback port it is advertised as.
 func (n *node) serve() error {
-	addr := n.addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return fmt.Errorf("shard %d: listen %s: %w", n.idx, addr, err)
+		return fmt.Errorf("shard %d: listen: %w", n.idx, err)
 	}
-	n.ln = ln
-	n.addr = ln.Addr().String()
-	n.srv = &http.Server{Handler: rpc.NewServer(n.Journaled, chaosSecret, nil)}
-	go n.srv.Serve(ln)
-	return nil
-}
-
-func (n *node) stopServe() {
-	if n.srv != nil {
-		n.srv.Close()
-		n.srv = nil
-	}
-}
-
-// awaitHealthy probes the node through its fault-wrapped client until the
-// circuit breaker re-admits calls, so a freshly restarted shard is back in
-// rotation before the next round (or the final verification) begins.
-func (n *node) awaitHealthy(timeout time.Duration) error {
-	if n.cl == nil {
-		return nil
-	}
-	deadline := time.Now().Add(timeout)
-	for {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		_, err := n.cl.Health(ctx)
-		cancel()
-		if err == nil && n.cl.Healthy() {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("shard %d: still unhealthy after %v: %v", n.idx, timeout, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	n.sn, err = shardnode.Start(n.Journaled, ln, shardnode.Config{
+		RPC:       rpc.Options{Secret: chaosSecret},
+		Advertise: ln.Addr().String(),
+	})
+	return err
 }
 
 // In-process mode hands the node itself to the cluster as the slot member.
@@ -148,7 +113,7 @@ var (
 // state: a shard that cannot prove durability must stop taking writes, and
 // the cluster's health gate turns that into the typed ErrShardUnavailable
 // the accounting relies on.
-func (n *node) Healthy() bool { return !n.down.Load() && n.JournalFailed() == nil }
+func (n *node) Healthy() bool { return !n.down.Load() && n.Journaled.Healthy() }
 
 // Close shadows the platform's: the harness owns a node's lifecycle (crash,
 // recover, final close), a cluster that holds it as a member does not.

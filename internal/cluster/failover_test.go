@@ -5,8 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
-	"net/http"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -17,7 +15,6 @@ import (
 
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/obs"
-	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/rpc"
 )
 
@@ -181,75 +178,6 @@ func replicaReadCount(t *testing.T, reg *obs.Registry) int {
 	return n
 }
 
-// killableNode is a shard node whose HTTP front can be killed and
-// restarted on the same address with its journaled state intact —
-// modelling a process crash and operator-free return.
-type killableNode struct {
-	jp   *platform.Journaled
-	srv  *rpc.Server
-	addr string
-	hs   *http.Server
-}
-
-func startKillableNode(t *testing.T, dir string, seed uint64) *killableNode {
-	t.Helper()
-	jp := openElasticShard(t, dir, seed)
-	n := &killableNode{jp: jp, srv: rpc.NewServer(jp, elasticSecret, nil)}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.addr = "http://" + ln.Addr().String()
-	n.serve(ln)
-	t.Cleanup(func() { n.kill() })
-	return n
-}
-
-func (n *killableNode) serve(ln net.Listener) {
-	n.hs = &http.Server{Handler: n.srv}
-	go n.hs.Serve(ln)
-}
-
-func (n *killableNode) kill() {
-	if n.hs != nil {
-		n.hs.Close()
-		n.hs = nil
-	}
-}
-
-// restart re-listens on the node's original address; the port was just
-// released, but give the kernel a moment under parallel test load.
-func (n *killableNode) restart(t *testing.T) {
-	t.Helper()
-	hostport := n.addr[len("http://"):]
-	var ln net.Listener
-	var err error
-	for i := 0; i < 50; i++ {
-		if ln, err = net.Listen("tcp", hostport); err == nil {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("re-listen %s: %v", hostport, err)
-	}
-	n.serve(ln)
-}
-
-// armShipping installs the daemon's rearm handler on n: told a follower
-// list over the rearm RPC, the node chains its journal onto those nodes
-// and arms the chain — the no-process-restart re-arm the failover protocol
-// depends on.
-func armShipping(n *killableNode) {
-	n.srv.SetRearm(func(followers []string) error {
-		shards := make([]cluster.Shard, len(followers))
-		for i, a := range followers {
-			shards[i] = cluster.NewRemoteShard(rpc.NewClient(a, rpc.Options{Secret: elasticSecret}))
-		}
-		return cluster.NewReplicaSet(n.jp, shards...).Chain()
-	})
-}
-
 // TestAutoFailoverFencesDeposedOwner is the networked failover protocol
 // test: an owner node dies, FailoverSlot promotes its synced follower and
 // bumps the ring, the deposed owner returns with its old state, HealSlot
@@ -258,10 +186,8 @@ func armShipping(n *killableNode) {
 // refusal, never a dirty write.
 func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 	root := t.TempDir()
-	n0 := startKillableNode(t, filepath.Join(root, "n0"), 107)
-	n1 := startKillableNode(t, filepath.Join(root, "n1"), 107)
-	armShipping(n0)
-	armShipping(n1)
+	n0 := newElasticNode(t, filepath.Join(root, "n0"), 107)
+	n1 := newElasticNode(t, filepath.Join(root, "n1"), 107)
 
 	// One failed call must open the owner client's breaker: the failure
 	// detector is the only probe source in this test.
@@ -280,19 +206,17 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	ri := c.RingInfo()
-	for _, n := range []*killableNode{n0, n1} {
-		gate := cluster.NewGate(n.addr)
-		if err := gate.SetRing(ri); err != nil {
+	for _, n := range []*elasticNode{n0, n1} {
+		if _, err := rpc.Do(context.Background(), n.client, rpc.OpSetRing, ri); err != nil {
 			t.Fatal(err)
 		}
-		n.srv.SetGate(gate)
 	}
 
 	users, _ := populateElastic(t, c, 16)
 	acked := feedLens(c, users)
 
 	// The owner process dies. One probe observes it and opens the breaker.
-	n0.kill()
+	n0.sn.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	if err := c.ProbeSlotOwner(ctx, 0); err == nil {
 		t.Fatal("probe of a dead owner succeeded")
@@ -319,10 +243,12 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 		t.Fatalf("BrowseFeed after failover: %v", err)
 	}
 
-	// The deposed owner returns with its pre-crash state and its stale
+	// The deposed owner's process returns with its pre-crash state and no
 	// ring. HealSlot fences it (ring push first), then resyncs it into a
 	// follower of the new owner.
-	n0.restart(t)
+	if err := n0.sn.Restart(n0.jp); err != nil {
+		t.Fatal(err)
+	}
 	if err := c.HealSlot(0); err != nil {
 		t.Fatalf("HealSlot: %v", err)
 	}
@@ -367,10 +293,8 @@ func TestAutoFailoverFencesDeposedOwner(t *testing.T) {
 // member ends byte-identical to the owner.
 func TestHealSlotUnderConcurrentWrites(t *testing.T) {
 	root := t.TempDir()
-	n0 := startKillableNode(t, filepath.Join(root, "n0"), 109)
-	n1 := startKillableNode(t, filepath.Join(root, "n1"), 109)
-	armShipping(n0)
-	armShipping(n1)
+	n0 := newElasticNode(t, filepath.Join(root, "n0"), 109)
+	n1 := newElasticNode(t, filepath.Join(root, "n1"), 109)
 	owner := cluster.NewRemoteShard(rpc.NewClient(n0.addr, rpc.Options{Secret: elasticSecret, FailureThreshold: 1}))
 	rs := cluster.NewReplicaSet(owner, cluster.NewRemoteShard(rpc.NewClient(n1.addr, rpc.Options{Secret: elasticSecret})))
 	n1.jp.BeginFollow(0)
@@ -383,7 +307,7 @@ func TestHealSlotUnderConcurrentWrites(t *testing.T) {
 	}
 	users, _ := populateElastic(t, c, 16)
 
-	n0.kill()
+	n0.sn.Kill()
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	if err := c.ProbeSlotOwner(ctx, 0); err == nil {
 		t.Fatal("probe of a dead owner succeeded")
@@ -392,7 +316,9 @@ func TestHealSlotUnderConcurrentWrites(t *testing.T) {
 	if _, err := c.FailoverSlot(0, false); err != nil {
 		t.Fatalf("FailoverSlot: %v", err)
 	}
-	n0.restart(t)
+	if err := n0.sn.Restart(n0.jp); err != nil {
+		t.Fatal(err)
+	}
 
 	const writers = 4
 	stop := make(chan struct{})

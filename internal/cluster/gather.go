@@ -23,13 +23,10 @@ import (
 // refusals, and as an httpapi.Unavailable it is answered 503, not 404.
 var ErrShardUnavailable error = httpapi.Unavailable("cluster: shard unavailable")
 
-// HealthReporter is implemented by members that know their own liveness —
-// RemoteShard reports its peer's circuit-breaker state. Members that do
-// not implement it (in-process platforms) are always considered healthy.
-// A slot's health is its ReplicaSet's Healthy / WriteHealthy.
-type HealthReporter interface {
-	Healthy() bool
-}
+// HealthReporter is platform's, declared there so the shard RPC server's
+// health endpoint can consult it too. A slot's health is its ReplicaSet's
+// Healthy / WriteHealthy.
+type HealthReporter = platform.HealthReporter
 
 // shardHealthy reports whether the member can serve anything at all.
 func shardHealthy(s Shard) bool {

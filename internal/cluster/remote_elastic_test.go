@@ -4,8 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
-	"net/http/httptest"
 	"path"
 	"path/filepath"
 	"strings"
@@ -19,17 +19,36 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 	"github.com/treads-project/treads/internal/stats"
 	"github.com/treads-project/treads/internal/workload"
 )
 
 const elasticSecret = "elastic-secret"
 
-// elasticNode is one shard node: the journaled platform, its RPC server,
-// and a dialed client — the full loopback wire path.
+// serveNode runs m as a shard node the way the daemon assembles one with
+// -advertise (shardnode: RPC server, membership gate, rearm handler for a
+// journaled member), on a loopback port, and returns it with its base URL.
+func serveNode(t testing.TB, m rpc.Backend, secret string) (*shardnode.Node, string) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	sn, err := shardnode.Start(m, ln, shardnode.Config{RPC: rpc.Options{Secret: secret}, Advertise: url})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sn.Kill)
+	return sn, url
+}
+
+// elasticNode is one journaled shard node and a dialed client — the full
+// loopback wire path.
 type elasticNode struct {
 	jp     *platform.Journaled
-	srv    *rpc.Server
+	sn     *shardnode.Node
 	addr   string
 	client *rpc.Client
 }
@@ -37,12 +56,10 @@ type elasticNode struct {
 func newElasticNode(t *testing.T, dir string, seed uint64) *elasticNode {
 	t.Helper()
 	jp := openElasticShard(t, dir, seed)
-	srv := rpc.NewServer(jp, elasticSecret, nil)
-	hs := httptest.NewServer(srv)
-	t.Cleanup(hs.Close)
-	client := rpc.NewClient(hs.URL, rpc.Options{Secret: elasticSecret})
+	sn, addr := serveNode(t, jp, elasticSecret)
+	client := rpc.NewClient(addr, rpc.Options{Secret: elasticSecret})
 	t.Cleanup(client.Close)
-	return &elasticNode{jp: jp, srv: srv, addr: hs.URL, client: client}
+	return &elasticNode{jp: jp, sn: sn, addr: addr, client: client}
 }
 
 // TestRemoteReshardAndStaleRouterRefresh is the wire-path membership test:
@@ -67,15 +84,13 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every node gets a membership gate holding the version-1 ring —
-	// including the future joiner, which serves nothing under it.
+	// Every node's membership gate holds the version-1 ring — including
+	// the future joiner, which serves nothing under it.
 	ri := routerA.RingInfo()
 	for _, n := range nodes {
-		gate := cluster.NewGate(n.addr)
-		if err := gate.SetRing(ri); err != nil {
+		if _, err := rpc.Do(context.Background(), n.client, rpc.OpSetRing, ri); err != nil {
 			t.Fatal(err)
 		}
-		n.srv.SetGate(gate)
 	}
 
 	users, _ := populateElastic(t, routerA, 32)
@@ -180,7 +195,6 @@ func TestShrinkPushesTheRingToTheRemovedNode(t *testing.T) {
 	}
 	for i := range nodes {
 		nodes[i] = newElasticNode(t, filepath.Join(root, fmt.Sprintf("node-%d", i)), stats.SubSeed(95, uint64(i)))
-		nodes[i].srv.SetGate(cluster.NewGate(nodes[i].addr))
 	}
 	routerA, routerB := router(), router()
 	ri := routerA.RingInfo()

@@ -18,21 +18,20 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
+	"github.com/treads-project/treads/internal/shardnode"
 	"github.com/treads-project/treads/internal/stats"
 )
 
-// newNetworkedCluster boots n platform shards, each behind a real RPC
-// server on a loopback HTTP listener, and assembles a Cluster over
+// newNetworkedCluster boots n platform shards, each a shard node on a
+// loopback HTTP listener, and assembles a Cluster over
 // RemoteShards talking to them — the full wire path the multi-node
 // deployment runs, minus only the process boundary.
 func newNetworkedCluster(t *testing.T, n int, seed uint64, secret string) *cluster.Cluster {
 	t.Helper()
 	shards := make([]cluster.Shard, n)
 	for i := 0; i < n; i++ {
-		p := platform.New(platform.Config{Seed: stats.SubSeed(seed, uint64(i))})
-		srv := httptest.NewServer(rpc.NewServer(p, secret, nil))
-		t.Cleanup(srv.Close)
-		rs := cluster.NewRemoteShard(rpc.NewClient(srv.URL, rpc.Options{Secret: secret}))
+		_, url := serveNode(t, platform.New(platform.Config{Seed: stats.SubSeed(seed, uint64(i))}), secret)
+		rs := cluster.NewRemoteShard(rpc.NewClient(url, rpc.Options{Secret: secret}))
 		t.Cleanup(func() { rs.Close() })
 		shards[i] = rs
 	}
@@ -190,10 +189,8 @@ func TestUnhealthyShardRouting(t *testing.T) {
 // network weather from a genuinely down peer.
 func TestRemoteShardTypedErrors(t *testing.T) {
 	t.Run("auth", func(t *testing.T) {
-		p := platform.New(platform.Config{Seed: 1})
-		srv := httptest.NewServer(rpc.NewServer(p, "right-secret", nil))
-		defer srv.Close()
-		rs := cluster.NewRemoteShard(rpc.NewClient(srv.URL, rpc.Options{Secret: "wrong-secret"}))
+		_, url := serveNode(t, platform.New(platform.Config{Seed: 1}), "right-secret")
+		rs := cluster.NewRemoteShard(rpc.NewClient(url, rpc.Options{Secret: "wrong-secret"}))
 		defer rs.Close()
 		if _, err := rs.AdPreferences("user-000001"); !errors.Is(err, rpc.ErrAuth) {
 			t.Fatalf("err = %v, want ErrAuth", err)
@@ -319,16 +316,17 @@ func (w statusWriter) WriteHeader(status int) {
 // FollowStatus and Probe are not rows; the catalog reads send nothing.
 func TestRemoteShardSendsItsOwnRow(t *testing.T) {
 	const self = "row-test"
-	srv := rpc.NewServer(openElasticShard(t, t.TempDir(), 1), "", nil)
-	srv.SetGate(cluster.NewGate(self))
-	srv.SetRearm(func([]string) error { return nil })
+	sn, err := shardnode.New(openElasticShard(t, t.TempDir(), 1), shardnode.Config{Advertise: self})
+	if err != nil {
+		t.Fatal(err)
+	}
 	log := &requestLog{}
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		req := &sentRequest{op: path.Base(r.URL.Path)}
 		log.mu.Lock()
 		log.reqs = append(log.reqs, req)
 		log.mu.Unlock()
-		srv.ServeHTTP(statusWriter{ResponseWriter: w, log: log, req: req}, r)
+		sn.Handler().ServeHTTP(statusWriter{ResponseWriter: w, log: log, req: req}, r)
 	}))
 	defer hs.Close()
 	rs := cluster.NewRemoteShard(rpc.NewClient(hs.URL, rpc.Options{MaxRetries: -1}))

@@ -3,7 +3,6 @@ package cluster_test
 import (
 	"encoding/json"
 	"fmt"
-	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -54,9 +53,8 @@ var memberKinds = []struct {
 	}},
 	{"loopback", func(t *testing.T, dir string, seed uint64) reshardMember {
 		jp := openFlatMarketShard(t, dir, seed)
-		hs := httptest.NewServer(rpc.NewServer(jp, elasticSecret, nil))
-		t.Cleanup(hs.Close)
-		cl := rpc.NewClient(hs.URL, rpc.Options{Secret: elasticSecret})
+		_, url := serveNode(t, jp, elasticSecret)
+		cl := rpc.NewClient(url, rpc.Options{Secret: elasticSecret})
 		t.Cleanup(cl.Close)
 		return reshardMember{shard: cluster.NewRemoteShard(cl), jp: jp}
 	}},

@@ -1,6 +1,7 @@
 package cluster_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -11,8 +12,10 @@ import (
 	"time"
 
 	"github.com/treads-project/treads/internal/cluster"
+	"github.com/treads-project/treads/internal/faults"
 	"github.com/treads-project/treads/internal/gateway"
 	"github.com/treads-project/treads/internal/httpapi"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -205,6 +208,56 @@ func TestUnresolvedStaleRingAnswers503(t *testing.T) {
 			if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
 				t.Fatalf("unresolved stale-ring refusal = %d (Retry-After %q) %s, want 503 with Retry-After",
 					w.Code, w.Header().Get("Retry-After"), w.Body)
+			}
+		})
+	}
+}
+
+// TestStickyJournalReportsUnhealthy: once a journal write or fsync fails,
+// the journal refuses every later write, and the shard must say so where
+// health is read — in process, the journaled member reports itself
+// unhealthy; on the wire, the node's health endpoint answers 503, so a
+// probe fails and opens the breaker. Either way a failover supervisor's
+// probe sees the slot down, and the cluster refuses the shard's users'
+// writes with the typed ErrShardUnavailable, not the raw journal error.
+func TestStickyJournalReportsUnhealthy(t *testing.T) {
+	forms := map[string]func(t *testing.T, jp *platform.Journaled) cluster.Shard{
+		"in-process": func(_ *testing.T, jp *platform.Journaled) cluster.Shard { return jp },
+		"networked": func(t *testing.T, jp *platform.Journaled) cluster.Shard {
+			_, url := serveNode(t, jp, "")
+			return cluster.NewRemoteShard(rpc.NewClient(url, rpc.Options{FailureThreshold: 1}))
+		},
+	}
+	for name, form := range forms {
+		t.Run(name, func(t *testing.T) {
+			inj := faults.NewInjector(1, nil)
+			ffs := faults.NewFaultFS(faults.OS{}, inj, faults.DiskConfig{SyncError: 1}, "")
+			ffs.SkipSync = true
+			jp, err := platform.OpenJournaled(t.TempDir(), journal.Options{FS: ffs}, func() (*platform.Platform, error) {
+				return platform.New(platform.Config{Seed: 113}), nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cluster.New([]cluster.Shard{form(t, jp)}, cluster.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj.Arm(true)
+			if err := c.AddUser(profile.New("user-a")); err == nil || jp.JournalFailed() == nil {
+				t.Fatalf("AddUser on a failing disk: %v; want the journal failed (it is %v)", err, jp.JournalFailed())
+			}
+			inj.Arm(false)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if err := c.ProbeSlotOwner(ctx, 0); err == nil {
+				t.Error("probe of a shard whose journal failed succeeded")
+			}
+			if c.ReplicaSets()[0].Healthy() {
+				t.Error("slot of a shard whose journal failed reports healthy")
+			}
+			if err := c.AddUser(profile.New("user-b")); !errors.Is(err, cluster.ErrShardUnavailable) {
+				t.Errorf("write to a shard whose journal failed: %v, want ErrShardUnavailable", err)
 			}
 		})
 	}

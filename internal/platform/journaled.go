@@ -145,6 +145,23 @@ func (jp *Journaled) LastLSN() uint64 { return jp.j.LastLSN() }
 // documents the production equivalent).
 func (jp *Journaled) JournalFailed() error { return jp.j.Failed() }
 
+// HealthReporter is implemented by members that know their own liveness: a
+// Journaled reports its journal's sticky failure, the cluster's RemoteShard
+// its peer's circuit breaker. The cluster's health gate and the shard RPC
+// server's health endpoint both consult it; a member that does not
+// implement it (an in-memory Platform) is always healthy.
+type HealthReporter interface {
+	Healthy() bool
+}
+
+var _ HealthReporter = (*Journaled)(nil)
+
+// Healthy is false once the journal has failed: a shard that cannot prove
+// durability must stop taking writes, and reporting itself unhealthy is
+// what turns its refusals into the typed "shard unavailable" a router
+// answers 503 and a failover supervisor promotes away from.
+func (jp *Journaled) Healthy() bool { return jp.JournalFailed() == nil }
+
 // Close syncs and closes the journal. The wrapped platform remains usable
 // in memory, but further mutations through the Journaled fail.
 func (jp *Journaled) Close() error { return jp.j.Close() }

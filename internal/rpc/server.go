@@ -144,6 +144,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !s.authorized(w, r) {
 		return
 	}
+	if hr, ok := s.b.(platform.HealthReporter); ok && !hr.Healthy() {
+		writeRPCError(w, http.StatusServiceUnavailable, "shard reports itself unhealthy")
+		return
+	}
 	resp := HealthResp{OK: true, Users: len(s.b.Users())}
 	if m, ok := s.b.(platform.Member); ok {
 		st, err := m.FollowStatus()
