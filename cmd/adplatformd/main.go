@@ -416,11 +416,12 @@ func boot(opts options, logger *log.Logger) (node, error) {
 		n.members = append(n.members, mb)
 	}
 	if len(n.members) > 0 {
-		// What was live at the boot's last collection — the snapshot's State
-		// above all — set the heap goal the first cycle under load runs to,
-		// and where that collection landed varies from one boot to the next:
-		// 27 to 37 MB on slot 0 of 2 at 12 000 users, which holds 10 MB. One
-		// collection here sets the goal from the state the node serves.
+		// What was live at the boot's last collection sets the heap goal the
+		// first cycle under load runs to: the state the node serves, plus
+		// whatever the generator, the index build or the boot snapshot's
+		// frame still held when that collection ran, which varies from one
+		// boot to the next. One collection here sets the goal from the
+		// state alone (10 MB on slot 0 of 2 at 12 000 users).
 		runtime.GC()
 	}
 	switch {

@@ -17,7 +17,7 @@ import (
 
 // benchShard boots a journaled shard in dir and returns it with the size of
 // the boot snapshot it wrote.
-func benchShard(b *testing.B, dir string) (*Journaled, int64) {
+func benchShard(b testing.TB, dir string) (*Journaled, int64) {
 	b.Helper()
 	jp, err := OpenJournaled(dir, journal.Options{NoSync: true}, func() (*Platform, error) {
 		p := New(Config{Seed: 1})

@@ -179,21 +179,23 @@ func (jp *Journaled) stateLocked() State { return jp.p.Load().State() }
 // Compact durably snapshots the current state and prunes the journal to
 // what the snapshot does not cover. It returns the LSN the snapshot
 // covers. Mutations are blocked for the duration; with the default JSON
-// state encoding this is the platform's stop-the-world checkpoint.
+// state encoding this is the platform's stop-the-world checkpoint. The
+// document is encoded from the live platform, not from a copy of its State.
 func (jp *Journaled) Compact() (uint64, error) {
 	jp.mu.Lock()
 	defer jp.mu.Unlock()
-	return jp.writeSnapshot(jp.stateLocked())
+	return jp.writeSnapshot(jp.p.Load().writeLiveState)
 }
 
-// writeSnapshot streams s into the journal's snapshot channel as the state
-// through the last journaled LSN, which it returns. The caller holds jp.mu.
-func (jp *Journaled) writeSnapshot(s State) (uint64, error) {
+// writeSnapshot streams what write writes into the journal's snapshot
+// channel as the state through the last journaled LSN, which it returns.
+// The caller holds jp.mu.
+func (jp *Journaled) writeSnapshot(write func(io.Writer) error) (uint64, error) {
 	if err := jp.j.Sync(); err != nil {
 		return 0, err
 	}
 	lsn := jp.j.LastLSN()
-	return lsn, jp.j.WriteSnapshot(lsn, func(w io.Writer) error { return WriteSnapshot(w, s) })
+	return lsn, jp.j.WriteSnapshot(lsn, write)
 }
 
 // commit is the one write path of a journaled platform. Every mutation — a

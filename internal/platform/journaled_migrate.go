@@ -3,6 +3,7 @@ package platform
 import (
 	"context"
 	"fmt"
+	"io"
 
 	"github.com/treads-project/treads/internal/profile"
 )
@@ -104,7 +105,7 @@ func (jp *Journaled) InstallState(s State) error {
 	if err != nil {
 		return fmt.Errorf("platform: installing state: %w", err)
 	}
-	if _, err := jp.writeSnapshot(s); err != nil {
+	if _, err := jp.writeSnapshot(func(w io.Writer) error { return WriteSnapshot(w, s) }); err != nil {
 		return fmt.Errorf("platform: installing state: %w", err)
 	}
 	jp.p.Store(p2)

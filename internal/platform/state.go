@@ -56,6 +56,14 @@ func (p *Platform) State() State { return p.Snapshot(p.pipeline.RNGState()) }
 // Snapshot exports the platform's full state. The seed recorded is the one
 // the restored platform's auctions will continue from.
 func (p *Platform) Snapshot(reseed uint64) State {
+	s := p.stateWithoutProfiles(reseed)
+	s.Profiles = p.store.Snapshot()
+	return s
+}
+
+// stateWithoutProfiles is Snapshot less the profiles, which a compaction
+// encodes straight from the live store.
+func (p *Platform) stateWithoutProfiles(reseed uint64) State {
 	p.mu.Lock()
 	s := State{
 		Version:   snapshotVersion,
@@ -75,7 +83,6 @@ func (p *Platform) Snapshot(reseed uint64) State {
 	sort.Slice(s.Owner, func(i, j int) bool { return s.Owner[i].CampaignID < s.Owner[j].CampaignID })
 	p.mu.Unlock()
 
-	s.Profiles = p.store.Snapshot()
 	s.Pixels = p.pixels.Snapshot()
 	s.Audiences = p.audiences.Snapshot()
 	s.Ledger = p.ledger.Snapshot()

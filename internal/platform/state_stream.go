@@ -7,6 +7,8 @@ import (
 	"io"
 	"reflect"
 	"strings"
+
+	"github.com/treads-project/treads/internal/profile"
 )
 
 // A State's JSON document is as large as the shard, so it is never built.
@@ -16,12 +18,25 @@ import (
 // meet there to encoding/json one element at a time — a profile, one user's
 // feed, one campaign's ledger account — and every other field whole. The
 // document is json.Marshal's, byte for byte, and is read as json.Unmarshal
-// reads it; the tests hold both to those two.
+// reads it; the tests hold both to those two. A live platform's profiles,
+// the bulk of a shard, are not copied into a State at all: the walk takes
+// them from the profile store, each appended by its own encoder.
 
 // WriteSnapshot writes s to w as exactly the bytes json.Marshal(s) returns,
 // about 64 KiB at a time.
-func WriteSnapshot(w io.Writer, s State) error {
-	e := &stateEncoder{w: w}
+func WriteSnapshot(w io.Writer, s State) error { return writeState(w, s, nil) }
+
+// writeLiveState writes to w exactly what WriteSnapshot writes of p.State(),
+// through the same writes, with the profiles read from p's store where they
+// live. Nothing may mutate p meanwhile: Journaled.Compact holds the op lock.
+func (p *Platform) writeLiveState(w io.Writer) error {
+	return writeState(w, p.stateWithoutProfiles(p.pipeline.RNGState()), p.store)
+}
+
+// writeState is WriteSnapshot, except that with live set the profiles field
+// is written from that store and s's own is not looked at.
+func writeState(w io.Writer, s State, live *profile.Store) error {
+	e := &stateEncoder{w: w, live: live}
 	e.enc = json.NewEncoder(&e.buf)
 	err := e.value(reflect.ValueOf(s), 2)
 	if err == nil {
@@ -98,7 +113,11 @@ type stateEncoder struct {
 	w   io.Writer
 	buf bytes.Buffer  // encoded output not yet written
 	enc *json.Encoder // onto buf
+	// live, when set, is the store the []profile.State field is written from.
+	live *profile.Store
 }
+
+var profileStates = reflect.TypeOf([]profile.State(nil))
 
 func (e *stateEncoder) value(v reflect.Value, depth int) error {
 	switch asStruct, asSlice := walks(v.Type(), depth); {
@@ -107,7 +126,8 @@ func (e *stateEncoder) value(v reflect.Value, depth int) error {
 		first := true
 		for _, f := range streamFields(v.Type()) {
 			fv := v.Field(f.index)
-			if f.omitEmpty && isEmptyValue(fv) {
+			live := e.live != nil && fv.Type() == profileStates
+			if f.omitEmpty && ((live && e.live.Len() == 0) || (!live && isEmptyValue(fv))) {
 				continue
 			}
 			if !first {
@@ -118,7 +138,13 @@ func (e *stateEncoder) value(v reflect.Value, depth int) error {
 				return err
 			}
 			e.buf.WriteByte(':')
-			if err := e.value(fv, depth-1); err != nil {
+			var err error
+			if live {
+				err = e.liveProfiles()
+			} else {
+				err = e.value(fv, depth-1)
+			}
+			if err != nil {
 				return err
 			}
 		}
@@ -141,13 +167,42 @@ func (e *stateEncoder) value(v reflect.Value, depth int) error {
 	return nil
 }
 
-// whole appends json.Marshal(v) to the output, and writes the output out
-// once there are 64 KiB of it.
+// liveProfiles writes the live store's profiles in insertion order as the
+// walk writes a []profile.State: one element, then the flush check.
+func (e *stateEncoder) liveProfiles() error {
+	e.buf.WriteByte('[')
+	first := true
+	var err error
+	e.live.Each(func(p *profile.Profile) {
+		if err != nil {
+			return
+		}
+		if !first {
+			e.buf.WriteByte(',')
+		}
+		first = false
+		e.buf.Write(p.AppendSnapshotJSON(e.buf.AvailableBuffer()))
+		err = e.flush()
+	})
+	if err != nil {
+		return err
+	}
+	e.buf.WriteByte(']')
+	return nil
+}
+
+// whole appends json.Marshal(v) to the output, and writes it out once
+// there are 64 KiB of it.
 func (e *stateEncoder) whole(v any) error {
 	if err := e.enc.Encode(v); err != nil {
 		return err
 	}
 	e.buf.Truncate(e.buf.Len() - 1) // Encode ends every value with a newline
+	return e.flush()
+}
+
+// flush writes the output out once there are 64 KiB of it.
+func (e *stateEncoder) flush() error {
 	if e.buf.Len() < 64<<10 {
 		return nil
 	}

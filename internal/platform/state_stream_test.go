@@ -16,12 +16,13 @@ import (
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/workload"
 )
 
-// loadedState is buildRichPlatform's state — users with likes, a pixel
-// visit, every audience kind including a lookalike, feeds, billing rows, a
-// paused campaign — plus a campaign that has spent its budget.
-func loadedState(t *testing.T) State {
+// loadedPlatform is buildRichPlatform — users with likes, a pixel visit,
+// every audience kind including a lookalike, feeds, billing rows, a paused
+// campaign — plus a campaign that has spent its budget.
+func loadedPlatform(t *testing.T) *Platform {
 	t.Helper()
 	p := buildRichPlatform(t)
 	budget := money.FromDollars(0.004)
@@ -41,17 +42,38 @@ func loadedState(t *testing.T) State {
 	if got := p.ledger.TrueSpend(spent); got < budget {
 		t.Fatalf("premise: %s spent %v of its %v budget", spent, got, budget)
 	}
-	return p.Snapshot(p.pipeline.RNGState())
+	return p
+}
+
+// generatedSlot is a platform holding the 600 of 1 200 generated users whose
+// IDs end in an even digit, as a shard holds its slot's users.
+func generatedSlot(t *testing.T) *Platform {
+	t.Helper()
+	p := New(Config{Seed: 3})
+	cfg := workload.DefaultConfig()
+	cfg.Users = 1200
+	cfg.Seed = 11
+	cfg.Catalog = p.Catalog()
+	workload.EachKept(cfg, func(id profile.UserID) bool { return id[len(id)-1]%2 == 0 }, func(u *profile.Profile) {
+		if err := p.AddUser(u); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if n := p.store.Len(); n != 600 {
+		t.Fatalf("premise: the slot holds %d users, want 600", n)
+	}
+	return p
 }
 
 // TestSnapshotStreamIsTheSameDocument holds the stream codec to its two
-// oracles: WriteSnapshot emits json.Marshal's bytes, and ReadSnapshot of
-// that document — compact, or indented as earlier builds wrote it — returns
-// what json.Unmarshal returns.
+// oracles: WriteSnapshot, and Compact encoding a live platform, emit
+// json.Marshal's bytes, and ReadSnapshot of that document — compact, or
+// indented as earlier builds wrote it — returns what json.Unmarshal returns.
 func TestSnapshotStreamIsTheSameDocument(t *testing.T) {
+	loaded := loadedPlatform(t)
 	states := map[string]State{
 		"empty platform":  New(Config{}).Snapshot(1),
-		"loaded platform": loadedState(t),
+		"loaded platform": loaded.Snapshot(loaded.pipeline.RNGState()),
 		"zero State":      {},
 		// Empty is not nil: one is "[]", the other null or left out.
 		"empty slices": {Profiles: []profile.State{}, Advertisers: []string{}, Pipeline: delivery.State{Feeds: []delivery.FeedState{}}},
@@ -70,7 +92,45 @@ func TestSnapshotStreamIsTheSameDocument(t *testing.T) {
 	copyFile(t, dir+"/wal-0000000000000001.log", nil, "testdata/journal_pr14")
 	jp := mustOpenJournaled(t, dir, journal.Options{NoSync: true}, noBoot(t))
 	states["testdata/journal_pr14"] = jp.State()
-	jp.Close()
+
+	// Compact takes the profiles from the live store instead of a State.
+	boot := func(p *Platform) *Journaled {
+		return mustOpenJournaled(t, t.TempDir(), journal.Options{NoSync: true}, func() (*Platform, error) { return p, nil })
+	}
+	live := map[string]*Journaled{
+		"empty platform":        boot(New(Config{})),
+		"loaded platform":       boot(loaded),
+		"testdata/journal_pr14": jp,
+		"generated slot":        boot(generatedSlot(t)),
+	}
+	for name, jp := range live {
+		t.Run(name+", compacted", func(t *testing.T) {
+			want, err := json.Marshal(jp.State())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jp.Compact(); err != nil {
+				t.Fatal(err)
+			}
+			snap, _, err := jp.j.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(snap)
+			snap.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				i := 0
+				for i < min(len(got), len(want)) && got[i] == want[i] {
+					i++
+				}
+				t.Fatalf("Compact wrote %d bytes, json.Marshal %d; from byte %d:\n got %.200s\nwant %.200s", len(got), len(want), i, got[i:], want[i:])
+			}
+		})
+		jp.Close()
+	}
 
 	sameAsUnmarshal := func(t *testing.T, doc []byte) {
 		t.Helper()

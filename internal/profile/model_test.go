@@ -1,14 +1,18 @@
 package profile
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/pii"
 )
 
 // The step alphabet of the model test and the fuzzer: each step is an op on
@@ -22,6 +26,8 @@ const (
 	opUnlike
 	opPack // what Store.Add does to a profile before holding it
 	opSetSorted
+	opSetPII // the run's text, split in two, as PII and city
+	opLocate // the run's coordinates
 	numOps
 )
 
@@ -31,6 +37,30 @@ var (
 	modelPages  = []string{"page-1", "page-2", "page-3"}
 	absentID    = attr.ID("zz.absent")
 )
+
+// fixture is the free text and the coordinates one run writes: the text is
+// one more page to like and the PII, for the snapshot encoder to escape as
+// json does, and the coordinates are for it to format as json does.
+type fixture struct {
+	text     string
+	lat, lon float64
+}
+
+// modelFixtures are the model test's, one per seed in turn, and the fuzzer's
+// seeds. Each byte json escapes has a text where it is the only one, since a
+// single such byte sends the whole string to json.Marshal.
+var modelFixtures = []fixture{
+	{"page-4", 42.36, -71.06},
+	{"<", 1e-7, 1e21},
+	{"a>b", -1e-7, -1e21},
+	{"&amp;", 1e-6, 9.99e20},
+	{`say "hi"`, -0.000123, 123456789.125},
+	{`back\slash`, 0.5, -0.5},
+	{"ctl\x00\x1f", 3e-9, -2.5e-8},
+	{"line\u2028para\u2029", 1e22, -1e-300},
+	{"bad\xff\xfe h\u00e9llo\xc3", 37.77, -122.42},
+	{"", 0, 0},
+}
 
 type step struct{ op, id, val int }
 
@@ -62,6 +92,8 @@ type mapModel struct {
 	binary map[attr.ID]bool
 	values map[attr.ID]string
 	likes  map[string]bool
+	fx     fixture
+	pages  []string // modelPages and the fixture's text
 }
 
 // coverage counts the steps that exercised the cases the slices must get
@@ -97,11 +129,11 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 		delete(m.binary, id)
 		delete(m.values, id)
 	case opLike:
-		page := modelPages[s.val%len(modelPages)]
+		page := m.pages[s.val%len(m.pages)]
 		p.Like(page)
 		m.likes[page] = true
 	case opUnlike:
-		page := modelPages[s.val%len(modelPages)]
+		page := m.pages[s.val%len(m.pages)]
 		if !m.likes[page] {
 			cov.absent++
 		}
@@ -143,6 +175,15 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 		for _, v := range values {
 			m.values[v.ID] = v.Value
 		}
+	case opSetPII:
+		k := s.val % (len(m.fx.text) + 1) // may split a multi-byte rune
+		p.PII = pii.Record{Emails: []string{m.fx.text[:k]}, Phones: []string{m.fx.text[k:]}}
+		p.City = m.fx.text
+		if s.id%2 == 1 {
+			p.PII, p.City = pii.Record{}, ""
+		}
+	case opLocate:
+		p.SetLocation(m.fx.lat, m.fx.lon)
 	}
 }
 
@@ -199,6 +240,13 @@ func (m *mapModel) check(t testing.TB, p *Profile, where string) {
 	if !slices.Equal(snap.Binary, sortedKeys(m.binary)) || !maps.Equal(snap.Values, m.values) {
 		t.Fatalf("%s: Snapshot attrs = %v %v, want %v %v", where, snap.Binary, snap.Values, m.binary, m.values)
 	}
+	doc, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatalf("%s: %v", where, err)
+	}
+	if got := p.AppendSnapshotJSON([]byte("[")); !bytes.Equal(got, append([]byte("["), doc...)) {
+		t.Fatalf("%s: AppendSnapshotJSON after [ = %q, want [ then json.Marshal's %q", where, got, doc)
+	}
 	back, err := FromState(snap)
 	if err != nil {
 		t.Fatalf("%s: FromState: %v", where, err)
@@ -208,10 +256,13 @@ func (m *mapModel) check(t testing.TB, p *Profile, where string) {
 	}
 }
 
-func runModel(t testing.TB, steps []step) coverage {
+func runModel(t testing.TB, steps []step, fx fixture) coverage {
 	t.Helper()
 	p := New("u")
-	m := &mapModel{binary: map[attr.ID]bool{}, values: map[attr.ID]string{}, likes: map[string]bool{}}
+	m := &mapModel{
+		binary: map[attr.ID]bool{}, values: map[attr.ID]string{}, likes: map[string]bool{},
+		fx: fx, pages: append(slices.Clone(modelPages), fx.text),
+	}
 	var cov coverage
 	m.check(t, p, "fresh profile")
 	for i, s := range steps {
@@ -235,7 +286,7 @@ func TestProfileMatchesMapModel(t *testing.T) {
 			sparse := func() int { return rng.IntN(256) & rng.IntN(256) }
 			steps[i] = step{op: rng.IntN(numOps), id: sparse(), val: sparse()}
 		}
-		cov := runModel(t, steps)
+		cov := runModel(t, steps, modelFixtures[seed%uint64(len(modelFixtures))])
 		total.inOther += cov.inOther
 		total.absent += cov.absent
 		total.repeat += cov.repeat
@@ -266,19 +317,28 @@ func TestSetSortedAttrsRefusesUnsortedInput(t *testing.T) {
 }
 
 // FuzzProfileOps reads its input as (op, id, value) byte triples over the
-// same step alphabet.
+// same step alphabet, with the run's free text and coordinates.
 func FuzzProfileOps(f *testing.F) {
-	f.Add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1, opClearAttr, 0, 0})
-	f.Add([]byte{opSetAttrValue, 1, 2, opSetAttr, 1, 0, opPack, 0, 0, opClearAttr, 1, 0, opClearAttr, 1, 0})
-	f.Add([]byte{opLike, 0, 0, opLike, 0, 0, opUnlike, 0, 1, opUnlike, 0, 0, opSetAttr, 4, 0, opSetAttr, 2, 0})
+	add := func(data []byte, fx fixture) { f.Add(data, fx.text, fx.lat, fx.lon) }
+	add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1, opClearAttr, 0, 0}, modelFixtures[0])
+	add([]byte{opSetAttrValue, 1, 2, opSetAttr, 1, 0, opPack, 0, 0, opClearAttr, 1, 0, opClearAttr, 1, 0}, modelFixtures[0])
+	add([]byte{opLike, 0, 0, opLike, 0, 0, opUnlike, 0, 1, opUnlike, 0, 0, opSetAttr, 4, 0, opSetAttr, 2, 0}, modelFixtures[0])
 	// Bulk sets: repeats in one call, onto IDs already set, an ID in both
 	// sets, then an empty call.
-	f.Add([]byte{opSetAttr, 1, 0, opSetSorted, 0b100011, 0b1100110, opSetSorted, 0b10101, 0b100101, opSetSorted, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	add([]byte{opSetAttr, 1, 0, opSetSorted, 0b100011, 0b1100110, opSetSorted, 0b10101, 0b100101, opSetSorted, 0, 0}, modelFixtures[0])
+	// Text to escape as a liked page and as PII split mid-rune, and
+	// coordinates on either side of json's exponent-form cutoffs.
+	for _, fx := range modelFixtures {
+		add([]byte{opLike, 0, 3, opSetPII, 0, 5, opLocate, 0, 0, opSetAttrValue, 2, 1, opLike, 0, 1}, fx)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, text string, lat, lon float64) {
+		if math.IsNaN(lat) || math.IsInf(lat, 0) || math.IsNaN(lon) || math.IsInf(lon, 0) {
+			t.Skip("json.Marshal refuses non-finite coordinates, and nothing sets them")
+		}
 		steps := make([]step, 0, len(data)/3)
 		for i := 0; i+2 < len(data); i += 3 {
 			steps = append(steps, step{op: int(data[i]), id: int(data[i+1]), val: int(data[i+2])})
 		}
-		runModel(t, steps)
+		runModel(t, steps, fixture{text, lat, lon})
 	})
 }

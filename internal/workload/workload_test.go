@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"hash"
 	"slices"
 	"testing"
 
@@ -19,21 +20,26 @@ const populationDigest = "436caa0d68c1bf86d696f1792febb8929abdb8c7aedf9fb8582c0c
 
 // TestGeneratedPopulationDigest holds the generator's draws and the profile
 // snapshot bytes fixed: a change to either changes every journal, snapshot
-// and benchmark population built from a seed.
+// and benchmark population built from a seed. Both encoders are hashed:
+// json.Marshal of each Snapshot, and AppendSnapshotJSON, which compaction
+// uses.
 func TestGeneratedPopulationDigest(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users = 2000
 	cfg.Seed = 5
-	h := sha256.New()
+	marshalled, appended := sha256.New(), sha256.New()
 	Each(cfg, func(p *profile.Profile) {
 		b, err := json.Marshal(p.Snapshot())
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.Write(b)
+		marshalled.Write(b)
+		appended.Write(p.AppendSnapshotJSON(nil))
 	})
-	if got := hex.EncodeToString(h.Sum(nil)); got != populationDigest {
-		t.Fatalf("population digest = %s, want %s", got, populationDigest)
+	for name, h := range map[string]hash.Hash{"json.Marshal": marshalled, "AppendSnapshotJSON": appended} {
+		if got := hex.EncodeToString(h.Sum(nil)); got != populationDigest {
+			t.Errorf("population digest through %s = %s, want %s", name, got, populationDigest)
+		}
 	}
 }
 
