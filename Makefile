@@ -40,10 +40,10 @@ race:
 # appends and waiters against its flush leader (during an fsync, as the
 # batch that follows one, across a crash). The serve path's differential
 # test against the per-slot scan runs under the detector too. The four
-# zero-alloc pins, the profile-store footprint, generator allocation and
-# compaction allocation tripwires (built without the detector, whose shadow
-# memory would inflate the heap they measure and whose instrumentation
-# allocates), the
+# zero-alloc pins, the profile-store and feed footprints, generator
+# allocation and compaction allocation tripwires (built without the
+# detector, whose shadow memory would inflate the heap they measure and
+# whose instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table), the row test (each
 # RemoteShard method sends its own row of that table) and the sticky-health
@@ -65,6 +65,7 @@ race-full:
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
+	$(GO) test -run=TestFeedFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestFeedFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -run=TestCompactAllocs -v ./internal/platform/ | grep -- '--- PASS: TestCompactAllocs'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'

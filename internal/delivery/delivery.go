@@ -10,8 +10,11 @@
 package delivery
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -56,7 +59,9 @@ func (c *Campaign) frequencyCap() int {
 
 // MaxSlots bounds the slots one Browse may ask for. Every entry point
 // (HTTP, shard RPC, a journal record) ends in Pipeline.Browse, so the bound
-// is enforced there and nowhere else.
+// is enforced there and nowhere else. Browse also refuses a call that would
+// carry the user's slot counter past math.MaxUint32: a feed row keeps its
+// slot number in 32 bits.
 const MaxSlots = 10000
 
 // Pipeline runs slot auctions and maintains user feeds. It is safe for
@@ -91,6 +96,9 @@ type Pipeline struct {
 type registered struct {
 	Campaign
 	compiled audience.Compiled // Spec with its audience IDs resolved
+	// ord is the campaign's position in Pipeline.campaigns. No campaign is
+	// ever unregistered, so it names the campaign for the pipeline's life.
+	ord uint32
 }
 
 // userState is everything delivery keeps about one user. slots and feed are
@@ -99,45 +107,69 @@ type registered struct {
 // check reads; it is never serialized, RestoreState recounts it, and it is
 // nil until the user's first impression. The ledger's per-user rows hold
 // the same counts as money is owed on them; fillSlot advances feed, shown
-// and ledger together under p.mu.
+// and ledger together under p.mu. Neither slice holds a pointer, so the
+// collector never scans a user's rows.
 type userState struct {
-	slots int            // slot auctions run for the user, won or lost
-	feed  []feedRow      // every impression delivered, oldest first
-	shown map[string]int // campaign ID -> impressions in feed
+	slots uint32     // slot auctions run for the user, won or lost
+	feed  []feedRow  // every impression delivered, oldest first
+	shown []shownRow // impressions in feed per campaign, ascending by ord
 }
 
-// feedRow is one delivered impression as a feed keeps it, in 16 bytes: the
-// campaign and the slot. The rest of an ad.Impression is the campaign's — one
-// is never unregistered, and its ID, advertiser and creative never change
-// once AddCampaign has copied them — so it is filled in where an impression
-// is handed out.
+// feedRow is one delivered impression as a feed keeps it, in 8 bytes: the
+// campaign's ordinal and the slot. The rest of an ad.Impression is the
+// campaign's — one is never unregistered, and its ID, advertiser and
+// creative never change once AddCampaign has copied them — so it is filled
+// in where an impression is handed out (Pipeline.impression).
 type feedRow struct {
-	c    *registered
-	slot int
+	ord, slot uint32
 }
 
-func (r feedRow) impression() ad.Impression {
-	return ad.Impression{CampaignID: r.c.ID, Advertiser: r.c.Advertiser, Creative: r.c.Creative, Slot: r.slot}
+// shownRow is how many of a user's impressions are one campaign's.
+type shownRow struct {
+	ord, n uint32
 }
 
-// impressions is the feed as it is handed out, nil when empty.
-func (u *userState) impressions() []ad.Impression {
+// seen returns how many impressions of campaign ord are in u.feed.
+func (u *userState) seen(ord uint32) int {
+	if i, ok := u.shownAt(ord); ok {
+		return int(u.shown[i].n)
+	}
+	return 0
+}
+
+// count records one more impression of campaign ord in u.feed.
+func (u *userState) count(ord uint32) {
+	i, ok := u.shownAt(ord)
+	if ok {
+		u.shown[i].n++
+		return
+	}
+	u.shown = slices.Insert(u.shown, i, shownRow{ord: ord, n: 1})
+}
+
+// shownAt finds ord's row in u.shown, or where it would be inserted.
+func (u *userState) shownAt(ord uint32) (int, bool) {
+	return slices.BinarySearchFunc(u.shown, ord, func(r shownRow, ord uint32) int { return cmp.Compare(r.ord, ord) })
+}
+
+// impression builds the ad.Impression a feed row stands for. Callers hold
+// p.mu.
+func (p *Pipeline) impression(r feedRow) ad.Impression {
+	c := p.campaigns[r.ord]
+	return ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(r.slot)}
+}
+
+// impressions is u's feed as it is handed out, nil when empty. Callers hold
+// p.mu.
+func (p *Pipeline) impressions(u *userState) []ad.Impression {
 	if len(u.feed) == 0 {
 		return nil
 	}
 	out := make([]ad.Impression, len(u.feed))
 	for i, r := range u.feed {
-		out[i] = r.impression()
+		out[i] = p.impression(r)
 	}
 	return out
-}
-
-// count records one more impression of the campaign in u.feed.
-func (u *userState) count(campaignID string) {
-	if u.shown == nil {
-		u.shown = make(map[string]int)
-	}
-	u.shown[campaignID]++
 }
 
 // NewPipeline returns a delivery pipeline over the given components.
@@ -182,10 +214,13 @@ func (p *Pipeline) AddCampaign(c *Campaign) error {
 	if p.byID[c.ID] != nil {
 		return fmt.Errorf("delivery: duplicate campaign %q", c.ID)
 	}
+	ord := len(p.campaigns)
+	if uint64(ord) > math.MaxUint32 {
+		return fmt.Errorf("delivery: campaign %q would be number %d, past the last ordinal %d", c.ID, ord, uint32(math.MaxUint32))
+	}
 	// The registered campaign is the pipeline's own copy: it is read and
 	// written (Pause flips Paused) only under p.mu, so no caller holds it.
-	reg := &registered{Campaign: *c, compiled: compiled}
-	ord := len(p.campaigns)
+	reg := &registered{Campaign: *c, compiled: compiled, ord: uint32(ord)}
 	p.campaigns = append(p.campaigns, reg)
 	p.byID[c.ID] = reg
 	if id, ok := attr.RequiredAttr(c.Spec.Expr); ok {
@@ -240,6 +275,9 @@ func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	u := p.user(uid)
+	if uint64(u.slots)+uint64(slots) > math.MaxUint32 {
+		return nil, fmt.Errorf("delivery: user %q has run %d slots; %d more would pass %d", uid, u.slots, slots, uint32(math.MaxUint32))
+	}
 	matched := p.match(prof, u)
 	var session []ad.Impression
 	for s := 0; s < slots; s++ {
@@ -274,7 +312,7 @@ func (p *Pipeline) match(prof *profile.Profile, u *userState) []*registered {
 	for w, word := range cand {
 		for ; word != 0; word &= word - 1 {
 			c := p.campaigns[w*64+bits.TrailingZeros64(word)]
-			if c.Paused || u.shown[c.ID] >= c.frequencyCap() {
+			if c.Paused || u.seen(c.ord) >= c.frequencyCap() {
 				continue
 			}
 			// The engine only reads and has its own locking; p.mu stays held
@@ -299,7 +337,7 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 
 	bids := p.bids[:0]
 	for _, c := range matched {
-		if u.shown[c.ID] >= c.frequencyCap() {
+		if u.seen(c.ord) >= c.frequencyCap() {
 			continue
 		}
 		if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
@@ -315,12 +353,12 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 	if !out.Won {
 		return ad.Impression{}, false
 	}
-	row := feedRow{c: p.byID[out.CampaignID], slot: slot}
+	row := feedRow{ord: p.byID[out.CampaignID].ord, slot: slot}
 	u.feed = append(u.feed, row)
-	u.count(row.c.ID)
-	p.ledger.RecordImpression(row.c.ID, prof.ID, out.PricePaid)
+	u.count(row.ord)
+	p.ledger.RecordImpression(out.CampaignID, prof.ID, out.PricePaid)
 	impressionsServed.Inc()
-	return row.impression(), true
+	return p.impression(row), true
 }
 
 // CustomDataAdvertisers returns, in registration order and without
@@ -372,7 +410,7 @@ func (p *Pipeline) Feed(uid profile.UserID) []ad.Impression {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if u := p.users[uid]; u != nil {
-		return u.impressions()
+		return p.impressions(u)
 	}
 	return nil
 }

@@ -136,7 +136,7 @@ func TestBrowseSlotsBounded(t *testing.T) {
 }
 
 // TestShownAllocatedOnFirstImpression: a user who browses and wins nothing
-// costs a slot counter, not a map.
+// costs a slot counter, not a slice of counts.
 func TestShownAllocatedOnFirstImpression(t *testing.T) {
 	e := newEnv(t, 2)
 	if err := e.pipe.AddCampaign(campaign("jazz", "attr(platform.music.jazz)", 10)); err != nil {
@@ -148,9 +148,9 @@ func TestShownAllocatedOnFirstImpression(t *testing.T) {
 		}
 	}
 	if u := e.pipe.users["u01"]; u.slots != 3 || u.shown != nil {
-		t.Errorf("u01 won nothing: slots %d, shown %v; want 3 and no map", u.slots, u.shown)
+		t.Errorf("u01 won nothing: slots %d, shown %v; want 3 and no rows", u.slots, u.shown)
 	}
-	if u := e.pipe.users["u00"]; u.shown["jazz"] != DefaultFrequencyCap {
+	if u := e.pipe.users["u00"]; u.seen(e.pipe.byID["jazz"].ord) != DefaultFrequencyCap {
 		t.Errorf("u00 shown = %v, want jazz at the default cap", u.shown)
 	}
 }

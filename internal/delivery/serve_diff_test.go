@@ -34,7 +34,7 @@ func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
 		u.slots++
 		var bids []auction.Bid
 		for _, c := range p.campaigns {
-			if c.Paused || u.shown[c.ID] >= c.frequencyCap() {
+			if c.Paused || u.seen(c.ord) >= c.frequencyCap() {
 				continue
 			}
 			if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
@@ -49,9 +49,9 @@ func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
 			continue
 		}
 		c := p.byID[out.CampaignID]
-		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: slot}
-		u.feed = append(u.feed, feedRow{c, slot})
-		u.count(c.ID)
+		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(slot)}
+		u.feed = append(u.feed, feedRow{c.ord, slot})
+		u.count(c.ord)
 		p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
 		session = append(session, imp)
 	}

@@ -2,6 +2,7 @@ package delivery
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -86,10 +87,10 @@ func (p *Pipeline) Snapshot() State {
 	for _, uid := range uids {
 		u := p.users[uid]
 		if len(u.feed) > 0 {
-			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: u.impressions()})
+			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: p.impressions(u)})
 		}
 		if u.slots > 0 {
-			s.Slots = append(s.Slots, SlotState{User: uid, N: u.slots})
+			s.Slots = append(s.Slots, SlotState{User: uid, N: int(u.slots)})
 		}
 	}
 	return s
@@ -97,7 +98,8 @@ func (p *Pipeline) Snapshot() State {
 
 // RestoreState rebuilds a pipeline over the given components. A feed that
 // names a campaign s does not define is refused: no cap counts its
-// impressions and no ledger row agrees with them.
+// impressions and no ledger row agrees with them. So is a slot number or a
+// slot counter outside 0…math.MaxUint32, which a feed row cannot hold.
 func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) (*Pipeline, error) {
 	p := NewPipeline(store, engine, ledger, market, rng)
 	for _, cs := range s.Campaigns {
@@ -130,12 +132,20 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			if c == nil {
 				return nil, fmt.Errorf("delivery: user %q's feed names campaign %q, which the state does not define", fs.User, imp.CampaignID)
 			}
-			u.feed = append(u.feed, feedRow{c: c, slot: imp.Slot})
-			u.count(c.ID)
+			if !fitsSlot(imp.Slot) {
+				return nil, fmt.Errorf("delivery: user %q's feed has an impression at slot %d, want 0 to %d", fs.User, imp.Slot, uint32(math.MaxUint32))
+			}
+			u.feed = append(u.feed, feedRow{ord: c.ord, slot: uint32(imp.Slot)})
+			u.count(c.ord)
 		}
 	}
 	for _, ss := range s.Slots {
-		p.user(ss.User).slots = ss.N
+		if !fitsSlot(ss.N) {
+			return nil, fmt.Errorf("delivery: user %q has run %d slots, want 0 to %d", ss.User, ss.N, uint32(math.MaxUint32))
+		}
+		p.user(ss.User).slots = uint32(ss.N)
 	}
 	return p, nil
 }
+
+func fitsSlot(n int) bool { return n >= 0 && uint64(n) <= math.MaxUint32 }

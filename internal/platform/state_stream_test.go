@@ -280,6 +280,11 @@ func FuzzReadPlatformSnapshot(f *testing.F) {
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"VERSION":3,"market":{"basecpm":7},"market":{"Sigma":2},"x":{"a":[1e999]}}`))
 	f.Add([]byte(`{"profiles":[{"id":"a","age":5},{"id":"b"}],"profiles":[{"id":"c"},null],"owner":[]}`))
+	// Slot numbers outside 0…MaxUint32: the reader reads them as any number,
+	// delivery.RestoreState is what refuses them.
+	for _, n := range []string{"-1", "4294967296"} {
+		f.Add([]byte(`{"pipeline":{"feeds":[{"user":"u","impressions":[{"CampaignID":"c","Slot":` + n + `}]}],"slots":[{"user":"u","n":` + n + `}]}}`))
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		var want State
 		wantErr := json.Unmarshal(doc, &want)
