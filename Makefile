@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: all build fmt-check vet test race race-full chaos-smoke e2e bench bench-smoke bench-check fuzz cover chaos experiments loc clean
+.PHONY: all build fmt-check vet unlinked test race race-full chaos-smoke e2e bench bench-smoke bench-check fuzz cover chaos experiments loc clean
 
 all: build vet test
 
 # CI (.github/workflows/ci.yml) is exactly these targets, in this order:
-#   build vet test race race-full chaos-smoke e2e bench-smoke bench-check
+#   build vet unlinked test race race-full chaos-smoke e2e bench-smoke bench-check
 # so a red CI step is reproduced locally with `make <step>`.
 
 build:
@@ -18,6 +18,13 @@ fmt-check:
 # ./... includes ./benchmark, the end-to-end benchmark harness.
 vet: fmt-check
 	$(GO) vet ./...
+
+# Every non-test function must be linked into some binary (cmd/*,
+# examples/*, benchmark), or be listed with a reason tag in
+# testdata/unlinked.allow; an allowlist entry that is linked after all or
+# names no function fails too. `go test ./...` runs the same check.
+unlinked:
+	$(GO) test -count=1 -run '^TestEveryFunctionIsLinked$$' .
 
 test:
 	$(GO) test ./...
@@ -145,7 +152,8 @@ bench-check:
 # executions in its 15 s; with minimization off it makes ~100 000. The rpc
 # target (every op of the table, each input against a fresh journaled shard)
 # stalls the same way and makes ~5 000. The key-file, traceparent and admin
-# JSON targets have seeds of a few hundred bytes and need no such flag.
+# JSON targets have seeds of a few hundred bytes and need no such flag; the
+# public-API target builds a fresh platform per input and makes ~3 000.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
 	$(GO) test -fuzz=FuzzRequiredAttr -fuzztime=15s ./internal/attr/
@@ -161,6 +169,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzParseKeyFile -fuzztime=15s ./internal/gateway/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=15s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzClusterAdminJSON -fuzztime=15s ./internal/httpapi/
+	$(GO) test -run=NONE -fuzz=FuzzPublicAPI -fuzztime=15s ./internal/httpapi/
 
 cover:
 	$(GO) test -cover ./...

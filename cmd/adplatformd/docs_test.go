@@ -127,3 +127,39 @@ func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 		}
 	}
 }
+
+// TestCIRunsTheMakefileList keeps the workflow and the Makefile's "CI is
+// exactly these targets" comment in step: the workflow's `run: make <x>`
+// steps, in order, are the comment's list, and each is a Makefile target.
+func TestCIRunsTheMakefileList(t *testing.T) {
+	workflow, err := readRepoFile(t, ".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
+	for _, m := range regexp.MustCompile(`(?m)^\s*-?\s*run:\s*make\s+(\S+)\s*$`).FindAllStringSubmatch(string(workflow), -1) {
+		steps = append(steps, m[1])
+	}
+
+	makefile, err := readRepoFile(t, "Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`(?m)^# CI \(\.github/workflows/ci\.yml\) is exactly these targets, in this order:\n#\s+(.+)$`).FindSubmatch(makefile)
+	if m == nil {
+		t.Fatal("the Makefile has no \"CI is exactly these targets\" comment")
+	}
+	listed := strings.Fields(string(m[1]))
+	if strings.Join(steps, " ") != strings.Join(listed, " ") {
+		t.Errorf("ci.yml runs make %v; the Makefile comment lists %v", steps, listed)
+	}
+	targets := map[string]bool{}
+	for _, r := range makefileRule.FindAllStringSubmatch(string(makefile), -1) {
+		targets[r[1]] = true
+	}
+	for _, s := range steps {
+		if !targets[s] {
+			t.Errorf("ci.yml runs make %s, which is not a Makefile target", s)
+		}
+	}
+}

@@ -284,8 +284,12 @@ func (o options) validate() error {
 	if o.FailoverHeal < 1 {
 		return fmt.Errorf("-failover-heal must be at least 1, got %d", o.FailoverHeal)
 	}
-	if o.TraceSample < 0 || o.TraceSample > 1 {
+	// Written so that NaN, which every comparison rejects, fails too.
+	if !(o.TraceSample >= 0 && o.TraceSample <= 1) {
 		return fmt.Errorf("-trace-sample must be in [0,1], got %v", o.TraceSample)
+	}
+	if !(o.Skew >= 0) {
+		return fmt.Errorf("-skew must not be negative, got %v (0 selects the legacy generator)", o.Skew)
 	}
 	if o.TraceRing < 1 {
 		return fmt.Errorf("-trace-ring must be positive, got %d", o.TraceRing)

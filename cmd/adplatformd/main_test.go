@@ -52,6 +52,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "negative users", args: []string{"-users", "-1"}, wantErr: "-users must not be negative"},
 		{name: "negative ban-after", args: []string{"-ban-after", "-1"}, wantErr: "-ban-after must not be negative"},
 		{name: "negative compact interval", args: []string{"-compact-every", "-1s"}, wantErr: "-compact-every must not be negative"},
+		{name: "trace sample above one", args: []string{"-trace-sample", "1.5"}, wantErr: "-trace-sample must be in [0,1]"},
+		{name: "NaN trace sample", args: []string{"-trace-sample", "NaN"}, wantErr: "-trace-sample must be in [0,1]"},
+		{name: "zipf skew", args: []string{"-skew", "1.1"}},
+		{name: "negative skew", args: []string{"-skew", "-1"}, wantErr: "-skew must not be negative"},
+		{name: "NaN skew", args: []string{"-skew", "NaN"}, wantErr: "-skew must not be negative"},
 		{name: "load with shards", args: []string{"-shards", "2", "-load", "a.json"}, wantErr: "-load/-save only applies"},
 		{name: "save with shards", args: []string{"-shards", "2", "-save", "b.json"}, wantErr: "-load/-save only applies"},
 

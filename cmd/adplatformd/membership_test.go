@@ -321,8 +321,9 @@ func TestFollowerlessSlot(t *testing.T) {
 	if code := adminJSON(t, http.MethodGet, ts.URL+"/admin/v1/cluster", nil, &st); code != http.StatusOK || len(st.Slots) != 2 {
 		t.Fatalf("status: %d, %+v", code, st)
 	}
+	_, slots := clu.RingAndSlots()
 	for i, sl := range st.Slots {
-		if !sl.Healthy || len(sl.Replicas) != 0 || sl.Healthy != clu.ReplicaSets()[i].Healthy() {
+		if !sl.Healthy || len(sl.Replicas) != 0 || sl.Healthy != slots[i].Healthy() {
 			t.Fatalf("slot %d: %+v, want healthy with no replicas", i, sl)
 		}
 	}
@@ -385,7 +386,7 @@ func TestStatusIsOneSnapshot(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, err := clu.AddShard(shards[2]); err != nil {
+			if _, err := clu.AddSet(cluster.NewReplicaSet(shards[2])); err != nil {
 				t.Errorf("AddShard %d: %v", i, err)
 				return
 			}

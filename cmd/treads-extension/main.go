@@ -7,8 +7,12 @@
 //	treads-extension -server http://localhost:8080 -user user-000001 \
 //	    [-provider tp] [-codebook codebook.json] [-follow-links]
 //
-// The codebook file is the JSON object of code→token entries the provider
-// shares at opt-in (core.Codebook.Entries).
+// The codebook file is the mapping the provider shares at opt-in (§3.1): a
+// JSON object from each code, as the ad shows it ("2,830,120"), to the
+// payload token it stands for ("A:<attribute ID>", "N:<attribute ID>",
+// "V:<attribute ID>=<value>", "C" for a control ad, ...), e.g.
+//
+//	{"2,830,120": "A:platform.hobbies_and_activities.salsa_dance", "1,047,311": "C"}
 package main
 
 import (

@@ -12,7 +12,6 @@ package attr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -83,15 +82,6 @@ type Attribute struct {
 	Values []string
 }
 
-// Cardinality returns the number of possible values: 2 for binary
-// (set/unset), len(Values) for categorical.
-func (a *Attribute) Cardinality() int {
-	if a.Kind == Categorical {
-		return len(a.Values)
-	}
-	return 2
-}
-
 // HasValue reports whether v is a legal value for a categorical attribute.
 func (a *Attribute) HasValue(v string) bool {
 	for _, w := range a.Values {
@@ -100,16 +90,6 @@ func (a *Attribute) HasValue(v string) bool {
 		}
 	}
 	return false
-}
-
-// ValueIndex returns the index of v in the attribute's value space, or -1.
-func (a *Attribute) ValueIndex(v string) int {
-	for i, w := range a.Values {
-		if w == v {
-			return i
-		}
-	}
-	return -1
 }
 
 // Catalog is the full set of attributes a platform offers advertisers,
@@ -164,31 +144,6 @@ func (c *Catalog) BySource(s Source) []*Attribute {
 	var out []*Attribute
 	for _, a := range c.ordered {
 		if a.Source == s {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// Categories returns the distinct categories present, sorted.
-func (c *Catalog) Categories() []string {
-	seen := make(map[string]bool)
-	for _, a := range c.ordered {
-		seen[a.Category] = true
-	}
-	out := make([]string, 0, len(seen))
-	for cat := range seen {
-		out = append(out, cat)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByCategory returns the attributes in the given category, in catalog order.
-func (c *Catalog) ByCategory(category string) []*Attribute {
-	var out []*Attribute
-	for _, a := range c.ordered {
-		if a.Category == category {
 			out = append(out, a)
 		}
 	}

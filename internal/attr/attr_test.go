@@ -116,23 +116,15 @@ func TestCatalogAccessors(t *testing.T) {
 	if c.Get("no.such.attr") != nil {
 		t.Error("Get of unknown ID should be nil")
 	}
-	cats := c.Categories()
+	cats := map[string]int{}
+	for _, a := range c.All() {
+		cats[a.Category]++
+	}
 	if len(cats) < 10 {
 		t.Errorf("only %d categories", len(cats))
 	}
-	for i := 1; i < len(cats); i++ {
-		if cats[i-1] >= cats[i] {
-			t.Fatalf("categories not sorted: %q >= %q", cats[i-1], cats[i])
-		}
-	}
-	fin := c.ByCategory("Financial")
-	if len(fin) == 0 {
+	if cats["Financial"] == 0 {
 		t.Fatal("no Financial attributes")
-	}
-	for _, a := range fin {
-		if a.Category != "Financial" {
-			t.Fatalf("ByCategory returned %q", a.Category)
-		}
 	}
 }
 
@@ -145,24 +137,17 @@ func TestCatalogHasCategoricalAttrs(t *testing.T) {
 	if a.Kind != Categorical {
 		t.Fatalf("life_stage kind = %v", a.Kind)
 	}
-	if a.Cardinality() != 8 {
-		t.Fatalf("life_stage cardinality = %d, want 8", a.Cardinality())
+	if len(a.Values) != 8 {
+		t.Fatalf("life_stage has %d values, want 8", len(a.Values))
 	}
 	if !a.HasValue("young family") {
 		t.Error("life_stage missing 'young family'")
 	}
-	if a.ValueIndex("young family") != 2 {
-		t.Errorf("ValueIndex = %d, want 2", a.ValueIndex("young family"))
+	if a.Values[2] != "young family" {
+		t.Errorf("Values[2] = %q, want young family", a.Values[2])
 	}
-	if a.ValueIndex("nope") != -1 {
-		t.Error("ValueIndex of unknown value should be -1")
-	}
-}
-
-func TestAttributeCardinalityBinary(t *testing.T) {
-	a := &Attribute{Kind: Binary}
-	if a.Cardinality() != 2 {
-		t.Fatalf("binary cardinality = %d", a.Cardinality())
+	if a.HasValue("nope") {
+		t.Error("life_stage has the value nope")
 	}
 }
 

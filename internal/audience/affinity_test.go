@@ -40,14 +40,14 @@ func TestAffinityAudienceResolvesKeywords(t *testing.T) {
 	if a.Kind != KindAffinity {
 		t.Fatalf("Kind = %v", a.Kind)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "u0" {
-		t.Fatalf("Resolve = %v", got)
+		t.Fatalf("resolve = %v", got)
 	}
-	if ph := a.Phrases(); len(ph) != 1 || ph[0] != "salsa dance" {
+	if ph := a.phrases; len(ph) != 1 || ph[0] != "salsa dance" {
 		t.Fatalf("Phrases = %v", ph)
 	}
 }
@@ -58,12 +58,12 @@ func TestAffinityAudienceMultiplePhrasesUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 {
-		t.Fatalf("Resolve = %v", got)
+		t.Fatalf("resolve = %v", got)
 	}
 }
 
@@ -73,7 +73,7 @@ func TestAffinityAudienceUnmatchedPhrases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestIncludeAllNarrowing(t *testing.T) {
 		Include:    []AudienceID{likers.ID},
 		IncludeAll: []AudienceID{dancers.ID},
 	}
-	got, err := eng.Resolve(spec)
+	got, err := resolve(eng, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestIncludeAllNarrowing(t *testing.T) {
 		t.Fatalf("narrowed resolve = %v", got)
 	}
 	// Unknown audience in IncludeAll is an error.
-	if _, err := eng.Resolve(Spec{IncludeAll: []AudienceID{"aud-nope"}}); err == nil {
+	if _, err := resolve(eng, Spec{IncludeAll: []AudienceID{"aud-nope"}}); err == nil {
 		t.Error("unknown include-all audience accepted")
 	}
-	if err := eng.ValidateSpec(Spec{IncludeAll: []AudienceID{"aud-nope"}}); err == nil {
-		t.Error("ValidateSpec missed unknown include-all audience")
+	if _, err := eng.Compile(Spec{IncludeAll: []AudienceID{"aud-nope"}}); err == nil {
+		t.Error("Compile missed unknown include-all audience")
 	}
 }
 
@@ -133,7 +133,7 @@ func TestIncludeAllAloneActsAsIntersection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No user holds both salsa and jazz in the fixture.
-	got, err := eng.Resolve(Spec{IncludeAll: []AudienceID{dancers.ID, musicians.ID}})
+	got, err := resolve(eng, Spec{IncludeAll: []AudienceID{dancers.ID, musicians.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,11 +88,6 @@ type Audience struct {
 	bits *index.Bitmap
 }
 
-// Phrases returns the keyword phrases an affinity audience was built from
-// (empty for other kinds). This is the only part of an affinity audience
-// an advertiser can read back.
-func (a *Audience) Phrases() []string { return append([]string(nil), a.phrases...) }
-
 // Spec is a complete targeting specification for a campaign: optional
 // audience include/exclude lists intersected with a targeting expression.
 // A nil/empty spec matches everyone (the paper's control ad targets the
@@ -209,13 +204,6 @@ func (e *Engine) CreateEngagementAudience(advertiser, name, pageID string) *Audi
 	return a
 }
 
-// Get returns the audience with the given ID, or nil.
-func (e *Engine) Get(id AudienceID) *Audience {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.audiences[id]
-}
-
 // MemberOf reports whether the profile is currently a member of the
 // audience. Membership is evaluated live (a later pixel fire or page like
 // joins the audience) and in O(1)-ish time per user, which is what lets the
@@ -309,12 +297,6 @@ func hasCustomData(as []*Audience) bool {
 	return false
 }
 
-// ValidateSpec checks that every audience the spec references exists.
-func (e *Engine) ValidateSpec(spec Spec) error {
-	_, err := e.Compile(spec)
-	return err
-}
-
 // SpecMatches reports whether a single profile satisfies the spec.
 func (e *Engine) SpecMatches(spec Spec, p *profile.Profile) (bool, error) {
 	c, err := e.Compile(spec)
@@ -336,7 +318,7 @@ func (e *Engine) Match(c *Compiled, p *profile.Profile) bool {
 
 // matchScan is the linear evaluation of a compiled spec against one profile
 // — the path non-indexable specs take, and the oracle the index is verified
-// against. Scan loops (Resolve, CountMatches) call it directly so a single
+// against. Scan loops (CountMatches) call it directly so a single
 // fallback query doesn't re-attempt the index per user.
 func (e *Engine) matchScan(c *Compiled, p *profile.Profile) bool {
 	for _, a := range c.includeAll {
@@ -384,35 +366,6 @@ func (e *Engine) UsesCustomDataOn(c *Compiled, p *profile.Profile) bool {
 		}
 	}
 	return false
-}
-
-// Resolve returns the user IDs matching the spec, in profile-store insertion
-// order. Unknown audience IDs are an error.
-func (e *Engine) Resolve(spec Spec) ([]profile.UserID, error) {
-	c, err := e.Compile(spec)
-	if err != nil {
-		return nil, err
-	}
-	if idx, node, ok := e.plan(&c); ok {
-		// Slot order is store insertion order, the order the scan produces.
-		return idx.AppendUserIDs(node, nil), nil
-	}
-	var out []profile.UserID
-	e.store.Each(func(p *profile.Profile) {
-		if e.matchScan(&c, p) {
-			out = append(out, p.ID)
-		}
-	})
-	return out, nil
-}
-
-// Matches reports whether a single user currently matches the spec.
-func (e *Engine) Matches(spec Spec, uid profile.UserID) (bool, error) {
-	p := e.store.Get(uid)
-	if p == nil {
-		return false, fmt.Errorf("audience: unknown user %q", uid)
-	}
-	return e.SpecMatches(spec, p)
 }
 
 // ReachRounding is the granularity of potential-reach estimates. Platforms

@@ -10,6 +10,22 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
+// resolve lists the users the spec matches, in store order. Unknown
+// audience IDs are an error.
+func resolve(eng *Engine, spec Spec) ([]profile.UserID, error) {
+	c, err := eng.Compile(spec)
+	if err != nil {
+		return nil, err
+	}
+	var out []profile.UserID
+	eng.store.Each(func(p *profile.Profile) {
+		if eng.matchScan(&c, p) {
+			out = append(out, p.ID)
+		}
+	})
+	return out, nil
+}
+
 // fixture builds a store of n users u00..u(n-1); even users like "page-opt"
 // and have the jazz attribute; u00 has alice's email.
 func fixture(t *testing.T, n int) (*profile.Store, *pixel.Registry, *Engine) {
@@ -45,12 +61,12 @@ func TestPIIAudienceResolve(t *testing.T) {
 	if a.Kind != KindPII {
 		t.Fatalf("Kind = %v", a.Kind)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "u00" {
-		t.Fatalf("Resolve = %v", got)
+		t.Fatalf("resolve = %v", got)
 	}
 }
 
@@ -66,18 +82,18 @@ func TestWebsiteAudienceResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 2 || got[0] != "u03" || got[1] != "u05" {
-		t.Fatalf("Resolve = %v", got)
+		t.Fatalf("resolve = %v", got)
 	}
 	// Lazy resolution: later visits join the audience.
 	if err := reg.RecordVisit(px.ID, "u07"); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, _ = resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if len(got) != 3 {
 		t.Fatalf("audience did not pick up later visit: %v", got)
 	}
@@ -97,16 +113,16 @@ func TestWebsiteAudienceOwnership(t *testing.T) {
 func TestEngagementAudience(t *testing.T) {
 	_, _, eng := fixture(t, 10)
 	a := eng.CreateEngagementAudience("adv1", "page likers", "page-opt")
-	got, err := eng.Resolve(Spec{Include: []AudienceID{a.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{a.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 5 { // u00,u02,u04,u06,u08
-		t.Fatalf("Resolve = %v", got)
+		t.Fatalf("resolve = %v", got)
 	}
 	for i, u := range got {
 		if want := profile.UserID(fmt.Sprintf("u%02d", 2*i)); u != want {
-			t.Fatalf("Resolve[%d] = %v, want %v", i, u, want)
+			t.Fatalf("resolve[%d] = %v, want %v", i, u, want)
 		}
 	}
 }
@@ -118,18 +134,18 @@ func TestSpecIntersection(t *testing.T) {
 		Include: []AudienceID{likers.ID},
 		Expr:    attr.MustParse("attr(platform.music.jazz) AND age(20, 25)"),
 	}
-	got, err := eng.Resolve(spec)
+	got, err := resolve(eng, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Even users i with age 20+i in [20,25]: i in {0,2,4}.
 	want := []profile.UserID{"u00", "u02", "u04"}
 	if len(got) != len(want) {
-		t.Fatalf("Resolve = %v, want %v", got, want)
+		t.Fatalf("resolve = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Resolve = %v, want %v", got, want)
+			t.Fatalf("resolve = %v, want %v", got, want)
 		}
 	}
 }
@@ -137,7 +153,7 @@ func TestSpecIntersection(t *testing.T) {
 func TestSpecExclude(t *testing.T) {
 	_, _, eng := fixture(t, 10)
 	likers := eng.CreateEngagementAudience("adv1", "likers", "page-opt")
-	got, err := eng.Resolve(Spec{Exclude: []AudienceID{likers.ID}})
+	got, err := resolve(eng, Spec{Exclude: []AudienceID{likers.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +169,7 @@ func TestSpecExclude(t *testing.T) {
 
 func TestSpecEmptyMatchesEveryone(t *testing.T) {
 	_, _, eng := fixture(t, 7)
-	got, err := eng.Resolve(Spec{})
+	got, err := resolve(eng, Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +180,10 @@ func TestSpecEmptyMatchesEveryone(t *testing.T) {
 
 func TestSpecUnknownAudience(t *testing.T) {
 	_, _, eng := fixture(t, 3)
-	if _, err := eng.Resolve(Spec{Include: []AudienceID{"aud-nope"}}); err == nil {
+	if _, err := resolve(eng, Spec{Include: []AudienceID{"aud-nope"}}); err == nil {
 		t.Error("unknown include accepted")
 	}
-	if _, err := eng.Resolve(Spec{Exclude: []AudienceID{"aud-nope"}}); err == nil {
+	if _, err := resolve(eng, Spec{Exclude: []AudienceID{"aud-nope"}}); err == nil {
 		t.Error("unknown exclude accepted")
 	}
 }
@@ -175,16 +191,13 @@ func TestSpecUnknownAudience(t *testing.T) {
 func TestMatches(t *testing.T) {
 	_, _, eng := fixture(t, 10)
 	spec := Spec{Expr: attr.MustParse("attr(platform.music.jazz)")}
-	ok, err := eng.Matches(spec, "u02")
+	ok, err := eng.SpecMatches(spec, eng.store.Get("u02"))
 	if err != nil || !ok {
-		t.Fatalf("Matches(u02) = %v, %v", ok, err)
+		t.Fatalf("SpecMatches(u02) = %v, %v", ok, err)
 	}
-	ok, err = eng.Matches(spec, "u03")
+	ok, err = eng.SpecMatches(spec, eng.store.Get("u03"))
 	if err != nil || ok {
-		t.Fatalf("Matches(u03) = %v, %v", ok, err)
-	}
-	if _, err := eng.Matches(spec, "nobody"); err == nil {
-		t.Error("unknown user accepted")
+		t.Fatalf("SpecMatches(u03) = %v, %v", ok, err)
 	}
 }
 
@@ -196,7 +209,7 @@ func TestPotentialReachThresholdAndRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, _ := eng.Resolve(small)
+	ids, _ := resolve(eng, small)
 	if len(ids) >= MinReportableReach {
 		t.Fatalf("fixture produced %d users, expected < %d", len(ids), MinReportableReach)
 	}
@@ -211,17 +224,6 @@ func TestPotentialReachThresholdAndRounding(t *testing.T) {
 	}
 	if reach != 130 {
 		t.Fatalf("reach = %d, want 130 (137 rounded down)", reach)
-	}
-}
-
-func TestGetAudience(t *testing.T) {
-	_, _, eng := fixture(t, 2)
-	a := eng.CreateEngagementAudience("adv1", "x", "p")
-	if eng.Get(a.ID) != a {
-		t.Error("Get returned wrong audience")
-	}
-	if eng.Get("aud-nope") != nil {
-		t.Error("Get of unknown audience not nil")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 // Index integration: when EnableIndex has been called, the engine answers
-// PotentialReach / Resolve / SpecMatches from the inverted bitmap index
+// PotentialReach / CountMatches / SpecMatches from the inverted bitmap index
 // (internal/index) instead of scanning every profile. The index is kept
 // incrementally consistent through a profile.Watcher, and every fast path
 // falls back to the linear scan whenever a spec contains something the

@@ -103,7 +103,3 @@ func (a *Audience) lookalikeMatch(p *profile.Profile) bool {
 	}
 	return float64(hit) >= a.overlap*float64(len(a.signature))
 }
-
-// Signature exposes the derived signature attributes (for tests and the
-// simulation harness; not part of the advertiser API).
-func (a *Audience) Signature() []attr.ID { return append([]attr.ID(nil), a.signature...) }

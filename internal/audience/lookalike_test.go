@@ -49,7 +49,7 @@ func TestLookalikeSignatureAndMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig := look.Signature()
+	sig := look.signature
 	if len(sig) != 2 {
 		t.Fatalf("signature = %v, want [salsa jazz]", sig)
 	}
@@ -57,7 +57,7 @@ func TestLookalikeSignatureAndMembership(t *testing.T) {
 	if !hasBoth {
 		t.Fatalf("signature = %v", sig)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{look.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{look.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestLookalikeOverlapThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{loose.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{loose.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestLookalikeExcludesSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := eng.Resolve(Spec{Include: []AudienceID{look.ID}})
+	got, err := resolve(eng, Spec{Include: []AudienceID{look.ID}})
 	if err != nil {
 		t.Fatal(err)
 	}

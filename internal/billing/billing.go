@@ -187,13 +187,3 @@ func (l *Ledger) TrueReach(campaignID string) int {
 	}
 	return 0
 }
-
-// TotalInvoiced sums the invoiced spend across the given campaigns,
-// applying the billable threshold per campaign.
-func (l *Ledger) TotalInvoiced(campaignIDs []string) money.Micros {
-	var total money.Micros
-	for _, id := range campaignIDs {
-		total += l.Report(id).Spend
-	}
-	return total
-}

@@ -98,9 +98,10 @@ func TestTotalInvoiced(t *testing.T) {
 		l.RecordImpression("c-big", profile.UserID(fmt.Sprintf("u%d", i)), price)
 	}
 	l.RecordImpression("c-small", "u0", price)
-	got := l.TotalInvoiced([]string{"c-big", "c-small", "c-none"})
-	if want := price.MulInt(25); got != want {
-		t.Fatalf("TotalInvoiced = %v, want %v", got, want)
+	for id, want := range map[string]money.Micros{"c-big": price.MulInt(25), "c-small": 0, "c-none": 0} {
+		if got := l.Report(id).Spend; got != want {
+			t.Fatalf("%s invoiced %v, want %v", id, got, want)
+		}
 	}
 }
 

@@ -665,7 +665,7 @@ func (h *harness) rounds(res *Result) error {
 					r, len(h.slots)-1, h.clu.Version(), h.clu.LastReshard().UsersMoved)
 			} else {
 				rsp.Event("reshard lost its race")
-				cfg.Logf("round %d: mid-round AddShard lost its race with the fault schedule (%v); will retry recovered", r, err)
+				cfg.Logf("round %d: mid-round AddSet lost its race with the fault schedule (%v); will retry recovered", r, err)
 			}
 		}
 
@@ -716,7 +716,7 @@ func (h *harness) rounds(res *Result) error {
 		if joiner != nil && !joined {
 			if _, err := h.clu.AddSet(joiner.rs); err != nil {
 				rsp.SetError(err)
-				res.violate("membership", "retrying AddShard on the recovered cluster: %v", err)
+				res.violate("membership", "retrying AddSet on the recovered cluster: %v", err)
 			} else {
 				h.slots = append(h.slots, joiner)
 				res.Reshards++

@@ -168,9 +168,9 @@ func BenchmarkReshardCutover(b *testing.B) {
 		b.StopTimer()
 		joiner := openElasticShard(b, filepath.Join(root, fmt.Sprintf("joiner-%d", i)), stats.SubSeed(5, uint64(3+i)))
 		b.StartTimer()
-		grow, err := c.AddShard(joiner)
+		grow, err := c.AddSet(cluster.NewReplicaSet(joiner))
 		if err != nil {
-			b.Fatalf("AddShard: %v", err)
+			b.Fatalf("AddSet: %v", err)
 		}
 		shrink, err := c.RemoveShard()
 		if err != nil {

@@ -29,18 +29,13 @@ import (
 )
 
 // Shard is the per-partition platform surface the coordinator drives: the
-// operation set a shard serves over RPC, plus the catalog reads a router
-// answers from its own copy (the attribute catalog is compiled into every
-// binary). It is one member of a ring slot: *platform.Platform,
-// *platform.Journaled and *RemoteShard satisfy it, so a cluster can be
-// in-memory, durable or networked per member; a slot is a ReplicaSet of
-// them.
+// operation set a shard serves over RPC. The attribute catalog is not on
+// it: the Cluster answers catalog reads from its own copy. A shard is one
+// member of a ring slot: *platform.Platform, *platform.Journaled and
+// *RemoteShard satisfy it, so a cluster can be in-memory, durable or
+// networked per member; a slot is a ReplicaSet of them.
 type Shard interface {
 	rpc.Backend
-
-	// Shared, replicated state.
-	Catalog() *attr.Catalog
-	SearchAttributes(string) []*attr.Attribute
 }
 
 var (
@@ -105,12 +100,16 @@ type Options struct {
 // cluster uses as many cores as it has shards; the coordinator itself
 // serializes nothing on those paths.
 //
-// Membership is elastic: AddShard and RemoveShard migrate user ranges live
+// Membership is elastic: AddSet and RemoveShard migrate user ranges live
 // (see elastic.go for the snapshot + tail + fence protocol), so what the
 // coordinator routes by is a value it swaps, not fields it updates.
 type Cluster struct {
 	workers int
 	m       *clusterMetrics
+	// catalog returns the attribute catalog the cluster answers catalog
+	// reads from: the compiled-in one, built on first use, or the one
+	// NewInMemory's config names. No shard is asked.
+	catalog func() *attr.Catalog
 
 	// mem is the current membership. A membership is never mutated once
 	// stored: a call loads the pointer once and routes, gathers or reports
@@ -197,8 +196,9 @@ func New(shards []Shard, opts Options) (*Cluster, error) {
 }
 
 // NewFromSets assembles a cluster over pre-built slots. The slots must agree
-// on catalog and advertiser-side state (fresh shards, or shards recovered
-// from per-shard journals that were only ever driven through a cluster).
+// on advertiser-side state (fresh shards, or shards recovered from
+// per-shard journals that were only ever driven through a cluster) and use
+// the compiled-in catalog, which the cluster answers catalog reads from.
 func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("cluster: no shards")
@@ -210,7 +210,7 @@ func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	if workers > len(shards) {
 		workers = len(shards)
 	}
-	c := &Cluster{workers: workers, m: newClusterMetrics(opts.Registry)}
+	c := &Cluster{workers: workers, m: newClusterMetrics(opts.Registry), catalog: sync.OnceValue(attr.DefaultCatalog)}
 	c.mem.Store(&membership{
 		slots:   slices.Clone(shards),
 		ring:    NewRing(len(shards), opts.VirtualNodes),
@@ -238,21 +238,18 @@ func NewInMemory(n int, cfg platform.Config, opts Options) (*Cluster, error) {
 		shardCfg.Seed = stats.SubSeed(cfg.Seed, uint64(i))
 		shards[i] = platform.New(shardCfg)
 	}
-	return New(shards, opts)
+	c, err := New(shards, opts)
+	if err == nil && cfg.Catalog != nil {
+		c.catalog = func() *attr.Catalog { return cfg.Catalog }
+	}
+	return c, err
 }
 
 // Shards returns the current number of shards.
 func (c *Cluster) Shards() int { return len(c.mem.Load().slots) }
 
-// Ring returns the cluster's current consistent-hash ring.
-func (c *Cluster) Ring() *Ring { return c.mem.Load().ring }
-
-// ReplicaSets returns the slots in ring order (a fresh slice; the sets
-// themselves are shared) — what a health listing walks.
-func (c *Cluster) ReplicaSets() []*ReplicaSet { return slices.Clone(c.mem.Load().slots) }
-
 // Version returns the membership version; it starts at 1 and increments on
-// every completed AddShard, RemoveShard, promotion or membership refresh.
+// every completed AddSet, RemoveShard, promotion or membership refresh.
 func (c *Cluster) Version() uint64 { return c.mem.Load().version }
 
 // Owner returns the shard index owning a user under the current ring.
@@ -608,29 +605,14 @@ func (c *Cluster) IssuePixel(advertiser string) (pixel.PixelID, error) {
 	})
 }
 
-// --- replicated reads: any shard answers ---
+// --- catalog reads: answered by the cluster itself ---
 
-// replicatedReader returns a shard suitable for answering replicated-state
-// reads (catalog, attribute search): state identical on every shard, so a
-// circuit-open peer is simply skipped in favor of the first healthy slot.
-// With every slot down it falls back to slot 0 — the caller's call will
-// then surface that shard's transport error rather than a nil-deref here.
-func (c *Cluster) replicatedReader() Shard {
-	shards := c.mem.Load().slots
-	for _, rs := range shards {
-		if rs.Healthy() {
-			return rs.reader()
-		}
-	}
-	return shards[0].reader()
-}
+// Catalog returns the attribute catalog.
+func (c *Cluster) Catalog() *attr.Catalog { return c.catalog() }
 
-// Catalog returns the attribute catalog (identical on every shard).
-func (c *Cluster) Catalog() *attr.Catalog { return c.replicatedReader().Catalog() }
-
-// SearchAttributes searches the catalog on the first healthy shard.
+// SearchAttributes is the ads-manager keyword search over the catalog.
 func (c *Cluster) SearchAttributes(query string) []*attr.Attribute {
-	return c.replicatedReader().SearchAttributes(query)
+	return c.catalog().Search(query)
 }
 
 // Users returns every user ID in the cluster. A 1-shard cluster preserves
@@ -670,17 +652,6 @@ func (c *Cluster) Compact() (uint64, error) {
 		}
 		return lsn, nil
 	})
-}
-
-// LastLSN returns the minimum last-journaled LSN across in-process
-// journaled slot owners (0 if there are none) — the same conservative
-// reading Compact uses.
-func (c *Cluster) LastLSN() uint64 {
-	lsn, _ := c.minOwnerLSN(func(_, _ int, m localMember) (uint64, error) {
-		st, err := m.FollowStatus()
-		return st.LastLSN, err
-	})
-	return lsn
 }
 
 // minOwnerLSN runs fn on every in-process journaled member of every slot

@@ -42,7 +42,7 @@ import (
 // gates aggregates until ResumeReshard retries it.
 //
 // Growing and shrinking are the same protocol run over a different pair of
-// rings, so there is one driver, reshard; AddShard and RemoveShard only
+// rings, so there is one driver, reshard; AddSet and RemoveShard only
 // say what the next membership is.
 
 // migrationChunkSize bounds users per state-transfer chunk, keeping each
@@ -112,11 +112,6 @@ func (c *Cluster) takeDirty() map[profile.UserID]struct{} {
 	d := c.dirty
 	c.dirty = nil
 	return d
-}
-
-// AddShard is AddSet for an unreplicated joiner.
-func (c *Cluster) AddShard(joiner Shard) (ReshardReport, error) {
-	return c.AddSet(NewReplicaSet(joiner))
 }
 
 // AddSet grows the cluster by one slot, live: the joining slot is

@@ -146,9 +146,9 @@ func TestAddShardMovesUsersLive(t *testing.T) {
 	}
 
 	joiner := openElasticShard(t, filepath.Join(root, "shard-join"), 999)
-	rep, err := c.AddShard(joiner)
+	rep, err := c.AddSet(cluster.NewReplicaSet(joiner))
 	if err != nil {
-		t.Fatalf("AddShard: %v", err)
+		t.Fatalf("AddSet: %v", err)
 	}
 	if c.Shards() != 3 {
 		t.Fatalf("Shards() = %d, want 3", c.Shards())
@@ -157,7 +157,7 @@ func TestAddShardMovesUsersLive(t *testing.T) {
 		t.Fatalf("version = %d (report %d), want 2", c.Version(), rep.Version)
 	}
 	if rep.UsersMoved == 0 {
-		t.Fatal("AddShard moved no users; the new slot got an empty range, which the ring should not produce at this size")
+		t.Fatal("AddSet moved no users; the new slot got an empty range, which the ring should not produce at this size")
 	}
 	if got := c.LastReshard(); got != rep {
 		t.Fatalf("LastReshard() = %+v, want %+v", got, rep)
@@ -240,23 +240,23 @@ func TestAddShardRejectsNonMigratable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.AddShard(platform.New(platform.Config{Seed: 6})); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-		t.Fatalf("AddShard on in-memory cluster: %v, want ErrMigrationUnsupported", err)
+	if _, err := mem.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !errors.Is(err, cluster.ErrMigrationUnsupported) {
+		t.Fatalf("AddSet on in-memory cluster: %v, want ErrMigrationUnsupported", err)
 	}
 
 	// A journaled cluster refuses an in-memory joiner — and stays intact.
 	c, _, _ := newElasticCluster(t, 2, 44)
 	populateElastic(t, c, 16)
-	if _, err := c.AddShard(platform.New(platform.Config{Seed: 6})); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-		t.Fatalf("AddShard(in-memory joiner): %v, want ErrMigrationUnsupported", err)
+	if _, err := c.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !errors.Is(err, cluster.ErrMigrationUnsupported) {
+		t.Fatalf("AddSet(in-memory joiner): %v, want ErrMigrationUnsupported", err)
 	}
 	if c.Shards() != 2 || c.Version() != 1 {
-		t.Fatalf("failed AddShard changed membership: %d shards, version %d", c.Shards(), c.Version())
+		t.Fatalf("failed AddSet changed membership: %d shards, version %d", c.Shards(), c.Version())
 	}
 }
 
 // TestReshardUnderConcurrentWrites drives user writes from four goroutines
-// straight through an AddShard and checks the core guarantee: every
+// straight through an AddSet and checks the core guarantee: every
 // impression acknowledged to a caller is present in that user's feed
 // afterwards — moved or not — and placement is exact.
 func TestReshardUnderConcurrentWrites(t *testing.T) {
@@ -289,11 +289,11 @@ func TestReshardUnderConcurrentWrites(t *testing.T) {
 	}
 
 	joiner := openElasticShard(t, filepath.Join(root, "shard-join"), 999)
-	rep, err := c.AddShard(joiner)
+	rep, err := c.AddSet(cluster.NewReplicaSet(joiner))
 	close(stop)
 	wg.Wait()
 	if err != nil {
-		t.Fatalf("AddShard under writes: %v", err)
+		t.Fatalf("AddSet under writes: %v", err)
 	}
 	if rep.UsersMoved == 0 {
 		t.Fatal("no users moved")
@@ -334,8 +334,8 @@ func TestPendingRemovalGatesAggregatesUntilResume(t *testing.T) {
 
 	src.fail.Store(true)
 	joiner := openElasticShard(t, filepath.Join(root, "join"), 999)
-	if _, err := c.AddShard(joiner); err != nil {
-		t.Fatalf("AddShard (cutover succeeds, cleanup fails): %v", err)
+	if _, err := c.AddSet(cluster.NewReplicaSet(joiner)); err != nil {
+		t.Fatalf("AddSet (cutover succeeds, cleanup fails): %v", err)
 	}
 	if _, pending := c.MigrationStatus(); pending != 1 {
 		t.Fatalf("pending removals = %d, want 1", pending)
@@ -349,8 +349,8 @@ func TestPendingRemovalGatesAggregatesUntilResume(t *testing.T) {
 		t.Fatalf("PotentialReach with pending removal: %v, want ErrReshardIncomplete", err)
 	}
 	// So does the next membership change.
-	if _, err := c.AddShard(openElasticShard(t, filepath.Join(root, "join2"), 1000)); !errors.Is(err, cluster.ErrReshardIncomplete) {
-		t.Fatalf("AddShard with pending removal: %v, want ErrReshardIncomplete", err)
+	if _, err := c.AddSet(cluster.NewReplicaSet(openElasticShard(t, filepath.Join(root, "join2"), 1000))); !errors.Is(err, cluster.ErrReshardIncomplete) {
+		t.Fatalf("AddSet with pending removal: %v, want ErrReshardIncomplete", err)
 	}
 	// User-scoped traffic keeps flowing the whole time.
 	if _, err := c.BrowseFeed(users[0], 2); err != nil {
@@ -584,7 +584,7 @@ func TestGatePushesDuringOwnershipChecks(t *testing.T) {
 	}
 }
 
-// TestReshardDeterministic runs the identical populate + AddShard sequence
+// TestReshardDeterministic runs the identical populate + AddSet sequence
 // twice from the same seed and requires byte-identical shard states — the
 // property the chaos harness leans on when it compares a faulted reshard
 // run against a clean one.
@@ -593,8 +593,8 @@ func TestReshardDeterministic(t *testing.T) {
 		c, jps, root := newElasticCluster(t, 2, 61)
 		populateElastic(t, c, 32)
 		joiner := openElasticShard(t, filepath.Join(root, "join"), 999)
-		if _, err := c.AddShard(joiner); err != nil {
-			t.Fatalf("AddShard: %v", err)
+		if _, err := c.AddSet(cluster.NewReplicaSet(joiner)); err != nil {
+			t.Fatalf("AddSet: %v", err)
 		}
 		var out []string
 		for _, jp := range append(jps, joiner) {

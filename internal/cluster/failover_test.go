@@ -40,8 +40,8 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 	}
 	// The refusal changed nothing: the owner still serves writes and the
 	// follower still follows.
-	if !rs.WriteHealthy() {
-		t.Fatal("WriteHealthy() false after a refused promotion")
+	if rs.Owner() != owner || !ownerHealthy(rs) {
+		t.Fatal("the owner lost its slot after a refused promotion")
 	}
 	if !followStatus(follower).Following || !followStatus(follower).Synced {
 		t.Fatal("follower disturbed by a refused promotion")

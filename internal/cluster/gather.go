@@ -25,7 +25,7 @@ var ErrShardUnavailable error = httpapi.Unavailable("cluster: shard unavailable"
 
 // HealthReporter is platform's, declared there so the shard RPC server's
 // health endpoint can consult it too. A slot's health is its ReplicaSet's
-// Healthy / WriteHealthy.
+// Healthy.
 type HealthReporter = platform.HealthReporter
 
 // shardHealthy reports whether the member can serve anything at all.

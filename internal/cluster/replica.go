@@ -108,9 +108,6 @@ func (rs *ReplicaSet) Healthy() bool {
 	return slices.ContainsFunc(rs.state.Load().members, shardHealthy)
 }
 
-// WriteHealthy reports whether the owner can accept mutations.
-func (rs *ReplicaSet) WriteHealthy() bool { return shardHealthy(rs.Owner()) }
-
 // writer returns the owner, or a typed refusal when it is down — writes
 // never fail over implicitly; promotion is an explicit operator (or
 // harness) decision because it draws the indeterminate-write line.

@@ -23,6 +23,11 @@ type frailShard struct {
 
 func (f *frailShard) Healthy() bool { return !f.down.Load() }
 
+// ownerHealthy reports whether the slot's owner can accept mutations.
+func ownerHealthy(rs *cluster.ReplicaSet) bool {
+	return rs.Owner().(cluster.HealthReporter).Healthy()
+}
+
 // newChainedSet boots an owner and one follower from the same seed, wires
 // journal shipping, and puts the follower in follow mode from LSN 0 — the
 // deployment shape where a replica is attached before any traffic.
@@ -79,8 +84,8 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 	// Kill the owner. Reads fail over to the follower; writes are refused
 	// with the typed unavailability error (no implicit promotion).
 	owner.down.Store(true)
-	if rs.WriteHealthy() {
-		t.Fatal("WriteHealthy() true with the owner down")
+	if ownerHealthy(rs) {
+		t.Fatal("owner healthy with the owner down")
 	}
 	if !rs.Healthy() {
 		t.Fatal("Healthy() false with a live follower")
@@ -109,8 +114,8 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 	if idx != 1 {
 		t.Fatalf("promoted member %d, want 1", idx)
 	}
-	if !rs.WriteHealthy() {
-		t.Fatal("WriteHealthy() false after promotion")
+	if !ownerHealthy(rs) {
+		t.Fatal("owner unhealthy after promotion")
 	}
 	if got := feedLens(c, users); fmt.Sprint(got) != fmt.Sprint(ackedFeeds) {
 		t.Fatal("acknowledged feeds lost across promotion")
@@ -319,7 +324,7 @@ func TestReplicaSetAsReshardTarget(t *testing.T) {
 	}
 	rep, err := c.AddSet(rs)
 	if err != nil {
-		t.Fatalf("AddShard(replica set): %v", err)
+		t.Fatalf("AddSet(replica set): %v", err)
 	}
 	if rep.UsersMoved == 0 {
 		t.Fatal("no users moved to the replica set")

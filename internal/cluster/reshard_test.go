@@ -134,10 +134,13 @@ func TestReshardMovesExactlyTheReownedUsers(t *testing.T) {
 
 			for step, size := range []int{2, 3, 2, 1} {
 				before := holders(pool)
-				oldRing := c.Ring()
+				oldOwner := make(map[profile.UserID]int, len(users))
+				for _, u := range users {
+					oldOwner[u] = c.Owner(u)
+				}
 				var rep cluster.ReshardReport
 				if size > c.Shards() {
-					rep, err = c.AddShard(pool[size-1].shard)
+					rep, err = c.AddSet(cluster.NewReplicaSet(pool[size-1].shard))
 				} else {
 					rep, err = c.RemoveShard()
 				}
@@ -147,11 +150,11 @@ func TestReshardMovesExactlyTheReownedUsers(t *testing.T) {
 				after := holders(pool)
 				moved := 0
 				for _, u := range users {
-					owner := c.Ring().Owner(string(u))
+					owner := c.Owner(u)
 					if got := after[u]; len(got) != 1 || got[0] != owner {
 						t.Fatalf("step %d: user %s held by members %v, ring owner is %d", step, u, got, owner)
 					}
-					reowned := oldRing.Owner(string(u)) != owner
+					reowned := oldOwner[u] != owner
 					if changed := before[u][0] != after[u][0]; changed != reowned {
 						t.Fatalf("step %d: user %s moved=%v but ring owner changed=%v", step, u, changed, reowned)
 					}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"github.com/treads-project/treads/internal/stats"
 )
@@ -79,19 +78,6 @@ func (cb *Codebook) Lookup(code string) (Payload, bool) {
 	return p, true
 }
 
-// Len returns the number of entries.
-func (cb *Codebook) Len() int { return len(cb.byCode) }
-
-// Codes returns all codes, sorted, for serialization to opted-in users.
-func (cb *Codebook) Codes() []string {
-	out := make([]string, 0, len(cb.byCode))
-	for c := range cb.byCode {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Merge adds every entry of other into cb; conflicting assignments are an
 // error. Crowdsourced providers merge the shard codebooks they receive.
 func (cb *Codebook) Merge(other *Codebook) error {
@@ -112,18 +98,6 @@ func (cb *Codebook) Merge(other *Codebook) error {
 // target).
 func EmptyCodebook() *Codebook {
 	return &Codebook{byCode: make(map[string]string), byToken: make(map[string]string)}
-}
-
-// Entries exports the code→token mapping — the artifact the provider
-// actually ships to opted-in users ("the provider can share the mapping of
-// targeting information to encodings with users when they opt-in", §3.1).
-// Serialize it however you like (the extension CLI uses JSON).
-func (cb *Codebook) Entries() map[string]string {
-	out := make(map[string]string, len(cb.byCode))
-	for code, tok := range cb.byCode {
-		out[code] = tok
-	}
-	return out
 }
 
 // CodebookFromEntries reconstructs a codebook from an exported mapping,

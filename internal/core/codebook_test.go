@@ -22,8 +22,8 @@ func TestNewCodebookAssignsUniqueCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cb.Len() != 200 {
-		t.Fatalf("Len = %d", cb.Len())
+	if len(cb.byCode) != 200 {
+		t.Fatalf("Len = %d", len(cb.byCode))
 	}
 	seen := make(map[string]bool)
 	for _, p := range ps {
@@ -49,7 +49,7 @@ func TestCodebookCodeFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, code := range cb.Codes() {
+	for code := range cb.byCode {
 		if !re.MatchString(code) {
 			t.Fatalf("code %q not in N,NNN,NNN form", code)
 		}
@@ -105,8 +105,8 @@ func TestCodebookMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 11 {
-		t.Fatalf("merged Len = %d", a.Len())
+	if len(a.byCode) != 11 {
+		t.Fatalf("merged Len = %d", len(a.byCode))
 	}
 	if a.Code(Payload{Kind: PayloadControl}) == "" {
 		t.Fatal("merged payload missing")
@@ -115,8 +115,8 @@ func TestCodebookMerge(t *testing.T) {
 	if err := a.Merge(b); err != nil {
 		t.Fatal(err)
 	}
-	if a.Len() != 11 {
-		t.Fatalf("idempotent merge Len = %d", a.Len())
+	if len(a.byCode) != 11 {
+		t.Fatalf("idempotent merge Len = %d", len(a.byCode))
 	}
 }
 
@@ -151,12 +151,34 @@ func TestFormatCode(t *testing.T) {
 	}
 }
 
-func TestCodesSorted(t *testing.T) {
-	cb, _ := NewCodebook(somePayloads(30), 3)
-	codes := cb.Codes()
-	for i := 1; i < len(codes); i++ {
-		if codes[i-1] >= codes[i] {
-			t.Fatalf("codes not sorted at %d", i)
+// TestCodebookFromEntriesRoundTrips rebuilds a codebook from the code→token
+// mapping a provider shares, as treads-extension loads it, and checks that
+// every code resolves to the same payload.
+func TestCodebookFromEntriesRoundTrips(t *testing.T) {
+	cb, err := NewCodebook(append(somePayloads(40), Payload{Kind: PayloadControl}), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := CodebookFromEntries(cb.byCode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.byCode) != len(cb.byCode) {
+		t.Fatalf("round trip holds %d entries, want %d", len(got.byCode), len(cb.byCode))
+	}
+	for code := range cb.byCode {
+		want, _ := cb.Lookup(code)
+		if p, ok := got.Lookup(code); !ok || p != want {
+			t.Fatalf("code %s: round trip resolves to %+v (%v), want %+v", code, p, ok, want)
 		}
+		if got.Code(want) != code {
+			t.Fatalf("payload %+v: round trip codes it %q, want %q", want, got.Code(want), code)
+		}
+	}
+	if _, err := CodebookFromEntries(map[string]string{"1,000,000": "not a token"}); err == nil {
+		t.Fatal("malformed token accepted")
+	}
+	if _, err := CodebookFromEntries(map[string]string{"1,000,000": "C", "2,000,000": "C"}); err == nil {
+		t.Fatal("one token under two codes accepted")
 	}
 }

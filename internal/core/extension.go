@@ -194,9 +194,5 @@ func sortedIDs(set map[attr.ID]bool) []attr.ID {
 // HasAttr reports whether the attribute was revealed as set.
 func (r *Revealed) HasAttr(id attr.ID) bool { return r.attrSet[id] }
 
-// AttrRevealedAbsent reports whether the attribute was revealed as
-// false-or-missing.
-func (r *Revealed) AttrRevealedAbsent(id attr.ID) bool { return r.absentSet[id] }
-
 // HasPIIHash reports whether the hashed PII item was revealed as held.
 func (r *Revealed) HasPIIHash(hash string) bool { return r.piiHashSet[hash] }

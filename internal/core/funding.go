@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/treads-project/treads/internal/money"
 )
 
@@ -78,9 +76,4 @@ func (f FundingModel) SustainableFee(donations money.Micros, attrCounts []int) m
 	users := money.Micros(len(attrCounts))
 	// Ceiling division: the fee must cover the deficit.
 	return (deficit + users - 1) / users
-}
-
-// String summarizes the model.
-func (f FundingModel) String() string {
-	return fmt.Sprintf("funding{bid=%v/CPM overhead=%v/user}", f.Cost.BidCPM, f.OverheadPerUser)
 }

@@ -89,10 +89,3 @@ func TestSustainableFeeBreaksEvenProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestFundingString(t *testing.T) {
-	f := NewFundingModel(NewCostModel(0), 0)
-	if f.String() == "" {
-		t.Fatal("empty String()")
-	}
-}

@@ -42,10 +42,10 @@ var DefaultBidCapCPM = money.FromDollars(10)
 
 // PlatformAPI is the advertiser-facing platform surface a provider drives:
 // exactly the endpoints a real transparency provider could reach from the
-// outside, nothing platform-internal. *platform.Platform,
-// *platform.Journaled, and *cluster.Cluster all satisfy it, so the whole
-// Treads mechanism runs unchanged against an in-memory platform, a
-// journaled one, or a sharded multi-core cluster.
+// outside, nothing platform-internal. *platform.Platform and
+// *cluster.Cluster both satisfy it, so the whole Treads mechanism runs
+// unchanged against an in-memory platform or a sharded multi-core cluster,
+// journaled or not.
 type PlatformAPI interface {
 	Catalog() *attr.Catalog
 	RegisterAdvertiser(name string) error
@@ -59,10 +59,7 @@ type PlatformAPI interface {
 	Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error)
 }
 
-var (
-	_ PlatformAPI = (*platform.Platform)(nil)
-	_ PlatformAPI = (*platform.Journaled)(nil)
-)
+var _ PlatformAPI = (*platform.Platform)(nil)
 
 // Provider is a transparency provider: an entity (the paper suggests a
 // non-profit) that signs up as an advertiser and runs one Tread per
@@ -126,9 +123,6 @@ func NewProvider(p PlatformAPI, cfg ProviderConfig) (*Provider, error) {
 
 // Name returns the provider's advertiser-account name.
 func (pr *Provider) Name() string { return pr.cfg.Name }
-
-// Mode returns the provider's reveal mode.
-func (pr *Provider) Mode() RevealMode { return pr.cfg.Mode }
 
 // OptInPixel is the tracking pixel on the provider's website. A user who
 // visits the site (platform.VisitPage with this pixel) opts in while
@@ -544,17 +538,8 @@ func (pr *Provider) deploy(payloads []Payload, exprs []attr.Expr) (*DeployResult
 	return res, nil
 }
 
-// ControlID returns the provider's control campaign, if deployed.
-func (pr *Provider) ControlID() string { return pr.controlID }
-
 // Campaigns returns all campaign IDs in creation order.
 func (pr *Provider) Campaigns() []string { return append([]string(nil), pr.order...) }
-
-// PayloadOf returns the payload a campaign carries.
-func (pr *Provider) PayloadOf(campaignID string) (Payload, bool) {
-	p, ok := pr.campaigns[campaignID]
-	return p, ok
-}
 
 // Report returns the platform's advertiser-visible report for one of the
 // provider's campaigns — the entirety of what the provider can observe
@@ -572,13 +557,4 @@ func (pr *Provider) TotalInvoiced() money.Micros {
 		}
 	}
 	return total
-}
-
-// ExpectedCostPerAttribute is the paper's analytical per-attribute reveal
-// cost at a given bid: one impression at CPM/1000. At the recommended $2
-// CPM this is $0.002 per attribute ($0.01 at the validation's elevated $10
-// CPM); it is zero for attributes a user does not have, because no
-// impression is ever served (§3.1 "Cost").
-func ExpectedCostPerAttribute(bidCPM money.Micros) money.Micros {
-	return bidCPM.PerMille()
 }

@@ -79,8 +79,8 @@ func TestProviderDefaults(t *testing.T) {
 	if pr.cfg.FrequencyCap != 1 {
 		t.Errorf("default frequency cap = %d", pr.cfg.FrequencyCap)
 	}
-	if pr.Mode() != RevealExplicit {
-		t.Errorf("default mode = %v", pr.Mode())
+	if pr.cfg.Mode != RevealExplicit {
+		t.Errorf("default mode = %v", pr.cfg.Mode)
 	}
 }
 
@@ -155,8 +155,8 @@ func TestControlOnlyDeployIdempotent(t *testing.T) {
 	if id1 != id2 {
 		t.Fatal("control campaign duplicated")
 	}
-	if pr.ControlID() != id1 {
-		t.Fatal("ControlID mismatch")
+	if pr.controlID != id1 {
+		t.Fatal("controlID mismatch")
 	}
 }
 
@@ -175,10 +175,10 @@ func TestDeployNotAttrTreads(t *testing.T) {
 	ext := &Extension{ProviderName: "tp"}
 	revA := ext.Scan(p.Feed("author-a"), p.Catalog())
 	revB := ext.Scan(p.Feed("author-b"), p.Catalog())
-	if revA.AttrRevealedAbsent(nw) {
+	if revA.absentSet[nw] {
 		t.Error("author A (who has net worth) got the exclusion Tread")
 	}
-	if !revB.AttrRevealedAbsent(nw) {
+	if !revB.absentSet[nw] {
 		t.Error("author B (no broker record) did not get the exclusion Tread")
 	}
 }
@@ -456,12 +456,12 @@ func TestPayloadOf(t *testing.T) {
 		t.Fatal(err)
 	}
 	for cid, want := range res.Campaigns {
-		got, ok := pr.PayloadOf(cid)
+		got, ok := pr.campaigns[cid]
 		if !ok || got != want {
 			t.Fatalf("PayloadOf(%s) = %+v, %v", cid, got, ok)
 		}
 	}
-	if _, ok := pr.PayloadOf("nope"); ok {
+	if _, ok := pr.campaigns["nope"]; ok {
 		t.Error("PayloadOf unknown campaign succeeded")
 	}
 	if n := len(pr.Campaigns()); n != 2 { // control + 1 Tread
@@ -470,10 +470,10 @@ func TestPayloadOf(t *testing.T) {
 }
 
 func TestExpectedCostPerAttribute(t *testing.T) {
-	if got := ExpectedCostPerAttribute(money.FromDollars(2)); got != money.FromDollars(0.002) {
+	if got := NewCostModel(money.FromDollars(2)).PerAttribute(); got != money.FromDollars(0.002) {
 		t.Errorf("$2 CPM cost = %v", got)
 	}
-	if got := ExpectedCostPerAttribute(money.FromDollars(10)); got != money.FromDollars(0.01) {
+	if got := NewCostModel(money.FromDollars(10)).PerAttribute(); got != money.FromDollars(0.01) {
 		t.Errorf("$10 CPM cost = %v", got)
 	}
 }

@@ -393,18 +393,6 @@ func (p *Pipeline) RNGState() uint64 {
 	return p.rng.State()
 }
 
-// Campaigns returns copies of all registered campaigns in registration
-// order.
-func (p *Pipeline) Campaigns() []Campaign {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]Campaign, len(p.campaigns))
-	for i, c := range p.campaigns {
-		out[i] = c.Campaign
-	}
-	return out
-}
-
 // Feed returns every impression ever delivered to the user, oldest first.
 func (p *Pipeline) Feed(uid profile.UserID) []ad.Impression {
 	p.mu.Lock()

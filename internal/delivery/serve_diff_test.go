@@ -23,7 +23,7 @@ import (
 // registered campaign in registration order and evaluates the campaign's
 // spec against the profile from scratch. It advances the same pipeline
 // state Browse does (slots, feed, shown, ledger, RNG).
-func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
+func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, uid profile.UserID, slots int) []ad.Impression {
 	prof := p.store.Get(uid)
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -40,7 +40,7 @@ func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
 			if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
 				continue
 			}
-			if scanMatches(p.engine, c.Spec, prof) {
+			if scanMatches(p.engine, auds, c.Spec, prof) {
 				bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM})
 			}
 		}
@@ -59,23 +59,24 @@ func scanBrowse(p *Pipeline, uid profile.UserID, slots int) []ad.Impression {
 }
 
 // scanMatches evaluates a spec the long way round: audiences looked up by
-// ID, membership by the engine's linear MemberOf, the expression by
-// Expr.Match. It shares no code with Engine.Compile or Engine.Match.
-func scanMatches(e *audience.Engine, spec audience.Spec, p *profile.Profile) bool {
+// ID in the world's own list, membership by the engine's linear MemberOf,
+// the expression by Expr.Match. It shares no code with Engine.Compile or
+// Engine.Match.
+func scanMatches(e *audience.Engine, auds map[audience.AudienceID]*audience.Audience, spec audience.Spec, p *profile.Profile) bool {
 	for _, id := range spec.IncludeAll {
-		if !e.MemberOf(e.Get(id), p) {
+		if !e.MemberOf(auds[id], p) {
 			return false
 		}
 	}
 	in := len(spec.Include) == 0
 	for _, id := range spec.Include {
-		in = in || e.MemberOf(e.Get(id), p)
+		in = in || e.MemberOf(auds[id], p)
 	}
 	if !in {
 		return false
 	}
 	for _, id := range spec.Exclude {
-		if e.MemberOf(e.Get(id), p) {
+		if e.MemberOf(auds[id], p) {
 			return false
 		}
 	}
@@ -95,6 +96,7 @@ type serveWorld struct {
 	profs  []*profile.Profile
 	px     pixel.PixelID
 	auds   []audience.AudienceID // pii, engagement, website, affinity, lookalike
+	byID   map[audience.AudienceID]*audience.Audience
 }
 
 const servePage = "serve-diff-page"
@@ -141,7 +143,11 @@ func newServeWorld(t testing.TB, cfg workload.Config, indexed bool, auctionSeed 
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.auds = []audience.AudienceID{list.ID, eng.ID, web.ID, aff.ID, look.ID}
+	w.byID = map[audience.AudienceID]*audience.Audience{}
+	for _, a := range []*audience.Audience{list, eng, web, aff, look} {
+		w.auds = append(w.auds, a.ID)
+		w.byID[a.ID] = a
+	}
 	w.pipe = NewPipeline(w.store, w.engine, w.ledger, auction.DefaultMarket(), stats.NewRNG(auctionSeed))
 	return w
 }
@@ -266,7 +272,7 @@ func TestBrowseMatchesPerSlotScan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						w := scanBrowse(want.pipe, uid, slots)
+						w := scanBrowse(want.pipe, want.byID, uid, slots)
 						if !reflect.DeepEqual(g, w) {
 							t.Fatalf("step %d: browse(%s, %d)\n got %v\nwant %v", step, uid, slots, g, w)
 						}

@@ -1,7 +1,6 @@
 package faults
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,36 +24,11 @@ type DiskConfig struct {
 	RenameError float64
 }
 
-// Kinds returns the fault kinds this config can fire, for coverage
-// assertions.
-func (c DiskConfig) Kinds() []Kind {
-	var out []Kind
-	if c.ShortWrite > 0 {
-		out = append(out, FSShortWrite)
-	}
-	if c.WriteError > 0 {
-		out = append(out, FSWriteError)
-	}
-	if c.SyncError > 0 {
-		out = append(out, FSSyncError)
-	}
-	if c.RenameError > 0 {
-		out = append(out, FSRenameError)
-	}
-	return out
-}
-
 // errInjected marks every fault this package manufactures, so tests can
 // tell injected failures from real ones.
 type errInjected struct{ msg string }
 
 func (e errInjected) Error() string { return "faults: injected " + e.msg }
-
-// IsInjected reports whether err was manufactured by a fault seam.
-func IsInjected(err error) bool {
-	var ie errInjected
-	return errors.As(err, &ie)
-}
 
 // FaultFS wraps an FS with scheduled write, fsync, and rename faults, and
 // simulates whole-process crashes: it tracks, per file, the bytes that an

@@ -110,9 +110,6 @@ func NewInjector(seed uint64, reg *obs.Registry) *Injector {
 	return in
 }
 
-// Seed returns the run seed, for reprinting on violation.
-func (in *Injector) Seed() uint64 { return in.seed }
-
 // Arm enables (true) or disables (false) every injection point sharing
 // this injector. Disarmed seams pass all operations through untouched and
 // record nothing.

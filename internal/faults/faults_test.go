@@ -125,7 +125,7 @@ func TestFaultFSSyncErrorInjected(t *testing.T) {
 	if _, err := f.Write([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Sync(); err == nil || !IsInjected(err) {
+	if err := f.Sync(); err == nil || !errors.As(err, new(errInjected)) {
 		t.Fatalf("want injected sync error, got %v", err)
 	}
 	if got := in.Counts()[FSSyncError]; got != 1 {
@@ -151,7 +151,7 @@ func TestFaultFSRenameErrorInjected(t *testing.T) {
 	if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ffs.Rename(src, filepath.Join(dir, "a")); err == nil || !IsInjected(err) {
+	if err := ffs.Rename(src, filepath.Join(dir, "a")); err == nil || !errors.As(err, new(errInjected)) {
 		t.Fatalf("want injected rename error, got %v", err)
 	}
 	if _, err := os.Stat(src); err != nil {
@@ -207,7 +207,7 @@ func TestTransportResetCutsResponseBody(t *testing.T) {
 	if rerr == nil {
 		t.Fatalf("read %d bytes with no error; want mid-body reset", len(b))
 	}
-	if !IsInjected(rerr) {
+	if !errors.As(rerr, new(errInjected)) {
 		t.Fatalf("want injected reset, got %v", rerr)
 	}
 	if len(b) >= 4096 {

@@ -39,25 +39,6 @@ type NetConfig struct {
 	ResetBody float64
 }
 
-// Kinds returns the fault kinds this config can fire, for coverage
-// assertions.
-func (c NetConfig) Kinds() []Kind {
-	var out []Kind
-	if c.DialError > 0 {
-		out = append(out, NetDialError)
-	}
-	if c.Delay > 0 {
-		out = append(out, NetDelay)
-	}
-	if c.Duplicate > 0 {
-		out = append(out, NetDuplicate)
-	}
-	if c.ResetBody > 0 {
-		out = append(out, NetResetBody)
-	}
-	return out
-}
-
 // Transport is an http.RoundTripper that injects network faults between
 // one rpc client and one peer. Plug it in via rpc.Options.Transport; build
 // one Transport per peer so partitions and schedules are per-pair. The

@@ -36,13 +36,13 @@ func highRateGateway(tb testing.TB) *Gateway {
 // the edge, so it fails the build rather than waiting for a profile.
 func TestDecideZeroAlloc(t *testing.T) {
 	g := highRateGateway(t)
-	tenant := g.Keys().Resolve(testKeyA)
+	tenant := g.keys.Load().Resolve(testKeyA)
 	if tenant == nil {
 		t.Fatalf("resolve failed")
 	}
 
 	allocs := testing.AllocsPerRun(10000, func() {
-		t := g.Keys().Resolve(testKeyA)
+		t := g.keys.Load().Resolve(testKeyA)
 		d := g.Decide(t, ClassReport)
 		if d.Verdict == VerdictAdmitted {
 			g.Release()
@@ -79,7 +79,7 @@ func TestDecideZeroAlloc(t *testing.T) {
 
 func BenchmarkResolveKey(b *testing.B) {
 	g := highRateGateway(b)
-	ks := g.Keys()
+	ks := g.keys.Load()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -91,7 +91,7 @@ func BenchmarkResolveKey(b *testing.B) {
 
 func BenchmarkDecideAdmit(b *testing.B) {
 	g := highRateGateway(b)
-	tenant := g.Keys().Resolve(testKeyA)
+	tenant := g.keys.Load().Resolve(testKeyA)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -23,12 +23,10 @@ type tokenBucket struct {
 	lastNanos int64 // clock of the last refill
 	rate      int64 // refill, micro-tokens per second
 	burst     int64 // balance cap, micro-tokens
-	unlimited bool
 }
 
 // newTokenBucket returns a full bucket refilling at rps tokens per second
-// with the given burst capacity. rps and burst must be positive;
-// newUnlimitedBucket covers the exempt case.
+// with the given burst capacity. rps and burst must be positive.
 func newTokenBucket(rps, burst float64, now int64) *tokenBucket {
 	b := &tokenBucket{
 		rate:      int64(rps * microToken),
@@ -45,17 +43,11 @@ func newTokenBucket(rps, burst float64, now int64) *tokenBucket {
 	return b
 }
 
-// newUnlimitedBucket returns a bucket whose take always succeeds.
-func newUnlimitedBucket() *tokenBucket { return &tokenBucket{unlimited: true} }
-
 // take attempts to remove one token at clock now (unix nanoseconds).
 // On success it returns ok=true and the remaining balance in tokens; on
 // failure, the wait until a full token will have accrued — the value the
 // gateway rounds up into Retry-After.
 func (b *tokenBucket) take(now int64) (ok bool, remaining float64, wait time.Duration) {
-	if b.unlimited {
-		return true, 0, 0
-	}
 	b.mu.Lock()
 	if now > b.lastNanos {
 		elapsed := now - b.lastNanos
@@ -79,22 +71,4 @@ func (b *tokenBucket) take(now int64) (ok bool, remaining float64, wait time.Dur
 	b.mu.Unlock()
 	return false, float64(have) / microToken,
 		time.Duration(float64(microToken-have) * 1e9 / float64(b.rate))
-}
-
-// tokens returns the balance that would be available at clock now,
-// without taking any.
-func (b *tokenBucket) tokens(now int64) float64 {
-	if b.unlimited {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	micro := b.micro
-	if now > b.lastNanos {
-		micro += int64(float64(now-b.lastNanos) * float64(b.rate) / 1e9)
-		if micro > b.burst {
-			micro = b.burst
-		}
-	}
-	return float64(micro) / microToken
 }

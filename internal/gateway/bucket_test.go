@@ -51,10 +51,10 @@ func TestBucketCapsAtBurst(t *testing.T) {
 	b := newTokenBucket(1000, 3, now)
 	// A long idle period must not bank more than burst.
 	now += int64(time.Hour)
-	if got := b.tokens(now); got != 3 {
-		t.Fatalf("tokens after an idle hour = %v, want burst 3", got)
+	if ok, remaining, _ := b.take(now); !ok || remaining != 2 {
+		t.Fatalf("take after an idle hour: ok=%v, %v left, want burst 3 less one", ok, remaining)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 1; i < 3; i++ {
 		if ok, _, _ := b.take(now); !ok {
 			t.Fatalf("take %d refused at full burst", i)
 		}
@@ -71,11 +71,8 @@ func TestBucketSurvivesLongIdleWithoutOverflow(t *testing.T) {
 	// this rate; the refill math must saturate at burst instead of going
 	// negative.
 	now += 30 * 24 * int64(time.Hour)
-	if got := b.tokens(now); got != 10000 {
-		t.Fatalf("tokens after 30 idle days = %v, want burst 10000", got)
-	}
-	if ok, _, _ := b.take(now); !ok {
-		t.Fatalf("take refused after long idle")
+	if ok, remaining, _ := b.take(now); !ok || remaining != 9999 {
+		t.Fatalf("take after 30 idle days: ok=%v, %v left, want burst 10000 less one", ok, remaining)
 	}
 }
 
@@ -101,22 +98,9 @@ func TestBucketFractionalRate(t *testing.T) {
 func TestBucketClockNeverRewinds(t *testing.T) {
 	now := time.Now().UnixNano()
 	b := newTokenBucket(10, 2, now)
-	b.take(now)
+	_, before, _ := b.take(now)
 	// A clock step backwards must not mint or destroy tokens.
-	before := b.tokens(now)
-	if got := b.tokens(now - int64(time.Minute)); got != before {
-		t.Fatalf("tokens with rewound clock = %v, want %v", got, before)
-	}
-	if ok, _, _ := b.take(now - int64(time.Minute)); !ok {
-		t.Fatalf("take with rewound clock refused with balance %v", before)
-	}
-}
-
-func TestUnlimitedBucket(t *testing.T) {
-	b := newUnlimitedBucket()
-	for i := 0; i < 1000; i++ {
-		if ok, _, _ := b.take(int64(i)); !ok {
-			t.Fatalf("unlimited bucket refused take %d", i)
-		}
+	if ok, got, _ := b.take(now - int64(time.Minute)); !ok || got != before-1 {
+		t.Fatalf("take with rewound clock: ok=%v, %v left, want %v", ok, got, before-1)
 	}
 }

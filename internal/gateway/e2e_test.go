@@ -10,15 +10,22 @@ package gateway_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"github.com/treads-project/treads/internal/ad"
+	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/gateway"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
+	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
+	"github.com/treads-project/treads/internal/profile"
+	"github.com/treads-project/treads/internal/stats"
 	"github.com/treads-project/treads/internal/workload"
 )
 
@@ -49,9 +56,9 @@ func bootPopulatedPlatform(t *testing.T, users int, seed uint64) *platform.Platf
 }
 
 // bootGatewayStack wraps a populated platform's HTTP server in a gateway
-// with its own registry and returns the test server, the gateway, and
+// with its own registry and returns the test server, the registry, and
 // the platform.
-func bootGatewayStack(t *testing.T, users int, seed uint64, keyFile string, inflight int, slo time.Duration) (*httptest.Server, *gateway.Gateway, *platform.Platform) {
+func bootGatewayStack(t *testing.T, users int, seed uint64, keyFile string, inflight int, slo time.Duration) (*httptest.Server, *obs.Registry, *platform.Platform) {
 	t.Helper()
 	p := bootPopulatedPlatform(t, users, seed)
 	reg := obs.NewRegistry()
@@ -67,7 +74,62 @@ func bootGatewayStack(t *testing.T, users int, seed uint64, keyFile string, infl
 	t.Cleanup(func() { g.Close() })
 	srv := httptest.NewServer(g)
 	t.Cleanup(srv.Close)
-	return srv, g, p
+	return srv, reg, p
+}
+
+// httpTarget is the workload driver's Target over the public HTTP API. The
+// driver only counts impressions, so a browse returns length, not
+// reconstructed creatives.
+type httpTarget struct {
+	c   *httpapi.Client
+	ctx context.Context
+}
+
+func (t httpTarget) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
+	ws, err := t.c.Browse(t.ctx, string(uid), slots)
+	return make([]ad.Impression, len(ws)), err
+}
+
+func (t httpTarget) VisitPage(uid profile.UserID, px pixel.PixelID) error {
+	_, err := t.c.FirePixel(t.ctx, string(px), string(uid))
+	return err
+}
+
+func (t httpTarget) LikePage(uid profile.UserID, pageID string) error {
+	return t.c.Like(t.ctx, string(uid), pageID)
+}
+
+func (t httpTarget) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
+	ids, err := t.c.AdPreferences(t.ctx, string(uid))
+	out := make([]attr.ID, len(ids))
+	for i, id := range ids {
+		out[i] = attr.ID(id)
+	}
+	return out, err
+}
+
+// overloadClasses is the overload drill's load: four user workers browsing
+// three slots 50 times each over a seeded user stream, counting every
+// acknowledged impression into acked, against four greedy workers that
+// request the campaign's report 150 times each with no pacing.
+func overloadClasses(ctx context.Context, srvURL string, users []profile.UserID, campID string, acked *atomic.Int64) []workload.ClassLoad {
+	userClient := httpapi.NewClient(srvURL)
+	greedy := httpapi.NewClient(srvURL)
+	greedy.APIKey = e2eReporterKey
+	return []workload.ClassLoad{
+		{Name: "user", Workers: 4, Ops: 50, Do: func(worker, op int) error {
+			rng := stats.NewRNG(stats.SubSeed(42, uint64(worker*1_000_003+op+1)))
+			ws, err := userClient.Browse(ctx, string(users[rng.Intn(len(users))]), 3)
+			if err == nil {
+				acked.Add(int64(len(ws)))
+			}
+			return err
+		}},
+		{Name: "greedy-report", Workers: 4, Ops: 150, Do: func(int, int) error {
+			_, err := greedy.Report(ctx, "greedco", campID)
+			return err
+		}},
+	}
 }
 
 // TestOverloadProtectsUserSLO is the issue's acceptance scenario: a
@@ -76,7 +138,7 @@ func bootGatewayStack(t *testing.T, users int, seed uint64, keyFile string, infl
 // latency SLO, the greedy tenant must be mostly refused, and the acked
 // impressions must reconcile exactly against a recount of every feed.
 func TestOverloadProtectsUserSLO(t *testing.T) {
-	srv, g, p := bootGatewayStack(t, 300, 11, e2eKeyFile, 64, 0)
+	srv, _, p := bootGatewayStack(t, 300, 11, e2eKeyFile, 64, 0)
 	ctx := context.Background()
 
 	// Setup traffic (mutation class) rides the reporter tenant's default
@@ -95,29 +157,12 @@ func TestOverloadProtectsUserSLO(t *testing.T) {
 		t.Fatalf("campaign: %v", err)
 	}
 
-	greedy := httpapi.NewClient(srv.URL)
-	greedy.APIKey = e2eReporterKey
-	userClient := httpapi.NewClient(srv.URL)
-	target := httpapi.NewDriverTarget(userClient, ctx)
 	users := p.Users()
 
 	// Track what users were told: every successful browse's impression
 	// count is an acknowledgment the platform must honor exactly.
 	var acked atomic.Int64
-	observe := func(r workload.OpResult) {
-		if r.Op == workload.OpBrowse && r.Err == nil {
-			acked.Add(int64(len(r.Impressions)))
-		}
-	}
-
-	const greedyWorkers, greedyOps = 4, 150
-	res := workload.DriveOverload([]workload.ClassLoad{
-		workload.UserLoad("user", target, users, 4, 50, 3, 42, observe),
-		workload.GreedyLoad("greedy-report", greedyWorkers, greedyOps, func() error {
-			_, err := greedy.Report(ctx, "greedco", campID)
-			return err
-		}),
-	})
+	res := workload.DriveOverload(overloadClasses(ctx, srv.URL, users, campID, &acked))
 
 	user := res["user"]
 	if user.Errors != 0 {
@@ -144,7 +189,18 @@ func TestOverloadProtectsUserSLO(t *testing.T) {
 	// The edge did the refusing, not the platform: the gateway's usage
 	// report shows the reporter limited/shed, and zero user-class
 	// refusals.
-	usage := g.Meter().Report(g.Keys())
+	resp, err := http.Get(srv.URL + "/admin/v1/usage")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Tenants map[string]struct{ Limited, Shed uint64 } `json:"tenants"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatalf("usage: %v", err)
+	}
+	usage := body.Tenants
 	rep := usage["reporter"]
 	if int64(rep.Limited+rep.Shed) != int64(g2.Errors) {
 		t.Fatalf("gateway refused %d (limited %d + shed %d) but greedy saw %d errors",
@@ -176,7 +232,7 @@ func TestOverloadProtectsUserSLO(t *testing.T) {
 // inside [1, Inflight] with exact impression accounting intact.
 func TestOverloadWithAIMDHoldsUserSLO(t *testing.T) {
 	const userSLO = 750 * time.Millisecond
-	srv, g, p := bootGatewayStack(t, 300, 11, e2eKeyFile, 64, userSLO)
+	srv, reg, p := bootGatewayStack(t, 300, 11, e2eKeyFile, 64, userSLO)
 	ctx := context.Background()
 
 	setup := httpapi.NewClient(srv.URL)
@@ -193,26 +249,10 @@ func TestOverloadWithAIMDHoldsUserSLO(t *testing.T) {
 		t.Fatalf("campaign: %v", err)
 	}
 
-	greedy := httpapi.NewClient(srv.URL)
-	greedy.APIKey = e2eReporterKey
-	userClient := httpapi.NewClient(srv.URL)
-	target := httpapi.NewDriverTarget(userClient, ctx)
 	users := p.Users()
 
 	var acked atomic.Int64
-	observe := func(r workload.OpResult) {
-		if r.Op == workload.OpBrowse && r.Err == nil {
-			acked.Add(int64(len(r.Impressions)))
-		}
-	}
-
-	res := workload.DriveOverload([]workload.ClassLoad{
-		workload.UserLoad("user", target, users, 4, 50, 3, 42, observe),
-		workload.GreedyLoad("greedy-report", 4, 150, func() error {
-			_, err := greedy.Report(ctx, "greedco", campID)
-			return err
-		}),
-	})
+	res := workload.DriveOverload(overloadClasses(ctx, srv.URL, users, campID, &acked))
 
 	user := res["user"]
 	if user.Errors != 0 {
@@ -222,8 +262,9 @@ func TestOverloadWithAIMDHoldsUserSLO(t *testing.T) {
 		t.Fatalf("user p99 = %v with AIMD controller, SLO %v", user.P99, userSLO)
 	}
 
-	if b := g.InflightBudget(); b < 1 || b > 64 {
-		t.Fatalf("AIMD budget %d outside [1, 64]", b)
+	budget := reg.Gauge("gateway_aimd_budget", "")
+	if b := budget.Value(); b < 1 || b > 64 {
+		t.Fatalf("AIMD budget %v outside [1, 64]", b)
 	}
 
 	var feedImps int64
@@ -234,8 +275,8 @@ func TestOverloadWithAIMDHoldsUserSLO(t *testing.T) {
 		t.Fatalf("feeds hold %d impressions but %d were acked to users", feedImps, acked.Load())
 	}
 
-	t.Logf("user p99=%v; final AIMD budget=%d; acked=%d impressions",
-		user.P99, g.InflightBudget(), acked.Load())
+	t.Logf("user p99=%v; final AIMD budget=%v; acked=%d impressions",
+		user.P99, budget.Value(), acked.Load())
 }
 
 // TestGatewayStateEquivalence drives the same deterministic workload
@@ -281,7 +322,7 @@ func TestGatewayStateEquivalence(t *testing.T) {
 		}
 		// One worker: the op sequence, and therefore the platform's RNG
 		// consumption, is fully deterministic.
-		st := workload.Drive(httpapi.NewDriverTarget(httpapi.NewClient(handler.URL), ctx), workload.DriverConfig{
+		st := workload.Drive(httpTarget{httpapi.NewClient(handler.URL), ctx}, workload.DriverConfig{
 			Goroutines:      1,
 			OpsPerGoroutine: 150,
 			Users:           p.Users(),

@@ -125,31 +125,12 @@ func New(inner http.Handler, cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// SetTracer overrides the gateway's tracer, trace.Default until then (nil
-// disables tracing). Call before serving requests.
-func (g *Gateway) SetTracer(t *trace.Tracer) { g.tracer = t }
-
 // Close stops the admission controller's loop and flushes and closes
 // the usage ledger.
 func (g *Gateway) Close() error {
 	g.shed.close()
 	return g.meter.Close()
 }
-
-// Hub returns the traffic-event hub, for subscribers beyond the HTTP
-// stream (tests, embedded dashboards).
-func (g *Gateway) Hub() *Hub { return g.hub }
-
-// Meter returns the usage meter.
-func (g *Gateway) Meter() *Meter { return g.meter }
-
-// Keys returns the live tenant key set (the most recent reload wins).
-func (g *Gateway) Keys() *KeySet { return g.keys.Load() }
-
-// InflightBudget returns the current total inflight budget — fixed at
-// Config.Inflight without an SLO, wherever the controller has moved it
-// with one.
-func (g *Gateway) InflightBudget() int64 { return g.shed.budget() }
 
 // Decide runs the admission decision for one request of class c by
 // tenant t: token bucket, then byte quota, then the priority inflight

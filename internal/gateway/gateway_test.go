@@ -100,7 +100,7 @@ func TestGatewayUserTrafficNeedsNoKey(t *testing.T) {
 		t.Fatalf("keyless feed: status %d, want 200", w.Code)
 	}
 	// And it metered under the users pseudo-tenant.
-	if got := g.Keys().UserTenant().usage.requests[GroupFeed].Load(); got != 1 {
+	if got := g.keys.Load().UserTenant().usage.requests[GroupFeed].Load(); got != 1 {
 		t.Fatalf("users feed count = %d, want 1", got)
 	}
 	// The user transparency surfaces are keyless too, despite riding the
@@ -109,7 +109,7 @@ func TestGatewayUserTrafficNeedsNoKey(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("keyless adpreferences: status %d, want 200", w.Code)
 	}
-	if got := g.Keys().UserTenant().usage.requests[GroupTransparency].Load(); got != 1 {
+	if got := g.keys.Load().UserTenant().usage.requests[GroupTransparency].Load(); got != 1 {
 		t.Fatalf("users transparency count = %d, want 1", got)
 	}
 	if got := g.m.admitted[ClassReport].Value(); got != 1 {
@@ -119,7 +119,7 @@ func TestGatewayUserTrafficNeedsNoKey(t *testing.T) {
 
 func TestGatewayRateLimitMapsTo429WithRetryAfter(t *testing.T) {
 	g, _ := newTestGateway(t, nil, nil)
-	beta := g.Keys().Resolve(testKeyB) // report burst 4, rps 2
+	beta := g.keys.Load().Resolve(testKeyB) // report burst 4, rps 2
 	var w *httptest.ResponseRecorder
 	for i := 0; i < 5; i++ {
 		w = doReq(g, "GET", "/api/v1/advertisers/x/campaigns/c1/report", testKeyB)
@@ -158,7 +158,7 @@ func TestGatewayRateLimitRecoversWithTime(t *testing.T) {
 
 func TestGatewayQuotaExhaustionMapsTo429(t *testing.T) {
 	g, _ := newTestGateway(t, nil, nil)
-	alpha := g.Keys().Resolve(testKeyA) // quota 4096
+	alpha := g.keys.Load().Resolve(testKeyA) // quota 4096
 	alpha.usage.bytesOut.Store(4096)
 	w := doReq(g, "POST", "/api/v1/advertisers", testKeyA)
 	if w.Code != http.StatusTooManyRequests {
@@ -172,7 +172,7 @@ func TestGatewayQuotaExhaustionMapsTo429(t *testing.T) {
 		t.Fatalf("quotaDenied = %d, want 1", got)
 	}
 	// beta is unmetered: no quota refusals no matter the spend.
-	beta := g.Keys().Resolve(testKeyB)
+	beta := g.keys.Load().Resolve(testKeyB)
 	beta.usage.bytesOut.Store(1 << 40)
 	if w := doReq(g, "POST", "/api/v1/advertisers", testKeyB); w.Code != http.StatusOK {
 		t.Fatalf("unmetered tenant refused: status %d", w.Code)
@@ -227,7 +227,7 @@ func TestGatewayShedsMapsTo503(t *testing.T) {
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("user feed under report saturation: status %d, want 200", code)
 	}
-	if got := g.shed.current(); got != 0 {
+	if got := g.shed.inflight.Load(); got != 0 {
 		t.Fatalf("inflight = %d after drain, want 0", got)
 	}
 }
@@ -258,7 +258,7 @@ func TestGatewayExemptSurfacesBypassLimits(t *testing.T) {
 		t.Fatalf("inner hits = %d, want 200", got)
 	}
 	// Exempt traffic is not metered against any tenant.
-	for _, s := range g.meter.Report(g.Keys()) {
+	for _, s := range g.meter.Report(g.keys.Load()) {
 		if len(s.Requests) != 0 {
 			t.Fatalf("exempt traffic metered: %+v", s)
 		}
@@ -279,7 +279,7 @@ func TestGatewayMetersBytes(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d", w.Code)
 	}
-	alpha := g.Keys().Resolve(testKeyA)
+	alpha := g.keys.Load().Resolve(testKeyA)
 	if got := alpha.usage.bytesIn.Load(); got != uint64(len(payload)) {
 		t.Fatalf("bytesIn = %d, want %d", got, len(payload))
 	}
@@ -351,7 +351,7 @@ func TestGatewayTrafficStream(t *testing.T) {
 	}
 	// Wait for the subscription to land before generating traffic.
 	deadline := time.Now().Add(5 * time.Second)
-	for g.hub.Subscribers() == 0 {
+	for int(g.hub.nsubs.Load()) == 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("stream never subscribed")
 		}

@@ -86,6 +86,3 @@ func (h *Hub) Subscribe(buf int) (<-chan Event, func()) {
 	}
 	return ch, cancel
 }
-
-// Subscribers returns the live subscription count.
-func (h *Hub) Subscribers() int { return int(h.nsubs.Load()) }

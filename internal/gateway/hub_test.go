@@ -10,7 +10,7 @@ func TestHubPublishSubscribe(t *testing.T) {
 	h := NewHub(nil)
 	ch, cancel := h.Subscribe(4)
 	defer cancel()
-	if got := h.Subscribers(); got != 1 {
+	if got := int(h.nsubs.Load()); got != 1 {
 		t.Fatalf("Subscribers() = %d, want 1", got)
 	}
 	h.Publish(Event{Tenant: "alpha", Decision: "admitted"})
@@ -48,7 +48,7 @@ func TestHubCancelIdempotentAndClosesChannel(t *testing.T) {
 	if _, ok := <-ch; ok {
 		t.Fatalf("channel still open after cancel")
 	}
-	if got := h.Subscribers(); got != 0 {
+	if got := int(h.nsubs.Load()); got != 0 {
 		t.Fatalf("Subscribers() = %d after cancel, want 0", got)
 	}
 	// Publishing with no subscribers is a no-op, not a panic.

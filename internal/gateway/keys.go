@@ -82,9 +82,6 @@ type Tenant struct {
 // Name returns the tenant's key-file name.
 func (t *Tenant) Name() string { return t.name }
 
-// QuotaBytes returns the tenant's byte quota (0 = unmetered).
-func (t *Tenant) QuotaBytes() int64 { return t.quota }
-
 // KeySet is the parsed, validated tenant set. Keys resolve by SHA-256
 // digest: the presented key is hashed into a stack buffer and the digest
 // looked up, so resolution time is independent of how much of any real

@@ -38,8 +38,8 @@ func TestParseKeyFileResolvesTenants(t *testing.T) {
 	if alpha == nil || alpha.Name() != "alpha" {
 		t.Fatalf("Resolve(alpha key) = %v", alpha)
 	}
-	if alpha.QuotaBytes() != 4096 {
-		t.Fatalf("alpha quota = %d, want 4096", alpha.QuotaBytes())
+	if alpha.quota != 4096 {
+		t.Fatalf("alpha quota = %d, want 4096", alpha.quota)
 	}
 	beta := ks.Resolve(testKeyB)
 	if beta == nil || beta.Name() != "beta" {
@@ -95,14 +95,14 @@ func TestTenantLimitsApply(t *testing.T) {
 	if ok, _, _ := beta.buckets[ClassReport].take(now); ok {
 		t.Fatalf("beta report take succeeded past burst 4")
 	}
-	if got := beta.buckets[ClassMutation].tokens(now); got != 200 {
-		t.Fatalf("beta mutation burst = %v, want file default 200", got)
+	if _, left, _ := beta.buckets[ClassMutation].take(now); left+1 != 200 {
+		t.Fatalf("beta mutation burst = %v, want file default 200", left+1)
 	}
 	// alpha takes the file-level default for mutation and package default
 	// for report.
 	alpha := ks.Resolve(testKeyA)
-	if got := alpha.buckets[ClassReport].tokens(now); got != DefaultReportLimit.Burst {
-		t.Fatalf("alpha report burst = %v, want package default %v", got, DefaultReportLimit.Burst)
+	if _, left, _ := alpha.buckets[ClassReport].take(now); left+1 != DefaultReportLimit.Burst {
+		t.Fatalf("alpha report burst = %v, want package default %v", left+1, DefaultReportLimit.Burst)
 	}
 }
 
@@ -156,7 +156,7 @@ func FuzzParseKeyFile(f *testing.F) {
 		tenants := append([]*Tenant{ks.UserTenant()}, ks.Tenants()...)
 		for i, tc := range kf.Tenants {
 			got := ks.Resolve(tc.Key)
-			if got == nil || got != tenants[i+1] || got.Name() != tc.Name || seen[tc.Name] || got.QuotaBytes() < 0 {
+			if got == nil || got != tenants[i+1] || got.Name() != tc.Name || seen[tc.Name] || got.quota < 0 {
 				t.Fatalf("accepted %q: tenant %d (%q) resolves to %v", raw, i, tc.Name, got)
 			}
 			seen[tc.Name] = true

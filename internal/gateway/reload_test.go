@@ -50,7 +50,7 @@ func TestKeyReloadRotatesTenantsInPlace(t *testing.T) {
 	if w := doReq(g, "POST", "/api/v1/advertisers", testKeyA); w.Code != http.StatusOK {
 		t.Fatalf("pre-rotation request: status %d, want 200", w.Code)
 	}
-	oldUsage := g.Keys().Resolve(testKeyA).usage
+	oldUsage := g.keys.Load().Resolve(testKeyA).usage
 	if oldUsage == nil {
 		t.Fatal("alpha tenant has no usage counters")
 	}
@@ -100,7 +100,7 @@ func TestKeyReloadRotatesTenantsInPlace(t *testing.T) {
 	// Billing continuity: alpha's new tenant object meters into the same
 	// counters it had before the rotation — including the request that
 	// was in flight across it.
-	alpha := g.Keys().Resolve(testKeyA2)
+	alpha := g.keys.Load().Resolve(testKeyA2)
 	if alpha.usage != oldUsage {
 		t.Fatal("alpha usage counters were reset by the reload")
 	}

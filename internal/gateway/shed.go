@@ -121,9 +121,6 @@ func (s *shedder) acquire(c Class) bool {
 // release returns one admitted request's slot.
 func (s *shedder) release() { s.inflight.Add(-1) }
 
-// current returns the inflight count, for the gauge and tests.
-func (s *shedder) current() int64 { return s.inflight.Load() }
-
 // observe records one admitted request's backend latency and status.
 // Called on the request path after the inner handler returns; both
 // operations are lock-free atomic bumps.

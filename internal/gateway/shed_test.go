@@ -34,7 +34,7 @@ func TestShedderStrictPriority(t *testing.T) {
 	if s.acquire(ClassUser) {
 		t.Fatalf("user admitted past the total budget")
 	}
-	if got := s.current(); got != 10 {
+	if got := s.inflight.Load(); got != 10 {
 		t.Fatalf("inflight = %d, want 10", got)
 	}
 	// Releases restore admission for every class.
@@ -71,7 +71,7 @@ func TestShedderConcurrentAccounting(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := s.current(); got != 0 {
+	if got := s.inflight.Load(); got != 0 {
 		t.Fatalf("inflight = %d after all releases, want 0", got)
 	}
 }

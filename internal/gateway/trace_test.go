@@ -19,7 +19,7 @@ func traceGateway(t *testing.T, rate float64) (*Gateway, *trace.Tracer) {
 		Registry:   obs.NewRegistry(),
 	})
 	g, _ := newTestGateway(t, nil, nil)
-	g.SetTracer(tr)
+	g.tracer = tr
 	return g, tr
 }
 

@@ -15,8 +15,6 @@
 // rule is unit-testable without goroutines or clocks.
 package health
 
-import "fmt"
-
 // State is the detector's verdict about one peer.
 type State int
 
@@ -31,19 +29,6 @@ const (
 	// RecoverThreshold consecutive successful probes.
 	StateDown
 )
-
-func (s State) String() string {
-	switch s {
-	case StateUp:
-		return "up"
-	case StateSuspect:
-		return "suspect"
-	case StateDown:
-		return "down"
-	default:
-		return fmt.Sprintf("state(%d)", int(s))
-	}
-}
 
 // DetectorConfig tunes the hysteresis.
 type DetectorConfig struct {
@@ -99,9 +84,6 @@ func NewDetector(cfg DetectorConfig) *Detector {
 
 // State returns the current verdict.
 func (d *Detector) State() State { return d.state }
-
-// Score returns the current suspicion score, for introspection.
-func (d *Detector) Score() int { return d.score }
 
 // Reset returns the detector to StateUp with zero suspicion. The
 // supervisor calls this after promotion: the probe loop now watches a

@@ -22,8 +22,8 @@ func TestDetectorSingleMissDoesNotFlap(t *testing.T) {
 	if s, changed := d.Observe(true); s != StateUp || !changed {
 		t.Fatalf("decay after 2 successes: state=%v changed=%v, want up/true", s, changed)
 	}
-	if d.Score() != 0 {
-		t.Fatalf("score=%d after decay, want 0", d.Score())
+	if d.score != 0 {
+		t.Fatalf("score=%d after decay, want 0", d.score)
 	}
 }
 
@@ -46,7 +46,7 @@ func TestDetectorSuspicionDecays(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		d.Observe(false)
 		if s := observeN(d, true, 4); s != StateUp {
-			t.Fatalf("iteration %d: isolated miss did not decay, state=%v score=%d", i, s, d.Score())
+			t.Fatalf("iteration %d: isolated miss did not decay, state=%v score=%d", i, s, d.score)
 		}
 	}
 }
@@ -82,8 +82,8 @@ func TestDetectorReset(t *testing.T) {
 		t.Fatalf("state=%v, want down", d.State())
 	}
 	d.Reset()
-	if d.State() != StateUp || d.Score() != 0 {
-		t.Fatalf("after reset: state=%v score=%d", d.State(), d.Score())
+	if d.State() != StateUp || d.score != 0 {
+		t.Fatalf("after reset: state=%v score=%d", d.State(), d.score)
 	}
 }
 
@@ -95,13 +95,5 @@ func TestDetectorDefaults(t *testing.T) {
 	}
 	if s := observeN(d, false, 1); s != StateDown {
 		t.Fatalf("default FailThreshold: state after 3 misses=%v, want down", s)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	for s, want := range map[State]string{StateUp: "up", StateSuspect: "suspect", StateDown: "down", State(9): "state(9)"} {
-		if got := s.String(); got != want {
-			t.Errorf("State(%d).String()=%q, want %q", int(s), got, want)
-		}
 	}
 }

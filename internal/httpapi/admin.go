@@ -16,7 +16,6 @@ const adminAccount = "admin"
 // the LSN the snapshot includes.
 type Compactor interface {
 	Compact() (uint64, error)
-	LastLSN() uint64
 }
 
 // SetCompactor enables the admin compaction endpoint. Call before serving

@@ -57,13 +57,11 @@ type routeMetrics struct {
 	status   [6]*obs.Counter
 	inflight *obs.Gauge
 
-	// Tracing rides the same wrapper so the sampled path reuses the
-	// timer and status capture the metrics already pay for. spanName is
-	// precomputed per route ("http " + pattern) so the unsampled path
-	// never concatenates; tracer is read per request because SetTracer
-	// may reconfigure the server after routes are registered.
+	// Tracing rides the same wrapper, into trace.Default, so the sampled
+	// path reuses the timer and status capture the metrics already pay
+	// for. spanName is precomputed per route ("http " + pattern) so the
+	// unsampled path never concatenates.
 	spanName string
-	tracer   func() *trace.Tracer
 }
 
 func (sm *serverMetrics) route(pattern string) *routeMetrics {
@@ -83,13 +81,13 @@ func (rm *routeMetrics) wrap(h http.HandlerFunc) http.HandlerFunc {
 		rm.inflight.Add(1)
 		start := time.Now()
 		sw := statusWriter{ResponseWriter: w, code: http.StatusOK}
-		r, sp, tr := rm.startSpan(r)
+		r, sp := rm.startSpan(r)
 		h(&sw, r)
 		d := time.Since(start)
 		rm.latency.Observe(d)
 		rm.status[statusClassIndex(sw.code)].Inc()
 		rm.inflight.Add(-1)
-		rm.finishSpan(tr, sp, sw.code, start, d)
+		rm.finishSpan(sp, sw.code, start, d)
 	}
 }
 
@@ -97,20 +95,12 @@ func (rm *routeMetrics) wrap(h http.HandlerFunc) http.HandlerFunc {
 // gateway) already started one on the request context, otherwise a
 // server-side root that honors an inbound traceparent. Unsampled
 // requests pass through allocation-free.
-func (rm *routeMetrics) startSpan(r *http.Request) (*http.Request, *trace.Span, *trace.Tracer) {
-	if rm.tracer == nil {
-		return r, nil, nil
-	}
-	tr := rm.tracer()
-	if tr == nil {
-		return r, nil, nil
-	}
+func (rm *routeMetrics) startSpan(r *http.Request) (*http.Request, *trace.Span) {
 	if trace.FromContext(r.Context()) != nil {
 		ctx, sp := trace.StartChild(r.Context(), rm.spanName)
-		return r.WithContext(ctx), sp, tr
+		return r.WithContext(ctx), sp
 	}
-	r, sp := tr.StartServer(r, rm.spanName)
-	return r, sp, tr
+	return trace.Default.StartServer(r, rm.spanName)
 }
 
 // finishSpan closes a sampled route span with its status, or — for the
@@ -118,7 +108,7 @@ func (rm *routeMetrics) startSpan(r *http.Request) (*http.Request, *trace.Span, 
 // 5xx responses and requests over the tracer's slow threshold. Trigger
 // checks run before any attr is built, keeping the common unsampled
 // path allocation-free.
-func (rm *routeMetrics) finishSpan(tr *trace.Tracer, sp *trace.Span, code int, start time.Time, d time.Duration) {
+func (rm *routeMetrics) finishSpan(sp *trace.Span, code int, start time.Time, d time.Duration) {
 	if sp != nil {
 		sp.Annotate("status", strconv.Itoa(code))
 		if code >= 500 {
@@ -127,9 +117,7 @@ func (rm *routeMetrics) finishSpan(tr *trace.Tracer, sp *trace.Span, code int, s
 		sp.Finish()
 		return
 	}
-	if tr == nil {
-		return
-	}
+	tr := trace.Default
 	if code >= 500 {
 		tr.Force(rm.spanName, "error", start, d,
 			trace.Attr{Key: "status", Value: strconv.Itoa(code)})

@@ -20,7 +20,6 @@ import (
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
-	"github.com/treads-project/treads/internal/trace"
 )
 
 // Backend is the platform surface the HTTP server drives: the shared op
@@ -60,8 +59,7 @@ type Server struct {
 	compactor    Compactor      // nil = compaction endpoint disabled
 	clusterAdmin ClusterAdmin   // nil = membership endpoints disabled
 	metrics      *serverMetrics
-	tracer       *trace.Tracer // nil = tracing disabled
-	traceFetcher TraceFetcher  // nil = local-ring-only trace dumps
+	traceFetcher TraceFetcher // nil = local-ring-only trace dumps
 }
 
 // NewServer wraps a platform backend. logger may be nil to disable request
@@ -76,8 +74,7 @@ func NewServer(p Backend, logger *log.Logger) *Server {
 // reg instead of obs.Default, and reg served on GET /metrics. Tests that
 // assert on counter values use this to avoid cross-test pollution.
 func NewServerWithRegistry(p Backend, logger *log.Logger, reg *obs.Registry) *Server {
-	s := &Server{p: p, mux: http.NewServeMux(), log: logger, metrics: newServerMetrics(reg),
-		tracer: trace.Default}
+	s := &Server{p: p, mux: http.NewServeMux(), log: logger, metrics: newServerMetrics(reg)}
 	s.routes()
 	return s
 }
@@ -89,7 +86,7 @@ func NewServerWithRegistry(p Backend, logger *log.Logger, reg *obs.Registry) *Se
 // endpoints (journal compaction) verify against its "admin" account.
 func NewServerWithAuth(p Backend, logger *log.Logger) (*Server, *Authenticator) {
 	s := &Server{p: p, mux: http.NewServeMux(), log: logger, auth: NewAuthenticator(),
-		metrics: newServerMetrics(obs.Default), tracer: trace.Default}
+		metrics: newServerMetrics(obs.Default)}
 	s.routes()
 	return s, s.auth
 }
@@ -101,7 +98,6 @@ func NewServerWithAuth(p Backend, logger *log.Logger) (*Server, *Authenticator) 
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	rm := s.metrics.route(pattern)
 	rm.spanName = "http " + pattern
-	rm.tracer = func() *trace.Tracer { return s.tracer }
 	s.mux.HandleFunc(pattern, rm.wrap(h))
 }
 

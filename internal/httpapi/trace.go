@@ -3,13 +3,10 @@ package httpapi
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"net/http"
 
 	"github.com/treads-project/treads/internal/trace"
 )
-
-var errTracingDisabled = errors.New("httpapi: tracing disabled")
 
 // TraceFetcher pulls completed spans out of remote shard processes so the
 // router can serve assembled cross-process traces. *cluster.Cluster
@@ -18,11 +15,6 @@ var errTracingDisabled = errors.New("httpapi: tracing disabled")
 type TraceFetcher interface {
 	RemoteTraceSpans(ctx context.Context) []trace.SpanWire
 }
-
-// SetTracer overrides the tracer behind the route middleware and the
-// trace dump endpoint (default trace.Default). nil disables tracing and
-// leaves GET /admin/v1/trace answering 404. Call before serving requests.
-func (s *Server) SetTracer(t *trace.Tracer) { s.tracer = t }
 
 // SetTraceFetcher enables cross-process stitching on GET /admin/v1/trace:
 // the dump merges every shard's span ring into the local one before
@@ -37,11 +29,7 @@ func (s *Server) SetTraceFetcher(f TraceFetcher) { s.traceFetcher = f }
 // Admin-gated: spans carry route patterns, shard indices, and error
 // strings — operator diagnostics, not an advertiser surface.
 func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeErr(w, http.StatusNotFound, errTracingDisabled)
-		return
-	}
-	spans := s.tracer.WireSnapshot()
+	spans := trace.Default.WireSnapshot()
 	if s.traceFetcher != nil {
 		spans = append(spans, s.traceFetcher.RemoteTraceSpans(r.Context())...)
 	}

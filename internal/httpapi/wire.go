@@ -17,7 +17,6 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
-	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
 )
 
@@ -206,16 +205,6 @@ func FromReport(r billing.Report) ReportWire {
 		Impressions: r.Impressions,
 		Reach:       r.Reach,
 		SpendUSD:    r.Spend.Dollars(),
-	}
-}
-
-// ToReport converts back to the internal type.
-func (w ReportWire) ToReport() billing.Report {
-	return billing.Report{
-		CampaignID:  w.CampaignID,
-		Impressions: w.Impressions,
-		Reach:       w.Reach,
-		Spend:       money.FromDollars(w.SpendUSD),
 	}
 }
 

@@ -80,9 +80,9 @@ func TestMatchKeyWire(t *testing.T) {
 
 func TestReportWireRoundTrip(t *testing.T) {
 	r := billing.Report{CampaignID: "c", Impressions: 7, Reach: 30, Spend: money.FromDollars(0.06)}
-	got := FromReport(r).ToReport()
-	if got != r {
-		t.Fatalf("round trip = %+v, want %+v", got, r)
+	want := ReportWire{CampaignID: "c", Impressions: 7, Reach: 30, SpendUSD: 0.06}
+	if got := FromReport(r); got != want {
+		t.Fatalf("FromReport = %+v, want %+v", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/index"
+	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/workload"
@@ -132,12 +133,15 @@ func BenchmarkIndexBuild(b *testing.B) {
 	var idx *index.Index
 	for i := 0; i < b.N; i++ {
 		idx = index.New(index.Options{SizeHint: benchState.users})
-		if err := idx.BuildFrom(benchState.store); err != nil {
-			b.Fatal(err)
-		}
+		benchState.store.Each(func(p *profile.Profile) {
+			if err := idx.Add(p); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
+	idx.RefreshMemoryGauge()
 	b.ReportMetric(float64(benchState.users), "users")
-	b.ReportMetric(float64(idx.MemoryBytes())/float64(benchState.users), "bytes/user")
+	b.ReportMetric(obs.Default.Gauge("index_memory_bytes", "").Value()/float64(benchState.users), "bytes/user")
 }
 
 // BenchmarkIndexSpecMatches measures delivery-time eligibility: a

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/profile"
@@ -58,29 +57,10 @@ func New(opts Options) *Index {
 	}
 }
 
-// Source is the profile iteration surface BuildFrom consumes;
+// Source is the profile iteration surface VerifyExpr scans;
 // *profile.Store satisfies it.
 type Source interface {
 	Each(func(*profile.Profile))
-}
-
-// BuildFrom bulk-loads every profile from the source in iteration order
-// (which for *profile.Store is insertion order, keeping slot order equal to
-// store order). It records the build duration in index_build_seconds.
-func (x *Index) BuildFrom(src Source) error {
-	t0 := time.Now()
-	var firstErr error
-	src.Each(func(p *profile.Profile) {
-		if firstErr != nil {
-			return
-		}
-		if err := x.Add(p); err != nil {
-			firstErr = err
-		}
-	})
-	buildSeconds.ObserveSince(t0)
-	x.RefreshMemoryGauge()
-	return firstErr
 }
 
 // Add assigns the next slot to the profile and indexes its attributes,
@@ -119,7 +99,7 @@ func (x *Index) Add(p *profile.Profile) error {
 }
 
 // NoteAttrChanged re-indexes one attribute of an already-added profile
-// after a SetAttr/SetAttrValue/ClearAttr mutation. Unknown users (mutated
+// after a SetAttr/SetAttrValue mutation. Unknown users (mutated
 // before their Add) are ignored — Add indexes their final state.
 func (x *Index) NoteAttrChanged(p *profile.Profile, id attr.ID) {
 	x.mu.Lock()
@@ -199,16 +179,6 @@ func (x *Index) Slot(uid profile.UserID) (uint32, bool) {
 	return s, ok
 }
 
-// UserID returns the user occupying a slot ("" if out of range).
-func (x *Index) UserID(slot uint32) profile.UserID {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	if int(slot) >= len(x.uids) {
-		return ""
-	}
-	return x.uids[slot]
-}
-
 // AttrCount returns the number of users holding the attribute — the O(1)
 // prevalence read that replaces the platform's per-attribute population
 // scan.
@@ -235,35 +205,6 @@ func (x *Index) TestLike(page string, slot uint32) bool {
 	defer x.mu.RUnlock()
 	b := x.likes[page]
 	return b != nil && b.test(slot)
-}
-
-// Stats is a point-in-time summary of the index's shape.
-type Stats struct {
-	Users        int // indexed users
-	PostingLists int // attribute + value + demographic + like bitmaps
-	MemoryBytes  int // bitmap words + slot tables
-}
-
-// Stats returns the index's current shape.
-func (x *Index) Stats() Stats {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	n := len(x.has) + len(x.ages) + len(x.genders) + len(x.countries) + len(x.regions) + len(x.likes)
-	for _, m := range x.vals {
-		n += len(m)
-	}
-	return Stats{
-		Users:        len(x.uids),
-		PostingLists: n,
-		MemoryBytes:  x.memoryBytesLocked(),
-	}
-}
-
-// MemoryBytes returns the index's approximate heap footprint.
-func (x *Index) MemoryBytes() int {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	return x.memoryBytesLocked()
 }
 
 func (x *Index) memoryBytesLocked() int {

@@ -7,6 +7,7 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/index"
+	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/workload"
@@ -140,27 +141,6 @@ func TestZipfSkewPopulationsIndexIdentically(t *testing.T) {
 	}
 }
 
-func TestAppendUserIDsPreservesInsertionOrder(t *testing.T) {
-	profs, idx := population(t, 300, 0)
-	e := attr.AgeBetween{Min: 20, Max: 50}
-	node, _ := idx.CompileExpr(e)
-	got := idx.AppendUserIDs(node, nil)
-	var want []profile.UserID
-	for _, p := range profs {
-		if e.Match(p) {
-			want = append(want, p.ID)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("got %d users, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("position %d: got %s, want %s", i, got[i], want[i])
-		}
-	}
-}
-
 func TestMatchExprSlotAgreesWithMatch(t *testing.T) {
 	profs, idx := population(t, 300, 0)
 	for _, e := range testExprs(profs) {
@@ -207,12 +187,6 @@ func TestIncrementalAttrChange(t *testing.T) {
 	}
 	if got := idx.AttrCount(id); got != 1 {
 		t.Fatalf("AttrCount = %d, want 1", got)
-	}
-
-	p.ClearAttr(id)
-	idx.NoteAttrChanged(p, id)
-	if idx.TestAttr(id, slot) {
-		t.Fatal("attribute still indexed after clear")
 	}
 
 	// Categorical value moves between value posting lists.
@@ -270,7 +244,7 @@ func TestAudienceBitmaps(t *testing.T) {
 		t.Fatalf("count after clear = %d, want 1", got)
 	}
 	// Combined with NOT: everyone except slot 5.
-	n := index.AndNodes(index.NotNode(index.BitmapNode(b)), index.AllNode())
+	n := index.AndNodes(index.NotNode(index.BitmapNode(b)), index.AndNodes())
 	if got := idx.CountNode(n); got != idx.Len()-1 {
 		t.Fatalf("NOT count = %d, want %d", got, idx.Len()-1)
 	}
@@ -301,9 +275,11 @@ func TestBuildFromStore(t *testing.T) {
 		}
 	}
 	idx := index.New(index.Options{})
-	if err := idx.BuildFrom(store); err != nil {
-		t.Fatal(err)
-	}
+	store.Each(func(p *profile.Profile) {
+		if err := idx.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	})
 	if idx.Len() != len(profs) {
 		t.Fatalf("Len = %d, want %d", idx.Len(), len(profs))
 	}
@@ -312,37 +288,20 @@ func TestBuildFromStore(t *testing.T) {
 		if s, ok := idx.Slot(p.ID); !ok || s != uint32(i) {
 			t.Fatalf("slot(%s) = %d,%v, want %d", p.ID, s, ok, i)
 		}
-		if idx.UserID(uint32(i)) != p.ID {
-			t.Fatalf("UserID(%d) = %s, want %s", i, idx.UserID(uint32(i)), p.ID)
-		}
-	}
-}
-
-func TestStatsAndMemory(t *testing.T) {
-	_, idx := population(t, 256, 0)
-	st := idx.Stats()
-	if st.Users != 256 || st.PostingLists == 0 || st.MemoryBytes == 0 {
-		t.Fatalf("implausible stats: %+v", st)
-	}
-	if idx.MemoryBytes() != st.MemoryBytes {
-		t.Fatal("MemoryBytes disagrees with Stats")
 	}
 }
 
 // TestVerifyExprReportsMismatch plants the fault VerifyExpr exists to find:
-// a posting-list bit cleared while the profile still holds the attribute.
+// a profile holding an attribute its posting list does not record.
 func TestVerifyExprReportsMismatch(t *testing.T) {
 	profs, idx := population(t, 200, 0)
 	p := profs[11]
-	id := p.Attrs()[0]
-	e := attr.Has{ID: id}
-	if _, _, err := idx.VerifyExpr(e, profiles(profs)); err != nil {
+	if _, _, err := idx.VerifyExpr(attr.Has{ID: p.Attrs()[0]}, profiles(profs)); err != nil {
 		t.Fatalf("consistent index: %v", err)
 	}
-	p.ClearAttr(id)
-	idx.NoteAttrChanged(p, id) // clears the bit
-	p.SetAttr(id)              // no watcher: the index is not told
-	bc, sc, err := idx.VerifyExpr(e, profiles(profs))
+	const id = attr.ID("test.unindexed.attr")
+	p.SetAttr(id) // no watcher: the index is not told
+	bc, sc, err := idx.VerifyExpr(attr.Has{ID: id}, profiles(profs))
 	if err == nil || bc != sc-1 {
 		t.Fatalf("VerifyExpr = %d, %d, %v; want a mismatch error with the bitmap one short", bc, sc, err)
 	}
@@ -369,7 +328,8 @@ func TestIndexFootprint(t *testing.T) {
 	if err := eng.EnableIndex(); err != nil {
 		t.Fatal(err)
 	}
-	perUser := eng.Index().MemoryBytes() / users
+	eng.Index().RefreshMemoryGauge()
+	perUser := int(obs.Default.Gauge("index_memory_bytes", "").Value()) / users
 	t.Logf("%d B/user", perUser)
 	if perUser >= 400 {
 		t.Fatalf("index holds %d B/user at %d users, want under 400", perUser, users)

@@ -36,6 +36,6 @@ var (
 func MarkFallback() { queriesFallback.Inc() }
 
 // ObserveBuild records an externally timed bulk build — the audience
-// engine's watcher-replay build goes through profile.Store.SetWatcher
-// rather than BuildFrom, so it times the replay and reports it here.
+// engine's watcher-replay build goes through profile.Store.SetWatcher, so
+// it times the replay and reports it here.
 func ObserveBuild(d time.Duration) { buildSeconds.Observe(d) }

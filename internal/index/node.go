@@ -73,9 +73,6 @@ type notNode struct{ op Node }
 
 func (n notNode) word(w int) uint64 { return ^n.op.word(w) }
 
-// AllNode matches every user.
-func AllNode() Node { return constNode(^uint64(0)) }
-
 // AndNodes intersects the operands (everything with zero operands).
 func AndNodes(ops ...Node) Node {
 	if len(ops) == 1 {
@@ -270,29 +267,6 @@ func (x *Index) TestNode(n Node, slot uint32) bool {
 		return false
 	}
 	return n.word(int(slot)/wordBits)&(1<<(slot%wordBits)) != 0
-}
-
-// AppendUserIDs appends the users matching the plan to dst in slot
-// (= store insertion) order, the same order the linear scan produces.
-func (x *Index) AppendUserIDs(n Node, dst []profile.UserID) []profile.UserID {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	users := len(x.uids)
-	nw := (users + wordBits - 1) / wordBits
-	for w := 0; w < nw; w++ {
-		v := n.word(w)
-		if w == nw-1 {
-			if rem := users % wordBits; rem != 0 {
-				v &= 1<<rem - 1
-			}
-		}
-		for v != 0 {
-			bit := bits.TrailingZeros64(v)
-			dst = append(dst, x.uids[w*wordBits+bit])
-			v &= v - 1
-		}
-	}
-	return dst
 }
 
 // MatchExprSlot evaluates a targeting expression for a single user by

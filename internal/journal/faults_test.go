@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/treads-project/treads/internal/faults"
@@ -293,7 +294,7 @@ func TestSnapshotRenameFailureIsNotSticky(t *testing.T) {
 		}
 	}
 	inj.Arm(true)
-	if err := j.WriteSnapshot(4, fromBytes([]byte("state"))); err == nil || !faults.IsInjected(err) {
+	if err := j.WriteSnapshot(4, fromBytes([]byte("state"))); err == nil || !strings.Contains(err.Error(), "faults: injected") {
 		t.Fatalf("snapshot under rename faults = %v, want injected error", err)
 	}
 	inj.Arm(false)

@@ -375,9 +375,6 @@ func (j *Journal) LastLSN() uint64 {
 	return j.nextLSN - 1
 }
 
-// Dir returns the journal's directory.
-func (j *Journal) Dir() string { return j.dir }
-
 // Close syncs outstanding records and closes the active segment. The
 // journal is unusable afterwards.
 func (j *Journal) Close() error {

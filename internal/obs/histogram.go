@@ -152,11 +152,3 @@ func (s *HistogramSnapshot) Quantile(q float64) time.Duration {
 	}
 	return time.Duration(BucketUpperNanos(NumBuckets - 1))
 }
-
-// Mean returns the mean observation, 0 when empty.
-func (s *HistogramSnapshot) Mean() time.Duration {
-	if s.Count == 0 {
-		return 0
-	}
-	return time.Duration(s.SumNanos / s.Count)
-}

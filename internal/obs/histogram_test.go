@@ -99,7 +99,7 @@ func TestHistogramQuantiles(t *testing.T) {
 			t.Errorf("Quantile(%.2f) = %v, want within [%v, %v]", tc.q, got, tc.want, time.Duration(float64(tc.want)*1.25))
 		}
 	}
-	if m := s.Mean(); m < 450*time.Microsecond || m > 550*time.Microsecond {
+	if m := time.Duration(s.SumNanos / s.Count); m < 450*time.Microsecond || m > 550*time.Microsecond {
 		t.Errorf("Mean = %v, want ~500µs", m)
 	}
 }
@@ -107,8 +107,8 @@ func TestHistogramQuantiles(t *testing.T) {
 func TestHistogramEmptyAndClamp(t *testing.T) {
 	h := NewHistogram()
 	s := h.Snapshot()
-	if s.Quantile(0.99) != 0 || s.Mean() != 0 {
-		t.Errorf("empty histogram: Quantile=%v Mean=%v, want 0", s.Quantile(0.99), s.Mean())
+	if s.Quantile(0.99) != 0 || s.Count != 0 || s.SumNanos != 0 {
+		t.Errorf("empty histogram: Quantile=%v Count=%d Sum=%d, want 0", s.Quantile(0.99), s.Count, s.SumNanos)
 	}
 	h.Observe(-time.Second) // clamps to 0
 	h.Observe(0)

@@ -299,32 +299,6 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return v.f.getChild(values, func() any { return NewHistogram() }).(*Histogram)
 }
 
-// FamilyInfo describes one registered family — what the exporter will emit
-// and what docs/OPERATIONS.md must catalog.
-type FamilyInfo struct {
-	Name   string
-	Help   string
-	Kind   Kind
-	Labels []string
-}
-
-// Families lists every registered family, sorted by name.
-func (r *Registry) Families() []FamilyInfo {
-	r.mu.RLock()
-	out := make([]FamilyInfo, 0, len(r.families))
-	for _, f := range r.families {
-		out = append(out, FamilyInfo{
-			Name:   f.name,
-			Help:   f.help,
-			Kind:   f.kind,
-			Labels: append([]string(nil), f.labels...),
-		})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // sortedFamilies returns families sorted by name for deterministic export.
 func (r *Registry) sortedFamilies() []*family {
 	r.mu.RLock()

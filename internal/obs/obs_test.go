@@ -104,14 +104,14 @@ func TestFamilies(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("b_total", "bees")
 	r.HistogramVec("a_seconds", "ayes", "route")
-	fams := r.Families()
+	fams := r.sortedFamilies()
 	if len(fams) != 2 {
-		t.Fatalf("Families() returned %d entries, want 2", len(fams))
+		t.Fatalf("sortedFamilies() returned %d entries, want 2", len(fams))
 	}
-	if fams[0].Name != "a_seconds" || fams[1].Name != "b_total" {
-		t.Errorf("families not sorted: %v, %v", fams[0].Name, fams[1].Name)
+	if fams[0].name != "a_seconds" || fams[1].name != "b_total" {
+		t.Errorf("families not sorted: %v, %v", fams[0].name, fams[1].name)
 	}
-	if fams[0].Kind != KindHistogram || len(fams[0].Labels) != 1 || fams[0].Labels[0] != "route" {
+	if fams[0].kind != KindHistogram || len(fams[0].labels) != 1 || fams[0].labels[0] != "route" {
 		t.Errorf("family info wrong: %+v", fams[0])
 	}
 }
@@ -130,7 +130,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 			}
-			_ = r.Families()
+			_ = r.sortedFamilies()
 		}(g)
 	}
 	wg.Wait()

@@ -137,14 +137,3 @@ func (r Record) MatchKeys() []MatchKey {
 	}
 	return keys
 }
-
-// Contains reports whether the record yields the given match key, i.e.
-// whether the platform "has" that piece of PII for the user.
-func (r Record) Contains(key MatchKey) bool {
-	for _, k := range r.MatchKeys() {
-		if k == key {
-			return true
-		}
-	}
-	return false
-}

@@ -93,13 +93,6 @@ func (r *Registry) Visitors(id PixelID) []profile.UserID {
 	return append([]profile.UserID(nil), r.order[id]...)
 }
 
-// VisitorCount returns the number of distinct users who fired the pixel.
-func (r *Registry) VisitorCount(id PixelID) int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.visits[id])
-}
-
 // HasVisited reports whether the user has fired the pixel.
 func (r *Registry) HasVisited(id PixelID, user profile.UserID) bool {
 	r.mu.RLock()

@@ -51,8 +51,8 @@ func TestRecordVisitAndVisitors(t *testing.T) {
 	if len(got) != 2 || got[0] != "u1" || got[1] != "u2" {
 		t.Fatalf("Visitors = %v", got)
 	}
-	if r.VisitorCount(p.ID) != 2 {
-		t.Fatalf("VisitorCount = %d", r.VisitorCount(p.ID))
+	if len(r.Visitors(p.ID)) != 2 {
+		t.Fatalf("VisitorCount = %d", len(r.Visitors(p.ID)))
 	}
 	if !r.HasVisited(p.ID, "u1") || r.HasVisited(p.ID, "u3") {
 		t.Error("HasVisited wrong")
@@ -72,7 +72,7 @@ func TestVisitorsEmptyForFreshPixel(t *testing.T) {
 	if n := len(r.Visitors(p.ID)); n != 0 {
 		t.Fatalf("fresh pixel has %d visitors", n)
 	}
-	if r.VisitorCount(p.ID) != 0 {
+	if len(r.Visitors(p.ID)) != 0 {
 		t.Fatal("fresh pixel count nonzero")
 	}
 }
@@ -107,7 +107,7 @@ func TestConcurrentVisits(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := r.VisitorCount(p.ID); n != 100 {
+	if n := len(r.Visitors(p.ID)); n != 100 {
 		t.Fatalf("VisitorCount = %d after concurrent idempotent visits", n)
 	}
 }

@@ -335,7 +335,7 @@ func TestImpressionCountsAgree(t *testing.T) {
 
 	saturated := 0
 	for _, n := range nodes {
-		p := n.Underlying()
+		p := n.p.Load()
 		for _, uid := range n.Users() {
 			_, err := n.BrowseFeed(uid, 3*len(campaigns))
 			must(err)
@@ -343,7 +343,11 @@ func TestImpressionCountsAgree(t *testing.T) {
 			for _, imp := range n.Feed(uid) {
 				shown[imp.CampaignID]++
 			}
-			for _, c := range p.pipeline.Campaigns() {
+			for _, id := range campaigns {
+				c, ok := p.pipeline.Campaign(id)
+				if !ok {
+					t.Fatalf("campaign %s not registered", id)
+				}
 				match, err := p.audiences.SpecMatches(c.Spec, p.User(uid))
 				must(err)
 				if !c.Paused && match {

@@ -129,11 +129,6 @@ func OpenJournaled(dir string, opts journal.Options, boot func() (*Platform, err
 	return jp, nil
 }
 
-// Underlying returns the wrapped platform for read-only access (catalog,
-// ledger ground truth, user listings). Mutating it directly bypasses the
-// journal and forfeits crash recovery for those mutations.
-func (jp *Journaled) Underlying() *Platform { return jp.p.Load() }
-
 // LastLSN returns the LSN of the most recently journaled operation.
 func (jp *Journaled) LastLSN() uint64 { return jp.j.LastLSN() }
 
@@ -406,16 +401,7 @@ func (jp *Journaled) LikePage(uid profile.UserID, pageID string) error {
 	return err
 }
 
-// UnlikePage journals and removes a page like.
-func (jp *Journaled) UnlikePage(uid profile.UserID, pageID string) error {
-	_, err := jp.commit(context.Background(), &opRecord{Op: opUnlikePage, User: uid, Page: pageID})
-	return err
-}
-
 // --- read-only pass-throughs ---
-
-// Catalog returns the attribute catalog.
-func (jp *Journaled) Catalog() *attr.Catalog { return jp.p.Load().Catalog() }
 
 // User returns a user's profile (simulation ground truth).
 func (jp *Journaled) User(id profile.UserID) *profile.Profile { return jp.p.Load().User(id) }

@@ -189,7 +189,7 @@ func TestJournaledRecoveryIdentical(t *testing.T) {
 	}
 	// The recovered platform keeps working and stays deterministic: the
 	// same browse on original and recovered yields the same impressions.
-	imps1, err1 := jp.Underlying().BrowseFeed("ju01", 3)
+	imps1, err1 := jp.p.Load().BrowseFeed("ju01", 3)
 	imps2, err2 := jp2.BrowseFeed("ju01", 3)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("post-recovery browse: %v / %v", err1, err2)

@@ -30,17 +30,6 @@ const (
 	Rejected
 )
 
-func (v Verdict) String() string {
-	switch v {
-	case Approved:
-		return "approved"
-	case Rejected:
-		return "rejected"
-	default:
-		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
-
 // Decision is a review result with the matched reasons.
 type Decision struct {
 	Verdict Verdict
@@ -149,11 +138,4 @@ func (e *Enforcer) Ban(advertiser string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.banned[advertiser] = true
-}
-
-// Violations returns the number of recorded violations for the account.
-func (e *Enforcer) Violations(advertiser string) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.violations[advertiser]
 }

@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -97,15 +96,6 @@ func TestReviewHeadlineCounts(t *testing.T) {
 	}
 }
 
-func TestVerdictString(t *testing.T) {
-	if Approved.String() != "approved" || Rejected.String() != "rejected" {
-		t.Error("verdict strings wrong")
-	}
-	if !strings.Contains(Verdict(9).String(), "9") {
-		t.Error("unknown verdict string wrong")
-	}
-}
-
 func explicit() ad.Creative {
 	return ad.Creative{Body: "You are interested in salsa according to your profile."}
 }
@@ -124,8 +114,8 @@ func TestEnforcerBansRepeatOffenders(t *testing.T) {
 	if !e.Banned("adv1") {
 		t.Fatal("not banned after 3 violations")
 	}
-	if e.Violations("adv1") != 3 {
-		t.Fatalf("violations = %d", e.Violations("adv1"))
+	if e.violations["adv1"] != 3 {
+		t.Fatalf("violations = %d", e.violations["adv1"])
 	}
 	// Banned accounts cannot run even clean ads.
 	d := e.Submit("adv1", ad.Creative{Body: "Totally clean ad."})
@@ -141,7 +131,7 @@ func TestEnforcerCleanAdsDoNotAccumulate(t *testing.T) {
 			t.Fatal("clean ad rejected")
 		}
 	}
-	if e.Banned("adv1") || e.Violations("adv1") != 0 {
+	if e.Banned("adv1") || e.violations["adv1"] != 0 {
 		t.Fatal("clean ads accumulated violations")
 	}
 }

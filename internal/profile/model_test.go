@@ -17,11 +17,10 @@ import (
 
 // The step alphabet of the model test and the fuzzer: each step is an op on
 // one of a few IDs, values or pages, so an ID often sits in the other set
-// already and a clear or unlike often names something absent.
+// already and an unlike often names something absent.
 const (
 	opSetAttr = iota
 	opSetAttrValue
-	opClearAttr
 	opLike
 	opUnlike
 	opPack // what Store.Add does to a profile before holding it
@@ -119,15 +118,6 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 		v := modelValues[s.val%len(modelValues)]
 		p.SetAttrValue(id, v)
 		m.values[id] = v
-	case opClearAttr:
-		if !m.binary[id] && !inValues {
-			cov.absent++
-		} else if m.binary[id] && inValues {
-			cov.inOther++
-		}
-		p.ClearAttr(id)
-		delete(m.binary, id)
-		delete(m.values, id)
 	case opLike:
 		page := m.pages[s.val%len(m.pages)]
 		p.Like(page)
@@ -320,8 +310,8 @@ func TestSetSortedAttrsRefusesUnsortedInput(t *testing.T) {
 // same step alphabet, with the run's free text and coordinates.
 func FuzzProfileOps(f *testing.F) {
 	add := func(data []byte, fx fixture) { f.Add(data, fx.text, fx.lat, fx.lon) }
-	add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1, opClearAttr, 0, 0}, modelFixtures[0])
-	add([]byte{opSetAttrValue, 1, 2, opSetAttr, 1, 0, opPack, 0, 0, opClearAttr, 1, 0, opClearAttr, 1, 0}, modelFixtures[0])
+	add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1}, modelFixtures[0])
+	add([]byte{opSetAttrValue, 1, 2, opSetAttr, 1, 0, opPack, 0, 0}, modelFixtures[0])
 	add([]byte{opLike, 0, 0, opLike, 0, 0, opUnlike, 0, 1, opUnlike, 0, 0, opSetAttr, 4, 0, opSetAttr, 2, 0}, modelFixtures[0])
 	// Bulk sets: repeats in one call, onto IDs already set, an ID in both
 	// sets, then an empty call.

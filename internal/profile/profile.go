@@ -35,7 +35,7 @@ type UserID string
 type Watcher interface {
 	// ProfileAdded fires after the profile is inserted into the store.
 	ProfileAdded(p *Profile)
-	// AttrChanged fires after SetAttr/SetAttrValue/ClearAttr on a profile
+	// AttrChanged fires after SetAttr/SetAttrValue/SetSortedAttrs on a profile
 	// that already has a watcher (i.e. post-Add mutations).
 	AttrChanged(p *Profile, id attr.ID)
 	// LikeChanged fires when a page like is added (liked=true) or removed
@@ -89,19 +89,6 @@ func (p *Profile) findValue(id attr.ID) (int, bool) {
 func (p *Profile) SetAttr(id attr.ID) {
 	if i, ok := slices.BinarySearch(p.binary, id); !ok {
 		p.binary = slices.Insert(p.binary, i, id)
-	}
-	if p.watcher != nil {
-		p.watcher.AttrChanged(p, id)
-	}
-}
-
-// ClearAttr removes a binary or categorical attribute.
-func (p *Profile) ClearAttr(id attr.ID) {
-	if i, ok := slices.BinarySearch(p.binary, id); ok {
-		p.binary = slices.Delete(p.binary, i, i+1)
-	}
-	if i, ok := p.findValue(id); ok {
-		p.values = slices.Delete(p.values, i, i+1)
 	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
@@ -307,14 +294,12 @@ func (p *Profile) LikedPages() []string {
 
 var _ attr.Subject = (*Profile)(nil)
 
-// Store is the platform's profile database: profiles indexed by user ID and
-// by hashed PII match key (the index PII-based custom audiences resolve
-// against). Store is safe for concurrent use.
+// Store is the platform's profile database: profiles indexed by user ID.
+// Store is safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	profiles map[UserID]*Profile
 	order    []UserID // insertion order, for deterministic iteration
-	byPII    map[pii.MatchKey][]UserID
 	watcher  Watcher
 }
 
@@ -322,7 +307,6 @@ type Store struct {
 func NewStore() *Store {
 	return &Store{
 		profiles: make(map[UserID]*Profile),
-		byPII:    make(map[pii.MatchKey][]UserID),
 	}
 }
 
@@ -362,9 +346,6 @@ func (s *Store) Add(p *Profile) error {
 	p.pack()
 	s.profiles[p.ID] = p
 	s.order = append(s.order, p.ID)
-	for _, k := range p.PII.MatchKeys() {
-		s.byPII[k] = append(s.byPII[k], p.ID)
-	}
 	w := s.watcher
 	s.mu.Unlock()
 	if w != nil {
@@ -394,16 +375,6 @@ func (s *Store) UserIDs() []UserID {
 	return append([]UserID(nil), s.order...)
 }
 
-// MatchPII returns the users whose platform-held PII matches the given
-// hashed key, in insertion order. This is the platform-internal matching
-// step of custom-audience creation; its results are never exposed to
-// advertisers directly.
-func (s *Store) MatchPII(key pii.MatchKey) []UserID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return append([]UserID(nil), s.byPII[key]...)
-}
-
 // Each calls fn for every profile in insertion order. fn must not mutate
 // the store.
 func (s *Store) Each(fn func(*Profile)) {
@@ -418,16 +389,4 @@ func (s *Store) Each(fn func(*Profile)) {
 			fn(p)
 		}
 	}
-}
-
-// Matching returns the user IDs whose profiles satisfy the expression, in
-// insertion order.
-func (s *Store) Matching(e attr.Expr) []UserID {
-	var out []UserID
-	s.Each(func(p *Profile) {
-		if e.Match(p) {
-			out = append(out, p.ID)
-		}
-	})
-	return out
 }

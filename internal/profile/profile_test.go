@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
-	"github.com/treads-project/treads/internal/pii"
 )
 
 func TestProfileAttrOps(t *testing.T) {
@@ -35,11 +34,6 @@ func TestProfileAttrOps(t *testing.T) {
 	got := p.Attrs()
 	if len(got) != 2 || got[0] != "a.b.c" || got[1] != "cat.x" {
 		t.Errorf("Attrs = %v", got)
-	}
-	p.ClearAttr("a.b.c")
-	p.ClearAttr("cat.x")
-	if p.AttrCount() != 0 {
-		t.Error("ClearAttr did not clear")
 	}
 }
 
@@ -117,60 +111,6 @@ func TestStoreInsertionOrder(t *testing.T) {
 	}
 }
 
-func TestStoreMatchPII(t *testing.T) {
-	s := NewStore()
-	p1 := New("u1")
-	p1.PII = pii.Record{Emails: []string{"alice@example.com"}, Phones: []string{"617-555-0123"}}
-	p2 := New("u2")
-	p2.PII = pii.Record{Emails: []string{"alice@example.com"}} // shared email
-	p3 := New("u3")
-	for _, p := range []*Profile{p1, p2, p3} {
-		if err := s.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ek, _ := pii.HashEmail("Alice@Example.com")
-	got := s.MatchPII(ek)
-	if len(got) != 2 || got[0] != "u1" || got[1] != "u2" {
-		t.Fatalf("MatchPII(email) = %v", got)
-	}
-	pk, _ := pii.HashPhone("+16175550123")
-	got = s.MatchPII(pk)
-	if len(got) != 1 || got[0] != "u1" {
-		t.Fatalf("MatchPII(phone) = %v", got)
-	}
-	unknown, _ := pii.HashEmail("nobody@example.com")
-	if len(s.MatchPII(unknown)) != 0 {
-		t.Error("MatchPII of unknown key should be empty")
-	}
-}
-
-func TestStoreMatching(t *testing.T) {
-	s := NewStore()
-	for i := 0; i < 20; i++ {
-		p := New(UserID(fmt.Sprintf("u%02d", i)))
-		p.AgeYrs = 20 + i
-		p.Nation = "US"
-		if i%2 == 0 {
-			p.SetAttr("platform.music.jazz")
-		}
-		if err := s.Add(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := s.Matching(attr.MustParse("attr(platform.music.jazz) AND age(25, 30)"))
-	// Even i with age 20+i in [25,30] -> i in {6,8,10} (even only).
-	want := []UserID{"u06", "u08", "u10"}
-	if len(got) != len(want) {
-		t.Fatalf("Matching = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Matching = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestStoreConcurrentReads(t *testing.T) {
 	s := NewStore()
 	for i := 0; i < 100; i++ {
@@ -190,7 +130,7 @@ func TestStoreConcurrentReads(t *testing.T) {
 					t.Error("missing profile")
 					return
 				}
-				_ = s.Matching(attr.Has{ID: "x"})
+				s.Each(func(p *Profile) { _ = p.HasAttr("x") })
 			}
 		}()
 	}

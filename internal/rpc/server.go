@@ -73,19 +73,6 @@ type Server struct {
 	// by the daemon so an automatic promotion re-arms replication without
 	// a process restart.
 	rearm atomic.Pointer[func(followers []string) error]
-	// tr overrides the tracer (tests); nil means trace.Default.
-	tr atomic.Pointer[trace.Tracer]
-}
-
-// SetTracer overrides the tracer used to continue inbound traces and to
-// answer the tracespans op; nil restores trace.Default.
-func (s *Server) SetTracer(t *trace.Tracer) { s.tr.Store(t) }
-
-func (s *Server) tracer() *trace.Tracer {
-	if t := s.tr.Load(); t != nil {
-		return t
-	}
-	return trace.Default
 }
 
 // SetGate installs the membership gate (nil-safe to skip; see
@@ -180,7 +167,7 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 	ctx := r.Context()
 	var sp *trace.Span
 	if tid, parent, ok := trace.Extract(r.Header); ok {
-		ctx, sp = s.tracer().StartRemote(ctx, "rpc.server "+op, tid, parent)
+		ctx, sp = trace.Default.StartRemote(ctx, "rpc.server "+op, tid, parent)
 		defer sp.Finish()
 	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBody+1))
@@ -358,7 +345,7 @@ func (s *Server) register() {
 	// The shard's span ring, so the router can assemble cross-process
 	// traces; the ring snapshot never blocks writers.
 	serve(s, OpTraceSpans, func(_ context.Context, _ empty) (TraceSpansResp, error) {
-		return TraceSpansResp{Spans: s.tracer().WireSnapshot()}, nil
+		return TraceSpansResp{Spans: trace.Default.WireSnapshot()}, nil
 	})
 	s.registerElastic()
 }

@@ -64,36 +64,6 @@ func (r *RNG) NormFloat64() float64 {
 	}
 }
 
-// ExpFloat64 returns an exponential variate with rate 1.
-func (r *RNG) ExpFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			return -ln(u)
-		}
-	}
-}
-
-// Perm returns a pseudo-random permutation of [0, n) (Fisher-Yates).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork derives an independent generator from this one. The derived stream is
-// deterministic given the parent's state, so forking per-subsystem keeps
-// experiments reproducible even when subsystems draw in different orders.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}
-
 // SubSeed derives the seed for an indexed substream (a cluster shard, a
 // worker) from a base seed. Stream 0 is the identity — SubSeed(s, 0) == s —
 // so a 1-shard cluster draws the exact sequence the unsharded platform

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -10,58 +9,6 @@ import (
 // keeping the math surface in one file makes the hot PRNG path obvious.
 func sqrt(x float64) float64 { return math.Sqrt(x) }
 func ln(x float64) float64   { return math.Log(x) }
-
-// Summary holds the usual moments of a sample.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-}
-
-// Summarize computes a Summary of xs. An empty sample yields a zero Summary.
-func Summarize(xs []float64) Summary {
-	s := Summary{N: len(xs)}
-	if s.N == 0 {
-		return s
-	}
-	s.Min, s.Max = xs[0], xs[0]
-	var sum float64
-	for _, x := range xs {
-		sum += x
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	s.Mean = sum / float64(s.N)
-	if s.N > 1 {
-		var ss float64
-		for _, x := range xs {
-			d := x - s.Mean
-			ss += d * d
-		}
-		s.Stddev = math.Sqrt(ss / float64(s.N-1))
-	}
-	return s
-}
-
-// CI95 returns the half-width of the normal-approximation 95% confidence
-// interval around the mean of the summarized sample.
-func (s Summary) CI95() float64 {
-	if s.N < 2 {
-		return 0
-	}
-	return 1.96 * s.Stddev / math.Sqrt(float64(s.N))
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4f ±%.4f (sd=%.4f, min=%.4f, max=%.4f)",
-		s.N, s.Mean, s.CI95(), s.Stddev, s.Min, s.Max)
-}
 
 // Quantile returns the q-quantile (0 <= q <= 1) of xs using linear
 // interpolation. It copies and sorts its input.
@@ -155,28 +102,4 @@ func ChiSquareSignificant(chi2, alpha float64) bool {
 		crit = 2.706 // alpha = 0.10
 	}
 	return chi2 > crit
-}
-
-// Entropy returns the Shannon entropy in bits of a discrete distribution
-// given as (possibly unnormalized) non-negative weights.
-func Entropy(weights []float64) float64 {
-	var total float64
-	for _, w := range weights {
-		if w < 0 {
-			panic("stats: negative weight")
-		}
-		total += w
-	}
-	if total == 0 {
-		return 0
-	}
-	var h float64
-	for _, w := range weights {
-		if w == 0 {
-			continue
-		}
-		p := w / total
-		h -= p * math.Log2(p)
-	}
-	return h
 }

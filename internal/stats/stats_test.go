@@ -77,21 +77,6 @@ func TestRNGIntnPanicsOnNonPositive(t *testing.T) {
 	NewRNG(1).Intn(0)
 }
 
-func TestRNGPerm(t *testing.T) {
-	r := NewRNG(9)
-	p := r.Perm(50)
-	if len(p) != 50 {
-		t.Fatalf("Perm(50) length = %d", len(p))
-	}
-	seen := make([]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm not a permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestRNGNormFloat64Moments(t *testing.T) {
 	r := NewRNG(11)
 	const n = 50000
@@ -108,60 +93,6 @@ func TestRNGNormFloat64Moments(t *testing.T) {
 	}
 	if math.Abs(variance-1) > 0.05 {
 		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
-func TestRNGExpFloat64Mean(t *testing.T) {
-	r := NewRNG(13)
-	const n = 50000
-	var sum float64
-	for i := 0; i < n; i++ {
-		sum += r.ExpFloat64()
-	}
-	if mean := sum / n; math.Abs(mean-1) > 0.03 {
-		t.Errorf("exponential mean = %v, want ~1", mean)
-	}
-}
-
-func TestRNGForkIndependent(t *testing.T) {
-	parent := NewRNG(5)
-	child := parent.Fork()
-	// The child must not replay the parent's stream.
-	a := parent.Uint64()
-	b := child.Uint64()
-	if a == b {
-		t.Fatal("forked stream mirrors parent")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.N != 0 || s.Mean != 0 || s.Stddev != 0 {
-		t.Fatalf("empty summary = %+v", s)
-	}
-	if s.CI95() != 0 {
-		t.Fatalf("empty CI95 = %v", s.CI95())
-	}
-}
-
-func TestSummarizeKnown(t *testing.T) {
-	s := Summarize([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if s.N != 8 {
-		t.Fatalf("N = %d", s.N)
-	}
-	if s.Mean != 5 {
-		t.Fatalf("Mean = %v, want 5", s.Mean)
-	}
-	if s.Min != 2 || s.Max != 9 {
-		t.Fatalf("Min/Max = %v/%v", s.Min, s.Max)
-	}
-	// Sample stddev of this classic set is sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(s.Stddev-want) > 1e-12 {
-		t.Fatalf("Stddev = %v, want %v", s.Stddev, want)
-	}
-	if s.String() == "" {
-		t.Fatal("String() empty")
 	}
 }
 
@@ -262,28 +193,4 @@ func TestChiSquareSignificantLevels(t *testing.T) {
 	if !ChiSquareSignificant(3.0, 0.10) {
 		t.Error("3.0 should be significant at 0.10")
 	}
-}
-
-func TestEntropy(t *testing.T) {
-	if h := Entropy([]float64{1, 1}); math.Abs(h-1) > 1e-12 {
-		t.Errorf("fair coin entropy = %v, want 1", h)
-	}
-	if h := Entropy([]float64{1, 0}); h != 0 {
-		t.Errorf("deterministic entropy = %v, want 0", h)
-	}
-	if h := Entropy(nil); h != 0 {
-		t.Errorf("empty entropy = %v", h)
-	}
-	if h := Entropy([]float64{1, 1, 1, 1}); math.Abs(h-2) > 1e-12 {
-		t.Errorf("4-way uniform entropy = %v, want 2", h)
-	}
-}
-
-func TestEntropyPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative weight did not panic")
-		}
-	}()
-	Entropy([]float64{1, -1})
 }

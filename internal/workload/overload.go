@@ -4,9 +4,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/treads-project/treads/internal/profile"
-	"github.com/treads-project/treads/internal/stats"
 )
 
 // ClassLoad is one traffic class's worth of concurrent load in an
@@ -118,36 +115,4 @@ func percentileDur(sorted []time.Duration, p int) time.Duration {
 		idx = len(sorted)
 	}
 	return sorted[idx-1]
-}
-
-// UserLoad builds the protected-class load: a seeded mixed browse/feed
-// stream over the population via the standard Target surface, one
-// deterministic RNG per worker. slots is the feed size per browse.
-func UserLoad(name string, t Target, users []profile.UserID, workers, ops, slots int, seed uint64, observe func(OpResult)) ClassLoad {
-	return ClassLoad{
-		Name:    name,
-		Workers: workers,
-		Ops:     ops,
-		Do: func(worker, op int) error {
-			rng := stats.NewRNG(stats.SubSeed(seed, uint64(worker*1_000_003+op+1)))
-			uid := users[rng.Intn(len(users))]
-			imps, err := t.BrowseFeed(uid, slots)
-			if observe != nil {
-				observe(OpResult{Op: OpBrowse, User: uid, Impressions: imps, Slots: slots, Err: err})
-			}
-			return err
-		},
-	}
-}
-
-// GreedyLoad builds a saturation load from any operation closure: workers
-// spin issuing do with no pacing, modeling a tenant that ignores its
-// quota (the greedy reporting client of the overload scenarios).
-func GreedyLoad(name string, workers, ops int, do func() error) ClassLoad {
-	return ClassLoad{
-		Name:    name,
-		Workers: workers,
-		Ops:     ops,
-		Do:      func(worker, op int) error { return do() },
-	}
 }

@@ -64,12 +64,3 @@ func TestPercentileDur(t *testing.T) {
 		t.Fatalf("p99 of singleton = %v, want 7", got)
 	}
 }
-
-func TestGreedyAndHotKeyConstructors(t *testing.T) {
-	var n atomic.Int64
-	g := GreedyLoad("g", 2, 3, func() error { n.Add(1); return nil })
-	res := DriveOverload([]ClassLoad{g})
-	if res["g"].Done != 6 || n.Load() != 6 {
-		t.Fatalf("greedy = %+v with %d calls", res["g"], n.Load())
-	}
-}
