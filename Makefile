@@ -45,12 +45,14 @@ race:
 # promotion and heal, writes against a networked slot's heal, a shard
 # node's lock-free ownership checks against ring pushes, and the journal's
 # appends and waiters against its flush leader (during an fsync, as the
-# batch that follows one, across a crash). The serve path's differential
-# test against the per-slot scan runs under the detector too. The four
-# zero-alloc pins, the profile-store and feed footprints, generator
-# allocation and compaction allocation tripwires (built without the
-# detector, whose shadow memory would inflate the heap they measure and
-# whose instrumentation allocates), the
+# batch that follows one, across a crash), and attribute-ID interning
+# against unlocked reads of the ID table. The serve path's differential
+# test against the per-slot scan runs under the detector too. The five
+# zero-alloc pins (span, query, browse, admission decision, and the
+# profile snapshot encoder), the profile-store, feed and billing-ledger
+# footprints, generator allocation and compaction allocation tripwires
+# (built without the detector, whose shadow memory would inflate the heap
+# they measure and whose instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table), the row test (each
 # RemoteShard method sends its own row of that table) and the sticky-health
@@ -67,12 +69,15 @@ race-full:
 	$(GO) test -race -count=10 -run TestFailoverSupervisorFollowsMembership ./cmd/adplatformd/
 	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder|TestGatePushesDuringOwnershipChecks' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
+	$(GO) test -race -count=10 -run TestInternDuringReads -v ./internal/attr/ | grep -- '--- PASS: TestInternDuringReads'
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
+	$(GO) test -run=TestAppendSnapshotJSONZeroAlloc -v ./internal/profile/ | grep -- '--- PASS: TestAppendSnapshotJSONZeroAlloc'
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
 	$(GO) test -run=TestFeedFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestFeedFootprint'
+	$(GO) test -run=TestLedgerFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestLedgerFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -run=TestCompactAllocs -v ./internal/platform/ | grep -- '--- PASS: TestCompactAllocs'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
@@ -151,7 +156,8 @@ bench-check:
 # spent minimizing each input that reaches new code would leave it a dozen
 # executions in its 15 s; with minimization off it makes ~100 000. The rpc
 # target (every op of the table, each input against a fresh journaled shard)
-# stalls the same way and makes ~5 000. The key-file, traceparent and admin
+# stalls the same way and makes ~5 000, and the replay target (each input
+# shipped to a fresh journaled follower, then recovered) ~8 000. The key-file, traceparent and admin
 # JSON targets have seeds of a few hundred bytes and need no such flag; the
 # public-API target builds a fresh platform per input and makes ~3 000.
 fuzz:
@@ -165,6 +171,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadRecord -fuzztime=15s ./internal/journal/
 	$(GO) test -fuzz=FuzzReadSnapshot -fuzztime=15s ./internal/journal/
 	$(GO) test -run=NONE -fuzz=FuzzReadPlatformSnapshot -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
+	$(GO) test -run=NONE -fuzz=FuzzReplayRecord -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
 	$(GO) test -run=NONE -fuzz=FuzzRPCRequest -fuzztime=15s -fuzzminimizetime=0s ./internal/rpc/
 	$(GO) test -run=NONE -fuzz=FuzzParseKeyFile -fuzztime=15s ./internal/gateway/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=15s ./internal/trace/

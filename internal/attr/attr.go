@@ -80,7 +80,12 @@ type Attribute struct {
 	// Values enumerates the value space for Categorical attributes,
 	// in a fixed order (the order defines the bit-split encoding).
 	Values []string
+	ord    Ord // set by NewCatalog
 }
+
+// Ord returns the attribute's ordinal in the ID table, which NewCatalog
+// interned. It is meaningful only for an attribute a Catalog holds.
+func (a *Attribute) Ord() Ord { return a.ord }
 
 // HasValue reports whether v is a legal value for a categorical attribute.
 func (a *Attribute) HasValue(v string) bool {
@@ -99,7 +104,8 @@ type Catalog struct {
 	ordered []*Attribute
 }
 
-// NewCatalog builds a catalog from attrs. Duplicate IDs are an error.
+// NewCatalog builds a catalog from attrs and interns their IDs. Duplicate IDs
+// are an error.
 func NewCatalog(attrs []Attribute) (*Catalog, error) {
 	c := &Catalog{byID: make(map[ID]*Attribute, len(attrs))}
 	for i := range attrs {
@@ -116,6 +122,9 @@ func NewCatalog(attrs []Attribute) (*Catalog, error) {
 		cp := a
 		c.byID[a.ID] = &cp
 		c.ordered = append(c.ordered, &cp)
+	}
+	for _, a := range c.ordered {
+		a.ord = Intern(a.ID)
 	}
 	return c, nil
 }

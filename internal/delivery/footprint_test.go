@@ -19,6 +19,7 @@ import (
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/stats"
+	"github.com/treads-project/treads/internal/workload"
 )
 
 // TestFeedFootprint is the tripwire on what a delivered impression costs a
@@ -95,6 +96,82 @@ func TestFeedFootprint(t *testing.T) {
 		t.Fatalf("%d impressions grew the heap by %d B each, want under 16", delivered, perImpression)
 	}
 	runtime.KeepAlive(pipe)
+}
+
+// TestLedgerFootprint is the tripwire on what a billing (campaign, user) row
+// costs a shard: 6 000 generated users each browse 10 slots among 64
+// campaigns, one per attribute at the head of the platform pool, and the
+// impressions they were handed are charged again to an empty ledger. The
+// heap that ledger grows by, over the distinct (campaign, user) pairs it
+// then holds, is 67 B/row: a map slot of a 16-byte user ID and a 16-byte
+// total, in tables that run between half and seven eighths full, beside one
+// account per campaign. The bound is 15 % over that; the test measures, it
+// does not ask for less. Excluded under -race, whose shadow memory inflates
+// the heap.
+func TestLedgerFootprint(t *testing.T) {
+	const users, campaigns, slots = 6000, 64, 10
+	cfg := workload.DefaultConfig()
+	cfg.Users = users
+	cfg.Catalog = attr.DefaultCatalog()
+	store := profile.NewStore()
+	workload.Each(cfg, func(p *profile.Profile) {
+		if err := store.Add(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	market := auction.Market{BaseCPM: money.FromDollars(2), Sigma: 0, Floor: money.FromDollars(0.1)}
+	pipe := NewPipeline(store, audience.NewEngine(store, pixel.NewRegistry()), billing.NewLedger(), market, stats.NewRNG(1))
+	for i, a := range cfg.Catalog.BySource(attr.SourcePlatform)[:campaigns] {
+		c := &Campaign{
+			ID:         fmt.Sprintf("camp-%06d", i),
+			Advertiser: "an advertiser",
+			Spec:       audience.Spec{Expr: attr.Has{ID: a.ID}},
+			BidCapCPM:  money.FromDollars(10),
+			Creative:   ad.Creative{Headline: "a headline"},
+		}
+		if err := pipe.AddCampaign(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type charge struct {
+		campaign string
+		user     profile.UserID
+	}
+	var charges []charge
+	rows := make(map[charge]bool)
+	for _, uid := range store.UserIDs() {
+		imps, err := pipe.Browse(uid, slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range imps {
+			charges = append(charges, charge{imp.CampaignID, uid})
+			rows[charge{imp.CampaignID, uid}] = true
+		}
+	}
+	if len(rows) < users {
+		t.Fatalf("premise: the browse pass left %d (campaign, user) rows for %d users", len(rows), users)
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	ledger := billing.NewLedger()
+	for _, c := range charges {
+		ledger.RecordImpression(c.campaign, c.user, money.FromDollars(0.002))
+	}
+	after := heap()
+	runtime.KeepAlive(ledger)
+	runtime.KeepAlive(charges)
+	runtime.KeepAlive(pipe)
+	perRow := (int64(after) - int64(before)) / int64(len(rows))
+	t.Logf("%d B/row over %d rows (%d impressions)", perRow, len(rows), len(charges))
+	if perRow >= 77 {
+		t.Fatalf("%d ledger rows grew the heap by %d B each, want under 77", len(rows), perRow)
+	}
 }
 
 // hasPointer reports whether a value of type t holds anything the collector

@@ -31,6 +31,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, f.labels, c.labelValues, "", "", formatFloat(m.Value()))
 			case *Histogram:
 				writeHistogram(bw, f.name, f.labels, c.labelValues, m.Snapshot())
+			case runtimeMetric:
+				writeSample(bw, f.name, f.labels, c.labelValues, "", "", m.value())
 			}
 		}
 	}

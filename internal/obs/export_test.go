@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -99,5 +101,47 @@ func TestValidatePrometheusTextRejectsGarbage(t *testing.T) {
 	}
 	if err := ValidatePrometheusText(`x_bucket{le="+Inf"} 3` + "\n"); err != nil {
 		t.Errorf("ValidatePrometheusText rejected +Inf le: %v", err)
+	}
+}
+
+// TestRuntimeMetricsAtScrape: Default carries the runtime's live heap, heap
+// goal, goroutines and GC cycles, each read when the registry is written,
+// so a collection between two scrapes shows in the second.
+func TestRuntimeMetricsAtScrape(t *testing.T) {
+	scrape := func() map[string]float64 {
+		var sb strings.Builder
+		if err := Default.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidatePrometheusText(sb.String()); err != nil {
+			t.Fatalf("export not well-formed: %v", err)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			name, value, ok := strings.Cut(line, " ")
+			if !ok || !strings.HasPrefix(name, "go_") {
+				continue
+			}
+			v, err := strconv.ParseFloat(value, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			got[name] = v
+		}
+		return got
+	}
+	runtime.GC() // the live heap is 0 until a cycle has marked it
+	first := scrape()
+	for _, name := range []string{"go_heap_live_bytes", "go_heap_goal_bytes", "go_goroutines"} {
+		if first[name] <= 0 {
+			t.Errorf("%s = %v, want a positive figure", name, first[name])
+		}
+	}
+	if first["go_heap_goal_bytes"] < first["go_heap_live_bytes"] {
+		t.Errorf("heap goal %v below the live heap %v", first["go_heap_goal_bytes"], first["go_heap_live_bytes"])
+	}
+	runtime.GC()
+	if second := scrape(); second["go_gc_cycles_total"] <= first["go_gc_cycles_total"] {
+		t.Errorf("go_gc_cycles_total %v after a collection, was %v", second["go_gc_cycles_total"], first["go_gc_cycles_total"])
 	}
 }

@@ -137,7 +137,7 @@ type family struct {
 
 type child struct {
 	labelValues []string
-	metric      any // *Counter, *Gauge, or *Histogram
+	metric      any // *Counter, *Gauge, *Histogram or runtimeMetric
 }
 
 // childKey joins label values into a map key. Label values never contain

@@ -570,7 +570,7 @@ type goldenRecord struct {
 // owner ships to its followers, so a change here is a format break: a
 // journal written by an older build would no longer recover, and a mixed-
 // version replica chain would desync.
-func goldenRecords(t *testing.T) map[string]goldenRecord {
+func goldenRecords(t testing.TB) map[string]goldenRecord {
 	t.Helper()
 	key, err := pii.HashEmail("ju03@example.com")
 	if err != nil {

@@ -61,13 +61,28 @@ var modelFixtures = []fixture{
 	{"", 0, 0},
 }
 
+// The model IDs are interned in reverse, so their ordinals run opposite to
+// their ID order: a profile that sorted or searched by ordinal instead of
+// through the ID table would fail the model test.
+func init() {
+	for i := len(modelIDs) - 1; i >= 0; i-- {
+		attr.Intern(modelIDs[i])
+	}
+}
+
 type step struct{ op, id, val int }
+
+// idValue is a categorical value as the model names it, by ID.
+type idValue struct {
+	ID    attr.ID
+	Value string
+}
 
 // sortedArgs decodes a SetSortedAttrs call from one step: the low five bits
 // of id pick the binary IDs and those of val the categorical ones; id's bit 5
 // repeats every binary ID, val's bit 5 gives every categorical ID a second,
 // later value, and val's top bits shift which values are used.
-func sortedArgs(s step) (binary []attr.ID, values []ValuedAttr) {
+func sortedArgs(s step) (binary []attr.ID, values []idValue) {
 	for j, id := range modelIDs { // already sorted
 		if s.id>>j&1 == 1 {
 			binary = append(binary, id)
@@ -76,9 +91,9 @@ func sortedArgs(s step) (binary []attr.ID, values []ValuedAttr) {
 			}
 		}
 		if s.val>>j&1 == 1 {
-			values = append(values, ValuedAttr{id, modelValues[(j+s.val>>6)%len(modelValues)]})
+			values = append(values, idValue{id, modelValues[(j+s.val>>6)%len(modelValues)]})
 			if s.val>>5&1 == 1 {
-				values = append(values, ValuedAttr{id, modelValues[(j+1+s.val>>6)%len(modelValues)]})
+				values = append(values, idValue{id, modelValues[(j+1+s.val>>6)%len(modelValues)]})
 			}
 		}
 	}
@@ -158,7 +173,15 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 				cov.preset++
 			}
 		}
-		p.SetSortedAttrs(binary, values)
+		ords := make([]attr.Ord, len(binary))
+		for i, id := range binary {
+			ords[i] = attr.Intern(id)
+		}
+		valued := make([]ValuedAttr, len(values))
+		for i, v := range values {
+			valued[i] = ValuedAttr{attr.Intern(v.ID), v.Value}
+		}
+		p.SetSortedAttrs(ords, valued)
 		for _, id := range binary {
 			m.binary[id] = true
 		}
@@ -292,8 +315,10 @@ func TestProfileMatchesMapModel(t *testing.T) {
 // input out of order is a bug in the caller, not a set to store.
 func TestSetSortedAttrsRefusesUnsortedInput(t *testing.T) {
 	for name, call := range map[string]func(p *Profile){
-		"binary": func(p *Profile) { p.SetSortedAttrs([]attr.ID{"b", "a"}, nil) },
-		"values": func(p *Profile) { p.SetSortedAttrs(nil, []ValuedAttr{{"b", "x"}, {"a", "y"}}) },
+		"binary": func(p *Profile) { p.SetSortedAttrs([]attr.Ord{attr.Intern("b"), attr.Intern("a")}, nil) },
+		"values": func(p *Profile) {
+			p.SetSortedAttrs(nil, []ValuedAttr{{attr.Intern("b"), "x"}, {attr.Intern("a"), "y"}})
+		},
 	} {
 		func() {
 			defer func() {

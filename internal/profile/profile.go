@@ -10,10 +10,9 @@
 package profile
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -60,18 +59,20 @@ type Profile struct {
 	HasGeo   bool
 	PII      pii.Record
 	likesMu  sync.RWMutex
-	likes    map[string]bool // page IDs the user has liked; nil until the first Like
-	// The attribute sets are sorted slices, packed to length by Store.Add.
-	// An ID may sit in both (set through SetAttr and SetAttrValue); it then
-	// counts in both.
-	binary  []attr.ID    // sorted
+	likes    []string // page IDs the user has liked, sorted; nil until the first Like
+	// The attribute sets hold ordinals in attr's ID table, sorted by the ID
+	// each names (not by ordinal), packed to length by Store.Add. An ID may
+	// sit in both (set through SetAttr and SetAttrValue); it then counts in
+	// both.
+	binary  []attr.Ord   // sorted by ID
 	values  []ValuedAttr // sorted by ID
 	watcher Watcher      // set by Store.Add / Store.SetWatcher; nil before
 }
 
-// ValuedAttr is one categorical attribute's value.
+// ValuedAttr is one categorical attribute's value, the attribute named by
+// its ordinal in attr's ID table.
 type ValuedAttr struct {
-	ID    attr.ID
+	Ord   attr.Ord
 	Value string
 }
 
@@ -80,15 +81,32 @@ func New(id UserID) *Profile {
 	return &Profile{ID: id}
 }
 
+// compareID orders ordinal o against id by the ID o names in ids, the ID
+// table.
+func compareID(ids []attr.ID, o attr.Ord, id attr.ID) int {
+	return strings.Compare(string(ids[o]), string(id))
+}
+
+// byID orders two ordinals by the IDs they name in ids.
+func byID(ids []attr.ID, a, b attr.Ord) int { return compareID(ids, a, ids[b]) }
+
+// findBinary returns id's position in p.binary, or where it would go; ids
+// is the ID table. It compares through the table, so an ID that was never
+// interned is simply absent.
+func (p *Profile) findBinary(ids []attr.ID, id attr.ID) (int, bool) {
+	return slices.BinarySearchFunc(p.binary, id, func(o attr.Ord, id attr.ID) int { return compareID(ids, o, id) })
+}
+
 // findValue returns id's position in p.values, or where it would go.
-func (p *Profile) findValue(id attr.ID) (int, bool) {
-	return slices.BinarySearchFunc(p.values, id, func(v ValuedAttr, id attr.ID) int { return cmp.Compare(v.ID, id) })
+func (p *Profile) findValue(ids []attr.ID, id attr.ID) (int, bool) {
+	return slices.BinarySearchFunc(p.values, id, func(v ValuedAttr, id attr.ID) int { return compareID(ids, v.Ord, id) })
 }
 
 // SetAttr marks a binary attribute as set for the user.
 func (p *Profile) SetAttr(id attr.ID) {
-	if i, ok := slices.BinarySearch(p.binary, id); !ok {
-		p.binary = slices.Insert(p.binary, i, id)
+	o := attr.Intern(id)
+	if i, ok := p.findBinary(attr.IDs(), id); !ok {
+		p.binary = slices.Insert(p.binary, i, o)
 	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
@@ -97,10 +115,11 @@ func (p *Profile) SetAttr(id attr.ID) {
 
 // SetAttrValue assigns a categorical attribute value.
 func (p *Profile) SetAttrValue(id attr.ID, value string) {
-	if i, ok := p.findValue(id); ok {
+	o := attr.Intern(id)
+	if i, ok := p.findValue(attr.IDs(), id); ok {
 		p.values[i].Value = value
 	} else {
-		p.values = slices.Insert(p.values, i, ValuedAttr{id, value})
+		p.values = slices.Insert(p.values, i, ValuedAttr{o, value})
 	}
 	if p.watcher != nil {
 		p.watcher.AttrChanged(p, id)
@@ -110,42 +129,45 @@ func (p *Profile) SetAttrValue(id attr.ID, value string) {
 // SetSortedAttrs does what SetAttr on every ID of binary and then
 // SetAttrValue on every pair of values does, in one merge per set instead of
 // a sorted insert per attribute: a repeated or already-set binary ID changes
-// nothing, and of several values for one ID the last wins. Both slices must
-// be sorted by ID. The generator builds each user's attributes this way.
-func (p *Profile) SetSortedAttrs(binary []attr.ID, values []ValuedAttr) {
-	if !slices.IsSorted(binary) || !slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return cmp.Compare(a.ID, b.ID) }) {
+// nothing, and of several values for one ID the last wins. Both slices hold
+// interned ordinals and must be sorted by the IDs they name. The generator
+// builds each user's attributes this way.
+func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
+	ids := attr.IDs()
+	if !slices.IsSortedFunc(binary, func(a, b attr.Ord) int { return byID(ids, a, b) }) ||
+		!slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return byID(ids, a.Ord, b.Ord) }) {
 		panic("profile: SetSortedAttrs given attributes out of ID order")
 	}
 	if len(binary) > 0 {
-		p.binary = mergeSorted(p.binary, binary, func(id attr.ID) attr.ID { return id })
+		p.binary = mergeSorted(ids, p.binary, binary, func(o attr.Ord) attr.Ord { return o })
 	}
 	if len(values) > 0 {
-		p.values = mergeSorted(p.values, values, func(v ValuedAttr) attr.ID { return v.ID })
+		p.values = mergeSorted(ids, p.values, values, func(v ValuedAttr) attr.Ord { return v.Ord })
 	}
 	if p.watcher != nil {
-		for _, id := range binary {
-			p.watcher.AttrChanged(p, id)
+		for _, o := range binary {
+			p.watcher.AttrChanged(p, ids[o])
 		}
 		for _, v := range values {
-			p.watcher.AttrChanged(p, v.ID)
+			p.watcher.AttrChanged(p, ids[v.Ord])
 		}
 	}
 }
 
-// mergeSorted returns, in a new slice, the union of held (sorted, each ID
-// once) and add (sorted, IDs may repeat), each ID once: where an ID repeats
-// the last element of add for it wins.
-func mergeSorted[T any](held, add []T, id func(T) attr.ID) []T {
+// mergeSorted returns, in a new slice, the union of held (sorted by ID, each
+// ID once) and add (sorted by ID, IDs may repeat), each ID once: where an ID
+// repeats the last element of add for it wins. ids is the ID table.
+func mergeSorted[T any](ids []attr.ID, held, add []T, ord func(T) attr.Ord) []T {
 	out := make([]T, 0, len(held)+len(add))
 	for len(add) > 0 {
-		k := id(add[0])
-		for len(add) > 1 && id(add[1]) == k {
+		k := ord(add[0])
+		for len(add) > 1 && ord(add[1]) == k {
 			add = add[1:]
 		}
-		for len(held) > 0 && id(held[0]) < k {
+		for len(held) > 0 && byID(ids, ord(held[0]), k) < 0 {
 			out, held = append(out, held[0]), held[1:]
 		}
-		if len(held) > 0 && id(held[0]) == k {
+		if len(held) > 0 && ord(held[0]) == k {
 			held = held[1:]
 		}
 		out, add = append(out, add[0]), add[1:]
@@ -154,18 +176,20 @@ func mergeSorted[T any](held, add []T, id func(T) attr.ID) []T {
 }
 
 // HasAttr implements attr.Subject: true if the binary attribute is set or
-// the categorical attribute has any value.
+// the categorical attribute has any value. It neither interns nor
+// allocates.
 func (p *Profile) HasAttr(id attr.ID) bool {
-	if _, ok := slices.BinarySearch(p.binary, id); ok {
+	ids := attr.IDs()
+	if _, ok := p.findBinary(ids, id); ok {
 		return true
 	}
-	_, ok := p.findValue(id)
+	_, ok := p.findValue(ids, id)
 	return ok
 }
 
-// AttrValue implements attr.Subject.
+// AttrValue implements attr.Subject. It neither interns nor allocates.
 func (p *Profile) AttrValue(id attr.ID) (string, bool) {
-	if i, ok := p.findValue(id); ok {
+	if i, ok := p.findValue(attr.IDs(), id); ok {
 		return p.values[i].Value, true
 	}
 	return "", false
@@ -196,18 +220,21 @@ var _ attr.GeoSubject = (*Profile)(nil)
 // Attrs returns all set attribute IDs (binary and categorical), sorted: a
 // merge of the two sorted sets, so an ID in both is listed twice.
 func (p *Profile) Attrs() []attr.ID {
+	ids := attr.IDs()
 	out := make([]attr.ID, 0, len(p.binary)+len(p.values))
 	b, v := p.binary, p.values
 	for len(b) > 0 && len(v) > 0 {
-		if b[0] <= v[0].ID {
-			out, b = append(out, b[0]), b[1:]
+		if byID(ids, b[0], v[0].Ord) <= 0 {
+			out, b = append(out, ids[b[0]]), b[1:]
 		} else {
-			out, v = append(out, v[0].ID), v[1:]
+			out, v = append(out, ids[v[0].Ord]), v[1:]
 		}
 	}
-	out = append(out, b...)
+	for _, o := range b {
+		out = append(out, ids[o])
+	}
 	for _, av := range v {
-		out = append(out, av.ID)
+		out = append(out, ids[av.Ord])
 	}
 	return out
 }
@@ -216,11 +243,12 @@ func (p *Profile) Attrs() []attr.ID {
 // without allocating — the walk the delivery pipeline's campaign index does
 // once per browse.
 func (p *Profile) EachAttr(fn func(attr.ID)) {
-	for _, id := range p.binary {
-		fn(id)
+	ids := attr.IDs()
+	for _, o := range p.binary {
+		fn(ids[o])
 	}
 	for _, av := range p.values {
-		fn(av.ID)
+		fn(ids[av.Ord])
 	}
 }
 
@@ -248,15 +276,14 @@ func (p *Profile) AttrCount() int { return len(p.binary) + len(p.values) }
 // Like records that the user likes the given page.
 func (p *Profile) Like(pageID string) {
 	p.likesMu.Lock()
-	changed := !p.likes[pageID]
-	if p.likes == nil {
-		p.likes = make(map[string]bool)
+	i, liked := slices.BinarySearch(p.likes, pageID)
+	if !liked {
+		p.likes = slices.Insert(p.likes, i, pageID)
 	}
-	p.likes[pageID] = true
 	p.likesMu.Unlock()
 	// Notify outside likesMu: the watcher takes its own lock, and an
 	// in-flight index Add holds that lock while reading LikedPages.
-	if changed && p.watcher != nil {
+	if !liked && p.watcher != nil {
 		p.watcher.LikeChanged(p, pageID, true)
 	}
 }
@@ -265,10 +292,12 @@ func (p *Profile) Like(pageID string) {
 // no-op.
 func (p *Profile) Unlike(pageID string) {
 	p.likesMu.Lock()
-	changed := p.likes[pageID]
-	delete(p.likes, pageID)
+	i, liked := slices.BinarySearch(p.likes, pageID)
+	if liked {
+		p.likes = slices.Delete(p.likes, i, i+1)
+	}
 	p.likesMu.Unlock()
-	if changed && p.watcher != nil {
+	if liked && p.watcher != nil {
 		p.watcher.LikeChanged(p, pageID, false)
 	}
 }
@@ -277,19 +306,15 @@ func (p *Profile) Unlike(pageID string) {
 func (p *Profile) LikesPage(pageID string) bool {
 	p.likesMu.RLock()
 	defer p.likesMu.RUnlock()
-	return p.likes[pageID]
+	_, liked := slices.BinarySearch(p.likes, pageID)
+	return liked
 }
 
 // LikedPages returns the pages the user likes, sorted.
 func (p *Profile) LikedPages() []string {
 	p.likesMu.RLock()
-	out := make([]string, 0, len(p.likes))
-	for page := range p.likes {
-		out = append(out, page)
-	}
-	p.likesMu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer p.likesMu.RUnlock()
+	return append(make([]string, 0, len(p.likes)), p.likes...)
 }
 
 var _ attr.Subject = (*Profile)(nil)

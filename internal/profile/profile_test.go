@@ -37,6 +37,28 @@ func TestProfileAttrOps(t *testing.T) {
 	}
 }
 
+// TestReadsNeverIntern: HasAttr and AttrValue of an ID no profile was ever
+// given answer false without adding it to the ID table, so the table grows
+// only with the IDs set, however many expressions name others.
+func TestReadsNeverIntern(t *testing.T) {
+	p := New("u1")
+	p.SetAttr("test.reads.held")
+	p.SetAttrValue("test.reads.valued", "v")
+	n := len(attr.IDs())
+	for i := 0; i < 100; i++ {
+		id := attr.ID(fmt.Sprintf("test.reads.never_set_%d", i))
+		if p.HasAttr(id) {
+			t.Fatalf("HasAttr(%s) = true", id)
+		}
+		if _, ok := p.AttrValue(id); ok {
+			t.Fatalf("AttrValue(%s) found a value", id)
+		}
+	}
+	if got := len(attr.IDs()); got != n {
+		t.Fatalf("reads of unknown IDs grew the ID table from %d to %d", n, got)
+	}
+}
+
 func TestProfileSubjectInterface(t *testing.T) {
 	p := New("u1")
 	p.AgeYrs = 34

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -38,11 +39,17 @@ func (p *Profile) Snapshot() State {
 		Phones: append([]string(nil), p.PII.Phones...),
 	}
 	s.Likes = p.LikedPages()
-	s.Binary = append([]attr.ID(nil), p.binary...) // already sorted
+	ids := attr.IDs()
+	if len(p.binary) > 0 {
+		s.Binary = make([]attr.ID, len(p.binary)) // in ID order, as p.binary is
+		for i, o := range p.binary {
+			s.Binary[i] = ids[o]
+		}
+	}
 	if len(p.values) > 0 {
 		s.Values = make(map[attr.ID]string, len(p.values))
 		for _, av := range p.values {
-			s.Values[av.ID] = av.Value
+			s.Values[ids[av.Ord]] = av.Value
 		}
 	}
 	return s
@@ -51,10 +58,10 @@ func (p *Profile) Snapshot() State {
 // AppendSnapshotJSON appends json.Marshal(p.Snapshot()) to b, byte for byte,
 // without building the State: the fields in State's order under its
 // omitempty rules, the categorical values in ID order (the order json gives
-// a map's keys, and the order of the sorted pairs), the likes sorted as
-// LikedPages reads them. It allocates only for a profile with likes (their
-// sorted slice) or a string to escape. Lat and Lon are finite, as everything
-// that sets them ensures; json.Marshal refuses the rest.
+// a map's keys, and the order of the sorted pairs), the likes in the sorted
+// order the profile holds them. It allocates only for a string to escape
+// (or to grow b). Lat and Lon are finite, as everything that sets them
+// ensures; json.Marshal refuses the rest.
 func (p *Profile) AppendSnapshotJSON(b []byte) []byte {
 	b = append(b, `{"id":`...)
 	b = appendJSONString(b, string(p.ID))
@@ -70,17 +77,20 @@ func (p *Profile) AppendSnapshotJSON(b []byte) []byte {
 	if p.HasGeo {
 		b = append(b, `,"has_geo":true`...)
 	}
-	b = appendStringsField(b, `,"emails":`, p.PII.Emails)
-	b = appendStringsField(b, `,"phones":`, p.PII.Phones)
-	b = appendStringsField(b, `,"likes":`, p.LikedPages())
-	b = appendStringsField(b, `,"binary":`, p.binary)
+	b = appendStringsField(b, `,"emails":`, p.PII.Emails, plain)
+	b = appendStringsField(b, `,"phones":`, p.PII.Phones, plain)
+	p.likesMu.RLock()
+	b = appendStringsField(b, `,"likes":`, p.likes, plain)
+	p.likesMu.RUnlock()
+	ids := attr.IDs()
+	b = appendStringsField(b, `,"binary":`, p.binary, func(o attr.Ord) string { return string(ids[o]) })
 	if len(p.values) > 0 {
 		b = append(b, `,"values":{`...)
 		for i, av := range p.values {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, string(av.ID))
+			b = appendJSONString(b, string(ids[av.Ord]))
 			b = append(b, ':')
 			b = appendJSONString(b, av.Value)
 		}
@@ -96,7 +106,8 @@ func appendStringField(b []byte, key, s string) []byte {
 	return appendJSONString(append(b, key...), s)
 }
 
-func appendStringsField[S ~string](b []byte, key string, ss []S) []byte {
+// appendStringsField writes ss as a JSON array of str of each element.
+func appendStringsField[T any](b []byte, key string, ss []T, str func(T) string) []byte {
 	if len(ss) == 0 {
 		return b
 	}
@@ -107,10 +118,12 @@ func appendStringsField[S ~string](b []byte, key string, ss []S) []byte {
 		} else {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, string(s))
+		b = appendJSONString(b, str(s))
 	}
 	return append(b, ']')
 }
+
+func plain(s string) string { return s }
 
 // appendFloatField writes f as encoding/json does: the shortest digits that
 // read back as f, in exponent form below 1e-6 and from 1e21, with a
@@ -172,11 +185,13 @@ func FromState(s State) (*Profile, error) {
 		Emails: append([]string(nil), s.Emails...),
 		Phones: append([]string(nil), s.Phones...),
 	}
-	for _, page := range s.Likes {
-		p.Like(page)
+	if len(s.Likes) > 0 {
+		p.likes = slices.Clone(s.Likes)
+		slices.Sort(p.likes)
+		p.likes = slices.Compact(p.likes)
 	}
 	// Sized up front: a restored profile reaches Store.Add already packed.
-	p.binary = make([]attr.ID, 0, len(s.Binary))
+	p.binary = make([]attr.Ord, 0, len(s.Binary))
 	p.values = make([]ValuedAttr, 0, len(s.Values))
 	for _, id := range s.Binary {
 		p.SetAttr(id)

@@ -147,7 +147,7 @@ type generator struct {
 	// byRank lists both pools' attributes in ID order; a pick names its
 	// attribute by position here, so sorting picks by rank sorts them by ID.
 	byRank []*attr.Attribute
-	binary []attr.ID            // build scratch
+	binary []attr.Ord           // build scratch
 	values []profile.ValuedAttr // build scratch
 }
 
@@ -252,9 +252,9 @@ func (g *generator) build(d *draw) *profile.Profile {
 	for _, pk := range d.picks {
 		a := g.byRank[pk>>32]
 		if value := uint32(pk); value == 0 {
-			g.binary = append(g.binary, a.ID)
+			g.binary = append(g.binary, a.Ord())
 		} else {
-			g.values = append(g.values, profile.ValuedAttr{ID: a.ID, Value: a.Values[value-1]})
+			g.values = append(g.values, profile.ValuedAttr{Ord: a.Ord(), Value: a.Values[value-1]})
 		}
 	}
 	p.SetSortedAttrs(g.binary, g.values)
