@@ -91,15 +91,16 @@ race-full:
 # reshard under traffic, scripted owner kills on two-follower chains, and
 # owner kills the health supervisor must recover with no admin call. Each
 # replica mode checks replication twice: as the last heal left the chains,
-# and after every shard's close/reopen. A failure prints the seed; replay
-# it with `go run ./cmd/treads-chaos -seed <n> -v -keep`.
+# and after every shard's close/reopen. A failure prints the seed and the
+# line that replays it: `go run ./cmd/treads-chaos -seed <n>`, the mode
+# flags of its sweep, `-v -keep`.
 chaos-smoke:
 	$(GO) run ./cmd/treads-chaos -seeds 20 -require-coverage
 	$(GO) run ./cmd/treads-chaos -net -seeds 5 -workers 2 -require-coverage
 	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 1 -reshard -require-coverage
 	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 2 -reshard -require-coverage
-	$(GO) run ./cmd/treads-chaos -seeds 20 -kill-owner
-	$(GO) run ./cmd/treads-chaos -seeds 3 -kill-owner -no-admin
+	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 2
+	$(GO) run ./cmd/treads-chaos -seeds 3 -no-admin
 
 # Real-binary and acceptance end-to-end tests: the gateway overload and
 # state-equivalence suite, three shard processes with one SIGKILLed and
@@ -182,8 +183,8 @@ cover:
 	$(GO) test -cover ./...
 
 # Long deterministic fault-injection sweep: 200 in-process schedules plus
-# 50 over real loopback RPC. A violation prints the failing seed; replay
-# it with `go run ./cmd/treads-chaos -seed <n> -v -keep`.
+# 50 over real loopback RPC. A violation prints the failing seed and the
+# line that replays it.
 chaos:
 	$(GO) run ./cmd/treads-chaos -seeds 200 -require-coverage
 	$(GO) run ./cmd/treads-chaos -net -seeds 50 -workers 2 -require-coverage

@@ -11,7 +11,7 @@
 //	            [-rpc-secret S] [-journal dir]
 //	            [-advertise host:port] [-replicate host:port,...] ...
 //	adplatformd -peers host:port[/replica:port...],... [-rpc-secret S]
-//	            [-rpc-timeout 2s] [-hedge-after 0] [-peer-wait 30s] ...
+//	            [-rpc-timeout 2s] [-peer-wait 30s] ...
 //
 // The flags put the process in one of four modes, each booted the same
 // way — open the shards it holds, serve the only one bare or a cluster
@@ -36,7 +36,7 @@
 // sharding is invisible on the wire. Nodes and a router split one logical
 // cluster across processes (or machines); give each node its own -journal
 // directory. A router connects one RPC client per shard node
-// (retries, deadlines, hedged reads, circuit breaking), and serves the
+// (retries, deadlines, circuit breaking), and serves the
 // identical public HTTP API over the remote cluster. Both sides
 // authenticate shard RPCs with -rpc-secret (or the ADPLATFORM_RPC_SECRET
 // environment variable), compared in constant time. The router gates
@@ -151,13 +151,10 @@ type options struct {
 	Peers      string
 	RPCSecret  string
 	RPCTimeout time.Duration
-	HedgeAfter time.Duration
 	PeerWait   time.Duration
 
 	// Automatic failover (router mode).
 	FailoverDetect time.Duration
-	FailoverMisses int
-	FailoverHeal   int
 
 	// Distributed tracing.
 	TraceSample float64
@@ -195,11 +192,8 @@ func parseFlags(fs *flag.FlagSet, args []string) (options, error) {
 	fs.StringVar(&o.Peers, "peers", "", "comma-separated shard-node groups, owner[/replica...] per slot; a router's seed nodes and its ring when the fleet holds none, while a fleet's newer ring is adopted at boot — change membership at runtime via the admin cluster endpoints")
 	fs.StringVar(&o.RPCSecret, "rpc-secret", "", "shared shard-RPC secret (falls back to ADPLATFORM_RPC_SECRET)")
 	fs.DurationVar(&o.RPCTimeout, "rpc-timeout", 2*time.Second, "per-attempt deadline for shard RPCs, health probes included (router and shard node)")
-	fs.DurationVar(&o.HedgeAfter, "hedge-after", 0, "hedge idempotent shard reads after this delay (0 = disabled)")
 	fs.DurationVar(&o.PeerWait, "peer-wait", 30*time.Second, "how long to wait for dialed shard nodes to report healthy: a router's fleet at startup and each admin join, a shard node's -replicate followers (0 = one probe round)")
 	fs.DurationVar(&o.FailoverDetect, "failover-detect", 0, "probe interval for automatic failure detection and replica promotion, router mode (0 = manual failover only)")
-	fs.IntVar(&o.FailoverMisses, "failover-misses", 3, "consecutive missed probes before a slot owner is declared down (with -failover-detect)")
-	fs.IntVar(&o.FailoverHeal, "failover-heal", 4, "probe ticks between heal checks for degraded replica chains (with -failover-detect)")
 	fs.Float64Var(&o.TraceSample, "trace-sample", 0.01, "request trace head-sampling probability in [0,1] (0 records only forced error/slow spans)")
 	fs.IntVar(&o.TraceRing, "trace-ring", 4096, "completed-span ring capacity per process")
 	fs.DurationVar(&o.TraceSlow, "trace-slow", 500*time.Millisecond, "latency above which an unsampled request records a forced span (negative disables)")
@@ -278,12 +272,6 @@ func (o options) validate() error {
 	if o.FailoverDetect < 0 {
 		return fmt.Errorf("-failover-detect must not be negative, got %v (0 disables automatic failover)", o.FailoverDetect)
 	}
-	if o.FailoverMisses < 1 {
-		return fmt.Errorf("-failover-misses must be at least 1, got %d", o.FailoverMisses)
-	}
-	if o.FailoverHeal < 1 {
-		return fmt.Errorf("-failover-heal must be at least 1, got %d", o.FailoverHeal)
-	}
 	// Written so that NaN, which every comparison rejects, fails too.
 	if !(o.TraceSample >= 0 && o.TraceSample <= 1) {
 		return fmt.Errorf("-trace-sample must be in [0,1], got %v", o.TraceSample)
@@ -334,9 +322,6 @@ func (o options) validate() error {
 	if m == modeNode || m == modeRouter {
 		if o.RPCTimeout <= 0 {
 			return fmt.Errorf("-rpc-timeout must be positive, got %v", o.RPCTimeout)
-		}
-		if o.HedgeAfter < 0 {
-			return fmt.Errorf("-hedge-after must not be negative, got %v (0 disables hedging)", o.HedgeAfter)
 		}
 		if o.PeerWait < 0 {
 			return fmt.Errorf("-peer-wait must not be negative, got %v", o.PeerWait)
@@ -769,7 +754,6 @@ func rpcOptions(opts options) rpc.Options {
 	return rpc.Options{
 		Secret:      opts.RPCSecret,
 		CallTimeout: opts.RPCTimeout,
-		HedgeDelay:  opts.HedgeAfter,
 		Registry:    obs.Default,
 	}
 }

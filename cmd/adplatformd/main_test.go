@@ -63,7 +63,6 @@ func TestValidateFlags(t *testing.T) {
 		{name: "shard node", args: []string{"-shard-serve", "-shard-index", "1", "-shard-count", "3"}},
 		{name: "journaled shard node", args: []string{"-shard-serve", "-shard-count", "2", "-journal", "j"}},
 		{name: "router", args: []string{"-peers", "a:1,b:2,c:3", "-rpc-secret", "s"}},
-		{name: "router with hedging", args: []string{"-peers", "a:1", "-hedge-after", "5ms"}},
 
 		{name: "shard node and router", args: []string{"-shard-serve", "-peers", "a:1"}, wantErr: "-peers only applies"},
 		{name: "shard node zero count", args: []string{"-shard-serve", "-shard-count", "0"}, wantErr: "-shard-count must be at least 1"},
@@ -80,13 +79,11 @@ func TestValidateFlags(t *testing.T) {
 		{name: "router with in-process shards", args: []string{"-peers", "a:1", "-shards", "2"}, wantErr: "-shards only applies"},
 		{name: "router with journal", args: []string{"-peers", "a:1", "-journal", "j"}, wantErr: "-journal only applies"},
 		{name: "router zero rpc timeout", args: []string{"-peers", "a:1", "-rpc-timeout", "0s"}, wantErr: "-rpc-timeout must be positive"},
-		{name: "router negative hedge", args: []string{"-peers", "a:1", "-hedge-after", "-1ms"}, wantErr: "-hedge-after must not be negative"},
 		{name: "router negative peer wait", args: []string{"-peers", "a:1", "-peer-wait", "-1s"}, wantErr: "-peer-wait must not be negative"},
 		{name: "router zero peer wait", args: []string{"-peers", "a:1", "-peer-wait", "0"}},
 		{name: "router with snapshot", args: []string{"-peers", "a:1", "-load", "a.json"}, wantErr: "-load/-save only applies"},
 		{name: "shard node negative peer wait", args: []string{"-shard-serve", "-journal", "d", "-replicate", "f:1", "-peer-wait", "-1s"}, wantErr: "-peer-wait must not be negative"},
 		{name: "shard node negative rpc timeout", args: []string{"-shard-serve", "-rpc-timeout", "-1s"}, wantErr: "-rpc-timeout must be positive"},
-		{name: "shard node negative hedge", args: []string{"-shard-serve", "-hedge-after", "-1ms"}, wantErr: "-hedge-after must not be negative"},
 		{name: "dialer flags unused in single mode", args: []string{"-rpc-timeout", "0s", "-peer-wait", "-1s"}},
 
 		{name: "gateway", args: []string{"-gateway", "-keys", "k.json"}},

@@ -143,13 +143,11 @@ func (a *membershipAdmin) ResumeReshard() error { return a.clu.ResumeReshard() }
 // reshard or stale-ring refresh. The caller closes the returned supervisor.
 func startFailoverSupervisor(admin *membershipAdmin, opts options, logger *log.Logger) *health.Supervisor {
 	sup := health.NewSupervisor(admin.clu, health.Config{
-		Interval:  opts.FailoverDetect,
-		Detector:  health.DetectorConfig{FailThreshold: opts.FailoverMisses},
-		HealEvery: opts.FailoverHeal,
-		Metrics:   health.NewMetrics(obs.Default),
-		Logf:      logger.Printf,
+		Interval: opts.FailoverDetect,
+		Metrics:  health.NewMetrics(obs.Default),
+		Logf:     logger.Printf,
 	})
-	logger.Printf("automatic failover armed over the ring (%d slot(s) now): probe every %v, down after %d misses, heal check every %d ticks",
-		admin.clu.Shards(), opts.FailoverDetect, opts.FailoverMisses, opts.FailoverHeal)
+	logger.Printf("automatic failover armed over the ring (%d slot(s) now): probe every %v",
+		admin.clu.Shards(), opts.FailoverDetect)
 	return sup
 }

@@ -304,7 +304,7 @@ func TestFollowerlessSlot(t *testing.T) {
 	nodeA := newMembershipNode(t, filepath.Join(root, "a"), stats.SubSeed(47, 0))
 	nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(47, 1))
 	opts := parseForTest(t, "-peers", nodeA.addr+","+nodeB.addr, "-rpc-secret", membershipSecret,
-		"-peer-wait", "10s", "-failover-detect", "2ms", "-failover-heal", "1")
+		"-peer-wait", "10s", "-failover-detect", "2ms")
 	n, err := boot(opts, logger)
 	if err != nil {
 		t.Fatal(err)
@@ -624,7 +624,8 @@ func flagSetForDocs(t *testing.T) *flag.FlagSet {
 
 // TestFlagDocsConsistent pins the flag/runbook contract: every registered
 // flag has a row in docs/OPERATIONS.md's flags table carrying the exact
-// usage text the binary prints, and both the package doc and the runbook
+// usage text the binary prints, every row names a registered flag, and
+// both the package doc and the runbook
 // state that a router adopts the fleet's newer ring at boot over its
 // -peers.
 func TestFlagDocsConsistent(t *testing.T) {
@@ -641,7 +642,8 @@ func TestFlagDocsConsistent(t *testing.T) {
 			rows[name] = line
 		}
 	}
-	flagSetForDocs(t).VisitAll(func(f *flag.Flag) {
+	fs := flagSetForDocs(t)
+	fs.VisitAll(func(f *flag.Flag) {
 		row, ok := rows[f.Name]
 		if !ok {
 			t.Errorf("docs/OPERATIONS.md's flags table has no row for -%s", f.Name)
@@ -649,6 +651,11 @@ func TestFlagDocsConsistent(t *testing.T) {
 			t.Errorf("docs/OPERATIONS.md describes -%s differently from the usage text %q", f.Name, f.Usage)
 		}
 	})
+	for name := range rows {
+		if fs.Lookup(name) == nil {
+			t.Errorf("docs/OPERATIONS.md's flags table has a row for -%s, which adplatformd does not register", name)
+		}
+	}
 
 	// The boot contract appears verbatim in both the binary's package
 	// documentation and the runbook.

@@ -5,13 +5,14 @@
 // durability, exactly-once billing, replica convergence, and
 // byte-identical recovery all held.
 //
-// The whole schedule is a pure function of the seed. A sweep prints one
-// line per seed; on a violation it prints the invariants broken and the
-// failing seed, so
+// The cluster's size is chaos.DefaultConfig's; the flags pick the mode.
+// The whole schedule is a pure function of the seed and the mode. A sweep
+// prints one line per seed; on a violation it prints the invariants broken
+// and a replay line,
 //
-//	go run ./cmd/treads-chaos -seed <n> -v
+//	go run ./cmd/treads-chaos -seed <n> <the sweep's mode flags> -v -keep
 //
-// replays the identical fault schedule under full logging.
+// which reruns the failing seed's schedule under full logging.
 package main
 
 import (
@@ -28,45 +29,33 @@ import (
 
 func main() {
 	var (
-		seed      = flag.Uint64("seed", 1, "first seed of the sweep")
-		seeds     = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		shards    = flag.Int("shards", 3, "shards in the cluster")
-		users     = flag.Int("users", 96, "user population")
-		campaigns = flag.Int("campaigns", 2, "campaigns delivering")
-		rounds    = flag.Int("rounds", 3, "fault rounds per seed")
-		ops       = flag.Int("ops", 160, "operations per round")
-		workers   = flag.Int("workers", 1, "driver goroutines (1 = fully deterministic replay)")
-		replicas  = flag.Int("replicas", 0, "journal-shipping followers per shard; >0 kills an owner mid-round and promotes a follower")
-		killOwner = flag.Bool("kill-owner", false, "kill one slot's owner mid-round each round (implies -replicas 2 unless set)")
-		noAdmin   = flag.Bool("no-admin", false, "drop the scripted promotion: the health supervisor must detect the kill and promote on its own (implies -kill-owner)")
-		reshard   = flag.Bool("reshard", false, "grow the cluster by one shard in the middle round, concurrently with traffic")
-		netMode   = flag.Bool("net", false, "run shards behind real loopback RPC with link faults")
-		crashProb = flag.Float64("crash-prob", 0.4, "per-shard crash probability after each round")
-		dir       = flag.String("dir", "", "scratch directory (default: temp dir, removed on success)")
-		keep      = flag.Bool("keep", false, "keep the scratch directory even on success")
-		verbose   = flag.Bool("v", false, "log per-round progress")
-		coverage  = flag.Bool("require-coverage", false, "fail unless every configured fault kind fired at least once across the sweep")
+		seed     = flag.Uint64("seed", 1, "first seed of the sweep")
+		seeds    = flag.Int("seeds", 1, "number of consecutive seeds to run")
+		workers  = flag.Int("workers", 1, "driver goroutines (1 = fully deterministic replay)")
+		replicas = flag.Int("replicas", 0, "journal-shipping followers per shard; >0 kills an owner mid-round and promotes a follower")
+		noAdmin  = flag.Bool("no-admin", false, "drop the scripted promotion: the health supervisor must detect the kill and promote on its own (implies -replicas 2 unless set)")
+		reshard  = flag.Bool("reshard", false, "grow the cluster by one shard in the middle round, concurrently with traffic")
+		netMode  = flag.Bool("net", false, "run shards behind real loopback RPC with link faults")
+		dir      = flag.String("dir", "", "scratch directory (default: temp dir, removed on success)")
+		keep     = flag.Bool("keep", false, "keep the scratch directory even on success")
+		verbose  = flag.Bool("v", false, "log per-round progress")
+		coverage = flag.Bool("require-coverage", false, "fail unless every configured fault kind fired at least once across the sweep")
 	)
 	flag.Parse()
-	if (*killOwner || *noAdmin) && *replicas == 0 {
+	if *noAdmin && *replicas == 0 {
 		*replicas = 2
 	}
+	repro := reproFlags(*netMode, *workers, *replicas, *reshard, *noAdmin)
 
 	aggFired := make(map[faults.Kind]uint64)
 	aggOpp := make(map[faults.Kind]uint64)
 	start := time.Now()
 	for s := *seed; s < *seed+uint64(*seeds); s++ {
 		cfg := chaos.DefaultConfig(s)
-		cfg.Shards = *shards
-		cfg.Users = *users
-		cfg.Campaigns = *campaigns
-		cfg.Rounds = *rounds
-		cfg.OpsPerRound = *ops
 		cfg.Workers = *workers
 		cfg.Replicas = *replicas
 		cfg.AutoFailover = *noAdmin
 		cfg.Reshard = *reshard
-		cfg.CrashProb = *crashProb
 		cfg.Dir = *dir
 		cfg.Keep = *keep
 		if *netMode {
@@ -82,7 +71,7 @@ func main() {
 		res, err := chaos.Run(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: harness error: %v\n", s, err)
-			fail(s, reproFlags(*netMode, *replicas, *reshard, *noAdmin))
+			fail(s, repro)
 		}
 		for k, v := range res.Faults {
 			aggFired[k] += v
@@ -113,7 +102,7 @@ func main() {
 				fmt.Fprintf(os.Stderr, "  disk state kept at %s\n", res.Dir)
 			}
 			dumpTraces(res)
-			fail(s, reproFlags(*netMode, *replicas, *reshard, *noAdmin))
+			fail(s, repro)
 		}
 	}
 
@@ -154,11 +143,15 @@ func dumpTraces(res *chaos.Result) {
 	}
 }
 
-// reproFlags renders the mode flags a replay of this sweep needs.
-func reproFlags(netMode bool, replicas int, reshard, noAdmin bool) string {
+// reproFlags renders every flag that shapes a seed's schedule, so a replay
+// of one seed of this sweep runs the same schedule.
+func reproFlags(netMode bool, workers, replicas int, reshard, noAdmin bool) string {
 	out := ""
 	if netMode {
 		out += " -net"
+	}
+	if workers != 1 {
+		out += fmt.Sprintf(" -workers %d", workers)
 	}
 	if replicas > 0 {
 		out += fmt.Sprintf(" -replicas %d", replicas)

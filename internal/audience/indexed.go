@@ -37,7 +37,7 @@ func (e *Engine) EnableIndex() error {
 		e.mu.Unlock()
 		return nil
 	}
-	idx := index.New(index.Options{SizeHint: e.store.Len()})
+	idx := index.New(e.store.Len())
 	e.idx = idx
 	e.mu.Unlock()
 

@@ -80,11 +80,6 @@ var (
 
 // Options tunes a cluster.
 type Options struct {
-	// VirtualNodes per shard on the consistent-hash ring; <= 0 selects
-	// DefaultVirtualNodes. Boot loaders that pre-partition a population
-	// must build their Ring with the same value, and every membership
-	// change rebuilds the ring with it.
-	VirtualNodes int
 	// Workers bounds concurrent per-shard calls during scatter-gather
 	// reads; <= 0 selects min(GOMAXPROCS, shards).
 	Workers int
@@ -213,9 +208,9 @@ func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	c := &Cluster{workers: workers, m: newClusterMetrics(opts.Registry), catalog: sync.OnceValue(attr.DefaultCatalog)}
 	c.mem.Store(&membership{
 		slots:   slices.Clone(shards),
-		ring:    NewRing(len(shards), opts.VirtualNodes),
+		ring:    NewRing(len(shards), DefaultVirtualNodes),
 		version: 1,
-		vnodes:  opts.VirtualNodes,
+		vnodes:  DefaultVirtualNodes,
 		ops:     c.m.shardOps(len(shards)),
 	})
 	for _, rs := range shards {

@@ -441,6 +441,40 @@ func TestStaleRingRefreshRetriesOnce(t *testing.T) {
 	}
 }
 
+// Every ring the coordinator builds has 128 virtual nodes per shard; a ring
+// adopted from the fleet keeps the count it was built with.
+func TestClusterRingVirtualNodes(t *testing.T) {
+	c, err := cluster.NewInMemory(3, platform.Config{Seed: 5}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	sameOwners := func(vnodes int) {
+		t.Helper()
+		if got := c.RingInfo().VirtualNodes; got != vnodes {
+			t.Fatalf("RingInfo().VirtualNodes = %d, want %d", got, vnodes)
+		}
+		want := cluster.NewRing(3, vnodes)
+		for i := 0; i < 1000; i++ {
+			uid := profile.UserID(fmt.Sprintf("user-%06d", i))
+			if got := c.Owner(uid); got != want.Owner(string(uid)) {
+				t.Fatalf("%s routes to shard %d, a %d-node ring places it on %d", uid, got, vnodes, want.Owner(string(uid)))
+			}
+		}
+	}
+	sameOwners(128)
+
+	sets := make([]*cluster.ReplicaSet, 3)
+	for i := range sets {
+		sets[i] = cluster.NewReplicaSet(platform.New(platform.Config{Seed: uint64(i)}))
+	}
+	c.SetMembershipSource(&fakeSource{m: cluster.Membership{Version: 2, VirtualNodes: 8, Shards: sets}})
+	if err := c.RefreshMembership(); err != nil {
+		t.Fatal(err)
+	}
+	sameOwners(8)
+}
+
 func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 	ri := rpc.RingInfo{
 		Version:      1,

@@ -129,7 +129,7 @@ func (r *RemoteShard) ExplainImpression(uid profile.UserID, imp ad.Impression) (
 // --- advertiser-scoped mutations ---
 
 func (r *RemoteShard) RegisterAdvertiser(name string) error {
-	_, err := rpc.Do(context.Background(), r.c, rpc.OpRegister, rpc.RegisterReq{Name: name})
+	_, err := rpc.Do(context.Background(), r.c, rpc.OpRegister, httpapi.RegisterAdvertiserRequest{Name: name})
 	return err
 }
 
@@ -171,7 +171,7 @@ func (r *RemoteShard) CreateLookalikeAudience(advertiser, name string, seed audi
 }
 
 // audienceID reads the answer of the five audience-creating ops.
-func audienceID(resp rpc.AudienceIDResp, err error) (audience.AudienceID, error) {
+func audienceID(resp httpapi.AudienceResponse, err error) (audience.AudienceID, error) {
 	return audience.AudienceID(resp.AudienceID), err
 }
 

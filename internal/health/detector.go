@@ -26,60 +26,43 @@ const (
 	StateSuspect
 	// StateDown: the miss threshold was crossed. The supervisor may
 	// begin recovery. The peer leaves StateDown only after
-	// RecoverThreshold consecutive successful probes.
+	// recoverThreshold consecutive successful probes.
 	StateDown
 )
 
-// DetectorConfig tunes the hysteresis.
-type DetectorConfig struct {
-	// FailThreshold is the suspicion score at which the peer is
-	// declared down. Each missed probe raises the score by one, so
-	// with the default of 3 a peer must miss three probes (net of
-	// decay) before recovery starts. Minimum 1.
-	FailThreshold int
-	// RecoverThreshold is how many consecutive successful probes a
-	// down peer must answer before it is trusted again. Minimum 1.
-	RecoverThreshold int
-	// Decay is how many consecutive successful probes it takes to
-	// forgive one earlier miss while the peer is not down. This is the
-	// anti-flap term: isolated misses drain away instead of
-	// accumulating across hours. Minimum 1.
-	Decay int
-}
-
-// withDefaults fills zero fields with the production defaults.
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.FailThreshold < 1 {
-		c.FailThreshold = 3
-	}
-	if c.RecoverThreshold < 1 {
-		c.RecoverThreshold = 2
-	}
-	if c.Decay < 1 {
-		c.Decay = 2
-	}
-	return c
-}
+// The detector's thresholds.
+const (
+	// failThreshold is the suspicion score at which the peer is declared
+	// down. Each missed probe raises the score by one, so a peer must miss
+	// three probes (net of decay) before recovery starts.
+	failThreshold = 3
+	// recoverThreshold is how many consecutive successful probes a down
+	// peer must answer before it is trusted again.
+	recoverThreshold = 2
+	// decay is how many consecutive successful probes it takes to forgive
+	// one earlier miss while the peer is not down. This is the anti-flap
+	// term: isolated misses drain away instead of accumulating across
+	// hours.
+	decay = 2
+)
 
 // Detector is the per-peer failure-detection state machine. It is a
 // pure function of the probe outcome sequence: no clocks, no
 // goroutines, not safe for concurrent use (each probe loop owns one).
 type Detector struct {
-	cfg DetectorConfig
-
 	state State
 	// score is the suspicion level while not down: 0 = fully healthy,
-	// FailThreshold = declared down.
+	// failThreshold = declared down.
 	score int
-	// successStreak counts consecutive successes; every Decay of them
+	// successStreak counts consecutive successes; every decay of them
 	// forgives one earlier miss (while up/suspect) or, once down,
-	// RecoverThreshold of them restore trust.
+	// recoverThreshold of them restore trust.
 	successStreak int
 }
 
 // NewDetector builds a detector in StateUp.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults()}
+func NewDetector() *Detector {
+	return &Detector{}
 }
 
 // State returns the current verdict.
@@ -101,7 +84,7 @@ func (d *Detector) Observe(ok bool) (State, bool) {
 	if d.state == StateDown {
 		if ok {
 			d.successStreak++
-			if d.successStreak >= d.cfg.RecoverThreshold {
+			if d.successStreak >= recoverThreshold {
 				d.Reset()
 			}
 		} else {
@@ -112,7 +95,7 @@ func (d *Detector) Observe(ok bool) (State, bool) {
 
 	if ok {
 		d.successStreak++
-		if d.score > 0 && d.successStreak >= d.cfg.Decay {
+		if d.score > 0 && d.successStreak >= decay {
 			d.score--
 			d.successStreak = 0
 		}
@@ -122,7 +105,7 @@ func (d *Detector) Observe(ok bool) (State, bool) {
 	}
 
 	switch {
-	case d.score >= d.cfg.FailThreshold:
+	case d.score >= failThreshold:
 		d.state = StateDown
 		d.successStreak = 0
 	case d.score > 0:

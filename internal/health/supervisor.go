@@ -32,18 +32,16 @@ type Fleet interface {
 	HealSlot(slot int) error
 }
 
+// healEvery is how many probe ticks pass between heal checks while the
+// owner is healthy.
+const healEvery = 4
+
 // Config parameterizes a Supervisor.
 type Config struct {
-	// Interval is the probe period per slot (default 500ms); the slot
-	// count is reconciled against the fleet at the same period.
+	// Interval is the probe period per slot (default 500ms), and bounds
+	// each probe; the slot count is reconciled against the fleet at the
+	// same period.
 	Interval time.Duration
-	// Timeout bounds each probe (default: Interval).
-	Timeout time.Duration
-	// Detector tunes the per-slot failure detector.
-	Detector DetectorConfig
-	// HealEvery is how many probe ticks pass between heal checks
-	// while the owner is healthy (default 4).
-	HealEvery int
 	// OnFailover, when set, is called after each successful automatic
 	// promotion with the elapsed time from the down verdict to the
 	// completed promotion.
@@ -60,16 +58,9 @@ func (c Config) withDefaults() Config {
 	if c.Interval <= 0 {
 		c.Interval = 500 * time.Millisecond
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Interval
-	}
-	if c.HealEvery < 1 {
-		c.HealEvery = 4
-	}
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics(nil)
 	}
-	c.Detector = c.Detector.withDefaults()
 	return c
 }
 
@@ -171,7 +162,7 @@ func (s *Supervisor) watch(ctx context.Context, slot int, l, prev *slotLoop) {
 		<-prev.done
 	}
 	m := s.cfg.Metrics
-	det := NewDetector(s.cfg.Detector)
+	det := NewDetector()
 	// The gauge counts supervised slots; once this loop exits the slot no
 	// longer is one.
 	defer func() {
@@ -190,7 +181,7 @@ func (s *Supervisor) watch(ctx context.Context, slot int, l, prev *slotLoop) {
 			return // cancelled with a tick pending: the slot left the ring
 		}
 
-		pctx, cancel := context.WithTimeout(ctx, s.cfg.Timeout)
+		pctx, cancel := context.WithTimeout(ctx, s.cfg.Interval)
 		err := s.fleet.ProbeSlotOwner(pctx, slot)
 		cancel()
 		m.Probes.Inc()
@@ -231,7 +222,7 @@ func (s *Supervisor) watch(ctx context.Context, slot int, l, prev *slotLoop) {
 				s.cfg.OnFailover(slot, elapsed)
 			}
 		case StateUp:
-			if tick%s.cfg.HealEvery == 0 && s.fleet.SlotDegraded(slot) {
+			if tick%healEvery == 0 && s.fleet.SlotDegraded(slot) {
 				if herr := s.fleet.HealSlot(slot); herr != nil {
 					m.HealFailures.Inc()
 					s.logf("health: slot %d heal attempt failed: %v", slot, herr)

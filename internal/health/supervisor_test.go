@@ -23,6 +23,11 @@ type fakeSlot struct {
 	// firstProbeAfter is slot 0's probe count when this slot was first
 	// probed.
 	firstProbeAfter int
+	// probeBudget is the time the first probe had left before its
+	// deadline when it reached the fleet.
+	probeBudget time.Duration
+	// probesAtHeal is the probe count when the slot was first healed.
+	probesAtHeal int
 }
 
 // fakeFleet is a scripted Fleet whose slot count the test changes at will.
@@ -68,11 +73,14 @@ func (f *fakeFleet) Shards() int {
 	return len(f.slots)
 }
 
-func (f *fakeFleet) ProbeSlotOwner(_ context.Context, slot int) error {
+func (f *fakeFleet) ProbeSlotOwner(ctx context.Context, slot int) error {
 	down := true
 	f.with("probe", slot, func(s *fakeSlot) {
 		if s.probes++; s.probes == 1 {
 			s.firstProbeAfter = f.slots[0].probes
+			if dl, ok := ctx.Deadline(); ok {
+				s.probeBudget = time.Until(dl)
+			}
 		}
 		down = s.ownerDown
 	})
@@ -102,7 +110,12 @@ func (f *fakeFleet) SlotDegraded(slot int) bool {
 }
 
 func (f *fakeFleet) HealSlot(slot int) error {
-	f.with("heal", slot, func(s *fakeSlot) { s.heals++; s.needsHeal = false })
+	f.with("heal", slot, func(s *fakeSlot) {
+		if s.heals++; s.heals == 1 {
+			s.probesAtHeal = s.probes
+		}
+		s.needsHeal = false
+	})
 	return nil
 }
 
@@ -143,10 +156,8 @@ func TestSupervisorDetectsPromotesAndHeals(t *testing.T) {
 	var latency atomic.Int64
 	m := NewMetrics(nil)
 	sup := NewSupervisor(fleet, Config{
-		Interval:  2 * time.Millisecond,
-		Detector:  DetectorConfig{FailThreshold: 3, RecoverThreshold: 2, Decay: 2},
-		HealEvery: 2,
-		Metrics:   m,
+		Interval: 2 * time.Millisecond,
+		Metrics:  m,
 		OnFailover: func(s int, d time.Duration) {
 			if s != 7 {
 				t.Errorf("OnFailover slot=%d, want 7", s)
@@ -183,6 +194,24 @@ func TestSupervisorDetectsPromotesAndHeals(t *testing.T) {
 	}
 }
 
+// The supervisor's constants: each probe is bounded by one interval, and
+// a degraded chain is healed on the 4th tick, the first heal check.
+func TestSupervisorProbeTimeoutAndHealCadence(t *testing.T) {
+	const interval = 100 * time.Millisecond
+	fleet := newFakeFleet(1)
+	fleet.set(0, func(s *fakeSlot) { s.needsHeal = true })
+	sup := NewSupervisor(fleet, Config{Interval: interval})
+	defer sup.Close()
+	waitFor(t, "the heal", func() bool { return fleet.slot(0).heals == 1 })
+	s := fleet.slot(0)
+	if s.probeBudget <= interval/2 || s.probeBudget > interval {
+		t.Errorf("a probe had %v before its deadline, want the %v interval", s.probeBudget, interval)
+	}
+	if s.probesAtHeal != 4 {
+		t.Errorf("healed after probe %d, want the 4th", s.probesAtHeal)
+	}
+}
+
 // A failover that cannot run yet (no eligible follower) is retried
 // until it succeeds, and the down verdict holds meanwhile.
 func TestSupervisorRetriesFailover(t *testing.T) {
@@ -191,7 +220,6 @@ func TestSupervisorRetriesFailover(t *testing.T) {
 	m := NewMetrics(nil)
 	sup := NewSupervisor(fleet, Config{
 		Interval: 2 * time.Millisecond,
-		Detector: DetectorConfig{FailThreshold: 2, RecoverThreshold: 2, Decay: 1},
 		Metrics:  m,
 	})
 	defer sup.Close()
@@ -214,7 +242,6 @@ func TestSupervisorOwnerBackBeforePromotion(t *testing.T) {
 	m := NewMetrics(nil)
 	sup := NewSupervisor(fleet, Config{
 		Interval: 2 * time.Millisecond,
-		Detector: DetectorConfig{FailThreshold: 2, RecoverThreshold: 2},
 		Metrics:  m,
 	})
 	defer sup.Close()
@@ -233,7 +260,6 @@ func TestSupervisorIgnoresTransientMiss(t *testing.T) {
 	m := NewMetrics(nil)
 	sup := NewSupervisor(fleet, Config{
 		Interval: 2 * time.Millisecond,
-		Detector: DetectorConfig{FailThreshold: 3, RecoverThreshold: 2, Decay: 2},
 		Metrics:  m,
 	})
 	defer sup.Close()
@@ -260,7 +286,6 @@ func TestSupervisorFollowsTheFleet(t *testing.T) {
 	m := NewMetrics(nil)
 	sup := NewSupervisor(fleet, Config{
 		Interval: interval,
-		Detector: DetectorConfig{FailThreshold: 2},
 		Metrics:  m,
 	})
 	defer sup.Close()

@@ -132,7 +132,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.ReportAllocs()
 	var idx *index.Index
 	for i := 0; i < b.N; i++ {
-		idx = index.New(index.Options{SizeHint: benchState.users})
+		idx = index.New(benchState.users)
 		benchState.store.Each(func(p *profile.Profile) {
 			if err := idx.Add(p); err != nil {
 				b.Fatal(err)

@@ -8,12 +8,6 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// Options tunes an Index.
-type Options struct {
-	// SizeHint pre-sizes slot tables for the expected population.
-	SizeHint int
-}
-
 // Index is the inverted targeting index over one shard's users. Every user
 // added is assigned a dense uint32 slot in insertion order; every targeting
 // attribute, categorical value, demographic value, and liked page maps to a
@@ -38,15 +32,13 @@ type Index struct {
 	likes     map[string]*Bitmap // liked page -> likers
 }
 
-// New returns an empty index.
-func New(opts Options) *Index {
-	hint := opts.SizeHint
-	if hint < 0 {
-		hint = 0
-	}
+// New returns an empty index whose slot tables are pre-sized for sizeHint
+// users.
+func New(sizeHint int) *Index {
+	sizeHint = max(sizeHint, 0)
 	return &Index{
-		uids:      make([]profile.UserID, 0, hint),
-		slot:      make(map[profile.UserID]uint32, hint),
+		uids:      make([]profile.UserID, 0, sizeHint),
+		slot:      make(map[profile.UserID]uint32, sizeHint),
 		has:       make(map[attr.ID]*Bitmap),
 		vals:      make(map[attr.ID]map[string]*Bitmap),
 		ages:      make(map[int]*Bitmap),

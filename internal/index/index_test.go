@@ -25,7 +25,7 @@ func population(t testing.TB, users int, skew float64) ([]*profile.Profile, *ind
 		Seed:              7,
 		Skew:              skew,
 	})
-	idx := index.New(index.Options{SizeHint: users})
+	idx := index.New(users)
 	for _, p := range profs {
 		if err := idx.Add(p); err != nil {
 			t.Fatalf("Add(%s): %v", p.ID, err)
@@ -274,7 +274,7 @@ func TestBuildFromStore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	idx := index.New(index.Options{})
+	idx := index.New(0)
 	store.Each(func(p *profile.Profile) {
 		if err := idx.Add(p); err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -104,19 +105,19 @@ var (
 	OpFeed          = declareUser[UserIDReq, ImpressionsResp]("feed", UserRead)
 	OpVisit         = declareUser[VisitReq, empty]("visit", UserWrite)
 	OpLike          = declareUser[LikeReq, empty]("like", UserWrite)
-	OpAdPreferences = declareUser[UserIDReq, AttrIDsResp]("adpreferences", UserRead)
+	OpAdPreferences = declareUser[UserIDReq, httpapi.PreferencesResponse]("adpreferences", UserRead)
 	OpAdvertisers   = declareUser[UserIDReq, NamesResp]("advertisers", UserRead)
-	OpExplain       = declareUser[ExplainReq, ExplainResp]("explain", UserRead)
+	OpExplain       = declareUser[ExplainReq, httpapi.ExplanationWire]("explain", UserRead)
 
-	OpRegister                 = declare[RegisterReq, empty]("register", Replicated)
-	OpCreateCampaign           = declare[CreateCampaignReq, CampaignIDResp]("createcampaign", Replicated)
+	OpRegister                 = declare[httpapi.RegisterAdvertiserRequest, empty]("register", Replicated)
+	OpCreateCampaign           = declare[CreateCampaignReq, httpapi.CreateCampaignResponse]("createcampaign", Replicated)
 	OpPauseCampaign            = declare[CampaignReq, empty]("pausecampaign", Replicated)
-	OpCreatePIIAudience        = declare[CreatePIIAudienceReq, AudienceIDResp]("createpiiaudience", Replicated)
-	OpCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, AudienceIDResp]("createwebsiteaudience", Replicated)
-	OpCreateEngagementAudience = declare[CreateEngagementAudienceReq, AudienceIDResp]("createengagementaudience", Replicated)
-	OpCreateAffinityAudience   = declare[CreateAffinityAudienceReq, AudienceIDResp]("createaffinityaudience", Replicated)
-	OpCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, AudienceIDResp]("createlookalikeaudience", Replicated)
-	OpIssuePixel               = declare[AdvertiserReq, PixelIDResp]("issuepixel", Replicated)
+	OpCreatePIIAudience        = declare[CreatePIIAudienceReq, httpapi.AudienceResponse]("createpiiaudience", Replicated)
+	OpCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, httpapi.AudienceResponse]("createwebsiteaudience", Replicated)
+	OpCreateEngagementAudience = declare[CreateEngagementAudienceReq, httpapi.AudienceResponse]("createengagementaudience", Replicated)
+	OpCreateAffinityAudience   = declare[CreateAffinityAudienceReq, httpapi.AudienceResponse]("createaffinityaudience", Replicated)
+	OpCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, httpapi.AudienceResponse]("createlookalikeaudience", Replicated)
+	OpIssuePixel               = declare[AdvertiserReq, httpapi.PixelResponse]("issuepixel", Replicated)
 
 	OpUsers          = declare[empty, UsersResp]("users", Gathered)
 	OpRawReach       = declare[RawReachReq, RawReachResp]("rawreach", Gathered)

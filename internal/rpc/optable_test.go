@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -92,7 +93,7 @@ var tableCalls = map[string]func(context.Context, *Client) error{
 	"adpreferences":            send(OpAdPreferences, UserIDReq{UserID: string(tableUser)}),
 	"advertisers":              send(OpAdvertisers, UserIDReq{UserID: string(tableUser)}),
 	"explain":                  send(OpExplain, ExplainReq{UserID: string(tableUser)}),
-	"register":                 send(OpRegister, RegisterReq{Name: "adv"}),
+	"register":                 send(OpRegister, httpapi.RegisterAdvertiserRequest{Name: "adv"}),
 	"createcampaign":           send(OpCreateCampaign, CreateCampaignReq{Advertiser: "adv", Params: FromCampaignParams(platform.CampaignParams{})}),
 	"pausecampaign":            send(OpPauseCampaign, CampaignReq{Advertiser: "adv", CampaignID: "camp-000001"}),
 	"createpiiaudience":        send(OpCreatePIIAudience, CreatePIIAudienceReq{Advertiser: "adv", Name: "a"}),

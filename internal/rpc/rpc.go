@@ -109,9 +109,9 @@ func (e *RemoteError) Error() string { return e.Msg }
 
 // --- wire types ---
 //
-// Wherever the advertiser HTTP API already defines a JSON form
-// (impressions, creatives, targeting specs, match keys), the RPC reuses
-// it, so there is exactly one wire representation of each domain type in
+// Wherever the public HTTP API already defines a JSON form (impressions,
+// creatives, targeting specs, match keys, the minted IDs, preferences,
+// explanations, registration), the RPC reuses it, so there is exactly one wire representation of each domain type in
 // the repo. Money travels as micros (int64), never float dollars: shard
 // totals are summed at the router and must stay exact.
 
@@ -164,11 +164,6 @@ type LikeReq struct {
 	PageID string `json:"page_id"`
 }
 
-// AttrIDsResp returns attribute IDs (ad-preferences surface).
-type AttrIDsResp struct {
-	Attributes []string `json:"attributes"`
-}
-
 // NamesResp returns a plain name list (advertisers-targeting-me surface).
 type NamesResp struct {
 	Names []string `json:"names"`
@@ -178,17 +173,6 @@ type NamesResp struct {
 type ExplainReq struct {
 	UserID     string                 `json:"user_id"`
 	Impression httpapi.ImpressionWire `json:"impression"`
-}
-
-// ExplainResp is the explanation.
-type ExplainResp struct {
-	Attribute string `json:"attribute,omitempty"`
-	Text      string `json:"text"`
-}
-
-// RegisterReq creates an advertiser account.
-type RegisterReq struct {
-	Name string `json:"name"`
 }
 
 // CampaignParamsWire is the JSON form of platform.CampaignParams.
@@ -254,11 +238,6 @@ type CreateCampaignReq struct {
 	Params     CampaignParamsWire `json:"params"`
 }
 
-// CampaignIDResp returns a campaign ID.
-type CampaignIDResp struct {
-	CampaignID string `json:"campaign_id"`
-}
-
 // CampaignReq addresses an existing campaign.
 type CampaignReq struct {
 	Advertiser string `json:"advertiser"`
@@ -301,20 +280,10 @@ type CreateLookalikeAudienceReq struct {
 	Overlap    float64 `json:"overlap,omitempty"`
 }
 
-// AudienceIDResp returns an audience ID.
-type AudienceIDResp struct {
-	AudienceID string `json:"audience_id"`
-}
-
 // AdvertiserReq addresses an advertiser-scoped operation with no other
 // inputs (pixel issuance).
 type AdvertiserReq struct {
 	Advertiser string `json:"advertiser"`
-}
-
-// PixelIDResp returns a pixel ID.
-type PixelIDResp struct {
-	PixelID string `json:"pixel_id"`
 }
 
 // RawReachReq asks for the exact pre-threshold match count.

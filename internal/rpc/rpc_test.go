@@ -101,7 +101,7 @@ func TestRoundTrip(t *testing.T) {
 
 	// Advertiser surface: campaign against an affinity audience, browse,
 	// then the aggregate reads.
-	if _, err := rpc.Do(ctx, c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"}); err != nil {
+	if _, err := rpc.Do(ctx, c, rpc.OpRegister, httpapi.RegisterAdvertiserRequest{Name: "acme"}); err != nil {
 		t.Fatalf("RegisterAdvertiser: %v", err)
 	}
 	px, err := rpc.Do(ctx, c, rpc.OpIssuePixel, rpc.AdvertiserReq{Advertiser: "acme"})
@@ -384,7 +384,7 @@ func TestMutationNotRetriedAfterSend(t *testing.T) {
 	defer srv.Close()
 	c := rpc.NewClient(srv.URL, rpc.Options{MaxRetries: 3, BackoffBase: time.Millisecond})
 	defer c.Close()
-	_, err := rpc.Do(context.Background(), c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"})
+	_, err := rpc.Do(context.Background(), c, rpc.OpRegister, httpapi.RegisterAdvertiserRequest{Name: "acme"})
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}
@@ -409,7 +409,7 @@ func TestMutationRetriedOnDialFailure(t *testing.T) {
 		CallTimeout: 200 * time.Millisecond,
 	})
 	defer c.Close()
-	_, err = rpc.Do(context.Background(), c, rpc.OpRegister, rpc.RegisterReq{Name: "acme"})
+	_, err = rpc.Do(context.Background(), c, rpc.OpRegister, httpapi.RegisterAdvertiserRequest{Name: "acme"})
 	if !errors.Is(err, rpc.ErrUnavailable) {
 		t.Fatalf("err = %v, want ErrUnavailable", err)
 	}

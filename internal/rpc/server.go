@@ -270,64 +270,64 @@ func (s *Server) register() {
 	serve(s, OpLike, func(_ context.Context, req LikeReq) (empty, error) {
 		return empty{}, s.b.LikePage(profile.UserID(req.UserID), req.PageID)
 	})
-	serve(s, OpAdPreferences, func(_ context.Context, req UserIDReq) (AttrIDsResp, error) {
+	serve(s, OpAdPreferences, func(_ context.Context, req UserIDReq) (httpapi.PreferencesResponse, error) {
 		ids, err := s.b.AdPreferences(profile.UserID(req.UserID))
-		return AttrIDsResp{Attributes: attrIDs(ids)}, err
+		return httpapi.PreferencesResponse{Attributes: attrIDs(ids)}, err
 	})
 	serve(s, OpAdvertisers, func(_ context.Context, req UserIDReq) (NamesResp, error) {
 		names, err := s.b.AdvertisersTargetingMe(profile.UserID(req.UserID))
 		return NamesResp{Names: names}, err
 	})
-	serve(s, OpExplain, func(_ context.Context, req ExplainReq) (ExplainResp, error) {
+	serve(s, OpExplain, func(_ context.Context, req ExplainReq) (httpapi.ExplanationWire, error) {
 		ex, err := s.b.ExplainImpression(profile.UserID(req.UserID), req.Impression.ToImpression())
-		return ExplainResp{Attribute: string(ex.Attribute), Text: ex.Text}, err
+		return httpapi.ExplanationWire{Attribute: string(ex.Attribute), Text: ex.Text}, err
 	})
 
-	serve(s, OpRegister, func(_ context.Context, req RegisterReq) (empty, error) {
+	serve(s, OpRegister, func(_ context.Context, req httpapi.RegisterAdvertiserRequest) (empty, error) {
 		return empty{}, s.b.RegisterAdvertiser(req.Name)
 	})
-	serve(s, OpCreateCampaign, func(_ context.Context, req CreateCampaignReq) (CampaignIDResp, error) {
+	serve(s, OpCreateCampaign, func(_ context.Context, req CreateCampaignReq) (httpapi.CreateCampaignResponse, error) {
 		params, err := req.Params.ToParams()
 		if err != nil {
-			return CampaignIDResp{}, protoError{err}
+			return httpapi.CreateCampaignResponse{}, protoError{err}
 		}
 		id, err := s.b.CreateCampaign(req.Advertiser, params)
-		return CampaignIDResp{CampaignID: id}, err
+		return httpapi.CreateCampaignResponse{CampaignID: id}, err
 	})
 	serve(s, OpPauseCampaign, func(_ context.Context, req CampaignReq) (empty, error) {
 		return empty{}, s.b.PauseCampaign(req.Advertiser, req.CampaignID)
 	})
-	serve(s, OpCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (httpapi.AudienceResponse, error) {
 		keys := make([]pii.MatchKey, 0, len(req.Keys))
 		for _, kw := range req.Keys {
 			k, err := kw.ToMatchKey()
 			if err != nil {
-				return AudienceIDResp{}, protoError{err}
+				return httpapi.AudienceResponse{}, protoError{err}
 			}
 			keys = append(keys, k)
 		}
 		id, err := s.b.CreatePIIAudience(req.Advertiser, req.Name, keys)
-		return AudienceIDResp{AudienceID: string(id)}, err
+		return httpapi.AudienceResponse{AudienceID: string(id)}, err
 	})
-	serve(s, OpCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (httpapi.AudienceResponse, error) {
 		id, err := s.b.CreateWebsiteAudience(req.Advertiser, req.Name, pixel.PixelID(req.PixelID))
-		return AudienceIDResp{AudienceID: string(id)}, err
+		return httpapi.AudienceResponse{AudienceID: string(id)}, err
 	})
-	serve(s, OpCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (httpapi.AudienceResponse, error) {
 		id, err := s.b.CreateEngagementAudience(req.Advertiser, req.Name, req.PageID)
-		return AudienceIDResp{AudienceID: string(id)}, err
+		return httpapi.AudienceResponse{AudienceID: string(id)}, err
 	})
-	serve(s, OpCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (httpapi.AudienceResponse, error) {
 		id, err := s.b.CreateAffinityAudience(req.Advertiser, req.Name, req.Phrases)
-		return AudienceIDResp{AudienceID: string(id)}, err
+		return httpapi.AudienceResponse{AudienceID: string(id)}, err
 	})
-	serve(s, OpCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (AudienceIDResp, error) {
+	serve(s, OpCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (httpapi.AudienceResponse, error) {
 		id, err := s.b.CreateLookalikeAudience(req.Advertiser, req.Name, audience.AudienceID(req.Seed), req.Overlap)
-		return AudienceIDResp{AudienceID: string(id)}, err
+		return httpapi.AudienceResponse{AudienceID: string(id)}, err
 	})
-	serve(s, OpIssuePixel, func(_ context.Context, req AdvertiserReq) (PixelIDResp, error) {
+	serve(s, OpIssuePixel, func(_ context.Context, req AdvertiserReq) (httpapi.PixelResponse, error) {
 		id, err := s.b.IssuePixel(req.Advertiser)
-		return PixelIDResp{PixelID: string(id)}, err
+		return httpapi.PixelResponse{PixelID: string(id)}, err
 	})
 
 	serve(s, OpRawReach, func(ctx context.Context, req RawReachReq) (RawReachResp, error) {
