@@ -158,8 +158,8 @@ bench-check:
 # executions in its 15 s; with minimization off it makes ~100 000. The rpc
 # target (every op of the table, each input against a fresh journaled shard)
 # stalls the same way and makes ~5 000, and the replay target (each input
-# shipped to a fresh journaled follower, then recovered) ~8 000. The key-file, traceparent and admin
-# JSON targets have seeds of a few hundred bytes and need no such flag; the
+# shipped to a fresh journaled follower, then recovered) ~8 000. The gate-ring, key-file,
+# traceparent and admin JSON targets have seeds of a few hundred bytes and need no such flag; the
 # public-API target builds a fresh platform per input and makes ~3 000.
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=15s ./internal/attr/
@@ -174,6 +174,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzReadPlatformSnapshot -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
 	$(GO) test -run=NONE -fuzz=FuzzReplayRecord -fuzztime=15s -fuzzminimizetime=0s ./internal/platform/
 	$(GO) test -run=NONE -fuzz=FuzzRPCRequest -fuzztime=15s -fuzzminimizetime=0s ./internal/rpc/
+	$(GO) test -run=NONE -fuzz=FuzzGateSetRing -fuzztime=15s ./internal/cluster/
 	$(GO) test -run=NONE -fuzz=FuzzParseKeyFile -fuzztime=15s ./internal/gateway/
 	$(GO) test -run=NONE -fuzz=FuzzParseTraceparent -fuzztime=15s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzClusterAdminJSON -fuzztime=15s ./internal/httpapi/
@@ -189,12 +190,10 @@ chaos:
 	$(GO) run ./cmd/treads-chaos -seeds 200 -require-coverage
 	$(GO) run ./cmd/treads-chaos -net -seeds 50 -workers 2 -require-coverage
 
-# Regenerate every table/figure of the paper.
+# Regenerate every table/figure of the paper (F1, E1–E12): the output
+# internal/experiments/testdata/paper.golden pins.
 experiments:
-	$(GO) run ./cmd/treads-validate
-	$(GO) run ./cmd/treads-cost
-	$(GO) run ./cmd/treads-privacy
-	$(GO) run ./cmd/treads-audit
+	$(GO) run ./cmd/treads-experiments
 
 # Non-test Go lines per package, then two totals (everything, and without
 # the frozen benchmark/ harness): the figure a simplicity issue quotes, so a

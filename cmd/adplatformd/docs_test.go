@@ -10,7 +10,7 @@ import (
 
 var (
 	// cmd/<name>, with a shell brace list allowed at the end of the name
-	// (cmd/treads-{validate,cost}).
+	// (cmd/treads-{chaos,extension}).
 	docCmdRef = regexp.MustCompile(`\bcmd/([a-z0-9-]+)(?:\{([a-z0-9,-]+)\})?`)
 	// A bare treads-<name> is one of the commands; the module path
 	// (…/treads-project/…) is excluded by the character before it.
@@ -33,11 +33,11 @@ const verifySkillDoc = ".claude/skills/verify/SKILL.md"
 // TestDocsNameOnlyThingsThatExist keeps a deletion from leaving dangling
 // references: every command (cmd/<name> or a bare treads-<name>), every
 // `make <target>` and every repository-root file named in the README, the
-// contributing guide, docs/*.md, the Makefile's comments and the verify
-// skill must exist. benchmark/ is not scanned.
+// contributing guide, EXPERIMENTS.md, docs/*.md, the Makefile's comments
+// and the verify skill must exist. benchmark/ is not scanned.
 func TestDocsNameOnlyThingsThatExist(t *testing.T) {
 	root := filepath.Join("..", "..")
-	sources := []string{"README.md", "CONTRIBUTING.md", "Makefile", verifySkillDoc}
+	sources := []string{"README.md", "CONTRIBUTING.md", "EXPERIMENTS.md", "Makefile", verifySkillDoc}
 	docs, err := filepath.Glob(filepath.Join(root, "docs", "*.md"))
 	if err != nil || len(docs) == 0 {
 		t.Fatalf("listing docs/*.md: %v (%d files)", err, len(docs))

@@ -515,7 +515,6 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			MaxRetries:       2,
 			BackoffBase:      2 * time.Millisecond,
 			BackoffMax:       20 * time.Millisecond,
-			HedgeDelay:       25 * time.Millisecond,
 			FailureThreshold: 5,
 			CircuitCooldown:  100 * time.Millisecond,
 		}))

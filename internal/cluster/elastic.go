@@ -412,8 +412,9 @@ func (c *Cluster) installMembership(in Membership) error {
 	if in.Version == 0 {
 		return nil // no node holds a ring yet: nothing to adopt
 	}
-	if len(in.Shards) == 0 {
-		return errors.New("cluster: refusing empty membership")
+	ring, err := checkedRing(len(in.Shards), in.VirtualNodes)
+	if err != nil {
+		return err
 	}
 	for _, rs := range in.Shards {
 		rs.bindMetrics(&c.m.replica)
@@ -423,7 +424,7 @@ func (c *Cluster) installMembership(in Membership) error {
 			// Already current (or the source is behind us); nothing to do.
 			return m, false
 		}
-		m.slots, m.ring = slices.Clone(in.Shards), NewRing(len(in.Shards), in.VirtualNodes)
+		m.slots, m.ring = slices.Clone(in.Shards), ring
 		m.version, m.vnodes = in.Version, in.VirtualNodes
 		return m, true
 	})
@@ -606,17 +607,18 @@ func (g *Gate) Ring() rpc.RingInfo {
 // SetRing installs pushed membership. Versions never move backwards; an
 // equal version is accepted idempotently.
 func (g *Gate) SetRing(info rpc.RingInfo) error {
-	if len(info.Shards) == 0 {
-		return errors.New("cluster: gate: refusing empty membership")
-	}
 	if info.Version == 0 {
 		return errors.New("cluster: gate: refusing membership version 0 (versions start at 1)")
+	}
+	ring, err := checkedRing(len(info.Shards), info.VirtualNodes)
+	if err != nil {
+		return fmt.Errorf("cluster: gate: %w", err)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if held := g.Ring().Version; info.Version < held {
 		return fmt.Errorf("cluster: gate: stale membership push: holding version %d, got %d", held, info.Version)
 	}
-	g.held.Store(&heldRing{info: info, ring: NewRing(len(info.Shards), info.VirtualNodes)})
+	g.held.Store(&heldRing{info: info, ring: ring})
 	return nil
 }

@@ -475,6 +475,65 @@ func TestClusterRingVirtualNodes(t *testing.T) {
 	sameOwners(8)
 }
 
+// TestWireRingSizeIsBounded feeds the two places a ring arrives over the
+// wire — a gate's pushed membership and a router's refreshed one — a
+// virtual-node count that would build a ring of 2^40 points. Both must
+// refuse it and keep the ring they hold; building it ends the process with
+// "fatal error: runtime: out of memory".
+func TestWireRingSizeIsBounded(t *testing.T) {
+	slot := []rpc.ShardInfo{{Addr: "http://a:1"}}
+	many := make([]rpc.ShardInfo, 2048)
+	for i := range many {
+		many[i] = rpc.ShardInfo{Addr: fmt.Sprintf("http://s%d:1", i)}
+	}
+
+	t.Run("gate", func(t *testing.T) {
+		g := cluster.NewGate("http://a:1")
+		for _, bad := range []rpc.RingInfo{
+			{Version: 1, VirtualNodes: 1 << 40, Shards: slot},
+			{Version: 1, VirtualNodes: -1, Shards: slot},
+			{Version: 1, VirtualNodes: 1025, Shards: slot},
+			{Version: 1, VirtualNodes: 1024, Shards: many}, // 2^21 points
+		} {
+			if err := g.SetRing(bad); err == nil {
+				t.Fatalf("gate accepted %d slots × %d virtual nodes", len(bad.Shards), bad.VirtualNodes)
+			}
+		}
+		if v := g.Ring().Version; v != 0 {
+			t.Fatalf("gate holds ring version %d after refused pushes, want 0", v)
+		}
+		for _, ok := range []rpc.RingInfo{
+			{Version: 1, VirtualNodes: 0, Shards: slot},
+			{Version: 2, VirtualNodes: 1024, Shards: slot},
+			{Version: 3, VirtualNodes: 512, Shards: many}, // 2^20 points
+		} {
+			if err := g.SetRing(ok); err != nil {
+				t.Fatalf("gate refused %d slots × %d virtual nodes: %v", len(ok.Shards), ok.VirtualNodes, err)
+			}
+		}
+	})
+
+	t.Run("membership source", func(t *testing.T) {
+		c, err := cluster.NewInMemory(2, platform.Config{Seed: 5}, cluster.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		sets := []*cluster.ReplicaSet{
+			cluster.NewReplicaSet(platform.New(platform.Config{Seed: 1})),
+			cluster.NewReplicaSet(platform.New(platform.Config{Seed: 2})),
+		}
+		boot := c.RingInfo()
+		c.SetMembershipSource(&fakeSource{m: cluster.Membership{Version: 2, VirtualNodes: 1 << 40, Shards: sets}})
+		if err := c.RefreshMembership(); err == nil {
+			t.Fatal("router adopted a ring of 2^40 virtual nodes per slot")
+		}
+		if got := c.RingInfo(); !reflect.DeepEqual(got, boot) {
+			t.Fatalf("router holds %+v after a refused refresh, want its boot ring %+v", got, boot)
+		}
+	})
+}
+
 func TestGateOwnershipAndMonotonicPushes(t *testing.T) {
 	ri := rpc.RingInfo{
 		Version:      1,

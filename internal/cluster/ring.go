@@ -24,6 +24,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 )
@@ -32,6 +33,14 @@ import (
 // smooth FNV's placement over a handful of shards; raising it past a few
 // hundred buys little.
 const DefaultVirtualNodes = 128
+
+// The bounds on a ring built from wire values (a gate's pushed membership, a
+// seed's ring answer): without them one message could ask for a ring of
+// shards*virtualNodes points that exhausts memory.
+const (
+	maxVirtualNodes = 1024
+	maxRingPoints   = 1 << 20
+)
 
 // Ring is a consistent-hash ring mapping string keys (user IDs) to shard
 // indices. It is immutable after construction and safe for concurrent use.
@@ -76,6 +85,26 @@ func NewRing(shards, virtualNodes int) *Ring {
 		return r.points[i].shard < r.points[j].shard
 	})
 	return r
+}
+
+// checkedRing is NewRing for membership that arrived over the wire: it
+// refuses, instead of building, a ring with no shards, virtualNodes below 0
+// or above maxVirtualNodes, or more than maxRingPoints points. 0 still
+// selects DefaultVirtualNodes.
+func checkedRing(shards, virtualNodes int) (*Ring, error) {
+	if shards < 1 {
+		return nil, errors.New("cluster: refusing a ring with no shards")
+	}
+	if virtualNodes < 0 || virtualNodes > maxVirtualNodes {
+		return nil, fmt.Errorf("cluster: refusing a ring of %d virtual nodes per shard (0…%d)", virtualNodes, maxVirtualNodes)
+	}
+	if virtualNodes == 0 {
+		virtualNodes = DefaultVirtualNodes
+	}
+	if shards*virtualNodes > maxRingPoints {
+		return nil, fmt.Errorf("cluster: refusing a ring of %d shards × %d virtual nodes (at most %d points)", shards, virtualNodes, maxRingPoints)
+	}
+	return NewRing(shards, virtualNodes), nil
 }
 
 // Shards returns the number of shards on the ring.

@@ -1,8 +1,11 @@
 package cluster
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
+
+	"github.com/treads-project/treads/internal/rpc"
 )
 
 func TestRingDeterministic(t *testing.T) {
@@ -84,4 +87,34 @@ func TestNewRingPanicsOnZeroShards(t *testing.T) {
 		}
 	}()
 	NewRing(0, 0)
+}
+
+// FuzzGateSetRing pushes arbitrary bytes, decoded as a membership in wire
+// form, to a shard node's gate: the push is refused, or it is accepted and
+// the held ring places every user on one of the pushed slots.
+func FuzzGateSetRing(f *testing.F) {
+	f.Add([]byte(`{"version":1,"virtual_nodes":0,"shards":[{"addr":"a"}]}`))
+	f.Add([]byte(`{"version":3,"virtual_nodes":8,"shards":[{"addr":"a"},{"addr":"b","replicas":["c"]}]}`))
+	f.Add([]byte(`{"version":1,"virtual_nodes":1099511627776,"shards":[{"addr":"a"}]}`))
+	f.Add([]byte(`{"version":1,"virtual_nodes":-5,"shards":[{"addr":"a"}]}`))
+	f.Add([]byte(`{"version":0,"shards":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var info rpc.RingInfo
+		if json.Unmarshal(data, &info) != nil {
+			return
+		}
+		g := NewGate("a")
+		if g.SetRing(info) != nil {
+			return
+		}
+		h := g.held.Load()
+		for i := 0; i < 64; i++ {
+			user := fmt.Sprintf("user-%06d", i)
+			if o := h.ring.Owner(user); o < 0 || o >= len(info.Shards) {
+				t.Fatalf("%s owned by slot %d of %d", user, o, len(info.Shards))
+			}
+			g.OwnsUser(user)
+			g.OwnsUserWrite(user)
+		}
+	})
 }

@@ -1,7 +1,7 @@
 // Package experiments implements every experiment in docs/DESIGN.md's
 // per-experiment index — one function per table/figure/quantitative claim
-// of the paper — returning structured results that the cmd/ binaries print
-// and bench_test.go regenerates.
+// of the paper — returning structured results that Paper collects for
+// cmd/treads-experiments and bench_test.go regenerates.
 //
 // Every experiment is deterministic given its seed.
 package experiments

@@ -49,10 +49,6 @@ type Options struct {
 	// don't arrive in lockstep.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeDelay enables hedged reads: if an idempotent call has not
-	// answered after this long, a duplicate is issued and the first
-	// response wins. 0 disables hedging.
-	HedgeDelay time.Duration
 	// FailureThreshold consecutive failures open the circuit breaker
 	// (default DefaultFailureThreshold).
 	FailureThreshold int
@@ -184,9 +180,8 @@ func (c *Client) Health(ctx context.Context) (HealthResp, error) {
 
 // Call issues one operation against the peer: marshal req (nil for none),
 // unmarshal the answer into resp (nil to discard). idempotent marks
-// operations that are safe to re-execute (pure reads); they get the full
-// retry-and-hedge treatment. Mutations get one shot unless the connection
-// was refused outright.
+// operations that are safe to re-execute (pure reads); they are retried.
+// Mutations get one shot unless the connection was refused outright.
 //
 // Errors: *RemoteError for application refusals (returned verbatim so
 // refusal text survives the hop), else a *CallError wrapping one of the
@@ -223,7 +218,7 @@ func (c *Client) call(ctx context.Context, op string, idempotent bool, req, resp
 	attempts := 0
 	for {
 		attempts++
-		raw, status, err := c.exchange(ctx, op, body, idempotent)
+		raw, status, err := c.exchange(ctx, op, body)
 		if err == nil {
 			c.br.success()
 			if resp == nil {
@@ -287,46 +282,11 @@ func retryable(err error, idempotent bool) bool {
 	return errors.Is(err, ErrUnavailable) || errors.Is(err, ErrTimeout)
 }
 
-// exchange runs one logical attempt, hedging idempotent calls when
-// configured: if the primary has not answered within HedgeDelay, a
-// duplicate fires and the first success wins (losers are canceled on
-// return via the shared per-attempt context).
-func (c *Client) exchange(ctx context.Context, op string, body []byte, idempotent bool) ([]byte, int, error) {
+// exchange runs one attempt, bounded by the per-attempt CallTimeout.
+func (c *Client) exchange(ctx context.Context, op string, body []byte) ([]byte, int, error) {
 	cctx, cancel := context.WithTimeout(ctx, c.opts.CallTimeout)
 	defer cancel()
-	if !idempotent || c.opts.HedgeDelay <= 0 {
-		return c.roundTrip(cctx, http.MethodPost, op, body)
-	}
-	type result struct {
-		raw    []byte
-		status int
-		err    error
-	}
-	ch := make(chan result, 2)
-	launch := func() {
-		raw, status, err := c.roundTrip(cctx, http.MethodPost, op, body)
-		ch <- result{raw, status, err}
-	}
-	go launch()
-	t := time.NewTimer(c.opts.HedgeDelay)
-	defer t.Stop()
-	select {
-	case r := <-ch:
-		return r.raw, r.status, r.err
-	case <-t.C:
-		c.m.hedges.Inc()
-		trace.FromContext(ctx).Event("hedge")
-		go launch()
-	}
-	r := <-ch
-	if r.err == nil {
-		return r.raw, r.status, nil
-	}
-	r2 := <-ch
-	if r2.err == nil {
-		return r2.raw, r2.status, nil
-	}
-	return r.raw, r.status, r.err
+	return c.roundTrip(cctx, http.MethodPost, op, body)
 }
 
 // roundTrip performs a single HTTP exchange — the only place a response

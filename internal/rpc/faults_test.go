@@ -2,14 +2,12 @@ package rpc_test
 
 // Transport-fault tests for the rpc client, driven through the
 // faults.Transport seam: retry-budget exhaustion must surface the typed
-// ErrUnavailable, a losing hedge must be cancelled promptly rather than
-// ride out the call timeout, and a duplicate-delivered request must never
+// ErrUnavailable, and a duplicate-delivered request must never
 // double-apply a mutation.
 
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
@@ -59,46 +57,6 @@ func TestRetryBudgetExhaustionSurfacesUnavailable(t *testing.T) {
 	}
 	if got := inj.Counts()[faults.NetDialError]; got != 3 {
 		t.Fatalf("injected dial errors = %d, want one per attempt (3)", got)
-	}
-}
-
-// When a hedged read wins, the losing attempt's request context must be
-// cancelled as soon as the call returns — not left running until the call
-// timeout expires.
-func TestHedgeLoserCancelledPromptly(t *testing.T) {
-	p := platform.New(platform.Config{Seed: 1})
-	inner := rpc.NewServer(p, "", nil)
-	loserCancelled := make(chan struct{})
-	var n atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if n.Add(1) == 1 {
-			// The primary: hang until the client gives up on us, then
-			// observe our cancellation.
-			<-r.Context().Done()
-			close(loserCancelled)
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-
-	c := rpc.NewClient(srv.URL, rpc.Options{
-		HedgeDelay:  10 * time.Millisecond,
-		CallTimeout: 30 * time.Second, // a leaked loser would hang this long
-	})
-	defer c.Close()
-
-	start := time.Now()
-	if err := users(c); err != nil {
-		t.Fatalf("hedged read failed: %v", err)
-	}
-	select {
-	case <-loserCancelled:
-	case <-time.After(2 * time.Second):
-		t.Fatal("losing hedge still running 2s after the call returned")
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("loser cancellation took %v", waited)
 	}
 }
 

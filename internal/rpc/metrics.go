@@ -36,7 +36,6 @@ type clientMetrics struct {
 	errors         *obs.Counter
 	requestSeconds *obs.Histogram
 	retries        *obs.Counter
-	hedges         *obs.Counter
 	circuitOpened  *obs.Counter
 	circuitState   *obs.Gauge
 }
@@ -44,15 +43,13 @@ type clientMetrics struct {
 func newClientMetrics(reg *obs.Registry, peer string) *clientMetrics {
 	return &clientMetrics{
 		requests: reg.CounterVec("rpc_client_requests_total",
-			"RPC attempts sent to each peer (retries and hedges count individually).", "peer").With(peer),
+			"RPC attempts sent to each peer (retries count individually).", "peer").With(peer),
 		errors: reg.CounterVec("rpc_client_errors_total",
 			"RPC attempts against each peer that failed (any cause).", "peer").With(peer),
 		requestSeconds: reg.HistogramVec("rpc_client_request_seconds",
 			"Per-attempt RPC latency against each peer.", "peer").With(peer),
 		retries: reg.CounterVec("rpc_client_retries_total",
 			"Retry attempts issued against each peer after a retryable failure.", "peer").With(peer),
-		hedges: reg.CounterVec("rpc_client_hedges_total",
-			"Hedged duplicate reads issued against each peer to cut tail latency.", "peer").With(peer),
 		circuitOpened: reg.CounterVec("rpc_client_circuit_open_total",
 			"Times each peer's circuit breaker opened after consecutive failures.", "peer").With(peer),
 		circuitState: reg.GaugeVec("rpc_client_circuit_state",

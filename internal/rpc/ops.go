@@ -17,7 +17,7 @@ type Scope uint8
 
 const (
 	// UserRead is served by any member of the user's slot; the server
-	// checks OwnsUser, the client retries and hedges it.
+	// checks OwnsUser, the client retries it.
 	UserRead Scope = iota
 	// UserWrite is served by the slot's owner only, under the coordinator's
 	// reshard fence; the server checks OwnsUserWrite, the client sends it
@@ -39,7 +39,7 @@ type OpInfo struct {
 	// suffix of the span names and the op label of the server's metrics.
 	Name  string
 	Scope Scope
-	// Idempotent ops get the client's retries and hedges; the others are
+	// Idempotent ops get the client's retries; the others are
 	// resent only when the connection was refused before the request left.
 	Idempotent bool
 }
@@ -140,7 +140,7 @@ var (
 	OpTraceSpans   = declare[empty, TraceSpansResp]("tracespans", Control)
 )
 
-// Do sends one op and returns its answer: the retry-and-hedge policy, span
+// Do sends one op and returns its answer: the retry policy, span
 // name and error label come from the row. A failed call returns the zero
 // Resp — a half-decoded answer is no answer.
 func Do[Req, Resp any](ctx context.Context, c *Client, op Op[Req, Resp], req Req) (Resp, error) {

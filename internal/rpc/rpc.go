@@ -17,9 +17,9 @@
 // against a lossy network: pooled connections, per-call deadlines, retries
 // with exponential backoff and jitter on idempotent operations (mutations
 // are retried only when the connection was refused outright, i.e. the
-// request provably never reached the shard), hedged reads to cut the
-// fan-out tail, and a consecutive-failure circuit breaker with a
-// half-open probe so a dead peer fails fast instead of burning deadlines.
+// request provably never reached the shard), and a consecutive-failure
+// circuit breaker with a half-open probe so a dead peer fails fast instead
+// of burning deadlines.
 package rpc
 
 import (

@@ -475,42 +475,6 @@ func TestCircuitBreaker(t *testing.T) {
 	}
 }
 
-// TestHedgedRead: when the primary stalls, the hedge answers and the call
-// completes far sooner than the stall.
-func TestHedgedRead(t *testing.T) {
-	var calls atomic.Int32
-	p := platform.New(platform.Config{Seed: 1})
-	inner := rpc.NewServer(p, "", nil)
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			// The primary stalls (until the client cancels it).
-			select {
-			case <-r.Context().Done():
-			case <-time.After(2 * time.Second):
-			}
-			return
-		}
-		inner.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
-	c := rpc.NewClient(srv.URL, rpc.Options{
-		CallTimeout: 5 * time.Second,
-		HedgeDelay:  20 * time.Millisecond,
-		MaxRetries:  -1,
-	})
-	defer c.Close()
-	start := time.Now()
-	if err := users(c); err != nil {
-		t.Fatalf("hedged read failed: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("hedge did not rescue the call: took %v", elapsed)
-	}
-	if calls.Load() < 2 {
-		t.Fatal("no hedge request was issued")
-	}
-}
-
 // TestRequestTooLargeRejected pins the server-side length check.
 func TestRequestTooLargeRejected(t *testing.T) {
 	_, c := newShardPair(t, "", rpc.Options{MaxRetries: -1})

@@ -86,7 +86,7 @@ type SpanData struct {
 // Span is a live, sampled span. The nil *Span is the unsampled span:
 // every method is a nil-receiver no-op, so instrumentation never
 // branches on the sampling decision. A Span may be annotated from
-// concurrent goroutines (hedged RPC attempts, scatter-gather workers);
+// concurrent goroutines (scatter-gather workers);
 // a small mutex guards the mutable fields.
 type Span struct {
 	tracer *Tracer
