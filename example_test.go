@@ -1,6 +1,7 @@
 package treads_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -101,6 +102,36 @@ func ExampleHashEmail() {
 	fmt.Println("normalized equal:", a == b)
 	// Output:
 	// normalized equal: true
+}
+
+// ExamplePlatform_CreateAudience builds a page-engagement audience and
+// targets it: the advertiser gets back an audience ID and a rounded reach,
+// never the members.
+func ExamplePlatform_CreateAudience() {
+	p := treads.NewPlatform(treads.PlatformConfig{Seed: 1})
+	for i := 0; i < 30; i++ {
+		u := treads.NewProfile(treads.UserID(fmt.Sprintf("u%02d", i)))
+		if err := p.AddUser(u); err != nil {
+			log.Fatal(err)
+		}
+		if err := p.LikePage(u.ID, "acme-page"); err != nil {
+			log.Fatal(err)
+		}
+	}
+	if err := p.RegisterAdvertiser("acme"); err != nil {
+		log.Fatal(err)
+	}
+	fans, err := p.CreateAudience("acme", treads.AudienceDef{Kind: treads.AudienceEngagement, Name: "fans", Page: "acme-page"})
+	if err != nil {
+		log.Fatal(err)
+	}
+	reach, err := p.PotentialReach(context.Background(), "acme", treads.Spec{Include: []treads.AudienceID{fans}})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Println(fans, "reaches", reach)
+	// Output:
+	// aud-000001 reaches 30
 }
 
 // ExampleNewCluster runs the same end-to-end Treads flow as

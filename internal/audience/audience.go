@@ -11,6 +11,7 @@ package audience
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -46,21 +47,14 @@ const (
 	KindLookalike
 )
 
+// kindNames spells each kind, in String and in a state file.
+var kindNames = [...]string{KindPII: "pii", KindWebsite: "website", KindEngagement: "engagement", KindAffinity: "affinity", KindLookalike: "lookalike"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindPII:
-		return "pii"
-	case KindWebsite:
-		return "website"
-	case KindEngagement:
-		return "engagement"
-	case KindAffinity:
-		return "affinity"
-	case KindLookalike:
-		return "lookalike"
-	default:
+	if k < 0 || int(k) >= len(kindNames) {
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
+	return kindNames[k]
 }
 
 // Audience is one stored custom audience. Membership is resolved lazily at
@@ -132,6 +126,52 @@ func (e *Engine) newAudience(advertiser string, kind Kind, name string) *Audienc
 	}
 	e.audiences[a.ID] = a
 	return a
+}
+
+// Def is one custom audience as an advertiser defines it: its kind, its
+// name, and that kind's one argument. Create reads only the argument of
+// Kind.
+type Def struct {
+	Kind    Kind
+	Name    string
+	Keys    []pii.MatchKey // KindPII
+	Pixel   pixel.PixelID  // KindWebsite
+	Page    string         // KindEngagement
+	Phrases []string       // KindAffinity
+	Seed    AudienceID     // KindLookalike
+	Overlap float64        // KindLookalike; <= 0 selects DefaultLookalikeOverlap
+}
+
+// Validate refuses an unknown kind and a non-finite lookalike overlap (the
+// JSON that carries a Def to a shard, a journal or a snapshot has no NaN).
+func (d Def) Validate() error {
+	if d.Kind < 0 || int(d.Kind) >= len(kindNames) {
+		return fmt.Errorf("audience: unknown audience kind %v", d.Kind)
+	}
+	if d.Kind == KindLookalike && (math.IsNaN(d.Overlap) || math.IsInf(d.Overlap, 0)) {
+		return fmt.Errorf("audience: lookalike overlap %v is not a finite number", d.Overlap)
+	}
+	return nil
+}
+
+// Create validates d and builds it: the one place a kind is dispatched to
+// its constructor. The catalog resolves an affinity audience's phrases.
+func (e *Engine) Create(advertiser string, d Def, catalog *attr.Catalog) (*Audience, error) {
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
+	switch d.Kind {
+	case KindPII:
+		return e.CreatePIIAudience(advertiser, d.Name, d.Keys), nil
+	case KindWebsite:
+		return e.CreateWebsiteAudience(advertiser, d.Name, d.Pixel)
+	case KindEngagement:
+		return e.CreateEngagementAudience(advertiser, d.Name, d.Page), nil
+	case KindAffinity:
+		return e.CreateAffinityAudience(advertiser, d.Name, d.Phrases, catalog)
+	default: // KindLookalike: Validate refused every other kind
+		return e.CreateLookalikeAudience(advertiser, d.Name, d.Seed, d.Overlap)
+	}
 }
 
 // CreatePIIAudience stores a customer-list audience from hashed match keys.

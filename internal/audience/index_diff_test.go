@@ -23,6 +23,7 @@ type world struct {
 	profs   []*profile.Profile
 	pii     audience.AudienceID
 	look    audience.AudienceID
+	noLook  audience.AudienceID // a lookalike whose seed matches nobody
 	engage  audience.AudienceID
 	affin   audience.AudienceID
 	website audience.AudienceID
@@ -90,6 +91,14 @@ func buildWorld(t testing.TB, cfg workload.Config, indexed bool) *world {
 		t.Fatal(err)
 	}
 	w.look = la.ID
+
+	// Lookalike seeded from an audience nobody is in: no signature.
+	none := w.engine.CreateEngagementAudience("acme", "no fans", "diff-test-page-nobody-likes")
+	nl, err := w.engine.CreateLookalikeAudience("acme", "lookalike of nobody", none.ID, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.noLook = nl.ID
 	return w
 }
 
@@ -113,6 +122,8 @@ func (w *world) diffSpecs() []audience.Spec {
 		{Include: []audience.AudienceID{w.affin}, Expr: attr.AgeBetween{Min: 21, Max: 60}},
 		{Include: []audience.AudienceID{w.look}},
 		{Include: []audience.AudienceID{w.pii, w.look}, Exclude: []audience.AudienceID{w.engage}},
+		{Include: []audience.AudienceID{w.noLook}},
+		{Include: []audience.AudienceID{w.engage}, Exclude: []audience.AudienceID{w.noLook}},
 		{IncludeAll: []audience.AudienceID{w.pii, w.website}},
 		{
 			Include:    []audience.AudienceID{w.engage, w.affin},

@@ -19,6 +19,11 @@ import (
 // attributes held by a strict majority of the seed members — and a user
 // matches when they hold at least the overlap fraction of the signature
 // (and are not themselves in the seed).
+//
+// On a cluster each shard derives the signature from the seed members it
+// holds. Only replicated state (the seed's existence, owner and kind) may
+// refuse a lookalike, or the shards' audience IDs part ways; a partition
+// with no usable seed gets an empty signature, which matches nobody.
 
 // DefaultLookalikeOverlap is the fraction of the seed signature a user
 // must hold to qualify.
@@ -27,7 +32,8 @@ const DefaultLookalikeOverlap = 0.5
 // CreateLookalikeAudience derives a lookalike from an existing seed
 // audience owned by the same advertiser. The signature is computed from
 // the seed's membership at creation time, like real platforms' periodic
-// materialization. overlap <= 0 selects DefaultLookalikeOverlap.
+// materialization. overlap <= 0 selects DefaultLookalikeOverlap; it must
+// be finite (Def.Validate).
 func (e *Engine) CreateLookalikeAudience(advertiser, name string, seed AudienceID, overlap float64) (*Audience, error) {
 	e.mu.RLock()
 	seedAud := e.audiences[seed]
@@ -55,9 +61,6 @@ func (e *Engine) CreateLookalikeAudience(advertiser, name string, seed AudienceI
 			members = append(members, p)
 		}
 	})
-	if len(members) == 0 {
-		return nil, fmt.Errorf("audience: seed audience %q is empty", seed)
-	}
 	counts := make(map[attr.ID]int)
 	for _, m := range members {
 		for _, id := range m.Attrs() {
@@ -71,9 +74,6 @@ func (e *Engine) CreateLookalikeAudience(advertiser, name string, seed AudienceI
 		}
 	}
 	sort.Slice(signature, func(i, j int) bool { return signature[i] < signature[j] })
-	if len(signature) == 0 {
-		return nil, fmt.Errorf("audience: seed audience %q has no common attributes to generalize from", seed)
-	}
 	seedSet := make(map[profile.UserID]bool, len(members))
 	for _, m := range members {
 		seedSet[m.ID] = true
@@ -92,8 +92,10 @@ func (e *Engine) CreateLookalikeAudience(advertiser, name string, seed AudienceI
 
 // lookalikeMatch reports whether the profile resembles the seed signature.
 func (a *Audience) lookalikeMatch(p *profile.Profile) bool {
-	if a.seedMembers[p.ID] {
-		return false // lookalikes find new people, not the seed itself
+	// An empty signature matches nobody (hit >= overlap*0 would admit all);
+	// lookalikes find new people, not the seed itself.
+	if len(a.signature) == 0 || a.seedMembers[p.ID] {
+		return false
 	}
 	hit := 0
 	for _, id := range a.signature {

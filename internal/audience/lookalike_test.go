@@ -2,6 +2,7 @@ package audience
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -116,9 +117,35 @@ func TestLookalikeErrors(t *testing.T) {
 	if _, err := eng.CreateLookalikeAudience("adv1", "x2", look.ID, 0); err == nil {
 		t.Error("lookalike-of-lookalike accepted")
 	}
-	empty := eng.CreateEngagementAudience("adv1", "empty", "nobody-likes-this")
-	if _, err := eng.CreateLookalikeAudience("adv1", "x3", empty.ID, 0); err == nil {
-		t.Error("empty seed accepted")
+	for _, overlap := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := Def{Kind: KindLookalike, Name: "x4", Seed: seedID, Overlap: overlap}
+		if _, err := eng.Create("adv1", d, nil); err == nil {
+			t.Errorf("overlap %v accepted", overlap)
+		}
+	}
+}
+
+// TestLookalikeOfNoSignatureMatchesNobody: a seed with no members here, or
+// whose members here share no majority attribute, is how one shard of a
+// cluster sees a seed whose members live elsewhere. The lookalike is
+// created all the same (the other shards mint the ID) and matches nobody.
+func TestLookalikeOfNoSignatureMatchesNobody(t *testing.T) {
+	store, eng, _, _, _ := lookalikeFixture(t)
+	store.Get("u07").Like("mixed-page") // salsa
+	store.Get("u08").Like("mixed-page") // running
+	for _, page := range []string{"nobody-likes-this", "mixed-page"} {
+		seed := eng.CreateEngagementAudience("adv1", page, page)
+		look, err := eng.CreateLookalikeAudience("adv1", "of "+page, seed.ID, 0)
+		if err != nil {
+			t.Fatalf("seed %s refused: %v", page, err)
+		}
+		if len(look.signature) != 0 {
+			t.Fatalf("seed %s: signature %v, want none", page, look.signature)
+		}
+		got, err := resolve(eng, Spec{Include: []AudienceID{look.ID}})
+		if err != nil || len(got) != 0 {
+			t.Errorf("lookalike of seed %s matches %v (%v), want nobody", page, got, err)
+		}
 	}
 }
 

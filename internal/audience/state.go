@@ -2,6 +2,7 @@ package audience
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -90,32 +91,27 @@ func RestoreState(s State, store *profile.Store, pixels *pixel.Registry) (*Engin
 		if _, dup := e.audiences[as.ID]; dup {
 			return nil, fmt.Errorf("audience: duplicate audience %q in state", as.ID)
 		}
-		a := &Audience{ID: as.ID, Advertiser: as.Advertiser, Name: as.Name}
-		switch as.Kind {
-		case "pii":
-			a.Kind = KindPII
+		a := &Audience{ID: as.ID, Advertiser: as.Advertiser, Kind: Kind(slices.Index(kindNames[:], as.Kind)), Name: as.Name}
+		switch a.Kind {
+		case KindPII:
 			a.keys = make(map[pii.MatchKey]bool, len(as.Keys))
 			for _, k := range as.Keys {
 				a.keys[k] = true
 			}
-		case "website":
-			a.Kind = KindWebsite
+		case KindWebsite:
 			if pixels.Get(as.Pixel) == nil {
 				return nil, fmt.Errorf("audience: audience %q references unknown pixel %q", as.ID, as.Pixel)
 			}
 			a.pixel = as.Pixel
-		case "engagement":
-			a.Kind = KindEngagement
+		case KindEngagement:
 			a.pageID = as.PageID
-		case "affinity":
-			a.Kind = KindAffinity
+		case KindAffinity:
 			a.phrases = append([]string(nil), as.Phrases...)
 			a.affinity = make(map[attr.ID]bool, len(as.Affinity))
 			for _, id := range as.Affinity {
 				a.affinity[id] = true
 			}
-		case "lookalike":
-			a.Kind = KindLookalike
+		case KindLookalike:
 			a.seed = as.Seed
 			a.signature = append([]attr.ID(nil), as.Signature...)
 			a.overlap = as.Overlap

@@ -532,7 +532,9 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 // setup seeds the population and advertiser surface with faults disarmed:
 // replicated mutations have no partial-failure recovery by design (the
 // cluster treats replication divergence as fatal), so the harness only
-// injects faults into the user-facing traffic it can account for.
+// injects faults into the user-facing traffic it can account for. Campaign
+// 0 targets the pixel's visitors and campaign 1 a lookalike of the first 12
+// users, so visitor and seed rows go through every reshard and recovery.
 func (h *harness) setup() error {
 	cfg := h.cfg
 	profiles := workload.Generate(workload.Config{
@@ -556,8 +558,37 @@ func (h *harness) setup() error {
 		return err
 	}
 	h.px = px
+	for i, uid := range h.users {
+		if i%2 == 0 {
+			if err := h.clu.VisitPage(uid, px); err != nil {
+				return fmt.Errorf("seeding pixel visits: %w", err)
+			}
+		}
+		if i < 12 {
+			if err := h.clu.LikePage(uid, "chaos-fans"); err != nil {
+				return fmt.Errorf("seeding page likes: %w", err)
+			}
+		}
+	}
+	visitors, err := h.clu.CreateAudience(h.advertiser, audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
+	if err != nil {
+		return fmt.Errorf("seeding website audience: %w", err)
+	}
+	fans, err := h.clu.CreateAudience(h.advertiser, audience.Def{Kind: audience.KindEngagement, Name: "fans", Page: "chaos-fans"})
+	if err != nil {
+		return fmt.Errorf("seeding engagement audience: %w", err)
+	}
+	lookalike, err := h.clu.CreateAudience(h.advertiser, audience.Def{Kind: audience.KindLookalike, Name: "like the fans", Seed: fans})
+	if err != nil {
+		return fmt.Errorf("seeding lookalike audience: %w", err)
+	}
+	targets := []audience.AudienceID{visitors, lookalike}
 	for j := 0; j < cfg.Campaigns; j++ {
-		id, err := h.clu.CreateCampaign(h.advertiser, chaosCampaign(fmt.Sprintf("chaos-%d", j)))
+		params := chaosCampaign(fmt.Sprintf("chaos-%d", j))
+		if j < len(targets) {
+			params.Spec.Include = targets[j : j+1]
+		}
+		id, err := h.clu.CreateCampaign(h.advertiser, params)
 		if err != nil {
 			return fmt.Errorf("seeding campaigns: %w", err)
 		}

@@ -19,7 +19,6 @@ import (
 	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -553,42 +552,12 @@ func (c *Cluster) PauseCampaign(advertiser, campaignID string) error {
 	return err
 }
 
-// CreatePIIAudience uploads the customer list to every shard; each shard
-// matches its own users against the hashed keys.
-func (c *Cluster) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	return replicate(c, "CreatePIIAudience", func(s Shard) (audience.AudienceID, error) {
-		return s.CreatePIIAudience(advertiser, name, keys)
-	})
-}
-
-// CreateWebsiteAudience builds the pixel-backed audience on every shard.
-func (c *Cluster) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	return replicate(c, "CreateWebsiteAudience", func(s Shard) (audience.AudienceID, error) {
-		return s.CreateWebsiteAudience(advertiser, name, px)
-	})
-}
-
-// CreateEngagementAudience builds the page-like audience on every shard.
-func (c *Cluster) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	return replicate(c, "CreateEngagementAudience", func(s Shard) (audience.AudienceID, error) {
-		return s.CreateEngagementAudience(advertiser, name, pageID)
-	})
-}
-
-// CreateAffinityAudience builds the keyword audience on every shard.
-func (c *Cluster) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	return replicate(c, "CreateAffinityAudience", func(s Shard) (audience.AudienceID, error) {
-		return s.CreateAffinityAudience(advertiser, name, phrases)
-	})
-}
-
-// CreateLookalikeAudience derives the similarity audience on every shard.
-// Each shard expands the seed audience over its own users, so the
-// lookalike is computed per partition — the same locality approximation
-// production systems make.
-func (c *Cluster) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	return replicate(c, "CreateLookalikeAudience", func(s Shard) (audience.AudienceID, error) {
-		return s.CreateLookalikeAudience(advertiser, name, seed, overlap)
+// CreateAudience builds the custom audience on every shard under one ID.
+// Each shard matches a PII list, and derives a lookalike, over its own
+// users — the same locality approximation production systems make.
+func (c *Cluster) CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
+	return replicate(c, "CreateAudience", func(s Shard) (audience.AudienceID, error) {
+		return s.CreateAudience(advertiser, d)
 	})
 }
 

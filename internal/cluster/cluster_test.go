@@ -42,11 +42,7 @@ type backend interface {
 	RegisterAdvertiser(string) error
 	CreateCampaign(string, platform.CampaignParams) (string, error)
 	PauseCampaign(string, string) error
-	CreatePIIAudience(string, string, []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(string, string, pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(string, string, string) (audience.AudienceID, error)
-	CreateAffinityAudience(string, string, []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error)
+	CreateAudience(string, audience.Def) (audience.AudienceID, error)
 	IssuePixel(string) (pixel.PixelID, error)
 	PotentialReach(context.Context, string, audience.Spec) (int, error)
 	Report(context.Context, string, string) (billing.Report, error)
@@ -131,7 +127,7 @@ func runScenario(t *testing.T, b backend) scenarioResult {
 			t.Fatalf("VisitPage(%s): %v", res.users[i], err)
 		}
 	}
-	webAud, err := b.CreateWebsiteAudience("acme", "site visitors", px)
+	webAud, err := b.CreateAudience("acme", audience.Def{Kind: audience.KindWebsite, Name: "site visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +139,7 @@ func runScenario(t *testing.T, b backend) scenarioResult {
 		}
 		keys = append(keys, k)
 	}
-	piiAud, err := b.CreatePIIAudience("acme", "customer list", keys)
+	piiAud, err := b.CreateAudience("acme", audience.Def{Kind: audience.KindPII, Name: "customer list", Keys: keys})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +457,75 @@ func TestClusterDivergenceDetected(t *testing.T) {
 	}
 }
 
+// TestClusterLookalikeOfAPartitionedSeed: each shard derives a lookalike
+// from the seed members it holds. Here the seed's one member lives on slot
+// 2, so slots 0 and 1 have no seed member to generalize from; they must
+// mint the audience all the same (matching nobody), or every later audience
+// ID differs between the shards.
+func TestClusterLookalikeOfAPartitionedSeed(t *testing.T) {
+	c, err := cluster.NewInMemory(3, platform.Config{Seed: 1}, cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	salsa := c.Catalog().Search("Salsa dance")[0].ID
+	var seedUser profile.UserID
+	for i := 0; i < 30; i++ {
+		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
+		pr.Nation = "US"
+		pr.AgeYrs = 30
+		pr.SetAttr(salsa)
+		if err := c.AddUser(pr); err != nil {
+			t.Fatal(err)
+		}
+		if seedUser == "" && c.Owner(pr.ID) == 2 {
+			seedUser = pr.ID
+		}
+	}
+	if err := c.RegisterAdvertiser("acme"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LikePage(seedUser, "seed-page"); err != nil {
+		t.Fatal(err)
+	}
+	seed, err := c.CreateAudience("acme", audience.Def{Kind: audience.KindEngagement, Name: "seed", Page: "seed-page"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	look, err := c.CreateAudience("acme", audience.Def{Kind: audience.KindLookalike, Name: "like the seed", Seed: seed})
+	if err != nil {
+		t.Fatalf("lookalike: %v", err)
+	}
+	next, err := c.CreateAudience("acme", audience.Def{Kind: audience.KindEngagement, Name: "next", Page: "other-page"})
+	if err != nil || next != "aud-000003" {
+		t.Fatalf("the audience after the lookalike = (%q, %v), want aud-000003", next, err)
+	}
+
+	// Only slot 2 derived a signature (salsa): its users other than the
+	// seed member are the lookalike; the other slots' users are not.
+	camp, err := c.CreateCampaign("acme", platform.CampaignParams{
+		Spec:      audience.Spec{Include: []audience.AudienceID{look}},
+		BidCapCPM: money.FromDollars(50),
+		Creative:  ad.Creative{Headline: "h", Body: "b"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, uid := range c.Users() {
+		imps, err := c.BrowseFeed(uid, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shown := false
+		for _, imp := range imps {
+			shown = shown || imp.CampaignID == camp
+		}
+		if want := c.Owner(uid) == 2 && uid != seedUser; shown != want {
+			t.Errorf("%s on slot %d: shown the lookalike's ad = %v, want %v", uid, c.Owner(uid), shown, want)
+		}
+	}
+}
+
 func TestClusterUnknownUserRoutes(t *testing.T) {
 	c, err := cluster.NewInMemory(3, platform.Config{Seed: 1}, cluster.Options{})
 	if err != nil {
@@ -515,7 +580,7 @@ func TestClusterConcurrentSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { // advertiser mutations racing the user traffic
 		for i := 0; i < 20; i++ {
-			if _, err := c.CreateEngagementAudience("smoke", fmt.Sprintf("aud-%d", i), "page-alpha"); err != nil {
+			if _, err := c.CreateAudience("smoke", audience.Def{Kind: audience.KindEngagement, Name: fmt.Sprintf("aud-%d", i), Page: "page-alpha"}); err != nil {
 				done <- err
 				return
 			}

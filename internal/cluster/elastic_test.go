@@ -83,7 +83,7 @@ func populateElastic(t testing.TB, c *cluster.Cluster, nUsers int) ([]profile.Us
 			t.Fatalf("VisitPage(%s): %v", users[i], err)
 		}
 	}
-	aud, err := c.CreateWebsiteAudience("mover", "visitors", px)
+	aud, err := c.CreateAudience("mover", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,10 +97,18 @@ func recoveryScript(t *testing.T) []func(c *cluster.Cluster) {
 		func(c *cluster.Cluster) { c.VisitPage(uB, "px-000001") },
 		func(c *cluster.Cluster) { c.LikePage(uB, "page-w") },
 		func(c *cluster.Cluster) { c.LikePage(uC, "page-w") },
-		func(c *cluster.Cluster) { c.CreateEngagementAudience("wal-adv", "eng", "page-w") },        // aud-000001
-		func(c *cluster.Cluster) { c.CreatePIIAudience("wal-adv", "list", []pii.MatchKey{key}) },   // aud-000002
-		func(c *cluster.Cluster) { c.CreateWebsiteAudience("wal-adv", "web", "px-000001") },        // aud-000003
-		func(c *cluster.Cluster) { c.CreateAffinityAudience("wal-adv", "aff", []string{"salsa"}) }, // aud-000004
+		func(c *cluster.Cluster) {
+			c.CreateAudience("wal-adv", audience.Def{Kind: audience.KindEngagement, Name: "eng", Page: "page-w"})
+		}, // aud-000001
+		func(c *cluster.Cluster) {
+			c.CreateAudience("wal-adv", audience.Def{Kind: audience.KindPII, Name: "list", Keys: []pii.MatchKey{key}})
+		}, // aud-000002
+		func(c *cluster.Cluster) {
+			c.CreateAudience("wal-adv", audience.Def{Kind: audience.KindWebsite, Name: "web", Pixel: "px-000001"})
+		}, // aud-000003
+		func(c *cluster.Cluster) {
+			c.CreateAudience("wal-adv", audience.Def{Kind: audience.KindAffinity, Name: "aff", Phrases: []string{"salsa"}})
+		}, // aud-000004
 		func(c *cluster.Cluster) {
 			c.CreateCampaign("wal-adv", platform.CampaignParams{
 				Spec:      audience.Spec{Include: []audience.AudienceID{"aud-000004"}},

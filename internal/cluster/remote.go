@@ -8,7 +8,6 @@ import (
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/httpapi"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -141,37 +140,12 @@ func (r *RemoteShard) PauseCampaign(advertiser, campaignID string) error {
 	return r.c.PauseCampaign(context.Background(), advertiser, campaignID)
 }
 
-func (r *RemoteShard) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	wire := make([]httpapi.MatchKeyWire, len(keys))
-	for i, k := range keys {
-		wire[i] = httpapi.FromMatchKey(k)
+func (r *RemoteShard) CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
+	if err := d.Validate(); err != nil {
+		return "", err
 	}
-	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreatePIIAudience,
-		rpc.CreatePIIAudienceReq{Advertiser: advertiser, Name: name, Keys: wire}))
-}
-
-func (r *RemoteShard) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateWebsiteAudience,
-		rpc.CreateWebsiteAudienceReq{Advertiser: advertiser, Name: name, PixelID: string(px)}))
-}
-
-func (r *RemoteShard) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateEngagementAudience,
-		rpc.CreateEngagementAudienceReq{Advertiser: advertiser, Name: name, PageID: pageID}))
-}
-
-func (r *RemoteShard) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateAffinityAudience,
-		rpc.CreateAffinityAudienceReq{Advertiser: advertiser, Name: name, Phrases: phrases}))
-}
-
-func (r *RemoteShard) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	return audienceID(rpc.Do(context.Background(), r.c, rpc.OpCreateLookalikeAudience,
-		rpc.CreateLookalikeAudienceReq{Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap}))
-}
-
-// audienceID reads the answer of the five audience-creating ops.
-func audienceID(resp httpapi.AudienceResponse, err error) (audience.AudienceID, error) {
+	resp, err := rpc.Do(context.Background(), r.c, rpc.OpCreateAudience[d.Kind],
+		rpc.CreateAudienceReq{Advertiser: advertiser, AudienceWire: httpapi.FromDef(d)})
 	return audience.AudienceID(resp.AudienceID), err
 }
 

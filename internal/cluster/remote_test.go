@@ -342,11 +342,19 @@ func TestRemoteShardSendsItsOwnRow(t *testing.T) {
 		{rpc.OpRegister.Name, func() { rs.RegisterAdvertiser("adv") }},
 		{rpc.OpCreateCampaign.Name, func() { rs.CreateCampaign("adv", platform.CampaignParams{}) }},
 		{rpc.OpPauseCampaign.Name, func() { rs.PauseCampaign("adv", "camp-000001") }},
-		{rpc.OpCreatePIIAudience.Name, func() { rs.CreatePIIAudience("adv", "a", nil) }},
-		{rpc.OpCreateWebsiteAudience.Name, func() { rs.CreateWebsiteAudience("adv", "a", "px-000001") }},
-		{rpc.OpCreateEngagementAudience.Name, func() { rs.CreateEngagementAudience("adv", "a", "page-x") }},
-		{rpc.OpCreateAffinityAudience.Name, func() { rs.CreateAffinityAudience("adv", "a", []string{"jazz"}) }},
-		{rpc.OpCreateLookalikeAudience.Name, func() { rs.CreateLookalikeAudience("adv", "a", "aud-000001", 0.5) }},
+		{rpc.OpCreateAudience[audience.KindPII].Name, func() { rs.CreateAudience("adv", audience.Def{Kind: audience.KindPII, Name: "a"}) }},
+		{rpc.OpCreateAudience[audience.KindWebsite].Name, func() {
+			rs.CreateAudience("adv", audience.Def{Kind: audience.KindWebsite, Name: "a", Pixel: "px-000001"})
+		}},
+		{rpc.OpCreateAudience[audience.KindEngagement].Name, func() {
+			rs.CreateAudience("adv", audience.Def{Kind: audience.KindEngagement, Name: "a", Page: "page-x"})
+		}},
+		{rpc.OpCreateAudience[audience.KindAffinity].Name, func() {
+			rs.CreateAudience("adv", audience.Def{Kind: audience.KindAffinity, Name: "a", Phrases: []string{"jazz"}})
+		}},
+		{rpc.OpCreateAudience[audience.KindLookalike].Name, func() {
+			rs.CreateAudience("adv", audience.Def{Kind: audience.KindLookalike, Name: "a", Seed: "aud-000001", Overlap: 0.5})
+		}},
 		{rpc.OpIssuePixel.Name, func() { rs.IssuePixel("adv") }},
 		{rpc.OpRawReach.Name, func() { rs.RawReach(ctx, "adv", audience.Spec{}) }},
 		{rpc.OpCampaignTotals.Name, func() { rs.CampaignTotals(ctx, "adv", "camp-000001") }},

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -40,24 +41,10 @@ func (wireBackend) CreateCampaign(string, platform.CampaignParams) (string, erro
 	return "camp-000007", nil
 }
 
-func (wireBackend) CreatePIIAudience(string, string, []pii.MatchKey) (audience.AudienceID, error) {
-	return "aud-000001", nil
-}
-
-func (wireBackend) CreateWebsiteAudience(string, string, pixel.PixelID) (audience.AudienceID, error) {
-	return "aud-000002", nil
-}
-
-func (wireBackend) CreateEngagementAudience(string, string, string) (audience.AudienceID, error) {
-	return "aud-000003", nil
-}
-
-func (wireBackend) CreateAffinityAudience(string, string, []string) (audience.AudienceID, error) {
-	return "aud-000004", nil
-}
-
-func (wireBackend) CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error) {
-	return "aud-000005", nil
+// CreateAudience answers aud-000001 … aud-000005 for the five kinds in
+// their order.
+func (wireBackend) CreateAudience(_ string, d audience.Def) (audience.AudienceID, error) {
+	return audience.AudienceID(fmt.Sprintf("aud-%06d", d.Kind+1)), nil
 }
 
 func (wireBackend) IssuePixel(string) (pixel.PixelID, error) { return "px-000003", nil }
@@ -107,19 +94,34 @@ func TestShardWireGoldenBytes(t *testing.T) {
 			}},
 		{"createpiiaudience", `{"advertiser":"acme","name":"list","keys":[{"type":"email","hash":"ab12"}]}`,
 			`{"audience_id":"aud-000001"}`,
-			func() error { _, err := rs.CreatePIIAudience("acme", "list", []pii.MatchKey{key}); return err }},
+			func() error {
+				_, err := rs.CreateAudience("acme", audience.Def{Kind: audience.KindPII, Name: "list", Keys: []pii.MatchKey{key}})
+				return err
+			}},
 		{"createwebsiteaudience", `{"advertiser":"acme","name":"site","pixel_id":"px-000003"}`,
 			`{"audience_id":"aud-000002"}`,
-			func() error { _, err := rs.CreateWebsiteAudience("acme", "site", "px-000003"); return err }},
+			func() error {
+				_, err := rs.CreateAudience("acme", audience.Def{Kind: audience.KindWebsite, Name: "site", Pixel: "px-000003"})
+				return err
+			}},
 		{"createengagementaudience", `{"advertiser":"acme","name":"fans","page_id":"page-x"}`,
 			`{"audience_id":"aud-000003"}`,
-			func() error { _, err := rs.CreateEngagementAudience("acme", "fans", "page-x"); return err }},
+			func() error {
+				_, err := rs.CreateAudience("acme", audience.Def{Kind: audience.KindEngagement, Name: "fans", Page: "page-x"})
+				return err
+			}},
 		{"createaffinityaudience", `{"advertiser":"acme","name":"jazz","phrases":["jazz"]}`,
 			`{"audience_id":"aud-000004"}`,
-			func() error { _, err := rs.CreateAffinityAudience("acme", "jazz", []string{"jazz"}); return err }},
+			func() error {
+				_, err := rs.CreateAudience("acme", audience.Def{Kind: audience.KindAffinity, Name: "jazz", Phrases: []string{"jazz"}})
+				return err
+			}},
 		{"createlookalikeaudience", `{"advertiser":"acme","name":"like","seed":"aud-000001","overlap":0.5}`,
 			`{"audience_id":"aud-000005"}`,
-			func() error { _, err := rs.CreateLookalikeAudience("acme", "like", "aud-000001", 0.5); return err }},
+			func() error {
+				_, err := rs.CreateAudience("acme", audience.Def{Kind: audience.KindLookalike, Name: "like", Seed: "aud-000001", Overlap: 0.5})
+				return err
+			}},
 		{"issuepixel", `{"advertiser":"acme"}`, `{"pixel_id":"px-000003"}`,
 			func() error { _, err := rs.IssuePixel("acme"); return err }},
 	} {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/profile"
 )
 
@@ -101,7 +102,7 @@ func TestDeployLookalikeTreadEndToEnd(t *testing.T) {
 	// keep the seed stable. Use a fresh page liked only by the authors.
 	p.LikePage("author-a", "seed-page")
 	p.LikePage("author-b", "seed-page")
-	seedID, err := p.CreateEngagementAudience(pr.Name(), "seed", "seed-page")
+	seedID, err := p.CreateAudience(pr.Name(), audience.Def{Kind: audience.KindEngagement, Name: "seed", Page: "seed-page"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,11 +51,7 @@ type PlatformAPI interface {
 	RegisterAdvertiser(name string) error
 	IssuePixel(advertiser string) (pixel.PixelID, error)
 	CreateCampaign(advertiser string, params platform.CampaignParams) (string, error)
-	CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error)
-	CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error)
+	CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error)
 	Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error)
 }
 
@@ -150,21 +146,21 @@ func (pr *Provider) Codebook() *Codebook { return pr.codebook }
 // the opted-in users: pixel visitors, page likers, and uploaded PII.
 func (pr *Provider) optInAudiences() ([]audience.AudienceID, error) {
 	if pr.optInPixelAud == "" {
-		id, err := pr.platform.CreateWebsiteAudience(pr.cfg.Name, "opt-in site visitors", pr.pixelID)
+		id, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindWebsite, Name: "opt-in site visitors", Pixel: pr.pixelID})
 		if err != nil {
 			return nil, err
 		}
 		pr.optInPixelAud = id
 	}
 	if pr.optInPageAud == "" {
-		id, err := pr.platform.CreateEngagementAudience(pr.cfg.Name, "opt-in page likers", pr.pageID)
+		id, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindEngagement, Name: "opt-in page likers", Page: pr.pageID})
 		if err != nil {
 			return nil, err
 		}
 		pr.optInPageAud = id
 	}
 	if len(pr.piiKeys) > 0 && len(pr.piiKeys) != pr.piiAudKeys {
-		id, err := pr.platform.CreatePIIAudience(pr.cfg.Name, "opt-in PII uploads", pr.piiKeys)
+		id, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindPII, Name: "opt-in PII uploads", Keys: pr.piiKeys})
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +322,8 @@ func (pr *Provider) DeployPIIChecks(keys []pii.MatchKey) (*DeployResult, error) 
 		if err := pr.ensureCodes([]Payload{p}); err != nil {
 			return nil, err
 		}
-		audID, err := pr.platform.CreatePIIAudience(pr.cfg.Name, "pii-check "+k.Hash[:8], []pii.MatchKey{k})
+		name := "pii-check " + k.Hash[:min(8, len(k.Hash))]
+		audID, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindPII, Name: name, Keys: []pii.MatchKey{k}})
 		if err != nil {
 			return nil, err
 		}
@@ -383,7 +380,7 @@ func (pr *Provider) DeployRadiusTread(lat, lon, km float64, label string) (*Depl
 // information"): the platform resolves the phrases internally, and an
 // opted-in user who lands in the resulting audience sees the Tread.
 func (pr *Provider) DeployAffinityTread(phrases []string) (*DeployResult, error) {
-	audID, err := pr.platform.CreateAffinityAudience(pr.cfg.Name, "affinity "+strings.Join(phrases, "|"), phrases)
+	audID, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindAffinity, Name: "affinity " + strings.Join(phrases, "|"), Phrases: phrases})
 	if err != nil {
 		return nil, err
 	}
@@ -453,7 +450,7 @@ func (pr *Provider) DeployLookalikeTread(seedID audience.AudienceID, seedDesc st
 	if seedDesc == "" {
 		return nil, fmt.Errorf("core: DeployLookalikeTread requires a seed description")
 	}
-	lookID, err := pr.platform.CreateLookalikeAudience(pr.cfg.Name, "lookalike "+seedDesc, seedID, overlap)
+	lookID, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindLookalike, Name: "lookalike " + seedDesc, Seed: seedID, Overlap: overlap})
 	if err != nil {
 		return nil, err
 	}
@@ -492,7 +489,7 @@ func (pr *Provider) DeployCustomAttrOptIn(id attr.ID) (pixel.PixelID, *DeployRes
 	if err != nil {
 		return "", nil, err
 	}
-	audID, err := pr.platform.CreateWebsiteAudience(pr.cfg.Name, "custom opt-in "+string(id), px)
+	audID, err := pr.platform.CreateAudience(pr.cfg.Name, audience.Def{Kind: audience.KindWebsite, Name: "custom opt-in " + string(id), Pixel: px})
 	if err != nil {
 		return "", nil, err
 	}

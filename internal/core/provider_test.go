@@ -294,6 +294,23 @@ func TestDeployPIIChecks(t *testing.T) {
 	}
 }
 
+// TestDeployPIIChecksShortHash: the check's audience name quotes at most
+// the first eight bytes of the hash; a shorter hash is quoted whole.
+func TestDeployPIIChecksShortHash(t *testing.T) {
+	p := newTestPlatform(false)
+	pr, err := NewProvider(p, ProviderConfig{Name: "tp", Mode: RevealObfuscated})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pr.DeployPIIChecks([]pii.MatchKey{{Type: pii.Email, Hash: "abc"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Campaigns) != 1 {
+		t.Fatalf("campaigns = %d, want 1", len(res.Campaigns))
+	}
+}
+
 func TestDeployCustomAttrOptIn(t *testing.T) {
 	p, pr := validationSetup(t, RevealObfuscated)
 	nw := p.Catalog().Search("Net worth: over $2,000,000")[0].ID

@@ -99,7 +99,7 @@ func E11IntentTransparency(seed uint64) ([]E11Row, error) {
 				UsedExternalData: true,
 			},
 			setupSpec: func() (audience.Spec, error) {
-				audID, err := p.CreatePIIAudience("pii-list", "licensed list", []pii.MatchKey{key})
+				audID, err := p.CreateAudience("pii-list", audience.Def{Kind: audience.KindPII, Name: "licensed list", Keys: []pii.MatchKey{key}})
 				if err != nil {
 					return audience.Spec{}, err
 				}

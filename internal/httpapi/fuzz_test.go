@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -77,7 +78,7 @@ func fuzzPlatform(t *testing.T) *platform.Platform {
 		_, err = p.IssuePixel("adv")
 	}
 	if err == nil {
-		_, err = p.CreatePIIAudience("adv", "seed", []pii.MatchKey{fuzzEmailKey})
+		_, err = p.CreateAudience("adv", audience.Def{Kind: audience.KindPII, Name: "seed", Keys: []pii.MatchKey{fuzzEmailKey}})
 	}
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/obs"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -116,11 +115,11 @@ func (s *Server) routes() {
 	s.handle("POST /api/v1/advertisers/{name}/campaigns", s.requireAdvertiserAuth(s.handleCreateCampaign))
 	s.handle("POST /api/v1/advertisers/{name}/campaigns/{id}/pause", s.requireAdvertiserAuth(s.handlePauseCampaign))
 	s.handle("GET /api/v1/advertisers/{name}/campaigns/{id}/report", s.requireAdvertiserAuth(s.handleReport))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/pii", s.requireAdvertiserAuth(s.handleCreatePIIAudience))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/website", s.requireAdvertiserAuth(s.handleCreateWebsiteAudience))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/engagement", s.requireAdvertiserAuth(s.handleCreateEngagementAudience))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/affinity", s.requireAdvertiserAuth(s.handleCreateAffinityAudience))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/lookalike", s.requireAdvertiserAuth(s.handleCreateLookalikeAudience))
+	s.handle("POST /api/v1/advertisers/{name}/audiences/pii", s.requireAdvertiserAuth(handleCreateAudience[CreatePIIAudienceRequest](s)))
+	s.handle("POST /api/v1/advertisers/{name}/audiences/website", s.requireAdvertiserAuth(handleCreateAudience[CreateWebsiteAudienceRequest](s)))
+	s.handle("POST /api/v1/advertisers/{name}/audiences/engagement", s.requireAdvertiserAuth(handleCreateAudience[CreateEngagementAudienceRequest](s)))
+	s.handle("POST /api/v1/advertisers/{name}/audiences/affinity", s.requireAdvertiserAuth(handleCreateAudience[CreateAffinityAudienceRequest](s)))
+	s.handle("POST /api/v1/advertisers/{name}/audiences/lookalike", s.requireAdvertiserAuth(handleCreateAudience[CreateLookalikeAudienceRequest](s)))
 	s.handle("POST /api/v1/advertisers/{name}/pixels", s.requireAdvertiserAuth(s.handleIssuePixel))
 	s.handle("POST /api/v1/advertisers/{name}/reach", s.requireAdvertiserAuth(s.handleReach))
 	s.handle("GET /api/v1/attributes", s.handleSearchAttributes)
@@ -276,83 +275,26 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, FromReport(rep))
 }
 
-func (s *Server) handleCreatePIIAudience(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreatePIIAudienceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	keys := make([]pii.MatchKey, 0, len(req.Keys))
-	for _, kw := range req.Keys {
-		k, err := kw.ToMatchKey()
+// handleCreateAudience serves the audience route whose request body is Req:
+// the body decodes into a Def, and all five routes answer alike.
+func handleCreateAudience[Req interface{ def() (audience.Def, error) }](s *Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		if !readJSON(w, r, &req) {
+			return
+		}
+		d, err := req.def()
 		if err != nil {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		keys = append(keys, k)
+		id, err := s.p.CreateAudience(r.PathValue("name"), d)
+		if err != nil {
+			writeErr(w, statusFor(err, http.StatusBadRequest), err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
 	}
-	id, err := s.p.CreatePIIAudience(name, req.Name, keys)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
-}
-
-func (s *Server) handleCreateWebsiteAudience(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreateWebsiteAudienceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	id, err := s.p.CreateWebsiteAudience(name, req.Name, pixel.PixelID(req.PixelID))
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
-}
-
-func (s *Server) handleCreateEngagementAudience(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreateEngagementAudienceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	id, err := s.p.CreateEngagementAudience(name, req.Name, req.PageID)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
-}
-
-func (s *Server) handleCreateAffinityAudience(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreateAffinityAudienceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	id, err := s.p.CreateAffinityAudience(name, req.Name, req.Phrases)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
-}
-
-func (s *Server) handleCreateLookalikeAudience(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreateLookalikeAudienceRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	id, err := s.p.CreateLookalikeAudience(name, req.Name, audience.AudienceID(req.Seed), req.Overlap)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
 }
 
 func (s *Server) handleIssuePixel(w http.ResponseWriter, r *http.Request) {

@@ -18,6 +18,7 @@ import (
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/pii"
+	"github.com/treads-project/treads/internal/pixel"
 )
 
 // SpecWire is the JSON form of audience.Spec.
@@ -168,6 +169,64 @@ type CreateLookalikeAudienceRequest struct {
 	// Overlap is the signature fraction a user must hold; 0 selects the
 	// platform default.
 	Overlap float64 `json:"overlap,omitempty"`
+}
+
+// AudienceWire is an audience.Def as JSON, less the kind its route or op
+// names; a body carries the name and that kind's (omitempty) field only.
+type AudienceWire struct {
+	Name    string         `json:"name"`
+	Keys    []MatchKeyWire `json:"keys,omitempty"`
+	PixelID string         `json:"pixel_id,omitempty"`
+	PageID  string         `json:"page_id,omitempty"`
+	Phrases []string       `json:"phrases,omitempty"`
+	Seed    string         `json:"seed,omitempty"`
+	Overlap float64        `json:"overlap,omitempty"`
+}
+
+// FromDef converts to the wire form.
+func FromDef(d audience.Def) AudienceWire {
+	w := AudienceWire{Name: d.Name, PixelID: string(d.Pixel), PageID: d.Page, Phrases: d.Phrases, Seed: string(d.Seed), Overlap: d.Overlap}
+	for _, k := range d.Keys {
+		w.Keys = append(w.Keys, FromMatchKey(k))
+	}
+	return w
+}
+
+// Def parses the wire form of an audience of the given kind.
+func (w AudienceWire) Def(kind audience.Kind) (audience.Def, error) {
+	d := audience.Def{
+		Kind: kind, Name: w.Name, Pixel: pixel.PixelID(w.PixelID), Page: w.PageID,
+		Phrases: w.Phrases, Seed: audience.AudienceID(w.Seed), Overlap: w.Overlap,
+	}
+	for _, kw := range w.Keys {
+		k, err := kw.ToMatchKey()
+		if err != nil {
+			return audience.Def{}, err
+		}
+		d.Keys = append(d.Keys, k)
+	}
+	return d, nil
+}
+
+// def is the Def each audience route's body describes.
+func (r CreatePIIAudienceRequest) def() (audience.Def, error) {
+	return AudienceWire{Name: r.Name, Keys: r.Keys}.Def(audience.KindPII)
+}
+
+func (r CreateWebsiteAudienceRequest) def() (audience.Def, error) {
+	return AudienceWire{Name: r.Name, PixelID: r.PixelID}.Def(audience.KindWebsite)
+}
+
+func (r CreateEngagementAudienceRequest) def() (audience.Def, error) {
+	return AudienceWire{Name: r.Name, PageID: r.PageID}.Def(audience.KindEngagement)
+}
+
+func (r CreateAffinityAudienceRequest) def() (audience.Def, error) {
+	return AudienceWire{Name: r.Name, Phrases: r.Phrases}.Def(audience.KindAffinity)
+}
+
+func (r CreateLookalikeAudienceRequest) def() (audience.Def, error) {
+	return AudienceWire{Name: r.Name, Seed: r.Seed, Overlap: r.Overlap}.Def(audience.KindLookalike)
 }
 
 // AudienceResponse returns a created audience's ID.

@@ -131,7 +131,7 @@ func TestAdvertiserAPINeverExposesUserIDs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	webAud, err := p.CreateWebsiteAudience("adv", "visitors", px)
+	webAud, err := p.CreateAudience("adv", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}

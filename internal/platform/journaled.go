@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -338,33 +339,16 @@ func (jp *Journaled) PauseCampaign(advertiser, campaignID string) error {
 	return err
 }
 
-// CreatePIIAudience journals and uploads a customer-list audience.
-func (jp *Journaled) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
-	res, err := jp.commit(context.Background(), &opRecord{Op: opPIIAudience, Advertiser: advertiser, Name: name, Keys: keys})
-	return audience.AudienceID(res.id), err
-}
-
-// CreateWebsiteAudience journals and builds a pixel-backed audience.
-func (jp *Journaled) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	res, err := jp.commit(context.Background(), &opRecord{Op: opWebsiteAudience, Advertiser: advertiser, Name: name, Pixel: string(px)})
-	return audience.AudienceID(res.id), err
-}
-
-// CreateAffinityAudience journals and builds a keyword audience.
-func (jp *Journaled) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	res, err := jp.commit(context.Background(), &opRecord{Op: opAffinityAudience, Advertiser: advertiser, Name: name, Phrases: phrases})
-	return audience.AudienceID(res.id), err
-}
-
-// CreateLookalikeAudience journals and derives a similarity audience.
-func (jp *Journaled) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	res, err := jp.commit(context.Background(), &opRecord{Op: opLookalikeAudience, Advertiser: advertiser, Name: name, Seed: string(seed), Overlap: overlap})
-	return audience.AudienceID(res.id), err
-}
-
-// CreateEngagementAudience journals and builds a page-like audience.
-func (jp *Journaled) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	res, err := jp.commit(context.Background(), &opRecord{Op: opEngagementAudience, Advertiser: advertiser, Name: name, Page: pageID})
+// CreateAudience journals and builds a custom audience. The record is the
+// kind's own op, carrying the kind's one argument.
+func (jp *Journaled) CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
+	if err := d.Validate(); err != nil {
+		return "", err
+	}
+	res, err := jp.commit(context.Background(), &opRecord{
+		Op: audienceOps[d.Kind], Advertiser: advertiser, Name: d.Name, Keys: d.Keys, Pixel: string(d.Pixel),
+		Page: d.Page, Phrases: d.Phrases, Seed: string(d.Seed), Overlap: d.Overlap,
+	})
 	return audience.AudienceID(res.id), err
 }
 
@@ -479,6 +463,16 @@ const (
 	opImportUsers        = "import_users"
 	opRemoveUsers        = "remove_users"
 )
+
+// audienceOps is the op of each audience kind: five op names, one
+// applyRecord case.
+var audienceOps = [...]string{
+	audience.KindPII:        opPIIAudience,
+	audience.KindWebsite:    opWebsiteAudience,
+	audience.KindEngagement: opEngagementAudience,
+	audience.KindAffinity:   opAffinityAudience,
+	audience.KindLookalike:  opLookalikeAudience,
+}
 
 // opRecord is one journaled platform mutation. A single struct with
 // omitempty fields keeps the wire format flat and diffable; Op selects
@@ -650,26 +644,13 @@ func applyRecord(p *Platform, lsn uint64, rec *opRecord) (applyFunc, error) {
 		return minted(p, func() (string, error) { return p.CreateCampaign(rec.Advertiser, *params) })
 	case opPauseCampaign:
 		return plain(func() error { return p.PauseCampaign(rec.Advertiser, rec.Campaign) })
-	case opPIIAudience:
-		return minted(p, func() (audience.AudienceID, error) {
-			return p.CreatePIIAudience(rec.Advertiser, rec.Name, rec.Keys)
-		})
-	case opWebsiteAudience:
-		return minted(p, func() (audience.AudienceID, error) {
-			return p.CreateWebsiteAudience(rec.Advertiser, rec.Name, pixel.PixelID(rec.Pixel))
-		})
-	case opAffinityAudience:
-		return minted(p, func() (audience.AudienceID, error) {
-			return p.CreateAffinityAudience(rec.Advertiser, rec.Name, rec.Phrases)
-		})
-	case opLookalikeAudience:
-		return minted(p, func() (audience.AudienceID, error) {
-			return p.CreateLookalikeAudience(rec.Advertiser, rec.Name, audience.AudienceID(rec.Seed), rec.Overlap)
-		})
-	case opEngagementAudience:
-		return minted(p, func() (audience.AudienceID, error) {
-			return p.CreateEngagementAudience(rec.Advertiser, rec.Name, rec.Page)
-		})
+	case opPIIAudience, opWebsiteAudience, opEngagementAudience, opAffinityAudience, opLookalikeAudience:
+		d := audience.Def{
+			Kind: audience.Kind(slices.Index(audienceOps[:], rec.Op)), Name: rec.Name, Keys: rec.Keys,
+			Pixel: pixel.PixelID(rec.Pixel), Page: rec.Page, Phrases: rec.Phrases,
+			Seed: audience.AudienceID(rec.Seed), Overlap: rec.Overlap,
+		}
+		return minted(p, func() (audience.AudienceID, error) { return p.CreateAudience(rec.Advertiser, d) })
 	case opIssuePixel:
 		return minted(p, func() (pixel.PixelID, error) { return p.IssuePixel(rec.Advertiser) })
 	case opBrowse:

@@ -31,11 +31,7 @@ type mutator interface {
 	RegisterAdvertiser(string) error
 	CreateCampaign(string, CampaignParams) (string, error)
 	PauseCampaign(string, string) error
-	CreatePIIAudience(string, string, []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(string, string, pixel.PixelID) (audience.AudienceID, error)
-	CreateAffinityAudience(string, string, []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(string, string, audience.AudienceID, float64) (audience.AudienceID, error)
-	CreateEngagementAudience(string, string, string) (audience.AudienceID, error)
+	CreateAudience(string, audience.Def) (audience.AudienceID, error)
 	IssuePixel(string) (pixel.PixelID, error)
 	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
 	VisitPage(profile.UserID, pixel.PixelID) error
@@ -98,10 +94,18 @@ func journalScript(t *testing.T) []func(m mutator) {
 		func(m mutator) { m.VisitPage("ghost", "px-000001") }, // refused: unknown user
 		func(m mutator) { m.LikePage("ju02", "page-w") },
 		func(m mutator) { m.LikePage("ju04", "page-w") },
-		func(m mutator) { m.CreateEngagementAudience("wal-adv", "eng", "page-w") },                // aud-000001
-		func(m mutator) { m.CreatePIIAudience("wal-adv", "list", []pii.MatchKey{key, stranger}) }, // aud-000002
-		func(m mutator) { m.CreateWebsiteAudience("wal-adv", "web", "px-000001") },                // aud-000003
-		func(m mutator) { m.CreateAffinityAudience("wal-adv", "aff", []string{"salsa"}) },         // aud-000004
+		func(m mutator) {
+			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindEngagement, Name: "eng", Page: "page-w"})
+		}, // aud-000001
+		func(m mutator) {
+			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindPII, Name: "list", Keys: []pii.MatchKey{key, stranger}})
+		}, // aud-000002
+		func(m mutator) {
+			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindWebsite, Name: "web", Pixel: "px-000001"})
+		}, // aud-000003
+		func(m mutator) {
+			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindAffinity, Name: "aff", Phrases: []string{"salsa"}})
+		}, // aud-000004
 		func(m mutator) {
 			m.CreateCampaign("wal-adv", CampaignParams{
 				Spec:      audience.Spec{Include: []audience.AudienceID{"aud-000004"}},
@@ -117,7 +121,9 @@ func journalScript(t *testing.T) []func(m mutator) {
 		func(m mutator) { m.BrowseFeed("ju00", 5) },
 		func(m mutator) { m.BrowseFeed("ju01", 5) },
 		func(m mutator) { m.BrowseFeed("ju02", 3) },
-		func(m mutator) { m.CreateLookalikeAudience("wal-adv", "look", "aud-000001", 0.5) },
+		func(m mutator) {
+			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindLookalike, Name: "look", Seed: "aud-000001", Overlap: 0.5})
+		},
 		func(m mutator) {
 			m.CreateCampaign("other-adv", CampaignParams{
 				Spec:      audience.Spec{Exclude: []audience.AudienceID{"aud-000002"}},
@@ -485,7 +491,7 @@ func TestJournaledConcurrentMutations(t *testing.T) {
 						t.Errorf("like: %v", err)
 					}
 				case 2:
-					if _, err := jp.CreateEngagementAudience("conc-adv", fmt.Sprintf("aud-%d-%d", g, i), "page-x"); err != nil {
+					if _, err := jp.CreateAudience("conc-adv", audience.Def{Kind: audience.KindEngagement, Name: fmt.Sprintf("aud-%d-%d", g, i), Page: "page-x"}); err != nil {
 						t.Errorf("audience: %v", err)
 					}
 				}

@@ -27,7 +27,6 @@ import (
 	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/explain"
 	"github.com/treads-project/treads/internal/money"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/policy"
 	"github.com/treads-project/treads/internal/profile"
@@ -58,11 +57,7 @@ type Ops interface {
 	RegisterAdvertiser(name string) error
 	CreateCampaign(advertiser string, params CampaignParams) (string, error)
 	PauseCampaign(advertiser, campaignID string) error
-	CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error)
-	CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error)
-	CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error)
-	CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error)
-	CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error)
+	CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error)
 	IssuePixel(advertiser string) (pixel.PixelID, error)
 }
 
@@ -292,60 +287,17 @@ func (p *Platform) ownCheck(advertiser, campaignID string) error {
 	return nil
 }
 
-// CreatePIIAudience uploads hashed match keys as a customer-list audience.
-func (p *Platform) CreatePIIAudience(advertiser, name string, keys []pii.MatchKey) (audience.AudienceID, error) {
+// CreateAudience builds one of the advertiser's custom audiences; the
+// advertiser sees only its ID, never who is in it.
+func (p *Platform) CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
 	if err := p.checkAdvertiser(advertiser); err != nil {
 		return "", err
 	}
-	return p.audiences.CreatePIIAudience(advertiser, name, keys).ID, nil
-}
-
-// CreateWebsiteAudience builds an audience over one of the advertiser's
-// pixels.
-func (p *Platform) CreateWebsiteAudience(advertiser, name string, px pixel.PixelID) (audience.AudienceID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
-		return "", err
-	}
-	a, err := p.audiences.CreateWebsiteAudience(advertiser, name, px)
+	a, err := p.audiences.Create(advertiser, d, p.catalog)
 	if err != nil {
 		return "", err
 	}
 	return a.ID, nil
-}
-
-// CreateAffinityAudience builds a keyword (custom-affinity) audience: the
-// phrases are resolved against the catalog platform-side; the advertiser
-// only ever sees the audience ID.
-func (p *Platform) CreateAffinityAudience(advertiser, name string, phrases []string) (audience.AudienceID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
-		return "", err
-	}
-	a, err := p.audiences.CreateAffinityAudience(advertiser, name, phrases, p.catalog)
-	if err != nil {
-		return "", err
-	}
-	return a.ID, nil
-}
-
-// CreateLookalikeAudience derives a similarity audience from one of the
-// advertiser's existing audiences. overlap <= 0 selects the default.
-func (p *Platform) CreateLookalikeAudience(advertiser, name string, seed audience.AudienceID, overlap float64) (audience.AudienceID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
-		return "", err
-	}
-	a, err := p.audiences.CreateLookalikeAudience(advertiser, name, seed, overlap)
-	if err != nil {
-		return "", err
-	}
-	return a.ID, nil
-}
-
-// CreateEngagementAudience builds an audience of users who liked a page.
-func (p *Platform) CreateEngagementAudience(advertiser, name, pageID string) (audience.AudienceID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
-		return "", err
-	}
-	return p.audiences.CreateEngagementAudience(advertiser, name, pageID).ID, nil
 }
 
 // IssuePixel issues a tracking pixel to the advertiser.

@@ -177,7 +177,7 @@ func TestPIIAudienceFlow(t *testing.T) {
 	}
 	p2.RegisterAdvertiser("tp")
 	k, _ := pii.HashEmail("x1@example.com")
-	audID, err := p2.CreatePIIAudience("tp", "optins", []pii.MatchKey{k})
+	audID, err := p2.CreateAudience("tp", audience.Def{Kind: audience.KindPII, Name: "optins", Keys: []pii.MatchKey{k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestPixelOptInFlow(t *testing.T) {
 	if err := p.VisitPage("ghost", px); err == nil {
 		t.Error("unknown user visit accepted")
 	}
-	audID, err := p.CreateWebsiteAudience("tp", "visitors", px)
+	audID, err := p.CreateAudience("tp", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestLikePageEngagementFlow(t *testing.T) {
 	if err := p.LikePage("ghost", "tp-page"); err == nil {
 		t.Error("unknown user like accepted")
 	}
-	audID, err := p.CreateEngagementAudience("tp", "likers", "tp-page")
+	audID, err := p.CreateAudience("tp", audience.Def{Kind: audience.KindEngagement, Name: "likers", Page: "tp-page"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +375,7 @@ func TestAdvertisersTargetingMe(t *testing.T) {
 	if err := p.VisitPage("u01", px); err != nil {
 		t.Fatal(err)
 	}
-	webAud, err := p.CreateWebsiteAudience("pixel-adv", "visitors", px)
+	webAud, err := p.CreateAudience("pixel-adv", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +424,7 @@ func TestAdvertisersTargetingMePIIList(t *testing.T) {
 	}
 	p.RegisterAdvertiser("lister")
 	k, _ := pii.HashEmail("pii-user@example.com")
-	audID, err := p.CreatePIIAudience("lister", "bought list", []pii.MatchKey{k})
+	audID, err := p.CreateAudience("lister", audience.Def{Kind: audience.KindPII, Name: "bought list", Keys: []pii.MatchKey{k}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +492,7 @@ func TestPauseDuringTransparencyReads(t *testing.T) {
 		if err := p.VisitPage("u00", px); err != nil {
 			t.Fatal(err)
 		}
-		aud, err := p.CreateWebsiteAudience("adv", "visitors", px)
+		aud, err := p.CreateAudience("adv", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"os"
 	"reflect"
 	"strings"
@@ -57,24 +59,24 @@ func buildRichPlatform(t *testing.T) *Platform {
 	if err := p.LikePage("u02", "page-x"); err != nil {
 		t.Fatal(err)
 	}
-	webAud, err := p.CreateWebsiteAudience("adv-a", "visitors", px)
+	webAud, err := p.CreateAudience("adv-a", audience.Def{Kind: audience.KindWebsite, Name: "visitors", Pixel: px})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engAud, err := p.CreateEngagementAudience("adv-a", "likers", "page-x")
+	engAud, err := p.CreateAudience("adv-a", audience.Def{Kind: audience.KindEngagement, Name: "likers", Page: "page-x"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	k, _ := pii.HashEmail("pii-user@example.com")
-	piiAud, err := p.CreatePIIAudience("adv-b", "list", []pii.MatchKey{k})
+	piiAud, err := p.CreateAudience("adv-b", audience.Def{Kind: audience.KindPII, Name: "list", Keys: []pii.MatchKey{k}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	affAud, err := p.CreateAffinityAudience("adv-b", "dancers", []string{"salsa dance"})
+	affAud, err := p.CreateAudience("adv-b", audience.Def{Kind: audience.KindAffinity, Name: "dancers", Phrases: []string{"salsa dance"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookAud, err := p.CreateLookalikeAudience("adv-a", "like the likers", engAud, 0.5)
+	lookAud, err := p.CreateAudience("adv-a", audience.Def{Kind: audience.KindLookalike, Name: "like the likers", Seed: engAud, Overlap: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +209,37 @@ func TestSnapshotRestoredPlatformKeepsWorking(t *testing.T) {
 		if o.CampaignID == id {
 			t.Fatalf("restored platform reused campaign ID %s", id)
 		}
+	}
+}
+
+// TestNonFiniteLookalikeOverlapRefused: JSON has no NaN or infinity, so a
+// lookalike stored with one would make every later snapshot of the
+// platform fail to encode.
+func TestNonFiniteLookalikeOverlapRefused(t *testing.T) {
+	p := New(Config{Seed: 1})
+	u := profile.New("u00")
+	u.SetAttr(p.Catalog().Search("Salsa dance")[0].ID)
+	if err := p.AddUser(u); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RegisterAdvertiser("adv"); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.LikePage("u00", "page-x"); err != nil {
+		t.Fatal(err)
+	}
+	seed, err := p.CreateAudience("adv", audience.Def{Kind: audience.KindEngagement, Name: "likers", Page: "page-x"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, overlap := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d := audience.Def{Kind: audience.KindLookalike, Name: "look", Seed: seed, Overlap: overlap}
+		if id, err := p.CreateAudience("adv", d); err == nil {
+			t.Errorf("overlap %v accepted as %s", overlap, id)
+		}
+	}
+	if err := WriteSnapshot(io.Discard, p.Snapshot(1)); err != nil {
+		t.Fatalf("snapshot after the refusals: %v", err)
 	}
 }
 

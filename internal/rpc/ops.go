@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
@@ -109,15 +110,19 @@ var (
 	OpAdvertisers   = declareUser[UserIDReq, NamesResp]("advertisers", UserRead)
 	OpExplain       = declareUser[ExplainReq, httpapi.ExplanationWire]("explain", UserRead)
 
-	OpRegister                 = declare[httpapi.RegisterAdvertiserRequest, empty]("register", Replicated)
-	OpCreateCampaign           = declare[CreateCampaignReq, httpapi.CreateCampaignResponse]("createcampaign", Replicated)
-	OpPauseCampaign            = declare[CampaignReq, empty]("pausecampaign", Replicated)
-	OpCreatePIIAudience        = declare[CreatePIIAudienceReq, httpapi.AudienceResponse]("createpiiaudience", Replicated)
-	OpCreateWebsiteAudience    = declare[CreateWebsiteAudienceReq, httpapi.AudienceResponse]("createwebsiteaudience", Replicated)
-	OpCreateEngagementAudience = declare[CreateEngagementAudienceReq, httpapi.AudienceResponse]("createengagementaudience", Replicated)
-	OpCreateAffinityAudience   = declare[CreateAffinityAudienceReq, httpapi.AudienceResponse]("createaffinityaudience", Replicated)
-	OpCreateLookalikeAudience  = declare[CreateLookalikeAudienceReq, httpapi.AudienceResponse]("createlookalikeaudience", Replicated)
-	OpIssuePixel               = declare[AdvertiserReq, httpapi.PixelResponse]("issuepixel", Replicated)
+	OpRegister       = declare[httpapi.RegisterAdvertiserRequest, empty]("register", Replicated)
+	OpCreateCampaign = declare[CreateCampaignReq, httpapi.CreateCampaignResponse]("createcampaign", Replicated)
+	OpPauseCampaign  = declare[CampaignReq, empty]("pausecampaign", Replicated)
+	// One audience-creating op per kind, indexed by it: five wire names,
+	// one request type, one handler.
+	OpCreateAudience = [...]Op[CreateAudienceReq, httpapi.AudienceResponse]{
+		audience.KindPII:        declare[CreateAudienceReq, httpapi.AudienceResponse]("createpiiaudience", Replicated),
+		audience.KindWebsite:    declare[CreateAudienceReq, httpapi.AudienceResponse]("createwebsiteaudience", Replicated),
+		audience.KindEngagement: declare[CreateAudienceReq, httpapi.AudienceResponse]("createengagementaudience", Replicated),
+		audience.KindAffinity:   declare[CreateAudienceReq, httpapi.AudienceResponse]("createaffinityaudience", Replicated),
+		audience.KindLookalike:  declare[CreateAudienceReq, httpapi.AudienceResponse]("createlookalikeaudience", Replicated),
+	}
+	OpIssuePixel = declare[AdvertiserReq, httpapi.PixelResponse]("issuepixel", Replicated)
 
 	OpUsers          = declare[empty, UsersResp]("users", Gathered)
 	OpRawReach       = declare[RawReachReq, RawReachResp]("rawreach", Gathered)

@@ -96,11 +96,11 @@ var tableCalls = map[string]func(context.Context, *Client) error{
 	"register":                 send(OpRegister, httpapi.RegisterAdvertiserRequest{Name: "adv"}),
 	"createcampaign":           send(OpCreateCampaign, CreateCampaignReq{Advertiser: "adv", Params: FromCampaignParams(platform.CampaignParams{})}),
 	"pausecampaign":            send(OpPauseCampaign, CampaignReq{Advertiser: "adv", CampaignID: "camp-000001"}),
-	"createpiiaudience":        send(OpCreatePIIAudience, CreatePIIAudienceReq{Advertiser: "adv", Name: "a"}),
-	"createwebsiteaudience":    send(OpCreateWebsiteAudience, CreateWebsiteAudienceReq{Advertiser: "adv", Name: "a", PixelID: "px-000001"}),
-	"createengagementaudience": send(OpCreateEngagementAudience, CreateEngagementAudienceReq{Advertiser: "adv", Name: "a", PageID: "page-x"}),
-	"createaffinityaudience":   send(OpCreateAffinityAudience, CreateAffinityAudienceReq{Advertiser: "adv", Name: "a", Phrases: []string{"jazz"}}),
-	"createlookalikeaudience":  send(OpCreateLookalikeAudience, CreateLookalikeAudienceReq{Advertiser: "adv", Name: "a", Seed: "aud-000001", Overlap: 0.5}),
+	"createpiiaudience":        send(OpCreateAudience[audience.KindPII], CreateAudienceReq{Advertiser: "adv", AudienceWire: httpapi.AudienceWire{Name: "a"}}),
+	"createwebsiteaudience":    send(OpCreateAudience[audience.KindWebsite], CreateAudienceReq{Advertiser: "adv", AudienceWire: httpapi.AudienceWire{Name: "a", PixelID: "px-000001"}}),
+	"createengagementaudience": send(OpCreateAudience[audience.KindEngagement], CreateAudienceReq{Advertiser: "adv", AudienceWire: httpapi.AudienceWire{Name: "a", PageID: "page-x"}}),
+	"createaffinityaudience":   send(OpCreateAudience[audience.KindAffinity], CreateAudienceReq{Advertiser: "adv", AudienceWire: httpapi.AudienceWire{Name: "a", Phrases: []string{"jazz"}}}),
+	"createlookalikeaudience":  send(OpCreateAudience[audience.KindLookalike], CreateAudienceReq{Advertiser: "adv", AudienceWire: httpapi.AudienceWire{Name: "a", Seed: "aud-000001", Overlap: 0.5}}),
 	"issuepixel":               send(OpIssuePixel, AdvertiserReq{Advertiser: "adv"}),
 	"rawreach":                 send(OpRawReach, RawReachReq{Advertiser: "adv", Spec: FromSpec(audience.Spec{})}),
 	"campaigntotals":           send(OpCampaignTotals, CampaignReq{Advertiser: "adv", CampaignID: "camp-000001"}),

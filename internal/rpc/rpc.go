@@ -244,40 +244,10 @@ type CampaignReq struct {
 	CampaignID string `json:"campaign_id"`
 }
 
-// CreatePIIAudienceReq uploads hashed PII keys.
-type CreatePIIAudienceReq struct {
-	Advertiser string                 `json:"advertiser"`
-	Name       string                 `json:"name"`
-	Keys       []httpapi.MatchKeyWire `json:"keys"`
-}
-
-// CreateWebsiteAudienceReq builds a pixel-backed audience.
-type CreateWebsiteAudienceReq struct {
+// CreateAudienceReq creates one custom audience; the op names its kind.
+type CreateAudienceReq struct {
 	Advertiser string `json:"advertiser"`
-	Name       string `json:"name"`
-	PixelID    string `json:"pixel_id"`
-}
-
-// CreateEngagementAudienceReq builds a page-like audience.
-type CreateEngagementAudienceReq struct {
-	Advertiser string `json:"advertiser"`
-	Name       string `json:"name"`
-	PageID     string `json:"page_id"`
-}
-
-// CreateAffinityAudienceReq builds a keyword audience.
-type CreateAffinityAudienceReq struct {
-	Advertiser string   `json:"advertiser"`
-	Name       string   `json:"name"`
-	Phrases    []string `json:"phrases"`
-}
-
-// CreateLookalikeAudienceReq derives a similarity audience.
-type CreateLookalikeAudienceReq struct {
-	Advertiser string  `json:"advertiser"`
-	Name       string  `json:"name"`
-	Seed       string  `json:"seed"`
-	Overlap    float64 `json:"overlap,omitempty"`
+	httpapi.AudienceWire
 }
 
 // AdvertiserReq addresses an advertiser-scoped operation with no other

@@ -111,7 +111,7 @@ func TestRoundTrip(t *testing.T) {
 	if err := c.VisitPage(ctx, uid, pixel.PixelID(px.PixelID)); err != nil {
 		t.Fatalf("VisitPage: %v", err)
 	}
-	aud, err := rpc.Do(ctx, c, rpc.OpCreateWebsiteAudience, rpc.CreateWebsiteAudienceReq{Advertiser: "acme", Name: "visitors", PixelID: px.PixelID})
+	aud, err := rpc.Do(ctx, c, rpc.OpCreateAudience[audience.KindWebsite], rpc.CreateAudienceReq{Advertiser: "acme", AudienceWire: httpapi.AudienceWire{Name: "visitors", PixelID: px.PixelID}})
 	if err != nil || aud.AudienceID == "" {
 		t.Fatalf("CreateWebsiteAudience = (%q, %v)", aud.AudienceID, err)
 	}
@@ -482,7 +482,7 @@ func TestRequestTooLargeRejected(t *testing.T) {
 	for i := 0; i < 1<<19; i++ {
 		huge = append(huge, "a-reasonably-long-phrase-to-overflow-the-limit")
 	}
-	_, err := rpc.Do(context.Background(), c, rpc.OpCreateAffinityAudience, rpc.CreateAffinityAudienceReq{Advertiser: "acme", Name: "big", Phrases: huge})
+	_, err := rpc.Do(context.Background(), c, rpc.OpCreateAudience[audience.KindAffinity], rpc.CreateAudienceReq{Advertiser: "acme", AudienceWire: httpapi.AudienceWire{Name: "big", Phrases: huge}})
 	if !errors.Is(err, rpc.ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed (413)", err)
 	}

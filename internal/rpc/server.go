@@ -12,7 +12,6 @@ import (
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/obs"
-	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -297,34 +296,16 @@ func (s *Server) register() {
 	serve(s, OpPauseCampaign, func(_ context.Context, req CampaignReq) (empty, error) {
 		return empty{}, s.b.PauseCampaign(req.Advertiser, req.CampaignID)
 	})
-	serve(s, OpCreatePIIAudience, func(_ context.Context, req CreatePIIAudienceReq) (httpapi.AudienceResponse, error) {
-		keys := make([]pii.MatchKey, 0, len(req.Keys))
-		for _, kw := range req.Keys {
-			k, err := kw.ToMatchKey()
+	for kind, op := range OpCreateAudience {
+		serve(s, op, func(_ context.Context, req CreateAudienceReq) (httpapi.AudienceResponse, error) {
+			d, err := req.Def(audience.Kind(kind))
 			if err != nil {
 				return httpapi.AudienceResponse{}, protoError{err}
 			}
-			keys = append(keys, k)
-		}
-		id, err := s.b.CreatePIIAudience(req.Advertiser, req.Name, keys)
-		return httpapi.AudienceResponse{AudienceID: string(id)}, err
-	})
-	serve(s, OpCreateWebsiteAudience, func(_ context.Context, req CreateWebsiteAudienceReq) (httpapi.AudienceResponse, error) {
-		id, err := s.b.CreateWebsiteAudience(req.Advertiser, req.Name, pixel.PixelID(req.PixelID))
-		return httpapi.AudienceResponse{AudienceID: string(id)}, err
-	})
-	serve(s, OpCreateEngagementAudience, func(_ context.Context, req CreateEngagementAudienceReq) (httpapi.AudienceResponse, error) {
-		id, err := s.b.CreateEngagementAudience(req.Advertiser, req.Name, req.PageID)
-		return httpapi.AudienceResponse{AudienceID: string(id)}, err
-	})
-	serve(s, OpCreateAffinityAudience, func(_ context.Context, req CreateAffinityAudienceReq) (httpapi.AudienceResponse, error) {
-		id, err := s.b.CreateAffinityAudience(req.Advertiser, req.Name, req.Phrases)
-		return httpapi.AudienceResponse{AudienceID: string(id)}, err
-	})
-	serve(s, OpCreateLookalikeAudience, func(_ context.Context, req CreateLookalikeAudienceReq) (httpapi.AudienceResponse, error) {
-		id, err := s.b.CreateLookalikeAudience(req.Advertiser, req.Name, audience.AudienceID(req.Seed), req.Overlap)
-		return httpapi.AudienceResponse{AudienceID: string(id)}, err
-	})
+			id, err := s.b.CreateAudience(req.Advertiser, d)
+			return httpapi.AudienceResponse{AudienceID: string(id)}, err
+		})
+	}
 	serve(s, OpIssuePixel, func(_ context.Context, req AdvertiserReq) (httpapi.PixelResponse, error) {
 		id, err := s.b.IssuePixel(req.Advertiser)
 		return httpapi.PixelResponse{PixelID: string(id)}, err

@@ -144,6 +144,22 @@ type PixelID = pixel.PixelID
 // AudienceID identifies a stored custom audience.
 type AudienceID = audience.AudienceID
 
+// AudienceDef defines one custom audience for CreateAudience on a Platform
+// or Cluster: its kind, its name and that kind's one argument.
+type AudienceDef = audience.Def
+
+// AudienceKind is how a custom audience is built.
+type AudienceKind = audience.Kind
+
+// Audience kinds.
+const (
+	AudiencePII        = audience.KindPII
+	AudienceWebsite    = audience.KindWebsite
+	AudienceEngagement = audience.KindEngagement
+	AudienceAffinity   = audience.KindAffinity
+	AudienceLookalike  = audience.KindLookalike
+)
+
 // Spec is a complete targeting specification.
 type Spec = audience.Spec
 
