@@ -11,6 +11,7 @@ package delivery
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -111,17 +112,40 @@ type registered struct {
 // collector never scans a user's rows.
 type userState struct {
 	slots uint32     // slot auctions run for the user, won or lost
-	feed  []feedRow  // every impression delivered, oldest first
+	last  uint32     // the slot of feed's last row; 0 while feed is empty
+	feed  []byte     // every impression delivered, oldest first (see appendRow)
 	shown []shownRow // impressions in feed per campaign, ascending by ord
 }
 
-// feedRow is one delivered impression as a feed keeps it, in 8 bytes: the
-// campaign's ordinal and the slot. The rest of an ad.Impression is the
-// campaign's — one is never unregistered, and its ID, advertiser and
-// creative never change once AddCampaign has copied them — so it is filled
-// in where an impression is handed out (Pipeline.impression).
-type feedRow struct {
-	ord, slot uint32
+// appendRow records one more impression, of campaign ord at slot, in u.feed
+// and u.shown. A feed is a byte stream with one row per impression: the
+// campaign's ordinal as a uvarint, then the slot's difference from the
+// previous row's slot (from 0 for the first row) as a zigzag varint. That
+// is 2 bytes while ordinals stay under 128 and a user's slots under 64
+// apart, and 3 up to 16 384 campaigns. The difference may have either sign,
+// so a restored feed keeps whatever slot order it was written in. The rest
+// of an ad.Impression is the campaign's — one is never unregistered, and
+// its ID, advertiser and creative never change once AddCampaign has copied
+// them — so it is filled in where an impression is handed out
+// (Pipeline.impression).
+func (u *userState) appendRow(ord, slot uint32) {
+	u.feed = binary.AppendUvarint(u.feed, uint64(ord))
+	u.feed = binary.AppendVarint(u.feed, int64(slot)-int64(u.last))
+	u.last = slot
+	u.count(ord)
+}
+
+// eachRow calls f with the campaign ordinal and slot of every row of
+// u.feed, oldest first. Only appendRow writes a feed, so every row is whole.
+func (u *userState) eachRow(f func(ord, slot uint32)) {
+	var slot int64
+	for b := u.feed; len(b) > 0; {
+		ord, n := binary.Uvarint(b)
+		delta, m := binary.Varint(b[n:])
+		b = b[n+m:]
+		slot += delta
+		f(uint32(ord), uint32(slot))
+	}
 }
 
 // shownRow is how many of a user's impressions are one campaign's.
@@ -137,7 +161,7 @@ func (u *userState) seen(ord uint32) int {
 	return 0
 }
 
-// count records one more impression of campaign ord in u.feed.
+// count adds one impression of campaign ord to u.shown.
 func (u *userState) count(ord uint32) {
 	i, ok := u.shownAt(ord)
 	if ok {
@@ -154,21 +178,23 @@ func (u *userState) shownAt(ord uint32) (int, bool) {
 
 // impression builds the ad.Impression a feed row stands for. Callers hold
 // p.mu.
-func (p *Pipeline) impression(r feedRow) ad.Impression {
-	c := p.campaigns[r.ord]
-	return ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(r.slot)}
+func (p *Pipeline) impression(ord, slot uint32) ad.Impression {
+	c := p.campaigns[ord]
+	return ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(slot)}
 }
 
-// impressions is u's feed as it is handed out, nil when empty. Callers hold
-// p.mu.
+// impressions is u's feed as it is handed out, nil when empty. u.shown
+// counts the feed's rows, so out is allocated once. Callers hold p.mu.
 func (p *Pipeline) impressions(u *userState) []ad.Impression {
 	if len(u.feed) == 0 {
 		return nil
 	}
-	out := make([]ad.Impression, len(u.feed))
-	for i, r := range u.feed {
-		out[i] = p.impression(r)
+	n := 0
+	for _, r := range u.shown {
+		n += int(r.n)
 	}
+	out := make([]ad.Impression, 0, n)
+	u.eachRow(func(ord, slot uint32) { out = append(out, p.impression(ord, slot)) })
 	return out
 }
 
@@ -274,7 +300,10 @@ func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := p.user(uid)
+	// The record is keyed by the store's own copy of the ID: a uid handed
+	// in by a request is a substring of its request line, which a key would
+	// keep alive for as long as the user is remembered.
+	u := p.user(prof.ID)
 	if uint64(u.slots)+uint64(slots) > math.MaxUint32 {
 		return nil, fmt.Errorf("delivery: user %q has run %d slots; %d more would pass %d", uid, u.slots, slots, uint32(math.MaxUint32))
 	}
@@ -353,12 +382,11 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 	if !out.Won {
 		return ad.Impression{}, false
 	}
-	row := feedRow{ord: p.byID[out.CampaignID].ord, slot: slot}
-	u.feed = append(u.feed, row)
-	u.count(row.ord)
+	ord := p.byID[out.CampaignID].ord
+	u.appendRow(ord, slot)
 	p.ledger.RecordImpression(out.CampaignID, prof.ID, out.PricePaid)
 	impressionsServed.Inc()
-	return p.impression(row), true
+	return p.impression(ord, slot), true
 }
 
 // CustomDataAdvertisers returns, in registration order and without

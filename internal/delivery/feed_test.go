@@ -1,15 +1,18 @@
 package delivery
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
+	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/stats"
@@ -162,9 +165,7 @@ func TestShownMatchesFeed(t *testing.T) {
 			check := func(step int) {
 				for uid, u := range e.pipe.users {
 					want := make(map[uint32]int)
-					for _, r := range u.feed {
-						want[r.ord]++
-					}
+					u.eachRow(func(ord, _ uint32) { want[ord]++ })
 					if len(u.feed) == 0 && u.shown != nil {
 						t.Fatalf("step %d: %s has no impressions and shown %v", step, uid, u.shown)
 					}
@@ -226,4 +227,51 @@ func TestShownMatchesFeed(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzFeedRows: any feed RestoreState accepts comes back out of Snapshot as
+// the same FeedState. The input is a run of 6-byte rows, a 2-byte campaign
+// ordinal (taken modulo 130 campaigns, so ordinals take one uvarint byte and
+// two) and a 4-byte slot. Slots may fall, repeat, or jump between 0 and
+// MaxUint32, which are the largest differences a row must encode.
+func FuzzFeedRows(f *testing.F) {
+	const campaigns = 130
+	rows := func(rs ...[2]uint32) []byte {
+		var b []byte
+		for _, r := range rs {
+			b = binary.BigEndian.AppendUint16(b, uint16(r[0]))
+			b = binary.BigEndian.AppendUint32(b, r[1])
+		}
+		return b
+	}
+	f.Add([]byte(nil))
+	f.Add(rows([2]uint32{0, 0}, [2]uint32{1, 1}, [2]uint32{129, 70}, [2]uint32{127, 200}))
+	f.Add(rows([2]uint32{5, 100}, [2]uint32{3, 7}, [2]uint32{128, 7}, [2]uint32{0, 0}))
+	f.Add(rows([2]uint32{0, math.MaxUint32}, [2]uint32{129, 0}, [2]uint32{1, math.MaxUint32}, [2]uint32{2, math.MaxUint32}))
+	base := State{Slots: []SlotState{{User: "u00", N: 3}}}
+	for i := 0; i < campaigns; i++ {
+		base.Campaigns = append(base.Campaigns, CampaignState{
+			ID: fmt.Sprintf("c%03d", i), Advertiser: fmt.Sprintf("adv%d", i%3),
+			BidCapCPM: money.FromDollars(1), Creative: ad.Creative{Headline: fmt.Sprintf("h%d", i)},
+		})
+	}
+	store := profile.NewStore()
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var imps []ad.Impression
+		for ; len(in) >= 6; in = in[6:] {
+			c := base.Campaigns[int(binary.BigEndian.Uint16(in))%campaigns]
+			imps = append(imps, ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(binary.BigEndian.Uint32(in[2:]))})
+		}
+		s := base
+		if len(imps) > 0 {
+			s.Feeds = []FeedState{{User: "u00", Impressions: imps}}
+		}
+		p, err := RestoreState(s, store, audience.NewEngine(store, pixel.NewRegistry()), billing.NewLedger(), auction.DefaultMarket(), stats.NewRNG(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Snapshot().Feeds; !reflect.DeepEqual(got, s.Feeds) {
+			t.Fatalf("restored feed snapshots as %#v, want %#v", got, s.Feeds)
+		}
+	})
 }

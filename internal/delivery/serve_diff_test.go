@@ -50,8 +50,7 @@ func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, ui
 		}
 		c := p.byID[out.CampaignID]
 		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(slot)}
-		u.feed = append(u.feed, feedRow{c.ord, slot})
-		u.count(c.ord)
+		u.appendRow(c.ord, slot)
 		p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
 		session = append(session, imp)
 	}

@@ -126,7 +126,7 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 	}
 	for _, fs := range s.Feeds {
 		u := p.user(fs.User)
-		u.feed = slices.Grow(u.feed, len(fs.Impressions))
+		u.feed = slices.Grow(u.feed, 2*len(fs.Impressions)) // a row is at least 2 bytes
 		for _, imp := range fs.Impressions {
 			c := p.byID[imp.CampaignID]
 			if c == nil {
@@ -135,8 +135,7 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			if !fitsSlot(imp.Slot) {
 				return nil, fmt.Errorf("delivery: user %q's feed has an impression at slot %d, want 0 to %d", fs.User, imp.Slot, uint32(math.MaxUint32))
 			}
-			u.feed = append(u.feed, feedRow{ord: c.ord, slot: uint32(imp.Slot)})
-			u.count(c.ord)
+			u.appendRow(c.ord, uint32(imp.Slot))
 		}
 	}
 	for _, ss := range s.Slots {

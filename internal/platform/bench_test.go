@@ -1,11 +1,17 @@
 package platform
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"github.com/treads-project/treads/internal/ad"
+	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/journal"
+	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/workload"
 )
@@ -35,28 +41,68 @@ func benchShard(b testing.TB, dir string) (*Journaled, int64) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return jp, snapshotSize(b, dir)
+}
+
+// snapshotSize returns the size of the one snapshot in dir: a compaction
+// deletes the snapshots the new one covers.
+func snapshotSize(b testing.TB, dir string) int64 {
+	b.Helper()
 	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.db"))
 	if len(snaps) != 1 {
-		b.Fatalf("boot left snapshots %v, want one", snaps)
+		b.Fatalf("snapshots %v, want one", snaps)
 	}
 	st, err := os.Stat(snaps[0])
 	if err != nil {
 		b.Fatal(err)
 	}
-	return jp, st.Size()
+	return st.Size()
 }
 
 func BenchmarkCompact(b *testing.B) {
-	jp, size := benchShard(b, b.TempDir())
+	dir := b.TempDir()
+	jp, _ := benchShard(b, dir)
 	defer jp.Close()
-	b.SetBytes(size)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	compact := func(b *testing.B) {
 		if _, err := jp.Compact(); err != nil {
 			b.Fatal(err)
 		}
+		b.SetBytes(snapshotSize(b, dir))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := jp.Compact(); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
+	b.Run("boot", compact)
+	if err := jp.RegisterAdvertiser("adv"); err != nil {
+		b.Fatal(err)
+	}
+	for i, a := range attr.DefaultCatalog().BySource(attr.SourcePlatform)[:16] {
+		_, err := jp.CreateCampaign("adv", CampaignParams{
+			Spec:         audience.Spec{Expr: attr.Has{ID: a.ID}},
+			BidCapCPM:    money.FromDollars(10),
+			Creative:     ad.Creative{Headline: fmt.Sprintf("headline %d", i), Body: strings.Repeat("body ", 20), LandingURL: "https://example.com/landing"},
+			FrequencyCap: 40,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	delivered := 0
+	for _, uid := range jp.Users() {
+		imps, err := jp.BrowseFeed(uid, 40)
+		if err != nil {
+			b.Fatal(err)
+		}
+		delivered += len(imps)
+	}
+	b.Run("browsed", func(b *testing.B) {
+		compact(b)
+		b.ReportMetric(float64(delivered), "impressions")
+	})
 }
 
 func BenchmarkRecover(b *testing.B) {

@@ -423,12 +423,15 @@ func (p *Platform) FeedCtx(_ context.Context, uid profile.UserID) ([]ad.Impressi
 }
 
 // VisitPage records the user visiting an external page carrying the pixel
-// (fires the pixel platform-side).
+// (fires the pixel platform-side). The visit is filed under the profile's
+// own ID, so the registry keeps no caller's buffer alive: a uid handed in
+// by a request is a substring of its request line.
 func (p *Platform) VisitPage(uid profile.UserID, px pixel.PixelID) error {
-	if p.store.Get(uid) == nil {
+	pr := p.store.Get(uid)
+	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
-	return p.pixels.RecordVisit(px, uid)
+	return p.pixels.RecordVisit(px, pr.ID)
 }
 
 // LikePage records the user liking a page.
