@@ -38,7 +38,9 @@ race:
 # shard-node assembly.
 # The pinned tests run at -count=10 because a race detector run only reports
 # the interleavings it happens to see: lock-free reads against the journaled
-# commit path, transparency reads against campaign pauses, concurrent
+# commit path, concurrent mutations and reads on a
+# platform with and without a journal, transparency reads against campaign
+# pauses, concurrent
 # browses against one campaign's budget line, the supervisor's probe loops
 # against a fleet that grows and shrinks under them (directly, and through
 # a router's stale-ring refresh), unfenced user reads against a slot's
@@ -62,7 +64,7 @@ race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
 		./internal/index/ ./internal/audience/ ./internal/profile/ ./internal/journal/ ./internal/shardnode/
-	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads' ./internal/platform/
+	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads|TestJournaledConcurrentMutations' ./internal/platform/
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/

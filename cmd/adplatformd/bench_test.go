@@ -26,7 +26,7 @@ func BenchmarkBootShard(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if err := mb.(io.Closer).Close(); err != nil {
+		if err := mb.Close(); err != nil {
 			b.Fatal(err)
 		}
 		if err := os.RemoveAll(dir); err != nil {

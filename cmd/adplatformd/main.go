@@ -353,22 +353,12 @@ func run() error {
 	return n.serve(opts, logger, handler)
 }
 
-// member is one shard this process holds: served bare when it is the only
-// one, a slot of the in-process cluster under -shards N, the RPC surface's
-// backend on a shard node. *platform.Platform and *platform.Journaled are
-// members.
-type member interface {
-	httpapi.Backend
-	cluster.Shard
-	State() platform.State
-}
-
 // node is a booted process: the shards it holds, the backend its front end
 // serves, and the handles the daemon needs beside them; a nil field is one
 // the mode does not have.
 type node struct {
-	members   []member        // in slot order; none on a router
-	backend   httpapi.Backend // the one member bare, else the cluster
+	members   []*platform.Platform // the shards held here, in slot order; none on a router
+	backend   httpapi.Backend      // the one member bare, else the cluster
 	compactor httpapi.Compactor
 	admin     *membershipAdmin // the router, the one mode with dynamic membership
 }
@@ -763,7 +753,7 @@ func rpcOptions(opts options) rpc.Options {
 // there — booted and snapshotted on the directory's first open, recovered
 // afterwards, the journal instrumented under the shard's label, the open's
 // wall time logged and exported as startup_recovery_seconds{shard}.
-func openMember(opts options, i, ring int, dir string, logger *log.Logger) (member, error) {
+func openMember(opts options, i, ring int, dir string, logger *log.Logger) (*platform.Platform, error) {
 	boot := bootShard(opts, i, ring, logger)
 	if dir == "" {
 		p, err := boot()

@@ -497,7 +497,7 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 			return nil, err
 		}
 		if j > 0 {
-			n.Journaled.BeginFollow(0)
+			n.Platform.BeginFollow(0)
 		}
 		g.nodes = append(g.nodes, n)
 	}
@@ -714,7 +714,7 @@ func (h *harness) rounds(res *Result) error {
 		}
 
 		for i, n := range h.nodes {
-			sticky := n.Journaled.JournalFailed() != nil
+			sticky := n.Platform.JournalFailed() != nil
 			downed := n.down.Load()
 			if !sticky && !downed && !(r == 0 && i == forced) && h.hrng.Float64() >= cfg.CrashProb {
 				continue
@@ -932,7 +932,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 // could elect: alive journal, still following, fully caught up.
 func (h *harness) anyPromotable(g *slotGroup) bool {
 	for _, n := range g.followers() {
-		if st, _ := n.Journaled.FollowStatus(); n.Healthy() && st.Synced {
+		if st, _ := n.Platform.FollowStatus(); n.Healthy() && st.Synced {
 			return true
 		}
 	}
@@ -973,8 +973,8 @@ func (h *harness) awaitHealthy() error {
 // crash/recovery sweep.
 func (h *harness) compactHealthy() {
 	for _, n := range h.nodes {
-		if n.Journaled.JournalFailed() == nil {
-			n.Journaled.Compact()
+		if n.Platform.JournalFailed() == nil {
+			n.Platform.Compact()
 		}
 	}
 }
@@ -988,8 +988,8 @@ func (h *harness) shutdown() {
 		if n.remote != nil {
 			n.remote.Close()
 		}
-		if n.Journaled != nil {
-			n.Journaled.Close()
+		if n.Platform != nil {
+			n.Platform.Close()
 		}
 	}
 }

@@ -45,7 +45,7 @@ func (h *harness) quiesce(res *Result) {
 	}
 	h.verifyReplication(res)
 	for _, n := range h.nodes {
-		if n.Journaled.JournalFailed() != nil {
+		if n.Platform.JournalFailed() != nil {
 			h.cfg.Logf("quiesce: shard %d journal failed sticky; crash-recovering", n.idx)
 			if err := n.crash(); err != nil {
 				res.violate("recovery", "shard %d: crash-recovery of failed journal: %v", n.idx, err)
@@ -55,7 +55,7 @@ func (h *harness) quiesce(res *Result) {
 		}
 	}
 	for _, n := range h.nodes {
-		before, err := stateBytes(n.Journaled.State())
+		before, err := stateBytes(n.Platform.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling pre-close state: %v", n.idx, err)
 			continue
@@ -63,16 +63,16 @@ func (h *harness) quiesce(res *Result) {
 		if n.sn != nil {
 			n.sn.Kill()
 		}
-		if err := n.Journaled.Close(); err != nil {
+		if err := n.Platform.Close(); err != nil {
 			res.violate("recovery", "shard %d: clean close of healthy journal: %v", n.idx, err)
 			continue
 		}
-		n.Journaled = nil
+		n.Platform = nil
 		if err := n.open(); err != nil {
 			res.violate("recovery", "shard %d: reopen after clean close: %v", n.idx, err)
 			continue
 		}
-		after, err := stateBytes(n.Journaled.State())
+		after, err := stateBytes(n.Platform.State())
 		if err != nil {
 			res.violate("recovery", "shard %d: marshalling recovered state: %v", n.idx, err)
 			continue
@@ -119,7 +119,7 @@ func (h *harness) verify(res *Result) {
 	for _, camp := range h.campaigns {
 		var m platform.CampaignTotals
 		for si, g := range h.slots {
-			t, err := g.owner().Journaled.CampaignTotals(ctx, h.advertiser, camp)
+			t, err := g.owner().Platform.CampaignTotals(ctx, h.advertiser, camp)
 			if err != nil {
 				res.violate("accounting", "slot %d: reading totals for %s: %v", si, camp, err)
 				continue
@@ -164,8 +164,8 @@ func (h *harness) verify(res *Result) {
 		reach := make(map[profile.UserID]bool)
 		for _, g := range h.slots {
 			n := g.owner()
-			for _, uid := range n.Journaled.Users() {
-				for _, imp := range n.Journaled.Feed(uid) {
+			for _, uid := range n.Platform.Users() {
+				for _, imp := range n.Platform.Feed(uid) {
 					if imp.CampaignID == camp {
 						feedImps++
 						reach[uid] = true
@@ -196,9 +196,9 @@ func (h *harness) verify(res *Result) {
 
 	// Convergence: replicated advertiser state must be identical on
 	// every slot after recovery.
-	base := h.slots[0].owner().Journaled.State()
+	base := h.slots[0].owner().Platform.State()
 	for si, g := range h.slots[1:] {
-		st := g.owner().Journaled.State()
+		st := g.owner().Platform.State()
 		if !equalStrings(st.Advertisers, base.Advertisers) {
 			res.violate("convergence", "slot %d advertiser set %v != slot 0's %v", si+1, st.Advertisers, base.Advertisers)
 		}
@@ -222,14 +222,14 @@ func (h *harness) verify(res *Result) {
 // could be promoted right now without losing an acknowledged write.
 func (h *harness) verifyReplication(res *Result) {
 	for si, g := range h.slots {
-		own := g.owner().Journaled
+		own := g.owner().Platform
 		ownBytes, err := stateBytes(own.State())
 		if err != nil {
 			res.violate("replication", "slot %d: marshalling owner state: %v", si, err)
 			continue
 		}
 		for j, fn := range g.followers() {
-			jp := fn.Journaled
+			jp := fn.Platform
 			st, _ := jp.FollowStatus() // in-process: cannot fail
 			if !st.Synced {
 				res.violate("replication", "slot %d follower %d: following=%v synced=%v after heal",
@@ -266,7 +266,7 @@ func (h *harness) verifyMembership(res *Result) {
 	for _, uid := range h.users {
 		owner := h.clu.Owner(uid)
 		for si, g := range h.slots {
-			has := g.owner().Journaled.User(uid) != nil
+			has := g.owner().Platform.User(uid) != nil
 			if has && si != owner {
 				res.violate("membership", "user %s lives on slot %d but the ring assigns it to slot %d", uid, si, owner)
 			}

@@ -30,10 +30,10 @@ type node struct {
 	jopts journal.Options
 	boot  func() (*platform.Platform, error)
 
-	// Journaled is the running platform. It is replaced on crash/restart,
+	// Platform is the running platform. It is replaced on crash/restart,
 	// which only ever happens between driver rounds (after every worker has
 	// joined), so readers never race the swap.
-	*platform.Journaled
+	*platform.Platform
 
 	// down simulates a process that stopped answering without losing its
 	// disk — the mid-round owner-kill the replica-failover scenario needs.
@@ -56,7 +56,7 @@ func (n *node) open() error {
 	if err != nil {
 		return fmt.Errorf("shard %d: open: %w", n.idx, err)
 	}
-	n.Journaled = jp
+	n.Platform = jp
 	if n.sn != nil {
 		return n.sn.Restart(jp)
 	}
@@ -72,7 +72,7 @@ func (n *node) crash() error {
 	if n.sn != nil {
 		n.sn.Kill()
 	}
-	n.Journaled = nil // abandon: unflushed, unacknowledged appends die with us
+	n.Platform = nil // abandon: unflushed, unacknowledged appends die with us
 	if err := n.ffs.Crash(); err != nil {
 		return fmt.Errorf("shard %d: tearing disk: %w", n.idx, err)
 	}
@@ -89,7 +89,7 @@ func (n *node) serve() error {
 	if err != nil {
 		return fmt.Errorf("shard %d: listen: %w", n.idx, err)
 	}
-	n.sn, err = shardnode.Start(n.Journaled, ln, shardnode.Config{
+	n.sn, err = shardnode.Start(n.Platform, ln, shardnode.Config{
 		RPC:       rpc.Options{Secret: chaosSecret},
 		Advertise: ln.Addr().String(),
 	})
@@ -113,7 +113,7 @@ var (
 // state: a shard that cannot prove durability must stop taking writes, and
 // the cluster's health gate turns that into the typed ErrShardUnavailable
 // the accounting relies on.
-func (n *node) Healthy() bool { return !n.down.Load() && n.Journaled.Healthy() }
+func (n *node) Healthy() bool { return !n.down.Load() && n.Platform.Healthy() }
 
 // Close shadows the platform's: the harness owns a node's lifecycle (crash,
 // recover, final close), a cluster that holds it as a member does not.

@@ -28,35 +28,25 @@ import (
 )
 
 // Shard is the per-partition platform surface the coordinator drives: the
-// operation set a shard serves over RPC. The attribute catalog is not on
-// it: the Cluster answers catalog reads from its own copy. A shard is one
-// member of a ring slot: *platform.Platform, *platform.Journaled and
-// *RemoteShard satisfy it, so a cluster can be in-memory, durable or
-// networked per member; a slot is a ReplicaSet of them.
+// operation set a shard serves over RPC, control surface (platform.Member)
+// included. The attribute catalog is not on it: the Cluster answers
+// catalog reads from its own copy. A shard is one member of a ring slot:
+// *platform.Platform, with or without a journal, and *RemoteShard satisfy
+// it, so a cluster can be in-memory, durable or networked per member; a
+// slot is a ReplicaSet of them. A member without a journal refuses the
+// control surface with ErrMigrationUnsupported, so it cannot take part in
+// a reshard or a replica chain. Two things are not location-independent,
+// and each is named once here.
 type Shard interface {
 	rpc.Backend
 }
 
-var (
-	_ Shard = (*platform.Platform)(nil)
-	_ Shard = (*platform.Journaled)(nil)
-)
-
-// Beside the traffic surface above, a journaled shard has a control
-// surface — platform.Member: state transfer for resharding, journal
-// shipping and follow mode for replica chains. The reshard driver and
-// ReplicaSet reach it with one assertion, s.(platform.Member), whatever the
-// member's location; a shard without it (a plain in-memory platform) cannot
-// take part and the operation fails with ErrMigrationUnsupported. Two
-// things are not location-independent, and each is named once here.
-
-// localMember is what only an in-process journaled member offers: the
-// coordinator installs its shipping hook directly (a networked owner ships
-// from its own process, armed over the rearm RPC), and compacts it (a
-// networked node compacts itself). *platform.Journaled satisfies it.
+// localMember is what only an in-process member offers: the coordinator
+// installs its shipping hook directly (a networked owner ships from its
+// own process, armed over the rearm RPC), and compacts it (a networked
+// node compacts itself). *platform.Platform satisfies it.
 type localMember interface {
-	platform.Member
-	SetShipper(func(lsn uint64, payload []byte) error)
+	SetShipper(func(lsn uint64, payload []byte) error) error
 	Compact() (uint64, error)
 }
 
@@ -65,7 +55,6 @@ type localMember interface {
 // breaker, the membership gate's ring push, and the rearm call that tells
 // a promoted owner whom to ship to. *RemoteShard satisfies it.
 type networkedMember interface {
-	platform.Member
 	Addr() string
 	Probe(context.Context) error
 	PushRing(context.Context, rpc.RingInfo) error
@@ -73,7 +62,8 @@ type networkedMember interface {
 }
 
 var (
-	_ localMember     = (*platform.Journaled)(nil)
+	_ Shard           = (*platform.Platform)(nil)
+	_ localMember     = (*platform.Platform)(nil)
 	_ networkedMember = (*RemoteShard)(nil)
 )
 
@@ -603,24 +593,13 @@ func (c *Cluster) Users() []profile.UserID {
 // member (followers too — their journals grow with shipped records),
 // sequentially: each compaction is its own stop-the-world, and doing them
 // one at a time keeps the rest of the cluster serving. Networked nodes
-// compact themselves. It returns the minimum snapshot LSN over slot
-// owners — the prefix length every journaled shard is guaranteed to have
-// durably folded into a snapshot. Per-shard LSNs are independent
-// sequences, so the minimum is a conservative progress indicator, not a
-// global order. Clusters with no in-process journaled shards return 0.
+// compact themselves, and members without a journal are skipped. It
+// returns the minimum snapshot LSN over slot owners — the prefix length
+// every journaled shard is guaranteed to have durably folded into a
+// snapshot. Per-shard LSNs are independent sequences, so the minimum is a
+// conservative progress indicator, not a global order. Clusters with no
+// in-process journaled shards return 0.
 func (c *Cluster) Compact() (uint64, error) {
-	return c.minOwnerLSN(func(i, j int, m localMember) (uint64, error) {
-		lsn, err := m.Compact()
-		if err != nil {
-			return 0, fmt.Errorf("cluster: compacting shard %d member %d: %w", i, j, err)
-		}
-		return lsn, nil
-	})
-}
-
-// minOwnerLSN runs fn on every in-process journaled member of every slot
-// and returns the minimum of the LSNs it reports for slot owners.
-func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, error)) (uint64, error) {
 	var minLSN uint64
 	seen := false
 	for i, rs := range c.mem.Load().slots {
@@ -629,9 +608,12 @@ func (c *Cluster) minOwnerLSN(fn func(slot, member int, m localMember) (uint64, 
 			if !ok {
 				continue
 			}
-			lsn, err := fn(i, j, lm)
+			lsn, err := lm.Compact()
+			if errors.Is(err, platform.ErrNoJournal) {
+				continue
+			}
 			if err != nil {
-				return 0, err
+				return 0, fmt.Errorf("cluster: compacting shard %d member %d: %w", i, j, err)
 			}
 			if j == 0 && (!seen || lsn < minLSN) {
 				minLSN, seen = lsn, true

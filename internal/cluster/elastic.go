@@ -50,9 +50,10 @@ import (
 const migrationChunkSize = 512
 
 // ErrMigrationUnsupported is returned when a slot cannot take part in
-// live resharding: only journaled members have the atomic snapshot +
-// journaled import/remove ops the protocol needs.
-var ErrMigrationUnsupported = errors.New("cluster: shard does not support live migration (journaled shards only)")
+// live resharding or a replica chain: only journaled members have the
+// atomic snapshot + journaled import/remove ops the protocol needs. It is
+// the platform's own refusal, declared there.
+var ErrMigrationUnsupported = platform.ErrNoJournal
 
 // ErrReshardIncomplete gates aggregate reads while a source shard still
 // holds users that were cut over to another shard — counting them would
@@ -168,7 +169,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		all = next
 	}
 	for i, rs := range all {
-		if _, err := rs.member(); err != nil {
+		if _, err := rs.writer(); err != nil {
 			return ReshardReport{}, fmt.Errorf("cluster: shard %d: %w", i, err)
 		}
 	}
@@ -176,11 +177,11 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 	// is a consistent read, import a journaled replace — re-copying a user
 	// is idempotent, which is what makes the delta pass safe.
 	copyRange := func(from, to int, users []profile.UserID) error {
-		src, err := all[from].member()
+		src, err := all[from].writer()
 		if err != nil {
 			return err
 		}
-		dst, err := all[to].member()
+		dst, err := all[to].writer()
 		if err != nil {
 			return err
 		}
@@ -206,7 +207,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 	// answers with its users). Installing replaces everything, wiping any
 	// partial imports a previous failed attempt left behind.
 	for slot := len(cur); slot < len(next); slot++ {
-		src, err := cur[0].member()
+		src, err := cur[0].writer()
 		if err != nil {
 			return fail("snapshotting shard 0", err)
 		}
@@ -262,7 +263,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 	// (authoritative) through a call that can fail: a slot that could not be
 	// listed must not read as a slot with nobody to move.
 	for i, rs := range cur {
-		src, err := rs.member()
+		src, err := rs.writer()
 		var users []profile.UserID
 		if err == nil {
 			users, err = src.ListUsers()
@@ -306,7 +307,7 @@ func (c *Cluster) reshard(what string, next []*ReplicaSet) (ReshardReport, error
 		}
 		users := setToSorted(set)
 		total += len(users)
-		src, err := cur[from].member()
+		src, err := cur[from].writer()
 		if err == nil {
 			err = src.RemoveUsers(users)
 		}
@@ -340,7 +341,7 @@ func (c *Cluster) ResumeReshard() error {
 	var remaining []pendingRemoval
 	var firstErr error
 	for _, p := range c.mem.Load().pending {
-		m, err := p.shard.member()
+		m, err := p.shard.writer()
 		if err == nil {
 			err = m.RemoveUsers(p.users)
 		}

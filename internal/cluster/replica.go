@@ -119,22 +119,6 @@ func (rs *ReplicaSet) writer() (Shard, error) {
 	return o, nil
 }
 
-// member resolves the journaled member that currently takes the slot's
-// writes (followers receive migration records through journal shipping
-// like any other write). A promotion can change the owner mid-reshard, so
-// the driver resolves per call rather than once per reshard.
-func (rs *ReplicaSet) member() (platform.Member, error) {
-	o, err := rs.writer()
-	if err != nil {
-		return nil, err
-	}
-	m, ok := o.(platform.Member)
-	if !ok {
-		return nil, ErrMigrationUnsupported
-	}
-	return m, nil
-}
-
 // reader returns the member to serve a user-scoped read. With the owner
 // healthy, replicated reads round-robin across the owner and every
 // attached synced healthy follower — ship-before-ack means a synced
@@ -166,7 +150,7 @@ func (rs *ReplicaSet) reader() Shard {
 		if fallback == nil {
 			fallback = f
 		}
-		if fs, err := followStatus(f); err == nil && fs.Synced {
+		if fs, err := f.FollowStatus(); err == nil && fs.Synced {
 			st.met.failoverReads.Inc()
 			return f
 		}
@@ -183,7 +167,7 @@ func (rs *ReplicaSet) reader() Shard {
 // members, whose status costs an RPC, answer through a short-TTL cache.
 func (rs *ReplicaSet) followerSynced(f Shard) bool {
 	if _, remote := f.(networkedMember); !remote {
-		st, err := followStatus(f)
+		st, err := f.FollowStatus()
 		return err == nil && st.Synced
 	}
 	now := time.Now()
@@ -193,7 +177,7 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 		return e.synced
 	}
 	rs.scMu.Unlock()
-	st, err := followStatus(f)
+	st, err := f.FollowStatus()
 	verdict := err == nil && st.Synced
 	rs.scMu.Lock()
 	rs.statusCache[f] = cachedFollowStatus{expires: now.Add(followStatusTTL), synced: verdict}
@@ -202,15 +186,6 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 }
 
 // --- shipping, promotion, resync ---
-
-// followStatus reads a member's follower view of itself.
-func followStatus(s Shard) (platform.FollowStatus, error) {
-	m, ok := s.(platform.Member)
-	if !ok {
-		return platform.FollowStatus{}, fmt.Errorf("cluster: member has no follower status: %w", ErrMigrationUnsupported)
-	}
-	return m.FollowStatus()
-}
 
 // Chain arms the owner's journal shipping onto the attached followers, so
 // every journaled write on the owner is pushed to each of them before it is
@@ -236,10 +211,12 @@ func (rs *ReplicaSet) arm() error {
 	st := rs.state.Load()
 	switch o := st.members[0].(type) {
 	case localMember:
+		var ship func(uint64, []byte) error
 		if slices.Contains(st.detached[1:], false) {
-			o.SetShipper(rs.ship)
-		} else {
-			o.SetShipper(nil)
+			ship = rs.ship
+		}
+		if err := o.SetShipper(ship); err != nil {
+			return fmt.Errorf("cluster: replica chain owner: %w", err)
 		}
 		return nil
 	case networkedMember:
@@ -277,14 +254,7 @@ func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
 		if st.detached[i] {
 			continue
 		}
-		a, ok := st.members[i].(platform.Member)
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("follower %d: %w", i, ErrMigrationUnsupported)
-			}
-			continue
-		}
-		if err := a.ApplyShipped(lsn, payload); err != nil {
+		if err := st.members[i].ApplyShipped(lsn, payload); err != nil {
 			st.met.shipFailures.Inc()
 			if firstErr == nil {
 				firstErr = fmt.Errorf("follower %d: %w", i, err)
@@ -330,11 +300,10 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	// unreadable.
 	status := make([]platform.FollowStatus, len(cur.members))
 	for i := 1; i < len(cur.members); i++ {
-		f, ok := cur.members[i].(platform.Member)
-		if !ok || cur.detached[i] || !shardHealthy(cur.members[i]) {
+		if cur.detached[i] || !shardHealthy(cur.members[i]) {
 			continue
 		}
-		st, err := f.FollowStatus()
+		st, err := cur.members[i].FollowStatus()
 		if err != nil {
 			continue
 		}
@@ -346,7 +315,7 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	if best == -1 {
 		return -1, fmt.Errorf("cluster: promote: no attached healthy follower: %w", ErrShardUnavailable)
 	}
-	if err := cur.members[best].(platform.Member).EndFollow(); err != nil {
+	if err := cur.members[best].EndFollow(); err != nil {
 		return -1, fmt.Errorf("cluster: promoting follower %d: %w", best, err)
 	}
 	next := &slotState{members: slices.Clone(cur.members), detached: slices.Clone(cur.detached), met: cur.met}
@@ -355,7 +324,7 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 			continue
 		}
 		if !status[i].Synced || status[i].ShipLSN != status[best].ShipLSN ||
-			cur.members[i].(platform.Member).BeginFollow(status[best].LastLSN) != nil {
+			cur.members[i].BeginFollow(status[best].LastLSN) != nil {
 			next.detached[i] = true
 		}
 	}
@@ -382,7 +351,7 @@ func (rs *ReplicaSet) Degraded() bool {
 		if st.detached[i] {
 			return true
 		}
-		if fs, err := followStatus(st.members[i]); err == nil && !fs.Synced {
+		if fs, err := st.members[i].FollowStatus(); err == nil && !fs.Synced {
 			return true
 		}
 	}
@@ -464,22 +433,14 @@ func (rs *ReplicaSet) reattach(i int, s Shard) {
 // in its log, so a replay can land on the owner's LSN with a different
 // state. Only the reinstall is known to converge.
 func (st *slotState) resync(f Shard) error {
-	om, ok := st.members[0].(platform.Member)
-	if !ok {
-		return fmt.Errorf("cluster: replica owner: %w", ErrMigrationUnsupported)
-	}
-	fm, ok := f.(platform.Member)
-	if !ok {
-		return fmt.Errorf("cluster: replica follower: %w", ErrMigrationUnsupported)
-	}
-	state, lsn, err := om.StateAndLSN(false)
+	state, lsn, err := st.members[0].StateAndLSN(false)
 	if err != nil {
 		return err
 	}
-	if err := fm.InstallState(state); err != nil {
+	if err := f.InstallState(state); err != nil {
 		return err
 	}
-	if err := fm.BeginFollow(lsn); err != nil {
+	if err := f.BeginFollow(lsn); err != nil {
 		return err
 	}
 	st.met.resyncs.Inc()
@@ -492,26 +453,20 @@ func (st *slotState) resync(f Shard) error {
 // It is how the reshard driver bootstraps a joining replicated slot.
 func (rs *ReplicaSet) InstallState(st platform.State) error {
 	members := rs.state.Load().members
-	ms := make([]platform.Member, len(members))
-	for i, s := range members {
-		m, ok := s.(platform.Member)
-		if !ok {
-			return fmt.Errorf("cluster: replica member %d: %w", i, ErrMigrationUnsupported)
-		}
+	for i, m := range members {
 		if err := m.InstallState(st); err != nil {
 			return fmt.Errorf("cluster: installing state on member %d: %w", i, err)
 		}
-		ms[i] = m
 	}
-	if len(ms) == 1 {
+	if len(members) == 1 {
 		return nil
 	}
-	ost, err := ms[0].FollowStatus()
+	ost, err := members[0].FollowStatus()
 	if err != nil {
 		return fmt.Errorf("cluster: reading owner LSN after install: %w", err)
 	}
-	for i := 1; i < len(ms); i++ {
-		if err := ms[i].BeginFollow(ost.LastLSN); err != nil {
+	for i := 1; i < len(members); i++ {
+		if err := members[i].BeginFollow(ost.LastLSN); err != nil {
 			return fmt.Errorf("cluster: re-following member %d: %w", i, err)
 		}
 	}

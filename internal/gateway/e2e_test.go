@@ -332,7 +332,7 @@ func TestGatewayStateEquivalence(t *testing.T) {
 			t.Fatalf("driver errors: %d", st.Errors)
 		}
 		var buf bytes.Buffer
-		if err := platform.WriteSnapshot(&buf, p.Snapshot(99)); err != nil {
+		if err := platform.WriteSnapshot(&buf, p.State()); err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
 		return buf.Bytes()

@@ -11,7 +11,7 @@ import (
 const adminAccount = "admin"
 
 // Compactor is the durability hook behind POST /admin/v1/compact:
-// *platform.Journaled satisfies it. Compact writes a durable snapshot of
+// *platform.Platform satisfies it. Compact writes a durable snapshot of
 // the current state and prunes the journal segments it covers, returning
 // the LSN the snapshot includes.
 type Compactor interface {

@@ -24,10 +24,10 @@ import (
 // Backend is the platform surface the HTTP server drives: the shared op
 // set plus the three advertiser reads whose public form differs from a
 // shard's (thresholded reach and report, where a shard has RawReach and
-// CampaignTotals; the catalog search). *platform.Platform (in-memory),
-// *platform.Journaled (write-ahead journaled, crash-recoverable) and
-// *cluster.Cluster satisfy it, so the HTTP layer is agnostic to whether
-// mutations are durable or sharded.
+// CampaignTotals; the catalog search). *platform.Platform (in-memory, or
+// write-ahead journaled and crash-recoverable) and *cluster.Cluster
+// satisfy it, so the HTTP layer is agnostic to whether mutations are
+// durable or sharded.
 type Backend interface {
 	platform.Ops
 	Report(ctx context.Context, advertiser, campaignID string) (billing.Report, error)
@@ -35,10 +35,7 @@ type Backend interface {
 	SearchAttributes(query string) []*attr.Attribute
 }
 
-var (
-	_ Backend = (*platform.Platform)(nil)
-	_ Backend = (*platform.Journaled)(nil)
-)
+var _ Backend = (*platform.Platform)(nil)
 
 // transparentPixelGIF is the classic 1x1 transparent GIF a tracking pixel
 // endpoint serves.

@@ -39,7 +39,17 @@ func TestPerUserKeysAreProfileIDs(t *testing.T) {
 		v     reflect.Value
 	}
 	var keys []key
-	plat := reflect.ValueOf(p).Elem()
+	// The subsystems sit behind the platform's atomic component pointer,
+	// which the test loads through its exported Load method.
+	comp := reflect.ValueOf(p).Elem().FieldByName("comp")
+	if !comp.IsValid() || !comp.CanAddr() {
+		t.Fatal("premise: the platform has no addressable comp field")
+	}
+	load := reflect.NewAt(comp.Type(), unsafe.Pointer(comp.UnsafeAddr())).MethodByName("Load")
+	if !load.IsValid() {
+		t.Fatalf("premise: %s has no Load method", comp.Type())
+	}
+	plat := load.Call(nil)[0].Elem()
 	for _, k := range plat.FieldByName("pipeline").Elem().FieldByName("users").MapKeys() {
 		keys = append(keys, key{"delivery's user records", k})
 	}

@@ -15,7 +15,7 @@ import (
 // compared byte-for-byte on everything else.
 func statelessSnapshot(t *testing.T, p *Platform) []byte {
 	t.Helper()
-	s := p.Snapshot(p.pipeline.RNGState())
+	s := p.State()
 	s.NoIndex = false
 	return marshalState(t, s)
 }
@@ -30,15 +30,15 @@ func TestIndexedPlatformMatchesScanPlatform(t *testing.T) {
 		return p
 	}
 	indexed, scan := boot(false), boot(true)
-	if indexed.audiences.Index() == nil {
+	if indexed.comp.Load().audiences.Index() == nil {
 		t.Fatal("default platform has no index")
 	}
-	if scan.audiences.Index() != nil {
+	if scan.comp.Load().audiences.Index() != nil {
 		t.Fatal("DisableIndex platform unexpectedly has an index")
 	}
 	// Seed both platforms with journalBoot's users (fresh profile values
 	// each: profiles carry per-store watcher state).
-	for _, m := range []mutator{indexed, scan} {
+	for _, m := range []*Platform{indexed, scan} {
 		sb, err := journalBoot()
 		if err != nil {
 			t.Fatal(err)
@@ -91,15 +91,15 @@ func TestJournalRecoveryRebuildsIndex(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatal("recovered state differs from pre-crash state")
 	}
-	idx := recovered.p.Load().audiences.Index()
+	idx := recovered.comp.Load().audiences.Index()
 	if idx == nil {
 		t.Fatal("recovery did not rebuild the index")
 	}
-	if idx.Len() != len(recovered.p.Load().Users()) {
-		t.Fatalf("rebuilt index covers %d users, store has %d", idx.Len(), len(recovered.p.Load().Users()))
+	if idx.Len() != len(recovered.Users()) {
+		t.Fatalf("rebuilt index covers %d users, store has %d", idx.Len(), len(recovered.Users()))
 	}
-	salsa := recovered.p.Load().Catalog().Search("Salsa dance")[0].ID
-	if got := verifiedCount(t, recovered.p.Load(), attr.Has{ID: salsa}); got != 5 {
+	salsa := recovered.Catalog().Search("Salsa dance")[0].ID
+	if got := verifiedCount(t, recovered, attr.Has{ID: salsa}); got != 5 {
 		t.Fatalf("rebuilt index counts %d salsa holders, want 5", got)
 	}
 }
@@ -108,7 +108,7 @@ func TestJournalRecoveryRebuildsIndex(t *testing.T) {
 // profile store and returns the agreed count.
 func verifiedCount(t *testing.T, p *Platform, e attr.Expr) int {
 	t.Helper()
-	bc, _, err := p.audiences.Index().VerifyExpr(e, p.store)
+	bc, _, err := p.comp.Load().audiences.Index().VerifyExpr(e, p.comp.Load().store)
 	if err != nil {
 		t.Fatalf("VerifyExpr(%v): %v", e, err)
 	}
@@ -126,7 +126,7 @@ func TestVerifyExprOnLivePlatform(t *testing.T) {
 	for _, step := range journalScript(t) {
 		step(jp)
 	}
-	p := jp.p.Load()
+	p := jp
 	salsa := p.Catalog().Search("Salsa dance")[0].ID
 	const tier = attr.ID("test.live.tier")
 	exprs := func() []int {
@@ -169,7 +169,7 @@ func TestVerifyExprOnLivePlatform(t *testing.T) {
 				likers++
 			}
 		}
-		if got := p.audiences.Index().CountNode(p.audiences.Index().LikesNode("page-w")); got != likers || likers != 2 {
+		if got := p.comp.Load().audiences.Index().CountNode(p.comp.Load().audiences.Index().LikesNode("page-w")); got != likers || likers != 2 {
 			t.Fatalf("after %s: page-w: index counts %d likers, the store %d, want 2", step, got, likers)
 		}
 	}
@@ -180,7 +180,7 @@ func TestVerifyExprOnLivePlatform(t *testing.T) {
 	jp = nil
 	recovered := mustOpenJournaled(t, dir, journal.Options{}, noBoot(t))
 	defer recovered.Close()
-	p = recovered.p.Load()
+	p = recovered
 	want("recovery", 5, 0, 5)
 	wantLikers("recovery")
 }
@@ -191,11 +191,11 @@ func TestVerifyExprOnLivePlatform(t *testing.T) {
 func TestNoIndexFlagRoundTrips(t *testing.T) {
 	for _, disable := range []bool{false, true} {
 		p := New(Config{Seed: 1, DisableIndex: disable})
-		restored, err := Restore(p.Snapshot(1))
+		restored, err := Restore(p.State())
 		if err != nil {
 			t.Fatal(err)
 		}
-		hasIdx := restored.audiences.Index() != nil
+		hasIdx := restored.comp.Load().audiences.Index() != nil
 		if hasIdx == disable {
 			t.Fatalf("DisableIndex=%v restored with index=%v", disable, hasIdx)
 		}

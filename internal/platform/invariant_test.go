@@ -335,7 +335,7 @@ func TestImpressionCountsAgree(t *testing.T) {
 
 	saturated := 0
 	for _, n := range nodes {
-		p := n.p.Load()
+		p := n
 		for _, uid := range n.Users() {
 			_, err := n.BrowseFeed(uid, 3*len(campaigns))
 			must(err)
@@ -344,11 +344,11 @@ func TestImpressionCountsAgree(t *testing.T) {
 				shown[imp.CampaignID]++
 			}
 			for _, id := range campaigns {
-				c, ok := p.pipeline.Campaign(id)
+				c, ok := p.comp.Load().pipeline.Campaign(id)
 				if !ok {
 					t.Fatalf("campaign %s not registered", id)
 				}
-				match, err := p.audiences.SpecMatches(c.Spec, p.User(uid))
+				match, err := p.comp.Load().audiences.SpecMatches(c.Spec, p.User(uid))
 				must(err)
 				if !c.Paused && match {
 					if shown[c.ID] != caps[c.ID] {

@@ -8,14 +8,13 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// Member is the control surface of one journaled member of a cluster —
-// what a reshard driver and a replica chain drive besides ordinary
-// traffic. It is declared once and implemented with these exact signatures
-// by *Journaled (in-process) and by the cluster's RemoteShard (which
-// forwards each call over RPC, hence every method can fail); the rpc
-// server serves it from whatever backend implements it. A plain in-memory
-// Platform does not: it has no atomic-across-components snapshot and no
-// journal to ship.
+// Member is the control surface of one member of a cluster — what a
+// reshard driver and a replica chain drive besides ordinary traffic. It is
+// declared once and implemented with these exact signatures by *Platform
+// (in-process) and by the cluster's RemoteShard (which forwards each call
+// over RPC, hence every method can fail); the rpc server serves it from its
+// backend. A platform without a journal lists its users, reports itself not
+// following, and refuses every other method with ErrNoJournal.
 type Member interface {
 	// Migration: Export is a read; Import and Remove are journaled
 	// mutations with validate-before-journal semantics; InstallState rides
@@ -42,19 +41,21 @@ type Member interface {
 	FollowStatus() (FollowStatus, error)
 }
 
-var _ Member = (*Journaled)(nil)
-
 // ListUsers lists every user on the shard; locally it cannot fail.
-func (jp *Journaled) ListUsers() ([]profile.UserID, error) { return jp.Users(), nil }
+func (p *Platform) ListUsers() ([]profile.UserID, error) {
+	return p.comp.Load().store.UserIDs(), nil
+}
 
 // ExportUsers extracts the movable state for the given users from the
 // live platform. It is a pure read — the source keeps serving (and
 // mutating) the users until the cutover removes them; the reshard driver
 // re-exports anything dirtied after this snapshot during its write fence.
-func (jp *Journaled) ExportUsers(users []profile.UserID) (MigrationChunk, error) {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	return ExtractUsersChunk(jp.stateLocked(), UserSet(users)), nil
+func (p *Platform) ExportUsers(users []profile.UserID) (chunk MigrationChunk, err error) {
+	err = p.withJournal(func() error {
+		chunk = ExtractUsersChunk(p.comp.Load().state(), UserSet(users))
+		return nil
+	})
+	return chunk, err
 }
 
 // ImportUsers journals and applies a migration chunk with replace
@@ -62,35 +63,42 @@ func (jp *Journaled) ExportUsers(users []profile.UserID) (MigrationChunk, error)
 // before anything is journaled: a bad chunk (unknown campaign, pixel, or
 // audience) returns an error with nothing written, so the journal never
 // holds a record that recovery would refuse to replay.
-func (jp *Journaled) ImportUsers(chunk MigrationChunk) error {
-	_, err := jp.commit(context.Background(), &opRecord{Op: opImportUsers, Chunk: &chunk})
+func (p *Platform) ImportUsers(chunk MigrationChunk) error {
+	if p.j == nil {
+		return ErrNoJournal
+	}
+	_, err := p.commit(context.Background(), &opRecord{Op: opImportUsers, Chunk: &chunk})
 	return err
 }
 
 // RemoveUsers journals and applies the removal of the given users' state —
 // the source-side half of a completed migration. Removing users that do
 // not exist is a no-op, which makes retries idempotent.
-func (jp *Journaled) RemoveUsers(users []profile.UserID) error {
-	_, err := jp.commit(context.Background(), &opRecord{Op: opRemoveUsers, Users: users})
+func (p *Platform) RemoveUsers(users []profile.UserID) error {
+	if p.j == nil {
+		return ErrNoJournal
+	}
+	_, err := p.commit(context.Background(), &opRecord{Op: opRemoveUsers, Users: users})
 	return err
 }
 
 // StateAndLSN implements Member.
-func (jp *Journaled) StateAndLSN(skeleton bool) (State, uint64, error) {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	st := jp.stateLocked()
-	if skeleton {
-		st = StripUsersState(st, st.Seed)
-	}
-	return st, jp.j.LastLSN(), nil
+func (p *Platform) StateAndLSN(skeleton bool) (st State, lsn uint64, err error) {
+	err = p.withJournal(func() error {
+		st, lsn = p.comp.Load().state(), p.j.LastLSN()
+		if skeleton {
+			st = StripUsersState(st, st.Seed)
+		}
+		return nil
+	})
+	return st, lsn, err
 }
 
 // InstallState replaces the platform's entire state. The new state is
 // validated (Restore), then written through the journal's snapshot channel
 // rather than as a record — a full state does not have to fit the record
 // size limit, and recovery simply restores the installed snapshot. The
-// in-memory platform is swapped only after the snapshot is durably on
+// in-memory components are swapped only after the snapshot is durably on
 // disk, so a crash at any point recovers either the old state or the new
 // one, never a half-install. On error nothing is swapped; the caller
 // retries or routes the node to crash-recovery if the journal went sticky.
@@ -98,16 +106,16 @@ func (jp *Journaled) StateAndLSN(skeleton bool) (State, uint64, error) {
 // InstallState is legal on a follower — it IS the resync path — but does
 // not by itself change follow mode; the caller pairs it with
 // BeginFollow(ownerLSN) from the owner's StateAndLSN.
-func (jp *Journaled) InstallState(s State) error {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	p2, err := Restore(s)
-	if err != nil {
-		return fmt.Errorf("platform: installing state: %w", err)
-	}
-	if _, err := jp.writeSnapshot(func(w io.Writer) error { return WriteSnapshot(w, s) }); err != nil {
-		return fmt.Errorf("platform: installing state: %w", err)
-	}
-	jp.p.Store(p2)
-	return nil
+func (p *Platform) InstallState(s State) error {
+	return p.withJournal(func() error {
+		p2, err := Restore(s)
+		if err != nil {
+			return fmt.Errorf("platform: installing state: %w", err)
+		}
+		if _, err := p.writeSnapshot(func(w io.Writer) error { return WriteSnapshot(w, s) }); err != nil {
+			return fmt.Errorf("platform: installing state: %w", err)
+		}
+		p.comp.Store(p2.comp.Load())
+		return nil
+	})
 }

@@ -21,11 +21,13 @@ var ErrNotSynced = errors.New("platform: follower out of sync; resync required")
 // bytes. Because the call happens in journal order under the lock,
 // followers receive the identical sequence the owner's own recovery would
 // replay. A shipping error propagates to the mutating caller as an
-// indeterminate outcome — the op is durable locally either way.
-func (jp *Journaled) SetShipper(fn func(lsn uint64, payload []byte) error) {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	jp.shipper = fn
+// indeterminate outcome — the op is durable locally either way. A platform
+// without a journal has nothing to ship and refuses with ErrNoJournal.
+func (p *Platform) SetShipper(fn func(lsn uint64, payload []byte) error) error {
+	return p.withJournal(func() error {
+		p.shipper = fn
+		return nil
+	})
 }
 
 // BeginFollow marks this platform as a follower whose state matches the
@@ -35,25 +37,25 @@ func (jp *Journaled) SetShipper(fn func(lsn uint64, payload []byte) error) {
 // that crashes forgets where it was and must be resynced, which is the
 // safe default — its own journal recovers its state, but only the owner
 // can certify how far that state matches the owner's log.
-func (jp *Journaled) BeginFollow(ownerLSN uint64) error {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	jp.follow = true
-	jp.inSync = true
-	jp.shipSeq = ownerLSN
-	return nil
+func (p *Platform) BeginFollow(ownerLSN uint64) error {
+	return p.withJournal(func() error {
+		p.follow = true
+		p.inSync = true
+		p.shipSeq = ownerLSN
+		return nil
+	})
 }
 
 // EndFollow lifts follower mode — the promotion step. The platform keeps
 // its state and journal and starts accepting direct mutations; any
 // shipping cursor is discarded.
-func (jp *Journaled) EndFollow() error {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
-	jp.follow = false
-	jp.inSync = false
-	jp.shipSeq = 0
-	return nil
+func (p *Platform) EndFollow() error {
+	return p.withJournal(func() error {
+		p.follow = false
+		p.inSync = false
+		p.shipSeq = 0
+		return nil
+	})
 }
 
 // FollowStatus is a member's replication view of itself.
@@ -71,15 +73,16 @@ type FollowStatus struct {
 	LastLSN uint64
 }
 
-// FollowStatus implements Member.
-func (jp *Journaled) FollowStatus() (FollowStatus, error) {
-	jp.mu.Lock()
-	defer jp.mu.Unlock()
+// FollowStatus implements Member. A platform without a journal never
+// follows and has journaled nothing: it answers the zero status.
+func (p *Platform) FollowStatus() (FollowStatus, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return FollowStatus{
-		Following: jp.follow,
-		Synced:    jp.follow && jp.inSync,
-		ShipLSN:   jp.shipSeq,
-		LastLSN:   jp.j.LastLSN(),
+		Following: p.follow,
+		Synced:    p.follow && p.inSync,
+		ShipLSN:   p.shipSeq,
+		LastLSN:   p.LastLSN(),
 	}, nil
 }
 
@@ -91,7 +94,10 @@ func (jp *Journaled) FollowStatus() (FollowStatus, error) {
 // records were lost and the follower marks itself out of sync rather than
 // applying a divergent suffix. A bad record leaves the follower consistent,
 // just unsynced.
-func (jp *Journaled) ApplyShipped(ownerLSN uint64, payload []byte) error {
-	_, err := jp.commit(context.Background(), &opRecord{ship: &shipment{lsn: ownerLSN, payload: payload}})
+func (p *Platform) ApplyShipped(ownerLSN uint64, payload []byte) error {
+	if p.j == nil {
+		return ErrNoJournal
+	}
+	_, err := p.commit(context.Background(), &opRecord{ship: &shipment{lsn: ownerLSN, payload: payload}})
 	return err
 }

@@ -2,6 +2,7 @@ package platform
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -20,27 +21,7 @@ import (
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
-	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
-)
-
-// mutator is the write surface shared by *Platform and *Journaled; the
-// recovery tests drive identical scripts through both.
-type mutator interface {
-	AddUser(*profile.Profile) error
-	RegisterAdvertiser(string) error
-	CreateCampaign(string, CampaignParams) (string, error)
-	PauseCampaign(string, string) error
-	CreateAudience(string, audience.Def) (audience.AudienceID, error)
-	IssuePixel(string) (pixel.PixelID, error)
-	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
-	VisitPage(profile.UserID, pixel.PixelID) error
-	LikePage(profile.UserID, string) error
-}
-
-var (
-	_ mutator = (*Platform)(nil)
-	_ mutator = (*Journaled)(nil)
 )
 
 // journalBoot builds the deterministic initial platform the journaled
@@ -68,7 +49,7 @@ func journalBoot() (*Platform, error) {
 // operation, including refused ones (duplicate registration, campaign
 // against an unknown audience — which still burns a campaign ID — and a
 // pixel fire for an unknown user). Each step is one journal record.
-func journalScript(t *testing.T) []func(m mutator) {
+func journalScript(t *testing.T) []func(m *Platform) {
 	t.Helper()
 	key, err := pii.HashEmail("ju03@example.com")
 	if err != nil {
@@ -85,58 +66,58 @@ func journalScript(t *testing.T) []func(m mutator) {
 		pr.PII = pii.Record{Emails: []string{"ju-late@example.com"}}
 		return pr
 	}
-	return []func(m mutator){
-		func(m mutator) { m.RegisterAdvertiser("wal-adv") },
-		func(m mutator) { m.RegisterAdvertiser("wal-adv") }, // refused: duplicate
-		func(m mutator) { m.RegisterAdvertiser("other-adv") },
-		func(m mutator) { m.IssuePixel("wal-adv") }, // px-000001
-		func(m mutator) { m.VisitPage("ju01", "px-000001") },
-		func(m mutator) { m.VisitPage("ghost", "px-000001") }, // refused: unknown user
-		func(m mutator) { m.LikePage("ju02", "page-w") },
-		func(m mutator) { m.LikePage("ju04", "page-w") },
-		func(m mutator) {
+	return []func(m *Platform){
+		func(m *Platform) { m.RegisterAdvertiser("wal-adv") },
+		func(m *Platform) { m.RegisterAdvertiser("wal-adv") }, // refused: duplicate
+		func(m *Platform) { m.RegisterAdvertiser("other-adv") },
+		func(m *Platform) { m.IssuePixel("wal-adv") }, // px-000001
+		func(m *Platform) { m.VisitPage("ju01", "px-000001") },
+		func(m *Platform) { m.VisitPage("ghost", "px-000001") }, // refused: unknown user
+		func(m *Platform) { m.LikePage("ju02", "page-w") },
+		func(m *Platform) { m.LikePage("ju04", "page-w") },
+		func(m *Platform) {
 			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindEngagement, Name: "eng", Page: "page-w"})
 		}, // aud-000001
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindPII, Name: "list", Keys: []pii.MatchKey{key, stranger}})
 		}, // aud-000002
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindWebsite, Name: "web", Pixel: "px-000001"})
 		}, // aud-000003
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindAffinity, Name: "aff", Phrases: []string{"salsa"}})
 		}, // aud-000004
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateCampaign("wal-adv", CampaignParams{
 				Spec:      audience.Spec{Include: []audience.AudienceID{"aud-000004"}},
 				BidCapCPM: money.FromDollars(10),
 				Creative:  ad.Creative{Headline: "salsa shoes", Body: "dance!"},
 			}) // camp-000001
 		},
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateCampaign("wal-adv", CampaignParams{
 				Spec: audience.Spec{Include: []audience.AudienceID{"aud-999999"}},
 			}) // refused: unknown audience, but burns camp-000002
 		},
-		func(m mutator) { m.BrowseFeed("ju00", 5) },
-		func(m mutator) { m.BrowseFeed("ju01", 5) },
-		func(m mutator) { m.BrowseFeed("ju02", 3) },
-		func(m mutator) {
+		func(m *Platform) { m.BrowseFeed("ju00", 5) },
+		func(m *Platform) { m.BrowseFeed("ju01", 5) },
+		func(m *Platform) { m.BrowseFeed("ju02", 3) },
+		func(m *Platform) {
 			m.CreateAudience("wal-adv", audience.Def{Kind: audience.KindLookalike, Name: "look", Seed: "aud-000001", Overlap: 0.5})
 		},
-		func(m mutator) {
+		func(m *Platform) {
 			m.CreateCampaign("other-adv", CampaignParams{
 				Spec:      audience.Spec{Exclude: []audience.AudienceID{"aud-000002"}},
 				BidCapCPM: money.FromDollars(10),
 				Creative:  ad.Creative{Headline: "generic", Body: "buy things"},
 			}) // camp-000003
 		},
-		func(m mutator) { m.BrowseFeed("ju03", 4) },
-		func(m mutator) { m.PauseCampaign("wal-adv", "camp-000001") },
-		func(m mutator) { m.BrowseFeed("ju04", 4) },
-		func(m mutator) { m.AddUser(newcomer()) },
-		func(m mutator) { m.BrowseFeed("ju-late", 6) },
-		func(m mutator) { m.BrowseFeed("ju00", 2) },
+		func(m *Platform) { m.BrowseFeed("ju03", 4) },
+		func(m *Platform) { m.PauseCampaign("wal-adv", "camp-000001") },
+		func(m *Platform) { m.BrowseFeed("ju04", 4) },
+		func(m *Platform) { m.AddUser(newcomer()) },
+		func(m *Platform) { m.BrowseFeed("ju-late", 6) },
+		func(m *Platform) { m.BrowseFeed("ju00", 2) },
 	}
 }
 
@@ -149,11 +130,10 @@ func marshalState(t *testing.T, s State) []byte {
 	return buf.Bytes()
 }
 
-// exactState snapshots a plain platform with its live RNG state, the same
-// export Journaled.State produces.
+// exactState snapshots a platform with its live RNG state.
 func exactState(t *testing.T, p *Platform) []byte {
 	t.Helper()
-	return marshalState(t, p.Snapshot(p.pipeline.RNGState()))
+	return marshalState(t, p.State())
 }
 
 func mustOpenJournaled(t *testing.T, dir string, opts journal.Options, boot func() (*Platform, error)) *Journaled {
@@ -170,6 +150,40 @@ func noBoot(t *testing.T) func() (*Platform, error) {
 		t.Fatal("boot called during recovery of an existing journal")
 		return nil, nil
 	}
+}
+
+// TestOneScriptThreePlatforms drives journalScript through a platform
+// without a journal and through a journaled one, then recovers the
+// journaled one: the three snapshots are the same bytes, so the path the
+// experiments measure and the durable path apply every op the same way.
+func TestOneScriptThreePlatforms(t *testing.T) {
+	dir := t.TempDir()
+	opts := journal.Options{NoSync: true}
+	plain, err := journalBoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	jp := mustOpenJournaled(t, dir, opts, journalBoot)
+	for _, step := range journalScript(t) {
+		step(plain)
+		step(jp)
+	}
+	snaps := map[string][]byte{
+		"without a journal": marshalState(t, plain.State()),
+		"journaled":         marshalState(t, jp.State()),
+	}
+	if err := jp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	back := mustOpenJournaled(t, dir, opts, noBoot(t))
+	defer back.Close()
+	snaps["recovered"] = marshalState(t, back.State())
+	for name, got := range snaps {
+		if !bytes.Equal(got, snaps["without a journal"]) {
+			t.Errorf("%s: %d snapshot bytes differ from the %d of the platform without a journal", name, len(got), len(snaps["without a journal"]))
+		}
+	}
+	t.Logf("all three snapshots: %d bytes", len(snaps["journaled"]))
 }
 
 // TestJournaledRecoveryIdentical drives the full script, closes cleanly
@@ -194,8 +208,9 @@ func TestJournaledRecoveryIdentical(t *testing.T) {
 		t.Fatalf("recovered state differs from pre-crash state:\nwant %d bytes\ngot  %d bytes", len(want), len(got))
 	}
 	// The recovered platform keeps working and stays deterministic: the
-	// same browse on original and recovered yields the same impressions.
-	imps1, err1 := jp.p.Load().BrowseFeed("ju01", 3)
+	// same browse on the closed original's live components and on the
+	// recovered platform yields the same impressions.
+	imps1, err1 := jp.comp.Load().browse(context.Background(), "ju01", 3)
 	imps2, err2 := jp2.BrowseFeed("ju01", 3)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("post-recovery browse: %v / %v", err1, err2)
@@ -467,50 +482,74 @@ func copyFile(t *testing.T, dst string, contents []byte, master string) {
 
 // TestJournaledConcurrentMutations exercises the group-commit path under
 // the race detector and checks every acknowledged op survives recovery.
+// The platform without a journal takes the same traffic, with reads beside
+// it and no op lock, each component guarding itself; it must acknowledge
+// every op it was given.
 func TestJournaledConcurrentMutations(t *testing.T) {
-	dir := t.TempDir()
-	jp := mustOpenJournaled(t, dir, journal.Options{}, journalBoot)
-	if err := jp.RegisterAdvertiser("conc-adv"); err != nil {
-		t.Fatal(err)
-	}
-	const goroutines, perG = 6, 15
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			uid := profile.UserID(fmt.Sprintf("ju%02d", g%10))
-			for i := 0; i < perG; i++ {
-				switch i % 3 {
-				case 0:
-					if _, err := jp.BrowseFeed(uid, 2); err != nil {
-						t.Errorf("browse: %v", err)
-					}
-				case 1:
-					if err := jp.LikePage(uid, fmt.Sprintf("page-%d-%d", g, i)); err != nil {
-						t.Errorf("like: %v", err)
-					}
-				case 2:
-					if _, err := jp.CreateAudience("conc-adv", audience.Def{Kind: audience.KindEngagement, Name: fmt.Sprintf("aud-%d-%d", g, i), Page: "page-x"}); err != nil {
-						t.Errorf("audience: %v", err)
-					}
+	for _, journaled := range []bool{true, false} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			dir := t.TempDir()
+			var jp *Platform
+			if journaled {
+				jp = mustOpenJournaled(t, dir, journal.Options{}, journalBoot)
+			} else {
+				var err error
+				if jp, err = journalBoot(); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(g)
-	}
-	wg.Wait()
-	wantOps := uint64(1 + goroutines*perG)
-	if got := jp.LastLSN(); got != wantOps {
-		t.Fatalf("journal has %d ops, want %d", got, wantOps)
-	}
-	want := marshalState(t, jp.State())
-	if err := jp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	jp2 := mustOpenJournaled(t, dir, journal.Options{}, noBoot(t))
-	defer jp2.Close()
-	if got := marshalState(t, jp2.State()); !bytes.Equal(want, got) {
-		t.Fatal("recovered state differs after concurrent mutations")
+			if err := jp.RegisterAdvertiser("conc-adv"); err != nil {
+				t.Fatal(err)
+			}
+			const goroutines, perG = 6, 15
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					uid := profile.UserID(fmt.Sprintf("ju%02d", g%10))
+					for i := 0; i < perG; i++ {
+						switch i % 3 {
+						case 0:
+							if _, err := jp.BrowseFeed(uid, 2); err != nil {
+								t.Errorf("browse: %v", err)
+							}
+						case 1:
+							if err := jp.LikePage(uid, fmt.Sprintf("page-%d-%d", g, i)); err != nil {
+								t.Errorf("like: %v", err)
+							}
+							if _, err := jp.AdPreferences(uid); err != nil {
+								t.Errorf("preferences: %v", err)
+							}
+						case 2:
+							if _, err := jp.CreateAudience("conc-adv", audience.Def{Kind: audience.KindEngagement, Name: fmt.Sprintf("aud-%d-%d", g, i), Page: "page-x"}); err != nil {
+								t.Errorf("audience: %v", err)
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if !journaled {
+				if got := len(jp.State().Audiences.Audiences); got != goroutines*perG/3 {
+					t.Fatalf("platform holds %d audiences, want %d", got, goroutines*perG/3)
+				}
+				return
+			}
+			wantOps := uint64(1 + goroutines*perG)
+			if got := jp.LastLSN(); got != wantOps {
+				t.Fatalf("journal has %d ops, want %d", got, wantOps)
+			}
+			want := marshalState(t, jp.State())
+			if err := jp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			jp2 := mustOpenJournaled(t, dir, journal.Options{}, noBoot(t))
+			defer jp2.Close()
+			if got := marshalState(t, jp2.State()); !bytes.Equal(want, got) {
+				t.Fatal("recovered state differs after concurrent mutations")
+			}
+		})
 	}
 }
 
@@ -697,11 +736,11 @@ func TestEveryOpHasApplyCase(t *testing.T) {
 		if err := json.Unmarshal([]byte(c.golden), &rec); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := applyRecord(p, 1, &rec); err != nil && strings.Contains(err.Error(), "unknown op") {
+		if _, err := applyRecord(p.comp.Load(), 1, &rec); err != nil && strings.Contains(err.Error(), "unknown op") {
 			t.Errorf("%s (%q) has no applyRecord case: %v", name, op, err)
 		}
 	}
-	if _, err := applyRecord(p, 1, &opRecord{Op: "no_such_op"}); err == nil {
+	if _, err := applyRecord(p.comp.Load(), 1, &opRecord{Op: "no_such_op"}); err == nil {
 		t.Error("applyRecord accepted an unknown op")
 	}
 }

@@ -35,7 +35,7 @@ func scriptedPlatform(t *testing.T) *Platform {
 // exact accounting.
 func TestExtractMergePartition(t *testing.T) {
 	p := scriptedPlatform(t)
-	s := p.Snapshot(p.pipeline.RNGState())
+	s := p.State()
 
 	moving := UserSet([]profile.UserID{"ju01", "ju03", "ju-late"})
 	chunk := ExtractUsersChunk(s, moving)
@@ -71,9 +71,9 @@ func TestExtractMergePartition(t *testing.T) {
 	}
 	for _, cid := range []string{"camp-000001", "camp-000003"} {
 		for name, fn := range map[string]func(*Platform) interface{}{
-			"impressions": func(q *Platform) interface{} { return q.ledger.TrueImpressions(cid) },
-			"reach":       func(q *Platform) interface{} { return q.ledger.TrueReach(cid) },
-			"spend":       func(q *Platform) interface{} { return q.ledger.TrueSpend(cid) },
+			"impressions": func(q *Platform) interface{} { return q.comp.Load().ledger.TrueImpressions(cid) },
+			"reach":       func(q *Platform) interface{} { return q.comp.Load().ledger.TrueReach(cid) },
+			"spend":       func(q *Platform) interface{} { return q.comp.Load().ledger.TrueSpend(cid) },
 		} {
 			if got, want := fn(mp), fn(p); got != want {
 				t.Fatalf("campaign %s %s: merged %v != original %v", cid, name, got, want)
@@ -95,7 +95,7 @@ func TestExtractMergePartition(t *testing.T) {
 // referencing advertiser config the destination lacks is refused.
 func TestMergeChunkRejectsUnknownRefs(t *testing.T) {
 	p := scriptedPlatform(t)
-	s := p.Snapshot(p.pipeline.RNGState())
+	s := p.State()
 	empty := StripUsersState(s, stats.SubSeed(s.Seed, 1))
 	empty.Pixels.Pixels = nil // forget the pixel config
 
@@ -112,7 +112,7 @@ func TestMergeChunkRejectsUnknownRefs(t *testing.T) {
 // from: all advertiser config, zero users, a fresh seed.
 func TestStripUsersStateKeepsSkeleton(t *testing.T) {
 	p := scriptedPlatform(t)
-	s := p.Snapshot(p.pipeline.RNGState())
+	s := p.State()
 	stripped := StripUsersState(s, 12345)
 	if len(stripped.Profiles) != 0 || len(stripped.Pipeline.Feeds) != 0 || len(stripped.Ledger.Accounts) != 0 {
 		t.Fatalf("stripped state still carries user rows: %d profiles, %d feeds, %d accounts",

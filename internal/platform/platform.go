@@ -18,6 +18,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
@@ -26,6 +27,7 @@ import (
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/explain"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/policy"
@@ -40,7 +42,7 @@ var ErrRejected = errors.New("ad rejected by policy review")
 // Ops is the set of operations every layer between the public API and a
 // shard forwards unchanged, declared once: httpapi.Backend, rpc.Backend and
 // cluster.Shard embed it and add only what is theirs. *Platform,
-// *Journaled, *cluster.Cluster and *cluster.RemoteShard implement it.
+// *cluster.Cluster and *cluster.RemoteShard implement it.
 type Ops interface {
 	// User-scoped: routed to the shard that owns the user. The browse and
 	// the feed read carry the request context (trace, deadline) and report
@@ -82,8 +84,32 @@ type Config struct {
 	DisableIndex bool
 }
 
-// Platform is one simulated advertising platform.
+// Platform is one simulated advertising platform, with or without a
+// write-ahead journal. Every public mutation is an op record that commit
+// applies (and journals, given a journal); reads take no lock.
 type Platform struct {
+	mu sync.Mutex       // the op lock: serializes mutations, so journal order == apply order
+	j  *journal.Journal // nil without a journal; set before the platform is shared
+
+	// comp is the current component set. Migration records and
+	// InstallState replace it wholesale under mu while reads (a follower
+	// serving the transparency page, a destination mid-reshard) load it
+	// without the lock, hence the atomic pointer.
+	comp atomic.Pointer[components]
+
+	// Replication (see journaled_replica.go). shipper, when set, receives
+	// every journaled record under mu, in journal order. A following
+	// platform refuses direct mutations — its only write path is
+	// ApplyShipped — and tracks the owner's LSN sequence in shipSeq.
+	shipper func(lsn uint64, payload []byte) error
+	follow  bool
+	inSync  bool
+	shipSeq uint64
+}
+
+// components are a platform's subsystems and its account bookkeeping: the
+// state a snapshot records, replaced as one value.
+type components struct {
 	catalog       *attr.Catalog
 	store         *profile.Store
 	pixels        *pixel.Registry
@@ -102,7 +128,7 @@ type Platform struct {
 	nextCamp    int
 }
 
-// New builds a platform from the config.
+// New builds a platform without a journal from the config.
 func New(cfg Config) *Platform {
 	catalog := cfg.Catalog
 	if catalog == nil {
@@ -116,7 +142,7 @@ func New(cfg Config) *Platform {
 	pixels := pixel.NewRegistry()
 	audiences := audience.NewEngine(store, pixels)
 	ledger := billing.NewLedger()
-	p := &Platform{
+	c := &components{
 		catalog:       catalog,
 		store:         store,
 		pixels:        pixels,
@@ -135,32 +161,34 @@ func New(cfg Config) *Platform {
 		// grows incrementally with every AddUser/LikePage.
 		_ = audiences.EnableIndex()
 	}
-	p.explainer = explain.New(catalog, p.prevalence)
+	c.explainer = explain.New(catalog, c.prevalence)
+	p := &Platform{}
+	p.comp.Store(c)
 	return p
 }
 
 // Catalog returns the platform's attribute catalog (public to advertisers).
-func (p *Platform) Catalog() *attr.Catalog { return p.catalog }
+func (p *Platform) Catalog() *attr.Catalog { return p.comp.Load().catalog }
 
 // Ledger exposes the billing ledger; experiment harnesses use it for
 // platform-internal ground truth.
-func (p *Platform) Ledger() *billing.Ledger { return p.ledger }
+func (p *Platform) Ledger() *billing.Ledger { return p.comp.Load().ledger }
 
 // Enforcer exposes the policy enforcer for shutdown experiments.
-func (p *Platform) Enforcer() *policy.Enforcer { return p.enforcer }
+func (p *Platform) Enforcer() *policy.Enforcer { return p.comp.Load().enforcer }
 
 // prevalence returns the fraction of all users holding the attribute —
 // an O(1) posting-list popcount when the index is enabled.
-func (p *Platform) prevalence(id attr.ID) float64 {
-	total := p.store.Len()
+func (c *components) prevalence(id attr.ID) float64 {
+	total := c.store.Len()
 	if total == 0 {
 		return 0
 	}
-	if idx := p.audiences.Index(); idx != nil {
+	if idx := c.audiences.Index(); idx != nil {
 		return float64(idx.AttrCount(id)) / float64(total)
 	}
 	n := 0
-	p.store.Each(func(pr *profile.Profile) {
+	c.store.Each(func(pr *profile.Profile) {
 		if pr.HasAttr(id) {
 			n++
 		}
@@ -171,36 +199,49 @@ func (p *Platform) prevalence(id attr.ID) float64 {
 // --- population management (simulation harness side) ---
 
 // AddUser inserts a user profile into the platform's database.
-func (p *Platform) AddUser(pr *profile.Profile) error { return p.store.Add(pr) }
+func (p *Platform) AddUser(pr *profile.Profile) error {
+	rec := &opRecord{Op: opAddUser, profile: pr}
+	if p.j != nil {
+		st := pr.Snapshot()
+		rec.Profile = &st
+	}
+	_, err := p.commit(context.Background(), rec)
+	return err
+}
 
 // User returns a user's profile (simulation ground truth; not part of
 // either product API).
-func (p *Platform) User(id profile.UserID) *profile.Profile { return p.store.Get(id) }
+func (p *Platform) User(id profile.UserID) *profile.Profile { return p.comp.Load().store.Get(id) }
 
 // Users returns all user IDs in insertion order.
-func (p *Platform) Users() []profile.UserID { return p.store.UserIDs() }
+func (p *Platform) Users() []profile.UserID { return p.comp.Load().store.UserIDs() }
 
 // --- advertiser API ---
 
 // RegisterAdvertiser creates an advertiser account. Anyone can be an
 // advertiser (§3.1: "anyone with a Facebook account can be an advertiser").
 func (p *Platform) RegisterAdvertiser(name string) error {
+	_, err := p.commit(context.Background(), &opRecord{Op: opRegisterAdvertiser, Name: name})
+	return err
+}
+
+func (c *components) registerAdvertiser(name string) error {
 	if strings.TrimSpace(name) == "" {
 		return fmt.Errorf("platform: empty advertiser name")
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.advertisers[name] {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.advertisers[name] {
 		return fmt.Errorf("platform: advertiser %q already registered", name)
 	}
-	p.advertisers[name] = true
+	c.advertisers[name] = true
 	return nil
 }
 
-func (p *Platform) checkAdvertiser(name string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.advertisers[name] {
+func (c *components) checkAdvertiser(name string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.advertisers[name] {
 		return fmt.Errorf("platform: unknown advertiser %q", name)
 	}
 	return nil
@@ -222,19 +263,29 @@ type CampaignParams struct {
 // If ad review is enabled and rejects the creative, the error wraps
 // ErrRejected and includes the policy reasons.
 func (p *Platform) CreateCampaign(advertiser string, params CampaignParams) (string, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
+	rec := &opRecord{Op: opCreateCampaign, Advertiser: advertiser, params: &params}
+	if p.j != nil {
+		ps := campaignParamsToState(params)
+		rec.Params = &ps
+	}
+	res, err := p.commit(context.Background(), rec)
+	return res.id, err
+}
+
+func (c *components) createCampaign(advertiser string, params CampaignParams) (string, error) {
+	if err := c.checkAdvertiser(advertiser); err != nil {
 		return "", err
 	}
-	if p.enforcer.Banned(advertiser) {
+	if c.enforcer.Banned(advertiser) {
 		return "", fmt.Errorf("platform: advertiser %q: %w: account banned", advertiser, ErrRejected)
 	}
 	if params.Spec.Expr != nil {
-		if err := attr.Validate(params.Spec.Expr, p.catalog); err != nil {
+		if err := attr.Validate(params.Spec.Expr, c.catalog); err != nil {
 			return "", fmt.Errorf("platform: invalid targeting: %w", err)
 		}
 	}
-	if p.reviewAds {
-		if d := p.enforcer.Submit(advertiser, params.Creative); d.Verdict == policy.Rejected {
+	if c.reviewAds {
+		if d := c.enforcer.Submit(advertiser, params.Creative); d.Verdict == policy.Rejected {
 			return "", fmt.Errorf("platform: %w: %s", ErrRejected, strings.Join(d.Reasons, "; "))
 		}
 	}
@@ -242,13 +293,13 @@ func (p *Platform) CreateCampaign(advertiser string, params CampaignParams) (str
 	if bid == 0 {
 		bid = auction.DefaultCPM
 	}
-	p.mu.Lock()
-	p.nextCamp++
-	id := fmt.Sprintf("camp-%06d", p.nextCamp)
-	p.owner[id] = advertiser
-	p.mu.Unlock()
+	c.mu.Lock()
+	c.nextCamp++
+	id := fmt.Sprintf("camp-%06d", c.nextCamp)
+	c.owner[id] = advertiser
+	c.mu.Unlock()
 
-	err := p.pipeline.AddCampaign(&delivery.Campaign{
+	err := c.pipeline.AddCampaign(&delivery.Campaign{
 		ID:           id,
 		Advertiser:   advertiser,
 		Spec:         params.Spec,
@@ -258,9 +309,9 @@ func (p *Platform) CreateCampaign(advertiser string, params CampaignParams) (str
 		Budget:       params.Budget,
 	})
 	if err != nil {
-		p.mu.Lock()
-		delete(p.owner, id)
-		p.mu.Unlock()
+		c.mu.Lock()
+		delete(c.owner, id)
+		c.mu.Unlock()
 		return "", err
 	}
 	return id, nil
@@ -268,16 +319,21 @@ func (p *Platform) CreateCampaign(advertiser string, params CampaignParams) (str
 
 // PauseCampaign pauses a campaign owned by the advertiser.
 func (p *Platform) PauseCampaign(advertiser, campaignID string) error {
-	if err := p.ownCheck(advertiser, campaignID); err != nil {
-		return err
-	}
-	return p.pipeline.Pause(campaignID)
+	_, err := p.commit(context.Background(), &opRecord{Op: opPauseCampaign, Advertiser: advertiser, Campaign: campaignID})
+	return err
 }
 
-func (p *Platform) ownCheck(advertiser, campaignID string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	owner, ok := p.owner[campaignID]
+func (c *components) pauseCampaign(advertiser, campaignID string) error {
+	if err := c.ownCheck(advertiser, campaignID); err != nil {
+		return err
+	}
+	return c.pipeline.Pause(campaignID)
+}
+
+func (c *components) ownCheck(advertiser, campaignID string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	owner, ok := c.owner[campaignID]
 	if !ok {
 		return fmt.Errorf("platform: unknown campaign %q", campaignID)
 	}
@@ -288,12 +344,24 @@ func (p *Platform) ownCheck(advertiser, campaignID string) error {
 }
 
 // CreateAudience builds one of the advertiser's custom audiences; the
-// advertiser sees only its ID, never who is in it.
+// advertiser sees only its ID, never who is in it. The record is the
+// kind's own op, carrying the kind's one argument.
 func (p *Platform) CreateAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
+	if err := d.Validate(); err != nil {
 		return "", err
 	}
-	a, err := p.audiences.Create(advertiser, d, p.catalog)
+	res, err := p.commit(context.Background(), &opRecord{
+		Op: audienceOps[d.Kind], Advertiser: advertiser, Name: d.Name, Keys: d.Keys, Pixel: string(d.Pixel),
+		Page: d.Page, Phrases: d.Phrases, Seed: string(d.Seed), Overlap: d.Overlap,
+	})
+	return audience.AudienceID(res.id), err
+}
+
+func (c *components) createAudience(advertiser string, d audience.Def) (audience.AudienceID, error) {
+	if err := c.checkAdvertiser(advertiser); err != nil {
+		return "", err
+	}
+	a, err := c.audiences.Create(advertiser, d, c.catalog)
 	if err != nil {
 		return "", err
 	}
@@ -302,10 +370,15 @@ func (p *Platform) CreateAudience(advertiser string, d audience.Def) (audience.A
 
 // IssuePixel issues a tracking pixel to the advertiser.
 func (p *Platform) IssuePixel(advertiser string) (pixel.PixelID, error) {
-	if err := p.checkAdvertiser(advertiser); err != nil {
+	res, err := p.commit(context.Background(), &opRecord{Op: opIssuePixel, Advertiser: advertiser})
+	return pixel.PixelID(res.id), err
+}
+
+func (c *components) issuePixel(advertiser string) (pixel.PixelID, error) {
+	if err := c.checkAdvertiser(advertiser); err != nil {
 		return "", err
 	}
-	return p.pixels.Issue(advertiser).ID, nil
+	return c.pixels.Issue(advertiser).ID, nil
 }
 
 // PotentialReach returns the rounded, thresholded reach estimate for a
@@ -318,10 +391,11 @@ func (p *Platform) PotentialReach(ctx context.Context, advertiser string, spec a
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if err := p.checkAdvertiser(advertiser); err != nil {
+	c := p.comp.Load()
+	if err := c.checkAdvertiser(advertiser); err != nil {
 		return 0, err
 	}
-	return p.audiences.PotentialReach(spec)
+	return c.audiences.PotentialReach(spec)
 }
 
 // RawReach returns the exact number of this platform's users matching the
@@ -334,10 +408,11 @@ func (p *Platform) RawReach(ctx context.Context, advertiser string, spec audienc
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	if err := p.checkAdvertiser(advertiser); err != nil {
+	c := p.comp.Load()
+	if err := c.checkAdvertiser(advertiser); err != nil {
 		return 0, err
 	}
-	return p.audiences.CountMatches(spec)
+	return c.audiences.CountMatches(spec)
 }
 
 // CampaignTotals are one campaign's exact delivery totals on one platform,
@@ -358,19 +433,20 @@ func (p *Platform) CampaignTotals(ctx context.Context, advertiser, campaignID st
 	if err := ctx.Err(); err != nil {
 		return CampaignTotals{}, err
 	}
-	if err := p.ownCheck(advertiser, campaignID); err != nil {
+	c := p.comp.Load()
+	if err := c.ownCheck(advertiser, campaignID); err != nil {
 		return CampaignTotals{}, err
 	}
 	return CampaignTotals{
-		Impressions: p.ledger.TrueImpressions(campaignID),
-		Reach:       p.ledger.TrueReach(campaignID),
-		Spend:       p.ledger.TrueSpend(campaignID),
+		Impressions: c.ledger.TrueImpressions(campaignID),
+		Reach:       c.ledger.TrueReach(campaignID),
+		Spend:       c.ledger.TrueSpend(campaignID),
 	}, nil
 }
 
 // SearchAttributes is the ads-manager keyword search over the catalog.
 func (p *Platform) SearchAttributes(query string) []*attr.Attribute {
-	return p.catalog.Search(query)
+	return p.comp.Load().catalog.Search(query)
 }
 
 // Report returns the campaign's advertiser-visible performance report.
@@ -378,10 +454,11 @@ func (p *Platform) Report(ctx context.Context, advertiser, campaignID string) (b
 	if err := ctx.Err(); err != nil {
 		return billing.Report{}, err
 	}
-	if err := p.ownCheck(advertiser, campaignID); err != nil {
+	c := p.comp.Load()
+	if err := c.ownCheck(advertiser, campaignID); err != nil {
 		return billing.Report{}, err
 	}
-	return p.ledger.Report(campaignID), nil
+	return c.ledger.Report(campaignID), nil
 }
 
 // --- user API ---
@@ -389,16 +466,25 @@ func (p *Platform) Report(ctx context.Context, advertiser, campaignID string) (b
 // BrowseFeed simulates the user viewing `slots` ad slots and returns the
 // impressions delivered in this session.
 func (p *Platform) BrowseFeed(uid profile.UserID, slots int) ([]ad.Impression, error) {
-	return p.pipeline.Browse(uid, slots)
+	return p.BrowseFeedCtx(context.Background(), uid, slots)
 }
 
-// BrowseFeedCtx is BrowseFeed under the request context: a sampled
-// request gets a delivery span with slot and impression counts; an
-// unsampled one pays nothing (StartChild of a spanless context is
-// free).
+// BrowseFeedCtx is BrowseFeed under the request context, so a sampled
+// browse records its journal.append and delivery spans in the caller's
+// trace. A journal records only the intent (user, slot count); the
+// auctions re-run identically on replay because the RNG state is part of
+// every snapshot.
 func (p *Platform) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
+	res, err := p.commit(ctx, &opRecord{Op: opBrowse, User: uid, Slots: slots})
+	return res.imps, err
+}
+
+// browse runs the session under the request context: a sampled request
+// gets a delivery span with slot and impression counts; an unsampled one
+// pays nothing (StartChild of a spanless context is free).
+func (c *components) browse(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
 	_, sp := trace.StartChild(ctx, "delivery.browse")
-	imps, err := p.pipeline.Browse(uid, slots)
+	imps, err := c.pipeline.Browse(uid, slots)
 	if sp != nil {
 		sp.Annotate("slots", strconv.Itoa(slots))
 		sp.Annotate("impressions", strconv.Itoa(len(imps)))
@@ -410,33 +496,45 @@ func (p *Platform) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots 
 
 // Feed returns every impression the user has ever been shown.
 func (p *Platform) Feed(uid profile.UserID) []ad.Impression {
-	return p.pipeline.Feed(uid)
+	return p.comp.Load().pipeline.Feed(uid)
 }
 
 // FeedCtx is the feed read of the op set (see Ops): Feed, with an unknown
 // user refused the way every other user-scoped read refuses one.
 func (p *Platform) FeedCtx(_ context.Context, uid profile.UserID) ([]ad.Impression, error) {
-	if p.store.Get(uid) == nil {
+	c := p.comp.Load()
+	if c.store.Get(uid) == nil {
 		return nil, fmt.Errorf("platform: unknown user %q", uid)
 	}
-	return p.pipeline.Feed(uid), nil
+	return c.pipeline.Feed(uid), nil
 }
 
 // VisitPage records the user visiting an external page carrying the pixel
-// (fires the pixel platform-side). The visit is filed under the profile's
-// own ID, so the registry keeps no caller's buffer alive: a uid handed in
-// by a request is a substring of its request line.
+// (fires the pixel platform-side).
 func (p *Platform) VisitPage(uid profile.UserID, px pixel.PixelID) error {
-	pr := p.store.Get(uid)
+	_, err := p.commit(context.Background(), &opRecord{Op: opVisitPage, User: uid, Pixel: string(px)})
+	return err
+}
+
+// visitPage files the visit under the profile's own ID, so the registry
+// keeps no caller's buffer alive: a uid handed in by a request is a
+// substring of its request line.
+func (c *components) visitPage(uid profile.UserID, px pixel.PixelID) error {
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
-	return p.pixels.RecordVisit(px, pr.ID)
+	return c.pixels.RecordVisit(px, pr.ID)
 }
 
 // LikePage records the user liking a page.
 func (p *Platform) LikePage(uid profile.UserID, pageID string) error {
-	pr := p.store.Get(uid)
+	_, err := p.commit(context.Background(), &opRecord{Op: opLikePage, User: uid, Page: pageID})
+	return err
+}
+
+func (c *components) likePage(uid profile.UserID, pageID string) error {
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
@@ -444,10 +542,10 @@ func (p *Platform) LikePage(uid profile.UserID, pageID string) error {
 	return nil
 }
 
-// UnlikePage removes a page like; unliking a never-liked page is a no-op.
-// Engagement audiences drop the user on their next evaluation.
-func (p *Platform) UnlikePage(uid profile.UserID, pageID string) error {
-	pr := p.store.Get(uid)
+// unlikePage removes a page like; unliking a never-liked page is a no-op.
+// No call journals it any more; journals that hold the op still replay.
+func (c *components) unlikePage(uid profile.UserID, pageID string) error {
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
@@ -458,12 +556,13 @@ func (p *Platform) UnlikePage(uid profile.UserID, pageID string) error {
 // AdPreferences returns the attributes the platform's transparency page
 // shows the user (platform-sourced only; partner attributes withheld).
 func (p *Platform) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	pr := p.store.Get(uid)
+	c := p.comp.Load()
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return nil, fmt.Errorf("platform: unknown user %q", uid)
 	}
 	revealsPreferences.Inc()
-	return p.explainer.Preferences(pr), nil
+	return c.explainer.Preferences(pr), nil
 }
 
 // AdvertisersTargetingMe returns the advertiser accounts with an active
@@ -472,11 +571,12 @@ func (p *Platform) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
 // provide. Per the paper's critique, the platform does NOT reveal which
 // PII was used: only advertiser names come back, sorted and deduplicated.
 func (p *Platform) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) {
-	pr := p.store.Get(uid)
+	c := p.comp.Load()
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return nil, fmt.Errorf("platform: unknown user %q", uid)
 	}
-	out := p.pipeline.CustomDataAdvertisers(pr)
+	out := c.pipeline.CustomDataAdvertisers(pr)
 	sort.Strings(out)
 	revealsAdvertisers.Inc()
 	return out, nil
@@ -485,18 +585,19 @@ func (p *Platform) AdvertisersTargetingMe(uid profile.UserID) ([]string, error) 
 // ExplainImpression generates the "why am I seeing this?" text for an
 // impression in the user's feed.
 func (p *Platform) ExplainImpression(uid profile.UserID, imp ad.Impression) (explain.Explanation, error) {
-	pr := p.store.Get(uid)
+	c := p.comp.Load()
+	pr := c.store.Get(uid)
 	if pr == nil {
 		return explain.Explanation{}, fmt.Errorf("platform: unknown user %q", uid)
 	}
-	c, ok := p.pipeline.Campaign(imp.CampaignID)
+	camp, ok := c.pipeline.Campaign(imp.CampaignID)
 	if !ok {
 		return explain.Explanation{}, fmt.Errorf("platform: unknown campaign %q", imp.CampaignID)
 	}
-	expr := c.Spec.Expr
+	expr := camp.Spec.Expr
 	if expr == nil {
 		expr = attr.MatchAll{}
 	}
 	revealsExplain.Inc()
-	return p.explainer.Explain(expr, pr), nil
+	return c.explainer.Explain(expr, pr), nil
 }

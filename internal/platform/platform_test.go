@@ -473,15 +473,11 @@ func TestCampaignBudgetThroughPlatform(t *testing.T) {
 // mutex, as a follower's do). Run under -race.
 func TestPauseDuringTransparencyReads(t *testing.T) {
 	const campaigns, reads = 50, 200
-	type surface interface {
-		mutator
-		AdvertisersTargetingMe(profile.UserID) ([]string, error)
-	}
 	jp := mustOpenJournaled(t, t.TempDir(), journal.Options{NoSync: true}, func() (*Platform, error) {
 		return fixedPlatform(t, 2, false), nil
 	})
 	defer jp.Close()
-	for name, p := range map[string]surface{"plain": fixedPlatform(t, 2, false), "journaled": jp} {
+	for name, p := range map[string]*Platform{"plain": fixedPlatform(t, 2, false), "journaled": jp} {
 		if err := p.RegisterAdvertiser("adv"); err != nil {
 			t.Fatal(err)
 		}

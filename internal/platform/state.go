@@ -48,50 +48,47 @@ type CampaignOwner struct {
 	Advertiser string `json:"advertiser"`
 }
 
-// State exports the platform's full state as recovery would reconstruct it:
-// the recorded seed is the delivery RNG's current state, so a Restore of it
+// state exports the full state as recovery would reconstruct it: the
+// recorded seed is the delivery RNG's current state, so a Restore of it
 // resumes auctions mid-stream.
-func (p *Platform) State() State { return p.Snapshot(p.pipeline.RNGState()) }
-
-// Snapshot exports the platform's full state. The seed recorded is the one
-// the restored platform's auctions will continue from.
-func (p *Platform) Snapshot(reseed uint64) State {
-	s := p.stateWithoutProfiles(reseed)
-	s.Profiles = p.store.Snapshot()
+func (c *components) state() State {
+	s := c.stateWithoutProfiles()
+	s.Profiles = c.store.Snapshot()
 	return s
 }
 
-// stateWithoutProfiles is Snapshot less the profiles, which a compaction
+// stateWithoutProfiles is state less the profiles, which a compaction
 // encodes straight from the live store.
-func (p *Platform) stateWithoutProfiles(reseed uint64) State {
-	p.mu.Lock()
+func (c *components) stateWithoutProfiles() State {
+	c.mu.Lock()
 	s := State{
 		Version:   snapshotVersion,
-		Market:    p.market,
-		ReviewAds: p.reviewAds,
-		NoIndex:   p.indexDisabled,
-		Seed:      reseed,
-		NextCamp:  p.nextCamp,
+		Market:    c.market,
+		ReviewAds: c.reviewAds,
+		NoIndex:   c.indexDisabled,
+		Seed:      c.pipeline.RNGState(),
+		NextCamp:  c.nextCamp,
 	}
-	for adv := range p.advertisers {
+	for adv := range c.advertisers {
 		s.Advertisers = append(s.Advertisers, adv)
 	}
 	sort.Strings(s.Advertisers)
-	for cid, adv := range p.owner {
+	for cid, adv := range c.owner {
 		s.Owner = append(s.Owner, CampaignOwner{CampaignID: cid, Advertiser: adv})
 	}
 	sort.Slice(s.Owner, func(i, j int) bool { return s.Owner[i].CampaignID < s.Owner[j].CampaignID })
-	p.mu.Unlock()
+	c.mu.Unlock()
 
-	s.Pixels = p.pixels.Snapshot()
-	s.Audiences = p.audiences.Snapshot()
-	s.Ledger = p.ledger.Snapshot()
-	s.Pipeline = p.pipeline.Snapshot()
-	s.Enforcer = p.enforcer.Snapshot()
+	s.Pixels = c.pixels.Snapshot()
+	s.Audiences = c.audiences.Snapshot()
+	s.Ledger = c.ledger.Snapshot()
+	s.Pipeline = c.pipeline.Snapshot()
+	s.Enforcer = c.enforcer.Snapshot()
 	return s
 }
 
-// Restore rebuilds a platform from a snapshot (default catalog).
+// Restore rebuilds a platform without a journal from a snapshot (default
+// catalog).
 func Restore(s State) (*Platform, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("platform: snapshot version %d, want %d", s.Version, snapshotVersion)
@@ -127,7 +124,7 @@ func Restore(s State) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Platform{
+	c := &components{
 		catalog:       attr.DefaultCatalog(),
 		store:         store,
 		pixels:        pixels,
@@ -143,11 +140,13 @@ func Restore(s State) (*Platform, error) {
 		nextCamp:      s.NextCamp,
 	}
 	for _, adv := range s.Advertisers {
-		p.advertisers[adv] = true
+		c.advertisers[adv] = true
 	}
 	for _, o := range s.Owner {
-		p.owner[o.CampaignID] = o.Advertiser
+		c.owner[o.CampaignID] = o.Advertiser
 	}
-	p.explainer = explain.New(p.catalog, p.prevalence)
+	c.explainer = explain.New(c.catalog, c.prevalence)
+	p := &Platform{}
+	p.comp.Store(c)
 	return p, nil
 }

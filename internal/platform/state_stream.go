@@ -26,11 +26,11 @@ import (
 // about 64 KiB at a time.
 func WriteSnapshot(w io.Writer, s State) error { return writeState(w, s, nil) }
 
-// writeLiveState writes to w exactly what WriteSnapshot writes of p.State(),
-// through the same writes, with the profiles read from p's store where they
-// live. Nothing may mutate p meanwhile: Journaled.Compact holds the op lock.
-func (p *Platform) writeLiveState(w io.Writer) error {
-	return writeState(w, p.stateWithoutProfiles(p.pipeline.RNGState()), p.store)
+// writeLiveState writes to w exactly what WriteSnapshot writes of c.state(),
+// through the same writes, with the profiles read from c's store where they
+// live. Nothing may mutate c meanwhile: Platform.Compact holds the op lock.
+func (c *components) writeLiveState(w io.Writer) error {
+	return writeState(w, c.stateWithoutProfiles(), c.store)
 }
 
 // writeState is WriteSnapshot, except that with live set the profiles field

@@ -39,7 +39,7 @@ func loadedPlatform(t *testing.T) *Platform {
 	if _, err := p.BrowseFeed("u03", 40); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.ledger.TrueSpend(spent); got < budget {
+	if got := p.comp.Load().ledger.TrueSpend(spent); got < budget {
 		t.Fatalf("premise: %s spent %v of its %v budget", spent, got, budget)
 	}
 	return p
@@ -59,7 +59,7 @@ func generatedSlot(t *testing.T) *Platform {
 			t.Fatal(err)
 		}
 	})
-	if n := p.store.Len(); n != 600 {
+	if n := p.comp.Load().store.Len(); n != 600 {
 		t.Fatalf("premise: the slot holds %d users, want 600", n)
 	}
 	return p
@@ -72,8 +72,8 @@ func generatedSlot(t *testing.T) *Platform {
 func TestSnapshotStreamIsTheSameDocument(t *testing.T) {
 	loaded := loadedPlatform(t)
 	states := map[string]State{
-		"empty platform":  New(Config{}).Snapshot(1),
-		"loaded platform": loaded.Snapshot(loaded.pipeline.RNGState()),
+		"empty platform":  New(Config{}).State(),
+		"loaded platform": loaded.State(),
 		"zero State":      {},
 		// Empty is not nil: one is "[]", the other null or left out.
 		"empty slices": {Profiles: []profile.State{}, Advertisers: []string{}, Pipeline: delivery.State{Feeds: []delivery.FeedState{}}},

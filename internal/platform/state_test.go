@@ -113,7 +113,7 @@ func buildRichPlatform(t *testing.T) *Platform {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	orig := buildRichPlatform(t)
-	snap := orig.Snapshot(99)
+	snap := orig.State()
 	parsed, err := ReadSnapshot(bytes.NewReader(marshalState(t, snap)))
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 func TestSnapshotRestoredPlatformKeepsWorking(t *testing.T) {
 	orig := buildRichPlatform(t)
-	restored, err := Restore(orig.Snapshot(123))
+	restored, err := Restore(orig.State())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestSnapshotRestoredPlatformKeepsWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, o := range orig.Snapshot(1).Owner {
+	for _, o := range orig.State().Owner {
 		if o.CampaignID == id {
 			t.Fatalf("restored platform reused campaign ID %s", id)
 		}
@@ -238,13 +238,13 @@ func TestNonFiniteLookalikeOverlapRefused(t *testing.T) {
 			t.Errorf("overlap %v accepted as %s", overlap, id)
 		}
 	}
-	if err := WriteSnapshot(io.Discard, p.Snapshot(1)); err != nil {
+	if err := WriteSnapshot(io.Discard, p.State()); err != nil {
 		t.Fatalf("snapshot after the refusals: %v", err)
 	}
 }
 
 func TestSnapshotVersionCheck(t *testing.T) {
-	s := buildRichPlatform(t).Snapshot(1)
+	s := buildRichPlatform(t).State()
 	s.Version = 99
 	if _, err := Restore(s); err == nil {
 		t.Fatal("wrong version accepted")
@@ -258,8 +258,8 @@ func TestReadSnapshotErrors(t *testing.T) {
 }
 
 func TestSnapshotDeterministic(t *testing.T) {
-	a := marshalState(t, buildRichPlatform(t).Snapshot(7))
-	b := marshalState(t, buildRichPlatform(t).Snapshot(7))
+	a := marshalState(t, buildRichPlatform(t).State())
+	b := marshalState(t, buildRichPlatform(t).State())
 	if string(a) != string(b) {
 		t.Fatal("snapshots of identical platforms differ")
 	}
@@ -296,7 +296,7 @@ func TestRestoreStateWrittenBeforeDerivedCounts(t *testing.T) {
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(marshalState(t, p.Snapshot(state.Seed)), &got); err != nil {
+	if err := json.Unmarshal(marshalState(t, p.State()), &got); err != nil {
 		t.Fatal(err)
 	}
 	pipeline := want["pipeline"].(map[string]any)
@@ -327,7 +327,7 @@ func TestRestoreStateWrittenBeforeDerivedCounts(t *testing.T) {
 	var atCap []stored
 	for _, row := range freq {
 		cid := row.(map[string]any)["campaign_id"].(string)
-		c, ok := p.pipeline.Campaign(cid)
+		c, ok := p.comp.Load().pipeline.Campaign(cid)
 		if !ok || c.FrequencyCap != 0 {
 			t.Fatalf("fixture premise: %s is a registered campaign with the default cap", cid)
 		}

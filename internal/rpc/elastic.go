@@ -3,7 +3,6 @@ package rpc
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 
 	"github.com/treads-project/treads/internal/httpapi"
@@ -68,11 +67,9 @@ type ShardInfo struct {
 	Replicas []string `json:"replicas,omitempty"`
 }
 
-// ErrMigrationUnsupported is the refusal a non-journaled backend gives the
-// migration and replication ops: a plain in-memory platform has no
-// atomic-across-components snapshot, so it cannot take part in live
-// resharding or journal shipping.
-var ErrMigrationUnsupported = errors.New("shard backend does not support state migration (journaled platforms only)")
+// ErrMigrationUnsupported is the refusal a backend without a journal gives
+// the migration and replication ops: the platform's own, declared there.
+var ErrMigrationUnsupported = platform.ErrNoJournal
 
 // --- wire types ---
 
@@ -135,49 +132,36 @@ type RearmReq struct {
 	Followers []string `json:"followers"`
 }
 
-// memberOp registers an op served by the backend's platform.Member
-// surface. The ops are always registered — capability is a property of the
-// backend, not the protocol — and refuse with ErrMigrationUnsupported when
-// the backend is not a journaled member, so a misconfigured router gets a
-// readable 422 instead of a protocol error.
-func memberOp[Req, Resp any](s *Server, op Op[Req, Resp], fn func(m platform.Member, req Req) (Resp, error)) {
-	serve(s, op, func(_ context.Context, req Req) (Resp, error) {
-		m, ok := s.b.(platform.Member)
-		if !ok {
-			var zero Resp
-			return zero, ErrMigrationUnsupported
-		}
-		return fn(m, req)
-	})
-}
-
-// registerElastic wires the migration, replication, and ring ops.
+// registerElastic wires the migration, replication, and ring ops. The
+// backend itself refuses what it cannot do: a platform without a journal
+// answers every migration and replication op with ErrMigrationUnsupported,
+// which a client reads as a 422.
 func (s *Server) registerElastic() {
-	memberOp(s, OpExportUsers, func(m platform.Member, req ExportUsersReq) (ChunkResp, error) {
-		chunk, err := m.ExportUsers(ToUserIDs(req.Users))
+	serve(s, OpExportUsers, func(_ context.Context, req ExportUsersReq) (ChunkResp, error) {
+		chunk, err := s.b.ExportUsers(ToUserIDs(req.Users))
 		return ChunkResp{Chunk: chunk}, err
 	})
-	memberOp(s, OpImportUsers, func(m platform.Member, req ImportUsersReq) (empty, error) {
-		return empty{}, m.ImportUsers(req.Chunk)
+	serve(s, OpImportUsers, func(_ context.Context, req ImportUsersReq) (empty, error) {
+		return empty{}, s.b.ImportUsers(req.Chunk)
 	})
-	memberOp(s, OpRemoveUsers, func(m platform.Member, req RemoveUsersReq) (empty, error) {
-		return empty{}, m.RemoveUsers(ToUserIDs(req.Users))
+	serve(s, OpRemoveUsers, func(_ context.Context, req RemoveUsersReq) (empty, error) {
+		return empty{}, s.b.RemoveUsers(ToUserIDs(req.Users))
 	})
-	memberOp(s, OpInstallState, func(m platform.Member, req InstallStateReq) (empty, error) {
-		return empty{}, m.InstallState(req.State)
+	serve(s, OpInstallState, func(_ context.Context, req InstallStateReq) (empty, error) {
+		return empty{}, s.b.InstallState(req.State)
 	})
-	memberOp(s, OpSyncState, func(m platform.Member, req SyncStateReq) (SyncStateResp, error) {
-		st, lsn, err := m.StateAndLSN(req.Skeleton)
+	serve(s, OpSyncState, func(_ context.Context, req SyncStateReq) (SyncStateResp, error) {
+		st, lsn, err := s.b.StateAndLSN(req.Skeleton)
 		return SyncStateResp{State: st, LSN: lsn}, err
 	})
-	memberOp(s, OpShipOp, func(m platform.Member, req ShipOpReq) (empty, error) {
-		return empty{}, m.ApplyShipped(req.LSN, []byte(req.Payload))
+	serve(s, OpShipOp, func(_ context.Context, req ShipOpReq) (empty, error) {
+		return empty{}, s.b.ApplyShipped(req.LSN, []byte(req.Payload))
 	})
-	memberOp(s, OpBeginFollow, func(m platform.Member, req FollowReq) (empty, error) {
-		return empty{}, m.BeginFollow(req.LSN)
+	serve(s, OpBeginFollow, func(_ context.Context, req FollowReq) (empty, error) {
+		return empty{}, s.b.BeginFollow(req.LSN)
 	})
-	memberOp(s, OpEndFollow, func(m platform.Member, _ empty) (empty, error) {
-		return empty{}, m.EndFollow()
+	serve(s, OpEndFollow, func(_ context.Context, _ empty) (empty, error) {
+		return empty{}, s.b.EndFollow()
 	})
 	serve(s, OpRearm, func(_ context.Context, req RearmReq) (empty, error) {
 		fn := s.rearm.Load()

@@ -19,13 +19,14 @@ import (
 )
 
 // Backend is what a shard serves over RPC: the shared op set
-// (platform.Ops), population management, and the exact aggregates a
-// coordinator merges before thresholding. cluster.Shard is this plus the
-// catalog reads (the attribute catalog is compiled into every binary, so
-// routers answer those locally instead of shipping the catalog over the
-// wire). *platform.Platform and *platform.Journaled satisfy it.
+// (platform.Ops), the control surface (platform.Member), population
+// management, and the exact aggregates a coordinator merges before
+// thresholding. cluster.Shard is this (the attribute catalog is compiled
+// into every binary, so routers answer catalog reads locally instead of
+// shipping the catalog over the wire). *platform.Platform satisfies it.
 type Backend interface {
 	platform.Ops
+	platform.Member
 
 	AddUser(*profile.Profile) error
 	User(profile.UserID) *profile.Profile
@@ -37,10 +38,7 @@ type Backend interface {
 	CampaignTotals(ctx context.Context, advertiser, campaignID string) (platform.CampaignTotals, error)
 }
 
-var (
-	_ Backend = (*platform.Platform)(nil)
-	_ Backend = (*platform.Journaled)(nil)
-)
+var _ Backend = (*platform.Platform)(nil)
 
 // protoError marks a request the server could not even parse; it maps to
 // 400 instead of the 422 application refusals get, so clients never
@@ -134,16 +132,13 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		writeRPCError(w, http.StatusServiceUnavailable, "shard reports itself unhealthy")
 		return
 	}
-	resp := HealthResp{OK: true, Users: len(s.b.Users())}
-	if m, ok := s.b.(platform.Member); ok {
-		st, err := m.FollowStatus()
-		if err != nil {
-			writeRPCError(w, http.StatusServiceUnavailable, "reading follow status: "+err.Error())
-			return
-		}
-		resp.LastLSN, resp.Following, resp.Synced, resp.ShipLSN = st.LastLSN, st.Following, st.Synced, st.ShipLSN
+	st, err := s.b.FollowStatus()
+	if err != nil {
+		writeRPCError(w, http.StatusServiceUnavailable, "reading follow status: "+err.Error())
+		return
 	}
-	writeRPCJSON(w, http.StatusOK, resp)
+	writeRPCJSON(w, http.StatusOK, HealthResp{OK: true, Users: len(s.b.Users()),
+		LastLSN: st.LastLSN, Following: st.Following, Synced: st.Synced, ShipLSN: st.ShipLSN})
 }
 
 func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,6 @@
 // Package shardnode assembles a shard node: one opened member behind the
 // shard RPC server, with the membership gate armed when the node has an
-// advertised address and, for a journaled member, the rearm handler and
+// advertised address and, for a platform member, the rearm handler and
 // the -replicate boot. It also holds the peer dialer and the peer wait a
 // router shares. adplatformd's node mode, the chaos harness's networked
 // nodes and the cluster tests' nodes are all built here; each caller opens
@@ -36,7 +36,7 @@ type Config struct {
 	Advertise string
 	// Replicate lists the followers a journaled member ships to from boot
 	// on, once they report healthy within PeerWait; followers replay the
-	// owner's journal records, so any other member ignores it.
+	// owner's journal records, so a member without a journal refuses it.
 	Replicate []string
 	PeerWait  time.Duration
 	Logger    *log.Logger // nil discards
@@ -52,11 +52,12 @@ type Node struct {
 }
 
 // New builds a node over m. The gate starts permissive and enforces
-// whatever ring a router pushes. A journaled member ships (or stops
+// whatever ring a router pushes. A platform member ships (or stops
 // shipping) its journal to the followers a rearm RPC names — how a router
 // re-arms a promoted owner's chain, and disarms a demoted one, without a
 // process restart — and with cfg.Replicate it is armed onto those
-// followers, which are then healed, before New returns.
+// followers, which are then healed, before New returns. A platform without
+// a journal refuses both.
 func New(m rpc.Backend, cfg Config) (*Node, error) {
 	logger := cfg.Logger
 	if logger == nil {
@@ -68,16 +69,16 @@ func New(m rpc.Backend, cfg Config) (*Node, error) {
 		srv.SetGate(cluster.NewGate(self))
 		logger.Printf("membership gate armed; advertised as %s", self)
 	}
-	if jp, ok := m.(*platform.Journaled); ok {
+	if p, ok := m.(*platform.Platform); ok {
 		dialer := NewDialer(cfg.RPC)
 		srv.SetRearm(func(followers []string) error {
-			_, _, err := arm(jp, dialer, followers, logger)
+			_, _, err := arm(p, dialer, followers, logger)
 			return err
 		})
 		if len(cfg.Replicate) > 0 {
 			// Arm, wait for the followers, then Heal, which reinstalls each
 			// from the owner's state and arms the chain again.
-			rs, remotes, err := arm(jp, dialer, cfg.Replicate, logger)
+			rs, remotes, err := arm(p, dialer, cfg.Replicate, logger)
 			if err == nil {
 				err = WaitForPeers(remotes, cfg.PeerWait, logger)
 			}
@@ -156,7 +157,7 @@ func (n *Node) Restart(m rpc.Backend) error {
 // rebuilding the chain in place: every acknowledged write from here on is
 // applied on each of them before the ack. An empty list is a chain with no
 // follower, which arms no shipping at all.
-func arm(owner *platform.Journaled, d *Dialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
+func arm(owner *platform.Platform, d *Dialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
 	rs, remotes := d.chain(owner, followers)
 	if err := rs.Chain(); err != nil {
 		return nil, nil, err

@@ -12,8 +12,9 @@ import (
 )
 
 // Target is the user-facing platform surface the concurrent driver
-// exercises. *platform.Platform, *platform.Journaled and *cluster.Cluster
-// all satisfy it, so the same traffic generator measures any backend.
+// exercises. *platform.Platform (with or without a journal) and
+// *cluster.Cluster both satisfy it, so the same traffic generator measures
+// any backend.
 type Target interface {
 	BrowseFeed(profile.UserID, int) ([]ad.Impression, error)
 	VisitPage(profile.UserID, pixel.PixelID) error
