@@ -49,7 +49,10 @@ race:
 # appends and waiters against its flush leader (during an fsync, as the
 # batch that follows one, across a crash), and attribute-ID interning
 # against unlocked reads of the ID table. The serve path's differential
-# test against the per-slot scan runs under the detector too. The five
+# test against the per-slot scan runs under the detector too, and so do the
+# daemon's boots of every mode, whose population is built on a helper
+# goroutine and added on the caller's (their boot-state digests pin the
+# order). The five
 # zero-alloc pins (span, query, browse, admission decision, and the
 # profile snapshot encoder), the profile-store, feed and billing-ledger
 # footprints, generator allocation and compaction allocation tripwires
@@ -69,6 +72,7 @@ race-full:
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/
 	$(GO) test -race -count=10 -run TestFailoverSupervisorFollowsMembership ./cmd/adplatformd/
+	$(GO) test -race -count=1 -run 'TestBoot|TestOpenBackendSharded' ./cmd/adplatformd/
 	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder|TestGatePushesDuringOwnershipChecks' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -race -count=10 -run TestInternDuringReads -v ./internal/attr/ | grep -- '--- PASS: TestInternDuringReads'

@@ -9,6 +9,20 @@ import (
 	"testing"
 )
 
+// BenchmarkBootSingle times one un-journaled boot of the benchmark
+// harness's 12 000 users into a single member, as a single-mode process
+// boots it: generating the population and adding every user.
+func BenchmarkBootSingle(b *testing.B) {
+	logger := log.New(io.Discard, "", 0)
+	opts := parseForTest(b, "-users", "12000")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := openMember(opts, 0, 1, "", logger); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkBootShard times one fresh journaled boot of slot 0 of a 2-slot
 // ring at the benchmark harness's 12 000 users, as a shard node boots it:
 // generating the population, adding the users the slot keeps, and writing

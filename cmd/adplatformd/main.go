@@ -751,39 +751,44 @@ func rpcOptions(opts options) rpc.Options {
 // openMember boots slot i of a ring-slot partition of the population. With
 // dir empty it is a plain in-memory platform. With dir set it is journaled
 // there — booted and snapshotted on the directory's first open, recovered
-// afterwards, the journal instrumented under the shard's label, the open's
-// wall time logged and exported as startup_recovery_seconds{shard}.
+// afterwards, the journal instrumented under the shard's label. Either way
+// the open's wall time is logged and exported as
+// startup_recovery_seconds{shard}.
 func openMember(opts options, i, ring int, dir string, logger *log.Logger) (*platform.Platform, error) {
 	boot := bootShard(opts, i, ring, logger)
-	if dir == "" {
-		p, err := boot()
-		if err != nil {
-			return nil, fmt.Errorf("booting shard %d: %w", i, err)
-		}
-		return p, nil
-	}
 	shard := fmt.Sprintf("%d", i)
 	start := time.Now()
+	var p *platform.Platform
+	var err error
 	booted := false // OpenJournaled calls boot only on a fresh directory
-	jp, err := platform.OpenJournaled(dir, journal.Options{
-		Metrics: journal.NewMetrics(obs.Default, shard),
-	}, func() (*platform.Platform, error) {
-		booted = true
-		return boot()
-	})
-	if err != nil {
-		return nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
+	if dir == "" {
+		if p, err = boot(); err != nil {
+			return nil, fmt.Errorf("booting shard %d: %w", i, err)
+		}
+	} else {
+		p, err = platform.OpenJournaled(dir, journal.Options{
+			Metrics: journal.NewMetrics(obs.Default, shard),
+		}, func() (*platform.Platform, error) {
+			booted = true
+			return boot()
+		})
+		if err != nil {
+			return nil, fmt.Errorf("opening journal for shard %d: %w", i, err)
+		}
 	}
 	elapsed := time.Since(start)
 	obs.Default.GaugeVec("startup_recovery_seconds",
-		"Wall time each shard spent opening its journal at boot: on a fresh directory, booting the population and writing the boot snapshot; on a reopen, snapshot load plus deterministic replay of the journal suffix.",
+		"Wall time each shard spent coming up at boot: without a journal, booting the population; on a fresh journal directory, booting the population and writing the boot snapshot; on a reopen, snapshot load plus deterministic replay of the journal suffix.",
 		"shard").With(shard).Set(elapsed.Seconds())
-	if booted {
-		logger.Printf("shard %d booted %d users and wrote the boot snapshot to %s in %v", i, len(jp.Users()), dir, elapsed.Round(time.Millisecond))
-	} else {
-		logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, jp.LastLSN(), elapsed.Round(time.Millisecond))
+	switch {
+	case dir == "":
+		logger.Printf("shard %d booted %d users in %v", i, len(p.Users()), elapsed.Round(time.Millisecond))
+	case booted:
+		logger.Printf("shard %d booted %d users and wrote the boot snapshot to %s in %v", i, len(p.Users()), dir, elapsed.Round(time.Millisecond))
+	default:
+		logger.Printf("shard %d journal open in %s (recovered through LSN %d in %v)", i, dir, p.LastLSN(), elapsed.Round(time.Millisecond))
 	}
-	return jp, nil
+	return p, nil
 }
 
 // debugMux builds the private debug handler: net/http/pprof under

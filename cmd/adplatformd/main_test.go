@@ -2,6 +2,8 @@ package main
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
@@ -129,7 +131,8 @@ func TestParseFlagDefaults(t *testing.T) {
 }
 
 // bootCase is one mode's row: the flags it boots with, whether it journals,
-// the mode they select and the ring slots held here, of ring.
+// the mode they select and the ring slots held here, of ring, and the
+// SHA-256 of the state the boot leaves (bootDigest).
 type bootCase struct {
 	name    string
 	args    []string
@@ -137,6 +140,7 @@ type bootCase struct {
 	mode    mode
 	slots   []int
 	ring    int
+	digest  string
 }
 
 // singlePopulation is the single-mode population of -users 120, which every
@@ -155,7 +159,9 @@ func singlePopulation(t *testing.T) []profile.UserID {
 // member is served bare (so single mode bypasses the cluster), a compactor
 // exists exactly when a journal does, a journaled reopen recovers instead of
 // re-booting — a replicated advertiser registration is refused again without
-// the shards diverging — and only single mode accepts -save.
+// the shards diverging — only single mode accepts -save, and the booted
+// state hashes to tc.digest: the same users, added in the same order, with
+// the same bytes.
 func checkBoot(t *testing.T, tc bootCase, population []profile.UserID) {
 	t.Helper()
 	logger := log.New(io.Discard, "", 0)
@@ -186,6 +192,9 @@ func checkBoot(t *testing.T, tc bootCase, population []profile.UserID) {
 	}
 	if (n.compactor != nil) != tc.journal {
 		t.Fatalf("compactor %v with journal=%v", n.compactor, tc.journal)
+	}
+	if got := bootDigest(t, n, tc, dir); got != tc.digest {
+		t.Fatalf("boot state SHA-256 %s, want %s", got, tc.digest)
 	}
 	if (n.admin != nil) != (tc.mode == modeRouter) {
 		t.Fatalf("cluster admin %v in %v mode", n.admin, tc.mode)
@@ -261,6 +270,36 @@ func checkBoot(t *testing.T, tc bootCase, population []profile.UserID) {
 	}
 }
 
+// bootDigest hashes what boot left in each member, in slot order: the boot
+// snapshot file of a journaled member, otherwise the snapshot the member
+// would write. A router holds no member and hashes nothing.
+func bootDigest(t *testing.T, n node, tc bootCase, dir string) string {
+	t.Helper()
+	h := sha256.New()
+	for k, m := range n.members {
+		if !tc.journal {
+			if err := platform.WriteSnapshot(h, m.State()); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		mdir := dir
+		if len(n.members) > 1 {
+			mdir = filepath.Join(dir, fmt.Sprintf("shard-%03d", tc.slots[k]))
+		}
+		snaps, err := filepath.Glob(filepath.Join(mdir, "snap-*.db"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("boot snapshots in %s: %v (%v), want one", mdir, snaps, err)
+		}
+		b, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 // TestBoot runs the single, shard-node and router modes through boot.
 func TestBoot(t *testing.T) {
 	root := t.TempDir()
@@ -268,10 +307,14 @@ func TestBoot(t *testing.T) {
 	nodeB := newMembershipNode(t, filepath.Join(root, "b"), stats.SubSeed(61, 1))
 	population := singlePopulation(t)
 	for _, tc := range []bootCase{
-		{name: "single", args: []string{"-users", "120"}, mode: modeSingle, slots: []int{0}, ring: 1},
-		{name: "single journaled", args: []string{"-users", "120"}, journal: true, mode: modeSingle, slots: []int{0}, ring: 1},
-		{name: "shard node", args: []string{"-users", "120", "-shard-serve", "-shard-index", "1", "-shard-count", "3"}, mode: modeNode, slots: []int{1}, ring: 3},
-		{name: "router", args: []string{"-peers", nodeA.addr + "," + nodeB.addr, "-rpc-secret", membershipSecret, "-peer-wait", "10s"}, mode: modeRouter, ring: 2},
+		{name: "single", args: []string{"-users", "120"}, mode: modeSingle, slots: []int{0}, ring: 1,
+			digest: "71c03c7cf44339718978ef663b478ddd4b318f8b3c26d38fe17d8cecd0098053"},
+		{name: "single journaled", args: []string{"-users", "120"}, journal: true, mode: modeSingle, slots: []int{0}, ring: 1,
+			digest: "e7171b5f747e4b414629b3ebc042d5dc9e78495652f90d424b03d1d64dbf840d"},
+		{name: "shard node", args: []string{"-users", "120", "-shard-serve", "-shard-index", "1", "-shard-count", "3"}, mode: modeNode, slots: []int{1}, ring: 3,
+			digest: "105b87ebc855da38330d58e470ce00d31a66b8172721b26e15df120b763be9fb"},
+		{name: "router", args: []string{"-peers", nodeA.addr + "," + nodeB.addr, "-rpc-secret", membershipSecret, "-peer-wait", "10s"}, mode: modeRouter, ring: 2,
+			digest: "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
 	} {
 		t.Run(tc.name, func(t *testing.T) { checkBoot(t, tc, population) })
 	}
@@ -280,14 +323,16 @@ func TestBoot(t *testing.T) {
 // TestOpenBackendSharded: -shards 3 boots an in-process cluster whose three
 // shards together hold exactly the single-mode population.
 func TestOpenBackendSharded(t *testing.T) {
-	checkBoot(t, bootCase{name: "shards", args: []string{"-users", "120", "-shards", "3"}, mode: modeShards, slots: []int{0, 1, 2}, ring: 3}, singlePopulation(t))
+	checkBoot(t, bootCase{name: "shards", args: []string{"-users", "120", "-shards", "3"}, mode: modeShards, slots: []int{0, 1, 2}, ring: 3,
+		digest: "5246e18b9c90381c37bc5ff4d61600592140495a3ae6aea81c86fdbd4458d678"}, singlePopulation(t))
 }
 
 // TestOpenBackendJournaledShards: -shards 2 -journal writes one shard-NNN
 // journal per shard, and a reopen recovers the population and the
 // replicated advertiser registrations instead of re-booting.
 func TestOpenBackendJournaledShards(t *testing.T) {
-	checkBoot(t, bootCase{name: "shards journaled", args: []string{"-users", "120", "-shards", "2"}, journal: true, mode: modeShards, slots: []int{0, 1}, ring: 2}, singlePopulation(t))
+	checkBoot(t, bootCase{name: "shards journaled", args: []string{"-users", "120", "-shards", "2"}, journal: true, mode: modeShards, slots: []int{0, 1}, ring: 2,
+		digest: "35f1694820a10e9b914a978fdec46b5da8d63cf18556dd826e389f35d17ca2a2"}, singlePopulation(t))
 }
 
 // TestRouterBootsWithZeroPeerWait: -peer-wait 0 is one probe round, each

@@ -133,7 +133,7 @@ func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 	e.mu.RUnlock()
 }
 
-func (w *engineWatcher) AttrChanged(p *profile.Profile, id attr.ID) {
+func (w *engineWatcher) AttrChanged(p *profile.Profile, o attr.Ord) {
 	e := w.e
 	e.mu.RLock()
 	idx := e.idx
@@ -145,7 +145,7 @@ func (w *engineWatcher) AttrChanged(p *profile.Profile, id attr.ID) {
 	if !ok {
 		return // pre-Add mutation; Add will index the final state
 	}
-	idx.NoteAttrChanged(p, id)
+	idx.NoteAttrChanged(p, o)
 	// Lookalike membership is a function of the user's attributes, so an
 	// attribute change can flip it either way. PII bitmaps are unaffected;
 	// affinity audiences read the (just-updated) posting lists directly.

@@ -2,7 +2,9 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"unsafe"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/profile"
@@ -18,6 +20,12 @@ import (
 // mutation — user adds, attribute changes, likes, audience-bitmap bits —
 // funnels through the write lock, so a query always sees a consistent
 // point-in-time population.
+//
+// An attribute's posting lists are reachable two ways: by ID, the way
+// queries name them, and by the attribute's ordinal in attr's ID table, the
+// way a profile holds them. Both lead to the same *Bitmap values: the write
+// path (Add, NoteAttrChanged) is the only one that creates lists, and
+// hasBitmap and valueBitmap enter each new list in both.
 type Index struct {
 	mu   sync.RWMutex
 	uids []profile.UserID          // slot -> user, insertion order
@@ -25,6 +33,7 @@ type Index struct {
 
 	has       map[attr.ID]*Bitmap            // HasAttr posting lists
 	vals      map[attr.ID]map[string]*Bitmap // ValueIs posting lists
+	byOrd     []postings                     // the same lists, by ordinal
 	ages      map[int]*Bitmap
 	genders   map[string]*Bitmap
 	countries map[string]*Bitmap
@@ -55,6 +64,13 @@ type Source interface {
 	Each(func(*profile.Profile))
 }
 
+// postings is one attribute's entries in has and vals, reached by ordinal:
+// nil until the write path first needs them.
+type postings struct {
+	has  *Bitmap
+	vals map[string]*Bitmap
+}
+
 // Add assigns the next slot to the profile and indexes its attributes,
 // demographics, and current page likes. Duplicate users are an error.
 func (x *Index) Add(p *profile.Profile) error {
@@ -70,12 +86,15 @@ func (x *Index) Add(p *profile.Profile) error {
 	x.uids = append(x.uids, p.ID)
 	x.slot[p.ID] = s
 
-	p.EachAttr(func(id attr.ID) {
-		getBitmap(x.has, id).set(s)
-		if v, ok := p.AttrValue(id); ok {
-			x.valueBitmap(id, v).set(s)
-		}
-	})
+	ids := attr.IDs()
+	binary, values := p.AttrOrds()
+	for _, o := range binary {
+		x.hasBitmap(ids, o).set(s)
+	}
+	for _, v := range values {
+		x.hasBitmap(ids, v.Ord).set(s)
+		x.valueBitmap(ids, v.Ord, v.Value).set(s)
+	}
 	getBitmap(x.ages, p.Age()).set(s)
 	getBitmap(x.genders, p.Gender()).set(s)
 	getBitmap(x.countries, p.Country()).set(s)
@@ -90,26 +109,31 @@ func (x *Index) Add(p *profile.Profile) error {
 	return nil
 }
 
-// NoteAttrChanged re-indexes one attribute of an already-added profile
-// after a SetAttr/SetAttrValue mutation. Unknown users (mutated
-// before their Add) are ignored — Add indexes their final state.
-func (x *Index) NoteAttrChanged(p *profile.Profile, id attr.ID) {
+// NoteAttrChanged re-indexes one attribute, named by its ordinal, of an
+// already-added profile after a SetAttr/SetAttrValue mutation. Unknown
+// users (mutated before their Add) are ignored — Add indexes their final
+// state.
+func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	s, ok := x.slot[p.ID]
 	if !ok {
 		return
 	}
-	if p.HasAttr(id) {
-		getBitmap(x.has, id).set(s)
-	} else if b := x.has[id]; b != nil {
-		b.clear(s)
+	ids := attr.IDs()
+	pl := x.postingsOf(ids, o)
+	binary, values := p.AttrOrds()
+	i := slices.IndexFunc(values, func(v profile.ValuedAttr) bool { return v.Ord == o })
+	if i >= 0 || slices.Contains(binary, o) {
+		x.hasBitmap(ids, o).set(s)
+	} else if pl.has != nil {
+		pl.has.clear(s)
 	}
-	for _, vb := range x.vals[id] {
+	for _, vb := range pl.vals {
 		vb.clear(s)
 	}
-	if v, ok := p.AttrValue(id); ok {
-		x.valueBitmap(id, v).set(s)
+	if i >= 0 {
+		x.valueBitmap(ids, o, values[i].Value).set(s)
 	}
 	updAttrChange.Inc()
 }
@@ -227,6 +251,7 @@ func (x *Index) memoryBytesLocked() int {
 	// Slot table: string header + map entry is ~64 bytes per user in
 	// practice; count it coarsely so the gauge reflects real growth.
 	total += len(x.uids) * 64
+	total += cap(x.byOrd) * int(unsafe.Sizeof(postings{}))
 	return total
 }
 
@@ -249,16 +274,37 @@ func getBitmap[K comparable](m map[K]*Bitmap, key K) *Bitmap {
 	return b
 }
 
-func (x *Index) valueBitmap(id attr.ID, v string) *Bitmap {
-	m := x.vals[id]
-	if m == nil {
-		m = make(map[string]*Bitmap)
-		x.vals[id] = m
+// postingsOf returns ordinal o's entry in byOrd, growing byOrd to the
+// length of ids, the ID table, when o is beyond it. The pointer is valid
+// until byOrd next grows. Caller holds the write lock.
+func (x *Index) postingsOf(ids []attr.ID, o attr.Ord) *postings {
+	if int(o) >= len(x.byOrd) {
+		x.byOrd = append(x.byOrd, make([]postings, len(ids)-len(x.byOrd))...)
 	}
-	b := m[v]
+	return &x.byOrd[o]
+}
+
+// hasBitmap get-or-creates ordinal o's HasAttr posting list.
+func (x *Index) hasBitmap(ids []attr.ID, o attr.Ord) *Bitmap {
+	pl := x.postingsOf(ids, o)
+	if pl.has == nil {
+		pl.has = &Bitmap{}
+		x.has[ids[o]] = pl.has
+	}
+	return pl.has
+}
+
+// valueBitmap get-or-creates the posting list of ordinal o's value v.
+func (x *Index) valueBitmap(ids []attr.ID, o attr.Ord, v string) *Bitmap {
+	pl := x.postingsOf(ids, o)
+	if pl.vals == nil {
+		pl.vals = make(map[string]*Bitmap)
+		x.vals[ids[o]] = pl.vals
+	}
+	b := pl.vals[v]
 	if b == nil {
 		b = &Bitmap{}
-		m[v] = b
+		pl.vals[v] = b
 	}
 	return b
 }

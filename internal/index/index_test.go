@@ -171,16 +171,34 @@ func TestGeoExprFallsBack(t *testing.T) {
 	}
 }
 
+// TestIncrementalAttrChange re-indexes one attribute, interned after the
+// population was indexed, through its binary and categorical changes; after
+// the build and after every change, the ordinal slice and the ID maps hold
+// the same posting lists.
 func TestIncrementalAttrChange(t *testing.T) {
 	profs, idx := population(t, 100, 0)
+	sameLists := func(when string) {
+		t.Helper()
+		if err := idx.SameListsByOrdinal(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	sameLists("after the build")
 	p := profs[17]
-	const id = attr.ID("test.incremental.attr")
+	// An ID no earlier run in this process interned.
+	interned := len(attr.IDs())
+	id := attr.ID(fmt.Sprintf("test.incremental.attr.%d", interned))
 
 	if slot, _ := idx.Slot(p.ID); idx.TestAttr(id, slot) {
 		t.Fatal("attribute set before mutation")
 	}
 	p.SetAttr(id) // no watcher attached: index must be told explicitly
-	idx.NoteAttrChanged(p, id)
+	o := attr.Intern(id)
+	if int(o) < interned {
+		t.Fatalf("ordinal %d of %s was interned before the build", o, id)
+	}
+	idx.NoteAttrChanged(p, o)
+	sameLists("after SetAttr")
 	slot, _ := idx.Slot(p.ID)
 	if !idx.TestAttr(id, slot) {
 		t.Fatal("attribute not indexed after NoteAttrChanged")
@@ -191,13 +209,15 @@ func TestIncrementalAttrChange(t *testing.T) {
 
 	// Categorical value moves between value posting lists.
 	p.SetAttrValue(id, "red")
-	idx.NoteAttrChanged(p, id)
+	idx.NoteAttrChanged(p, o)
+	sameLists("after SetAttrValue")
 	node, _ := idx.CompileExpr(attr.ValueIs{ID: id, Value: "red"})
 	if idx.CountNode(node) != 1 {
 		t.Fatal("value=red not indexed")
 	}
 	p.SetAttrValue(id, "blue")
-	idx.NoteAttrChanged(p, id)
+	idx.NoteAttrChanged(p, o)
+	sameLists("after a second SetAttrValue")
 	nodeRed, _ := idx.CompileExpr(attr.ValueIs{ID: id, Value: "red"})
 	nodeBlue, _ := idx.CompileExpr(attr.ValueIs{ID: id, Value: "blue"})
 	if idx.CountNode(nodeRed) != 0 || idx.CountNode(nodeBlue) != 1 {

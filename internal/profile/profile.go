@@ -35,8 +35,9 @@ type Watcher interface {
 	// ProfileAdded fires after the profile is inserted into the store.
 	ProfileAdded(p *Profile)
 	// AttrChanged fires after SetAttr/SetAttrValue/SetSortedAttrs on a profile
-	// that already has a watcher (i.e. post-Add mutations).
-	AttrChanged(p *Profile, id attr.ID)
+	// that already has a watcher (i.e. post-Add mutations), with the changed
+	// attribute's ordinal in attr's ID table.
+	AttrChanged(p *Profile, o attr.Ord)
 	// LikeChanged fires when a page like is added (liked=true) or removed
 	// (liked=false); no-change calls are suppressed.
 	LikeChanged(p *Profile, pageID string, liked bool)
@@ -109,7 +110,7 @@ func (p *Profile) SetAttr(id attr.ID) {
 		p.binary = slices.Insert(p.binary, i, o)
 	}
 	if p.watcher != nil {
-		p.watcher.AttrChanged(p, id)
+		p.watcher.AttrChanged(p, o)
 	}
 }
 
@@ -122,7 +123,7 @@ func (p *Profile) SetAttrValue(id attr.ID, value string) {
 		p.values = slices.Insert(p.values, i, ValuedAttr{o, value})
 	}
 	if p.watcher != nil {
-		p.watcher.AttrChanged(p, id)
+		p.watcher.AttrChanged(p, o)
 	}
 }
 
@@ -146,10 +147,10 @@ func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
 	}
 	if p.watcher != nil {
 		for _, o := range binary {
-			p.watcher.AttrChanged(p, ids[o])
+			p.watcher.AttrChanged(p, o)
 		}
 		for _, v := range values {
-			p.watcher.AttrChanged(p, ids[v.Ord])
+			p.watcher.AttrChanged(p, v.Ord)
 		}
 	}
 }
@@ -251,6 +252,13 @@ func (p *Profile) EachAttr(fn func(attr.ID)) {
 		fn(ids[av.Ord])
 	}
 }
+
+// AttrOrds returns the profile's two attribute sets as it holds them: the
+// binary attributes' ordinals and the categorical attributes' ordinals with
+// their values, each sorted by ID — the walk the targeting index makes to
+// reach posting lists by ordinal. The slices are the profile's own; callers
+// must not modify them.
+func (p *Profile) AttrOrds() ([]attr.Ord, []ValuedAttr) { return p.binary, p.values }
 
 // pack trims both attribute sets to exact length, so a profile the store
 // holds carries no growth slack from the inserts that built it.

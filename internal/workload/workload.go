@@ -16,8 +16,10 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
+	"strconv"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/pii"
@@ -126,16 +128,75 @@ func Each(cfg Config, fn func(*profile.Profile)) { EachKept(cfg, nil, fn) }
 // random stream and each kept profile are exactly Each's, but only the kept
 // users are built — the cost a shard booting its slice of the population
 // saves on the users other slots hold.
+//
+// The work runs in two stages at once. One helper goroutine draws every user
+// and builds the kept ones (keep runs there, so it must be safe to call from
+// another goroutine); it hands the profiles in batches of batchSize over a
+// channel that holds batchDepth of them to the caller's goroutine, which
+// runs fn. So fn is called on the caller's goroutine, once per kept profile,
+// in generation order, and no call overlaps another: a boot that adds users
+// in fn adds them in the same order into the same slots as a one-goroutine
+// loop would. A process booting its population spends most of its start-up
+// in this loop; with two cores it takes about as long as the slower stage
+// instead of the sum of both. The helper never outlives EachKept, also when
+// fn panics; a panic on the helper (in keep, or in building a profile) is
+// raised again on the caller's goroutine.
 func EachKept(cfg Config, keep func(profile.UserID) bool, fn func(*profile.Profile)) {
-	g := newGenerator(cfg)
-	var d draw
-	for i := 0; i < cfg.Users; i++ {
-		g.draw(i, &d)
-		if keep == nil || keep(d.id) {
-			fn(g.build(&d))
+	batches := make(chan []*profile.Profile, batchDepth)
+	stop := make(chan struct{})
+	var failure any // written before batches is closed
+	go func() {
+		defer close(batches)
+		defer func() { failure = recover() }()
+		send := func(batch []*profile.Profile) bool {
+			select {
+			case batches <- batch:
+				return true
+			case <-stop:
+				return false
+			}
+		}
+		g := newGenerator(cfg)
+		var d draw
+		batch := make([]*profile.Profile, 0, batchSize)
+		for i := 0; i < cfg.Users; i++ {
+			g.draw(i, &d)
+			if keep != nil && !keep(d.id) {
+				continue
+			}
+			if batch = append(batch, g.build(&d)); len(batch) == batchSize {
+				if !send(batch) {
+					return
+				}
+				batch = make([]*profile.Profile, 0, batchSize)
+			}
+		}
+		if len(batch) > 0 {
+			send(batch)
+		}
+	}()
+	defer func() {
+		close(stop)
+		for range batches { // until the helper is done
+		}
+	}()
+	for batch := range batches {
+		for _, p := range batch {
+			fn(p)
 		}
 	}
+	if failure != nil {
+		panic(failure)
+	}
 }
+
+// The pipeline's shape: profiles per hand-over, and hand-overs the channel
+// holds. A batch amortizes the channel's synchronization over a few hundred
+// users; the depth lets the builder run a few batches ahead of fn.
+const (
+	batchSize  = 256
+	batchDepth = 4
+)
 
 // generator holds what every user of one population is drawn and built
 // from: the random stream, the two attribute pools, and scratch reused
@@ -145,10 +206,15 @@ type generator struct {
 	rng               *stats.RNG
 	platform, partner pool
 	// byRank lists both pools' attributes in ID order; a pick names its
-	// attribute by position here, so sorting picks by rank sorts them by ID.
+	// attribute by position here, so walking ranks upwards walks IDs in order.
 	byRank []*attr.Attribute
+	// Build scratch: picked is a bitset over ranks, value[r] the low half of
+	// rank r's pick, while build walks them.
+	picked []uint64
+	value  []uint32
 	binary []attr.Ord           // build scratch
 	values []profile.ValuedAttr // build scratch
+	text   []byte               // draw and build scratch for formatted strings
 }
 
 // pool is one attribute source as the draws see it.
@@ -173,10 +239,9 @@ type draw struct {
 	picks    []pick // both pools' attributes, in draw order
 }
 
-// pick is one drawn attribute, packed so that picks sort by ID as plain
-// integers: its rank in ID order in the high 32 bits and, for a categorical
-// attribute, its drawn value's index plus one in the low 32 (0 for a binary
-// attribute).
+// pick is one drawn attribute: its rank in ID order in the high 32 bits and,
+// for a categorical attribute, its drawn value's index plus one in the low
+// 32 (0 for a binary attribute).
 type pick uint64
 
 func newGenerator(cfg Config) *generator {
@@ -192,6 +257,8 @@ func newGenerator(cfg Config) *generator {
 	}
 	g.byRank = append(slices.Clone(g.platform.attrs), g.partner.attrs...)
 	slices.SortFunc(g.byRank, func(a, b *attr.Attribute) int { return cmp.Compare(a.ID, b.ID) })
+	g.picked = make([]uint64, (len(g.byRank)+63)/64)
+	g.value = make([]uint32, len(g.byRank))
 	rank := make(map[attr.ID]pick, len(g.byRank))
 	for r, a := range g.byRank {
 		rank[a.ID] = pick(r)
@@ -215,7 +282,7 @@ func newGenerator(cfg Config) *generator {
 func (g *generator) draw(i int, d *draw) {
 	rng := g.rng
 	d.i = i
-	d.id = profile.UserID(fmt.Sprintf("user-%06d", i))
+	d.id = profile.UserID(g.padded("user-", i, 6))
 	d.city = rng.Intn(len(usCities))
 	city := usCities[d.city]
 	// Scatter users ~±0.2° around their city's center.
@@ -243,22 +310,45 @@ func (g *generator) build(d *draw) *profile.Profile {
 	}
 	if g.cfg.WithPII {
 		p.PII = pii.Record{
-			Emails: []string{fmt.Sprintf("user-%06d@example.com", d.i)},
-			Phones: []string{fmt.Sprintf("1617555%04d", d.i%10000)},
+			Emails: []string{string(d.id) + "@example.com"},
+			Phones: []string{g.padded("1617555", d.i%10000, 4)},
 		}
 	}
-	slices.Sort(d.picks)
-	g.binary, g.values = g.binary[:0], g.values[:0]
+	// Mark each pick's rank, then take the ranks in order: the attributes in
+	// ID order, with no sort.
 	for _, pk := range d.picks {
-		a := g.byRank[pk>>32]
-		if value := uint32(pk); value == 0 {
-			g.binary = append(g.binary, a.Ord())
-		} else {
-			g.values = append(g.values, profile.ValuedAttr{Ord: a.Ord(), Value: a.Values[value-1]})
+		r := pk >> 32
+		g.picked[r/64] |= 1 << (r % 64)
+		g.value[r] = uint32(pk)
+	}
+	g.binary, g.values = g.binary[:0], g.values[:0]
+	for w, word := range g.picked {
+		for ; word != 0; word &= word - 1 {
+			r := w*64 + bits.TrailingZeros64(word)
+			a := g.byRank[r]
+			if value := g.value[r]; value == 0 {
+				g.binary = append(g.binary, a.Ord())
+			} else {
+				g.values = append(g.values, profile.ValuedAttr{Ord: a.Ord(), Value: a.Values[value-1]})
+			}
 		}
+		g.picked[w] = 0
 	}
 	p.SetSortedAttrs(g.binary, g.values)
 	return p
+}
+
+// padded returns prefix followed by n (not negative) zero-padded to width
+// digits: fmt.Sprintf(prefix+"%0*d", width, n), formatted in g's scratch.
+func (g *generator) padded(prefix string, n, width int) string {
+	var digits [20]byte
+	num := strconv.AppendInt(digits[:0], int64(n), 10)
+	g.text = append(g.text[:0], prefix...)
+	for k := len(num); k < width; k++ {
+		g.text = append(g.text, '0')
+	}
+	g.text = append(g.text, num...)
+	return string(g.text)
 }
 
 // drawAttrs appends approximately mean attribute picks from the pool,
