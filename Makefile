@@ -48,14 +48,14 @@ race:
 # node's lock-free ownership checks against ring pushes, and the journal's
 # appends and waiters against its flush leader (during an fsync, as the
 # batch that follows one, across a crash), and attribute-ID interning
-# against unlocked reads of the ID table. The serve path's differential
+# against unlocked reads of the ID, quoted-ID and rank tables. The serve path's differential
 # test against the per-slot scan runs under the detector too, and so do the
 # daemon's boots of every mode, whose population is built on a helper
 # goroutine and added on the caller's (their boot-state digests pin the
 # order). The five
 # zero-alloc pins (span, query, browse, admission decision, and the
 # profile snapshot encoder), the profile-store, feed and billing-ledger
-# footprints, generator allocation and compaction allocation tripwires
+# footprints, generator, boot and compaction allocation tripwires
 # (built without the detector, whose shadow memory would inflate the heap
 # they measure and whose instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
@@ -86,6 +86,7 @@ race-full:
 	$(GO) test -run=TestLedgerFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestLedgerFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -run=TestCompactAllocs -v ./internal/platform/ | grep -- '--- PASS: TestCompactAllocs'
+	$(GO) test -run=TestBootAllocs -v ./cmd/adplatformd/ | grep -- '--- PASS: TestBootAllocs'
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 	$(GO) test -race -count=1 -run=TestStickyJournalReportsUnhealthy -v ./internal/cluster/ | grep -- '--- PASS: TestStickyJournalReportsUnhealthy'
@@ -124,7 +125,7 @@ bench:
 	TREADS_INDEX_BENCH_USERS=100000 $(GO) test -bench=. -benchmem ./...
 
 # Every benchmark once, so none rots (./... picks up a new package's by
-# construction); the eleven named ones are perf tripwires and fail the
+# construction); the twelve named ones are perf tripwires and fail the
 # target if they disappear. These and the zero-alloc pins in race-full are
 # tripwires only: a number that is judged or quoted comes from benchmark/.
 bench-smoke:
@@ -140,6 +141,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=BenchmarkReshardCutover -benchtime=1x ./internal/cluster/ | grep BenchmarkReshardCutover
 	$(GO) test -run=NONE -bench=BenchmarkFailoverDetectToPromote -benchtime=1x ./internal/cluster/ | grep BenchmarkFailoverDetectToPromote
 	$(GO) test -run=NONE -bench=BenchmarkBootShard -benchtime=1x ./cmd/adplatformd/ | grep BenchmarkBootShard
+	$(GO) test -run=NONE -bench=BenchmarkBootSingle -benchtime=1x ./cmd/adplatformd/ | grep BenchmarkBootSingle
 
 # A live traced run of the paper's deployment (614 Treads) on the real
 # multi-process topology, about 45 s cold: it crosses every seam

@@ -832,10 +832,13 @@ func bootShard(opts options, i, ring int, logger *log.Logger) func() (*platform.
 			logger.Printf("restored %d users from %s", len(p.Users()), opts.Load)
 			return p, nil
 		}
+		// The slot keeps about its share of the population; the store and
+		// the index are sized for it.
 		p := platform.New(platform.Config{
 			Seed:      stats.SubSeed(opts.Seed, uint64(i)),
 			ReviewAds: opts.Review,
 			BanAfter:  opts.BanAfter,
+			Users:     opts.Users / ring,
 		})
 		cfg := workload.DefaultConfig()
 		cfg.Users = opts.Users

@@ -3,6 +3,7 @@ package attr
 import (
 	"fmt"
 	"strings"
+	"unicode"
 )
 
 // The counts the paper reports for early-2018 Facebook (citing Andreou et
@@ -21,24 +22,26 @@ const (
 // Brokers whose partner categories the U.S. catalog carries.
 var partnerBrokers = []string{"Acxiom", "Oracle Data Cloud", "Epsilon", "Experian", "TransUnion"}
 
-// slug converts a human-readable name to an ID component.
+// slug converts a human-readable name to an ID component: letters and
+// digits lowercased, a run of separators as one '_', '+' as "plus", and
+// anything else dropped.
 func slug(s string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(s) {
-		switch {
+	b := make([]byte, 0, len(s)+len("plus"))
+	for _, r := range s {
+		switch r = unicode.ToLower(r); {
 		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
+			b = append(b, byte(r))
 		case r == ' ' || r == '-' || r == '/' || r == '&' || r == ',':
-			if n := b.Len(); n > 0 && b.String()[n-1] != '_' {
-				b.WriteByte('_')
+			if n := len(b); n > 0 && b[n-1] != '_' {
+				b = append(b, '_')
 			}
 		case r == '+':
-			b.WriteString("plus")
+			b = append(b, "plus"...)
 		case r == '$':
 			// drop
 		}
 	}
-	return strings.Trim(b.String(), "_")
+	return strings.Trim(string(b), "_")
 }
 
 type catalogBuilder struct {
@@ -52,7 +55,7 @@ func newCatalogBuilder() *catalogBuilder {
 
 func (b *catalogBuilder) add(src Source, category, broker, name string) {
 	b.addFull(Attribute{
-		ID:       ID(fmt.Sprintf("%s.%s.%s", src, slug(category), slug(name))),
+		ID:       ID(src.String() + "." + slug(category) + "." + slug(name)),
 		Name:     name,
 		Category: category,
 		Source:   src,

@@ -1,7 +1,9 @@
 package attr
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -24,8 +26,10 @@ func TestCatalogInternsItsIDs(t *testing.T) {
 }
 
 // TestInternDuringReads interns new IDs from several goroutines while others
-// read the table: under -race (make race-full runs it ten times) a reader's
-// unlocked load must be ordered after the append it indexes.
+// read the ID, quoted and rank tables: under -race (make race-full runs it
+// ten times) a reader's unlocked load must be ordered after the append it
+// indexes, and a rank table read after the ID table must cover it and order
+// it as the IDs compare.
 func TestInternDuringReads(t *testing.T) {
 	const writers, readers, perWriter = 4, 4, 500
 	got := make([][]Ord, writers)
@@ -42,9 +46,22 @@ func TestInternDuringReads(t *testing.T) {
 				default:
 				}
 				ids := IDs()
+				quoted, ranks := Quoted(), Ranks()
+				if len(quoted) < len(ids) || len(ranks) < len(ids) {
+					t.Errorf("%d IDs, read before %d quoted and %d ranks", len(ids), len(quoted), len(ranks))
+					return
+				}
 				for o := len(ids) - 1; o >= 0 && o >= len(ids)-64; o-- {
 					if ids[o] == "" {
 						t.Errorf("ordinal %d of %d names no ID", o, len(ids))
+						return
+					}
+					if want, _ := json.Marshal(string(ids[o])); quoted[o] != string(want) {
+						t.Errorf("ordinal %d (%s) is quoted %s, want %s", o, ids[o], quoted[o], want)
+						return
+					}
+					if o > 0 && (ranks[o-1] < ranks[o]) != (ids[o-1] < ids[o]) {
+						t.Errorf("ordinals %d (%s) and %d (%s) have ranks %d and %d", o-1, ids[o-1], o, ids[o], ranks[o-1], ranks[o])
 						return
 					}
 				}
@@ -73,6 +90,32 @@ func TestInternDuringReads(t *testing.T) {
 			if got[w][i] != got[0][i] || ids[got[w][i]] != id {
 				t.Fatalf("writer %d got ordinal %d for %s, writer 0 got %d; the table names %s", w, got[w][i], id, got[0][i], ids[got[w][i]])
 			}
+		}
+	}
+}
+
+// TestRanksFollowIDOrder: the rank table orders every ordinal as its ID, also
+// after IDs interned in reverse order grew the table since it was built, and
+// each ID's quoted form is json.Marshal's.
+func TestRanksFollowIDOrder(t *testing.T) {
+	Ranks()
+	for i := 9; i >= 0; i-- {
+		Intern(ID(fmt.Sprintf("test.ranks.%d", i)))
+	}
+	ids, quoted, ranks := IDs(), Quoted(), Ranks()
+	if len(ranks) != len(ids) || len(quoted) != len(ids) {
+		t.Fatalf("%d IDs, %d ranks, %d quoted", len(ids), len(ranks), len(quoted))
+	}
+	byRank := make([]ID, len(ids))
+	for o, r := range ranks {
+		byRank[r] = ids[o]
+	}
+	if !slices.IsSorted(byRank) || slices.Contains(byRank, "") {
+		t.Fatalf("the IDs in rank order are not the IDs in ID order: %v", byRank)
+	}
+	for o, id := range ids {
+		if want, _ := json.Marshal(string(id)); quoted[o] != string(want) {
+			t.Fatalf("ordinal %d (%s) is quoted %s, want %s", o, id, quoted[o], want)
 		}
 	}
 }

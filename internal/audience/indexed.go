@@ -1,6 +1,7 @@
 package audience
 
 import (
+	"errors"
 	"time"
 
 	"github.com/treads-project/treads/internal/attr"
@@ -29,15 +30,17 @@ import (
 
 // EnableIndex builds the inverted index over the engine's store and
 // attaches the watcher that keeps it consistent with future profile adds,
-// attribute changes, and page likes/unlikes. Call during platform
-// construction, before concurrent traffic. Enabling twice is a no-op.
+// attribute changes, and page likes/unlikes. The index is sized for the
+// store's size hint: the profiles it holds, or the ones a sized store was
+// made for. Call during platform construction, before concurrent traffic.
+// Enabling twice is a no-op.
 func (e *Engine) EnableIndex() error {
 	e.mu.Lock()
 	if e.idx != nil {
 		e.mu.Unlock()
 		return nil
 	}
-	idx := index.New(e.store.Len())
+	idx := index.New(e.store.SizeHint())
 	e.idx = idx
 	e.mu.Unlock()
 
@@ -102,26 +105,23 @@ func (e *Engine) seedAudienceBits(a *Audience) {
 // Lock order is always Engine.mu → Index.mu, matching the query paths.
 type engineWatcher struct{ e *Engine }
 
+// ProfileAdded indexes the profile and sets its audience bits, all under
+// one hold of e.mu; the index finds or adds the user's slot under one hold
+// of its own lock.
 func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 	e := w.e
 	e.mu.RLock()
+	defer e.mu.RUnlock()
 	idx := e.idx
-	e.mu.RUnlock()
 	if idx == nil {
 		return
 	}
-	// The EnableIndex replay and a post-enable store.Add both land here;
-	// only the latter still needs the profile indexed.
-	if _, ok := idx.Slot(p.ID); !ok {
-		if err := idx.Add(p); err != nil {
-			return
-		}
-	}
-	slot, ok := idx.Slot(p.ID)
-	if !ok {
+	// The EnableIndex replay and a post-enable store.Add both land here; a
+	// user the index already holds keeps its slot.
+	slot, err := idx.Add(p)
+	if err != nil && !errors.Is(err, index.ErrDuplicate) {
 		return
 	}
-	e.mu.RLock()
 	for _, a := range e.audiences {
 		if a.bits == nil {
 			continue
@@ -130,7 +130,6 @@ func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 			idx.SetBit(a.bits, slot)
 		}
 	}
-	e.mu.RUnlock()
 }
 
 func (w *engineWatcher) AttrChanged(p *profile.Profile, o attr.Ord) {

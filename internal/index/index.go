@@ -1,6 +1,7 @@
 package index
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -28,6 +29,7 @@ import (
 // hasBitmap and valueBitmap enter each new list in both.
 type Index struct {
 	mu   sync.RWMutex
+	hint int                       // the users New was told to expect
 	uids []profile.UserID          // slot -> user, insertion order
 	slot map[profile.UserID]uint32 // user -> slot
 
@@ -42,10 +44,13 @@ type Index struct {
 }
 
 // New returns an empty index whose slot tables are pre-sized for sizeHint
-// users.
+// users. Until it holds that many, every attribute, value and demographic
+// posting list Add creates is too, so a boot that adds the users it
+// announced grows no table and no such list.
 func New(sizeHint int) *Index {
 	sizeHint = max(sizeHint, 0)
 	return &Index{
+		hint:      sizeHint,
 		uids:      make([]profile.UserID, 0, sizeHint),
 		slot:      make(map[profile.UserID]uint32, sizeHint),
 		has:       make(map[attr.ID]*Bitmap),
@@ -71,16 +76,26 @@ type postings struct {
 	vals map[string]*Bitmap
 }
 
-// Add assigns the next slot to the profile and indexes its attributes,
-// demographics, and current page likes. Duplicate users are an error.
-func (x *Index) Add(p *profile.Profile) error {
+// ErrDuplicate is wrapped by Add's error for a user the index holds.
+var ErrDuplicate = errors.New("index: duplicate user")
+
+// Add assigns the next slot to the profile, indexes its attributes,
+// demographics, and current page likes, and returns the slot. A user the
+// index already holds is not indexed again: Add returns the user's slot and
+// an error wrapping ErrDuplicate. Finding or adding takes one hold of the
+// index lock.
+func (x *Index) Add(p *profile.Profile) (uint32, error) {
 	if p == nil || p.ID == "" {
-		return fmt.Errorf("index: nil profile or empty user ID")
+		return 0, fmt.Errorf("index: nil profile or empty user ID")
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if _, dup := x.slot[p.ID]; dup {
-		return fmt.Errorf("index: duplicate user %q", p.ID)
+	if s, dup := x.slot[p.ID]; dup {
+		return s, fmt.Errorf("%w %q", ErrDuplicate, p.ID)
+	}
+	bits := 0 // what a list created here is allocated at
+	if len(x.uids) < x.hint {
+		bits = x.hint
 	}
 	s := uint32(len(x.uids))
 	x.uids = append(x.uids, p.ID)
@@ -89,24 +104,25 @@ func (x *Index) Add(p *profile.Profile) error {
 	ids := attr.IDs()
 	binary, values := p.AttrOrds()
 	for _, o := range binary {
-		x.hasBitmap(ids, o).set(s)
+		x.hasBitmap(ids, o, bits).set(s)
 	}
 	for _, v := range values {
-		x.hasBitmap(ids, v.Ord).set(s)
-		x.valueBitmap(ids, v.Ord, v.Value).set(s)
+		x.hasBitmap(ids, v.Ord, bits).set(s)
+		x.valueBitmap(ids, v.Ord, v.Value, bits).set(s)
 	}
-	getBitmap(x.ages, p.Age()).set(s)
-	getBitmap(x.genders, p.Gender()).set(s)
-	getBitmap(x.countries, p.Country()).set(s)
-	getBitmap(x.regions, p.Region()).set(s)
+	getBitmap(x.ages, p.Age(), bits).set(s)
+	getBitmap(x.genders, p.Gender(), bits).set(s)
+	getBitmap(x.countries, p.Country(), bits).set(s)
+	getBitmap(x.regions, p.Region(), bits).set(s)
+	// Like lists start empty: there are as many as pages users like.
 	for _, page := range p.LikedPages() {
-		getBitmap(x.likes, page).set(s)
+		getBitmap(x.likes, page, 0).set(s)
 	}
 	updAddUser.Inc()
 	if len(x.uids)%1024 == 0 {
 		memoryBytes.Set(float64(x.memoryBytesLocked()))
 	}
-	return nil
+	return s, nil
 }
 
 // NoteAttrChanged re-indexes one attribute, named by its ordinal, of an
@@ -125,7 +141,7 @@ func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) {
 	binary, values := p.AttrOrds()
 	i := slices.IndexFunc(values, func(v profile.ValuedAttr) bool { return v.Ord == o })
 	if i >= 0 || slices.Contains(binary, o) {
-		x.hasBitmap(ids, o).set(s)
+		x.hasBitmap(ids, o, 0).set(s)
 	} else if pl.has != nil {
 		pl.has.clear(s)
 	}
@@ -133,7 +149,7 @@ func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) {
 		vb.clear(s)
 	}
 	if i >= 0 {
-		x.valueBitmap(ids, o, values[i].Value).set(s)
+		x.valueBitmap(ids, o, values[i].Value, 0).set(s)
 	}
 	updAttrChange.Inc()
 }
@@ -148,7 +164,7 @@ func (x *Index) NoteLike(uid profile.UserID, page string, liked bool) {
 		return
 	}
 	if liked {
-		getBitmap(x.likes, page).set(s)
+		getBitmap(x.likes, page, 0).set(s)
 	} else if b := x.likes[page]; b != nil {
 		b.clear(s)
 	}
@@ -264,11 +280,12 @@ func (x *Index) RefreshMemoryGauge() {
 	memoryBytes.Set(float64(m))
 }
 
-// getBitmap get-or-creates a posting list in a keyed bitmap map.
-func getBitmap[K comparable](m map[K]*Bitmap, key K) *Bitmap {
+// getBitmap get-or-creates a posting list in a keyed bitmap map, a new one
+// allocated at bits.
+func getBitmap[K comparable](m map[K]*Bitmap, key K, bits int) *Bitmap {
 	b := m[key]
 	if b == nil {
-		b = &Bitmap{}
+		b = NewBitmap(bits)
 		m[key] = b
 	}
 	return b
@@ -284,18 +301,20 @@ func (x *Index) postingsOf(ids []attr.ID, o attr.Ord) *postings {
 	return &x.byOrd[o]
 }
 
-// hasBitmap get-or-creates ordinal o's HasAttr posting list.
-func (x *Index) hasBitmap(ids []attr.ID, o attr.Ord) *Bitmap {
+// hasBitmap get-or-creates ordinal o's HasAttr posting list, a new one
+// allocated at bits.
+func (x *Index) hasBitmap(ids []attr.ID, o attr.Ord, bits int) *Bitmap {
 	pl := x.postingsOf(ids, o)
 	if pl.has == nil {
-		pl.has = &Bitmap{}
+		pl.has = NewBitmap(bits)
 		x.has[ids[o]] = pl.has
 	}
 	return pl.has
 }
 
-// valueBitmap get-or-creates the posting list of ordinal o's value v.
-func (x *Index) valueBitmap(ids []attr.ID, o attr.Ord, v string) *Bitmap {
+// valueBitmap get-or-creates the posting list of ordinal o's value v, a new
+// one allocated at bits.
+func (x *Index) valueBitmap(ids []attr.ID, o attr.Ord, v string, bits int) *Bitmap {
 	pl := x.postingsOf(ids, o)
 	if pl.vals == nil {
 		pl.vals = make(map[string]*Bitmap)
@@ -303,7 +322,7 @@ func (x *Index) valueBitmap(ids []attr.ID, o attr.Ord, v string) *Bitmap {
 	}
 	b := pl.vals[v]
 	if b == nil {
-		b = &Bitmap{}
+		b = NewBitmap(bits)
 		pl.vals[v] = b
 	}
 	return b

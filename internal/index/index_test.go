@@ -1,6 +1,7 @@
 package index_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -27,7 +28,7 @@ func population(t testing.TB, users int, skew float64) ([]*profile.Profile, *ind
 	})
 	idx := index.New(users)
 	for _, p := range profs {
-		if err := idx.Add(p); err != nil {
+		if _, err := idx.Add(p); err != nil {
 			t.Fatalf("Add(%s): %v", p.ID, err)
 		}
 	}
@@ -279,10 +280,16 @@ func TestUserSetNode(t *testing.T) {
 	}
 }
 
+// TestDuplicateAddRejected: Add of a user the index holds indexes nothing
+// and answers the user's slot with ErrDuplicate.
 func TestDuplicateAddRejected(t *testing.T) {
 	profs, idx := population(t, 10, 0)
-	if err := idx.Add(profs[0]); err == nil {
-		t.Fatal("duplicate Add succeeded")
+	s, err := idx.Add(profs[3])
+	if !errors.Is(err, index.ErrDuplicate) {
+		t.Fatalf("duplicate Add: %v, want ErrDuplicate", err)
+	}
+	if s != 3 || idx.Len() != 10 {
+		t.Fatalf("duplicate Add answered slot %d and left %d users, want slot 3 and 10 users", s, idx.Len())
 	}
 }
 
@@ -296,7 +303,7 @@ func TestBuildFromStore(t *testing.T) {
 	}
 	idx := index.New(0)
 	store.Each(func(p *profile.Profile) {
-		if err := idx.Add(p); err != nil {
+		if _, err := idx.Add(p); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -82,6 +82,10 @@ type Config struct {
 	// is on by default; this exists for differential tests and for
 	// debugging index suspicion in production-like runs.
 	DisableIndex bool
+	// Users is how many users the caller is about to add with AddUser. It
+	// sizes the profile store and the targeting index, and is a hint, not
+	// a limit: zero leaves both to grow as users arrive.
+	Users int
 }
 
 // Platform is one simulated advertising platform, with or without a
@@ -138,7 +142,7 @@ func New(cfg Config) *Platform {
 	if cfg.Market != nil {
 		market = *cfg.Market
 	}
-	store := profile.NewStore()
+	store := profile.NewSizedStore(cfg.Users)
 	pixels := pixel.NewRegistry()
 	audiences := audience.NewEngine(store, pixels)
 	ledger := billing.NewLedger()
@@ -157,8 +161,8 @@ func New(cfg Config) *Platform {
 		owner:         make(map[string]string),
 	}
 	if !cfg.DisableIndex {
-		// The store is empty here, so enabling is cheap; the index then
-		// grows incrementally with every AddUser/LikePage.
+		// The store is empty here, so enabling is cheap; the index, sized
+		// like the store, then takes every AddUser/LikePage incrementally.
 		_ = audiences.EnableIndex()
 	}
 	c.explainer = explain.New(catalog, c.prevalence)
@@ -200,14 +204,23 @@ func (c *components) prevalence(id attr.ID) float64 {
 
 // AddUser inserts a user profile into the platform's database.
 func (p *Platform) AddUser(pr *profile.Profile) error {
-	rec := &opRecord{Op: opAddUser, profile: pr}
+	rec := addUserRecords.Get().(*opRecord)
+	*rec = opRecord{Op: opAddUser, profile: pr}
 	if p.j != nil {
 		st := pr.Snapshot()
 		rec.Profile = &st
 	}
 	_, err := p.commit(context.Background(), rec)
+	*rec = opRecord{}
+	addUserRecords.Put(rec)
 	return err
 }
+
+// addUserRecords holds AddUser's op records between calls. A boot adds
+// every user of its population through AddUser, one after the other, and a
+// record of its own each would be about a quarter of what the boot
+// allocates; nothing keeps a record once commit has returned.
+var addUserRecords = sync.Pool{New: func() any { return new(opRecord) }}
 
 // User returns a user's profile (simulation ground truth; not part of
 // either product API).

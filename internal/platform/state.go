@@ -93,7 +93,7 @@ func Restore(s State) (*Platform, error) {
 	if s.Version != snapshotVersion {
 		return nil, fmt.Errorf("platform: snapshot version %d, want %d", s.Version, snapshotVersion)
 	}
-	store := profile.NewStore()
+	store := profile.NewSizedStore(len(s.Profiles))
 	for _, ps := range s.Profiles {
 		pr, err := profile.FromState(ps)
 		if err != nil {

@@ -31,7 +31,7 @@ const (
 )
 
 var (
-	modelIDs    = []attr.ID{"a.one", "b.two", "c.three", "d.four", "e.five"}
+	modelIDs    = []attr.ID{"b.two", "c.three", "d.four", "e.five"}
 	modelValues = []string{"x", "y", "z"}
 	modelPages  = []string{"page-1", "page-2", "page-3"}
 	absentID    = attr.ID("zz.absent")
@@ -61,8 +61,19 @@ var modelFixtures = []fixture{
 	{"", 0, 0},
 }
 
+// escapedIDs are IDs json.Marshal escapes or rewrites, each for one reason
+// only: a quote, a backslash, each of the three HTML bytes, a control byte,
+// U+2028, non-ASCII and invalid UTF-8. A run puts one of them first among
+// its IDs, so the snapshot encoder's copy of the quoted ID table is held to
+// json.Marshal's output. A run interns its escaped ID when it first uses
+// it, so the rank table is rebuilt between runs.
+var escapedIDs = []attr.ID{
+	`a."quoted"`, `a.back\slash`, "a.<", "a.>", "a.&", "a.ctl\x01", "a.line\u2028sep", "a.h\u00e9llo", "a.bad\xff",
+}
+
 // The model IDs are interned in reverse, so their ordinals run opposite to
-// their ID order: a profile that sorted or searched by ordinal instead of
+// their ID order, and an escaped ID sorts before them all and is interned
+// after them: a profile that sorted or searched by ordinal instead of
 // through the ID table would fail the model test.
 func init() {
 	for i := len(modelIDs) - 1; i >= 0; i-- {
@@ -78,12 +89,13 @@ type idValue struct {
 	Value string
 }
 
-// sortedArgs decodes a SetSortedAttrs call from one step: the low five bits
-// of id pick the binary IDs and those of val the categorical ones; id's bit 5
-// repeats every binary ID, val's bit 5 gives every categorical ID a second,
-// later value, and val's top bits shift which values are used.
-func sortedArgs(s step) (binary []attr.ID, values []idValue) {
-	for j, id := range modelIDs { // already sorted
+// sortedArgs decodes a SetSortedAttrs call from one step over ids, a run's
+// five IDs: the low five bits of id pick the binary IDs and those of val the
+// categorical ones; id's bit 5 repeats every binary ID, val's bit 5 gives
+// every categorical ID a second, later value, and val's top bits shift which
+// values are used.
+func sortedArgs(ids []attr.ID, s step) (binary []attr.ID, values []idValue) {
+	for j, id := range ids { // already sorted
 		if s.id>>j&1 == 1 {
 			binary = append(binary, id)
 			if s.id>>5&1 == 1 {
@@ -103,6 +115,7 @@ func sortedArgs(s step) (binary []attr.ID, values []idValue) {
 // mapModel is the profile as two maps and a like set: the representation
 // the sorted slices replaced, kept as the oracle.
 type mapModel struct {
+	ids    []attr.ID // the run's escaped ID and the model IDs, in ID order
 	binary map[attr.ID]bool
 	values map[attr.ID]string
 	likes  map[string]bool
@@ -117,7 +130,7 @@ type mapModel struct {
 type coverage struct{ inOther, absent, repeat, preset, empty int }
 
 func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
-	id := modelIDs[s.id%len(modelIDs)]
+	id := m.ids[s.id%len(m.ids)]
 	_, inValues := m.values[id]
 	switch s.op % numOps {
 	case opSetAttr:
@@ -147,7 +160,7 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 	case opPack:
 		p.pack()
 	case opSetSorted:
-		binary, values := sortedArgs(s)
+		binary, values := sortedArgs(m.ids, s)
 		if len(binary) == 0 && len(values) == 0 {
 			cov.empty++
 		}
@@ -221,7 +234,7 @@ func sortedKeys[K ~string, V any](m map[K]V) []K {
 // check fails t unless p agrees with the model on every read surface.
 func (m *mapModel) check(t testing.TB, p *Profile, where string) {
 	t.Helper()
-	for _, id := range append(slices.Clone(modelIDs), absentID) {
+	for _, id := range append(slices.Clone(m.ids), absentID) {
 		_, inValues := m.values[id]
 		if got, want := p.HasAttr(id), m.binary[id] || inValues; got != want {
 			t.Fatalf("%s: HasAttr(%s) = %v, want %v", where, id, got, want)
@@ -269,10 +282,16 @@ func (m *mapModel) check(t testing.TB, p *Profile, where string) {
 	}
 }
 
+// runModel runs steps on a fresh profile and the model, over the model IDs
+// and one of escapedIDs, picked by the number of steps: a fixed set, so the
+// ID table stays small however many inputs the fuzzer tries.
 func runModel(t testing.TB, steps []step, fx fixture) coverage {
 	t.Helper()
 	p := New("u")
+	escaped := escapedIDs[len(steps)%len(escapedIDs)]
+	attr.Intern(escaped)
 	m := &mapModel{
+		ids:    append([]attr.ID{escaped}, modelIDs...),
 		binary: map[attr.ID]bool{}, values: map[attr.ID]string{}, likes: map[string]bool{},
 		fx: fx, pages: append(slices.Clone(modelPages), fx.text),
 	}

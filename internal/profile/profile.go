@@ -10,6 +10,7 @@
 package profile
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -128,22 +129,39 @@ func (p *Profile) SetAttrValue(id attr.ID, value string) {
 }
 
 // SetSortedAttrs does what SetAttr on every ID of binary and then
-// SetAttrValue on every pair of values does, in one merge per set instead of
+// SetAttrValue on every pair of values does, in one pass per set instead of
 // a sorted insert per attribute: a repeated or already-set binary ID changes
 // nothing, and of several values for one ID the last wins. Both slices hold
-// interned ordinals and must be sorted by the IDs they name. The generator
-// builds each user's attributes this way.
+// interned ordinals and must be sorted by the IDs they name, which it checks
+// through attr's rank table. The generator builds each user's attributes
+// this way, on a profile that holds none yet, where the sets are copies of
+// binary and values less their repeats.
 func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
-	ids := attr.IDs()
-	if !slices.IsSortedFunc(binary, func(a, b attr.Ord) int { return byID(ids, a, b) }) ||
-		!slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return byID(ids, a.Ord, b.Ord) }) {
+	rank := attr.Ranks()
+	if !slices.IsSortedFunc(binary, func(a, b attr.Ord) int { return cmp.Compare(rank[a], rank[b]) }) ||
+		!slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return cmp.Compare(rank[a.Ord], rank[b.Ord]) }) {
 		panic("profile: SetSortedAttrs given attributes out of ID order")
 	}
-	if len(binary) > 0 {
-		p.binary = mergeSorted(ids, p.binary, binary, func(o attr.Ord) attr.Ord { return o })
+	switch {
+	case len(binary) == 0:
+	case len(p.binary) == 0:
+		// Not slices.Clone, whose capacity is rounded up to the allocator's
+		// size class: one of exact length is the one pack keeps.
+		p.binary = slices.Compact(append(make([]attr.Ord, 0, len(binary)), binary...))
+	default:
+		p.binary = mergeSorted(rank, p.binary, binary, func(o attr.Ord) attr.Ord { return o })
 	}
-	if len(values) > 0 {
-		p.values = mergeSorted(ids, p.values, values, func(v ValuedAttr) attr.Ord { return v.Ord })
+	switch {
+	case len(values) == 0:
+	case len(p.values) == 0:
+		p.values = make([]ValuedAttr, 0, len(values))
+		for i, v := range values {
+			if i+1 == len(values) || values[i+1].Ord != v.Ord {
+				p.values = append(p.values, v)
+			}
+		}
+	default:
+		p.values = mergeSorted(rank, p.values, values, func(v ValuedAttr) attr.Ord { return v.Ord })
 	}
 	if p.watcher != nil {
 		for _, o := range binary {
@@ -157,15 +175,15 @@ func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
 
 // mergeSorted returns, in a new slice, the union of held (sorted by ID, each
 // ID once) and add (sorted by ID, IDs may repeat), each ID once: where an ID
-// repeats the last element of add for it wins. ids is the ID table.
-func mergeSorted[T any](ids []attr.ID, held, add []T, ord func(T) attr.Ord) []T {
+// repeats the last element of add for it wins. rank is attr's rank table.
+func mergeSorted[T any](rank []uint32, held, add []T, ord func(T) attr.Ord) []T {
 	out := make([]T, 0, len(held)+len(add))
 	for len(add) > 0 {
 		k := ord(add[0])
 		for len(add) > 1 && ord(add[1]) == k {
 			add = add[1:]
 		}
-		for len(held) > 0 && byID(ids, ord(held[0]), k) < 0 {
+		for len(held) > 0 && rank[ord(held[0])] < rank[k] {
 			out, held = append(out, held[0]), held[1:]
 		}
 		if len(held) > 0 && ord(held[0]) == k {
@@ -333,13 +351,21 @@ type Store struct {
 	mu       sync.RWMutex
 	profiles map[UserID]*Profile
 	order    []UserID // insertion order, for deterministic iteration
+	sizeHint int      // the profiles NewSizedStore was told to expect
 	watcher  Watcher
 }
 
 // NewStore returns an empty profile store.
-func NewStore() *Store {
+func NewStore() *Store { return NewSizedStore(0) }
+
+// NewSizedStore returns an empty profile store whose tables hold sizeHint
+// profiles before they grow.
+func NewSizedStore(sizeHint int) *Store {
+	sizeHint = max(sizeHint, 0)
 	return &Store{
-		profiles: make(map[UserID]*Profile),
+		profiles: make(map[UserID]*Profile, sizeHint),
+		order:    make([]UserID, 0, sizeHint),
+		sizeHint: sizeHint,
 	}
 }
 
@@ -392,6 +418,14 @@ func (s *Store) Get(id UserID) *Profile {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.profiles[id]
+}
+
+// SizeHint returns how many profiles the store expects: the size hint it
+// was made with, or Len once it holds more.
+func (s *Store) SizeHint() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return max(s.sizeHint, len(s.order))
 }
 
 // Len returns the number of profiles.

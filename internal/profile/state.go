@@ -59,7 +59,8 @@ func (p *Profile) Snapshot() State {
 // without building the State: the fields in State's order under its
 // omitempty rules, the categorical values in ID order (the order json gives
 // a map's keys, and the order of the sorted pairs), the likes in the sorted
-// order the profile holds them. It allocates only for a string to escape
+// order the profile holds them. The attribute IDs are copied from attr's
+// quoted table, not escaped here. It allocates only for a string to escape
 // (or to grow b). Lat and Lon are finite, as everything that sets them
 // ensures; json.Marshal refuses the rest.
 func (p *Profile) AppendSnapshotJSON(b []byte) []byte {
@@ -77,20 +78,20 @@ func (p *Profile) AppendSnapshotJSON(b []byte) []byte {
 	if p.HasGeo {
 		b = append(b, `,"has_geo":true`...)
 	}
-	b = appendStringsField(b, `,"emails":`, p.PII.Emails, plain)
-	b = appendStringsField(b, `,"phones":`, p.PII.Phones, plain)
+	b = appendStringsField(b, `,"emails":`, p.PII.Emails, appendJSONString)
+	b = appendStringsField(b, `,"phones":`, p.PII.Phones, appendJSONString)
 	p.likesMu.RLock()
-	b = appendStringsField(b, `,"likes":`, p.likes, plain)
+	b = appendStringsField(b, `,"likes":`, p.likes, appendJSONString)
 	p.likesMu.RUnlock()
-	ids := attr.IDs()
-	b = appendStringsField(b, `,"binary":`, p.binary, func(o attr.Ord) string { return string(ids[o]) })
+	quoted := attr.Quoted()
+	b = appendStringsField(b, `,"binary":`, p.binary, func(b []byte, o attr.Ord) []byte { return append(b, quoted[o]...) })
 	if len(p.values) > 0 {
 		b = append(b, `,"values":{`...)
 		for i, av := range p.values {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONString(b, string(ids[av.Ord]))
+			b = append(b, quoted[av.Ord]...)
 			b = append(b, ':')
 			b = appendJSONString(b, av.Value)
 		}
@@ -106,8 +107,9 @@ func appendStringField(b []byte, key, s string) []byte {
 	return appendJSONString(append(b, key...), s)
 }
 
-// appendStringsField writes ss as a JSON array of str of each element.
-func appendStringsField[T any](b []byte, key string, ss []T, str func(T) string) []byte {
+// appendStringsField writes ss as a JSON array, each element's string
+// appended by str.
+func appendStringsField[T any](b []byte, key string, ss []T, str func([]byte, T) []byte) []byte {
 	if len(ss) == 0 {
 		return b
 	}
@@ -118,12 +120,10 @@ func appendStringsField[T any](b []byte, key string, ss []T, str func(T) string)
 		} else {
 			b = append(b, ',')
 		}
-		b = appendJSONString(b, str(s))
+		b = str(b, s)
 	}
 	return append(b, ']')
 }
-
-func plain(s string) string { return s }
 
 // appendFloatField writes f as encoding/json does: the shortest digits that
 // read back as f, in exponent form below 1e-6 and from 1e21, with a
