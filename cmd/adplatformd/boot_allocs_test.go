@@ -12,13 +12,10 @@ import (
 // TestBootAllocs is the tripwire on what one un-journaled boot of
 // BenchmarkBootSingle's 12 000 users allocates, generating the population
 // and adding every user. The store and the index are sized for the users
-// the boot announces, a fresh profile takes its attribute sets as copies of
-// exact length, the index grows no posting list, and AddUser reuses its op
-// record: about 11.0 MB (11.4 on a process's first boot, which interns the
-// catalog). Growing the store, the index and every list user by user,
-// copying each profile's sets a second time to pack them, and a record per
-// user cost about 20.1 MB. Excluded under -race, whose instrumentation
-// allocates.
+// the boot announces, and the index grows no posting list: about 14.5 MB
+// (14.9 on a process's first boot, which interns the catalog). Growing the
+// store, the index and every list user by user cost about 20.1 MB.
+// Excluded under -race, whose instrumentation allocates.
 func TestBootAllocs(t *testing.T) {
 	opts := parseForTest(t, "-users", "12000")
 	logger := log.New(io.Discard, "", 0)
@@ -34,7 +31,7 @@ func TestBootAllocs(t *testing.T) {
 	}
 	allocated := after.TotalAlloc - before.TotalAlloc
 	t.Logf("one boot of 12 000 users allocated %d bytes", allocated)
-	if allocated >= 13<<20 {
-		t.Fatalf("one boot of 12 000 users allocated %d bytes, want under 13 MiB", allocated)
+	if allocated >= 16<<20 {
+		t.Fatalf("one boot of 12 000 users allocated %d bytes, want under 16 MiB", allocated)
 	}
 }

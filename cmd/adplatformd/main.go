@@ -832,19 +832,10 @@ func bootShard(opts options, i, ring int, logger *log.Logger) func() (*platform.
 			logger.Printf("restored %d users from %s", len(p.Users()), opts.Load)
 			return p, nil
 		}
-		// The slot keeps about its share of the population; the store and
-		// the index are sized for it.
-		p := platform.New(platform.Config{
-			Seed:      stats.SubSeed(opts.Seed, uint64(i)),
-			ReviewAds: opts.Review,
-			BanAfter:  opts.BanAfter,
-			Users:     opts.Users / ring,
-		})
 		cfg := workload.DefaultConfig()
 		cfg.Users = opts.Users
 		cfg.Seed = opts.Seed
 		cfg.Skew = opts.Skew
-		cfg.Catalog = p.Catalog()
 		// Every slot draws the whole population but builds only its own
 		// users.
 		var keep func(profile.UserID) bool
@@ -852,6 +843,14 @@ func bootShard(opts options, i, ring int, logger *log.Logger) func() (*platform.
 			owners := cluster.NewRing(ring, 0)
 			keep = func(u profile.UserID) bool { return owners.Owner(string(u)) == i }
 		}
+		// The store and the index are sized for the users the slot keeps.
+		p := platform.New(platform.Config{
+			Seed:      stats.SubSeed(opts.Seed, uint64(i)),
+			ReviewAds: opts.Review,
+			BanAfter:  opts.BanAfter,
+			Users:     workload.KeptUsers(cfg, keep),
+		})
+		cfg.Catalog = p.Catalog()
 		var err error
 		workload.EachKept(cfg, keep, func(u *profile.Profile) {
 			if err == nil {

@@ -64,18 +64,10 @@ func Intern(id ID) Ord {
 	return o
 }
 
-// quote returns id as json.Marshal writes it. An ID of bytes json writes as
-// themselves (printable ASCII but the quote, the backslash and the three it
-// escapes for HTML), which is every catalog ID, is put between quotes; any
-// other is handed to json.Marshal, so every escape is exactly its own.
+// quote returns id as json.Marshal writes it.
 func quote(id ID) string {
-	for i := 0; i < len(id); i++ {
-		if c := id[i]; c < ' ' || c > '~' || strings.IndexByte(`"\<>&`, c) >= 0 {
-			q, _ := json.Marshal(string(id)) // a string always encodes
-			return string(q)
-		}
-	}
-	return `"` + string(id) + `"`
+	q, _ := json.Marshal(string(id)) // a string always encodes
+	return string(q)
 }
 
 // IDs returns the ID table: ids[o] is ordinal o's ID, for every ordinal

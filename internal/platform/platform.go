@@ -204,23 +204,14 @@ func (c *components) prevalence(id attr.ID) float64 {
 
 // AddUser inserts a user profile into the platform's database.
 func (p *Platform) AddUser(pr *profile.Profile) error {
-	rec := addUserRecords.Get().(*opRecord)
-	*rec = opRecord{Op: opAddUser, profile: pr}
+	rec := &opRecord{Op: opAddUser, profile: pr}
 	if p.j != nil {
 		st := pr.Snapshot()
 		rec.Profile = &st
 	}
 	_, err := p.commit(context.Background(), rec)
-	*rec = opRecord{}
-	addUserRecords.Put(rec)
 	return err
 }
-
-// addUserRecords holds AddUser's op records between calls. A boot adds
-// every user of its population through AddUser, one after the other, and a
-// record of its own each would be about a quarter of what the boot
-// allocates; nothing keeps a record once commit has returned.
-var addUserRecords = sync.Pool{New: func() any { return new(opRecord) }}
 
 // User returns a user's profile (simulation ground truth; not part of
 // either product API).

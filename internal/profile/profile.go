@@ -134,14 +134,18 @@ func (p *Profile) SetAttrValue(id attr.ID, value string) {
 // nothing, and of several values for one ID the last wins. Both slices hold
 // interned ordinals and must be sorted by the IDs they name, which it checks
 // through attr's rank table. The generator builds each user's attributes
-// this way, on a profile that holds none yet, where the sets are copies of
-// binary and values less their repeats.
+// this way, on a profile that holds none yet.
 func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
 	rank := attr.Ranks()
 	if !slices.IsSortedFunc(binary, func(a, b attr.Ord) int { return cmp.Compare(rank[a], rank[b]) }) ||
 		!slices.IsSortedFunc(values, func(a, b ValuedAttr) int { return cmp.Compare(rank[a.Ord], rank[b.Ord]) }) {
 		panic("profile: SetSortedAttrs given attributes out of ID order")
 	}
+	// On a profile that holds no attributes yet, which is every generated
+	// user, each set is a copy less its repeats: the result mergeSorted
+	// gives, without its call through ord per element, which made a
+	// 12 000-user BenchmarkBootSingle about 35 instead of 31 ms (medians of
+	// 18 alternating runs each on a 2-vCPU box).
 	switch {
 	case len(binary) == 0:
 	case len(p.binary) == 0:
@@ -157,7 +161,7 @@ func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
 		p.values = make([]ValuedAttr, 0, len(values))
 		for i, v := range values {
 			if i+1 == len(values) || values[i+1].Ord != v.Ord {
-				p.values = append(p.values, v)
+				p.values = append(p.values, v) // the last of a repeated ID
 			}
 		}
 	default:

@@ -190,6 +190,30 @@ func EachKept(cfg Config, keep func(profile.UserID) bool, fn func(*profile.Profi
 	}
 }
 
+// KeptUsers returns how many profiles EachKept(cfg, keep, fn) passes to fn,
+// found from the user IDs alone: nothing is drawn or built. A nil keep
+// accepts every user.
+func KeptUsers(cfg Config, keep func(profile.UserID) bool) int {
+	if keep == nil {
+		return max(cfg.Users, 0)
+	}
+	n := 0
+	var id []byte
+	for i := 0; i < cfg.Users; i++ {
+		id = appendPadded(id[:0], userPrefix, i, userDigits)
+		if keep(profile.UserID(id)) {
+			n++
+		}
+	}
+	return n
+}
+
+// User i's ID is userPrefix followed by i zero-padded to userDigits digits.
+const (
+	userPrefix = "user-"
+	userDigits = 6
+)
+
 // The pipeline's shape: profiles per hand-over, and hand-overs the channel
 // holds. A batch amortizes the channel's synchronization over a few hundred
 // users; the depth lets the builder run a few batches ahead of fn.
@@ -282,7 +306,7 @@ func newGenerator(cfg Config) *generator {
 func (g *generator) draw(i int, d *draw) {
 	rng := g.rng
 	d.i = i
-	d.id = profile.UserID(g.padded("user-", i, 6))
+	d.id = profile.UserID(g.padded(userPrefix, i, userDigits))
 	d.city = rng.Intn(len(usCities))
 	city := usCities[d.city]
 	// Scatter users ~±0.2° around their city's center.
@@ -341,14 +365,20 @@ func (g *generator) build(d *draw) *profile.Profile {
 // padded returns prefix followed by n (not negative) zero-padded to width
 // digits: fmt.Sprintf(prefix+"%0*d", width, n), formatted in g's scratch.
 func (g *generator) padded(prefix string, n, width int) string {
+	g.text = appendPadded(g.text[:0], prefix, n, width)
+	return string(g.text)
+}
+
+// appendPadded appends prefix followed by n (not negative) zero-padded to
+// width digits to dst.
+func appendPadded(dst []byte, prefix string, n, width int) []byte {
 	var digits [20]byte
 	num := strconv.AppendInt(digits[:0], int64(n), 10)
-	g.text = append(g.text[:0], prefix...)
+	dst = append(dst, prefix...)
 	for k := len(num); k < width; k++ {
-		g.text = append(g.text, '0')
+		dst = append(dst, '0')
 	}
-	g.text = append(g.text, num...)
-	return string(g.text)
+	return append(dst, num...)
 }
 
 // drawAttrs appends approximately mean attribute picks from the pool,

@@ -45,7 +45,8 @@ func TestGeneratedPopulationDigest(t *testing.T) {
 
 // TestEachKeptBuildsTheSameUsers: a shard that builds only the users its
 // ring slot keeps gets, byte for byte and in the same order, the profiles
-// it would keep from the whole generated population.
+// it would keep from the whole generated population, and KeptUsers counts
+// them without drawing.
 func TestEachKeptBuildsTheSameUsers(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users = 600
@@ -76,6 +77,9 @@ func TestEachKeptBuildsTheSameUsers(t *testing.T) {
 			EachKept(cfg, keep, func(p *profile.Profile) { got = append(got, snapshot(p)) })
 			if len(got) == 0 || !slices.Equal(got, want) {
 				t.Fatalf("slot %d of %d: built %d users, want the %d filtered ones byte-identical and in order", slot, slots, len(got), len(want))
+			}
+			if n := KeptUsers(cfg, keep); n != len(got) {
+				t.Fatalf("slot %d of %d: KeptUsers counts %d users, EachKept built %d", slot, slots, n, len(got))
 			}
 		}
 	}
