@@ -54,10 +54,11 @@ race:
 # goroutine and added on the caller's (their boot-state digests pin the
 # order). The five
 # zero-alloc pins (span, query, browse, admission decision, and the
-# profile snapshot encoder), the profile-store, feed and billing-ledger
-# footprints, generator, boot and compaction allocation tripwires
-# (built without the detector, whose shadow memory would inflate the heap
-# they measure and whose instrumentation allocates), the
+# profile snapshot encoder), the profile-store, feed, billing-ledger and
+# per-user delivery and pixel table footprints, generator, boot and
+# compaction allocation tripwires (built without the detector, whose
+# shadow memory would inflate the heap they measure and whose
+# instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table), the row test (each
 # RemoteShard method sends its own row of that table) and the sticky-health
@@ -84,6 +85,7 @@ race-full:
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
 	$(GO) test -run=TestFeedFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestFeedFootprint'
 	$(GO) test -run=TestLedgerFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestLedgerFootprint'
+	$(GO) test -run=TestUserTablesFootprint -v ./internal/platform/ | grep -- '--- PASS: TestUserTablesFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -run=TestCompactAllocs -v ./internal/platform/ | grep -- '--- PASS: TestCompactAllocs'
 	$(GO) test -run=TestBootAllocs -v ./cmd/adplatformd/ | grep -- '--- PASS: TestBootAllocs'

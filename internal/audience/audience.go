@@ -258,7 +258,8 @@ func (e *Engine) MemberOf(a *Audience, p *profile.Profile) bool {
 		}
 		return false
 	case KindWebsite:
-		return e.pixels.HasVisited(a.pixel, p.ID)
+		o, ok := e.store.OrdOf(p)
+		return ok && e.pixels.HasVisited(a.pixel, o)
 	case KindEngagement:
 		return p.LikesPage(a.pageID)
 	case KindAffinity:

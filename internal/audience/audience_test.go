@@ -71,10 +71,10 @@ func TestPIIAudienceResolve(t *testing.T) {
 }
 
 func TestWebsiteAudienceResolve(t *testing.T) {
-	_, reg, eng := fixture(t, 10)
+	store, reg, eng := fixture(t, 10)
 	px := reg.Issue("adv1")
 	for _, u := range []profile.UserID{"u03", "u05"} {
-		if err := reg.RecordVisit(px.ID, u); err != nil {
+		if err := reg.RecordVisit(px.ID, store.Get(u).Ord()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,7 +90,7 @@ func TestWebsiteAudienceResolve(t *testing.T) {
 		t.Fatalf("resolve = %v", got)
 	}
 	// Lazy resolution: later visits join the audience.
-	if err := reg.RecordVisit(px.ID, "u07"); err != nil {
+	if err := reg.RecordVisit(px.ID, store.Get("u07").Ord()); err != nil {
 		t.Fatal(err)
 	}
 	got, _ = resolve(eng, Spec{Include: []AudienceID{a.ID}})

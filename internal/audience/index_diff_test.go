@@ -68,7 +68,7 @@ func buildWorld(t testing.TB, cfg workload.Config, indexed bool) *world {
 	// Website audience over a pixel visited by every 3rd user.
 	px := w.pixels.Issue("acme")
 	for i := 0; i < len(w.profs); i += 3 {
-		if err := w.pixels.RecordVisit(px.ID, w.profs[i].ID); err != nil {
+		if err := w.pixels.RecordVisit(px.ID, w.profs[i].Ord()); err != nil {
 			t.Fatal(err)
 		}
 	}

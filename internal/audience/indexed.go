@@ -45,14 +45,14 @@ func (e *Engine) EnableIndex() error {
 	e.mu.Unlock()
 
 	// SetWatcher replays ProfileAdded for every existing profile, which is
-	// what bulk-builds the index (slot order = store insertion order).
+	// what bulk-builds the index.
 	t0 := time.Now()
 	e.store.SetWatcher(&engineWatcher{e: e})
 	index.ObserveBuild(time.Since(t0))
 	idx.RefreshMemoryGauge()
 
 	// Audiences created before the index existed need their membership
-	// bitmaps seeded now that every profile has a slot.
+	// bitmaps seeded now that every profile is indexed.
 	e.mu.RLock()
 	var seed []*Audience
 	for _, a := range e.audiences {
@@ -89,11 +89,8 @@ func (e *Engine) seedAudienceBits(a *Audience) {
 	}
 	b := index.NewBitmap(idx.Len())
 	e.store.Each(func(p *profile.Profile) {
-		if !e.MemberOf(a, p) {
-			return
-		}
-		if s, ok := idx.Slot(p.ID); ok {
-			idx.SetBit(b, s)
+		if e.MemberOf(a, p) {
+			idx.SetBit(b, p.Ord())
 		}
 	})
 	e.mu.Lock()
@@ -106,8 +103,8 @@ func (e *Engine) seedAudienceBits(a *Audience) {
 type engineWatcher struct{ e *Engine }
 
 // ProfileAdded indexes the profile and sets its audience bits, all under
-// one hold of e.mu; the index finds or adds the user's slot under one hold
-// of its own lock.
+// one hold of e.mu; the index finds or adds the user under one hold of its
+// own lock.
 func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 	e := w.e
 	e.mu.RLock()
@@ -117,9 +114,8 @@ func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 		return
 	}
 	// The EnableIndex replay and a post-enable store.Add both land here; a
-	// user the index already holds keeps its slot.
-	slot, err := idx.Add(p)
-	if err != nil && !errors.Is(err, index.ErrDuplicate) {
+	// user the index already holds is indexed once.
+	if err := idx.Add(p); err != nil && !errors.Is(err, index.ErrDuplicate) {
 		return
 	}
 	for _, a := range e.audiences {
@@ -127,7 +123,7 @@ func (w *engineWatcher) ProfileAdded(p *profile.Profile) {
 			continue
 		}
 		if e.MemberOf(a, p) {
-			idx.SetBit(a.bits, slot)
+			idx.SetBit(a.bits, p.Ord())
 		}
 	}
 }
@@ -140,11 +136,10 @@ func (w *engineWatcher) AttrChanged(p *profile.Profile, o attr.Ord) {
 	if idx == nil {
 		return
 	}
-	slot, ok := idx.Slot(p.ID)
-	if !ok {
+	if !idx.NoteAttrChanged(p, o) {
 		return // pre-Add mutation; Add will index the final state
 	}
-	idx.NoteAttrChanged(p, o)
+	ord := p.Ord()
 	// Lookalike membership is a function of the user's attributes, so an
 	// attribute change can flip it either way. PII bitmaps are unaffected;
 	// affinity audiences read the (just-updated) posting lists directly.
@@ -154,9 +149,9 @@ func (w *engineWatcher) AttrChanged(p *profile.Profile, o attr.Ord) {
 			continue
 		}
 		if a.lookalikeMatch(p) {
-			idx.SetBit(a.bits, slot)
+			idx.SetBit(a.bits, ord)
 		} else {
-			idx.ClearBit(a.bits, slot)
+			idx.ClearBit(a.bits, ord)
 		}
 	}
 	e.mu.RUnlock()
@@ -170,7 +165,7 @@ func (w *engineWatcher) LikeChanged(p *profile.Profile, pageID string, liked boo
 	if idx == nil {
 		return
 	}
-	idx.NoteLike(p.ID, pageID, liked)
+	idx.NoteLike(p.Ord(), pageID, liked)
 }
 
 // audienceNodeLocked compiles one audience's membership into a plan node.
@@ -192,7 +187,7 @@ func (e *Engine) audienceNodeLocked(a *Audience) (index.Node, bool) {
 		}
 		return e.idx.AnyAttrNode(ids), true
 	case KindWebsite:
-		return e.idx.UserSetNode(e.pixels.Visitors(a.pixel)), true
+		return index.UsersNode(e.pixels.Visitors(a.pixel)), true
 	default:
 		return nil, false
 	}
@@ -251,26 +246,27 @@ func (e *Engine) plan(c *Compiled) (idx *index.Index, node index.Node, ok bool) 
 	return idx, node, ok
 }
 
-// memberOfIndexedLocked is the single-user membership probe. Caller holds
-// e.mu (read). ok is false when the kind cannot be probed from the index.
-func (e *Engine) memberOfIndexedLocked(a *Audience, slot uint32, p *profile.Profile) (member, ok bool) {
+// memberOfIndexedLocked is the single-user membership probe of the user
+// with ordinal ord. Caller holds e.mu (read). ok is false when the kind
+// cannot be probed from the index.
+func (e *Engine) memberOfIndexedLocked(a *Audience, ord uint32) (member, ok bool) {
 	switch a.Kind {
 	case KindPII, KindLookalike:
 		if a.bits == nil {
 			return false, false
 		}
-		return e.idx.TestBit(a.bits, slot), true
+		return e.idx.TestBit(a.bits, ord), true
 	case KindEngagement:
-		return e.idx.TestLike(a.pageID, slot), true
+		return e.idx.TestLike(a.pageID, ord), true
 	case KindAffinity:
 		for id := range a.affinity {
-			if e.idx.TestAttr(id, slot) {
+			if e.idx.TestAttr(id, ord) {
 				return true, true
 			}
 		}
 		return false, true
 	case KindWebsite:
-		return e.pixels.HasVisited(a.pixel, p.ID), true
+		return e.pixels.HasVisited(a.pixel, ord), true
 	default:
 		return false, false
 	}
@@ -279,8 +275,9 @@ func (e *Engine) memberOfIndexedLocked(a *Audience, slot uint32, p *profile.Prof
 // matchIndexed is the delivery-time eligibility fast path: audience
 // membership via bitmap probes, the targeting expression via
 // MatchExprSlot. handled is false (and the caller falls back to the scan
-// path) when the engine is scan-only, the user has no slot, or the spec is
-// not indexable.
+// path) when the engine is scan-only, the index does not hold the user (a
+// profile of another store, or one whose add it has not seen yet), or the
+// spec is not indexable.
 func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -288,12 +285,12 @@ func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled b
 	if idx == nil {
 		return false, false
 	}
-	slot, ok := idx.Slot(p.ID)
-	if !ok {
+	ord, ok := e.store.OrdOf(p)
+	if !ok || !idx.Holds(ord) {
 		return fallback()
 	}
 	for _, a := range c.includeAll {
-		m, ok := e.memberOfIndexedLocked(a, slot, p)
+		m, ok := e.memberOfIndexedLocked(a, ord)
 		if !ok {
 			return fallback()
 		}
@@ -304,7 +301,7 @@ func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled b
 	if len(c.include) > 0 {
 		in := false
 		for _, a := range c.include {
-			m, ok := e.memberOfIndexedLocked(a, slot, p)
+			m, ok := e.memberOfIndexedLocked(a, ord)
 			if !ok {
 				return fallback()
 			}
@@ -318,7 +315,7 @@ func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled b
 		}
 	}
 	for _, a := range c.exclude {
-		m, ok := e.memberOfIndexedLocked(a, slot, p)
+		m, ok := e.memberOfIndexedLocked(a, ord)
 		if !ok {
 			return fallback()
 		}
@@ -326,7 +323,7 @@ func (e *Engine) matchIndexed(c *Compiled, p *profile.Profile) (match, handled b
 			return false, true
 		}
 	}
-	m, ok := idx.MatchExprSlot(c.expr, p, slot)
+	m, ok := idx.MatchExprSlot(c.expr, p, ord)
 	if !ok {
 		return fallback()
 	}

@@ -16,7 +16,6 @@ import (
 	"sync"
 
 	"github.com/treads-project/treads/internal/money"
-	"github.com/treads-project/treads/internal/profile"
 )
 
 // ReachReportThreshold is the minimum distinct-user reach below which a
@@ -31,7 +30,9 @@ const ReachRounding = 10
 
 // Ledger records impressions and charges per campaign. It is the
 // platform-side source of truth; advertiser-visible views are derived from
-// it through Report. Ledger is safe for concurrent use.
+// it through Report. A user is named by its ordinal in the node's profile
+// store (profile.Profile.Ord); Snapshot and RestoreState turn ordinals into
+// user IDs and back. Ledger is safe for concurrent use.
 type Ledger struct {
 	mu        sync.RWMutex
 	campaigns map[string]*campaignAccount
@@ -48,9 +49,11 @@ type campaignAccount struct {
 	// campaign's reached set; the per-user impression and spend totals
 	// exist so a shard migration can split a ledger exactly — moving a
 	// user moves their precise contribution, keeping merged cluster
-	// totals invariant across resharding. A row is a value, so recording an
-	// impression allocates no per-(campaign, user) object.
-	users map[profile.UserID]userTotals
+	// totals invariant across resharding. A row is keyed by the user's
+	// ordinal and is a value, so the map holds no pointer for the collector
+	// to scan and recording an impression allocates no per-(campaign, user)
+	// object. Nil until the campaign's first impression.
+	users map[uint32]userTotals
 }
 
 type userTotals struct {
@@ -79,18 +82,22 @@ func (l *Ledger) SetBillableThreshold(n int) {
 func (l *Ledger) account(campaignID string) *campaignAccount {
 	acct := l.campaigns[campaignID]
 	if acct == nil {
-		acct = &campaignAccount{users: make(map[profile.UserID]userTotals)}
+		acct = &campaignAccount{}
 		l.campaigns[campaignID] = acct
 	}
 	return acct
 }
 
 // RecordImpression charges a campaign for one delivered impression at the
-// given per-impression price and records the reached user.
-func (l *Ledger) RecordImpression(campaignID string, user profile.UserID, price money.Micros) {
+// given per-impression price and records the reached user, named by its
+// ordinal.
+func (l *Ledger) RecordImpression(campaignID string, user uint32, price money.Micros) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	acct := l.account(campaignID)
+	if acct.users == nil {
+		acct.users = make(map[uint32]userTotals)
+	}
 	acct.impressions++
 	acct.spend += price
 	ut := acct.users[user]

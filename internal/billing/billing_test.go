@@ -1,13 +1,11 @@
 package billing
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/treads-project/treads/internal/money"
-	"github.com/treads-project/treads/internal/profile"
 )
 
 func TestEmptyReport(t *testing.T) {
@@ -26,8 +24,8 @@ func TestSmallAudienceNotInvoiced(t *testing.T) {
 	// reached."
 	l := NewLedger()
 	price := money.FromDollars(0.01)
-	l.RecordImpression("c1", "authorA", price)
-	l.RecordImpression("c1", "authorB", price)
+	l.RecordImpression("c1", 0, price)
+	l.RecordImpression("c1", 1, price)
 	r := l.Report("c1")
 	if r.Spend != 0 {
 		t.Fatalf("two-user campaign invoiced %v, want $0", r.Spend)
@@ -50,7 +48,7 @@ func TestLargeAudienceInvoicedAndRounded(t *testing.T) {
 	l := NewLedger()
 	price := money.FromDollars(0.002)
 	for i := 0; i < 137; i++ {
-		l.RecordImpression("c1", profile.UserID(fmt.Sprintf("u%d", i)), price)
+		l.RecordImpression("c1", uint32(i), price)
 	}
 	r := l.Report("c1")
 	if r.Spend != price.MulInt(137) {
@@ -67,7 +65,7 @@ func TestLargeAudienceInvoicedAndRounded(t *testing.T) {
 func TestRepeatImpressionsCountOnceForReach(t *testing.T) {
 	l := NewLedger()
 	for i := 0; i < 5; i++ {
-		l.RecordImpression("c1", "u1", money.FromDollars(0.002))
+		l.RecordImpression("c1", 1, money.FromDollars(0.002))
 	}
 	if l.TrueReach("c1") != 1 {
 		t.Fatalf("TrueReach = %d", l.TrueReach("c1"))
@@ -80,7 +78,7 @@ func TestRepeatImpressionsCountOnceForReach(t *testing.T) {
 func TestZeroThresholdAblationExposesExactCounts(t *testing.T) {
 	l := NewLedger()
 	l.SetBillableThreshold(0)
-	l.RecordImpression("c1", "u1", money.FromDollars(0.002))
+	l.RecordImpression("c1", 1, money.FromDollars(0.002))
 	r := l.Report("c1")
 	if r.Reach != 1 {
 		t.Fatalf("ablation reach = %d, want exact 1", r.Reach)
@@ -95,9 +93,9 @@ func TestTotalInvoiced(t *testing.T) {
 	price := money.FromDollars(0.002)
 	// c-big crosses the threshold; c-small does not.
 	for i := 0; i < 25; i++ {
-		l.RecordImpression("c-big", profile.UserID(fmt.Sprintf("u%d", i)), price)
+		l.RecordImpression("c-big", uint32(i), price)
 	}
-	l.RecordImpression("c-small", "u0", price)
+	l.RecordImpression("c-small", 0, price)
 	for id, want := range map[string]money.Micros{"c-big": price.MulInt(25), "c-small": 0, "c-none": 0} {
 		if got := l.Report(id).Spend; got != want {
 			t.Fatalf("%s invoiced %v, want %v", id, got, want)
@@ -121,7 +119,7 @@ func TestLedgerConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.RecordImpression("c1", profile.UserID(fmt.Sprintf("u%d-%d", g, i)), money.Micro)
+				l.RecordImpression("c1", uint32(g*200+i), money.Micro)
 				_ = l.Report("c1")
 			}
 		}(g)

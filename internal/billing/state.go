@@ -1,6 +1,7 @@
 package billing
 
 import (
+	"fmt"
 	"sort"
 
 	"github.com/treads-project/treads/internal/money"
@@ -32,10 +33,13 @@ type UserAccountState struct {
 	Spend       money.Micros   `json:"spend_micros"`
 }
 
-// Snapshot exports the ledger.
-func (l *Ledger) Snapshot() State {
+// Snapshot exports the ledger, naming each user by its ID in users, the
+// store whose ordinals the ledger holds.
+func (l *Ledger) Snapshot(users *profile.Store) State {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
+	// Taken under l.mu: every ordinal recorded so far names a user in it.
+	uids := users.UserIDs()
 	s := State{BillableThreshold: l.billableThreshold}
 	ids := make([]string, 0, len(l.campaigns))
 	for id := range l.campaigns {
@@ -45,8 +49,8 @@ func (l *Ledger) Snapshot() State {
 	for _, id := range ids {
 		acct := l.campaigns[id]
 		as := AccountState{CampaignID: id, Impressions: acct.impressions, Spend: acct.spend}
-		for uid, ut := range acct.users {
-			as.Users = append(as.Users, UserAccountState{User: uid, Impressions: ut.impressions, Spend: ut.spend})
+		for o, ut := range acct.users {
+			as.Users = append(as.Users, UserAccountState{User: uids[o], Impressions: ut.impressions, Spend: ut.spend})
 		}
 		sort.Slice(as.Users, func(i, j int) bool { return as.Users[i].User < as.Users[j].User })
 		s.Accounts = append(s.Accounts, as)
@@ -54,19 +58,28 @@ func (l *Ledger) Snapshot() State {
 	return s
 }
 
-// RestoreState rebuilds a ledger.
-func RestoreState(s State) *Ledger {
+// RestoreState rebuilds a ledger over users, the store restored from the
+// same state. A row of a user users does not hold is refused: an
+// impression is only ever billed to a user of the node.
+func RestoreState(s State, users *profile.Store) (*Ledger, error) {
 	l := NewLedger()
 	l.billableThreshold = s.BillableThreshold
 	for _, as := range s.Accounts {
 		acct := l.account(as.CampaignID)
 		acct.impressions = as.Impressions
 		acct.spend = as.Spend
+		if len(as.Users) > 0 {
+			acct.users = make(map[uint32]userTotals, len(as.Users))
+		}
 		for _, us := range as.Users {
-			acct.users[us.User] = userTotals{impressions: us.Impressions, spend: us.Spend}
+			o, ok := users.Ord(us.User)
+			if !ok {
+				return nil, fmt.Errorf("billing: campaign %q has a row for user %q, who is not one of the state's users", as.CampaignID, us.User)
+			}
+			acct.users[o] = userTotals{impressions: us.Impressions, spend: us.Spend}
 		}
 	}
-	return l
+	return l, nil
 }
 
 // FilterUsersState returns the portion of a ledger state attributable to

@@ -2,19 +2,42 @@ package billing
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/profile"
 )
 
+// migUsers is the store whose ordinals the test ledgers hold: alice 0,
+// bob 1, carol 2, dave 3.
+var migUsers = func() *profile.Store {
+	s := profile.NewStore()
+	for _, id := range []profile.UserID{"alice", "bob", "carol", "dave"} {
+		if err := s.Add(profile.New(id)); err != nil {
+			panic(err)
+		}
+	}
+	return s
+}()
+
 func migLedger() *Ledger {
 	l := NewLedger()
-	l.RecordImpression("c1", "alice", 100)
-	l.RecordImpression("c1", "alice", 100)
-	l.RecordImpression("c1", "bob", 150)
-	l.RecordImpression("c2", "bob", 200)
-	l.RecordImpression("c2", "carol", 300)
+	l.RecordImpression("c1", 0, 100)
+	l.RecordImpression("c1", 0, 100)
+	l.RecordImpression("c1", 1, 150)
+	l.RecordImpression("c2", 1, 200)
+	l.RecordImpression("c2", 2, 300)
+	return l
+}
+
+// restore is RestoreState over migUsers, failing the test on an error.
+func restore(t *testing.T, s State) *Ledger {
+	t.Helper()
+	l, err := RestoreState(s, migUsers)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return l
 }
 
@@ -23,7 +46,7 @@ func migLedger() *Ledger {
 // moves exactly that set's contribution, so extract+remove partitions the
 // ledger and merge(remove, extract) reproduces the original byte-for-byte.
 func TestExtractRemoveMergeRoundTrip(t *testing.T) {
-	s := migLedger().Snapshot()
+	s := migLedger().Snapshot(migUsers)
 	moving := func(u profile.UserID) bool { return u == "bob" }
 
 	ex := FilterUsersState(s, moving)
@@ -59,7 +82,7 @@ func TestExtractRemoveMergeRoundTrip(t *testing.T) {
 	}
 
 	// Restoring the merged state yields identical reports.
-	l2 := RestoreState(back)
+	l2 := restore(t, back)
 	for _, id := range []string{"c1", "c2"} {
 		if got, want := l2.TrueReach(id), migLedger().TrueReach(id); got != want {
 			t.Fatalf("TrueReach(%s) after round trip = %d, want %d", id, got, want)
@@ -70,7 +93,7 @@ func TestExtractRemoveMergeRoundTrip(t *testing.T) {
 // TestMergeReplaceSemantics pins idempotence: merging the same extract
 // twice replaces the user's rows instead of double-counting them.
 func TestMergeReplaceSemantics(t *testing.T) {
-	s := migLedger().Snapshot()
+	s := migLedger().Snapshot(migUsers)
 	ex := FilterUsersState(s, func(u profile.UserID) bool { return u == "alice" })
 
 	once := MergeUsersState(s, ex)
@@ -87,17 +110,17 @@ func TestMergeReplaceSemantics(t *testing.T) {
 // destination has never seen.
 func TestMergeNewCampaign(t *testing.T) {
 	dst := NewLedger()
-	dst.RecordImpression("c9", "dave", 500)
-	ex := FilterUsersState(migLedger().Snapshot(), func(u profile.UserID) bool { return u == "carol" })
+	dst.RecordImpression("c9", 3, 500)
+	ex := FilterUsersState(migLedger().Snapshot(migUsers), func(u profile.UserID) bool { return u == "carol" })
 
-	merged := MergeUsersState(dst.Snapshot(), ex)
+	merged := MergeUsersState(dst.Snapshot(migUsers), ex)
 	if len(merged.Accounts) != 2 {
 		t.Fatalf("merged accounts = %d, want 2", len(merged.Accounts))
 	}
 	if merged.Accounts[0].CampaignID != "c2" || merged.Accounts[0].Spend != 300 {
 		t.Fatalf("merged new campaign = %+v", merged.Accounts[0])
 	}
-	l := RestoreState(merged)
+	l := restore(t, merged)
 	if l.TrueReach("c2") != 1 || l.TrueReach("c9") != 1 {
 		t.Fatalf("restored reach c2=%d c9=%d", l.TrueReach("c2"), l.TrueReach("c9"))
 	}
@@ -108,7 +131,7 @@ func TestMergeNewCampaign(t *testing.T) {
 // side's totals are recomputed over exactly its rows, and merging the two
 // sides gives back the input.
 func TestFilterPartitionsEveryWay(t *testing.T) {
-	s := migLedger().Snapshot()
+	s := migLedger().Snapshot(migUsers)
 	users := []profile.UserID{"alice", "bob", "carol"}
 	for mask := 0; mask < 1<<len(users); mask++ {
 		keep := func(u profile.UserID) bool {
@@ -155,10 +178,25 @@ func TestMergeIntoFullBackingArray(t *testing.T) {
 		{CampaignID: "c2", Impressions: 1, Spend: 10, Users: []UserAccountState{{User: "dave", Impressions: 1, Spend: 10}}},
 		{CampaignID: "c3", Impressions: 1, Spend: 10, Users: []UserAccountState{{User: "dave", Impressions: 1, Spend: 10}}},
 	}}
-	ex := FilterUsersState(migLedger().Snapshot(), func(u profile.UserID) bool { return u == "bob" }) // c1 (new), c2 (held)
+	ex := FilterUsersState(migLedger().Snapshot(migUsers), func(u profile.UserID) bool { return u == "bob" }) // c1 (new), c2 (held)
 	merged := MergeUsersState(dst, ex)
-	l := RestoreState(merged)
+	l := restore(t, merged)
 	if l.TrueImpressions("c1") != 1 || l.TrueImpressions("c2") != 2 || l.TrueSpend("c2") != 210 || l.TrueReach("c2") != 2 {
 		t.Fatalf("merged state lost rows: %+v", merged)
+	}
+}
+
+// TestStateNamesRowsByUserID: a snapshot names each row's user by its ID in
+// the store, sorted, and a row of a user the store does not hold is refused
+// on restore, naming the campaign and the user.
+func TestStateNamesRowsByUserID(t *testing.T) {
+	s := migLedger().Snapshot(migUsers)
+	want := []UserAccountState{{User: "bob", Impressions: 1, Spend: 200}, {User: "carol", Impressions: 1, Spend: 300}}
+	if len(s.Accounts) != 2 || !reflect.DeepEqual(s.Accounts[1].Users, want) {
+		t.Fatalf("Snapshot = %+v, want c2's rows %+v", s, want)
+	}
+	s.Accounts[1].Users = append(s.Accounts[1].Users, UserAccountState{User: "erin", Impressions: 1, Spend: 1})
+	if _, err := RestoreState(s, migUsers); err == nil || !strings.Contains(err.Error(), `"c2"`) || !strings.Contains(err.Error(), `"erin"`) {
+		t.Fatalf("restoring a row of a user the store does not hold: %v, want an error naming the campaign and the user", err)
 	}
 }

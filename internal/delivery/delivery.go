@@ -77,7 +77,10 @@ type Pipeline struct {
 	rng       *stats.RNG
 	campaigns []*registered          // registration order, which is auction order
 	byID      map[string]*registered // index over campaigns
-	users     map[profile.UserID]*userState
+	// users holds each user's record at the user's ordinal in store
+	// (profile.Profile.Ord). It grows to the highest ordinal that has
+	// browsed, so a node no user browses holds none.
+	users []userState
 
 	// The campaign index: a campaign's ordinal (its position in campaigns)
 	// is filed under the attribute its expression requires of a matching
@@ -207,19 +210,28 @@ func NewPipeline(store *profile.Store, engine *audience.Engine, ledger *billing.
 		market: market,
 		rng:    rng,
 		byID:   make(map[string]*registered),
-		users:  make(map[profile.UserID]*userState),
 		keyed:  make(map[attr.ID][]int),
 	}
 }
 
-// user returns uid's record, creating it on first use. Callers hold p.mu.
-func (p *Pipeline) user(uid profile.UserID) *userState {
-	u := p.users[uid]
-	if u == nil {
-		u = &userState{}
-		p.users[uid] = u
+// user returns the record of the user with ordinal o, growing the table to
+// reach it. The table grows by a quarter, as append grows a large slice,
+// but never past the store's population, which every ordinal is inside: a
+// node where only a cohort of low ordinals browses holds under a quarter
+// more records than the highest of them needs, and one whose users all
+// browse ends with a table of exactly its population. The pointer is valid
+// until the table next grows. Callers hold p.mu.
+func (p *Pipeline) user(o uint32) *userState {
+	if n := int(o) + 1; n > len(p.users) {
+		if n > cap(p.users) {
+			c := cap(p.users)
+			grown := make([]userState, n, max(n, min(c+c/4+64, p.store.Len())))
+			copy(grown, p.users)
+			p.users = grown
+		}
+		p.users = p.users[:n]
 	}
-	return u
+	return &p.users[o]
 }
 
 // AddCampaign registers a campaign. The targeting spec must be resolvable
@@ -300,10 +312,7 @@ func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// The record is keyed by the store's own copy of the ID: a uid handed
-	// in by a request is a substring of its request line, which a key would
-	// keep alive for as long as the user is remembered.
-	u := p.user(prof.ID)
+	u := p.user(prof.Ord())
 	if uint64(u.slots)+uint64(slots) > math.MaxUint32 {
 		return nil, fmt.Errorf("delivery: user %q has run %d slots; %d more would pass %d", uid, u.slots, slots, uint32(math.MaxUint32))
 	}
@@ -384,7 +393,7 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 	}
 	ord := p.byID[out.CampaignID].ord
 	u.appendRow(ord, slot)
-	p.ledger.RecordImpression(out.CampaignID, prof.ID, out.PricePaid)
+	p.ledger.RecordImpression(out.CampaignID, prof.Ord(), out.PricePaid)
 	impressionsServed.Inc()
 	return p.impression(ord, slot), true
 }
@@ -423,10 +432,14 @@ func (p *Pipeline) RNGState() uint64 {
 
 // Feed returns every impression ever delivered to the user, oldest first.
 func (p *Pipeline) Feed(uid profile.UserID) []ad.Impression {
+	o, ok := p.store.Ord(uid)
+	if !ok {
+		return nil
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if u := p.users[uid]; u != nil {
-		return p.impressions(u)
+	if int(o) < len(p.users) {
+		return p.impressions(&p.users[o])
 	}
 	return nil
 }

@@ -147,10 +147,10 @@ func TestShownAllocatedOnFirstImpression(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if u := e.pipe.users["u01"]; u.slots != 3 || u.shown != nil {
+	if u := e.pipe.users[e.store.Get("u01").Ord()]; u.slots != 3 || u.shown != nil {
 		t.Errorf("u01 won nothing: slots %d, shown %v; want 3 and no rows", u.slots, u.shown)
 	}
-	if u := e.pipe.users["u00"]; u.seen(e.pipe.byID["jazz"].ord) != DefaultFrequencyCap {
+	if u := e.pipe.users[e.store.Get("u00").Ord()]; u.seen(e.pipe.byID["jazz"].ord) != DefaultFrequencyCap {
 		t.Errorf("u00 shown = %v, want jazz at the default cap", u.shown)
 	}
 }

@@ -163,7 +163,8 @@ func TestShownMatchesFeed(t *testing.T) {
 				campaigns++
 			}
 			check := func(step int) {
-				for uid, u := range e.pipe.users {
+				for o, u := range e.pipe.users {
+					uid := e.store.UserIDs()[o]
 					want := make(map[uint32]int)
 					u.eachRow(func(ord, _ uint32) { want[ord]++ })
 					if len(u.feed) == 0 && u.shown != nil {
@@ -206,15 +207,16 @@ func TestShownMatchesFeed(t *testing.T) {
 				default:
 					uid := profile.UserID(fmt.Sprintf("u%02d", pick(12)))
 					var last uint32 // the highest ordinal shown before the browse
-					if u := e.pipe.users[uid]; u != nil && len(u.shown) > 0 {
-						last = u.shown[len(u.shown)-1].ord
+					o := e.store.Get(uid).Ord()
+					if int(o) < len(e.pipe.users) && len(e.pipe.users[o].shown) > 0 {
+						last = e.pipe.users[o].shown[len(e.pipe.users[o].shown)-1].ord
 					}
 					imps, err := e.pipe.Browse(uid, pick(6))
 					if err != nil {
 						t.Fatal(err)
 					}
 					for _, imp := range imps {
-						if c := e.pipe.byID[imp.CampaignID]; c.ord < last && e.pipe.users[uid].seen(c.ord) == 1 {
+						if c := e.pipe.byID[imp.CampaignID]; c.ord < last && e.pipe.users[o].seen(c.ord) == 1 {
 							inserts++ // a first impression whose row went in before the last one
 						}
 					}
@@ -255,7 +257,10 @@ func FuzzFeedRows(f *testing.F) {
 			BidCapCPM: money.FromDollars(1), Creative: ad.Creative{Headline: fmt.Sprintf("h%d", i)},
 		})
 	}
-	store := profile.NewStore()
+	store := profile.NewStore() // holding the one user the state names
+	if err := store.Add(profile.New("u00")); err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		var imps []ad.Impression
 		for ; len(in) >= 6; in = in[6:] {

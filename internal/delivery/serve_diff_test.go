@@ -27,7 +27,7 @@ func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, ui
 	prof := p.store.Get(uid)
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	u := p.user(uid)
+	u := p.user(prof.Ord())
 	var session []ad.Impression
 	for s := 0; s < slots; s++ {
 		slot := u.slots
@@ -51,7 +51,7 @@ func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, ui
 		c := p.byID[out.CampaignID]
 		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(slot)}
 		u.appendRow(c.ord, slot)
-		p.ledger.RecordImpression(c.ID, prof.ID, out.PricePaid)
+		p.ledger.RecordImpression(c.ID, prof.Ord(), out.PricePaid)
 		session = append(session, imp)
 	}
 	return session
@@ -126,7 +126,7 @@ func newServeWorld(t testing.TB, cfg workload.Config, indexed bool, auctionSeed 
 	}
 	w.px = w.pixels.Issue("adv").ID
 	for i := 0; i < len(w.profs); i += 4 {
-		if err := w.pixels.RecordVisit(w.px, w.profs[i].ID); err != nil {
+		if err := w.pixels.RecordVisit(w.px, w.profs[i].Ord()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -261,7 +261,7 @@ func TestBrowseMatchesPerSlotScan(t *testing.T) {
 						want.profs[u].Unlike(servePage)
 					case k == 4:
 						for _, w := range []*serveWorld{got, want} {
-							if err := w.pixels.RecordVisit(w.px, w.profs[u].ID); err != nil {
+							if err := w.pixels.RecordVisit(w.px, w.profs[u].Ord()); err != nil {
 								t.Fatal(err)
 							}
 						}
@@ -282,7 +282,7 @@ func TestBrowseMatchesPerSlotScan(t *testing.T) {
 				if a, b := got.pipe.RNGState(), want.pipe.RNGState(); a != b {
 					t.Fatalf("RNG state %d, the scan's is %d", a, b)
 				}
-				if !reflect.DeepEqual(got.ledger.Snapshot(), want.ledger.Snapshot()) {
+				if !reflect.DeepEqual(got.ledger.Snapshot(got.store), want.ledger.Snapshot(want.store)) {
 					t.Fatal("ledgers differ")
 				}
 				if !reflect.DeepEqual(got.pipe.Snapshot(), want.pipe.Snapshot()) {

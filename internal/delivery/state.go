@@ -1,10 +1,10 @@
 package delivery
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/attr"
@@ -79,18 +79,22 @@ func (p *Pipeline) Snapshot() State {
 		}
 		s.Campaigns = append(s.Campaigns, cs)
 	}
-	uids := make([]profile.UserID, 0, len(p.users))
-	for uid := range p.users {
-		uids = append(uids, uid)
+	// Taken under p.mu: every ordinal in p.users names a user in it.
+	ids := p.store.UserIDs()
+	var held []uint32 // the ordinals with a record, by user ID
+	for o := range p.users {
+		if u := &p.users[o]; len(u.feed) > 0 || u.slots > 0 {
+			held = append(held, uint32(o))
+		}
 	}
-	sort.Slice(uids, func(i, j int) bool { return uids[i] < uids[j] })
-	for _, uid := range uids {
-		u := p.users[uid]
+	slices.SortFunc(held, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
+	for _, o := range held {
+		u := &p.users[o]
 		if len(u.feed) > 0 {
-			s.Feeds = append(s.Feeds, FeedState{User: uid, Impressions: p.impressions(u)})
+			s.Feeds = append(s.Feeds, FeedState{User: ids[o], Impressions: p.impressions(u)})
 		}
 		if u.slots > 0 {
-			s.Slots = append(s.Slots, SlotState{User: uid, N: int(u.slots)})
+			s.Slots = append(s.Slots, SlotState{User: ids[o], N: int(u.slots)})
 		}
 	}
 	return s
@@ -99,7 +103,9 @@ func (p *Pipeline) Snapshot() State {
 // RestoreState rebuilds a pipeline over the given components. A feed that
 // names a campaign s does not define is refused: no cap counts its
 // impressions and no ledger row agrees with them. So is a slot number or a
-// slot counter outside 0…math.MaxUint32, which a feed row cannot hold.
+// slot counter outside 0…math.MaxUint32, which a feed row cannot hold, and
+// a feed or a slot counter of a user store does not hold: only a user of
+// the node browses.
 func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) (*Pipeline, error) {
 	p := NewPipeline(store, engine, ledger, market, rng)
 	for _, cs := range s.Campaigns {
@@ -124,8 +130,19 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			return nil, err
 		}
 	}
+	ord := func(uid profile.UserID, what string) (uint32, error) {
+		o, ok := store.Ord(uid)
+		if !ok {
+			return 0, fmt.Errorf("delivery: the %s of user %q, who is not one of the state's users", what, uid)
+		}
+		return o, nil
+	}
 	for _, fs := range s.Feeds {
-		u := p.user(fs.User)
+		o, err := ord(fs.User, "feed")
+		if err != nil {
+			return nil, err
+		}
+		u := p.user(o)
 		u.feed = slices.Grow(u.feed, 2*len(fs.Impressions)) // a row is at least 2 bytes
 		for _, imp := range fs.Impressions {
 			c := p.byID[imp.CampaignID]
@@ -142,7 +159,11 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 		if !fitsSlot(ss.N) {
 			return nil, fmt.Errorf("delivery: user %q has run %d slots, want 0 to %d", ss.User, ss.N, uint32(math.MaxUint32))
 		}
-		p.user(ss.User).slots = uint32(ss.N)
+		o, err := ord(ss.User, "slot counter")
+		if err != nil {
+			return nil, err
+		}
+		p.user(o).slots = uint32(ss.N)
 	}
 	return p, nil
 }

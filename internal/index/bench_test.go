@@ -134,7 +134,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		idx = index.New(benchState.users)
 		benchState.store.Each(func(p *profile.Profile) {
-			if _, err := idx.Add(p); err != nil {
+			if err := idx.Add(p); err != nil {
 				b.Fatal(err)
 			}
 		})

@@ -16,7 +16,7 @@
 // Layout:
 //
 //   - bitmap.go: the dense uint64-word bitmap.
-//   - index.go:  the Index — slot assignment, posting lists, incremental
+//   - index.go:  the Index — the population, posting lists, incremental
 //     maintenance hooks.
 //   - node.go:   compiled query plans (word-streamed, allocation-free
 //     evaluation) for attr.Expr and audience combinators, and VerifyExpr,
@@ -31,7 +31,7 @@ import "math/bits"
 // wordBits is the bitmap word width.
 const wordBits = 64
 
-// Bitmap is a dense bitmap over user slots, stored as little-endian uint64
+// Bitmap is a dense bitmap over user ordinals, stored as little-endian uint64
 // words. The zero value is an empty bitmap. Words beyond len(words) are
 // implicitly zero, so a bitmap only occupies memory up to its highest set
 // bit — a posting list for a rare attribute stays small even in a huge

@@ -11,11 +11,13 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// Index is the inverted targeting index over one shard's users. Every user
-// added is assigned a dense uint32 slot in insertion order; every targeting
-// attribute, categorical value, demographic value, and liked page maps to a
-// Bitmap of the slots holding it. Boolean targeting expressions compile
-// into word-streamed plans over those bitmaps (node.go).
+// Index is the inverted targeting index over one shard's users. A user's
+// bit in every posting list is its ordinal in the profile store
+// (profile.Profile.Ord), so the index keeps no per-user key of its own:
+// every targeting attribute, categorical value, demographic value, and
+// liked page maps to a Bitmap of the ordinals holding it. Boolean targeting
+// expressions compile into word-streamed plans over those bitmaps
+// (node.go).
 //
 // Index is safe for concurrent use: queries take a read lock, and all
 // mutation — user adds, attribute changes, likes, audience-bitmap bits —
@@ -29,9 +31,13 @@ import (
 // hasBitmap and valueBitmap enter each new list in both.
 type Index struct {
 	mu   sync.RWMutex
-	hint int                       // the users New was told to expect
-	uids []profile.UserID          // slot -> user, insertion order
-	slot map[profile.UserID]uint32 // user -> slot
+	hint int // the users New was told to expect
+	// users is the population: the ordinals of the users Add has indexed,
+	// n of them. A store publishes a user before its watcher reaches Add,
+	// so an ordinal may be in the store and not here yet; a query counts
+	// only the users here.
+	users Bitmap
+	n     int
 
 	has       map[attr.ID]*Bitmap            // HasAttr posting lists
 	vals      map[attr.ID]map[string]*Bitmap // ValueIs posting lists
@@ -43,16 +49,15 @@ type Index struct {
 	likes     map[string]*Bitmap // liked page -> likers
 }
 
-// New returns an empty index whose slot tables are pre-sized for sizeHint
-// users. Until it holds that many, every attribute, value and demographic
-// posting list Add creates is too, so a boot that adds the users it
-// announced grows no table and no such list.
+// New returns an empty index sized for sizeHint users: until it holds that
+// many, every attribute, value and demographic posting list Add creates is
+// allocated at that many bits, so a boot that adds the users it announced
+// grows no such list.
 func New(sizeHint int) *Index {
 	sizeHint = max(sizeHint, 0)
 	return &Index{
 		hint:      sizeHint,
-		uids:      make([]profile.UserID, 0, sizeHint),
-		slot:      make(map[profile.UserID]uint32, sizeHint),
+		users:     *NewBitmap(sizeHint),
 		has:       make(map[attr.ID]*Bitmap),
 		vals:      make(map[attr.ID]map[string]*Bitmap),
 		ages:      make(map[int]*Bitmap),
@@ -79,27 +84,26 @@ type postings struct {
 // ErrDuplicate is wrapped by Add's error for a user the index holds.
 var ErrDuplicate = errors.New("index: duplicate user")
 
-// Add assigns the next slot to the profile, indexes its attributes,
-// demographics, and current page likes, and returns the slot. A user the
-// index already holds is not indexed again: Add returns the user's slot and
-// an error wrapping ErrDuplicate. Finding or adding takes one hold of the
-// index lock.
-func (x *Index) Add(p *profile.Profile) (uint32, error) {
+// Add indexes the profile at its ordinal: its attributes, demographics,
+// and current page likes. A user the index already holds is not indexed
+// again: Add returns an error wrapping ErrDuplicate. Finding or adding
+// takes one hold of the index lock.
+func (x *Index) Add(p *profile.Profile) error {
 	if p == nil || p.ID == "" {
-		return 0, fmt.Errorf("index: nil profile or empty user ID")
+		return fmt.Errorf("index: nil profile or empty user ID")
 	}
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if s, dup := x.slot[p.ID]; dup {
-		return s, fmt.Errorf("%w %q", ErrDuplicate, p.ID)
+	s := p.Ord()
+	if x.users.test(s) {
+		return fmt.Errorf("%w %q", ErrDuplicate, p.ID)
 	}
 	bits := 0 // what a list created here is allocated at
-	if len(x.uids) < x.hint {
+	if x.n < x.hint {
 		bits = x.hint
 	}
-	s := uint32(len(x.uids))
-	x.uids = append(x.uids, p.ID)
-	x.slot[p.ID] = s
+	x.users.set(s)
+	x.n++
 
 	ids := attr.IDs()
 	binary, values := p.AttrOrds()
@@ -119,22 +123,22 @@ func (x *Index) Add(p *profile.Profile) (uint32, error) {
 		getBitmap(x.likes, page, 0).set(s)
 	}
 	updAddUser.Inc()
-	if len(x.uids)%1024 == 0 {
+	if x.n%1024 == 0 {
 		memoryBytes.Set(float64(x.memoryBytesLocked()))
 	}
-	return s, nil
+	return nil
 }
 
 // NoteAttrChanged re-indexes one attribute, named by its ordinal, of an
-// already-added profile after a SetAttr/SetAttrValue mutation. Unknown
-// users (mutated before their Add) are ignored — Add indexes their final
-// state.
-func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) {
+// already-added profile after a SetAttr/SetAttrValue mutation, and reports
+// whether the index holds the user. A user mutated before its Add is
+// ignored — Add indexes its final state.
+func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	s, ok := x.slot[p.ID]
-	if !ok {
-		return
+	s := p.Ord()
+	if !x.users.test(s) {
+		return false
 	}
 	ids := attr.IDs()
 	pl := x.postingsOf(ids, o)
@@ -152,21 +156,21 @@ func (x *Index) NoteAttrChanged(p *profile.Profile, o attr.Ord) {
 		x.valueBitmap(ids, o, values[i].Value, 0).set(s)
 	}
 	updAttrChange.Inc()
+	return true
 }
 
 // NoteLike records a like (liked=true) or unlike (liked=false) of a page
-// by an already-added user.
-func (x *Index) NoteLike(uid profile.UserID, page string, liked bool) {
+// by the already-added user with the given ordinal.
+func (x *Index) NoteLike(user uint32, page string, liked bool) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	s, ok := x.slot[uid]
-	if !ok {
+	if !x.users.test(user) {
 		return
 	}
 	if liked {
-		getBitmap(x.likes, page, 0).set(s)
+		getBitmap(x.likes, page, 0).set(user)
 	} else if b := x.likes[page]; b != nil {
-		b.clear(s)
+		b.clear(user)
 	}
 	updLike.Inc()
 }
@@ -174,41 +178,40 @@ func (x *Index) NoteLike(uid profile.UserID, page string, liked bool) {
 // SetBit and ClearBit mutate a caller-owned bitmap (an audience membership
 // bitmap) under the index write lock, so concurrent queries reading the
 // bitmap through a Node never observe a torn grow.
-func (x *Index) SetBit(b *Bitmap, slot uint32) {
+func (x *Index) SetBit(b *Bitmap, user uint32) {
 	x.mu.Lock()
-	b.set(slot)
+	b.set(user)
 	x.mu.Unlock()
 	updAudienceBit.Inc()
 }
 
 // ClearBit clears a bit in a caller-owned bitmap under the write lock.
-func (x *Index) ClearBit(b *Bitmap, slot uint32) {
+func (x *Index) ClearBit(b *Bitmap, user uint32) {
 	x.mu.Lock()
-	b.clear(slot)
+	b.clear(user)
 	x.mu.Unlock()
 	updAudienceBit.Inc()
 }
 
 // TestBit reads a caller-owned bitmap bit under the read lock.
-func (x *Index) TestBit(b *Bitmap, slot uint32) bool {
+func (x *Index) TestBit(b *Bitmap, user uint32) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return b.test(slot)
+	return b.test(user)
 }
 
 // Len returns the number of indexed users.
 func (x *Index) Len() int {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return len(x.uids)
+	return x.n
 }
 
-// Slot returns the dense slot of a user.
-func (x *Index) Slot(uid profile.UserID) (uint32, bool) {
+// Holds reports whether the index holds the user with the given ordinal.
+func (x *Index) Holds(user uint32) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	s, ok := x.slot[uid]
-	return s, ok
+	return x.users.test(user)
 }
 
 // AttrCount returns the number of users holding the attribute — the O(1)
@@ -223,20 +226,22 @@ func (x *Index) AttrCount(id attr.ID) int {
 	return 0
 }
 
-// TestAttr reports whether the user in the slot holds the attribute.
-func (x *Index) TestAttr(id attr.ID, slot uint32) bool {
+// TestAttr reports whether the user with the given ordinal holds the
+// attribute.
+func (x *Index) TestAttr(id attr.ID, user uint32) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	b := x.has[id]
-	return b != nil && b.test(slot)
+	return b != nil && b.test(user)
 }
 
-// TestLike reports whether the user in the slot currently likes the page.
-func (x *Index) TestLike(page string, slot uint32) bool {
+// TestLike reports whether the user with the given ordinal currently likes
+// the page.
+func (x *Index) TestLike(page string, user uint32) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
 	b := x.likes[page]
-	return b != nil && b.test(slot)
+	return b != nil && b.test(user)
 }
 
 func (x *Index) memoryBytesLocked() int {
@@ -264,9 +269,7 @@ func (x *Index) memoryBytesLocked() int {
 	for _, b := range x.likes {
 		total += b.memBytes()
 	}
-	// Slot table: string header + map entry is ~64 bytes per user in
-	// practice; count it coarsely so the gauge reflects real growth.
-	total += len(x.uids) * 64
+	total += x.users.memBytes()
 	total += cap(x.byOrd) * int(unsafe.Sizeof(postings{}))
 	return total
 }

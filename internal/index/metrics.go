@@ -15,7 +15,7 @@ var (
 	querySeconds = obs.Default.Histogram("index_query_seconds",
 		"Latency of indexed reach queries (compiled-plan popcounts).")
 	memoryBytes = obs.Default.Gauge("index_memory_bytes",
-		"Approximate heap footprint of the index: posting lists and slot tables.")
+		"Approximate heap footprint of the index: posting lists and its population bitmap.")
 
 	updates = obs.Default.CounterVec("index_updates_total",
 		"Incremental index maintenance operations by kind.", "kind")

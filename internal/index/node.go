@@ -124,16 +124,14 @@ func (x *Index) LikesNode(page string) Node {
 	return constNode(0)
 }
 
-// UserSetNode materializes an explicit user list (a pixel's visitors, a
-// PII match result) into a private bitmap leaf. Unknown users are skipped.
-func (x *Index) UserSetNode(ids []profile.UserID) Node {
-	x.mu.RLock()
-	defer x.mu.RUnlock()
-	b := NewBitmap(len(x.uids))
-	for _, id := range ids {
-		if s, ok := x.slot[id]; ok {
-			b.set(s)
-		}
+// UsersNode materializes an explicit list of users, named by their
+// ordinals (a pixel's visitors), into a private bitmap leaf. A query counts
+// only the users the index holds, so an ordinal it does not hold adds
+// nothing.
+func UsersNode(users []uint32) Node {
+	b := &Bitmap{}
+	for _, u := range users {
+		b.set(u)
 	}
 	return bitsNode{b: b}
 }
@@ -215,18 +213,12 @@ func (x *Index) CountNode(n Node) int {
 	return total
 }
 
+// countLocked counts the plan's matches among the users the index holds:
+// their bitmap is the population mask every word is taken under.
 func (x *Index) countLocked(n Node) int {
-	users := len(x.uids)
-	if users == 0 {
-		return 0
-	}
-	full := users / wordBits
 	total := 0
-	for w := 0; w < full; w++ {
-		total += bits.OnesCount64(n.word(w))
-	}
-	if rem := users % wordBits; rem != 0 {
-		total += bits.OnesCount64(n.word(full) & (1<<rem - 1))
+	for w, pop := range x.users.words {
+		total += bits.OnesCount64(n.word(w) & pop)
 	}
 	return total
 }
@@ -259,25 +251,23 @@ func (x *Index) VerifyExpr(e attr.Expr, src Source) (bitmapCount, scanCount int,
 	return bitmapCount, scanCount, err
 }
 
-// TestNode reports whether the user in the slot matches the plan.
-func (x *Index) TestNode(n Node, slot uint32) bool {
+// TestNode reports whether the user with the given ordinal matches the
+// plan; a user the index does not hold never does.
+func (x *Index) TestNode(n Node, user uint32) bool {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	if int(slot) >= len(x.uids) {
-		return false
-	}
-	return n.word(int(slot)/wordBits)&(1<<(slot%wordBits)) != 0
+	return x.users.test(user) && n.word(int(user)/wordBits)&(1<<(user%wordBits)) != 0
 }
 
-// MatchExprSlot evaluates a targeting expression for a single user by
-// probing posting-list bits — the delivery-time eligibility path.
+// MatchExprSlot evaluates a targeting expression for a single user, named
+// by its ordinal, by probing posting-list bits — the delivery-time eligibility path.
 // Demographic predicates consult the subject directly (they are O(1)
 // either way); attribute predicates probe the index. ok is false when the
 // expression contains an unsupported operator.
-func (x *Index) MatchExprSlot(e attr.Expr, subj attr.Subject, slot uint32) (match, ok bool) {
+func (x *Index) MatchExprSlot(e attr.Expr, subj attr.Subject, user uint32) (match, ok bool) {
 	x.mu.RLock()
 	defer x.mu.RUnlock()
-	return x.matchSlotLocked(e, subj, slot)
+	return x.matchSlotLocked(e, subj, user)
 }
 
 func (x *Index) matchSlotLocked(e attr.Expr, subj attr.Subject, slot uint32) (match, ok bool) {

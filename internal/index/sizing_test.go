@@ -19,7 +19,10 @@ func TestAddSizesOnlyBootLists(t *testing.T) {
 	p.AgeYrs, p.Sex, p.Nation, p.City = 30, "female", "US", "Boston"
 	p.SetAttr("test.sizing.binary")
 	p.SetAttrValue("test.sizing.valued", "v")
-	if _, err := x.Add(p); err != nil {
+	if err := profile.NewStore().Add(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Add(p); err != nil {
 		t.Fatal(err)
 	}
 	want := (hint + wordBits - 1) / wordBits
@@ -33,7 +36,7 @@ func TestAddSizesOnlyBootLists(t *testing.T) {
 			t.Fatalf("%s list made by Add holds %v words, want %d", name, b, want)
 		}
 	}
-	x.NoteLike(p.ID, "test.sizing.page", true)
+	x.NoteLike(p.Ord(), "test.sizing.page", true)
 	p.SetAttr("test.sizing.later")
 	x.NoteAttrChanged(p, attr.Intern("test.sizing.later"))
 	for name, b := range map[string]*Bitmap{

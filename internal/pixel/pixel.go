@@ -13,8 +13,6 @@ package pixel
 import (
 	"fmt"
 	"sync"
-
-	"github.com/treads-project/treads/internal/profile"
 )
 
 // PixelID identifies an issued tracking pixel.
@@ -28,21 +26,49 @@ type Pixel struct {
 
 // Registry issues pixels and records the visits the platform observes.
 // It is the platform-side component: visit identities are stored here and
-// are never returned to advertisers. Registry is safe for concurrent use.
+// are never returned to advertisers. A visitor is named by its ordinal in
+// the node's profile store (profile.Profile.Ord); Snapshot and RestoreState
+// turn ordinals into user IDs and back. Registry is safe for concurrent
+// use.
 type Registry struct {
 	mu     sync.RWMutex
 	nextID int
 	pixels map[PixelID]*Pixel
-	visits map[PixelID]map[profile.UserID]bool
-	order  map[PixelID][]profile.UserID // first-visit order for determinism
+	visits map[PixelID]*visitors
+}
+
+// visitors is one pixel's visitors: a bitmap over ordinals and the
+// first-visit log. Both grow with the first visit, so an unvisited pixel
+// holds neither.
+type visitors struct {
+	seen  []uint64 // bit o set once user o has fired the pixel
+	order []uint32 // ordinals in first-visit order, for determinism
+}
+
+// add records a visit by user o; a repeat visit changes nothing.
+func (v *visitors) add(o uint32) {
+	if v.has(o) {
+		return
+	}
+	w := int(o / 64)
+	if w >= len(v.seen) {
+		v.seen = append(v.seen, make([]uint64, w+1-len(v.seen))...)
+	}
+	v.seen[w] |= 1 << (o % 64)
+	v.order = append(v.order, o)
+}
+
+// has reports whether user o has fired the pixel.
+func (v *visitors) has(o uint32) bool {
+	w := int(o / 64)
+	return w < len(v.seen) && v.seen[w]&(1<<(o%64)) != 0
 }
 
 // NewRegistry returns an empty pixel registry.
 func NewRegistry() *Registry {
 	return &Registry{
 		pixels: make(map[PixelID]*Pixel),
-		visits: make(map[PixelID]map[profile.UserID]bool),
-		order:  make(map[PixelID][]profile.UserID),
+		visits: make(map[PixelID]*visitors),
 	}
 }
 
@@ -56,7 +82,7 @@ func (r *Registry) Issue(advertiser string) *Pixel {
 		Advertiser: advertiser,
 	}
 	r.pixels[p.ID] = p
-	r.visits[p.ID] = make(map[profile.UserID]bool)
+	r.visits[p.ID] = &visitors{}
 	return p
 }
 
@@ -67,35 +93,37 @@ func (r *Registry) Get(id PixelID) *Pixel {
 	return r.pixels[id]
 }
 
-// RecordVisit records that the platform observed user visiting a page
-// carrying the pixel. Unknown pixels are an error; repeat visits are
-// idempotent.
-func (r *Registry) RecordVisit(id PixelID, user profile.UserID) error {
+// RecordVisit records that the platform observed the user with the given
+// ordinal visiting a page carrying the pixel. Unknown pixels are an error;
+// repeat visits are idempotent.
+func (r *Registry) RecordVisit(id PixelID, user uint32) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	set, ok := r.visits[id]
+	v, ok := r.visits[id]
 	if !ok {
 		return fmt.Errorf("pixel: unknown pixel %q", id)
 	}
-	if !set[user] {
-		set[user] = true
-		r.order[id] = append(r.order[id], user)
+	v.add(user)
+	return nil
+}
+
+// Visitors returns the ordinals of the users who fired the pixel, in
+// first-visit order. This is platform-internal: audiences are built from
+// it, but the advertiser-facing API never exposes it.
+func (r *Registry) Visitors(id PixelID) []uint32 {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if v := r.visits[id]; v != nil {
+		return append([]uint32(nil), v.order...)
 	}
 	return nil
 }
 
-// Visitors returns the users who fired the pixel, in first-visit order.
-// This is platform-internal: audiences are built from it, but the
-// advertiser-facing API never exposes it.
-func (r *Registry) Visitors(id PixelID) []profile.UserID {
+// HasVisited reports whether the user with the given ordinal has fired the
+// pixel.
+func (r *Registry) HasVisited(id PixelID, user uint32) bool {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return append([]profile.UserID(nil), r.order[id]...)
-}
-
-// HasVisited reports whether the user has fired the pixel.
-func (r *Registry) HasVisited(id PixelID, user profile.UserID) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.visits[id][user]
+	v := r.visits[id]
+	return v != nil && v.has(user)
 }

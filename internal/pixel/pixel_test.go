@@ -1,7 +1,8 @@
 package pixel
 
 import (
-	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,31 +38,29 @@ func TestGet(t *testing.T) {
 func TestRecordVisitAndVisitors(t *testing.T) {
 	r := NewRegistry()
 	p := r.Issue("adv1")
-	if err := r.RecordVisit(p.ID, "u1"); err != nil {
+	// Ordinals in different bitmap words, the later one first.
+	if err := r.RecordVisit(p.ID, 70); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.RecordVisit(p.ID, "u2"); err != nil {
+	if err := r.RecordVisit(p.ID, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Repeat visits are idempotent.
-	if err := r.RecordVisit(p.ID, "u1"); err != nil {
+	if err := r.RecordVisit(p.ID, 70); err != nil {
 		t.Fatal(err)
 	}
 	got := r.Visitors(p.ID)
-	if len(got) != 2 || got[0] != "u1" || got[1] != "u2" {
+	if len(got) != 2 || got[0] != 70 || got[1] != 1 {
 		t.Fatalf("Visitors = %v", got)
 	}
-	if len(r.Visitors(p.ID)) != 2 {
-		t.Fatalf("VisitorCount = %d", len(r.Visitors(p.ID)))
-	}
-	if !r.HasVisited(p.ID, "u1") || r.HasVisited(p.ID, "u3") {
+	if !r.HasVisited(p.ID, 70) || !r.HasVisited(p.ID, 1) || r.HasVisited(p.ID, 3) || r.HasVisited(p.ID, 1000) {
 		t.Error("HasVisited wrong")
 	}
 }
 
 func TestRecordVisitUnknownPixel(t *testing.T) {
 	r := NewRegistry()
-	if err := r.RecordVisit("px-nope", "u1"); err == nil {
+	if err := r.RecordVisit("px-nope", 1); err == nil {
 		t.Error("unknown pixel accepted")
 	}
 }
@@ -81,10 +80,10 @@ func TestPixelsIsolatedPerPixel(t *testing.T) {
 	r := NewRegistry()
 	p1 := r.Issue("adv1")
 	p2 := r.Issue("adv2")
-	if err := r.RecordVisit(p1.ID, "u1"); err != nil {
+	if err := r.RecordVisit(p1.ID, 1); err != nil {
 		t.Fatal(err)
 	}
-	if r.HasVisited(p2.ID, "u1") {
+	if r.HasVisited(p2.ID, 1) {
 		t.Error("visit leaked across pixels")
 	}
 }
@@ -98,8 +97,7 @@ func TestConcurrentVisits(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				uid := profile.UserID(fmt.Sprintf("u%d", i))
-				if err := r.RecordVisit(p.ID, uid); err != nil {
+				if err := r.RecordVisit(p.ID, uint32(i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -109,5 +107,45 @@ func TestConcurrentVisits(t *testing.T) {
 	wg.Wait()
 	if n := len(r.Visitors(p.ID)); n != 100 {
 		t.Fatalf("VisitorCount = %d after concurrent idempotent visits", n)
+	}
+}
+
+// TestStateNamesVisitorsByUserID: a snapshot names each visitor by the user
+// ID its ordinal has in the store, in first-visit order, and restoring it
+// over the same users gives the ordinals back. A visitor the store does not
+// hold is refused, naming the pixel and the user.
+func TestStateNamesVisitorsByUserID(t *testing.T) {
+	store := profile.NewStore()
+	for _, id := range []profile.UserID{"alice", "bob", "carol"} {
+		if err := store.Add(profile.New(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := NewRegistry()
+	px := r.Issue("adv1")
+	r.Issue("adv2") // never visited
+	for _, o := range []uint32{2, 0} {
+		if err := r.RecordVisit(px.ID, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := r.Snapshot(store)
+	want := State{NextID: 2, Pixels: []PixelState{
+		{ID: "px-000001", Advertiser: "adv1", Visitors: []profile.UserID{"carol", "alice"}},
+		{ID: "px-000002", Advertiser: "adv2"},
+	}}
+	if !reflect.DeepEqual(s, want) {
+		t.Fatalf("Snapshot = %+v, want %+v", s, want)
+	}
+	back, err := RestoreState(s, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := back.Visitors(px.ID); !reflect.DeepEqual(got, []uint32{2, 0}) {
+		t.Fatalf("restored visitors %v, want [2 0]", got)
+	}
+	s.Pixels[1].Visitors = []profile.UserID{"dave"}
+	if _, err := RestoreState(s, store); err == nil || !strings.Contains(err.Error(), `"px-000002"`) || !strings.Contains(err.Error(), `"dave"`) {
+		t.Fatalf("restoring a visitor the store does not hold: %v, want an error naming the pixel and the user", err)
 	}
 }

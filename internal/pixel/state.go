@@ -19,10 +19,13 @@ type PixelState struct {
 	Visitors   []profile.UserID `json:"visitors,omitempty"`
 }
 
-// Snapshot exports the registry.
-func (r *Registry) Snapshot() State {
+// Snapshot exports the registry, naming each visitor by its user ID in
+// users, the store whose ordinals the registry holds.
+func (r *Registry) Snapshot(users *profile.Store) State {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
+	// Taken under r.mu: every ordinal recorded so far names a user in it.
+	uids := users.UserIDs()
 	s := State{NextID: r.nextID}
 	// Deterministic order: by first-issue is lost in the map; reconstruct
 	// a stable order by the numeric suffix embedded in issued IDs.
@@ -33,11 +36,11 @@ func (r *Registry) Snapshot() State {
 	sortPixelIDs(ids)
 	for _, id := range ids {
 		px := r.pixels[id]
-		s.Pixels = append(s.Pixels, PixelState{
-			ID:         px.ID,
-			Advertiser: px.Advertiser,
-			Visitors:   append([]profile.UserID(nil), r.order[id]...),
-		})
+		ps := PixelState{ID: px.ID, Advertiser: px.Advertiser}
+		for _, o := range r.visits[id].order {
+			ps.Visitors = append(ps.Visitors, uids[o])
+		}
+		s.Pixels = append(s.Pixels, ps)
 	}
 	return s
 }
@@ -50,8 +53,10 @@ func sortPixelIDs(ids []PixelID) {
 	}
 }
 
-// RestoreState rebuilds a registry from a snapshot.
-func RestoreState(s State) (*Registry, error) {
+// RestoreState rebuilds a registry from a snapshot over users, the store
+// restored from the same state. A visitor users does not hold is refused:
+// a visit is only ever recorded for a user of the node.
+func RestoreState(s State, users *profile.Store) (*Registry, error) {
 	r := NewRegistry()
 	r.nextID = s.NextID
 	for _, ps := range s.Pixels {
@@ -63,12 +68,14 @@ func RestoreState(s State) (*Registry, error) {
 		}
 		px := &Pixel{ID: ps.ID, Advertiser: ps.Advertiser}
 		r.pixels[px.ID] = px
-		r.visits[px.ID] = make(map[profile.UserID]bool, len(ps.Visitors))
+		v := &visitors{}
+		r.visits[px.ID] = v
 		for _, uid := range ps.Visitors {
-			if !r.visits[px.ID][uid] {
-				r.visits[px.ID][uid] = true
-				r.order[px.ID] = append(r.order[px.ID], uid)
+			o, ok := users.Ord(uid)
+			if !ok {
+				return nil, fmt.Errorf("pixel: pixel %q's visitor %q is not one of the state's users", ps.ID, uid)
 			}
+			v.add(o)
 		}
 	}
 	return r, nil

@@ -520,15 +520,13 @@ func (p *Platform) VisitPage(uid profile.UserID, px pixel.PixelID) error {
 	return err
 }
 
-// visitPage files the visit under the profile's own ID, so the registry
-// keeps no caller's buffer alive: a uid handed in by a request is a
-// substring of its request line.
+// visitPage files the visit under the user's ordinal.
 func (c *components) visitPage(uid profile.UserID, px pixel.PixelID) error {
 	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
-	return c.pixels.RecordVisit(px, pr.ID)
+	return c.pixels.RecordVisit(px, pr.Ord())
 }
 
 // LikePage records the user liking a page.
@@ -537,12 +535,15 @@ func (p *Platform) LikePage(uid profile.UserID, pageID string) error {
 	return err
 }
 
+// likePage stores the like as the store's one copy of the page ID, not as
+// the caller's string: a page ID handed in by a request was decoded into a
+// string of its own, which each like would otherwise keep.
 func (c *components) likePage(uid profile.UserID, pageID string) error {
 	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
-	pr.Like(pageID)
+	pr.Like(c.store.Page(pageID))
 	return nil
 }
 

@@ -79,9 +79,9 @@ func (c *components) stateWithoutProfiles() State {
 	sort.Slice(s.Owner, func(i, j int) bool { return s.Owner[i].CampaignID < s.Owner[j].CampaignID })
 	c.mu.Unlock()
 
-	s.Pixels = c.pixels.Snapshot()
+	s.Pixels = c.pixels.Snapshot(c.store)
 	s.Audiences = c.audiences.Snapshot()
-	s.Ledger = c.ledger.Snapshot()
+	s.Ledger = c.ledger.Snapshot(c.store)
 	s.Pipeline = c.pipeline.Snapshot()
 	s.Enforcer = c.enforcer.Snapshot()
 	return s
@@ -103,7 +103,7 @@ func Restore(s State) (*Platform, error) {
 			return nil, err
 		}
 	}
-	pixels, err := pixel.RestoreState(s.Pixels)
+	pixels, err := pixel.RestoreState(s.Pixels, store)
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,10 @@ func Restore(s State) (*Platform, error) {
 			return nil, fmt.Errorf("platform: rebuilding targeting index: %w", err)
 		}
 	}
-	ledger := billing.RestoreState(s.Ledger)
+	ledger, err := billing.RestoreState(s.Ledger, store)
+	if err != nil {
+		return nil, err
+	}
 	pipeline, err := delivery.RestoreState(s.Pipeline, store, audiences, ledger, s.Market, stats.NewRNG(s.Seed))
 	if err != nil {
 		return nil, err

@@ -264,6 +264,9 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
 // FuzzReadPlatformSnapshot: ReadSnapshot never panics and accepts exactly
 // the documents json.Unmarshal into a State accepts, with an equal result.
+// Restore of what it reads never panics either, and refuses a state with a
+// delivery, billing or pixel row of a user its profiles do not hold; the
+// seeds include one of each, on a fixture Restore accepts.
 func FuzzReadPlatformSnapshot(f *testing.F) {
 	for _, path := range []string{"testdata/state_pr12.json", "testdata/journal_pr14_state.json"} {
 		doc, err := os.ReadFile(path)
@@ -276,6 +279,17 @@ func FuzzReadPlatformSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(compact.Bytes())
+		var s State
+		if err := json.Unmarshal(doc, &s); err != nil {
+			f.Fatal(err)
+		}
+		for _, table := range orphanTables {
+			orphaned, err := json.Marshal(orphanRow(s, table))
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(orphaned)
+		}
 	}
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"VERSION":3,"market":{"basecpm":7},"market":{"Sigma":2},"x":{"a":[1e999]}}`))
@@ -292,8 +306,50 @@ func FuzzReadPlatformSnapshot(f *testing.F) {
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("ReadSnapshot error %v, json.Unmarshal error %v", err, wantErr)
 		}
-		if err == nil && !reflect.DeepEqual(got, want) {
+		if err != nil {
+			return
+		}
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("got %+v\nwant %+v", got, want)
 		}
+		if _, err := Restore(got); err == nil {
+			if user, table := orphan(got); user != "" {
+				t.Fatalf("Restore accepted a %s row of user %q, whom the state's profiles do not hold", table, user)
+			}
+		}
 	})
+}
+
+// orphan returns a user that a delivery, billing or pixel row of s names
+// and s's profiles do not hold, and the row's table; "" when there is none.
+func orphan(s State) (user profile.UserID, table string) {
+	held := make(map[profile.UserID]bool, len(s.Profiles))
+	for _, ps := range s.Profiles {
+		held[ps.ID] = true
+	}
+	for _, fs := range s.Pipeline.Feeds {
+		if !held[fs.User] {
+			return fs.User, "feed"
+		}
+	}
+	for _, ss := range s.Pipeline.Slots {
+		if !held[ss.User] {
+			return ss.User, "slot counter"
+		}
+	}
+	for _, as := range s.Ledger.Accounts {
+		for _, us := range as.Users {
+			if !held[us.User] {
+				return us.User, "billing"
+			}
+		}
+	}
+	for _, px := range s.Pixels.Pixels {
+		for _, u := range px.Visitors {
+			if !held[u] {
+				return u, "pixel"
+			}
+		}
+	}
+	return "", ""
 }

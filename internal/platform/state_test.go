@@ -15,9 +15,11 @@ import (
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/delivery"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
+	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 )
 
@@ -353,5 +355,60 @@ func TestRestoreStateWrittenBeforeDerivedCounts(t *testing.T) {
 		if got := count(r.cid, r.uid); got != r.n {
 			t.Fatalf("%s/%s: cap was reached at %d, the restored platform delivered %d", r.cid, r.uid, r.n, got)
 		}
+	}
+}
+
+// orphanRow returns s with one row of user "ghost", whom s's profiles do
+// not hold, added to the named table. s is not modified.
+func orphanRow(s State, table string) State {
+	const ghost = "ghost"
+	switch table {
+	case "feed":
+		imp := s.Pipeline.Feeds[0].Impressions[0]
+		s.Pipeline.Feeds = append(s.Pipeline.Feeds[:len(s.Pipeline.Feeds):len(s.Pipeline.Feeds)], delivery.FeedState{User: ghost, Impressions: []ad.Impression{imp}})
+	case "slot counter":
+		s.Pipeline.Slots = append(s.Pipeline.Slots[:len(s.Pipeline.Slots):len(s.Pipeline.Slots)], delivery.SlotState{User: ghost, N: 1})
+	case "billing":
+		accts := append([]billing.AccountState(nil), s.Ledger.Accounts...)
+		accts[0].Users = append(accts[0].Users[:len(accts[0].Users):len(accts[0].Users)], billing.UserAccountState{User: ghost, Impressions: 1, Spend: 1})
+		accts[0].Impressions++
+		accts[0].Spend++
+		s.Ledger.Accounts = accts
+	case "pixel":
+		pxs := append([]pixel.PixelState(nil), s.Pixels.Pixels...)
+		pxs[0].Visitors = append(pxs[0].Visitors[:len(pxs[0].Visitors):len(pxs[0].Visitors)], ghost)
+		s.Pixels.Pixels = pxs
+	}
+	return s
+}
+
+// orphanTables are the per-user tables orphanRow can add a row to.
+var orphanTables = []string{"feed", "slot counter", "billing", "pixel"}
+
+// TestRestoreRefusesOrphanRows: a state whose delivery, billing or pixel
+// rows name a user its profiles do not hold is refused, with an error
+// naming the user and the table. A node keys those rows by the user's
+// ordinal in its profile store, which such a user has none of; earlier
+// builds restored the rows and kept them.
+func TestRestoreRefusesOrphanRows(t *testing.T) {
+	doc, err := os.ReadFile("testdata/state_pr12.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s State
+	if err := json.Unmarshal(doc, &s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Restore(s); err != nil {
+		t.Fatalf("premise: the fixture does not restore: %v", err)
+	}
+	for _, table := range orphanTables {
+		_, err := Restore(orphanRow(s, table))
+		if err == nil || !strings.Contains(err.Error(), `"ghost"`) || !strings.Contains(err.Error(), table) || !strings.Contains(err.Error(), "not one of the state's users") {
+			t.Errorf("restoring a %s row of a user with no profile: %v, want an error naming the user and the table", table, err)
+		}
+	}
+	if _, err := Restore(s); err != nil {
+		t.Fatalf("adding the orphan rows changed the state they were added to: %v", err)
 	}
 }

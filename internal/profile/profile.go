@@ -12,6 +12,7 @@ package profile
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -59,9 +60,11 @@ type Profile struct {
 	// HasGeo marks whether the platform has located the user at all.
 	Lat, Lon float64
 	HasGeo   bool
-	PII      pii.Record
-	likesMu  sync.RWMutex
-	likes    []string // page IDs the user has liked, sorted; nil until the first Like
+	// ord is the profile's ordinal in the Store that holds it; see Ord.
+	ord     uint32
+	PII     pii.Record
+	likesMu sync.RWMutex
+	likes   []string // page IDs the user has liked, sorted; nil until the first Like
 	// The attribute sets hold ordinals in attr's ID table, sorted by the ID
 	// each names (not by ordinal), packed to length by Store.Add. An ID may
 	// sit in both (set through SetAttr and SetAttrValue); it then counts in
@@ -349,14 +352,23 @@ func (p *Profile) LikedPages() []string {
 
 var _ attr.Subject = (*Profile)(nil)
 
-// Store is the platform's profile database: profiles indexed by user ID.
-// Store is safe for concurrent use.
+// Ord returns the profile's ordinal: its position in the insertion order of
+// the Store that holds it, assigned once by Store.Add and never reused,
+// since a store never removes a profile. It is the one per-user key a node
+// keeps beside the store: the targeting index's bit, delivery's record,
+// a pixel's visitor and a billing row all name a user by it. A profile no
+// store holds reads 0; Store.OrdOf tells the two apart.
+func (p *Profile) Ord() uint32 { return p.ord }
+
+// Store is the platform's profile database: profiles by ordinal, and the
+// one map from user ID to ordinal. Store is safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
-	profiles map[UserID]*Profile
-	order    []UserID // insertion order, for deterministic iteration
-	sizeHint int      // the profiles NewSizedStore was told to expect
+	profiles []*Profile        // by ordinal, which is insertion order
+	ords     map[UserID]uint32 // user -> ordinal
+	sizeHint int               // the profiles NewSizedStore was told to expect
 	watcher  Watcher
+	pages    map[string]string // the one copy of every liked page ID
 }
 
 // NewStore returns an empty profile store.
@@ -367,9 +379,10 @@ func NewStore() *Store { return NewSizedStore(0) }
 func NewSizedStore(sizeHint int) *Store {
 	sizeHint = max(sizeHint, 0)
 	return &Store{
-		profiles: make(map[UserID]*Profile, sizeHint),
-		order:    make([]UserID, 0, sizeHint),
+		profiles: make([]*Profile, 0, sizeHint),
+		ords:     make(map[UserID]uint32, sizeHint),
 		sizeHint: sizeHint,
+		pages:    make(map[string]string),
 	}
 }
 
@@ -380,12 +393,9 @@ func NewSizedStore(sizeHint int) *Store {
 func (s *Store) SetWatcher(w Watcher) {
 	s.mu.Lock()
 	s.watcher = w
-	ids := append([]UserID(nil), s.order...)
-	profiles := make([]*Profile, 0, len(ids))
-	for _, id := range ids {
-		p := s.profiles[id]
+	profiles := s.profiles
+	for _, p := range profiles {
 		p.watcher = w
-		profiles = append(profiles, p)
 	}
 	s.mu.Unlock()
 	if w != nil {
@@ -395,20 +405,31 @@ func (s *Store) SetWatcher(w Watcher) {
 	}
 }
 
-// Add inserts a profile. Adding a duplicate user ID is an error.
+// Add inserts a profile and gives it the next ordinal. Adding a duplicate
+// user ID is an error. The pages the profile already likes are replaced by
+// the store's copies of their IDs (see Page).
 func (s *Store) Add(p *Profile) error {
 	if p == nil || p.ID == "" {
 		return fmt.Errorf("profile: nil profile or empty user ID")
 	}
 	s.mu.Lock()
-	if _, dup := s.profiles[p.ID]; dup {
+	if _, dup := s.ords[p.ID]; dup {
 		s.mu.Unlock()
 		return fmt.Errorf("profile: duplicate user %q", p.ID)
 	}
-	p.watcher = s.watcher // before publication, so no reader races it
+	if uint64(len(s.profiles)) > math.MaxUint32 {
+		s.mu.Unlock()
+		return fmt.Errorf("profile: user %q would be number %d, past the last ordinal %d", p.ID, len(s.profiles), uint32(math.MaxUint32))
+	}
+	// Before publication, so no reader races these writes.
+	p.watcher = s.watcher
+	p.ord = uint32(len(s.profiles))
 	p.pack()
-	s.profiles[p.ID] = p
-	s.order = append(s.order, p.ID)
+	for i, page := range p.likes {
+		p.likes[i] = s.pageLocked(page)
+	}
+	s.ords[p.ID] = p.ord
+	s.profiles = append(s.profiles, p)
 	w := s.watcher
 	s.mu.Unlock()
 	if w != nil {
@@ -417,11 +438,59 @@ func (s *Store) Add(p *Profile) error {
 	return nil
 }
 
+// Page returns the store's copy of a page ID, first making one (a copy of
+// its own, so that no caller's buffer is kept) if the store has none. A
+// like stored through it shares one string with every other like of the
+// page, where each like would otherwise keep the string its request was
+// decoded into.
+func (s *Store) Page(id string) string {
+	s.mu.RLock()
+	page, ok := s.pages[id]
+	s.mu.RUnlock()
+	if ok {
+		return page
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.pageLocked(id)
+}
+
+// pageLocked is Page under the write lock.
+func (s *Store) pageLocked(id string) string {
+	page, ok := s.pages[id]
+	if !ok {
+		page = strings.Clone(id)
+		s.pages[page] = page
+	}
+	return page
+}
+
 // Get returns the profile for the user, or nil.
 func (s *Store) Get(id UserID) *Profile {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.profiles[id]
+	if o, ok := s.ords[id]; ok {
+		return s.profiles[o]
+	}
+	return nil
+}
+
+// Ord returns the user's ordinal; ok is false when the store does not hold
+// the user.
+func (s *Store) Ord(id UserID) (o uint32, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	o, ok = s.ords[id]
+	return o, ok
+}
+
+// OrdOf returns p's ordinal; ok is false when the store does not hold p
+// itself — a profile of another store, or none, may carry any ordinal.
+func (s *Store) OrdOf(p *Profile) (o uint32, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	o = p.ord
+	return o, int(o) < len(s.profiles) && s.profiles[o] == p
 }
 
 // SizeHint returns how many profiles the store expects: the size hint it
@@ -429,7 +498,7 @@ func (s *Store) Get(id UserID) *Profile {
 func (s *Store) SizeHint() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return max(s.sizeHint, len(s.order))
+	return max(s.sizeHint, len(s.profiles))
 }
 
 // Len returns the number of profiles.
@@ -439,25 +508,26 @@ func (s *Store) Len() int {
 	return len(s.profiles)
 }
 
-// UserIDs returns every user ID in insertion order.
+// UserIDs returns every user ID in insertion order, so a user's ordinal is
+// its position in the result.
 func (s *Store) UserIDs() []UserID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]UserID(nil), s.order...)
+	out := make([]UserID, len(s.profiles))
+	for i, p := range s.profiles {
+		out[i] = p.ID
+	}
+	return out
 }
 
 // Each calls fn for every profile in insertion order. fn must not mutate
-// the store.
+// the store. The profiles are those held when Each was called: Add only
+// appends, so the prefix read here is never written again.
 func (s *Store) Each(fn func(*Profile)) {
 	s.mu.RLock()
-	ids := append([]UserID(nil), s.order...)
+	profiles := s.profiles
 	s.mu.RUnlock()
-	for _, id := range ids {
-		s.mu.RLock()
-		p := s.profiles[id]
-		s.mu.RUnlock()
-		if p != nil {
-			fn(p)
-		}
+	for _, p := range profiles {
+		fn(p)
 	}
 }

@@ -333,10 +333,11 @@ func (g *generator) build(d *draw) *profile.Profile {
 		p.Sex = "female"
 	}
 	if g.cfg.WithPII {
-		p.PII = pii.Record{
-			Emails: []string{string(d.id) + "@example.com"},
-			Phones: []string{g.padded("1617555", d.i%10000, 4)},
-		}
+		// One backing array for both lists, each capped at its own element:
+		// three allocations with the two strings, where two slices of their
+		// own made four.
+		both := []string{string(d.id) + "@example.com", g.padded("1617555", d.i%10000, 4)}
+		p.PII = pii.Record{Emails: both[0:1:1], Phones: both[1:2:2]}
 	}
 	// Mark each pick's rank, then take the ranks in order: the attributes in
 	// ID order, with no sort.
