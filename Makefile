@@ -54,8 +54,8 @@ race:
 # goroutine and added on the caller's (their boot-state digests pin the
 # order). The five
 # zero-alloc pins (span, query, browse, admission decision, and the
-# profile snapshot encoder), the profile-store, feed, billing-ledger and
-# per-user delivery and pixel table footprints, generator, boot and
+# profile snapshot encoder), the profile-store and feed footprints, the
+# per-user delivery (with its account rows) and pixel table footprints, generator, boot and
 # compaction allocation tripwires (built without the detector, whose
 # shadow memory would inflate the heap they measure and whose
 # instrumentation allocates), the
@@ -68,7 +68,7 @@ race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
 		./internal/index/ ./internal/audience/ ./internal/profile/ ./internal/journal/ ./internal/shardnode/
-	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads|TestJournaledConcurrentMutations' ./internal/platform/
+	$(GO) test -race -count=10 -run 'TestJournaledReadsDuringShipAndImport|TestPauseDuringTransparencyReads|TestJournaledConcurrentMutations|TestCampaignTotalsIsOneRead' ./internal/platform/
 	$(GO) test -race -count=10 -run TestBudgetLineUnderConcurrentBrowse ./internal/delivery/
 	$(GO) test -race -count=1 -run TestBrowseMatchesPerSlotScan ./internal/delivery/
 	$(GO) test -race -count=10 -run TestSupervisorFollowsTheFleet ./internal/health/
@@ -84,7 +84,6 @@ race-full:
 	$(GO) test -run=TestAppendSnapshotJSONZeroAlloc -v ./internal/profile/ | grep -- '--- PASS: TestAppendSnapshotJSONZeroAlloc'
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
 	$(GO) test -run=TestFeedFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestFeedFootprint'
-	$(GO) test -run=TestLedgerFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestLedgerFootprint'
 	$(GO) test -run=TestUserTablesFootprint -v ./internal/platform/ | grep -- '--- PASS: TestUserTablesFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'
 	$(GO) test -run=TestCompactAllocs -v ./internal/platform/ | grep -- '--- PASS: TestCompactAllocs'

@@ -64,6 +64,10 @@ type Bid struct {
 	CampaignID string
 	// CapCPM is the campaign's maximum bid per thousand impressions.
 	CapCPM money.Micros
+	// Ord is the bidder's own number for the campaign, handed back in a
+	// win's Outcome: delivery passes the campaign's ordinal, so it charges
+	// the winner without looking its ID up.
+	Ord uint32
 }
 
 // Outcome describes how a slot auction resolved.
@@ -71,8 +75,9 @@ type Outcome struct {
 	// Won reports whether any submitted campaign (vs the background
 	// market) won the slot.
 	Won bool
-	// CampaignID is the winning campaign, if Won.
+	// CampaignID and Ord are the winning bid's, if Won.
 	CampaignID string
+	Ord        uint32
 	// ClearingCPM is the second price the winner pays per mille, if Won.
 	ClearingCPM money.Micros
 	// PricePaid is the winner's cost for this single impression:
@@ -121,6 +126,7 @@ func Run(bids []Bid, m Market, rng *stats.RNG) Outcome {
 	return Outcome{
 		Won:         true,
 		CampaignID:  bids[best].CampaignID,
+		Ord:         bids[best].Ord,
 		ClearingCPM: clearing,
 		PricePaid:   clearing.PerMille(),
 	}

@@ -1,5 +1,6 @@
-// Package billing implements the platform's accounting and advertiser
-// reporting.
+// Package billing implements the platform's advertiser reporting and the
+// serialized form of its accounts, which the delivery pipeline keeps beside
+// the impressions they charge for.
 //
 // Reporting matters beyond bookkeeping: the performance statistics the
 // platform hands back to advertisers ("for billing purposes; this could
@@ -13,7 +14,6 @@ package billing
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/treads-project/treads/internal/money"
 )
@@ -28,82 +28,12 @@ const ReachReportThreshold = 20
 // ReachRounding coarsens reported reach to this granularity.
 const ReachRounding = 10
 
-// Ledger records impressions and charges per campaign. It is the
-// platform-side source of truth; advertiser-visible views are derived from
-// it through Report. A user is named by its ordinal in the node's profile
-// store (profile.Profile.Ord); Snapshot and RestoreState turn ordinals into
-// user IDs and back. Ledger is safe for concurrent use.
-type Ledger struct {
-	mu        sync.RWMutex
-	campaigns map[string]*campaignAccount
-	// billableThreshold: campaigns whose total distinct reach stays below
-	// this are not charged (the validation's "ads had zero cost since too
-	// few users were reached").
-	billableThreshold int
-}
-
-type campaignAccount struct {
-	impressions int
-	spend       money.Micros
-	// users holds the exact per-user accounting. Its key set is the
-	// campaign's reached set; the per-user impression and spend totals
-	// exist so a shard migration can split a ledger exactly — moving a
-	// user moves their precise contribution, keeping merged cluster
-	// totals invariant across resharding. A row is keyed by the user's
-	// ordinal and is a value, so the map holds no pointer for the collector
-	// to scan and recording an impression allocates no per-(campaign, user)
-	// object. Nil until the campaign's first impression.
-	users map[uint32]userTotals
-}
-
-type userTotals struct {
-	impressions int
-	spend       money.Micros
-}
-
-// NewLedger returns an empty ledger with the default billable-reach
-// threshold.
-func NewLedger() *Ledger {
-	return &Ledger{
-		campaigns:         make(map[string]*campaignAccount),
-		billableThreshold: ReachReportThreshold,
-	}
-}
-
-// SetBillableThreshold overrides the minimum reach below which a campaign
-// is not charged. Used by the E4 ablation (threshold 0 bills and reports
-// everything exactly).
-func (l *Ledger) SetBillableThreshold(n int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.billableThreshold = n
-}
-
-func (l *Ledger) account(campaignID string) *campaignAccount {
-	acct := l.campaigns[campaignID]
-	if acct == nil {
-		acct = &campaignAccount{}
-		l.campaigns[campaignID] = acct
-	}
-	return acct
-}
-
-// RecordImpression charges a campaign for one delivered impression at the
-// given per-impression price and records the reached user, named by its
-// ordinal.
-func (l *Ledger) RecordImpression(campaignID string, user uint32, price money.Micros) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	acct := l.account(campaignID)
-	if acct.users == nil {
-		acct.users = make(map[uint32]userTotals)
-	}
-	acct.impressions++
-	acct.spend += price
-	ut := acct.users[user]
-	ut.impressions++
-	ut.spend += price
-	acct.users[user] = ut
+// Totals are one campaign's exact delivery totals, before any threshold:
+// what a report is made of (delivery.Pipeline.Totals).
+type Totals struct {
+	Impressions int
+	Reach       int // distinct users
+	Spend       money.Micros
 }
 
 // Report is the advertiser-visible performance view of one campaign.
@@ -122,18 +52,6 @@ type Report struct {
 func (r Report) String() string {
 	return fmt.Sprintf("campaign %s: %d impressions, reach %d, spend %v",
 		r.CampaignID, r.Impressions, r.Reach, r.Spend)
-}
-
-// Report produces the advertiser-visible report for a campaign. Unknown
-// campaigns yield a zero report (platforms report empty rows, not errors).
-func (l *Ledger) Report(campaignID string) Report {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	acct := l.campaigns[campaignID]
-	if acct == nil {
-		return Report{CampaignID: campaignID}
-	}
-	return MakeReport(campaignID, acct.impressions, len(acct.users), acct.spend, l.billableThreshold)
 }
 
 // MakeReport derives the advertiser-visible report from exact delivery
@@ -157,40 +75,4 @@ func MakeReport(campaignID string, impressions, trueReach int, spend money.Micro
 		r.Spend = spend
 	}
 	return r
-}
-
-// TrueSpend returns the platform-internal accrued spend regardless of the
-// billable threshold; the cost model uses it to price hypothetical larger
-// deployments.
-func (l *Ledger) TrueSpend(campaignID string) money.Micros {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if acct := l.campaigns[campaignID]; acct != nil {
-		return acct.spend
-	}
-	return 0
-}
-
-// TrueImpressions returns the exact impression count for a campaign.
-// Impressions are reported to advertisers exactly anyway; this accessor
-// exists so cluster coordinators can merge shard ledgers without going
-// through Report.
-func (l *Ledger) TrueImpressions(campaignID string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if acct := l.campaigns[campaignID]; acct != nil {
-		return acct.impressions
-	}
-	return 0
-}
-
-// TrueReach returns the platform-internal exact distinct reach. It is never
-// exposed through advertiser-facing APIs.
-func (l *Ledger) TrueReach(campaignID string) int {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	if acct := l.campaigns[campaignID]; acct != nil {
-		return len(acct.users)
-	}
-	return 0
 }

@@ -1,14 +1,14 @@
 package billing
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// State is the ledger's serializable form.
+// State is the ledger's serializable form, which the delivery pipeline
+// writes from its accounts and restores them from.
 type State struct {
 	BillableThreshold int            `json:"billable_threshold"`
 	Accounts          []AccountState `json:"accounts,omitempty"`
@@ -26,60 +26,12 @@ type AccountState struct {
 
 // UserAccountState is one user's exact contribution to a campaign's
 // totals. Carrying the split per user is what lets a live reshard move a
-// user between shards with accounting preserved to the micro.
+// user between shards with accounting preserved to the micro. Impressions
+// is always the number of the campaign's impressions in the user's feed.
 type UserAccountState struct {
 	User        profile.UserID `json:"user"`
 	Impressions int            `json:"impressions"`
 	Spend       money.Micros   `json:"spend_micros"`
-}
-
-// Snapshot exports the ledger, naming each user by its ID in users, the
-// store whose ordinals the ledger holds.
-func (l *Ledger) Snapshot(users *profile.Store) State {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	// Taken under l.mu: every ordinal recorded so far names a user in it.
-	uids := users.UserIDs()
-	s := State{BillableThreshold: l.billableThreshold}
-	ids := make([]string, 0, len(l.campaigns))
-	for id := range l.campaigns {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		acct := l.campaigns[id]
-		as := AccountState{CampaignID: id, Impressions: acct.impressions, Spend: acct.spend}
-		for o, ut := range acct.users {
-			as.Users = append(as.Users, UserAccountState{User: uids[o], Impressions: ut.impressions, Spend: ut.spend})
-		}
-		sort.Slice(as.Users, func(i, j int) bool { return as.Users[i].User < as.Users[j].User })
-		s.Accounts = append(s.Accounts, as)
-	}
-	return s
-}
-
-// RestoreState rebuilds a ledger over users, the store restored from the
-// same state. A row of a user users does not hold is refused: an
-// impression is only ever billed to a user of the node.
-func RestoreState(s State, users *profile.Store) (*Ledger, error) {
-	l := NewLedger()
-	l.billableThreshold = s.BillableThreshold
-	for _, as := range s.Accounts {
-		acct := l.account(as.CampaignID)
-		acct.impressions = as.Impressions
-		acct.spend = as.Spend
-		if len(as.Users) > 0 {
-			acct.users = make(map[uint32]userTotals, len(as.Users))
-		}
-		for _, us := range as.Users {
-			o, ok := users.Ord(us.User)
-			if !ok {
-				return nil, fmt.Errorf("billing: campaign %q has a row for user %q, who is not one of the state's users", as.CampaignID, us.User)
-			}
-			acct.users[o] = userTotals{impressions: us.Impressions, spend: us.Spend}
-		}
-	}
-	return l, nil
 }
 
 // FilterUsersState returns the portion of a ledger state attributable to

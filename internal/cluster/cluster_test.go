@@ -402,9 +402,13 @@ func TestClusterShardedCorrectness(t *testing.T) {
 		var imps, reach int
 		var spend money.Micros
 		for _, p := range plats {
-			imps += p.Ledger().TrueImpressions(camp)
-			reach += p.Ledger().TrueReach(camp)
-			spend += p.Ledger().TrueSpend(camp)
+			tot, err := p.CampaignTotals(context.Background(), adv, camp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			imps += tot.Impressions
+			reach += tot.Reach
+			spend += tot.Spend
 		}
 		want := billing.MakeReport(camp, imps, reach, spend, billing.ReachReportThreshold)
 		if rep != want {

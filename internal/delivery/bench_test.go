@@ -8,7 +8,6 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
@@ -44,7 +43,7 @@ func newTreadsDeployment(t testing.TB, users int) (*Pipeline, []*profile.Profile
 	}
 	optIn := eng.CreateEngagementAudience("provider", "opt-in", treadsPage)
 	market := auction.Market{BaseCPM: money.FromDollars(2), Sigma: 0, Floor: money.FromDollars(0.1)}
-	pipe := NewPipeline(store, eng, billing.NewLedger(), market, stats.NewRNG(1))
+	pipe := NewPipeline(store, eng, market, stats.NewRNG(1))
 	for i, a := range attr.DefaultCatalog().BySource(attr.SourcePlatform) {
 		err := pipe.AddCampaign(&Campaign{
 			ID:         fmt.Sprintf("tread-%03d", i),

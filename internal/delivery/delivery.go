@@ -70,7 +70,6 @@ const MaxSlots = 10000
 type Pipeline struct {
 	engine *audience.Engine
 	store  *profile.Store
-	ledger *billing.Ledger
 	market auction.Market
 
 	mu        sync.Mutex
@@ -81,6 +80,8 @@ type Pipeline struct {
 	// (profile.Profile.Ord). It grows to the highest ordinal that has
 	// browsed, so a node no user browses holds none.
 	users []userState
+
+	billableThreshold int // see billing.MakeReport
 
 	// The campaign index: a campaign's ordinal (its position in campaigns)
 	// is filed under the attribute its expression requires of a matching
@@ -103,39 +104,46 @@ type registered struct {
 	// ord is the campaign's position in Pipeline.campaigns. No campaign is
 	// ever unregistered, so it names the campaign for the pipeline's life.
 	ord uint32
+	// totals are the sums over the users' account rows with the campaign,
+	// Reach being how many there are; deliver keeps them so.
+	totals billing.Totals
 }
 
 // userState is everything delivery keeps about one user. slots and feed are
-// persisted (State.Slots, State.Feeds). shown is an index over feed — how
-// many of its impressions are each campaign's — that the frequency-cap
-// check reads; it is never serialized, RestoreState recounts it, and it is
-// nil until the user's first impression. The ledger's per-user rows hold
-// the same counts as money is owed on them; fillSlot advances feed, shown
-// and ledger together under p.mu. Neither slice holds a pointer, so the
-// collector never scans a user's rows.
+// persisted (State.Slots, State.Feeds). shown is the user's account, nil
+// until the first impression: per campaign, the impressions in feed that
+// the frequency cap counts (recounted by RestoreState) and their spend (the
+// ledger's per-user rows, billing.State). Neither slice holds a pointer, so
+// the collector never scans a user's rows.
 type userState struct {
 	slots uint32     // slot auctions run for the user, won or lost
 	last  uint32     // the slot of feed's last row; 0 while feed is empty
 	feed  []byte     // every impression delivered, oldest first (see appendRow)
-	shown []shownRow // impressions in feed per campaign, ascending by ord
+	shown []shownRow // the account: one row per campaign shown, ascending by ord
 }
 
 // appendRow records one more impression, of campaign ord at slot, in u.feed
-// and u.shown. A feed is a byte stream with one row per impression: the
-// campaign's ordinal as a uvarint, then the slot's difference from the
-// previous row's slot (from 0 for the first row) as a zigzag varint. That
-// is 2 bytes while ordinals stay under 128 and a user's slots under 64
-// apart, and 3 up to 16 384 campaigns. The difference may have either sign,
-// so a restored feed keeps whatever slot order it was written in. The rest
-// of an ad.Impression is the campaign's — one is never unregistered, and
-// its ID, advertiser and creative never change once AddCampaign has copied
-// them — so it is filled in where an impression is handed out
-// (Pipeline.impression).
-func (u *userState) appendRow(ord, slot uint32) {
+// and counts it in u.shown, returning ord's row there and whether this
+// impression made it; the pointer is valid until u.shown next grows. A feed
+// is a byte stream with one row per impression: the campaign's ordinal as a
+// uvarint, then the slot's difference from the previous row's slot (from 0
+// for the first row) as a zigzag varint. That is 2 bytes while ordinals
+// stay under 128 and a user's slots under 64 apart, and 3 up to 16 384
+// campaigns. The difference may have either sign, so a restored feed keeps
+// whatever slot order it was written in. The rest of an ad.Impression is
+// the campaign's — one is never unregistered, and its ID, advertiser and
+// creative never change once AddCampaign has copied them — so it is filled
+// in where an impression is handed out (Pipeline.impression).
+func (u *userState) appendRow(ord, slot uint32) (row *shownRow, first bool) {
 	u.feed = binary.AppendUvarint(u.feed, uint64(ord))
 	u.feed = binary.AppendVarint(u.feed, int64(slot)-int64(u.last))
 	u.last = slot
-	u.count(ord)
+	i, ok := u.shownAt(ord)
+	if !ok {
+		u.shown = slices.Insert(u.shown, i, shownRow{ord: ord})
+	}
+	u.shown[i].n++
+	return &u.shown[i], !ok
 }
 
 // eachRow calls f with the campaign ordinal and slot of every row of
@@ -151,27 +159,29 @@ func (u *userState) eachRow(f func(ord, slot uint32)) {
 	}
 }
 
-// shownRow is how many of a user's impressions are one campaign's.
+// shownRow is one user's account with one campaign: how many of the
+// user's impressions are the campaign's, and what the campaign was charged
+// for them.
 type shownRow struct {
 	ord, n uint32
+	spend  money.Micros
 }
 
 // seen returns how many impressions of campaign ord are in u.feed.
 func (u *userState) seen(ord uint32) int {
-	if i, ok := u.shownAt(ord); ok {
-		return int(u.shown[i].n)
+	if r := u.row(ord); r != nil {
+		return int(r.n)
 	}
 	return 0
 }
 
-// count adds one impression of campaign ord to u.shown.
-func (u *userState) count(ord uint32) {
-	i, ok := u.shownAt(ord)
-	if ok {
-		u.shown[i].n++
-		return
+// row returns u's account row with campaign ord, nil when u has seen none
+// of its impressions. The pointer is valid until u.shown next grows.
+func (u *userState) row(ord uint32) *shownRow {
+	if i, ok := u.shownAt(ord); ok {
+		return &u.shown[i]
 	}
-	u.shown = slices.Insert(u.shown, i, shownRow{ord: ord, n: 1})
+	return nil
 }
 
 // shownAt finds ord's row in u.shown, or where it would be inserted.
@@ -202,15 +212,15 @@ func (p *Pipeline) impressions(u *userState) []ad.Impression {
 }
 
 // NewPipeline returns a delivery pipeline over the given components.
-func NewPipeline(store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) *Pipeline {
+func NewPipeline(store *profile.Store, engine *audience.Engine, market auction.Market, rng *stats.RNG) *Pipeline {
 	return &Pipeline{
-		engine: engine,
-		store:  store,
-		ledger: ledger,
-		market: market,
-		rng:    rng,
-		byID:   make(map[string]*registered),
-		keyed:  make(map[attr.ID][]int),
+		engine:            engine,
+		store:             store,
+		market:            market,
+		rng:               rng,
+		byID:              make(map[string]*registered),
+		keyed:             make(map[attr.ID][]int),
+		billableThreshold: billing.ReachReportThreshold,
 	}
 }
 
@@ -297,8 +307,8 @@ func (p *Pipeline) Pause(id string) error {
 
 // Browse simulates the user viewing `slots` feed ad slots. Each slot runs
 // one auction among the eligible campaigns and the background market; won
-// slots append an impression to the user's feed and charge the winner's
-// ledger. It returns the impressions delivered during this session.
+// slots append an impression to the user's feed and charge the winner. It
+// returns the impressions delivered during this session.
 //
 // Which campaigns match the user is worked out once, before the first slot:
 // the profile and the audiences cannot change while p.mu is held.
@@ -319,7 +329,7 @@ func (p *Pipeline) Browse(uid profile.UserID, slots int) ([]ad.Impression, error
 	matched := p.match(prof, u)
 	var session []ad.Impression
 	for s := 0; s < slots; s++ {
-		if imp, won := p.fillSlot(prof, u, matched); won {
+		if imp, won := p.fillSlot(u, matched); won {
 			session = append(session, imp)
 		}
 	}
@@ -365,11 +375,11 @@ func (p *Pipeline) match(prof *profile.Profile, u *userState) []*registered {
 }
 
 // fillSlot auctions one slot among the browse's matched campaigns; the
-// caller holds p.mu. The budget check, the auction and the winner's ledger
-// charge therefore share one critical section: a campaign enters an auction
-// only while its accrued spend is below its budget, so the charge that
-// carries it to or over the line is its last, under any concurrency.
-func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*registered) (ad.Impression, bool) {
+// caller holds p.mu. The budget check, the auction and the winner's charge
+// therefore share one critical section: a campaign enters an auction only
+// while its accrued spend is below its budget, so the charge that carries
+// it to or over the line is its last, under any concurrency.
+func (p *Pipeline) fillSlot(u *userState, matched []*registered) (ad.Impression, bool) {
 	slot := u.slots
 	u.slots++
 
@@ -378,10 +388,10 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 		if u.seen(c.ord) >= c.frequencyCap() {
 			continue
 		}
-		if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
+		if c.Budget > 0 && c.totals.Spend >= c.Budget {
 			continue
 		}
-		bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM})
+		bids = append(bids, auction.Bid{CampaignID: c.ID, CapCPM: c.BidCapCPM, Ord: c.ord})
 	}
 	p.bids = bids
 	// Run draws the market's competing bid exactly once, bids or no bids:
@@ -391,11 +401,22 @@ func (p *Pipeline) fillSlot(prof *profile.Profile, u *userState, matched []*regi
 	if !out.Won {
 		return ad.Impression{}, false
 	}
-	ord := p.byID[out.CampaignID].ord
-	u.appendRow(ord, slot)
-	p.ledger.RecordImpression(out.CampaignID, prof.Ord(), out.PricePaid)
+	p.deliver(u, p.campaigns[out.Ord], slot, out.PricePaid)
 	impressionsServed.Inc()
-	return p.impression(ord, slot), true
+	return p.impression(out.Ord, slot), true
+}
+
+// deliver appends an impression of c at slot to u's feed and charges c price
+// for it in u's account and c's totals, the one place all three advance.
+// Callers hold p.mu.
+func (p *Pipeline) deliver(u *userState, c *registered, slot uint32, price money.Micros) {
+	row, first := u.appendRow(c.ord, slot)
+	row.spend += price
+	c.totals.Impressions++
+	c.totals.Spend += price
+	if first {
+		c.totals.Reach++
+	}
 }
 
 // CustomDataAdvertisers returns, in registration order and without

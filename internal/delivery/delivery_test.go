@@ -9,7 +9,6 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
@@ -20,9 +19,16 @@ import (
 // The market is deterministic at $2 CPM so a $10 bid always wins.
 type env struct {
 	store  *profile.Store
-	ledger *billing.Ledger
+	ledger pipelineLedger
 	pipe   *Pipeline
 }
+
+// pipelineLedger reads the env's pipeline's totals through the accessors
+// the billing ledger had.
+type pipelineLedger struct{ pipe **Pipeline }
+
+func (l pipelineLedger) TrueSpend(id string) money.Micros { return (*l.pipe).Totals(id).Spend }
+func (l pipelineLedger) TrueImpressions(id string) int    { return (*l.pipe).Totals(id).Impressions }
 
 func newEnv(t testing.TB, n int) *env {
 	t.Helper()
@@ -39,10 +45,10 @@ func newEnv(t testing.TB, n int) *env {
 		}
 	}
 	eng := audience.NewEngine(store, pixel.NewRegistry())
-	ledger := billing.NewLedger()
 	market := auction.Market{BaseCPM: money.FromDollars(2), Sigma: 0, Floor: money.FromDollars(0.1)}
-	pipe := NewPipeline(store, eng, ledger, market, stats.NewRNG(1))
-	return &env{store: store, ledger: ledger, pipe: pipe}
+	e := &env{store: store, pipe: NewPipeline(store, eng, market, stats.NewRNG(1))}
+	e.ledger = pipelineLedger{&e.pipe}
+	return e
 }
 
 func campaign(id string, expr string, bidDollars float64) *Campaign {

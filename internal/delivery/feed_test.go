@@ -32,7 +32,7 @@ func TestRestoreStateRefusesFeedOfUnknownCampaign(t *testing.T) {
 	}
 	s := e.pipe.Snapshot()
 	restore := func(s State) (*Pipeline, error) {
-		return RestoreState(s, e.store, audience.NewEngine(e.store, pixel.NewRegistry()), billing.NewLedger(), auction.DefaultMarket(), stats.NewRNG(1))
+		return RestoreState(s, e.pipe.LedgerSnapshot(), e.store, audience.NewEngine(e.store, pixel.NewRegistry()), auction.DefaultMarket(), stats.NewRNG(1))
 	}
 	p, err := restore(s)
 	if err != nil {
@@ -61,7 +61,7 @@ func TestRestoreStateRefusesImpossibleSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	restore := func(s State) (*Pipeline, error) {
-		return RestoreState(s, e.store, audience.NewEngine(e.store, pixel.NewRegistry()), billing.NewLedger(), auction.DefaultMarket(), stats.NewRNG(1))
+		return RestoreState(s, e.pipe.LedgerSnapshot(), e.store, audience.NewEngine(e.store, pixel.NewRegistry()), auction.DefaultMarket(), stats.NewRNG(1))
 	}
 	for _, n := range []int{-1, last + 1} {
 		s := e.pipe.Snapshot()
@@ -109,7 +109,7 @@ func TestBrowseRefusesSlotCounterPastUint32(t *testing.T) {
 	}
 	s := e.pipe.Snapshot()
 	s.Slots = []SlotState{{User: "u00", N: last - 5}}
-	p, err := RestoreState(s, e.store, audience.NewEngine(e.store, pixel.NewRegistry()), billing.NewLedger(), e.pipe.market, stats.NewRNG(1))
+	p, err := RestoreState(s, e.pipe.LedgerSnapshot(), e.store, audience.NewEngine(e.store, pixel.NewRegistry()), e.pipe.market, stats.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestShownMatchesFeed(t *testing.T) {
 						t.Fatal(err)
 					}
 				case k == 3:
-					p, err := RestoreState(e.pipe.Snapshot(), e.store, audience.NewEngine(e.store, pixel.NewRegistry()), e.ledger, e.pipe.market, stats.NewRNG(seed+uint64(step)))
+					p, err := RestoreState(e.pipe.Snapshot(), e.pipe.LedgerSnapshot(), e.store, audience.NewEngine(e.store, pixel.NewRegistry()), e.pipe.market, stats.NewRNG(seed+uint64(step)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -271,7 +271,7 @@ func FuzzFeedRows(f *testing.F) {
 		if len(imps) > 0 {
 			s.Feeds = []FeedState{{User: "u00", Impressions: imps}}
 		}
-		p, err := RestoreState(s, store, audience.NewEngine(store, pixel.NewRegistry()), billing.NewLedger(), auction.DefaultMarket(), stats.NewRNG(1))
+		p, err := RestoreState(s, billedFree(s), store, audience.NewEngine(store, pixel.NewRegistry()), auction.DefaultMarket(), stats.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,4 +279,32 @@ func FuzzFeedRows(f *testing.F) {
 			t.Fatalf("restored feed snapshots as %#v, want %#v", got, s.Feeds)
 		}
 	})
+}
+
+// billedFree is the ledger that bills every impression in s's feeds, at no
+// cost: the one RestoreState accepts beside a feed written by hand.
+func billedFree(s State) billing.State {
+	out := billing.State{BillableThreshold: billing.ReachReportThreshold}
+	at := make(map[string]int) // campaign ID -> its account in out
+	for _, fs := range s.Feeds {
+		seen := make(map[string]int)
+		var order []string
+		for _, imp := range fs.Impressions {
+			if seen[imp.CampaignID] == 0 {
+				order = append(order, imp.CampaignID)
+			}
+			seen[imp.CampaignID]++
+		}
+		for _, id := range order {
+			i, ok := at[id]
+			if !ok {
+				i = len(out.Accounts)
+				at[id] = i
+				out.Accounts = append(out.Accounts, billing.AccountState{CampaignID: id})
+			}
+			out.Accounts[i].Impressions += seen[id]
+			out.Accounts[i].Users = append(out.Accounts[i].Users, billing.UserAccountState{User: fs.User, Impressions: seen[id]})
+		}
+	}
+	return out
 }

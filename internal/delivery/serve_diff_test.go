@@ -9,7 +9,6 @@ import (
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/auction"
 	"github.com/treads-project/treads/internal/audience"
-	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pii"
 	"github.com/treads-project/treads/internal/pixel"
@@ -22,7 +21,7 @@ import (
 // the oracle Browse is compared against: for every slot it walks every
 // registered campaign in registration order and evaluates the campaign's
 // spec against the profile from scratch. It advances the same pipeline
-// state Browse does (slots, feed, shown, ledger, RNG).
+// state Browse does (slots, feed, accounts, campaign totals, RNG).
 func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, uid profile.UserID, slots int) []ad.Impression {
 	prof := p.store.Get(uid)
 	p.mu.Lock()
@@ -37,7 +36,7 @@ func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, ui
 			if c.Paused || u.seen(c.ord) >= c.frequencyCap() {
 				continue
 			}
-			if c.Budget > 0 && p.ledger.TrueSpend(c.ID) >= c.Budget {
+			if c.Budget > 0 && c.totals.Spend >= c.Budget {
 				continue
 			}
 			if scanMatches(p.engine, auds, c.Spec, prof) {
@@ -50,8 +49,7 @@ func scanBrowse(p *Pipeline, auds map[audience.AudienceID]*audience.Audience, ui
 		}
 		c := p.byID[out.CampaignID]
 		imp := ad.Impression{CampaignID: c.ID, Advertiser: c.Advertiser, Creative: c.Creative, Slot: int(slot)}
-		u.appendRow(c.ord, slot)
-		p.ledger.RecordImpression(c.ID, prof.Ord(), out.PricePaid)
+		p.deliver(u, c, slot, out.PricePaid)
 		session = append(session, imp)
 	}
 	return session
@@ -90,7 +88,6 @@ type serveWorld struct {
 	store  *profile.Store
 	pixels *pixel.Registry
 	engine *audience.Engine
-	ledger *billing.Ledger
 	pipe   *Pipeline
 	profs  []*profile.Profile
 	px     pixel.PixelID
@@ -102,7 +99,7 @@ const servePage = "serve-diff-page"
 
 func newServeWorld(t testing.TB, cfg workload.Config, indexed bool, auctionSeed uint64) *serveWorld {
 	t.Helper()
-	w := &serveWorld{store: profile.NewStore(), pixels: pixel.NewRegistry(), ledger: billing.NewLedger()}
+	w := &serveWorld{store: profile.NewStore(), pixels: pixel.NewRegistry()}
 	w.engine = audience.NewEngine(w.store, w.pixels)
 	if indexed {
 		if err := w.engine.EnableIndex(); err != nil {
@@ -147,7 +144,7 @@ func newServeWorld(t testing.TB, cfg workload.Config, indexed bool, auctionSeed 
 		w.auds = append(w.auds, a.ID)
 		w.byID[a.ID] = a
 	}
-	w.pipe = NewPipeline(w.store, w.engine, w.ledger, auction.DefaultMarket(), stats.NewRNG(auctionSeed))
+	w.pipe = NewPipeline(w.store, w.engine, auction.DefaultMarket(), stats.NewRNG(auctionSeed))
 	return w
 }
 
@@ -282,7 +279,7 @@ func TestBrowseMatchesPerSlotScan(t *testing.T) {
 				if a, b := got.pipe.RNGState(), want.pipe.RNGState(); a != b {
 					t.Fatalf("RNG state %d, the scan's is %d", a, b)
 				}
-				if !reflect.DeepEqual(got.ledger.Snapshot(got.store), want.ledger.Snapshot(want.store)) {
+				if !reflect.DeepEqual(got.pipe.LedgerSnapshot(), want.pipe.LedgerSnapshot()) {
 					t.Fatal("ledgers differ")
 				}
 				if !reflect.DeepEqual(got.pipe.Snapshot(), want.pipe.Snapshot()) {

@@ -1,7 +1,6 @@
 package delivery
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -79,16 +78,8 @@ func (p *Pipeline) Snapshot() State {
 		}
 		s.Campaigns = append(s.Campaigns, cs)
 	}
-	// Taken under p.mu: every ordinal in p.users names a user in it.
 	ids := p.store.UserIDs()
-	var held []uint32 // the ordinals with a record, by user ID
-	for o := range p.users {
-		if u := &p.users[o]; len(u.feed) > 0 || u.slots > 0 {
-			held = append(held, uint32(o))
-		}
-	}
-	slices.SortFunc(held, func(a, b uint32) int { return cmp.Compare(ids[a], ids[b]) })
-	for _, o := range held {
+	for _, o := range p.heldByID(ids) {
 		u := &p.users[o]
 		if len(u.feed) > 0 {
 			s.Feeds = append(s.Feeds, FeedState{User: ids[o], Impressions: p.impressions(u)})
@@ -100,14 +91,15 @@ func (p *Pipeline) Snapshot() State {
 	return s
 }
 
-// RestoreState rebuilds a pipeline over the given components. A feed that
-// names a campaign s does not define is refused: no cap counts its
-// impressions and no ledger row agrees with them. So is a slot number or a
-// slot counter outside 0…math.MaxUint32, which a feed row cannot hold, and
-// a feed or a slot counter of a user store does not hold: only a user of
-// the node browses.
-func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger *billing.Ledger, market auction.Market, rng *stats.RNG) (*Pipeline, error) {
-	p := NewPipeline(store, engine, ledger, market, rng)
+// RestoreState rebuilds a pipeline, and its ledger from ledger, over the
+// given components. A feed that names a campaign s does not define is
+// refused: no cap counts its impressions and no ledger row agrees with
+// them. So is a slot number or a slot counter outside 0…math.MaxUint32,
+// which a feed row cannot hold, a feed or a slot counter of a user store
+// does not hold — only a user of the node browses — and a ledger that does
+// not bill the feeds exactly (restoreLedger).
+func RestoreState(s State, ledger billing.State, store *profile.Store, engine *audience.Engine, market auction.Market, rng *stats.RNG) (*Pipeline, error) {
+	p := NewPipeline(store, engine, market, rng)
 	for _, cs := range s.Campaigns {
 		var expr attr.Expr
 		if cs.Expr != "" {
@@ -152,7 +144,7 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			if !fitsSlot(imp.Slot) {
 				return nil, fmt.Errorf("delivery: user %q's feed has an impression at slot %d, want 0 to %d", fs.User, imp.Slot, uint32(math.MaxUint32))
 			}
-			u.appendRow(c.ord, uint32(imp.Slot))
+			p.deliver(u, c, uint32(imp.Slot), 0) // restoreLedger charges the feed
 		}
 	}
 	for _, ss := range s.Slots {
@@ -164,6 +156,9 @@ func RestoreState(s State, store *profile.Store, engine *audience.Engine, ledger
 			return nil, err
 		}
 		p.user(o).slots = uint32(ss.N)
+	}
+	if err := p.restoreLedger(ledger); err != nil {
+		return nil, err
 	}
 	return p, nil
 }

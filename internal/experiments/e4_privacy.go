@@ -119,7 +119,7 @@ func E4Privacy(seed uint64, sizes []int, probes int) ([]E4Row, error) {
 		for mode := 0; mode < 2; mode++ {
 			pp := fixedPlatform(rng.Uint64(), false)
 			if mode == 1 {
-				pp.Ledger().SetBillableThreshold(0)
+				pp.SetBillableThreshold(0)
 			}
 			leaks := 0
 			for i := 0; i < probes && i < n; i++ {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -67,8 +68,11 @@ func E7BidSweep(seed uint64, bidsUSD []float64, users, slots int) ([]E7Row, erro
 				delivered++
 			}
 		}
-		spend := p.Ledger().TrueSpend(id)
-		imps := p.Ledger().Report(id).Impressions
+		totals, err := p.CampaignTotals(context.Background(), "bid-tp", id)
+		if err != nil {
+			return nil, err
+		}
+		spend, imps := totals.Spend, totals.Impressions
 		avg := 0.0
 		if imps > 0 {
 			avg = spend.Dollars() / float64(imps)

@@ -41,9 +41,9 @@ func serve(t *testing.T, srv http.Handler, reqs ...*http.Request) {
 }
 
 // TestPerUserKeysAreProfileIDs: the per-user rows a node keeps beside its
-// profile store — delivery's user records, each pixel's visitors, each
-// campaign's billing rows — name a user by the ordinal its profile has in
-// the store, so no type they are made of holds a string. A row that held
+// profile store — delivery's user records, which hold the user's billing
+// account rows, and each pixel's visitors — name a user by the ordinal its
+// profile has in the store, so no type they are made of holds a string. A row that held
 // a user ID could hold the request's copy of it: a uid taken from a path or
 // a query is a substring of the request line, which such a row would keep
 // alive for as long as the platform remembers the user. The test drives
@@ -61,15 +61,12 @@ func TestPerUserKeysAreProfileIDs(t *testing.T) {
 	plat := components(t, p)
 	users := plat.FieldByName("pipeline").Elem().FieldByName("users")
 	visits := plat.FieldByName("pixels").Elem().FieldByName("visits")
-	accounts := plat.FieldByName("ledger").Elem().FieldByName("campaigns")
-	if users.Len() != 2 || visits.Len() != 1 || accounts.Len() != 1 {
-		t.Fatalf("premise: two users' browses and visits left %d delivery records, %d pixels' visitors and %d billed campaigns, want 2, 1 and 1",
-			users.Len(), visits.Len(), accounts.Len())
+	if users.Len() != 2 || visits.Len() != 1 {
+		t.Fatalf("premise: two users' browses and visits left %d delivery records and %d pixels' visitors, want 2 and 1", users.Len(), visits.Len())
 	}
 	for what, row := range map[string]reflect.Type{
-		"delivery's user records":       users.Type(),
-		"a pixel's visitors":            visits.Type().Elem(),
-		"a campaign's account and rows": accounts.Type().Elem(),
+		"delivery's user records": users.Type(),
+		"a pixel's visitors":      visits.Type().Elem(),
 	} {
 		if path, ok := stringIn(row, what); ok {
 			t.Errorf("%s holds a string: %s", what, path)

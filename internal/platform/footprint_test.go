@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"github.com/treads-project/treads/internal/attr"
+	"github.com/treads-project/treads/internal/audience"
+	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/stats"
@@ -25,9 +27,18 @@ import (
 // 1 000 users with the lowest ordinals, as on a shard of treads_cluster,
 // whose opted-in users are the first generated: a record costs 74 B per
 // cohort user there, the table's growth slack included. Keyed by user ID,
-// a record cost 100 B/user, 119 per cohort user, and a visitor 54 B. The
-// bounds are 15 % over the three figures; the test measures, it does not
-// ask for less. Excluded under -race, whose shadow memory inflates the
+// a record cost 100 B/user, 119 per cohort user, and a visitor 54 B.
+//
+// Then a user's account rows: on a node with 16 campaigns, and on one with
+// 614, as many as treads_cluster's Treads, one per catalog attribute, each
+// with frequency cap 1, every user browses 10 slots, so each impression is
+// the user's first of its campaign and makes one 16-byte account row in the
+// user's record, beside its 2- or 3-byte feed row. An impression costs
+// 17.7 B at 16 campaigns and 27.4 B at 614, where a user holds about ten
+// rows and the slice's growth slack shows. When billing kept the rows in a
+// per-campaign map beside an 8-byte cap counter they cost 54.7 and 60.0 B.
+// The bounds are 15 % over the five figures; the test measures, it does
+// not ask for less. Excluded under -race, whose shadow memory inflates the
 // heap.
 func TestUserTablesFootprint(t *testing.T) {
 	const users, cohort = 6000, 1000
@@ -95,5 +106,35 @@ func TestUserTablesFootprint(t *testing.T) {
 	if record >= 66 || visitor >= 5.8 || cohortRecord >= 85 {
 		t.Fatalf("at %d users a delivery record costs %.1f B and a pixel visitor %.1f B, and a record %.1f B per user of a %d-user cohort, want under 66, 5.8 and 85",
 			users, record, visitor, cohortRecord, cohort)
+	}
+
+	for _, tc := range []struct {
+		campaigns int
+		bound     float64
+	}{{16, 20.5}, {614, 31.5}} {
+		p, uids, _ := node()
+		cat := attr.DefaultCatalog().All()
+		for _, a := range cat[:tc.campaigns] {
+			if _, err := p.CreateCampaign("adv", CampaignParams{Spec: audience.Spec{Expr: attr.Has{ID: a.ID}},
+				BidCapCPM: money.FromDollars(10), FrequencyCap: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		perUser(uids, browse(p)) // the records, so that only rows are measured
+		before, impressions := heap(), 0
+		for _, uid := range uids {
+			imps, err := p.BrowseFeed(uid, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			impressions += len(imps)
+		}
+		perRow := float64(int64(heap())-int64(before)) / float64(impressions)
+		runtime.KeepAlive(p)
+		t.Logf("%d campaigns: %.1f B per (campaign, user) account row over %d", tc.campaigns, perRow, impressions)
+		if impressions < users || perRow >= tc.bound {
+			t.Fatalf("at %d campaigns %d impressions, each a user's first of its campaign, grew the heap by %.1f B each, want at least %d impressions at under %.1f B",
+				tc.campaigns, impressions, perRow, users, tc.bound)
+		}
 	}
 }

@@ -71,9 +71,9 @@ func TestExtractMergePartition(t *testing.T) {
 	}
 	for _, cid := range []string{"camp-000001", "camp-000003"} {
 		for name, fn := range map[string]func(*Platform) interface{}{
-			"impressions": func(q *Platform) interface{} { return q.comp.Load().ledger.TrueImpressions(cid) },
-			"reach":       func(q *Platform) interface{} { return q.comp.Load().ledger.TrueReach(cid) },
-			"spend":       func(q *Platform) interface{} { return q.comp.Load().ledger.TrueSpend(cid) },
+			"impressions": func(q *Platform) interface{} { return q.comp.Load().pipeline.Totals(cid).Impressions },
+			"reach":       func(q *Platform) interface{} { return q.comp.Load().pipeline.Totals(cid).Reach },
+			"spend":       func(q *Platform) interface{} { return q.comp.Load().pipeline.Totals(cid).Spend },
 		} {
 			if got, want := fn(mp), fn(p); got != want {
 				t.Fatalf("campaign %s %s: merged %v != original %v", cid, name, got, want)

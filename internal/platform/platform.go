@@ -118,7 +118,6 @@ type components struct {
 	store         *profile.Store
 	pixels        *pixel.Registry
 	audiences     *audience.Engine
-	ledger        *billing.Ledger
 	enforcer      *policy.Enforcer
 	pipeline      *delivery.Pipeline
 	explainer     *explain.Explainer
@@ -145,15 +144,13 @@ func New(cfg Config) *Platform {
 	store := profile.NewSizedStore(cfg.Users)
 	pixels := pixel.NewRegistry()
 	audiences := audience.NewEngine(store, pixels)
-	ledger := billing.NewLedger()
 	c := &components{
 		catalog:       catalog,
 		store:         store,
 		pixels:        pixels,
 		audiences:     audiences,
-		ledger:        ledger,
 		enforcer:      policy.NewEnforcer(cfg.BanAfter),
-		pipeline:      delivery.NewPipeline(store, audiences, ledger, market, stats.NewRNG(cfg.Seed)),
+		pipeline:      delivery.NewPipeline(store, audiences, market, stats.NewRNG(cfg.Seed)),
 		market:        market,
 		reviewAds:     cfg.ReviewAds,
 		indexDisabled: cfg.DisableIndex,
@@ -174,9 +171,11 @@ func New(cfg Config) *Platform {
 // Catalog returns the platform's attribute catalog (public to advertisers).
 func (p *Platform) Catalog() *attr.Catalog { return p.comp.Load().catalog }
 
-// Ledger exposes the billing ledger; experiment harnesses use it for
-// platform-internal ground truth.
-func (p *Platform) Ledger() *billing.Ledger { return p.comp.Load().ledger }
+// SetBillableThreshold overrides the reach below which a campaign's report
+// invoices nothing; the E4 ablation sets 0, which bills and reports
+// everything exactly. It is not journaled: a harness sets it before any
+// traffic.
+func (p *Platform) SetBillableThreshold(n int) { p.comp.Load().pipeline.SetBillableThreshold(n) }
 
 // Enforcer exposes the policy enforcer for shutdown experiments.
 func (p *Platform) Enforcer() *policy.Enforcer { return p.comp.Load().enforcer }
@@ -421,18 +420,14 @@ func (p *Platform) RawReach(ctx context.Context, advertiser string, spec audienc
 
 // CampaignTotals are one campaign's exact delivery totals on one platform,
 // before any advertiser-visible threshold: the mergeable form of a report.
-type CampaignTotals struct {
-	Impressions int
-	// Reach is the exact distinct-user count. Shards partition users, so
-	// per-shard reaches are disjoint and sum to the cluster-wide reach.
-	Reach int
-	// Spend is the accrued (not thresholded) spend.
-	Spend money.Micros
-}
+// Shards partition users, so per-shard reaches are disjoint and sum to the
+// cluster-wide reach.
+type CampaignTotals = billing.Totals
 
-// CampaignTotals returns the campaign's exact totals after the same
-// ownership check Report performs. Cluster coordinators sum totals across
-// shards and apply the billing thresholds once, via billing.MakeReport.
+// CampaignTotals returns the campaign's exact totals, read in one critical
+// section, after the same ownership check Report performs. Cluster
+// coordinators sum totals across shards and apply the billing thresholds
+// once, via billing.MakeReport.
 func (p *Platform) CampaignTotals(ctx context.Context, advertiser, campaignID string) (CampaignTotals, error) {
 	if err := ctx.Err(); err != nil {
 		return CampaignTotals{}, err
@@ -441,11 +436,7 @@ func (p *Platform) CampaignTotals(ctx context.Context, advertiser, campaignID st
 	if err := c.ownCheck(advertiser, campaignID); err != nil {
 		return CampaignTotals{}, err
 	}
-	return CampaignTotals{
-		Impressions: c.ledger.TrueImpressions(campaignID),
-		Reach:       c.ledger.TrueReach(campaignID),
-		Spend:       c.ledger.TrueSpend(campaignID),
-	}, nil
+	return c.pipeline.Totals(campaignID), nil
 }
 
 // SearchAttributes is the ads-manager keyword search over the catalog.
@@ -462,7 +453,7 @@ func (p *Platform) Report(ctx context.Context, advertiser, campaignID string) (b
 	if err := c.ownCheck(advertiser, campaignID); err != nil {
 		return billing.Report{}, err
 	}
-	return c.ledger.Report(campaignID), nil
+	return c.pipeline.Report(campaignID), nil
 }
 
 // --- user API ---

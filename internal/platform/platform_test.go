@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/treads-project/treads/internal/ad"
@@ -520,6 +521,59 @@ func TestPauseDuringTransparencyReads(t *testing.T) {
 		<-done
 		if got, _ := p.AdvertisersTargetingMe("u00"); len(got) != 0 {
 			t.Fatalf("%s: every campaign is paused, yet AdvertisersTargetingMe = %v", name, got)
+		}
+	}
+}
+
+// TestCampaignTotalsIsOneRead: a campaign's totals are read in one critical
+// section, so a read concurrent with browses never sees an impression
+// without its charge. One campaign, the only bidder against a constant
+// market, pays the market's $2 CPM for every impression, so every read must
+// have spend = impressions × $0.002 and reach at most impressions. Read
+// under three locks, as earlier builds did, a report could be torn between
+// them.
+func TestCampaignTotalsIsOneRead(t *testing.T) {
+	const users, browsers, rounds = 40, 4, 300
+	price := money.FromDollars(2).PerMille()
+	p := fixedPlatform(t, users, false)
+	if err := p.RegisterAdvertiser("adv"); err != nil {
+		t.Fatal(err)
+	}
+	id, err := p.CreateCampaign("adv", CampaignParams{BidCapCPM: money.FromDollars(10), FrequencyCap: browsers * rounds * 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for b := 0; b < browsers; b++ {
+		wg.Add(1)
+		go func(b int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if _, err := p.BrowseFeed(profile.UserID(fmt.Sprintf("u%02d", (b+browsers*i)%users)), 5); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(b)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for reads := 0; ; reads++ {
+		select {
+		case <-done:
+			tot, err := p.CampaignTotals(context.Background(), "adv", id)
+			if err != nil || tot.Impressions != browsers*rounds*5 || tot.Reach != users {
+				t.Fatalf("after %d reads: %+v, %v; want %d impressions to %d users", reads, tot, err, browsers*rounds*5, users)
+			}
+			return
+		default:
+		}
+		tot, err := p.CampaignTotals(context.Background(), "adv", id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tot.Spend != price.MulInt(tot.Impressions) || tot.Reach > tot.Impressions {
+			t.Fatalf("read %d is torn: %d impressions to %d users for %v, want %v", reads, tot.Impressions, tot.Reach, tot.Spend, price.MulInt(tot.Impressions))
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (c *components) stateWithoutProfiles() State {
 
 	s.Pixels = c.pixels.Snapshot(c.store)
 	s.Audiences = c.audiences.Snapshot()
-	s.Ledger = c.ledger.Snapshot(c.store)
+	s.Ledger = c.pipeline.LedgerSnapshot()
 	s.Pipeline = c.pipeline.Snapshot()
 	s.Enforcer = c.enforcer.Snapshot()
 	return s
@@ -119,11 +119,7 @@ func Restore(s State) (*Platform, error) {
 			return nil, fmt.Errorf("platform: rebuilding targeting index: %w", err)
 		}
 	}
-	ledger, err := billing.RestoreState(s.Ledger, store)
-	if err != nil {
-		return nil, err
-	}
-	pipeline, err := delivery.RestoreState(s.Pipeline, store, audiences, ledger, s.Market, stats.NewRNG(s.Seed))
+	pipeline, err := delivery.RestoreState(s.Pipeline, s.Ledger, store, audiences, s.Market, stats.NewRNG(s.Seed))
 	if err != nil {
 		return nil, err
 	}
@@ -132,7 +128,6 @@ func Restore(s State) (*Platform, error) {
 		store:         store,
 		pixels:        pixels,
 		audiences:     audiences,
-		ledger:        ledger,
 		enforcer:      policy.RestoreState(s.Enforcer),
 		pipeline:      pipeline,
 		market:        s.Market,

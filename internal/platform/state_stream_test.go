@@ -39,7 +39,7 @@ func loadedPlatform(t *testing.T) *Platform {
 	if _, err := p.BrowseFeed("u03", 40); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.comp.Load().ledger.TrueSpend(spent); got < budget {
+	if got := p.comp.Load().pipeline.Totals(spent).Spend; got < budget {
 		t.Fatalf("premise: %s spent %v of its %v budget", spent, got, budget)
 	}
 	return p
@@ -265,8 +265,10 @@ func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 // FuzzReadPlatformSnapshot: ReadSnapshot never panics and accepts exactly
 // the documents json.Unmarshal into a State accepts, with an equal result.
 // Restore of what it reads never panics either, and refuses a state with a
-// delivery, billing or pixel row of a user its profiles do not hold; the
-// seeds include one of each, on a fixture Restore accepts.
+// delivery, billing or pixel row of a user its profiles do not hold, or
+// with a billing row whose count for a (campaign, user) pair is not what
+// the user's feed holds; the seeds include one of each, on a fixture
+// Restore accepts.
 func FuzzReadPlatformSnapshot(f *testing.F) {
 	for _, path := range []string{"testdata/state_pr12.json", "testdata/journal_pr14_state.json"} {
 		doc, err := os.ReadFile(path)
@@ -290,6 +292,12 @@ func FuzzReadPlatformSnapshot(f *testing.F) {
 			}
 			f.Add(orphaned)
 		}
+		recounted, _, _ := recount(s)
+		disagreeing, err := json.Marshal(recounted)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(disagreeing)
 	}
 	f.Add([]byte(`null`))
 	f.Add([]byte(`{"VERSION":3,"market":{"basecpm":7},"market":{"Sigma":2},"x":{"a":[1e999]}}`))
@@ -315,6 +323,9 @@ func FuzzReadPlatformSnapshot(f *testing.F) {
 		if _, err := Restore(got); err == nil {
 			if user, table := orphan(got); user != "" {
 				t.Fatalf("Restore accepted a %s row of user %q, whom the state's profiles do not hold", table, user)
+			}
+			if pair := disagreement(got); pair != "" {
+				t.Fatalf("Restore accepted a billing row for %s that its feed disagrees with", pair)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -410,5 +411,83 @@ func TestRestoreRefusesOrphanRows(t *testing.T) {
 	}
 	if _, err := Restore(s); err != nil {
 		t.Fatalf("adding the orphan rows changed the state they were added to: %v", err)
+	}
+}
+
+// recount returns s with its first billing row counting one impression
+// more than the user's feed holds of the campaign, the account's total
+// raised with it, so that the row and the feed are the only two figures
+// that disagree, and the two counts. s is not modified.
+func recount(s State) (State, int, int) {
+	accts := append([]billing.AccountState(nil), s.Ledger.Accounts...)
+	rows := append([]billing.UserAccountState(nil), accts[0].Users...)
+	rows[0].Impressions++
+	accts[0].Users = rows
+	accts[0].Impressions++
+	s.Ledger.Accounts = accts
+	return s, rows[0].Impressions, rows[0].Impressions - 1
+}
+
+// disagreement returns a (campaign, user) pair whose billing row in s
+// counts other than the user's feed holds of the campaign, a pair with no
+// row counting as 0; "" when every pair agrees.
+func disagreement(s State) string {
+	feed := make(map[[2]string]int)
+	for _, fs := range s.Pipeline.Feeds {
+		for _, imp := range fs.Impressions {
+			feed[[2]string{imp.CampaignID, string(fs.User)}]++
+		}
+	}
+	for _, as := range s.Ledger.Accounts {
+		for _, us := range as.Users {
+			pair := [2]string{as.CampaignID, string(us.User)}
+			if feed[pair] != us.Impressions {
+				return pair[0] + "/" + pair[1]
+			}
+			delete(feed, pair)
+		}
+	}
+	for pair := range feed {
+		return pair[0] + "/" + pair[1]
+	}
+	return ""
+}
+
+// TestRestoreRefusesTwoCountsForOnePair: a node keeps one count per
+// (campaign, user) pair, in the user's account row, so a state whose
+// billing row for a pair counts other than the user's feed holds of the
+// campaign is refused, naming the pair and both counts, and so is a pair
+// the feeds hold and the ledger does not bill. Earlier builds kept the two
+// counts in two tables and restored both. Both fixtures agree on every
+// pair.
+func TestRestoreRefusesTwoCountsForOnePair(t *testing.T) {
+	for _, path := range []string{"testdata/state_pr12.json", "testdata/journal_pr14_state.json"} {
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s State
+		if err := json.Unmarshal(doc, &s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Restore(s); err != nil || disagreement(s) != "" {
+			t.Fatalf("%s premise: the fixture restores (%v) and agrees with itself (%q)", path, err, disagreement(s))
+		}
+		bad, billed, held := recount(s)
+		as := bad.Ledger.Accounts[0]
+		_, err = Restore(bad)
+		if err == nil || !strings.Contains(err.Error(), `"`+string(as.Users[0].User)+`"`) || !strings.Contains(err.Error(), `"`+as.CampaignID+`"`) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("for %d impressions", billed)) || !strings.Contains(err.Error(), fmt.Sprintf("holds %d", held)) {
+			t.Errorf("%s: restoring a billing row of %d impressions beside a feed of %d: %v, want an error naming the user, the campaign and both counts", path, billed, held, err)
+		}
+		unbilled := s
+		unbilled.Ledger.Accounts = append([]billing.AccountState(nil), s.Ledger.Accounts...)
+		first := &unbilled.Ledger.Accounts[0]
+		first.Impressions -= first.Users[0].Impressions
+		first.Spend -= first.Users[0].Spend
+		first.Users = first.Users[1:]
+		if _, err := Restore(unbilled); err == nil || !strings.Contains(err.Error(), `"`+string(s.Ledger.Accounts[0].Users[0].User)+`"`) || !strings.Contains(err.Error(), "bills them for none") {
+			t.Errorf("%s: restoring a feed pair with no billing row: %v, want an error naming the user", path, err)
+		}
 	}
 }
