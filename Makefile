@@ -55,15 +55,17 @@ race:
 # order). The five
 # zero-alloc pins (span, query, browse, admission decision, and the
 # profile snapshot encoder), the profile-store and feed footprints, the
-# per-user delivery (with its account rows) and pixel table footprints, generator, boot and
-# compaction allocation tripwires (built without the detector, whose
+# per-user delivery (with its account rows) and pixel table footprints, generator, boot,
+# compaction and public-API per-request allocation tripwires (built without the detector, whose
 # shadow memory would inflate the heap they measure and whose
 # instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table), the row test (each
 # RemoteShard method sends its own row of that table) and the sticky-health
 # test (a shard whose journal failed reports itself unhealthy, in process
-# and over the wire) fail the target if their test disappears.
+# and over the wire), and the public API's golden-bytes and docs tests (every
+# route's wire bytes and statuses, and docs/API.md's route list equal to
+# httpapi's route table) fail the target if their test disappears.
 race-full:
 	$(GO) test -race -count=1 ./internal/cluster/ ./internal/workload/ ./internal/obs/... ./internal/rpc/ \
 		./internal/gateway/ ./internal/trace/ ./internal/health/ ./internal/chaos/ ./internal/faults/ \
@@ -91,6 +93,9 @@ race-full:
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 	$(GO) test -race -count=1 -run=TestStickyJournalReportsUnhealthy -v ./internal/cluster/ | grep -- '--- PASS: TestStickyJournalReportsUnhealthy'
+	$(GO) test -run=TestServeAllocs -v ./internal/httpapi/ | grep -- '--- PASS: TestServeAllocs'
+	$(GO) test -race -count=1 -run=TestPublicWireGoldenBytes -v ./internal/httpapi/ | grep -- '--- PASS: TestPublicWireGoldenBytes'
+	$(GO) test -race -count=1 -run=TestAPIDocsListTheRouteTable -v ./internal/httpapi/ | grep -- '--- PASS: TestAPIDocsListTheRouteTable'
 
 # Deterministic fault-injection smokes, each verifying durability,
 # exactly-once billing, replica convergence and byte-identical recovery:

@@ -464,7 +464,7 @@ func front(opts options, n node, logger *log.Logger) (http.Handler, func(), erro
 		handler, auth = httpapi.NewServerWithAuth(n.backend, nil)
 		// The admin token guards operator endpoints (journal
 		// compaction). Logged once at startup; rotate by restarting.
-		adminTok, err := auth.Issue("admin")
+		adminTok, err := auth.Issue(httpapi.AdminAccount)
 		if err != nil {
 			return nil, func() {}, fmt.Errorf("issuing admin token: %w", err)
 		}
@@ -528,7 +528,7 @@ func buildGateway(opts options, auth *httpapi.Authenticator, inner http.Handler,
 	var authorize func(*http.Request) bool
 	if auth != nil {
 		authorize = func(r *http.Request) bool {
-			return auth.Verify("admin", httpapi.BearerToken(r))
+			return auth.Verify(httpapi.AdminAccount, httpapi.BearerToken(r))
 		}
 	}
 	g, err := gateway.New(inner, gateway.Config{

@@ -96,13 +96,14 @@ func (t httpTarget) VisitPage(uid profile.UserID, px pixel.PixelID) error {
 }
 
 func (t httpTarget) LikePage(uid profile.UserID, pageID string) error {
-	return t.c.Like(t.ctx, string(uid), pageID)
+	_, err := httpapi.Call(t.ctx, t.c, httpapi.RouteLike, httpapi.Params{ID: string(uid)}, httpapi.LikeRequest{PageID: pageID})
+	return err
 }
 
 func (t httpTarget) AdPreferences(uid profile.UserID) ([]attr.ID, error) {
-	ids, err := t.c.AdPreferences(t.ctx, string(uid))
-	out := make([]attr.ID, len(ids))
-	for i, id := range ids {
+	prefs, err := httpapi.Call(t.ctx, t.c, httpapi.RouteAdPreferences, httpapi.Params{ID: string(uid)}, struct{}{})
+	out := make([]attr.ID, len(prefs.Attributes))
+	for i, id := range prefs.Attributes {
 		out[i] = attr.ID(id)
 	}
 	return out, err

@@ -72,19 +72,3 @@ func SecretEqual(expected, presented string) bool {
 	}
 	return subtle.ConstantTimeCompare([]byte(expected), []byte(presented)) == 1
 }
-
-// requireAdvertiserAuth wraps an advertiser-scoped handler with the token
-// check when auth is enabled.
-func (s *Server) requireAdvertiserAuth(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if s.auth != nil {
-			name := r.PathValue("name")
-			if !s.auth.Verify(name, BearerToken(r)) {
-				writeErr(w, http.StatusUnauthorized,
-					fmt.Errorf("httpapi: missing or invalid API token for advertiser %q", name))
-				return
-			}
-		}
-		next(w, r)
-	}
-}

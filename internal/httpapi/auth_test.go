@@ -1,10 +1,14 @@
 package httpapi
 
 import (
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"github.com/treads-project/treads/internal/auction"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
@@ -25,9 +29,12 @@ func authedEnv(t *testing.T) (*Client, *Authenticator) {
 	return NewClient(ts.URL), auth
 }
 
+// tokenOf is the token a registration's answer carries.
+func tokenOf(r RegisterAdvertiserResponse, err error) (string, error) { return r.Token, err }
+
 func TestAuthTokenIssuedAtRegistration(t *testing.T) {
 	c, _ := authedEnv(t)
-	tok, err := c.RegisterAdvertiserForToken(ctx(), "tp")
+	tok, err := tokenOf(Call(ctx(), c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: "tp"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +45,7 @@ func TestAuthTokenIssuedAtRegistration(t *testing.T) {
 
 func TestAuthRequiredForAdvertiserEndpoints(t *testing.T) {
 	c, _ := authedEnv(t)
-	tok, err := c.RegisterAdvertiserForToken(ctx(), "tp")
+	tok, err := tokenOf(Call(ctx(), c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: "tp"}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +76,11 @@ func TestAuthRequiredForAdvertiserEndpoints(t *testing.T) {
 
 func TestAuthTokensAreAccountScoped(t *testing.T) {
 	c, _ := authedEnv(t)
-	tokA, err := c.RegisterAdvertiserForToken(ctx(), "adv-a")
+	tokA, err := tokenOf(Call(ctx(), c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: "adv-a"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RegisterAdvertiserForToken(ctx(), "adv-b"); err != nil {
+	if _, err := tokenOf(Call(ctx(), c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: "adv-b"})); err != nil {
 		t.Fatal(err)
 	}
 	// adv-a's token must not authorize adv-b's endpoints.
@@ -85,7 +92,7 @@ func TestAuthTokensAreAccountScoped(t *testing.T) {
 
 func TestAuthWrongTokenRejected(t *testing.T) {
 	c, _ := authedEnv(t)
-	if _, err := c.RegisterAdvertiserForToken(ctx(), "tp"); err != nil {
+	if _, err := tokenOf(Call(ctx(), c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: "tp"})); err != nil {
 		t.Fatal(err)
 	}
 	c.Token = "tk_bogus"
@@ -101,7 +108,7 @@ func TestAuthUserEndpointsStayOpen(t *testing.T) {
 	if _, err := c.Browse(ctx(), "u0", 1); err != nil {
 		t.Fatalf("user browse blocked by advertiser auth: %v", err)
 	}
-	if _, err := c.SearchAttributes(ctx(), "jazz"); err != nil {
+	if _, err := Call(ctx(), c, RouteSearchAttributes, Params{Q: "jazz"}, empty{}); err != nil {
 		t.Fatalf("catalog search blocked: %v", err)
 	}
 }
@@ -125,5 +132,55 @@ func TestAuthenticatorVerify(t *testing.T) {
 	}
 	if !a.Verify("x", tok2) {
 		t.Fatal("rotated token rejected")
+	}
+}
+
+// TestRegisterCannotTakeTheAdminAccount: the operator credential is the
+// authenticator's admin account, so the public registration route refuses
+// that name before anything is written — it mints no token, replaces none,
+// and journals no record.
+func TestRegisterCannotTakeTheAdminAccount(t *testing.T) {
+	jp, err := platform.OpenJournaled(t.TempDir(), journal.Options{NoSync: true}, func() (*platform.Platform, error) {
+		return platform.New(platform.Config{Seed: 1}), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jp.Close() })
+	srv, auth := NewServerWithAuth(jp, nil)
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	opTok, err := auth.Issue(AdminAccount)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	resp, err := http.Post(ts.URL+"/api/v1/advertisers", "application/json", strings.NewReader(`{"name":"admin"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("registering %q: %d %s, want 409", AdminAccount, resp.StatusCode, body)
+	}
+	if !auth.Verify(AdminAccount, opTok) {
+		t.Error("the operator's token stopped verifying after a public registration")
+	}
+	if got := jp.LastLSN(); got != 0 {
+		t.Errorf("the refused registration journaled %d records, want 0", got)
+	}
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/admin/v1/trace", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Authorization", "Bearer "+opTok)
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("trace dump with the operator's token: %d, want 200", resp.StatusCode)
 	}
 }

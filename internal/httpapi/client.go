@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
+	"strings"
 )
 
 // Client is the typed Go SDK for the platform's HTTP API.
@@ -18,7 +20,7 @@ type Client struct {
 	HTTPClient *http.Client
 	// Token is the advertiser's API bearer token, sent with every request
 	// when non-empty. Servers running with authentication issue it at
-	// registration (RegisterAdvertiserForToken).
+	// registration (RouteRegister's answer).
 	Token string
 	// APIKey is the edge-gateway tenant key, sent as X-API-Key with every
 	// request when non-empty. Independent of Token: the gateway identifies
@@ -48,215 +50,130 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("httpapi: server returned %d: %s", e.Status, e.Message)
 }
 
-// do issues a request with a JSON body (nil for none) and decodes a JSON
-// response into out (nil to discard).
-func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	var rdr io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
+// URL is the route's path for p: the pattern's wildcards filled from p,
+// path-escaped, then the row's query parameter.
+func (rt *RouteInfo) URL(p Params) string {
+	path := strings.NewReplacer("{name}", url.PathEscape(p.Name), "{id}", url.PathEscape(p.ID),
+		"{pixelID}", url.PathEscape(p.PixelID)).Replace(rt.Path)
+	switch rt.Query {
+	case "slots":
+		path += "?slots=" + strconv.Itoa(p.Slots)
+	case "q":
+		path += "?q=" + url.QueryEscape(p.Q)
+	case "uid":
+		path += "?uid=" + url.QueryEscape(p.UID)
+	}
+	return path
+}
+
+// Call sends one route's request and returns its answer: a JSON body
+// decoded into Resp, or a []byte answer's body as it is. A failed call
+// returns the zero Resp — a half-decoded answer is no answer.
+func Call[Req, Resp any](ctx context.Context, c *Client, rt Route[Req, Resp], p Params, req Req) (Resp, error) {
+	var resp Resp
+	var body io.Reader
+	if rt.body {
+		buf, err := json.Marshal(req)
 		if err != nil {
-			return fmt.Errorf("httpapi: encoding request: %w", err)
+			return resp, fmt.Errorf("httpapi: encoding request: %w", err)
 		}
-		rdr = bytes.NewReader(buf)
+		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rdr)
+	hr, err := http.NewRequestWithContext(ctx, rt.Method, c.BaseURL+rt.URL(p), body)
 	if err != nil {
-		return err
+		return resp, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
+	if rt.body {
+		hr.Header.Set("Content-Type", "application/json")
 	}
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
+	// A browser loading a pixel carries no API credentials.
+	if c.Token != "" && rt.Scope != Pixel {
+		hr.Header.Set("Authorization", "Bearer "+c.Token)
 	}
-	if c.APIKey != "" {
-		req.Header.Set("X-API-Key", c.APIKey)
+	if c.APIKey != "" && rt.Scope != Pixel {
+		hr.Header.Set("X-API-Key", c.APIKey)
 	}
-	resp, err := c.httpClient().Do(req)
+	hresp, err := c.httpClient().Do(hr)
 	if err != nil {
-		return err
+		return resp, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+	defer hresp.Body.Close()
+	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
 		var er ErrorResponse
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er) == nil && er.Error != "" {
+		msg := hresp.Status
+		if json.NewDecoder(io.LimitReader(hresp.Body, 1<<16)).Decode(&er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return &APIError{Status: resp.StatusCode, Message: msg}
+		return resp, &APIError{Status: hresp.StatusCode, Message: msg}
 	}
-	if out == nil {
-		return nil
+	if raw, ok := any(&resp).(*[]byte); ok {
+		if *raw, err = io.ReadAll(io.LimitReader(hresp.Body, 1<<16)); err != nil {
+			*raw = nil
+		}
+		return resp, err
 	}
-	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-		return fmt.Errorf("httpapi: decoding response: %w", err)
+	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
+		var zero Resp
+		return zero, fmt.Errorf("httpapi: decoding response: %w", err)
 	}
-	return nil
+	return resp, nil
 }
+
+// The routes a binary or the benchmark calls by name; every other route is
+// sent with Call.
 
 // RegisterAdvertiser creates an advertiser account.
 func (c *Client) RegisterAdvertiser(ctx context.Context, name string) error {
-	return c.do(ctx, http.MethodPost, "/api/v1/advertisers", RegisterAdvertiserRequest{Name: name}, nil)
-}
-
-// RegisterAdvertiserForToken creates an advertiser account and returns the
-// API token the server issued (empty on unauthenticated servers). It does
-// not set c.Token; callers decide which identity the client speaks as.
-func (c *Client) RegisterAdvertiserForToken(ctx context.Context, name string) (string, error) {
-	var resp RegisterAdvertiserResponse
-	err := c.do(ctx, http.MethodPost, "/api/v1/advertisers", RegisterAdvertiserRequest{Name: name}, &resp)
-	return resp.Token, err
+	_, err := Call(ctx, c, RouteRegister, Params{}, RegisterAdvertiserRequest{Name: name})
+	return err
 }
 
 // CreateCampaign creates a campaign and returns its ID.
 func (c *Client) CreateCampaign(ctx context.Context, advertiser string, req CreateCampaignRequest) (string, error) {
-	var resp CreateCampaignResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/campaigns", req, &resp)
+	resp, err := Call(ctx, c, RouteCreateCampaign, Params{Name: advertiser}, req)
 	return resp.CampaignID, err
-}
-
-// PauseCampaign pauses a campaign.
-func (c *Client) PauseCampaign(ctx context.Context, advertiser, campaignID string) error {
-	return c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/campaigns/"+url.PathEscape(campaignID)+"/pause", nil, nil)
 }
 
 // Report fetches a campaign's performance report.
 func (c *Client) Report(ctx context.Context, advertiser, campaignID string) (ReportWire, error) {
-	var resp ReportWire
-	err := c.do(ctx, http.MethodGet,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/campaigns/"+url.PathEscape(campaignID)+"/report", nil, &resp)
-	return resp, err
-}
-
-// CreatePIIAudience uploads hashed PII keys.
-func (c *Client) CreatePIIAudience(ctx context.Context, advertiser string, req CreatePIIAudienceRequest) (string, error) {
-	var resp AudienceResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/audiences/pii", req, &resp)
-	return resp.AudienceID, err
+	return Call(ctx, c, RouteReport, Params{Name: advertiser, ID: campaignID}, empty{})
 }
 
 // CreateWebsiteAudience builds an audience over a pixel.
 func (c *Client) CreateWebsiteAudience(ctx context.Context, advertiser string, req CreateWebsiteAudienceRequest) (string, error) {
-	var resp AudienceResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/audiences/website", req, &resp)
+	resp, err := Call(ctx, c, RouteCreateWebsiteAudience, Params{Name: advertiser}, req)
 	return resp.AudienceID, err
 }
 
 // CreateEngagementAudience builds an audience of page likers.
 func (c *Client) CreateEngagementAudience(ctx context.Context, advertiser string, req CreateEngagementAudienceRequest) (string, error) {
-	var resp AudienceResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/audiences/engagement", req, &resp)
-	return resp.AudienceID, err
-}
-
-// CreateAffinityAudience builds a keyword audience.
-func (c *Client) CreateAffinityAudience(ctx context.Context, advertiser string, req CreateAffinityAudienceRequest) (string, error) {
-	var resp AudienceResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/audiences/affinity", req, &resp)
-	return resp.AudienceID, err
-}
-
-// CreateLookalikeAudience derives a similarity audience from a seed.
-func (c *Client) CreateLookalikeAudience(ctx context.Context, advertiser string, req CreateLookalikeAudienceRequest) (string, error) {
-	var resp AudienceResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/audiences/lookalike", req, &resp)
+	resp, err := Call(ctx, c, RouteCreateEngagementAudience, Params{Name: advertiser}, req)
 	return resp.AudienceID, err
 }
 
 // IssuePixel issues a tracking pixel.
 func (c *Client) IssuePixel(ctx context.Context, advertiser string) (string, error) {
-	var resp PixelResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/pixels", nil, &resp)
+	resp, err := Call(ctx, c, RouteIssuePixel, Params{Name: advertiser}, empty{})
 	return resp.PixelID, err
-}
-
-// Reach fetches the rounded potential-reach estimate for a spec.
-func (c *Client) Reach(ctx context.Context, advertiser string, spec SpecWire) (int, error) {
-	var resp ReachResponse
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/advertisers/"+url.PathEscape(advertiser)+"/reach", ReachRequest{Spec: spec}, &resp)
-	return resp.Reach, err
-}
-
-// SearchAttributes performs the catalog keyword search.
-func (c *Client) SearchAttributes(ctx context.Context, query string) ([]AttributeWire, error) {
-	var resp []AttributeWire
-	err := c.do(ctx, http.MethodGet, "/api/v1/attributes?q="+url.QueryEscape(query), nil, &resp)
-	return resp, err
 }
 
 // Browse simulates the user viewing slots feed positions.
 func (c *Client) Browse(ctx context.Context, userID string, slots int) ([]ImpressionWire, error) {
-	var resp []ImpressionWire
-	err := c.do(ctx, http.MethodPost,
-		fmt.Sprintf("/api/v1/users/%s/browse?slots=%d", url.PathEscape(userID), slots), nil, &resp)
-	return resp, err
+	return Call(ctx, c, RouteBrowse, Params{ID: userID, Slots: slots}, empty{})
 }
 
 // Feed fetches every impression the user has seen.
 func (c *Client) Feed(ctx context.Context, userID string) ([]ImpressionWire, error) {
-	var resp []ImpressionWire
-	err := c.do(ctx, http.MethodGet, "/api/v1/users/"+url.PathEscape(userID)+"/feed", nil, &resp)
-	return resp, err
-}
-
-// AdPreferences fetches the user's platform transparency page.
-func (c *Client) AdPreferences(ctx context.Context, userID string) ([]string, error) {
-	var resp PreferencesResponse
-	err := c.do(ctx, http.MethodGet, "/api/v1/users/"+url.PathEscape(userID)+"/adpreferences", nil, &resp)
-	return resp.Attributes, err
-}
-
-// AdvertisersTargetingMe fetches the user's "advertisers who are targeting
-// you" transparency page.
-func (c *Client) AdvertisersTargetingMe(ctx context.Context, userID string) ([]string, error) {
-	var resp AdvertisersResponse
-	err := c.do(ctx, http.MethodGet, "/api/v1/users/"+url.PathEscape(userID)+"/advertisers", nil, &resp)
-	return resp.Advertisers, err
-}
-
-// Like records a page like for the user.
-func (c *Client) Like(ctx context.Context, userID, pageID string) error {
-	return c.do(ctx, http.MethodPost,
-		"/api/v1/users/"+url.PathEscape(userID)+"/likes", LikeRequest{PageID: pageID}, nil)
+	return Call(ctx, c, RouteFeed, Params{ID: userID}, empty{})
 }
 
 // Explain fetches the platform's "why am I seeing this?" for an impression.
 func (c *Client) Explain(ctx context.Context, userID string, imp ImpressionWire) (ExplanationWire, error) {
-	var resp ExplanationWire
-	err := c.do(ctx, http.MethodPost,
-		"/api/v1/users/"+url.PathEscape(userID)+"/explain", imp, &resp)
-	return resp, err
+	return Call(ctx, c, RouteExplain, Params{ID: userID}, imp)
 }
 
 // FirePixel simulates the user's browser loading the tracking pixel on the
 // provider's website: a GET for the 1x1 GIF. It returns the image bytes.
 func (c *Client) FirePixel(ctx context.Context, pixelID, userID string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		c.BaseURL+"/pixel/"+url.PathEscape(pixelID)+"?uid="+url.QueryEscape(userID), nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var er ErrorResponse
-		msg := resp.Status
-		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er) == nil && er.Error != "" {
-			msg = er.Error
-		}
-		return nil, &APIError{Status: resp.StatusCode, Message: msg}
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	return Call(ctx, c, RoutePixel, Params{PixelID: pixelID, UID: userID}, empty{})
 }

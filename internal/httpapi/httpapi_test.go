@@ -101,7 +101,7 @@ func TestAdvertiserLifecycleOverHTTP(t *testing.T) {
 	}
 
 	// Pause stops delivery.
-	if err := c.PauseCampaign(ctx(), "tp", id); err != nil {
+	if err := errOf(Call(ctx(), c, RoutePauseCampaign, Params{Name: "tp", ID: id}, empty{})); err != nil {
 		t.Fatal(err)
 	}
 	imps, _ = c.Browse(ctx(), "u2", 3)
@@ -165,10 +165,10 @@ func TestPIIAudienceOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	k, _ := pii.HashEmail("u0@example.com")
-	audID, err := c.CreatePIIAudience(ctx(), "tp", CreatePIIAudienceRequest{
+	audID, err := audienceID(Call(ctx(), c, RouteCreatePIIAudience, Params{Name: "tp"}, CreatePIIAudienceRequest{
 		Name: "optins",
 		Keys: []MatchKeyWire{{Type: "email", Hash: k.Hash}},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,9 +185,9 @@ func TestPIIAudienceOverHTTP(t *testing.T) {
 		t.Fatal("PII-matched user did not receive the ad")
 	}
 	// Bad key type rejected.
-	_, err = c.CreatePIIAudience(ctx(), "tp", CreatePIIAudienceRequest{
+	_, err = audienceID(Call(ctx(), c, RouteCreatePIIAudience, Params{Name: "tp"}, CreatePIIAudienceRequest{
 		Keys: []MatchKeyWire{{Type: "ssn", Hash: "x"}},
-	})
+	}))
 	if err == nil {
 		t.Error("bad PII type accepted")
 	}
@@ -196,7 +196,7 @@ func TestPIIAudienceOverHTTP(t *testing.T) {
 func TestEngagementAndLikesOverHTTP(t *testing.T) {
 	_, c := testEnv(t, false)
 	c.RegisterAdvertiser(ctx(), "tp")
-	if err := c.Like(ctx(), "u3", "tp-page"); err != nil {
+	if err := errOf(Call(ctx(), c, RouteLike, Params{ID: "u3"}, LikeRequest{PageID: "tp-page"})); err != nil {
 		t.Fatal(err)
 	}
 	audID, err := c.CreateEngagementAudience(ctx(), "tp", CreateEngagementAudienceRequest{Name: "likers", PageID: "tp-page"})
@@ -214,7 +214,7 @@ func TestEngagementAndLikesOverHTTP(t *testing.T) {
 	if len(imps) == 0 {
 		t.Fatal("liker did not receive engagement ad")
 	}
-	if err := c.Like(ctx(), "ghost", "p"); err == nil {
+	if err := errOf(Call(ctx(), c, RouteLike, Params{ID: "ghost"}, LikeRequest{PageID: "p"})); err == nil {
 		t.Error("unknown user like accepted")
 	}
 }
@@ -223,21 +223,21 @@ func TestReachOverHTTP(t *testing.T) {
 	_, c := testEnv(t, false)
 	c.RegisterAdvertiser(ctx(), "tp")
 	// 6 users: below the reporting threshold, so reach is suppressed.
-	reach, err := c.Reach(ctx(), "tp", SpecWire{})
+	reach, err := reachOf(Call(ctx(), c, RouteReach, Params{Name: "tp"}, ReachRequest{Spec: SpecWire{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reach != 0 {
 		t.Fatalf("reach = %d, want 0 (suppressed)", reach)
 	}
-	if _, err := c.Reach(ctx(), "tp", SpecWire{Expr: "boom("}); err == nil {
+	if _, err := reachOf(Call(ctx(), c, RouteReach, Params{Name: "tp"}, ReachRequest{Spec: SpecWire{Expr: "boom("}})); err == nil {
 		t.Error("bad expression accepted")
 	}
 }
 
 func TestSearchAttributesOverHTTP(t *testing.T) {
 	_, c := testEnv(t, false)
-	hits, err := c.SearchAttributes(ctx(), "net worth")
+	hits, err := Call(ctx(), c, RouteSearchAttributes, Params{Q: "net worth"}, empty{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +255,7 @@ func TestAdPreferencesAndExplainOverHTTP(t *testing.T) {
 	partner := p.Catalog().BySource(attr.SourcePartner)[0]
 	p.User("u0").SetAttr(partner.ID)
 
-	prefs, err := c.AdPreferences(ctx(), "u0")
+	prefs, err := prefsOf(Call(ctx(), c, RouteAdPreferences, Params{ID: "u0"}, empty{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 	if _, err := c.Feed(ctx(), "ghost"); err == nil {
 		t.Error("unknown user feed accepted")
 	}
-	if _, err := c.AdPreferences(ctx(), "ghost"); err == nil {
+	if _, err := prefsOf(Call(ctx(), c, RouteAdPreferences, Params{ID: "ghost"}, empty{})); err == nil {
 		t.Error("unknown user preferences accepted")
 	}
 	if _, err := c.Report(ctx(), "tp", "camp-1"); err == nil {
@@ -377,9 +377,9 @@ func TestAffinityAudienceOverHTTP(t *testing.T) {
 	if err := c.RegisterAdvertiser(ctx(), "tp"); err != nil {
 		t.Fatal(err)
 	}
-	audID, err := c.CreateAffinityAudience(ctx(), "tp", CreateAffinityAudienceRequest{
+	audID, err := audienceID(Call(ctx(), c, RouteCreateAffinityAudience, Params{Name: "tp"}, CreateAffinityAudienceRequest{
 		Name: "jazz fans", Phrases: []string{"jazz"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestAffinityAudienceOverHTTP(t *testing.T) {
 		t.Fatal("affinity ad delivered to non-matching user")
 	}
 	// Validation errors surface as 400s.
-	if _, err := c.CreateAffinityAudience(ctx(), "tp", CreateAffinityAudienceRequest{Name: "x"}); err == nil {
+	if _, err := audienceID(Call(ctx(), c, RouteCreateAffinityAudience, Params{Name: "tp"}, CreateAffinityAudienceRequest{Name: "x"})); err == nil {
 		t.Error("empty phrases accepted over HTTP")
 	}
 }
@@ -409,16 +409,16 @@ func TestAffinityAudienceOverHTTP(t *testing.T) {
 func TestIncludeAllOverHTTP(t *testing.T) {
 	_, c := testEnv(t, false)
 	c.RegisterAdvertiser(ctx(), "tp")
-	jazzAud, err := c.CreateAffinityAudience(ctx(), "tp", CreateAffinityAudienceRequest{
+	jazzAud, err := audienceID(Call(ctx(), c, RouteCreateAffinityAudience, Params{Name: "tp"}, CreateAffinityAudienceRequest{
 		Name: "jazz", Phrases: []string{"jazz"},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Like(ctx(), "u0", "page"); err != nil {
+	if err := errOf(Call(ctx(), c, RouteLike, Params{ID: "u0"}, LikeRequest{PageID: "page"})); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Like(ctx(), "u1", "page"); err != nil {
+	if err := errOf(Call(ctx(), c, RouteLike, Params{ID: "u1"}, LikeRequest{PageID: "page"})); err != nil {
 		t.Fatal(err)
 	}
 	likersAud, err := c.CreateEngagementAudience(ctx(), "tp", CreateEngagementAudienceRequest{Name: "likers", PageID: "page"})
@@ -465,18 +465,18 @@ func TestAdvertisersTargetingMeOverHTTP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	names, err := c.AdvertisersTargetingMe(ctx(), "u4")
+	names, err := advertisersOf(Call(ctx(), c, RouteAdvertisersTargetingMe, Params{ID: "u4"}, empty{}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names) != 1 || names[0] != "retargeter" {
 		t.Fatalf("advertisers = %v", names)
 	}
-	names, err = c.AdvertisersTargetingMe(ctx(), "u5")
+	names, err = advertisersOf(Call(ctx(), c, RouteAdvertisersTargetingMe, Params{ID: "u5"}, empty{}))
 	if err != nil || len(names) != 0 {
 		t.Fatalf("u5 advertisers = %v, %v", names, err)
 	}
-	if _, err := c.AdvertisersTargetingMe(ctx(), "ghost"); err == nil {
+	if _, err := advertisersOf(Call(ctx(), c, RouteAdvertisersTargetingMe, Params{ID: "ghost"}, empty{})); err == nil {
 		t.Error("unknown user accepted")
 	}
 }
@@ -507,14 +507,14 @@ func TestLookalikeAudienceOverHTTP(t *testing.T) {
 	_, c := testEnv(t, false)
 	c.RegisterAdvertiser(ctx(), "tp")
 	// Seed: u0 likes a page; u0 has jazz.
-	if err := c.Like(ctx(), "u0", "seed-page"); err != nil {
+	if err := errOf(Call(ctx(), c, RouteLike, Params{ID: "u0"}, LikeRequest{PageID: "seed-page"})); err != nil {
 		t.Fatal(err)
 	}
 	seedAud, err := c.CreateEngagementAudience(ctx(), "tp", CreateEngagementAudienceRequest{Name: "seed", PageID: "seed-page"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lookAud, err := c.CreateLookalikeAudience(ctx(), "tp", CreateLookalikeAudienceRequest{Name: "similar", Seed: seedAud})
+	lookAud, err := audienceID(Call(ctx(), c, RouteCreateLookalikeAudience, Params{Name: "tp"}, CreateLookalikeAudienceRequest{Name: "similar", Seed: seedAud}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,41 @@ func TestLookalikeAudienceOverHTTP(t *testing.T) {
 		t.Fatal("lookalike ad delivered to the seed member")
 	}
 	// Bad seed is a 400.
-	if _, err := c.CreateLookalikeAudience(ctx(), "tp", CreateLookalikeAudienceRequest{Name: "x", Seed: "aud-bogus"}); err == nil {
+	if _, err := audienceID(Call(ctx(), c, RouteCreateLookalikeAudience, Params{Name: "tp"}, CreateLookalikeAudienceRequest{Name: "x", Seed: "aud-bogus"})); err == nil {
 		t.Error("bogus seed accepted over HTTP")
 	}
 }
+
+// TestTrailingDataRejected: a body is one JSON value. Data after it is a
+// malformed request, refused before the platform sees the first value;
+// whitespace after it (an encoder's newline) is not data.
+func TestTrailingDataRejected(t *testing.T) {
+	_, c := testEnv(t, false)
+	post := func(body string) int {
+		t.Helper()
+		resp, err := http.Post(c.BaseURL+"/api/v1/advertisers", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, body := range []string{`{"name":"a"}{"name":"b"} junk`, `{"name":"a"} junk`, `{"name":"a"}}`, `{"name":"a"} 7`} {
+		if code := post(body); code != http.StatusBadRequest {
+			t.Errorf("body %q: status %d, want 400", body, code)
+		}
+	}
+	if code := post(`{"name":"a"}`); code != http.StatusCreated {
+		t.Errorf("registering a after the refused bodies: status %d, want 201", code)
+	}
+	if code := post("{\"name\":\"b\"}\n \t\r\n"); code != http.StatusCreated {
+		t.Errorf("body with trailing whitespace: status %d, want 201", code)
+	}
+}
+
+// The answers' fields the tests read, each with its call's error.
+func errOf[Resp any](_ Resp, err error) error                          { return err }
+func audienceID(r AudienceResponse, err error) (string, error)         { return r.AudienceID, err }
+func reachOf(r ReachResponse, err error) (int, error)                  { return r.Reach, err }
+func prefsOf(r PreferencesResponse, err error) ([]string, error)       { return r.Attributes, err }
+func advertisersOf(r AdvertisersResponse, err error) ([]string, error) { return r.Advertisers, err }

@@ -1,10 +1,5 @@
 package httpapi
 
-import (
-	"fmt"
-	"net/http"
-)
-
 // ClusterAdmin is the dynamic-membership surface behind the admin cluster
 // endpoints. The daemon implements it over the router's cluster
 // coordinator (dialing new shard nodes, promoting replica-set members);
@@ -110,79 +105,7 @@ type PromoteResponse struct {
 	Version uint64 `json:"version,omitempty"`
 }
 
-// requireClusterAdmin 404s membership endpoints until an admin is wired
-// (i.e. the daemon runs as a router over remote shard nodes).
-func (s *Server) requireClusterAdmin(w http.ResponseWriter) bool {
-	if s.clusterAdmin == nil {
-		writeErr(w, http.StatusNotFound,
-			fmt.Errorf("httpapi: no dynamic membership on this server (run as a router with -peers)"))
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClusterAdmin(w) {
-		return
-	}
-	writeJSON(w, http.StatusOK, s.clusterAdmin.Status())
-}
-
-func (s *Server) handleClusterAddShard(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClusterAdmin(w) {
-		return
-	}
-	var req AddShardRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if req.Addr == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpapi: add shard without addr"))
-		return
-	}
-	rep, err := s.clusterAdmin.AddShard(req.Addr, req.Replicas)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusConflict), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (s *Server) handleClusterRemoveShard(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClusterAdmin(w) {
-		return
-	}
-	rep, err := s.clusterAdmin.RemoveShard()
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusConflict), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (s *Server) handleClusterPromote(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClusterAdmin(w) {
-		return
-	}
-	var req PromoteRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	resp, err := s.clusterAdmin.Promote(req.Slot, req.Force)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusConflict), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (s *Server) handleClusterResume(w http.ResponseWriter, r *http.Request) {
-	if !s.requireClusterAdmin(w) {
-		return
-	}
-	if err := s.clusterAdmin.ResumeReshard(); err != nil {
-		writeErr(w, statusFor(err, http.StatusConflict), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"resumed": true})
+// ResumeResponse reports a resumed reshard.
+type ResumeResponse struct {
+	Resumed bool `json:"resumed"`
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"strconv"
@@ -14,11 +15,8 @@ import (
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/delivery"
-	"github.com/treads-project/treads/internal/money"
 	"github.com/treads-project/treads/internal/obs"
-	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
-	"github.com/treads-project/treads/internal/profile"
 )
 
 // Backend is the platform surface the HTTP server drives: the shared op
@@ -36,15 +34,6 @@ type Backend interface {
 }
 
 var _ Backend = (*platform.Platform)(nil)
-
-// transparentPixelGIF is the classic 1x1 transparent GIF a tracking pixel
-// endpoint serves.
-var transparentPixelGIF = []byte{
-	0x47, 0x49, 0x46, 0x38, 0x39, 0x61, 0x01, 0x00, 0x01, 0x00, 0x80, 0x00,
-	0x00, 0x00, 0x00, 0x00, 0xff, 0xff, 0xff, 0x21, 0xf9, 0x04, 0x01, 0x00,
-	0x00, 0x00, 0x00, 0x2c, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x01, 0x00,
-	0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3b,
-}
 
 // Server serves the platform over HTTP.
 type Server struct {
@@ -79,7 +68,7 @@ func NewServerWithRegistry(p Backend, logger *log.Logger, reg *obs.Registry) *Se
 // authentication: advertiser registration returns a bearer token, and
 // every advertiser-scoped endpoint requires it. The returned Authenticator
 // must not be discarded by deployments that need operator access — admin
-// endpoints (journal compaction) verify against its "admin" account.
+// endpoints verify against its AdminAccount.
 func NewServerWithAuth(p Backend, logger *log.Logger) (*Server, *Authenticator) {
 	s := &Server{p: p, mux: http.NewServeMux(), log: logger, auth: NewAuthenticator(),
 		metrics: newServerMetrics(obs.Default)}
@@ -105,56 +94,100 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
+// routes registers every row of the route table, then the two routes whose
+// answers are not one JSON value.
 func (s *Server) routes() {
-	// Advertiser API. Everything scoped to an account is gated on the
-	// account's API token when authentication is enabled.
-	s.handle("POST /api/v1/advertisers", s.handleRegisterAdvertiser)
-	s.handle("POST /api/v1/advertisers/{name}/campaigns", s.requireAdvertiserAuth(s.handleCreateCampaign))
-	s.handle("POST /api/v1/advertisers/{name}/campaigns/{id}/pause", s.requireAdvertiserAuth(s.handlePauseCampaign))
-	s.handle("GET /api/v1/advertisers/{name}/campaigns/{id}/report", s.requireAdvertiserAuth(s.handleReport))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/pii", s.requireAdvertiserAuth(handleCreateAudience[CreatePIIAudienceRequest](s)))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/website", s.requireAdvertiserAuth(handleCreateAudience[CreateWebsiteAudienceRequest](s)))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/engagement", s.requireAdvertiserAuth(handleCreateAudience[CreateEngagementAudienceRequest](s)))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/affinity", s.requireAdvertiserAuth(handleCreateAudience[CreateAffinityAudienceRequest](s)))
-	s.handle("POST /api/v1/advertisers/{name}/audiences/lookalike", s.requireAdvertiserAuth(handleCreateAudience[CreateLookalikeAudienceRequest](s)))
-	s.handle("POST /api/v1/advertisers/{name}/pixels", s.requireAdvertiserAuth(s.handleIssuePixel))
-	s.handle("POST /api/v1/advertisers/{name}/reach", s.requireAdvertiserAuth(s.handleReach))
-	s.handle("GET /api/v1/attributes", s.handleSearchAttributes)
-
-	// User API.
-	s.handle("POST /api/v1/users/{id}/browse", s.handleBrowse)
-	s.handle("GET /api/v1/users/{id}/feed", s.handleFeed)
-	s.handle("GET /api/v1/users/{id}/adpreferences", s.handleAdPreferences)
-	s.handle("GET /api/v1/users/{id}/advertisers", s.handleAdvertisersTargetingMe)
-	s.handle("POST /api/v1/users/{id}/likes", s.handleLike)
-	s.handle("POST /api/v1/users/{id}/explain", s.handleExplain)
-
-	// The tracking-pixel endpoint: a GET for a 1x1 GIF, exactly how real
-	// pixels work. The platform identifies the browsing user (here via
-	// the uid query parameter standing in for the session cookie) and
-	// records the visit; the site owner (the transparency provider)
-	// learns nothing.
-	s.handle("GET /pixel/{pixelID}", s.handlePixel)
-
-	// Operator API. Always routed; returns 404 until a compactor is
-	// configured (i.e. the daemon is running with -journal).
-	s.handle("POST /admin/v1/compact", s.requireAdminAuth(s.handleCompact))
-
-	// Dynamic membership. Always routed; returns 404 until a ClusterAdmin
-	// is configured (i.e. the daemon is routing over remote shard nodes).
-	s.handle("GET /admin/v1/cluster", s.requireAdminAuth(s.handleClusterStatus))
-	s.handle("POST /admin/v1/cluster/shards", s.requireAdminAuth(s.handleClusterAddShard))
-	s.handle("DELETE /admin/v1/cluster/shards", s.requireAdminAuth(s.handleClusterRemoveShard))
-	s.handle("POST /admin/v1/cluster/promote", s.requireAdminAuth(s.handleClusterPromote))
-	s.handle("POST /admin/v1/cluster/resume", s.requireAdminAuth(s.handleClusterResume))
+	for _, rt := range Routes {
+		s.handle(rt.Pattern, rt.handler(s))
+	}
 
 	// Trace dump: assembled traces from this process's span ring plus,
 	// when a fetcher is configured (router mode), every shard's ring.
-	s.handle("GET /admin/v1/trace", s.requireAdminAuth(s.handleTraceDump))
+	s.handle("GET /admin/v1/trace", s.handleTraceDump)
 
 	// Observability. Served from the raw mux: scraping /metrics must not
 	// perturb the request counters it reports.
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+}
+
+// serve answers one request of the row: the scope check, the body, the
+// parameters, the backend call, and the answer or the error's status.
+func (rt Route[Req, Resp]) serve(s *Server) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req Req
+		var resp Resp
+		err := s.admit(rt.Scope, r)
+		if err == nil && rt.body {
+			err = readJSON(w, r, &req)
+		}
+		var p Params
+		if err == nil {
+			p, err = rt.params(r)
+		}
+		if err == nil {
+			resp, err = rt.fn(call{Server: s, r: r, Params: p}, req)
+		}
+		switch {
+		case err != nil:
+			writeErr(w, statusFor(err, rt.Refused), err)
+		case rt.write != nil:
+			rt.write(w, rt.OK, resp)
+		default:
+			writeJSON(w, rt.OK, resp)
+		}
+	}
+}
+
+// admit checks the caller against a scope: with authentication on, the
+// account's token on an advertiser route and the operator's on an admin
+// one; and that the server has what a Compaction or Membership route
+// drives.
+func (s *Server) admit(scope Scope, r *http.Request) error {
+	switch scope {
+	case Advertiser:
+		if name := r.PathValue("name"); s.auth != nil && !s.auth.Verify(name, BearerToken(r)) {
+			return withStatus(http.StatusUnauthorized, fmt.Errorf("httpapi: missing or invalid API token for advertiser %q", name))
+		}
+	case Admin, Compaction, Membership:
+		if s.auth != nil && !s.auth.Verify(AdminAccount, BearerToken(r)) {
+			return withStatus(http.StatusUnauthorized, errors.New("httpapi: missing or invalid admin token"))
+		}
+		if scope == Compaction && s.compactor == nil {
+			return withStatus(http.StatusNotFound, errors.New("httpapi: no journal configured (run with -journal)"))
+		}
+		if scope == Membership && s.clusterAdmin == nil {
+			return withStatus(http.StatusNotFound, errors.New("httpapi: no dynamic membership on this server (run as a router with -peers)"))
+		}
+	}
+	return nil
+}
+
+// params reads the request's path wildcards and the row's query parameter.
+func (rt *RouteInfo) params(r *http.Request) (Params, error) {
+	p := Params{Name: r.PathValue("name"), ID: r.PathValue("id"), PixelID: r.PathValue("pixelID")}
+	if rt.Query == "" {
+		return p, nil
+	}
+	v := r.URL.Query().Get(rt.Query)
+	switch rt.Query {
+	case "slots":
+		p.Slots = 10
+		if v != "" {
+			n, err := strconv.Atoi(v)
+			if err != nil || n < 0 || n > delivery.MaxSlots {
+				return p, badRequest(fmt.Errorf("httpapi: bad slots %q", v))
+			}
+			p.Slots = n
+		}
+	case "q":
+		p.Q = v
+	case "uid":
+		if v == "" {
+			return p, badRequest(errors.New("httpapi: pixel fire without uid (no platform session)"))
+		}
+		p.UID = v
+	}
+	return p, nil
 }
 
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
@@ -182,182 +215,53 @@ type Unavailable string
 
 func (e Unavailable) Error() string { return string(e) }
 
-// statusFor picks the status of a backend error: 503 on every route when an
+// statusError is an error that carries its status: one about the request
+// itself (its credentials, its body or parameters, a route this server does
+// not serve) or a backend answer a row tells apart from its refusals.
+type statusError struct {
+	status int
+	err    error
+}
+
+func (e statusError) Error() string { return e.err.Error() }
+func (e statusError) Unwrap() error { return e.err }
+
+func withStatus(status int, err error) error { return statusError{status, err} }
+
+func badRequest(err error) error { return statusError{http.StatusBadRequest, err} }
+
+// statusFor picks the status of an error: 503 on every route when an
 // Unavailable is anywhere in its chain — an unreachable shard must not read
 // as "unknown user" to the client, the 5xx request counters, or the
-// gateway's shedding controller — and otherwise the route's own code for a
-// refusal.
-func statusFor(err error, fallback int) int {
+// gateway's shedding controller — then the status the error carries, and
+// otherwise the route's own code for a refusal.
+func statusFor(err error, refused int) int {
 	var u Unavailable
 	if errors.As(err, &u) {
 		return http.StatusServiceUnavailable
 	}
-	return fallback
+	var se statusError
+	if errors.As(err, &se) {
+		return se.status
+	}
+	return refused
 }
 
-func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+// readJSON decodes the body into v: one JSON value, unknown fields refused,
+// and nothing after it but whitespace.
+func readJSON(w http.ResponseWriter, r *http.Request, v interface{}) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 10<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpapi: bad request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleRegisterAdvertiser(w http.ResponseWriter, r *http.Request) {
-	var req RegisterAdvertiserRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if err := s.p.RegisterAdvertiser(req.Name); err != nil {
-		writeErr(w, statusFor(err, http.StatusConflict), err)
-		return
-	}
-	resp := RegisterAdvertiserResponse{Name: req.Name}
-	if s.auth != nil {
-		tok, err := s.auth.Issue(req.Name)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, err)
-			return
+	err := dec.Decode(v)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("data after the JSON value")
 		}
-		resp.Token = tok
 	}
-	writeJSON(w, http.StatusCreated, resp)
-}
-
-func (s *Server) handleCreateCampaign(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req CreateCampaignRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	spec, err := req.Spec.ToSpec()
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+		return badRequest(fmt.Errorf("httpapi: bad request body: %w", err))
 	}
-	id, err := s.p.CreateCampaign(name, platform.CampaignParams{
-		Spec:         spec,
-		BidCapCPM:    money.FromDollars(req.BidCapUSD),
-		Creative:     req.Creative.ToCreative(),
-		FrequencyCap: req.FrequencyCap,
-		Budget:       money.FromDollars(req.BudgetUSD),
-	})
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, platform.ErrRejected) {
-			status = http.StatusUnprocessableEntity
-		}
-		writeErr(w, statusFor(err, status), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, CreateCampaignResponse{CampaignID: id})
-}
-
-func (s *Server) handlePauseCampaign(w http.ResponseWriter, r *http.Request) {
-	if err := s.p.PauseCampaign(r.PathValue("name"), r.PathValue("id")); err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"paused": true})
-}
-
-func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.p.Report(r.Context(), r.PathValue("name"), r.PathValue("id"))
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, FromReport(rep))
-}
-
-// handleCreateAudience serves the audience route whose request body is Req:
-// the body decodes into a Def, and all five routes answer alike.
-func handleCreateAudience[Req interface{ def() (audience.Def, error) }](s *Server) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		if !readJSON(w, r, &req) {
-			return
-		}
-		d, err := req.def()
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		id, err := s.p.CreateAudience(r.PathValue("name"), d)
-		if err != nil {
-			writeErr(w, statusFor(err, http.StatusBadRequest), err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, AudienceResponse{AudienceID: string(id)})
-	}
-}
-
-func (s *Server) handleIssuePixel(w http.ResponseWriter, r *http.Request) {
-	id, err := s.p.IssuePixel(r.PathValue("name"))
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, PixelResponse{PixelID: string(id)})
-}
-
-func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	var req ReachRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	spec, err := req.Spec.ToSpec()
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	reach, err := s.p.PotentialReach(r.Context(), name, spec)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusBadRequest), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ReachResponse{Reach: reach})
-}
-
-func (s *Server) handleSearchAttributes(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	hits := s.p.SearchAttributes(q)
-	out := make([]AttributeWire, 0, len(hits))
-	for _, a := range hits {
-		out = append(out, FromAttribute(a))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleBrowse(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	slots := 10
-	if v := r.URL.Query().Get("slots"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 || n > delivery.MaxSlots {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("httpapi: bad slots %q", v))
-			return
-		}
-		slots = n
-	}
-	imps, err := s.p.BrowseFeedCtx(r.Context(), uid, slots)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, FromImpressions(imps))
-}
-
-func (s *Server) handleFeed(w http.ResponseWriter, r *http.Request) {
-	imps, err := s.p.FeedCtx(r.Context(), profile.UserID(r.PathValue("id")))
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, FromImpressions(imps))
+	return nil
 }
 
 // FromImpressions converts a feed to the wire form; an empty feed is `[]`,
@@ -368,74 +272,4 @@ func FromImpressions(imps []ad.Impression) []ImpressionWire {
 		out = append(out, FromImpression(i))
 	}
 	return out
-}
-
-func (s *Server) handleAdPreferences(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	prefs, err := s.p.AdPreferences(uid)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	out := PreferencesResponse{Attributes: make([]string, 0, len(prefs))}
-	for _, id := range prefs {
-		out.Attributes = append(out.Attributes, string(id))
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (s *Server) handleAdvertisersTargetingMe(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	names, err := s.p.AdvertisersTargetingMe(uid)
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, AdvertisersResponse{Advertisers: names})
-}
-
-func (s *Server) handleLike(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	var req LikeRequest
-	if !readJSON(w, r, &req) {
-		return
-	}
-	if err := s.p.LikePage(uid, req.PageID); err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]bool{"liked": true})
-}
-
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	uid := profile.UserID(r.PathValue("id"))
-	var req ImpressionWire
-	if !readJSON(w, r, &req) {
-		return
-	}
-	ex, err := s.p.ExplainImpression(uid, req.ToImpression())
-	if err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, ExplanationWire{Attribute: string(ex.Attribute), Text: ex.Text})
-}
-
-func (s *Server) handlePixel(w http.ResponseWriter, r *http.Request) {
-	px := pixel.PixelID(r.PathValue("pixelID"))
-	uid := profile.UserID(r.URL.Query().Get("uid"))
-	if uid == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("httpapi: pixel fire without uid (no platform session)"))
-		return
-	}
-	if err := s.p.VisitPage(uid, px); err != nil {
-		writeErr(w, statusFor(err, http.StatusNotFound), err)
-		return
-	}
-	w.Header().Set("Content-Type", "image/gif")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(transparentPixelGIF); err != nil {
-		_ = err // client went away; nothing to do
-	}
 }

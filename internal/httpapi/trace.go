@@ -29,6 +29,10 @@ func (s *Server) SetTraceFetcher(f TraceFetcher) { s.traceFetcher = f }
 // Admin-gated: spans carry route patterns, shard indices, and error
 // strings — operator diagnostics, not an advertiser surface.
 func (s *Server) handleTraceDump(w http.ResponseWriter, r *http.Request) {
+	if err := s.admit(Admin, r); err != nil {
+		writeErr(w, statusFor(err, http.StatusUnauthorized), err)
+		return
+	}
 	spans := trace.Default.WireSnapshot()
 	if s.traceFetcher != nil {
 		spans = append(spans, s.traceFetcher.RemoteTraceSpans(r.Context())...)

@@ -113,6 +113,11 @@ type CreateCampaignResponse struct {
 	CampaignID string `json:"campaign_id"`
 }
 
+// PauseResponse acknowledges a paused campaign.
+type PauseResponse struct {
+	Paused bool `json:"paused"`
+}
+
 // MatchKeyWire is the JSON form of pii.MatchKey.
 type MatchKeyWire struct {
 	Type string `json:"type"` // "email" or "phone"
@@ -322,6 +327,11 @@ func FromAttribute(a *attr.Attribute) AttributeWire {
 // LikeRequest records a page like.
 type LikeRequest struct {
 	PageID string `json:"page_id"`
+}
+
+// LikeResponse acknowledges a recorded like.
+type LikeResponse struct {
+	Liked bool `json:"liked"`
 }
 
 // PreferencesResponse is the user's ad-preferences page.

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"github.com/treads-project/treads"
+	"github.com/treads-project/treads/internal/httpapi"
 )
 
 // fixedMarket makes delivery deterministic: competitor always bids $2, so
@@ -200,7 +201,7 @@ func TestPublicAPIHTTPServerAndClient(t *testing.T) {
 	if !strings.HasPrefix(cid, "camp-") {
 		t.Fatalf("campaign id = %q", cid)
 	}
-	hits, err := api.SearchAttributes(ctx, "net worth")
+	hits, err := httpapi.Call(ctx, api, httpapi.RouteSearchAttributes, httpapi.Params{Q: "net worth"}, struct{}{})
 	if err != nil || len(hits) != 9 {
 		t.Fatalf("search = %d hits, %v", len(hits), err)
 	}
