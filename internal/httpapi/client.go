@@ -71,17 +71,26 @@ func (rt *RouteInfo) URL(p Params) string {
 // returns the zero Resp — a half-decoded answer is no answer.
 func Call[Req, Resp any](ctx context.Context, c *Client, rt Route[Req, Resp], p Params, req Req) (Resp, error) {
 	var resp Resp
+	if err := c.send(ctx, rt.RouteInfo, p, req, &resp); err != nil {
+		var zero Resp
+		return zero, err
+	}
+	return resp, nil
+}
+
+// send makes one request of the row and decodes its answer into out.
+func (c *Client) send(ctx context.Context, rt *RouteInfo, p Params, req, out any) error {
 	var body io.Reader
 	if rt.body {
 		buf, err := json.Marshal(req)
 		if err != nil {
-			return resp, fmt.Errorf("httpapi: encoding request: %w", err)
+			return fmt.Errorf("httpapi: encoding request: %w", err)
 		}
 		body = bytes.NewReader(buf)
 	}
 	hr, err := http.NewRequestWithContext(ctx, rt.Method, c.BaseURL+rt.URL(p), body)
 	if err != nil {
-		return resp, err
+		return err
 	}
 	if rt.body {
 		hr.Header.Set("Content-Type", "application/json")
@@ -93,30 +102,27 @@ func Call[Req, Resp any](ctx context.Context, c *Client, rt Route[Req, Resp], p 
 	if c.APIKey != "" && rt.Scope != Pixel {
 		hr.Header.Set("X-API-Key", c.APIKey)
 	}
-	hresp, err := c.httpClient().Do(hr)
+	resp, err := c.httpClient().Do(hr)
 	if err != nil {
-		return resp, err
+		return err
 	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode < 200 || hresp.StatusCode > 299 {
+	defer resp.Body.Close()
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		var er ErrorResponse
-		msg := hresp.Status
-		if json.NewDecoder(io.LimitReader(hresp.Body, 1<<16)).Decode(&er) == nil && er.Error != "" {
+		msg := resp.Status
+		if json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&er) == nil && er.Error != "" {
 			msg = er.Error
 		}
-		return resp, &APIError{Status: hresp.StatusCode, Message: msg}
+		return &APIError{Status: resp.StatusCode, Message: msg}
 	}
-	if raw, ok := any(&resp).(*[]byte); ok {
-		if *raw, err = io.ReadAll(io.LimitReader(hresp.Body, 1<<16)); err != nil {
-			*raw = nil
-		}
-		return resp, err
+	if raw, ok := out.(*[]byte); ok {
+		*raw, err = io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+		return err
 	}
-	if err := json.NewDecoder(hresp.Body).Decode(&resp); err != nil {
-		var zero Resp
-		return zero, fmt.Errorf("httpapi: decoding response: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		return fmt.Errorf("httpapi: decoding response: %w", err)
 	}
-	return resp, nil
+	return nil
 }
 
 // The routes a binary or the benchmark calls by name; every other route is

@@ -64,19 +64,18 @@ type RouteInfo struct {
 	// and an error about the request itself carries its own status.
 	OK, Refused int
 
-	body    bool // the route reads a JSON request body
-	handler func(*Server) http.HandlerFunc
+	body bool // the route reads a JSON request body
+	// answer decodes the body into the row's request type, makes the
+	// backend call and writes a success.
+	answer func(c call, w http.ResponseWriter) error
+	// write sends a success whose answer is a []byte as it is; nil sends
+	// the answer as JSON.
+	write func(w http.ResponseWriter, status int, body []byte)
 }
 
-// Route is a row together with its request and response types. The Server
+// Route is a row together with its request and response types: the Server
 // serves it, a client sends it with Call.
-type Route[Req, Resp any] struct {
-	*RouteInfo
-	// fn is the backend call: the answer to req.
-	fn func(c call, req Req) (Resp, error)
-	// write sends a success; nil sends it as JSON.
-	write func(w http.ResponseWriter, status int, resp Resp)
-}
+type Route[Req, Resp any] struct{ *RouteInfo }
 
 // call is what a row's backend call reads besides the body.
 type call struct {
@@ -89,23 +88,39 @@ type call struct {
 // them in.
 var Routes []*RouteInfo
 
+// declare adds a row whose backend call is fn. Only answer, which types the
+// body and the answer, is written per row; the rest of serving a request is
+// Server.serve, once for all rows.
 func declare[Req, Resp any](pattern, query string, scope Scope, ok, refused int, fn func(call, Req) (Resp, error)) Route[Req, Resp] {
 	method, path, _ := strings.Cut(pattern, " ")
 	var req Req
 	_, none := any(req).(empty)
-	rt := Route[Req, Resp]{
-		RouteInfo: &RouteInfo{Pattern: pattern, Method: method, Path: path, Query: query, Scope: scope, OK: ok, Refused: refused, body: !none},
-		fn:        fn,
+	rt := &RouteInfo{Pattern: pattern, Method: method, Path: path, Query: query, Scope: scope, OK: ok, Refused: refused, body: !none}
+	rt.answer = func(c call, w http.ResponseWriter) error {
+		var req Req
+		if rt.body {
+			if err := readJSON(w, c.r, &req); err != nil {
+				return err
+			}
+		}
+		resp, err := fn(c, req)
+		switch {
+		case err != nil:
+			return err
+		case rt.write != nil:
+			rt.write(w, rt.OK, any(resp).([]byte))
+		default:
+			writeJSON(w, rt.OK, resp)
+		}
+		return nil
 	}
-	rt.handler = rt.serve
-	Routes = append(Routes, rt.RouteInfo)
-	return rt
+	Routes = append(Routes, rt)
+	return Route[Req, Resp]{rt}
 }
 
-// writes sets the row's writer of a success.
-func (rt Route[Req, Resp]) writes(fn func(w http.ResponseWriter, status int, resp Resp)) Route[Req, Resp] {
+// writes sets the writer of the row's []byte answer.
+func (rt Route[Req, Resp]) writes(fn func(w http.ResponseWriter, status int, body []byte)) Route[Req, Resp] {
 	rt.write = fn
-	rt.handler = rt.serve
 	return rt
 }
 

@@ -98,7 +98,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // answers are not one JSON value.
 func (s *Server) routes() {
 	for _, rt := range Routes {
-		s.handle(rt.Pattern, rt.handler(s))
+		s.handle(rt.Pattern, s.serve(rt))
 	}
 
 	// Trace dump: assembled traces from this process's span ring plus,
@@ -110,30 +110,20 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 }
 
-// serve answers one request of the row: the scope check, the body, the
-// parameters, the backend call, and the answer or the error's status.
-func (rt Route[Req, Resp]) serve(s *Server) http.HandlerFunc {
+// serve answers one request of the row: the scope check, the parameters,
+// then the row's own body, backend call and answer, or the error's status.
+func (s *Server) serve(rt *RouteInfo) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req Req
-		var resp Resp
 		err := s.admit(rt.Scope, r)
-		if err == nil && rt.body {
-			err = readJSON(w, r, &req)
-		}
 		var p Params
 		if err == nil {
 			p, err = rt.params(r)
 		}
 		if err == nil {
-			resp, err = rt.fn(call{Server: s, r: r, Params: p}, req)
+			err = rt.answer(call{Server: s, r: r, Params: p}, w)
 		}
-		switch {
-		case err != nil:
+		if err != nil {
 			writeErr(w, statusFor(err, rt.Refused), err)
-		case rt.write != nil:
-			rt.write(w, rt.OK, resp)
-		default:
-			writeJSON(w, rt.OK, resp)
 		}
 	}
 }
