@@ -98,18 +98,20 @@ race-full:
 	$(GO) test -race -count=1 -run=TestAPIDocsListTheRouteTable -v ./internal/httpapi/ | grep -- '--- PASS: TestAPIDocsListTheRouteTable'
 
 # Deterministic fault-injection smokes, each verifying durability,
-# exactly-once billing, replica convergence and byte-identical recovery:
-# in-process and loopback-RPC schedules (every configured fault kind must
-# fire), one- and two-follower chains with a mid-round owner kill plus a
-# reshard under traffic, scripted owner kills on two-follower chains, and
-# owner kills the health supervisor must recover with no admin call. Each
-# replica mode checks replication twice: as the last heal left the chains,
-# and after every shard's close/reopen. A failure prints the seed and the
-# line that replays it: `go run ./cmd/treads-chaos -seed <n>`, the mode
-# flags of its sweep, `-v -keep`.
+# exactly-once billing, replica convergence and byte-identical recovery.
+# Every mode runs its shards as shard nodes on an in-memory network, with
+# link faults and partitions on the router's links: one and two driver
+# workers (every configured fault kind must fire), one- and two-follower
+# chains with a mid-round owner kill plus a reshard under traffic, scripted
+# owner kills on two-follower chains, and owner kills the health supervisor
+# must recover with no admin call. Each replica mode checks replication
+# twice: as the last heal left the chains, and after every shard's
+# close/reopen. A failure prints the seed and the line that replays it:
+# `go run ./cmd/treads-chaos -seed <n>`, the mode flags of its sweep,
+# `-v -keep`.
 chaos-smoke:
 	$(GO) run ./cmd/treads-chaos -seeds 20 -require-coverage
-	$(GO) run ./cmd/treads-chaos -net -seeds 5 -workers 2 -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 5 -workers 2 -require-coverage
 	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 1 -reshard -require-coverage
 	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 2 -reshard -require-coverage
 	$(GO) run ./cmd/treads-chaos -seeds 20 -replicas 2
@@ -200,12 +202,12 @@ fuzz:
 cover:
 	$(GO) test -cover ./...
 
-# Long deterministic fault-injection sweep: 200 in-process schedules plus
-# 50 over real loopback RPC. A violation prints the failing seed and the
-# line that replays it.
+# Long deterministic fault-injection sweep: 200 schedules with one driver
+# worker plus 50 with two. A violation prints the failing seed and the line
+# that replays it.
 chaos:
 	$(GO) run ./cmd/treads-chaos -seeds 200 -require-coverage
-	$(GO) run ./cmd/treads-chaos -net -seeds 50 -workers 2 -require-coverage
+	$(GO) run ./cmd/treads-chaos -seeds 50 -workers 2 -require-coverage
 
 # Regenerate every table/figure of the paper (F1, E1–E12): the output
 # internal/experiments/testdata/paper.golden pins.

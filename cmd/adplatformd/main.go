@@ -16,7 +16,8 @@
 // The flags put the process in one of four modes, each booted the same
 // way — open the shards it holds, serve the only one bare or a cluster
 // over them, build the mode's front end: single (the default) holds one
-// shard; shards (-shards N) holds N under the cluster coordinator; node
+// shard; shards (-shards N) holds N, each behind the shard wire on an
+// in-memory network, under the cluster coordinator; node
 // (-shard-serve) holds shard I of N and serves the internal RPC surface
 // (/rpc/v1/...) instead of the public API; router (-peers) holds none and
 // serves the public API over a fleet of nodes.
@@ -211,7 +212,7 @@ type mode int
 
 const (
 	modeSingle mode = iota // one in-process shard, served bare
-	modeShards             // -shards N: a cluster of N in-process shards
+	modeShards             // -shards N: a cluster over N shards served in process
 	modeNode               // -shard-serve: one shard behind the RPC surface
 	modeRouter             // -peers: a cluster over remote shard nodes
 )
@@ -357,10 +358,27 @@ func run() error {
 // serves, and the handles the daemon needs beside them; a nil field is one
 // the mode does not have.
 type node struct {
-	members   []*platform.Platform // the shards held here, in slot order; none on a router
-	backend   httpapi.Backend      // the one member bare, else the cluster
+	members   held            // the shards held here, in slot order; none on a router
+	backend   httpapi.Backend // the one member bare, else the cluster
 	compactor httpapi.Compactor
 	admin     *membershipAdmin // the router, the one mode with dynamic membership
+}
+
+// held is the shards a process opened. It compacts their journals one at a
+// time, so the others keep serving, and reports the least snapshot LSN.
+type held []*platform.Platform
+
+func (h held) Compact() (least uint64, err error) {
+	for i, p := range h {
+		lsn, err := p.Compact()
+		if err != nil {
+			return 0, fmt.Errorf("compacting shard %d: %w", i, err)
+		}
+		if i == 0 || lsn < least {
+			least = lsn
+		}
+	}
+	return least, nil
 }
 
 // boot opens the shards the process holds — slot -shard-index of
@@ -407,18 +425,14 @@ func boot(opts options, logger *log.Logger) (node, error) {
 	case len(n.members) == 1:
 		n.backend = n.members[0]
 	case len(n.members) > 1:
-		shards := make([]cluster.Shard, len(n.members))
-		for i, mb := range n.members {
-			shards[i] = mb
-		}
-		c, err := cluster.New(shards, cluster.Options{Registry: obs.Default})
+		c, err := cluster.NewServed(n.members, cluster.Options{Registry: obs.Default})
 		if err != nil {
 			return node{}, err
 		}
 		n.backend = c
 	}
-	if opts.JournalDir != "" { // a journaled member, or a cluster over them
-		n.compactor = n.backend.(httpapi.Compactor)
+	if opts.JournalDir != "" { // journaled members, compacted where they are held
+		n.compactor = n.members
 	}
 	users := 0
 	for _, mb := range n.members {
@@ -483,11 +497,9 @@ func front(opts options, n node, logger *log.Logger) (http.Handler, func(), erro
 		if opts.FailoverDetect > 0 {
 			stop = startFailoverSupervisor(n.admin, opts, logger).Close
 		}
-	}
-	// A router stitches every shard node's span ring into its trace dump;
-	// in-process backends have nothing remote to fetch.
-	if tf, ok := n.backend.(httpapi.TraceFetcher); ok {
-		handler.SetTraceFetcher(tf)
+		// A router stitches every shard node's span ring into its trace
+		// dump; shards held in this process record into its own ring.
+		handler.SetTraceFetcher(n.admin.clu)
 	}
 
 	// With -gateway, the edge wraps the public API: tenant keys, rate
@@ -677,7 +689,7 @@ func (n node) save(path string) error {
 
 // openRouter dials the -peers fleet: one RPC client per shard node,
 // wrapped as RemoteShards (one ReplicaSet per slot, followers included)
-// under the same cluster coordinator the in-process shards use.
+// under the same cluster coordinator -shards N uses.
 // Startup gates on every peer reporting healthy so the router never serves
 // over a half-up fleet. The nodes themselves are the membership source for
 // stale-ring recovery, and they are asked first: a router restarted after

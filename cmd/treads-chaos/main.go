@@ -1,7 +1,7 @@
 // Command treads-chaos runs the deterministic chaos harness: a sharded
-// cluster on fault-injecting disks (and, with -net, fault-injecting
-// loopback links) driven by the concurrent workload while shards crash,
-// journals fail, and partitions come and go — then verifies that
+// cluster of shard nodes on fault-injecting disks, reached over
+// fault-injecting in-memory links, driven by the concurrent workload while
+// shards crash, journals fail, and partitions come and go — then verifies that
 // durability, exactly-once billing, replica convergence, and
 // byte-identical recovery all held.
 //
@@ -20,7 +20,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/treads-project/treads/internal/chaos"
@@ -35,7 +36,6 @@ func main() {
 		replicas = flag.Int("replicas", 0, "journal-shipping followers per shard; >0 kills an owner mid-round and promotes a follower")
 		noAdmin  = flag.Bool("no-admin", false, "drop the scripted promotion: the health supervisor must detect the kill and promote on its own (implies -replicas 2 unless set)")
 		reshard  = flag.Bool("reshard", false, "grow the cluster by one shard in the middle round, concurrently with traffic")
-		netMode  = flag.Bool("net", false, "run shards behind real loopback RPC with link faults")
 		dir      = flag.String("dir", "", "scratch directory (default: temp dir, removed on success)")
 		keep     = flag.Bool("keep", false, "keep the scratch directory even on success")
 		verbose  = flag.Bool("v", false, "log per-round progress")
@@ -45,12 +45,12 @@ func main() {
 	if *noAdmin && *replicas == 0 {
 		*replicas = 2
 	}
-	repro := reproFlags(*netMode, *workers, *replicas, *reshard, *noAdmin)
+	repro := reproFlags(*workers, *replicas, *reshard, *noAdmin)
 
 	aggFired := make(map[faults.Kind]uint64)
 	aggOpp := make(map[faults.Kind]uint64)
 	start := time.Now()
-	for s := *seed; s < *seed+uint64(*seeds); s++ {
+	config := func(s uint64) chaos.Config {
 		cfg := chaos.DefaultConfig(s)
 		cfg.Workers = *workers
 		cfg.Replicas = *replicas
@@ -58,17 +58,43 @@ func main() {
 		cfg.Reshard = *reshard
 		cfg.Dir = *dir
 		cfg.Keep = *keep
-		if *netMode {
-			nc := chaos.DefaultNetConfig()
-			cfg.Net = &nc
-		}
 		if *verbose {
 			cfg.Logf = func(format string, args ...any) {
 				fmt.Printf("  seed %d: "+format+"\n", append([]any{s}, args...)...)
 			}
 		}
-
-		res, err := chaos.Run(cfg)
+		return cfg
+	}
+	// Seeds start four at a time, in seed order, and report in seed order:
+	// a run spends most of its wall time in injected link delays, which are
+	// real sleeps. Runs that share a scratch directory or log progress go
+	// one at a time.
+	type outcome struct {
+		res *chaos.Result
+		err error
+	}
+	runs := make([]chan outcome, *seeds)
+	for i := range runs {
+		runs[i] = make(chan outcome, 1)
+	}
+	slots := make(chan struct{}, 4)
+	if *dir != "" || *verbose {
+		slots = make(chan struct{}, 1)
+	}
+	go func() {
+		for i, run := range runs {
+			slots <- struct{}{}
+			go func() {
+				res, err := chaos.Run(config(*seed + uint64(i)))
+				run <- outcome{res, err}
+				<-slots
+			}()
+		}
+	}()
+	for i, run := range runs {
+		s := *seed + uint64(i)
+		o := <-run
+		res, err := o.res, o.err
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: harness error: %v\n", s, err)
 			fail(s, repro)
@@ -84,13 +110,7 @@ func main() {
 			elastic = fmt.Sprintf(" kills=%d promotions=%d reshards=%d ring=v%d", res.OwnerKills, res.Promotions, res.Reshards, res.RingVersion)
 		}
 		if *noAdmin && len(res.FailoverLatencies) > 0 {
-			var worst time.Duration
-			for _, d := range res.FailoverLatencies {
-				if d > worst {
-					worst = d
-				}
-			}
-			elastic += fmt.Sprintf(" detect→promote≤%v", worst.Round(time.Microsecond))
+			elastic += fmt.Sprintf(" detect→promote≤%v", slices.Max(res.FailoverLatencies).Round(time.Microsecond))
 		}
 		fmt.Printf("seed %-6d ok  ops=%-5d acked=%-5d indeterminate=%-4d crashes=%d partitions=%d%s faults=%s\n",
 			s, res.Ops, res.AckedImpressions, res.IndeterminateSlots, res.Crashes, res.Partitions, elastic, firedSummary(res.Faults))
@@ -114,7 +134,14 @@ func main() {
 		fmt.Printf("  %-18s fired %6d / %8d opportunities\n", k, aggFired[k], aggOpp[k])
 	}
 	if *coverage {
-		missing := missingCoverage(*netMode, aggFired)
+		// chaos.Run asserts every seam was reached; across the sweep every
+		// kind, each configured in every mode, must have fired.
+		var missing []faults.Kind
+		for _, k := range faults.Kinds {
+			if aggFired[k] == 0 {
+				missing = append(missing, k)
+			}
+		}
 		if len(missing) > 0 {
 			fmt.Fprintf(os.Stderr, "coverage check failed: configured fault kinds never fired across the sweep: %v\n", missing)
 			os.Exit(1)
@@ -145,11 +172,8 @@ func dumpTraces(res *chaos.Result) {
 
 // reproFlags renders every flag that shapes a seed's schedule, so a replay
 // of one seed of this sweep runs the same schedule.
-func reproFlags(netMode bool, workers, replicas int, reshard, noAdmin bool) string {
+func reproFlags(workers, replicas int, reshard, noAdmin bool) string {
 	out := ""
-	if netMode {
-		out += " -net"
-	}
 	if workers != 1 {
 		out += fmt.Sprintf(" -workers %d", workers)
 	}
@@ -171,44 +195,16 @@ func fail(seed uint64, modeFlags string) {
 	os.Exit(1)
 }
 
-// missingCoverage lists the fault kinds the sweep's configuration enables
-// that never fired. Per-seed coverage (inside chaos.Run) asserts every
-// seam was reached; across a sweep we can demand the stronger property
-// that every kind actually fired at least once.
-func missingCoverage(netMode bool, fired map[faults.Kind]uint64) []faults.Kind {
-	kinds := []faults.Kind{
-		faults.FSShortWrite, faults.FSWriteError, faults.FSSyncError,
-		faults.FSRenameError, faults.FSCrashTear,
-	}
-	if netMode {
-		kinds = append(kinds,
-			faults.NetDialError, faults.NetDelay, faults.NetDuplicate,
-			faults.NetResetBody, faults.NetPartition)
-	}
-	var missing []faults.Kind
-	for _, k := range kinds {
-		if fired[k] == 0 {
-			missing = append(missing, k)
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	return missing
-}
-
 // firedSummary renders only the kinds that fired, in stable order.
 func firedSummary(fired map[faults.Kind]uint64) string {
-	out := ""
+	var out []string
 	for _, k := range faults.Kinds {
-		if fired[k] == 0 {
-			continue
+		if fired[k] > 0 {
+			out = append(out, fmt.Sprintf("%s:%d", k, fired[k]))
 		}
-		if out != "" {
-			out += ","
-		}
-		out += fmt.Sprintf("%s:%d", k, fired[k])
 	}
-	if out == "" {
+	if len(out) == 0 {
 		return "none"
 	}
-	return out
+	return strings.Join(out, ",")
 }

@@ -1,7 +1,8 @@
 // Package chaos is the deterministic fault-injection harness that proves
 // the platform's crash and partition story end-to-end. One Run boots a
-// multi-shard cluster (in-process or over real loopback RPC) whose disks
-// and links go through the faults package's seams, drives the concurrent
+// multi-shard cluster of shard nodes on an in-memory network — every member
+// behind the shard wire, as a router reaches a fleet — whose disks and
+// links go through the faults package's seams, drives the concurrent
 // workload at it for several rounds while injecting scheduled failures —
 // short writes, failed fsyncs, torn renames, dropped and duplicated and
 // mid-body-reset requests, partitions, and whole-shard crashes — then
@@ -45,6 +46,7 @@
 package chaos
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -106,9 +108,8 @@ type Config struct {
 	// slot. Each round the harness kills one slot's owner halfway through
 	// the traffic (reads fail over, writes refuse with the typed
 	// unavailability error), promotes the best follower shortly after, and
-	// heals the demoted member back into the chain at round end. Replica
-	// chains run in-process only — a networked owner ships from its own
-	// process, which is the shard server's job, not the harness's.
+	// heals the demoted member back into the chain at round end. An owner
+	// node ships from its own process, armed over the rearm RPC.
 	Replicas int
 	// AutoFailover replaces the scripted mid-round promotion with the
 	// real detection loop: a health supervisor probes every slot's owner,
@@ -126,16 +127,15 @@ type Config struct {
 	// fault schedule it is retried on the recovered cluster (the joiner
 	// re-bootstrap wipes partial imports), so membership always converges.
 	Reshard bool
-	// PartitionProb is the per-round probability of partitioning one
-	// shard (networked mode only); one partition is always injected so no
-	// networked run passes without exercising it.
+	// PartitionProb is the per-round probability of cutting the router's
+	// link to one node; while it is positive, round 0 always cuts one.
 	PartitionProb float64
 	// Disk configures filesystem fault probabilities for every shard's
 	// journal directory.
 	Disk faults.DiskConfig
-	// Net, when non-nil, runs the cluster over real loopback RPC with
-	// this link-fault configuration. Nil runs shards in-process.
-	Net *faults.NetConfig
+	// Link configures the faults on the router's links to the nodes. The
+	// nodes' own links, owner to follower, carry none.
+	Link faults.NetConfig
 	// SegmentBytes is passed to each shard's journal; small segments make
 	// rotation, snapshot shadowing, and tail repair happen constantly
 	// instead of rarely.
@@ -155,7 +155,7 @@ type Config struct {
 }
 
 // DefaultConfig returns a run sized for CI smoke: a few seconds per seed,
-// every disk fault kind reachable, crashes every run.
+// every disk and link fault kind reachable, crashes every run.
 func DefaultConfig(seed uint64) Config {
 	return Config{
 		Seed:          seed,
@@ -174,55 +174,43 @@ func DefaultConfig(seed uint64) Config {
 			SyncError:   0.008,
 			RenameError: 0.25,
 		},
+		// Occasional refused dials, frequent small delays, duplicated
+		// idempotent deliveries, and rare mid-body resets. What may
+		// arrive twice is the protocol's read surface, by its table.
+		Link: faults.NetConfig{
+			DialError:     0.02,
+			Delay:         0.25,
+			DelayMax:      5 * time.Millisecond,
+			Duplicate:     0.25,
+			ResetBody:     0.05,
+			DuplicableOps: rpc.ReadOps(),
+		},
 		SegmentBytes: 16 << 10,
-	}
-}
-
-// DefaultNetConfig returns the link-fault mix the networked harness mode
-// uses: occasional refused dials, frequent small delays, duplicated
-// idempotent deliveries, and rare mid-body resets.
-func DefaultNetConfig() faults.NetConfig {
-	return faults.NetConfig{
-		DialError: 0.02,
-		Delay:     0.25,
-		DelayMax:  5 * time.Millisecond,
-		Duplicate: 0.25,
-		ResetBody: 0.05,
-		// What may arrive twice is the protocol's read surface, by its table.
-		DuplicableOps: rpc.ReadOps(),
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig(c.Seed)
-	if c.Shards <= 0 {
-		c.Shards = d.Shards
-	}
-	if c.Users <= 0 {
-		c.Users = d.Users
-	}
-	if c.Campaigns <= 0 {
-		c.Campaigns = d.Campaigns
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = d.Rounds
-	}
-	if c.OpsPerRound <= 0 {
-		c.OpsPerRound = d.OpsPerRound
-	}
-	if c.Workers <= 0 {
-		c.Workers = d.Workers
-	}
-	if c.BrowseSlots <= 0 {
-		c.BrowseSlots = d.BrowseSlots
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = d.SegmentBytes
-	}
+	c.Shards = orDefault(c.Shards, d.Shards)
+	c.Users = orDefault(c.Users, d.Users)
+	c.Campaigns = orDefault(c.Campaigns, d.Campaigns)
+	c.Rounds = orDefault(c.Rounds, d.Rounds)
+	c.OpsPerRound = orDefault(c.OpsPerRound, d.OpsPerRound)
+	c.Workers = orDefault(c.Workers, d.Workers)
+	c.BrowseSlots = orDefault(c.BrowseSlots, d.BrowseSlots)
+	c.SegmentBytes = orDefault(c.SegmentBytes, d.SegmentBytes)
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
 	return c
+}
+
+// orDefault is v, or d when v is not positive.
+func orDefault[T int | int64](v, d T) T {
+	if v <= 0 {
+		return d
+	}
+	return v
 }
 
 // Violation is one invariant the run broke. Any violation means a real
@@ -287,25 +275,13 @@ type slotGroup struct {
 	rs    *cluster.ReplicaSet
 }
 
-// owner is the node at the head of the slot's chain. A networked slot has
-// one node, held by the chain behind its client.
-func (g *slotGroup) owner() *node {
-	if len(g.nodes) == 1 {
-		return g.nodes[0]
-	}
-	return g.rs.Owner().(*node)
-}
+// owner is the node at the head of the slot's chain.
+func (g *slotGroup) owner() *node { return g.rs.Owner().(*member).n }
 
 // followers are the slot's nodes other than its owner.
 func (g *slotGroup) followers() []*node {
 	own := g.owner()
-	var out []*node
-	for _, n := range g.nodes {
-		if n != own {
-			out = append(out, n)
-		}
-	}
-	return out
+	return slices.DeleteFunc(slices.Clone(g.nodes), func(n *node) bool { return n == own })
 }
 
 // harness is the mutable state of one run.
@@ -316,6 +292,7 @@ type harness struct {
 	// partition) — separate from the injector's per-site streams so
 	// harness choices don't shift fault schedules.
 	hrng  *stats.RNG
+	mn    *rpc.MemNet // the network every node serves on
 	nodes []*node
 	slots []*slotGroup
 	clu   *cluster.Cluster
@@ -350,9 +327,6 @@ type harness struct {
 // errors.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Net != nil && (cfg.Replicas > 0 || cfg.Reshard) {
-		return nil, errors.New("chaos: replica chains and live resharding run in-process only (a networked owner ships from its own process; the loopback wire path is covered by the cluster package's RPC tests)")
-	}
 	if cfg.Replicas > 0 && cfg.Workers > 1 {
 		// Promotion is only sound once the demoted owner has no writes in
 		// flight (a real deployment fences the old owner first). With one
@@ -377,14 +351,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.Dir = dir
 
-	treg := cfg.Registry
-	if treg == nil {
-		treg = obs.NewRegistry()
-	}
+	treg := cmp.Or(cfg.Registry, obs.NewRegistry())
 	h := &harness{
 		cfg:        cfg,
 		inj:        faults.NewInjector(cfg.Seed, cfg.Registry),
 		hrng:       stats.NewRNG(stats.SubSeed(cfg.Seed, 0xC4A05)),
+		mn:         rpc.NewMemNet(),
 		advertiser: "chaos",
 		// Sampling at 1 with its own seed sub-stream: round tagging never
 		// perturbs the harness's own decision RNG or the fault schedule.
@@ -399,15 +371,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	h.ledger.acked = make(map[string]int64)
 
-	if err := h.boot(dir); err != nil {
-		h.shutdown()
-		return res, err
+	err := h.boot(dir)
+	if err == nil {
+		err = h.setup()
 	}
-	if err := h.setup(); err != nil {
-		h.shutdown()
-		return res, err
+	if err == nil {
+		err = h.rounds(res)
 	}
-	if err := h.rounds(res); err != nil {
+	if err != nil {
 		h.shutdown()
 		return res, err
 	}
@@ -436,7 +407,7 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // boot creates the per-slot node groups on fault-injecting filesystems
-// and assembles the cluster, in-process or networked.
+// and assembles the cluster over them.
 func (h *harness) boot(dir string) error {
 	cfg := h.cfg
 	shards := make([]*cluster.ReplicaSet, cfg.Shards)
@@ -457,9 +428,9 @@ func (h *harness) boot(dir string) error {
 	return nil
 }
 
-// newSlot creates the nodes of one ring slot — an owner plus
+// newSlot creates the shard nodes of one ring slot — an owner plus
 // cfg.Replicas journal-shipping followers — and returns the harness
-// bookkeeping group with the replica set the cluster routes to. All
+// bookkeeping group with the armed replica set the cluster routes to. All
 // members boot from the same platform seed (a fresh follower must start
 // byte-identical to a fresh owner for a replay from LSN 0 to converge);
 // each member's journal directory gets its own fault-stream scope, so
@@ -467,6 +438,7 @@ func (h *harness) boot(dir string) error {
 func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 	cfg := h.cfg
 	g := &slotGroup{}
+	var members []cluster.Shard
 	pseed := stats.SubSeed(cfg.Seed, uint64(100+slot))
 	for j := 0; j <= cfg.Replicas; j++ {
 		name := fmt.Sprintf("shard%d", slot)
@@ -499,31 +471,11 @@ func (h *harness) newSlot(dir string, slot int) (*slotGroup, error) {
 		if j > 0 {
 			n.Platform.BeginFollow(0)
 		}
-		g.nodes = append(g.nodes, n)
-	}
-
-	if cfg.Net != nil {
-		n := g.nodes[0]
-		if err := n.serve(); err != nil {
+		if err := n.serve(h.mn, h.inj, cfg.Link); err != nil {
 			return nil, err
 		}
-		n.tr = faults.NewTransport(h.inj, *cfg.Net, fmt.Sprintf("node%d", slot), nil)
-		n.remote = cluster.NewRemoteShard(rpc.NewClient("http://"+n.sn.Addr(), rpc.Options{
-			Secret:           chaosSecret,
-			Transport:        n.tr,
-			CallTimeout:      2 * time.Second,
-			MaxRetries:       2,
-			BackoffBase:      2 * time.Millisecond,
-			BackoffMax:       20 * time.Millisecond,
-			FailureThreshold: 5,
-			CircuitCooldown:  100 * time.Millisecond,
-		}))
-		g.rs = cluster.NewReplicaSet(n.remote)
-		return g, nil
-	}
-	members := make([]cluster.Shard, len(g.nodes))
-	for i, n := range g.nodes {
-		members[i] = n
+		g.nodes = append(g.nodes, n)
+		members = append(members, n.remote)
 	}
 	g.rs = cluster.NewReplicaSet(members[0], members[1:]...)
 	return g, g.rs.Chain()
@@ -642,8 +594,8 @@ func (h *harness) rounds(res *Result) error {
 		h.compactHealthy()
 
 		var partitioned []int
-		if cfg.Net != nil && (r == 0 || h.hrng.Float64() < cfg.PartitionProb) {
-			p := h.hrng.Intn(cfg.Shards)
+		if cfg.PartitionProb > 0 && (r == 0 || h.hrng.Float64() < cfg.PartitionProb) {
+			p := h.hrng.Intn(len(h.nodes))
 			h.nodes[p].tr.SetPartitioned(true)
 			partitioned = append(partitioned, p)
 			res.Partitions++
@@ -800,45 +752,37 @@ func (h *harness) armKill(r int, rsp *trace.Span) (func(workload.OpResult), *slo
 	slot := h.hrng.Intn(len(h.slots))
 	g := h.slots[slot]
 	killAt := int64(max(2, h.cfg.OpsPerRound/2))
-	var ops atomic.Int64
-	if h.cfg.AutoFailover {
-		return func(op workload.OpResult) {
-			h.ledger.observe(op)
-			if ops.Add(1) != killAt {
-				return
-			}
-			g.owner().down.Store(true)
-			h.ownerKills.Add(1)
-			rsp.Event("killed slot " + strconv.Itoa(slot) + "'s owner (no admin: supervisor must recover)")
-			h.cfg.Logf("round %d: killed slot %d's owner mid-round; no admin call — the supervisor must detect and promote", r, slot)
-		}, g
-	}
 	promoteAt := killAt + int64(max(1, h.cfg.OpsPerRound/8))
+	var ops atomic.Int64
 	var promoting atomic.Bool
-	scripted := func(op workload.OpResult) {
+	observe := func(op workload.OpResult) {
 		h.ledger.observe(op)
 		n := ops.Add(1)
 		if n == killAt {
-			g.owner().down.Store(true)
+			g.owner().kill()
 			h.ownerKills.Add(1)
 			rsp.Event("killed slot " + strconv.Itoa(slot) + "'s owner")
 			h.cfg.Logf("round %d: killed slot %d's owner mid-round", r, slot)
 		}
-		if n >= promoteAt && promoting.CompareAndSwap(false, true) {
-			idx, err := g.rs.Promote(false)
-			if err != nil {
-				// Nothing promotable on this schedule (the followers are
-				// down too); the slot stays write-refusing — every refusal
-				// a definite, accounted failure — and later ops retry.
-				promoting.Store(false)
-				return
-			}
-			h.promotions.Add(1)
-			rsp.Event("promoted slot " + strconv.Itoa(slot) + "'s follower " + strconv.Itoa(idx))
-			h.cfg.Logf("round %d: promoted slot %d's follower %d to owner", r, slot, idx)
+		if h.cfg.AutoFailover || n < promoteAt || !promoting.CompareAndSwap(false, true) {
+			return
 		}
+		idx, err := g.rs.Promote(false)
+		if err != nil {
+			// Nothing promotable on this schedule (the followers are
+			// down too); the slot stays write-refusing — every refusal
+			// a definite, accounted failure — and later ops retry.
+			promoting.Store(false)
+			return
+		}
+		h.promotions.Add(1)
+		rsp.Event("promoted slot " + strconv.Itoa(slot) + "'s follower " + strconv.Itoa(idx))
+		h.cfg.Logf("round %d: promoted slot %d's follower %d to owner", r, slot, idx)
 	}
-	return scripted, nil
+	if h.cfg.AutoFailover {
+		return observe, g
+	}
+	return observe, nil
 }
 
 // startSupervisor arms one health supervisor over the round's slots.
@@ -863,8 +807,8 @@ func (h *harness) startSupervisor(r int, rsp *trace.Span) *health.Supervisor {
 // autoFleet is the health supervisor's fleet in the harness — the one
 // fleet that is not a *cluster.Cluster: the slot groups as the round
 // began (a slot that joins mid-round is supervised from the next round
-// on). Failover is version-neutral — the in-process harness has no ring to
-// push, so the determinism pins (ring version, placement hash) stay pure
+// on). Failover is version-neutral — the harness's nodes hold no gate to
+// fence, so the determinism pins (ring version, placement hash) stay pure
 // functions of the membership schedule. Healing remains the round-end
 // sweep's job (recovery replaces journal handles, which only the harness
 // may do), so no slot is ever degraded here.
@@ -889,26 +833,30 @@ func (autoFleet) HealSlot(int) error    { return nil }
 // settleAuto closes an auto-failover round: if the kill schedule took an
 // owner down, the supervisor — not the harness — must promote a
 // follower, and a short post-promotion batch then proves the cluster
-// serves again with no admin call anywhere in the loop. A schedule
-// whose disk faults left no promotable follower is logged, not
-// violated: the slot stays write-refusing with every refusal accounted,
-// exactly like the scripted mode's unpromotable rounds.
+// serves again with no admin call anywhere in the loop. A schedule whose
+// faults left no promotable follower for 100 ms (longer than a promotion
+// in flight keeps its follower out of follow mode) is logged, not
+// violated: the slot refuses writes, every refusal accounted, exactly
+// like the scripted mode's unpromotable rounds.
 func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGroup) {
 	if killed == nil {
 		return
 	}
 	cfg := h.cfg
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if killed.owner().Healthy() {
-			break
+	var stuckSince time.Time
+	for !killed.owner().remote.Healthy() {
+		switch {
+		case h.anyPromotable(killed):
+			stuckSince = time.Time{}
+		case stuckSince.IsZero():
+			stuckSince = time.Now()
+		case time.Since(stuckSince) > 100*time.Millisecond:
+			rsp.Event("no promotable follower on this schedule; slot stays refusing until round-end heal")
+			cfg.Logf("round %d: no promotable follower (fault schedule took the followers too); slot refuses writes until the round-end heal", r)
+			return
 		}
 		if time.Now().After(deadline) {
-			if !h.anyPromotable(killed) {
-				rsp.Event("no promotable follower on this schedule; slot stays refusing until round-end heal")
-				cfg.Logf("round %d: no promotable follower (fault schedule took the followers too); slot refuses writes until the round-end heal", r)
-				return
-			}
 			res.violate("recovery", "round %d: supervisor did not promote a follower within 10s of the owner kill", r)
 			rsp.Event("supervisor promotion timed out")
 			return
@@ -932,7 +880,7 @@ func (h *harness) settleAuto(res *Result, r int, rsp *trace.Span, killed *slotGr
 // could elect: alive journal, still following, fully caught up.
 func (h *harness) anyPromotable(g *slotGroup) bool {
 	for _, n := range g.followers() {
-		if st, _ := n.Platform.FollowStatus(); n.Healthy() && st.Synced {
+		if st, _ := n.Platform.FollowStatus(); n.remote.Healthy() && st.Synced {
 			return true
 		}
 	}
@@ -951,21 +899,20 @@ func (h *harness) healReplicas(res *Result) {
 	}
 }
 
-// awaitHealthy probes every networked node through its fault-wrapped
-// client until all answer, which closes their circuit breakers, so
-// restarted shards are back in rotation before the next round (or the
-// final verification) begins.
+// awaitHealthy probes every node through its fault-wrapped client until
+// all answer, which closes their circuit breakers, so restarted shards are
+// back in rotation before the next round (or the final verification)
+// begins.
 func (h *harness) awaitHealthy() error {
-	var remotes []*cluster.RemoteShard
-	for _, n := range h.nodes {
-		if n.remote != nil {
-			remotes = append(remotes, n.remote)
-		}
+	remotes := make([]*cluster.RemoteShard, len(h.nodes))
+	for i, n := range h.nodes {
+		remotes[i] = n.remote.RemoteShard
 	}
 	return shardnode.WaitForPeers(remotes, 5*time.Second, log.New(io.Discard, "", 0))
 }
 
-// compactHealthy snapshots every shard whose journal is still serving —
+// compactHealthy snapshots every shard whose journal is still serving, as
+// each node's own process would —
 // the snapshot-publish path (tmp write, fsync, rename, dir sync) is a
 // fault surface of its own, so the harness drives it deliberately while
 // armed. Errors are expected and ignored: snapshot failure is not sticky,
@@ -984,8 +931,6 @@ func (h *harness) shutdown() {
 	for _, n := range h.nodes {
 		if n.sn != nil {
 			n.sn.Kill()
-		}
-		if n.remote != nil {
 			n.remote.Close()
 		}
 		if n.Platform != nil {

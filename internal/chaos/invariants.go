@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"slices"
 
 	"github.com/treads-project/treads/internal/billing"
 	"github.com/treads-project/treads/internal/faults"
@@ -39,9 +40,7 @@ func stateBytes(s platform.State) ([]byte, error) {
 func (h *harness) quiesce(res *Result) {
 	h.inj.Arm(false)
 	for _, n := range h.nodes {
-		if n.tr != nil {
-			n.tr.SetPartitioned(false)
-		}
+		n.tr.SetPartitioned(false)
 	}
 	h.verifyReplication(res)
 	for _, n := range h.nodes {
@@ -60,9 +59,7 @@ func (h *harness) quiesce(res *Result) {
 			res.violate("recovery", "shard %d: marshalling pre-close state: %v", n.idx, err)
 			continue
 		}
-		if n.sn != nil {
-			n.sn.Kill()
-		}
+		n.sn.Kill()
 		if err := n.Platform.Close(); err != nil {
 			res.violate("recovery", "shard %d: clean close of healthy journal: %v", n.idx, err)
 			continue
@@ -199,13 +196,13 @@ func (h *harness) verify(res *Result) {
 	base := h.slots[0].owner().Platform.State()
 	for si, g := range h.slots[1:] {
 		st := g.owner().Platform.State()
-		if !equalStrings(st.Advertisers, base.Advertisers) {
+		if !slices.Equal(st.Advertisers, base.Advertisers) {
 			res.violate("convergence", "slot %d advertiser set %v != slot 0's %v", si+1, st.Advertisers, base.Advertisers)
 		}
 		if st.NextCamp != base.NextCamp {
 			res.violate("convergence", "slot %d campaign counter %d != slot 0's %d", si+1, st.NextCamp, base.NextCamp)
 		}
-		if !equalOwners(st.Owner, base.Owner) {
+		if !slices.Equal(st.Owner, base.Owner) {
 			res.violate("convergence", "slot %d campaign ownership diverged from slot 0", si+1)
 		}
 	}
@@ -230,7 +227,7 @@ func (h *harness) verifyReplication(res *Result) {
 		}
 		for j, fn := range g.followers() {
 			jp := fn.Platform
-			st, _ := jp.FollowStatus() // in-process: cannot fail
+			st, _ := jp.FollowStatus() // read in the node's process: cannot fail
 			if !st.Synced {
 				res.violate("replication", "slot %d follower %d: following=%v synced=%v after heal",
 					si, j+1, st.Following, st.Synced)
@@ -322,9 +319,9 @@ func (h *harness) coverage(res *Result) {
 	if h.cfg.Reshard && res.Reshards == 0 {
 		res.violate("coverage", "reshard mode never grew the membership")
 	}
-	if h.cfg.Net != nil {
+	if h.cfg.PartitionProb > 0 {
 		if res.Partitions == 0 {
-			res.violate("coverage", "networked run injected no partition")
+			res.violate("coverage", "run injected no partition")
 		} else if res.Faults[faults.NetPartition] == 0 {
 			res.violate("coverage", "partitioned shard never refused a request — partition seam is dead")
 		}
@@ -343,35 +340,9 @@ func (h *harness) enabledKinds() map[faults.Kind]float64 {
 	add(faults.FSWriteError, h.cfg.Disk.WriteError)
 	add(faults.FSSyncError, h.cfg.Disk.SyncError)
 	add(faults.FSRenameError, h.cfg.Disk.RenameError)
-	if nc := h.cfg.Net; nc != nil {
-		add(faults.NetDialError, nc.DialError)
-		add(faults.NetDelay, nc.Delay)
-		add(faults.NetDuplicate, nc.Duplicate)
-		add(faults.NetResetBody, nc.ResetBody)
-	}
+	add(faults.NetDialError, h.cfg.Link.DialError)
+	add(faults.NetDelay, h.cfg.Link.Delay)
+	add(faults.NetDuplicate, h.cfg.Link.Duplicate)
+	add(faults.NetResetBody, h.cfg.Link.ResetBody)
 	return m
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalOwners(a, b []platform.CampaignOwner) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

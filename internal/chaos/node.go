@@ -2,8 +2,8 @@ package chaos
 
 import (
 	"fmt"
-	"net"
 	"sync/atomic"
+	"time"
 
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/faults"
@@ -13,16 +13,14 @@ import (
 	"github.com/treads-project/treads/internal/shardnode"
 )
 
-// chaosSecret is the shared shard secret the networked harness uses; its
-// value is irrelevant (everything runs on loopback), it only exercises the
-// auth path.
+// chaosSecret is the shard secret the harness's nodes share; its value is
+// irrelevant, it only exercises the auth path.
 const chaosSecret = "chaos-secret"
 
 // node is one shard's full lifecycle: its journal directory on the
-// fault-injecting filesystem, the currently running journaled platform,
-// and — in networked mode — the shard node adplatformd would run over it
-// (shardnode: RPC server, gate, rearm handler) plus the coordinator's
-// fault-wrapped client to it.
+// fault-injecting filesystem, the running journaled platform, the shard
+// node adplatformd would run over it, and the router's fault-wrapped
+// handle on that node.
 type node struct {
 	idx   int
 	dir   string
@@ -33,24 +31,32 @@ type node struct {
 	// Platform is the running platform. It is replaced on crash/restart,
 	// which only ever happens between driver rounds (after every worker has
 	// joined), so readers never race the swap.
-	*platform.Platform
+	Platform *platform.Platform
 
-	// down simulates a process that stopped answering without losing its
-	// disk — the mid-round owner-kill the replica-failover scenario needs.
-	// The health gate reports the node unavailable while it is set; the
-	// round-end sweep crash-recovers the node and clears it.
+	// down is the failure detector's verdict on a node the mid-round
+	// owner-kill took off the network without losing its disk: the router's
+	// handle reports it unavailable until the round-end sweep
+	// crash-recovers the node and clears it.
 	down atomic.Bool
 
-	// Networked mode only.
 	sn     *shardnode.Node
 	tr     *faults.Transport
-	remote *cluster.RemoteShard // over a client whose transport is tr
+	remote *member
 }
 
-// open boots or recovers the node's platform from its journal directory.
-// In networked mode a reopen is the process starting again: its shard node
-// comes back over the new platform on the same address, so the
-// coordinator's client keeps working.
+// member is the router's handle on a node: the RemoteShard over its
+// fault-wrapped client, unhealthy while the node is down.
+type member struct {
+	*cluster.RemoteShard
+	n *node
+}
+
+func (m *member) Healthy() bool { return !m.n.down.Load() && m.RemoteShard.Healthy() }
+
+// open boots or recovers the node's platform from its journal directory. A
+// reopen is the process starting again: its shard node comes back over the
+// new platform on the same address, so the coordinator's client keeps
+// working.
 func (n *node) open() error {
 	jp, err := platform.OpenJournaled(n.dir, n.jopts, n.boot)
 	if err != nil {
@@ -63,15 +69,13 @@ func (n *node) open() error {
 	return nil
 }
 
-// crash kills the node the way a power cut would: the running platform is
-// abandoned without Close (a real crash doesn't get to flush), the disk is
-// torn back to its durable watermark plus a deterministic slice of the
-// unsynced tail, and the platform is recovered from what survived. In
-// networked mode the shard node dies with the process.
+// crash kills the node the way a power cut would: the shard node dies with
+// the process, the running platform is abandoned without Close (a real
+// crash doesn't get to flush), the disk is torn back to its durable
+// watermark plus a deterministic slice of the unsynced tail, and the
+// platform is recovered from what survived.
 func (n *node) crash() error {
-	if n.sn != nil {
-		n.sn.Kill()
-	}
+	n.sn.Kill()
 	n.Platform = nil // abandon: unflushed, unacknowledged appends die with us
 	if err := n.ffs.Crash(); err != nil {
 		return fmt.Errorf("shard %d: tearing disk: %w", n.idx, err)
@@ -82,39 +86,38 @@ func (n *node) crash() error {
 	return nil
 }
 
-// serve starts the node's shard node over the running platform, on an
-// ephemeral loopback port it is advertised as.
-func (n *node) serve() error {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+// kill takes the node's process off the network mid-round and marks it
+// down; the round-end sweep crash-recovers it.
+func (n *node) kill() {
+	n.down.Store(true)
+	n.sn.Kill()
+}
+
+// serve starts the node's shard node on mn and the router's handle on it,
+// whose link faults follow cfg; the node's own calls, to its followers, go
+// unfaulted. A breaker the faults open stays open until the round-end probe
+// (awaitHealthy), so what a partition refuses does not depend on timing.
+func (n *node) serve(mn *rpc.MemNet, inj *faults.Injector, cfg faults.NetConfig) error {
+	ln, err := mn.Listen("")
 	if err != nil {
 		return fmt.Errorf("shard %d: listen: %w", n.idx, err)
 	}
 	n.sn, err = shardnode.Start(n.Platform, ln, shardnode.Config{
-		RPC:       rpc.Options{Secret: chaosSecret},
-		Advertise: ln.Addr().String(),
+		RPC: rpc.Options{Secret: chaosSecret, Transport: mn.Transport()},
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	n.tr = faults.NewTransport(inj, cfg, fmt.Sprintf("node%d", n.idx), mn.Transport())
+	n.remote = &member{n: n, RemoteShard: cluster.NewRemoteShard(rpc.NewClient("http://"+n.sn.Addr(), rpc.Options{
+		Secret:           chaosSecret,
+		Transport:        n.tr,
+		CallTimeout:      2 * time.Second,
+		MaxRetries:       2,
+		BackoffBase:      2 * time.Millisecond,
+		BackoffMax:       20 * time.Millisecond,
+		FailureThreshold: 5,
+		CircuitCooldown:  time.Hour,
+	}))}
+	return nil
 }
-
-// In-process mode hands the node itself to the cluster as the slot member.
-// Traffic, platform.Member and the local-member extension are the embedded
-// platform's own, so the cluster's one stable handle follows the node across
-// crash/restart cycles as the pointer is replaced underneath it. The shipper
-// closure lives on the platform and does not survive a swap: the harness
-// re-arms it (ReplicaSet.Heal, which ends with the arm step) after every
-// recovery. Two methods are the node's, not the platform's:
-
-var (
-	_ cluster.Shard          = (*node)(nil)
-	_ cluster.HealthReporter = (*node)(nil)
-)
-
-// Healthy surfaces the simulated kill and the journal's sticky failure
-// state: a shard that cannot prove durability must stop taking writes, and
-// the cluster's health gate turns that into the typed ErrShardUnavailable
-// the accounting relies on.
-func (n *node) Healthy() bool { return !n.down.Load() && n.Platform.Healthy() }
-
-// Close shadows the platform's: the harness owns a node's lifecycle (crash,
-// recover, final close), a cluster that holds it as a member does not.
-func (n *node) Close() error { return nil }

@@ -231,7 +231,7 @@ func BenchmarkFailoverDetectToPromote(b *testing.B) {
 		}
 		b.StopTimer()
 		sup.Close()
-		if rs.Owner() != cluster.Shard(follower) {
+		if rs.Owner().(*frailShard).Journaled != follower {
 			b.Fatal("promotion picked the wrong member")
 		}
 		if err := c.Close(); err != nil {

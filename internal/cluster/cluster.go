@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"runtime"
 	"slices"
 	"sort"
@@ -30,40 +31,32 @@ import (
 // Shard is the per-partition platform surface the coordinator drives: the
 // operation set a shard serves over RPC, control surface (platform.Member)
 // included. The attribute catalog is not on it: the Cluster answers
-// catalog reads from its own copy. A shard is one member of a ring slot:
-// *platform.Platform, with or without a journal, and *RemoteShard satisfy
-// it, so a cluster can be in-memory, durable or networked per member; a
-// slot is a ReplicaSet of them. A member without a journal refuses the
-// control surface with ErrMigrationUnsupported, so it cannot take part in
-// a reshard or a replica chain. Two things are not location-independent,
-// and each is named once here.
+// catalog reads from its own copy. A shard is one member of a ring slot,
+// and a slot is a ReplicaSet of them. Every cluster reaches its members
+// through a *RemoteShard, over TCP or an rpc.MemNet (NewServed); a bare
+// *platform.Platform satisfies the interface too, so a test can hold a
+// cluster to the platform it partitions. A member without a journal
+// refuses the control surface with platform.ErrNoJournal (on the wire, a
+// 422), so it cannot take part in a reshard or a replica chain.
 type Shard interface {
 	rpc.Backend
 }
 
-// localMember is what only an in-process member offers: the coordinator
-// installs its shipping hook directly (a networked owner ships from its
-// own process, armed over the rearm RPC), and compacts it (a networked
-// node compacts itself). *platform.Platform satisfies it.
-type localMember interface {
-	SetShipper(func(lsn uint64, payload []byte) error) error
-	Compact() (uint64, error)
-}
-
 // networkedMember is what only a member behind an RPC client offers: a
 // dialable address, an explicit health probe that feeds its circuit
-// breaker, the membership gate's ring push, and the rearm call that tells
-// a promoted owner whom to ship to. *RemoteShard satisfies it.
+// breaker, the membership gate's ring push, the rearm call that tells an
+// owner whom to ship to, and the dump of its process's trace spans.
+// *RemoteShard satisfies it, and so does any struct that embeds one.
 type networkedMember interface {
 	Addr() string
 	Probe(context.Context) error
 	PushRing(context.Context, rpc.RingInfo) error
 	Rearm(ctx context.Context, followers []string) error
+	TraceSpans(context.Context) ([]trace.SpanWire, error)
 }
 
 var (
 	_ Shard           = (*platform.Platform)(nil)
-	_ localMember     = (*platform.Platform)(nil)
 	_ networkedMember = (*RemoteShard)(nil)
 )
 
@@ -191,9 +184,7 @@ func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(shards) {
-		workers = len(shards)
-	}
+	workers = min(workers, len(shards))
 	c := &Cluster{workers: workers, m: newClusterMetrics(opts.Registry), catalog: sync.OnceValue(attr.DefaultCatalog)}
 	c.mem.Store(&membership{
 		slots:   slices.Clone(shards),
@@ -208,25 +199,66 @@ func NewFromSets(shards []*ReplicaSet, opts Options) (*Cluster, error) {
 	return c, nil
 }
 
-// NewInMemory builds an n-shard cluster of fresh in-memory platforms.
-// Shard i is seeded with stats.SubSeed(cfg.Seed, i), so shard 0 of a
-// 1-shard cluster draws the exact auction randomness the bare platform
-// would — the equivalence the cluster tests pin down.
+// NewInMemory serves an n-shard cluster of fresh in-memory platforms
+// (NewServed). Shard i is seeded with stats.SubSeed(cfg.Seed, i), so shard
+// 0 of a 1-shard cluster draws the exact auction randomness the bare
+// platform would — the equivalence the cluster tests pin down.
 func NewInMemory(n int, cfg platform.Config, opts Options) (*Cluster, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("cluster: need at least 1 shard, got %d", n)
 	}
-	shards := make([]Shard, n)
-	for i := range shards {
+	members := make([]*platform.Platform, n)
+	for i := range members {
 		shardCfg := cfg
 		shardCfg.Seed = stats.SubSeed(cfg.Seed, uint64(i))
-		shards[i] = platform.New(shardCfg)
+		members[i] = platform.New(shardCfg)
 	}
-	c, err := New(shards, opts)
+	c, err := NewServed(members, opts)
 	if err == nil && cfg.Catalog != nil {
 		c.catalog = func() *attr.Catalog { return cfg.Catalog }
 	}
 	return c, err
+}
+
+// NewServed assembles a cluster of unreplicated slots over members this
+// process holds, the way a router assembles one over shard nodes: each
+// member is served by a shard RPC server on an in-memory listener and
+// reached through a RemoteShard. Closing the cluster stops the servers and
+// clients and closes the members.
+func NewServed(members []*platform.Platform, opts Options) (*Cluster, error) {
+	mn := rpc.NewMemNet()
+	tr := mn.Transport()
+	shards := make([]Shard, len(members))
+	for i, m := range members {
+		ln, err := mn.Listen("")
+		if err != nil {
+			return nil, err
+		}
+		hs := &http.Server{Handler: rpc.NewServer(m, "", nil)}
+		go hs.Serve(ln)
+		// A member in process is slow, never lost: the deadline bounds a hang.
+		cl := rpc.NewClient("http://"+ln.Addr().String(), rpc.Options{Transport: tr, CallTimeout: time.Minute})
+		shards[i] = servedShard{RemoteShard: NewRemoteShard(cl), hs: hs, member: m}
+	}
+	return New(shards, opts)
+}
+
+// servedShard is a member NewServed serves: the RemoteShard the
+// coordinator drives, and what closing it must stop besides the client.
+type servedShard struct {
+	*RemoteShard
+	hs     *http.Server
+	member *platform.Platform
+}
+
+// Healthy adds the member's own verdict to the client's breaker: a process
+// sees the journal of a member it serves fail at once, with no probe.
+func (s servedShard) Healthy() bool { return s.RemoteShard.Healthy() && s.member.Healthy() }
+
+func (s servedShard) Close() error {
+	s.RemoteShard.Close()
+	s.hs.Close()
+	return s.member.Close()
 }
 
 // Shards returns the current number of shards.
@@ -585,42 +617,6 @@ func (c *Cluster) Users() []profile.UserID {
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
 	return all
-}
-
-// --- durability plumbing (journaled shards) ---
-
-// Compact snapshots and prunes the journal of every in-process journaled
-// member (followers too — their journals grow with shipped records),
-// sequentially: each compaction is its own stop-the-world, and doing them
-// one at a time keeps the rest of the cluster serving. Networked nodes
-// compact themselves, and members without a journal are skipped. It
-// returns the minimum snapshot LSN over slot owners — the prefix length
-// every journaled shard is guaranteed to have durably folded into a
-// snapshot. Per-shard LSNs are independent sequences, so the minimum is a
-// conservative progress indicator, not a global order. Clusters with no
-// in-process journaled shards return 0.
-func (c *Cluster) Compact() (uint64, error) {
-	var minLSN uint64
-	seen := false
-	for i, rs := range c.mem.Load().slots {
-		for j, mem := range rs.state.Load().members {
-			lm, ok := mem.(localMember)
-			if !ok {
-				continue
-			}
-			lsn, err := lm.Compact()
-			if errors.Is(err, platform.ErrNoJournal) {
-				continue
-			}
-			if err != nil {
-				return 0, fmt.Errorf("cluster: compacting shard %d member %d: %w", i, j, err)
-			}
-			if j == 0 && (!seen || lsn < minLSN) {
-				minLSN, seen = lsn, true
-			}
-		}
-	}
-	return minLSN, nil
 }
 
 // Close closes every member of every slot that is closable (journaled

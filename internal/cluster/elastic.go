@@ -49,12 +49,6 @@ import (
 // exported chunk well under the RPC body limit.
 const migrationChunkSize = 512
 
-// ErrMigrationUnsupported is returned when a slot cannot take part in
-// live resharding or a replica chain: only journaled members have the
-// atomic snapshot + journaled import/remove ops the protocol needs. It is
-// the platform's own refusal, declared there.
-var ErrMigrationUnsupported = platform.ErrNoJournal
-
 // ErrReshardIncomplete gates aggregate reads while a source shard still
 // holds users that were cut over to another shard — counting them would
 // double-report reach and spend. ResumeReshard clears it.

@@ -240,15 +240,16 @@ func TestAddShardRejectsNonMigratable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mem.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-		t.Fatalf("AddSet on in-memory cluster: %v, want ErrMigrationUnsupported", err)
+	defer mem.Close()
+	if _, err := mem.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !noJournal(err) {
+		t.Fatalf("AddSet on in-memory cluster: %v, want platform.ErrNoJournal", err)
 	}
 
 	// A journaled cluster refuses an in-memory joiner — and stays intact.
 	c, _, _ := newElasticCluster(t, 2, 44)
 	populateElastic(t, c, 16)
-	if _, err := c.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-		t.Fatalf("AddSet(in-memory joiner): %v, want ErrMigrationUnsupported", err)
+	if _, err := c.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !noJournal(err) {
+		t.Fatalf("AddSet(in-memory joiner): %v, want platform.ErrNoJournal", err)
 	}
 	if c.Shards() != 2 || c.Version() != 1 {
 		t.Fatalf("failed AddSet changed membership: %d shards, version %d", c.Shards(), c.Version())

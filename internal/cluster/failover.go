@@ -13,8 +13,8 @@ import (
 //     prefix becomes the owner (ReplicaSet.Promote swaps the slot's value;
 //     ship-before-ack guarantees it holds every acknowledged write), the
 //     followers it keeps are re-pointed at its log, and its shipping is
-//     armed onto them (for a networked owner, the rearm RPC) — all inside
-//     the write fence, so no write is acknowledged by an unarmed owner.
+//     armed onto them over the rearm RPC — all inside the write fence, so
+//     no write is acknowledged by an unarmed owner.
 //  2. Fence — the membership version is bumped and pushed, so the
 //     deposed owner's gate refuses any straggling mutation with a
 //     stale-ring error once it hears the new ring. Placement (user →
@@ -107,8 +107,8 @@ func (c *Cluster) SlotDegraded(slot int) bool {
 }
 
 // ProbeSlotOwner checks the slot owner's health from the router's seat:
-// a single probe for remote owners (feeding the client's breaker), a
-// local health read otherwise. The health supervisor's detector turns
+// a single probe (feeding the client's breaker), or a health read for a
+// bare platform. The health supervisor's detector turns
 // the outcome stream into an up/suspect/down verdict.
 func (c *Cluster) ProbeSlotOwner(ctx context.Context, slot int) error {
 	rs, err := c.slotReplicaSet(slot)

@@ -65,9 +65,8 @@ func TestPromoteRefusesHealthyOwner(t *testing.T) {
 
 // TestReplicaReadsRoundRobin pins satellite read load balancing: with the
 // owner healthy and the follower synced, user-scoped reads alternate
-// between the two (counted by cluster_replica_reads_total), and the
-// moment the follower stops following, reads collapse back onto the
-// owner.
+// between the two (counted by cluster_replica_reads_total), and once the
+// follower stops following, reads collapse back onto the owner.
 func TestReplicaReadsRoundRobin(t *testing.T) {
 	rs, _, follower := newChainedSet(t, 103)
 	reg := obs.NewRegistry()
@@ -91,8 +90,11 @@ func TestReplicaReadsRoundRobin(t *testing.T) {
 		t.Fatalf("replica served %d of %d reads, want at least %d", n, reads, reads/4)
 	}
 
-	// A follower that stops following must stop serving reads instantly.
+	// A follower that stops following must stop serving reads as soon as
+	// the router's cached view of it expires (250 ms for a member behind
+	// the wire).
 	follower.EndFollow()
+	time.Sleep(300 * time.Millisecond)
 	before := replicaReadCount(t, reg)
 	for i := 0; i < reads; i++ {
 		if c.User(users[i%len(users)]) == nil {

@@ -131,14 +131,6 @@ func (c *Cluster) Report(ctx context.Context, advertiser, campaignID string) (bi
 	return billing.MakeReport(campaignID, merged.Impressions, merged.Reach, merged.Spend, billing.ReachReportThreshold), nil
 }
 
-// traceSpanFetcher is the optional capability of shards that can dump
-// their process's completed trace spans: RemoteShard over the tracespans
-// RPC op. In-process shards don't implement it — their spans already land
-// in the router's own ring.
-type traceSpanFetcher interface {
-	TraceSpans(ctx context.Context) ([]trace.SpanWire, error)
-}
-
 // RemoteTraceSpans collects completed spans from every shard process that
 // can report them, follower processes included. Collection is best-effort diagnostics: a down or spanless
 // shard contributes nothing rather than failing the dump, because a trace
@@ -147,11 +139,11 @@ func (c *Cluster) RemoteTraceSpans(ctx context.Context) []trace.SpanWire {
 	var out []trace.SpanWire
 	for _, rs := range c.mem.Load().slots {
 		for _, m := range rs.state.Load().members {
-			tf, ok := m.(traceSpanFetcher)
+			nm, ok := m.(networkedMember)
 			if !ok || !shardHealthy(m) {
 				continue
 			}
-			if spans, err := tf.TraceSpans(ctx); err == nil {
+			if spans, err := nm.TraceSpans(ctx); err == nil {
 				out = append(out, spans...)
 			}
 		}

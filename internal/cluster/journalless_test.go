@@ -15,7 +15,7 @@ import (
 // TestJournallessPlatformRefuses pins what a platform without a journal
 // answers to the control surface, in process and behind a shard node: it
 // serves traffic and reports itself healthy, and refuses every migration,
-// shipping and rearm op with the one migration refusal. Over the wire a
+// shipping and rearm op with platform.ErrNoJournal. Over the wire a
 // refusal is a 422 carrying the refusal's text.
 func TestJournallessPlatformRefuses(t *testing.T) {
 	const secret = "journalless-secret"
@@ -32,8 +32,8 @@ func TestJournallessPlatformRefuses(t *testing.T) {
 	refused := func(t *testing.T, op string, err error) {
 		t.Helper()
 		var re *rpc.RemoteError
-		if !errors.As(err, &re) || re.Msg != rpc.ErrMigrationUnsupported.Error() {
-			t.Errorf("%s on a journal-less shard: %v, want a 422 %q", op, err, rpc.ErrMigrationUnsupported)
+		if !errors.As(err, &re) || re.Msg != platform.ErrNoJournal.Error() {
+			t.Errorf("%s on a journal-less shard: %v, want a 422 %q", op, err, platform.ErrNoJournal)
 		}
 	}
 	for _, c := range []struct {
@@ -58,8 +58,8 @@ func TestJournallessPlatformRefuses(t *testing.T) {
 			_, err = rpc.Do(ctx, cl, rpc.OpEndFollow, struct{}{})
 			refused(t, "endfollow", err)
 			rs := cluster.NewReplicaSet(platform.New(platform.Config{Seed: 4}))
-			if err := rs.InstallState(platform.New(platform.Config{Seed: 5}).State()); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-				t.Errorf("InstallState on a journal-less slot: %v, want ErrMigrationUnsupported", err)
+			if err := rs.InstallState(platform.New(platform.Config{Seed: 5}).State()); !errors.Is(err, platform.ErrNoJournal) {
+				t.Errorf("InstallState on a journal-less slot: %v, want platform.ErrNoJournal", err)
 			}
 		}},
 		{"health answers 200 with zero LSNs", func(t *testing.T) {
@@ -72,18 +72,21 @@ func TestJournallessPlatformRefuses(t *testing.T) {
 			}
 		}},
 		{"a journal-less chain refuses to arm", func(t *testing.T) {
-			rs := cluster.NewReplicaSet(platform.New(platform.Config{Seed: 1}), platform.New(platform.Config{Seed: 1}))
-			if err := rs.Chain(); !errors.Is(err, cluster.ErrMigrationUnsupported) {
-				t.Errorf("Chain over journal-less members: %v, want ErrMigrationUnsupported", err)
+			nodes := memNodes(t, platform.New(platform.Config{Seed: 1}), platform.New(platform.Config{Seed: 1}))
+			rs := cluster.NewReplicaSet(nodes[0], nodes[1])
+			if err := rs.Chain(); !noJournal(err) {
+				t.Errorf("Chain over journal-less members: %v, want platform.ErrNoJournal", err)
 			}
 		}},
-		{"an in-memory cluster compacts nothing", func(t *testing.T) {
+		{"an in-memory cluster refuses to reshard", func(t *testing.T) {
 			c, err := cluster.NewInMemory(2, platform.Config{Seed: 2}, cluster.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if lsn, err := c.Compact(); lsn != 0 || err != nil {
-				t.Errorf("Compact of an in-memory cluster: (%d, %v), want (0, nil)", lsn, err)
+			defer c.Close()
+			populateElastic(t, c, 8)
+			if _, err := c.RemoveShard(); !noJournal(err) || c.Shards() != 2 {
+				t.Errorf("RemoveShard of an in-memory cluster: %v, %d shards left, want platform.ErrNoJournal and 2", err, c.Shards())
 			}
 		}},
 		{"a journal-less shard node refuses a rearm", func(t *testing.T) {

@@ -15,10 +15,9 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// RemoteShard adapts an rpc.Client into the Shard interface, so a Cluster
-// coordinates remote shard nodes exactly the way it coordinates in-process
-// platforms — routing, replication, divergence detection, and
-// scatter-gather all run unchanged over the network.
+// RemoteShard adapts an rpc.Client into the Shard interface: it is how a
+// Cluster reaches every member, over TCP or an rpc.MemNet — routing,
+// replication, divergence detection, and scatter-gather all run over it.
 //
 // It is the one typed client of the shard wire: each method builds its op's
 // request, sends the op table's row through rpc.Do and converts the answer.

@@ -339,13 +339,14 @@ func TestReshardFailsWhenASlotCannotBeListed(t *testing.T) {
 	}
 }
 
-// TestRemoteFollowerChainOverLoopback runs a replica chain across the wire:
-// an in-process owner ships its journal to a follower behind a real RPC
-// server, Heal bootstraps the follower, failover reads and promotion work
-// against the remote member.
+// TestRemoteFollowerChainOverLoopback runs a replica chain across loopback
+// TCP: an owner node ships its journal to a follower node, Heal bootstraps
+// the follower, failover reads and promotion work against the remote
+// member.
 func TestRemoteFollowerChainOverLoopback(t *testing.T) {
 	root := t.TempDir()
-	owner := &frailShard{Journaled: openElasticShard(t, filepath.Join(root, "owner"), 97)}
+	onode := newElasticNode(t, filepath.Join(root, "owner"), 97)
+	owner := &frailShard{RemoteShard: cluster.NewRemoteShard(onode.client), Journaled: onode.jp}
 	fnode := newElasticNode(t, filepath.Join(root, "follower"), 97)
 	remote := cluster.NewRemoteShard(rpc.NewClient(fnode.addr, rpc.Options{Secret: elasticSecret}))
 
@@ -457,7 +458,7 @@ func TestRemoteAddShardAboveMaxBody(t *testing.T) {
 			if followers == 1 {
 				// Owner-process shipping, daemon-style (-replicate).
 				follower = newElasticNode(t, filepath.Join(root, "follower"), 223)
-				if err := cluster.NewReplicaSet(owner.jp, remote(follower)).Chain(); err != nil {
+				if err := remote(owner).Rearm(context.Background(), []string{follower.addr}); err != nil {
 					t.Fatal(err)
 				}
 				joiner = cluster.NewReplicaSet(remote(owner), remote(follower))

@@ -51,8 +51,8 @@ type ReplicaSet struct {
 	// readCursor round-robins replicated reads across the owner and the
 	// synced attached followers while the owner is healthy.
 	readCursor atomic.Uint64
-	// statusCache memoizes follow status for members whose status check
-	// costs an RPC, so the read path stays off the network.
+	// statusCache memoizes follow status, which costs an RPC, so the
+	// read path stays off the network.
 	scMu        sync.Mutex
 	statusCache map[Shard]cachedFollowStatus
 }
@@ -74,7 +74,7 @@ type cachedFollowStatus struct {
 	synced  bool
 }
 
-// followStatusTTL bounds how stale a remote member's cached follow status
+// followStatusTTL bounds how stale a member's cached follow status
 // may be on the read path. A follower that just desynced keeps serving
 // reads for at most this long — it still holds every previously
 // acknowledged write, so those reads are stale, never wrong.
@@ -163,13 +163,9 @@ func (rs *ReplicaSet) reader() Shard {
 }
 
 // followerSynced reports whether f is a synced follower fit to serve
-// replicated reads. In-process members are checked live; networked
-// members, whose status costs an RPC, answer through a short-TTL cache.
+// replicated reads. Its status costs an RPC, so it answers through a
+// short-TTL cache.
 func (rs *ReplicaSet) followerSynced(f Shard) bool {
-	if _, remote := f.(networkedMember); !remote {
-		st, err := f.FollowStatus()
-		return err == nil && st.Synced
-	}
 	now := time.Now()
 	rs.scMu.Lock()
 	if e, ok := rs.statusCache[f]; ok && now.Before(e.expires) {
@@ -189,17 +185,15 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 
 // Chain arms the owner's journal shipping onto the attached followers, so
 // every journaled write on the owner is pushed to each of them before it is
-// acknowledged. It is the one arm step. An in-process owner gets the set's
-// shipping hook, or none when no follower is attached. A networked owner
-// ships from its own process and is told the attached followers' addresses
-// over the rearm RPC — unless the slot has no follower at all, since such a
-// handle names none of the followers the node may have been given itself
-// (-replicate). Promote and Heal end with this step, so under the
-// coordinator's FailoverSlot and HealSlot it runs inside the write fence.
-//
-// A networked owner that cannot be armed may not ship to the followers this
-// set holds, so they are all detached: none of them is promotable or read
-// from until Heal reinstalls it and arms again.
+// acknowledged. It is the one arm step: the owner node ships from its own
+// process and is told the attached followers' addresses over the rearm RPC
+// — unless the slot has no follower at all, since such a handle names none
+// of the followers the node may have been given itself (-replicate). A
+// shard node's own chain holds its owner in process and installs Ship
+// itself, so Chain tells it nothing. Promote and Heal end with this step,
+// so under FailoverSlot and HealSlot it runs inside the write fence. An
+// owner that cannot be armed may not ship to this set's followers, so they
+// are all detached until Heal reinstalls them and arms again.
 func (rs *ReplicaSet) Chain() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -209,45 +203,31 @@ func (rs *ReplicaSet) Chain() error {
 // arm is Chain under rs.mu.
 func (rs *ReplicaSet) arm() error {
 	st := rs.state.Load()
-	switch o := st.members[0].(type) {
-	case localMember:
-		var ship func(uint64, []byte) error
-		if slices.Contains(st.detached[1:], false) {
-			ship = rs.ship
-		}
-		if err := o.SetShipper(ship); err != nil {
-			return fmt.Errorf("cluster: replica chain owner: %w", err)
-		}
-		return nil
-	case networkedMember:
-		if len(st.members) == 1 {
-			return nil
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := o.Rearm(ctx, st.replicaAddrs(true)); err != nil {
-			next := *st
-			next.detached = make([]bool, len(st.members))
-			for i := 1; i < len(next.detached); i++ {
-				next.detached[i] = true
-			}
-			rs.state.Store(&next)
-			return fmt.Errorf("cluster: arming the owner's shipping: %w", err)
-		}
+	o, ok := st.members[0].(networkedMember)
+	if !ok || len(st.members) == 1 {
 		return nil
 	}
-	if len(st.members) == 1 {
-		return nil
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := o.Rearm(ctx, st.replicaAddrs(true)); err != nil {
+		next := *st
+		next.detached = make([]bool, len(st.members))
+		for i := 1; i < len(next.detached); i++ {
+			next.detached[i] = true
+		}
+		rs.state.Store(&next)
+		return fmt.Errorf("cluster: arming the owner's shipping: %w", err)
 	}
-	return fmt.Errorf("cluster: replica chain owner: %w", ErrMigrationUnsupported)
+	return nil
 }
 
-// ship pushes one owner journal record to every attached follower. Any
-// failure is returned (making the originating write indeterminate for its
-// caller); the failed follower stays behind until Heal resyncs it.
-// Detached members are skipped without error — they are already excluded
-// from promotion, so skipping them cannot lose an acknowledged write.
-func (rs *ReplicaSet) ship(lsn uint64, payload []byte) error {
+// Ship pushes one owner journal record to every attached follower: the
+// shipping hook of an owner this process holds. Any failure is returned
+// (making the originating write indeterminate for its caller); the failed
+// follower stays behind until Heal resyncs it. Detached members are skipped
+// without error — they are already excluded from promotion, so skipping
+// them cannot lose an acknowledged write.
+func (rs *ReplicaSet) Ship(lsn uint64, payload []byte) error {
 	st := rs.state.Load()
 	var firstErr error
 	for i := 1; i < len(st.members); i++ {

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync/atomic"
 	"testing"
 
 	"github.com/treads-project/treads/internal/cluster"
@@ -14,38 +13,31 @@ import (
 	"github.com/treads-project/treads/internal/profile"
 )
 
-// frailShard embeds a journaled platform and adds a kill switch, modelling
-// an owner process that stops answering without losing its disk.
-type frailShard struct {
-	*platform.Journaled
-	down atomic.Bool
-}
-
-func (f *frailShard) Healthy() bool { return !f.down.Load() }
-
 // ownerHealthy reports whether the slot's owner can accept mutations.
 func ownerHealthy(rs *cluster.ReplicaSet) bool {
 	return rs.Owner().(cluster.HealthReporter).Healthy()
 }
 
-// newChainedSet boots an owner and one follower from the same seed, wires
-// journal shipping, and puts the follower in follow mode from LSN 0 — the
-// deployment shape where a replica is attached before any traffic.
+// newChainedSet boots an owner and one follower node from the same seed,
+// wires journal shipping, and puts the follower in follow mode from LSN 0 —
+// the deployment shape where a replica is attached before any traffic. The
+// follower is returned as its platform, for the test to act on in process.
 func newChainedSet(t testing.TB, seed uint64) (*cluster.ReplicaSet, *frailShard, *platform.Journaled) {
 	t.Helper()
 	root := t.TempDir()
-	owner := &frailShard{Journaled: openElasticShard(t, filepath.Join(root, "owner"), seed)}
 	follower := openElasticShard(t, filepath.Join(root, "follower"), seed)
+	nodes := memNodes(t, openElasticShard(t, filepath.Join(root, "owner"), seed), follower)
+	owner := nodes[0]
 	follower.BeginFollow(0)
-	rs := cluster.NewReplicaSet(owner, follower)
+	rs := cluster.NewReplicaSet(owner, nodes[1])
 	if err := rs.Chain(); err != nil {
 		t.Fatalf("Chain: %v", err)
 	}
 	return rs, owner, follower
 }
 
-// followStatus reads an in-process member's follow status (it cannot
-// fail).
+// followStatus reads a member's follow status; the tests read only members
+// that answer.
 func followStatus(m platform.Member) platform.FollowStatus {
 	st, _ := m.FollowStatus()
 	return st
@@ -152,8 +144,8 @@ func TestReplicaChainFailoverAndPromote(t *testing.T) {
 
 func TestReplicaPromoteNeedsHealthyFollower(t *testing.T) {
 	root := t.TempDir()
-	owner := &frailShard{Journaled: openElasticShard(t, filepath.Join(root, "o"), 73)}
-	follower := &frailShard{Journaled: openElasticShard(t, filepath.Join(root, "f"), 73)}
+	nodes := memNodes(t, openElasticShard(t, filepath.Join(root, "o"), 73), openElasticShard(t, filepath.Join(root, "f"), 73))
+	owner, follower := nodes[0], nodes[1]
 	follower.BeginFollow(0)
 	rs := cluster.NewReplicaSet(owner, follower)
 	if err := rs.Chain(); err != nil {
@@ -224,10 +216,13 @@ func TestReplicaDesyncedFollowerIsReinstalled(t *testing.T) {
 func promoteTheHealedMember(t *testing.T, seed uint64) (*cluster.Cluster, *cluster.ReplicaSet, []*frailShard, []profile.UserID) {
 	t.Helper()
 	root := t.TempDir()
-	m := make([]*frailShard, 3)
+	jps := make([]*platform.Journaled, 3)
+	for i := range jps {
+		jps[i] = openElasticShard(t, filepath.Join(root, fmt.Sprint(i)), seed)
+	}
+	m := memNodes(t, jps...)
 	shards := make([]cluster.Shard, len(m))
 	for i := range m {
-		m[i] = &frailShard{Journaled: openElasticShard(t, filepath.Join(root, fmt.Sprint(i)), seed)}
 		if i > 0 {
 			m[i].BeginFollow(0)
 		}
@@ -318,7 +313,8 @@ func TestReplicaSetAsReshardTarget(t *testing.T) {
 
 	owner := openElasticShard(t, filepath.Join(root, "rs-owner"), 999)
 	follower := openElasticShard(t, filepath.Join(root, "rs-follower"), 999)
-	rs := cluster.NewReplicaSet(owner, follower)
+	nodes := memNodes(t, owner, follower)
+	rs := cluster.NewReplicaSet(nodes[0], nodes[1])
 	if err := rs.Chain(); err != nil {
 		t.Fatal(err)
 	}

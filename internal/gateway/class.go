@@ -95,9 +95,11 @@ func (g Group) keyless() bool { return g <= GroupTransparency }
 // classify maps a request to its traffic class and accounting group.
 // exempt is true for surfaces the gateway must never throttle: metrics
 // scrapes, operator/admin endpoints, debug handlers, and anything outside
-// the enumerated public API (unknown paths 404 in the inner handler;
-// metering them would let unauthenticated garbage occupy tenant budgets).
-// The classifier allocates nothing — it runs on every request.
+// the enumerated public API, including unmatched paths under its prefixes
+// (unknown paths 404 in the inner handler; metering them would let
+// unauthenticated garbage occupy tenant budgets). A public route is matched
+// segment by segment, so a path that only ends in a route's suffix is not
+// one. The classifier allocates nothing — it runs on every request.
 func classify(method, path string) (class Class, group Group, exempt bool) {
 	switch {
 	case path == "/metrics":
@@ -110,35 +112,53 @@ func classify(method, path string) (class Class, group Group, exempt bool) {
 	case strings.HasPrefix(path, "/pixel/"):
 		return ClassUser, GroupPixel, false
 	case strings.HasPrefix(path, "/api/v1/users/"):
-		switch {
-		case strings.HasSuffix(path, "/browse"):
+		switch tail(path, "/api/v1/users/") {
+		case "browse":
 			return ClassUser, GroupBrowse, false
-		case strings.HasSuffix(path, "/feed"):
+		case "feed":
 			return ClassUser, GroupFeed, false
-		case strings.HasSuffix(path, "/likes"):
+		case "likes":
 			return ClassUser, GroupLike, false
-		case strings.HasSuffix(path, "/adpreferences"),
-			strings.HasSuffix(path, "/advertisers"),
-			strings.HasSuffix(path, "/explain"):
+		case "adpreferences", "advertisers", "explain":
 			// The user-facing transparency pages ride the reporting
 			// class: correct but deferrable under load, per the paper's
 			// framing of transparency as a parallel, lower-priority
 			// surface.
 			return ClassReport, GroupTransparency, false
 		}
-		return ClassUser, GroupBrowse, false
 	case path == "/api/v1/attributes":
 		return ClassReport, GroupAttributes, false
 	case path == "/api/v1/advertisers":
 		return ClassMutation, GroupMutation, false
 	case strings.HasPrefix(path, "/api/v1/advertisers/"):
-		switch {
-		case method == "GET" && strings.HasSuffix(path, "/report"):
-			return ClassReport, GroupReport, false
-		case strings.HasSuffix(path, "/reach"):
+		route := tail(path, "/api/v1/advertisers/")
+		switch route {
+		case "reach":
 			return ClassReport, GroupReach, false
+		case "campaigns", "pixels", "audiences/pii", "audiences/website",
+			"audiences/engagement", "audiences/affinity", "audiences/lookalike":
+			return ClassMutation, GroupMutation, false
 		}
-		return ClassMutation, GroupMutation, false
+		rest, campaign := strings.CutPrefix(route, "campaigns/")
+		id, action, _ := strings.Cut(rest, "/")
+		switch {
+		case !campaign || id == "":
+		case action == "report" && method == "GET":
+			return ClassReport, GroupReport, false
+		case action == "report", action == "pause":
+			return ClassMutation, GroupMutation, false
+		}
 	}
 	return 0, 0, true
+}
+
+// tail strips prefix and the path segment after it (the user ID or the
+// advertiser name) and returns the rest: "", which names no route, when
+// that segment is empty or nothing follows it.
+func tail(path, prefix string) string {
+	id, route, ok := strings.Cut(path[len(prefix):], "/")
+	if !ok || id == "" {
+		return ""
+	}
+	return route
 }

@@ -408,6 +408,17 @@ func TestClassify(t *testing.T) {
 		{"POST", "/api/v1/advertisers/a/pixels", ClassMutation, GroupMutation, false},
 		{"GET", "/api/v1/advertisers/a/campaigns/c/report", ClassReport, GroupReport, false},
 		{"POST", "/api/v1/advertisers/a/reach", ClassReport, GroupReach, false},
+		// Unmatched paths under the public prefixes 404 in the inner
+		// handler, so they take no tenant budget.
+		{"GET", "/api/v1/users/u1/nope", 0, 0, true},
+		{"POST", "/api/v1/advertisers/a/nope", 0, 0, true},
+		{"POST", "/api/v1/users/u1/x/browse", 0, 0, true},
+		{"GET", "/api/v1/users//feed", 0, 0, true},
+		{"GET", "/api/v1/users/u1", 0, 0, true},
+		{"POST", "/api/v1/advertisers/a/x/reach", 0, 0, true},
+		{"POST", "/api/v1/advertisers/a/audiences/nope", 0, 0, true},
+		{"POST", "/api/v1/advertisers/a/campaigns/c/nope", 0, 0, true},
+		{"GET", "/api/v1/advertisers/a/campaigns//report", 0, 0, true},
 	}
 	for _, tc := range cases {
 		class, group, exempt := classify(tc.method, tc.path)

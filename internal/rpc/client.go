@@ -58,34 +58,30 @@ type Options struct {
 	// Registry receives the client's per-peer metrics; nil leaves the
 	// client instrumented against unregistered metrics.
 	Registry *obs.Registry
-	// Transport replaces the pooled default round-tripper. This is the
-	// fault-injection seam: the chaos harness passes a faults.Transport
-	// here to drop, delay, duplicate, and cut this peer's traffic.
+	// Transport replaces the pooled default round-tripper: an in-memory
+	// network's (MemNet.Transport), or the fault-injection seam, a
+	// faults.Transport that drops, delays, duplicates and cuts traffic.
 	Transport http.RoundTripper
 }
 
 func (o *Options) withDefaults() {
-	if o.CallTimeout <= 0 {
-		o.CallTimeout = DefaultCallTimeout
-	}
 	if o.MaxRetries == 0 {
 		o.MaxRetries = DefaultMaxRetries
 	}
-	if o.MaxRetries < 0 {
-		o.MaxRetries = 0
+	o.MaxRetries = max(o.MaxRetries, 0)
+	o.CallTimeout = orDefault(o.CallTimeout, DefaultCallTimeout)
+	o.BackoffBase = orDefault(o.BackoffBase, DefaultBackoffBase)
+	o.BackoffMax = orDefault(o.BackoffMax, DefaultBackoffMax)
+	o.FailureThreshold = orDefault(o.FailureThreshold, DefaultFailureThreshold)
+	o.CircuitCooldown = orDefault(o.CircuitCooldown, DefaultCircuitCooldown)
+}
+
+// orDefault is v, or d when v is not positive.
+func orDefault[T int | time.Duration](v, d T) T {
+	if v <= 0 {
+		return d
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
-	if o.FailureThreshold <= 0 {
-		o.FailureThreshold = DefaultFailureThreshold
-	}
-	if o.CircuitCooldown <= 0 {
-		o.CircuitCooldown = DefaultCircuitCooldown
-	}
+	return v
 }
 
 // Client speaks the shard RPC protocol to one peer over a pooled

@@ -67,10 +67,6 @@ type ShardInfo struct {
 	Replicas []string `json:"replicas,omitempty"`
 }
 
-// ErrMigrationUnsupported is the refusal a backend without a journal gives
-// the migration and replication ops: the platform's own, declared there.
-var ErrMigrationUnsupported = platform.ErrNoJournal
-
 // --- wire types ---
 
 // ExportUsersReq selects the users whose movable state to extract.
@@ -134,7 +130,7 @@ type RearmReq struct {
 
 // registerElastic wires the migration, replication, and ring ops. The
 // backend itself refuses what it cannot do: a platform without a journal
-// answers every migration and replication op with ErrMigrationUnsupported,
+// answers every migration and replication op with platform.ErrNoJournal,
 // which a client reads as a 422.
 func (s *Server) registerElastic() {
 	serve(s, OpExportUsers, func(_ context.Context, req ExportUsersReq) (ChunkResp, error) {

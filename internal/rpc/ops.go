@@ -183,7 +183,7 @@ func (c *Client) LikePage(ctx context.Context, uid profile.UserID, pageID string
 // AdPreferences returns the user's transparency-page attributes.
 func (c *Client) AdPreferences(ctx context.Context, uid profile.UserID) ([]attr.ID, error) {
 	resp, err := Do(ctx, c, OpAdPreferences, UserIDReq{UserID: string(uid)})
-	return toAttrIDs(resp.Attributes), err
+	return convertIDs[attr.ID](resp.Attributes), err
 }
 
 // CreateCampaign registers a campaign and returns the shard-minted ID.

@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"github.com/treads-project/treads/internal/ad"
-	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/httpapi"
 	"github.com/treads-project/treads/internal/money"
@@ -304,36 +303,23 @@ type TraceSpansResp struct {
 	Spans []trace.SpanWire `json:"spans,omitempty"`
 }
 
-// attrIDs converts attribute IDs to wire strings. Empty stays nil so a
-// round trip is observationally identical to the in-process call — the
-// cluster equivalence tests compare with reflect.DeepEqual, which
+// convertIDs converts IDs between string kinds. Empty stays nil so a
+// round trip is observationally identical to the platform's own answer —
+// the cluster equivalence tests compare with reflect.DeepEqual, which
 // distinguishes nil from a zero-length slice.
-func attrIDs(ids []attr.ID) []string {
+func convertIDs[To, From ~string](ids []From) []To {
 	if len(ids) == 0 {
 		return nil
 	}
-	out := make([]string, len(ids))
+	out := make([]To, len(ids))
 	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out
-}
-
-// toAttrIDs converts wire strings back to attribute IDs, preserving
-// nil-ness like attrIDs.
-func toAttrIDs(ss []string) []attr.ID {
-	if len(ss) == 0 {
-		return nil
-	}
-	out := make([]attr.ID, len(ss))
-	for i, s := range ss {
-		out[i] = attr.ID(s)
+		out[i] = To(id)
 	}
 	return out
 }
 
 // ToImpressions converts wire impressions back, preserving nil-ness like
-// attrIDs.
+// convertIDs.
 func ToImpressions(ws []httpapi.ImpressionWire) []ad.Impression {
 	if len(ws) == 0 {
 		return nil

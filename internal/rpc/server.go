@@ -266,7 +266,7 @@ func (s *Server) register() {
 	})
 	serve(s, OpAdPreferences, func(_ context.Context, req UserIDReq) (httpapi.PreferencesResponse, error) {
 		ids, err := s.b.AdPreferences(profile.UserID(req.UserID))
-		return httpapi.PreferencesResponse{Attributes: attrIDs(ids)}, err
+		return httpapi.PreferencesResponse{Attributes: convertIDs[string](ids)}, err
 	})
 	serve(s, OpAdvertisers, func(_ context.Context, req UserIDReq) (NamesResp, error) {
 		names, err := s.b.AdvertisersTargetingMe(profile.UserID(req.UserID))

@@ -2,9 +2,9 @@
 // shard RPC server, with the membership gate armed when the node has an
 // advertised address and, for a platform member, the rearm handler and
 // the -replicate boot. It also holds the peer dialer and the peer wait a
-// router shares. adplatformd's node mode, the chaos harness's networked
-// nodes and the cluster tests' nodes are all built here; each caller opens
-// its own member.
+// router shares. adplatformd's node mode, the chaos harness's nodes and the
+// cluster tests' nodes are all built here, on TCP or on an rpc.MemNet; each
+// caller opens its own member.
 package shardnode
 
 import (
@@ -45,10 +45,10 @@ type Config struct {
 // Node is one assembled shard node: served on a listener of its own by
 // Start, or through Handler by a caller's HTTP server.
 type Node struct {
-	mux  *http.ServeMux
-	cfg  Config
-	addr string       // the host:port Start served on
-	hs   *http.Server // nil once killed
+	mux *http.ServeMux
+	cfg Config
+	ln  net.Listener // the listener Start served on
+	hs  *http.Server // nil once killed
 }
 
 // New builds a node over m. The gate starts permissive and enforces
@@ -109,14 +109,14 @@ func Start(m rpc.Backend, ln net.Listener, cfg Config) (*Node, error) {
 		ln.Close()
 		return nil, err
 	}
-	n.addr = ln.Addr().String()
+	n.ln = ln
 	n.hs = &http.Server{Handler: n.mux}
 	go n.hs.Serve(ln)
 	return n, nil
 }
 
 // Addr is the host:port Start bound.
-func (n *Node) Addr() string { return n.addr }
+func (n *Node) Addr() string { return n.ln.Addr().String() }
 
 // Kill takes the node off the network the way a dead process goes: its
 // listener and every open connection close at once. The member is left as
@@ -130,20 +130,25 @@ func (n *Node) Kill() {
 
 // Restart is the process restarted with the same flags: it kills the node
 // if it still serves, then serves a node over m, built from the same
-// configuration, on the address Start bound. The port was only just
-// released, so the bind is retried for a second.
+// configuration, on the address Start bound. An in-memory name is free
+// again at once; a TCP port was only just released, so its bind is retried
+// for a second.
 func (n *Node) Restart(m rpc.Backend) error {
 	n.Kill()
 	var ln net.Listener
 	var err error
-	for range 50 {
-		if ln, err = net.Listen("tcp", n.addr); err == nil {
-			break
+	if ml, ok := n.ln.(*rpc.MemListener); ok {
+		ln, err = ml.Rebind()
+	} else {
+		for range 50 {
+			if ln, err = net.Listen("tcp", n.Addr()); err == nil {
+				break
+			}
+			time.Sleep(20 * time.Millisecond)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	if err != nil {
-		return fmt.Errorf("shardnode: re-listening on %s: %w", n.addr, err)
+		return fmt.Errorf("shardnode: re-listening on %s: %w", n.Addr(), err)
 	}
 	fresh, err := Start(m, ln, n.cfg)
 	if err != nil {
@@ -156,10 +161,16 @@ func (n *Node) Restart(m rpc.Backend) error {
 // arm points owner's journal shipping at the given follower nodes,
 // rebuilding the chain in place: every acknowledged write from here on is
 // applied on each of them before the ack. An empty list is a chain with no
-// follower, which arms no shipping at all.
+// follower, which arms no shipping at all. The node holds the owner, so it
+// installs the chain's shipping hook itself; a platform without a journal
+// refuses it.
 func arm(owner *platform.Platform, d *Dialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
 	rs, remotes := d.chain(owner, followers)
-	if err := rs.Chain(); err != nil {
+	var ship func(uint64, []byte) error
+	if len(followers) > 0 {
+		ship = rs.Ship
+	}
+	if err := owner.SetShipper(ship); err != nil {
 		return nil, nil, err
 	}
 	if len(followers) == 0 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/platform"
@@ -84,5 +85,78 @@ func TestRestartWithOtherFlags(t *testing.T) {
 		if err := jp.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// blockingBackend holds every browse until released, so a test can have a
+// call in flight when the node dies.
+type blockingBackend struct {
+	*platform.Platform
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b blockingBackend) BrowseFeedCtx(ctx context.Context, uid profile.UserID, slots int) ([]ad.Impression, error) {
+	b.entered <- struct{}{}
+	<-b.release
+	return nil, nil
+}
+
+// TestKillAndRestartOnAMemNet pins what the in-memory network must do for
+// a node the way a host's loopback does for a process: Kill closes every
+// open pipe, so a call in flight fails at once instead of waiting out its
+// deadline, and it was sent, so the mutation is not retried; after Kill a
+// dial is refused as never sent; and the name is free again at once, so
+// Restart serves on it with no wait.
+func TestKillAndRestartOnAMemNet(t *testing.T) {
+	mn := rpc.NewMemNet()
+	ln, err := mn.Listen("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := blockingBackend{Platform: platform.New(platform.Config{Seed: 5}), entered: make(chan struct{}), release: make(chan struct{})}
+	defer close(b.release)
+	sn, err := shardnode.Start(b, ln, shardnode.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sn.Kill()
+	cl := rpc.NewClient("http://"+sn.Addr(), rpc.Options{Transport: mn.Transport(), CallTimeout: time.Minute, MaxRetries: 2, BackoffBase: time.Millisecond})
+	defer cl.Close()
+	owner := cluster.NewRemoteShard(cl)
+
+	inflight := make(chan error, 1)
+	go func() {
+		_, err := owner.BrowseFeedCtx(context.Background(), "u", 1)
+		inflight <- err
+	}()
+	<-b.entered
+	sn.Kill()
+	var ce *rpc.CallError
+	select {
+	case err := <-inflight:
+		if !errors.As(err, &ce) || ce.Attempts != 1 || !errors.Is(err, rpc.ErrUnavailable) {
+			t.Fatalf("browse in flight at Kill: %v, want one attempt failing unavailable", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a call in flight at Kill still hangs after 10s")
+	}
+
+	// Only a call that was never sent may be retried as a mutation.
+	if err := owner.RegisterAdvertiser("acme"); !errors.As(err, &ce) || ce.Attempts != 3 {
+		t.Fatalf("register on a killed node: %v, want 3 attempts of a never-sent call", err)
+	}
+
+	// The name is free the moment Kill returns.
+	probe, err := mn.Listen(sn.Addr())
+	if err != nil {
+		t.Fatalf("binding a killed node's name: %v", err)
+	}
+	probe.Close()
+	if err := sn.Restart(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.RegisterAdvertiser("acme"); err != nil {
+		t.Fatalf("register after Restart: %v", err)
 	}
 }
