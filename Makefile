@@ -61,9 +61,11 @@ race:
 # instrumentation allocates), the
 # op-table test (client retry policy, server ownership gate and registered
 # handlers all equal to rpc's one op table), the row test (each
-# RemoteShard method sends its own row of that table) and the sticky-health
-# test (a shard whose journal failed reports itself unhealthy, in process
-# and over the wire), and the public API's golden-bytes and docs tests (every
+# RemoteShard method sends its own row of that table), the sticky-health
+# tests (a shard node whose journal failed reports itself unhealthy on its
+# health endpoint, and answers each write 503), the ship-counter test (an
+# owner node counts the records it ships on its own /metrics), and the
+# public API's golden-bytes and docs tests (every
 # route's wire bytes and statuses, and docs/API.md's route list equal to
 # httpapi's route table) fail the target if their test disappears.
 race-full:
@@ -93,6 +95,8 @@ race-full:
 	$(GO) test -race -count=1 -run=TestOpTableIsThePolicy -v ./internal/rpc/ | grep -- '--- PASS: TestOpTableIsThePolicy'
 	$(GO) test -race -count=1 -run=TestRemoteShardSendsItsOwnRow -v ./internal/cluster/ | grep -- '--- PASS: TestRemoteShardSendsItsOwnRow'
 	$(GO) test -race -count=1 -run=TestStickyJournalReportsUnhealthy -v ./internal/cluster/ | grep -- '--- PASS: TestStickyJournalReportsUnhealthy'
+	$(GO) test -race -count=1 -run=TestStickyJournalOnANodeAnswers503 -v ./internal/cluster/ | grep -- '--- PASS: TestStickyJournalOnANodeAnswers503'
+	$(GO) test -race -count=1 -run=TestOwnerNodeCountsWhatItShips -v ./internal/shardnode/ | grep -- '--- PASS: TestOwnerNodeCountsWhatItShips'
 	$(GO) test -run=TestServeAllocs -v ./internal/httpapi/ | grep -- '--- PASS: TestServeAllocs'
 	$(GO) test -race -count=1 -run=TestPublicWireGoldenBytes -v ./internal/httpapi/ | grep -- '--- PASS: TestPublicWireGoldenBytes'
 	$(GO) test -race -count=1 -run=TestAPIDocsListTheRouteTable -v ./internal/httpapi/ | grep -- '--- PASS: TestAPIDocsListTheRouteTable'

@@ -374,7 +374,7 @@ func TestStatusIsOneSnapshot(t *testing.T) {
 	root := t.TempDir()
 	shards := make([]cluster.Shard, 3)
 	for i := range shards {
-		shards[i] = newMembershipNode(t, filepath.Join(root, fmt.Sprint(i)), stats.SubSeed(53, uint64(i))).jp
+		shards[i] = cluster.NewRemoteShard(newMembershipNode(t, filepath.Join(root, fmt.Sprint(i)), stats.SubSeed(53, uint64(i))).cli)
 	}
 	clu, err := cluster.New(shards[:2], cluster.Options{})
 	if err != nil {

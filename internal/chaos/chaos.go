@@ -817,7 +817,7 @@ type autoFleet []*slotGroup
 func (f autoFleet) Shards() int { return len(f) }
 
 func (f autoFleet) ProbeSlotOwner(_ context.Context, slot int) error {
-	if hc, ok := f[slot].rs.Owner().(cluster.HealthReporter); ok && !hc.Healthy() {
+	if !f[slot].rs.Owner().Healthy() {
 		return cluster.ErrShardUnavailable
 	}
 	return nil

@@ -123,16 +123,16 @@ func BenchmarkClusterMixedWorkload(b *testing.B) {
 // (BenchmarkAppendSerial in internal/journal), not two.
 func BenchmarkClusterCreateCampaignJournaled(b *testing.B) {
 	root := b.TempDir()
-	shards := make([]cluster.Shard, 2)
-	for i := range shards {
+	jps := make([]*platform.Platform, 2)
+	for i := range jps {
 		jp, err := platform.OpenJournaled(filepath.Join(root, fmt.Sprint(i)), journal.Options{},
 			func() (*platform.Platform, error) { return platform.New(platform.Config{Seed: uint64(i + 1)}), nil })
 		if err != nil {
 			b.Fatal(err)
 		}
-		shards[i] = jp
+		jps[i] = jp
 	}
-	c, err := cluster.New(shards, cluster.Options{})
+	c, err := cluster.New(memShards(b, jps...), cluster.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -168,7 +168,7 @@ func BenchmarkReshardCutover(b *testing.B) {
 		b.StopTimer()
 		joiner := openElasticShard(b, filepath.Join(root, fmt.Sprintf("joiner-%d", i)), stats.SubSeed(5, uint64(3+i)))
 		b.StartTimer()
-		grow, err := c.AddSet(cluster.NewReplicaSet(joiner))
+		grow, err := c.AddSet(cluster.NewReplicaSet(memShards(b, joiner)[0]))
 		if err != nil {
 			b.Fatalf("AddSet: %v", err)
 		}

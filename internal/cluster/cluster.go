@@ -28,37 +28,27 @@ import (
 	"github.com/treads-project/treads/internal/trace"
 )
 
-// Shard is the per-partition platform surface the coordinator drives: the
-// operation set a shard serves over RPC, control surface (platform.Member)
-// included. The attribute catalog is not on it: the Cluster answers
-// catalog reads from its own copy. A shard is one member of a ring slot,
-// and a slot is a ReplicaSet of them. Every cluster reaches its members
-// through a *RemoteShard, over TCP or an rpc.MemNet (NewServed); a bare
-// *platform.Platform satisfies the interface too, so a test can hold a
-// cluster to the platform it partitions. A member without a journal
-// refuses the control surface with platform.ErrNoJournal (on the wire, a
-// 422), so it cannot take part in a reshard or a replica chain.
+// Shard is one member of a ring slot (a slot is a ReplicaSet of them), as
+// the coordinator drives it: the operation set a shard serves over RPC,
+// control surface (platform.Member) and health included, plus what a
+// member behind an RPC client offers — a dialable address, an explicit
+// health probe that feeds its circuit breaker, the membership gate's ring
+// push, the rearm call that tells an owner whom to ship to, the dump of
+// its process's trace spans, and Close. The attribute catalog is not on
+// it: the Cluster answers catalog reads from its own copy. *RemoteShard
+// satisfies it, over TCP or an rpc.MemNet (NewServed), and so does any
+// struct that embeds one. A member without a journal refuses the control
+// surface with platform.ErrNoJournal (on the wire, a 422), so it cannot
+// take part in a reshard or a replica chain.
 type Shard interface {
 	rpc.Backend
-}
-
-// networkedMember is what only a member behind an RPC client offers: a
-// dialable address, an explicit health probe that feeds its circuit
-// breaker, the membership gate's ring push, the rearm call that tells an
-// owner whom to ship to, and the dump of its process's trace spans.
-// *RemoteShard satisfies it, and so does any struct that embeds one.
-type networkedMember interface {
 	Addr() string
 	Probe(context.Context) error
 	PushRing(context.Context, rpc.RingInfo) error
 	Rearm(ctx context.Context, followers []string) error
 	TraceSpans(context.Context) ([]trace.SpanWire, error)
+	Close() error
 }
-
-var (
-	_ Shard           = (*platform.Platform)(nil)
-	_ networkedMember = (*RemoteShard)(nil)
-)
 
 // Options tunes a cluster.
 type Options struct {
@@ -619,9 +609,9 @@ func (c *Cluster) Users() []profile.UserID {
 	return all
 }
 
-// Close closes every member of every slot that is closable (journaled
-// shards sync and close their journals). The first error wins; remaining
-// slots still get closed.
+// Close closes every member of every slot (a member NewServed serves
+// also syncs and closes its platform's journal). The first error wins;
+// remaining slots still get closed.
 func (c *Cluster) Close() error {
 	var firstErr error
 	for i, rs := range c.mem.Load().slots {

@@ -325,13 +325,11 @@ func contains(ss []string, s string) bool {
 // ground truth.
 func TestClusterShardedCorrectness(t *testing.T) {
 	const nShards = 4
-	shards := make([]cluster.Shard, nShards)
 	plats := make([]*platform.Platform, nShards)
-	for i := range shards {
-		p := platform.New(platform.Config{Seed: stats.SubSeed(scenarioSeed, uint64(i))})
-		shards[i], plats[i] = p, p
+	for i := range plats {
+		plats[i] = platform.New(platform.Config{Seed: stats.SubSeed(scenarioSeed, uint64(i))})
 	}
-	c, err := cluster.New(shards, cluster.Options{})
+	c, err := cluster.New(memShards(t, plats...), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +449,7 @@ func TestClusterDivergenceDetected(t *testing.T) {
 	if err := p1.RegisterAdvertiser("drift"); err != nil { // shard 1 drifts
 		t.Fatal(err)
 	}
-	c, err := cluster.New([]cluster.Shard{p0, p1}, cluster.Options{})
+	c, err := cluster.New(memShards(t, p0, p1), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func (c *Cluster) takeDirty() map[profile.UserID]struct{} {
 // assigns to it are streamed over in chunks while writes keep flowing, and
 // a short write fence covers the final delta copy, the membership flip,
 // and the source-side removals. On success the new membership version is
-// pushed best-effort to every networked member.
+// pushed best-effort to every member.
 func (c *Cluster) AddSet(joiner *ReplicaSet) (ReshardReport, error) {
 	c.repMu.Lock()
 	defer c.repMu.Unlock()
@@ -494,22 +494,13 @@ func (c *Cluster) RingAndSlots() (rpc.RingInfo, []*ReplicaSet) {
 	}
 	for i, rs := range m.slots {
 		st := rs.state.Load()
-		info.Shards[i] = rpc.ShardInfo{Addr: memberAddr(st.members[0]), Replicas: st.replicaAddrs(false)}
+		info.Shards[i] = rpc.ShardInfo{Addr: st.members[0].Addr(), Replicas: st.replicaAddrs(false)}
 	}
 	return info, slices.Clone(m.slots)
 }
 
-// memberAddr returns a member's dialable address ("" for in-process
-// members, which never serve a gate).
-func memberAddr(s Shard) string {
-	if nm, ok := s.(networkedMember); ok {
-		return nm.Addr()
-	}
-	return ""
-}
-
-// pushRing best-effort pushes current membership to every networked
-// member, and to those of the slots in left, which it no longer names.
+// pushRing best-effort pushes current membership to every member, and to
+// those of the slots in left, which it no longer names.
 // Failures are ignored: a node that missed the push answers the next
 // misrouted call with a stale-ring refusal, and the router's refresh path
 // converges it.
@@ -517,9 +508,7 @@ func (c *Cluster) pushRing(ctx context.Context, left ...*ReplicaSet) {
 	info, slots := c.RingAndSlots()
 	for _, rs := range append(slots, left...) {
 		for _, m := range rs.state.Load().members {
-			if nm, ok := m.(networkedMember); ok {
-				_ = nm.PushRing(ctx, info)
-			}
+			_ = m.PushRing(ctx, info)
 		}
 	}
 }

@@ -42,12 +42,10 @@ func newElasticCluster(t testing.TB, n int, seed uint64) (*cluster.Cluster, []*p
 	t.Helper()
 	root := t.TempDir()
 	jps := make([]*platform.Journaled, n)
-	shards := make([]cluster.Shard, n)
 	for i := range jps {
 		jps[i] = openElasticShard(t, filepath.Join(root, fmt.Sprintf("shard-%03d", i)), stats.SubSeed(seed, uint64(i)))
-		shards[i] = jps[i]
 	}
-	c, err := cluster.New(shards, cluster.Options{})
+	c, err := cluster.New(memShards(t, jps...), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +144,7 @@ func TestAddShardMovesUsersLive(t *testing.T) {
 	}
 
 	joiner := openElasticShard(t, filepath.Join(root, "shard-join"), 999)
-	rep, err := c.AddSet(cluster.NewReplicaSet(joiner))
+	rep, err := c.AddSet(cluster.NewReplicaSet(memShards(t, joiner)[0]))
 	if err != nil {
 		t.Fatalf("AddSet: %v", err)
 	}
@@ -241,14 +239,14 @@ func TestAddShardRejectsNonMigratable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mem.Close()
-	if _, err := mem.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !noJournal(err) {
+	if _, err := mem.AddSet(cluster.NewReplicaSet(memShards(t, platform.New(platform.Config{Seed: 6}))[0])); !noJournal(err) {
 		t.Fatalf("AddSet on in-memory cluster: %v, want platform.ErrNoJournal", err)
 	}
 
 	// A journaled cluster refuses an in-memory joiner — and stays intact.
 	c, _, _ := newElasticCluster(t, 2, 44)
 	populateElastic(t, c, 16)
-	if _, err := c.AddSet(cluster.NewReplicaSet(platform.New(platform.Config{Seed: 6}))); !noJournal(err) {
+	if _, err := c.AddSet(cluster.NewReplicaSet(memShards(t, platform.New(platform.Config{Seed: 6}))[0])); !noJournal(err) {
 		t.Fatalf("AddSet(in-memory joiner): %v, want platform.ErrNoJournal", err)
 	}
 	if c.Shards() != 2 || c.Version() != 1 {
@@ -290,7 +288,7 @@ func TestReshardUnderConcurrentWrites(t *testing.T) {
 	}
 
 	joiner := openElasticShard(t, filepath.Join(root, "shard-join"), 999)
-	rep, err := c.AddSet(cluster.NewReplicaSet(joiner))
+	rep, err := c.AddSet(cluster.NewReplicaSet(memShards(t, joiner)[0]))
 	close(stop)
 	wg.Wait()
 	if err != nil {
@@ -309,10 +307,11 @@ func TestReshardUnderConcurrentWrites(t *testing.T) {
 	}
 }
 
-// failRemoveShard embeds a journaled shard and makes RemoveUsers fail on
-// demand — the shape of a source node that crashed right after a cutover.
+// failRemoveShard embeds the router's handle on a journaled shard node and
+// makes RemoveUsers fail on demand — the shape of a source node that
+// crashed right after a cutover.
 type failRemoveShard struct {
-	*platform.Journaled
+	*frailShard
 	fail atomic.Bool
 }
 
@@ -320,12 +319,12 @@ func (f *failRemoveShard) RemoveUsers(users []profile.UserID) error {
 	if f.fail.Load() {
 		return errors.New("injected: source node unreachable")
 	}
-	return f.Journaled.RemoveUsers(users)
+	return f.frailShard.RemoveUsers(users)
 }
 
 func TestPendingRemovalGatesAggregatesUntilResume(t *testing.T) {
 	root := t.TempDir()
-	src := &failRemoveShard{Journaled: openElasticShard(t, filepath.Join(root, "src"), stats.SubSeed(53, 0))}
+	src := &failRemoveShard{frailShard: memNodes(t, openElasticShard(t, filepath.Join(root, "src"), stats.SubSeed(53, 0)))[0]}
 	c, err := cluster.New([]cluster.Shard{src}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +334,7 @@ func TestPendingRemovalGatesAggregatesUntilResume(t *testing.T) {
 
 	src.fail.Store(true)
 	joiner := openElasticShard(t, filepath.Join(root, "join"), 999)
-	if _, err := c.AddSet(cluster.NewReplicaSet(joiner)); err != nil {
+	if _, err := c.AddSet(cluster.NewReplicaSet(memShards(t, joiner)[0])); err != nil {
 		t.Fatalf("AddSet (cutover succeeds, cleanup fails): %v", err)
 	}
 	if _, pending := c.MigrationStatus(); pending != 1 {
@@ -350,7 +349,7 @@ func TestPendingRemovalGatesAggregatesUntilResume(t *testing.T) {
 		t.Fatalf("PotentialReach with pending removal: %v, want ErrReshardIncomplete", err)
 	}
 	// So does the next membership change.
-	if _, err := c.AddSet(cluster.NewReplicaSet(openElasticShard(t, filepath.Join(root, "join2"), 1000))); !errors.Is(err, cluster.ErrReshardIncomplete) {
+	if _, err := c.AddSet(cluster.NewReplicaSet(memShards(t, openElasticShard(t, filepath.Join(root, "join2"), 1000))[0])); !errors.Is(err, cluster.ErrReshardIncomplete) {
 		t.Fatalf("AddSet with pending removal: %v, want ErrReshardIncomplete", err)
 	}
 	// User-scoped traffic keeps flowing the whole time.
@@ -402,8 +401,7 @@ func (f *fakeSource) Fetch() (cluster.Membership, error) {
 }
 
 func TestStaleRingRefreshRetriesOnce(t *testing.T) {
-	inner := platform.New(platform.Config{Seed: 3})
-	shard := &staleOnceShard{Shard: inner}
+	shard := &staleOnceShard{Shard: memShards(t, platform.New(platform.Config{Seed: 3}))[0]}
 	c, err := cluster.New([]cluster.Shard{shard}, cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -467,7 +465,7 @@ func TestClusterRingVirtualNodes(t *testing.T) {
 
 	sets := make([]*cluster.ReplicaSet, 3)
 	for i := range sets {
-		sets[i] = cluster.NewReplicaSet(platform.New(platform.Config{Seed: uint64(i)}))
+		sets[i] = cluster.NewReplicaSet(memShards(t, platform.New(platform.Config{Seed: uint64(i)}))[0])
 	}
 	c.SetMembershipSource(&fakeSource{m: cluster.Membership{Version: 2, VirtualNodes: 8, Shards: sets}})
 	if err := c.RefreshMembership(); err != nil {
@@ -520,10 +518,8 @@ func TestWireRingSizeIsBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		sets := []*cluster.ReplicaSet{
-			cluster.NewReplicaSet(platform.New(platform.Config{Seed: 1})),
-			cluster.NewReplicaSet(platform.New(platform.Config{Seed: 2})),
-		}
+		members := memShards(t, platform.New(platform.Config{Seed: 1}), platform.New(platform.Config{Seed: 2}))
+		sets := []*cluster.ReplicaSet{cluster.NewReplicaSet(members[0]), cluster.NewReplicaSet(members[1])}
 		boot := c.RingInfo()
 		c.SetMembershipSource(&fakeSource{m: cluster.Membership{Version: 2, VirtualNodes: 1 << 40, Shards: sets}})
 		if err := c.RefreshMembership(); err == nil {
@@ -687,7 +683,7 @@ func TestReshardDeterministic(t *testing.T) {
 		c, jps, root := newElasticCluster(t, 2, 61)
 		populateElastic(t, c, 32)
 		joiner := openElasticShard(t, filepath.Join(root, "join"), 999)
-		if _, err := c.AddSet(cluster.NewReplicaSet(joiner)); err != nil {
+		if _, err := c.AddSet(cluster.NewReplicaSet(memShards(t, joiner)[0])); err != nil {
 			t.Fatalf("AddSet: %v", err)
 		}
 		var out []string

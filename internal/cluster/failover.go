@@ -106,23 +106,15 @@ func (c *Cluster) SlotDegraded(slot int) bool {
 	return rs.Degraded()
 }
 
-// ProbeSlotOwner checks the slot owner's health from the router's seat:
-// a single probe (feeding the client's breaker), or a health read for a
-// bare platform. The health supervisor's detector turns
-// the outcome stream into an up/suspect/down verdict.
+// ProbeSlotOwner checks the slot owner's health from the router's seat: a
+// single probe, which feeds the client's breaker. The health supervisor's
+// detector turns the outcome stream into an up/suspect/down verdict.
 func (c *Cluster) ProbeSlotOwner(ctx context.Context, slot int) error {
 	rs, err := c.slotReplicaSet(slot)
 	if err != nil {
 		return err
 	}
-	s := rs.Owner()
-	if nm, ok := s.(networkedMember); ok {
-		return nm.Probe(ctx)
-	}
-	if !shardHealthy(s) {
-		return fmt.Errorf("cluster: slot %d owner: %w", slot, ErrShardUnavailable)
-	}
-	return nil
+	return rs.Owner().Probe(ctx)
 }
 
 // slotReplicaSet resolves a slot to its replica set.

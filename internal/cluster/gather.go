@@ -23,19 +23,6 @@ import (
 // refusals, and as an httpapi.Unavailable it is answered 503, not 404.
 var ErrShardUnavailable error = httpapi.Unavailable("cluster: shard unavailable")
 
-// HealthReporter is platform's, declared there so the shard RPC server's
-// health endpoint can consult it too. A slot's health is its ReplicaSet's
-// Healthy.
-type HealthReporter = platform.HealthReporter
-
-// shardHealthy reports whether the member can serve anything at all.
-func shardHealthy(s Shard) bool {
-	if hr, ok := s.(HealthReporter); ok {
-		return hr.Healthy()
-	}
-	return true
-}
-
 // checkAllHealthy returns ErrShardUnavailable (wrapped with the slot
 // index) if no member of some slot can serve. Exact scatter-gather needs
 // every slot; failing fast here beats burning the full call deadline
@@ -131,19 +118,19 @@ func (c *Cluster) Report(ctx context.Context, advertiser, campaignID string) (bi
 	return billing.MakeReport(campaignID, merged.Impressions, merged.Reach, merged.Spend, billing.ReachReportThreshold), nil
 }
 
-// RemoteTraceSpans collects completed spans from every shard process that
-// can report them, follower processes included. Collection is best-effort diagnostics: a down or spanless
-// shard contributes nothing rather than failing the dump, because a trace
-// query must keep working exactly when parts of the cluster are unhealthy.
+// RemoteTraceSpans collects completed spans from every shard process,
+// follower processes included. Collection is best-effort diagnostics: a
+// down or spanless shard contributes nothing rather than failing the dump,
+// because a trace query must keep working exactly when parts of the
+// cluster are unhealthy.
 func (c *Cluster) RemoteTraceSpans(ctx context.Context) []trace.SpanWire {
 	var out []trace.SpanWire
 	for _, rs := range c.mem.Load().slots {
 		for _, m := range rs.state.Load().members {
-			nm, ok := m.(networkedMember)
-			if !ok || !shardHealthy(m) {
+			if !m.Healthy() {
 				continue
 			}
-			if spans, err := nm.TraceSpans(ctx); err == nil {
+			if spans, err := m.TraceSpans(ctx); err == nil {
 				out = append(out, spans...)
 			}
 		}

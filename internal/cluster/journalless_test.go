@@ -57,8 +57,8 @@ func TestJournallessPlatformRefuses(t *testing.T) {
 			refused(t, "beginfollow", err)
 			_, err = rpc.Do(ctx, cl, rpc.OpEndFollow, struct{}{})
 			refused(t, "endfollow", err)
-			rs := cluster.NewReplicaSet(platform.New(platform.Config{Seed: 4}))
-			if err := rs.InstallState(platform.New(platform.Config{Seed: 5}).State()); !errors.Is(err, platform.ErrNoJournal) {
+			rs := cluster.NewReplicaSet(memShards(t, platform.New(platform.Config{Seed: 4}))[0])
+			if err := rs.InstallState(platform.New(platform.Config{Seed: 5}).State()); !noJournal(err) {
 				t.Errorf("InstallState on a journal-less slot: %v, want platform.ErrNoJournal", err)
 			}
 		}},

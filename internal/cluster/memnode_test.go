@@ -20,7 +20,8 @@ import (
 // frailShard is the router's handle on one shard node: the RemoteShard it
 // drives, the node's platform for the test to inspect, and a kill switch
 // standing for a failure detector's verdict on an owner process that
-// stopped answering without losing its disk.
+// stopped answering without losing its disk. Closing it closes the
+// platform too, as the node's process would on its way out.
 type frailShard struct {
 	*cluster.RemoteShard
 	Journaled *platform.Journaled
@@ -36,6 +37,11 @@ func (f *frailShard) Probe(ctx context.Context) error {
 		return cluster.ErrShardUnavailable
 	}
 	return f.RemoteShard.Probe(ctx)
+}
+
+func (f *frailShard) Close() error {
+	f.RemoteShard.Close()
+	return f.Journaled.Close()
 }
 
 // LastLSN is the node's own last journaled LSN, read in process.
@@ -65,6 +71,18 @@ func memNodes(t testing.TB, jps ...*platform.Journaled) []*frailShard {
 			sn.Kill()
 		})
 		out[i] = &frailShard{RemoteShard: cluster.NewRemoteShard(cl), Journaled: jp}
+	}
+	return out
+}
+
+// memShards is memNodes as the coordinator takes its members: every
+// platform a test hands a cluster is reached over the shard wire, the path
+// a router runs.
+func memShards(t testing.TB, ps ...*platform.Platform) []cluster.Shard {
+	t.Helper()
+	out := make([]cluster.Shard, len(ps))
+	for i, n := range memNodes(t, ps...) {
+		out[i] = n
 	}
 	return out
 }

@@ -31,12 +31,10 @@ type clusterMetrics struct {
 	replica replicaCounters
 }
 
-// replicaCounters instruments replica chains: journal shipping volume and
-// failures on the write path, failover reads and promotions and resyncs on
-// the recovery path.
+// replicaCounters instruments replica chains from the router's seat: reads
+// served by followers, and promotions and resyncs on the recovery path.
+// Journal shipping runs on the owner node, which counts it there.
 type replicaCounters struct {
-	shipRecords   *obs.Counter
-	shipFailures  *obs.Counter
 	failoverReads *obs.Counter
 	replicaReads  *obs.Counter
 	promotions    *obs.Counter
@@ -47,10 +45,6 @@ type replicaCounters struct {
 // set outside any cluster counts into unexported instruments).
 func newReplicaCounters(reg *obs.Registry) replicaCounters {
 	return replicaCounters{
-		shipRecords: reg.Counter("cluster_replica_ship_records_total",
-			"Journal records shipped owner-to-follower across all replica chains."),
-		shipFailures: reg.Counter("cluster_replica_ship_failures_total",
-			"Journal records a follower failed to apply; the originating write is reported indeterminate."),
 		failoverReads: reg.Counter("cluster_replica_failover_reads_total",
 			"User-scoped reads served by a follower because the shard owner was unavailable."),
 		replicaReads: reg.Counter("cluster_replica_reads_total",

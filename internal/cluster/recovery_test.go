@@ -130,7 +130,6 @@ func recoveryScript(t *testing.T) []func(c *cluster.Cluster) {
 func openShards(t *testing.T, root string, boot bool) ([]*platform.Journaled, *cluster.Cluster) {
 	t.Helper()
 	jps := make([]*platform.Journaled, recoveryShards)
-	shards := make([]cluster.Shard, recoveryShards)
 	for i := range jps {
 		bootFn := recoveryBoot(i)
 		if !boot {
@@ -143,9 +142,9 @@ func openShards(t *testing.T, root string, boot bool) ([]*platform.Journaled, *c
 		if err != nil {
 			t.Fatalf("OpenJournaled(shard %d): %v", i, err)
 		}
-		jps[i], shards[i] = jp, jp
+		jps[i] = jp
 	}
-	c, err := cluster.New(shards, cluster.Options{})
+	c, err := cluster.New(memShards(t, jps...), cluster.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,10 +33,7 @@ type RemoteShard struct {
 	c *rpc.Client
 }
 
-var (
-	_ Shard          = (*RemoteShard)(nil)
-	_ HealthReporter = (*RemoteShard)(nil)
-)
+var _ Shard = (*RemoteShard)(nil)
 
 // NewRemoteShard wraps a peer's RPC client as a Shard.
 func NewRemoteShard(c *rpc.Client) *RemoteShard {

@@ -9,9 +9,10 @@ import (
 )
 
 // Control surface of RemoteShard: platform.Member forwarded over RPC, plus
-// what only a networked member offers (networkedMember). Like the rest of
-// the Shard surface, context-free signatures run under
-// context.Background() with the client's per-call timeout as the bound.
+// the rest of the Shard contract that a member behind a client offers
+// (address, probe, ring push, rearm). Like the rest of the Shard surface,
+// context-free signatures run under context.Background() with the
+// client's per-call timeout as the bound.
 
 // Addr returns the peer's dialable base URL — the identity shards carry in
 // ring pushes and admin listings.

@@ -26,17 +26,17 @@ import (
 
 const elasticSecret = "elastic-secret"
 
-// serveNode runs m as a shard node the way the daemon assembles one with
-// -advertise (shardnode: RPC server, membership gate, rearm handler for a
-// journaled member), on a loopback port, and returns it with its base URL.
-func serveNode(t testing.TB, m rpc.Backend, secret string) (*shardnode.Node, string) {
+// serveNode runs p as a shard node the way the daemon assembles one with
+// -advertise (shardnode: RPC server, membership gate, rearm handler), on a
+// loopback port, and returns it with its base URL.
+func serveNode(t testing.TB, p *platform.Platform, secret string) (*shardnode.Node, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	url := "http://" + ln.Addr().String()
-	sn, err := shardnode.Start(m, ln, shardnode.Config{RPC: rpc.Options{Secret: secret}, Advertise: url})
+	sn, err := shardnode.Start(p, ln, shardnode.Config{RPC: rpc.Options{Secret: secret}, Advertise: url})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,28 +59,20 @@ func TestRemoteClusterEquivalence(t *testing.T) {
 	assertEquivalent(t, local, wantRes, remote, gotRes)
 }
 
-// flakyShard wraps an in-process platform with a controllable health
-// signal, so routing decisions are observable without a real network.
-type flakyShard struct {
-	*platform.Platform
-	healthy bool
-}
-
-func (f *flakyShard) Healthy() bool { return f.healthy }
-
-// newFlakyCluster builds a three-shard cluster over flakyShards with an
-// advertiser "acme" and one user per shard, keyed by owning shard.
-func newFlakyCluster(t *testing.T) (*cluster.Cluster, []*flakyShard, map[int]profile.UserID) {
+// newFlakyCluster builds a three-shard cluster over frailShards, whose kill
+// switches make routing decisions observable, with an advertiser "acme"
+// and one user per shard, keyed by owning shard.
+func newFlakyCluster(t *testing.T) (*cluster.Cluster, []*frailShard, map[int]profile.UserID) {
 	t.Helper()
 	const nShards = 3
+	ps := make([]*platform.Platform, nShards)
+	for i := range ps {
+		ps[i] = platform.New(platform.Config{Seed: stats.SubSeed(scenarioSeed, uint64(i))})
+	}
+	flakies := memNodes(t, ps...)
 	shards := make([]cluster.Shard, nShards)
-	flakies := make([]*flakyShard, nShards)
-	for i := range shards {
-		f := &flakyShard{
-			Platform: platform.New(platform.Config{Seed: stats.SubSeed(scenarioSeed, uint64(i))}),
-			healthy:  true,
-		}
-		shards[i], flakies[i] = f, f
+	for i, f := range flakies {
+		shards[i] = f
 	}
 	c, err := cluster.New(shards, cluster.Options{})
 	if err != nil {
@@ -119,7 +111,7 @@ func TestUnhealthyShardRouting(t *testing.T) {
 	c, flakies, ownedBy := newFlakyCluster(t)
 
 	// Take shard 0 down.
-	flakies[0].healthy = false
+	flakies[0].down.Store(true)
 
 	// Catalog reads never reach a shard, so the dead one cannot fail them.
 	if cat := c.Catalog(); cat == nil {
@@ -158,7 +150,7 @@ func TestUnhealthyShardRouting(t *testing.T) {
 	}
 
 	// Recovery: the shard comes back and everything flows again.
-	flakies[0].healthy = true
+	flakies[0].down.Store(false)
 	if _, err := c.BrowseFeed(deadUID, 5); err != nil {
 		t.Fatalf("BrowseFeed after recovery: %v", err)
 	}
@@ -233,8 +225,8 @@ func TestRemoteShardTypedErrors(t *testing.T) {
 	})
 	t.Run("circuit-feeds-cluster-health", func(t *testing.T) {
 		// A RemoteShard whose peer is dead trips its breaker, and the
-		// cluster sees that through HealthReporter: the typed cluster
-		// error appears without waiting out another transport timeout.
+		// cluster sees that through Healthy: the typed cluster error
+		// appears without waiting out another transport timeout.
 		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "dead", http.StatusInternalServerError)
 		}))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -105,7 +104,7 @@ func (rs *ReplicaSet) Owner() Shard { return rs.state.Load().members[0] }
 // Healthy reports whether the set can serve anything at all (some member
 // is up) — the routing layer's read gate.
 func (rs *ReplicaSet) Healthy() bool {
-	return slices.ContainsFunc(rs.state.Load().members, shardHealthy)
+	return slices.ContainsFunc(rs.state.Load().members, Shard.Healthy)
 }
 
 // writer returns the owner, or a typed refusal when it is down — writes
@@ -113,7 +112,7 @@ func (rs *ReplicaSet) Healthy() bool {
 // harness) decision because it draws the indeterminate-write line.
 func (rs *ReplicaSet) writer() (Shard, error) {
 	o := rs.Owner()
-	if !shardHealthy(o) {
+	if !o.Healthy() {
 		return nil, fmt.Errorf("owner down: %w", ErrShardUnavailable)
 	}
 	return o, nil
@@ -133,9 +132,9 @@ func (rs *ReplicaSet) reader() Shard {
 	if len(members) == 1 {
 		return members[0] // no follower: nothing to balance onto or fail over to
 	}
-	if shardHealthy(members[0]) {
+	if members[0].Healthy() {
 		pick := int(rs.readCursor.Add(1) % uint64(len(members)))
-		if pick != 0 && !st.detached[pick] && shardHealthy(members[pick]) && rs.followerSynced(members[pick]) {
+		if pick != 0 && !st.detached[pick] && members[pick].Healthy() && rs.followerSynced(members[pick]) {
 			st.met.replicaReads.Inc()
 			return members[pick]
 		}
@@ -144,7 +143,7 @@ func (rs *ReplicaSet) reader() Shard {
 	var fallback Shard
 	for i := 1; i < len(members); i++ {
 		f := members[i]
-		if st.detached[i] || !shardHealthy(f) {
+		if st.detached[i] || !f.Healthy() {
 			continue
 		}
 		if fallback == nil {
@@ -188,12 +187,11 @@ func (rs *ReplicaSet) followerSynced(f Shard) bool {
 // acknowledged. It is the one arm step: the owner node ships from its own
 // process and is told the attached followers' addresses over the rearm RPC
 // — unless the slot has no follower at all, since such a handle names none
-// of the followers the node may have been given itself (-replicate). A
-// shard node's own chain holds its owner in process and installs Ship
-// itself, so Chain tells it nothing. Promote and Heal end with this step,
-// so under FailoverSlot and HealSlot it runs inside the write fence. An
-// owner that cannot be armed may not ship to this set's followers, so they
-// are all detached until Heal reinstalls them and arms again.
+// of the followers the node may have been given itself (-replicate).
+// Promote and Heal end with this step, so under FailoverSlot and HealSlot
+// it runs inside the write fence. An owner that cannot be armed may not
+// ship to this set's followers, so they are all detached until Heal
+// reinstalls them and arms again.
 func (rs *ReplicaSet) Chain() error {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
@@ -203,13 +201,12 @@ func (rs *ReplicaSet) Chain() error {
 // arm is Chain under rs.mu.
 func (rs *ReplicaSet) arm() error {
 	st := rs.state.Load()
-	o, ok := st.members[0].(networkedMember)
-	if !ok || len(st.members) == 1 {
+	if len(st.members) == 1 {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
-	if err := o.Rearm(ctx, st.replicaAddrs(true)); err != nil {
+	if err := st.members[0].Rearm(ctx, st.replicaAddrs(true)); err != nil {
 		next := *st
 		next.detached = make([]bool, len(st.members))
 		for i := 1; i < len(next.detached); i++ {
@@ -219,31 +216,6 @@ func (rs *ReplicaSet) arm() error {
 		return fmt.Errorf("cluster: arming the owner's shipping: %w", err)
 	}
 	return nil
-}
-
-// Ship pushes one owner journal record to every attached follower: the
-// shipping hook of an owner this process holds. Any failure is returned
-// (making the originating write indeterminate for its caller); the failed
-// follower stays behind until Heal resyncs it. Detached members are skipped
-// without error — they are already excluded from promotion, so skipping
-// them cannot lose an acknowledged write.
-func (rs *ReplicaSet) Ship(lsn uint64, payload []byte) error {
-	st := rs.state.Load()
-	var firstErr error
-	for i := 1; i < len(st.members); i++ {
-		if st.detached[i] {
-			continue
-		}
-		if err := st.members[i].ApplyShipped(lsn, payload); err != nil {
-			st.met.shipFailures.Inc()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("follower %d: %w", i, err)
-			}
-			continue
-		}
-		st.met.shipRecords.Inc()
-	}
-	return firstErr
 }
 
 // ErrOwnerHealthy refuses a promotion on a slot whose owner is still
@@ -272,7 +244,7 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	if len(cur.members) == 1 {
 		return -1, errors.New("cluster: promote: slot has no follower")
 	}
-	if !force && shardHealthy(cur.members[0]) {
+	if !force && cur.members[0].Healthy() {
 		return -1, fmt.Errorf("cluster: promote: %w", ErrOwnerHealthy)
 	}
 	best := -1
@@ -280,7 +252,7 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 	// unreadable.
 	status := make([]platform.FollowStatus, len(cur.members))
 	for i := 1; i < len(cur.members); i++ {
-		if cur.detached[i] || !shardHealthy(cur.members[i]) {
+		if cur.detached[i] || !cur.members[i].Healthy() {
 			continue
 		}
 		st, err := cur.members[i].FollowStatus()
@@ -325,7 +297,7 @@ func (rs *ReplicaSet) Promote(force bool) (int, error) {
 func (rs *ReplicaSet) Degraded() bool {
 	st := rs.state.Load()
 	for i := 1; i < len(st.members); i++ {
-		if !shardHealthy(st.members[i]) {
+		if !st.members[i].Healthy() {
 			continue // unreachable members cannot be healed yet
 		}
 		if st.detached[i] {
@@ -338,26 +310,24 @@ func (rs *ReplicaSet) Degraded() bool {
 	return false
 }
 
-// probeMembers sends one explicit health probe to every member that
-// supports it (remote members), feeding each client's circuit breaker. A
-// member returning from an outage still has an open breaker from its
-// downtime; an explicit probe can close it immediately, where waiting on
-// the routing path alone would stall until the breaker cooldown.
-// Best-effort: a failed probe just leaves the breaker open.
+// probeMembers sends one explicit health probe to every member, feeding
+// each client's circuit breaker. A member returning from an outage still
+// has an open breaker from its downtime; an explicit probe can close it
+// immediately, where waiting on the routing path alone would stall until
+// the breaker cooldown. Best-effort: a failed probe just leaves the
+// breaker open.
 func (rs *ReplicaSet) probeMembers(ctx context.Context) {
 	for _, m := range rs.state.Load().members {
-		if nm, ok := m.(networkedMember); ok {
-			pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-			_ = nm.Probe(pctx)
-			cancel()
-		}
+		pctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		_ = m.Probe(pctx)
+		cancel()
 	}
 }
 
 // anyFollowerUnreachable reports whether some follower currently fails
 // the health check — the cue for SlotDegraded to spend a probe on it.
 func (rs *ReplicaSet) anyFollowerUnreachable() bool {
-	return slices.ContainsFunc(rs.state.Load().members[1:], func(f Shard) bool { return !shardHealthy(f) })
+	return slices.ContainsFunc(rs.state.Load().members[1:], func(f Shard) bool { return !f.Healthy() })
 }
 
 // Heal reinstalls every reachable follower from the current owner, puts it
@@ -368,18 +338,19 @@ func (rs *ReplicaSet) Heal() error {
 	st := rs.state.Load()
 	var firstErr error
 	for i := 1; i < len(st.members); i++ {
-		if !shardHealthy(st.members[i]) {
+		if !st.members[i].Healthy() {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: follower %d: %w", i, ErrShardUnavailable)
 			}
 			continue
 		}
-		if err := st.resync(st.members[i]); err != nil {
+		if err := Reinstall(st.members[0], st.members[i]); err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("cluster: resyncing follower %d: %w", i, err)
 			}
 			continue
 		}
+		st.met.resyncs.Inc()
 		rs.reattach(i, st.members[i])
 	}
 	if err := rs.Chain(); err != nil && firstErr == nil {
@@ -405,26 +376,24 @@ func (rs *ReplicaSet) reattach(i int, s Shard) {
 	rs.state.Store(&next)
 }
 
-// resync reinstalls the owner's full state on follower f and points its
-// cursor at the owner's LSN. There is no journal-tail shortcut from the
-// follower's cursor: a cursor is a bare LSN, and once an owner has taken
-// writes its followers did not see (an owner recovered from a crash, a
-// reshard retry before the heal) the same number names a different record
-// in its log, so a replay can land on the owner's LSN with a different
-// state. Only the reinstall is known to converge.
-func (st *slotState) resync(f Shard) error {
-	state, lsn, err := st.members[0].StateAndLSN(false)
+// Reinstall resyncs a follower: it installs the owner's full state on it
+// and points its cursor at the owner's LSN. It is the one resync step, run
+// by Heal from a router's seat and by a shard node's -replicate boot from
+// the owner's. There is no journal-tail shortcut from the follower's
+// cursor: a cursor is a bare LSN, and once an owner has taken writes its
+// followers did not see (an owner recovered from a crash, a reshard retry
+// before the heal) the same number names a different record in its log,
+// so a replay can land on the owner's LSN with a different state. Only the
+// reinstall is known to converge.
+func Reinstall(owner, follower platform.Member) error {
+	state, lsn, err := owner.StateAndLSN(false)
 	if err != nil {
 		return err
 	}
-	if err := f.InstallState(state); err != nil {
+	if err := follower.InstallState(state); err != nil {
 		return err
 	}
-	if err := f.BeginFollow(lsn); err != nil {
-		return err
-	}
-	st.met.resyncs.Inc()
-	return nil
+	return follower.BeginFollow(lsn)
 }
 
 // InstallState replaces state on every member — an install is the one
@@ -463,22 +432,16 @@ func (st *slotState) replicaAddrs(attachedOnly bool) []string {
 		if attachedOnly && st.detached[i] {
 			continue
 		}
-		if a := memberAddr(st.members[i]); a != "" {
-			out = append(out, a)
-		}
+		out = append(out, st.members[i].Addr())
 	}
 	return out
 }
 
-// Close closes every closable member; the first error wins.
+// Close closes every member; the first error wins.
 func (rs *ReplicaSet) Close() error {
 	var firstErr error
 	for i, m := range rs.state.Load().members {
-		cl, ok := m.(io.Closer)
-		if !ok {
-			continue
-		}
-		if err := cl.Close(); err != nil && firstErr == nil {
+		if err := m.Close(); err != nil && firstErr == nil {
 			firstErr = fmt.Errorf("cluster: closing replica member %d: %w", i, err)
 		}
 	}

@@ -15,7 +15,7 @@ import (
 
 // ownerHealthy reports whether the slot's owner can accept mutations.
 func ownerHealthy(rs *cluster.ReplicaSet) bool {
-	return rs.Owner().(cluster.HealthReporter).Healthy()
+	return rs.Owner().Healthy()
 }
 
 // newChainedSet boots an owner and one follower node from the same seed,

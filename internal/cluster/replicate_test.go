@@ -22,16 +22,16 @@ import (
 	"github.com/treads-project/treads/internal/platform"
 )
 
-// hookedShard is an in-memory shard that calls entered at the top of every
+// hookedShard is a member that calls entered at the top of every
 // CreateCampaign, on the goroutine the coordinator runs it on.
 type hookedShard struct {
-	*platform.Platform
+	cluster.Shard
 	entered func()
 }
 
 func (s hookedShard) CreateCampaign(advertiser string, params platform.CampaignParams) (string, error) {
 	s.entered()
-	return s.Platform.CreateCampaign(advertiser, params)
+	return s.Shard.CreateCampaign(advertiser, params)
 }
 
 func campaignNamed(headline string) platform.CampaignParams {
@@ -49,13 +49,14 @@ func TestReplicateIssuesToAllOwnersBeforeWaiting(t *testing.T) {
 	entered1 := make(chan struct{})
 	giveUp := make(chan struct{})
 	defer close(giveUp)
-	s0 := hookedShard{platform.New(platform.Config{Seed: 1}), func() {
+	members := memShards(t, platform.New(platform.Config{Seed: 1}), platform.New(platform.Config{Seed: 2}))
+	s0 := hookedShard{members[0], func() {
 		select {
 		case <-entered1:
 		case <-giveUp:
 		}
 	}}
-	s1 := hookedShard{platform.New(platform.Config{Seed: 2}), func() { close(entered1) }}
+	s1 := hookedShard{members[1], func() { close(entered1) }}
 	// Workers bounds gathers, whose shard calls are CPU work for this
 	// process; a replicated mutation's are waits, and all overlap.
 	c, err := cluster.New([]cluster.Shard{s0, s1}, cluster.Options{Workers: 1})
@@ -83,7 +84,7 @@ func TestReplicateIssuesToAllOwnersBeforeWaiting(t *testing.T) {
 // A 1-slot cluster runs the mutation on the caller's goroutine.
 func TestReplicateOneSlotSpawnsNoGoroutine(t *testing.T) {
 	onCaller := false
-	s := hookedShard{platform.New(platform.Config{Seed: 1}), func() {
+	s := hookedShard{memShards(t, platform.New(platform.Config{Seed: 1}))[0], func() {
 		buf := make([]byte, 16<<10)
 		onCaller = strings.Contains(string(buf[:runtime.Stack(buf, false)]), "TestReplicateOneSlotSpawnsNoGoroutine")
 	}}
@@ -157,10 +158,8 @@ func TestConcurrentAdvertiserMutationsKeepOneOrder(t *testing.T) {
 // which sits behind the first drifted shard, was still sent the mutation.
 func TestClusterDivergenceNamesEveryShard(t *testing.T) {
 	ps := make([]*platform.Platform, 4)
-	members := make([]cluster.Shard, len(ps))
 	for i := range ps {
 		ps[i] = platform.New(platform.Config{Seed: uint64(i + 1)})
-		members[i] = ps[i]
 	}
 	for _, i := range []int{1, 3} {
 		if err := ps[i].RegisterAdvertiser("drift"); err != nil {
@@ -168,7 +167,7 @@ func TestClusterDivergenceNamesEveryShard(t *testing.T) {
 		}
 	}
 	reg := obs.NewRegistry()
-	c, err := cluster.New(members, cluster.Options{Registry: reg})
+	c, err := cluster.New(memShards(t, ps...), cluster.Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,15 +41,16 @@ func openFlatMarketShard(t *testing.T, dir string, seed uint64) *platform.Journa
 	return jp
 }
 
-// memberKinds are the two implementations of the member contract the
-// reshard driver must treat alike.
+// memberKinds are the two networks a member's node may sit on, which the
+// reshard driver must treat alike: in process on an in-memory network
+// (memShards), and on a loopback TCP port (serveNode).
 var memberKinds = []struct {
 	name string
 	open func(t *testing.T, dir string, seed uint64) reshardMember
 }{
 	{"in-process", func(t *testing.T, dir string, seed uint64) reshardMember {
 		jp := openFlatMarketShard(t, dir, seed)
-		return reshardMember{shard: jp, jp: jp}
+		return reshardMember{shard: memShards(t, jp)[0], jp: jp}
 	}},
 	{"loopback", func(t *testing.T, dir string, seed uint64) reshardMember {
 		jp := openFlatMarketShard(t, dir, seed)

@@ -72,7 +72,7 @@ func TestUnavailableShardAnswers503(t *testing.T) {
 		}
 	}
 
-	flakies[0].healthy = false
+	flakies[0].down.Store(true)
 	fiveXX := reg.CounterVec("http_requests_total", "", "route", "status").With("POST /api/v1/users/{id}/browse", "5xx")
 	before := fiveXX.Value()
 	for _, rq := range requests {
@@ -114,7 +114,7 @@ func TestUnavailableShardAnswers503(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	flakies[0].healthy = true
+	flakies[0].down.Store(false)
 	for _, rq := range requests {
 		if w := do(gw, rq.method, rq.path, rq.body); w.Code/100 != 2 {
 			t.Fatalf("after recovery: %s %s = %d %s", rq.method, rq.path, w.Code, w.Body)
@@ -190,7 +190,7 @@ func TestUnresolvedStaleRingAnswers503(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			inner := platform.New(platform.Config{Seed: 3})
+			inner := memShards(t, platform.New(platform.Config{Seed: 3}))[0]
 			c, err := cluster.New([]cluster.Shard{&staleOnceShard{Shard: inner}}, cluster.Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -213,14 +213,12 @@ func TestUnresolvedStaleRingAnswers503(t *testing.T) {
 
 // TestStickyJournalReportsUnhealthy: once a journal write or fsync fails,
 // the journal refuses every later write, and the shard must say so where
-// health is read — in process, the journaled member reports itself
-// unhealthy; on the wire, the node's health endpoint answers 503, so a
-// probe fails and opens the breaker. Either way a failover supervisor's
-// probe sees the slot down, and the cluster refuses the shard's users'
-// writes with the typed ErrShardUnavailable, not the raw journal error.
+// health is read: the node's health endpoint answers 503, so a probe fails
+// and opens the breaker. A failover supervisor's probe sees the slot down,
+// and the cluster refuses the shard's users' writes with the typed
+// ErrShardUnavailable, not the raw journal error.
 func TestStickyJournalReportsUnhealthy(t *testing.T) {
 	forms := map[string]func(t *testing.T, jp *platform.Journaled) cluster.Shard{
-		"in-process": func(_ *testing.T, jp *platform.Journaled) cluster.Shard { return jp },
 		"networked": func(t *testing.T, jp *platform.Journaled) cluster.Shard {
 			_, url := serveNode(t, jp, "")
 			return cluster.NewRemoteShard(rpc.NewClient(url, rpc.Options{FailureThreshold: 1}))
@@ -258,5 +256,44 @@ func TestStickyJournalReportsUnhealthy(t *testing.T) {
 				t.Errorf("write to a shard whose journal failed: %v, want ErrShardUnavailable", err)
 			}
 		})
+	}
+}
+
+// TestStickyJournalOnANodeAnswers503: a shard node whose journal went
+// sticky is down, not refusing, and says so on every write it is sent, so
+// a router with no prober in front of it — its breaker at the default
+// threshold, nobody calling ProbeSlotOwner — learns it from the write
+// itself. The node answers 503, the router's client types it
+// rpc.ErrUnavailable, and the public API answers 503 with Retry-After
+// instead of the route's refusal status. It is not ErrShardUnavailable: a
+// write whose fsync failed was applied in memory, so it is indeterminate,
+// not refused before it reached the shard.
+func TestStickyJournalOnANodeAnswers503(t *testing.T) {
+	inj := faults.NewInjector(1, nil)
+	ffs := faults.NewFaultFS(faults.OS{}, inj, faults.DiskConfig{SyncError: 1}, "")
+	ffs.SkipSync = true
+	jp, err := platform.OpenJournaled(t.TempDir(), journal.Options{FS: ffs}, func() (*platform.Platform, error) {
+		return platform.New(platform.Config{Seed: 113}), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(memShards(t, jp), cluster.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	inj.Arm(true)
+	if err := c.AddUser(profile.New("user-a")); err == nil || jp.JournalFailed() == nil {
+		t.Fatalf("AddUser on a failing disk: %v; want the journal failed (it is %v)", err, jp.JournalFailed())
+	}
+	inj.Arm(false)
+	if err := c.AddUser(profile.New("user-b")); !errors.Is(err, rpc.ErrUnavailable) || errors.Is(err, cluster.ErrShardUnavailable) {
+		t.Errorf("write to a node whose journal failed: %v, want rpc.ErrUnavailable, not ErrShardUnavailable", err)
+	}
+	api := httpapi.NewServerWithRegistry(c, nil, obs.NewRegistry())
+	if w := do(api, "POST", "/api/v1/advertisers", `{"name":"late"}`); w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+		t.Errorf("register on a node whose journal failed = %d (Retry-After %q) %s, want 503 with Retry-After",
+			w.Code, w.Header().Get("Retry-After"), w.Body)
 	}
 }

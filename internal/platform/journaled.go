@@ -127,15 +127,6 @@ func (p *Platform) JournalFailed() error {
 	return p.j.Failed()
 }
 
-// HealthReporter is implemented by members that know their own liveness: a
-// Platform reports its journal's sticky failure, the cluster's RemoteShard
-// its peer's circuit breaker. The cluster's health gate and the shard RPC
-// server's health endpoint both consult it; a member that does not
-// implement it is always healthy.
-type HealthReporter interface {
-	Healthy() bool
-}
-
 // Healthy is false once the journal has failed: a shard that cannot prove
 // durability must stop taking writes, and reporting itself unhealthy is
 // what turns its refusals into the typed "shard unavailable" a router

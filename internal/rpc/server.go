@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 
 	"github.com/treads-project/treads/internal/audience"
 	"github.com/treads-project/treads/internal/httpapi"
+	"github.com/treads-project/treads/internal/journal"
 	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/pixel"
 	"github.com/treads-project/treads/internal/platform"
@@ -20,10 +22,11 @@ import (
 
 // Backend is what a shard serves over RPC: the shared op set
 // (platform.Ops), the control surface (platform.Member), population
-// management, and the exact aggregates a coordinator merges before
-// thresholding. cluster.Shard is this (the attribute catalog is compiled
-// into every binary, so routers answer catalog reads locally instead of
-// shipping the catalog over the wire). *platform.Platform satisfies it.
+// management, its own health, and the exact aggregates a coordinator
+// merges before thresholding. cluster.Shard is this plus what a member
+// behind a client offers (the attribute catalog is compiled into every
+// binary, so routers answer catalog reads locally instead of shipping the
+// catalog over the wire). *platform.Platform satisfies it.
 type Backend interface {
 	platform.Ops
 	platform.Member
@@ -31,6 +34,10 @@ type Backend interface {
 	AddUser(*profile.Profile) error
 	User(profile.UserID) *profile.Profile
 	Users() []profile.UserID
+
+	// Healthy is false once the backend can no longer serve: a platform's
+	// journal went sticky. The health endpoint answers 503 then.
+	Healthy() bool
 
 	// Aggregate reads (scatter-gathered and merged at the cluster edge),
 	// under the coordinator's context so its deadline bounds the fan-out.
@@ -128,7 +135,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	if !s.authorized(w, r) {
 		return
 	}
-	if hr, ok := s.b.(platform.HealthReporter); ok && !hr.Healthy() {
+	if !s.b.Healthy() {
 		writeRPCError(w, http.StatusServiceUnavailable, "shard reports itself unhealthy")
 		return
 	}
@@ -189,6 +196,15 @@ func (s *Server) handleOp(w http.ResponseWriter, r *http.Request) {
 			// the op was not applied; the cluster layer refreshes and
 			// re-routes exactly once.
 			writeRPCError(w, http.StatusConflict, se.Error())
+			return
+		}
+		if errors.Is(err, journal.ErrFailed) {
+			// The shard's journal went sticky: it can prove no write
+			// durable until it restarts, so it is down, not refusing. 503
+			// types it rpc.ErrUnavailable at the client and feeds its
+			// breaker. The op may have been applied in memory, so the
+			// refusal is not "never reached the shard".
+			writeRPCError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
 		// Application refusal: 422 keeps it distinct from every

@@ -1,10 +1,11 @@
-// Package shardnode assembles a shard node: one opened member behind the
+// Package shardnode assembles a shard node: one opened platform behind the
 // shard RPC server, with the membership gate armed when the node has an
-// advertised address and, for a platform member, the rearm handler and
-// the -replicate boot. It also holds the peer dialer and the peer wait a
-// router shares. adplatformd's node mode, the chaos harness's nodes and the
-// cluster tests' nodes are all built here, on TCP or on an rpc.MemNet; each
-// caller opens its own member.
+// advertised address, the rearm handler and the -replicate boot. The node
+// ships its journal to its followers itself and counts what it ships. It
+// also holds the peer dialer and the peer wait a router shares.
+// adplatformd's node mode, the chaos harness's nodes and the cluster
+// tests' nodes are all built here, on TCP or on an rpc.MemNet; each caller
+// opens its own platform.
 package shardnode
 
 import (
@@ -19,7 +20,7 @@ import (
 	"time"
 
 	"github.com/treads-project/treads/internal/cluster"
-	"github.com/treads-project/treads/internal/platform"
+	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/rpc"
 )
 
@@ -28,8 +29,9 @@ import (
 type Config struct {
 	// RPC is the node's side of the shard wire: Secret authenticates the
 	// server and every client the node dials, Registry takes both sides'
-	// metrics (and is served at /metrics when set), and the client fields
-	// tune the node's own calls to its followers.
+	// metrics and the journal-shipping counters (and is served at /metrics
+	// when set), and the client fields tune the node's own calls to its
+	// followers.
 	RPC rpc.Options
 	// Advertise is the address the node appears as in ring pushes; set,
 	// it arms the membership gate.
@@ -42,6 +44,14 @@ type Config struct {
 	Logger    *log.Logger // nil discards
 }
 
+// Backend is what a node serves: the shard wire's backend, whose journal
+// the node ships to the followers it is armed onto. *platform.Platform is
+// the one implementation; a test may wrap it.
+type Backend interface {
+	rpc.Backend
+	SetShipper(fn func(lsn uint64, payload []byte) error) error
+}
+
 // Node is one assembled shard node: served on a listener of its own by
 // Start, or through Handler by a caller's HTTP server.
 type Node struct {
@@ -51,43 +61,48 @@ type Node struct {
 	hs  *http.Server // nil once killed
 }
 
-// New builds a node over m. The gate starts permissive and enforces
-// whatever ring a router pushes. A platform member ships (or stops
-// shipping) its journal to the followers a rearm RPC names — how a router
-// re-arms a promoted owner's chain, and disarms a demoted one, without a
-// process restart — and with cfg.Replicate it is armed onto those
-// followers, which are then healed, before New returns. A platform without
-// a journal refuses both.
-func New(m rpc.Backend, cfg Config) (*Node, error) {
+// New builds a node over p. The gate starts permissive and enforces
+// whatever ring a router pushes. The node ships (or stops shipping) its
+// journal to the followers a rearm RPC names — how a router re-arms a
+// promoted owner's chain, and disarms a demoted one, without a process
+// restart — and with cfg.Replicate it is armed onto those followers, each
+// of which is then reinstalled from p's state, before New returns. A
+// platform without a journal refuses both.
+func New(p Backend, cfg Config) (*Node, error) {
 	logger := cfg.Logger
 	if logger == nil {
 		logger = log.New(io.Discard, "", 0)
 	}
-	srv := rpc.NewServer(m, cfg.RPC.Secret, cfg.RPC.Registry)
+	srv := rpc.NewServer(p, cfg.RPC.Secret, cfg.RPC.Registry)
 	if cfg.Advertise != "" {
 		self := peerURL(cfg.Advertise) // must match the address routers push
 		srv.SetGate(cluster.NewGate(self))
 		logger.Printf("membership gate armed; advertised as %s", self)
 	}
-	if p, ok := m.(*platform.Platform); ok {
-		dialer := NewDialer(cfg.RPC)
-		srv.SetRearm(func(followers []string) error {
-			_, _, err := arm(p, dialer, followers, logger)
-			return err
-		})
-		if len(cfg.Replicate) > 0 {
-			// Arm, wait for the followers, then Heal, which reinstalls each
-			// from the owner's state and arms the chain again.
-			rs, remotes, err := arm(p, dialer, cfg.Replicate, logger)
-			if err == nil {
-				err = WaitForPeers(remotes, cfg.PeerWait, logger)
+	s := &shipper{owner: p, dialer: NewDialer(cfg.RPC), logger: logger,
+		records: cfg.RPC.Registry.Counter("cluster_replica_ship_records_total",
+			"Journal records shipped owner-to-follower across all replica chains."),
+		failures: cfg.RPC.Registry.Counter("cluster_replica_ship_failures_total",
+			"Journal records a follower failed to apply; the originating write is reported indeterminate."),
+	}
+	srv.SetRearm(func(followers []string) error {
+		_, err := s.arm(followers)
+		return err
+	})
+	if len(cfg.Replicate) > 0 {
+		// Arm, wait for the followers, then reinstall each from the
+		// owner's state.
+		followers, err := s.arm(cfg.Replicate)
+		if err == nil {
+			err = WaitForPeers(followers, cfg.PeerWait, logger)
+		}
+		for i := 0; err == nil && i < len(followers); i++ {
+			if err = cluster.Reinstall(p, followers[i]); err != nil {
+				err = fmt.Errorf("resyncing follower %s: %w", followers[i].Addr(), err)
 			}
-			if err == nil {
-				err = rs.Heal()
-			}
-			if err != nil {
-				return nil, fmt.Errorf("arming replication: %w", err)
-			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("arming replication: %w", err)
 		}
 	}
 	mux := http.NewServeMux()
@@ -101,10 +116,10 @@ func New(m rpc.Backend, cfg Config) (*Node, error) {
 // Handler serves the shard RPC surface, and /metrics with a registry.
 func (n *Node) Handler() http.Handler { return n.mux }
 
-// Start builds a node over m (New) and serves it on ln until Kill. It
+// Start builds a node over p (New) and serves it on ln until Kill. It
 // closes ln if New fails.
-func Start(m rpc.Backend, ln net.Listener, cfg Config) (*Node, error) {
-	n, err := New(m, cfg)
+func Start(p Backend, ln net.Listener, cfg Config) (*Node, error) {
+	n, err := New(p, cfg)
 	if err != nil {
 		ln.Close()
 		return nil, err
@@ -129,11 +144,11 @@ func (n *Node) Kill() {
 }
 
 // Restart is the process restarted with the same flags: it kills the node
-// if it still serves, then serves a node over m, built from the same
+// if it still serves, then serves a node over p, built from the same
 // configuration, on the address Start bound. An in-memory name is free
 // again at once; a TCP port was only just released, so its bind is retried
 // for a second.
-func (n *Node) Restart(m rpc.Backend) error {
+func (n *Node) Restart(p Backend) error {
 	n.Kill()
 	var ln net.Listener
 	var err error
@@ -150,7 +165,7 @@ func (n *Node) Restart(m rpc.Backend) error {
 	if err != nil {
 		return fmt.Errorf("shardnode: re-listening on %s: %w", n.Addr(), err)
 	}
-	fresh, err := Start(m, ln, n.cfg)
+	fresh, err := Start(p, ln, n.cfg)
 	if err != nil {
 		return err
 	}
@@ -158,27 +173,53 @@ func (n *Node) Restart(m rpc.Backend) error {
 	return nil
 }
 
-// arm points owner's journal shipping at the given follower nodes,
+// shipper is the owner side of a node's replica chain: it points the
+// platform's journal shipping at follower nodes and counts what it ships.
+type shipper struct {
+	owner             Backend
+	dialer            *Dialer
+	logger            *log.Logger
+	records, failures *obs.Counter
+}
+
+// arm points the owner's journal shipping at the given follower nodes,
 // rebuilding the chain in place: every acknowledged write from here on is
 // applied on each of them before the ack. An empty list is a chain with no
-// follower, which arms no shipping at all. The node holds the owner, so it
-// installs the chain's shipping hook itself; a platform without a journal
-// refuses it.
-func arm(owner *platform.Platform, d *Dialer, followers []string, logger *log.Logger) (*cluster.ReplicaSet, []*cluster.RemoteShard, error) {
-	rs, remotes := d.chain(owner, followers)
+// follower, which arms no shipping at all. A platform without a journal
+// refuses it. It returns the handles it ships to.
+func (s *shipper) arm(addrs []string) ([]*cluster.RemoteShard, error) {
+	followers := s.dialer.remotes(addrs)
 	var ship func(uint64, []byte) error
 	if len(followers) > 0 {
-		ship = rs.Ship
+		ship = func(lsn uint64, payload []byte) error { return s.ship(followers, lsn, payload) }
 	}
-	if err := owner.SetShipper(ship); err != nil {
-		return nil, nil, err
+	if err := s.owner.SetShipper(ship); err != nil {
+		return nil, err
 	}
 	if len(followers) == 0 {
-		logger.Printf("journal shipping disarmed")
+		s.logger.Printf("journal shipping disarmed")
 	} else {
-		logger.Printf("journal shipping armed to %d follower(s): %v", len(followers), followers)
+		s.logger.Printf("journal shipping armed to %d follower(s): %v", len(followers), addrs)
 	}
-	return rs, remotes, nil
+	return followers, nil
+}
+
+// ship pushes one journal record to every follower. Any failure is
+// returned, which makes the originating write indeterminate for its
+// caller; the failed follower stays behind until a heal reinstalls it.
+func (s *shipper) ship(followers []*cluster.RemoteShard, lsn uint64, payload []byte) error {
+	var firstErr error
+	for i, f := range followers {
+		if err := f.ApplyShipped(lsn, payload); err != nil {
+			s.failures.Inc()
+			if firstErr == nil {
+				firstErr = fmt.Errorf("follower %d: %w", i+1, err)
+			}
+			continue
+		}
+		s.records.Inc()
+	}
+	return firstErr
 }
 
 // Dialer hands out RPC clients and shard handles for peer addresses,
@@ -209,17 +250,13 @@ func (d *Dialer) client(addr string) *rpc.Client {
 	return c
 }
 
-// chain builds a slot handle: owner followed by one RemoteShard per
-// follower address. The returned remotes are the followers, for health
-// gating.
-func (d *Dialer) chain(owner cluster.Shard, followers []string) (*cluster.ReplicaSet, []*cluster.RemoteShard) {
-	remotes := make([]*cluster.RemoteShard, len(followers))
-	shards := make([]cluster.Shard, len(followers))
-	for i, a := range followers {
-		remotes[i] = cluster.NewRemoteShard(d.client(a))
-		shards[i] = remotes[i]
+// remotes returns one RemoteShard per address, over the cached clients.
+func (d *Dialer) remotes(addrs []string) []*cluster.RemoteShard {
+	out := make([]*cluster.RemoteShard, len(addrs))
+	for i, a := range addrs {
+		out[i] = cluster.NewRemoteShard(d.client(a))
 	}
-	return cluster.NewReplicaSet(owner, shards...), remotes
+	return out
 }
 
 // Shard builds the routable handle for one slot: a chain over one
@@ -228,9 +265,12 @@ func (d *Dialer) chain(owner cluster.Shard, followers []string) (*cluster.Replic
 // runs on the owner node itself (its -replicate flag). The returned
 // remotes are every member, owner first.
 func (d *Dialer) Shard(owner string, replicas []string) (*cluster.ReplicaSet, []*cluster.RemoteShard) {
-	o := cluster.NewRemoteShard(d.client(owner))
-	rs, followers := d.chain(o, replicas)
-	return rs, append([]*cluster.RemoteShard{o}, followers...)
+	remotes := d.remotes(append([]string{owner}, replicas...))
+	followers := make([]cluster.Shard, len(replicas))
+	for i, r := range remotes[1:] {
+		followers[i] = r
+	}
+	return cluster.NewReplicaSet(remotes[0], followers...), remotes
 }
 
 // DialInfo is the cluster.RemoteMembershipSource Dial hook: it rebuilds a

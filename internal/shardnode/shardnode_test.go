@@ -5,13 +5,16 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/treads-project/treads/internal/ad"
 	"github.com/treads-project/treads/internal/cluster"
 	"github.com/treads-project/treads/internal/journal"
+	"github.com/treads-project/treads/internal/obs"
 	"github.com/treads-project/treads/internal/platform"
 	"github.com/treads-project/treads/internal/profile"
 	"github.com/treads-project/treads/internal/rpc"
@@ -158,5 +161,54 @@ func TestKillAndRestartOnAMemNet(t *testing.T) {
 	}
 	if err := owner.RegisterAdvertiser("acme"); err != nil {
 		t.Fatalf("register after Restart: %v", err)
+	}
+}
+
+// TestOwnerNodeCountsWhatItShips: journal shipping runs on the owner node,
+// so the owner node's own /metrics counts it. An owner with one -replicate
+// follower acknowledges three writes; its registry then reads three
+// shipped records and no failure, and the follower is at the owner's LSN.
+func TestOwnerNodeCountsWhatItShips(t *testing.T) {
+	root := t.TempDir()
+	mn := rpc.NewMemNet()
+	start := func(name string, cfg shardnode.Config) (*platform.Journaled, *shardnode.Node) {
+		t.Helper()
+		jp, err := platform.OpenJournaled(filepath.Join(root, name), journal.Options{NoSync: true}, func() (*platform.Platform, error) {
+			return platform.New(platform.Config{Seed: 19}), nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := mn.Listen("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.RPC.Transport = mn.Transport()
+		sn, err := shardnode.Start(jp, ln, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sn.Kill(); jp.Close() })
+		return jp, sn
+	}
+	follower, fnode := start("f", shardnode.Config{})
+	reg := obs.NewRegistry()
+	owner, onode := start("o", shardnode.Config{RPC: rpc.Options{Registry: reg}, Replicate: []string{fnode.Addr()}, PeerWait: 10 * time.Second})
+	cl := rpc.NewClient("http://"+onode.Addr(), rpc.Options{Transport: mn.Transport()})
+	defer cl.Close()
+	for i := range 3 {
+		if err := cluster.NewRemoteShard(cl).RegisterAdvertiser(fmt.Sprintf("adv-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w := httptest.NewRecorder()
+	onode.Handler().ServeHTTP(w, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{"\ncluster_replica_ship_records_total 3\n", "\ncluster_replica_ship_failures_total 0\n"} {
+		if !strings.Contains(w.Body.String(), want) {
+			t.Errorf("owner node's /metrics lacks %q:\n%s", strings.TrimSpace(want), w.Body)
+		}
+	}
+	if st, err := follower.FollowStatus(); err != nil || st.ShipLSN != owner.LastLSN() {
+		t.Errorf("follower status %+v (%v), want it at the owner's LSN %d", st, err, owner.LastLSN())
 	}
 }
