@@ -81,12 +81,14 @@ race-full:
 	$(GO) test -race -count=10 -run 'TestReadsDuringPromotion|TestHealSlotUnderConcurrentWrites|TestReplicateIssuesToAllOwnersBeforeWaiting|TestConcurrentAdvertiserMutationsKeepOneOrder|TestGatePushesDuringOwnershipChecks' ./internal/cluster/
 	$(GO) test -race -count=10 -run 'TestAppendsProceedDuringFsync|TestNextFlushStartsWhenThePreviousPublishes|TestCrashRecoveryUnderConcurrentAppends' ./internal/journal/
 	$(GO) test -race -count=10 -run TestInternDuringReads -v ./internal/attr/ | grep -- '--- PASS: TestInternDuringReads'
+	$(GO) test -race -count=10 -run TestLikesUnderStripedLock -v ./internal/profile/ | grep -- '--- PASS: TestLikesUnderStripedLock'
 	$(GO) test -run=TestSpanZeroAlloc -v ./internal/trace/ | grep -- '--- PASS: TestSpanZeroAlloc'
 	$(GO) test -run=TestQueryZeroAlloc -v ./internal/index/ | grep -- '--- PASS: TestQueryZeroAlloc'
 	$(GO) test -run=TestBrowseZeroAlloc -v ./internal/delivery/ | grep -- '--- PASS: TestBrowseZeroAlloc'
 	$(GO) test -run=TestDecideZeroAlloc -v ./internal/gateway/ | grep -- '--- PASS: TestDecideZeroAlloc'
 	$(GO) test -run=TestAppendSnapshotJSONZeroAlloc -v ./internal/profile/ | grep -- '--- PASS: TestAppendSnapshotJSONZeroAlloc'
 	$(GO) test -run=TestProfileFootprint -v ./internal/profile/ | grep -- '--- PASS: TestProfileFootprint'
+	$(GO) test -run=TestProfileSize -v ./internal/profile/ | grep -- '--- PASS: TestProfileSize'
 	$(GO) test -run=TestFeedFootprint -v ./internal/delivery/ | grep -- '--- PASS: TestFeedFootprint'
 	$(GO) test -run=TestUserTablesFootprint -v ./internal/platform/ | grep -- '--- PASS: TestUserTablesFootprint'
 	$(GO) test -run=TestGenerateAllocsPerUser -v ./internal/workload/ | grep -- '--- PASS: TestGenerateAllocsPerUser'

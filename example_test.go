@@ -16,7 +16,7 @@ func ExampleNewProvider() {
 		Market: &treads.Market{BaseCPM: treads.Dollars(2), Floor: treads.Dollars(0.10)},
 	})
 	u := treads.NewProfile("alice")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 34
 	netWorth := p.Catalog().Search("Net worth: over $2,000,000")[0].ID
 	u.SetAttr(netWorth)
@@ -146,7 +146,7 @@ func ExampleNewCluster() {
 		log.Fatal(err)
 	}
 	u := treads.NewProfile("alice")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 34
 	netWorth := c.Catalog().Search("Net worth: over $2,000,000")[0].ID
 	u.SetAttr(netWorth)

@@ -38,7 +38,7 @@ func main() {
 		{"bob", []treads.AttrID{salsa}},
 	} {
 		u := treads.NewProfile(spec.id)
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 34
 		for _, a := range spec.attrs {
 			u.SetAttr(a)

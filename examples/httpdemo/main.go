@@ -22,7 +22,7 @@ func main() {
 	// The platform, served over HTTP on a loopback listener.
 	p := treads.NewPlatform(treads.PlatformConfig{Seed: 11})
 	carol := treads.NewProfile("carol")
-	carol.Nation = "US"
+	carol.SetCountry("US")
 	carol.AgeYrs = 41
 	netWorth := p.Catalog().Search("Net worth: over $2,000,000")[0]
 	carol.SetAttr(netWorth.ID)

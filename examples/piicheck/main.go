@@ -20,10 +20,12 @@ func main() {
 	// The platform's view of Bob: his signup email plus a phone number
 	// harvested from a friend's address book.
 	bob := treads.NewProfile("bob")
-	bob.Nation = "US"
+	bob.SetCountry("US")
 	bob.AgeYrs = 29
-	bob.PII.Emails = []string{"bob@example.com"}
-	bob.PII.Phones = []string{"+1 617 555 0188"} // Bob never provided this
+	bob.SetPII(treads.PIIRecord{
+		Emails: []string{"bob@example.com"},
+		Phones: []string{"+1 617 555 0188"}, // Bob never provided this
+	})
 	if err := p.AddUser(bob); err != nil {
 		log.Fatal(err)
 	}

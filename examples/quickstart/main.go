@@ -24,8 +24,8 @@ func main() {
 	// the platform believes is into salsa dancing and jazz, and whom a
 	// data broker has tagged with a net-worth band.
 	u := treads.NewProfile("alice")
-	u.Nation = "US"
-	u.City = "Chicago"
+	u.SetCountry("US")
+	u.SetRegion("Chicago")
 	u.AgeYrs = 34
 	salsa := p.Catalog().Search("Salsa dance")[0].ID
 	jazz := p.Catalog().Search("Jazz")[0].ID

@@ -17,7 +17,7 @@ func affinityFixture(t *testing.T) (*attr.Catalog, *profile.Store, *Engine) {
 	// u0: salsa; u1: jazz; u2: neither.
 	mk := func(id profile.UserID, attrs ...attr.ID) {
 		p := profile.New(id)
-		p.Nation = "US"
+		p.SetCountry("US")
 		for _, a := range attrs {
 			p.SetAttr(a)
 		}

@@ -251,7 +251,7 @@ func (e *Engine) CreateEngagementAudience(advertiser, name, pageID string) *Audi
 func (e *Engine) MemberOf(a *Audience, p *profile.Profile) bool {
 	switch a.Kind {
 	case KindPII:
-		for _, k := range p.PII.MatchKeys() {
+		for _, k := range p.PII().MatchKeys() {
 			if a.keys[k] {
 				return true
 			}

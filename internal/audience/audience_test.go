@@ -33,14 +33,14 @@ func fixture(t *testing.T, n int) (*profile.Store, *pixel.Registry, *Engine) {
 	store := profile.NewStore()
 	for i := 0; i < n; i++ {
 		p := profile.New(profile.UserID(fmt.Sprintf("u%02d", i)))
-		p.AgeYrs = 20 + i%40
-		p.Nation = "US"
+		p.AgeYrs = uint8(20 + i%40)
+		p.SetCountry("US")
 		if i%2 == 0 {
 			p.SetAttr("platform.music.jazz")
 			p.Like("page-opt")
 		}
 		if i == 0 {
-			p.PII = pii.Record{Emails: []string{"alice@example.com"}}
+			p.SetPII(pii.Record{Emails: []string{"alice@example.com"}})
 		}
 		if err := store.Add(p); err != nil {
 			t.Fatal(err)

@@ -53,9 +53,9 @@ func buildWorld(t testing.TB, cfg workload.Config, indexed bool) *world {
 	})
 
 	// PII audience over every 7th user's match keys.
-	piiKeys := w.profs[0].PII.MatchKeys()[:0:0]
+	piiKeys := w.profs[0].PII().MatchKeys()[:0:0]
 	for i := 0; i < len(w.profs); i += 7 {
-		piiKeys = append(piiKeys, w.profs[i].PII.MatchKeys()...)
+		piiKeys = append(piiKeys, w.profs[i].PII().MatchKeys()...)
 	}
 	w.pii = w.engine.CreatePIIAudience("acme", "pii", piiKeys).ID
 
@@ -200,9 +200,9 @@ func mutate(t *testing.T, round string, ws ...*world) {
 		// Late adds flow through the watcher on the indexed side.
 		for i := 0; i < 10; i++ {
 			np := profile.New(profile.UserID(fmt.Sprintf("late-%s-%03d", round, i)))
-			np.Nation = "US"
-			np.City = "Boston"
-			np.AgeYrs = 30 + i
+			np.SetCountry("US")
+			np.SetRegion("Boston")
+			np.AgeYrs = uint8(30 + i)
 			np.Sex = "female"
 			np.SetAttr(newAttr)
 			if err := w.store.Add(np); err != nil {

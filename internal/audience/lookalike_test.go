@@ -21,7 +21,7 @@ func lookalikeFixture(t *testing.T) (*profile.Store, *Engine, AudienceID, attr.I
 	store := profile.NewStore()
 	for i := 0; i < 10; i++ {
 		p := profile.New(profile.UserID(fmt.Sprintf("u%02d", i)))
-		p.Nation = "US"
+		p.SetCountry("US")
 		switch {
 		case i < 5: // seed members: consistent salsa+jazz profile
 			p.SetAttr(salsa)

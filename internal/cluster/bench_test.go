@@ -32,8 +32,8 @@ func benchCluster(b *testing.B, n, users int) (*cluster.Cluster, []profile.UserI
 	ids := make([]profile.UserID, users)
 	for i := range ids {
 		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 20 + i%50
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(20 + i%50)
 		if err := c.AddUser(pr); err != nil {
 			b.Fatal(err)
 		}

@@ -65,9 +65,9 @@ func scenarioPopulation(catalog *attr.Catalog) []*profile.Profile {
 	out := make([]*profile.Profile, 0, 80)
 	for i := 0; i < 80; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 20 + i%50
-		pr.PII = pii.Record{Emails: []string{fmt.Sprintf("user-%06d@example.com", i)}}
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(20 + i%50)
+		pr.SetPII(pii.Record{Emails: []string{fmt.Sprintf("user-%06d@example.com", i)}})
 		for j := 0; j < 8; j++ {
 			if (i+j)%3 == 0 {
 				pr.SetAttr(partner[j].ID)
@@ -474,7 +474,7 @@ func TestClusterLookalikeOfAPartitionedSeed(t *testing.T) {
 	var seedUser profile.UserID
 	for i := 0; i < 30; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		pr.Nation = "US"
+		pr.SetCountry("US")
 		pr.AgeYrs = 30
 		pr.SetAttr(salsa)
 		if err := c.AddUser(pr); err != nil {

@@ -61,9 +61,9 @@ func populateElastic(t testing.TB, c *cluster.Cluster, nUsers int) ([]profile.Us
 	users := make([]profile.UserID, nUsers)
 	for i := range users {
 		pr := profile.New(profile.UserID(fmt.Sprintf("eu-%04d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 21 + i%40
-		pr.PII = pii.Record{Emails: []string{fmt.Sprintf("eu-%04d@example.com", i)}}
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(21 + i%40)
+		pr.SetPII(pii.Record{Emails: []string{fmt.Sprintf("eu-%04d@example.com", i)}})
 		if err := c.AddUser(pr); err != nil {
 			t.Fatalf("AddUser(%s): %v", pr.ID, err)
 		}
@@ -407,7 +407,7 @@ func TestStaleRingRefreshRetriesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	pr := profile.New("stale-user")
-	pr.Nation = "US"
+	pr.SetCountry("US")
 	pr.AgeYrs = 30
 	if err := c.AddUser(pr); err != nil {
 		t.Fatal(err)

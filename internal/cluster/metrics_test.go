@@ -22,7 +22,7 @@ func TestClusterMetrics(t *testing.T) {
 	const users = 200
 	for i := 0; i < users; i++ {
 		u := profile.New(profile.UserID(fmt.Sprintf("u%04d", i)))
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 30
 		if err := c.AddUser(u); err != nil {
 			t.Fatal(err)

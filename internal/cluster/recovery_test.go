@@ -35,9 +35,9 @@ func recoveryBoot(i int) func() (*platform.Platform, error) {
 				continue
 			}
 			pr := profile.New(profile.UserID(uid))
-			pr.Nation = "US"
-			pr.AgeYrs = 25 + u
-			pr.PII = pii.Record{Emails: []string{uid + "@example.com"}}
+			pr.SetCountry("US")
+			pr.AgeYrs = uint8(25 + u)
+			pr.SetPII(pii.Record{Emails: []string{uid + "@example.com"}})
 			if u%2 == 0 {
 				pr.SetAttr(salsa)
 			}
@@ -85,7 +85,7 @@ func recoveryScript(t *testing.T) []func(c *cluster.Cluster) {
 	}
 	newcomer := func() *profile.Profile {
 		pr := profile.New("ju-late")
-		pr.Nation = "US"
+		pr.SetCountry("US")
 		pr.AgeYrs = 52
 		return pr
 	}

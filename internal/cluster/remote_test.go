@@ -92,7 +92,7 @@ func newFlakyCluster(t *testing.T) (*cluster.Cluster, []*frailShard, map[int]pro
 	}
 	for _, uid := range ownedBy {
 		pr := profile.New(uid)
-		pr.Nation = "US"
+		pr.SetCountry("US")
 		pr.AgeYrs = 33
 		if err := c.AddUser(pr); err != nil {
 			t.Fatal(err)

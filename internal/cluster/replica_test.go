@@ -178,7 +178,7 @@ func TestReplicaDesyncedFollowerIsReinstalled(t *testing.T) {
 	stale := followStatus(follower).ShipLSN
 	follower.EndFollow()
 	pr := profile.New("desync-probe")
-	pr.Nation = "US"
+	pr.SetCountry("US")
 	pr.AgeYrs = 44
 	if err := c.AddUser(pr); err == nil {
 		t.Fatal("write during a follower outage must report indeterminate (ship failed)")

@@ -81,7 +81,7 @@ func TestDeployLookalikeTreadEndToEnd(t *testing.T) {
 	p.User("author-b").SetAttr(jazz)
 	// A third user resembles the seed but never opted in...
 	twin := profile.New("twin")
-	twin.Nation = "US"
+	twin.SetCountry("US")
 	twin.AgeYrs = 30
 	twin.SetAttr(jazz)
 	if err := p.AddUser(twin); err != nil {
@@ -89,7 +89,7 @@ func TestDeployLookalikeTreadEndToEnd(t *testing.T) {
 	}
 	// ...and a fourth opted-in user who resembles the seed.
 	cousin := profile.New("cousin")
-	cousin.Nation = "US"
+	cousin.SetCountry("US")
 	cousin.AgeYrs = 31
 	cousin.SetAttr(jazz)
 	if err := p.AddUser(cousin); err != nil {

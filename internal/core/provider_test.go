@@ -261,7 +261,7 @@ func TestDeployBitSplitErrors(t *testing.T) {
 func TestDeployPIIChecks(t *testing.T) {
 	p := newTestPlatform(false)
 	u := profile.New("u1")
-	u.PII = pii.Record{Emails: []string{"u1@example.com"}, Phones: []string{"617-555-0100"}}
+	u.SetPII(pii.Record{Emails: []string{"u1@example.com"}, Phones: []string{"617-555-0100"}})
 	if err := p.AddUser(u); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestAnonymousPixelOptIn(t *testing.T) {
 	// A third user opts in anonymously via the provider's website pixel
 	// rather than a page like.
 	u := profile.New("anon-user")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 40
 	nw := p.Catalog().Search("Net worth: over $2,000,000")[0].ID
 	u.SetAttr(nw)
@@ -374,7 +374,7 @@ func TestAnonymousPixelOptIn(t *testing.T) {
 func TestHashedPIIOptIn(t *testing.T) {
 	p := newTestPlatform(false)
 	u := profile.New("u1")
-	u.PII = pii.Record{Emails: []string{"u1@example.com"}}
+	u.SetPII(pii.Record{Emails: []string{"u1@example.com"}})
 	u.SetAttr("platform.music.jazz")
 	if err := p.AddUser(u); err != nil {
 		t.Fatal(err)
@@ -502,7 +502,7 @@ func TestLargePopulationInvoicing(t *testing.T) {
 	jazz := attr.ID("platform.music.jazz")
 	for i := 0; i < 60; i++ {
 		u := profile.New(profile.UserID(fmt.Sprintf("u%03d", i)))
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 30
 		u.SetAttr(jazz)
 		if err := p.AddUser(u); err != nil {
@@ -545,7 +545,7 @@ func TestLargePopulationInvoicing(t *testing.T) {
 func newOutsider(t *testing.T, p *platform.Platform) profile.UserID {
 	t.Helper()
 	u := profile.New("outsider")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 30
 	u.SetAttr(p.Catalog().Search("Salsa dance")[0].ID)
 	if err := p.AddUser(u); err != nil {

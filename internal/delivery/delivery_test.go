@@ -35,7 +35,7 @@ func newEnv(t testing.TB, n int) *env {
 	store := profile.NewStore()
 	for i := 0; i < n; i++ {
 		p := profile.New(profile.UserID(fmt.Sprintf("u%02d", i)))
-		p.Nation = "US"
+		p.SetCountry("US")
 		p.AgeYrs = 30
 		if i%2 == 0 {
 			p.SetAttr("platform.music.jazz")

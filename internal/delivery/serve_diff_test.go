@@ -114,7 +114,7 @@ func newServeWorld(t testing.TB, cfg workload.Config, indexed bool, auctionSeed 
 	})
 	var keys []pii.MatchKey
 	for i := 0; i < len(w.profs); i += 3 {
-		keys = append(keys, w.profs[i].PII.MatchKeys()...)
+		keys = append(keys, w.profs[i].PII().MatchKeys()...)
 	}
 	list := w.engine.CreatePIIAudience("adv", "pii", keys)
 	eng := w.engine.CreateEngagementAudience("adv", "fans", servePage)
@@ -169,16 +169,16 @@ func serveExprs(profs []*profile.Profile) []attr.Expr {
 		exprs = append(exprs,
 			attr.Has{ID: a},
 			attr.And{Ops: []attr.Expr{attr.Has{ID: a}, attr.AgeBetween{Min: 18, Max: 50}}},
-			attr.And{Ops: []attr.Expr{attr.CountryIs{Country: p.Nation}, attr.Has{ID: b}}},
+			attr.And{Ops: []attr.Expr{attr.CountryIs{Country: p.Country()}, attr.Has{ID: b}}},
 			attr.And{Ops: []attr.Expr{attr.Has{ID: a}, attr.Not{Op: attr.Has{ID: b}}}},
 			attr.Or{Ops: []attr.Expr{attr.Has{ID: a}, attr.Has{ID: b}}},
-			attr.Or{Ops: []attr.Expr{attr.AgeBetween{Min: p.AgeYrs, Max: p.AgeYrs + 20}, attr.GenderIs{Gender: p.Sex}}},
+			attr.Or{Ops: []attr.Expr{attr.AgeBetween{Min: p.Age(), Max: p.Age() + 20}, attr.GenderIs{Gender: p.Sex}}},
 			attr.Not{Op: attr.Has{ID: a}},
 		)
 		for _, id := range ids {
 			if v, ok := p.AttrValue(id); ok {
 				exprs = append(exprs, attr.ValueIs{ID: id, Value: v},
-					attr.And{Ops: []attr.Expr{attr.RegionIs{Region: p.City}, attr.ValueIs{ID: id, Value: v}}})
+					attr.And{Ops: []attr.Expr{attr.RegionIs{Region: p.Region()}, attr.ValueIs{ID: id, Value: v}}})
 				break
 			}
 		}

@@ -40,11 +40,11 @@ func E10OptInPaths(seed uint64) (E10Result, error) {
 
 	mkUser := func(id profile.UserID, email string) *profile.Profile {
 		u := profile.New(id)
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 30
 		u.SetAttr(target)
 		if email != "" {
-			u.PII = pii.Record{Emails: []string{email}}
+			u.SetPII(pii.Record{Emails: []string{email}})
 		}
 		return u
 	}

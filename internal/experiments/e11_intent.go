@@ -55,11 +55,11 @@ func E11IntentTransparency(seed uint64) ([]E11Row, error) {
 	netWorth := p.Catalog().Search("Net worth: over $2,000,000")[0].ID
 
 	u := profile.New("dora")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 35
 	u.SetAttr(salsa)
 	u.SetAttr(netWorth)
-	u.PII = pii.Record{Emails: []string{"dora@example.com"}}
+	u.SetPII(pii.Record{Emails: []string{"dora@example.com"}})
 	if err := p.AddUser(u); err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func E2Cost(seed uint64, users int) ([]E2Row, error) {
 		absent := p.Catalog().BySource(attr.SourcePlatform)[1].ID
 		for i := 0; i < users; i++ {
 			u := profile.New(profile.UserID(fmt.Sprintf("u%05d", i)))
-			u.Nation = "US"
+			u.SetCountry("US")
 			u.AgeYrs = 30
 			u.SetAttr(probe)
 			if err := p.AddUser(u); err != nil {

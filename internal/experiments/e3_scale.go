@@ -46,7 +46,7 @@ func E3Scale(seed uint64, ms []int) ([]E3Row, error) {
 			catalog := attr.MustNewCatalog([]attr.Attribute{synth})
 			p := platformWithCatalog(seed, catalog)
 			u := profile.New("subject")
-			u.Nation = "US"
+			u.SetCountry("US")
 			u.AgeYrs = 30
 			u.SetAttrValue(synth.ID, truth)
 			if err := p.AddUser(u); err != nil {

@@ -51,7 +51,7 @@ func E4Privacy(seed uint64, sizes []int, probes int) ([]E4Row, error) {
 		holders := make(map[profile.UserID]bool)
 		for i := 0; i < n; i++ {
 			u := profile.New(profile.UserID(fmt.Sprintf("u%06d", i)))
-			u.Nation = "US"
+			u.SetCountry("US")
 			u.AgeYrs = 30
 			if rng.Bool(prevalence) {
 				u.SetAttr(probe)
@@ -125,7 +125,7 @@ func E4Privacy(seed uint64, sizes []int, probes int) ([]E4Row, error) {
 			for i := 0; i < probes && i < n; i++ {
 				uid := profile.UserID(fmt.Sprintf("u%06d", i))
 				u := profile.New(uid)
-				u.Nation = "US"
+				u.SetCountry("US")
 				u.AgeYrs = 30
 				if holders[uid] {
 					u.SetAttr(probe)

@@ -39,7 +39,7 @@ func E7BidSweep(seed uint64, bidsUSD []float64, users, slots int) ([]E7Row, erro
 		jazz := p.Catalog().Search("Jazz")[0].ID
 		for i := 0; i < users; i++ {
 			u := profile.New(profile.UserID(fmt.Sprintf("u%05d", i)))
-			u.Nation = "US"
+			u.SetCountry("US")
 			u.AgeYrs = 30
 			u.SetAttr(jazz)
 			if err := p.AddUser(u); err != nil {

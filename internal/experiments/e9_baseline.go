@@ -110,7 +110,7 @@ func E9CorrelationBaseline(seed uint64, panelSizes []int, trials int) ([]E9Row, 
 	market := marketFixed()
 	p := platform.New(platform.Config{Catalog: catalog, Market: &market, Seed: seed})
 	u := profile.New("solo")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 30
 	u.SetAttr(target)
 	if err := p.AddUser(u); err != nil {

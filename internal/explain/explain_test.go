@@ -15,7 +15,7 @@ func catalogAndUser(t *testing.T) (*attr.Catalog, *profile.Profile, attr.ID, att
 	partnerAttr := c.BySource(attr.SourcePartner)[0].ID
 	p := profile.New("u1")
 	p.AgeYrs = 34
-	p.City = "Boston"
+	p.SetRegion("Boston")
 	p.SetAttr(platformAttr)
 	p.SetAttr(partnerAttr)
 	return c, p, platformAttr, partnerAttr

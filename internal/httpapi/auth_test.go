@@ -19,7 +19,7 @@ func authedEnv(t *testing.T) (*Client, *Authenticator) {
 	market := auction.Market{BaseCPM: money.FromDollars(2), Sigma: 0, Floor: money.FromDollars(0.1)}
 	p := platform.New(platform.Config{Market: &market, Seed: 1})
 	u := profile.New("u0")
-	u.Nation = "US"
+	u.SetCountry("US")
 	if err := p.AddUser(u); err != nil {
 		t.Fatal(err)
 	}

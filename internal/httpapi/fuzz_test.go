@@ -74,9 +74,10 @@ func fuzzPlatform(t *testing.T) *platform.Platform {
 	p := platform.New(platform.Config{Seed: 1})
 	for i := 0; i < 2; i++ {
 		u := profile.New(profile.UserID(fmt.Sprintf("u%d", i)))
-		u.Nation, u.AgeYrs = "US", 30
+		u.SetCountry("US")
+		u.AgeYrs = 30
 		u.SetAttr("platform.music.jazz")
-		u.PII = pii.Record{Emails: []string{fmt.Sprintf("u%d@example.com", i)}}
+		u.SetPII(pii.Record{Emails: []string{fmt.Sprintf("u%d@example.com", i)}})
 		if err := p.AddUser(u); err != nil {
 			t.Fatal(err)
 		}

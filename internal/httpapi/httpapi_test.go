@@ -25,13 +25,13 @@ func testEnv(t *testing.T, reviewAds bool) (*platform.Platform, *Client) {
 	p := platform.New(platform.Config{Market: &market, Seed: 1, ReviewAds: reviewAds})
 	for i := 0; i < 6; i++ {
 		u := profile.New(profile.UserID(fmt.Sprintf("u%d", i)))
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 30
 		if i%2 == 0 {
 			u.SetAttr("platform.music.jazz")
 		}
 		if i == 0 {
-			u.PII = pii.Record{Emails: []string{"u0@example.com"}}
+			u.SetPII(pii.Record{Emails: []string{"u0@example.com"}})
 		}
 		if err := p.AddUser(u); err != nil {
 			t.Fatal(err)

@@ -16,7 +16,9 @@ func TestAddSizesOnlyBootLists(t *testing.T) {
 	const hint = 1000
 	x := New(hint)
 	p := profile.New("sizing-user")
-	p.AgeYrs, p.Sex, p.Nation, p.City = 30, "female", "US", "Boston"
+	p.AgeYrs, p.Sex = 30, "female"
+	p.SetCountry("US")
+	p.SetRegion("Boston")
 	p.SetAttr("test.sizing.binary")
 	p.SetAttrValue("test.sizing.valued", "v")
 	if err := profile.NewStore().Add(p); err != nil {

@@ -32,9 +32,9 @@ func journalBoot() (*Platform, error) {
 	salsa := p.Catalog().Search("Salsa dance")[0].ID
 	for i := 0; i < 10; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("ju%02d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 25 + i
-		pr.PII = pii.Record{Emails: []string{fmt.Sprintf("ju%02d@example.com", i)}}
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(25 + i)
+		pr.SetPII(pii.Record{Emails: []string{fmt.Sprintf("ju%02d@example.com", i)}})
 		if i%2 == 0 {
 			pr.SetAttr(salsa)
 		}
@@ -61,9 +61,9 @@ func journalScript(t *testing.T) []func(m *Platform) {
 	}
 	newcomer := func() *profile.Profile {
 		pr := profile.New("ju-late")
-		pr.Nation = "US"
+		pr.SetCountry("US")
 		pr.AgeYrs = 52
-		pr.PII = pii.Record{Emails: []string{"ju-late@example.com"}}
+		pr.SetPII(pii.Record{Emails: []string{"ju-late@example.com"}})
 		return pr
 	}
 	return []func(m *Platform){
@@ -622,7 +622,7 @@ func goldenRecords(t testing.TB) map[string]goldenRecord {
 		t.Fatal(err)
 	}
 	pr := profile.New("gu-1")
-	pr.Nation = "US"
+	pr.SetCountry("US")
 	pr.AgeYrs = 31
 	st := pr.Snapshot()
 	params := campaignParamsToState(CampaignParams{

@@ -526,15 +526,14 @@ func (p *Platform) LikePage(uid profile.UserID, pageID string) error {
 	return err
 }
 
-// likePage stores the like as the store's one copy of the page ID, not as
-// the caller's string: a page ID handed in by a request was decoded into a
-// string of its own, which each like would otherwise keep.
+// likePage records the like; the profile keeps the store's one copy of the
+// page ID, not the string the request was decoded into (Profile.Like).
 func (c *components) likePage(uid profile.UserID, pageID string) error {
 	pr := c.store.Get(uid)
 	if pr == nil {
 		return fmt.Errorf("platform: unknown user %q", uid)
 	}
-	pr.Like(c.store.Page(pageID))
+	pr.Like(pageID)
 	return nil
 }
 

@@ -27,7 +27,7 @@ func fixedPlatform(t *testing.T, n int, reviewAds bool) *Platform {
 	salsa := p.Catalog().Search("Salsa dance")[0].ID
 	for i := 0; i < n; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("u%02d", i)))
-		pr.Nation = "US"
+		pr.SetCountry("US")
 		pr.AgeYrs = 30
 		if i%2 == 0 {
 			pr.SetAttr(salsa)
@@ -167,12 +167,12 @@ func TestPIIAudienceFlow(t *testing.T) {
 	p := fixedPlatform(t, 4, false)
 	p.RegisterAdvertiser("tp")
 	u := p.User("u01")
-	u.PII = pii.Record{Emails: []string{"u01@example.com"}}
+	u.SetPII(pii.Record{Emails: []string{"u01@example.com"}})
 	// Re-add is not possible; PII index built at Add time, so build the
 	// audience from keys and match via a fresh platform instead.
 	p2 := New(Config{Market: &auction.Market{BaseCPM: money.FromDollars(2), Floor: money.FromDollars(0.1)}, Seed: 1})
 	pr := profile.New("x1")
-	pr.PII = pii.Record{Emails: []string{"x1@example.com"}}
+	pr.SetPII(pii.Record{Emails: []string{"x1@example.com"}})
 	if err := p2.AddUser(pr); err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestAdvertisersTargetingMe(t *testing.T) {
 
 	// pii-adv targets u00 via a PII list.
 	u := p.User("u00")
-	u.PII = pii.Record{Emails: []string{"u00@example.com"}}
+	u.SetPII(pii.Record{Emails: []string{"u00@example.com"}})
 	// Rebuild store index is not possible post-Add; instead target u01
 	// via pixel and test PII on a user added with PII from the start.
 	px, err := p.IssuePixel("pixel-adv")
@@ -419,7 +419,7 @@ func TestAdvertisersTargetingMe(t *testing.T) {
 func TestAdvertisersTargetingMePIIList(t *testing.T) {
 	p := fixedPlatform(t, 0, false)
 	u := profile.New("pii-user")
-	u.PII = pii.Record{Emails: []string{"pii-user@example.com"}}
+	u.SetPII(pii.Record{Emails: []string{"pii-user@example.com"}})
 	if err := p.AddUser(u); err != nil {
 		t.Fatal(err)
 	}

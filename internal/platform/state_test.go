@@ -37,9 +37,9 @@ func buildRichPlatform(t *testing.T) *Platform {
 	u0.SetLocation(42.36, -71.06)
 
 	extra := profile.New("pii-user")
-	extra.Nation = "US"
+	extra.SetCountry("US")
 	extra.AgeYrs = 44
-	extra.PII = pii.Record{Emails: []string{"pii-user@example.com"}}
+	extra.SetPII(pii.Record{Emails: []string{"pii-user@example.com"}})
 	extra.SetAttr(salsaID(p))
 	if err := p.AddUser(extra); err != nil {
 		t.Fatal(err)

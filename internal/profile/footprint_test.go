@@ -14,10 +14,10 @@ import (
 // TestProfileFootprint is the tripwire on a shard's per-user profile
 // memory: the live heap a Store holding the benchmark generator's users
 // costs, profiles, attribute sets, PII and the store's own tables together.
-// Attribute sets of 4-byte ordinals packed to length hold it near
-// 540 B/user; sets of 16-byte ID strings cost 935, and three maps per
-// profile 2 350. Excluded under -race, whose shadow memory inflates the
-// heap.
+// A 128-byte profile with attribute sets of 4-byte ordinals packed to
+// length holds it near 390 B/user; the 256-byte profile cost 527, sets of
+// 16-byte ID strings 935, and three maps per profile 2 350. Excluded under
+// -race, whose shadow memory inflates the heap.
 func TestProfileFootprint(t *testing.T) {
 	const users = 6000
 	cfg := workload.DefaultConfig()
@@ -40,7 +40,7 @@ func TestProfileFootprint(t *testing.T) {
 	runtime.KeepAlive(cfg.Catalog)
 	perUser := int64(after.HeapAlloc-before.HeapAlloc) / users
 	t.Logf("%d B/user", perUser)
-	if perUser >= 700 {
-		t.Fatalf("store holds %d B/user at %d users, want under 700", perUser, users)
+	if perUser >= 450 {
+		t.Fatalf("store holds %d B/user at %d users, want under 450", perUser, users)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/pii"
@@ -203,10 +204,11 @@ func (m *mapModel) apply(p *Profile, s step, cov *coverage) {
 		}
 	case opSetPII:
 		k := s.val % (len(m.fx.text) + 1) // may split a multi-byte rune
-		p.PII = pii.Record{Emails: []string{m.fx.text[:k]}, Phones: []string{m.fx.text[k:]}}
-		p.City = m.fx.text
+		p.SetPII(pii.Record{Emails: []string{m.fx.text[:k]}, Phones: []string{m.fx.text[k:]}})
+		p.SetRegion(m.fx.text)
 		if s.id%2 == 1 {
-			p.PII, p.City = pii.Record{}, ""
+			p.SetPII(pii.Record{})
+			p.SetRegion("")
 		}
 	case opLocate:
 		p.SetLocation(m.fx.lat, m.fx.lon)
@@ -287,7 +289,14 @@ func (m *mapModel) check(t testing.TB, p *Profile, where string) {
 // ID table stays small however many inputs the fuzzer tries.
 func runModel(t testing.TB, steps []step, fx fixture) coverage {
 	t.Helper()
-	p := New("u")
+	return runModelOn(t, New("u"), steps, fx, nil)
+}
+
+// runModelOn is runModel on p, calling after (when not nil) once the model
+// has checked p before the first step (with -1) and after each step (with
+// its index).
+func runModelOn(t testing.TB, p *Profile, steps []step, fx fixture, after func(i int)) coverage {
+	t.Helper()
 	escaped := escapedIDs[len(steps)%len(escapedIDs)]
 	attr.Intern(escaped)
 	m := &mapModel{
@@ -297,11 +306,75 @@ func runModel(t testing.TB, steps []step, fx fixture) coverage {
 	}
 	var cov coverage
 	m.check(t, p, "fresh profile")
+	if after != nil {
+		after(-1)
+	}
 	for i, s := range steps {
 		m.apply(p, s, &cov)
 		m.check(t, p, fmt.Sprintf("step %d (op %d)", i, s.op%numOps))
+		if after != nil {
+			after(i)
+		}
 	}
 	return cov
+}
+
+// placesAndPII is what a run's steps have set of a profile's nation, city
+// and PII: the model the fuzzer holds the accessors to.
+type placesAndPII struct {
+	nation, city   string
+	emails, phones []string
+}
+
+// apply follows one step: opSetPII sets the city to the run's text and the
+// PII to the text split in two, or clears both.
+func (w *placesAndPII) apply(fx fixture, s step) {
+	if s.op%numOps != opSetPII {
+		return
+	}
+	if s.id%2 == 1 {
+		w.city, w.emails, w.phones = "", nil, nil
+		return
+	}
+	k := s.val % (len(fx.text) + 1)
+	w.city, w.emails, w.phones = fx.text, []string{fx.text[:k]}, []string{fx.text[k:]}
+}
+
+// runStoredModel runs steps as runModel does on a profile whose nation is
+// the run's text, which a store adds just before step addAt (before the
+// first when addAt is 0; never when it is past the last). After every step
+// it also holds Country, Region and PII to what the steps set, and, once
+// the store holds the profile, each liked page to the store's one copy of
+// it, including pages the store first sees in a like after the add.
+func runStoredModel(t testing.TB, steps []step, fx fixture, addAt int) {
+	t.Helper()
+	p := New("u")
+	p.SetCountry(fx.text)
+	want := placesAndPII{nation: fx.text}
+	store := NewStore()
+	runModelOn(t, p, steps, fx, func(i int) {
+		t.Helper()
+		if i >= 0 {
+			want.apply(fx, steps[i])
+		}
+		rec := p.PII()
+		if p.Country() != want.nation || p.Region() != want.city || !slices.Equal(rec.Emails, want.emails) || !slices.Equal(rec.Phones, want.phones) {
+			t.Fatalf("after step %d: nation %q, city %q, PII %q %q, want %q, %q, %q %q",
+				i, p.Country(), p.Region(), rec.Emails, rec.Phones, want.nation, want.city, want.emails, want.phones)
+		}
+		if i+1 == addAt {
+			if err := store.Add(p); err != nil || store.Get(p.ID) != p {
+				t.Fatalf("before step %d: Add = %v, and the store holds %p, not %p", addAt, err, store.Get(p.ID), p)
+			}
+		}
+		if _, stored := store.OrdOf(p); stored {
+			for _, page := range p.LikedPages() {
+				if unsafe.StringData(page) != unsafe.StringData(store.page(page)) {
+					t.Fatalf("after step %d: the like of %q is not the store's copy", i, page)
+				}
+			}
+		}
+	})
 }
 
 // TestProfileMatchesMapModel drives 200 seeded random op sequences against
@@ -351,7 +424,9 @@ func TestSetSortedAttrsRefusesUnsortedInput(t *testing.T) {
 }
 
 // FuzzProfileOps reads its input as (op, id, value) byte triples over the
-// same step alphabet, with the run's free text and coordinates.
+// same step alphabet, with the run's free text and coordinates, and runs
+// the steps on a profile no store holds, on one a store holds from the
+// start and on one a store adds halfway through.
 func FuzzProfileOps(f *testing.F) {
 	add := func(data []byte, fx fixture) { f.Add(data, fx.text, fx.lat, fx.lon) }
 	add([]byte{opSetAttr, 0, 0, opSetAttrValue, 0, 1}, modelFixtures[0])
@@ -365,6 +440,9 @@ func FuzzProfileOps(f *testing.F) {
 	for _, fx := range modelFixtures {
 		add([]byte{opLike, 0, 3, opSetPII, 0, 5, opLocate, 0, 0, opSetAttrValue, 2, 1, opLike, 0, 1}, fx)
 	}
+	// PII and city set and then cleared, then a like of the run's text: a
+	// page the stored runs' store first sees after the add.
+	add([]byte{opSetPII, 0, 3, opSetPII, 1, 0, opLike, 0, 3}, modelFixtures[0])
 	f.Fuzz(func(t *testing.T, data []byte, text string, lat, lon float64) {
 		if math.IsNaN(lat) || math.IsInf(lat, 0) || math.IsNaN(lon) || math.IsInf(lon, 0) {
 			t.Skip("json.Marshal refuses non-finite coordinates, and nothing sets them")
@@ -373,6 +451,9 @@ func FuzzProfileOps(f *testing.F) {
 		for i := 0; i+2 < len(data); i += 3 {
 			steps = append(steps, step{op: int(data[i]), id: int(data[i+1]), val: int(data[i+2])})
 		}
-		runModel(t, steps, fixture{text, lat, lon})
+		fx := fixture{text, lat, lon}
+		runModel(t, steps, fx)
+		runStoredModel(t, steps, fx, 0)
+		runStoredModel(t, steps, fx, len(steps)/2)
 	})
 }

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"github.com/treads-project/treads/internal/attr"
 	"github.com/treads-project/treads/internal/pii"
@@ -26,9 +27,8 @@ type UserID string
 
 // Watcher observes profile lifecycle and mutation events — the hook the
 // inverted targeting index uses for incremental maintenance. A watcher is
-// attached to a Store (and its existing profiles) with SetWatcher before
-// concurrent traffic starts; thereafter every profile added to the store
-// carries it.
+// attached to a Store with SetWatcher before concurrent traffic starts; it
+// then hears of every profile the store holds.
 //
 // Callbacks are invoked after the mutation is applied and outside the
 // profile's internal locks, so a watcher may freely read the profile or
@@ -37,8 +37,8 @@ type Watcher interface {
 	// ProfileAdded fires after the profile is inserted into the store.
 	ProfileAdded(p *Profile)
 	// AttrChanged fires after SetAttr/SetAttrValue/SetSortedAttrs on a profile
-	// that already has a watcher (i.e. post-Add mutations), with the changed
-	// attribute's ordinal in attr's ID table.
+	// the store holds (i.e. post-Add mutations), with the changed attribute's
+	// ordinal in attr's ID table.
 	AttrChanged(p *Profile, o attr.Ord)
 	// LikeChanged fires when a page like is added (liked=true) or removed
 	// (liked=false); no-change calls are suppressed.
@@ -48,30 +48,47 @@ type Watcher interface {
 // Profile is one user's platform-held profile. It implements attr.Subject.
 // Demographic fields and attributes are written only before the profile is
 // added to a Store; page likes are the one surface mutated by live user
-// traffic, so they carry their own lock and Like/LikesPage/LikedPages are
-// safe to call concurrently.
+// traffic, so they are under a lock and Like/LikesPage/LikedPages are safe
+// to call concurrently.
+//
+// A store holds one Profile per user, so what every profile would repeat
+// lives elsewhere: nation and city are codes in a process-wide table of
+// places, the watcher and the likes' lock are the store's, and the fields
+// most users leave empty (likes, categorical values) sit in an object
+// allocated on first use. TestProfileSize holds it to 128 bytes.
 type Profile struct {
-	ID     UserID
-	AgeYrs int
-	Sex    string
-	Nation string // country code, e.g. "US"
-	City   string
+	ID  UserID
+	Sex string
 	// Lat/Lon are the platform's belief about the user's coordinates;
 	// HasGeo marks whether the platform has located the user at all.
 	Lat, Lon float64
-	HasGeo   bool
 	// ord is the profile's ordinal in the Store that holds it; see Ord.
-	ord     uint32
-	PII     pii.Record
-	likesMu sync.RWMutex
-	likes   []string // page IDs the user has liked, sorted; nil until the first Like
-	// The attribute sets hold ordinals in attr's ID table, sorted by the ID
-	// each names (not by ordinal), packed to length by Store.Add. An ID may
-	// sit in both (set through SetAttr and SetAttrValue); it then counts in
-	// both.
-	binary  []attr.Ord   // sorted by ID
-	values  []ValuedAttr // sorted by ID
-	watcher Watcher      // set by Store.Add / Store.SetWatcher; nil before
+	ord uint32
+	// nation and city are codes in the place table; see SetCountry.
+	nation, city uint32
+	// AgeYrs is the user's age in years; FromState refuses one it cannot
+	// hold (ErrAgeOutOfRange).
+	AgeYrs uint8
+	HasGeo bool
+	// pii holds the user's emails and then their phones in one backing
+	// array: the emails are the slice, the phones the rest of its capacity.
+	// See PII.
+	pii []string
+	// binary holds ordinals in attr's ID table, sorted by the ID each names
+	// (not by ordinal), packed to length by Store.Add. An ID may also sit in
+	// the categorical values (set through SetAttr and SetAttrValue); it then
+	// counts in both.
+	binary []attr.Ord
+	// rare is nil until the first like or categorical value.
+	rare atomic.Pointer[rare]
+	// store is the Store that holds the profile, nil before Store.Add.
+	store *Store
+}
+
+// rare holds what most profiles leave empty.
+type rare struct {
+	likes  []string     // page IDs the user has liked, sorted; under the likes lock
+	values []ValuedAttr // sorted by ID, as binary is
 }
 
 // ValuedAttr is one categorical attribute's value, the attribute named by
@@ -84,6 +101,33 @@ type ValuedAttr struct {
 // New returns an empty profile for the given user.
 func New(id UserID) *Profile {
 	return &Profile{ID: id}
+}
+
+// watcher returns the watcher of the store that holds p, or nil.
+func (p *Profile) watcher() Watcher {
+	if p.store == nil {
+		return nil
+	}
+	return p.store.watcher
+}
+
+// values returns p's categorical attributes.
+func (p *Profile) values() []ValuedAttr {
+	if r := p.rare.Load(); r != nil {
+		return r.values
+	}
+	return nil
+}
+
+// rareFields returns p's rare fields, allocating them on first use. A like
+// (under the likes lock) and an attribute write (under none) may race to
+// allocate; the first to publish wins.
+func (p *Profile) rareFields() *rare {
+	if r := p.rare.Load(); r != nil {
+		return r
+	}
+	p.rare.CompareAndSwap(nil, new(rare))
+	return p.rare.Load()
 }
 
 // compareID orders ordinal o against id by the ID o names in ids, the ID
@@ -102,9 +146,9 @@ func (p *Profile) findBinary(ids []attr.ID, id attr.ID) (int, bool) {
 	return slices.BinarySearchFunc(p.binary, id, func(o attr.Ord, id attr.ID) int { return compareID(ids, o, id) })
 }
 
-// findValue returns id's position in p.values, or where it would go.
-func (p *Profile) findValue(ids []attr.ID, id attr.ID) (int, bool) {
-	return slices.BinarySearchFunc(p.values, id, func(v ValuedAttr, id attr.ID) int { return compareID(ids, v.Ord, id) })
+// findValue returns id's position in values, or where it would go.
+func findValue(values []ValuedAttr, ids []attr.ID, id attr.ID) (int, bool) {
+	return slices.BinarySearchFunc(values, id, func(v ValuedAttr, id attr.ID) int { return compareID(ids, v.Ord, id) })
 }
 
 // SetAttr marks a binary attribute as set for the user.
@@ -113,21 +157,22 @@ func (p *Profile) SetAttr(id attr.ID) {
 	if i, ok := p.findBinary(attr.IDs(), id); !ok {
 		p.binary = slices.Insert(p.binary, i, o)
 	}
-	if p.watcher != nil {
-		p.watcher.AttrChanged(p, o)
+	if w := p.watcher(); w != nil {
+		w.AttrChanged(p, o)
 	}
 }
 
 // SetAttrValue assigns a categorical attribute value.
 func (p *Profile) SetAttrValue(id attr.ID, value string) {
 	o := attr.Intern(id)
-	if i, ok := p.findValue(attr.IDs(), id); ok {
-		p.values[i].Value = value
+	r := p.rareFields()
+	if i, ok := findValue(r.values, attr.IDs(), id); ok {
+		r.values[i].Value = value
 	} else {
-		p.values = slices.Insert(p.values, i, ValuedAttr{o, value})
+		r.values = slices.Insert(r.values, i, ValuedAttr{o, value})
 	}
-	if p.watcher != nil {
-		p.watcher.AttrChanged(p, o)
+	if w := p.watcher(); w != nil {
+		w.AttrChanged(p, o)
 	}
 }
 
@@ -158,24 +203,25 @@ func (p *Profile) SetSortedAttrs(binary []attr.Ord, values []ValuedAttr) {
 	default:
 		p.binary = mergeSorted(rank, p.binary, binary, func(o attr.Ord) attr.Ord { return o })
 	}
-	switch {
-	case len(values) == 0:
-	case len(p.values) == 0:
-		p.values = make([]ValuedAttr, 0, len(values))
-		for i, v := range values {
-			if i+1 == len(values) || values[i+1].Ord != v.Ord {
-				p.values = append(p.values, v) // the last of a repeated ID
+	if len(values) > 0 {
+		r := p.rareFields()
+		if len(r.values) == 0 {
+			r.values = make([]ValuedAttr, 0, len(values))
+			for i, v := range values {
+				if i+1 == len(values) || values[i+1].Ord != v.Ord {
+					r.values = append(r.values, v) // the last of a repeated ID
+				}
 			}
+		} else {
+			r.values = mergeSorted(rank, r.values, values, func(v ValuedAttr) attr.Ord { return v.Ord })
 		}
-	default:
-		p.values = mergeSorted(rank, p.values, values, func(v ValuedAttr) attr.Ord { return v.Ord })
 	}
-	if p.watcher != nil {
+	if w := p.watcher(); w != nil {
 		for _, o := range binary {
-			p.watcher.AttrChanged(p, o)
+			w.AttrChanged(p, o)
 		}
 		for _, v := range values {
-			p.watcher.AttrChanged(p, v.Ord)
+			w.AttrChanged(p, v.Ord)
 		}
 	}
 }
@@ -209,29 +255,37 @@ func (p *Profile) HasAttr(id attr.ID) bool {
 	if _, ok := p.findBinary(ids, id); ok {
 		return true
 	}
-	_, ok := p.findValue(ids, id)
+	_, ok := findValue(p.values(), ids, id)
 	return ok
 }
 
 // AttrValue implements attr.Subject. It neither interns nor allocates.
 func (p *Profile) AttrValue(id attr.ID) (string, bool) {
-	if i, ok := p.findValue(attr.IDs(), id); ok {
-		return p.values[i].Value, true
+	values := p.values()
+	if i, ok := findValue(values, attr.IDs(), id); ok {
+		return values[i].Value, true
 	}
 	return "", false
 }
 
 // Age implements attr.Subject.
-func (p *Profile) Age() int { return p.AgeYrs }
+func (p *Profile) Age() int { return int(p.AgeYrs) }
 
 // Gender implements attr.Subject.
 func (p *Profile) Gender() string { return p.Sex }
 
-// Country implements attr.Subject.
-func (p *Profile) Country() string { return p.Nation }
+// Country implements attr.Subject: the user's nation, a country code such
+// as "US".
+func (p *Profile) Country() string { return place(p.nation) }
 
-// Region implements attr.Subject.
-func (p *Profile) Region() string { return p.City }
+// Region implements attr.Subject: the user's city.
+func (p *Profile) Region() string { return place(p.city) }
+
+// SetCountry records the user's nation.
+func (p *Profile) SetCountry(nation string) { p.nation = placeCode(nation) }
+
+// SetRegion records the user's city.
+func (p *Profile) SetRegion(city string) { p.city = placeCode(city) }
 
 // LatLon implements attr.GeoSubject.
 func (p *Profile) LatLon() (float64, float64, bool) { return p.Lat, p.Lon, p.HasGeo }
@@ -243,12 +297,66 @@ func (p *Profile) SetLocation(lat, lon float64) {
 
 var _ attr.GeoSubject = (*Profile)(nil)
 
+// PII returns the PII the platform holds for the user, as a view of the
+// profile's own lists, which callers must not modify. It does not allocate.
+func (p *Profile) PII() pii.Record {
+	n := len(p.pii)
+	return pii.Record{Emails: p.pii[:n:n], Phones: p.pii[n:cap(p.pii)]}
+}
+
+// SetPII records the PII the platform holds for the user: a copy of r's
+// lists, the emails and then the phones in one backing array of exact
+// length.
+func (p *Profile) SetPII(r pii.Record) {
+	n := len(r.Emails) + len(r.Phones)
+	if n == 0 {
+		p.pii = nil
+		return
+	}
+	all := append(append(make([]string, 0, n), r.Emails...), r.Phones...)
+	p.pii = all[:len(r.Emails)]
+}
+
+// The place table is the process-wide table nation and city codes index:
+// names[c] is code c's place, names[0] is "", and a place is added the
+// first time a profile is given it. Reads load the published slice without
+// a lock.
+var (
+	placeMu    sync.Mutex
+	placeCodes = map[string]uint32{"": 0}
+	placeNames atomic.Pointer[[]string]
+)
+
+func init() { placeNames.Store(&[]string{""}) }
+
+// place returns the name of a place code.
+func place(code uint32) string { return (*placeNames.Load())[code] }
+
+// placeCode returns name's place code, adding a copy of name to the table
+// if it is not there.
+func placeCode(name string) uint32 {
+	placeMu.Lock()
+	defer placeMu.Unlock()
+	c, ok := placeCodes[name]
+	if !ok {
+		name = strings.Clone(name)
+		// An append within capacity writes past every published length,
+		// which no reader indexes; placeNames.Store publishes the element
+		// with the length.
+		names := append(*placeNames.Load(), name)
+		c = uint32(len(names) - 1)
+		placeNames.Store(&names)
+		placeCodes[name] = c
+	}
+	return c
+}
+
 // Attrs returns all set attribute IDs (binary and categorical), sorted: a
 // merge of the two sorted sets, so an ID in both is listed twice.
 func (p *Profile) Attrs() []attr.ID {
 	ids := attr.IDs()
-	out := make([]attr.ID, 0, len(p.binary)+len(p.values))
-	b, v := p.binary, p.values
+	b, v := p.binary, p.values()
+	out := make([]attr.ID, 0, len(b)+len(v))
 	for len(b) > 0 && len(v) > 0 {
 		if byID(ids, b[0], v[0].Ord) <= 0 {
 			out, b = append(out, ids[b[0]]), b[1:]
@@ -273,7 +381,7 @@ func (p *Profile) EachAttr(fn func(attr.ID)) {
 	for _, o := range p.binary {
 		fn(ids[o])
 	}
-	for _, av := range p.values {
+	for _, av := range p.values() {
 		fn(ids[av.Ord])
 	}
 }
@@ -283,13 +391,15 @@ func (p *Profile) EachAttr(fn func(attr.ID)) {
 // their values, each sorted by ID — the walk the targeting index makes to
 // reach posting lists by ordinal. The slices are the profile's own; callers
 // must not modify them.
-func (p *Profile) AttrOrds() ([]attr.Ord, []ValuedAttr) { return p.binary, p.values }
+func (p *Profile) AttrOrds() ([]attr.Ord, []ValuedAttr) { return p.binary, p.values() }
 
 // pack trims both attribute sets to exact length, so a profile the store
 // holds carries no growth slack from the inserts that built it.
 func (p *Profile) pack() {
 	p.binary = exact(p.binary)
-	p.values = exact(p.values)
+	if r := p.rare.Load(); r != nil {
+		r.values = exact(r.values)
+	}
 }
 
 // exact returns s in a backing array of its own length (nil when empty).
@@ -304,50 +414,82 @@ func exact[T any](s []T) []T {
 }
 
 // AttrCount returns the number of set attributes.
-func (p *Profile) AttrCount() int { return len(p.binary) + len(p.values) }
+func (p *Profile) AttrCount() int { return len(p.binary) + len(p.values()) }
 
-// Like records that the user likes the given page.
-func (p *Profile) Like(pageID string) {
-	p.likesMu.Lock()
-	i, liked := slices.BinarySearch(p.likes, pageID)
-	if !liked {
-		p.likes = slices.Insert(p.likes, i, pageID)
+// unstoredLikes is the likes lock of every profile no store holds.
+var unstoredLikes sync.RWMutex
+
+// likesLock returns the lock p's likes are under: its stripe of the
+// store's locks, or unstoredLikes before Store.Add.
+func (p *Profile) likesLock() *sync.RWMutex {
+	if p.store == nil {
+		return &unstoredLikes
 	}
-	p.likesMu.Unlock()
-	// Notify outside likesMu: the watcher takes its own lock, and an
+	return &p.store.likes[p.ord%likeStripes]
+}
+
+// Like records that the user likes the given page. A profile a store holds
+// keeps the store's one copy of the page ID (see Store.page), not the
+// caller's string.
+func (p *Profile) Like(pageID string) {
+	if p.store != nil {
+		pageID = p.store.page(pageID)
+	}
+	mu := p.likesLock()
+	mu.Lock()
+	r := p.rareFields()
+	i, liked := slices.BinarySearch(r.likes, pageID)
+	if !liked {
+		r.likes = slices.Insert(r.likes, i, pageID)
+	}
+	mu.Unlock()
+	// Notify outside the likes lock: the watcher takes its own lock, and an
 	// in-flight index Add holds that lock while reading LikedPages.
-	if !liked && p.watcher != nil {
-		p.watcher.LikeChanged(p, pageID, true)
+	if w := p.watcher(); !liked && w != nil {
+		w.LikeChanged(p, pageID, true)
 	}
 }
 
 // Unlike removes a page like. Unliking a page the user never liked is a
 // no-op.
 func (p *Profile) Unlike(pageID string) {
-	p.likesMu.Lock()
-	i, liked := slices.BinarySearch(p.likes, pageID)
+	mu := p.likesLock()
+	mu.Lock()
+	likes := p.likes()
+	i, liked := slices.BinarySearch(likes, pageID)
 	if liked {
-		p.likes = slices.Delete(p.likes, i, i+1)
+		p.rare.Load().likes = slices.Delete(likes, i, i+1)
 	}
-	p.likesMu.Unlock()
-	if liked && p.watcher != nil {
-		p.watcher.LikeChanged(p, pageID, false)
+	mu.Unlock()
+	if w := p.watcher(); liked && w != nil {
+		w.LikeChanged(p, pageID, false)
 	}
+}
+
+// likes returns p's liked pages; the caller holds the likes lock.
+func (p *Profile) likes() []string {
+	if r := p.rare.Load(); r != nil {
+		return r.likes
+	}
+	return nil
 }
 
 // LikesPage reports whether the user likes the page.
 func (p *Profile) LikesPage(pageID string) bool {
-	p.likesMu.RLock()
-	defer p.likesMu.RUnlock()
-	_, liked := slices.BinarySearch(p.likes, pageID)
+	mu := p.likesLock()
+	mu.RLock()
+	defer mu.RUnlock()
+	_, liked := slices.BinarySearch(p.likes(), pageID)
 	return liked
 }
 
 // LikedPages returns the pages the user likes, sorted.
 func (p *Profile) LikedPages() []string {
-	p.likesMu.RLock()
-	defer p.likesMu.RUnlock()
-	return append(make([]string, 0, len(p.likes)), p.likes...)
+	mu := p.likesLock()
+	mu.RLock()
+	defer mu.RUnlock()
+	likes := p.likes()
+	return append(make([]string, 0, len(likes)), likes...)
 }
 
 var _ attr.Subject = (*Profile)(nil)
@@ -360,8 +502,14 @@ var _ attr.Subject = (*Profile)(nil)
 // store holds reads 0; Store.OrdOf tells the two apart.
 func (p *Profile) Ord() uint32 { return p.ord }
 
+// likeStripes is how many locks a store's profiles' likes are spread over,
+// by ordinal.
+const likeStripes = 64
+
 // Store is the platform's profile database: profiles by ordinal, and the
-// one map from user ID to ordinal. Store is safe for concurrent use.
+// one map from user ID to ordinal. It holds what its profiles share: the
+// watcher, the locks of their likes and the one copy of each liked page
+// ID. Store is safe for concurrent use.
 type Store struct {
 	mu       sync.RWMutex
 	profiles []*Profile        // by ordinal, which is insertion order
@@ -369,6 +517,7 @@ type Store struct {
 	sizeHint int               // the profiles NewSizedStore was told to expect
 	watcher  Watcher
 	pages    map[string]string // the one copy of every liked page ID
+	likes    [likeStripes]sync.RWMutex
 }
 
 // NewStore returns an empty profile store.
@@ -386,17 +535,15 @@ func NewSizedStore(sizeHint int) *Store {
 	}
 }
 
-// SetWatcher attaches a watcher to the store and to every profile already
-// in it. Call before concurrent traffic starts (the watcher pointer itself
-// is read without synchronization on mutation paths); the index is wired
-// this way during platform construction and restore.
+// SetWatcher attaches a watcher to the store, and so to every profile it
+// holds, and replays ProfileAdded for those already in it. Call before
+// concurrent traffic starts (the watcher is read without synchronization
+// on mutation paths); the index is wired this way during platform
+// construction and restore.
 func (s *Store) SetWatcher(w Watcher) {
 	s.mu.Lock()
 	s.watcher = w
 	profiles := s.profiles
-	for _, p := range profiles {
-		p.watcher = w
-	}
 	s.mu.Unlock()
 	if w != nil {
 		for _, p := range profiles {
@@ -405,9 +552,10 @@ func (s *Store) SetWatcher(w Watcher) {
 	}
 }
 
-// Add inserts a profile and gives it the next ordinal. Adding a duplicate
-// user ID is an error. The pages the profile already likes are replaced by
-// the store's copies of their IDs (see Page).
+// Add inserts a profile and gives it the next ordinal; the store holds p
+// itself, so Get(p.ID) == p. Adding a duplicate user ID is an error. The
+// pages the profile already likes are replaced by the store's copies of
+// their IDs (see page).
 func (s *Store) Add(p *Profile) error {
 	if p == nil || p.ID == "" {
 		return fmt.Errorf("profile: nil profile or empty user ID")
@@ -422,11 +570,12 @@ func (s *Store) Add(p *Profile) error {
 		return fmt.Errorf("profile: user %q would be number %d, past the last ordinal %d", p.ID, len(s.profiles), uint32(math.MaxUint32))
 	}
 	// Before publication, so no reader races these writes.
-	p.watcher = s.watcher
+	p.store = s
 	p.ord = uint32(len(s.profiles))
 	p.pack()
-	for i, page := range p.likes {
-		p.likes[i] = s.pageLocked(page)
+	likes := p.likes()
+	for i, page := range likes {
+		likes[i] = s.pageLocked(page)
 	}
 	s.ords[p.ID] = p.ord
 	s.profiles = append(s.profiles, p)
@@ -438,12 +587,12 @@ func (s *Store) Add(p *Profile) error {
 	return nil
 }
 
-// Page returns the store's copy of a page ID, first making one (a copy of
+// page returns the store's copy of a page ID, first making one (a copy of
 // its own, so that no caller's buffer is kept) if the store has none. A
 // like stored through it shares one string with every other like of the
 // page, where each like would otherwise keep the string its request was
 // decoded into.
-func (s *Store) Page(id string) string {
+func (s *Store) page(id string) string {
 	s.mu.RLock()
 	page, ok := s.pages[id]
 	s.mu.RUnlock()
@@ -455,7 +604,7 @@ func (s *Store) Page(id string) string {
 	return s.pageLocked(id)
 }
 
-// pageLocked is Page under the write lock.
+// pageLocked is page under the write lock.
 func (s *Store) pageLocked(id string) string {
 	page, ok := s.pages[id]
 	if !ok {
@@ -486,11 +635,9 @@ func (s *Store) Ord(id UserID) (o uint32, ok bool) {
 
 // OrdOf returns p's ordinal; ok is false when the store does not hold p
 // itself — a profile of another store, or none, may carry any ordinal.
+// Store.Add sets both before it publishes p, so no lock is needed.
 func (s *Store) OrdOf(p *Profile) (o uint32, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o = p.ord
-	return o, int(o) < len(s.profiles) && s.profiles[o] == p
+	return p.ord, p.store == s
 }
 
 // SizeHint returns how many profiles the store expects: the size hint it

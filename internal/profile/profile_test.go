@@ -63,8 +63,8 @@ func TestProfileSubjectInterface(t *testing.T) {
 	p := New("u1")
 	p.AgeYrs = 34
 	p.Sex = "male"
-	p.Nation = "US"
-	p.City = "Boston"
+	p.SetCountry("US")
+	p.SetRegion("Boston")
 	p.SetAttr("platform.music.jazz")
 	var s attr.Subject = p
 	if s.Age() != 34 || s.Gender() != "male" || s.Country() != "US" || s.Region() != "Boston" {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -32,11 +33,12 @@ type State struct {
 
 // Snapshot exports the profile.
 func (p *Profile) Snapshot() State {
+	rec := p.PII()
 	s := State{
-		ID: p.ID, Age: p.AgeYrs, Sex: p.Sex, Nation: p.Nation, City: p.City,
+		ID: p.ID, Age: p.Age(), Sex: p.Sex, Nation: p.Country(), City: p.Region(),
 		Lat: p.Lat, Lon: p.Lon, HasGeo: p.HasGeo,
-		Emails: append([]string(nil), p.PII.Emails...),
-		Phones: append([]string(nil), p.PII.Phones...),
+		Emails: append([]string(nil), rec.Emails...),
+		Phones: append([]string(nil), rec.Phones...),
 	}
 	s.Likes = p.LikedPages()
 	ids := attr.IDs()
@@ -46,9 +48,9 @@ func (p *Profile) Snapshot() State {
 			s.Binary[i] = ids[o]
 		}
 	}
-	if len(p.values) > 0 {
-		s.Values = make(map[attr.ID]string, len(p.values))
-		for _, av := range p.values {
+	if values := p.values(); len(values) > 0 {
+		s.Values = make(map[attr.ID]string, len(values))
+		for _, av := range values {
 			s.Values[ids[av.Ord]] = av.Value
 		}
 	}
@@ -68,26 +70,28 @@ func (p *Profile) AppendSnapshotJSON(b []byte) []byte {
 	b = appendJSONString(b, string(p.ID))
 	if p.AgeYrs != 0 {
 		b = append(b, `,"age":`...)
-		b = strconv.AppendInt(b, int64(p.AgeYrs), 10)
+		b = strconv.AppendUint(b, uint64(p.AgeYrs), 10)
 	}
 	b = appendStringField(b, `,"sex":`, p.Sex)
-	b = appendStringField(b, `,"nation":`, p.Nation)
-	b = appendStringField(b, `,"city":`, p.City)
+	b = appendStringField(b, `,"nation":`, p.Country())
+	b = appendStringField(b, `,"city":`, p.Region())
 	b = appendFloatField(b, `,"lat":`, p.Lat)
 	b = appendFloatField(b, `,"lon":`, p.Lon)
 	if p.HasGeo {
 		b = append(b, `,"has_geo":true`...)
 	}
-	b = appendStringsField(b, `,"emails":`, p.PII.Emails, appendJSONString)
-	b = appendStringsField(b, `,"phones":`, p.PII.Phones, appendJSONString)
-	p.likesMu.RLock()
-	b = appendStringsField(b, `,"likes":`, p.likes, appendJSONString)
-	p.likesMu.RUnlock()
+	rec := p.PII()
+	b = appendStringsField(b, `,"emails":`, rec.Emails, appendJSONString)
+	b = appendStringsField(b, `,"phones":`, rec.Phones, appendJSONString)
+	mu := p.likesLock()
+	mu.RLock()
+	b = appendStringsField(b, `,"likes":`, p.likes(), appendJSONString)
+	mu.RUnlock()
 	quoted := attr.Quoted()
 	b = appendStringsField(b, `,"binary":`, p.binary, func(b []byte, o attr.Ord) []byte { return append(b, quoted[o]...) })
-	if len(p.values) > 0 {
+	if values := p.values(); len(values) > 0 {
 		b = append(b, `,"values":{`...)
-		for i, av := range p.values {
+		for i, av := range values {
 			if i > 0 {
 				b = append(b, ',')
 			}
@@ -170,29 +174,39 @@ func appendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// FromState rebuilds a profile.
+// ErrAgeOutOfRange is FromState's refusal of an age a Profile cannot hold:
+// one below 0 or above MaxAge.
+var ErrAgeOutOfRange = errors.New("profile: age out of range")
+
+// MaxAge is the oldest age in years a Profile holds.
+const MaxAge = math.MaxUint8
+
+// FromState rebuilds a profile. It refuses a state with no ID, or with an
+// age outside 0…MaxAge (ErrAgeOutOfRange).
 func FromState(s State) (*Profile, error) {
 	if s.ID == "" {
 		return nil, fmt.Errorf("profile: state with empty ID")
 	}
-	p := New(s.ID)
-	p.AgeYrs = s.Age
-	p.Sex = s.Sex
-	p.Nation = s.Nation
-	p.City = s.City
-	p.Lat, p.Lon, p.HasGeo = s.Lat, s.Lon, s.HasGeo
-	p.PII = pii.Record{
-		Emails: append([]string(nil), s.Emails...),
-		Phones: append([]string(nil), s.Phones...),
+	if s.Age < 0 || s.Age > MaxAge {
+		return nil, fmt.Errorf("%w: user %q is %d, outside 0…%d", ErrAgeOutOfRange, s.ID, s.Age, MaxAge)
 	}
+	p := New(s.ID)
+	p.AgeYrs = uint8(s.Age)
+	p.Sex = s.Sex
+	p.SetCountry(s.Nation)
+	p.SetRegion(s.City)
+	p.Lat, p.Lon, p.HasGeo = s.Lat, s.Lon, s.HasGeo
+	p.SetPII(pii.Record{Emails: s.Emails, Phones: s.Phones})
 	if len(s.Likes) > 0 {
-		p.likes = slices.Clone(s.Likes)
-		slices.Sort(p.likes)
-		p.likes = slices.Compact(p.likes)
+		likes := slices.Clone(s.Likes)
+		slices.Sort(likes)
+		p.rareFields().likes = slices.Compact(likes)
 	}
 	// Sized up front: a restored profile reaches Store.Add already packed.
 	p.binary = make([]attr.Ord, 0, len(s.Binary))
-	p.values = make([]ValuedAttr, 0, len(s.Values))
+	if len(s.Values) > 0 {
+		p.rareFields().values = make([]ValuedAttr, 0, len(s.Values))
+	}
 	for _, id := range s.Binary {
 		p.SetAttr(id)
 	}

@@ -44,8 +44,8 @@ func addTestUsers(t *testing.T, p *platform.Platform, n int) []profile.UserID {
 	ids := make([]profile.UserID, n)
 	for i := 0; i < n; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 21 + i
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(21 + i)
 		for j, a := range partner {
 			if a.Kind != attr.Categorical && (i+j)%2 == 0 {
 				pr.SetAttr(a.ID)
@@ -75,7 +75,7 @@ func TestRoundTrip(t *testing.T) {
 
 	// User-scoped surface.
 	pr := profile.New(uid)
-	pr.Nation = "US"
+	pr.SetCountry("US")
 	pr.AgeYrs = 30
 	pr.SetAttr(p.Catalog().BySource(attr.SourcePartner)[0].ID)
 	if _, err := rpc.Do(ctx, c, rpc.OpAddUser, rpc.AddUserReq{Profile: pr.Snapshot()}); err != nil {
@@ -495,8 +495,8 @@ func BenchmarkRPCRawReach(b *testing.B) {
 	partner := p.Catalog().BySource(attr.SourcePartner)
 	for i := 0; i < 500; i++ {
 		pr := profile.New(profile.UserID(fmt.Sprintf("user-%06d", i)))
-		pr.Nation = "US"
-		pr.AgeYrs = 21 + i%50
+		pr.SetCountry("US")
+		pr.AgeYrs = uint8(21 + i%50)
 		if partner[0].Kind != attr.Categorical {
 			pr.SetAttr(partner[0].ID)
 		}
@@ -525,7 +525,7 @@ func BenchmarkRPCRawReach(b *testing.B) {
 func BenchmarkRPCBrowse(b *testing.B) {
 	p := platform.New(platform.Config{Seed: 1})
 	pr := profile.New("user-000001")
-	pr.Nation = "US"
+	pr.SetCountry("US")
 	pr.AgeYrs = 30
 	if err := p.AddUser(pr); err != nil {
 		b.Fatal(err)

@@ -59,7 +59,7 @@ func deploymentFixture(t testing.TB) *Deployment {
 	var users []profile.UserID
 	for i := 0; i < 20; i++ {
 		u := profile.New(profile.UserID(fmt.Sprintf("u%02d", i)))
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 30
 		for j, id := range attrs {
 			if i%(j+2) == 0 {

@@ -256,9 +256,10 @@ type pool struct {
 type draw struct {
 	i        int
 	id       profile.UserID
+	email    string // with PII, the ID is its front: one string holds both
 	city     int
 	lat, lon float64
-	age      int
+	age      uint8
 	female   bool
 	picks    []pick // both pools' attributes, in draw order
 }
@@ -306,13 +307,19 @@ func newGenerator(cfg Config) *generator {
 func (g *generator) draw(i int, d *draw) {
 	rng := g.rng
 	d.i = i
-	d.id = profile.UserID(g.padded(userPrefix, i, userDigits))
+	g.text = appendPadded(g.text[:0], userPrefix, i, userDigits)
+	n := len(g.text)
+	if g.cfg.WithPII {
+		g.text = append(g.text, "@example.com"...)
+	}
+	d.email = string(g.text)
+	d.id = profile.UserID(d.email[:n])
 	d.city = rng.Intn(len(usCities))
 	city := usCities[d.city]
 	// Scatter users ~±0.2° around their city's center.
 	d.lat = city.lat + (rng.Float64()-0.5)*0.4
 	d.lon = city.lon + (rng.Float64()-0.5)*0.4
-	d.age = 18 + rng.Intn(62)
+	d.age = uint8(18 + rng.Intn(62))
 	d.female = rng.Bool(0.5)
 	stamp := i + 1 // seen starts zeroed
 	d.picks = g.platform.drawAttrs(d.picks[:0], g.cfg.MeanPlatformAttrs, rng, stamp)
@@ -324,8 +331,8 @@ func (g *generator) draw(i int, d *draw) {
 // build makes the profile of a drawn user.
 func (g *generator) build(d *draw) *profile.Profile {
 	p := profile.New(d.id)
-	p.Nation = "US"
-	p.City = usCities[d.city].name
+	p.SetCountry("US")
+	p.SetRegion(usCities[d.city].name)
 	p.SetLocation(d.lat, d.lon)
 	p.AgeYrs = d.age
 	p.Sex = "male"
@@ -333,11 +340,9 @@ func (g *generator) build(d *draw) *profile.Profile {
 		p.Sex = "female"
 	}
 	if g.cfg.WithPII {
-		// One backing array for both lists, each capped at its own element:
-		// three allocations with the two strings, where two slices of their
-		// own made four.
-		both := []string{string(d.id) + "@example.com", g.padded("1617555", d.i%10000, 4)}
-		p.PII = pii.Record{Emails: both[0:1:1], Phones: both[1:2:2]}
+		// The email is the string the ID was cut from, and SetPII copies
+		// both lists into one backing array: two allocations with the phone.
+		p.SetPII(pii.Record{Emails: []string{d.email}, Phones: []string{g.padded("1617555", d.i%10000, 4)}})
 	}
 	// Mark each pick's rank, then take the ranks in order: the attributes in
 	// ID order, with no sort.
@@ -464,11 +469,11 @@ func PaperAuthors(catalog *attr.Catalog) (authorA, authorB *profile.Profile, err
 		catalog = attr.DefaultCatalog()
 	}
 	a := profile.New("author-a")
-	a.Nation = "US"
-	a.City = "Boston"
+	a.SetCountry("US")
+	a.SetRegion("Boston")
 	a.AgeYrs = 38
 	a.Sex = "male"
-	a.PII = pii.Record{Emails: []string{"author-a@example.edu"}}
+	a.SetPII(pii.Record{Emails: []string{"author-a@example.edu"}})
 	for _, name := range PaperAuthorAttrs {
 		hits := catalog.Search(name)
 		if len(hits) == 0 {
@@ -483,11 +488,11 @@ func PaperAuthors(catalog *attr.Catalog) (authorA, authorB *profile.Profile, err
 	}
 
 	b := profile.New("author-b")
-	b.Nation = "US"
-	b.City = "Boston"
+	b.SetCountry("US")
+	b.SetRegion("Boston")
 	b.AgeYrs = 26
 	b.Sex = "male"
-	b.PII = pii.Record{Emails: []string{"author-b@example.edu"}}
+	b.SetPII(pii.Record{Emails: []string{"author-b@example.edu"}})
 	for _, q := range []string{"Currently in graduate school", "Expats (India)", "Cricket"} {
 		if hits := catalog.Search(q); len(hits) > 0 {
 			b.SetAttr(hits[0].ID)

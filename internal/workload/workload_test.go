@@ -109,7 +109,7 @@ func TestGenerateDeterministic(t *testing.T) {
 		t.Fatalf("sizes differ")
 	}
 	for i := range a {
-		if a[i].ID != b[i].ID || a[i].AgeYrs != b[i].AgeYrs || a[i].City != b[i].City {
+		if a[i].ID != b[i].ID || a[i].AgeYrs != b[i].AgeYrs || a[i].Region() != b[i].Region() {
 			t.Fatalf("user %d differs between runs", i)
 		}
 		aa, bb := a[i].Attrs(), b[i].Attrs()
@@ -232,13 +232,13 @@ func TestGeneratePII(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Users = 10
 	for _, p := range Generate(cfg) {
-		if len(p.PII.MatchKeys()) < 2 {
+		if len(p.PII().MatchKeys()) < 2 {
 			t.Fatalf("user %s missing PII keys", p.ID)
 		}
 	}
 	cfg.WithPII = false
 	for _, p := range Generate(cfg) {
-		if len(p.PII.MatchKeys()) != 0 {
+		if len(p.PII().MatchKeys()) != 0 {
 			t.Fatalf("user %s has PII despite WithPII=false", p.ID)
 		}
 	}
@@ -254,8 +254,8 @@ func TestGenerateDemographicsValid(t *testing.T) {
 		if p.Sex != "male" && p.Sex != "female" {
 			t.Fatalf("gender %q", p.Sex)
 		}
-		if p.Nation != "US" || p.City == "" {
-			t.Fatalf("location %q/%q", p.Nation, p.City)
+		if p.Country() != "US" || p.Region() == "" {
+			t.Fatalf("location %q/%q", p.Country(), p.Region())
 		}
 	}
 }
@@ -278,7 +278,7 @@ func TestPaperAuthors(t *testing.T) {
 		t.Fatalf("author B has %d partner attrs, want 0 (no broker record)", bPart)
 	}
 	// Both are reachable (have profiles + PII for opt-in).
-	if len(a.PII.MatchKeys()) == 0 || len(b.PII.MatchKeys()) == 0 {
+	if len(a.PII().MatchKeys()) == 0 || len(b.PII().MatchKeys()) == 0 {
 		t.Fatal("authors missing opt-in PII")
 	}
 	// Net worth (Figure 1) is among A's attributes.
@@ -315,18 +315,18 @@ func TestGenerateLocationsNearHomeCity(t *testing.T) {
 		var cityLat, cityLon float64
 		found := false
 		for _, c := range usCities {
-			if c.name == p.City {
+			if c.name == p.Region() {
 				cityLat, cityLon = c.lat, c.lon
 				found = true
 				break
 			}
 		}
 		if !found {
-			t.Fatalf("unknown city %q", p.City)
+			t.Fatalf("unknown city %q", p.Region())
 		}
 		lat, lon, _ := p.LatLon()
 		if d := attr.HaversineKM(cityLat, cityLon, lat, lon); d > 50 {
-			t.Fatalf("user %s is %v km from their home city %s", p.ID, d, p.City)
+			t.Fatalf("user %s is %v km from their home city %s", p.ID, d, p.Region())
 		}
 	}
 }

@@ -132,6 +132,9 @@ func Dollars(d float64) Micros { return money.FromDollars(d) }
 // MatchKey is a hashed, normalized piece of PII.
 type MatchKey = pii.MatchKey
 
+// PIIRecord is the PII the platform holds for one user (Profile.SetPII).
+type PIIRecord = pii.Record
+
 // HashEmail normalizes and hashes an email address.
 func HashEmail(raw string) (MatchKey, error) { return pii.HashEmail(raw) }
 

@@ -23,7 +23,7 @@ func fixedMarket() *treads.Market {
 func TestPublicAPIQuickstartFlow(t *testing.T) {
 	p := treads.NewPlatform(treads.PlatformConfig{Seed: 42, Market: fixedMarket()})
 	u := treads.NewProfile("alice")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 34
 	salsa := p.Catalog().Search("Salsa dance")[0].ID
 	netWorth := p.Catalog().Search("Net worth: over $2,000,000")[0].ID
@@ -158,7 +158,7 @@ func TestPublicAPIHTTPServerAndClient(t *testing.T) {
 	p := treads.NewPlatform(treads.PlatformConfig{Seed: 9, Market: fixedMarket()})
 	for i := 0; i < 3; i++ {
 		u := treads.NewProfile(treads.UserID(fmt.Sprintf("u%d", i)))
-		u.Nation = "US"
+		u.SetCountry("US")
 		u.AgeYrs = 40
 		if err := p.AddUser(u); err != nil {
 			t.Fatal(err)
@@ -210,7 +210,7 @@ func TestPublicAPIHTTPServerAndClient(t *testing.T) {
 func TestPublicAPIStegoMode(t *testing.T) {
 	p := treads.NewPlatform(treads.PlatformConfig{Seed: 3, Market: fixedMarket(), ReviewAds: true})
 	u := treads.NewProfile("eve")
-	u.Nation = "US"
+	u.SetCountry("US")
 	u.AgeYrs = 28
 	jazz := p.Catalog().Search("Jazz")[0].ID
 	u.SetAttr(jazz)
